@@ -3,6 +3,8 @@ package block
 import (
 	"testing"
 	"time"
+
+	"repro/internal/meta"
 )
 
 func benchBlock(b *testing.B) *Block {
@@ -32,6 +34,23 @@ func BenchmarkVerifySelf(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := blk.VerifySelf(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkVerifySelfWarm is VerifySelf through a cache that has seen the
+// block's items: the block hash plus one key hash per item, no ed25519.
+func BenchmarkVerifySelfWarm(b *testing.B) {
+	blk := benchBlock(b)
+	var sigs meta.SigCache
+	if err := blk.VerifySelfCached(&sigs); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := blk.VerifySelfCached(&sigs); err != nil {
 			b.Fatal(err)
 		}
 	}

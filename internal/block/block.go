@@ -9,7 +9,6 @@
 package block
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -78,49 +77,47 @@ var (
 	ErrBadPoSHash   = errors.New("block: PoSHash does not chain from previous block")
 )
 
-func putList(buf *bytes.Buffer, ns []int) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], uint64(len(ns)))
-	buf.Write(b[:])
+func appendList(dst []byte, ns []int) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, uint64(len(ns)))
 	for _, n := range ns {
-		binary.BigEndian.PutUint64(b[:], uint64(int64(n)))
-		buf.Write(b[:])
+		dst = binary.BigEndian.AppendUint64(dst, uint64(int64(n)))
 	}
+	return dst
 }
 
-// hashInput is the canonical byte encoding of everything the block hash
-// covers (all fields except Hash itself).
-func (b *Block) hashInput() []byte {
-	var buf bytes.Buffer
-	var u [8]byte
-	binary.BigEndian.PutUint64(u[:], b.Index)
-	buf.Write(u[:])
-	buf.Write(b.PrevHash[:])
-	binary.BigEndian.PutUint64(u[:], uint64(b.Timestamp))
-	buf.Write(u[:])
-	buf.Write(b.Miner[:])
-	buf.Write(b.PoSHash[:])
-	binary.BigEndian.PutUint64(u[:], math.Float64bits(b.B))
-	buf.Write(u[:])
-	binary.BigEndian.PutUint64(u[:], b.MinedAfter)
-	buf.Write(u[:])
-	binary.BigEndian.PutUint64(u[:], uint64(len(b.Items)))
-	buf.Write(u[:])
+// hashInputSize is the length of what appendHashInput appends, computed
+// from the field lengths.
+func (b *Block) hashInputSize() int {
+	n := 8 + len(b.PrevHash) + 8 + len(b.Miner) + len(b.PoSHash) + 8 + 8 + 8
 	for _, it := range b.Items {
-		enc := it.Encode()
-		binary.BigEndian.PutUint64(u[:], uint64(len(enc)))
-		buf.Write(u[:])
-		buf.Write(enc)
+		n += 8 + it.EncodedSize()
 	}
-	putList(&buf, b.StoringNodes)
-	putList(&buf, b.PrevStoringNodes)
-	putList(&buf, b.RecentAssignees)
-	return buf.Bytes()
+	return n + 8*(3+len(b.StoringNodes)+len(b.PrevStoringNodes)+len(b.RecentAssignees))
+}
+
+// appendHashInput appends the canonical byte encoding of everything the
+// block hash covers (all fields except Hash itself).
+func (b *Block) appendHashInput(dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, b.Index)
+	dst = append(dst, b.PrevHash[:]...)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(b.Timestamp))
+	dst = append(dst, b.Miner[:]...)
+	dst = append(dst, b.PoSHash[:]...)
+	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(b.B))
+	dst = binary.BigEndian.AppendUint64(dst, b.MinedAfter)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(len(b.Items)))
+	for _, it := range b.Items {
+		dst = binary.BigEndian.AppendUint64(dst, uint64(it.EncodedSize()))
+		dst = it.AppendEncode(dst)
+	}
+	dst = appendList(dst, b.StoringNodes)
+	dst = appendList(dst, b.PrevStoringNodes)
+	return appendList(dst, b.RecentAssignees)
 }
 
 // ComputeHash returns the hash of the block's current content.
 func (b *Block) ComputeHash() Hash {
-	return Hash(sha256.Sum256(b.hashInput()))
+	return Hash(sha256.Sum256(b.appendHashInput(make([]byte, 0, b.hashInputSize()))))
 }
 
 // Seal fills the Hash field from the current content.
@@ -138,12 +135,18 @@ func (b *Block) NextPoSHash(account identity.Address) Hash {
 // VerifySelf checks internal consistency: the stored hash matches the
 // content and every packed metadata item carries a valid producer
 // signature.
-func (b *Block) VerifySelf() error {
+func (b *Block) VerifySelf() error { return b.VerifySelfCached(nil) }
+
+// VerifySelfCached is VerifySelf with item signatures checked through a
+// node's verified-signature cache (nil = no cache). The block hash is
+// recomputed on every call: StoringNodes lie outside the producer
+// signature, so only the hash covers them.
+func (b *Block) VerifySelfCached(sigs *meta.SigCache) error {
 	if b.ComputeHash() != b.Hash {
 		return ErrBadHash
 	}
 	for _, it := range b.Items {
-		if err := it.Verify(); err != nil {
+		if err := it.VerifyCached(sigs); err != nil {
 			return fmt.Errorf("block %d: %w", b.Index, err)
 		}
 	}
@@ -172,7 +175,7 @@ func (b *Block) VerifyLink(prev *Block) error {
 // input plus the 32-byte hash itself. Used for network and storage
 // accounting (paper: average block size under 10 KB).
 func (b *Block) EncodedSize() int {
-	return len(b.hashInput()) + sha256.Size
+	return b.hashInputSize() + sha256.Size
 }
 
 // Clone returns a deep copy of the block.

@@ -19,11 +19,8 @@ var errTruncated = errors.New("block: truncated input")
 
 // Encode serializes the block.
 func (b *Block) Encode() []byte {
-	in := b.hashInput()
-	out := make([]byte, 0, len(in)+32)
-	out = append(out, in...)
-	out = append(out, b.Hash[:]...)
-	return out
+	out := b.appendHashInput(make([]byte, 0, b.EncodedSize()))
+	return append(out, b.Hash[:]...)
 }
 
 type reader struct {

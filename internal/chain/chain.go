@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/identity"
+	"repro/internal/meta"
 )
 
 // Validation and append errors.
@@ -105,6 +106,9 @@ type Chain struct {
 	// whole-chain replacement); the core layer uses it to advance the
 	// stake ledger.
 	PostAppend func(b *block.Block)
+	// Sigs, if set, is the owning node's verified-signature cache: Add and
+	// ReplaceIfLonger check item signatures through it.
+	Sigs *meta.SigCache
 }
 
 // New creates a replica seeded with the genesis block.
@@ -356,7 +360,7 @@ func (c *Chain) Add(b *block.Block) (appended int, err error) {
 	tip := c.Tip()
 	switch {
 	case b.Index == tip.Index+1:
-		if err := b.VerifySelf(); err != nil {
+		if err := b.VerifySelfCached(c.Sigs); err != nil {
 			return 0, err
 		}
 		if err := b.VerifyLink(tip); err != nil {
@@ -370,7 +374,7 @@ func (c *Chain) Add(b *block.Block) (appended int, err error) {
 		c.append(b)
 		return 1 + c.drainPending(), nil
 	case b.Index > tip.Index+1:
-		if err := b.VerifySelf(); err != nil {
+		if err := b.VerifySelfCached(c.Sigs); err != nil {
 			return 0, err
 		}
 		c.pending[b.Index] = b
@@ -449,7 +453,7 @@ func (c *Chain) ReplaceIfLonger(candidate []*block.Block) (bool, error) {
 	if len(candidate) <= c.Len() {
 		return false, nil
 	}
-	if err := Validate(candidate); err != nil {
+	if err := validate(candidate, c.Sigs); err != nil {
 		return false, fmt.Errorf("chain: reject candidate: %w", err)
 	}
 	if candidate[0].Hash != c.genesis.Hash {
@@ -474,8 +478,10 @@ func (c *Chain) ReplaceIfLonger(candidate []*block.Block) (bool, error) {
 }
 
 // Validate checks a full chain from genesis: indices, hashes, links and
-// metadata signatures.
-func Validate(blocks []*block.Block) error {
+// metadata signatures. It trusts no node's signature cache.
+func Validate(blocks []*block.Block) error { return validate(blocks, nil) }
+
+func validate(blocks []*block.Block, sigs *meta.SigCache) error {
 	if len(blocks) == 0 {
 		return errors.New("chain: empty")
 	}
@@ -483,7 +489,7 @@ func Validate(blocks []*block.Block) error {
 		return errors.New("chain: first block is not genesis")
 	}
 	for i, b := range blocks {
-		if err := b.VerifySelf(); err != nil {
+		if err := b.VerifySelfCached(sigs); err != nil {
 			return fmt.Errorf("chain: block %d: %w", i, err)
 		}
 		if i > 0 {

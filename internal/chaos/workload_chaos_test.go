@@ -3,6 +3,7 @@ package chaos
 import (
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -154,6 +155,19 @@ func TestChaosOpenLoopWorkload(t *testing.T) {
 	}
 	if res.height < 2 {
 		t.Fatalf("chain barely moved: height %d", res.height)
+	}
+	// Golden fingerprint at the default seed: a change that claims to alter
+	// only cost (caching, encoding, sorting) must leave every network event
+	// — order, time, bytes — where it was. A change that means to alter
+	// behaviour updates these three numbers and says why. Recorded on
+	// linux/amd64; placement uses floating point, so another architecture
+	// may legitimately differ.
+	if seed == 1 && runtime.GOARCH == "amd64" {
+		const digest, events, height = 0xccb08ec6e2ecde13, 31346, 24
+		if res.digest != digest || res.events != events || res.height != height {
+			t.Fatalf("cluster behaviour changed at seed 1: digest %016x events %d height %d, golden %016x %d %d",
+				res.digest, res.events, res.height, uint64(digest), events, height)
+		}
 	}
 }
 

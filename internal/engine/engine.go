@@ -21,10 +21,12 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/alloc"
@@ -208,6 +210,10 @@ type Engine struct {
 	// snaps holds the periodic state snapshots AdoptSuffix adopts from
 	// (ascending height, at most snapshotKeep entries).
 	snaps []snapshot
+	// sigs is this node's verified-signature cache, shared with its chain
+	// replica: relay, block adoption, fork suffixes and full replays verify
+	// each producer signature once between them.
+	sigs meta.SigCache
 
 	// Per-round scratch reused across Mine calls so the mining hot path
 	// stays allocation-flat as the cluster scales; each buffer is reset,
@@ -265,6 +271,7 @@ func New(cfg Config) (*Engine, error) {
 	e.ch = chain.New(cfg.Genesis)
 	e.ch.PreAppend = e.preAppend
 	e.ch.PostAppend = e.postAppend
+	e.ch.Sigs = &e.sigs
 	return e, nil
 }
 
@@ -302,6 +309,11 @@ func (e *Engine) ForgetItem(id meta.DataID) { delete(e.liveItems, id) }
 // PoolLen returns the metadata-pool size.
 func (e *Engine) PoolLen() int { return len(e.pool) }
 
+// SigCacheStats returns how many signature checks the engine's
+// verified-signature cache answered (hits) and how many went to ed25519
+// (misses).
+func (e *Engine) SigCacheStats() (hits, misses uint64) { return e.sigs.Stats() }
+
 // --- metadata pool --------------------------------------------------------
 
 // AddMetadata verifies and pools a metadata item received from the
@@ -311,7 +323,7 @@ func (e *Engine) AddMetadata(it *meta.Item) bool {
 	if e.inChain[it.ID] || e.pool[it.ID] != nil {
 		return false
 	}
-	if err := it.Verify(); err != nil {
+	if err := it.VerifyCached(&e.sigs); err != nil {
 		return false // forged metadata: drop
 	}
 	e.pool[it.ID] = it
@@ -350,22 +362,12 @@ func (e *Engine) poolItems(now time.Duration) []*meta.Item {
 		items = append(items, it)
 	}
 	e.poolScratch = items
-	for i := 1; i < len(items); i++ {
-		for j := i; j > 0 && lessID(items[j].ID, items[j-1].ID); j-- {
-			items[j], items[j-1] = items[j-1], items[j]
-		}
-	}
+	slices.SortFunc(items, func(a, b *meta.Item) int { return compareID(a.ID, b.ID) })
 	return items
 }
 
-func lessID(a, b meta.DataID) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
-}
+// compareID orders data IDs by their bytes.
+func compareID(a, b meta.DataID) int { return bytes.Compare(a[:], b[:]) }
 
 // --- validation & adoption ------------------------------------------------
 
@@ -618,11 +620,7 @@ func (e *Engine) sortedLiveIDs() []meta.DataID {
 	for id := range e.liveItems {
 		ids = append(ids, id)
 	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && lessID(ids[j], ids[j-1]); j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+	slices.SortFunc(ids, compareID)
 	return ids
 }
 
@@ -698,23 +696,14 @@ func (e *Engine) pickRepairs(topo *netsim.Topology, states []alloc.NodeState, no
 			continue // placement added nothing: re-announcing buys no replica
 		}
 		repairedItem := it.Clone()
-		repairedItem.StoringNodes = sortedCopy(newSet)
+		slices.Sort(newSet)
+		repairedItem.StoringNodes = newSet
 		out = append(out, repairedItem)
 		for _, sn := range repairedItem.StoringNodes {
 			masked[sn].Used++ // later repairs in this block see the load
 		}
 	}
 	e.repairCursor += 4 * maxPer
-	return out
-}
-
-func sortedCopy(s []int) []int {
-	out := append([]int(nil), s...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
 	return out
 }
 
@@ -757,15 +746,7 @@ func (e *Engine) pickMigrations(topo *netsim.Topology, states []alloc.NodeState,
 	if ratio <= 1 {
 		ratio = 1.5
 	}
-	ids := make([]meta.DataID, 0, len(e.liveItems))
-	for id := range e.liveItems {
-		ids = append(ids, id)
-	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && lessID(ids[j], ids[j-1]); j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+	ids := e.sortedLiveIDs()
 	var out []*meta.Item
 	budget := 4 * maxPer // cost-evaluation budget per block
 	for k := 0; k < len(ids) && budget > 0 && len(out) < maxPer; k++ {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -365,7 +366,7 @@ func exportSnapshot(s snapshot, anchor *block.Block) *StateSnapshot {
 		out.Assignments = append(out.Assignments, ItemAssignment{ID: id, Nodes: append([]int(nil), nodes...)})
 	}
 	sort.Slice(out.Assignments, func(i, j int) bool {
-		return lessID(out.Assignments[i].ID, out.Assignments[j].ID)
+		return compareID(out.Assignments[i].ID, out.Assignments[j].ID) < 0
 	})
 	out.Expiries = make([]ItemExpiry, 0, len(v.expiries))
 	for _, ex := range v.expiries {
@@ -376,23 +377,23 @@ func exportSnapshot(s snapshot, anchor *block.Block) *StateSnapshot {
 		if a.At != b.At {
 			return a.At < b.At
 		}
-		return lessID(a.ID, b.ID)
+		return compareID(a.ID, b.ID) < 0
 	})
 	out.Expired = make([]meta.DataID, 0, len(v.expired))
 	for id := range v.expired {
 		out.Expired = append(out.Expired, id)
 	}
-	sort.Slice(out.Expired, func(i, j int) bool { return lessID(out.Expired[i], out.Expired[j]) })
+	slices.SortFunc(out.Expired, compareID)
 	out.InChain = make([]meta.DataID, 0, len(s.inChain))
 	for id := range s.inChain {
 		out.InChain = append(out.InChain, id)
 	}
-	sort.Slice(out.InChain, func(i, j int) bool { return lessID(out.InChain[i], out.InChain[j]) })
+	slices.SortFunc(out.InChain, compareID)
 	out.LiveItems = make([]*meta.Item, 0, len(s.liveItems))
 	for _, it := range s.liveItems {
 		out.LiveItems = append(out.LiveItems, it)
 	}
-	sort.Slice(out.LiveItems, func(i, j int) bool { return lessID(out.LiveItems[i].ID, out.LiveItems[j].ID) })
+	sort.Slice(out.LiveItems, func(i, j int) bool { return compareID(out.LiveItems[i].ID, out.LiveItems[j].ID) < 0 })
 	return out
 }
 
@@ -453,6 +454,7 @@ func (e *Engine) BootstrapFromSnapshot(s *StateSnapshot) error {
 	}
 	newCh.PreAppend = e.preAppend
 	newCh.PostAppend = e.postAppend
+	newCh.Sigs = &e.sigs
 
 	inChain := make(map[meta.DataID]bool, len(s.InChain))
 	for _, id := range s.InChain {

@@ -122,8 +122,9 @@ func (e *Engine) Snapshots() []uint64 {
 	return out
 }
 
-// verifyContent runs VerifySelf (hash integrity + metadata signatures)
-// over every block, fanning out across Config.VerifyWorkers goroutines.
+// verifyContent runs VerifySelfCached (hash integrity + metadata signatures
+// through the engine's signature cache) over every block, fanning out
+// across Config.VerifyWorkers goroutines.
 // The result is deterministic regardless of worker count and scheduling:
 // when several blocks fail, the lowest-index failure is returned. The
 // returned count is how many blocks the parallel pool verified (0 when it
@@ -135,7 +136,7 @@ func (e *Engine) verifyContent(blocks []*block.Block) (int, error) {
 	}
 	if workers <= 1 {
 		for i, b := range blocks {
-			if err := b.VerifySelf(); err != nil {
+			if err := b.VerifySelfCached(&e.sigs); err != nil {
 				return 0, fmt.Errorf("engine: suffix block %d: %w", i, err)
 			}
 		}
@@ -153,7 +154,7 @@ func (e *Engine) verifyContent(blocks []*block.Block) (int, error) {
 				if i >= len(blocks) {
 					return
 				}
-				errs[i] = blocks[i].VerifySelf()
+				errs[i] = blocks[i].VerifySelfCached(&e.sigs)
 			}
 		}()
 	}

@@ -284,6 +284,13 @@ type nodeMetrics struct {
 	wireMetaBytes      *telemetry.Counter // metadata propagation (FrameMeta + announce + get-meta)
 	wireHeartbeatBytes *telemetry.Counter // liveness traffic (announce + probe + ack)
 
+	// Verified-signature cache (DESIGN.md §16): the engine counts, and
+	// updateChainGauges publishes the increase since it last ran.
+	sigCacheHits   *telemetry.Counter // signature checks answered by the cache
+	sigCacheMisses *telemetry.Counter // signature checks that ran ed25519
+	sigHitsSeen    uint64
+	sigMissesSeen  uint64
+
 	dataFetchExpired *telemetry.Counter // pending fetches dropped by FetchTimeout
 	height           *telemetry.Gauge
 	sGauges          []*telemetry.Gauge // per roster node stake S_i
@@ -317,6 +324,8 @@ func newNodeMetrics(reg *telemetry.Registry, rosterN int) *nodeMetrics {
 		syncBatchBlocks:    reg.Histogram("livenode.sync.batch_blocks"),
 
 		dataFetchExpired: reg.Counter("livenode.data.fetch_expired"),
+		sigCacheHits:     reg.Counter("livenode.sigcache.hits"),
+		sigCacheMisses:   reg.Counter("livenode.sigcache.misses"),
 
 		repairEnqueued:    reg.Counter("livenode.repair.enqueued"),
 		repairFetches:     reg.Counter("livenode.repair.fetches"),
@@ -377,9 +386,14 @@ func newNodeMetrics(reg *telemetry.Registry, rosterN int) *nodeMetrics {
 	return m
 }
 
-// updateChainGauges refreshes height and the S_i/Q_i gauges (n.mu held).
+// updateChainGauges refreshes height, the S_i/Q_i gauges and the
+// signature-cache counters (n.mu held).
 func (n *Node) updateChainGauges() {
 	n.tel.height.Set(int64(n.eng.Height()))
+	hits, misses := n.eng.SigCacheStats()
+	n.tel.sigCacheHits.Add(int(hits - n.tel.sigHitsSeen))
+	n.tel.sigCacheMisses.Add(int(misses - n.tel.sigMissesSeen))
+	n.tel.sigHitsSeen, n.tel.sigMissesSeen = hits, misses
 	led := n.eng.Ledger()
 	for i := range n.tel.sGauges {
 		n.tel.sGauges[i].Set(int64(led.S(i)))

@@ -211,3 +211,32 @@ func TestMetaIDListCodecBounds(t *testing.T) {
 		t.Error("trailing garbage accepted")
 	}
 }
+
+// TestSigCacheCountersPublished follows one item from relay to block
+// adoption at a peer: ed25519 runs at the relay (a miss), the block that
+// packs the item finds the signature cached (a hit), and both counts
+// reach the registry with the chain gauges.
+func TestSigCacheCountersPublished(t *testing.T) {
+	fn := newFakeNet()
+	epoch := time.Unix(1700000000, 0)
+	clk := newFakeClock(epoch)
+	a := newGossipTestNode(t, fn, clk, "a", 0, epoch, nil)
+	b := newGossipTestNode(t, fn, clk, "b", 1, epoch, nil)
+	b.stopMining()
+	link(t, a, b)
+
+	it, err := a.Publish([]byte("verified once"), "Road/Congestion", "lab")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !poolHas(b.Node, it.ID) {
+		t.Fatal("peer never pooled the published item")
+	}
+	a.mineBlocks(t, 1)
+	if b.Height() != 1 || len(b.Tip().Items) != 1 {
+		t.Fatalf("peer at height %d with %d items, want the block packing the item", b.Height(), len(b.Tip().Items))
+	}
+	if hits, misses := counter(b.reg, "livenode.sigcache.hits"), counter(b.reg, "livenode.sigcache.misses"); hits != 1 || misses != 1 {
+		t.Fatalf("sigcache hits/misses = %d/%d, want 1/1", hits, misses)
+	}
+}

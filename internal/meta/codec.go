@@ -9,8 +9,6 @@ import (
 // errTruncated reports a short buffer during decoding.
 var errTruncated = errors.New("truncated input")
 
-func floatBits(f float64) uint64 { return math.Float64bits(f) }
-
 // reader is a tiny cursor over a byte slice that records the first error
 // and turns all subsequent reads into no-ops.
 type reader struct {

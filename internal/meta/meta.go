@@ -12,13 +12,13 @@
 package meta
 
 import (
-	"bytes"
 	"crypto/ed25519"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/geo"
@@ -79,49 +79,43 @@ var (
 	ErrExpired = errors.New("meta: item expired")
 )
 
-func putString(buf *bytes.Buffer, s string) {
-	var lenb [4]byte
-	binary.BigEndian.PutUint32(lenb[:], uint32(len(s)))
-	buf.Write(lenb[:])
-	buf.WriteString(s)
+func appendString(dst []byte, s string) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s)))
+	return append(dst, s...)
 }
 
-func putBytes(buf *bytes.Buffer, b []byte) {
-	var lenb [4]byte
-	binary.BigEndian.PutUint32(lenb[:], uint32(len(b)))
-	buf.Write(lenb[:])
-	buf.Write(b)
+func appendBytes(dst, b []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(b)))
+	return append(dst, b...)
 }
 
-func putUint64(buf *bytes.Buffer, v uint64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	buf.Write(b[:])
+// signingSize is len(SigningBytes()) computed from the field lengths.
+func (it *Item) signingSize() int {
+	return len(it.ID) + 4 + len(it.Type) + 8 + 8 + 8 + 4 + len(it.LocationName) +
+		len(it.Producer) + 4 + len(it.ProducerPub) + 8 + 4 + len(it.Properties) + 8
 }
 
-func putFloat(buf *bytes.Buffer, f float64) {
-	// Positions are non-negative field coordinates; encode the IEEE bits.
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], floatBits(f))
-	buf.Write(b[:])
+// AppendSigningBytes appends the canonical encoding of every
+// producer-attested field (everything except Signature and StoringNodes)
+// to dst. Positions are non-negative field coordinates, encoded as their
+// IEEE bits.
+func (it *Item) AppendSigningBytes(dst []byte) []byte {
+	dst = append(dst, it.ID[:]...)
+	dst = appendString(dst, it.Type)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(it.Produced))
+	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(it.Location.X))
+	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(it.Location.Y))
+	dst = appendString(dst, it.LocationName)
+	dst = append(dst, it.Producer[:]...)
+	dst = appendBytes(dst, it.ProducerPub)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(it.ValidFor))
+	dst = appendString(dst, it.Properties)
+	return binary.BigEndian.AppendUint64(dst, uint64(it.DataSize))
 }
 
-// SigningBytes returns the canonical encoding of every producer-attested
-// field (everything except Signature and StoringNodes).
+// SigningBytes returns the bytes the producer signs.
 func (it *Item) SigningBytes() []byte {
-	var buf bytes.Buffer
-	buf.Write(it.ID[:])
-	putString(&buf, it.Type)
-	putUint64(&buf, uint64(it.Produced))
-	putFloat(&buf, it.Location.X)
-	putFloat(&buf, it.Location.Y)
-	putString(&buf, it.LocationName)
-	buf.Write(it.Producer[:])
-	putBytes(&buf, it.ProducerPub)
-	putUint64(&buf, uint64(it.ValidFor))
-	putString(&buf, it.Properties)
-	putUint64(&buf, uint64(it.DataSize))
-	return buf.Bytes()
+	return it.AppendSigningBytes(make([]byte, 0, it.signingSize()))
 }
 
 // Sign fills Producer, ProducerPub and Signature using the identity.
@@ -136,7 +130,13 @@ func (it *Item) Verify() error {
 	if len(it.Signature) == 0 {
 		return ErrUnsigned
 	}
-	if err := identity.Verify(it.ProducerPub, it.Producer, it.SigningBytes(), it.Signature); err != nil {
+	return it.verifyBytes(it.SigningBytes())
+}
+
+// verifyBytes checks Signature over msg, which must be the item's signing
+// bytes, and the key/address binding.
+func (it *Item) verifyBytes(msg []byte) error {
+	if err := identity.Verify(it.ProducerPub, it.Producer, msg, it.Signature); err != nil {
 		return fmt.Errorf("meta: item %s: %w", it.ID.Short(), err)
 	}
 	return nil
@@ -174,23 +174,27 @@ func (it *Item) ValidateAt(now time.Duration) error {
 	return nil
 }
 
-// EncodedSize is the wire size of the item in bytes, used for network
-// accounting and block-size accounting.
+// EncodedSize is the wire size of the item in bytes (len(Encode())), used
+// for network accounting and block-size accounting.
 func (it *Item) EncodedSize() int {
-	return len(it.Encode())
+	return it.signingSize() + 4 + len(it.Signature) + 8 + 8*len(it.StoringNodes)
 }
 
-// Encode serializes the full item (including signature and storing nodes)
-// with the canonical binary layout.
-func (it *Item) Encode() []byte {
-	var buf bytes.Buffer
-	buf.Write(it.SigningBytes())
-	putBytes(&buf, it.Signature)
-	putUint64(&buf, uint64(len(it.StoringNodes)))
+// AppendEncode appends the full item (including signature and storing
+// nodes) to dst in the canonical binary layout.
+func (it *Item) AppendEncode(dst []byte) []byte {
+	dst = it.AppendSigningBytes(dst)
+	dst = appendBytes(dst, it.Signature)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(len(it.StoringNodes)))
 	for _, n := range it.StoringNodes {
-		putUint64(&buf, uint64(int64(n)))
+		dst = binary.BigEndian.AppendUint64(dst, uint64(int64(n)))
 	}
-	return buf.Bytes()
+	return dst
+}
+
+// Encode serializes the full item.
+func (it *Item) Encode() []byte {
+	return it.AppendEncode(make([]byte, 0, it.EncodedSize()))
 }
 
 // Decode parses an item encoded by Encode.

@@ -1,0 +1,185 @@
+package meta
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math/rand"
+	"testing"
+	"time"
+
+	"repro/internal/identity"
+)
+
+// goldenItem is a fixed item whose encodings were recorded before the
+// encoders were rewritten to build into one pre-sized slice.
+func goldenItem(t *testing.T) *Item {
+	t.Helper()
+	it, _ := sampleItem(t, rand.New(rand.NewSource(1)))
+	it.Properties = "Camera"
+	it.Sign(identity.GenerateSeeded(rand.New(rand.NewSource(1))))
+	it.StoringNodes = []int{3, -1, 700}
+	return it
+}
+
+const (
+	goldenSigning = "6ef5c648377b9b16b66c0216a9b275fa983424d21012706d3642a9c447ca88c3" +
+		"000000104169725175616c6974792f504d322e3500000099ab10c80040445c28" +
+		"f5c28f5cc0528000000000000000000a4e6577596f726b2c4e597890320d1f0a" +
+		"60cf9a11c183aedb5c0b889760a2e89d3ef2da14160b7faf981100000020448f" +
+		"8c6c802a59170392e8b3d8d21f33f0c8acae953dd5b79b19ad7eb48a8d110000" +
+		"4e94914f00000000000643616d6572610000000000100000"
+	goldenTail = "0000004073ed889d914dbd6b8af818397e8e6029b09eb85e88b2c854c58effb0" +
+		"5f39048217bcdbeaa2c3c7ada05e74aca6d3eaf6e52710305f3aabcac5db0d65" +
+		"62f6910c00000000000000030000000000000003ffffffffffffffff00000000" +
+		"000002bc"
+)
+
+func TestEncodingGolden(t *testing.T) {
+	it := goldenItem(t)
+	if got := hex.EncodeToString(it.SigningBytes()); got != goldenSigning {
+		t.Fatalf("SigningBytes changed:\n got %s\nwant %s", got, goldenSigning)
+	}
+	enc := it.Encode()
+	if got := hex.EncodeToString(enc); got != goldenSigning+goldenTail {
+		t.Fatalf("Encode changed:\n got %s\nwant %s", got, goldenSigning+goldenTail)
+	}
+	if it.EncodedSize() != 284 || it.EncodedSize() != len(enc) {
+		t.Fatalf("EncodedSize = %d, len(Encode) = %d, want 284", it.EncodedSize(), len(enc))
+	}
+	if got := it.AppendEncode([]byte("xy")); string(got[:2]) != "xy" || hex.EncodeToString(got[2:]) != goldenSigning+goldenTail {
+		t.Fatal("AppendEncode must append to dst and leave its prefix alone")
+	}
+	empty := &Item{}
+	if empty.EncodedSize() != len(empty.Encode()) {
+		t.Fatalf("zero item: EncodedSize %d, len(Encode) %d", empty.EncodedSize(), len(empty.Encode()))
+	}
+}
+
+func stats(c *SigCache) [2]uint64 {
+	h, m := c.Stats()
+	return [2]uint64{h, m}
+}
+
+// A failed verification leaves nothing behind: the second attempt on the
+// same forged bytes is a miss and an error again.
+func TestVerifyCachedNeverCachesFailure(t *testing.T) {
+	it, _ := sampleItem(t, rand.New(rand.NewSource(4)))
+	it.Signature[5] ^= 1
+	var c SigCache
+	for i := 1; i <= 2; i++ {
+		if err := it.VerifyCached(&c); err == nil {
+			t.Fatalf("attempt %d: forged item verified", i)
+		}
+		if got := stats(&c); got != [2]uint64{0, uint64(i)} {
+			t.Fatalf("attempt %d: hits/misses = %v, want 0/%d", i, got, i)
+		}
+	}
+	if c.cur != nil || c.old != nil {
+		t.Fatal("a cache that never stored anything must hold and allocate nothing")
+	}
+	unsigned := &Item{Type: "x"}
+	if err := unsigned.VerifyCached(&c); err != ErrUnsigned {
+		t.Fatalf("unsigned: err = %v, want ErrUnsigned", err)
+	}
+}
+
+// After a warm hit, changing any byte identity.Verify reads is a miss and
+// an error; changing only the storing nodes is a hit.
+func TestVerifyCachedKeyCoversEverySignedByte(t *testing.T) {
+	base, _ := sampleItem(t, rand.New(rand.NewSource(2)))
+	var c SigCache
+	if err := base.VerifyCached(&c); err != nil {
+		t.Fatal(err)
+	}
+	if err := base.VerifyCached(&c); err != nil || stats(&c) != [2]uint64{1, 1} {
+		t.Fatalf("warm repeat: err %v, hits/misses %v, want 1/1", err, stats(&c))
+	}
+	mutations := map[string]func(*Item){
+		"type":      func(it *Item) { it.Type = "Picture/Traffic" },
+		"time":      func(it *Item) { it.Produced++ },
+		"locationX": func(it *Item) { it.Location.X += 0.01 },
+		"locationY": func(it *Item) { it.Location.Y += 0.01 },
+		"locname":   func(it *Item) { it.LocationName = "Nassau,NY" },
+		"validfor":  func(it *Item) { it.ValidFor += time.Minute },
+		"props":     func(it *Item) { it.Properties = "Camera" },
+		"datasize":  func(it *Item) { it.DataSize++ },
+		"id":        func(it *Item) { it.ID[0] ^= 1 },
+		"pubkey":    func(it *Item) { it.ProducerPub[31] ^= 1 },
+		"address":   func(it *Item) { it.Producer[0] ^= 1 },
+		"signature": func(it *Item) { it.Signature[63] ^= 1 },
+		"sigshort":  func(it *Item) { it.Signature = it.Signature[:63] },
+	}
+	for name, mutate := range mutations {
+		t.Run(name, func(t *testing.T) {
+			it := base.Clone()
+			mutate(it)
+			before := stats(&c)
+			err := it.VerifyCached(&c)
+			if err == nil {
+				t.Fatalf("tampered %s verified through a warm cache", name)
+			}
+			if want := it.Verify(); want == nil || err.Error() != want.Error() {
+				t.Fatalf("cached error %q, uncached %v", err, want)
+			}
+			if got := stats(&c); got != [2]uint64{before[0], before[1] + 1} {
+				t.Fatalf("hits/misses %v -> %v, want one more miss", before, got)
+			}
+		})
+	}
+	placed := base.Clone()
+	placed.StoringNodes = []int{10, 11, 12}
+	before := stats(&c)
+	if err := placed.VerifyCached(&c); err != nil {
+		t.Fatal(err)
+	}
+	if got := stats(&c); got != [2]uint64{before[0] + 1, before[1]} {
+		t.Fatalf("storing nodes are outside the signature: hits/misses %v -> %v, want one more hit", before, got)
+	}
+	if err := base.VerifyCached(nil); err != nil {
+		t.Fatalf("nil cache must behave as Verify: %v", err)
+	}
+}
+
+func testKey(i int) (k [sha256.Size]byte) {
+	binary.BigEndian.PutUint64(k[:], uint64(i))
+	return k
+}
+
+// The cache never holds more than two generations, and the newest
+// sigCacheGen inserts are always among them.
+func TestSigCacheBound(t *testing.T) {
+	var c SigCache
+	const n = 4 * sigCacheGen
+	for i := 0; i < n; i++ {
+		c.add(testKey(i))
+		if held := len(c.cur) + len(c.old); held > 2*sigCacheGen {
+			t.Fatalf("after %d inserts the cache holds %d keys, bound is %d", i+1, held, 2*sigCacheGen)
+		}
+	}
+	for i := n - sigCacheGen; i < n; i++ {
+		if !c.lookup(testKey(i)) {
+			t.Fatalf("key %d of the newest generation was evicted", i)
+		}
+	}
+	if c.lookup(testKey(0)) {
+		t.Fatal("the oldest key survived 4 generations of inserts")
+	}
+}
+
+// A warm VerifyCached builds its key in one buffer and nothing else.
+func TestVerifyCachedWarmAllocs(t *testing.T) {
+	it, _ := sampleItem(t, rand.New(rand.NewSource(3)))
+	var c SigCache
+	if err := it.VerifyCached(&c); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := it.VerifyCached(&c); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("warm VerifyCached allocates %.0f times, want at most 1", allocs)
+	}
+}
