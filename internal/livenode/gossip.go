@@ -188,12 +188,15 @@ func (n *Node) sampleGossipPeers(exclude string) []string {
 }
 
 // samplePeersLocked draws up to k distinct entries from cand via a
-// partial Fisher-Yates shuffle, sorting first so the draw is a pure
-// function of the candidate set and the caller's seeded RNG (n.mu held —
-// the RNGs live behind it). Both gossip planes and the sampled liveness
-// prober share this.
+// partial Fisher-Yates shuffle over the sorted candidates, so the draw is
+// a pure function of the candidate set and the caller's seeded RNG (n.mu
+// held — the RNGs live behind it). memnet's Peers() arrives sorted; the
+// TCP transport's comes in map order and is sorted here. Both gossip
+// planes and the sampled liveness prober share this.
 func samplePeersLocked(rng *rand.Rand, cand []string, k int) []string {
-	sort.Strings(cand)
+	if !sort.StringsAreSorted(cand) {
+		sort.Strings(cand)
+	}
 	if k > len(cand) {
 		k = len(cand)
 	}

@@ -577,9 +577,11 @@ type Endpoint struct {
 	handler p2p.Handler
 	peers   map[string]bool
 	closed  bool
-	// scratch is the reusable sorted-peer buffer for Broadcast; Peers
-	// still returns fresh copies.
-	scratch []string
+	// sorted caches the peer addresses in sorted order. Every change to
+	// peers goes through setPeerLocked or Close, which drop the cache; it
+	// is rebuilt (into a fresh slice, so a Broadcast in progress keeps
+	// its view) on the next use.
+	sorted []string
 }
 
 var _ p2p.Transport = (*Endpoint)(nil)
@@ -604,27 +606,44 @@ func (e *Endpoint) Connect(addr string) error {
 	if !ok || dst.closed {
 		return fmt.Errorf("memnet: connect %s: connection refused", addr)
 	}
-	e.peers[addr] = true
-	dst.peers[e.addr] = true
+	e.setPeerLocked(addr, true)
+	dst.setPeerLocked(e.addr, true)
 	n.logLocked(Event{Kind: EvConnect, From: e.addr, To: addr})
 	return nil
 }
 
-// Peers returns the connected peer addresses in sorted order.
+// Peers returns the connected peer addresses in sorted order; the slice
+// is the caller's own.
 func (e *Endpoint) Peers() []string {
 	n := e.net
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return e.sortedPeersLocked()
+	return append([]string(nil), e.sortedPeersLocked()...)
 }
 
-func (e *Endpoint) sortedPeersLocked() []string {
-	out := make([]string, 0, len(e.peers))
-	for a := range e.peers {
-		out = append(out, a)
+// setPeerLocked adds or removes one peer and drops the sorted cache.
+func (e *Endpoint) setPeerLocked(addr string, connected bool) {
+	if connected {
+		e.peers[addr] = true
+	} else {
+		delete(e.peers, addr)
 	}
-	sort.Strings(out)
-	return out
+	e.sorted = nil
+}
+
+// sortedPeersLocked returns the cached sorted peer list, which callers
+// must not modify. The relay planes ask for it once per relayed item per
+// node, so sorting the whole peer map on every call was a fifth of the
+// CPU of a 256-node run.
+func (e *Endpoint) sortedPeersLocked() []string {
+	if e.sorted == nil && len(e.peers) > 0 {
+		e.sorted = make([]string, 0, len(e.peers))
+		for a := range e.peers {
+			e.sorted = append(e.sorted, a)
+		}
+		sort.Strings(e.sorted)
+	}
+	return e.sorted
 }
 
 // Send enqueues one frame for a specific peer. A dead peer endpoint fails
@@ -640,7 +659,7 @@ func (e *Endpoint) Send(peerAddr string, frameType byte, payload []byte) error {
 		return fmt.Errorf("memnet: unknown peer %s", peerAddr)
 	}
 	if dst, ok := n.endpoints[peerAddr]; !ok || dst.closed {
-		delete(e.peers, peerAddr)
+		e.setPeerLocked(peerAddr, false)
 		n.logLocked(Event{Kind: EvDisconnect, From: e.addr, To: peerAddr, Note: "send failed"})
 		return fmt.Errorf("memnet: peer %s gone", peerAddr)
 	}
@@ -661,15 +680,10 @@ func (e *Endpoint) Broadcast(frameType byte, payload []byte) (delivered, failed 
 	if e.closed {
 		return 0, 0
 	}
-	e.scratch = e.scratch[:0]
-	for a := range e.peers {
-		e.scratch = append(e.scratch, a)
-	}
-	sort.Strings(e.scratch)
 	shared := append([]byte(nil), payload...)
-	for _, addr := range e.scratch {
+	for _, addr := range e.sortedPeersLocked() {
 		if dst, ok := n.endpoints[addr]; !ok || dst.closed {
-			delete(e.peers, addr)
+			e.setPeerLocked(addr, false)
 			n.logLocked(Event{Kind: EvDisconnect, From: e.addr, To: addr, Note: "send failed"})
 			failed++
 			continue
@@ -701,10 +715,11 @@ func (e *Endpoint) Close() error {
 	for _, a := range addrs {
 		other := n.endpoints[a]
 		if other != e && other.peers[e.addr] {
-			delete(other.peers, e.addr)
+			other.setPeerLocked(e.addr, false)
 			n.logLocked(Event{Kind: EvDisconnect, From: other.addr, To: e.addr, Note: "peer closed"})
 		}
 	}
 	e.peers = make(map[string]bool)
+	e.sorted = nil
 	return nil
 }

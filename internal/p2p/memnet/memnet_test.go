@@ -261,3 +261,82 @@ func TestEventLogDeterminism(t *testing.T) {
 		t.Fatal("empty event log")
 	}
 }
+
+// TestPeersCacheFollowsEveryChange: Peers() is served from a cached
+// sorted slice, so every way the peer set can change — connect from
+// either side, a failed send, a failed broadcast, the peer closing, the
+// endpoint itself closing — must show in the next call, and the slice
+// handed out must be the caller's own.
+func TestPeersCacheFollowsEveryChange(t *testing.T) {
+	n := New(1, nil)
+	eps := map[string]*Endpoint{}
+	for _, addr := range []string{"d", "b", "a", "c", "e"} {
+		e, err := n.Listen(addr, &recorder{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eps[addr] = e
+	}
+	a := eps["a"]
+	want := func(step string, e *Endpoint, peers ...string) {
+		t.Helper()
+		got := e.Peers()
+		if len(got) != len(peers) {
+			t.Fatalf("%s: %s peers = %v, want %v", step, e.Addr(), got, peers)
+		}
+		for i := range got {
+			if got[i] != peers[i] {
+				t.Fatalf("%s: %s peers = %v, want %v", step, e.Addr(), got, peers)
+			}
+		}
+	}
+	want("fresh", a)
+	for _, addr := range []string{"d", "b"} {
+		if err := a.Connect(addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want("outbound connects", a, "b", "d")
+	want("outbound connects, far side", eps["d"], "a")
+	if err := eps["c"].Connect("a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := eps["e"].Connect("a"); err != nil {
+		t.Fatal(err)
+	}
+	want("inbound connects", a, "b", "c", "d", "e")
+
+	got := a.Peers()
+	got[0] = "scribbled"
+	want("caller mutated its copy", a, "b", "c", "d", "e")
+
+	// A closing peer disconnects from everyone that knew it.
+	if err := eps["c"].Close(); err != nil {
+		t.Fatal(err)
+	}
+	want("peer closed", a, "b", "d", "e")
+
+	// Send and Broadcast failures need a dead endpoint a still lists:
+	// re-register "c" closed-over (restart) so a's entry is stale.
+	n.mu.Lock()
+	a.setPeerLocked("c", true)
+	n.mu.Unlock()
+	want("stale entry", a, "b", "c", "d", "e")
+	if err := a.Send("c", p2p.FrameMeta, nil); err == nil {
+		t.Fatal("send to a closed endpoint succeeded")
+	}
+	want("send failed", a, "b", "d", "e")
+	n.mu.Lock()
+	a.setPeerLocked("c", true)
+	n.mu.Unlock()
+	if d, f := a.Broadcast(p2p.FrameMeta, []byte("x")); d != 3 || f != 1 {
+		t.Fatalf("broadcast delivered=%d failed=%d, want 3/1", d, f)
+	}
+	want("broadcast failed", a, "b", "d", "e")
+
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want("self closed", a)
+	want("self closed, far side", eps["b"])
+}
