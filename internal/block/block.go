@@ -95,24 +95,34 @@ func (b *Block) hashInputSize() int {
 	return n + 8*(3+len(b.StoringNodes)+len(b.PrevStoringNodes)+len(b.RecentAssignees))
 }
 
-// appendHashInput appends the canonical byte encoding of everything the
-// block hash covers (all fields except Hash itself).
-func (b *Block) appendHashInput(dst []byte) []byte {
+// appendHeader appends the fixed-size fields every encoding starts with.
+func (b *Block) appendHeader(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, b.Index)
 	dst = append(dst, b.PrevHash[:]...)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(b.Timestamp))
 	dst = append(dst, b.Miner[:]...)
 	dst = append(dst, b.PoSHash[:]...)
 	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(b.B))
-	dst = binary.BigEndian.AppendUint64(dst, b.MinedAfter)
+	return binary.BigEndian.AppendUint64(dst, b.MinedAfter)
+}
+
+// appendTail appends the three node lists that follow the items.
+func (b *Block) appendTail(dst []byte) []byte {
+	dst = appendList(dst, b.StoringNodes)
+	dst = appendList(dst, b.PrevStoringNodes)
+	return appendList(dst, b.RecentAssignees)
+}
+
+// appendHashInput appends the canonical byte encoding of everything the
+// block hash covers (all fields except Hash itself).
+func (b *Block) appendHashInput(dst []byte) []byte {
+	dst = b.appendHeader(dst)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(len(b.Items)))
 	for _, it := range b.Items {
 		dst = binary.BigEndian.AppendUint64(dst, uint64(it.EncodedSize()))
 		dst = it.AppendEncode(dst)
 	}
-	dst = appendList(dst, b.StoringNodes)
-	dst = appendList(dst, b.PrevStoringNodes)
-	return appendList(dst, b.RecentAssignees)
+	return b.appendTail(dst)
 }
 
 // ComputeHash returns the hash of the block's current content.

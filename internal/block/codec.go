@@ -77,11 +77,8 @@ func (r *reader) intList(maxLen int) []int {
 // maxListLen bounds decoded list lengths against corrupt length prefixes.
 const maxListLen = 1 << 16
 
-// Decode parses a block encoded by Encode and verifies that the embedded
-// hash matches the content.
-func Decode(data []byte) (*Block, error) {
-	r := &reader{b: data}
-	b := &Block{}
+// header reads what appendHeader wrote.
+func (r *reader) header(b *Block) {
 	b.Index = r.uint64()
 	b.PrevHash = r.hash()
 	b.Timestamp = time.Duration(r.uint64())
@@ -89,6 +86,30 @@ func Decode(data []byte) (*Block, error) {
 	b.PoSHash = r.hash()
 	b.B = math.Float64frombits(r.uint64())
 	b.MinedAfter = r.uint64()
+}
+
+// tail reads what appendTail wrote plus the trailing block hash, and
+// rejects bytes past it.
+func (r *reader) tail(b *Block) error {
+	b.StoringNodes = r.intList(maxListLen)
+	b.PrevStoringNodes = r.intList(maxListLen)
+	b.RecentAssignees = r.intList(maxListLen)
+	b.Hash = r.hash()
+	if r.err != nil {
+		return r.err
+	}
+	if r.off != len(r.b) {
+		return fmt.Errorf("block: %d trailing bytes", len(r.b)-r.off)
+	}
+	return nil
+}
+
+// Decode parses a block encoded by Encode and verifies that the embedded
+// hash matches the content.
+func Decode(data []byte) (*Block, error) {
+	r := &reader{b: data}
+	b := &Block{}
+	r.header(b)
 	nItems := int(r.uint64())
 	if r.err == nil && (nItems < 0 || nItems > maxListLen) {
 		return nil, fmt.Errorf("block: absurd item count %d", nItems)
@@ -105,18 +126,97 @@ func Decode(data []byte) (*Block, error) {
 		}
 		b.Items = append(b.Items, it)
 	}
-	b.StoringNodes = r.intList(maxListLen)
-	b.PrevStoringNodes = r.intList(maxListLen)
-	b.RecentAssignees = r.intList(maxListLen)
-	b.Hash = r.hash()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(data) {
-		return nil, fmt.Errorf("block: %d trailing bytes", len(data)-r.off)
+	if err := r.tail(b); err != nil {
+		return nil, err
 	}
 	if b.ComputeHash() != b.Hash {
 		return nil, ErrBadHash
 	}
 	return b, nil
+}
+
+// ItemRef stands for one packed item in a Compact block.
+type ItemRef struct {
+	ID           meta.DataID
+	StoringNodes []int
+}
+
+// Compact is a block with every item replaced by its data ID and the
+// storing nodes the miner assigned — the one part of a packed item its
+// producer did not sign and no pool can supply (DESIGN.md §13.5). Wire
+// layout: header, item count, per item (ID, storing-node list), the three
+// node lists, block hash.
+type Compact struct {
+	// Head holds every field of the block except Items. Head.Hash is the
+	// sender's claim: nothing checks it until the rebuilt block is verified.
+	Head Block
+	// Refs are the packed items in block order.
+	Refs []ItemRef
+}
+
+// minRefSize is the encoded size of a reference with no storing nodes.
+const minRefSize = len(meta.DataID{}) + 8
+
+// EncodeCompact serializes the block in compact form.
+func (b *Block) EncodeCompact() []byte {
+	n := b.EncodedSize()
+	for _, it := range b.Items {
+		n -= 8 + it.EncodedSize() - minRefSize - 8*len(it.StoringNodes) // what a reference leaves out
+	}
+	out := b.appendHeader(make([]byte, 0, n))
+	out = binary.BigEndian.AppendUint64(out, uint64(len(b.Items)))
+	for _, it := range b.Items {
+		out = append(out, it.ID[:]...)
+		out = appendList(out, it.StoringNodes)
+	}
+	return append(b.appendTail(out), b.Hash[:]...)
+}
+
+// DecodeCompact parses a block encoded by EncodeCompact. The item count is
+// checked against the bytes that remain before anything is allocated for it.
+func DecodeCompact(data []byte) (*Compact, error) {
+	r := &reader{b: data}
+	c := &Compact{}
+	r.header(&c.Head)
+	n := r.uint64()
+	if r.err != nil {
+		return nil, r.err
+	}
+	if n > maxListLen || n > uint64((len(data)-r.off)/minRefSize) {
+		return nil, fmt.Errorf("block: compact item count %d exceeds payload", n)
+	}
+	c.Refs = make([]ItemRef, n)
+	for i := range c.Refs {
+		copy(c.Refs[i].ID[:], r.take(len(meta.DataID{})))
+		c.Refs[i].StoringNodes = r.intList(maxListLen)
+	}
+	if err := r.tail(&c.Head); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Rebuild assembles the full block from the items resolve returns for the
+// referenced IDs (nil = unknown): each is cloned and given the miner's
+// storing nodes. If any ID is unknown it returns nil and the unknown IDs.
+// The rebuilt block carries the claimed hash unchecked, so it must go
+// through VerifySelf like any block off the wire: a resolver that returned
+// different bytes than the miner packed shows up there as ErrBadHash.
+func (c *Compact) Rebuild(resolve func(meta.DataID) *meta.Item) (*Block, []meta.DataID) {
+	b := c.Head
+	b.Items = make([]*meta.Item, len(c.Refs))
+	var missing []meta.DataID
+	for i, ref := range c.Refs {
+		it := resolve(ref.ID)
+		if it == nil {
+			missing = append(missing, ref.ID)
+			continue
+		}
+		b.Items[i] = it.Clone()
+		b.Items[i].StoringNodes = ref.StoringNodes
+	}
+	if missing != nil {
+		return nil, missing
+	}
+	return &b, nil
 }

@@ -4,7 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/alloc"
 	"repro/internal/p2p/memnet"
+	"repro/internal/workload"
 )
 
 // measureBlockPropagation mines a 128-node cluster to a fixed height with
@@ -148,5 +150,68 @@ func TestChaosGossipConvergence256(t *testing.T) {
 	second := runGossipConvergenceScenario(t, *seedFlag)
 	if first != second {
 		t.Fatalf("same seed produced different runs:\n run1: %+v\n run2: %+v", first, second)
+	}
+}
+
+// TestCompactRelayWireGate pins what compact bodies (DESIGN.md §13.5) buy
+// where blocks are big: 64 nodes under a ×20 flash crowd on 8–12 ms links.
+// Every byte of the block plane — announces, fetches and compact bodies,
+// fork losers included — must stay within 40% of what shipping each
+// canonical block once in full to each of the other 63 nodes would cost,
+// and at most 2% of the fetched bodies may end on the locator path.
+func TestCompactRelayWireGate(t *testing.T) {
+	const n = 64
+	seed := *seedFlag
+	c := newQuietCluster(t, Options{
+		N: n, Seed: seed, T0: 30 * time.Second,
+		Faults: memnet.Params{DelayMin: 8 * time.Millisecond, DelayMax: 12 * time.Millisecond},
+	})
+	requesters := make([]int, 0, 8)
+	for i := 5; i < n; i += 8 {
+		requesters = append(requesters, i)
+	}
+	res := driveOpenLoop(t, c, WorkloadOptions{
+		Stream: workload.StreamConfig{
+			Duration:        4 * time.Minute,
+			RatePerMin:      60,
+			BurstEvery:      2 * time.Minute,
+			BurstOffset:     30 * time.Second,
+			BurstDuration:   10 * time.Second,
+			BurstFactor:     20,
+			NumNodes:        n,
+			Requesters:      requesters,
+			RequestsPerItem: 2,
+			TypeZipfS:       1.1,
+			Users:           1_000_000,
+			UserZipfS:       1.2,
+			SessionEpoch:    45 * time.Second,
+			Seed:            seed*10_000 + 4,
+		},
+		RequestDelay: 15 * time.Second,
+	}, alloc.DefaultMinReplicas, 20*time.Minute)
+
+	var fullBytes uint64
+	for _, b := range c.Nodes()[0].ChainSnapshot()[1:] {
+		fullBytes += uint64(b.EncodedSize()) * (n - 1)
+	}
+	var blockPlane, served, rebuilt, missing, fallbacks uint64
+	for i := 0; i < n; i++ {
+		snap := c.NodeTelemetry(i).Snapshot()
+		blockPlane += snap.Counter("livenode.wire.block_bytes")
+		served += snap.Counter("livenode.gossip.fetches_served")
+		rebuilt += snap.Counter("livenode.gossip.compact_rebuilt")
+		missing += snap.Counter("livenode.gossip.compact_items_missing")
+		fallbacks += snap.Counter("livenode.gossip.compact_fallbacks")
+	}
+	t.Logf("%d items in %d blocks: block plane %d B = %.1f%% of %d B in full bodies; %d bodies served, %d rebuilt, %d items fetched on a miss, %d fall-throughs",
+		res.stats.Published, res.height, blockPlane, 100*float64(blockPlane)/float64(fullBytes), fullBytes, served, rebuilt, missing, fallbacks)
+	if res.stats.Published < 400 || served == 0 || rebuilt == 0 {
+		t.Fatalf("not the flash crowd this gate is about: %d items, %d bodies served, %d rebuilt", res.stats.Published, served, rebuilt)
+	}
+	if blockPlane*100 > fullBytes*40 {
+		t.Errorf("block plane carried %d B, over 40%% of the %d B full bodies would cost", blockPlane, fullBytes)
+	}
+	if fallbacks*50 > served {
+		t.Errorf("%d of %d fetched bodies fell through to the locator path, over 2%%", fallbacks, served)
 	}
 }

@@ -162,8 +162,14 @@ func TestChaosOpenLoopWorkload(t *testing.T) {
 	// behaviour updates these three numbers and says why. Recorded on
 	// linux/amd64; placement uses floating point, so another architecture
 	// may legitimately differ.
+	//
+	// Re-pinned once for compact block relay (DESIGN.md §13.5): the answer
+	// to FrameGetBlock is now a FrameCompactBlock, so every fetched body's
+	// send and deliver events carry another frame type and a smaller size.
+	// No receiver misses an item in this run, so the event count and the
+	// height did not move.
 	if seed == 1 && runtime.GOARCH == "amd64" {
-		const digest, events, height = 0xccb08ec6e2ecde13, 31346, 24
+		const digest, events, height = 0x19d6abaa1c350499, 31346, 24
 		if res.digest != digest || res.events != events || res.height != height {
 			t.Fatalf("cluster behaviour changed at seed 1: digest %016x events %d height %d, golden %016x %d %d",
 				res.digest, res.events, res.height, uint64(digest), events, height)

@@ -1,0 +1,420 @@
+package livenode
+
+import (
+	"fmt"
+	"sort"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/block"
+	"repro/internal/meta"
+	"repro/internal/p2p"
+)
+
+// Compact block relay (DESIGN.md §13.5) on the fake fabric: delivery is
+// synchronous, so a whole announce → compact → item fetch → adopt → relay
+// cascade completes inside one handleFrame call.
+
+// frameLog records every frame the fabric carries (as its drop filter) and
+// optionally loses some.
+type frameLog struct {
+	mu   sync.Mutex
+	seen map[byte]int
+	drop func(from, to string, ft byte) bool
+}
+
+func watchFrames(fn *fakeNet, drop func(from, to string, ft byte) bool) *frameLog {
+	l := &frameLog{seen: make(map[byte]int), drop: drop}
+	fn.setDrop(func(from, to string, ft byte) bool {
+		l.mu.Lock()
+		l.seen[ft]++
+		l.mu.Unlock()
+		return l.drop != nil && l.drop(from, to, ft)
+	})
+	return l
+}
+
+func (l *frameLog) count(ft byte) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.seen[ft]
+}
+
+// compactCluster is three gossip nodes on one clock. b holds `items`
+// published items nobody else has heard of and a block packing them; the
+// nodes are linked only afterwards, so a and c start with empty pools.
+func compactCluster(t *testing.T, items int, mutate func(cfg *Config)) (fn *fakeNet, a, b, c *syncTestNode, blk *block.Block) {
+	t.Helper()
+	fn = newFakeNet()
+	epoch := time.Unix(1700000000, 0)
+	clk := newFakeClock(epoch)
+	b = newGossipTestNode(t, fn, clk, "b", 1, epoch, mutate)
+	a = newGossipTestNode(t, fn, clk, "a", 0, epoch, mutate)
+	c = newGossipTestNode(t, fn, clk, "c", 2, epoch, mutate)
+	a.stopMining()
+	c.stopMining()
+	for i := 0; i < items; i++ {
+		if _, err := b.Publish([]byte(fmt.Sprintf("compact item %d", i)), "Air/PM2.5", "lab"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.mineBlocks(t, 1)
+	blk = b.Tip()
+	if len(blk.Items) != items {
+		t.Fatalf("mined block packs %d items, want %d", len(blk.Items), items)
+	}
+	link(t, a, b, c)
+	return fn, a, b, c, blk
+}
+
+func sortedPool(n *syncTestNode) []meta.DataID {
+	ids := n.PoolIDs()
+	sort.Slice(ids, func(i, j int) bool { return compareIDs(ids[i], ids[j]) < 0 })
+	return ids
+}
+
+func compareIDs(a, b meta.DataID) int {
+	for i := range a {
+		if a[i] != b[i] {
+			return int(a[i]) - int(b[i])
+		}
+	}
+	return 0
+}
+
+func parked(n *syncTestNode, h block.Hash) *pendingFetch {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if pf := n.gossip.pending[h]; pf != nil && pf.compact != nil {
+		return pf
+	}
+	return nil
+}
+
+// TestCompactRebuiltFromPool: a receiver that already pools every item
+// gets the block as header + IDs, asks for nothing else, and adopts the
+// same bytes the miner sealed.
+func TestCompactRebuiltFromPool(t *testing.T) {
+	fn, a, b, _, blk := compactCluster(t, 5, nil)
+	for _, it := range blk.Items {
+		bare := it.Clone()
+		bare.StoringNodes = nil
+		a.handleFrame("c", p2p.FrameMeta, bare.Encode()) // through AddMetadata, like any relayed item
+	}
+	log := watchFrames(fn, nil)
+	a.handleFrame("b", p2p.FrameBlockAnnounce, encodeAnnounce(blk.Index, blk.Hash))
+
+	if got := a.Tip(); got.Hash != blk.Hash || string(got.Encode()) != string(blk.Encode()) {
+		t.Fatal("receiver did not adopt the miner's block byte for byte")
+	}
+	if n := log.count(p2p.FrameCompactBlock); n != 2 { // to a, then to c after a's relay
+		t.Errorf("%d compact frames on the wire, want 2", n)
+	}
+	if n := log.count(p2p.FrameBlock); n != 0 {
+		t.Errorf("%d full-body frames on the gossip path", n)
+	}
+	if v := counter(a.reg, "livenode.gossip.compact_rebuilt"); v != 1 {
+		t.Errorf("compact_rebuilt = %d, want 1", v)
+	}
+	if v := counter(a.reg, "livenode.gossip.compact_items_missing"); v != 0 {
+		t.Errorf("compact_items_missing = %d with a full pool", v)
+	}
+	if v := counter(b.reg, "livenode.metagossip.fetches_served"); v != 0 {
+		t.Errorf("b was asked for %d items by a receiver that held them all", v)
+	}
+	// The saving: b answered one fetch (a's) and announced; had it sent the
+	// body in full, block-plane bytes would exceed the block's own size.
+	if sent, full := counter(b.reg, "livenode.wire.block_bytes"), uint64(blk.EncodedSize()); sent*2 > full {
+		t.Errorf("b put %d block-plane bytes on the wire for a %d-byte block", sent, full)
+	}
+	if len(a.PoolIDs()) != 0 {
+		t.Error("packed items still pooled after adoption")
+	}
+}
+
+// TestCompactMissingItemsFetched is the miss path end to end: an empty
+// pool, so every referenced item is requested from the announcer (one
+// FrameGetMeta), arrives through AddMetadata, and the parked body is then
+// rebuilt, adopted and relayed — where the next node repeats the exchange
+// against items that by now are on the relayer's chain, not in its pool
+// (the metadata relay is cut, or c would have pooled them a step earlier).
+func TestCompactMissingItemsFetched(t *testing.T) {
+	fn, a, b, c, blk := compactCluster(t, 3, nil)
+	log := watchFrames(fn, func(from, to string, ft byte) bool { return ft == p2p.FrameMetaAnnounce })
+	a.handleFrame("b", p2p.FrameBlockAnnounce, encodeAnnounce(blk.Index, blk.Hash))
+
+	for _, n := range []*syncTestNode{a, c} {
+		if got := n.Tip(); got.Hash != blk.Hash {
+			t.Fatalf("node %s at height %d did not adopt the announced block", n.Addr(), n.Height())
+		}
+		if v := counter(n.reg, "livenode.gossip.compact_items_missing"); v != 3 {
+			t.Errorf("node %s: compact_items_missing = %d, want 3", n.Addr(), v)
+		}
+		if v := counter(n.reg, "livenode.gossip.compact_rebuilt"); v != 1 {
+			t.Errorf("node %s: compact_rebuilt = %d, want 1", n.Addr(), v)
+		}
+		if v := counter(n.reg, "livenode.gossip.compact_fallbacks") + counter(n.reg, "livenode.sync.rounds"); v != 0 {
+			t.Errorf("node %s: %d fallbacks/sync rounds on a path that lost nothing", n.Addr(), v)
+		}
+		if len(n.PoolIDs()) != 0 {
+			t.Errorf("node %s: packed items still pooled", n.Addr())
+		}
+	}
+	if n := log.count(p2p.FrameGetMeta); n != 2 {
+		t.Errorf("%d FrameGetMeta frames, want one per receiver", n)
+	}
+	if n := log.count(p2p.FrameMeta); n != 6 {
+		t.Errorf("%d FrameMeta frames, want 3 per receiver", n)
+	}
+	if v := counter(a.reg, "livenode.metagossip.fetches_served"); v != 3 {
+		t.Errorf("a served %d items to c from its chain, want 3", v)
+	}
+	if v := counter(b.reg, "livenode.gossip.relays") + counter(a.reg, "livenode.gossip.relays"); v == 0 {
+		t.Error("adopted block was not relayed")
+	}
+}
+
+// TestCompactSilentAnnouncerFallsBackToLocator: the announcer answers the
+// block fetch but never the item fetch. The body stays parked under the
+// fetch's own timer; its expiry hands the block to the locator path, which
+// ships the full body.
+func TestCompactSilentAnnouncerFallsBackToLocator(t *testing.T) {
+	fn, a, _, _, blk := compactCluster(t, 3, nil)
+	watchFrames(fn, func(from, to string, ft byte) bool { return ft == p2p.FrameGetMeta })
+	a.handleFrame("b", p2p.FrameBlockAnnounce, encodeAnnounce(blk.Index, blk.Hash))
+	if a.Height() != 0 || parked(a, blk.Hash) == nil {
+		t.Fatalf("height %d, parked %v: want the body parked", a.Height(), parked(a, blk.Hash) != nil)
+	}
+	// A duplicate delivery of the compact frame neither re-requests nor
+	// re-parks.
+	missing := counter(a.reg, "livenode.gossip.compact_items_missing")
+	a.handleFrame("b", p2p.FrameCompactBlock, blk.EncodeCompact())
+	if v := counter(a.reg, "livenode.gossip.compact_items_missing"); v != missing {
+		t.Errorf("duplicate compact frame counted %d more missing items", v-missing)
+	}
+
+	fn.setDrop(nil)
+	a.clock.Advance(1500 * time.Millisecond) // SyncTimeout is 1s on the fabric
+	if got := a.Tip(); got.Hash != blk.Hash {
+		t.Fatalf("height %d after the timeout: locator sync did not deliver the block", a.Height())
+	}
+	if v := counter(a.reg, "livenode.gossip.compact_fallbacks"); v != 1 {
+		t.Errorf("compact_fallbacks = %d, want 1", v)
+	}
+	if v := counter(a.reg, "livenode.gossip.compact_rebuilt"); v != 0 {
+		t.Errorf("compact_rebuilt = %d, want 0", v)
+	}
+	if v := counter(a.reg, "livenode.sync.rounds"); v != 1 {
+		t.Errorf("sync.rounds = %d, want 1", v)
+	}
+	a.mu.Lock()
+	left := len(a.gossip.pending)
+	a.mu.Unlock()
+	if left != 0 {
+		t.Errorf("%d pending fetches after the fallback", left)
+	}
+}
+
+// TestCompactTooManyMissingGoesStraightToLocator: with more unresolved
+// items than the metadata fetch table holds, no FrameGetMeta burst is sent
+// at all; the block comes through the locator path at once.
+func TestCompactTooManyMissingGoesStraightToLocator(t *testing.T) {
+	fn, a, _, _, blk := compactCluster(t, maxPendingMetaFetch+1, func(cfg *Config) { cfg.StorageCapacity = 4096 })
+	log := watchFrames(fn, nil)
+	a.handleFrame("b", p2p.FrameBlockAnnounce, encodeAnnounce(blk.Index, blk.Hash))
+	if got := a.Tip(); got.Hash != blk.Hash {
+		t.Fatalf("height %d: locator path did not deliver the block", a.Height())
+	}
+	if n := log.count(p2p.FrameGetMeta); n != 0 {
+		t.Errorf("%d FrameGetMeta frames for %d missing items", n, len(blk.Items))
+	}
+	if v := counter(a.reg, "livenode.gossip.compact_fallbacks"); v != 1 {
+		t.Errorf("compact_fallbacks = %d, want 1", v)
+	}
+	if v := counter(a.reg, "livenode.sync.blocks_fetched"); v != 1 {
+		t.Errorf("sync.blocks_fetched = %d, want 1", v)
+	}
+}
+
+// TestCompactFetchBurstIsChunked: up to the bound, missing IDs go out in
+// frames of at most maxMetaBatch.
+func TestCompactFetchBurstIsChunked(t *testing.T) {
+	fn, a, _, _, blk := compactCluster(t, maxMetaBatch+5, func(cfg *Config) { cfg.StorageCapacity = 4096 })
+	log := watchFrames(fn, func(from, to string, ft byte) bool { return ft == p2p.FrameMetaAnnounce })
+	a.handleFrame("b", p2p.FrameBlockAnnounce, encodeAnnounce(blk.Index, blk.Hash))
+	if got := a.Tip(); got.Hash != blk.Hash {
+		t.Fatalf("height %d: block not adopted", a.Height())
+	}
+	// a's two frames, then c's two against a.
+	if n := log.count(p2p.FrameGetMeta); n != 4 {
+		t.Errorf("%d FrameGetMeta frames, want 2 per receiver", n)
+	}
+}
+
+// TestCompactTamperNeverAdopts: a hostile announcer (or a pool holding a
+// same-ID item from another producer) makes the rebuilt bytes differ from
+// the sealed ones. Each case must end in the hash check — a locator round
+// toward the announcer — and never in an adoption or a pool change.
+func TestCompactTamperNeverAdopts(t *testing.T) {
+	cases := []struct {
+		name   string
+		tamper func(t *testing.T, a *syncTestNode, c *block.Compact)
+	}{
+		{"swapped IDs", func(_ *testing.T, _ *syncTestNode, c *block.Compact) {
+			c.Refs[0].ID, c.Refs[1].ID = c.Refs[1].ID, c.Refs[0].ID
+		}},
+		{"altered storing nodes", func(_ *testing.T, _ *syncTestNode, c *block.Compact) {
+			c.Refs[0].StoringNodes = append([]int{7}, c.Refs[0].StoringNodes...)
+		}},
+		{"reordered items", func(_ *testing.T, _ *syncTestNode, c *block.Compact) {
+			c.Refs[0], c.Refs[2] = c.Refs[2], c.Refs[0]
+		}},
+		{"forged hash", func(_ *testing.T, _ *syncTestNode, c *block.Compact) {
+			c.Head.Hash[5] ^= 0x40
+		}},
+		{"same DataID from another producer pooled", func(t *testing.T, a *syncTestNode, c *block.Compact) {
+			// Anyone may sign metadata for content they have seen; the first
+			// version to arrive wins the pool slot.
+			a.mu.Lock()
+			twin := a.eng.PoolItem(c.Refs[1].ID).Clone()
+			a.mu.Unlock()
+			twin.Sign(a.idents()[2])
+			a.mu.Lock()
+			a.eng.AddLocal(twin)
+			a.mu.Unlock()
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fn, a, _, _, blk := compactCluster(t, 3, nil)
+			for _, it := range blk.Items {
+				bare := it.Clone()
+				bare.StoringNodes = nil
+				a.handleFrame("c", p2p.FrameMeta, bare.Encode())
+			}
+			cb, err := block.DecodeCompact(blk.EncodeCompact())
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.tamper(t, a, cb)
+			pool := sortedPool(a)
+
+			// The honest answer and the locator round are lost; the tampered
+			// body is what arrives for the pending fetch.
+			watchFrames(fn, func(from, to string, ft byte) bool {
+				return ft == p2p.FrameCompactBlock || ft == p2p.FrameSyncLocator
+			})
+			a.handleFrame("b", p2p.FrameBlockAnnounce, encodeAnnounce(blk.Index, cb.Head.Hash))
+			forged := cb.Head
+			forged.Items = make([]*meta.Item, len(cb.Refs))
+			for i, ref := range cb.Refs {
+				forged.Items[i] = &meta.Item{ID: ref.ID, StoringNodes: ref.StoringNodes}
+			}
+			a.handleFrame("b", p2p.FrameCompactBlock, forged.EncodeCompact())
+
+			if a.Height() != 0 {
+				t.Fatalf("tampered compact body was adopted (height %d)", a.Height())
+			}
+			if v := counter(a.reg, "livenode.gossip.compact_fallbacks"); v != 1 {
+				t.Errorf("compact_fallbacks = %d, want 1 (hash mismatch)", v)
+			}
+			if v := counter(a.reg, "livenode.sync.rounds"); v != 1 {
+				t.Errorf("sync.rounds = %d, want 1 (locator toward the announcer)", v)
+			}
+			if got := sortedPool(a); fmt.Sprint(got) != fmt.Sprint(pool) {
+				t.Errorf("pool changed across a rejected compact body")
+			}
+			a.mu.Lock()
+			left, seen := len(a.gossip.pending), a.gossip.seen.Has(cb.Head.Hash)
+			a.mu.Unlock()
+			if left != 0 || !seen {
+				t.Errorf("after the rejection: %d pending, hash remembered %v", left, seen)
+			}
+		})
+	}
+}
+
+// TestCompactUnsolicitedIgnored: a compact frame nobody asked for does no
+// work at all — no rebuild, no item requests, no sync round.
+func TestCompactUnsolicitedIgnored(t *testing.T) {
+	fn, a, _, _, blk := compactCluster(t, 3, nil)
+	log := watchFrames(fn, nil)
+	a.handleFrame("b", p2p.FrameCompactBlock, blk.EncodeCompact())
+	if a.Height() != 0 {
+		t.Fatal("unsolicited compact body adopted")
+	}
+	if n := log.count(p2p.FrameGetMeta) + log.count(p2p.FrameSyncLocator); n != 0 {
+		t.Errorf("unsolicited compact body caused %d requests", n)
+	}
+}
+
+// TestCompactParkedBodyTornDown: Close with a body parked must stop its
+// timer and drop it; items arriving afterwards find nothing to complete.
+func TestCompactParkedBodyTornDown(t *testing.T) {
+	fn, a, _, _, blk := compactCluster(t, 3, nil)
+	watchFrames(fn, func(from, to string, ft byte) bool { return ft == p2p.FrameGetMeta })
+	a.handleFrame("b", p2p.FrameBlockAnnounce, encodeAnnounce(blk.Index, blk.Hash))
+	pf := parked(a, blk.Hash)
+	if pf == nil {
+		t.Fatal("body not parked")
+	}
+	a.mu.Lock()
+	a.clearGossipLocked()
+	left := len(a.gossip.pending)
+	a.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d pending fetches after teardown", left)
+	}
+	if pf.timer.Stop() {
+		t.Error("teardown left the parked body's timer armed")
+	}
+	fn.setDrop(nil)
+	for _, it := range blk.Items {
+		a.handleFrame("b", p2p.FrameMeta, it.Encode())
+	}
+	a.clock.Advance(3 * time.Second)
+	if a.Height() != 0 {
+		t.Error("a torn-down fetch still completed")
+	}
+	if v := counter(a.reg, "livenode.gossip.compact_fallbacks") + counter(a.reg, "livenode.sync.rounds"); v != 0 {
+		t.Errorf("torn-down fetch fell back %d times", v)
+	}
+}
+
+// TestCompactBodiesCompletedInFetchOrder: bodies that one arriving item
+// completes (fork twins packing the same item) come back oldest fetch
+// first, whatever order the pending map iterates in — the first to reach
+// the engine wins the height, so the order is part of the determinism
+// contract. A body still waiting for something else stays parked.
+func TestCompactBodiesCompletedInFetchOrder(t *testing.T) {
+	_, a, _, _, _ := compactCluster(t, 0, nil)
+	id, other := meta.HashData([]byte("shared")), meta.HashData([]byte("other"))
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for i := 0; i < 24; i++ {
+		h := block.Hash{byte(i), 0xcb}
+		pf := &pendingFetch{from: "b", gen: uint64(100 - i), timer: a.clock.AfterFunc(time.Hour, func() {}),
+			compact: &block.Compact{Head: block.Block{Hash: h}}, missing: map[meta.DataID]struct{}{id: {}}}
+		if i%8 == 7 {
+			pf.missing[other] = struct{}{}
+		}
+		a.gossip.pending[h] = pf
+	}
+	ready, blocks := a.noteCompactItemLocked(id)
+	if len(ready) != 21 || len(blocks) != 21 {
+		t.Fatalf("%d bodies ready with %d blocks, want 21", len(ready), len(blocks))
+	}
+	for i, pf := range ready {
+		if i > 0 && ready[i-1].gen >= pf.gen {
+			t.Fatalf("ready[%d] has fetch generation %d after %d", i, pf.gen, ready[i-1].gen)
+		}
+		if blocks[i] == nil || blocks[i].Hash != pf.compact.Head.Hash {
+			t.Fatalf("ready[%d] paired with the wrong rebuilt block", i)
+		}
+	}
+	if again, _ := a.noteCompactItemLocked(id); len(again) != 0 {
+		t.Fatalf("%d bodies completed twice by the same item", len(again))
+	}
+	a.clearGossipLocked()
+}

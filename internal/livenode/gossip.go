@@ -1,6 +1,7 @@
 package livenode
 
 import (
+	"errors"
 	"math/rand"
 	"sort"
 
@@ -22,7 +23,7 @@ import (
 //	miner                    sampled peer              its sampled peers
 //	  FrameBlockAnnounce ───────▶
 //	  ◀─────── FrameGetBlock(hash)   (only if the hash is unknown)
-//	  FrameBlock(body) ─────────▶
+//	  FrameCompactBlock ────────▶    (header + item IDs, §13.5)
 //	                              FrameBlockAnnounce ───────▶  …
 //
 // Duplicate announces are suppressed against the chain's own hash index
@@ -72,6 +73,10 @@ type pendingFetch struct {
 	height uint64
 	gen    uint64
 	timer  Timer
+	// compact is the announcer's answer, parked (still under timer) while
+	// the items it references and this node lacks — missing — are fetched.
+	compact *block.Compact
+	missing map[meta.DataID]struct{}
 }
 
 func newGossipState(fanout, metaFanout int, seed int64) *gossipState {
@@ -190,9 +195,8 @@ func (n *Node) sampleGossipPeers(exclude string) []string {
 // samplePeersLocked draws up to k distinct entries from cand via a
 // partial Fisher-Yates shuffle over the sorted candidates, so the draw is
 // a pure function of the candidate set and the caller's seeded RNG (n.mu
-// held — the RNGs live behind it). memnet's Peers() arrives sorted; the
-// TCP transport's comes in map order and is sorted here. Both gossip
-// planes and the sampled liveness prober share this.
+// held — the RNGs live behind it). memnet's Peers() arrives sorted, TCP's
+// in map order. Both gossip planes and the liveness prober share this.
 func samplePeersLocked(rng *rand.Rand, cand []string, k int) []string {
 	if !sort.StringsAreSorted(cand) {
 		sort.Strings(cand)
@@ -264,8 +268,8 @@ func (n *Node) handleBlockAnnounce(from string, payload []byte) {
 	n.send(from, p2p.FrameGetBlock, hash[:])
 }
 
-// handleGetBlock serves a fetched body; an unknown hash is ignored (the
-// requester's timeout falls back to the locator path).
+// handleGetBlock serves a fetched body in compact form; an unknown hash is
+// ignored (the requester's timeout falls back to the locator path).
 func (n *Node) handleGetBlock(from string, payload []byte) {
 	hash, err := decodeGetBlock(payload)
 	if err != nil {
@@ -278,13 +282,100 @@ func (n *Node) handleGetBlock(from string, payload []byte) {
 		return
 	}
 	n.tel.gossipFetchesServed.Inc()
-	n.send(from, p2p.FrameBlock, blk.Encode())
+	n.send(from, p2p.FrameCompactBlock, blk.EncodeCompact())
 }
 
-// onGossipFetchTimeout fires when an announcer never answered a
-// FrameGetBlock: drop the pending entry and probe the announcer with a
-// block locator instead (which in turn can fall back to the whole-chain
-// exchange), so one silent peer cannot strand a block.
+// resolveItemLocked finds an item by ID in the pool, else on chain — fork
+// twins, re-announcements, every item of a block already adopted (n.mu held).
+func (n *Node) resolveItemLocked(id meta.DataID) *meta.Item {
+	if it := n.eng.PoolItem(id); it != nil {
+		return it
+	}
+	return n.eng.LiveItem(id)
+}
+
+// handleCompactBlock rebuilds a fetched block from items this node already
+// holds (DESIGN.md §13.5). IDs it cannot resolve are requested from the
+// announcer while the body parks in its pending entry, still under the fetch
+// timer; more of them than a fetch table holds go straight to the locator.
+func (n *Node) handleCompactBlock(from string, payload []byte) {
+	cb, err := block.DecodeCompact(payload)
+	if err != nil {
+		return
+	}
+	n.mu.Lock()
+	var pf *pendingFetch
+	if g := n.gossip; g != nil && !n.closed {
+		pf = g.pending[cb.Head.Hash]
+	}
+	if pf == nil || pf.compact != nil {
+		// Never requested, given up on, or a duplicate delivery.
+		n.mu.Unlock()
+		return
+	}
+	blk, missing := cb.Rebuild(n.resolveItemLocked)
+	pf.compact, pf.missing = cb, make(map[meta.DataID]struct{}, len(missing))
+	for _, id := range missing {
+		pf.missing[id] = struct{}{}
+	}
+	n.tel.compactItemsMissing.Add(len(missing))
+	n.mu.Unlock()
+	if blk != nil || len(missing) > maxPendingMetaFetch {
+		n.finishCompact(pf, blk)
+		return
+	}
+	for len(missing) > 0 {
+		k := min(len(missing), maxMetaBatch)
+		n.send(from, p2p.FrameGetMeta, encodeIDList(missing[:k]))
+		missing = missing[k:]
+	}
+}
+
+// noteCompactItemLocked strikes an arrived item off every parked body
+// waiting for it and rebuilds those that now wait for nothing, for the
+// caller to pass to finishCompact (n.mu held). They come in fetch order:
+// two bodies completed by one item must adopt deterministically.
+func (n *Node) noteCompactItemLocked(id meta.DataID) (ready []*pendingFetch, blocks []*block.Block) {
+	if n.gossip == nil {
+		return nil, nil
+	}
+	for _, pf := range n.gossip.pending {
+		if _, waiting := pf.missing[id]; !waiting {
+			continue
+		}
+		if delete(pf.missing, id); len(pf.missing) == 0 {
+			ready = append(ready, pf)
+		}
+	}
+	sort.Slice(ready, func(i, j int) bool { return ready[i].gen < ready[j].gen })
+	for _, pf := range ready {
+		// An item that arrived but was not admitted (forged, expired) is
+		// still unresolved: a nil block, and finishCompact gives the fetch up.
+		blk, _ := pf.compact.Rebuild(n.resolveItemLocked)
+		blocks = append(blocks, blk)
+	}
+	return ready, blocks
+}
+
+// finishCompact ends a compact fetch. A rebuilt block goes through
+// receiveBlock like any block off the wire: the hash is recomputed over the
+// full item bytes there, so a wrong pool item is a locator round, never an
+// adoption. A body that cannot be rebuilt (blk nil) is given up.
+func (n *Node) finishCompact(pf *pendingFetch, blk *block.Block) {
+	if blk == nil {
+		n.onGossipFetchTimeout(pf.compact.Head.Hash, pf.gen)
+		return
+	}
+	n.tel.compactRebuilt.Inc()
+	if errors.Is(n.receiveBlock(pf.from, blk), block.ErrBadHash) {
+		n.tel.compactFallbacks.Inc()
+	}
+}
+
+// onGossipFetchTimeout gives a fetch up — the announcer never answered, or
+// its compact answer could not be completed: drop the pending entry and
+// probe the announcer with a block locator instead (which in turn can fall
+// back to the whole-chain exchange), so one silent peer cannot strand a block.
 func (n *Node) onGossipFetchTimeout(hash block.Hash, gen uint64) {
 	n.mu.Lock()
 	g := n.gossip
@@ -297,12 +388,16 @@ func (n *Node) onGossipFetchTimeout(hash block.Hash, gen uint64) {
 		n.mu.Unlock()
 		return // answered, or superseded
 	}
+	pf.timer.Stop()
 	delete(g.pending, hash)
 	// Remember the hash: a re-announce must not restart a fetch the
 	// locator path is already covering.
 	g.seen.Add(hash)
 	from := pf.from
 	n.tel.gossipFetchTimeouts.Inc()
+	if pf.compact != nil {
+		n.tel.compactFallbacks.Inc()
+	}
 	n.mu.Unlock()
 	n.sendSyncLocator(from)
 }

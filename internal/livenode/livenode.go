@@ -256,6 +256,9 @@ type nodeMetrics struct {
 	gossipFetchTimeouts   *telemetry.Counter // fetches that fell back to the locator path
 	gossipDupSuppressed   *telemetry.Counter // announces dropped as already seen/adopted
 	gossipStaleSuppressed *telemetry.Counter // announces at or below our tip
+	compactRebuilt        *telemetry.Counter // compact bodies rebuilt from held items
+	compactItemsMissing   *telemetry.Counter // referenced items requested from the announcer
+	compactFallbacks      *telemetry.Counter // compact fetches that ended on the locator path
 
 	// Inv-style metadata relay (DESIGN.md §15).
 	metaRelays        *telemetry.Counter // pooled items relayed as ID announces
@@ -271,7 +274,7 @@ type nodeMetrics struct {
 	probeDigestMerged *telemetry.Counter // third-party digest entries applied
 
 	// Wire-byte split, counted at the sender across all app frames.
-	// Block-propagation bytes (FrameBlock + announce + get-block) are
+	// Block-propagation bytes (full or compact body + announce + get-block) are
 	// additionally tallied in wireBlockBytes, and announce frames alone in
 	// wireAnnounceBytes, so gossip-vs-full-mesh gates can compare the
 	// propagation path in isolation.
@@ -354,6 +357,9 @@ func newNodeMetrics(reg *telemetry.Registry, rosterN int) *nodeMetrics {
 		gossipFetchTimeouts:   reg.Counter("livenode.gossip.fetch_timeouts"),
 		gossipDupSuppressed:   reg.Counter("livenode.gossip.dup_suppressed"),
 		gossipStaleSuppressed: reg.Counter("livenode.gossip.stale_suppressed"),
+		compactRebuilt:        reg.Counter("livenode.gossip.compact_rebuilt"),
+		compactItemsMissing:   reg.Counter("livenode.gossip.compact_items_missing"),
+		compactFallbacks:      reg.Counter("livenode.gossip.compact_fallbacks"),
 
 		metaRelays:        reg.Counter("livenode.metagossip.relays"),
 		metaFetchesSent:   reg.Counter("livenode.metagossip.fetches_sent"),

@@ -204,7 +204,9 @@ func TestLiveTelemetryCounters(t *testing.T) {
 		}
 		totalWon += won
 		totalAttempts += attempts
-		totalBlockRecv += snap.Counter("p2p.frames_recv.block")
+		// Under gossip a block body arrives as a compact frame and is
+		// rebuilt from the pool (§13.5); FrameBlock is the legacy push only.
+		totalBlockRecv += snap.Counter("livenode.gossip.compact_rebuilt")
 		if g := snap.Gauge("livenode.height"); g < 2 {
 			t.Errorf("node %d: height gauge = %d, chain height = %d", i, g, nodes[i].Height())
 		}
@@ -218,7 +220,7 @@ func TestLiveTelemetryCounters(t *testing.T) {
 		t.Errorf("cluster attempts %d < blocks won %d", totalAttempts, totalWon)
 	}
 	if totalBlockRecv == 0 {
-		t.Error("no node ever received a block frame, yet all converged past height 2")
+		t.Error("no node ever rebuilt a fetched block, yet all converged past height 2")
 	}
 }
 

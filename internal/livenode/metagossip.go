@@ -181,9 +181,9 @@ func (n *Node) handleMetaAnnounce(from string, payload []byte) {
 	}
 }
 
-// handleGetMeta serves fetched items from the pool, one FrameMeta each;
-// IDs this node no longer pools are ignored (if they were packed, the
-// requester gets them through block propagation or sync instead).
+// handleGetMeta serves fetched items, one FrameMeta each: pooled ones, or
+// — what a compact block's receiver asks for — chained ones without their
+// storing nodes (the compact body carries those). Unknown IDs are ignored.
 func (n *Node) handleGetMeta(from string, payload []byte) {
 	ids, err := decodeIDList(payload)
 	if err != nil {
@@ -192,8 +192,10 @@ func (n *Node) handleGetMeta(from string, payload []byte) {
 	var bodies [][]byte
 	n.mu.Lock()
 	for _, id := range ids {
-		if it := n.eng.PoolItem(id); it != nil {
-			bodies = append(bodies, it.Encode())
+		if it := n.resolveItemLocked(id); it != nil {
+			bare := *it
+			bare.StoringNodes = nil
+			bodies = append(bodies, bare.Encode())
 		}
 	}
 	n.mu.Unlock()

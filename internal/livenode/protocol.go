@@ -240,7 +240,7 @@ func (n *Node) handleFrame(from string, ft byte, payload []byte) {
 	// frames are dropped and the suffix is caught up after the install
 	// (or the fallback) through the usual locator round.
 	switch ft {
-	case p2p.FrameBlock, p2p.FrameBlockAnnounce, p2p.FrameChain, p2p.FrameSyncHeaders, p2p.FrameSyncBatch:
+	case p2p.FrameBlock, p2p.FrameCompactBlock, p2p.FrameBlockAnnounce, p2p.FrameChain, p2p.FrameSyncHeaders, p2p.FrameSyncBatch:
 		if n.bootstrapPending() {
 			return
 		}
@@ -269,12 +269,16 @@ func (n *Node) handleFrame(from string, ft byte, payload []byte) {
 		n.mu.Lock()
 		added := n.eng.AddMetadata(it) // verifies the signature, dedups vs pool+chain
 		relay := n.noteMetaArrivalLocked(it.ID, added)
+		ready, blocks := n.noteCompactItemLocked(it.ID)
 		n.mu.Unlock()
 		if relay {
 			// Relay-on-first-admission (DESIGN.md §15): a pooled item spreads
 			// epidemically as an ID announce to a bounded peer sample, never
 			// back to whoever sent us the body.
 			n.relayMeta([]meta.DataID{it.ID}, from)
+		}
+		for i, pf := range ready {
+			n.finishCompact(pf, blocks[i])
 		}
 
 	case p2p.FrameMetaAnnounce:
@@ -288,32 +292,16 @@ func (n *Node) handleFrame(from string, ft byte, payload []byte) {
 		if err != nil {
 			return
 		}
-		n.mu.Lock()
-		_, addErr := n.eng.ReceiveBlock(blk)
-		if addErr == nil {
-			n.scheduleMiningLocked()
-		}
-		relay := n.noteGossipBlockLocked(blk, addErr == nil)
-		n.mu.Unlock()
-		if relay {
-			// Relay-on-adopt (DESIGN.md §13): a block we had not seen
-			// before spreads epidemically as an announce to a bounded peer
-			// sample, never back to whoever sent us the body.
-			n.relayBlock(blk, from)
-		}
-		if addErr != nil && !errors.Is(addErr, chain.ErrDuplicate) {
-			// Gap or fork: probe the sender with a block locator and fetch
-			// only the missing suffix (incremental sync, DESIGN.md §10).
-			// Duplicates — common on lossy links that re-deliver — carry no
-			// new information and must not trigger a sync round.
-			n.sendSyncLocator(from)
-		}
+		_ = n.receiveBlock(from, blk) // nothing to add to what it did about the error
 
 	case p2p.FrameBlockAnnounce:
 		n.handleBlockAnnounce(from, payload)
 
 	case p2p.FrameGetBlock:
 		n.handleGetBlock(from, payload)
+
+	case p2p.FrameCompactBlock:
+		n.handleCompactBlock(from, payload)
 
 	case p2p.FrameChainRequest:
 		n.mu.Lock()
@@ -409,14 +397,16 @@ func (n *Node) handleFrame(from string, ft byte, payload []byte) {
 		}
 		var id meta.DataID
 		copy(id[:], payload)
-		content := append([]byte(nil), payload[len(id):]...)
-		// Integrity: the content must hash to its claimed ID
-		// (Section III-B2 data integrity).
-		if meta.HashData(content) != id {
-			return
-		}
+		// Every holder answers a broadcast fetch: most frames are repeats.
 		dup := n.store.HasData(id)
+		var content []byte
 		if !dup {
+			content = append([]byte(nil), payload[len(id):]...)
+			// Integrity: the content must hash to its claimed ID
+			// (Section III-B2 data integrity).
+			if meta.HashData(content) != id {
+				return
+			}
 			if err := n.store.PutData(id, content); err != nil {
 				return
 			}
@@ -437,6 +427,33 @@ func (n *Node) handleFrame(from string, ft byte, payload []byte) {
 			cb(id, content)
 		}
 	}
+}
+
+// receiveBlock runs one full block off the wire — pushed, or rebuilt from a
+// compact body — through the engine, relays it if adopted and starts a
+// locator round if it did not fit. It returns the engine's verdict.
+func (n *Node) receiveBlock(from string, blk *block.Block) error {
+	n.mu.Lock()
+	_, addErr := n.eng.ReceiveBlock(blk)
+	if addErr == nil {
+		n.scheduleMiningLocked()
+	}
+	relay := n.noteGossipBlockLocked(blk, addErr == nil)
+	n.mu.Unlock()
+	if relay {
+		// Relay-on-adopt (DESIGN.md §13): a block we had not seen
+		// before spreads epidemically as an announce to a bounded peer
+		// sample, never back to whoever sent us the body.
+		n.relayBlock(blk, from)
+	}
+	if addErr != nil && !errors.Is(addErr, chain.ErrDuplicate) {
+		// Gap or fork: probe the sender with a block locator and fetch
+		// only the missing suffix (incremental sync, DESIGN.md §10).
+		// Duplicates — common on lossy links that re-deliver — carry no
+		// new information and must not trigger a sync round.
+		n.sendSyncLocator(from)
+	}
+	return addErr
 }
 
 // adoptChain validates and adopts a longer chain through the legacy

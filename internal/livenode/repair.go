@@ -164,11 +164,12 @@ func (n *Node) scheduleRepairLocked() {
 // transport address (called at the top of handleFrame, before n.mu is
 // taken by the per-frame logic).
 func (n *Node) noteFrameFrom(from string) {
+	if n.repair == nil {
+		return // set once in New: no lock needed to see that repair is off
+	}
 	n.mu.Lock()
-	if rd := n.repair; rd != nil {
-		if i, ok := rd.addrIdx[from]; ok {
-			rd.det.Seen(i, n.now())
-		}
+	if i, ok := n.repair.addrIdx[from]; ok {
+		n.repair.det.Seen(i, n.now())
 	}
 	n.mu.Unlock()
 }
@@ -452,7 +453,7 @@ func (n *Node) countWire(ft byte, payloadLen, copies int) {
 		// the bytes the §15 meta-gossip gate compares.
 		n.tel.wireConsensusBytes.Add(bytes)
 		n.tel.wireMetaBytes.Add(bytes)
-	case p2p.FrameBlock, p2p.FrameGetBlock:
+	case p2p.FrameBlock, p2p.FrameGetBlock, p2p.FrameCompactBlock:
 		// Block propagation proper (push or gossip fetch exchange) — the
 		// bytes the §13 gossip-vs-full-mesh gate compares.
 		n.tel.wireConsensusBytes.Add(bytes)

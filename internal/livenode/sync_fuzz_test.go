@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/block"
 	"repro/internal/chain"
 	"repro/internal/meta"
 	"repro/internal/p2p"
@@ -93,12 +94,22 @@ func FuzzSyncFrames(f *testing.F) {
 	f.Add(uint8(7), putU32(nil, maxMetaBatch+1))
 	f.Add(uint8(8), putU32(nil, 1))
 	f.Add(uint8(9), putU32(putU32(nil, 1), 2))
+	// Compact bodies (§13.5): a real one, one extending the tip with items
+	// this node cannot resolve, a truncated one and an absurd item count.
+	compact := tipBlk.EncodeCompact()
+	next := block.NewBuilder(tipBlk, tipBlk.Miner, tipBlk.Timestamp+time.Minute, 60, tipBlk.B).
+		AddItem(&meta.Item{ID: meta.HashData([]byte("unknown-1")), StoringNodes: []int{0, 1}}).
+		AddItem(&meta.Item{ID: meta.HashData([]byte("unknown-2"))}).Seal()
+	f.Add(uint8(10), compact)
+	f.Add(uint8(10), next.EncodeCompact())
+	f.Add(uint8(10), compact[:len(compact)-9])
+	f.Add(uint8(10), putU64(append([]byte(nil), compact[:128]...), 1<<40))
 
 	frames := []byte{
 		p2p.FrameSyncLocator, p2p.FrameSyncHeaders, p2p.FrameSyncGetBatch,
 		p2p.FrameSyncBatch, p2p.FrameBlockAnnounce, p2p.FrameGetBlock,
 		p2p.FrameMetaAnnounce, p2p.FrameGetMeta,
-		p2p.FrameRepairProbe, p2p.FrameRepairProbeAck,
+		p2p.FrameRepairProbe, p2p.FrameRepairProbeAck, p2p.FrameCompactBlock,
 	}
 	f.Fuzz(func(t *testing.T, sel uint8, payload []byte) {
 		// Decoders must fail cleanly, never panic, on any input.
@@ -111,9 +122,18 @@ func FuzzSyncFrames(f *testing.F) {
 
 		// And the full handler path must hold the no-invalid-adoption
 		// invariant.
-		n.handleFrame("fuzzer", frames[int(sel)%len(frames)], payload)
+		ft := frames[int(sel)%len(frames)]
+		if cb, err := block.DecodeCompact(payload); err == nil && ft == p2p.FrameCompactBlock {
+			// Only a body that answers a fetch is looked at: open the fetch
+			// (the announce parks it), so the rebuild and park paths run.
+			n.handleFrame("fuzzer", p2p.FrameBlockAnnounce, encodeAnnounce(fuzzTip+1, cb.Head.Hash))
+		}
+		n.handleFrame("fuzzer", ft, payload)
 		if got := n.Height(); got != fuzzTip {
 			t.Fatalf("forged sync frames moved the chain: height %d, want %d", got, fuzzTip)
+		}
+		if pooled := len(n.PoolIDs()); pooled != 0 {
+			t.Fatalf("forged frames put %d items in the pool", pooled)
 		}
 		n.mu.Lock()
 		n.clearSyncLocked()

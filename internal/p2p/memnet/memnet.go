@@ -577,10 +577,9 @@ type Endpoint struct {
 	handler p2p.Handler
 	peers   map[string]bool
 	closed  bool
-	// sorted caches the peer addresses in sorted order. Every change to
-	// peers goes through setPeerLocked or Close, which drop the cache; it
-	// is rebuilt (into a fresh slice, so a Broadcast in progress keeps
-	// its view) on the next use.
+	// sorted caches the peers in sorted order. setPeerLocked and Close drop
+	// it; the next use rebuilds it into a fresh slice, so a Broadcast in
+	// progress keeps its view.
 	sorted []string
 }
 
@@ -612,8 +611,7 @@ func (e *Endpoint) Connect(addr string) error {
 	return nil
 }
 
-// Peers returns the connected peer addresses in sorted order; the slice
-// is the caller's own.
+// Peers returns a copy of the connected peer addresses in sorted order.
 func (e *Endpoint) Peers() []string {
 	n := e.net
 	n.mu.Lock()
@@ -631,10 +629,9 @@ func (e *Endpoint) setPeerLocked(addr string, connected bool) {
 	e.sorted = nil
 }
 
-// sortedPeersLocked returns the cached sorted peer list, which callers
-// must not modify. The relay planes ask for it once per relayed item per
-// node, so sorting the whole peer map on every call was a fifth of the
-// CPU of a 256-node run.
+// sortedPeersLocked returns the cached list, which callers must not
+// modify. The relay planes ask once per relayed item per node: sorting the
+// peer map on every call was a fifth of the CPU of a 256-node run.
 func (e *Endpoint) sortedPeersLocked() []string {
 	if e.sorted == nil && len(e.peers) > 0 {
 		e.sorted = make([]string, 0, len(e.peers))

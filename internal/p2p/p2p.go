@@ -99,6 +99,10 @@ const (
 	// index plus a bounded digest of third-party liveness evidence
 	// (roster index, evidence age) so aliveness spreads epidemically.
 	FrameRepairProbeAck
+	// FrameCompactBlock answers a FrameGetBlock: the block with each item
+	// replaced by its data ID and assigned storing nodes; the receiver
+	// rebuilds the body from items it already holds (DESIGN.md §13.5).
+	FrameCompactBlock
 )
 
 // MaxFrameSize bounds a single frame (64 MiB) against corrupt length
