@@ -143,7 +143,7 @@ type ItemRef struct {
 
 // Compact is a block with every item replaced by its data ID and the
 // storing nodes the miner assigned — the one part of a packed item its
-// producer did not sign and no pool can supply (DESIGN.md §13.5). Wire
+// producer did not sign and no pool can supply (DESIGN.md §13.1). Wire
 // layout: header, item count, per item (ID, storing-node list), the three
 // node lists, block hash.
 type Compact struct {
@@ -210,10 +210,10 @@ func (c *Compact) Rebuild(resolve func(meta.DataID) *meta.Item) (*Block, []meta.
 		it := resolve(ref.ID)
 		if it == nil {
 			missing = append(missing, ref.ID)
-			continue
+		} else if missing == nil { // once one is missing nothing will be built
+			b.Items[i] = it.Clone()
+			b.Items[i].StoringNodes = ref.StoringNodes
 		}
-		b.Items[i] = it.Clone()
-		b.Items[i].StoringNodes = ref.StoringNodes
 	}
 	if missing != nil {
 		return nil, missing

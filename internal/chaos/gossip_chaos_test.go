@@ -153,7 +153,7 @@ func TestChaosGossipConvergence256(t *testing.T) {
 	}
 }
 
-// TestCompactRelayWireGate pins what compact bodies (DESIGN.md §13.5) buy
+// TestCompactRelayWireGate pins what compact bodies (DESIGN.md §13.1) buy
 // where blocks are big: 64 nodes under a ×20 flash crowd on 8–12 ms links.
 // Every byte of the block plane — announces, fetches and compact bodies,
 // fork losers included — must stay within 40% of what shipping each

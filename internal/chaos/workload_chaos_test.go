@@ -163,7 +163,7 @@ func TestChaosOpenLoopWorkload(t *testing.T) {
 	// linux/amd64; placement uses floating point, so another architecture
 	// may legitimately differ.
 	//
-	// Re-pinned once for compact block relay (DESIGN.md §13.5): the answer
+	// Re-pinned once for compact block relay (DESIGN.md §13.1): the answer
 	// to FrameGetBlock is now a FrameCompactBlock, so every fetched body's
 	// send and deliver events carry another frame type and a smaller size.
 	// No receiver misses an item in this run, so the event count and the

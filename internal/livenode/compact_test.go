@@ -1,6 +1,7 @@
 package livenode
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"sync"
@@ -12,7 +13,7 @@ import (
 	"repro/internal/p2p"
 )
 
-// Compact block relay (DESIGN.md §13.5) on the fake fabric: delivery is
+// Compact block relay (DESIGN.md §13.1) on the fake fabric: delivery is
 // synchronous, so a whole announce → compact → item fetch → adopt → relay
 // cascade completes inside one handleFrame call.
 
@@ -70,17 +71,8 @@ func compactCluster(t *testing.T, items int, mutate func(cfg *Config)) (fn *fake
 
 func sortedPool(n *syncTestNode) []meta.DataID {
 	ids := n.PoolIDs()
-	sort.Slice(ids, func(i, j int) bool { return compareIDs(ids[i], ids[j]) < 0 })
+	sort.Slice(ids, func(i, j int) bool { return bytes.Compare(ids[i][:], ids[j][:]) < 0 })
 	return ids
-}
-
-func compareIDs(a, b meta.DataID) int {
-	for i := range a {
-		if a[i] != b[i] {
-			return int(a[i]) - int(b[i])
-		}
-	}
-	return 0
 }
 
 func parked(n *syncTestNode, h block.Hash) *pendingFetch {

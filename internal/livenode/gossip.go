@@ -23,7 +23,7 @@ import (
 //	miner                    sampled peer              its sampled peers
 //	  FrameBlockAnnounce ───────▶
 //	  ◀─────── FrameGetBlock(hash)   (only if the hash is unknown)
-//	  FrameCompactBlock ────────▶    (header + item IDs, §13.5)
+//	  FrameCompactBlock ────────▶    (header + item IDs, §13.1)
 //	                              FrameBlockAnnounce ───────▶  …
 //
 // Duplicate announces are suppressed against the chain's own hash index
@@ -261,7 +261,7 @@ func (n *Node) handleBlockAnnounce(from string, payload []byte) {
 	g.gen++
 	pf := &pendingFetch{from: from, height: height, gen: g.gen}
 	gen := g.gen
-	pf.timer = n.clock.AfterFunc(n.cfg.SyncTimeout, func() { n.onGossipFetchTimeout(hash, gen) })
+	pf.timer = n.clock.AfterFunc(n.cfg.SyncTimeout, func() { n.giveUpFetch(hash, gen) })
 	g.pending[hash] = pf
 	n.tel.gossipFetchesSent.Inc()
 	n.mu.Unlock()
@@ -295,7 +295,7 @@ func (n *Node) resolveItemLocked(id meta.DataID) *meta.Item {
 }
 
 // handleCompactBlock rebuilds a fetched block from items this node already
-// holds (DESIGN.md §13.5). IDs it cannot resolve are requested from the
+// holds (DESIGN.md §13.1). IDs it cannot resolve are requested from the
 // announcer while the body parks in its pending entry, still under the fetch
 // timer; more of them than a fetch table holds go straight to the locator.
 func (n *Node) handleCompactBlock(from string, payload []byte) {
@@ -363,7 +363,7 @@ func (n *Node) noteCompactItemLocked(id meta.DataID) (ready []*pendingFetch, blo
 // adoption. A body that cannot be rebuilt (blk nil) is given up.
 func (n *Node) finishCompact(pf *pendingFetch, blk *block.Block) {
 	if blk == nil {
-		n.onGossipFetchTimeout(pf.compact.Head.Hash, pf.gen)
+		n.giveUpFetch(pf.compact.Head.Hash, pf.gen)
 		return
 	}
 	n.tel.compactRebuilt.Inc()
@@ -372,11 +372,11 @@ func (n *Node) finishCompact(pf *pendingFetch, blk *block.Block) {
 	}
 }
 
-// onGossipFetchTimeout gives a fetch up — the announcer never answered, or
-// its compact answer could not be completed: drop the pending entry and
+// giveUpFetch ends a fetch whose announcer never answered (the timer), or
+// whose compact answer could not be completed: drop the pending entry and
 // probe the announcer with a block locator instead (which in turn can fall
 // back to the whole-chain exchange), so one silent peer cannot strand a block.
-func (n *Node) onGossipFetchTimeout(hash block.Hash, gen uint64) {
+func (n *Node) giveUpFetch(hash block.Hash, gen uint64) {
 	n.mu.Lock()
 	g := n.gossip
 	if g == nil || n.closed {

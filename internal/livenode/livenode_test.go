@@ -205,7 +205,7 @@ func TestLiveTelemetryCounters(t *testing.T) {
 		totalWon += won
 		totalAttempts += attempts
 		// Under gossip a block body arrives as a compact frame and is
-		// rebuilt from the pool (§13.5); FrameBlock is the legacy push only.
+		// rebuilt from the pool (§13.1); FrameBlock is the legacy push only.
 		totalBlockRecv += snap.Counter("livenode.gossip.compact_rebuilt")
 		if g := snap.Gauge("livenode.height"); g < 2 {
 			t.Errorf("node %d: height gauge = %d, chain height = %d", i, g, nodes[i].Height())

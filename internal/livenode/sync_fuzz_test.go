@@ -94,7 +94,7 @@ func FuzzSyncFrames(f *testing.F) {
 	f.Add(uint8(7), putU32(nil, maxMetaBatch+1))
 	f.Add(uint8(8), putU32(nil, 1))
 	f.Add(uint8(9), putU32(putU32(nil, 1), 2))
-	// Compact bodies (§13.5): a real one, one extending the tip with items
+	// Compact bodies (§13.1): a real one, one extending the tip with items
 	// this node cannot resolve, a truncated one and an absurd item count.
 	compact := tipBlk.EncodeCompact()
 	next := block.NewBuilder(tipBlk, tipBlk.Miner, tipBlk.Timestamp+time.Minute, 60, tipBlk.B).

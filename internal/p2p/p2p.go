@@ -101,7 +101,7 @@ const (
 	FrameRepairProbeAck
 	// FrameCompactBlock answers a FrameGetBlock: the block with each item
 	// replaced by its data ID and assigned storing nodes; the receiver
-	// rebuilds the body from items it already holds (DESIGN.md §13.5).
+	// rebuilds the body from items it already holds (DESIGN.md §13.1).
 	FrameCompactBlock
 )
 
