@@ -168,8 +168,14 @@ func TestChaosOpenLoopWorkload(t *testing.T) {
 	// send and deliver events carry another frame type and a smaller size.
 	// No receiver misses an item in this run, so the event count and the
 	// height did not move.
+	//
+	// Re-pinned once for the directed data fetch (DESIGN.md §11.1): a fetch
+	// asks one holder where it used to broadcast to all 31 peers and be
+	// answered by every holder, so the request and answer fan-out is gone
+	// (31 346 → 27 980 events) and the requests that remain carry four more
+	// bytes. Nothing on the consensus plane moved: the height is still 24.
 	if seed == 1 && runtime.GOARCH == "amd64" {
-		const digest, events, height = 0x19d6abaa1c350499, 31346, 24
+		const digest, events, height = 0x0d0df70924cc85f0, 27980, 24
 		if res.digest != digest || res.events != events || res.height != height {
 			t.Fatalf("cluster behaviour changed at seed 1: digest %016x events %d height %d, golden %016x %d %d",
 				res.digest, res.events, res.height, uint64(digest), events, height)

@@ -75,7 +75,8 @@ type Config struct {
 	// covers (default 64, capped at the protocol bound maxSyncBatch).
 	SyncBatchSize int
 	// SyncTimeout is the per-batch response deadline; each retry doubles
-	// it (default 2s).
+	// it (default 2s). It is also how long a gossip fetch waits for its
+	// announcer and a data fetch for one candidate holder.
 	SyncTimeout time.Duration
 	// SyncRetries is how many times an unanswered batch is re-requested
 	// before the node gives the peer up and falls back to the legacy
@@ -105,9 +106,9 @@ type Config struct {
 	// VerifyWorkers bounds the worker pool that content-verifies sync
 	// suffixes in parallel (default 4).
 	VerifyWorkers int
-	// FetchTimeout is how long a pending data fetch may wait for a
-	// response before its latency bookkeeping is dropped (default 2m).
-	// Without it, fetches no peer can answer would pin their tracking
+	// FetchTimeout is how long a data fetch may stay pending, across all
+	// its candidates and the final broadcast, before it is dropped
+	// (default 2m). Without it, fetches no peer can answer would pin their
 	// entry forever.
 	FetchTimeout time.Duration
 	// GossipFanout selects the block propagation mode (DESIGN.md §13).
@@ -188,15 +189,17 @@ type Node struct {
 	mineTimer     Timer
 	closed        bool
 	onData        func(id meta.DataID, content []byte)
-	fetchStart    map[meta.DataID]time.Time // pending data fetches, for latency
-	sync          *syncSession              // at most one incremental sync in flight
-	syncGen       uint64                    // session generation, guards stale timers
-	repair        *repairDriver             // nil when repair is disabled
-	gossip        *gossipState              // nil when gossip is disabled (legacy push)
-	boot          *bootstrapState           // at most one snapshot bootstrap in flight
-	bootGen       uint64                    // bootstrap generation, guards stale timers
-	bootHold      bool                      // fresh node: mining held for the first bootstrap attempt
-	persistedSnap uint64                    // newest snapshot height written to the store
+	fetches       map[meta.DataID]*pendingData // pending data fetches (fetch.go)
+	addrOf        []string                     // roster index → transport address, "" until learned
+	idxOf         map[string]int               // its inverse
+	sync          *syncSession                 // at most one incremental sync in flight
+	syncGen       uint64                       // session generation, guards stale timers
+	repair        *repairDriver                // nil when repair is disabled
+	gossip        *gossipState                 // nil when gossip is disabled (legacy push)
+	boot          *bootstrapState              // at most one snapshot bootstrap in flight
+	bootGen       uint64                       // bootstrap generation, guards stale timers
+	bootHold      bool                         // fresh node: mining held for the first bootstrap attempt
+	persistedSnap uint64                       // newest snapshot height written to the store
 
 	tel *nodeMetrics
 }
@@ -294,6 +297,12 @@ type nodeMetrics struct {
 	sigHitsSeen    uint64
 	sigMissesSeen  uint64
 
+	// Directed data fetch (DESIGN.md §11.1).
+	fetchDirected      *telemetry.Counter // requests sent to one candidate holder
+	fetchNextCandidate *telemetry.Counter // of those, sent after an earlier candidate failed
+	fetchBroadcasts    *telemetry.Counter // requests broadcast: no candidate (left)
+	rosterBound        *telemetry.Gauge   // roster nodes with a known transport address
+
 	dataFetchExpired *telemetry.Counter // pending fetches dropped by FetchTimeout
 	height           *telemetry.Gauge
 	sGauges          []*telemetry.Gauge // per roster node stake S_i
@@ -325,6 +334,11 @@ func newNodeMetrics(reg *telemetry.Registry, rosterN int) *nodeMetrics {
 		syncBytesSaved:     reg.Counter("livenode.sync.bytes_saved"),
 		syncVerifyParallel: reg.Counter("livenode.sync.verify_parallel"),
 		syncBatchBlocks:    reg.Histogram("livenode.sync.batch_blocks"),
+
+		fetchDirected:      reg.Counter("livenode.fetch.directed"),
+		fetchNextCandidate: reg.Counter("livenode.fetch.next_candidate"),
+		fetchBroadcasts:    reg.Counter("livenode.fetch.broadcasts"),
+		rosterBound:        reg.Gauge("livenode.roster.bound"),
 
 		dataFetchExpired: reg.Counter("livenode.data.fetch_expired"),
 		sigCacheHits:     reg.Counter("livenode.sigcache.hits"),
@@ -489,13 +503,15 @@ func New(cfg Config) (*Node, error) {
 		return nil, errors.New("livenode: identity not in account roster")
 	}
 	n := &Node{
-		cfg:        cfg,
-		selfIdx:    selfIdx,
-		clock:      cfg.Clock,
-		store:      cfg.Store,
-		onData:     cfg.OnData,
-		fetchStart: make(map[meta.DataID]time.Time),
-		tel:        newNodeMetrics(cfg.Telemetry, len(cfg.Accounts)),
+		cfg:     cfg,
+		selfIdx: selfIdx,
+		clock:   cfg.Clock,
+		store:   cfg.Store,
+		onData:  cfg.OnData,
+		fetches: make(map[meta.DataID]*pendingData),
+		addrOf:  make([]string, len(cfg.Accounts)),
+		idxOf:   make(map[string]int),
+		tel:     newNodeMetrics(cfg.Telemetry, len(cfg.Accounts)),
 	}
 	if cfg.GossipFanout > 0 {
 		metaFanout := cfg.MetaFanout
@@ -744,6 +760,7 @@ func (n *Node) Close() error {
 	n.clearSyncLocked()
 	n.clearGossipLocked()
 	n.clearBootstrapLocked()
+	n.clearFetchesLocked()
 	tip := n.eng.Tip()
 	n.mu.Unlock()
 	netErr := n.net.Close()
@@ -771,6 +788,7 @@ func (n *Node) Kill() error {
 	n.clearSyncLocked()
 	n.clearGossipLocked()
 	n.clearBootstrapLocked()
+	n.clearFetchesLocked()
 	n.mu.Unlock()
 	netErr := n.net.Close()
 	if err := n.store.Close(); err != nil && netErr == nil {
@@ -845,40 +863,4 @@ func (n *Node) Publish(content []byte, typ, locationName string) (*meta.Item, er
 		n.bcast(p2p.FrameMeta, it.Encode())
 	}
 	return it, nil
-}
-
-// RequestData asks all peers for a data item; the first holder to respond
-// wins and OnData fires. A fetch no peer ever answers would otherwise pin
-// its latency-tracking entry forever, so each registration arms an expiry
-// that drops the entry after FetchTimeout (a later RequestData for the
-// same ID starts tracking afresh).
-func (n *Node) RequestData(id meta.DataID) {
-	n.mu.Lock()
-	if _, pending := n.fetchStart[id]; !pending {
-		start := n.clock.Now()
-		n.fetchStart[id] = start
-		n.clock.AfterFunc(n.cfg.FetchTimeout, func() { n.expireFetch(id, start) })
-	}
-	n.mu.Unlock()
-	n.bcast(p2p.FrameDataRequest, id[:])
-}
-
-// expireFetch drops a pending-fetch entry that was never answered. The
-// start time identifies the registration: if the fetch completed and a new
-// one for the same ID began meanwhile, the stale timer must not touch it.
-func (n *Node) expireFetch(id meta.DataID, start time.Time) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if got, ok := n.fetchStart[id]; ok && got.Equal(start) {
-		delete(n.fetchStart, id)
-		n.tel.dataFetchExpired.Inc()
-	}
-}
-
-// pendingFetches reports how many data fetches are being tracked
-// (test hook for the expiry path).
-func (n *Node) pendingFetches() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.fetchStart)
 }

@@ -102,12 +102,10 @@ func (n *Node) handleRepairProbe(from string, payload []byte) {
 	}
 	i := int(binary.BigEndian.Uint32(payload))
 	n.mu.Lock()
-	rd := n.repair
-	if rd == nil || n.closed || i < 0 || i >= len(n.cfg.Accounts) || i == n.selfIdx {
+	if n.repair == nil || n.closed || !n.bindAddrLocked(i, from) {
 		n.mu.Unlock()
 		return
 	}
-	n.bindRepairAddrLocked(i, from)
 	ack := n.encodeProbeAckLocked(n.now())
 	n.mu.Unlock()
 	n.tel.probeAcks.Inc()
@@ -130,10 +128,9 @@ func (n *Node) handleRepairProbeAck(from string, payload []byte) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	rd := n.repair
-	if rd == nil || n.closed || i < 0 || i >= len(n.cfg.Accounts) || i == n.selfIdx {
+	if rd == nil || n.closed || !n.bindAddrLocked(i, from) {
 		return
 	}
-	n.bindRepairAddrLocked(i, from)
 	now := n.now()
 	merged := 0
 	for e := 0; e < count; e++ {
@@ -150,17 +147,4 @@ func (n *Node) handleRepairProbeAck(from string, payload []byte) {
 		}
 	}
 	n.tel.probeDigestMerged.Add(merged)
-}
-
-// bindRepairAddrLocked binds roster index i to transport address from and
-// refreshes its liveness (n.mu held; caller has validated i). Shared by
-// the announce, probe and ack handlers.
-func (n *Node) bindRepairAddrLocked(i int, from string) {
-	rd := n.repair
-	if old := rd.det.Addr(i); old != "" && old != from {
-		delete(rd.addrIdx, old)
-	}
-	rd.det.SetAddr(i, from)
-	rd.addrIdx[from] = i
-	rd.det.Seen(i, n.now())
 }

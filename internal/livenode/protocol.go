@@ -61,7 +61,7 @@ func (n *Node) onAppend(ev engine.AppendEvent) {
 			rd.idx.Apply(ie.Item)
 		}
 		if !n.replaying {
-			if mi, ok := rd.minerIdx[b.Miner]; ok {
+			if mi, ok := n.eng.Ledger().IndexOf(b.Miner); ok {
 				rd.det.Seen(mi, b.Timestamp)
 			}
 		}
@@ -74,9 +74,9 @@ func (n *Node) onAppend(ev engine.AppendEvent) {
 		// through the clock (not a bare goroutine) so virtual-clock runs
 		// issue the request at a deterministic point. Re-announcements
 		// (repair or migration) have known providers, so their fetches go
-		// through the targeted, rate-limited repair queue; first
-		// announcements keep the legacy broadcast fetch (only the producer
-		// has the content, and it answers FrameDataRequest).
+		// through the targeted, rate-limited repair queue; a first
+		// announcement is a placement fetch, which asks the producer first
+		// (only it is sure to have the content yet, DESIGN.md §11.1).
 		if ie.AssignedToSelf && !n.store.HasData(ie.Item.ID) {
 			id := ie.Item.ID
 			if n.repair != nil && ie.Prev != nil {
@@ -84,7 +84,7 @@ func (n *Node) onAppend(ev engine.AppendEvent) {
 					n.tel.repairEnqueued.Inc()
 				}
 			} else {
-				n.clock.AfterFunc(0, func() { n.RequestData(id) })
+				n.clock.AfterFunc(0, func() { n.requestData(id, true) })
 			}
 		}
 	}
@@ -259,7 +259,7 @@ func (n *Node) handleFrame(from string, ft byte, payload []byte) {
 		n.handleRepairGet(from, payload)
 
 	case p2p.FrameRepairData:
-		n.handleRepairData(payload)
+		n.handleData(payload, true)
 
 	case p2p.FrameMeta:
 		it, err := meta.Decode(payload)
@@ -378,54 +378,10 @@ func (n *Node) handleFrame(from string, ft byte, payload []byte) {
 		n.handleSyncBatch(from, sb)
 
 	case p2p.FrameDataRequest:
-		if len(payload) != len(meta.DataID{}) {
-			return
-		}
-		var id meta.DataID
-		copy(id[:], payload)
-		content, ok := n.store.GetData(id)
-		if ok {
-			resp := make([]byte, len(id)+len(content))
-			copy(resp, id[:])
-			copy(resp[len(id):], content)
-			n.send(from, p2p.FrameData, resp)
-		}
+		n.handleDataRequest(from, payload)
 
 	case p2p.FrameData:
-		if len(payload) < len(meta.DataID{}) {
-			return
-		}
-		var id meta.DataID
-		copy(id[:], payload)
-		// Every holder answers a broadcast fetch: most frames are repeats.
-		dup := n.store.HasData(id)
-		var content []byte
-		if !dup {
-			content = append([]byte(nil), payload[len(id):]...)
-			// Integrity: the content must hash to its claimed ID
-			// (Section III-B2 data integrity).
-			if meta.HashData(content) != id {
-				return
-			}
-			if err := n.store.PutData(id, content); err != nil {
-				return
-			}
-		}
-		n.mu.Lock()
-		cb := n.onData
-		if start, ok := n.fetchStart[id]; ok {
-			n.tel.dataFetchNs.Observe(int64(n.clock.Now().Sub(start)))
-			delete(n.fetchStart, id)
-		}
-		if rd := n.repair; rd != nil {
-			// The content arrived by the broadcast path; a queued repair
-			// task for it is complete.
-			rd.queue.Done(id, n.now())
-		}
-		n.mu.Unlock()
-		if !dup && cb != nil {
-			cb(id, content)
-		}
+		n.handleData(payload, false)
 	}
 }
 

@@ -65,11 +65,6 @@ type repairDriver struct {
 	queue *repair.Queue
 	lim   *repair.Limiter
 
-	// addrIdx maps transport addresses to roster indices (learned from
-	// announces); minerIdx maps account addresses, for block-based liveness.
-	addrIdx  map[string]int
-	minerIdx map[[32]byte]int
-
 	announce   []byte // this node's encoded roster index (announce/probe payload)
 	probeEvery time.Duration
 	floor      int // replica floor the under-replication gauge checks
@@ -106,8 +101,6 @@ func (n *Node) initRepair() *repairDriver {
 			Backoff: n.cfg.RepairProbeEvery,
 		}),
 		lim:        repair.NewLimiter(n.cfg.RepairRate, 0, now),
-		addrIdx:    make(map[string]int),
-		minerIdx:   make(map[[32]byte]int, len(n.cfg.Accounts)),
 		announce:   binary.BigEndian.AppendUint32(nil, uint32(n.selfIdx)),
 		probeEvery: n.cfg.RepairProbeEvery,
 		floor:      n.cfg.RepairReplicaFloor,
@@ -128,9 +121,6 @@ func (n *Node) initRepair() *repairDriver {
 		// Distinct multiplier from the gossip RNG seed: the two planes
 		// must draw independent deterministic streams.
 		rd.rng = rand.New(rand.NewSource(n.cfg.GenesisSeed ^ (int64(n.selfIdx+1) * 0x7F4A7C15)))
-	}
-	for i, a := range n.cfg.Accounts {
-		rd.minerIdx[a] = i
 	}
 	return rd
 }
@@ -168,7 +158,7 @@ func (n *Node) noteFrameFrom(from string) {
 		return // set once in New: no lock needed to see that repair is off
 	}
 	n.mu.Lock()
-	if i, ok := n.repair.addrIdx[from]; ok {
+	if i, ok := n.idxOf[from]; ok {
 		n.repair.det.Seen(i, n.now())
 	}
 	n.mu.Unlock()
@@ -215,11 +205,8 @@ func (n *Node) repairTick() {
 	for _, a := range peers {
 		peerSet[a] = true
 	}
-	for i := range n.cfg.Accounts {
-		if i == n.selfIdx {
-			continue
-		}
-		if a := rd.det.Addr(i); a != "" && !peerSet[a] {
+	for i, a := range n.addrOf {
+		if a != "" && !peerSet[a] {
 			rd.det.Fail(i)
 		}
 	}
@@ -306,12 +293,9 @@ func (n *Node) pickProviderLocked(id meta.DataID, now time.Duration) string {
 	rd := n.repair
 	var alive, suspect []string
 	for _, p := range rd.idx.Providers(id) {
-		if p == n.selfIdx {
-			continue
-		}
-		addr := rd.det.Addr(p)
+		addr := n.addrOf[p]
 		if addr == "" {
-			continue
+			continue // unknown — or this node, which is never bound
 		}
 		switch rd.det.Status(p, now) {
 		case repair.Alive:
@@ -347,12 +331,11 @@ func (n *Node) handleRepairAnnounce(from string, payload []byte) {
 	i := int(binary.BigEndian.Uint32(payload))
 	n.mu.Lock()
 	rd := n.repair
-	if rd == nil || i < 0 || i >= len(n.cfg.Accounts) || i == n.selfIdx {
+	first := i >= 0 && i < len(n.addrOf) && n.addrOf[i] == ""
+	if rd == nil || !n.bindAddrLocked(i, from) {
 		n.mu.Unlock()
 		return
 	}
-	first := rd.det.Addr(i) == ""
-	n.bindRepairAddrLocked(i, from)
 	var reply []byte
 	if first {
 		reply = rd.announce
@@ -391,38 +374,6 @@ func (n *Node) handleRepairGet(from string, payload []byte) {
 	copy(resp, id[:])
 	copy(resp[len(id):], content)
 	n.send(from, p2p.FrameRepairData, resp)
-}
-
-// handleRepairData ingests a targeted fetch response: content is verified
-// against its ID, stored, and the queue task completed.
-func (n *Node) handleRepairData(payload []byte) {
-	if len(payload) < len(meta.DataID{}) {
-		return
-	}
-	var id meta.DataID
-	copy(id[:], payload)
-	content := append([]byte(nil), payload[len(id):]...)
-	if meta.HashData(content) != id {
-		return // forged or corrupt: the task times out and retries elsewhere
-	}
-	dup := n.store.HasData(id)
-	if !dup {
-		if err := n.store.PutData(id, content); err != nil {
-			return
-		}
-	}
-	n.mu.Lock()
-	cb := n.onData
-	if rd := n.repair; rd != nil {
-		if lat, wasInflight := rd.queue.Done(id, n.now()); wasInflight {
-			n.tel.repairFetchNs.Observe(int64(lat))
-			n.tel.repairCompleted.Inc()
-		}
-	}
-	n.mu.Unlock()
-	if !dup && cb != nil {
-		cb(id, content)
-	}
 }
 
 // --- counted wire helpers ----------------------------------------------------
@@ -474,18 +425,20 @@ func (n *Node) countWire(ft byte, payloadLen, copies int) {
 
 // send is the counted p2p.Transport.Send; a failed send toward a mapped
 // roster node feeds the churn detector.
-func (n *Node) send(peer string, ft byte, payload []byte) {
-	if err := n.net.Send(peer, ft, payload); err != nil {
+func (n *Node) send(peer string, ft byte, payload []byte) error {
+	err := n.net.Send(peer, ft, payload)
+	if err != nil {
 		n.mu.Lock()
 		if rd := n.repair; rd != nil {
-			if i, ok := rd.addrIdx[peer]; ok {
+			if i, ok := n.idxOf[peer]; ok {
 				rd.det.Fail(i)
 			}
 		}
 		n.mu.Unlock()
-		return
+		return err
 	}
 	n.countWire(ft, len(payload), 1)
+	return nil
 }
 
 // bcast is the counted p2p.Transport.Broadcast.

@@ -610,7 +610,7 @@ func (n *Node) adoptSyncSuffixLocked(suffix []*block.Block) bool {
 							n.tel.repairEnqueued.Inc()
 						}
 					} else {
-						n.clock.AfterFunc(0, func() { n.RequestData(id) })
+						n.clock.AfterFunc(0, func() { n.requestData(id, true) })
 					}
 					break
 				}

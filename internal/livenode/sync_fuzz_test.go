@@ -104,12 +104,22 @@ func FuzzSyncFrames(f *testing.F) {
 	f.Add(uint8(10), next.EncodeCompact())
 	f.Add(uint8(10), compact[:len(compact)-9])
 	f.Add(uint8(10), putU64(append([]byte(nil), compact[:128]...), 1<<40))
+	// Data fetch (§11.1): a request that binds a roster index, the legacy
+	// 32-byte one, indices no peer can have, and an answer nobody asked for.
+	held := meta.HashData([]byte("sync-fuzz"))
+	f.Add(uint8(11), dataRequest(held, 1))
+	f.Add(uint8(11), held[:])
+	f.Add(uint8(11), dataRequest(held, 0))
+	f.Add(uint8(11), dataRequest(held, ^uint32(0)))
+	f.Add(uint8(11), dataRequest(held, 1)[:35])
+	f.Add(uint8(12), append(held[:], "sync-fuzz"...))
 
 	frames := []byte{
 		p2p.FrameSyncLocator, p2p.FrameSyncHeaders, p2p.FrameSyncGetBatch,
 		p2p.FrameSyncBatch, p2p.FrameBlockAnnounce, p2p.FrameGetBlock,
 		p2p.FrameMetaAnnounce, p2p.FrameGetMeta,
 		p2p.FrameRepairProbe, p2p.FrameRepairProbeAck, p2p.FrameCompactBlock,
+		p2p.FrameDataRequest, p2p.FrameData,
 	}
 	f.Fuzz(func(t *testing.T, sel uint8, payload []byte) {
 		// Decoders must fail cleanly, never panic, on any input.
@@ -135,7 +145,15 @@ func FuzzSyncFrames(f *testing.F) {
 		if pooled := len(n.PoolIDs()); pooled != 0 {
 			t.Fatalf("forged frames put %d items in the pool", pooled)
 		}
+		// Nothing was asked for, so nothing may be stored; and the fuzzer's
+		// one address can speak for at most one roster node, never this one.
+		if len(payload) >= 32 && n.store.HasData(meta.DataID(payload[:32])) {
+			t.Fatalf("unsolicited content stored under %x", payload[:32])
+		}
 		n.mu.Lock()
+		if len(n.idxOf) > 1 || n.addrOf[n.selfIdx] != "" {
+			t.Fatalf("roster table after forged frames: %v / %v", n.addrOf, n.idxOf)
+		}
 		n.clearSyncLocked()
 		n.clearGossipLocked()
 		n.mu.Unlock()

@@ -568,7 +568,7 @@ func TestSyncCodecsRejectMalformedFrames(t *testing.T) {
 	}
 }
 
-// --- fetchStart leak regression (ISSUE satellite) -----------------------------
+// --- pending-fetch leak regression ----------------------------------------------
 
 func TestRequestDataExpiryDropsLeakedEntries(t *testing.T) {
 	fn := newFakeNet()
@@ -578,7 +578,7 @@ func TestRequestDataExpiryDropsLeakedEntries(t *testing.T) {
 	})
 
 	// Fetches nobody can answer (no peers): before the fix these entries
-	// lived in fetchStart forever.
+	// were tracked forever.
 	for i := 0; i < 5; i++ {
 		a.RequestData(meta.HashData([]byte(fmt.Sprintf("ghost %d", i))))
 	}

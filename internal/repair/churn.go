@@ -53,7 +53,6 @@ type Detector struct {
 	cfg      DetectorConfig
 	lastSeen []time.Duration
 	failures []int
-	addrs    []string
 }
 
 // NewDetector creates a detector; every node starts with liveness
@@ -67,7 +66,6 @@ func NewDetector(cfg DetectorConfig, now time.Duration) *Detector {
 		cfg:      cfg,
 		lastSeen: make([]time.Duration, cfg.N),
 		failures: make([]int, cfg.N),
-		addrs:    make([]string, cfg.N),
 	}
 	for i := range d.lastSeen {
 		d.lastSeen[i] = now
@@ -105,21 +103,6 @@ func (d *Detector) Fail(i int) {
 		return
 	}
 	d.failures[i]++
-}
-
-// SetAddr binds node i to its transport address.
-func (d *Detector) SetAddr(i int, addr string) {
-	if i >= 0 && i < d.cfg.N {
-		d.addrs[i] = addr
-	}
-}
-
-// Addr returns node i's last known transport address ("" if unknown).
-func (d *Detector) Addr(i int) string {
-	if i < 0 || i >= d.cfg.N {
-		return ""
-	}
-	return d.addrs[i]
 }
 
 // Status classifies node i at the given time. Send failures can only

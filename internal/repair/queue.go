@@ -196,6 +196,10 @@ func (q *Queue) Attempts(id meta.DataID) int {
 	return 0
 }
 
+// Has reports whether id is tracked, pending or in flight: the driver
+// accepts fetched content only for an item it is still trying to get.
+func (q *Queue) Has(id meta.DataID) bool { return q.tasks[id] != nil }
+
 // Len returns the number of tracked tasks (pending + in flight).
 func (q *Queue) Len() int { return len(q.tasks) }
 

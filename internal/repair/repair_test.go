@@ -227,10 +227,6 @@ func TestDetectorSeenMonotonic(t *testing.T) {
 	if s := d.Status(1, 35*time.Second); s != Alive {
 		t.Fatalf("stale evidence rewound lastSeen: %v", s)
 	}
-	d.SetAddr(1, "node01")
-	if d.Addr(1) != "node01" || d.Addr(0) != "" || d.Addr(7) != "" {
-		t.Fatal("addr bookkeeping broken")
-	}
 }
 
 // --- limiter ----------------------------------------------------------------
@@ -282,6 +278,9 @@ func TestQueueDedupOrderingAndWorkers(t *testing.T) {
 	if _, ok := q.Next(2 * time.Second); ok {
 		t.Fatal("Next handed out work beyond the worker bound")
 	}
+	if !q.Has(a) || !q.Has(b) || q.Has(meta.HashData([]byte("c"))) {
+		t.Fatal("Has must cover in-flight and pending tasks, and nothing else")
+	}
 	lat, wasInflight := q.Done(a, 5*time.Second)
 	if !wasInflight || lat != 3*time.Second {
 		t.Fatalf("Done = (%v, %v), want (3s, true)", lat, wasInflight)
@@ -293,7 +292,7 @@ func TestQueueDedupOrderingAndWorkers(t *testing.T) {
 	if _, wasInflight := q.Done(b, 6*time.Second); wasInflight {
 		t.Fatal("pending task reported as in flight")
 	}
-	if q.Len() != 0 || q.InFlight() != 0 {
+	if q.Len() != 0 || q.InFlight() != 0 || q.Has(a) {
 		t.Fatalf("queue not empty: len=%d inflight=%d", q.Len(), q.InFlight())
 	}
 }
