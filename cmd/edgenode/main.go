@@ -61,33 +61,14 @@ func main() {
 		repairWrk  = flag.Int("repair-workers", 0, "concurrent background re-replication fetches (0 = repair disabled)")
 		repairRate = flag.Int("repair-rate", 0, "repair traffic budget in bytes/sec (0 = default 4096)")
 		repairHyst = flag.Duration("repair-hysteresis", 0, "extra silence before a suspect peer is declared dead (0 = default 10s)")
-		gossip     = flag.Bool("gossip", true, "inv-style gossip block relay; false = legacy full-mesh block push")
-		gossipFan  = flag.Int("gossip-fanout", 0, "peers each block announce is relayed to (0 = default 6)")
-		metaGossip = flag.Bool("meta-gossip", true, "inv-style metadata relay; false = legacy full-mesh metadata push")
-		metaFan    = flag.Int("meta-fanout", 0, "peers each metadata announce is relayed to (0 = follow -gossip-fanout)")
-		probeFan   = flag.Int("probe-fanout", 0, "peers probed per liveness tick (0 = default 4); negative = legacy per-tick heartbeat broadcast")
+		gossipFan  = flag.Int("gossip-fanout", 0, "peers each block or metadata announce is relayed to (0 = default 6)")
+		probeFan   = flag.Int("probe-fanout", 0, "peers probed per liveness tick (0 = default 4)")
 	)
 	flag.Parse()
 
-	gossipFanout := *gossipFan
-	if !*gossip {
-		if *gossipFan > 0 {
-			log.Fatal("-gossip-fanout set but -gossip=false")
-		}
-		gossipFanout = -1 // legacy full-mesh push
-	} else if *gossipFan < 0 {
-		log.Fatalf("-gossip-fanout %d invalid: want >= 0 (or -gossip=false to disable)", *gossipFan)
+	if *gossipFan < 0 || *probeFan < 0 {
+		log.Fatalf("-gossip-fanout %d, -probe-fanout %d: neither may be negative (0 = default)", *gossipFan, *probeFan)
 	}
-	metaFanout := *metaFan
-	if !*metaGossip {
-		if *metaFan > 0 {
-			log.Fatal("-meta-fanout set but -meta-gossip=false")
-		}
-		metaFanout = -1 // legacy full-mesh push
-	} else if *metaFan < 0 {
-		log.Fatalf("-meta-fanout %d invalid: want >= 0 (or -meta-gossip=false to disable)", *metaFan)
-	}
-
 	if *index < 0 || *index >= *rosterSize {
 		log.Fatalf("index %d out of roster [0,%d)", *index, *rosterSize)
 	}
@@ -146,8 +127,7 @@ func main() {
 		SyncTimeout:   *syncTmo,
 		VerifyWorkers: *verifyWrk,
 		SnapshotEvery: *snapEvery,
-		GossipFanout:  gossipFanout,
-		MetaFanout:    metaFanout,
+		GossipFanout:  *gossipFan,
 
 		PruneDepth:        *pruneDepth,
 		BootstrapSnapshot: *bootSnap,

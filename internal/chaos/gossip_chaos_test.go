@@ -9,15 +9,14 @@ import (
 	"repro/internal/workload"
 )
 
-// measureBlockPropagation mines a 128-node cluster to a fixed height with
-// the given gossip fanout (-1 = legacy full-mesh push) and returns each
-// node's peak and summed livenode.wire.block_bytes — every FrameBlock,
-// FrameBlockAnnounce and FrameGetBlock byte counted at its sender — plus
-// the converged height for normalization.
-func measureBlockPropagation(t *testing.T, fanout int) (peak, total, height uint64) {
+// measureBlockPropagation mines a 128-node cluster to a fixed height and
+// returns each node's peak and summed livenode.wire.block_bytes — every
+// FrameBlockAnnounce, FrameGetBlock and FrameCompactBlock byte counted at
+// its sender — plus the converged height for normalization.
+func measureBlockPropagation(t *testing.T) (peak, total, height uint64) {
 	t.Helper()
 	const n, targetHeight = 128, 8
-	c := newQuietCluster(t, Options{N: n, Seed: *seedFlag, GossipFanout: fanout})
+	c := newQuietCluster(t, Options{N: n, Seed: *seedFlag})
 	reached := func() bool {
 		for _, node := range c.Nodes() {
 			if node.Height() < targetHeight {
@@ -43,29 +42,28 @@ func measureBlockPropagation(t *testing.T, fanout int) (peak, total, height uint
 	return peak, total, c.Nodes()[0].Height()
 }
 
-// TestGossipBeatsFullMeshFiveFold is the ISSUE's wire-bytes acceptance
-// gate (the block-propagation sibling of TestSyncCatchupBeatsLegacyFiveFold):
-// at 128 nodes, inv-style gossip must cut the PEAK per-node
-// block-propagation egress at least 5x versus the legacy full-mesh push.
-// Peak — not total — is the honest metric: every node still receives each
-// body exactly once, so cluster-total bytes cannot shrink much; what
-// gossip removes is the miner's O(n) body fan-out, replacing it with
-// O(fanout) 40-byte announces plus at most fanout served bodies.
-func TestGossipBeatsFullMeshFiveFold(t *testing.T) {
-	gPeak, gTotal, gHeight := measureBlockPropagation(t, 0)
-	lPeak, lTotal, lHeight := measureBlockPropagation(t, -1)
-	if gHeight == 0 || lHeight == 0 {
-		t.Fatalf("cluster mined nothing: gossip height %d, legacy height %d", gHeight, lHeight)
+// TestBlockRelayWireGate is the block-propagation wire gate (the sibling of
+// livenode's TestSyncCatchupWireGate): at 128 nodes the busiest node's
+// block-propagation egress stays within 2 000 B per adopted block — the
+// 1 583 B this run measures plus a quarter. Peak — not total — is the
+// honest metric: every node receives each body exactly once, so the
+// cluster total is what it is; what the relay bounds is the miner's
+// fan-out, O(fanout) 40-byte announces plus at most fanout served bodies.
+// Pushing each block in full to all 127 peers, as the retired path did,
+// read 17 455 B here.
+//
+// How many of the eight blocks the busiest node itself mined is the seed's
+// luck (1 294 to 2 212 B/block over seeds 1, 3, 7 and 1337), so the ceiling
+// is pinned at the default seed, like TestDirectedFetchWireGate's.
+func TestBlockRelayWireGate(t *testing.T) {
+	peak, total, height := measureBlockPropagation(t)
+	if height == 0 {
+		t.Fatal("cluster mined nothing")
 	}
-
-	// Normalize per adopted block: the two runs consume the fault RNG
-	// differently, so their converged heights can differ by a block.
-	gRate := float64(gPeak) / float64(gHeight)
-	lRate := float64(lPeak) / float64(lHeight)
-	t.Logf("peak per-node block-propagation egress per block: gossip %.0f B (height %d), legacy %.0f B (height %d) — %.1fx; totals: gossip %d B, legacy %d B (%.2fx)",
-		gRate, gHeight, lRate, lHeight, lRate/gRate, gTotal, lTotal, float64(lTotal)/float64(gTotal))
-	if gRate*5 > lRate {
-		t.Errorf("gossip peak egress %.0f B/block, legacy %.0f B/block — want >= 5x reduction", gRate, lRate)
+	rate := float64(peak) / float64(height)
+	t.Logf("peak per-node block-propagation egress: %.0f B/block (height %d); cluster total %d B", rate, height, total)
+	if *seedFlag == 1 && rate > 2000 {
+		t.Errorf("peak block-propagation egress %.0f B/block, want <= 2000", rate)
 	}
 }
 
@@ -128,9 +126,8 @@ func runGossipConvergenceScenario(t *testing.T, seed int64) gossipChaosResult {
 
 // TestChaosGossipConvergence256 is the tentpole's scale scenario: 256
 // nodes converge through inv-style gossip under drops, delays and a
-// partition, the gossip counters prove the announce/fetch path (not the
-// legacy push) carried the blocks, and a second run with the same seed is
-// bit-identical.
+// partition, the gossip counters prove the announce/fetch path carried the
+// blocks, and a second run with the same seed is bit-identical.
 func TestChaosGossipConvergence256(t *testing.T) {
 	first := runGossipConvergenceScenario(t, *seedFlag)
 

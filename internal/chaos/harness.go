@@ -69,18 +69,9 @@ type Options struct {
 	// = livenode defaults).
 	RepairSuspectAfter time.Duration
 	RepairHysteresis   time.Duration
-	// GossipFanout is passed through to livenode.Config.GossipFanout:
-	// 0 = gossip with the default fanout, >0 = that fanout, negative =
-	// legacy full-mesh block push (DESIGN.md §13).
-	GossipFanout int
-	// MetaFanout is passed through to livenode.Config.MetaFanout:
-	// 0 = metadata gossip follows GossipFanout, >0 = that fanout, negative
-	// = legacy full-mesh metadata push (DESIGN.md §15).
-	MetaFanout int
-	// ProbeFanout is passed through to livenode.Config.ProbeFanout:
-	// 0 = sampled liveness probes with the default fanout, >0 = that
-	// fanout, negative = legacy per-tick heartbeat broadcast (DESIGN.md
-	// §15). Only meaningful when RepairWorkers > 0.
+	// ProbeFanout is passed through to livenode.Config.ProbeFanout: peers
+	// probed per repair tick, 0 = the default (DESIGN.md §15.2). Only
+	// meaningful when RepairWorkers > 0.
 	ProbeFanout int
 	// PruneDepth, when positive, runs the finite-lifetime chain on the
 	// nodes selected by PruneNodes: bodies below the snapshot-covered
@@ -225,8 +216,6 @@ func (c *Cluster) startNode(i int) error {
 		CheckpointEvery: c.opts.CheckpointEvery,
 		SyncBatchSize:   c.opts.SyncBatchSize,
 		SnapshotEvery:   c.opts.SnapshotEvery,
-		GossipFanout:    c.opts.GossipFanout,
-		MetaFanout:      c.opts.MetaFanout,
 		Telemetry:       c.nodeRegs[i],
 		PruneDepth:      pruneDepth,
 

@@ -103,9 +103,6 @@ func TestCompactRebuiltFromPool(t *testing.T) {
 	if n := log.count(p2p.FrameCompactBlock); n != 2 { // to a, then to c after a's relay
 		t.Errorf("%d compact frames on the wire, want 2", n)
 	}
-	if n := log.count(p2p.FrameBlock); n != 0 {
-		t.Errorf("%d full-body frames on the gossip path", n)
-	}
 	if v := counter(a.reg, "livenode.gossip.compact_rebuilt"); v != 1 {
 		t.Errorf("compact_rebuilt = %d, want 1", v)
 	}

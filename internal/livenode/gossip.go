@@ -10,12 +10,10 @@ import (
 	"repro/internal/p2p"
 )
 
-// Inv-style gossip block relay (DESIGN.md §13). Instead of pushing every
-// won block in full to every peer — O(n) full-block sends per block, the
-// full-mesh scaling wall — a node that adopts a block it has not seen
-// before announces only (height, header hash) to a bounded random sample
-// of peers. A peer that lacks the hash fetches the body from the
-// announcer; on adopting it, it relays the announce onward (excluding
+// Inv-style gossip block relay (DESIGN.md §13). A node that adopts a block
+// it has not seen before announces only (height, header hash) to a bounded
+// random sample of peers. A peer that lacks the hash fetches the body from
+// the announcer; on adopting it, it relays the announce onward (excluding
 // whoever sent it the block), so dissemination is epidemic: O(fanout) 40-
 // byte announces per node and O(fanout · log n) hops to saturation,
 // while each node uploads the full body only a bounded number of times.
@@ -30,8 +28,8 @@ import (
 // (adopted blocks), the pending-fetch table (a fetch already in flight)
 // and a small LRU of hashes seen but not adopted (stale forks, timed-out
 // fetches). A fetch the announcer never answers falls back to the §10
-// sync locator path after cfg.SyncTimeout, preserving the ordering
-// announce → fetch → locator → whole-chain exchange.
+// sync locator path after cfg.SyncTimeout: the ladder is
+// announce → fetch → locator.
 const (
 	// defaultGossipFanout is how many peers an announce is relayed to when
 	// Config.GossipFanout is 0. Six gives >99.9% epidemic saturation on
@@ -47,21 +45,16 @@ const (
 	maxPendingFetch = 64
 )
 
-// gossipState is the node's announce/fetch bookkeeping; nil when gossip
-// is disabled (Config.GossipFanout < 0) and the legacy full-mesh push is
-// in effect. The same sampler and seen/pending discipline also runs the
-// metadata relay (DESIGN.md §15) when Config.MetaFanout selects it. All
-// fields are guarded by Node.mu.
+// gossipState is the node's announce/fetch bookkeeping. The same sampler
+// and seen/pending discipline also runs the metadata relay (DESIGN.md
+// §15.1). All fields are guarded by Node.mu.
 type gossipState struct {
-	fanout  int
 	rng     *rand.Rand           // node-local, deterministically seeded peer sampling
 	seen    *seenLRU[block.Hash] // announced hashes not (or not yet) on our chain
 	pending map[block.Hash]*pendingFetch
 	gen     uint64 // fetch generation, guards stale timers
 
-	// Metadata relay (DESIGN.md §15); metaFanout < 0 keeps the legacy
-	// full-mesh FrameMeta push even while block gossip runs.
-	metaFanout  int
+	// Metadata relay (DESIGN.md §15.1).
 	metaSeen    *seenLRU[meta.DataID] // announced IDs not (or not yet) pooled
 	metaPending map[meta.DataID]*pendingMetaFetch
 	metaGen     uint64
@@ -79,13 +72,11 @@ type pendingFetch struct {
 	missing map[meta.DataID]struct{}
 }
 
-func newGossipState(fanout, metaFanout int, seed int64) *gossipState {
+func newGossipState(seed int64) *gossipState {
 	return &gossipState{
-		fanout:      fanout,
 		rng:         rand.New(rand.NewSource(seed)),
 		seen:        newSeenLRU[block.Hash](gossipSeenCap),
 		pending:     make(map[block.Hash]*pendingFetch),
-		metaFanout:  metaFanout,
 		metaSeen:    newSeenLRU[meta.DataID](metaSeenCap),
 		metaPending: make(map[meta.DataID]*pendingMetaFetch),
 	}
@@ -170,10 +161,11 @@ func (n *Node) relayBlock(blk *block.Block, exclude string) {
 	n.tel.gossipRelays.Inc()
 }
 
-// sampleGossipPeers draws up to fanout distinct peers from the sorted
-// peer list, excluding `exclude`. Sorting before sampling makes the draw
-// a pure function of the peer set and the node's seeded RNG, which is
-// what keeps deterministic chaos runs bit-identical.
+// sampleGossipPeers draws up to GossipFanout distinct peers from the sorted
+// peer list, excluding `exclude`; block and metadata announces both go to
+// such a sample. Sorting before sampling makes the draw a pure function of
+// the peer set and the node's seeded RNG, which is what keeps deterministic
+// chaos runs bit-identical.
 func (n *Node) sampleGossipPeers(exclude string) []string {
 	peers := n.net.Peers()
 	cand := peers[:0]
@@ -185,11 +177,10 @@ func (n *Node) sampleGossipPeers(exclude string) []string {
 
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	g := n.gossip
-	if g == nil || n.closed {
+	if n.closed {
 		return nil
 	}
-	return samplePeersLocked(g.rng, cand, g.fanout)
+	return samplePeersLocked(n.gossip.rng, cand, n.cfg.GossipFanout)
 }
 
 // samplePeersLocked draws up to k distinct entries from cand via a
@@ -223,7 +214,7 @@ func (n *Node) handleBlockAnnounce(from string, payload []byte) {
 	}
 	n.mu.Lock()
 	g := n.gossip
-	if g == nil || n.closed {
+	if n.closed {
 		n.mu.Unlock()
 		return
 	}
@@ -231,7 +222,7 @@ func (n *Node) handleBlockAnnounce(from string, payload []byte) {
 	case n.eng.Chain().ByHash(hash) != nil:
 		// Already adopted: a re-announce carries no information and must
 		// trigger neither a fetch nor a sync round (the announce-path twin
-		// of the chain.ErrDuplicate guard on pushed blocks).
+		// of the chain.ErrDuplicate guard in receiveBlock).
 		n.tel.gossipDupSuppressed.Inc()
 		n.mu.Unlock()
 		return
@@ -305,8 +296,8 @@ func (n *Node) handleCompactBlock(from string, payload []byte) {
 	}
 	n.mu.Lock()
 	var pf *pendingFetch
-	if g := n.gossip; g != nil && !n.closed {
-		pf = g.pending[cb.Head.Hash]
+	if !n.closed {
+		pf = n.gossip.pending[cb.Head.Hash]
 	}
 	if pf == nil || pf.compact != nil {
 		// Never requested, given up on, or a duplicate delivery.
@@ -336,9 +327,6 @@ func (n *Node) handleCompactBlock(from string, payload []byte) {
 // caller to pass to finishCompact (n.mu held). They come in fetch order:
 // two bodies completed by one item must adopt deterministically.
 func (n *Node) noteCompactItemLocked(id meta.DataID) (ready []*pendingFetch, blocks []*block.Block) {
-	if n.gossip == nil {
-		return nil, nil
-	}
 	for _, pf := range n.gossip.pending {
 		if _, waiting := pf.missing[id]; !waiting {
 			continue
@@ -374,12 +362,12 @@ func (n *Node) finishCompact(pf *pendingFetch, blk *block.Block) {
 
 // giveUpFetch ends a fetch whose announcer never answered (the timer), or
 // whose compact answer could not be completed: drop the pending entry and
-// probe the announcer with a block locator instead (which in turn can fall
-// back to the whole-chain exchange), so one silent peer cannot strand a block.
+// probe the announcer with a block locator instead, so one silent peer
+// cannot strand a block.
 func (n *Node) giveUpFetch(hash block.Hash, gen uint64) {
 	n.mu.Lock()
 	g := n.gossip
-	if g == nil || n.closed {
+	if n.closed {
 		n.mu.Unlock()
 		return
 	}
@@ -408,9 +396,6 @@ func (n *Node) giveUpFetch(hash block.Hash, gen uint64) {
 // not refetch. Returns whether the adopted block should be relayed.
 func (n *Node) noteGossipBlockLocked(blk *block.Block, adopted bool) (relay bool) {
 	g := n.gossip
-	if g == nil {
-		return false
-	}
 	if pf := g.pending[blk.Hash]; pf != nil {
 		pf.timer.Stop()
 		delete(g.pending, blk.Hash)
@@ -427,9 +412,6 @@ func (n *Node) noteGossipBlockLocked(blk *block.Block, adopted bool) (relay bool
 // teardowns call it.
 func (n *Node) clearGossipLocked() {
 	g := n.gossip
-	if g == nil {
-		return
-	}
 	for h, pf := range g.pending {
 		pf.timer.Stop()
 		delete(g.pending, h)

@@ -9,7 +9,7 @@ import (
 )
 
 // newGossipTestNode is newSyncTestNode on a shared fake clock: gossip
-// delivers full blocks straight into ReceiveBlock, whose future-timestamp
+// delivers rebuilt blocks straight into ReceiveBlock, whose future-timestamp
 // check needs the receiver's clock to match the miner's — exactly the
 // real-cluster shape, where every node reads one wall clock.
 func newGossipTestNode(t testing.TB, fn *fakeNet, clk *fakeClock, name string, idx int, epoch time.Time, mutate func(cfg *Config)) *syncTestNode {
@@ -112,7 +112,6 @@ func TestGossipReannounceAdoptedSuppressed(t *testing.T) {
 	}
 	fetches := counter(a.reg, "livenode.gossip.fetches_sent")
 	syncRounds := counter(a.reg, "livenode.sync.rounds")
-	legacyRounds := counter(a.reg, "livenode.chainsync.rounds")
 
 	for i := 0; i < 3; i++ {
 		a.handleFrame("b", p2p.FrameBlockAnnounce, ann)
@@ -122,9 +121,6 @@ func TestGossipReannounceAdoptedSuppressed(t *testing.T) {
 	}
 	if v := counter(a.reg, "livenode.sync.rounds"); v != syncRounds {
 		t.Errorf("re-announce opened a sync round: sync.rounds %d -> %d", syncRounds, v)
-	}
-	if v := counter(a.reg, "livenode.chainsync.rounds"); v != legacyRounds {
-		t.Errorf("re-announce opened a legacy exchange: chainsync.rounds %d -> %d", legacyRounds, v)
 	}
 	if v := counter(a.reg, "livenode.gossip.dup_suppressed"); v != 3 {
 		t.Errorf("gossip.dup_suppressed = %d, want 3", v)
@@ -143,12 +139,12 @@ func TestGossipRelayOnAdoptExcludesSender(t *testing.T) {
 	b.mineBlocks(t, 1)
 	link(t, a, b, c)
 
-	// Push the body straight to a, as if a had fetched it: a adopts and
-	// must relay the announce to c (never back to b). c lacks the hash,
-	// fetches from a, adopts, and relays onward to b — which already holds
-	// the block and suppresses.
+	// b announces to a alone: a fetches the body from b, adopts and must
+	// relay the announce to c (never back to b). c lacks the hash, fetches
+	// from a, adopts, and relays onward to b — which already holds the block
+	// and suppresses.
 	blk := b.Tip()
-	a.handleFrame("b", p2p.FrameBlock, blk.Encode())
+	a.handleFrame("b", p2p.FrameBlockAnnounce, encodeAnnounce(blk.Index, blk.Hash))
 	if a.Height() != 1 || c.Height() != 1 {
 		t.Fatalf("heights a=%d c=%d, want 1/1", a.Height(), c.Height())
 	}
@@ -161,10 +157,10 @@ func TestGossipRelayOnAdoptExcludesSender(t *testing.T) {
 	if v := counter(a.reg, "livenode.gossip.fetches_served"); v != 1 {
 		t.Errorf("a gossip.fetches_served = %d, want 1", v)
 	}
-	// b never saw a GetBlock: the relay excluded the sender, and b's own
-	// copy suppressed c's onward announce.
-	if v := counter(b.reg, "livenode.gossip.fetches_served"); v != 0 {
-		t.Errorf("b gossip.fetches_served = %d, want 0 (announce must not return to sender)", v)
+	// b served a's fetch and no other: the relay excluded the sender, and
+	// b's own copy suppressed c's onward announce.
+	if v := counter(b.reg, "livenode.gossip.fetches_served"); v != 1 {
+		t.Errorf("b gossip.fetches_served = %d, want 1 (announce must not return to sender)", v)
 	}
 	if v := counter(b.reg, "livenode.gossip.dup_suppressed"); v == 0 {
 		t.Error("b gossip.dup_suppressed = 0, want > 0 (c's onward relay)")
@@ -271,38 +267,6 @@ func TestGossipPendingOverflowDegradesToSync(t *testing.T) {
 	}
 	if v := counter(a.reg, "livenode.sync.rounds"); v != 1 {
 		t.Errorf("sync.rounds = %d after overflow, want 1", v)
-	}
-}
-
-func TestGossipDisabledIgnoresAnnouncesAndPushesFullBlocks(t *testing.T) {
-	fn := newFakeNet()
-	epoch := time.Unix(1700000000, 0)
-	legacy := func(cfg *Config) { cfg.GossipFanout = -1 }
-	clk := newFakeClock(epoch)
-	b := newGossipTestNode(t, fn, clk, "b", 1, epoch, legacy)
-	a := newGossipTestNode(t, fn, clk, "a", 0, epoch, legacy)
-	a.stopMining()
-	b.mineBlocks(t, 1)
-	link(t, a, b)
-
-	if a.Node.gossip != nil {
-		t.Fatal("GossipFanout=-1 left gossip state armed")
-	}
-	tip := b.Tip()
-	a.handleFrame("b", p2p.FrameBlockAnnounce, encodeAnnounce(tip.Index, tip.Hash))
-	if a.Height() != 0 {
-		t.Fatalf("legacy node acted on an announce: height %d", a.Height())
-	}
-	if v := counter(a.reg, "livenode.gossip.fetches_sent"); v != 0 {
-		t.Errorf("legacy node sent a gossip fetch")
-	}
-	// The legacy push path still works end to end.
-	a.handleFrame("b", p2p.FrameBlock, tip.Encode())
-	if a.Height() != 1 {
-		t.Fatalf("legacy push not adopted: height %d", a.Height())
-	}
-	if v := counter(a.reg, "livenode.gossip.relays"); v != 0 {
-		t.Errorf("legacy node relayed an announce")
 	}
 }
 

@@ -79,8 +79,8 @@ type Config struct {
 	// announcer and a data fetch for one candidate holder.
 	SyncTimeout time.Duration
 	// SyncRetries is how many times an unanswered batch is re-requested
-	// before the node gives the peer up and falls back to the legacy
-	// whole-chain exchange (default 3).
+	// before the session is aborted; the next announce or locator answer
+	// from any peer starts a new one (default 3).
 	SyncRetries int
 	// SnapshotEvery is the engine's ledger-snapshot cadence in blocks;
 	// snapshots let fork suffixes adopt without a scratch replay
@@ -111,22 +111,14 @@ type Config struct {
 	// (default 2m). Without it, fetches no peer can answer would pin their
 	// entry forever.
 	FetchTimeout time.Duration
-	// GossipFanout selects the block propagation mode (DESIGN.md §13).
-	// 0 means gossip with the default fanout (6); a positive value gossips
-	// with that fanout; a negative value disables gossip entirely and
-	// restores the legacy full-mesh push (every won block broadcast in
-	// full to every peer). Under gossip, adopting a new block announces
-	// (height, hash) to a seeded random sample of GossipFanout peers and
-	// peers fetch only bodies they lack; an unanswered fetch falls back to
-	// the §10 sync locator path after SyncTimeout.
+	// GossipFanout is how many peers a block or metadata announce is
+	// relayed to (DESIGN.md §13, §15.1); 0 means the default of 6, a
+	// negative value is an error. Adopting a new block announces (height,
+	// hash) to a seeded random sample of that many peers and peers fetch
+	// only bodies they lack; an unanswered fetch falls back to the §10 sync
+	// locator path after SyncTimeout. A newly pooled metadata item spreads
+	// the same way by ID.
 	GossipFanout int
-	// MetaFanout selects the metadata propagation mode (DESIGN.md §15).
-	// 0 follows GossipFanout (metadata gossips whenever blocks do, with the
-	// same fanout); a positive value gossips metadata with that fanout; a
-	// negative value keeps the legacy full-mesh push (every published item
-	// broadcast in full to every peer). When GossipFanout is negative the
-	// gossip machinery is absent and metadata always uses the legacy push.
-	MetaFanout int
 
 	// RepairWorkers enables the self-healing data plane (DESIGN.md §11)
 	// and bounds its concurrent targeted fetches; 0 disables repair
@@ -139,13 +131,10 @@ type Config struct {
 	// RepairProbeEvery is the repair tick cadence: liveness probing,
 	// membership sweep and queue pump (default 2s).
 	RepairProbeEvery time.Duration
-	// ProbeFanout selects the liveness-evidence mode (DESIGN.md §15).
-	// 0 probes a default sample of 4 roster peers per tick; a positive
-	// value probes that many; a negative value restores the legacy
-	// heartbeat broadcast (the roster announce pushed to every peer every
-	// tick — O(n²) traffic across the deployment). Sampled probes carry
-	// bounded third-party liveness digests on their acks, so evidence still
-	// spreads epidemically.
+	// ProbeFanout is how many peers are probed per repair tick (DESIGN.md
+	// §15.2); 0 means the default of 4, a negative value is an error. A
+	// roster with fewer peers than that probes them all. Acks carry bounded
+	// third-party liveness digests, so evidence spreads epidemically.
 	ProbeFanout int
 	// RepairSuspectAfter is the silence after which a roster node turns
 	// suspect (default 6s); RepairHysteresis is the ADDITIONAL silence
@@ -195,7 +184,7 @@ type Node struct {
 	sync          *syncSession                 // at most one incremental sync in flight
 	syncGen       uint64                       // session generation, guards stale timers
 	repair        *repairDriver                // nil when repair is disabled
-	gossip        *gossipState                 // nil when gossip is disabled (legacy push)
+	gossip        *gossipState                 // block and metadata relay bookkeeping
 	boot          *bootstrapState              // at most one snapshot bootstrap in flight
 	bootGen       uint64                       // bootstrap generation, guards stale timers
 	bootHold      bool                         // fresh node: mining held for the first bootstrap attempt
@@ -212,20 +201,17 @@ type nodeMetrics struct {
 	blocksAdopted  *telemetry.Counter // live blocks appended (any miner)
 	blocksReplayed *telemetry.Counter // blocks replayed from the WAL
 	forkAdoptions  *telemetry.Counter // longer-chain replacements accepted
-	chainSyncs     *telemetry.Counter // legacy whole-chain rounds initiated
 	dataFetchNs    *telemetry.Histogram
 
 	// Incremental sync (DESIGN.md §10).
 	syncRounds         *telemetry.Counter   // locator probes sent
 	syncBatches        *telemetry.Counter   // batches received and accepted
 	syncRetries        *telemetry.Counter   // batch timeouts retried
-	syncAborts         *telemetry.Counter   // sessions dropped (divergence, races)
-	syncFallbacks      *telemetry.Counter   // falls back to the legacy exchange
-	syncFullReplays    *telemetry.Counter   // scratch replays (legacy or no snapshot)
+	syncAborts         *telemetry.Counter   // sessions dropped (divergence, races, retries exhausted)
+	syncFullReplays    *telemetry.Counter   // scratch replays (no snapshot at or below the fork)
 	syncBlocksFetched  *telemetry.Counter   // suffix blocks received over the wire
 	syncBlocksReplayed *telemetry.Counter   // own blocks replayed from a snapshot
 	syncBytesFetched   *telemetry.Counter   // suffix payload bytes received
-	syncBytesSaved     *telemetry.Counter   // bytes a whole-chain exchange would have added
 	syncVerifyParallel *telemetry.Counter   // blocks verified by the worker pool
 	syncBatchBlocks    *telemetry.Histogram // blocks per accepted batch
 
@@ -277,10 +263,10 @@ type nodeMetrics struct {
 	probeDigestMerged *telemetry.Counter // third-party digest entries applied
 
 	// Wire-byte split, counted at the sender across all app frames.
-	// Block-propagation bytes (full or compact body + announce + get-block) are
+	// Block-propagation bytes (compact body + announce + get-block) are
 	// additionally tallied in wireBlockBytes, and announce frames alone in
-	// wireAnnounceBytes, so gossip-vs-full-mesh gates can compare the
-	// propagation path in isolation.
+	// wireAnnounceBytes, so the wire gates can read the propagation path in
+	// isolation.
 	wireConsensusBytes *telemetry.Counter
 	wireDataBytes      *telemetry.Counter
 	wireRepairBytes    *telemetry.Counter
@@ -288,7 +274,7 @@ type nodeMetrics struct {
 	wireAnnounceBytes  *telemetry.Counter
 	wireSnapshotBytes  *telemetry.Counter // snapshot request/chunk frames alone
 	wireMetaBytes      *telemetry.Counter // metadata propagation (FrameMeta + announce + get-meta)
-	wireHeartbeatBytes *telemetry.Counter // liveness traffic (announce + probe + ack)
+	wireHeartbeatBytes *telemetry.Counter // liveness traffic (probe + ack)
 
 	// Verified-signature cache (DESIGN.md §16): the engine counts, and
 	// updateChainGauges publishes the increase since it last ran.
@@ -317,7 +303,6 @@ func newNodeMetrics(reg *telemetry.Registry, rosterN int) *nodeMetrics {
 		blocksAdopted:  reg.Counter("livenode.blocks.adopted"),
 		blocksReplayed: reg.Counter("livenode.blocks.replayed"),
 		forkAdoptions:  reg.Counter("livenode.fork.adoptions"),
-		chainSyncs:     reg.Counter("livenode.chainsync.rounds"),
 		dataFetchNs:    reg.Histogram("livenode.data.fetch_ns"),
 		height:         reg.Gauge("livenode.height"),
 		events:         reg.Events(),
@@ -326,12 +311,10 @@ func newNodeMetrics(reg *telemetry.Registry, rosterN int) *nodeMetrics {
 		syncBatches:        reg.Counter("livenode.sync.batches"),
 		syncRetries:        reg.Counter("livenode.sync.retries"),
 		syncAborts:         reg.Counter("livenode.sync.aborts"),
-		syncFallbacks:      reg.Counter("livenode.sync.fallbacks"),
 		syncFullReplays:    reg.Counter("livenode.sync.full_replays"),
 		syncBlocksFetched:  reg.Counter("livenode.sync.blocks_fetched"),
 		syncBlocksReplayed: reg.Counter("livenode.sync.blocks_replayed"),
 		syncBytesFetched:   reg.Counter("livenode.sync.bytes_fetched"),
-		syncBytesSaved:     reg.Counter("livenode.sync.bytes_saved"),
 		syncVerifyParallel: reg.Counter("livenode.sync.verify_parallel"),
 		syncBatchBlocks:    reg.Histogram("livenode.sync.batch_blocks"),
 
@@ -465,10 +448,17 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = WallClock()
 	}
+	if cfg.GossipFanout < 0 || cfg.ProbeFanout < 0 {
+		return nil, fmt.Errorf("livenode: GossipFanout %d and ProbeFanout %d must not be negative (0 selects the default)",
+			cfg.GossipFanout, cfg.ProbeFanout)
+	}
 	if cfg.GossipFanout == 0 {
 		cfg.GossipFanout = defaultGossipFanout
 	}
 	if cfg.RepairWorkers > 0 {
+		if cfg.ProbeFanout == 0 {
+			cfg.ProbeFanout = defaultProbeFanout
+		}
 		if cfg.RepairRate <= 0 {
 			cfg.RepairRate = defaultRepairRate
 		}
@@ -512,16 +502,10 @@ func New(cfg Config) (*Node, error) {
 		addrOf:  make([]string, len(cfg.Accounts)),
 		idxOf:   make(map[string]int),
 		tel:     newNodeMetrics(cfg.Telemetry, len(cfg.Accounts)),
-	}
-	if cfg.GossipFanout > 0 {
-		metaFanout := cfg.MetaFanout
-		if metaFanout == 0 {
-			metaFanout = cfg.GossipFanout
-		}
 		// Seed the sampling RNG from deployment-shared state plus our own
 		// roster index: deterministic per node, distinct across nodes, so
 		// virtual-clock chaos runs replay bit-identically.
-		n.gossip = newGossipState(cfg.GossipFanout, metaFanout, cfg.GenesisSeed^(int64(selfIdx+1)*0x9E3779B9))
+		gossip: newGossipState(cfg.GenesisSeed ^ (int64(selfIdx+1) * 0x9E3779B9)),
 	}
 
 	// The repair driver must exist before the engine: the engine's
@@ -571,7 +555,7 @@ func New(cfg Config) (*Node, error) {
 
 	// Crash recovery: replay blocks the store persisted in earlier runs
 	// before going online. Everything mined while this node was down is
-	// then caught up over the normal FrameChainRequest sync path.
+	// then caught up by the locator sync Connect starts (DESIGN.md §10).
 	n.replayRecovered()
 
 	transport, err := cfg.NewTransport(p2p.HandlerFunc(n.handleFrame))
@@ -624,31 +608,13 @@ func (n *Node) Connect(addrs ...string) error {
 	}
 	// Small grace for the handshake, then sync.
 	n.clock.Sleep(50 * time.Millisecond)
-	n.mu.Lock()
-	var announce []byte
-	probeFanout := 0
-	if n.repair != nil {
-		announce = n.repair.announce
-		probeFanout = n.repair.probeFanout
-	}
-	n.mu.Unlock()
-	if announce != nil {
-		if probeFanout > 0 {
-			// Sampled mode (§15): probe a bounded prefix of the new peers so
-			// initial address bindings bootstrap without an O(n) broadcast;
-			// the per-tick probe rotation binds the rest over time.
-			targets := addrs
-			if len(targets) > probeFanout {
-				targets = targets[:probeFanout]
-			}
-			for _, a := range targets {
-				n.tel.probesSent.Inc()
-				n.send(a, p2p.FrameRepairProbe, announce)
-			}
-		} else {
-			// Bind our roster index to our address on every new peer right
-			// away, rather than waiting out a probe period.
-			n.bcast(p2p.FrameRepairAnnounce, announce)
+	if rd := n.repair; rd != nil { // set once in New
+		// Probe a bounded prefix of the new peers so initial address bindings
+		// bootstrap without an O(n) broadcast; the per-tick probe rotation
+		// binds the rest over time (DESIGN.md §15.2).
+		for _, a := range addrs[:min(len(addrs), n.cfg.ProbeFanout)] {
+			n.tel.probesSent.Inc()
+			n.send(a, p2p.FrameRepairProbe, rd.announce)
 		}
 	}
 	// A fresh node configured for snapshot bootstrap asks its first peer
@@ -724,8 +690,8 @@ func (n *Node) BodyBase() uint64 {
 }
 
 // PoolIDs returns the IDs of every metadata item currently in the node's
-// consensus pool (unordered). The §15 pool-convergence differential
-// digests chain ∪ pool item sets across transport modes.
+// consensus pool (unordered). The §15.1 pool-convergence test digests each
+// node's chain ∪ pool item set.
 func (n *Node) PoolIDs() []meta.DataID {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -838,7 +804,8 @@ func (n *Node) StorageUsed() []int {
 func (n *Node) now() time.Duration { return n.clock.Now().Sub(n.cfg.Epoch) }
 
 // Publish creates a data item from content, stores it locally, and
-// broadcasts the signed metadata.
+// announces the signed metadata's ID to a bounded peer sample; peers fetch
+// the item and re-announce on first admission (DESIGN.md §15.1).
 func (n *Node) Publish(content []byte, typ, locationName string) (*meta.Item, error) {
 	it := &meta.Item{
 		ID:           meta.HashData(content),
@@ -853,14 +820,7 @@ func (n *Node) Publish(content []byte, typ, locationName string) (*meta.Item, er
 	}
 	n.mu.Lock()
 	n.eng.AddLocal(it)
-	relay := n.metaGossipEnabledLocked()
 	n.mu.Unlock()
-	if relay {
-		// Inv-style relay (§15): announce only the 32-byte ID to a bounded
-		// sample; peers fetch the item and re-announce on first admission.
-		n.relayMeta([]meta.DataID{it.ID}, "")
-	} else {
-		n.bcast(p2p.FrameMeta, it.Encode())
-	}
+	n.relayMeta([]meta.DataID{it.ID}, "")
 	return it, nil
 }

@@ -2,11 +2,13 @@ package livenode
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/identity"
 	"repro/internal/meta"
+	"repro/internal/p2p"
 	"repro/internal/pos"
 	"repro/internal/telemetry"
 )
@@ -204,8 +206,8 @@ func TestLiveTelemetryCounters(t *testing.T) {
 		}
 		totalWon += won
 		totalAttempts += attempts
-		// Under gossip a block body arrives as a compact frame and is
-		// rebuilt from the pool (§13.1); FrameBlock is the legacy push only.
+		// A block body arrives as a compact frame and is rebuilt from the
+		// pool (§13.1).
 		totalBlockRecv += snap.Counter("livenode.gossip.compact_rebuilt")
 		if g := snap.Gauge("livenode.height"); g < 2 {
 			t.Errorf("node %d: height gauge = %d, chain height = %d", i, g, nodes[i].Height())
@@ -263,29 +265,46 @@ func TestLiveRejectsWrongRoster(t *testing.T) {
 	}
 }
 
-func TestChainCodecRoundTrip(t *testing.T) {
-	nodes := newCluster(t, 2, time.Second)
-	waitFor(t, 15*time.Second, "a block", func() bool { return nodes[0].Height() >= 1 })
-	nodes[0].mu.Lock()
-	blocks := nodes[0].eng.Chain().Blocks()
-	enc := encodeChain(blocks)
-	nodes[0].mu.Unlock()
-	got, err := decodeChain(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(blocks) {
-		t.Fatalf("decoded %d blocks, want %d", len(got), len(blocks))
-	}
-	for i := range got {
-		if got[i].Hash != blocks[i].Hash {
-			t.Fatalf("block %d hash mismatch", i)
-		}
-	}
-	if _, err := decodeChain(enc[:10]); err == nil {
-		t.Fatal("truncated chain decoded")
-	}
-	if _, err := decodeChain(nil); err == nil {
-		t.Fatal("nil chain decoded")
+// TestNewRejectsNegativeFanouts: the two fanouts are plain sizes, so a
+// negative one is a configuration error, not a mode.
+func TestNewRejectsNegativeFanouts(t *testing.T) {
+	idents, accounts := testRoster(3)
+	for _, tc := range []struct {
+		name          string
+		gossip, probe int
+		wantErr       bool
+	}{
+		{"defaults", 0, 0, false},
+		{"explicit sizes", 2, 3, false},
+		{"negative gossip fanout", -1, 0, true},
+		{"negative probe fanout", 0, -1, true},
+		{"both negative", -6, -4, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, err := New(Config{
+				Identity:    idents[0],
+				Accounts:    accounts,
+				PoS:         pos.DefaultParams(),
+				GenesisSeed: 1,
+				Epoch:       time.Now(),
+				NewTransport: func(h p2p.Handler) (p2p.Transport, error) {
+					return newFakeNet().endpoint("n", h), nil
+				},
+				RepairWorkers: 1,
+				GossipFanout:  tc.gossip,
+				ProbeFanout:   tc.probe,
+			})
+			if n != nil {
+				defer n.Close()
+			}
+			switch {
+			case tc.wantErr && err == nil:
+				t.Fatal("negative fanout accepted")
+			case tc.wantErr && !strings.Contains(err.Error(), "Fanout"):
+				t.Fatalf("error %q does not name the offending option", err)
+			case !tc.wantErr && err != nil:
+				t.Fatal(err)
+			}
+		})
 	}
 }

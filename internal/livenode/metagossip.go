@@ -5,12 +5,9 @@ import (
 	"repro/internal/p2p"
 )
 
-// Inv-style metadata relay (DESIGN.md §15). The consensus round (paper
-// §III-B) assumes every node eventually holds the metadata pool, and the
-// transport used to get there by pushing every published item in full to
-// every peer — the last O(n²) flood on the consensus plane after the §13
-// block relay landed. The relay replaces the push with the same
-// announce/fetch discipline blocks use:
+// Inv-style metadata relay (DESIGN.md §15.1). The consensus round (paper
+// §III-B) assumes every node eventually holds the metadata pool; items get
+// there by the same announce/fetch discipline blocks use:
 //
 //	producer                  sampled peer              its sampled peers
 //	  FrameMetaAnnounce ─────────▶
@@ -18,8 +15,8 @@ import (
 //	  FrameMeta(item) ────────────▶  (one frame per fetched item)
 //	                              FrameMetaAnnounce ─────────▶  …
 //
-// A node that admits a fetched (or pushed) item to its pool for the first
-// time re-relays the announce to a bounded sample of peers, excluding
+// A node that admits a fetched item to its pool for the first time
+// re-relays the announce to a bounded sample of peers, excluding
 // whoever delivered the item, so dissemination is epidemic: O(fanout)
 // 37-byte announces per node per item, and each node uploads the full
 // item only a bounded number of times. Announces and fetches are
@@ -53,12 +50,6 @@ type pendingMetaFetch struct {
 	from  string
 	gen   uint64
 	timer Timer
-}
-
-// metaGossipEnabledLocked reports whether the metadata relay (rather than
-// the legacy full-mesh push) is in effect (n.mu held).
-func (n *Node) metaGossipEnabledLocked() bool {
-	return n.gossip != nil && n.gossip.metaFanout > 0
 }
 
 // --- wire codecs --------------------------------------------------------------
@@ -104,21 +95,7 @@ func (n *Node) relayMeta(ids []meta.DataID, exclude string) {
 	if len(ids) == 0 {
 		return
 	}
-	peers := n.net.Peers()
-	cand := peers[:0]
-	for _, p := range peers {
-		if p != exclude {
-			cand = append(cand, p)
-		}
-	}
-	n.mu.Lock()
-	g := n.gossip
-	if g == nil || g.metaFanout <= 0 || n.closed {
-		n.mu.Unlock()
-		return
-	}
-	targets := samplePeersLocked(g.rng, cand, g.metaFanout)
-	n.mu.Unlock()
+	targets := n.sampleGossipPeers(exclude)
 	if len(targets) == 0 {
 		return
 	}
@@ -143,7 +120,7 @@ func (n *Node) handleMetaAnnounce(from string, payload []byte) {
 	var want []meta.DataID
 	n.mu.Lock()
 	g := n.gossip
-	if g == nil || g.metaFanout <= 0 || n.closed {
+	if n.closed {
 		n.mu.Unlock()
 		return
 	}
@@ -212,7 +189,7 @@ func (n *Node) onMetaFetchTimeout(id meta.DataID, gen uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	g := n.gossip
-	if g == nil || n.closed {
+	if n.closed {
 		return
 	}
 	pm := g.metaPending[id]
@@ -230,9 +207,6 @@ func (n *Node) onMetaFetchTimeout(id meta.DataID, gen uint64) {
 // Returns whether the admitted item should be re-relayed.
 func (n *Node) noteMetaArrivalLocked(id meta.DataID, added bool) (relay bool) {
 	g := n.gossip
-	if g == nil || g.metaFanout <= 0 {
-		return false
-	}
 	if pm := g.metaPending[id]; pm != nil {
 		pm.timer.Stop()
 		delete(g.metaPending, id)

@@ -106,11 +106,17 @@ func FuzzMetaGossipFrames(f *testing.F) {
 	f.Add(uint8(4), ack[:9])   // length does not match count
 	f.Add(uint8(4), ack[:6])   // zero entries declared as two
 	f.Add(uint8(4), []byte{0}) // runt
+	// Retired type bytes and the first unassigned one: the heartbeat's
+	// roster index (repair is on here) and an item body.
+	f.Add(uint8(5), good.Encode())
+	f.Add(uint8(8), putU32(nil, 1))
+	f.Add(uint8(9), putU32(nil, 1))
 
 	frames := []byte{
 		p2p.FrameMeta, p2p.FrameMetaAnnounce, p2p.FrameGetMeta,
 		p2p.FrameRepairProbe, p2p.FrameRepairProbeAck,
 	}
+	frames = append(frames, deadFrameTypes...)
 	f.Fuzz(func(t *testing.T, sel uint8, payload []byte) {
 		// The shared codec must fail cleanly on any input.
 		_, _ = decodeIDList(payload)

@@ -156,38 +156,6 @@ func TestMetaGossipForgedItemNotPooledNotRelayed(t *testing.T) {
 	}
 }
 
-// TestMetaGossipLegacyPushStillWorks pins the -gossip/-meta-gossip
-// escape hatches: MetaFanout < 0 (or GossipFanout < 0) keeps the
-// full-mesh FrameMeta push, and peers still pool pushed items.
-func TestMetaGossipLegacyPushStillWorks(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		mutate func(cfg *Config)
-	}{
-		{"meta_fanout_negative", func(cfg *Config) { cfg.GossipFanout = 2; cfg.MetaFanout = -1 }},
-		{"gossip_disabled", func(cfg *Config) { cfg.GossipFanout = -1 }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			fn := newFakeNet()
-			epoch := time.Unix(1700000000, 0)
-			a := newSyncTestNode(t, fn, "a", 0, epoch, tc.mutate)
-			b := newSyncTestNode(t, fn, "b", 1, epoch, tc.mutate)
-			link(t, a, b)
-
-			it, err := a.Publish([]byte("legacy push"), "Road/Congestion", "lab")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !poolHas(b.Node, it.ID) {
-				t.Fatal("legacy push did not reach the peer's pool")
-			}
-			if v := counter(a.reg, "livenode.metagossip.relays"); v != 0 {
-				t.Errorf("legacy mode recorded %d meta relays", v)
-			}
-		})
-	}
-}
-
 // TestMetaIDListCodecBounds pins the wire-codec bounds: zero-count,
 // oversized-count and truncated payloads are all rejected.
 func TestMetaIDListCodecBounds(t *testing.T) {

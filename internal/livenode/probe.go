@@ -7,14 +7,9 @@ import (
 	"repro/internal/p2p"
 )
 
-// Sampled liveness probing (DESIGN.md §15). The repair plane's original
-// heartbeat was a per-tick FrameRepairAnnounce broadcast: every node
-// pushing its roster index to every peer every RepairProbeEvery — O(n²)
-// frames across the deployment per tick, the repair-plane twin of the
-// full-mesh floods §13/§15 removed from the consensus plane. SWIM showed
-// the broadcast is unnecessary: direct evidence only has to reach a
-// bounded sample per period, and third-party evidence can ride along as
-// piggybacked digests.
+// Sampled liveness probing (DESIGN.md §15.2), after SWIM: direct evidence
+// only has to reach a bounded sample per period, and third-party evidence
+// rides along as piggybacked digests.
 //
 // Each tick a node sends FrameRepairProbe (its 4-byte roster index) to a
 // bounded deterministic sample of transport peers. The probed peer binds
@@ -24,9 +19,8 @@ import (
 // prober merges entries that are newer than what it already knows, so
 // liveness evidence spreads epidemically at O(n·fanout) frames per tick
 // deployment-wide. Passive evidence (any frame from a bound address, the
-// miner of every adopted block) and the membership sweep are unchanged;
-// the detector itself — verdict thresholds, hysteresis, monotonic
-// evidence — is untouched, only the evidence transport changes.
+// miner of every adopted block) and the membership sweep feed the same
+// detector.
 //
 // Digest ages are relative (duration since the responder last saw the
 // node), so the encoding needs no clock agreement beyond the shared
@@ -43,8 +37,7 @@ const (
 	// regime: miss probability per period decays exponentially in fanout).
 	defaultProbeFanout = 4
 	// probeDigestMax bounds the (index, age) pairs one ack carries. 16
-	// entries keep the ack at 75 wire bytes — the legacy broadcast costs
-	// more than that per tick at any roster past ~8 nodes.
+	// entries keep the ack at 75 wire bytes.
 	probeDigestMax = 16
 	// probeDigestUnit is the age quantum in digests. 100ms resolution is
 	// far below any sane SuspectAfter, and a uint16 of units spans 109
@@ -93,8 +86,8 @@ func (n *Node) encodeProbeAckLocked(now time.Duration) []byte {
 	return out
 }
 
-// handleRepairProbe ingests a liveness probe: like an announce it binds
-// the prober's address and refreshes its liveness, then answers with the
+// handleRepairProbe ingests a liveness probe: it binds the prober's
+// address and refreshes its liveness, then answers with the
 // digest-carrying ack.
 func (n *Node) handleRepairProbe(from string, payload []byte) {
 	if len(payload) != 4 {

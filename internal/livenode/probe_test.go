@@ -205,31 +205,42 @@ func TestProbeAliveUnderLossNeverDead(t *testing.T) {
 	}
 }
 
-// TestProbeLegacyBroadcastStillWorks pins the -probe-fanout escape hatch:
-// ProbeFanout < 0 restores the per-tick announce broadcast, no probe
-// frames flow, and dead detection still happens.
-func TestProbeLegacyBroadcastStillWorks(t *testing.T) {
-	const n, victim = 6, 2
-	pc := newProbeCluster(t, n, 42, -1)
-	pc.clock.Advance(5 * time.Second)
-	var sent uint64
-	for _, reg := range pc.regs {
-		sent += counter(reg, "livenode.probe.sent")
+// TestProbeTinyRosterDetectsDead covers rosters with fewer peers than the
+// default probe fanout: every peer is probed each tick, every live node
+// binds every other roster address, and a killed node is declared dead by
+// all survivors within the same bound as on a large roster.
+func TestProbeTinyRosterDetectsDead(t *testing.T) {
+	for _, n := range []int{3, 5} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			const victim = 1
+			pc := newProbeCluster(t, n, 42, 0)
+			pc.clock.Advance(5 * time.Second)
+			for i, node := range pc.nodes {
+				node.mu.Lock()
+				bound := len(node.idxOf)
+				node.mu.Unlock()
+				if bound != n-1 {
+					t.Errorf("node %d bound %d roster addresses, want %d", i, bound, n-1)
+				}
+				if counter(pc.regs[i], "livenode.probe.sent") == 0 {
+					t.Errorf("node %d sent no probes", i)
+				}
+			}
+			pc.assertNoLiveDead(t, "before kill")
+
+			pc.kill(t, victim)
+			pc.clock.Advance(probeTestSuspect + probeTestHyst + 2*probeTestEvery)
+			for o := 0; o < n; o++ {
+				if o == victim {
+					continue
+				}
+				if got := pc.status(o, victim); got != repair.Dead {
+					t.Errorf("observer %d sees victim as %v, want dead", o, got)
+				}
+			}
+			pc.assertNoLiveDead(t, "after kill")
+		})
 	}
-	if sent != 0 {
-		t.Fatalf("legacy mode sent %d probes", sent)
-	}
-	pc.kill(t, victim)
-	pc.clock.Advance(probeTestSuspect + probeTestHyst + 2*probeTestEvery)
-	for o := 0; o < n; o++ {
-		if o == victim {
-			continue
-		}
-		if got := pc.status(o, victim); got != repair.Dead {
-			t.Errorf("observer %d sees victim as %v, want dead", o, got)
-		}
-	}
-	pc.assertNoLiveDead(t, "after kill")
 }
 
 // TestProbeAckDigestBounded pins the §15 byte story: one ack never

@@ -1,7 +1,6 @@
 package livenode
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -218,16 +217,11 @@ func (n *Node) mine(r engine.Round) {
 	n.tel.blocksWon.Inc()
 	n.tel.repairReannounced.Add(res.Repairs)
 	n.tel.events.RecordAt(n.clock.Now(), "block_won", fmt.Sprintf("height %d, %d items", blk.Index, len(blk.Items)))
-	gossip := n.gossip != nil
 	n.scheduleMiningLocked()
 	n.mu.Unlock()
-	if gossip {
-		// Inv-style relay (DESIGN.md §13): announce (height, hash) to a
-		// bounded peer sample; bodies travel only to peers that fetch them.
-		n.relayBlock(blk, "")
-	} else {
-		n.bcast(p2p.FrameBlock, blk.Encode())
-	}
+	// Inv-style relay (DESIGN.md §13): announce (height, hash) to a bounded
+	// peer sample; bodies travel only to peers that fetch them.
+	n.relayBlock(blk, "")
 }
 
 // --- frame handling -----------------------------------------------------------
@@ -240,15 +234,13 @@ func (n *Node) handleFrame(from string, ft byte, payload []byte) {
 	// frames are dropped and the suffix is caught up after the install
 	// (or the fallback) through the usual locator round.
 	switch ft {
-	case p2p.FrameBlock, p2p.FrameCompactBlock, p2p.FrameBlockAnnounce, p2p.FrameChain, p2p.FrameSyncHeaders, p2p.FrameSyncBatch:
+	case p2p.FrameCompactBlock, p2p.FrameBlockAnnounce, p2p.FrameSyncHeaders, p2p.FrameSyncBatch:
 		if n.bootstrapPending() {
 			return
 		}
 	}
+	// A retired or unknown type byte matches no case and is ignored.
 	switch ft {
-	case p2p.FrameRepairAnnounce:
-		n.handleRepairAnnounce(from, payload)
-
 	case p2p.FrameRepairProbe:
 		n.handleRepairProbe(from, payload)
 
@@ -287,13 +279,6 @@ func (n *Node) handleFrame(from string, ft byte, payload []byte) {
 	case p2p.FrameGetMeta:
 		n.handleGetMeta(from, payload)
 
-	case p2p.FrameBlock:
-		blk, err := block.Decode(payload)
-		if err != nil {
-			return
-		}
-		_ = n.receiveBlock(from, blk) // nothing to add to what it did about the error
-
 	case p2p.FrameBlockAnnounce:
 		n.handleBlockAnnounce(from, payload)
 
@@ -303,32 +288,11 @@ func (n *Node) handleFrame(from string, ft byte, payload []byte) {
 	case p2p.FrameCompactBlock:
 		n.handleCompactBlock(from, payload)
 
-	case p2p.FrameChainRequest:
-		n.mu.Lock()
-		var payload []byte
-		if n.eng.Chain().BodyBase() == 0 {
-			payload = encodeChain(n.eng.Chain().Blocks())
-		}
-		n.mu.Unlock()
-		// A pruned replica no longer holds the full chain; it cannot serve
-		// the legacy whole-chain exchange and stays silent (the requester
-		// times out and tries another peer or the locator path).
-		if payload != nil {
-			n.send(from, p2p.FrameChain, payload)
-		}
-
 	case p2p.FrameGetSnapshot:
 		n.handleGetSnapshot(from)
 
 	case p2p.FrameSnapshot:
 		n.handleSnapshot(from, payload)
-
-	case p2p.FrameChain:
-		blocks, err := decodeChain(payload)
-		if err != nil {
-			return
-		}
-		n.adoptChain(blocks)
 
 	case p2p.FrameSyncLocator:
 		loc, err := decodeLocator(payload)
@@ -385,8 +349,8 @@ func (n *Node) handleFrame(from string, ft byte, payload []byte) {
 	}
 }
 
-// receiveBlock runs one full block off the wire — pushed, or rebuilt from a
-// compact body — through the engine, relays it if adopted and starts a
+// receiveBlock runs one full block off the wire — rebuilt from a compact
+// body — through the engine, relays it if adopted and starts a
 // locator round if it did not fit. It returns the engine's verdict.
 func (n *Node) receiveBlock(from string, blk *block.Block) error {
 	n.mu.Lock()
@@ -412,35 +376,6 @@ func (n *Node) receiveBlock(from string, blk *block.Block) error {
 	return addErr
 }
 
-// adoptChain validates and adopts a longer chain through the legacy
-// whole-chain path — a scratch replay from genesis, kept as the fallback
-// when incremental sync cannot apply. Validation (claim replay, checkpoint
-// finality, strict-longer rule) lives in the engine; this adapter layers
-// telemetry and WAL persistence on top.
-func (n *Node) adoptChain(blocks []*block.Block) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	oldHeight := n.eng.Height()
-	if !n.eng.AdoptChain(blocks) {
-		return
-	}
-	n.tel.forkAdoptions.Inc()
-	n.tel.syncFullReplays.Inc()
-	n.tel.events.RecordAt(n.clock.Now(), "fork_adopted",
-		fmt.Sprintf("height %d -> %d", oldHeight, n.eng.Height()))
-	n.updateChainGauges()
-	// Fork adoption runs no OnAppend hooks: rebuild the repair plane's
-	// provider index from the adopted chain (bit-identical to the
-	// incremental feed by construction — see the differential test).
-	if rd := n.repair; rd != nil {
-		rd.idx.Rebuild(n.eng.Chain().Blocks())
-	}
-	// The persisted chain was replaced wholesale; rewrite the WAL to
-	// match (genesis is never persisted).
-	n.noteStoreErrLocked(n.store.ResetChain(n.walBlocksLocked()))
-	n.scheduleMiningLocked()
-}
-
 // walBlocksLocked returns every block body the chain replica holds minus
 // genesis (which is derived from the seed, never persisted) — the exact
 // set ResetChain must write. On a pruned replica the window base is a
@@ -451,48 +386,4 @@ func (n *Node) walBlocksLocked() []*block.Block {
 		bs = bs[1:]
 	}
 	return bs
-}
-
-// encodeChain serializes a whole chain: count, then length-prefixed blocks.
-func encodeChain(blocks []*block.Block) []byte {
-	var out []byte
-	var u [8]byte
-	binary.BigEndian.PutUint64(u[:], uint64(len(blocks)))
-	out = append(out, u[:]...)
-	for _, b := range blocks {
-		enc := b.Encode()
-		binary.BigEndian.PutUint64(u[:], uint64(len(enc)))
-		out = append(out, u[:]...)
-		out = append(out, enc...)
-	}
-	return out
-}
-
-func decodeChain(payload []byte) ([]*block.Block, error) {
-	if len(payload) < 8 {
-		return nil, errors.New("livenode: short chain payload")
-	}
-	count := binary.BigEndian.Uint64(payload[:8])
-	if count > 1<<20 {
-		return nil, errors.New("livenode: absurd chain length")
-	}
-	payload = payload[8:]
-	blocks := make([]*block.Block, 0, count)
-	for i := uint64(0); i < count; i++ {
-		if len(payload) < 8 {
-			return nil, errors.New("livenode: truncated chain")
-		}
-		size := binary.BigEndian.Uint64(payload[:8])
-		payload = payload[8:]
-		if uint64(len(payload)) < size {
-			return nil, errors.New("livenode: truncated block")
-		}
-		b, err := block.Decode(payload[:size])
-		if err != nil {
-			return nil, err
-		}
-		blocks = append(blocks, b)
-		payload = payload[size:]
-	}
-	return blocks, nil
 }

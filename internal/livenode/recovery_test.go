@@ -97,8 +97,8 @@ func TestRecoveryAfterTornWAL(t *testing.T) {
 		t.Fatalf("replayed block %d hash mismatch", n-1)
 	}
 
-	// Reconnect and catch up the lost tail via FrameChainRequest — the
-	// paper's reconnect-and-recover behaviour end-to-end.
+	// Reconnect and catch up the lost tail by locator sync — the paper's
+	// reconnect-and-recover behaviour end-to-end.
 	if err := a2.Connect(b.Addr()); err != nil {
 		t.Fatal(err)
 	}

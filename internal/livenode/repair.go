@@ -16,7 +16,7 @@ import (
 //
 //	chain (OnAppend / sync / fork adoption)
 //	   └─▶ repair.Index     — who should hold what, derived from metadata
-//	transport (announces, any frame, membership, mined blocks)
+//	transport (probes, any frame, membership, mined blocks)
 //	   └─▶ repair.Detector  — who is alive / suspect / dead
 //	repairTick (every RepairProbeEvery)
 //	   └─▶ repair.Queue + repair.Limiter — which replica to re-fetch next,
@@ -27,14 +27,14 @@ import (
 // nodes (engine.pickRepairs), and the re-announcement routes the newly
 // assigned nodes' fetches through the queue below.
 //
-// Liveness evidence is deliberately cheap: a 4-byte unsigned announce
-// heartbeat, passive refresh on every frame from a mapped address, a
-// membership sweep against the transport's peer list, and the miner of
-// every adopted block (at the block's timestamp). The announce is
-// unsigned — a forged binding cannot inject data (content is verified
-// against its hash) and self-corrects: fetches from a wrong address fail
-// verification or time out, back off, and finally fall back to the
-// broadcast fetch path.
+// Liveness evidence is deliberately cheap: a 4-byte unsigned probe to a
+// bounded peer sample per tick (probe.go), passive refresh on every frame
+// from a mapped address, a membership sweep against the transport's peer
+// list, and the miner of every adopted block (at the block's timestamp).
+// The probe is unsigned — a forged binding cannot inject data (content is
+// verified against its hash) and self-corrects: fetches from a wrong
+// address fail verification or time out, back off, and finally fall back
+// to the broadcast fetch path.
 const (
 	// repairFrameOverhead approximates the fixed wire cost of one repair
 	// frame (length prefix, type byte, data ID) for rate-limiting.
@@ -65,16 +65,14 @@ type repairDriver struct {
 	queue *repair.Queue
 	lim   *repair.Limiter
 
-	announce   []byte // this node's encoded roster index (announce/probe payload)
+	announce   []byte // this node's encoded roster index (probe payload)
 	probeEvery time.Duration
 	floor      int // replica floor the under-replication gauge checks
 	timer      Timer
 
-	// Sampled liveness probing (DESIGN.md §15); probeFanout == 0 keeps
-	// the legacy per-tick announce broadcast. The rng is seeded separately
-	// from the gossip plane's so probe sampling never perturbs block/meta
-	// relay draws (and vice versa) in deterministic runs.
-	probeFanout  int
+	// Sampled liveness probing (DESIGN.md §15.2). The rng is seeded
+	// separately from the gossip plane's so probe sampling never perturbs
+	// block/meta relay draws (and vice versa) in deterministic runs.
 	rng          *rand.Rand
 	digestCursor int // rotating roster cursor for ack digest selection
 }
@@ -87,7 +85,7 @@ func (n *Node) initRepair() *repairDriver {
 		return nil
 	}
 	now := n.now()
-	rd := &repairDriver{
+	return &repairDriver{
 		idx: repair.NewIndex(len(n.cfg.Accounts)),
 		det: repair.NewDetector(repair.DetectorConfig{
 			N:            len(n.cfg.Accounts),
@@ -104,25 +102,10 @@ func (n *Node) initRepair() *repairDriver {
 		announce:   binary.BigEndian.AppendUint32(nil, uint32(n.selfIdx)),
 		probeEvery: n.cfg.RepairProbeEvery,
 		floor:      n.cfg.RepairReplicaFloor,
-	}
-	switch {
-	case n.cfg.ProbeFanout > 0:
-		rd.probeFanout = n.cfg.ProbeFanout
-	case n.cfg.ProbeFanout == 0:
-		rd.probeFanout = defaultProbeFanout
-	}
-	if rd.probeFanout >= len(n.cfg.Accounts)-1 {
-		// The sample would cover the whole roster every tick, so sampling
-		// buys nothing over the broadcast and its acks are pure overhead:
-		// a tiny cluster keeps the legacy announce heartbeat.
-		rd.probeFanout = 0
-	}
-	if rd.probeFanout > 0 {
 		// Distinct multiplier from the gossip RNG seed: the two planes
 		// must draw independent deterministic streams.
-		rd.rng = rand.New(rand.NewSource(n.cfg.GenesisSeed ^ (int64(n.selfIdx+1) * 0x7F4A7C15)))
+		rng: rand.New(rand.NewSource(n.cfg.GenesisSeed ^ (int64(n.selfIdx+1) * 0x7F4A7C15))),
 	}
-	return rd
 }
 
 // livenessFor adapts the detector's verdicts to the engine's Liveness
@@ -165,10 +148,10 @@ func (n *Node) noteFrameFrom(from string) {
 }
 
 // repairTick is the repair plane's heartbeat: it refreshes liveness
-// evidence (sampled probes, or the legacy announce broadcast), sweeps
-// membership, expires index entries and timed-out fetches, and pumps the
-// queue — launching targeted provider fetches under the worker and
-// byte-rate budgets. Network sends happen after n.mu is released.
+// evidence (sampled probes), sweeps membership, expires index entries and
+// timed-out fetches, and pumps the queue — launching targeted provider
+// fetches under the worker and byte-rate budgets. Network sends happen after
+// n.mu is released.
 func (n *Node) repairTick() {
 	peers := n.net.Peers() // transport snapshot, taken outside n.mu
 
@@ -178,9 +161,6 @@ func (n *Node) repairTick() {
 	}
 	var fetches []fetch
 	var fallbacks []meta.DataID
-	doAnnounce := false
-	var announce []byte
-	var probeTargets []string
 
 	n.mu.Lock()
 	rd := n.repair
@@ -189,15 +169,9 @@ func (n *Node) repairTick() {
 		return
 	}
 	nowD := n.now()
-	announce = rd.announce
-	if rd.probeFanout > 0 {
-		// Sampled probing (§15): direct evidence to a bounded deterministic
-		// sample per tick; third-party evidence arrives as ack digests.
-		cand := append([]string(nil), peers...)
-		probeTargets = samplePeersLocked(rd.rng, cand, rd.probeFanout)
-	} else {
-		doAnnounce = true
-	}
+	// Sampled probing (§15.2): direct evidence to a bounded deterministic
+	// sample per tick; third-party evidence arrives as ack digests.
+	probeTargets := samplePeersLocked(rd.rng, append([]string(nil), peers...), n.cfg.ProbeFanout)
 
 	// Membership sweep: a roster node whose known address dropped off the
 	// transport's peer list accumulates failures toward Suspect.
@@ -268,12 +242,9 @@ func (n *Node) repairTick() {
 	n.scheduleRepairLocked()
 	n.mu.Unlock()
 
-	if doAnnounce {
-		n.bcast(p2p.FrameRepairAnnounce, announce)
-	}
 	for _, p := range probeTargets {
 		n.tel.probesSent.Inc()
-		n.send(p, p2p.FrameRepairProbe, announce)
+		n.send(p, p2p.FrameRepairProbe, rd.announce)
 	}
 	for _, f := range fetches {
 		n.tel.repairFetches.Inc()
@@ -318,32 +289,6 @@ func (n *Node) updateRepairGaugesLocked(now time.Duration) {
 	dead := func(i int) bool { return rd.det.Status(i, now) == repair.Dead }
 	n.tel.underReplicated.Set(int64(len(rd.idx.Deficits(now, rd.floor, dead))))
 	n.tel.deadNodes.Set(int64(rd.det.CountDead(now)))
-}
-
-// handleRepairAnnounce ingests a peer's heartbeat: it binds the sender's
-// transport address to the claimed roster index and refreshes liveness.
-// The first time an address maps, we answer with our own announce so both
-// sides learn the binding without waiting a full probe period.
-func (n *Node) handleRepairAnnounce(from string, payload []byte) {
-	if len(payload) != 4 {
-		return
-	}
-	i := int(binary.BigEndian.Uint32(payload))
-	n.mu.Lock()
-	rd := n.repair
-	first := i >= 0 && i < len(n.addrOf) && n.addrOf[i] == ""
-	if rd == nil || !n.bindAddrLocked(i, from) {
-		n.mu.Unlock()
-		return
-	}
-	var reply []byte
-	if first {
-		reply = rd.announce
-	}
-	n.mu.Unlock()
-	if reply != nil {
-		n.send(from, p2p.FrameRepairAnnounce, reply)
-	}
 }
 
 // handleRepairGet answers a targeted repair fetch if this node holds the
@@ -392,21 +337,21 @@ func (n *Node) countWire(ft byte, payloadLen, copies int) {
 	switch ft {
 	case p2p.FrameDataRequest, p2p.FrameData:
 		n.tel.wireDataBytes.Add(bytes)
-	case p2p.FrameRepairAnnounce, p2p.FrameRepairProbe, p2p.FrameRepairProbeAck:
-		// Liveness traffic alone — the bytes the §15 sampled-probe gate
-		// compares against the legacy broadcast heartbeat.
+	case p2p.FrameRepairProbe, p2p.FrameRepairProbeAck:
+		// Liveness traffic alone — the bytes the §15.2 sampled-probe gate
+		// bounds.
 		n.tel.wireRepairBytes.Add(bytes)
 		n.tel.wireHeartbeatBytes.Add(bytes)
 	case p2p.FrameRepairGet, p2p.FrameRepairData:
 		n.tel.wireRepairBytes.Add(bytes)
 	case p2p.FrameMeta, p2p.FrameMetaAnnounce, p2p.FrameGetMeta:
-		// Metadata propagation (push or gossip announce/fetch exchange) —
-		// the bytes the §15 meta-gossip gate compares.
+		// Metadata propagation (announce/fetch exchange) — the bytes the
+		// §15.1 metadata-relay gate bounds.
 		n.tel.wireConsensusBytes.Add(bytes)
 		n.tel.wireMetaBytes.Add(bytes)
-	case p2p.FrameBlock, p2p.FrameGetBlock, p2p.FrameCompactBlock:
-		// Block propagation proper (push or gossip fetch exchange) — the
-		// bytes the §13 gossip-vs-full-mesh gate compares.
+	case p2p.FrameGetBlock, p2p.FrameCompactBlock:
+		// Block propagation proper (the fetch exchange) — the bytes the
+		// §13 block-relay gate bounds.
 		n.tel.wireConsensusBytes.Add(bytes)
 		n.tel.wireBlockBytes.Add(bytes)
 	case p2p.FrameBlockAnnounce:

@@ -45,9 +45,13 @@ func TestLiveRepairReReplicates(t *testing.T) {
 			StorageCapacity:    48,
 			Telemetry:          regs[i],
 			RepairWorkers:      2,
-			RepairProbeEvery:   200 * time.Millisecond,
+			RepairProbeEvery:   400 * time.Millisecond,
 			RepairSuspectAfter: 2 * time.Second,
 			RepairHysteresis:   time.Second,
+			// One probe a tick: the default sample would be the whole
+			// four-node roster every 400 ms, and liveness traffic counts
+			// against the budget asserted at the end.
+			ProbeFanout: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -144,6 +148,7 @@ func TestLiveRepairReReplicates(t *testing.T) {
 		repairBytes += snap.Counter("livenode.wire.repair_bytes")
 		consensusBytes += snap.Counter("livenode.wire.consensus_bytes")
 	}
+	t.Logf("repair plane %d B, consensus plane %d B", repairBytes, consensusBytes)
 	if repairBytes == 0 {
 		t.Fatal("repair plane sent no bytes")
 	}

@@ -11,12 +11,10 @@ import (
 	"repro/internal/p2p"
 )
 
-// Incremental batched chain sync (DESIGN.md §10). Instead of shipping a
-// whole chain on every gap or fork (the Naivechain-style FrameChain
-// exchange, kept as a fallback), a lagging node sends a block locator,
-// learns the fork point and a bounded header range from the peer, and
-// fetches only the missing suffix in bounded batches with per-batch
-// timeouts and exponential retry backoff:
+// Incremental batched chain sync (DESIGN.md §10). On a gap or fork a
+// lagging node sends a block locator, learns the fork point and a bounded
+// header range from the peer, and fetches only the missing suffix in
+// bounded batches with per-batch timeouts and exponential retry backoff:
 //
 //	lagging node                         peer
 //	  FrameSyncLocator(locator) ─────────▶
@@ -29,7 +27,8 @@ import (
 // neither trigger large allocations nor smuggle an unbounded chain:
 const (
 	// maxSyncHeaders bounds the header range of one sync round; a node
-	// lagging further simply runs multiple rounds.
+	// lagging further simply runs multiple rounds. It is also the
+	// protocol's reorg bound: a fork deeper than this cannot be adopted.
 	maxSyncHeaders = 4096
 	// maxSyncBatch bounds the blocks of one FrameSyncGetBatch/Batch
 	// exchange, whatever the requester asked for.
@@ -374,14 +373,12 @@ func (n *Node) handleSyncHeaders(from string, h syncHeaders) {
 		n.mu.Unlock()
 		return // peer disagrees about our own chain: ignore the offer
 	}
-	if h.Headers[len(h.Headers)-1].Height <= height {
+	if last := h.Headers[len(h.Headers)-1].Height; last <= height {
 		// The peer is ahead but its bounded header range cannot reach past
-		// our tip (a fork deeper than maxSyncHeaders): incremental sync
-		// cannot win here, fall back to the whole-chain exchange.
-		n.tel.syncFallbacks.Inc()
-		n.tel.chainSyncs.Inc()
+		// our tip: a fork deeper than maxSyncHeaders, the reorg bound.
+		n.abortSyncLocked(fmt.Sprintf("offer from %s refused: fork %d blocks deep, header range ends at %d, not past our tip %d",
+			from, height-h.Fork, last, height))
 		n.mu.Unlock()
-		n.send(from, p2p.FrameChainRequest, nil)
 		return
 	}
 	n.syncGen++
@@ -417,7 +414,7 @@ func (n *Node) requestBatchLocked() []byte {
 }
 
 // onSyncTimeout fires when a batch went unanswered: retry with backoff,
-// then give the peer up and fall back to the legacy whole-chain exchange.
+// then give the peer up and abort the session.
 func (n *Node) onSyncTimeout(gen uint64) {
 	n.mu.Lock()
 	s := n.sync
@@ -427,12 +424,8 @@ func (n *Node) onSyncTimeout(gen uint64) {
 	}
 	s.attempts++
 	if s.attempts > n.cfg.SyncRetries {
-		peer := s.peer
-		n.clearSyncLocked()
-		n.tel.syncFallbacks.Inc()
-		n.tel.chainSyncs.Inc()
+		n.abortSyncLocked(fmt.Sprintf("peer %s left batch %d unanswered after %d retries", s.peer, s.nextFrom, n.cfg.SyncRetries))
 		n.mu.Unlock()
-		n.send(peer, p2p.FrameChainRequest, nil)
 		return
 	}
 	n.tel.syncRetries.Inc()
@@ -512,8 +505,9 @@ func (n *Node) handleSyncBatch(from string, sb syncBatch) {
 	}
 }
 
-// abortSyncLocked drops the session without a fallback request; the next
-// incoming block re-triggers sync if the node is still behind (n.mu held).
+// abortSyncLocked drops the session, or refuses an offer that would have
+// opened one; the next announce or locator answer from any peer re-triggers
+// sync if the node is still behind (n.mu held).
 func (n *Node) abortSyncLocked(why string) {
 	n.tel.syncAborts.Inc()
 	n.tel.events.RecordAt(n.clock.Now(), "sync_abort", why)
@@ -561,18 +555,6 @@ func (n *Node) adoptSyncSuffixLocked(suffix []*block.Block) bool {
 	n.tel.syncVerifyParallel.Add(stats.ParallelVerified)
 	if stats.FullReplay {
 		n.tel.syncFullReplays.Inc()
-	}
-	// Bytes saved vs. the legacy whole-chain exchange: FrameChain would
-	// have shipped every block we already held.
-	saved := 0
-	for _, b := range n.walBlocksLocked() {
-		saved += b.EncodedSize()
-	}
-	for _, b := range suffix {
-		saved -= b.EncodedSize()
-	}
-	if saved > 0 {
-		n.tel.syncBytesSaved.Add(saved)
 	}
 	n.updateChainGauges()
 	n.tel.events.RecordAt(n.clock.Now(), "sync_adopted",

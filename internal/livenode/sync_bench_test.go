@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"repro/internal/p2p"
 )
 
 // catchupStats is one measured catch-up exchange: what crossed the wire and
@@ -17,8 +15,8 @@ type catchupStats struct {
 }
 
 // catchupFixture is a two-node fabric where node "a" mines and node "b"
-// lags behind by a controlled gap, then catches up through either the
-// incremental batched path or the legacy whole-chain exchange.
+// lags behind by a controlled gap, then catches up through the incremental
+// batched path.
 type catchupFixture struct {
 	fn   *fakeNet
 	a, b *syncTestNode
@@ -60,94 +58,65 @@ func (f *catchupFixture) lag(tb testing.TB, gap int) {
 // catchup runs one measured sync exchange and asserts b reaches a's tip.
 // The whole exchange is synchronous on the fake fabric, so when the trigger
 // call returns the adoption is complete.
-func (f *catchupFixture) catchup(tb testing.TB, legacy bool) catchupStats {
+func (f *catchupFixture) catchup(tb testing.TB) catchupStats {
 	replayedBefore := counter(f.b.reg, "livenode.sync.blocks_replayed") +
 		counter(f.b.reg, "livenode.sync.blocks_fetched")
 	f.fn.startCounting()
-	if legacy {
-		if err := f.b.Node.net.Send("a", p2p.FrameChainRequest, nil); err != nil {
-			tb.Fatal(err)
-		}
-	} else {
-		f.b.sendSyncLocator("a")
-	}
+	f.b.sendSyncLocator("a")
 	bytes, frames := f.fn.stopCounting()
 	if f.b.Height() != f.a.Height() {
 		tb.Fatalf("catch-up incomplete: a=%d b=%d", f.a.Height(), f.b.Height())
 	}
-	var processed uint64
-	if legacy {
-		// AdoptChain is a scratch replay: every block from genesis to the
-		// new tip runs through verification again.
-		processed = f.a.Height()
-	} else {
-		processed = counter(f.b.reg, "livenode.sync.blocks_replayed") +
-			counter(f.b.reg, "livenode.sync.blocks_fetched") - replayedBefore
-	}
+	processed := counter(f.b.reg, "livenode.sync.blocks_replayed") +
+		counter(f.b.reg, "livenode.sync.blocks_fetched") - replayedBefore
 	return catchupStats{wireBytes: bytes, wireFrames: frames, processed: processed}
 }
 
 // BenchmarkSyncCatchup measures a 10-block-lagging node catching up against
-// 1k- and 10k-block chains over both sync paths. Custom metrics report the
-// wire and replay cost per exchange; see EXPERIMENTS.md for a run.
+// 1k- and 10k-block chains. Custom metrics report the wire and replay cost
+// per exchange; see EXPERIMENTS.md for a run.
 func BenchmarkSyncCatchup(b *testing.B) {
 	const gap = 10
 	for _, chainLen := range []int{1_000, 10_000} {
-		for _, mode := range []struct {
-			name   string
-			legacy bool
-		}{{"suffix", false}, {"legacy", true}} {
-			b.Run(fmt.Sprintf("chain=%d/lag=%d/%s", chainLen, gap, mode.name), func(b *testing.B) {
-				f := newCatchupFixture(b, chainLen-gap)
-				var total catchupStats
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					f.lag(b, gap)
-					b.StartTimer()
-					st := f.catchup(b, mode.legacy)
-					b.StopTimer()
-					total.wireBytes += st.wireBytes
-					total.wireFrames += st.wireFrames
-					total.processed += st.processed
-					b.StartTimer()
-				}
-				b.ReportMetric(float64(total.wireBytes)/float64(b.N), "wire-B/op")
-				b.ReportMetric(float64(total.wireFrames)/float64(b.N), "frames/op")
-				b.ReportMetric(float64(total.processed)/float64(b.N), "blocks-processed/op")
-			})
-		}
+		b.Run(fmt.Sprintf("chain=%d/lag=%d", chainLen, gap), func(b *testing.B) {
+			f := newCatchupFixture(b, chainLen-gap)
+			var total catchupStats
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				f.lag(b, gap)
+				b.StartTimer()
+				st := f.catchup(b)
+				b.StopTimer()
+				total.wireBytes += st.wireBytes
+				total.wireFrames += st.wireFrames
+				total.processed += st.processed
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(total.wireBytes)/float64(b.N), "wire-B/op")
+			b.ReportMetric(float64(total.wireFrames)/float64(b.N), "frames/op")
+			b.ReportMetric(float64(total.processed)/float64(b.N), "blocks-processed/op")
+		})
 	}
 }
 
-// TestSyncCatchupBeatsLegacyFiveFold is the benchmark's acceptance gate in
-// regular-test form, scaled down so CI pays seconds, not minutes: on a
-// 300-block chain a 10-block-lagging node must spend at least 5x fewer
-// wire bytes and 5x fewer verified blocks than the legacy whole-chain
-// exchange. (At the benchmark's 10k-block scale the ratios exceed 500x;
-// they grow linearly with chain length, so passing at 300 implies passing
-// at 10k.)
-func TestSyncCatchupBeatsLegacyFiveFold(t *testing.T) {
+// TestSyncCatchupWireGate is the benchmark's acceptance gate in regular-test
+// form, scaled down so CI pays seconds, not minutes: on a 300-block chain a
+// 10-block-lagging node catches up in at most 4 400 wire bytes and processes
+// exactly the 10 blocks it lacks — the cost does not depend on chain length.
+// The ceiling is the 3 484 B this exchange measures plus a quarter; shipping
+// the chain whole, as the retired fall-back did, read 67 432 B and 300
+// blocks here.
+func TestSyncCatchupWireGate(t *testing.T) {
 	const chainLen, gap = 300, 10
-
-	suffix := newCatchupFixture(t, chainLen-gap)
-	suffix.lag(t, gap)
-	newStats := suffix.catchup(t, false)
-
-	legacy := newCatchupFixture(t, chainLen-gap)
-	legacy.lag(t, gap)
-	oldStats := legacy.catchup(t, true)
-
-	if newStats.wireBytes*5 > oldStats.wireBytes {
-		t.Errorf("incremental sync moved %d wire bytes, legacy %d — want >= 5x reduction",
-			newStats.wireBytes, oldStats.wireBytes)
+	f := newCatchupFixture(t, chainLen-gap)
+	f.lag(t, gap)
+	st := f.catchup(t)
+	t.Logf("chain=%d lag=%d: %d B in %d frames, %d blocks processed", chainLen, gap, st.wireBytes, st.wireFrames, st.processed)
+	if st.wireBytes > 4400 {
+		t.Errorf("catch-up moved %d wire bytes, want <= 4400", st.wireBytes)
 	}
-	if newStats.processed*5 > oldStats.processed {
-		t.Errorf("incremental sync processed %d blocks, legacy %d — want >= 5x reduction",
-			newStats.processed, oldStats.processed)
+	if st.processed != gap {
+		t.Errorf("catch-up processed %d blocks, want exactly %d", st.processed, gap)
 	}
-	t.Logf("chain=%d lag=%d: incremental %d B / %d blocks vs legacy %d B / %d blocks (%.1fx / %.1fx)",
-		chainLen, gap, newStats.wireBytes, newStats.processed, oldStats.wireBytes, oldStats.processed,
-		float64(oldStats.wireBytes)/float64(newStats.wireBytes),
-		float64(oldStats.processed)/float64(newStats.processed))
 }

@@ -113,6 +113,15 @@ func FuzzSyncFrames(f *testing.F) {
 	f.Add(uint8(11), dataRequest(held, ^uint32(0)))
 	f.Add(uint8(11), dataRequest(held, 1)[:35])
 	f.Add(uint8(12), append(held[:], "sync-fuzz"...))
+	// Retired type bytes and the first unassigned one, with what their old
+	// handlers took: a block on our tip, a whole chain, a roster index.
+	wholeChain := putU64(nil, 1)
+	wholeChain = append(putU64(wholeChain, uint64(next.EncodedSize())), next.Encode()...)
+	f.Add(uint8(13), next.Encode())
+	f.Add(uint8(14), []byte{})
+	f.Add(uint8(15), wholeChain)
+	f.Add(uint8(16), putU32(nil, 1))
+	f.Add(uint8(17), next.Encode())
 
 	frames := []byte{
 		p2p.FrameSyncLocator, p2p.FrameSyncHeaders, p2p.FrameSyncGetBatch,
@@ -121,6 +130,7 @@ func FuzzSyncFrames(f *testing.F) {
 		p2p.FrameRepairProbe, p2p.FrameRepairProbeAck, p2p.FrameCompactBlock,
 		p2p.FrameDataRequest, p2p.FrameData,
 	}
+	frames = append(frames, deadFrameTypes...)
 	f.Fuzz(func(t *testing.T, sel uint8, payload []byte) {
 		// Decoders must fail cleanly, never panic, on any input.
 		_, _ = decodeLocator(payload)

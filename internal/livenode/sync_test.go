@@ -2,6 +2,8 @@ package livenode
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -289,7 +291,7 @@ func (n *syncTestNode) mineBlocks(t testing.TB, count int) {
 		}
 		n.mu.Unlock()
 		if res != nil {
-			n.net.Broadcast(p2p.FrameBlock, res.Block.Encode())
+			n.relayBlock(res.Block, "")
 		}
 	}
 }
@@ -326,9 +328,6 @@ func TestSyncCatchUpBatched(t *testing.T) {
 	if v := counter(a.reg, "livenode.sync.batches"); v != 3 {
 		t.Errorf("sync.batches = %d, want 3 (batch size 4)", v)
 	}
-	if v := counter(a.reg, "livenode.chainsync.rounds"); v != 0 {
-		t.Errorf("chainsync.rounds = %d, want 0 (no legacy exchange)", v)
-	}
 	if a.StoreErr() != nil {
 		t.Fatalf("store error: %v", a.StoreErr())
 	}
@@ -340,10 +339,11 @@ func TestSyncForkSuffixFromSnapshot(t *testing.T) {
 	a := newSyncTestNode(t, fn, "a", 0, epoch, nil)
 	b := newSyncTestNode(t, fn, "b", 1, epoch, nil)
 
-	// Common prefix: A mines 4 (snapshots at 2 and 4), B follows along.
+	// Common prefix: A mines 4 (snapshots at 2 and 4), B follows along,
+	// fetching each announced body from A.
 	a.mineBlocks(t, 4)
 	for _, blk := range a.ChainSnapshot()[1:] {
-		b.handleFrame("a", p2p.FrameBlock, blk.Encode())
+		b.handleFrame("a", p2p.FrameBlockAnnounce, encodeAnnounce(blk.Index, blk.Hash))
 	}
 	if b.Height() != 4 {
 		t.Fatalf("b at %d, want 4", b.Height())
@@ -370,9 +370,6 @@ func TestSyncForkSuffixFromSnapshot(t *testing.T) {
 	if v := counter(a.reg, "livenode.sync.blocks_fetched"); v != 3 {
 		t.Errorf("sync.blocks_fetched = %d, want 3 (suffix only)", v)
 	}
-	if v := counter(a.reg, "livenode.sync.bytes_saved"); v == 0 {
-		t.Error("sync.bytes_saved = 0, want > 0")
-	}
 	// The WAL was rewritten to the adopted branch: a restart from the same
 	// store must recover the synced chain, not the abandoned one.
 	if a.StoreErr() != nil {
@@ -380,15 +377,56 @@ func TestSyncForkSuffixFromSnapshot(t *testing.T) {
 	}
 }
 
-func TestSyncBatchTimeoutRetriesThenLegacyFallback(t *testing.T) {
+// deadFrameTypes are type bytes no handler may act on: the four retired
+// ones (full-block push, whole-chain request and reply, heartbeat
+// broadcast) and the first number above the highest live type.
+var deadFrameTypes = []byte{2, 4, 5, 12, p2p.FrameCompactBlock + 1}
+
+// lastSyncAbort returns the detail of the newest sync_abort event.
+func lastSyncAbort(reg *telemetry.Registry) string {
+	events := reg.Events().Events()
+	for i := len(events) - 1; i >= 0; i-- {
+		if events[i].Name == "sync_abort" {
+			return events[i].Detail
+		}
+	}
+	return ""
+}
+
+// activeTimers counts the clock's armed timers.
+func (c *fakeClock) activeTimers() (n int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, t := range c.timers {
+		if !t.done {
+			n++
+		}
+	}
+	return n
+}
+
+// TestSyncBatchTimeoutRetriesThenAborts is the end of the sync ladder: a
+// peer that never answers batch requests costs the retry budget and then
+// the session, nothing else — and the next announce from any other peer
+// starts a fresh session that catches the node up.
+func TestSyncBatchTimeoutRetriesThenAborts(t *testing.T) {
 	fn := newFakeNet()
 	epoch := time.Unix(1700000000, 0)
 	b := newSyncTestNode(t, fn, "b", 1, epoch, nil)
 	b.mineBlocks(t, 5)
+	c := newSyncTestNode(t, fn, "c", 2, epoch, nil)
+	if err := c.Connect("b"); err != nil {
+		t.Fatal(err)
+	}
+	if c.Height() != 5 {
+		t.Fatalf("c at %d after syncing from b, want 5", c.Height())
+	}
 	a := newSyncTestNode(t, fn, "a", 0, epoch, nil)
 
-	// Batches vanish in flight; everything else is delivered.
-	fn.drop = func(from, to string, ft byte) bool { return ft == p2p.FrameSyncBatch }
+	// b's batches vanish in flight; everything else is delivered.
+	log := watchFrames(fn, func(from, to string, ft byte) bool {
+		return from == "b" && ft == p2p.FrameSyncBatch
+	})
 	if err := a.Connect("b"); err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +434,7 @@ func TestSyncBatchTimeoutRetriesThenLegacyFallback(t *testing.T) {
 		t.Fatalf("height = %d before any retry, want 0", a.Height())
 	}
 	// Exponential backoff: 1s, then 2s, then the 4s attempt exhausts the
-	// retry budget and the node falls back to the whole-chain exchange.
+	// retry budget.
 	a.clock.Advance(time.Second)
 	if v := counter(a.reg, "livenode.sync.retries"); v != 1 {
 		t.Fatalf("sync.retries = %d after first timeout, want 1", v)
@@ -406,17 +444,151 @@ func TestSyncBatchTimeoutRetriesThenLegacyFallback(t *testing.T) {
 		t.Fatalf("sync.retries = %d after second timeout, want 2", v)
 	}
 	a.clock.Advance(4 * time.Second)
-	if v := counter(a.reg, "livenode.sync.fallbacks"); v != 1 {
-		t.Fatalf("sync.fallbacks = %d, want 1", v)
+	if v := counter(a.reg, "livenode.sync.aborts"); v != 1 {
+		t.Fatalf("sync.aborts = %d after the retry budget, want 1", v)
 	}
-	if a.Height() != 5 {
-		t.Fatalf("height after legacy fallback = %d, want 5", a.Height())
+	if v := counter(a.reg, "livenode.sync.retries"); v != 2 {
+		t.Errorf("sync.retries = %d after the abort, want still 2", v)
 	}
-	if v := counter(a.reg, "livenode.sync.full_replays"); v != 1 {
-		t.Errorf("sync.full_replays = %d, want 1 (legacy adoption)", v)
+	if why := lastSyncAbort(a.reg); !strings.Contains(why, "peer b") {
+		t.Errorf("sync_abort event %q does not name the silent peer", why)
 	}
-	if v := counter(a.reg, "livenode.chainsync.rounds"); v != 1 {
-		t.Errorf("chainsync.rounds = %d, want 1", v)
+	a.Node.mu.Lock()
+	session, mining := a.Node.sync, a.Node.mineTimer
+	a.Node.mu.Unlock()
+	if session != nil {
+		t.Fatal("session survived its retry budget")
+	}
+	if mining == nil {
+		t.Error("no mining timer armed after the abort")
+	}
+	if a.Height() != 0 {
+		t.Fatalf("height = %d after the abort, want 0", a.Height())
+	}
+	for _, ft := range deadFrameTypes {
+		if n := log.count(ft); n != 0 {
+			t.Errorf("%d frames of retired type %d on the wire", n, ft)
+		}
+	}
+
+	// An announce from c — any peer, not the one that went silent — restarts
+	// sync: the fetched tip does not fit, so a sends c a locator and drains
+	// the suffix from it.
+	link(t, a, c)
+	tip := c.Tip()
+	a.handleFrame("c", p2p.FrameBlockAnnounce, encodeAnnounce(tip.Index, tip.Hash))
+	if a.Height() != 5 || a.Tip().Hash != tip.Hash {
+		t.Fatalf("a at height %d after c's announce, want c's tip at 5", a.Height())
+	}
+	if v := counter(a.reg, "livenode.sync.aborts"); v != 1 {
+		t.Errorf("sync.aborts = %d after catching up, want still 1", v)
+	}
+}
+
+// TestSyncHeadersNotPastTipRefused: an offer whose header range ends at or
+// below our height (a fork deeper than the reorg bound, or a forgery) opens
+// no session, arms no timer and is counted as one abort.
+func TestSyncHeadersNotPastTipRefused(t *testing.T) {
+	fn := newFakeNet()
+	epoch := time.Unix(1700000000, 0)
+	a := newSyncTestNode(t, fn, "a", 0, epoch, nil)
+	a.mineBlocks(t, 3)
+	log := watchFrames(fn, nil)
+	timers := a.clock.activeTimers()
+
+	genesis := a.ChainSnapshot()[0]
+	for _, last := range []uint64{2, 3} { // below the tip, and exactly at it
+		offer := syncHeaders{Fork: 0, ForkHash: genesis.Hash, Tip: 10}
+		for h := uint64(1); h <= last; h++ {
+			offer.Headers = append(offer.Headers, chain.LocatorEntry{Height: h, Hash: block.Hash{byte(h)}})
+		}
+		before := counter(a.reg, "livenode.sync.aborts")
+		a.handleFrame("evil", p2p.FrameSyncHeaders, encodeSyncHeaders(offer))
+		if v := counter(a.reg, "livenode.sync.aborts"); v != before+1 {
+			t.Errorf("range ending at %d: sync.aborts %d -> %d, want one more", last, before, v)
+		}
+		if why := lastSyncAbort(a.reg); !strings.Contains(why, "evil") || !strings.Contains(why, "fork 3 blocks deep") {
+			t.Errorf("range ending at %d: sync_abort event %q lacks the peer or the fork depth", last, why)
+		}
+	}
+	a.Node.mu.Lock()
+	session := a.Node.sync
+	a.Node.mu.Unlock()
+	if session != nil {
+		t.Fatal("an offer that cannot reach past our tip opened a session")
+	}
+	if got := a.clock.activeTimers(); got != timers {
+		t.Errorf("%d timers armed, %d before the offers", got, timers)
+	}
+	if len(log.seen) != 0 {
+		t.Errorf("refused offers put frames on the wire: %v", log.seen)
+	}
+	if a.Height() != 3 {
+		t.Fatalf("height = %d, want 3", a.Height())
+	}
+}
+
+// TestRetiredFrameTypesIgnored feeds the four retired type bytes, and the
+// byte above the highest live type, payloads their old handlers would have
+// acted on — a block extending the tip, a whole longer chain, a roster
+// index to bind — and checks that chain, pool, roster table and detector
+// all stay put.
+func TestRetiredFrameTypesIgnored(t *testing.T) {
+	fn := newFakeNet()
+	epoch := time.Unix(1700000000, 0)
+	clk := newFakeClock(epoch)
+	repairOn := func(cfg *Config) { cfg.RepairWorkers = 1 }
+	a := newGossipTestNode(t, fn, clk, "a", 0, epoch, repairOn)
+	b := newGossipTestNode(t, fn, clk, "b", 1, epoch, repairOn)
+	a.stopMining()
+	if _, err := b.Publish([]byte("packed by b"), "Road/Congestion", "lab"); err != nil {
+		t.Fatal(err)
+	}
+	b.mineBlocks(t, 2)
+	link(t, a, b)
+	log := watchFrames(fn, nil)
+
+	longer := b.ChainSnapshot()
+	wholeChain := putU64(nil, uint64(len(longer)))
+	for _, blk := range longer {
+		enc := blk.Encode()
+		wholeChain = append(putU64(wholeChain, uint64(len(enc))), enc...)
+	}
+	payloads := [][]byte{longer[1].Encode(), wholeChain, putU32(nil, 1), nil}
+
+	lastSeen := func() (out []time.Duration) {
+		a.Node.mu.Lock()
+		defer a.Node.mu.Unlock()
+		for i := range a.cfg.Accounts {
+			out = append(out, a.repair.det.LastSeen(i))
+		}
+		return out
+	}
+	clk.Advance(time.Millisecond) // evidence recorded now would be newer than at start
+	seenBefore := lastSeen()
+
+	for _, ft := range deadFrameTypes {
+		for _, payload := range payloads {
+			a.handleFrame("b", ft, payload)
+		}
+	}
+	if a.Height() != 0 {
+		t.Errorf("a retired frame moved the chain to height %d", a.Height())
+	}
+	if pooled := len(a.PoolIDs()); pooled != 0 {
+		t.Errorf("a retired frame pooled %d items", pooled)
+	}
+	a.Node.mu.Lock()
+	bound := len(a.idxOf)
+	a.Node.mu.Unlock()
+	if bound != 0 {
+		t.Errorf("a retired frame bound %d roster addresses", bound)
+	}
+	if got := lastSeen(); !reflect.DeepEqual(got, seenBefore) {
+		t.Errorf("a retired frame refreshed the detector: %v -> %v", seenBefore, got)
+	}
+	if len(log.seen) != 0 {
+		t.Errorf("retired frames drew answers: %v", log.seen)
 	}
 }
 

@@ -40,11 +40,11 @@ func TestReadFrameTable(t *testing.T) {
 		{name: "zero-length frame", input: []byte{0, 0, 0, 0}, wantErr: true},
 		{name: "oversize length", input: oversize, wantErr: true},
 		{name: "max oversize length", input: []byte{0xff, 0xff, 0xff, 0xff}, wantErr: true},
-		{name: "torn payload", input: []byte{0, 0, 0, 10, FrameBlock, 'x'}, wantErr: true},
-		{name: "truncated huge claim", input: append(maxClaim(), FrameChain, 'a', 'b'), wantErr: true},
+		{name: "torn payload", input: []byte{0, 0, 0, 10, FrameData, 'x'}, wantErr: true},
+		{name: "truncated huge claim", input: append(maxClaim(), FrameSyncBatch, 'a', 'b'), wantErr: true},
 		{name: "header-only huge claim", input: maxClaim(), wantErr: true},
 		{name: "exact-cap claim torn", input: append(maxClaim(), FrameData), wantErr: true},
-		{name: "type-only frame", input: frame(FrameChainRequest, nil), wantFT: FrameChainRequest, wantPay: []byte{}},
+		{name: "type-only frame", input: frame(FrameGetSnapshot, nil), wantFT: FrameGetSnapshot, wantPay: []byte{}},
 		{name: "payload frame", input: frame(FrameMeta, []byte("hello")), wantFT: FrameMeta, wantPay: []byte("hello")},
 		// readFrame is type-agnostic: unknown types surface to the
 		// handler, which ignores what it does not understand.
@@ -83,14 +83,14 @@ func TestFrameRoundTrip(t *testing.T) {
 	payloads := [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte("ab"), 4096)}
 	for _, p := range payloads {
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, FrameBlock, p); err != nil {
+		if err := writeFrame(&buf, FrameData, p); err != nil {
 			t.Fatal(err)
 		}
 		ft, got, err := readFrame(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ft != FrameBlock || !bytes.Equal(got, p) {
+		if ft != FrameData || !bytes.Equal(got, p) {
 			t.Fatalf("round trip mangled payload of %d bytes", len(p))
 		}
 	}
@@ -103,14 +103,14 @@ func TestReadFrameDuplicateTypeStream(t *testing.T) {
 	var wire bytes.Buffer
 	payloads := [][]byte{[]byte("first"), []byte("first"), []byte("second"), {}}
 	for _, p := range payloads {
-		wire.Write(frame(FrameBlock, p))
+		wire.Write(frame(FrameData, p))
 	}
 	for i, want := range payloads {
 		ft, got, err := readFrame(&wire)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if ft != FrameBlock || !bytes.Equal(got, want) {
+		if ft != FrameData || !bytes.Equal(got, want) {
 			t.Fatalf("frame %d: got type %#x payload %q, want %q", i, ft, got, want)
 		}
 	}
@@ -156,8 +156,8 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(frame(FrameHello, make([]byte, MaxHelloLen+1)))
 	f.Add(frame(0xEE, []byte{1, 2, 3}))
 	// Truncated frames: declared length exceeds what follows.
-	f.Add(frame(FrameBlock, []byte("truncated"))[:7])
-	f.Add(append(maxClaim(), FrameChain, 'a'))
+	f.Add(frame(FrameData, []byte("truncated"))[:7])
+	f.Add(append(maxClaim(), FrameSyncBatch, 'a'))
 	f.Add(maxClaim())
 	// Oversized declared lengths, with and without trailing bytes.
 	f.Add(func() []byte {
@@ -167,7 +167,7 @@ func FuzzReadFrame(f *testing.F) {
 	}())
 	// Duplicate-type frames back to back on one stream.
 	f.Add(append(frame(FrameMeta, []byte("dup")), frame(FrameMeta, []byte("dup"))...))
-	f.Add(append(frame(FrameChainRequest, nil), frame(FrameChainRequest, nil)...))
+	f.Add(append(frame(FrameGetSnapshot, nil), frame(FrameGetSnapshot, nil)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ft, payload, err := readFrame(bytes.NewReader(data))
 		if err != nil {

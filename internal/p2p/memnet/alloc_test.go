@@ -38,13 +38,13 @@ func TestMemnetHotPathAllocs(t *testing.T) {
 
 	// Warm the free list, the queue heap, and the peer scratch.
 	for i := 0; i < 4; i++ {
-		eps[0].Broadcast(p2p.FrameBlock, payload)
+		eps[0].Broadcast(p2p.FrameData, payload)
 		for n.DeliverNext() {
 		}
 	}
 
 	if got := testing.AllocsPerRun(200, func() {
-		if d, _ := eps[0].Broadcast(p2p.FrameBlock, payload); d != peers-1 {
+		if d, _ := eps[0].Broadcast(p2p.FrameData, payload); d != peers-1 {
 			t.Fatalf("broadcast reached %d peers, want %d", d, peers-1)
 		}
 		for n.DeliverNext() {
@@ -87,7 +87,7 @@ func TestEventDigestMatchesLog(t *testing.T) {
 			t.Fatal(err)
 		}
 		a.Send("b", p2p.FrameMeta, []byte("x"))
-		a.Broadcast(p2p.FrameBlock, []byte("yy"))
+		a.Broadcast(p2p.FrameData, []byte("yy"))
 		n.BlockLink("a", "b")
 		a.Send("b", p2p.FrameMeta, []byte("z"))
 		n.Heal()

@@ -51,7 +51,7 @@ func TestSendDeliverRoundTrip(t *testing.T) {
 	if err := a.Send("b", p2p.FrameMeta, []byte("hi")); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Send("a", p2p.FrameBlock, []byte("yo")); err != nil {
+	if err := b.Send("a", p2p.FrameData, []byte("yo")); err != nil {
 		t.Fatal(err)
 	}
 	pump(n)
@@ -185,7 +185,7 @@ func TestPartitionAndHeal(t *testing.T) {
 	if err := a.Send("b", p2p.FrameMeta, []byte("after")); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Send("a", p2p.FrameBlock, nil); err != nil {
+	if err := b.Send("a", p2p.FrameData, nil); err != nil {
 		t.Fatal(err)
 	}
 	pump(n)
@@ -245,7 +245,7 @@ func TestEventLogDeterminism(t *testing.T) {
 		a, _, b, _ := twoEndpoints(t, n)
 		for i := byte(0); i < 30; i++ {
 			_ = a.Send("b", p2p.FrameMeta, []byte{i})
-			_, _ = b.Broadcast(p2p.FrameBlock, []byte{i, i})
+			_, _ = b.Broadcast(p2p.FrameData, []byte{i, i})
 		}
 		n.Partition([]string{"a"}, []string{"b"})
 		n.Heal()

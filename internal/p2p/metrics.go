@@ -6,18 +6,31 @@ import (
 	"repro/internal/telemetry"
 )
 
-// maxFrameType is the highest defined frame type; per-type counters index
-// into a fixed array so the frame path never allocates. Slot 0 collects
-// unknown types.
-const maxFrameType = FrameSnapshot
-
-// frameNames spells each frame type for metric names.
-var frameNames = [maxFrameType + 1]string{
-	"other", "hello", "block", "meta", "chain_request", "chain", "data_request", "data",
-	"sync_locator", "sync_headers", "sync_get_batch", "sync_batch",
-	"repair_announce", "repair_get", "repair_data",
-	"block_announce", "get_block",
-	"get_snapshot", "snapshot",
+// frameNames spells each live frame type for metric names; per-type
+// counters index into fixed arrays of the same size so the frame path never
+// allocates. Slot 0 collects unknown types, and retired numbers (unnamed
+// here) count there too.
+var frameNames = [frameTypeEnd]string{
+	0:                   "other",
+	FrameHello:          "hello",
+	FrameMeta:           "meta",
+	FrameDataRequest:    "data_request",
+	FrameData:           "data",
+	FrameSyncLocator:    "sync_locator",
+	FrameSyncHeaders:    "sync_headers",
+	FrameSyncGetBatch:   "sync_get_batch",
+	FrameSyncBatch:      "sync_batch",
+	FrameRepairGet:      "repair_get",
+	FrameRepairData:     "repair_data",
+	FrameBlockAnnounce:  "block_announce",
+	FrameGetBlock:       "get_block",
+	FrameGetSnapshot:    "get_snapshot",
+	FrameSnapshot:       "snapshot",
+	FrameMetaAnnounce:   "meta_announce",
+	FrameGetMeta:        "get_meta",
+	FrameRepairProbe:    "repair_probe",
+	FrameRepairProbeAck: "repair_probe_ack",
+	FrameCompactBlock:   "compact_block",
 }
 
 // Metrics bundles the transport's counters. All fields are nil-safe
@@ -29,7 +42,7 @@ type Metrics struct {
 	// FramesSent / FramesRecv count frames by direction; the ByType
 	// arrays split them per frame type (index = frame type, 0 = other).
 	FramesSent, FramesRecv             *telemetry.Counter
-	FramesSentByType, FramesRecvByType [maxFrameType + 1]*telemetry.Counter
+	FramesSentByType, FramesRecvByType [frameTypeEnd]*telemetry.Counter
 	// BytesSent / BytesRecv count wire bytes including the 5-byte header.
 	BytesSent, BytesRecv *telemetry.Counter
 	// BroadcastDelivered / BroadcastFailed accumulate Broadcast results.
@@ -58,6 +71,9 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		SendErrors:         reg.Counter("p2p.send_errors"),
 	}
 	for ft, name := range frameNames {
+		if name == "" {
+			continue // retired number
+		}
 		m.FramesSentByType[ft] = reg.Counter("p2p.frames_sent." + name)
 		m.FramesRecvByType[ft] = reg.Counter("p2p.frames_recv." + name)
 	}
@@ -65,7 +81,7 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 }
 
 func frameSlot(ft byte) int {
-	if int(ft) <= int(maxFrameType) {
+	if int(ft) < len(frameNames) && frameNames[ft] != "" {
 		return int(ft)
 	}
 	return 0

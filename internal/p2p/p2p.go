@@ -38,14 +38,14 @@ var (
 const (
 	// FrameHello carries the sender's listen address (handshake).
 	FrameHello byte = iota + 1
-	// FrameBlock carries one encoded block.
-	FrameBlock
+	// 2 is retired (the full-block push). Retired numbers are never
+	// reused: surviving types keep their byte values.
+	_
 	// FrameMeta carries one encoded metadata item.
 	FrameMeta
-	// FrameChainRequest asks the peer for its full chain.
-	FrameChainRequest
-	// FrameChain carries a full chain (count + length-prefixed blocks).
-	FrameChain
+	// 4 and 5 are retired (the whole-chain request and reply).
+	_
+	_
 	// FrameDataRequest carries a 32-byte data ID.
 	FrameDataRequest
 	// FrameData carries a 32-byte data ID followed by the content.
@@ -60,10 +60,8 @@ const (
 	FrameSyncGetBatch
 	// FrameSyncBatch carries the requested blocks of one batch.
 	FrameSyncBatch
-	// FrameRepairAnnounce is the repair plane's liveness heartbeat: a
-	// 4-byte roster index binding the sender's transport address to its
-	// node ID (DESIGN.md §11).
-	FrameRepairAnnounce
+	// 12 is retired (the heartbeat broadcast).
+	_
 	// FrameRepairGet asks one specific provider for a 32-byte data ID
 	// (targeted, rate-limited re-replication fetch).
 	FrameRepairGet
@@ -93,7 +91,7 @@ const (
 	// FrameRepairProbe is the sampled liveness probe (DESIGN.md §15): a
 	// 4-byte roster index binding the sender's transport address to its
 	// node ID, sent to a bounded deterministic peer sample each repair
-	// tick instead of the legacy full-mesh FrameRepairAnnounce broadcast.
+	// tick.
 	FrameRepairProbe
 	// FrameRepairProbeAck answers a probe: the responder's 4-byte roster
 	// index plus a bounded digest of third-party liveness evidence
@@ -103,6 +101,10 @@ const (
 	// replaced by its data ID and assigned storing nodes; the receiver
 	// rebuilds the body from items it already holds (DESIGN.md §13.1).
 	FrameCompactBlock
+
+	// frameTypeEnd is one past the highest frame type. New types go right
+	// above it, each with a name in frameNames (metrics.go).
+	frameTypeEnd
 )
 
 // MaxFrameSize bounds a single frame (64 MiB) against corrupt length

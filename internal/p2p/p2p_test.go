@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // recorder collects frames thread-safely.
@@ -94,12 +96,12 @@ func TestConnectAndSend(t *testing.T) {
 func TestBidirectional(t *testing.T) {
 	a, ra, b, _ := newPair(t)
 	// The inbound side can also send back over the same link.
-	if err := b.Send(a.Addr(), FrameBlock, []byte("resp")); err != nil {
+	if err := b.Send(a.Addr(), FrameData, []byte("resp")); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 2*time.Second, func() bool { return ra.count() == 1 })
 	got, _ := ra.last()
-	if got.ft != FrameBlock || got.from != b.Addr() {
+	if got.ft != FrameData || got.from != b.Addr() {
 		t.Fatalf("got %+v", got)
 	}
 }
@@ -386,4 +388,45 @@ func TestBroadcastNotBlockedByStalledPeer(t *testing.T) {
 		t.Fatal("broadcast never returned")
 	}
 	waitFor(t, 2*time.Second, func() bool { return len(center.Peers()) == healthy })
+}
+
+// TestEveryFrameTypeIsNamed keeps the per-type counter table from going
+// stale: every number below frameTypeEnd is either a live type with a metric
+// name or one of the retired numbers, which must stay unnamed and count
+// under "other" like any unknown type.
+func TestEveryFrameTypeIsNamed(t *testing.T) {
+	retired := map[byte]bool{2: true, 4: true, 5: true, 12: true}
+	seen := make(map[string]byte)
+	for ft := byte(1); ft < frameTypeEnd; ft++ {
+		name := frameNames[ft]
+		switch {
+		case retired[ft] && name != "":
+			t.Errorf("retired frame type %d is named %q", ft, name)
+		case !retired[ft] && name == "":
+			t.Errorf("frame type %d has no entry in frameNames", ft)
+		}
+		if name == "" {
+			continue
+		}
+		if prev, dup := seen[name]; dup {
+			t.Errorf("frame types %d and %d share the name %q", prev, ft, name)
+		}
+		seen[name] = ft
+	}
+
+	reg := telemetry.NewRegistry()
+	m := NewMetrics(reg)
+	for _, ft := range []byte{FrameCompactBlock, 2, 12, frameTypeEnd, 0xff} {
+		m.onSent(ft, 3)
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counter("p2p.frames_sent.compact_block"); got != 1 {
+		t.Errorf("frames_sent.compact_block = %d, want 1", got)
+	}
+	if got := snap.Counter("p2p.frames_sent.other"); got != 4 {
+		t.Errorf("frames_sent.other = %d, want 4 (two retired, two unknown)", got)
+	}
+	if got := snap.Counter("p2p.frames_sent"); got != 5 {
+		t.Errorf("frames_sent = %d, want 5", got)
+	}
 }

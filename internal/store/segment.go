@@ -100,33 +100,6 @@ func listSegments(dir string) ([]segmentInfo, error) {
 	return segs, nil
 }
 
-// migrateLegacyWAL renames a pre-segmentation wal.log into segment form
-// (keyed by its first block index). An empty or unreadable legacy log is
-// simply removed; its content would not have survived recovery anyway.
-func migrateLegacyWAL(dir string) error {
-	legacy := filepath.Join(dir, legacyWALFile)
-	if _, err := os.Stat(legacy); err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("store: stat legacy wal: %w", err)
-	}
-	blocks, _, err := ScanWAL(legacy)
-	if err != nil {
-		return err
-	}
-	if len(blocks) == 0 {
-		if err := os.Remove(legacy); err != nil {
-			return fmt.Errorf("store: drop empty legacy wal: %w", err)
-		}
-		return syncDir(dir)
-	}
-	if err := os.Rename(legacy, segmentPath(dir, blocks[0].Index)); err != nil {
-		return fmt.Errorf("store: migrate legacy wal: %w", err)
-	}
-	return syncDir(dir)
-}
-
 // recoverSegments scans every segment in index order, truncating a torn
 // tail record and cutting the log at the first discontinuity: a segment
 // whose first block index disagrees with its file name, or that does not

@@ -1,8 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -28,42 +30,30 @@ func TestParseSegmentStart(t *testing.T) {
 	}
 }
 
-// TestLegacyWALMigration: a pre-segmentation wal.log is renamed into
-// segment form on open and its blocks recovered; an empty legacy log is
-// simply dropped.
-func TestLegacyWALMigration(t *testing.T) {
-	t.Run("populated", func(t *testing.T) {
-		dir := t.TempDir()
-		blocks := testChain(t, 5)
-		if err := WriteWAL(filepath.Join(dir, legacyWALFile), blocks[1:]); err != nil {
-			t.Fatal(err)
-		}
-		s := openStore(t, dir, Options{Sync: SyncAlways})
-		defer s.Close()
-		if got := len(s.RecoveredBlocks()); got != 5 {
-			t.Fatalf("recovered %d blocks from migrated legacy wal, want 5", got)
-		}
-		if _, err := os.Stat(filepath.Join(dir, legacyWALFile)); !os.IsNotExist(err) {
-			t.Fatal("legacy wal.log still present after migration")
-		}
-		if _, err := os.Stat(segmentPath(dir, 1)); err != nil {
-			t.Fatalf("migrated segment missing: %v", err)
-		}
-	})
-	t.Run("empty", func(t *testing.T) {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, legacyWALFile), nil, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s := openStore(t, dir, Options{Sync: SyncAlways})
-		defer s.Close()
-		if got := len(s.RecoveredBlocks()); got != 0 {
-			t.Fatalf("recovered %d blocks from empty legacy wal", got)
-		}
-		if _, err := os.Stat(filepath.Join(dir, legacyWALFile)); !os.IsNotExist(err) {
-			t.Fatal("empty legacy wal.log not removed")
-		}
-	})
+// TestOpenRefusesPreSegmentationLog: a directory that still holds a
+// wal.log fails to open with an error naming the file, rather than coming
+// up with an empty chain; the file is left as it was.
+func TestOpenRefusesPreSegmentationLog(t *testing.T) {
+	dir := t.TempDir()
+	legacy := filepath.Join(dir, legacyWALFile)
+	if err := WriteWAL(legacy, testChain(t, 5)[1:]); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, Options{Sync: SyncAlways})
+	if err == nil {
+		s.Close()
+		t.Fatalf("opened a pre-segmentation directory with %d blocks recovered", len(s.RecoveredBlocks()))
+	}
+	if !strings.Contains(err.Error(), legacy) {
+		t.Fatalf("error %q does not name %s", err, legacy)
+	}
+	if after, err := os.ReadFile(legacy); err != nil || !bytes.Equal(before, after) {
+		t.Fatalf("refused open touched %s (read error %v)", legacy, err)
+	}
 }
 
 // TestRecoverSegmentEdgeCases drives recoverSegments through its cut

@@ -101,8 +101,11 @@ func Open(dir string, opts Options) (*Store, error) {
 		man = Manifest{}
 	}
 	m := opts.Metrics.orInert()
-	if err := migrateLegacyWAL(dir); err != nil {
-		return nil, err
+	// A single wal.log is the pre-segmentation layout, which nothing reads
+	// any more: opening the directory as empty would silently drop its chain.
+	legacy := filepath.Join(dir, legacyWALFile)
+	if _, err := os.Stat(legacy); err == nil {
+		return nil, fmt.Errorf("store: %s is a pre-segmentation block log this version cannot read; move it away to start from an empty chain", legacy)
 	}
 	blob, spine, snapHeight, snapOK := loadSnapshot(dir, man)
 	blocks, layout, err := recoverSegments(dir)
