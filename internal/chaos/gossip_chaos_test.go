@@ -44,17 +44,16 @@ func measureBlockPropagation(t *testing.T) (peak, total, height uint64) {
 
 // TestBlockRelayWireGate is the block-propagation wire gate (the sibling of
 // livenode's TestSyncCatchupWireGate): at 128 nodes the busiest node's
-// block-propagation egress stays within 2 000 B per adopted block — the
-// 1 583 B this run measures plus a quarter. Peak — not total — is the
-// honest metric: every node receives each body exactly once, so the
-// cluster total is what it is; what the relay bounds is the miner's
-// fan-out, O(fanout) 40-byte announces plus at most fanout served bodies.
-// Pushing each block in full to all 127 peers, as the retired path did,
-// read 17 455 B here.
+// block-propagation egress stays within 2 800 B per adopted block. Peak —
+// not total — is the honest metric: every node receives each body exactly
+// once, so the cluster total is what it is; what the relay bounds is the
+// miner's fan-out, O(fanout) 40-byte announces plus at most fanout served
+// bodies. A full body pushed to all 127 peers reads 17 455 B here.
 //
 // How many of the eight blocks the busiest node itself mined is the seed's
-// luck (1 294 to 2 212 B/block over seeds 1, 3, 7 and 1337), so the ceiling
-// is pinned at the default seed, like TestDirectedFetchWireGate's.
+// luck: 1 583 B/block at the default seed, 1 294 to 2 389 over seeds 1 to
+// 60 and 1337. The ceiling clears all of them, so it is asserted at every
+// seed.
 func TestBlockRelayWireGate(t *testing.T) {
 	peak, total, height := measureBlockPropagation(t)
 	if height == 0 {
@@ -62,8 +61,8 @@ func TestBlockRelayWireGate(t *testing.T) {
 	}
 	rate := float64(peak) / float64(height)
 	t.Logf("peak per-node block-propagation egress: %.0f B/block (height %d); cluster total %d B", rate, height, total)
-	if *seedFlag == 1 && rate > 2000 {
-		t.Errorf("peak block-propagation egress %.0f B/block, want <= 2000", rate)
+	if rate > 2800 {
+		t.Errorf("peak block-propagation egress %.0f B/block, want <= 2800", rate)
 	}
 }
 

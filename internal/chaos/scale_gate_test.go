@@ -69,8 +69,7 @@ func measureMetaDistribution(t *testing.T) (peak, total, relays uint64) {
 // producer stays within 17 500 B — the 14 064 B this run measures plus a
 // quarter. Peak, not total: every node still receives each item once, so
 // the cluster total is what it is; what the relay bounds is the producer's
-// fan-out. Pushing each item in full to all 255 peers, as the retired path
-// did, read 514 080 B here.
+// fan-out. A full item pushed to all 255 peers reads 514 080 B here.
 func TestMetaRelayWireGate(t *testing.T) {
 	peak, total, relays := measureMetaDistribution(t)
 	if relays == 0 {
@@ -111,9 +110,8 @@ func measureHeartbeat(t *testing.T) (peak, total, probes uint64) {
 // TestSampledProbesWireGate is the liveness half of the §15 acceptance
 // gate: at 256 nodes, 12 ticks of SWIM-style sampled probing cost the
 // busiest node at most 8 500 B of heartbeat egress — the 6 765 B this run
-// measures plus a quarter; the plane is O(n·fanout) per tick. Announcing to
-// all 255 peers every tick, as the retired heartbeat did, read 36 720 B
-// here.
+// measures plus a quarter; the plane is O(n·fanout) per tick. A 4-byte
+// announce to all 255 peers every tick reads 36 720 B here.
 func TestSampledProbesWireGate(t *testing.T) {
 	peak, total, probes := measureHeartbeat(t)
 	if probes == 0 {

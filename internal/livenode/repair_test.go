@@ -26,6 +26,7 @@ func assignment(n *Node, id meta.DataID) []int {
 // excluding it, and the newly assigned node fetches the content.
 func TestLiveRepairReReplicates(t *testing.T) {
 	const n = 4
+	const probeEvery = 200 * time.Millisecond
 	idents, accounts := testRoster(n)
 	epoch := time.Now()
 	regs := make([]*telemetry.Registry, n)
@@ -45,13 +46,9 @@ func TestLiveRepairReReplicates(t *testing.T) {
 			StorageCapacity:    48,
 			Telemetry:          regs[i],
 			RepairWorkers:      2,
-			RepairProbeEvery:   400 * time.Millisecond,
+			RepairProbeEvery:   probeEvery,
 			RepairSuspectAfter: 2 * time.Second,
 			RepairHysteresis:   time.Second,
-			// One probe a tick: the default sample would be the whole
-			// four-node roster every 400 ms, and liveness traffic counts
-			// against the budget asserted at the end.
-			ProbeFanout: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -138,21 +135,33 @@ func TestLiveRepairReReplicates(t *testing.T) {
 		return true
 	})
 
-	// The repair plane moved real bytes, and strictly fewer than consensus.
-	var repairBytes, consensusBytes uint64
+	// Re-replication (repair_bytes counts it together with liveness probes)
+	// moved real bytes, and strictly fewer than consensus.
+	var repairBytes, heartbeatBytes, consensusBytes uint64
 	for i, reg := range regs {
 		if i == victim {
 			continue
 		}
 		snap := reg.Snapshot()
 		repairBytes += snap.Counter("livenode.wire.repair_bytes")
+		heartbeatBytes += snap.Counter("livenode.wire.heartbeat_bytes")
 		consensusBytes += snap.Counter("livenode.wire.consensus_bytes")
 	}
-	t.Logf("repair plane %d B, consensus plane %d B", repairBytes, consensusBytes)
-	if repairBytes == 0 {
-		t.Fatal("repair plane sent no bytes")
+	t.Logf("re-replication %d B, liveness %d B, consensus plane %d B",
+		repairBytes-heartbeatBytes, heartbeatBytes, consensusBytes)
+	if repairBytes == heartbeatBytes {
+		t.Fatal("repair plane fetched no bytes")
 	}
-	if repairBytes >= consensusBytes {
-		t.Fatalf("repair bytes %d not below consensus bytes %d", repairBytes, consensusBytes)
+	if repairBytes-heartbeatBytes >= consensusBytes {
+		t.Fatalf("re-replication bytes %d not below consensus bytes %d", repairBytes-heartbeatBytes, consensusBytes)
+	}
+	// Liveness has its own budget. A four-node roster fits in one probe
+	// sample, so a tick costs a node at most one 9-byte probe to, and one
+	// full-digest ack (5 + 6 + 4 per other node) for, each of its peers —
+	// at this tick rate more than the handful of blocks mined meanwhile.
+	ticks := uint64(time.Since(epoch)/probeEvery) + 1
+	const perTick = (n - 1) * (9 + 5 + 6 + 4*(n-1))
+	if limit := (n - 1) * ticks * perTick; heartbeatBytes > limit {
+		t.Fatalf("liveness bytes %d over %d (%d ticks of %d B on each survivor)", heartbeatBytes, limit, ticks, perTick)
 	}
 }

@@ -104,9 +104,8 @@ func BenchmarkSyncCatchup(b *testing.B) {
 // form, scaled down so CI pays seconds, not minutes: on a 300-block chain a
 // 10-block-lagging node catches up in at most 4 400 wire bytes and processes
 // exactly the 10 blocks it lacks — the cost does not depend on chain length.
-// The ceiling is the 3 484 B this exchange measures plus a quarter; shipping
-// the chain whole, as the retired fall-back did, read 67 432 B and 300
-// blocks here.
+// The ceiling is the 3 484 B this exchange measures plus a quarter; the
+// whole chain shipped in one frame reads 67 432 B and 300 blocks here.
 func TestSyncCatchupWireGate(t *testing.T) {
 	const chainLen, gap = 300, 10
 	f := newCatchupFixture(t, chainLen-gap)

@@ -56,6 +56,25 @@ func TestOpenRefusesPreSegmentationLog(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesUnreadableLogName: a wal.log that cannot be stat'ed (here
+// a symlink to itself) may be a chain too, so Open fails rather than start
+// empty beside it.
+func TestOpenRefusesUnreadableLogName(t *testing.T) {
+	dir := t.TempDir()
+	legacy := filepath.Join(dir, legacyWALFile)
+	if err := os.Symlink(legacyWALFile, legacy); err != nil {
+		t.Skipf("symlink: %v", err)
+	}
+	s, err := Open(dir, Options{Sync: SyncAlways})
+	if err == nil {
+		s.Close()
+		t.Fatal("opened a directory whose wal.log could not be examined")
+	}
+	if !strings.Contains(err.Error(), legacy) {
+		t.Fatalf("error %q does not name %s", err, legacy)
+	}
+}
+
 // TestRecoverSegmentEdgeCases drives recoverSegments through its cut
 // rules: an empty final segment is harmless, an empty mid-log segment or
 // a file whose first block disagrees with its name cuts the log there and

@@ -101,11 +101,13 @@ func Open(dir string, opts Options) (*Store, error) {
 		man = Manifest{}
 	}
 	m := opts.Metrics.orInert()
-	// A single wal.log is the pre-segmentation layout, which nothing reads
-	// any more: opening the directory as empty would silently drop its chain.
+	// A single wal.log is the pre-segmentation layout, which recovery does
+	// not read: opening the directory as empty would silently drop its chain.
 	legacy := filepath.Join(dir, legacyWALFile)
 	if _, err := os.Stat(legacy); err == nil {
 		return nil, fmt.Errorf("store: %s is a pre-segmentation block log this version cannot read; move it away to start from an empty chain", legacy)
+	} else if !os.IsNotExist(err) {
+		return nil, fmt.Errorf("store: stat %s: %w", legacy, err)
 	}
 	blob, spine, snapHeight, snapOK := loadSnapshot(dir, man)
 	blocks, layout, err := recoverSegments(dir)
