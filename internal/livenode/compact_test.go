@@ -78,7 +78,7 @@ func sortedPool(n *syncTestNode) []meta.DataID {
 func parked(n *syncTestNode, h block.Hash) *pendingFetch {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if pf := n.gossip.pending[h]; pf != nil && pf.compact != nil {
+	if pf := n.gossip.blocks.get(h); pf != nil && pf.compact != nil {
 		return pf
 	}
 	return nil
@@ -198,7 +198,7 @@ func TestCompactSilentAnnouncerFallsBackToLocator(t *testing.T) {
 		t.Errorf("sync.rounds = %d, want 1", v)
 	}
 	a.mu.Lock()
-	left := len(a.gossip.pending)
+	left := len(a.gossip.blocks.pending)
 	a.mu.Unlock()
 	if left != 0 {
 		t.Errorf("%d pending fetches after the fallback", left)
@@ -315,7 +315,7 @@ func TestCompactTamperNeverAdopts(t *testing.T) {
 				t.Errorf("pool changed across a rejected compact body")
 			}
 			a.mu.Lock()
-			left, seen := len(a.gossip.pending), a.gossip.seen.Has(cb.Head.Hash)
+			left, seen := len(a.gossip.blocks.pending), a.gossip.seen.Has(cb.Head.Hash)
 			a.mu.Unlock()
 			if left != 0 || !seen {
 				t.Errorf("after the rejection: %d pending, hash remembered %v", left, seen)
@@ -348,14 +348,15 @@ func TestCompactParkedBodyTornDown(t *testing.T) {
 	if pf == nil {
 		t.Fatal("body not parked")
 	}
+	timers := a.clock.activeTimers()
 	a.mu.Lock()
-	a.clearGossipLocked()
-	left := len(a.gossip.pending)
+	a.clearFetchesLocked()
+	left := len(a.gossip.blocks.pending)
 	a.mu.Unlock()
 	if left != 0 {
 		t.Fatalf("%d pending fetches after teardown", left)
 	}
-	if pf.timer.Stop() {
+	if pf.waiting() || a.clock.activeTimers() != timers-1 {
 		t.Error("teardown left the parked body's timer armed")
 	}
 	fn.setDrop(nil)
@@ -383,20 +384,20 @@ func TestCompactBodiesCompletedInFetchOrder(t *testing.T) {
 	defer a.mu.Unlock()
 	for i := 0; i < 24; i++ {
 		h := block.Hash{byte(i), 0xcb}
-		pf := &pendingFetch{from: "b", gen: uint64(100 - i), timer: a.clock.AfterFunc(time.Hour, func() {}),
-			compact: &block.Compact{Head: block.Block{Hash: h}}, missing: map[meta.DataID]struct{}{id: {}}}
+		pf := a.gossip.blocks.begin(h, []string{"b"}, 0)
+		pf.compact = &block.Compact{Head: block.Block{Hash: h}}
+		pf.missing = map[meta.DataID]struct{}{id: {}}
 		if i%8 == 7 {
 			pf.missing[other] = struct{}{}
 		}
-		a.gossip.pending[h] = pf
 	}
 	ready, blocks := a.noteCompactItemLocked(id)
 	if len(ready) != 21 || len(blocks) != 21 {
 		t.Fatalf("%d bodies ready with %d blocks, want 21", len(ready), len(blocks))
 	}
 	for i, pf := range ready {
-		if i > 0 && ready[i-1].gen >= pf.gen {
-			t.Fatalf("ready[%d] has fetch generation %d after %d", i, pf.gen, ready[i-1].gen)
+		if i > 0 && ready[i-1].seq >= pf.seq {
+			t.Fatalf("ready[%d] began as fetch %d, after %d", i, pf.seq, ready[i-1].seq)
 		}
 		if blocks[i] == nil || blocks[i].Hash != pf.compact.Head.Hash {
 			t.Fatalf("ready[%d] paired with the wrong rebuilt block", i)
@@ -405,5 +406,5 @@ func TestCompactBodiesCompletedInFetchOrder(t *testing.T) {
 	if again, _ := a.noteCompactItemLocked(id); len(again) != 0 {
 		t.Fatalf("%d bodies completed twice by the same item", len(again))
 	}
-	a.clearGossipLocked()
+	a.clearFetchesLocked()
 }

@@ -3,7 +3,6 @@ package livenode
 import (
 	"encoding/binary"
 	"slices"
-	"time"
 
 	"repro/internal/meta"
 	"repro/internal/p2p"
@@ -21,15 +20,6 @@ import (
 // Bindings are unsigned, like the repair announce: content is verified
 // against its ID before it is stored, so a forged binding can only cost the
 // fetch one SyncTimeout, and the real node's next frame overwrites it.
-
-// pendingData is the one pending fetch of a data item (guarded by Node.mu).
-type pendingData struct {
-	start   time.Time // first request: fetch latency counts from here
-	cands   []string  // holders to ask, in order; past the end the fetch broadcasts
-	next    int       // cands[:next] have been asked
-	attempt Timer     // SyncTimeout on the candidate asked last
-	expiry  Timer     // FetchTimeout on the whole fetch
-}
 
 // bindAddrLocked records that roster node i speaks from transport address
 // from and, with repair on, counts the frame as liveness evidence (n.mu
@@ -95,88 +85,39 @@ func (n *Node) RequestData(id meta.DataID) { n.requestData(id, false) }
 
 func (n *Node) requestData(id meta.DataID, placement bool) {
 	n.mu.Lock()
-	pf := n.fetches[id]
+	pf := n.fetches.get(id)
 	if pf == nil && !n.closed {
-		pf = &pendingData{start: n.clock.Now(), cands: n.fetchCandidatesLocked(id, placement)}
-		pf.expiry = n.clock.AfterFunc(n.cfg.FetchTimeout, func() { n.expireFetch(id, pf) })
-		n.fetches[id] = pf
+		pf = n.fetches.begin(id, n.fetchCandidatesLocked(id, placement), n.cfg.FetchTimeout)
 	}
-	idle := pf != nil && pf.attempt == nil // new, or broadcasting already
+	idle := pf != nil && !pf.waiting() // new, or broadcasting already
 	n.mu.Unlock()
 	if idle {
-		n.askNext(id, pf)
+		n.fetches.advance(id, pf)
 	}
 }
 
-// askNext sends the request of a pending fetch to its next candidate — the
-// attempt timer calls it when the last one stayed silent — and moves on at
-// once past a candidate the transport cannot reach. With no candidate left
-// it broadcasts: any holder may answer, as before the fetch was directed.
-func (n *Node) askNext(id meta.DataID, pf *pendingData) {
-	req := binary.BigEndian.AppendUint32(id[:], uint32(n.selfIdx))
-	for {
-		n.mu.Lock()
-		if n.fetches[id] != pf {
-			n.mu.Unlock()
-			return // answered, expired or closed meanwhile
-		}
-		if pf.attempt != nil {
-			pf.attempt.Stop()
-			pf.attempt = nil
-		}
-		if pf.next == len(pf.cands) {
-			n.mu.Unlock()
-			n.tel.fetchBroadcasts.Inc()
-			n.bcast(p2p.FrameDataRequest, req)
-			return
-		}
-		addr := pf.cands[pf.next]
-		pf.next++
-		pf.attempt = n.clock.AfterFunc(n.cfg.SyncTimeout, func() { n.askNext(id, pf) })
-		n.mu.Unlock()
+// newDataFetcher builds the data plane's fetch table (fetcher.go): one holder
+// is asked at a time, a holder the transport cannot reach is skipped at once,
+// and with no candidate left the request is broadcast — any holder may answer,
+// as before the fetch was directed — and the fetch waits for its expiry.
+func (n *Node) newDataFetcher() *fetcher[meta.DataID] {
+	f := newFetcher[meta.DataID](&n.mu, n.clock, n.cfg.SyncTimeout)
+	request := func(id meta.DataID) []byte {
+		return binary.BigEndian.AppendUint32(id[:], uint32(n.selfIdx))
+	}
+	f.ask = func(id meta.DataID, pf *pendingFetch, to string) bool {
 		n.tel.fetchDirected.Inc()
-		if pf.next > 1 {
+		if to != pf.cands[0] {
 			n.tel.fetchNextCandidate.Inc()
 		}
-		if n.send(addr, p2p.FrameDataRequest, req) == nil {
-			return
-		}
+		return n.send(to, p2p.FrameDataRequest, request(id)) == nil
 	}
-}
-
-// finishFetchLocked ends the pending fetch of id, if any, stopping the
-// timers it owns (n.mu held). It returns when the fetch began.
-func (n *Node) finishFetchLocked(id meta.DataID) (start time.Time, ok bool) {
-	pf := n.fetches[id]
-	if pf == nil {
-		return start, false
+	f.exhausted = func(id meta.DataID, _ *pendingFetch) func() {
+		n.tel.fetchBroadcasts.Inc()
+		return func() { n.bcast(p2p.FrameDataRequest, request(id)) }
 	}
-	delete(n.fetches, id)
-	pf.expiry.Stop()
-	if pf.attempt != nil {
-		pf.attempt.Stop()
-	}
-	return pf.start, true
-}
-
-// expireFetch drops a fetch nobody answered within FetchTimeout. The entry
-// pointer identifies the registration: a later fetch of the same ID is not
-// this timer's to touch.
-func (n *Node) expireFetch(id meta.DataID, pf *pendingData) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.fetches[id] == pf {
-		n.finishFetchLocked(id)
-		n.tel.dataFetchExpired.Inc()
-	}
-}
-
-// clearFetchesLocked drops every pending fetch and its timers (n.mu held);
-// Close and Kill call it.
-func (n *Node) clearFetchesLocked() {
-	for id := range n.fetches {
-		n.finishFetchLocked(id)
-	}
+	f.expired = func(meta.DataID, *pendingFetch) { n.tel.dataFetchExpired.Inc() }
+	return f
 }
 
 // handleDataRequest answers a fetch if this node holds the content. The
@@ -208,7 +149,7 @@ func (n *Node) handleData(payload []byte, targeted bool) {
 	}
 	copy(id[:], payload)
 	n.mu.Lock()
-	asked := n.fetches[id] != nil || (n.repair != nil && n.repair.queue.Has(id))
+	asked := n.fetches.get(id) != nil || (n.repair != nil && n.repair.queue.Has(id))
 	n.mu.Unlock()
 	if !asked {
 		return
@@ -226,8 +167,8 @@ func (n *Node) handleData(payload []byte, targeted bool) {
 	}
 	n.mu.Lock()
 	cb := n.onData
-	if start, ok := n.finishFetchLocked(id); ok {
-		n.tel.dataFetchNs.Observe(int64(n.clock.Now().Sub(start)))
+	if pf := n.fetches.finish(id); pf != nil {
+		n.tel.dataFetchNs.Observe(int64(n.clock.Now().Sub(pf.start)))
 	}
 	if rd := n.repair; rd != nil {
 		if lat, wasInflight := rd.queue.Done(id, n.now()); wasInflight && targeted {
@@ -239,4 +180,12 @@ func (n *Node) handleData(payload []byte, targeted bool) {
 	if !dup && cb != nil {
 		cb(id, content)
 	}
+}
+
+// clearFetchesLocked drops the pending fetches of all three planes and their
+// timers (n.mu held); Close, Kill and test teardowns call it.
+func (n *Node) clearFetchesLocked() {
+	n.gossip.blocks.clear()
+	n.gossip.metas.clear()
+	n.fetches.clear()
 }

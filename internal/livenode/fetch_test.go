@@ -21,7 +21,7 @@ import (
 func (n *Node) pendingFetches() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return len(n.fetches)
+	return len(n.fetches.pending)
 }
 
 // liveTimers counts the timers the clock still has to fire.

@@ -1,0 +1,162 @@
+package livenode
+
+import (
+	"sync"
+	"time"
+
+	"repro/internal/block"
+	"repro/internal/meta"
+)
+
+// Keyed fetcher (DESIGN.md §11.2). The paper has one read path — a node that
+// needs something asks a node that has it (§IV-D) — and so does this package:
+// a block body, a metadata item and a data item are all fetched by
+//
+//	begin(key, candidates) → ask one → silent for `wait`? ask the next → …
+//	  → answered (finish) | candidates exhausted | expired | cleared
+//
+// The three planes differ only in the key type, in who the candidates are and
+// in what "nobody answered" means; they supply an ask and the two verdict
+// hooks below and never see a timer, the cursor or the stale-callback guard.
+
+// pendingFetch is one fetch in flight, in any plane. Entries are guarded by
+// their table's lock; a plane reads start, seq and cands and owns the fields
+// below the line, the fetcher owns the rest.
+type pendingFetch struct {
+	start   time.Time // when the fetch began: its latency counts from here
+	seq     uint64    // begin order within the table
+	cands   []string  // transport addresses to ask, in order
+	next    int       // cands[:next] have been asked
+	attempt Timer     // wait on the candidate asked last; nil before the first ask and once exhausted
+	expiry  Timer     // bound on the whole fetch; nil when running out of candidates ends it
+
+	// Block plane: the announcer's compact answer, parked while the items it
+	// references and this node lacks — missing — are fetched (§13.1).
+	compact *block.Compact
+	missing map[meta.DataID]struct{}
+	// Data plane: the fetch re-replicates an item (§11), so its requests are
+	// marked and both ends charge it to their repair budget.
+	repair bool
+}
+
+// waiting reports whether a candidate has been asked and may still answer.
+func (e *pendingFetch) waiting() bool { return e.attempt != nil }
+
+// fetcher is one table of pending fetches keyed by K. A timer callback acts
+// only if the entry it was armed for is still the one registered under its
+// key (pointer identity), so a callback that lost the race against an answer,
+// a teardown or a later fetch of the same key does nothing.
+type fetcher[K comparable] struct {
+	mu    *sync.Mutex // the owner's lock; guards pending and every entry
+	clock Clock
+	wait  time.Duration // how long one candidate may stay silent
+
+	// ask sends the request for k to one candidate (mu not held). False means
+	// it could not be sent: the next candidate is asked at once.
+	ask func(k K, e *pendingFetch, to string) bool
+	// exhausted is the plane's verdict on a fetch whose last candidate failed
+	// (mu held); what it returns, if anything, runs once mu is released. A
+	// fetch without an expiry has ended by then. One with an expiry lives on
+	// until an answer or the expiry, and every further advance exhausts it
+	// again.
+	exhausted func(k K, e *pendingFetch) (unlocked func())
+	// expired is told that a fetch was dropped by its expiry timer (mu held).
+	expired func(k K, e *pendingFetch)
+
+	pending map[K]*pendingFetch
+	seq     uint64
+}
+
+func newFetcher[K comparable](mu *sync.Mutex, clock Clock, wait time.Duration) *fetcher[K] {
+	return &fetcher[K]{mu: mu, clock: clock, wait: wait, pending: make(map[K]*pendingFetch)}
+}
+
+// get returns the pending fetch of k, or nil (mu held).
+func (f *fetcher[K]) get(k K) *pendingFetch { return f.pending[k] }
+
+// begin registers a fetch of k from cands and returns it; nothing is asked
+// until advance. A positive expiry bounds the whole fetch. While a fetch of k
+// is pending, begin restarts nothing and returns that one (mu held).
+func (f *fetcher[K]) begin(k K, cands []string, expiry time.Duration) *pendingFetch {
+	if e := f.pending[k]; e != nil {
+		return e
+	}
+	f.seq++
+	e := &pendingFetch{start: f.clock.Now(), seq: f.seq, cands: cands}
+	if expiry > 0 {
+		e.expiry = f.clock.AfterFunc(expiry, func() { f.expire(k, e) })
+	}
+	f.pending[k] = e
+	return e
+}
+
+// advance asks the next candidate of e: the caller does so once after begin
+// and whenever the candidate asked last has failed, the attempt timer when it
+// stayed silent. Past the last candidate the fetch is exhausted. mu must not
+// be held.
+func (f *fetcher[K]) advance(k K, e *pendingFetch) {
+	for {
+		f.mu.Lock()
+		if f.pending[k] != e {
+			f.mu.Unlock()
+			return // answered, exhausted, expired or cleared meanwhile
+		}
+		if e.attempt != nil {
+			e.attempt.Stop()
+			e.attempt = nil
+		}
+		if e.next == len(e.cands) {
+			if e.expiry == nil {
+				delete(f.pending, k)
+			}
+			unlocked := f.exhausted(k, e)
+			f.mu.Unlock()
+			if unlocked != nil {
+				unlocked()
+			}
+			return
+		}
+		to := e.cands[e.next]
+		e.next++
+		e.attempt = f.clock.AfterFunc(f.wait, func() { f.advance(k, e) })
+		f.mu.Unlock()
+		if f.ask(k, e, to) {
+			return
+		}
+	}
+}
+
+// finish ends the pending fetch of k — it was answered — stopping the timers
+// it owns, and returns it; nil if none was pending (mu held).
+func (f *fetcher[K]) finish(k K) *pendingFetch {
+	e := f.pending[k]
+	if e == nil {
+		return nil
+	}
+	delete(f.pending, k)
+	if e.attempt != nil {
+		e.attempt.Stop()
+		e.attempt = nil
+	}
+	if e.expiry != nil {
+		e.expiry.Stop()
+	}
+	return e
+}
+
+// expire is the expiry timer's callback.
+func (f *fetcher[K]) expire(k K, e *pendingFetch) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.pending[k] == e {
+		f.finish(k)
+		f.expired(k, e)
+	}
+}
+
+// clear drops every pending fetch and its timers without a verdict (mu held).
+func (f *fetcher[K]) clear() {
+	for k := range f.pending {
+		f.finish(k)
+	}
+}

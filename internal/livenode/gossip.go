@@ -25,10 +25,10 @@ import (
 //	                              FrameBlockAnnounce ───────▶  …
 //
 // Duplicate announces are suppressed against the chain's own hash index
-// (adopted blocks), the pending-fetch table (a fetch already in flight)
-// and a small LRU of hashes seen but not adopted (stale forks, timed-out
-// fetches). A fetch the announcer never answers falls back to the §10
-// sync locator path after cfg.SyncTimeout: the ladder is
+// (adopted blocks), the pending fetches (fetcher.go: one candidate, the
+// announcer) and a small LRU of hashes seen but not adopted (stale forks,
+// timed-out fetches). A fetch the announcer never answers falls back to the
+// §10 sync locator path after cfg.SyncTimeout: the ladder is
 // announce → fetch → locator.
 const (
 	// defaultGossipFanout is how many peers an announce is relayed to when
@@ -49,37 +49,37 @@ const (
 // and seen/pending discipline also runs the metadata relay (DESIGN.md
 // §15.1). All fields are guarded by Node.mu.
 type gossipState struct {
-	rng     *rand.Rand           // node-local, deterministically seeded peer sampling
-	seen    *seenLRU[block.Hash] // announced hashes not (or not yet) on our chain
-	pending map[block.Hash]*pendingFetch
-	gen     uint64 // fetch generation, guards stale timers
+	rng    *rand.Rand           // node-local, deterministically seeded peer sampling
+	seen   *seenLRU[block.Hash] // announced hashes not (or not yet) on our chain
+	blocks *fetcher[block.Hash] // bodies being fetched from their announcer
 
 	// Metadata relay (DESIGN.md §15.1).
-	metaSeen    *seenLRU[meta.DataID] // announced IDs not (or not yet) pooled
-	metaPending map[meta.DataID]*pendingMetaFetch
-	metaGen     uint64
+	metaSeen *seenLRU[meta.DataID] // announced IDs not (or not yet) pooled
+	metas    *fetcher[meta.DataID] // items being fetched from their announcer
 }
 
-// pendingFetch tracks one outstanding FrameGetBlock.
-type pendingFetch struct {
-	from   string
-	height uint64
-	gen    uint64
-	timer  Timer
-	// compact is the announcer's answer, parked (still under timer) while
-	// the items it references and this node lacks — missing — are fetched.
-	compact *block.Compact
-	missing map[meta.DataID]struct{}
-}
-
-func newGossipState(seed int64) *gossipState {
-	return &gossipState{
-		rng:         rand.New(rand.NewSource(seed)),
-		seen:        newSeenLRU[block.Hash](gossipSeenCap),
-		pending:     make(map[block.Hash]*pendingFetch),
-		metaSeen:    newSeenLRU[meta.DataID](metaSeenCap),
-		metaPending: make(map[meta.DataID]*pendingMetaFetch),
+func (n *Node) newGossipState(seed int64) *gossipState {
+	g := &gossipState{
+		rng:      rand.New(rand.NewSource(seed)),
+		seen:     newSeenLRU[block.Hash](gossipSeenCap),
+		blocks:   newFetcher[block.Hash](&n.mu, n.clock, n.cfg.SyncTimeout),
+		metaSeen: newSeenLRU[meta.DataID](metaSeenCap),
+		metas:    newFetcher[meta.DataID](&n.mu, n.clock, n.cfg.SyncTimeout),
 	}
+	g.blocks.ask = func(h block.Hash, _ *pendingFetch, to string) bool {
+		n.send(to, p2p.FrameGetBlock, h[:])
+		return true // an announcer the request did not reach is given up by the timer
+	}
+	g.blocks.exhausted = n.blockFetchExhausted
+	// handleMetaAnnounce sends one batched request for every ID it begins, so
+	// advancing an entry only starts its wait.
+	g.metas.ask = func(meta.DataID, *pendingFetch, string) bool { return true }
+	g.metas.exhausted = func(meta.DataID, *pendingFetch) func() {
+		// No locator fallback (metagossip.go): a later announce may retry.
+		n.tel.metaFetchTimeouts.Inc()
+		return nil
+	}
+	return g
 }
 
 // seenLRU is a fixed-capacity set of 32-byte identifiers (block hashes,
@@ -230,7 +230,7 @@ func (n *Node) handleBlockAnnounce(from string, payload []byte) {
 		n.tel.gossipDupSuppressed.Inc()
 		n.mu.Unlock()
 		return
-	case g.pending[hash] != nil:
+	case g.blocks.get(hash) != nil:
 		n.tel.gossipDupSuppressed.Inc()
 		n.mu.Unlock()
 		return
@@ -242,21 +242,17 @@ func (n *Node) handleBlockAnnounce(from string, payload []byte) {
 		n.tel.gossipStaleSuppressed.Inc()
 		n.mu.Unlock()
 		return
-	case len(g.pending) >= maxPendingFetch:
+	case len(g.blocks.pending) >= maxPendingFetch:
 		// Fetch table saturated — we are far behind, and block-by-block
 		// fetching is the wrong tool. Degrade to batched sync.
 		n.mu.Unlock()
 		n.sendSyncLocator(from)
 		return
 	}
-	g.gen++
-	pf := &pendingFetch{from: from, height: height, gen: g.gen}
-	gen := g.gen
-	pf.timer = n.clock.AfterFunc(n.cfg.SyncTimeout, func() { n.giveUpFetch(hash, gen) })
-	g.pending[hash] = pf
+	pf := g.blocks.begin(hash, []string{from}, 0)
 	n.tel.gossipFetchesSent.Inc()
 	n.mu.Unlock()
-	n.send(from, p2p.FrameGetBlock, hash[:])
+	g.blocks.advance(hash, pf)
 }
 
 // handleGetBlock serves a fetched body in compact form; an unknown hash is
@@ -287,8 +283,9 @@ func (n *Node) resolveItemLocked(id meta.DataID) *meta.Item {
 
 // handleCompactBlock rebuilds a fetched block from items this node already
 // holds (DESIGN.md §13.1). IDs it cannot resolve are requested from the
-// announcer while the body parks in its pending entry, still under the fetch
-// timer; more of them than a fetch table holds go straight to the locator.
+// announcer while the body parks in its pending fetch, whose wait on the
+// announcer keeps running; more of them than a fetch table holds go straight
+// to the locator.
 func (n *Node) handleCompactBlock(from string, payload []byte) {
 	cb, err := block.DecodeCompact(payload)
 	if err != nil {
@@ -297,7 +294,7 @@ func (n *Node) handleCompactBlock(from string, payload []byte) {
 	n.mu.Lock()
 	var pf *pendingFetch
 	if !n.closed {
-		pf = n.gossip.pending[cb.Head.Hash]
+		pf = n.gossip.blocks.get(cb.Head.Hash)
 	}
 	if pf == nil || pf.compact != nil {
 		// Never requested, given up on, or a duplicate delivery.
@@ -327,7 +324,7 @@ func (n *Node) handleCompactBlock(from string, payload []byte) {
 // caller to pass to finishCompact (n.mu held). They come in fetch order:
 // two bodies completed by one item must adopt deterministically.
 func (n *Node) noteCompactItemLocked(id meta.DataID) (ready []*pendingFetch, blocks []*block.Block) {
-	for _, pf := range n.gossip.pending {
+	for _, pf := range n.gossip.blocks.pending {
 		if _, waiting := pf.missing[id]; !waiting {
 			continue
 		}
@@ -335,7 +332,7 @@ func (n *Node) noteCompactItemLocked(id meta.DataID) (ready []*pendingFetch, blo
 			ready = append(ready, pf)
 		}
 	}
-	sort.Slice(ready, func(i, j int) bool { return ready[i].gen < ready[j].gen })
+	sort.Slice(ready, func(i, j int) bool { return ready[i].seq < ready[j].seq })
 	for _, pf := range ready {
 		// An item that arrived but was not admitted (forged, expired) is
 		// still unresolved: a nil block, and finishCompact gives the fetch up.
@@ -348,46 +345,32 @@ func (n *Node) noteCompactItemLocked(id meta.DataID) (ready []*pendingFetch, blo
 // finishCompact ends a compact fetch. A rebuilt block goes through
 // receiveBlock like any block off the wire: the hash is recomputed over the
 // full item bytes there, so a wrong pool item is a locator round, never an
-// adoption. A body that cannot be rebuilt (blk nil) is given up.
+// adoption. A body that cannot be rebuilt (blk nil) means the announcer
+// failed, and it was the only candidate.
 func (n *Node) finishCompact(pf *pendingFetch, blk *block.Block) {
 	if blk == nil {
-		n.giveUpFetch(pf.compact.Head.Hash, pf.gen)
+		n.gossip.blocks.advance(pf.compact.Head.Hash, pf)
 		return
 	}
 	n.tel.compactRebuilt.Inc()
-	if errors.Is(n.receiveBlock(pf.from, blk), block.ErrBadHash) {
+	if errors.Is(n.receiveBlock(pf.cands[0], blk), block.ErrBadHash) {
 		n.tel.compactFallbacks.Inc()
 	}
 }
 
-// giveUpFetch ends a fetch whose announcer never answered (the timer), or
-// whose compact answer could not be completed: drop the pending entry and
-// probe the announcer with a block locator instead, so one silent peer
-// cannot strand a block.
-func (n *Node) giveUpFetch(hash block.Hash, gen uint64) {
-	n.mu.Lock()
-	g := n.gossip
-	if n.closed {
-		n.mu.Unlock()
-		return
-	}
-	pf := g.pending[hash]
-	if pf == nil || pf.gen != gen {
-		n.mu.Unlock()
-		return // answered, or superseded
-	}
-	pf.timer.Stop()
-	delete(g.pending, hash)
+// blockFetchExhausted is the block plane's verdict on a fetch whose announcer
+// never answered, or whose compact answer could not be completed (n.mu held):
+// probe the announcer with a block locator instead, so one silent peer cannot
+// strand a block.
+func (n *Node) blockFetchExhausted(hash block.Hash, pf *pendingFetch) func() {
 	// Remember the hash: a re-announce must not restart a fetch the
 	// locator path is already covering.
-	g.seen.Add(hash)
-	from := pf.from
+	n.gossip.seen.Add(hash)
 	n.tel.gossipFetchTimeouts.Inc()
 	if pf.compact != nil {
 		n.tel.compactFallbacks.Inc()
 	}
-	n.mu.Unlock()
-	n.sendSyncLocator(from)
+	return func() { n.sendSyncLocator(pf.cands[0]) }
 }
 
 // noteGossipBlockLocked records the arrival of a full block against the
@@ -395,31 +378,10 @@ func (n *Node) giveUpFetch(hash block.Hash, gen uint64) {
 // a body that failed adoption joins the seen set so its re-announce does
 // not refetch. Returns whether the adopted block should be relayed.
 func (n *Node) noteGossipBlockLocked(blk *block.Block, adopted bool) (relay bool) {
-	g := n.gossip
-	if pf := g.pending[blk.Hash]; pf != nil {
-		pf.timer.Stop()
-		delete(g.pending, blk.Hash)
-	}
+	n.gossip.blocks.finish(blk.Hash)
 	if !adopted {
-		g.seen.Add(blk.Hash)
+		n.gossip.seen.Add(blk.Hash)
 		return false
 	}
 	return true
-}
-
-// clearGossipLocked stops all pending fetch timers and resets the fetch
-// tables of both gossip planes (n.mu held). Close/Kill and test
-// teardowns call it.
-func (n *Node) clearGossipLocked() {
-	g := n.gossip
-	for h, pf := range g.pending {
-		pf.timer.Stop()
-		delete(g.pending, h)
-	}
-	g.gen++
-	for id, pm := range g.metaPending {
-		pm.timer.Stop()
-		delete(g.metaPending, id)
-	}
-	g.metaGen++
 }

@@ -178,17 +178,17 @@ type Node struct {
 	mineTimer     Timer
 	closed        bool
 	onData        func(id meta.DataID, content []byte)
-	fetches       map[meta.DataID]*pendingData // pending data fetches (fetch.go)
-	addrOf        []string                     // roster index → transport address, "" until learned
-	idxOf         map[string]int               // its inverse
-	sync          *syncSession                 // at most one incremental sync in flight
-	syncGen       uint64                       // session generation, guards stale timers
-	repair        *repairDriver                // nil when repair is disabled
-	gossip        *gossipState                 // block and metadata relay bookkeeping
-	boot          *bootstrapState              // at most one snapshot bootstrap in flight
-	bootGen       uint64                       // bootstrap generation, guards stale timers
-	bootHold      bool                         // fresh node: mining held for the first bootstrap attempt
-	persistedSnap uint64                       // newest snapshot height written to the store
+	fetches       *fetcher[meta.DataID] // pending data fetches (fetch.go)
+	addrOf        []string              // roster index → transport address, "" until learned
+	idxOf         map[string]int        // its inverse
+	sync          *syncSession          // at most one incremental sync in flight
+	syncGen       uint64                // session generation, guards stale timers
+	repair        *repairDriver         // nil when repair is disabled
+	gossip        *gossipState          // block and metadata relay bookkeeping
+	boot          *bootstrapState       // at most one snapshot bootstrap in flight
+	bootGen       uint64                // bootstrap generation, guards stale timers
+	bootHold      bool                  // fresh node: mining held for the first bootstrap attempt
+	persistedSnap uint64                // newest snapshot height written to the store
 
 	tel *nodeMetrics
 }
@@ -498,15 +498,15 @@ func New(cfg Config) (*Node, error) {
 		clock:   cfg.Clock,
 		store:   cfg.Store,
 		onData:  cfg.OnData,
-		fetches: make(map[meta.DataID]*pendingData),
 		addrOf:  make([]string, len(cfg.Accounts)),
 		idxOf:   make(map[string]int),
 		tel:     newNodeMetrics(cfg.Telemetry, len(cfg.Accounts)),
-		// Seed the sampling RNG from deployment-shared state plus our own
-		// roster index: deterministic per node, distinct across nodes, so
-		// virtual-clock chaos runs replay bit-identically.
-		gossip: newGossipState(cfg.GenesisSeed ^ (int64(selfIdx+1) * 0x9E3779B9)),
 	}
+	n.fetches = n.newDataFetcher()
+	// Seed the sampling RNG from deployment-shared state plus our own
+	// roster index: deterministic per node, distinct across nodes, so
+	// virtual-clock chaos runs replay bit-identically.
+	n.gossip = n.newGossipState(cfg.GenesisSeed ^ (int64(selfIdx+1) * 0x9E3779B9))
 
 	// The repair driver must exist before the engine: the engine's
 	// Liveness callback reads its churn detector during Mine.
@@ -724,7 +724,6 @@ func (n *Node) Close() error {
 		n.repair.timer.Stop()
 	}
 	n.clearSyncLocked()
-	n.clearGossipLocked()
 	n.clearBootstrapLocked()
 	n.clearFetchesLocked()
 	tip := n.eng.Tip()
@@ -752,7 +751,6 @@ func (n *Node) Kill() error {
 		n.repair.timer.Stop()
 	}
 	n.clearSyncLocked()
-	n.clearGossipLocked()
 	n.clearBootstrapLocked()
 	n.clearFetchesLocked()
 	n.mu.Unlock()

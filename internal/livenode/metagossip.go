@@ -45,13 +45,6 @@ const (
 	maxPendingMetaFetch = 256
 )
 
-// pendingMetaFetch tracks the outstanding FrameGetMeta entry for one ID.
-type pendingMetaFetch struct {
-	from  string
-	gen   uint64
-	timer Timer
-}
-
 // --- wire codecs --------------------------------------------------------------
 
 // encodeIDList serializes a FrameMetaAnnounce / FrameGetMeta payload: a
@@ -110,7 +103,7 @@ func (n *Node) relayMeta(ids []meta.DataID, exclude string) {
 
 // handleMetaAnnounce applies the dedup rules per announced ID and batches
 // one FrameGetMeta back to the announcer for the genuinely unknown ones.
-// A pending entry that times out is simply forgotten — re-announces may
+// A fetch the announcer never answers is simply forgotten — re-announces may
 // retry, and the §10 sync path delivers whatever gets packed meanwhile.
 func (n *Node) handleMetaAnnounce(from string, payload []byte) {
 	ids, err := decodeIDList(payload)
@@ -118,6 +111,7 @@ func (n *Node) handleMetaAnnounce(from string, payload []byte) {
 		return
 	}
 	var want []meta.DataID
+	var began []*pendingFetch
 	n.mu.Lock()
 	g := n.gossip
 	if n.closed {
@@ -134,25 +128,23 @@ func (n *Node) handleMetaAnnounce(from string, payload []byte) {
 			n.tel.metaDupSuppressed.Inc()
 		case g.metaSeen.Has(id):
 			n.tel.metaDupSuppressed.Inc()
-		case g.metaPending[id] != nil:
+		case g.metas.get(id) != nil:
 			n.tel.metaDupSuppressed.Inc()
-		case len(g.metaPending) >= maxPendingMetaFetch:
+		case len(g.metas.pending) >= maxPendingMetaFetch:
 			// Fetch table saturated: drop the announce. Unlike the block
 			// path there is nothing to degrade to — packed items arrive
 			// via sync, unpacked ones via a later announce.
 			n.tel.metaFetchDropped.Inc()
 		default:
-			g.metaGen++
-			pm := &pendingMetaFetch{from: from, gen: g.metaGen}
-			gen := g.metaGen
-			fetchID := id
-			pm.timer = n.clock.AfterFunc(n.cfg.SyncTimeout, func() { n.onMetaFetchTimeout(fetchID, gen) })
-			g.metaPending[id] = pm
+			began = append(began, g.metas.begin(id, []string{from}, 0))
 			want = append(want, id)
 		}
 	}
 	n.mu.Unlock()
 	if len(want) > 0 {
+		for i, id := range want {
+			g.metas.advance(id, began[i])
+		}
 		n.tel.metaFetchesSent.Add(len(want))
 		n.send(from, p2p.FrameGetMeta, encodeIDList(want))
 	}
@@ -182,37 +174,15 @@ func (n *Node) handleGetMeta(from string, payload []byte) {
 	}
 }
 
-// onMetaFetchTimeout fires when an announcer never answered a
-// FrameGetMeta entry: the pending slot is freed so a later announce (from
-// anyone) may retry. No locator fallback — see the package comment.
-func (n *Node) onMetaFetchTimeout(id meta.DataID, gen uint64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	g := n.gossip
-	if n.closed {
-		return
-	}
-	pm := g.metaPending[id]
-	if pm == nil || pm.gen != gen {
-		return // answered, or superseded
-	}
-	delete(g.metaPending, id)
-	n.tel.metaFetchTimeouts.Inc()
-}
-
 // noteMetaArrivalLocked records the arrival of a full metadata item
 // against the relay state (n.mu held): a pending fetch for its ID is
 // complete, and an item that failed admission (forged signature,
 // duplicate) joins the seen set so its re-announce does not refetch.
 // Returns whether the admitted item should be re-relayed.
 func (n *Node) noteMetaArrivalLocked(id meta.DataID, added bool) (relay bool) {
-	g := n.gossip
-	if pm := g.metaPending[id]; pm != nil {
-		pm.timer.Stop()
-		delete(g.metaPending, id)
-	}
+	n.gossip.metas.finish(id)
 	if !added {
-		g.metaSeen.Add(id)
+		n.gossip.metaSeen.Add(id)
 		return false
 	}
 	return true

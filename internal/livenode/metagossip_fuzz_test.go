@@ -129,7 +129,7 @@ func FuzzMetaGossipFrames(f *testing.F) {
 			t.Fatal("pool holds an item that does not verify")
 		}
 		n.mu.Lock()
-		n.clearGossipLocked()
+		n.clearFetchesLocked()
 		n.mu.Unlock()
 	})
 }

@@ -89,7 +89,7 @@ func TestMetaGossipFetchTimeoutDropsPending(t *testing.T) {
 	id := meta.HashData([]byte("never served"))
 	a.handleFrame("b", p2p.FrameMetaAnnounce, encodeIDList([]meta.DataID{id}))
 	a.mu.Lock()
-	pending := len(a.gossip.metaPending)
+	pending := len(a.gossip.metas.pending)
 	a.mu.Unlock()
 	if pending != 1 {
 		t.Fatalf("pending fetches = %d, want 1", pending)
@@ -98,7 +98,7 @@ func TestMetaGossipFetchTimeoutDropsPending(t *testing.T) {
 
 	a.clock.Advance(2 * time.Second) // SyncTimeout is 1s on the fabric
 	a.mu.Lock()
-	pending = len(a.gossip.metaPending)
+	pending = len(a.gossip.metas.pending)
 	a.mu.Unlock()
 	if pending != 0 {
 		t.Fatalf("pending fetch survived its timeout")

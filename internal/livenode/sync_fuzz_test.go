@@ -165,7 +165,7 @@ func FuzzSyncFrames(f *testing.F) {
 			t.Fatalf("roster table after forged frames: %v / %v", n.addrOf, n.idxOf)
 		}
 		n.clearSyncLocked()
-		n.clearGossipLocked()
+		n.clearFetchesLocked()
 		n.mu.Unlock()
 	})
 }
