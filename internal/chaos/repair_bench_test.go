@@ -110,10 +110,10 @@ func measureRepairConvergence(b *testing.B, n int, frac float64) {
 	b.ReportMetric(float64(sumCounter("livenode.wire.repair_bytes")), "repairB")
 	b.ReportMetric(float64(sumCounter("livenode.wire.consensus_bytes")), "consB")
 	b.Logf("n=%d churn=%.0f%%: killed %d nodes %v, healed in %v virtual; "+
-		"repair: enqueued=%d fetches=%d completed=%d fallbacks=%d throttled=%d reannounced=%d; "+
+		"repair: enqueued=%d completed=%d fallbacks=%d throttled=%d reannounced=%d; "+
 		"wire: repair=%dB consensus=%dB data=%dB",
 		n, frac*100, len(killed), killed, heal,
-		sumCounter("livenode.repair.enqueued"), sumCounter("livenode.repair.fetches"),
+		sumCounter("livenode.repair.enqueued"),
 		sumCounter("livenode.repair.completed"), sumCounter("livenode.repair.fallbacks"),
 		sumCounter("livenode.repair.throttled"), sumCounter("livenode.repair.reannounced"),
 		sumCounter("livenode.wire.repair_bytes"), sumCounter("livenode.wire.consensus_bytes"),

@@ -78,7 +78,7 @@ func sortedPool(n *syncTestNode) []meta.DataID {
 func parked(n *syncTestNode, h block.Hash) *pendingFetch {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if pf := n.gossip.blocks.get(h); pf != nil && pf.compact != nil {
+	if pf := n.gossip.blocks.pending[h]; pf != nil && pf.compact != nil {
 		return pf
 	}
 	return nil

@@ -6,20 +6,37 @@ import (
 
 	"repro/internal/meta"
 	"repro/internal/p2p"
+	"repro/internal/repair"
 )
 
-// Directed data fetch (DESIGN.md §11.1). The paper places every item so a
-// consumer can read it from a nearby storing node (§IV-D); a fetch therefore
-// asks ONE holder at a time — the item's on-chain storing nodes, then its
-// producer — and falls through to a broadcast only when it knows nobody to
-// ask or everybody it asked stayed silent. Asking a node needs its transport
-// address: the roster ↔ address table below is learned lazily from frames
-// that carry a roster index anyway (the data request itself, repair
-// announces, probes and acks), never from a handshake.
+// Directed data fetch (DESIGN.md §11.1), the one read path. The paper places
+// every item so a consumer can read it from a nearby storing node (§IV-D); a
+// fetch therefore asks ONE holder at a time — the item's on-chain storing
+// nodes, then its producer — and falls through to a broadcast only when it
+// knows nobody to ask or everybody it asked stayed silent. Asking a node needs
+// its transport address: the roster ↔ address table below is learned lazily
+// from frames that carry a roster index anyway (the data request itself,
+// probes and acks), never from a handshake.
 //
-// Bindings are unsigned, like the repair announce: content is verified
-// against its ID before it is stored, so a forged binding can only cost the
-// fetch one SyncTimeout, and the real node's next frame overwrites it.
+// Bindings are unsigned, like the probe: content is verified against its ID
+// before it is stored, so a forged binding can only cost the fetch one
+// SyncTimeout, and the real node's next frame overwrites it.
+
+// fetchPurpose says why a data item is fetched — a consumer's read, a new
+// storer's placement fetch and the repair plane's re-replication are the same
+// fetch — and picks the candidate order, the expiry and who pays.
+type fetchPurpose uint8
+
+const (
+	consumerFetch fetchPurpose = iota
+	placementFetch
+	repairFetch
+)
+
+// repairMark, the top bit of a data request's roster-index word, is set on a
+// repair fetch: the holder charges its answer to the repair budget and both
+// ends count the exchange as repair traffic. Unmarked requests never set it.
+const repairMark = 1 << 31
 
 // bindAddrLocked records that roster node i speaks from transport address
 // from and, with repair on, counts the frame as liveness evidence (n.mu
@@ -46,10 +63,12 @@ func (n *Node) bindAddrLocked(i int, from string) bool {
 // fetchCandidatesLocked lists the addresses to ask for id (n.mu held). A
 // consumer starts at the storing node its own roster index selects, so
 // requesters spread over the replicas without an RNG draw, and asks the
-// producer last; a placement fetch asks the producer first, because the
-// other assigned storers are fetching at the same moment. An item this node
-// cannot resolve, or whose holders it has no address for, has no candidates.
-func (n *Node) fetchCandidatesLocked(id meta.DataID, placement bool) []string {
+// producer last, as does a repair fetch; a placement fetch asks the producer
+// first, because the other assigned storers are fetching at the same moment.
+// With a churn detector, holders it calls dead are skipped and suspect ones
+// go after the alive. An item this node cannot resolve, or whose holders it
+// has no address for, has no candidates.
+func (n *Node) fetchCandidatesLocked(id meta.DataID, purpose fetchPurpose) []string {
 	it := n.resolveItemLocked(id)
 	if it == nil {
 		return nil
@@ -59,35 +78,59 @@ func (n *Node) fetchCandidatesLocked(id meta.DataID, placement bool) []string {
 		order = append(order, it.StoringNodes[(k+n.selfIdx)%len(it.StoringNodes)])
 	}
 	if p, ok := n.eng.Ledger().IndexOf(it.Producer); ok {
-		if placement {
+		if purpose == placementFetch {
 			order = slices.Insert(order, 0, p)
 		} else {
 			order = append(order, p)
 		}
 	}
-	var cands []string
+	now := n.now()
+	var cands, suspect []string
 	for _, i := range order {
 		if i < 0 || i >= len(n.addrOf) || i == n.selfIdx {
 			continue
 		}
-		if a := n.addrOf[i]; a != "" && !slices.Contains(cands, a) {
+		a := n.addrOf[i]
+		if a == "" || slices.Contains(cands, a) || slices.Contains(suspect, a) {
+			continue
+		}
+		status := repair.Alive
+		if n.repair != nil {
+			status = n.repair.det.Status(i, now)
+		}
+		switch status {
+		case repair.Alive:
 			cands = append(cands, a)
+		case repair.Suspect:
+			suspect = append(suspect, a)
 		}
 	}
-	return cands
+	return append(cands, suspect...)
 }
 
 // RequestData fetches a data item from one of its holders; OnData fires when
 // verified content arrives. While a fetch for id is pending a repeated call
 // restarts nothing: it only repeats the broadcast of a fetch that has run
 // out of candidates. A fetch nobody answers is dropped after FetchTimeout.
-func (n *Node) RequestData(id meta.DataID) { n.requestData(id, false) }
+func (n *Node) RequestData(id meta.DataID) { n.requestData(id, consumerFetch) }
 
-func (n *Node) requestData(id meta.DataID, placement bool) {
+func (n *Node) requestData(id meta.DataID, purpose fetchPurpose) {
 	n.mu.Lock()
-	pf := n.fetches.get(id)
+	pf := n.fetches.pending[id]
+	if pf != nil && !pf.repair && purpose == repairFetch {
+		// The repair plane takes the fetch over: a placement fetch that found
+		// nobody has no candidates worth waiting FetchTimeout on, a launch
+		// picks afresh, pays the budget and is retried by its queue.
+		n.fetches.finish(id)
+		pf = nil
+	}
 	if pf == nil && !n.closed {
-		pf = n.fetches.begin(id, n.fetchCandidatesLocked(id, placement), n.cfg.FetchTimeout)
+		expiry := n.cfg.FetchTimeout
+		if purpose == repairFetch {
+			expiry = n.cfg.RepairProbeEvery * 4 // one bounded try
+		}
+		pf = n.fetches.begin(id, n.fetchCandidatesLocked(id, purpose), expiry)
+		pf.repair = purpose == repairFetch
 	}
 	idle := pf != nil && !pf.waiting() // new, or broadcasting already
 	n.mu.Unlock()
@@ -102,54 +145,81 @@ func (n *Node) requestData(id meta.DataID, placement bool) {
 // as before the fetch was directed — and the fetch waits for its expiry.
 func (n *Node) newDataFetcher() *fetcher[meta.DataID] {
 	f := newFetcher[meta.DataID](&n.mu, n.clock, n.cfg.SyncTimeout)
-	request := func(id meta.DataID) []byte {
-		return binary.BigEndian.AppendUint32(id[:], uint32(n.selfIdx))
+	request := func(id meta.DataID, pf *pendingFetch) []byte {
+		w := uint32(n.selfIdx)
+		if pf.repair {
+			w |= repairMark
+		}
+		return binary.BigEndian.AppendUint32(id[:], w)
 	}
 	f.ask = func(id meta.DataID, pf *pendingFetch, to string) bool {
 		n.tel.fetchDirected.Inc()
 		if to != pf.cands[0] {
 			n.tel.fetchNextCandidate.Inc()
 		}
-		return n.send(to, p2p.FrameDataRequest, request(id)) == nil
+		return n.sendFetch(to, p2p.FrameDataRequest, request(id, pf), pf.repair) == nil
 	}
-	f.exhausted = func(id meta.DataID, _ *pendingFetch) func() {
+	f.exhausted = func(id meta.DataID, pf *pendingFetch) func() {
 		n.tel.fetchBroadcasts.Inc()
-		return func() { n.bcast(p2p.FrameDataRequest, request(id)) }
+		if pf.repair {
+			n.tel.repairFallbacks.Inc()
+		}
+		return func() { n.bcast(p2p.FrameDataRequest, request(id, pf), pf.repair) }
 	}
-	f.expired = func(meta.DataID, *pendingFetch) { n.tel.dataFetchExpired.Inc() }
+	f.expired = func(id meta.DataID, pf *pendingFetch) {
+		if pf.repair {
+			n.repair.queue.Failed(id, n.now()) // the task backs off and is launched again
+		} else {
+			n.tel.dataFetchExpired.Inc()
+		}
+	}
 	return f
 }
 
 // handleDataRequest answers a fetch if this node holds the content. The
-// payload is DataID ‖ u32 requester roster index; the index teaches this
-// node the requester's address.
+// payload is DataID ‖ u32 requester roster index (‖ repairMark); the index
+// teaches this node the requester's address. The answer to a marked request
+// must fit this node's repair budget: denied means no answer, the requester
+// moves on to its next candidate — the rate limit doing its job.
 func (n *Node) handleDataRequest(from string, payload []byte) {
 	var id meta.DataID
 	if len(payload) != len(id)+4 {
 		return
 	}
 	copy(id[:], payload)
+	w := binary.BigEndian.Uint32(payload[len(id):])
+	repairReq := w&repairMark != 0
 	n.mu.Lock()
-	n.bindAddrLocked(int(binary.BigEndian.Uint32(payload[len(id):])), from)
+	n.bindAddrLocked(int(w&^repairMark), from)
 	n.mu.Unlock()
-	if content, ok := n.store.GetData(id); ok {
-		n.send(from, p2p.FrameData, append(id[:], content...))
+	content, ok := n.store.GetData(id)
+	if !ok {
+		return
 	}
+	if repairReq && n.repair != nil {
+		n.mu.Lock()
+		allowed := n.repair.lim.Allow(n.now(), repairFrameOverhead+len(content))
+		n.mu.Unlock()
+		if !allowed {
+			n.tel.repairThrottled.Inc()
+			return
+		}
+	}
+	n.sendFetch(from, p2p.FrameData, append(id[:], content...), repairReq)
 }
 
-// handleData ingests a fetch answer — FrameData, or FrameRepairData from the
-// repair plane's targeted fetch. Only content this node asked for (a pending
-// fetch or a queued repair task) and that hashes to its ID (§III-B2 data
-// integrity) is stored; unsolicited frames and the late duplicate answers to
-// a broadcast are dropped before the copy and the hash.
-func (n *Node) handleData(payload []byte, targeted bool) {
+// handleData ingests a fetch answer. Only content this node has a pending
+// fetch for and that hashes to its ID (§III-B2 data integrity) is stored;
+// unsolicited frames and the late duplicate answers to a broadcast are
+// dropped before the copy and the hash.
+func (n *Node) handleData(payload []byte) {
 	var id meta.DataID
 	if len(payload) < len(id) {
 		return
 	}
 	copy(id[:], payload)
 	n.mu.Lock()
-	asked := n.fetches.get(id) != nil || (n.repair != nil && n.repair.queue.Has(id))
+	asked := n.fetches.pending[id] != nil
 	n.mu.Unlock()
 	if !asked {
 		return
@@ -171,7 +241,7 @@ func (n *Node) handleData(payload []byte, targeted bool) {
 		n.tel.dataFetchNs.Observe(int64(n.clock.Now().Sub(pf.start)))
 	}
 	if rd := n.repair; rd != nil {
-		if lat, wasInflight := rd.queue.Done(id, n.now()); wasInflight && targeted {
+		if lat, launched := rd.queue.Done(id, n.now()); launched {
 			n.tel.repairFetchNs.Observe(int64(lat))
 			n.tel.repairCompleted.Inc()
 		}
@@ -183,7 +253,7 @@ func (n *Node) handleData(payload []byte, targeted bool) {
 }
 
 // clearFetchesLocked drops the pending fetches of all three planes and their
-// timers (n.mu held); Close, Kill and test teardowns call it.
+// timers (n.mu held).
 func (n *Node) clearFetchesLocked() {
 	n.gossip.blocks.clear()
 	n.gossip.metas.clear()

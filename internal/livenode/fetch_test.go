@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -22,19 +23,6 @@ func (n *Node) pendingFetches() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return len(n.fetches.pending)
-}
-
-// liveTimers counts the timers the clock still has to fire.
-func (c *fakeClock) liveTimers() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	live := 0
-	for _, t := range c.timers {
-		if !t.done {
-			live++
-		}
-	}
-	return live
 }
 
 // wireFrame is one frame the fabric was asked to carry.
@@ -138,7 +126,7 @@ func TestFetchAsksOneHolder(t *testing.T) {
 	fc.know(0, 1, 2, 3)
 	id := fc.item(t, 0, "one holder is enough", 3, []int{1, 2}, 1, 2, 3)
 	got := fc.gotData(0)
-	timers := fc.clk.liveTimers()
+	timers := fc.clk.activeTimers()
 
 	a.RequestData(id)
 
@@ -149,8 +137,8 @@ func TestFetchAsksOneHolder(t *testing.T) {
 	if got[id] != "one holder is enough" || !a.HasData(id) {
 		t.Fatalf("content not delivered: %q", got[id])
 	}
-	if a.pendingFetches() != 0 || fc.clk.liveTimers() != timers {
-		t.Fatalf("served fetch left %d entries and %d timers behind", a.pendingFetches(), fc.clk.liveTimers()-timers)
+	if a.pendingFetches() != 0 || fc.clk.activeTimers() != timers {
+		t.Fatalf("served fetch left %d entries and %d timers behind", a.pendingFetches(), fc.clk.activeTimers()-timers)
 	}
 	snap := a.reg.Snapshot()
 	if snap.Counter("livenode.fetch.directed") != 1 || snap.Counter("livenode.fetch.broadcasts") != 0 ||
@@ -172,11 +160,11 @@ func TestFetchAsksOneHolder(t *testing.T) {
 // addresses, this node itself and a producer that also stores are skipped.
 func TestFetchCandidateOrder(t *testing.T) {
 	fc := newFetchCluster(t, 5, nil)
-	cands := func(at int, id meta.DataID, placement bool) []string {
+	cands := func(at int, id meta.DataID, purpose fetchPurpose) []string {
 		n := fc.nodes[at]
 		n.mu.Lock()
 		defer n.mu.Unlock()
-		return n.fetchCandidatesLocked(id, placement)
+		return n.fetchCandidatesLocked(id, purpose)
 	}
 	for _, at := range []int{0, 3} {
 		fc.know(at, 0, 1, 2, 3, 4)
@@ -184,25 +172,59 @@ func TestFetchCandidateOrder(t *testing.T) {
 	id0 := fc.item(t, 0, "ordered", 4, []int{1, 2})
 	id3 := fc.item(t, 3, "ordered", 4, []int{1, 2})
 	for _, tc := range []struct {
-		at        int
-		id        meta.DataID
-		placement bool
-		want      []string
+		at      int
+		id      meta.DataID
+		purpose fetchPurpose
+		want    []string
 	}{
-		{0, id0, false, []string{"n1", "n2", "n4"}},
-		{3, id3, false, []string{"n2", "n1", "n4"}}, // (k+3) mod 2: the other replica first
-		{0, id0, true, []string{"n4", "n1", "n2"}},
-		{0, fc.item(t, 0, "producer stores too", 1, []int{0, 1, 2}), false, []string{"n1", "n2"}},
-		{0, fc.item(t, 0, "pooled, not placed yet", 2, nil), false, []string{"n2"}},
-		{0, meta.HashData([]byte("never heard of")), false, nil},
+		{0, id0, consumerFetch, []string{"n1", "n2", "n4"}},
+		{3, id3, consumerFetch, []string{"n2", "n1", "n4"}}, // (k+3) mod 2: the other replica first
+		{0, id0, placementFetch, []string{"n4", "n1", "n2"}},
+		{0, id0, repairFetch, []string{"n1", "n2", "n4"}},
+		{0, fc.item(t, 0, "producer stores too", 1, []int{0, 1, 2}), consumerFetch, []string{"n1", "n2"}},
+		{0, fc.item(t, 0, "pooled, not placed yet", 2, nil), consumerFetch, []string{"n2"}},
+		{0, meta.HashData([]byte("never heard of")), consumerFetch, nil},
 	} {
-		if got := cands(tc.at, tc.id, tc.placement); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("node %d placement=%v: candidates %v, want %v", tc.at, tc.placement, got, tc.want)
+		if got := cands(tc.at, tc.id, tc.purpose); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("node %d purpose %d: candidates %v, want %v", tc.at, tc.purpose, got, tc.want)
 		}
 	}
 	// A node with an empty table has nobody to ask.
-	if got := cands(2, fc.item(t, 2, "ordered", 4, []int{0, 1}), false); got != nil {
+	if got := cands(2, fc.item(t, 2, "ordered", 4, []int{0, 1}), consumerFetch); got != nil {
 		t.Errorf("candidates %v from an empty address table", got)
+	}
+}
+
+// With a churn detector the one picker also knows who is worth asking: dead
+// holders are skipped and suspect ones go last, for every purpose.
+func TestFetchCandidatesFollowLiveness(t *testing.T) {
+	fc := newFetchCluster(t, 5, func(cfg *Config) {
+		cfg.RepairWorkers = 1
+		cfg.RepairSuspectAfter, cfg.RepairHysteresis = 10*time.Second, 10*time.Second
+	})
+	a := fc.nodes[0]
+	fc.know(0, 1, 2, 3, 4)
+	id := fc.item(t, 0, "who is worth asking", 4, []int{1, 2, 3})
+	// The clock stands at 25 s and no probe got through: node 1 was last
+	// heard at 0 (dead), node 2 at 10 s (suspect), 3 and 4 just now.
+	fc.fn.setDrop(func(string, string, byte) bool { return true })
+	fc.clk.Advance(25 * time.Second)
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.repair.det.Seen(2, 10*time.Second)
+	a.repair.det.Seen(3, a.now())
+	a.repair.det.Seen(4, a.now())
+	for _, tc := range []struct {
+		purpose fetchPurpose
+		want    []string
+	}{
+		{consumerFetch, []string{"n3", "n4", "n2"}},
+		{repairFetch, []string{"n3", "n4", "n2"}},
+		{placementFetch, []string{"n4", "n3", "n2"}},
+	} {
+		if got := a.fetchCandidatesLocked(id, tc.purpose); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("purpose %d: candidates %v, want %v", tc.purpose, got, tc.want)
+		}
 	}
 }
 
@@ -383,7 +405,14 @@ func TestFetchRequestTeachesAddress(t *testing.T) {
 	a.handleFrame("z", p2p.FrameDataRequest, dataRequest(id, 0)) // this node's own index
 	a.handleFrame("z", p2p.FrameDataRequest, dataRequest(id, 4)) // past the roster
 	a.handleFrame("z", p2p.FrameDataRequest, dataRequest(id, ^uint32(0)))
+	// The repair mark is not part of the index: what is left after masking
+	// it off is checked the same way.
+	a.handleFrame("z", p2p.FrameDataRequest, dataRequest(id, repairMark|0))
+	a.handleFrame("z", p2p.FrameDataRequest, dataRequest(id, repairMark|4))
 	check("self and out-of-range indices", []string{"", "", "y", ""}, map[string]int{"y": 2})
+	a.handleFrame("w", p2p.FrameDataRequest, dataRequest(id, repairMark|1))
+	check("a marked request binds like any other", []string{"", "w", "y", ""}, map[string]int{"w": 1, "y": 2})
+	a.handleFrame("y", p2p.FrameDataRequest, dataRequest(id, 1)) // y moves to 1 and w is unbound
 	// One address speaks for one node: claiming every index keeps the last.
 	for i := uint32(0); i < 4; i++ {
 		a.handleFrame("y", p2p.FrameDataRequest, dataRequest(id, i))
@@ -468,8 +497,7 @@ func TestFetchMalformedRequestDropped(t *testing.T) {
 }
 
 // (h) With repair on there is still one table: a probed node's address is
-// what both the repair driver and the directed fetch use, and both follow a
-// re-binding.
+// what a fetch of any purpose asks, and it follows a re-binding.
 func TestFetchAndRepairShareAddressTable(t *testing.T) {
 	fc := newFetchCluster(t, 3, func(cfg *Config) { cfg.RepairWorkers = 1 })
 	a := fc.nodes[0]
@@ -477,23 +505,22 @@ func TestFetchAndRepairShareAddressTable(t *testing.T) {
 	it.StoringNodes = []int{1}
 	a.mu.Lock()
 	a.eng.AddLocal(it)
-	a.repair.idx.Apply(it)
 	a.mu.Unlock()
-	both := func() (string, []string) {
+	both := func() (repair, consumer []string) {
 		a.mu.Lock()
 		defer a.mu.Unlock()
-		return a.pickProviderLocked(it.ID, a.now()), a.fetchCandidatesLocked(it.ID, false)
+		return a.fetchCandidatesLocked(it.ID, repairFetch), a.fetchCandidatesLocked(it.ID, consumerFetch)
 	}
-	if p, c := both(); p != "" || c != nil {
-		t.Fatalf("before any binding: provider %q, candidates %v", p, c)
+	if r, c := both(); r != nil || c != nil {
+		t.Fatalf("before any binding: repair candidates %v, consumer candidates %v", r, c)
 	}
 	a.handleFrame("n1", p2p.FrameRepairProbe, binary.BigEndian.AppendUint32(nil, 1))
-	if p, c := both(); p != "n1" || !reflect.DeepEqual(c, []string{"n1"}) {
-		t.Fatalf("after a probe: provider %q, candidates %v", p, c)
+	if r, c := both(); !reflect.DeepEqual(r, []string{"n1"}) || !reflect.DeepEqual(c, r) {
+		t.Fatalf("after a probe: repair candidates %v, consumer candidates %v", r, c)
 	}
 	a.handleFrame("n1-moved", p2p.FrameDataRequest, dataRequest(it.ID, 1))
-	if p, c := both(); p != "n1-moved" || !reflect.DeepEqual(c, []string{"n1-moved"}) {
-		t.Fatalf("after re-binding: provider %q, candidates %v", p, c)
+	if r, c := both(); !reflect.DeepEqual(r, []string{"n1-moved"}) || !reflect.DeepEqual(c, r) {
+		t.Fatalf("after re-binding: repair candidates %v, consumer candidates %v", r, c)
 	}
 	// Passive liveness reads the same table.
 	a.mu.Lock()
@@ -513,11 +540,9 @@ func TestUnsolicitedDataNotStored(t *testing.T) {
 	id := meta.HashData(content)
 	frame := append(id[:], content...)
 
-	for _, ft := range []byte{p2p.FrameData, p2p.FrameRepairData} {
-		a.handleFrame("n1", ft, frame)
-		if a.HasData(id) || len(got) != 0 {
-			t.Fatalf("unsolicited frame %d was stored (OnData %v)", ft, got)
-		}
+	a.handleFrame("n1", p2p.FrameData, frame)
+	if a.HasData(id) || len(got) != 0 {
+		t.Fatalf("unsolicited frame was stored (OnData %v)", got)
 	}
 	// Asked for, but the bytes do not hash to the ID: still nothing.
 	a.RequestData(id)
@@ -529,18 +554,158 @@ func TestUnsolicitedDataNotStored(t *testing.T) {
 	if !a.HasData(id) || got[id] != string(content) || a.pendingFetches() != 0 {
 		t.Fatalf("solicited answer not stored: OnData %v", got)
 	}
-	// A queued repair task solicits too, for either answer frame.
+	// A repair task solicits only once it is launched, that is, once its
+	// fetch is pending like any other.
 	other := []byte("repair wants this")
 	oid := meta.HashData(other)
 	a.mu.Lock()
 	a.repair.queue.Add(oid, a.now())
 	a.mu.Unlock()
-	a.handleFrame("n1", p2p.FrameRepairData, append(oid[:], other...))
+	a.handleFrame("n1", p2p.FrameData, append(oid[:], other...))
+	if a.HasData(oid) || len(got) != 1 {
+		t.Fatalf("a queued, unlaunched repair task solicited content (OnData %v)", got)
+	}
 	a.mu.Lock()
-	queued := a.repair.queue.Has(oid)
+	a.repair.queue.Launch(oid, a.now())
 	a.mu.Unlock()
-	if !a.HasData(oid) || got[oid] != string(other) || queued {
-		t.Fatalf("repair answer not stored (queued=%v): OnData %v", queued, got)
+	a.requestData(oid, repairFetch)
+	a.handleFrame("n1", p2p.FrameData, append(oid[:], other...))
+	a.mu.Lock()
+	queued := a.repair.queue.Len()
+	a.mu.Unlock()
+	if !a.HasData(oid) || got[oid] != string(other) || queued != 0 || counter(a.reg, "livenode.repair.completed") != 1 {
+		t.Fatalf("repair answer not stored (queued=%d): OnData %v", queued, got)
+	}
+}
+
+// Re-replication pays from the repair budget and is counted as repair
+// traffic, whoever ends up serving it. Node 2 died; the chain re-assigned its
+// item to node 0, next to node 1. Node 1 holds the bytes but its budget is
+// smaller than the item, the producer (node 3, not a storing node) holds them
+// too. The repair fetch asks node 1, which stays silent and counts a
+// throttle, moves on to the producer after SyncTimeout, and the producer's
+// answer is charged to the producer's limiter; request and answer bytes land
+// in repair_bytes on both ends and in nobody's data_bytes.
+func TestRepairFetchPaysBudgetAndCountsAsRepair(t *testing.T) {
+	const rate = 1024
+	_, accounts := testRoster(4)
+	fc := newFetchCluster(t, 4, func(cfg *Config) {
+		cfg.RepairWorkers, cfg.RepairRate = 1, rate
+		if cfg.Identity.Address() == accounts[1] {
+			cfg.RepairRate = 64
+		}
+	})
+	a, producer := fc.nodes[0], fc.nodes[3]
+	fc.know(0, 1, 3)
+	content := "re-replicated under the budget: " + strings.Repeat("x", 200)
+	it := testItem(a.idents()[3], content, 0)
+	it.StoringNodes = []int{1, 0}
+	a.mu.Lock()
+	a.eng.AddLocal(it)
+	a.repair.idx.Apply(it) // the self-audit finds the assignment and queues it
+	a.mu.Unlock()
+	for _, h := range []int{1, 3} {
+		if err := fc.nodes[h].store.PutData(it.ID, []byte(content)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := fc.gotData(0)
+
+	fc.clk.Advance(a.cfg.RepairProbeEvery) // one repair tick everywhere
+	if want := []wireFrame{{"n0", "n1", p2p.FrameDataRequest}}; !reflect.DeepEqual(fc.wire, want) {
+		t.Fatalf("after the tick the wire carried %v, want %v", fc.wire, want)
+	}
+	if v := counter(fc.nodes[1].reg, "livenode.repair.throttled"); v != 1 {
+		t.Fatalf("holder over its budget: repair.throttled = %d, want 1", v)
+	}
+	fc.clk.Advance(a.cfg.SyncTimeout)
+	want := []wireFrame{{"n0", "n1", p2p.FrameDataRequest}, {"n0", "n3", p2p.FrameDataRequest}, {"n3", "n0", p2p.FrameData}}
+	if !reflect.DeepEqual(fc.wire, want) || got[it.ID] != content {
+		t.Fatalf("wire carried %v, want %v (OnData %d items)", fc.wire, want, len(got))
+	}
+
+	rereplication := func(n *syncTestNode) uint64 {
+		snap := n.reg.Snapshot()
+		return snap.Counter("livenode.wire.repair_bytes") - snap.Counter("livenode.wire.heartbeat_bytes")
+	}
+	if sent, want := rereplication(a), uint64(2*(36+5)); sent != want {
+		t.Errorf("requester counted %d re-replication bytes, want two 36-byte requests = %d", sent, want)
+	}
+	if sent, want := rereplication(producer), uint64(32+len(content)+5); sent != want {
+		t.Errorf("holder counted %d re-replication bytes, want the answer's %d", sent, want)
+	}
+	for i, n := range fc.nodes {
+		if v := counter(n.reg, "livenode.wire.data_bytes"); v != 0 {
+			t.Errorf("node %d counted %d bytes of a repair fetch as data_bytes", i, v)
+		}
+	}
+	snap := a.reg.Snapshot()
+	if snap.Counter("livenode.repair.enqueued") != 1 || snap.Counter("livenode.repair.completed") != 1 ||
+		snap.Counter("livenode.repair.fallbacks") != 0 {
+		t.Errorf("repair counters at the requester: %v", snap.Counters)
+	}
+	if h := snap.Histogram("livenode.repair.fetch_ns"); h.Count != 1 || h.Max != int64(a.cfg.SyncTimeout) {
+		t.Errorf("repair.fetch_ns %+v, want one sample of %v (launch to verified content)", h, a.cfg.SyncTimeout)
+	}
+	// The producer's bucket held one second's worth and paid for the answer:
+	// what is left no longer covers a full second, but covers the rest.
+	charged := repairFrameOverhead + len(content)
+	producer.mu.Lock()
+	lim, now := producer.repair.lim, producer.now()
+	full, rest := lim.Allow(now, rate), lim.Allow(now, rate-charged)
+	producer.mu.Unlock()
+	if full || !rest {
+		t.Errorf("holder's limiter after the answer: a full second allowed=%v, the remainder allowed=%v", full, rest)
+	}
+	a.mu.Lock()
+	left := a.repair.queue.Len()
+	a.mu.Unlock()
+	if left != 0 || a.pendingFetches() != 0 {
+		t.Errorf("%d queue tasks and %d fetches left after the repair", left, a.pendingFetches())
+	}
+}
+
+// A repair launch takes over a pending consumer or placement fetch of the
+// same item — fresh candidates, the launch's own expiry, marked requests —
+// and leaves no timer of the old fetch behind; a consumer's request while a
+// repair fetch is pending rides on it.
+func TestRepairLaunchTakesOverPendingFetch(t *testing.T) {
+	fc := newFetchCluster(t, 3, func(cfg *Config) { cfg.RepairWorkers = 1 })
+	a := fc.nodes[0]
+	id := fc.item(t, 0, "placed while nobody was known", 2, []int{0, 1})
+	a.requestData(id, placementFetch) // empty address table: broadcast, then FetchTimeout
+	timers := fc.clk.activeTimers()
+	entry := func() *pendingFetch {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return a.fetches.pending[id]
+	}
+	old := entry()
+	if old == nil || old.repair || old.waiting() {
+		t.Fatalf("placement fetch %+v, want one that is broadcasting", old)
+	}
+
+	fc.know(0, 1, 2)
+	fc.wire = nil
+	a.requestData(id, repairFetch)
+	taken := entry()
+	if taken == old || !taken.repair || !reflect.DeepEqual(taken.cands, []string{"n1", "n2"}) {
+		t.Fatalf("after the repair launch the pending fetch is %+v", taken)
+	}
+	if got := fc.clk.activeTimers(); got != timers+1 {
+		t.Fatalf("%d live timers, want the old expiry replaced and one attempt armed (%d)", got, timers+1)
+	}
+	a.RequestData(id)
+	if entry() != taken || len(fc.sent(p2p.FrameDataRequest)) != 1 {
+		t.Fatalf("a consumer's request disturbed the repair fetch: wire %v", fc.wire)
+	}
+	fc.clk.Advance(4*a.cfg.RepairProbeEvery - time.Millisecond)
+	if entry() != taken {
+		t.Fatal("repair fetch expired early")
+	}
+	fc.clk.Advance(time.Millisecond)
+	if entry() != nil || counter(a.reg, "livenode.data.fetch_expired") != 0 {
+		t.Fatalf("repair fetch not dropped at 4 probe intervals (or counted as a consumer's): %+v", entry())
 	}
 }
 
@@ -549,15 +714,15 @@ func TestCloseStopsFetchTimers(t *testing.T) {
 	fc := newFetchCluster(t, 3, nil)
 	a := fc.nodes[0]
 	fc.know(0, 1, 2)
-	timers := fc.clk.liveTimers()
+	timers := fc.clk.activeTimers()
 	a.RequestData(fc.item(t, 0, "silent holder", 2, []int{1}))
 	a.RequestData(meta.HashData([]byte("unknown")))
-	if got := fc.clk.liveTimers() - timers; got != 3 {
+	if got := fc.clk.activeTimers() - timers; got != 3 {
 		t.Fatalf("%d fetch timers armed, want 2 expiries + 1 attempt", got)
 	}
 	a.Close()
-	if a.pendingFetches() != 0 || fc.clk.liveTimers() > timers {
-		t.Fatalf("Close left %d fetches and %d timers", a.pendingFetches(), fc.clk.liveTimers()-timers)
+	if a.pendingFetches() != 0 || fc.clk.activeTimers() > timers {
+		t.Fatalf("Close left %d fetches and %d timers", a.pendingFetches(), fc.clk.activeTimers()-timers)
 	}
 	a.RequestData(meta.HashData([]byte("after close")))
 	if a.pendingFetches() != 0 {

@@ -15,13 +15,12 @@ import (
 //	begin(key, candidates) → ask one → silent for `wait`? ask the next → …
 //	  → answered (finish) | candidates exhausted | expired | cleared
 //
-// The three planes differ only in the key type, in who the candidates are and
-// in what "nobody answered" means; they supply an ask and the two verdict
-// hooks below and never see a timer, the cursor or the stale-callback guard.
+// The planes differ in the key, in who the candidates are and in what "nobody
+// answered" means: they supply an ask and the verdict hooks and never see a
+// timer, the cursor or the stale-callback guard.
 
-// pendingFetch is one fetch in flight, in any plane. Entries are guarded by
-// their table's lock; a plane reads start, seq and cands and owns the fields
-// below the line, the fetcher owns the rest.
+// pendingFetch is one fetch in flight, in any plane, guarded by its table's
+// lock. A plane reads start, seq and cands and owns the last three fields.
 type pendingFetch struct {
 	start   time.Time // when the fetch began: its latency counts from here
 	seq     uint64    // begin order within the table
@@ -30,49 +29,41 @@ type pendingFetch struct {
 	attempt Timer     // wait on the candidate asked last; nil before the first ask and once exhausted
 	expiry  Timer     // bound on the whole fetch; nil when running out of candidates ends it
 
-	// Block plane: the announcer's compact answer, parked while the items it
-	// references and this node lacks — missing — are fetched (§13.1).
-	compact *block.Compact
-	missing map[meta.DataID]struct{}
-	// Data plane: the fetch re-replicates an item (§11), so its requests are
-	// marked and both ends charge it to their repair budget.
-	repair bool
+	compact *block.Compact           // block plane: the announcer's answer, parked while the items it
+	missing map[meta.DataID]struct{} // references and this node lacks — missing — are fetched (§13.1)
+	repair  bool                     // data plane: a re-replication, paid from the repair budget (§11)
 }
 
 // waiting reports whether a candidate has been asked and may still answer.
 func (e *pendingFetch) waiting() bool { return e.attempt != nil }
 
-// fetcher is one table of pending fetches keyed by K. A timer callback acts
-// only if the entry it was armed for is still the one registered under its
-// key (pointer identity), so a callback that lost the race against an answer,
-// a teardown or a later fetch of the same key does nothing.
+// fetcher is one table of pending fetches. A timer callback acts only if the
+// entry it was armed for is still the one registered under its key (pointer
+// identity), so a callback that lost the race against an answer, a teardown
+// or a later fetch of the same key does nothing.
 type fetcher[K comparable] struct {
-	mu    *sync.Mutex // the owner's lock; guards pending and every entry
-	clock Clock
-	wait  time.Duration // how long one candidate may stay silent
+	mu      *sync.Mutex // the owner's lock; guards pending and every entry
+	clock   Clock
+	wait    time.Duration // how long one candidate may stay silent
+	pending map[K]*pendingFetch
+	seq     uint64
 
 	// ask sends the request for k to one candidate (mu not held). False means
 	// it could not be sent: the next candidate is asked at once.
 	ask func(k K, e *pendingFetch, to string) bool
 	// exhausted is the plane's verdict on a fetch whose last candidate failed
 	// (mu held); what it returns, if anything, runs once mu is released. A
-	// fetch without an expiry has ended by then. One with an expiry lives on
+	// fetch without an expiry has ended by then; one with an expiry lives on
 	// until an answer or the expiry, and every further advance exhausts it
 	// again.
 	exhausted func(k K, e *pendingFetch) (unlocked func())
 	// expired is told that a fetch was dropped by its expiry timer (mu held).
 	expired func(k K, e *pendingFetch)
-
-	pending map[K]*pendingFetch
-	seq     uint64
 }
 
 func newFetcher[K comparable](mu *sync.Mutex, clock Clock, wait time.Duration) *fetcher[K] {
 	return &fetcher[K]{mu: mu, clock: clock, wait: wait, pending: make(map[K]*pendingFetch)}
 }
-
-// get returns the pending fetch of k, or nil (mu held).
-func (f *fetcher[K]) get(k K) *pendingFetch { return f.pending[k] }
 
 // begin registers a fetch of k from cands and returns it; nothing is asked
 // until advance. A positive expiry bounds the whole fetch. While a fetch of k
@@ -84,7 +75,14 @@ func (f *fetcher[K]) begin(k K, cands []string, expiry time.Duration) *pendingFe
 	f.seq++
 	e := &pendingFetch{start: f.clock.Now(), seq: f.seq, cands: cands}
 	if expiry > 0 {
-		e.expiry = f.clock.AfterFunc(expiry, func() { f.expire(k, e) })
+		e.expiry = f.clock.AfterFunc(expiry, func() {
+			f.mu.Lock()
+			defer f.mu.Unlock()
+			if f.pending[k] == e {
+				f.finish(k)
+				f.expired(k, e)
+			}
+		})
 	}
 	f.pending[k] = e
 	return e
@@ -92,8 +90,7 @@ func (f *fetcher[K]) begin(k K, cands []string, expiry time.Duration) *pendingFe
 
 // advance asks the next candidate of e: the caller does so once after begin
 // and whenever the candidate asked last has failed, the attempt timer when it
-// stayed silent. Past the last candidate the fetch is exhausted. mu must not
-// be held.
+// stayed silent. Past the last candidate the fetch is exhausted (mu not held).
 func (f *fetcher[K]) advance(k K, e *pendingFetch) {
 	for {
 		f.mu.Lock()
@@ -142,16 +139,6 @@ func (f *fetcher[K]) finish(k K) *pendingFetch {
 		e.expiry.Stop()
 	}
 	return e
-}
-
-// expire is the expiry timer's callback.
-func (f *fetcher[K]) expire(k K, e *pendingFetch) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.pending[k] == e {
-		f.finish(k)
-		f.expired(k, e)
-	}
 }
 
 // clear drops every pending fetch and its timers without a verdict (mu held).

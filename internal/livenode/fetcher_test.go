@@ -136,7 +136,7 @@ func runFetcherScript(t *testing.T, script []byte) {
 	var mu sync.Mutex
 	var log []string
 	ended := make(map[*pendingFetch]string) // every entry that is over, and why
-	began, fetches, checked := 0, 0, 0 // checked: log entries already compared
+	began, fetches, checked := 0, 0, 0      // checked: log entries already compared
 	f := newFetcher[uint8](&mu, clk, fuzzWait)
 	alive := func(hook string, k uint8, e *pendingFetch) {
 		if why, over := ended[e]; over {
@@ -185,7 +185,7 @@ func runFetcherScript(t *testing.T, script []byte) {
 			}
 			expiry := fuzzExpiries[arg>>4%4]
 			mu.Lock()
-			before := f.get(k)
+			before := f.pending[k]
 			e := f.begin(k, cands, expiry)
 			idle := !e.waiting()
 			mu.Unlock()

@@ -8,6 +8,7 @@ import (
 	"repro/internal/block"
 	"repro/internal/meta"
 	"repro/internal/p2p"
+	"repro/internal/telemetry"
 )
 
 // Inv-style gossip block relay (DESIGN.md §13). A node that adopts a block
@@ -146,19 +147,23 @@ func decodeGetBlock(payload []byte) (h block.Hash, err error) {
 
 // --- relay --------------------------------------------------------------------
 
-// relayBlock announces a freshly adopted block to a bounded random sample
-// of peers (never the one it came from). Callers must NOT hold n.mu; the
-// sends are synchronous.
-func (n *Node) relayBlock(blk *block.Block, exclude string) {
+// relay announces a freshly adopted block (FrameBlockAnnounce) or freshly
+// pooled item IDs (FrameMetaAnnounce) to a bounded random sample of peers,
+// never the one they came from. Callers must NOT hold n.mu; the sends are
+// synchronous.
+func (n *Node) relay(ft byte, announce []byte, exclude string, relays *telemetry.Counter) {
 	targets := n.sampleGossipPeers(exclude)
 	if len(targets) == 0 {
 		return
 	}
-	ann := encodeAnnounce(blk.Index, blk.Hash)
 	for _, p := range targets {
-		n.send(p, p2p.FrameBlockAnnounce, ann)
+		n.send(p, ft, announce)
 	}
-	n.tel.gossipRelays.Inc()
+	relays.Inc()
+}
+
+func (n *Node) relayBlock(blk *block.Block, exclude string) {
+	n.relay(p2p.FrameBlockAnnounce, encodeAnnounce(blk.Index, blk.Hash), exclude, n.tel.gossipRelays)
 }
 
 // sampleGossipPeers draws up to GossipFanout distinct peers from the sorted
@@ -212,47 +217,38 @@ func (n *Node) handleBlockAnnounce(from string, payload []byte) {
 	if err != nil {
 		return
 	}
+	var pf *pendingFetch
+	saturated := false
 	n.mu.Lock()
 	g := n.gossip
-	if n.closed {
-		n.mu.Unlock()
-		return
-	}
 	switch {
-	case n.eng.Chain().ByHash(hash) != nil:
-		// Already adopted: a re-announce carries no information and must
+	case n.closed:
+	case n.eng.Chain().ByHash(hash) != nil, g.seen.Has(hash), g.blocks.pending[hash] != nil:
+		// Already adopted — a re-announce carries no information and must
 		// trigger neither a fetch nor a sync round (the announce-path twin
-		// of the chain.ErrDuplicate guard in receiveBlock).
+		// of the chain.ErrDuplicate guard in receiveBlock) — or seen, or
+		// being fetched.
 		n.tel.gossipDupSuppressed.Inc()
-		n.mu.Unlock()
-		return
-	case g.seen.Has(hash):
-		n.tel.gossipDupSuppressed.Inc()
-		n.mu.Unlock()
-		return
-	case g.blocks.get(hash) != nil:
-		n.tel.gossipDupSuppressed.Inc()
-		n.mu.Unlock()
-		return
 	case height <= n.eng.Height():
 		// A block at or below our tip cannot extend the longest chain; a
 		// genuinely longer fork will produce higher announces (or heal via
 		// locators). Remember the hash so repeats stay cheap.
 		g.seen.Add(hash)
 		n.tel.gossipStaleSuppressed.Inc()
-		n.mu.Unlock()
-		return
 	case len(g.blocks.pending) >= maxPendingFetch:
 		// Fetch table saturated — we are far behind, and block-by-block
 		// fetching is the wrong tool. Degrade to batched sync.
-		n.mu.Unlock()
-		n.sendSyncLocator(from)
-		return
+		saturated = true
+	default:
+		pf = g.blocks.begin(hash, []string{from}, 0)
+		n.tel.gossipFetchesSent.Inc()
 	}
-	pf := g.blocks.begin(hash, []string{from}, 0)
-	n.tel.gossipFetchesSent.Inc()
 	n.mu.Unlock()
-	g.blocks.advance(hash, pf)
+	if saturated {
+		n.sendSyncLocator(from)
+	} else if pf != nil {
+		g.blocks.advance(hash, pf)
+	}
 }
 
 // handleGetBlock serves a fetched body in compact form; an unknown hash is
@@ -294,7 +290,7 @@ func (n *Node) handleCompactBlock(from string, payload []byte) {
 	n.mu.Lock()
 	var pf *pendingFetch
 	if !n.closed {
-		pf = n.gossip.blocks.get(cb.Head.Hash)
+		pf = n.gossip.blocks.pending[cb.Head.Hash]
 	}
 	if pf == nil || pf.compact != nil {
 		// Never requested, given up on, or a duplicate delivery.
@@ -371,17 +367,4 @@ func (n *Node) blockFetchExhausted(hash block.Hash, pf *pendingFetch) func() {
 		n.tel.compactFallbacks.Inc()
 	}
 	return func() { n.sendSyncLocator(pf.cands[0]) }
-}
-
-// noteGossipBlockLocked records the arrival of a full block against the
-// gossip state (n.mu held): a pending fetch for its hash is complete, and
-// a body that failed adoption joins the seen set so its re-announce does
-// not refetch. Returns whether the adopted block should be relayed.
-func (n *Node) noteGossipBlockLocked(blk *block.Block, adopted bool) (relay bool) {
-	n.gossip.blocks.finish(blk.Hash)
-	if !adopted {
-		n.gossip.seen.Add(blk.Hash)
-		return false
-	}
-	return true
 }

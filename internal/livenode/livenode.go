@@ -106,10 +106,11 @@ type Config struct {
 	// VerifyWorkers bounds the worker pool that content-verifies sync
 	// suffixes in parallel (default 4).
 	VerifyWorkers int
-	// FetchTimeout is how long a data fetch may stay pending, across all
-	// its candidates and the final broadcast, before it is dropped
-	// (default 2m). Without it, fetches no peer can answer would pin their
-	// entry forever.
+	// FetchTimeout is how long a consumer or placement fetch may stay
+	// pending, across all its candidates and the final broadcast, before it
+	// is dropped (default 2m). Without it, fetches no peer can answer would
+	// pin their entry forever. (A repair fetch gets 4·RepairProbeEvery per
+	// launch; its queue retries.)
 	FetchTimeout time.Duration
 	// GossipFanout is how many peers a block or metadata announce is
 	// relayed to (DESIGN.md §13, §15.1); 0 means the default of 6, a
@@ -121,12 +122,14 @@ type Config struct {
 	GossipFanout int
 
 	// RepairWorkers enables the self-healing data plane (DESIGN.md §11)
-	// and bounds its concurrent targeted fetches; 0 disables repair
-	// entirely (no provider index, churn detector or heartbeats).
+	// and bounds its concurrent repair fetches; 0 disables repair
+	// entirely (no provider index, churn detector or probes).
 	RepairWorkers int
 	// RepairRate is the repair plane's token-bucket byte budget in bytes
 	// per second (default 4096); it keeps background re-replication
-	// traffic strictly below consensus traffic.
+	// traffic strictly below consensus traffic. Both ends of every repair
+	// fetch pay from it, and the bucket holds one second's worth: an item
+	// larger than that is never re-replicated.
 	RepairRate int
 	// RepairProbeEvery is the repair tick cadence: liveness probing,
 	// membership sweep and queue pump (default 2s).
@@ -217,12 +220,11 @@ type nodeMetrics struct {
 
 	// Self-healing data plane (DESIGN.md §11).
 	repairEnqueued    *telemetry.Counter   // re-announced assignments routed to the queue
-	repairFetches     *telemetry.Counter   // targeted FrameRepairGet sends
-	repairCompleted   *telemetry.Counter   // queue tasks finished by a repair response
-	repairFallbacks   *telemetry.Counter   // tasks handed to the broadcast fetch path
-	repairThrottled   *telemetry.Counter   // sends denied by the byte-rate budget
+	repairCompleted   *telemetry.Counter   // launched queue tasks finished by verified content
+	repairFallbacks   *telemetry.Counter   // repair fetches that ran out of candidates and broadcast
+	repairThrottled   *telemetry.Counter   // launches and answers denied by the byte-rate budget
 	repairReannounced *telemetry.Counter   // repair re-announcements packed into own blocks
-	repairFetchNs     *telemetry.Histogram // targeted-fetch latency
+	repairFetchNs     *telemetry.Histogram // launch → verified content
 	underReplicated   *telemetry.Gauge     // live items below the replica floor
 	deadNodes         *telemetry.Gauge     // roster nodes the detector counts dead
 
@@ -328,7 +330,6 @@ func newNodeMetrics(reg *telemetry.Registry, rosterN int) *nodeMetrics {
 		sigCacheMisses:   reg.Counter("livenode.sigcache.misses"),
 
 		repairEnqueued:    reg.Counter("livenode.repair.enqueued"),
-		repairFetches:     reg.Counter("livenode.repair.fetches"),
 		repairCompleted:   reg.Counter("livenode.repair.completed"),
 		repairFallbacks:   reg.Counter("livenode.repair.fallbacks"),
 		repairThrottled:   reg.Counter("livenode.repair.throttled"),
@@ -713,8 +714,10 @@ func (n *Node) SetOnData(fn func(id meta.DataID, content []byte)) {
 	n.onData = fn
 }
 
-// Close stops mining and networking, checkpoints the store and closes it.
-func (n *Node) Close() error {
+// stop marks the node closed, stops every timer it owns — mining, repair
+// tick, sync session, bootstrap, pending fetches — and closes the transport.
+// It returns the tip at that moment.
+func (n *Node) stop() (tip *block.Block, netErr error) {
 	n.mu.Lock()
 	n.closed = true
 	if n.mineTimer != nil {
@@ -726,9 +729,14 @@ func (n *Node) Close() error {
 	n.clearSyncLocked()
 	n.clearBootstrapLocked()
 	n.clearFetchesLocked()
-	tip := n.eng.Tip()
+	tip = n.eng.Tip()
 	n.mu.Unlock()
-	netErr := n.net.Close()
+	return tip, n.net.Close()
+}
+
+// Close stops mining and networking, checkpoints the store and closes it.
+func (n *Node) Close() error {
+	tip, netErr := n.stop()
 	_ = n.store.Checkpoint(tip.Index, tip.Hash)
 	if err := n.store.Close(); err != nil && netErr == nil {
 		netErr = err
@@ -742,19 +750,7 @@ func (n *Node) Close() error {
 // rather than the clean-shutdown path. The chaos harness uses it for
 // crash/restart scenarios.
 func (n *Node) Kill() error {
-	n.mu.Lock()
-	n.closed = true
-	if n.mineTimer != nil {
-		n.mineTimer.Stop()
-	}
-	if n.repair != nil && n.repair.timer != nil {
-		n.repair.timer.Stop()
-	}
-	n.clearSyncLocked()
-	n.clearBootstrapLocked()
-	n.clearFetchesLocked()
-	n.mu.Unlock()
-	netErr := n.net.Close()
+	_, netErr := n.stop()
 	if err := n.store.Close(); err != nil && netErr == nil {
 		netErr = err
 	}
@@ -819,6 +815,6 @@ func (n *Node) Publish(content []byte, typ, locationName string) (*meta.Item, er
 	n.mu.Lock()
 	n.eng.AddLocal(it)
 	n.mu.Unlock()
-	n.relayMeta([]meta.DataID{it.ID}, "")
+	n.relayMeta(it.ID, "")
 	return it, nil
 }

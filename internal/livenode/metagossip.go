@@ -81,22 +81,9 @@ func decodeIDList(payload []byte) ([]meta.DataID, error) {
 
 // --- relay --------------------------------------------------------------------
 
-// relayMeta announces freshly pooled item IDs to a bounded random sample
-// of peers (never the one that delivered them). Callers must NOT hold
-// n.mu; the sends are synchronous.
-func (n *Node) relayMeta(ids []meta.DataID, exclude string) {
-	if len(ids) == 0 {
-		return
-	}
-	targets := n.sampleGossipPeers(exclude)
-	if len(targets) == 0 {
-		return
-	}
-	ann := encodeIDList(ids)
-	for _, p := range targets {
-		n.send(p, p2p.FrameMetaAnnounce, ann)
-	}
-	n.tel.metaRelays.Inc()
+// relayMeta announces a freshly pooled item by ID (gossip.go: relay).
+func (n *Node) relayMeta(id meta.DataID, exclude string) {
+	n.relay(p2p.FrameMetaAnnounce, encodeIDList([]meta.DataID{id}), exclude, n.tel.metaRelays)
 }
 
 // --- announce / fetch handlers ------------------------------------------------
@@ -124,11 +111,7 @@ func (n *Node) handleMetaAnnounce(from string, payload []byte) {
 			// Already packed: the pool will never want it again.
 			g.metaSeen.Add(id)
 			n.tel.metaDupSuppressed.Inc()
-		case n.eng.PoolHas(id):
-			n.tel.metaDupSuppressed.Inc()
-		case g.metaSeen.Has(id):
-			n.tel.metaDupSuppressed.Inc()
-		case g.metas.get(id) != nil:
+		case n.eng.PoolHas(id), g.metaSeen.Has(id), g.metas.pending[id] != nil:
 			n.tel.metaDupSuppressed.Inc()
 		case len(g.metas.pending) >= maxPendingMetaFetch:
 			// Fetch table saturated: drop the announce. Unlike the block
@@ -172,18 +155,4 @@ func (n *Node) handleGetMeta(from string, payload []byte) {
 		n.tel.metaFetchesServed.Inc()
 		n.send(from, p2p.FrameMeta, b)
 	}
-}
-
-// noteMetaArrivalLocked records the arrival of a full metadata item
-// against the relay state (n.mu held): a pending fetch for its ID is
-// complete, and an item that failed admission (forged signature,
-// duplicate) joins the seen set so its re-announce does not refetch.
-// Returns whether the admitted item should be re-relayed.
-func (n *Node) noteMetaArrivalLocked(id meta.DataID, added bool) (relay bool) {
-	n.gossip.metas.finish(id)
-	if !added {
-		n.gossip.metaSeen.Add(id)
-		return false
-	}
-	return true
 }

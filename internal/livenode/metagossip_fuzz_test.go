@@ -2,6 +2,7 @@ package livenode
 
 import (
 	"encoding/binary"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -110,7 +111,9 @@ func FuzzMetaGossipFrames(f *testing.F) {
 	// roster index (repair is on here) and an item body.
 	f.Add(uint8(5), good.Encode())
 	f.Add(uint8(8), putU32(nil, 1))
-	f.Add(uint8(9), putU32(nil, 1))
+	f.Add(uint8(9), good.ID[:])                        // the retired repair request
+	f.Add(uint8(10), append(ids[2][:], "unserved"...)) // its answer, content that hashes to the ID
+	f.Add(uint8(11), putU32(nil, 1))
 
 	frames := []byte{
 		p2p.FrameMeta, p2p.FrameMetaAnnounce, p2p.FrameGetMeta,
@@ -121,7 +124,11 @@ func FuzzMetaGossipFrames(f *testing.F) {
 		// The shared codec must fail cleanly on any input.
 		_, _ = decodeIDList(payload)
 
-		n.handleFrame("fuzzer", frames[int(sel)%len(frames)], payload)
+		ft := frames[int(sel)%len(frames)]
+		n.handleFrame("fuzzer", ft, payload)
+		if slices.Contains(deadFrameTypes, ft) {
+			deadFrameStoresNothing(t, n, ft, payload)
+		}
 		if got := n.Height(); got != metaFuzzTip {
 			t.Fatalf("forged meta/probe frames moved the chain: height %d, want %d", got, metaFuzzTip)
 		}

@@ -65,30 +65,33 @@ func (n *Node) onAppend(ev engine.AppendEvent) {
 			}
 		}
 	}
-	for _, ie := range ev.Items {
-		if n.replaying {
-			continue // no networking during WAL replay
-		}
-		// If assigned to store and lacking content, fetch it. Scheduled
-		// through the clock (not a bare goroutine) so virtual-clock runs
-		// issue the request at a deterministic point. Re-announcements
-		// (repair or migration) have known providers, so their fetches go
-		// through the targeted, rate-limited repair queue; a first
-		// announcement is a placement fetch, which asks the producer first
-		// (only it is sure to have the content yet, DESIGN.md §11.1).
-		if ie.AssignedToSelf && !n.store.HasData(ie.Item.ID) {
-			id := ie.Item.ID
-			if n.repair != nil && ie.Prev != nil {
-				if n.repair.queue.Add(id, n.now()) {
-					n.tel.repairEnqueued.Inc()
-				}
-			} else {
-				n.clock.AfterFunc(0, func() { n.requestData(id, true) })
+	if !n.replaying { // no networking during WAL replay
+		for _, ie := range ev.Items {
+			if ie.AssignedToSelf {
+				n.fetchAssignedLocked(ie.Item.ID, ie.Prev != nil)
 			}
 		}
 	}
 	if cb := n.cfg.OnBlock; cb != nil && !n.replaying {
 		go cb(b)
+	}
+}
+
+// fetchAssignedLocked fetches an item the chain has just assigned to this
+// node, if it lacks the content (n.mu held). A re-announcement (repair or
+// migration) has providers that hold it, so it goes through the rate-limited
+// repair queue; a first announcement is a placement fetch, which asks the
+// producer first (only it is sure to have the content yet, DESIGN.md §11.1),
+// scheduled through the clock so that virtual-clock runs issue the request at
+// a deterministic point.
+func (n *Node) fetchAssignedLocked(id meta.DataID, reannounced bool) {
+	if n.store.HasData(id) {
+		return
+	}
+	if n.repair == nil || !reannounced {
+		n.clock.AfterFunc(0, func() { n.requestData(id, placementFetch) })
+	} else if n.repair.queue.Add(id, n.now()) {
+		n.tel.repairEnqueued.Inc()
 	}
 }
 
@@ -247,12 +250,6 @@ func (n *Node) handleFrame(from string, ft byte, payload []byte) {
 	case p2p.FrameRepairProbeAck:
 		n.handleRepairProbeAck(from, payload)
 
-	case p2p.FrameRepairGet:
-		n.handleRepairGet(from, payload)
-
-	case p2p.FrameRepairData:
-		n.handleData(payload, true)
-
 	case p2p.FrameMeta:
 		it, err := meta.Decode(payload)
 		if err != nil {
@@ -260,14 +257,18 @@ func (n *Node) handleFrame(from string, ft byte, payload []byte) {
 		}
 		n.mu.Lock()
 		added := n.eng.AddMetadata(it) // verifies the signature, dedups vs pool+chain
-		relay := n.noteMetaArrivalLocked(it.ID, added)
+		n.gossip.metas.finish(it.ID)
+		if !added {
+			// Forged or a duplicate: its re-announce must not refetch it.
+			n.gossip.metaSeen.Add(it.ID)
+		}
 		ready, blocks := n.noteCompactItemLocked(it.ID)
 		n.mu.Unlock()
-		if relay {
+		if added {
 			// Relay-on-first-admission (DESIGN.md §15): a pooled item spreads
 			// epidemically as an ID announce to a bounded peer sample, never
 			// back to whoever sent us the body.
-			n.relayMeta([]meta.DataID{it.ID}, from)
+			n.relayMeta(it.ID, from)
 		}
 		for i, pf := range ready {
 			n.finishCompact(pf, blocks[i])
@@ -345,7 +346,7 @@ func (n *Node) handleFrame(from string, ft byte, payload []byte) {
 		n.handleDataRequest(from, payload)
 
 	case p2p.FrameData:
-		n.handleData(payload, false)
+		n.handleData(payload)
 	}
 }
 
@@ -358,9 +359,13 @@ func (n *Node) receiveBlock(from string, blk *block.Block) error {
 	if addErr == nil {
 		n.scheduleMiningLocked()
 	}
-	relay := n.noteGossipBlockLocked(blk, addErr == nil)
+	n.gossip.blocks.finish(blk.Hash)
+	if addErr != nil {
+		// A body that failed adoption: its re-announce must not refetch it.
+		n.gossip.seen.Add(blk.Hash)
+	}
 	n.mu.Unlock()
-	if relay {
+	if addErr == nil {
 		// Relay-on-adopt (DESIGN.md §13): a block we had not seen
 		// before spreads epidemically as an announce to a bounded peer
 		// sample, never back to whoever sent us the body.

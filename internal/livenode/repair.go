@@ -19,25 +19,26 @@ import (
 //	transport (probes, any frame, membership, mined blocks)
 //	   └─▶ repair.Detector  — who is alive / suspect / dead
 //	repairTick (every RepairProbeEvery)
-//	   └─▶ repair.Queue + repair.Limiter — which replica to re-fetch next,
-//	        bounded by workers and a byte-rate budget
+//	   └─▶ repair.Queue + repair.Limiter — which replica to re-fetch next
+//	        and when, bounded by workers and a byte-rate budget
 //
 // The engine side closes the loop: its Liveness callback reads the
 // detector, so mined blocks re-announce under-replicated items onto alive
 // nodes (engine.pickRepairs), and the re-announcement routes the newly
-// assigned nodes' fetches through the queue below.
+// assigned nodes' fetches through the queue below. The plane is policy only:
+// a fetch it launches is a data fetch (fetch.go) with the repair purpose,
+// which marks its requests so that both ends charge them to the budget.
 //
 // Liveness evidence is deliberately cheap: a 4-byte unsigned probe to a
 // bounded peer sample per tick (probe.go), passive refresh on every frame
 // from a mapped address, a membership sweep against the transport's peer
 // list, and the miner of every adopted block (at the block's timestamp).
 // The probe is unsigned — a forged binding cannot inject data (content is
-// verified against its hash) and self-corrects: fetches from a wrong
-// address fail verification or time out, back off, and finally fall back
-// to the broadcast fetch path.
+// verified against its hash) and self-corrects: a fetch from a wrong
+// address fails verification or times out and moves to the next candidate.
 const (
-	// repairFrameOverhead approximates the fixed wire cost of one repair
-	// frame (length prefix, type byte, data ID) for rate-limiting.
+	// repairFrameOverhead approximates the fixed wire cost of one frame of a
+	// repair fetch (length prefix, type byte, data ID) for rate-limiting.
 	repairFrameOverhead = 32
 
 	defaultRepairRate       = 4096 // bytes/second
@@ -45,16 +46,6 @@ const (
 	defaultRepairSuspect    = 6 * time.Second
 	defaultRepairHysteresis = 10 * time.Second
 	defaultRepairMaxPacked  = 4
-
-	// maxTargetedAttempts is how many failed targeted fetches a task gets
-	// before the driver stops grinding through the assigned-provider
-	// rotation and broadcasts instead. Targeted fetches fail silently when
-	// a provider is alive but lacks the bytes — after churn takes every
-	// replica of an item down at once, the restarted providers only ever
-	// ask each other, while the producer and past requesters (outside the
-	// assigned set, hence never candidates) still hold the content the
-	// broadcast reaches.
-	maxTargetedAttempts = 2
 )
 
 // repairDriver is the per-node repair state; nil when repair is disabled
@@ -65,10 +56,8 @@ type repairDriver struct {
 	queue *repair.Queue
 	lim   *repair.Limiter
 
-	announce   []byte // this node's encoded roster index (probe payload)
-	probeEvery time.Duration
-	floor      int // replica floor the under-replication gauge checks
-	timer      Timer
+	announce []byte // this node's encoded roster index (probe payload)
+	timer    Timer
 
 	// Sampled liveness probing (DESIGN.md §15.2). The rng is seeded
 	// separately from the gossip plane's so probe sampling never perturbs
@@ -95,13 +84,10 @@ func (n *Node) initRepair() *repairDriver {
 		}, now),
 		queue: repair.NewQueue(repair.QueueConfig{
 			Workers: n.cfg.RepairWorkers,
-			Timeout: n.cfg.RepairProbeEvery * 4,
 			Backoff: n.cfg.RepairProbeEvery,
 		}),
-		lim:        repair.NewLimiter(n.cfg.RepairRate, 0, now),
-		announce:   binary.BigEndian.AppendUint32(nil, uint32(n.selfIdx)),
-		probeEvery: n.cfg.RepairProbeEvery,
-		floor:      n.cfg.RepairReplicaFloor,
+		lim:      repair.NewLimiter(n.cfg.RepairRate, 0, now),
+		announce: binary.BigEndian.AppendUint32(nil, uint32(n.selfIdx)),
 		// Distinct multiplier from the gossip RNG seed: the two planes
 		// must draw independent deterministic streams.
 		rng: rand.New(rand.NewSource(n.cfg.GenesisSeed ^ (int64(n.selfIdx+1) * 0x7F4A7C15))),
@@ -130,7 +116,7 @@ func (n *Node) scheduleRepairLocked() {
 	if rd.timer != nil {
 		rd.timer.Stop()
 	}
-	rd.timer = n.clock.AfterFunc(rd.probeEvery, n.repairTick)
+	rd.timer = n.clock.AfterFunc(n.cfg.RepairProbeEvery, n.repairTick)
 }
 
 // noteFrameFrom refreshes passive liveness for any frame from a mapped
@@ -149,19 +135,11 @@ func (n *Node) noteFrameFrom(from string) {
 
 // repairTick is the repair plane's heartbeat: it refreshes liveness
 // evidence (sampled probes), sweeps membership, expires index entries and
-// timed-out fetches, and pumps the queue — launching targeted provider
-// fetches under the worker and byte-rate budgets. Network sends happen after
-// n.mu is released.
+// pumps the queue — launching repair fetches under the worker and byte-rate
+// budgets. Network sends happen after n.mu is released.
 func (n *Node) repairTick() {
 	peers := n.net.Peers() // transport snapshot, taken outside n.mu
-
-	type fetch struct {
-		addr string
-		id   meta.DataID
-	}
-	var fetches []fetch
-	var fallbacks []meta.DataID
-
+	var launches []meta.DataID
 	n.mu.Lock()
 	rd := n.repair
 	if rd == nil || n.closed {
@@ -191,17 +169,12 @@ func (n *Node) repairTick() {
 	// the local store lacks goes (back) on the queue. The usual fetch hooks
 	// fire on chain adoption (onAppend, suffix sync), which misses two
 	// cases: a node that restarted with its chain already current adopts
-	// nothing, and a queue task whose every provider stayed unreachable
-	// past MaxAttempts is forgotten after its one broadcast fallback. The
-	// audit makes both reconverge at probe cadence; Queue.Add dedups, so a
-	// pending or in-flight task is never duplicated.
+	// nothing, and a queue task that failed MaxAttempts times is forgotten.
+	// The audit makes both reconverge at probe cadence; Queue.Add dedups, so
+	// a pending or in-flight task is never duplicated.
 	for _, id := range rd.idx.Items(n.selfIdx) {
-		if !n.store.HasData(id) && rd.queue.Add(id, nowD) {
-			n.tel.repairEnqueued.Inc()
-		}
+		n.fetchAssignedLocked(id, true)
 	}
-
-	fallbacks = append(fallbacks, rd.queue.Expire(nowD)...)
 
 	// Pump: launch eligible fetches while worker slots and byte budget last.
 	for {
@@ -213,29 +186,12 @@ func (n *Node) repairTick() {
 			rd.queue.Done(id, nowD) // arrived by another path
 			continue
 		}
-		if rd.queue.Attempts(id) >= maxTargetedAttempts {
-			// The assigned providers had their chances; hand the item to
-			// the broadcast path, which any holder can answer. The
-			// self-audit above re-queues it next tick if nothing comes.
-			rd.queue.Done(id, nowD)
-			fallbacks = append(fallbacks, id)
-			continue
-		}
-		addr := n.pickProviderLocked(id, nowD)
-		if addr == "" {
-			// No reachable provider right now: retry next tick, and after
-			// MaxAttempts hand the item to the broadcast fallback.
-			if rd.queue.Defer(id, nowD+rd.probeEvery) {
-				fallbacks = append(fallbacks, id)
-			}
-			continue
-		}
 		if !rd.lim.Allow(nowD, repairFrameOverhead) {
 			n.tel.repairThrottled.Inc()
 			break // out of byte budget: everything else waits for refill
 		}
 		rd.queue.Launch(id, nowD)
-		fetches = append(fetches, fetch{addr: addr, id: id})
+		launches = append(launches, id)
 	}
 
 	n.updateRepairGaugesLocked(nowD)
@@ -246,40 +202,9 @@ func (n *Node) repairTick() {
 		n.tel.probesSent.Inc()
 		n.send(p, p2p.FrameRepairProbe, rd.announce)
 	}
-	for _, f := range fetches {
-		n.tel.repairFetches.Inc()
-		n.send(f.addr, p2p.FrameRepairGet, f.id[:])
+	for _, id := range launches {
+		n.requestData(id, repairFetch)
 	}
-	for _, id := range fallbacks {
-		n.tel.repairFallbacks.Inc()
-		n.RequestData(id)
-	}
-}
-
-// pickProviderLocked chooses the provider to fetch id from: a not-dead
-// provider with a known address, alive ones first, rotated by the task's
-// attempt count so retries spread across candidates (n.mu held). Returns
-// "" when no provider is currently reachable.
-func (n *Node) pickProviderLocked(id meta.DataID, now time.Duration) string {
-	rd := n.repair
-	var alive, suspect []string
-	for _, p := range rd.idx.Providers(id) {
-		addr := n.addrOf[p]
-		if addr == "" {
-			continue // unknown — or this node, which is never bound
-		}
-		switch rd.det.Status(p, now) {
-		case repair.Alive:
-			alive = append(alive, addr)
-		case repair.Suspect:
-			suspect = append(suspect, addr)
-		}
-	}
-	cands := append(alive, suspect...)
-	if len(cands) == 0 {
-		return ""
-	}
-	return cands[rd.queue.Attempts(id)%len(cands)]
 }
 
 // updateRepairGaugesLocked refreshes the under-replication and dead-node
@@ -287,38 +212,8 @@ func (n *Node) pickProviderLocked(id meta.DataID, now time.Duration) string {
 func (n *Node) updateRepairGaugesLocked(now time.Duration) {
 	rd := n.repair
 	dead := func(i int) bool { return rd.det.Status(i, now) == repair.Dead }
-	n.tel.underReplicated.Set(int64(len(rd.idx.Deficits(now, rd.floor, dead))))
+	n.tel.underReplicated.Set(int64(len(rd.idx.Deficits(now, n.cfg.RepairReplicaFloor, dead))))
 	n.tel.deadNodes.Set(int64(rd.det.CountDead(now)))
-}
-
-// handleRepairGet answers a targeted repair fetch if this node holds the
-// content and the response fits the repair byte budget. A denied budget
-// means no answer: the requester times out, backs off and retries — that
-// is exactly the rate limit doing its job.
-func (n *Node) handleRepairGet(from string, payload []byte) {
-	if len(payload) != len(meta.DataID{}) {
-		return
-	}
-	var id meta.DataID
-	copy(id[:], payload)
-	content, ok := n.store.GetData(id)
-	if !ok {
-		return
-	}
-	n.mu.Lock()
-	rd := n.repair
-	allowed := rd != nil && rd.lim.Allow(n.now(), repairFrameOverhead+len(content))
-	if rd != nil && !allowed {
-		n.tel.repairThrottled.Inc()
-	}
-	n.mu.Unlock()
-	if !allowed {
-		return
-	}
-	resp := make([]byte, len(id)+len(content))
-	copy(resp, id[:])
-	copy(resp[len(id):], content)
-	n.send(from, p2p.FrameRepairData, resp)
 }
 
 // --- counted wire helpers ----------------------------------------------------
@@ -327,23 +222,26 @@ func (n *Node) handleRepairGet(from string, payload []byte) {
 // split wire bytes into consensus, data and repair traffic; the chaos
 // suite asserts the §11 invariant (repair strictly below consensus) from
 // the resulting counters. The 5 accounts for the frame header (4-byte
-// length + 1-byte type).
+// length + 1-byte type). repair says that a data-fetch frame belongs to a
+// fetch that re-replicates; no other frame type reads it.
 
-func (n *Node) countWire(ft byte, payloadLen, copies int) {
+func (n *Node) countWire(ft byte, payloadLen, copies int, repair bool) {
 	if copies <= 0 {
 		return
 	}
 	bytes := (payloadLen + 5) * copies
 	switch ft {
 	case p2p.FrameDataRequest, p2p.FrameData:
-		n.tel.wireDataBytes.Add(bytes)
+		if repair {
+			n.tel.wireRepairBytes.Add(bytes)
+		} else {
+			n.tel.wireDataBytes.Add(bytes)
+		}
 	case p2p.FrameRepairProbe, p2p.FrameRepairProbeAck:
 		// Liveness traffic alone — the bytes the §15.2 sampled-probe gate
 		// bounds.
 		n.tel.wireRepairBytes.Add(bytes)
 		n.tel.wireHeartbeatBytes.Add(bytes)
-	case p2p.FrameRepairGet, p2p.FrameRepairData:
-		n.tel.wireRepairBytes.Add(bytes)
 	case p2p.FrameMeta, p2p.FrameMetaAnnounce, p2p.FrameGetMeta:
 		// Metadata propagation (announce/fetch exchange) — the bytes the
 		// §15.1 metadata-relay gate bounds.
@@ -371,6 +269,12 @@ func (n *Node) countWire(ft byte, payloadLen, copies int) {
 // send is the counted p2p.Transport.Send; a failed send toward a mapped
 // roster node feeds the churn detector.
 func (n *Node) send(peer string, ft byte, payload []byte) error {
+	return n.sendFetch(peer, ft, payload, false)
+}
+
+// sendFetch is send for the two frames of a data fetch, which count as
+// repair traffic when the fetch re-replicates.
+func (n *Node) sendFetch(peer string, ft byte, payload []byte, repair bool) error {
 	err := n.net.Send(peer, ft, payload)
 	if err != nil {
 		n.mu.Lock()
@@ -382,12 +286,12 @@ func (n *Node) send(peer string, ft byte, payload []byte) error {
 		n.mu.Unlock()
 		return err
 	}
-	n.countWire(ft, len(payload), 1)
+	n.countWire(ft, len(payload), 1, repair)
 	return nil
 }
 
-// bcast is the counted p2p.Transport.Broadcast.
-func (n *Node) bcast(ft byte, payload []byte) {
+// bcast is the counted p2p.Transport.Broadcast; repair as for sendFetch.
+func (n *Node) bcast(ft byte, payload []byte, repair bool) {
 	delivered, _ := n.net.Broadcast(ft, payload)
-	n.countWire(ft, len(payload), delivered)
+	n.countWire(ft, len(payload), delivered, repair)
 }

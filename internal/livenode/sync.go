@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/block"
 	"repro/internal/chain"
@@ -308,7 +309,7 @@ func (n *Node) sendSyncLocator(peer string) {
 	payload := encodeLocator(n.eng.Chain().Locator())
 	n.mu.Unlock()
 	if peer == "" {
-		n.bcast(p2p.FrameSyncLocator, payload)
+		n.bcast(p2p.FrameSyncLocator, payload, false)
 	} else {
 		n.send(peer, p2p.FrameSyncLocator, payload)
 	}
@@ -580,22 +581,11 @@ func (n *Node) adoptSyncSuffixLocked(suffix []*block.Block) bool {
 		n.noteStoreErrLocked(n.store.ResetChain(n.walBlocksLocked()))
 	}
 	// Fetch data content this node is newly assigned to store — the same
-	// side effect onAppend applies to live blocks. Re-announcements of
-	// items with known providers route through the targeted repair queue.
+	// side effect onAppend applies to live blocks.
 	for _, b := range suffix {
 		for _, it := range b.Items {
-			for _, sn := range it.StoringNodes {
-				if sn == n.selfIdx && !n.store.HasData(it.ID) {
-					id := it.ID
-					if n.repair != nil && knownBefore[id] {
-						if n.repair.queue.Add(id, n.now()) {
-							n.tel.repairEnqueued.Inc()
-						}
-					} else {
-						n.clock.AfterFunc(0, func() { n.requestData(id, true) })
-					}
-					break
-				}
+			if slices.Contains(it.StoringNodes, n.selfIdx) {
+				n.fetchAssignedLocked(it.ID, knownBefore[it.ID])
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package livenode
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -121,7 +122,9 @@ func FuzzSyncFrames(f *testing.F) {
 	f.Add(uint8(14), []byte{})
 	f.Add(uint8(15), wholeChain)
 	f.Add(uint8(16), putU32(nil, 1))
-	f.Add(uint8(17), next.Encode())
+	f.Add(uint8(17), held[:])                         // the retired repair request
+	f.Add(uint8(18), append(held[:], "sync-fuzz"...)) // its answer, content that hashes to the ID
+	f.Add(uint8(19), next.Encode())
 
 	frames := []byte{
 		p2p.FrameSyncLocator, p2p.FrameSyncHeaders, p2p.FrameSyncGetBatch,
@@ -149,6 +152,9 @@ func FuzzSyncFrames(f *testing.F) {
 			n.handleFrame("fuzzer", p2p.FrameBlockAnnounce, encodeAnnounce(fuzzTip+1, cb.Head.Hash))
 		}
 		n.handleFrame("fuzzer", ft, payload)
+		if slices.Contains(deadFrameTypes, ft) {
+			deadFrameStoresNothing(t, n, ft, payload)
+		}
 		if got := n.Height(); got != fuzzTip {
 			t.Fatalf("forged sync frames moved the chain: height %d, want %d", got, fuzzTip)
 		}

@@ -377,10 +377,35 @@ func TestSyncForkSuffixFromSnapshot(t *testing.T) {
 	}
 }
 
-// deadFrameTypes are type bytes no handler may act on: the four retired
+// deadFrameTypes are type bytes no handler may act on: the six retired
 // ones (full-block push, whole-chain request and reply, heartbeat
-// broadcast) and the first number above the highest live type.
-var deadFrameTypes = []byte{2, 4, 5, 12, p2p.FrameCompactBlock + 1}
+// broadcast, the repair plane's own request and answer) and the first
+// number above the highest live type.
+var deadFrameTypes = []byte{2, 4, 5, 12, 13, 14, p2p.FrameCompactBlock + 1}
+
+// deadFrameStoresNothing gives a dead type byte the one thing the retired
+// repair answer (14) needed to be stored: a fetch pending for the DataID its
+// payload starts with. Whatever follows the ID, nothing may be stored and the
+// fetch must stay pending.
+func deadFrameStoresNothing(t *testing.T, n *Node, ft byte, payload []byte) {
+	t.Helper()
+	if len(payload) < len(meta.DataID{}) || n.store.HasData(meta.DataID(payload[:32])) {
+		return
+	}
+	id := meta.DataID(payload[:32])
+	pending := func() bool {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return n.fetches.pending[id] != nil
+	}
+	if !pending() {
+		n.RequestData(id)
+	}
+	n.handleFrame("fuzzer", ft, payload)
+	if n.store.HasData(id) || !pending() {
+		t.Fatalf("dead frame type %d answered a pending fetch: stored=%v, still pending=%v", ft, n.store.HasData(id), pending())
+	}
+}
 
 // lastSyncAbort returns the detail of the newest sync_abort event.
 func lastSyncAbort(reg *telemetry.Registry) string {
@@ -528,11 +553,11 @@ func TestSyncHeadersNotPastTipRefused(t *testing.T) {
 	}
 }
 
-// TestRetiredFrameTypesIgnored feeds the four retired type bytes, and the
+// TestRetiredFrameTypesIgnored feeds the six retired type bytes, and the
 // byte above the highest live type, payloads their old handlers would have
 // acted on — a block extending the tip, a whole longer chain, a roster
-// index to bind — and checks that chain, pool, roster table and detector
-// all stay put.
+// index to bind, the content of a pending fetch — and checks that chain,
+// pool, store, roster table and detector all stay put.
 func TestRetiredFrameTypesIgnored(t *testing.T) {
 	fn := newFakeNet()
 	epoch := time.Unix(1700000000, 0)
@@ -546,6 +571,8 @@ func TestRetiredFrameTypesIgnored(t *testing.T) {
 	}
 	b.mineBlocks(t, 2)
 	link(t, a, b)
+	wanted := []byte("a fetch is pending for this")
+	a.RequestData(meta.HashData(wanted)) // nobody holds it: pending until the test ends
 	log := watchFrames(fn, nil)
 
 	longer := b.ChainSnapshot()
@@ -571,6 +598,8 @@ func TestRetiredFrameTypesIgnored(t *testing.T) {
 		for _, payload := range payloads {
 			a.handleFrame("b", ft, payload)
 		}
+		id := meta.HashData(wanted)
+		deadFrameStoresNothing(t, a.Node, ft, append(id[:], wanted...))
 	}
 	if a.Height() != 0 {
 		t.Errorf("a retired frame moved the chain to height %d", a.Height())

@@ -20,8 +20,6 @@ var frameNames = [frameTypeEnd]string{
 	FrameSyncHeaders:    "sync_headers",
 	FrameSyncGetBatch:   "sync_get_batch",
 	FrameSyncBatch:      "sync_batch",
-	FrameRepairGet:      "repair_get",
-	FrameRepairData:     "repair_data",
 	FrameBlockAnnounce:  "block_announce",
 	FrameGetBlock:       "get_block",
 	FrameGetSnapshot:    "get_snapshot",

@@ -46,7 +46,8 @@ const (
 	// 4 and 5 are retired (the whole-chain request and reply).
 	_
 	_
-	// FrameDataRequest carries a 32-byte data ID.
+	// FrameDataRequest carries a 32-byte data ID and the requester's 4-byte
+	// roster index, whose top bit marks a repair fetch.
 	FrameDataRequest
 	// FrameData carries a 32-byte data ID followed by the content.
 	FrameData
@@ -60,14 +61,12 @@ const (
 	FrameSyncGetBatch
 	// FrameSyncBatch carries the requested blocks of one batch.
 	FrameSyncBatch
-	// 12 is retired (the heartbeat broadcast).
+	// 12 is retired (the heartbeat broadcast), and so are 13 and 14 (the
+	// repair plane's own request and answer: a repair fetch is a marked
+	// FrameDataRequest).
 	_
-	// FrameRepairGet asks one specific provider for a 32-byte data ID
-	// (targeted, rate-limited re-replication fetch).
-	FrameRepairGet
-	// FrameRepairData answers a FrameRepairGet: the 32-byte data ID
-	// followed by the content.
-	FrameRepairData
+	_
+	_
 	// FrameBlockAnnounce advertises one block by height + header hash
 	// without shipping the body (inv-style gossip, DESIGN.md §13).
 	FrameBlockAnnounce

@@ -395,7 +395,7 @@ func TestBroadcastNotBlockedByStalledPeer(t *testing.T) {
 // name or one of the retired numbers, which must stay unnamed and count
 // under "other" like any unknown type.
 func TestEveryFrameTypeIsNamed(t *testing.T) {
-	retired := map[byte]bool{2: true, 4: true, 5: true, 12: true}
+	retired := map[byte]bool{2: true, 4: true, 5: true, 12: true, 13: true, 14: true}
 	seen := make(map[string]byte)
 	for ft := byte(1); ft < frameTypeEnd; ft++ {
 		name := frameNames[ft]
@@ -416,7 +416,7 @@ func TestEveryFrameTypeIsNamed(t *testing.T) {
 
 	reg := telemetry.NewRegistry()
 	m := NewMetrics(reg)
-	for _, ft := range []byte{FrameCompactBlock, 2, 12, frameTypeEnd, 0xff} {
+	for _, ft := range []byte{FrameCompactBlock, 2, 14, frameTypeEnd, 0xff} {
 		m.onSent(ft, 3)
 	}
 	snap := reg.Snapshot()

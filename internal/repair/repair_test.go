@@ -261,7 +261,7 @@ func TestLimiter(t *testing.T) {
 // --- queue ------------------------------------------------------------------
 
 func TestQueueDedupOrderingAndWorkers(t *testing.T) {
-	q := NewQueue(QueueConfig{Workers: 1, Timeout: 10 * time.Second})
+	q := NewQueue(QueueConfig{Workers: 1})
 	a := meta.HashData([]byte("a"))
 	b := meta.HashData([]byte("b"))
 	if !q.Add(a, 0) || !q.Add(b, time.Second) {
@@ -278,8 +278,8 @@ func TestQueueDedupOrderingAndWorkers(t *testing.T) {
 	if _, ok := q.Next(2 * time.Second); ok {
 		t.Fatal("Next handed out work beyond the worker bound")
 	}
-	if !q.Has(a) || !q.Has(b) || q.Has(meta.HashData([]byte("c"))) {
-		t.Fatal("Has must cover in-flight and pending tasks, and nothing else")
+	if q.Len() != 2 || q.InFlight() != 1 {
+		t.Fatalf("len=%d inflight=%d, want one task in flight and one pending", q.Len(), q.InFlight())
 	}
 	lat, wasInflight := q.Done(a, 5*time.Second)
 	if !wasInflight || lat != 3*time.Second {
@@ -292,24 +292,23 @@ func TestQueueDedupOrderingAndWorkers(t *testing.T) {
 	if _, wasInflight := q.Done(b, 6*time.Second); wasInflight {
 		t.Fatal("pending task reported as in flight")
 	}
-	if q.Len() != 0 || q.InFlight() != 0 || q.Has(a) {
+	if q.Len() != 0 || q.InFlight() != 0 {
 		t.Fatalf("queue not empty: len=%d inflight=%d", q.Len(), q.InFlight())
 	}
 }
 
-func TestQueueExpireBackoffAndGiveUp(t *testing.T) {
-	q := NewQueue(QueueConfig{Workers: 2, MaxAttempts: 2, Backoff: time.Second, Timeout: 10 * time.Second})
+func TestQueueFailedBackoffAndGiveUp(t *testing.T) {
+	q := NewQueue(QueueConfig{Workers: 2, MaxAttempts: 2, Backoff: time.Second})
 	a := meta.HashData([]byte("a"))
 	q.Add(a, 0)
+	q.Failed(a, time.Second) // not launched: nothing failed
+	if id, ok := q.Next(time.Second); !ok || id != a {
+		t.Fatal("Failed on a pending task charged it an attempt")
+	}
 	q.Launch(a, 0)
-	if gaveUp := q.Expire(5 * time.Second); len(gaveUp) != 0 {
-		t.Fatal("task expired before its deadline")
-	}
-	if gaveUp := q.Expire(10 * time.Second); len(gaveUp) != 0 {
-		t.Fatal("first timeout must back off, not give up")
-	}
-	if q.Attempts(a) != 1 || q.InFlight() != 0 {
-		t.Fatalf("attempts=%d inflight=%d after first timeout", q.Attempts(a), q.InFlight())
+	q.Failed(a, 10*time.Second)
+	if q.Len() != 1 || q.InFlight() != 0 {
+		t.Fatalf("len=%d inflight=%d after the first failure: it must back off, not give up", q.Len(), q.InFlight())
 	}
 	// Backoff: not eligible until now + Backoff<<attempts.
 	if _, ok := q.Next(11 * time.Second); ok {
@@ -319,30 +318,16 @@ func TestQueueExpireBackoffAndGiveUp(t *testing.T) {
 		t.Fatal("task not eligible after backoff")
 	}
 	q.Launch(a, 12*time.Second)
-	// Second timeout exhausts MaxAttempts=2.
-	gaveUp := q.Expire(40 * time.Second)
-	if len(gaveUp) != 1 || gaveUp[0] != a {
-		t.Fatalf("gaveUp = %v, want [a]", gaveUp)
-	}
-	if q.Len() != 0 {
+	// The second failure exhausts MaxAttempts=2.
+	q.Failed(a, 40*time.Second)
+	if q.Len() != 0 || q.InFlight() != 0 {
 		t.Fatal("given-up task still tracked")
 	}
-}
-
-func TestQueueDefer(t *testing.T) {
-	q := NewQueue(QueueConfig{Workers: 1, MaxAttempts: 2})
-	a := meta.HashData([]byte("a"))
-	q.Add(a, 0)
-	if q.Defer(a, 5*time.Second) {
-		t.Fatal("first defer gave up")
+	// Forgotten is not banned: the driver's audit may add it again, fresh.
+	if !q.Add(a, 41*time.Second) {
+		t.Fatal("a forgotten task could not be re-added")
 	}
-	if _, ok := q.Next(4 * time.Second); ok {
-		t.Fatal("deferred task eligible early")
-	}
-	if !q.Defer(a, 10*time.Second) {
-		t.Fatal("second defer should exhaust MaxAttempts=2")
-	}
-	if q.Len() != 0 {
-		t.Fatal("given-up task still tracked")
+	if id, ok := q.Next(41 * time.Second); !ok || id != a {
+		t.Fatal("re-added task carries the old backoff")
 	}
 }
