@@ -63,8 +63,9 @@ func (n *Node) bindAddrLocked(i int, from string) bool {
 // fetchCandidatesLocked lists the addresses to ask for id (n.mu held). A
 // consumer starts at the storing node its own roster index selects, so
 // requesters spread over the replicas without an RNG draw, and asks the
-// producer last, as does a repair fetch; a placement fetch asks the producer
-// first, because the other assigned storers are fetching at the same moment.
+// producer last; a storing node fetching its own copy, placement or repair,
+// asks the producer first, because the other assigned storers may be fetching
+// at the same moment and only the producer is sure to have the bytes.
 // With a churn detector, holders it calls dead are skipped and suspect ones
 // go after the alive. An item this node cannot resolve, or whose holders it
 // has no address for, has no candidates.
@@ -78,7 +79,7 @@ func (n *Node) fetchCandidatesLocked(id meta.DataID, purpose fetchPurpose) []str
 		order = append(order, it.StoringNodes[(k+n.selfIdx)%len(it.StoringNodes)])
 	}
 	if p, ok := n.eng.Ledger().IndexOf(it.Producer); ok {
-		if purpose == placementFetch {
+		if purpose != consumerFetch {
 			order = slices.Insert(order, 0, p)
 		} else {
 			order = append(order, p)
@@ -117,10 +118,10 @@ func (n *Node) RequestData(id meta.DataID) { n.requestData(id, consumerFetch) }
 func (n *Node) requestData(id meta.DataID, purpose fetchPurpose) {
 	n.mu.Lock()
 	pf := n.fetches.pending[id]
-	if pf != nil && !pf.repair && purpose == repairFetch {
-		// The repair plane takes the fetch over: a placement fetch that found
-		// nobody has no candidates worth waiting FetchTimeout on, a launch
-		// picks afresh, pays the budget and is retried by its queue.
+	if pf != nil && !pf.repair && !pf.waiting() && purpose == repairFetch {
+		// That fetch has nobody left to ask and waits out its broadcast: the
+		// launch replaces it, picks afresh and pays the budget. One still
+		// waiting on a candidate is left alone; its answer ends the task too.
 		n.fetches.finish(id)
 		pf = nil
 	}
@@ -157,30 +158,57 @@ func (n *Node) newDataFetcher() *fetcher[meta.DataID] {
 		if to != pf.cands[0] {
 			n.tel.fetchNextCandidate.Inc()
 		}
-		return n.sendFetch(to, p2p.FrameDataRequest, request(id, pf), pf.repair) == nil
+		return n.sendFetch(to, p2p.FrameDataRequest, request(id, pf), pf.repair)
 	}
 	f.exhausted = func(id meta.DataID, pf *pendingFetch) func() {
 		n.tel.fetchBroadcasts.Inc()
 		if pf.repair {
 			n.tel.repairFallbacks.Inc()
+		} else if n.repair != nil {
+			// A task launched while this fetch was running rode on it: its next
+			// launch replaces the fetch (requestData).
+			n.repair.queue.Failed(id, n.now())
 		}
-		return func() { n.bcast(p2p.FrameDataRequest, request(id, pf), pf.repair) }
+		return func() {
+			n.countFetch(pf.repair, len(id)+4, n.bcast(p2p.FrameDataRequest, request(id, pf)))
+		}
 	}
 	f.expired = func(id meta.DataID, pf *pendingFetch) {
-		if pf.repair {
-			n.repair.queue.Failed(id, n.now()) // the task backs off and is launched again
-		} else {
+		if !pf.repair {
 			n.tel.dataFetchExpired.Inc()
+		}
+		if n.repair != nil {
+			n.repair.queue.Failed(id, n.now()) // a launched task backs off and is launched again
 		}
 	}
 	return f
 }
 
+// countFetch books copies frames of a data fetch: repair traffic if the fetch
+// re-replicates, data traffic otherwise (5 = frame header; countWire leaves
+// these two frame types to their fetch).
+func (n *Node) countFetch(repair bool, payloadLen, copies int) {
+	c := n.tel.wireDataBytes
+	if repair {
+		c = n.tel.wireRepairBytes
+	}
+	c.Add((payloadLen + 5) * copies)
+}
+
+// sendFetch is send for one frame of a data fetch.
+func (n *Node) sendFetch(to string, ft byte, payload []byte, repair bool) bool {
+	err := n.send(to, ft, payload)
+	if err == nil {
+		n.countFetch(repair, len(payload), 1)
+	}
+	return err == nil
+}
+
 // handleDataRequest answers a fetch if this node holds the content. The
 // payload is DataID ‖ u32 requester roster index (‖ repairMark); the index
 // teaches this node the requester's address. The answer to a marked request
-// must fit this node's repair budget: denied means no answer, the requester
-// moves on to its next candidate — the rate limit doing its job.
+// is paid from this node's repair budget: denied means no answer, the
+// requester moves on to its next candidate — the rate limit doing its job.
 func (n *Node) handleDataRequest(from string, payload []byte) {
 	var id meta.DataID
 	if len(payload) != len(id)+4 {
@@ -189,21 +217,16 @@ func (n *Node) handleDataRequest(from string, payload []byte) {
 	copy(id[:], payload)
 	w := binary.BigEndian.Uint32(payload[len(id):])
 	repairReq := w&repairMark != 0
+	content, held := n.store.GetData(id)
 	n.mu.Lock()
 	n.bindAddrLocked(int(w&^repairMark), from)
+	denied := held && repairReq && n.repair != nil && !n.repair.lim.Allow(n.now(), repairFrameOverhead+len(content))
 	n.mu.Unlock()
-	content, ok := n.store.GetData(id)
-	if !ok {
-		return
+	if denied {
+		n.tel.repairThrottled.Inc()
 	}
-	if repairReq && n.repair != nil {
-		n.mu.Lock()
-		allowed := n.repair.lim.Allow(n.now(), repairFrameOverhead+len(content))
-		n.mu.Unlock()
-		if !allowed {
-			n.tel.repairThrottled.Inc()
-			return
-		}
+	if !held || denied {
+		return
 	}
 	n.sendFetch(from, p2p.FrameData, append(id[:], content...), repairReq)
 }

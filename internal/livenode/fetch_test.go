@@ -156,7 +156,8 @@ func TestFetchAsksOneHolder(t *testing.T) {
 }
 
 // Consumers start at the storing node their own index selects and ask the
-// producer last; a placement fetch asks the producer first. Unknown
+// producer last; a storing node's own fetch, placement or repair, asks the
+// producer first. Unknown
 // addresses, this node itself and a producer that also stores are skipped.
 func TestFetchCandidateOrder(t *testing.T) {
 	fc := newFetchCluster(t, 5, nil)
@@ -180,7 +181,7 @@ func TestFetchCandidateOrder(t *testing.T) {
 		{0, id0, consumerFetch, []string{"n1", "n2", "n4"}},
 		{3, id3, consumerFetch, []string{"n2", "n1", "n4"}}, // (k+3) mod 2: the other replica first
 		{0, id0, placementFetch, []string{"n4", "n1", "n2"}},
-		{0, id0, repairFetch, []string{"n1", "n2", "n4"}},
+		{0, id0, repairFetch, []string{"n4", "n1", "n2"}},
 		{0, fc.item(t, 0, "producer stores too", 1, []int{0, 1, 2}), consumerFetch, []string{"n1", "n2"}},
 		{0, fc.item(t, 0, "pooled, not placed yet", 2, nil), consumerFetch, []string{"n2"}},
 		{0, meta.HashData([]byte("never heard of")), consumerFetch, nil},
@@ -219,7 +220,7 @@ func TestFetchCandidatesFollowLiveness(t *testing.T) {
 		want    []string
 	}{
 		{consumerFetch, []string{"n3", "n4", "n2"}},
-		{repairFetch, []string{"n3", "n4", "n2"}},
+		{repairFetch, []string{"n4", "n3", "n2"}},
 		{placementFetch, []string{"n4", "n3", "n2"}},
 	} {
 		if got := a.fetchCandidatesLocked(id, tc.purpose); !reflect.DeepEqual(got, tc.want) {
@@ -580,24 +581,23 @@ func TestUnsolicitedDataNotStored(t *testing.T) {
 
 // Re-replication pays from the repair budget and is counted as repair
 // traffic, whoever ends up serving it. Node 2 died; the chain re-assigned its
-// item to node 0, next to node 1. Node 1 holds the bytes but its budget is
-// smaller than the item, the producer (node 3, not a storing node) holds them
-// too. The repair fetch asks node 1, which stays silent and counts a
-// throttle, moves on to the producer after SyncTimeout, and the producer's
-// answer is charged to the producer's limiter; request and answer bytes land
-// in repair_bytes on both ends and in nobody's data_bytes.
+// item to node 0, next to node 1. The producer (node 3, not a storing node)
+// and node 1 both hold the bytes, and the item is larger than anybody's bucket
+// (RepairRate bytes). The producer's bucket is in debt: asked first, it stays
+// silent and counts a throttle. The fetch moves on to node 1 after
+// SyncTimeout, whose full bucket lets the oversized answer through and goes
+// into debt for it; request and answer bytes land in repair_bytes on both
+// ends and in nobody's data_bytes.
 func TestRepairFetchPaysBudgetAndCountsAsRepair(t *testing.T) {
-	const rate = 1024
-	_, accounts := testRoster(4)
-	fc := newFetchCluster(t, 4, func(cfg *Config) {
-		cfg.RepairWorkers, cfg.RepairRate = 1, rate
-		if cfg.Identity.Address() == accounts[1] {
-			cfg.RepairRate = 64
-		}
-	})
-	a, producer := fc.nodes[0], fc.nodes[3]
+	const rate = 128
+	fc := newFetchCluster(t, 4, func(cfg *Config) { cfg.RepairWorkers, cfg.RepairRate = 1, rate })
+	a, holder, producer := fc.nodes[0], fc.nodes[1], fc.nodes[3]
 	fc.know(0, 1, 3)
 	content := "re-replicated under the budget: " + strings.Repeat("x", 200)
+	charged := repairFrameOverhead + len(content)
+	if charged <= rate {
+		t.Fatalf("the answer (%d B) must not fit a bucket of %d B", charged, rate)
+	}
 	it := testItem(a.idents()[3], content, 0)
 	it.StoringNodes = []int{1, 0}
 	a.mu.Lock()
@@ -609,17 +609,22 @@ func TestRepairFetchPaysBudgetAndCountsAsRepair(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	producer.mu.Lock()
+	if !producer.repair.lim.Allow(producer.now(), 100*rate) {
+		t.Fatal("a full bucket refused an oversized frame")
+	}
+	producer.mu.Unlock()
 	got := fc.gotData(0)
 
 	fc.clk.Advance(a.cfg.RepairProbeEvery) // one repair tick everywhere
-	if want := []wireFrame{{"n0", "n1", p2p.FrameDataRequest}}; !reflect.DeepEqual(fc.wire, want) {
+	if want := []wireFrame{{"n0", "n3", p2p.FrameDataRequest}}; !reflect.DeepEqual(fc.wire, want) {
 		t.Fatalf("after the tick the wire carried %v, want %v", fc.wire, want)
 	}
-	if v := counter(fc.nodes[1].reg, "livenode.repair.throttled"); v != 1 {
+	if v := counter(producer.reg, "livenode.repair.throttled"); v != 1 {
 		t.Fatalf("holder over its budget: repair.throttled = %d, want 1", v)
 	}
 	fc.clk.Advance(a.cfg.SyncTimeout)
-	want := []wireFrame{{"n0", "n1", p2p.FrameDataRequest}, {"n0", "n3", p2p.FrameDataRequest}, {"n3", "n0", p2p.FrameData}}
+	want := []wireFrame{{"n0", "n3", p2p.FrameDataRequest}, {"n0", "n1", p2p.FrameDataRequest}, {"n1", "n0", p2p.FrameData}}
 	if !reflect.DeepEqual(fc.wire, want) || got[it.ID] != content {
 		t.Fatalf("wire carried %v, want %v (OnData %d items)", fc.wire, want, len(got))
 	}
@@ -631,7 +636,7 @@ func TestRepairFetchPaysBudgetAndCountsAsRepair(t *testing.T) {
 	if sent, want := rereplication(a), uint64(2*(36+5)); sent != want {
 		t.Errorf("requester counted %d re-replication bytes, want two 36-byte requests = %d", sent, want)
 	}
-	if sent, want := rereplication(producer), uint64(32+len(content)+5); sent != want {
+	if sent, want := rereplication(holder), uint64(32+len(content)+5); sent != want {
 		t.Errorf("holder counted %d re-replication bytes, want the answer's %d", sent, want)
 	}
 	for i, n := range fc.nodes {
@@ -647,15 +652,14 @@ func TestRepairFetchPaysBudgetAndCountsAsRepair(t *testing.T) {
 	if h := snap.Histogram("livenode.repair.fetch_ns"); h.Count != 1 || h.Max != int64(a.cfg.SyncTimeout) {
 		t.Errorf("repair.fetch_ns %+v, want one sample of %v (launch to verified content)", h, a.cfg.SyncTimeout)
 	}
-	// The producer's bucket held one second's worth and paid for the answer:
-	// what is left no longer covers a full second, but covers the rest.
-	charged := repairFrameOverhead + len(content)
-	producer.mu.Lock()
-	lim, now := producer.repair.lim, producer.now()
-	full, rest := lim.Allow(now, rate), lim.Allow(now, rate-charged)
-	producer.mu.Unlock()
-	if full || !rest {
-		t.Errorf("holder's limiter after the answer: a full second allowed=%v, the remainder allowed=%v", full, rest)
+	// The holder's bucket paid for the whole answer: it is in debt by what did
+	// not fit, and good again once the refill has covered that.
+	holder.mu.Lock()
+	lim, now := holder.repair.lim, holder.now()
+	inDebt, paidOff := !lim.Allow(now, 1), lim.Allow(now+time.Duration(charged)*time.Second/rate, rate/2)
+	holder.mu.Unlock()
+	if !inDebt || !paidOff {
+		t.Errorf("holder's limiter after the oversized answer: in debt=%v, paid off %d B later=%v", inDebt, charged, paidOff)
 	}
 	a.mu.Lock()
 	left := a.repair.queue.Len()
@@ -665,10 +669,10 @@ func TestRepairFetchPaysBudgetAndCountsAsRepair(t *testing.T) {
 	}
 }
 
-// A repair launch takes over a pending consumer or placement fetch of the
-// same item — fresh candidates, the launch's own expiry, marked requests —
-// and leaves no timer of the old fetch behind; a consumer's request while a
-// repair fetch is pending rides on it.
+// A repair launch replaces a pending consumer or placement fetch of the same
+// item that has nobody left to ask — fresh candidates, the launch's own
+// expiry, marked requests — and leaves no timer of the old fetch behind; a
+// consumer's request while a repair fetch is pending rides on it.
 func TestRepairLaunchTakesOverPendingFetch(t *testing.T) {
 	fc := newFetchCluster(t, 3, func(cfg *Config) { cfg.RepairWorkers = 1 })
 	a := fc.nodes[0]
@@ -689,7 +693,7 @@ func TestRepairLaunchTakesOverPendingFetch(t *testing.T) {
 	fc.wire = nil
 	a.requestData(id, repairFetch)
 	taken := entry()
-	if taken == old || !taken.repair || !reflect.DeepEqual(taken.cands, []string{"n1", "n2"}) {
+	if taken == old || !taken.repair || !reflect.DeepEqual(taken.cands, []string{"n2", "n1"}) {
 		t.Fatalf("after the repair launch the pending fetch is %+v", taken)
 	}
 	if got := fc.clk.activeTimers(); got != timers+1 {
@@ -706,6 +710,49 @@ func TestRepairLaunchTakesOverPendingFetch(t *testing.T) {
 	fc.clk.Advance(time.Millisecond)
 	if entry() != nil || counter(a.reg, "livenode.data.fetch_expired") != 0 {
 		t.Fatalf("repair fetch not dropped at 4 probe intervals (or counted as a consumer's): %+v", entry())
+	}
+}
+
+// A consumer's fetch that is still waiting on a candidate is not the repair
+// plane's to restart: a launch for the same item leaves its start, cursor,
+// purpose and expiry alone and rides on it. When it runs out of candidates
+// the launched task goes back to its queue, and the next launch replaces it.
+func TestRepairLaunchLeavesRunningFetchAlone(t *testing.T) {
+	fc := newFetchCluster(t, 3, func(cfg *Config) { cfg.RepairWorkers = 1 })
+	a := fc.nodes[0]
+	fc.know(0, 1, 2)
+	id := fc.item(t, 0, "a consumer is reading this", 2, []int{0, 1}) // nobody holds the bytes
+	a.RequestData(id)
+	a.mu.Lock()
+	running := a.fetches.pending[id]
+	a.repair.queue.Add(id, a.now())
+	a.repair.queue.Launch(id, a.now())
+	a.mu.Unlock()
+	if running == nil || !running.waiting() {
+		t.Fatalf("consumer fetch %+v, want one waiting on its first candidate", running)
+	}
+	start, asked, timers := running.start, len(fc.wire), fc.clk.activeTimers()
+
+	fc.clk.Advance(a.cfg.SyncTimeout / 2)
+	a.requestData(id, repairFetch)
+	entry := func() (*pendingFetch, int) {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return a.fetches.pending[id], a.repair.queue.InFlight()
+	}
+	after, inFlight := entry()
+	if after != running || after.repair || after.start != start || after.next != 1 || inFlight != 1 ||
+		len(fc.wire) != asked || fc.clk.activeTimers() != timers {
+		t.Fatalf("the launch disturbed a running consumer fetch: %+v, wire %v", after, fc.wire[asked:])
+	}
+
+	fc.clk.Advance(2 * a.cfg.SyncTimeout) // n1, then the producer, stayed silent
+	if after, inFlight = entry(); after != running || after.waiting() || inFlight != 0 {
+		t.Fatalf("exhausted consumer fetch %+v with %d tasks in flight, want it broadcasting and the task back in the queue", after, inFlight)
+	}
+	a.requestData(id, repairFetch)
+	if after, _ = entry(); after == running || !after.repair || counter(a.reg, "livenode.data.fetch_expired") != 0 {
+		t.Fatalf("the next launch did not replace the exhausted fetch: %+v", after)
 	}
 }
 

@@ -128,8 +128,8 @@ type Config struct {
 	// RepairRate is the repair plane's token-bucket byte budget in bytes
 	// per second (default 4096); it keeps background re-replication
 	// traffic strictly below consensus traffic. Both ends of every repair
-	// fetch pay from it, and the bucket holds one second's worth: an item
-	// larger than that is never re-replicated.
+	// fetch pay from it; the bucket holds one second's worth, and an item
+	// larger than that passes a full bucket and leaves it in debt.
 	RepairRate int
 	// RepairProbeEvery is the repair tick cadence: liveness probing,
 	// membership sweep and queue pump (default 2s).

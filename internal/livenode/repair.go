@@ -222,21 +222,16 @@ func (n *Node) updateRepairGaugesLocked(now time.Duration) {
 // split wire bytes into consensus, data and repair traffic; the chaos
 // suite asserts the §11 invariant (repair strictly below consensus) from
 // the resulting counters. The 5 accounts for the frame header (4-byte
-// length + 1-byte type). repair says that a data-fetch frame belongs to a
-// fetch that re-replicates; no other frame type reads it.
+// length + 1-byte type).
 
-func (n *Node) countWire(ft byte, payloadLen, copies int, repair bool) {
+func (n *Node) countWire(ft byte, payloadLen, copies int) {
 	if copies <= 0 {
 		return
 	}
 	bytes := (payloadLen + 5) * copies
 	switch ft {
 	case p2p.FrameDataRequest, p2p.FrameData:
-		if repair {
-			n.tel.wireRepairBytes.Add(bytes)
-		} else {
-			n.tel.wireDataBytes.Add(bytes)
-		}
+		// Data or repair traffic by the purpose of the fetch: countFetch.
 	case p2p.FrameRepairProbe, p2p.FrameRepairProbeAck:
 		// Liveness traffic alone — the bytes the §15.2 sampled-probe gate
 		// bounds.
@@ -269,12 +264,6 @@ func (n *Node) countWire(ft byte, payloadLen, copies int, repair bool) {
 // send is the counted p2p.Transport.Send; a failed send toward a mapped
 // roster node feeds the churn detector.
 func (n *Node) send(peer string, ft byte, payload []byte) error {
-	return n.sendFetch(peer, ft, payload, false)
-}
-
-// sendFetch is send for the two frames of a data fetch, which count as
-// repair traffic when the fetch re-replicates.
-func (n *Node) sendFetch(peer string, ft byte, payload []byte, repair bool) error {
 	err := n.net.Send(peer, ft, payload)
 	if err != nil {
 		n.mu.Lock()
@@ -286,12 +275,14 @@ func (n *Node) sendFetch(peer string, ft byte, payload []byte, repair bool) erro
 		n.mu.Unlock()
 		return err
 	}
-	n.countWire(ft, len(payload), 1, repair)
+	n.countWire(ft, len(payload), 1)
 	return nil
 }
 
-// bcast is the counted p2p.Transport.Broadcast; repair as for sendFetch.
-func (n *Node) bcast(ft byte, payload []byte, repair bool) {
+// bcast is the counted p2p.Transport.Broadcast; it returns how many peers
+// the frame went out to.
+func (n *Node) bcast(ft byte, payload []byte) int {
 	delivered, _ := n.net.Broadcast(ft, payload)
-	n.countWire(ft, len(payload), delivered, repair)
+	n.countWire(ft, len(payload), delivered)
+	return delivered
 }

@@ -309,7 +309,7 @@ func (n *Node) sendSyncLocator(peer string) {
 	payload := encodeLocator(n.eng.Chain().Locator())
 	n.mu.Unlock()
 	if peer == "" {
-		n.bcast(p2p.FrameSyncLocator, payload, false)
+		n.bcast(p2p.FrameSyncLocator, payload)
 	} else {
 		n.send(peer, p2p.FrameSyncLocator, payload)
 	}

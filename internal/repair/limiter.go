@@ -5,8 +5,11 @@ import "time"
 // Limiter is a token bucket over bytes with an injected clock, keeping
 // repair wire traffic strictly bounded: tokens refill at Rate bytes per
 // second up to Burst, and a frame may only go out if its full size fits
-// the bucket now. Like everything in this package it never reads a real
-// clock — callers pass now, so virtual-clock runs stay deterministic.
+// the bucket now — or, for a frame larger than Burst, if the bucket is
+// full, which leaves it in debt until the refill has paid the frame off:
+// the long-run rate holds and no size is shut out for good. Like everything
+// in this package it never reads a real clock — callers pass now, so
+// virtual-clock runs stay deterministic.
 type Limiter struct {
 	rate   float64 // bytes per second; <= 0 means unlimited
 	burst  float64
@@ -35,7 +38,7 @@ func (l *Limiter) Allow(now time.Duration, n int) bool {
 		return true
 	}
 	l.refill(now)
-	if float64(n) > l.tokens {
+	if float64(n) > l.tokens && l.tokens < l.burst {
 		return false
 	}
 	l.tokens -= float64(n)

@@ -252,6 +252,20 @@ func TestLimiter(t *testing.T) {
 	if l.Allow(time.Hour, 1) {
 		t.Fatal("bucket exceeded burst capacity")
 	}
+	// A frame larger than the burst passes a full bucket only, and the debt
+	// it leaves is paid off at the rate before anything else goes out.
+	if l.Allow(time.Hour+time.Second, 5000) {
+		t.Fatal("an oversized frame passed a bucket that was not full")
+	}
+	if !l.Allow(time.Hour+2*time.Second, 5000) {
+		t.Fatal("a full bucket refused a frame larger than its burst")
+	}
+	if l.Allow(time.Hour+4999*time.Millisecond, 1) {
+		t.Fatal("a bucket 1 byte in debt allowed a send")
+	}
+	if !l.Allow(time.Hour+6*time.Second, 999) {
+		t.Fatal("debt not paid off at the rate")
+	}
 	unlimited := NewLimiter(0, 0, 0)
 	if !unlimited.Allow(0, 1<<40) {
 		t.Fatal("rate<=0 must disable limiting")
