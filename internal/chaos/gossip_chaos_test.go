@@ -55,6 +55,7 @@ func measureBlockPropagation(t *testing.T) (peak, total, height uint64) {
 // 60 and 1337. The ceiling clears all of them, so it is asserted at every
 // seed.
 func TestBlockRelayWireGate(t *testing.T) {
+	t.Parallel()
 	peak, total, height := measureBlockPropagation(t)
 	if height == 0 {
 		t.Fatal("cluster mined nothing")
@@ -128,6 +129,7 @@ func runGossipConvergenceScenario(t *testing.T, seed int64) gossipChaosResult {
 // partition, the gossip counters prove the announce/fetch path carried the
 // blocks, and a second run with the same seed is bit-identical.
 func TestChaosGossipConvergence256(t *testing.T) {
+	t.Parallel()
 	first := runGossipConvergenceScenario(t, *seedFlag)
 
 	if first.height < 4 {
@@ -193,6 +195,7 @@ func runFlashCrowd64(t *testing.T, horizon time.Duration, payloadBytes int) (*Cl
 // canonical block once in full to each of the other 63 nodes would cost,
 // and at most 2% of the fetched bodies may end on the locator path.
 func TestCompactRelayWireGate(t *testing.T) {
+	t.Parallel()
 	const n = 64
 	c, res := runFlashCrowd64(t, 4*time.Minute, 0)
 
@@ -236,6 +239,7 @@ func TestCompactRelayWireGate(t *testing.T) {
 // thresholds are pinned at the default seed, like the golden digest of
 // TestChaosOpenLoopWorkload; at any seed no fetch may go unserved.
 func TestDirectedFetchWireGate(t *testing.T) {
+	t.Parallel()
 	const n, payload = 64, 1024
 	c, res := runFlashCrowd64(t, 8*time.Minute, payload)
 	// An unserved fetch expires FetchTimeout (2 min) after it began.

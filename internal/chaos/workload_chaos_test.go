@@ -174,8 +174,14 @@ func TestChaosOpenLoopWorkload(t *testing.T) {
 	// answered by every holder, so the request and answer fan-out is gone
 	// (31 346 → 27 980 events) and the requests that remain carry four more
 	// bytes. Nothing on the consensus plane moved: the height is still 24.
+	//
+	// Re-pinned once for short-ID metadata announces (DESIGN.md §15.1): every
+	// FrameMetaAnnounce and every announce-driven FrameGetMeta carries an
+	// 8-byte short ID where it carried the 32-byte data ID, and frame sizes
+	// are folded into the digest. Who sends what to whom and when did not
+	// move: still 27 980 events, still height 24.
 	if seed == 1 && runtime.GOARCH == "amd64" {
-		const digest, events, height = 0x0d0df70924cc85f0, 27980, 24
+		const digest, events, height = 0xf47dfa3ab75703f0, 27980, 24
 		if res.digest != digest || res.events != events || res.height != height {
 			t.Fatalf("cluster behaviour changed at seed 1: digest %016x events %d height %d, golden %016x %d %d",
 				res.digest, res.events, res.height, uint64(digest), events, height)
@@ -190,6 +196,7 @@ func TestChaosOpenLoopWorkload(t *testing.T) {
 // The cluster must converge with the replication floor restored, and two
 // full runs must be bit-identical (equal event digests and counts).
 func TestChaosFlashCrowd(t *testing.T) {
+	t.Parallel()
 	seed := *seedFlag
 	opts := Options{
 		N:               128,
@@ -279,6 +286,7 @@ func TestChaosFlashCrowd(t *testing.T) {
 // to exhaustion, the cluster converges with the replication floor intact,
 // and a second full run is bit-identical.
 func TestChaosScale256OpenLoop(t *testing.T) {
+	t.Parallel()
 	seed := *seedFlag
 	opts := Options{N: 256, Seed: seed, StorageCapacity: 64}
 	requesters := make([]int, 0, 16)

@@ -92,7 +92,7 @@ func TestCompactRebuiltFromPool(t *testing.T) {
 	for _, it := range blk.Items {
 		bare := it.Clone()
 		bare.StoringNodes = nil
-		a.handleFrame("c", p2p.FrameMeta, bare.Encode()) // through AddMetadata, like any relayed item
+		feedItem(a, "c", bare) // through AddMetadata, like any relayed item
 	}
 	log := watchFrames(fn, nil)
 	a.handleFrame("b", p2p.FrameBlockAnnounce, encodeAnnounce(blk.Index, blk.Hash))
@@ -161,6 +161,40 @@ func TestCompactMissingItemsFetched(t *testing.T) {
 	}
 	if v := counter(b.reg, "livenode.gossip.relays") + counter(a.reg, "livenode.gossip.relays"); v == 0 {
 		t.Error("adopted block was not relayed")
+	}
+}
+
+// TestCompactMissAnnounceNotFetchedTwice: every ID a parked body waits for is
+// a pending metadata fetch, so an announce of one between the compact body and
+// the item is a duplicate — one FrameGetMeta names it, the miss path's — and
+// the arriving item ends both the fetch and the wait.
+func TestCompactMissAnnounceNotFetchedTwice(t *testing.T) {
+	fn, a, _, _, blk := compactCluster(t, 3, nil)
+	log := watchFrames(fn, func(from, to string, ft byte) bool { return ft == p2p.FrameMeta || ft == p2p.FrameMetaAnnounce })
+	a.handleFrame("b", p2p.FrameBlockAnnounce, encodeAnnounce(blk.Index, blk.Hash))
+	if parked(a, blk.Hash) == nil {
+		t.Fatal("body not parked")
+	}
+	a.handleFrame("c", p2p.FrameMetaAnnounce, announceOf(blk.Items[1].ID))
+	if n := log.count(p2p.FrameGetMeta); n != 1 {
+		t.Errorf("%d FrameGetMeta frames, want the miss path's alone", n)
+	}
+	if sent, dup := counter(a.reg, "livenode.metagossip.fetches_sent"), counter(a.reg, "livenode.metagossip.dup_suppressed"); sent != 0 || dup != 1 {
+		t.Errorf("announce mid-miss: fetches_sent %d, dup_suppressed %d, want 0 and 1", sent, dup)
+	}
+	for _, it := range blk.Items {
+		bare := it.Clone()
+		bare.StoringNodes = nil
+		a.handleFrame("b", p2p.FrameMeta, bare.Encode())
+	}
+	if got := a.Tip(); got.Hash != blk.Hash {
+		t.Fatalf("height %d: the items did not complete the parked body", a.Height())
+	}
+	a.mu.Lock()
+	left := len(a.gossip.metas.pending)
+	a.mu.Unlock()
+	if left != 0 {
+		t.Errorf("%d metadata fetches still pending after their items arrived", left)
 	}
 }
 
@@ -280,7 +314,7 @@ func TestCompactTamperNeverAdopts(t *testing.T) {
 			for _, it := range blk.Items {
 				bare := it.Clone()
 				bare.StoringNodes = nil
-				a.handleFrame("c", p2p.FrameMeta, bare.Encode())
+				feedItem(a, "c", bare)
 			}
 			cb, err := block.DecodeCompact(blk.EncodeCompact())
 			if err != nil {
@@ -356,8 +390,9 @@ func TestCompactParkedBodyTornDown(t *testing.T) {
 	if left != 0 {
 		t.Fatalf("%d pending fetches after teardown", left)
 	}
-	if pf.waiting() || a.clock.activeTimers() != timers-1 {
-		t.Error("teardown left the parked body's timer armed")
+	// The body's wait and one per missing item, each a pending metadata fetch.
+	if pf.waiting() || a.clock.activeTimers() != timers-1-len(blk.Items) {
+		t.Error("teardown left a timer of the parked body armed")
 	}
 	fn.setDrop(nil)
 	for _, it := range blk.Items {

@@ -50,32 +50,32 @@ const (
 // and seen/pending discipline also runs the metadata relay (DESIGN.md
 // §15.1). All fields are guarded by Node.mu.
 type gossipState struct {
-	rng    *rand.Rand           // node-local, deterministically seeded peer sampling
-	seen   *seenLRU[block.Hash] // announced hashes not (or not yet) on our chain
-	blocks *fetcher[block.Hash] // bodies being fetched from their announcer
+	rng    *rand.Rand                     // node-local, deterministically seeded peer sampling
+	seen   *seenLRU[block.Hash, struct{}] // announced hashes not (or not yet) on our chain
+	blocks *fetcher[block.Hash]           // bodies being fetched from their announcer
 
 	// Metadata relay (DESIGN.md §15.1).
-	metaSeen *seenLRU[meta.DataID] // announced IDs not (or not yet) pooled
-	metas    *fetcher[meta.DataID] // items being fetched from their announcer
+	metaKnown *seenLRU[meta.ShortID, meta.DataID] // items published, admitted or shown: short → full ID
+	metas     *fetcher[meta.ShortID]              // items being fetched from their announcer
 }
 
 func (n *Node) newGossipState(seed int64) *gossipState {
 	g := &gossipState{
-		rng:      rand.New(rand.NewSource(seed)),
-		seen:     newSeenLRU[block.Hash](gossipSeenCap),
-		blocks:   newFetcher[block.Hash](&n.mu, n.clock, n.cfg.SyncTimeout),
-		metaSeen: newSeenLRU[meta.DataID](metaSeenCap),
-		metas:    newFetcher[meta.DataID](&n.mu, n.clock, n.cfg.SyncTimeout),
+		rng:       rand.New(rand.NewSource(seed)),
+		seen:      newSeenLRU[block.Hash, struct{}](gossipSeenCap),
+		blocks:    newFetcher[block.Hash](&n.mu, n.clock, n.cfg.SyncTimeout),
+		metaKnown: newSeenLRU[meta.ShortID, meta.DataID](metaSeenCap),
+		metas:     newFetcher[meta.ShortID](&n.mu, n.clock, n.cfg.SyncTimeout),
 	}
 	g.blocks.ask = func(h block.Hash, _ *pendingFetch, to string) bool {
 		n.send(to, p2p.FrameGetBlock, h[:])
 		return true // an announcer the request did not reach is given up by the timer
 	}
 	g.blocks.exhausted = n.blockFetchExhausted
-	// handleMetaAnnounce sends one batched request for every ID it begins, so
-	// advancing an entry only starts its wait.
-	g.metas.ask = func(meta.DataID, *pendingFetch, string) bool { return true }
-	g.metas.exhausted = func(meta.DataID, *pendingFetch) func() {
+	// handleMetaAnnounce and handleCompactBlock send one batched request for
+	// every ID they begin, so advancing an entry only starts its wait.
+	g.metas.ask = func(meta.ShortID, *pendingFetch, string) bool { return true }
+	g.metas.exhausted = func(meta.ShortID, *pendingFetch) func() {
 		// No locator fallback (metagossip.go): a later announce may retry.
 		n.tel.metaFetchTimeouts.Inc()
 		return nil
@@ -83,30 +83,35 @@ func (n *Node) newGossipState(seed int64) *gossipState {
 	return g
 }
 
-// seenLRU is a fixed-capacity set of 32-byte identifiers (block hashes,
-// data IDs) with FIFO eviction: a map for O(1) membership plus a ring of
+// seenLRU is a fixed-capacity table keyed by identifiers (block hashes, short
+// data IDs) with FIFO eviction: a map for O(1) lookup plus a ring of
 // insertion order. Re-adding a present key is a no-op (announce storms
-// must not churn the ring).
-type seenLRU[K comparable] struct {
-	m    map[K]struct{}
+// must not churn the ring, and the first value under a key stays).
+type seenLRU[K comparable, V any] struct {
+	m    map[K]V
 	ring []K
 	next int
 	full bool
 }
 
-func newSeenLRU[K comparable](capacity int) *seenLRU[K] {
-	return &seenLRU[K]{
-		m:    make(map[K]struct{}, capacity),
+func newSeenLRU[K comparable, V any](capacity int) *seenLRU[K, V] {
+	return &seenLRU[K, V]{
+		m:    make(map[K]V, capacity),
 		ring: make([]K, capacity),
 	}
 }
 
-func (l *seenLRU[K]) Has(k K) bool {
+func (l *seenLRU[K, V]) Get(k K) (V, bool) {
+	v, ok := l.m[k]
+	return v, ok
+}
+
+func (l *seenLRU[K, V]) Has(k K) bool {
 	_, ok := l.m[k]
 	return ok
 }
 
-func (l *seenLRU[K]) Add(k K) {
+func (l *seenLRU[K, V]) Add(k K, v V) {
 	if l.Has(k) {
 		return
 	}
@@ -114,7 +119,7 @@ func (l *seenLRU[K]) Add(k K) {
 		delete(l.m, l.ring[l.next])
 	}
 	l.ring[l.next] = k
-	l.m[k] = struct{}{}
+	l.m[k] = v
 	l.next++
 	if l.next == len(l.ring) {
 		l.next, l.full = 0, true
@@ -233,7 +238,7 @@ func (n *Node) handleBlockAnnounce(from string, payload []byte) {
 		// A block at or below our tip cannot extend the longest chain; a
 		// genuinely longer fork will produce higher announces (or heal via
 		// locators). Remember the hash so repeats stay cheap.
-		g.seen.Add(hash)
+		g.seen.Add(hash, struct{}{})
 		n.tel.gossipStaleSuppressed.Inc()
 	case len(g.blocks.pending) >= maxPendingFetch:
 		// Fetch table saturated — we are far behind, and block-by-block
@@ -279,18 +284,20 @@ func (n *Node) resolveItemLocked(id meta.DataID) *meta.Item {
 
 // handleCompactBlock rebuilds a fetched block from items this node already
 // holds (DESIGN.md §13.1). IDs it cannot resolve are requested from the
-// announcer while the body parks in its pending fetch, whose wait on the
-// announcer keeps running; more of them than a fetch table holds go straight
-// to the locator.
+// announcer, by full ID, while the body parks in its pending fetch, whose wait
+// on the announcer keeps running; more of them than a fetch table holds go
+// straight to the locator. Each one is also a pending metadata fetch, so an
+// announce of it meanwhile is a duplicate and handleMeta takes its answer.
 func (n *Node) handleCompactBlock(from string, payload []byte) {
 	cb, err := block.DecodeCompact(payload)
 	if err != nil {
 		return
 	}
 	n.mu.Lock()
+	g := n.gossip
 	var pf *pendingFetch
 	if !n.closed {
-		pf = n.gossip.blocks.pending[cb.Head.Hash]
+		pf = g.blocks.pending[cb.Head.Hash]
 	}
 	if pf == nil || pf.compact != nil {
 		// Never requested, given up on, or a duplicate delivery.
@@ -299,14 +306,24 @@ func (n *Node) handleCompactBlock(from string, payload []byte) {
 	}
 	blk, missing := cb.Rebuild(n.resolveItemLocked)
 	pf.compact, pf.missing = cb, make(map[meta.DataID]struct{}, len(missing))
-	for _, id := range missing {
+	fetch := len(missing) <= maxPendingMetaFetch
+	began := make([]*pendingFetch, len(missing)) // nil: a fetch of that short ID was pending already
+	for i, id := range missing {
 		pf.missing[id] = struct{}{}
+		if s := id.ShortID(); fetch && g.metas.pending[s] == nil {
+			began[i] = g.metas.begin(s, []string{from}, 0)
+		}
 	}
 	n.tel.compactItemsMissing.Add(len(missing))
 	n.mu.Unlock()
-	if blk != nil || len(missing) > maxPendingMetaFetch {
+	if blk != nil || !fetch {
 		n.finishCompact(pf, blk)
 		return
+	}
+	for i, id := range missing {
+		if began[i] != nil {
+			g.metas.advance(id.ShortID(), began[i])
+		}
 	}
 	for len(missing) > 0 {
 		k := min(len(missing), maxMetaBatch)
@@ -361,7 +378,7 @@ func (n *Node) finishCompact(pf *pendingFetch, blk *block.Block) {
 func (n *Node) blockFetchExhausted(hash block.Hash, pf *pendingFetch) func() {
 	// Remember the hash: a re-announce must not restart a fetch the
 	// locator path is already covering.
-	n.gossip.seen.Add(hash)
+	n.gossip.seen.Add(hash, struct{}{})
 	n.tel.gossipFetchTimeouts.Inc()
 	if pf.compact != nil {
 		n.tel.compactFallbacks.Inc()

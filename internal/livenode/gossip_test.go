@@ -291,20 +291,23 @@ func TestGossipSamplingBoundedAndExcludes(t *testing.T) {
 }
 
 func TestHashLRU(t *testing.T) {
-	l := newSeenLRU[block.Hash](3)
+	l := newSeenLRU[block.Hash, byte](3)
 	h := func(i byte) block.Hash { return block.Hash{i} }
 	for i := byte(1); i <= 3; i++ {
-		l.Add(h(i))
+		l.Add(h(i), i)
 	}
 	for i := byte(1); i <= 3; i++ {
 		if !l.Has(h(i)) {
 			t.Fatalf("hash %d missing before eviction", i)
 		}
 	}
-	// Re-adding a present hash must not churn the ring…
-	l.Add(h(2))
+	// Re-adding a present hash must not churn the ring, nor replace its value…
+	l.Add(h(2), 9)
+	if v, ok := l.Get(h(2)); !ok || v != 2 {
+		t.Errorf("re-added hash maps to %d, %v; want the first value, 2", v, ok)
+	}
 	// …so adding a fourth evicts the oldest (1), not 2 or 3.
-	l.Add(h(4))
+	l.Add(h(4), 4)
 	if l.Has(h(1)) {
 		t.Error("oldest hash survived eviction")
 	}
@@ -313,8 +316,8 @@ func TestHashLRU(t *testing.T) {
 			t.Errorf("hash %d evicted early", i)
 		}
 	}
-	l.Add(h(5))
-	l.Add(h(6))
+	l.Add(h(5), 5)
+	l.Add(h(6), 6)
 	if l.Has(h(2)) || l.Has(h(3)) {
 		t.Error("FIFO order violated")
 	}

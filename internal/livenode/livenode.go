@@ -252,12 +252,14 @@ type nodeMetrics struct {
 	compactFallbacks      *telemetry.Counter // compact fetches that ended on the locator path
 
 	// Inv-style metadata relay (DESIGN.md §15).
-	metaRelays        *telemetry.Counter // pooled items relayed as ID announces
-	metaFetchesSent   *telemetry.Counter // IDs requested via FrameGetMeta
-	metaFetchesServed *telemetry.Counter // pool items served to FrameGetMeta
-	metaFetchTimeouts *telemetry.Counter // pending fetches dropped unanswered
-	metaFetchDropped  *telemetry.Counter // announces dropped: pending table full
-	metaDupSuppressed *telemetry.Counter // announced IDs already pooled/seen/packed
+	metaRelays          *telemetry.Counter // pooled items relayed as ID announces
+	metaFetchesSent     *telemetry.Counter // IDs requested via FrameGetMeta
+	metaFetchesServed   *telemetry.Counter // pool items served to FrameGetMeta
+	metaFetchTimeouts   *telemetry.Counter // pending fetches dropped unanswered
+	metaFetchDropped    *telemetry.Counter // announces dropped: pending table full
+	metaDupSuppressed   *telemetry.Counter // announced IDs already known or being fetched
+	metaRefetchedHeld   *telemetry.Counter // fetched items pool or chain already held: metaKnown evicted them
+	metaShortUnresolved *telemetry.Counter // short IDs asked of this node that metaKnown no longer names
 
 	// Sampled liveness probing (DESIGN.md §15).
 	probesSent        *telemetry.Counter // FrameRepairProbe sends
@@ -359,12 +361,14 @@ func newNodeMetrics(reg *telemetry.Registry, rosterN int) *nodeMetrics {
 		compactItemsMissing:   reg.Counter("livenode.gossip.compact_items_missing"),
 		compactFallbacks:      reg.Counter("livenode.gossip.compact_fallbacks"),
 
-		metaRelays:        reg.Counter("livenode.metagossip.relays"),
-		metaFetchesSent:   reg.Counter("livenode.metagossip.fetches_sent"),
-		metaFetchesServed: reg.Counter("livenode.metagossip.fetches_served"),
-		metaFetchTimeouts: reg.Counter("livenode.metagossip.fetch_timeouts"),
-		metaFetchDropped:  reg.Counter("livenode.metagossip.fetch_dropped"),
-		metaDupSuppressed: reg.Counter("livenode.metagossip.dup_suppressed"),
+		metaRelays:          reg.Counter("livenode.metagossip.relays"),
+		metaFetchesSent:     reg.Counter("livenode.metagossip.fetches_sent"),
+		metaFetchesServed:   reg.Counter("livenode.metagossip.fetches_served"),
+		metaFetchTimeouts:   reg.Counter("livenode.metagossip.fetch_timeouts"),
+		metaFetchDropped:    reg.Counter("livenode.metagossip.fetch_dropped"),
+		metaDupSuppressed:   reg.Counter("livenode.metagossip.dup_suppressed"),
+		metaRefetchedHeld:   reg.Counter("livenode.metagossip.refetched_held"),
+		metaShortUnresolved: reg.Counter("livenode.metagossip.short_unresolved"),
 
 		probesSent:        reg.Counter("livenode.probe.sent"),
 		probeAcks:         reg.Counter("livenode.probe.acks"),
@@ -814,6 +818,7 @@ func (n *Node) Publish(content []byte, typ, locationName string) (*meta.Item, er
 	}
 	n.mu.Lock()
 	n.eng.AddLocal(it)
+	n.gossip.metaKnown.Add(it.ID.ShortID(), it.ID)
 	n.mu.Unlock()
 	n.relayMeta(it.ID, "")
 	return it, nil

@@ -7,7 +7,8 @@ import (
 
 // Inv-style metadata relay (DESIGN.md §15.1). The consensus round (paper
 // §III-B) assumes every node eventually holds the metadata pool; items get
-// there by the same announce/fetch discipline blocks use:
+// there by the same announce/fetch discipline blocks use, spoken in 8-byte
+// short IDs (meta.ShortID, the DataID's prefix):
 //
 //	producer                  sampled peer              its sampled peers
 //	  FrameMetaAnnounce ─────────▶
@@ -18,37 +19,47 @@ import (
 // A node that admits a fetched item to its pool for the first time
 // re-relays the announce to a bounded sample of peers, excluding
 // whoever delivered the item, so dissemination is epidemic: O(fanout)
-// 37-byte announces per node per item, and each node uploads the full
-// item only a bounded number of times. Announces and fetches are
-// batchable (one frame carries up to maxMetaBatch IDs).
+// 17-byte announces per node per item, and each node uploads the full
+// item only a bounded number of times.
+//
+// A short ID only says "you may lack this". Both ends resolve it through one
+// bounded table, gossipState.metaKnown (short → full ID of what this node
+// published, admitted or was shown): an announce's receiver to skip what it
+// has, the announcer to find what it is asked for. An item sharing another's
+// prefix, by accident or forged, loses its announce and nothing else: it
+// travels with the block that packs it (compact blocks and their miss path
+// name items by full ID), and FrameMeta still carries the whole item, taken
+// only for a short ID being fetched and pooled only by engine.AddMetadata
+// behind meta.Item.Verify — no announce or fetch can inject pool state.
 //
 // Deliberate divergence from the block path: an unanswered FrameGetMeta
 // does NOT fall back to a locator round. Metadata is not load-bearing
 // until a miner packs it into a block, and packed items reach every
 // replica through the §10 sync path anyway — so a timed-out fetch just
 // drops its pending entry (a later announce from any peer may retry) and
-// pool convergence becomes eventual instead of synchronous. Only item
-// IDs travel in announce/fetch frames; admission to the pool happens
-// exclusively in the FrameMeta handler behind meta.Item.Verify, so no
-// forged announce or fetch can inject pool state.
+// pool convergence becomes eventual instead of synchronous.
 const (
 	// maxMetaBatch bounds the IDs one FrameMetaAnnounce or FrameGetMeta
 	// carries; oversized counts are rejected before allocation.
 	maxMetaBatch = 64
-	// metaSeenCap bounds the seen-ID LRU (IDs announced but rejected or
-	// already on chain). Metadata is smaller and chattier than blocks, so
-	// the ring is deeper than the block path's.
+	// metaSeenCap bounds metaKnown. An entry is needed from an item's first
+	// announce to its last (milliseconds); one evicted earlier costs a refetch
+	// that AddMetadata refuses (livenode.metagossip.refetched_held).
 	metaSeenCap = 1024
-	// maxPendingMetaFetch bounds concurrently outstanding fetched IDs;
+	// maxPendingMetaFetch bounds concurrently outstanding announced IDs;
 	// past it announces are dropped (the §10 sync path still delivers
 	// whatever a miner packs).
 	maxPendingMetaFetch = 256
+	// shortMark, the top bit of an ID list's count word, says the IDs that
+	// follow are 8-byte short IDs; without it they are 32-byte data IDs, which
+	// only FrameGetMeta takes (the compact-miss path, §13.1).
+	shortMark = 1 << 31
 )
 
 // --- wire codecs --------------------------------------------------------------
 
-// encodeIDList serializes a FrameMetaAnnounce / FrameGetMeta payload: a
-// 4-byte count followed by 32-byte data IDs.
+// encodeIDList serializes a full-ID FrameGetMeta payload: a 4-byte count
+// followed by 32-byte data IDs.
 func encodeIDList(ids []meta.DataID) []byte {
 	out := make([]byte, 0, 4+len(ids)*len(meta.DataID{}))
 	out = putU32(out, uint32(len(ids)))
@@ -58,46 +69,58 @@ func encodeIDList(ids []meta.DataID) []byte {
 	return out
 }
 
-func decodeIDList(payload []byte) ([]meta.DataID, error) {
+// encodeShortIDs serializes a FrameMetaAnnounce or short-ID FrameGetMeta
+// payload: a 4-byte count carrying shortMark, then 8-byte short IDs.
+func encodeShortIDs(ids []meta.ShortID) []byte {
+	out := make([]byte, 0, 4+len(ids)*len(meta.ShortID{}))
+	out = putU32(out, shortMark|uint32(len(ids)))
+	for _, id := range ids {
+		out = append(out, id[:]...)
+	}
+	return out
+}
+
+// decodeIDList parses either list; exactly one result is non-nil. The payload
+// must be exactly as long as its count word says.
+func decodeIDList(payload []byte) (full []meta.DataID, short []meta.ShortID, err error) {
 	r := &syncReader{b: payload}
-	count := r.uint32()
-	if r.err == nil && (count == 0 || count > maxMetaBatch) {
-		r.err = errSyncFrame
+	w := r.uint32()
+	count, width := int(w&^shortMark), len(meta.DataID{})
+	if w&shortMark != 0 {
+		width = len(meta.ShortID{})
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.err != nil || count == 0 || count > maxMetaBatch || len(payload) != 4+count*width {
+		return nil, nil, errSyncFrame
 	}
-	ids := make([]meta.DataID, 0, count)
-	for i := uint32(0); i < count; i++ {
-		var id meta.DataID
-		copy(id[:], r.take(len(id)))
-		ids = append(ids, id)
+	if w&shortMark != 0 {
+		short = make([]meta.ShortID, count)
+		for i := range short {
+			short[i] = meta.ShortID(r.take(width))
+		}
+	} else {
+		full = make([]meta.DataID, count)
+		for i := range full {
+			full[i] = meta.DataID(r.take(width))
+		}
 	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return ids, nil
+	return full, short, nil
 }
 
-// --- relay --------------------------------------------------------------------
+// --- relay, announce and fetch handlers -----------------------------------------
 
-// relayMeta announces a freshly pooled item by ID (gossip.go: relay).
+// relayMeta announces a freshly pooled item by short ID (gossip.go: relay).
 func (n *Node) relayMeta(id meta.DataID, exclude string) {
-	n.relay(p2p.FrameMetaAnnounce, encodeIDList([]meta.DataID{id}), exclude, n.tel.metaRelays)
+	n.relay(p2p.FrameMetaAnnounce, encodeShortIDs([]meta.ShortID{id.ShortID()}), exclude, n.tel.metaRelays)
 }
 
-// --- announce / fetch handlers ------------------------------------------------
-
-// handleMetaAnnounce applies the dedup rules per announced ID and batches
-// one FrameGetMeta back to the announcer for the genuinely unknown ones.
-// A fetch the announcer never answers is simply forgotten — re-announces may
-// retry, and the §10 sync path delivers whatever gets packed meanwhile.
+// handleMetaAnnounce applies the dedup rules per announced short ID and
+// batches one FrameGetMeta back to the announcer for the unknown ones.
 func (n *Node) handleMetaAnnounce(from string, payload []byte) {
-	ids, err := decodeIDList(payload)
+	_, ids, err := decodeIDList(payload)
 	if err != nil {
 		return
 	}
-	var want []meta.DataID
+	var want []meta.ShortID
 	var began []*pendingFetch
 	n.mu.Lock()
 	g := n.gossip
@@ -107,16 +130,10 @@ func (n *Node) handleMetaAnnounce(from string, payload []byte) {
 	}
 	for _, id := range ids {
 		switch {
-		case n.eng.OnChain(id):
-			// Already packed: the pool will never want it again.
-			g.metaSeen.Add(id)
-			n.tel.metaDupSuppressed.Inc()
-		case n.eng.PoolHas(id), g.metaSeen.Has(id), g.metas.pending[id] != nil:
+		case g.metaKnown.Has(id), g.metas.pending[id] != nil:
 			n.tel.metaDupSuppressed.Inc()
 		case len(g.metas.pending) >= maxPendingMetaFetch:
-			// Fetch table saturated: drop the announce. Unlike the block
-			// path there is nothing to degrade to — packed items arrive
-			// via sync, unpacked ones via a later announce.
+			// Fetch table saturated: nothing to degrade to, the announce is dropped.
 			n.tel.metaFetchDropped.Inc()
 		default:
 			began = append(began, g.metas.begin(id, []string{from}, 0))
@@ -129,20 +146,28 @@ func (n *Node) handleMetaAnnounce(from string, payload []byte) {
 			g.metas.advance(id, began[i])
 		}
 		n.tel.metaFetchesSent.Add(len(want))
-		n.send(from, p2p.FrameGetMeta, encodeIDList(want))
+		n.send(from, p2p.FrameGetMeta, encodeShortIDs(want))
 	}
 }
 
 // handleGetMeta serves fetched items, one FrameMeta each: pooled ones, or
-// — what a compact block's receiver asks for — chained ones without their
-// storing nodes (the compact body carries those). Unknown IDs are ignored.
+// — what a compact block's receiver asks for, by full ID — chained ones
+// without their storing nodes (the compact body carries those). A short ID
+// is one this node announced, so metaKnown names it. Unknown IDs are ignored.
 func (n *Node) handleGetMeta(from string, payload []byte) {
-	ids, err := decodeIDList(payload)
+	ids, short, err := decodeIDList(payload)
 	if err != nil {
 		return
 	}
 	var bodies [][]byte
 	n.mu.Lock()
+	for _, s := range short {
+		if id, ok := n.gossip.metaKnown.Get(s); ok {
+			ids = append(ids, id)
+		} else {
+			n.tel.metaShortUnresolved.Inc()
+		}
+	}
 	for _, id := range ids {
 		if it := n.resolveItemLocked(id); it != nil {
 			bare := *it
@@ -154,5 +179,39 @@ func (n *Node) handleGetMeta(from string, payload []byte) {
 	for _, b := range bodies {
 		n.tel.metaFetchesServed.Inc()
 		n.send(from, p2p.FrameMeta, b)
+	}
+}
+
+// handleMeta admits a fetched item. One nobody asked for — no pending fetch
+// under its short ID, registered by handleMetaAnnounce or by the compact-miss
+// path — is dropped before it costs a decode and a signature check.
+func (n *Node) handleMeta(from string, payload []byte) {
+	short, ok := meta.EncodedShortID(payload)
+	n.mu.Lock()
+	g := n.gossip
+	if !ok || g.metas.pending[short] == nil {
+		n.mu.Unlock()
+		return
+	}
+	it, err := meta.Decode(payload)
+	if err != nil {
+		n.mu.Unlock()
+		return
+	}
+	added := n.eng.AddMetadata(it) // verifies the signature, dedups vs pool+chain
+	g.metas.finish(short)
+	// Admitted, forged or a duplicate: its re-announce must not refetch it.
+	g.metaKnown.Add(short, it.ID)
+	if !added && n.resolveItemLocked(it.ID) != nil {
+		n.tel.metaRefetchedHeld.Inc()
+	}
+	ready, blocks := n.noteCompactItemLocked(it.ID)
+	n.mu.Unlock()
+	if added {
+		// Relay on first admission, never back to whoever sent us the body.
+		n.relayMeta(it.ID, from)
+	}
+	for i, pf := range ready {
+		n.finishCompact(pf, blocks[i])
 	}
 }

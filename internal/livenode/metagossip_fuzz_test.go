@@ -17,8 +17,9 @@ import (
 // and sampled-probe decoders and at a live node's frame handler.
 // Invariants: no panic anywhere, no frame sequence moves the chain, and
 // the pool only ever holds items whose producer signature verifies — an
-// announce alone (an unfetched item) admits nothing, and a forged
-// FrameMeta body is rejected no matter how it arrives.
+// announce alone (an unfetched item) admits nothing, a FrameMeta nobody was
+// fetching admits nothing, and a forged FrameMeta body is rejected no matter
+// how it arrives.
 
 var (
 	metaFuzzOnce sync.Once
@@ -85,15 +86,30 @@ func FuzzMetaGossipFrames(f *testing.F) {
 	forged.Producer = accounts[2] // signature no longer matches
 	ids := []meta.DataID{good.ID, forged.ID, meta.HashData([]byte("unserved"))}
 
+	frames := []byte{
+		p2p.FrameMeta, p2p.FrameMetaAnnounce, p2p.FrameGetMeta,
+		p2p.FrameRepairProbe, p2p.FrameRepairProbeAck,
+	}
+	frames = append(frames, deadFrameTypes...)
+	// A FrameMeta with sel < 128 is announced by the fuzzer first, the way a
+	// relay would, so the body answers a pending fetch and reaches decode and
+	// AddMetadata; from 128 up it arrives unsolicited.
+	unsolicited := uint8(128 + len(frames) - 128%len(frames)) // ≡ 0: FrameMeta
+
 	f.Add(uint8(0), good.Encode())
 	f.Add(uint8(0), forged.Encode())
 	f.Add(uint8(0), good.Encode()[:8]) // truncated body
-	f.Add(uint8(1), encodeIDList(ids))
-	f.Add(uint8(1), encodeIDList(ids[:1]))
-	f.Add(uint8(1), putU32(nil, 0))                // zero count
-	f.Add(uint8(1), putU32(nil, maxMetaBatch+1))   // oversized count
-	f.Add(uint8(1), encodeIDList(ids)[:10])        // truncated list
-	f.Add(uint8(2), encodeIDList(ids))             // get-meta shares the codec
+	f.Add(unsolicited, testItem(idents[2], "fuzz item nobody asked for", 0).Encode())
+	f.Add(uint8(1), announceOf(ids...))
+	f.Add(uint8(1), announceOf(ids[0]))
+	f.Add(uint8(1), encodeIDList(ids))                     // full IDs: not an announce
+	f.Add(uint8(1), putU32(nil, shortMark))                // zero count
+	f.Add(uint8(1), putU32(nil, shortMark|maxMetaBatch+1)) // oversized count
+	f.Add(uint8(1), announceOf(ids...)[:10])               // truncated list
+	f.Add(uint8(1), putU32(encodeIDList(ids[:1])[4:], shortMark|1))
+	f.Add(uint8(2), announceOf(ids...)) // get-meta shares the codec, in both widths
+	f.Add(uint8(2), encodeIDList(ids))
+	f.Add(uint8(2), putU32(nil, maxMetaBatch+1))
 	f.Add(uint8(3), putU32(nil, 1))                // probe from roster idx 1
 	f.Add(uint8(3), putU32(nil, 99))               // out-of-range idx
 	f.Add(uint8(3), []byte{1, 2})                  // short probe
@@ -115,17 +131,21 @@ func FuzzMetaGossipFrames(f *testing.F) {
 	f.Add(uint8(10), append(ids[2][:], "unserved"...)) // its answer, content that hashes to the ID
 	f.Add(uint8(11), putU32(nil, 1))
 
-	frames := []byte{
-		p2p.FrameMeta, p2p.FrameMetaAnnounce, p2p.FrameGetMeta,
-		p2p.FrameRepairProbe, p2p.FrameRepairProbeAck,
-	}
-	frames = append(frames, deadFrameTypes...)
 	f.Fuzz(func(t *testing.T, sel uint8, payload []byte) {
 		// The shared codec must fail cleanly on any input.
-		_, _ = decodeIDList(payload)
+		if full, short, err := decodeIDList(payload); err == nil && (full == nil) == (short == nil) {
+			t.Fatalf("decodeIDList returned %d full and %d short IDs", len(full), len(short))
+		}
 
 		ft := frames[int(sel)%len(frames)]
+		pooled := len(n.PoolIDs())
+		if short, ok := meta.EncodedShortID(payload); ok && ft == p2p.FrameMeta && sel < 128 {
+			n.handleFrame("fuzzer", p2p.FrameMetaAnnounce, encodeShortIDs([]meta.ShortID{short}))
+		}
 		n.handleFrame("fuzzer", ft, payload)
+		if ft == p2p.FrameMeta && sel >= 128 && len(n.PoolIDs()) != pooled {
+			t.Fatal("an item nobody was fetching entered the pool")
+		}
 		if slices.Contains(deadFrameTypes, ft) {
 			deadFrameStoresNothing(t, n, ft, payload)
 		}

@@ -1,6 +1,8 @@
 package livenode
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -20,6 +22,22 @@ func testItem(ident *identity.Identity, content string, now time.Duration) *meta
 	}
 	it.Sign(ident)
 	return it
+}
+
+// announceOf is the FrameMetaAnnounce payload naming ids.
+func announceOf(ids ...meta.DataID) []byte {
+	short := make([]meta.ShortID, len(ids))
+	for i, id := range ids {
+		short[i] = id.ShortID()
+	}
+	return encodeShortIDs(short)
+}
+
+// feedItem hands n an item the way the relay does: from announces it (the
+// fetch n sends back goes wherever the fabric takes it), then delivers it.
+func feedItem(n *syncTestNode, from string, it *meta.Item) {
+	n.handleFrame(from, p2p.FrameMetaAnnounce, announceOf(it.ID))
+	n.handleFrame(from, p2p.FrameMeta, it.Encode())
 }
 
 // poolHas reports whether the node's pool holds id.
@@ -64,7 +82,7 @@ func TestMetaGossipAnnounceFetchRelay(t *testing.T) {
 	}
 	// Re-announcing a pooled item must suppress, not refetch.
 	before := counter(b.reg, "livenode.metagossip.fetches_sent")
-	b.handleFrame("a", p2p.FrameMetaAnnounce, encodeIDList([]meta.DataID{it.ID}))
+	b.handleFrame("a", p2p.FrameMetaAnnounce, announceOf(it.ID))
 	if got := counter(b.reg, "livenode.metagossip.fetches_sent"); got != before {
 		t.Errorf("duplicate announce triggered a fetch (%d -> %d)", before, got)
 	}
@@ -87,7 +105,7 @@ func TestMetaGossipFetchTimeoutDropsPending(t *testing.T) {
 	// Announce an ID nobody will serve (drop the fetch in flight).
 	fn.setDrop(func(from, to string, ft byte) bool { return ft == p2p.FrameGetMeta })
 	id := meta.HashData([]byte("never served"))
-	a.handleFrame("b", p2p.FrameMetaAnnounce, encodeIDList([]meta.DataID{id}))
+	a.handleFrame("b", p2p.FrameMetaAnnounce, announceOf(id))
 	a.mu.Lock()
 	pending := len(a.gossip.metas.pending)
 	a.mu.Unlock()
@@ -112,12 +130,11 @@ func TestMetaGossipFetchTimeoutDropsPending(t *testing.T) {
 
 	// A later announce retries the same ID, and this time it is served.
 	fn.setDrop(nil)
-	it := testItem(b.idents()[1], "never served", b.now())
-	b.mu.Lock()
-	b.eng.AddLocal(it)
-	b.mu.Unlock()
-	a.handleFrame("b", p2p.FrameMetaAnnounce, encodeIDList([]meta.DataID{it.ID}))
-	if !poolHas(a.Node, it.ID) {
+	it, err := b.Publish([]byte("never served"), "Road/Congestion", "lab")
+	if err != nil || it.ID != id {
+		t.Fatalf("publish: %v, ID %s, want %s", err, it.ID.Short(), id.Short())
+	}
+	if !poolHas(a.Node, id) {
 		t.Fatal("re-announce after timeout did not refetch the item")
 	}
 }
@@ -141,7 +158,7 @@ func TestMetaGossipForgedItemNotPooledNotRelayed(t *testing.T) {
 
 	it := testItem(a.idents()[1], "forged provenance", a.now())
 	it.Producer = a.cfg.Accounts[2] // signature no longer matches the producer
-	a.handleFrame("b", p2p.FrameMeta, it.Encode())
+	feedItem(a, "b", it)
 	if poolHas(a.Node, it.ID) {
 		t.Fatal("forged item entered the pool")
 	}
@@ -150,33 +167,68 @@ func TestMetaGossipForgedItemNotPooledNotRelayed(t *testing.T) {
 	}
 	// Its announce is now suppressed without a fetch.
 	before := counter(a.reg, "livenode.metagossip.fetches_sent")
-	a.handleFrame("b", p2p.FrameMetaAnnounce, encodeIDList([]meta.DataID{it.ID}))
+	a.handleFrame("b", p2p.FrameMetaAnnounce, announceOf(it.ID))
 	if got := counter(a.reg, "livenode.metagossip.fetches_sent"); got != before {
 		t.Error("announce of a known-bad ID triggered a fetch")
 	}
 }
 
-// TestMetaIDListCodecBounds pins the wire-codec bounds: zero-count,
-// oversized-count and truncated payloads are all rejected.
+// TestMetaIDListCodecBounds pins both widths of the ID-list codec byte for byte —
+// the count word, its short mark, the IDs back to back — and its bounds:
+// count 0, an oversized count, a payload shorter or longer than the count
+// says, and a list whose mark contradicts its length are all rejected, and
+// none of them allocates a result.
 func TestMetaIDListCodecBounds(t *testing.T) {
-	ids := []meta.DataID{meta.HashData([]byte("x")), meta.HashData([]byte("y"))}
-	enc := encodeIDList(ids)
-	got, err := decodeIDList(enc)
-	if err != nil || len(got) != 2 || got[0] != ids[0] || got[1] != ids[1] {
-		t.Fatalf("round trip failed: %v %v", got, err)
+	x, y := meta.HashData([]byte("x")), meta.HashData([]byte("y"))
+	full := encodeIDList([]meta.DataID{x, y})
+	if want := append(append([]byte{0, 0, 0, 2}, x[:]...), y[:]...); !bytes.Equal(full, want) {
+		t.Fatalf("full list encodes as %x, want %x", full, want)
 	}
-	if _, err := decodeIDList(encodeIDList(nil)); err == nil {
-		t.Error("zero-count payload accepted")
+	short := encodeShortIDs([]meta.ShortID{x.ShortID(), y.ShortID()})
+	if want := append(append([]byte{0x80, 0, 0, 2}, x[:8]...), y[:8]...); !bytes.Equal(short, want) {
+		t.Fatalf("short list encodes as %x, want %x", short, want)
 	}
-	over := make([]meta.DataID, maxMetaBatch+1)
-	if _, err := decodeIDList(encodeIDList(over)); err == nil {
-		t.Error("oversized count accepted")
+	if len(announceOf(x))+5 != 17 { // p2p frame header: type byte + length word
+		t.Errorf("a single-ID announce is %d B on the wire, want 17", len(announceOf(x))+5)
 	}
-	if _, err := decodeIDList(enc[:len(enc)-1]); err == nil {
-		t.Error("truncated payload accepted")
+	if ids, sh, err := decodeIDList(full); err != nil || sh != nil || len(ids) != 2 || ids[0] != x || ids[1] != y {
+		t.Fatalf("full round trip: %v %v %v", ids, sh, err)
 	}
-	if _, err := decodeIDList(append(append([]byte(nil), enc...), 0)); err == nil {
-		t.Error("trailing garbage accepted")
+	if ids, sh, err := decodeIDList(short); err != nil || ids != nil || len(sh) != 2 || sh[0] != x.ShortID() || sh[1] != y.ShortID() {
+		t.Fatalf("short round trip: %v %v %v", ids, sh, err)
+	}
+	// 64 full IDs are exactly as long as 256 short ones would be: the mark,
+	// not the length, picks the width, and 256 is past the batch bound.
+	big := encodeIDList(make([]meta.DataID, maxMetaBatch))
+	if ids, _, err := decodeIDList(big); err != nil || len(ids) != maxMetaBatch {
+		t.Fatalf("a full batch of %d rejected: %v", maxMetaBatch, err)
+	}
+	remark := func(b []byte, w uint32) []byte { return append(putU32(nil, w), b[4:]...) }
+	bad := map[string][]byte{
+		"empty payload":                 nil,
+		"short count word":              {0x80, 0, 0},
+		"full list, count 0":            encodeIDList(nil),
+		"short list, count 0":           encodeShortIDs(nil),
+		"full list, oversized count":    encodeIDList(make([]meta.DataID, maxMetaBatch+1)),
+		"short list, oversized count":   encodeShortIDs(make([]meta.ShortID, maxMetaBatch+1)),
+		"count far past the payload":    putU32(nil, shortMark|0x7fffffff),
+		"full list, truncated":          full[:len(full)-1],
+		"short list, truncated":         short[:len(short)-1],
+		"full list, trailing byte":      append(append([]byte(nil), full...), 0),
+		"short list, trailing byte":     append(append([]byte(nil), short...), 0),
+		"full IDs marked short":         remark(full, shortMark|2),
+		"short IDs not marked":          remark(short, 2),
+		"64 full IDs marked 256 shorts": remark(big, shortMark|256),
+	}
+	for name, payload := range bad {
+		var err error
+		allocs := testing.AllocsPerRun(10, func() { _, _, err = decodeIDList(payload) })
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if allocs > 1 { // the reader; never a list sized by the count word
+			t.Errorf("%s: %.0f allocations before the rejection", name, allocs)
+		}
 	}
 }
 
@@ -206,5 +258,199 @@ func TestSigCacheCountersPublished(t *testing.T) {
 	}
 	if hits, misses := counter(b.reg, "livenode.sigcache.hits"), counter(b.reg, "livenode.sigcache.misses"); hits != 1 || misses != 1 {
 		t.Fatalf("sigcache hits/misses = %d/%d, want 1/1", hits, misses)
+	}
+}
+
+// sentFrame is one frame a spy endpoint received.
+type sentFrame struct {
+	ft      byte
+	payload []byte
+}
+
+// spyOn joins the fabric as a bare endpoint linked to n and records what n
+// sends it: a peer that hears announces and answers nothing.
+func spyOn(t *testing.T, fn *fakeNet, n *syncTestNode, name string) *[]sentFrame {
+	t.Helper()
+	got := new([]sentFrame)
+	fn.endpoint(name, p2p.HandlerFunc(func(_ string, ft byte, payload []byte) {
+		*got = append(*got, sentFrame{ft, append([]byte(nil), payload...)})
+	}))
+	if err := n.net.Connect(name); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestMetaUnsolicitedItemDropped: a FrameMeta whose short ID this node is
+// not fetching is dropped before decode and ed25519 — a valid item is not
+// pooled, relayed or remembered, so one 255-byte frame buys no verification
+// and cannot poison the dedup table against the item's real announce.
+func TestMetaUnsolicitedItemDropped(t *testing.T) {
+	fn := newFakeNet()
+	epoch := time.Unix(1700000000, 0)
+	a := newSyncTestNode(t, fn, "a", 0, epoch, nil)
+	spy := spyOn(t, fn, a, "spy")
+
+	it := testItem(a.idents()[1], "nobody asked", a.now())
+	a.handleFrame("spy", p2p.FrameMeta, it.Encode())
+	if poolHas(a.Node, it.ID) {
+		t.Fatal("an item nobody was fetching entered the pool")
+	}
+	if len(*spy) != 0 {
+		t.Fatalf("unsolicited item caused %d frames", len(*spy))
+	}
+	if v := counter(a.reg, "livenode.sigcache.misses"); v != 0 {
+		t.Errorf("unsolicited item cost %d signature checks", v)
+	}
+	// Its announce still fetches it, and the answer is then admitted.
+	feedItem(a, "spy", it)
+	if len(*spy) == 0 || (*spy)[0].ft != p2p.FrameGetMeta || !bytes.Equal((*spy)[0].payload, announceOf(it.ID)) {
+		t.Fatalf("announce after the dropped item sent %v, want one short-ID FrameGetMeta", *spy)
+	}
+	if !poolHas(a.Node, it.ID) {
+		t.Fatal("announced and delivered item not pooled")
+	}
+}
+
+// TestMetaGetShortUnknownSilence: a short-ID FrameGetMeta naming nothing this
+// node announced is answered with silence, and counted.
+func TestMetaGetShortUnknownSilence(t *testing.T) {
+	fn := newFakeNet()
+	a := newSyncTestNode(t, fn, "a", 0, time.Unix(1700000000, 0), nil)
+	spy := spyOn(t, fn, a, "spy")
+	it, err := a.Publish([]byte("the one thing a knows"), "Road/Congestion", "lab")
+	if err != nil {
+		t.Fatal(err)
+	}
+	*spy = nil // the publish announce
+	a.handleFrame("spy", p2p.FrameGetMeta, announceOf(meta.HashData([]byte("never heard of"))))
+	if len(*spy) != 0 {
+		t.Fatalf("unknown short ID answered with %d frames", len(*spy))
+	}
+	if v := counter(a.reg, "livenode.metagossip.short_unresolved"); v != 1 {
+		t.Errorf("short_unresolved = %d, want 1", v)
+	}
+	a.handleFrame("spy", p2p.FrameGetMeta, announceOf(it.ID))
+	if len(*spy) != 1 || (*spy)[0].ft != p2p.FrameMeta || !bytes.Equal((*spy)[0].payload, it.Encode()) {
+		t.Fatalf("known short ID answered with %v, want the item", *spy)
+	}
+}
+
+// TestMetaForgedPrefix: an item forged to share a pooled item's 8-byte prefix
+// loses its announce and nothing else. It is not fetched on announce and
+// neither displaces nor alters the pooled item; when a block packs it, the
+// compact-miss path fetches it by full ID and the block is adopted; and the
+// short ID keeps naming the item that held it first.
+func TestMetaForgedPrefix(t *testing.T) {
+	fn := newFakeNet()
+	epoch := time.Unix(1700000000, 0)
+	clk := newFakeClock(epoch)
+	b := newGossipTestNode(t, fn, clk, "b", 1, epoch, nil)
+	a := newGossipTestNode(t, fn, clk, "a", 0, epoch, nil)
+	a.stopMining()
+	honest, err := a.Publish([]byte("pooled first"), "Road/Congestion", "lab")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Anyone on the roster may sign any ID: b's twin takes honest's prefix.
+	twin := &meta.Item{ID: meta.HashData([]byte("forged twin")), Type: "Road/Congestion", DataSize: 11}
+	copy(twin.ID[:], honest.ID[:len(meta.ShortID{})])
+	twin.Sign(b.idents()[1])
+	if twin.ID == honest.ID || twin.ID.ShortID() != honest.ID.ShortID() {
+		t.Fatal("twin does not share exactly the prefix")
+	}
+	b.mu.Lock()
+	b.eng.AddLocal(twin)
+	b.gossip.metaKnown.Add(twin.ID.ShortID(), twin.ID) // what Publish does
+	b.mu.Unlock()
+	link(t, a, b)
+	spy := spyOn(t, fn, a, "spy")
+
+	a.handleFrame("b", p2p.FrameMetaAnnounce, announceOf(twin.ID))
+	if v := counter(a.reg, "livenode.metagossip.fetches_sent"); v != 0 {
+		t.Errorf("announce of a shared prefix fetched %d items", v)
+	}
+	pooled := func() []byte {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		if it := a.eng.PoolItem(honest.ID); it != nil {
+			return it.Encode()
+		}
+		return nil
+	}
+	if got := a.PoolIDs(); len(got) != 1 || !bytes.Equal(pooled(), honest.Encode()) {
+		t.Fatalf("pool %v after the twin's announce, want the honest item untouched", got)
+	}
+
+	b.mineBlocks(t, 1)
+	blk := b.Tip()
+	if len(blk.Items) != 1 || blk.Items[0].ID != twin.ID {
+		t.Fatalf("b's block packs %d items, want the twin alone", len(blk.Items))
+	}
+	a.handleFrame("b", p2p.FrameBlockAnnounce, encodeAnnounce(blk.Index, blk.Hash))
+	if got := a.Tip(); got.Hash != blk.Hash {
+		t.Fatalf("height %d: the block packing the twin was not adopted", a.Height())
+	}
+	if v := counter(a.reg, "livenode.gossip.compact_items_missing"); v != 1 {
+		t.Errorf("compact_items_missing = %d, want the twin", v)
+	}
+	if v := counter(a.reg, "livenode.gossip.compact_fallbacks") + counter(a.reg, "livenode.sync.rounds"); v != 0 {
+		t.Errorf("%d fallbacks/sync rounds: the twin did not come by full ID", v)
+	}
+	if got := a.PoolIDs(); len(got) != 1 || !bytes.Equal(pooled(), honest.Encode()) {
+		t.Fatalf("pool %v after adopting the twin's block, want the honest item untouched", got)
+	}
+	*spy = nil
+	a.handleFrame("spy", p2p.FrameGetMeta, announceOf(honest.ID))
+	if len(*spy) != 1 || !bytes.Equal((*spy)[0].payload, honest.Encode()) {
+		t.Fatalf("the shared short ID now resolves to %v, want the honest item", *spy)
+	}
+}
+
+// TestMetaKnownEviction prices the bounded table: an item still pooled whose
+// entry was evicted is fetched once more when announced again, refused by
+// AddMetadata, counted, and neither re-relayed nor allowed to change the pool.
+func TestMetaKnownEviction(t *testing.T) {
+	fn := newFakeNet()
+	epoch := time.Unix(1700000000, 0)
+	a := newSyncTestNode(t, fn, "a", 0, epoch, nil)
+	b := newSyncTestNode(t, fn, "b", 1, epoch, nil)
+	link(t, a, b)
+	it, err := b.Publish([]byte("outlives its table entry"), "Road/Congestion", "lab")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !poolHas(a.Node, it.ID) {
+		t.Fatal("a never pooled the published item")
+	}
+	a.mu.Lock()
+	for i := 0; i < metaSeenCap; i++ {
+		id := meta.HashData([]byte{byte(i), byte(i >> 8)})
+		a.gossip.metaKnown.Add(id.ShortID(), id)
+	}
+	evicted := !a.gossip.metaKnown.Has(it.ID.ShortID())
+	a.mu.Unlock()
+	if !evicted {
+		t.Fatalf("%d newer entries did not evict the item", metaSeenCap)
+	}
+	pool, relays, sent := sortedPool(a), counter(a.reg, "livenode.metagossip.relays"), counter(a.reg, "livenode.metagossip.fetches_sent")
+
+	a.handleFrame("b", p2p.FrameMetaAnnounce, announceOf(it.ID))
+	if got := counter(a.reg, "livenode.metagossip.fetches_sent"); got != sent+1 {
+		t.Errorf("fetches_sent %d -> %d, want one refetch", sent, got)
+	}
+	if v := counter(a.reg, "livenode.metagossip.refetched_held"); v != 1 {
+		t.Errorf("refetched_held = %d, want 1", v)
+	}
+	if got := counter(a.reg, "livenode.metagossip.relays"); got != relays {
+		t.Errorf("the refetched item was relayed again (%d -> %d)", relays, got)
+	}
+	if got := sortedPool(a); fmt.Sprint(got) != fmt.Sprint(pool) {
+		t.Error("pool changed across the refetch")
+	}
+	// The refetch put the entry back: the next announce is a duplicate.
+	a.handleFrame("b", p2p.FrameMetaAnnounce, announceOf(it.ID))
+	if got := counter(a.reg, "livenode.metagossip.fetches_sent"); got != sent+1 {
+		t.Errorf("fetches_sent = %d after a third announce, want %d", got, sent+1)
 	}
 }

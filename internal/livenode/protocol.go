@@ -251,28 +251,7 @@ func (n *Node) handleFrame(from string, ft byte, payload []byte) {
 		n.handleRepairProbeAck(from, payload)
 
 	case p2p.FrameMeta:
-		it, err := meta.Decode(payload)
-		if err != nil {
-			return
-		}
-		n.mu.Lock()
-		added := n.eng.AddMetadata(it) // verifies the signature, dedups vs pool+chain
-		n.gossip.metas.finish(it.ID)
-		if !added {
-			// Forged or a duplicate: its re-announce must not refetch it.
-			n.gossip.metaSeen.Add(it.ID)
-		}
-		ready, blocks := n.noteCompactItemLocked(it.ID)
-		n.mu.Unlock()
-		if added {
-			// Relay-on-first-admission (DESIGN.md §15): a pooled item spreads
-			// epidemically as an ID announce to a bounded peer sample, never
-			// back to whoever sent us the body.
-			n.relayMeta(it.ID, from)
-		}
-		for i, pf := range ready {
-			n.finishCompact(pf, blocks[i])
-		}
+		n.handleMeta(from, payload)
 
 	case p2p.FrameMetaAnnounce:
 		n.handleMetaAnnounce(from, payload)
@@ -362,7 +341,7 @@ func (n *Node) receiveBlock(from string, blk *block.Block) error {
 	n.gossip.blocks.finish(blk.Hash)
 	if addErr != nil {
 		// A body that failed adoption: its re-announce must not refetch it.
-		n.gossip.seen.Add(blk.Hash)
+		n.gossip.seen.Add(blk.Hash, struct{}{})
 	}
 	n.mu.Unlock()
 	if addErr == nil {

@@ -91,8 +91,10 @@ func FuzzSyncFrames(f *testing.F) {
 	// §15 frames ride the same handler too; FuzzMetaGossipFrames owns
 	// their deep invariants, this corpus just keeps the dispatch surface
 	// co-fuzzed with sync.
-	f.Add(uint8(6), encodeIDList([]meta.DataID{meta.HashData([]byte("sync-fuzz"))}))
-	f.Add(uint8(7), putU32(nil, maxMetaBatch+1))
+	f.Add(uint8(6), announceOf(meta.HashData([]byte("sync-fuzz"))))
+	f.Add(uint8(7), announceOf(meta.HashData([]byte("sync-fuzz")))) // get-meta, short and full
+	f.Add(uint8(7), encodeIDList([]meta.DataID{meta.HashData([]byte("sync-fuzz"))}))
+	f.Add(uint8(7), putU32(nil, shortMark|maxMetaBatch+1))
 	f.Add(uint8(8), putU32(nil, 1))
 	f.Add(uint8(9), putU32(putU32(nil, 1), 2))
 	// Compact bodies (§13.1): a real one, one extending the tip with items

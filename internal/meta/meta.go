@@ -37,6 +37,24 @@ func (d DataID) Short() string { return hex.EncodeToString(d[:4]) }
 // IsZero reports whether the ID is unset.
 func (d DataID) IsZero() bool { return d == DataID{} }
 
+// ShortID is the first 8 bytes of a DataID: enough to say "you may lack
+// this" on the wire, never enough to admit anything. Two items may share
+// one, by accident or by design, so whoever acts on a ShortID must survive
+// it naming the wrong item.
+type ShortID [8]byte
+
+// ShortID returns the ID's 8-byte prefix.
+func (d DataID) ShortID() ShortID { return ShortID(d[:len(ShortID{})]) }
+
+// EncodedShortID reads the short ID off an encoded item without decoding it
+// (the ID is the first field of the layout); false if b is too short.
+func EncodedShortID(b []byte) (ShortID, bool) {
+	if len(b) < len(ShortID{}) {
+		return ShortID{}, false
+	}
+	return ShortID(b[:len(ShortID{})]), true
+}
+
 // HashData computes the DataID for raw content.
 func HashData(content []byte) DataID { return DataID(sha256.Sum256(content)) }
 

@@ -233,3 +233,23 @@ func TestDecodeGarbageProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestShortID: the short ID is the ID's first 8 bytes, and an encoded item
+// yields it without a decode because the ID leads the layout.
+func TestShortID(t *testing.T) {
+	it := &Item{ID: HashData([]byte("short")), Type: "t", DataSize: 5}
+	want := ShortID(it.ID[:8])
+	if got := it.ID.ShortID(); got != want {
+		t.Fatalf("ShortID() = %x, want %x", got, want)
+	}
+	enc := it.Encode()
+	if got, ok := EncodedShortID(enc); !ok || got != want {
+		t.Fatalf("EncodedShortID = %x, %v; want %x", got, ok, want)
+	}
+	if got, ok := EncodedShortID(enc[:8]); !ok || got != want {
+		t.Fatalf("EncodedShortID of exactly 8 bytes = %x, %v", got, ok)
+	}
+	if _, ok := EncodedShortID(enc[:7]); ok {
+		t.Fatal("EncodedShortID accepted 7 bytes")
+	}
+}
