@@ -284,12 +284,10 @@ func (c *Cluster) Accounts() []identity.Address { return c.accounts }
 // Params returns the cluster's PoS parameters.
 func (c *Cluster) Params() pos.Params { return c.params }
 
-// ConnectAll links every live node pair and lets them exchange chains.
-// Each node dials all its higher-indexed peers in one batched Connect
-// call (memnet links are symmetric), so the whole mesh costs one
-// post-handshake sync broadcast per node instead of one per pair — the
-// per-pair version made wiring up a 256-node cluster an O(n³) locator
-// storm before the first block was ever mined.
+// ConnectAll links every live node pair. Each node dials all its
+// higher-indexed peers in one batched Connect call (memnet links are
+// symmetric), so the whole mesh costs one sync round per node — a locator
+// probe to a fan-out sample of those peers — and no virtual time passes.
 func (c *Cluster) ConnectAll() error {
 	addrs := make([]string, 0, len(c.nodes))
 	for i, a := range c.nodes {

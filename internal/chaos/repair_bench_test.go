@@ -53,17 +53,7 @@ func measureRepairConvergence(b *testing.B, n int, frac float64) {
 	}
 	now := func() time.Duration { return c.Clock.Now().Sub(c.Epoch) }
 
-	warm := func() bool {
-		for _, node := range c.Nodes() {
-			if node.Height() < 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := c.RunUntil(warm, 10*time.Minute); err != nil {
-		b.Fatal(err)
-	}
+	warmUp(b, c)
 	ids := make([]meta.DataID, items)
 	for k := 0; k < items; k++ {
 		it, err := c.Node(k%2).Publish([]byte(fmt.Sprintf("payload %03d", k)), "Road/Congestion", "junction")

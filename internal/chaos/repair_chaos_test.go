@@ -54,17 +54,7 @@ func runRepairScenario(t *testing.T, seed int64) repairChaosResult {
 
 	// Let the first block land everywhere so every node's storage shows
 	// some use and subsequent placements are selective.
-	warm := func() bool {
-		for _, node := range c.Nodes() {
-			if node.Height() < 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := c.RunUntil(warm, 10*time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	warmUp(t, c)
 
 	// Nodes 0 and 1 publish and stay protected from the churn event: the
 	// producers keep serving content for the broadcast-fallback path.

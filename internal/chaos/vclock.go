@@ -105,15 +105,6 @@ func (t *vtimer) Stop() bool {
 	return true
 }
 
-// Sleep implements livenode.Clock by advancing the clock itself — the
-// caller is the scheduling goroutine, so any timers falling due in the
-// window fire inline before Sleep returns.
-func (c *VClock) Sleep(d time.Duration) {
-	if d > 0 {
-		c.AdvanceTo(c.Now().Add(d))
-	}
-}
-
 // NextTimer returns the due time of the earliest pending timer.
 func (c *VClock) NextTimer() (time.Time, bool) {
 	c.mu.Lock()

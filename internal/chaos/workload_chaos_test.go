@@ -52,10 +52,8 @@ func newQuietCluster(tb testing.TB, opts Options) *Cluster {
 	return c
 }
 
-// driveOpenLoop warms the cluster to its first block, runs an open-loop
-// workload to exhaustion, waits for convergence plus the replication
-// floor, checks every invariant, and returns the run's fingerprint.
-func driveOpenLoop(tb testing.TB, c *Cluster, wopts WorkloadOptions, floor int, settleMax time.Duration) openLoopResult {
+// warmUp runs the cluster until every live node holds block 1.
+func warmUp(tb testing.TB, c *Cluster) {
 	tb.Helper()
 	warm := func() bool {
 		for _, n := range c.Nodes() {
@@ -68,6 +66,14 @@ func driveOpenLoop(tb testing.TB, c *Cluster, wopts WorkloadOptions, floor int, 
 	if err := c.RunUntil(warm, 10*time.Minute); err != nil {
 		tb.Fatal(err)
 	}
+}
+
+// driveOpenLoop warms the cluster to its first block, runs an open-loop
+// workload to exhaustion, waits for convergence plus the replication
+// floor, checks every invariant, and returns the run's fingerprint.
+func driveOpenLoop(tb testing.TB, c *Cluster, wopts WorkloadOptions, floor int, settleMax time.Duration) openLoopResult {
+	tb.Helper()
+	warmUp(tb, c)
 
 	d, err := c.StartWorkload(wopts)
 	if err != nil {
@@ -180,8 +186,15 @@ func TestChaosOpenLoopWorkload(t *testing.T) {
 	// 8-byte short ID where it carried the 32-byte data ID, and frame sizes
 	// are folded into the digest. Who sends what to whom and when did not
 	// move: still 27 980 events, still height 24.
+	//
+	// Re-pinned once for the O(n·k) connect (DESIGN.md §10): Connect no
+	// longer sleeps 50 ms of virtual time per call, so the 32 nodes are wired
+	// at the epoch instead of over 1.6 s with mining timers firing in
+	// between, and its locator probe goes to a fan-out sample drawn on the
+	// gossip RNG instead of to every peer, which shifts every later sample.
+	// A different but equally valid trajectory: 28 740 events, height 31.
 	if seed == 1 && runtime.GOARCH == "amd64" {
-		const digest, events, height = 0xf47dfa3ab75703f0, 27980, 24
+		const digest, events, height = 0xdd5f003376b3d74f, 28740, 31
 		if res.digest != digest || res.events != events || res.height != height {
 			t.Fatalf("cluster behaviour changed at seed 1: digest %016x events %d height %d, golden %016x %d %d",
 				res.digest, res.events, res.height, uint64(digest), events, height)

@@ -179,7 +179,7 @@ func (n *Node) abandonBootstrapLocked(why string) {
 }
 
 // onBootstrapTimeout fires when the transfer did not complete in time:
-// abandon the snapshot path and probe everyone with a locator instead.
+// abandon the snapshot path and probe a peer sample with a locator instead.
 func (n *Node) onBootstrapTimeout(gen uint64) {
 	n.mu.Lock()
 	if n.boot == nil || n.boot.gen != gen || n.closed {
@@ -188,7 +188,7 @@ func (n *Node) onBootstrapTimeout(gen uint64) {
 	}
 	n.abandonBootstrapLocked("snapshot transfer timed out")
 	n.mu.Unlock()
-	n.sendSyncLocator("")
+	n.sendSyncLocator(n.sampleGossipPeers("")...)
 }
 
 // handleGetSnapshot serves a peer's snapshot request: export the newest
@@ -245,7 +245,7 @@ func (n *Node) handleSnapshot(from string, payload []byte) {
 	} else if c.Height != bs.height || c.Total != bs.total || c.Hash != bs.hash || int(c.Count) != len(bs.chunks) {
 		n.abandonBootstrapLocked("inconsistent snapshot stream")
 		n.mu.Unlock()
-		n.sendSyncLocator("")
+		n.sendSyncLocator(n.sampleGossipPeers("")...)
 		return
 	}
 	if bs.chunks[c.Idx] == nil {
@@ -266,7 +266,7 @@ func (n *Node) handleSnapshot(from string, payload []byte) {
 	if sha256.Sum256(blob) != bs.hash {
 		n.abandonBootstrapLocked("snapshot hash mismatch")
 		n.mu.Unlock()
-		n.sendSyncLocator("")
+		n.sendSyncLocator(n.sampleGossipPeers("")...)
 		return
 	}
 	snap, err := engine.DecodeSnapshot(blob)
@@ -279,7 +279,7 @@ func (n *Node) handleSnapshot(from string, payload []byte) {
 	if err != nil {
 		n.abandonBootstrapLocked(err.Error())
 		n.mu.Unlock()
-		n.sendSyncLocator("")
+		n.sendSyncLocator(n.sampleGossipPeers("")...)
 		return
 	}
 	n.tel.bootInstalled.Inc()

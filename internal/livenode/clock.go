@@ -2,8 +2,8 @@ package livenode
 
 import "time"
 
-// Clock abstracts the node's time source — wall-clock reads, mining
-// timers and handshake grace sleeps all go through it — so the chaos
+// Clock abstracts the node's time source — wall-clock reads and every
+// timer go through it — so the chaos
 // harness (internal/chaos) can drive a whole cluster through virtual time
 // deterministically. Production nodes use WallClock.
 //
@@ -15,8 +15,6 @@ type Clock interface {
 	// AfterFunc schedules fn to run once after d (d <= 0 means as soon as
 	// possible, never synchronously inside the AfterFunc call).
 	AfterFunc(d time.Duration, fn func()) Timer
-	// Sleep blocks until d has passed on this clock.
-	Sleep(d time.Duration)
 }
 
 // Timer is a cancellable pending callback returned by Clock.AfterFunc.
@@ -30,7 +28,6 @@ type wallClock struct{}
 
 func (wallClock) Now() time.Time                             { return time.Now() }
 func (wallClock) AfterFunc(d time.Duration, fn func()) Timer { return time.AfterFunc(d, fn) }
-func (wallClock) Sleep(d time.Duration)                      { time.Sleep(d) }
 
 // WallClock returns the real-time clock used when Config.Clock is nil.
 func WallClock() Clock { return wallClock{} }

@@ -184,7 +184,12 @@ func (n *Node) sampleGossipPeers(exclude string) []string {
 			cand = append(cand, p)
 		}
 	}
+	return n.sampleFanout(cand)
+}
 
+// sampleFanout draws up to GossipFanout of cand on the node's seeded RNG,
+// reordering cand in place; a closed node draws nothing.
+func (n *Node) sampleFanout(cand []string) []string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {

@@ -17,6 +17,7 @@ package livenode
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -157,7 +158,7 @@ type Config struct {
 	OnData func(id meta.DataID, content []byte)
 	// Telemetry, when non-nil, receives the node's runtime metrics
 	// ("livenode.*": mining attempts vs. blocks won, fork adoptions,
-	// chain-sync rounds, data-fetch latency, per-node S_i/Q_i gauges) and
+	// chain-sync rounds, data-fetch latency, the node's own S_i/Q_i gauges) and
 	// — for the default TCP transport — the p2p frame counters. Pass the
 	// same registry to store.Options.Metrics to get the persistence
 	// metrics alongside. nil disables collection.
@@ -295,13 +296,13 @@ type nodeMetrics struct {
 
 	dataFetchExpired *telemetry.Counter // pending fetches dropped by FetchTimeout
 	height           *telemetry.Gauge
-	sGauges          []*telemetry.Gauge // per roster node stake S_i
-	qGauges          []*telemetry.Gauge // per roster node storage credit Q_i
+	ownS             *telemetry.Gauge // this node's stake S_i
+	ownQ             *telemetry.Gauge // this node's storage credit Q_i
 	events           *telemetry.Ring
 }
 
-func newNodeMetrics(reg *telemetry.Registry, rosterN int) *nodeMetrics {
-	m := &nodeMetrics{
+func newNodeMetrics(reg *telemetry.Registry) *nodeMetrics {
+	return &nodeMetrics{
 		miningAttempts: reg.Counter("livenode.mining.attempts"),
 		blocksWon:      reg.Counter("livenode.mining.blocks_won"),
 		blocksAdopted:  reg.Counter("livenode.blocks.adopted"),
@@ -309,6 +310,8 @@ func newNodeMetrics(reg *telemetry.Registry, rosterN int) *nodeMetrics {
 		forkAdoptions:  reg.Counter("livenode.fork.adoptions"),
 		dataFetchNs:    reg.Histogram("livenode.data.fetch_ns"),
 		height:         reg.Gauge("livenode.height"),
+		ownS:           reg.Gauge("livenode.ledger.s"),
+		ownQ:           reg.Gauge("livenode.ledger.q"),
 		events:         reg.Events(),
 
 		syncRounds:         reg.Counter("livenode.sync.rounds"),
@@ -383,18 +386,9 @@ func newNodeMetrics(reg *telemetry.Registry, rosterN int) *nodeMetrics {
 		wireMetaBytes:      reg.Counter("livenode.wire.meta_bytes"),
 		wireHeartbeatBytes: reg.Counter("livenode.wire.heartbeat_bytes"),
 	}
-	if reg != nil {
-		m.sGauges = make([]*telemetry.Gauge, rosterN)
-		m.qGauges = make([]*telemetry.Gauge, rosterN)
-		for i := 0; i < rosterN; i++ {
-			m.sGauges[i] = reg.Gauge(fmt.Sprintf("livenode.ledger.s.%02d", i))
-			m.qGauges[i] = reg.Gauge(fmt.Sprintf("livenode.ledger.q.%02d", i))
-		}
-	}
-	return m
 }
 
-// updateChainGauges refreshes height, the S_i/Q_i gauges and the
+// updateChainGauges refreshes height, the node's own S_i/Q_i gauges and the
 // signature-cache counters (n.mu held).
 func (n *Node) updateChainGauges() {
 	n.tel.height.Set(int64(n.eng.Height()))
@@ -403,10 +397,8 @@ func (n *Node) updateChainGauges() {
 	n.tel.sigCacheMisses.Add(int(misses - n.tel.sigMissesSeen))
 	n.tel.sigHitsSeen, n.tel.sigMissesSeen = hits, misses
 	led := n.eng.Ledger()
-	for i := range n.tel.sGauges {
-		n.tel.sGauges[i].Set(int64(led.S(i)))
-		n.tel.qGauges[i].Set(int64(led.Q(i)))
-	}
+	n.tel.ownS.Set(int64(led.S(n.selfIdx)))
+	n.tel.ownQ.Set(int64(led.Q(n.selfIdx)))
 }
 
 // New starts a node listening on cfg.ListenAddr.
@@ -505,7 +497,7 @@ func New(cfg Config) (*Node, error) {
 		onData:  cfg.OnData,
 		addrOf:  make([]string, len(cfg.Accounts)),
 		idxOf:   make(map[string]int),
-		tel:     newNodeMetrics(cfg.Telemetry, len(cfg.Accounts)),
+		tel:     newNodeMetrics(cfg.Telemetry),
 	}
 	n.fetches = n.newDataFetcher()
 	// Seed the sampling RNG from deployment-shared state plus our own
@@ -602,17 +594,17 @@ func New(cfg Config) (*Node, error) {
 // Addr returns the node's listen address.
 func (n *Node) Addr() string { return n.net.Addr() }
 
-// Connect dials peers and probes their chains with a block locator; any
-// peer that is ahead answers with the header range of the missing suffix
-// (incremental sync, DESIGN.md §10).
+// Connect dials peers and probes the chains of a GossipFanout-bounded sample
+// of them with a block locator; any of those that is ahead answers with the
+// header range of the missing suffix (incremental sync, DESIGN.md §10). If
+// the whole sample is behind too, the next block announce from anyone ahead
+// opens the round instead.
 func (n *Node) Connect(addrs ...string) error {
 	for _, a := range addrs {
 		if err := n.net.Connect(a); err != nil {
 			return err
 		}
 	}
-	// Small grace for the handshake, then sync.
-	n.clock.Sleep(50 * time.Millisecond)
 	if rd := n.repair; rd != nil { // set once in New
 		// Probe a bounded prefix of the new peers so initial address bindings
 		// bootstrap without an O(n) broadcast; the per-tick probe rotation
@@ -629,7 +621,7 @@ func (n *Node) Connect(addrs ...string) error {
 	if n.cfg.BootstrapSnapshot && len(addrs) > 0 && n.beginBootstrap(addrs[0]) {
 		return nil
 	}
-	n.sendSyncLocator("")
+	n.sendSyncLocator(n.sampleFanout(slices.Clone(addrs))...)
 	return nil
 }
 

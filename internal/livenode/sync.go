@@ -297,21 +297,20 @@ func (s *syncSession) headerAt(h uint64) (chain.LocatorEntry, bool) {
 	return s.headers[h-base], true
 }
 
-// sendSyncLocator emits a locator probe to one peer ("" = broadcast) and
-// counts the round. Peers that are ahead answer with FrameSyncHeaders.
-func (n *Node) sendSyncLocator(peer string) {
+// sendSyncLocator opens one sync round: the same locator probe to each of
+// the given peers, counted once. Peers that are ahead answer with
+// FrameSyncHeaders.
+func (n *Node) sendSyncLocator(peers ...string) {
 	n.mu.Lock()
-	if n.closed {
+	if n.closed || len(peers) == 0 {
 		n.mu.Unlock()
 		return
 	}
 	n.tel.syncRounds.Inc()
 	payload := encodeLocator(n.eng.Chain().Locator())
 	n.mu.Unlock()
-	if peer == "" {
-		n.bcast(p2p.FrameSyncLocator, payload)
-	} else {
-		n.send(peer, p2p.FrameSyncLocator, payload)
+	for _, p := range peers {
+		n.send(p, p2p.FrameSyncLocator, payload)
 	}
 }
 

@@ -10,8 +10,10 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/chain"
+	"repro/internal/core"
 	"repro/internal/meta"
 	"repro/internal/p2p"
+	"repro/internal/p2p/memnet"
 	"repro/internal/pos"
 	"repro/internal/telemetry"
 )
@@ -64,8 +66,6 @@ func (t *fakeTimer) Stop() bool {
 	t.done = true
 	return was
 }
-
-func (c *fakeClock) Sleep(d time.Duration) { c.Advance(d) }
 
 // Advance moves the clock forward, firing due timers in order.
 func (c *fakeClock) Advance(d time.Duration) {
@@ -330,6 +330,107 @@ func TestSyncCatchUpBatched(t *testing.T) {
 	}
 	if a.StoreErr() != nil {
 		t.Fatalf("store error: %v", a.StoreErr())
+	}
+}
+
+// TestConnectProbesAFanoutSample pins what joining costs: however many
+// peers one Connect call dials, the locator probe goes to at most
+// GossipFanout of them and counts as one sync round. A cluster no larger
+// than the fan-out is probed whole, as before.
+func TestConnectProbesAFanoutSample(t *testing.T) {
+	for _, tc := range []struct{ peers, want int }{{20, defaultGossipFanout}, {3, 3}} {
+		t.Run(fmt.Sprintf("%d peers", tc.peers), func(t *testing.T) {
+			mn := memnet.New(1, nil)
+			a := newSyncTestNode(t, nil, "a", 0, time.Unix(1700000000, 0), func(cfg *Config) {
+				cfg.NewTransport = func(h p2p.Handler) (p2p.Transport, error) { return mn.Listen("a", h) }
+			})
+			peers := make([]string, tc.peers)
+			for i := range peers {
+				peers[i] = fmt.Sprintf("peer%02d", i)
+				if _, err := mn.Listen(peers[i], p2p.HandlerFunc(func(string, byte, []byte) {})); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := a.Connect(peers...); err != nil {
+				t.Fatal(err)
+			}
+			if got := len(a.net.Peers()); got != tc.peers {
+				t.Fatalf("connected to %d peers, want %d", got, tc.peers)
+			}
+			probed := make(map[string]int)
+			for _, ev := range mn.Events() {
+				if ev.Kind == memnet.EvSend && ev.Frame == p2p.FrameSyncLocator {
+					probed[ev.To]++
+				}
+			}
+			if len(probed) != tc.want {
+				t.Fatalf("locator went to %d peers, want %d: %v", len(probed), tc.want, probed)
+			}
+			for to, k := range probed {
+				if k != 1 {
+					t.Errorf("%s was probed %d times", to, k)
+				}
+			}
+			if v := counter(a.reg, "livenode.sync.rounds"); v != 1 {
+				t.Errorf("sync.rounds = %d, want 1: one probe set is one round", v)
+			}
+		})
+	}
+}
+
+// recoveredStore is an in-memory store that "recovers" a fixed chain prefix,
+// standing in for a node restarted from its WAL.
+type recoveredStore struct {
+	*core.MemStore
+	blocks []*block.Block
+}
+
+func (s recoveredStore) RecoveredBlocks() []*block.Block { return s.blocks }
+
+// TestRestartCatchesUpWhenSampleIsBehind is the fall-back the sampled probe
+// leans on: a restarted node whose whole connect-time sample is no further
+// than itself learns nothing from the probe, and the next block announce
+// from a peer that is ahead takes it up the announce → fetch → locator
+// ladder.
+func TestRestartCatchesUpWhenSampleIsBehind(t *testing.T) {
+	fn := newFakeNet()
+	epoch := time.Unix(1700000000, 0)
+	c := newSyncTestNode(t, fn, "c", 2, epoch, nil)
+	c.mineBlocks(t, 10)
+	b := newSyncTestNode(t, fn, "b", 1, epoch, nil) // never saw a block
+	// a comes back with the first four blocks on disk and finds only b.
+	a := newSyncTestNode(t, fn, "a", 0, epoch, func(cfg *Config) {
+		cfg.Store = recoveredStore{core.NewMemStore(), c.ChainSnapshot()[1:5]}
+		cfg.Clock = newFakeClock(c.clock.Now()) // replay refuses blocks from the future
+	})
+	if got := a.Height(); got != 4 {
+		t.Fatalf("recovered height = %d, want 4 (%v)", got, a.StoreErr())
+	}
+	if err := a.Connect("b"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Connect("a"); err != nil { // c's own probe finds a behind: no answer
+		t.Fatal(err)
+	}
+	if got := a.Height(); got != 4 {
+		t.Fatalf("height after probing a sample that is behind = %d, want 4 still", got)
+	}
+	if b.Height() != 0 {
+		t.Fatalf("b moved to height %d", b.Height())
+	}
+
+	c.mineBlocks(t, 1) // announces block 11 to a
+	if got, want := a.Height(), uint64(11); got != want {
+		t.Fatalf("height after the next announce = %d, want %d", got, want)
+	}
+	if a.Tip().Hash != c.Tip().Hash {
+		t.Fatal("tips diverge after catch-up")
+	}
+	if v := counter(a.reg, "livenode.sync.rounds"); v != 2 {
+		t.Errorf("sync.rounds = %d, want 2 (connect probe, then the ladder's locator)", v)
+	}
+	if v := counter(a.reg, "livenode.gossip.fetches_sent"); v != 1 {
+		t.Errorf("gossip.fetches_sent = %d, want 1 (the announced block)", v)
 	}
 }
 

@@ -152,9 +152,10 @@ type Node struct {
 }
 
 type peer struct {
-	addr    string
-	conn    net.Conn
-	writeMu sync.Mutex
+	addr     string
+	conn     net.Conn
+	outbound bool // this node dialled it
+	writeMu  sync.Mutex
 }
 
 // Listen starts a node on addr (use "127.0.0.1:0" for an ephemeral port).
@@ -241,12 +242,13 @@ func (n *Node) acceptLoop() {
 			return // listener closed
 		}
 		n.wg.Add(1)
-		go n.serveConn(conn, "")
+		go n.serveConn(conn)
 	}
 }
 
-// Connect dials a peer, performs the hello handshake and starts reading.
-// Connecting to an already-connected peer is a no-op.
+// Connect dials a peer, performs the hello handshake and registers the
+// connection before it returns, so Send and Broadcast reach the peer at
+// once. Connecting to an already-connected peer is a no-op.
 func (n *Node) Connect(addr string) error {
 	n.mu.Lock()
 	if n.closed {
@@ -257,38 +259,67 @@ func (n *Node) Connect(addr string) error {
 		n.mu.Unlock()
 		return nil
 	}
+	// The reader goroutine is counted while n.mu still shows the node open,
+	// so a concurrent Close waits for it.
+	n.wg.Add(1)
 	n.mu.Unlock()
 
+	conn, err := n.dial(addr)
+	if err != nil {
+		n.wg.Done()
+		return err
+	}
+	if !n.register(addr, conn, true) {
+		// The peer's own dial to us was registered meanwhile and outranks
+		// this one (or the node closed): we are connected through that.
+		n.wg.Done()
+		conn.Close()
+		return nil
+	}
+	go func() {
+		defer n.wg.Done()
+		n.readLoop(conn, addr)
+	}()
+	return nil
+}
+
+// dial opens a TCP connection to addr and sends our hello.
+func (n *Node) dial(addr string) (net.Conn, error) {
 	conn, err := net.DialTimeout("tcp", addr, DialTimeout)
 	if err != nil {
 		n.metrics.Load().DialFailures.Inc()
-		return fmt.Errorf("p2p: dial %s: %w", addr, err)
+		return nil, fmt.Errorf("p2p: dial %s: %w", addr, err)
 	}
 	if err := writeFrameDeadline(conn, FrameHello, []byte(n.Addr())); err != nil {
 		n.metrics.Load().onSendErr(err)
 		conn.Close()
-		return fmt.Errorf("p2p: hello: %w", err)
+		return nil, fmt.Errorf("p2p: hello: %w", err)
 	}
 	n.metrics.Load().onSent(FrameHello, len(n.Addr()))
-	n.wg.Add(1)
-	go n.serveConn(conn, addr)
-	return nil
+	return conn, nil
 }
 
-// register adds the peer if new; returns false (and closes nothing) when a
-// connection to that address already exists.
-func (n *Node) register(addr string, conn net.Conn) (*peer, bool) {
+// register records conn as the connection to addr and reports whether it
+// did. outbound says who dialled it: this node (true) or addr (false). A
+// second connection dialled by the same end is refused. When both ends
+// dialled at once, each sees the same two connections — one it dialled, one
+// it accepted — and both keep the one the lower address dialled: the other
+// is closed here, and frames already written to it are lost like any frame
+// on a dropped connection.
+func (n *Node) register(addr string, conn net.Conn, outbound bool) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
-		return nil, false
+		return false
 	}
-	if _, ok := n.peers[addr]; ok {
-		return nil, false
+	if old, ok := n.peers[addr]; ok {
+		if old.outbound == outbound || outbound != (n.Addr() < addr) {
+			return false
+		}
+		old.conn.Close() // its reader exits; unregister leaves the new entry alone
 	}
-	p := &peer{addr: addr, conn: conn}
-	n.peers[addr] = p
-	return p, true
+	n.peers[addr] = &peer{addr: addr, conn: conn, outbound: outbound}
+	return true
 }
 
 func (n *Node) unregister(addr string, conn net.Conn) {
@@ -299,40 +330,38 @@ func (n *Node) unregister(addr string, conn net.Conn) {
 	}
 }
 
-// serveConn reads frames from a connection. For inbound connections the
-// peer address is learned from the hello frame; for outbound ones it is
-// known at dial time.
-func (n *Node) serveConn(conn net.Conn, peerAddr string) {
+// serveConn runs an accepted connection: the first frame must be the
+// dialler's hello, whose payload names the peer; then it reads frames.
+func (n *Node) serveConn(conn net.Conn) {
 	defer n.wg.Done()
 	defer conn.Close()
-
-	if peerAddr == "" {
-		// Inbound: first frame must be the hello, and its payload becomes
-		// the peer-map key — reject empty or oversized addresses so a
-		// malicious dialer cannot register as "" or flood the map with
-		// giant keys.
-		ft, payload, err := readFrame(conn)
-		if err != nil || ft != FrameHello {
-			return
-		}
-		if len(payload) == 0 || len(payload) > MaxHelloLen {
-			return
-		}
-		peerAddr = string(payload)
-		// Reply with our own hello so the dialer path stays symmetric for
-		// future peer-exchange extensions (the dialer's reader skips
-		// inbound hellos, so this is safe against old peers too).
-		if err := writeFrameDeadline(conn, FrameHello, []byte(n.Addr())); err != nil {
-			n.metrics.Load().onSendErr(err)
-			return
-		}
-		n.metrics.Load().onSent(FrameHello, len(n.Addr()))
+	// The hello payload becomes the peer-map key — reject empty or oversized
+	// addresses so a malicious dialer cannot register as "" or flood the map
+	// with giant keys.
+	ft, payload, err := readFrame(conn)
+	if err != nil || ft != FrameHello || len(payload) == 0 || len(payload) > MaxHelloLen {
+		return
 	}
-	if _, ok := n.register(peerAddr, conn); !ok {
+	peerAddr := string(payload)
+	// Reply with our own hello so the dialer path stays symmetric for
+	// future peer-exchange extensions (the dialer's reader skips
+	// inbound hellos, so this is safe against old peers too).
+	if err := writeFrameDeadline(conn, FrameHello, []byte(n.Addr())); err != nil {
+		n.metrics.Load().onSendErr(err)
+		return
+	}
+	n.metrics.Load().onSent(FrameHello, len(n.Addr()))
+	if !n.register(peerAddr, conn, false) {
 		return // duplicate connection or node closed
 	}
-	defer n.unregister(peerAddr, conn)
+	n.readLoop(conn, peerAddr)
+}
 
+// readLoop dispatches the frames of a registered connection until it fails
+// or is closed, then closes it and forgets the peer.
+func (n *Node) readLoop(conn net.Conn, peerAddr string) {
+	defer conn.Close()
+	defer n.unregister(peerAddr, conn)
 	for {
 		ft, payload, err := readFrame(conn)
 		if err != nil {

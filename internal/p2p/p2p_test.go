@@ -56,7 +56,8 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 	t.Fatal("condition not met in time")
 }
 
-func newPair(t *testing.T) (*Node, *recorder, *Node, *recorder) {
+// listenPair starts two unconnected nodes.
+func listenPair(t *testing.T) (*Node, *recorder, *Node, *recorder) {
 	t.Helper()
 	ra, rb := &recorder{}, &recorder{}
 	a, err := Listen("127.0.0.1:0", ra)
@@ -69,6 +70,12 @@ func newPair(t *testing.T) (*Node, *recorder, *Node, *recorder) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { b.Close() })
+	return a, ra, b, rb
+}
+
+func newPair(t *testing.T) (*Node, *recorder, *Node, *recorder) {
+	t.Helper()
+	a, ra, b, rb := listenPair(t)
 	if err := a.Connect(b.Addr()); err != nil {
 		t.Fatal(err)
 	}
@@ -150,6 +157,148 @@ func TestDuplicateConnectIsNoop(t *testing.T) {
 	if len(a.Peers()) != 1 || len(b.Peers()) != 1 {
 		t.Fatalf("peer counts: a=%d b=%d, want 1,1", len(a.Peers()), len(b.Peers()))
 	}
+}
+
+// Connect registers the dialled peer before it returns: a Send on the next
+// line reaches it, and the peer can answer the sender by address.
+func TestSendRightAfterConnect(t *testing.T) {
+	a, _, b, rb := listenPair(t)
+	if err := a.Connect(b.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.Peers(); len(got) != 1 || got[0] != b.Addr() {
+		t.Fatalf("peers right after Connect = %v, want [%s]", got, b.Addr())
+	}
+	if err := a.Send(b.Addr(), FrameMeta, []byte("first")); err != nil {
+		t.Fatalf("Send right after Connect: %v", err)
+	}
+	if delivered, failed := a.Broadcast(FrameData, []byte("second")); delivered != 1 || failed != 0 {
+		t.Fatalf("Broadcast right after Connect: delivered %d failed %d, want 1 0", delivered, failed)
+	}
+	waitFor(t, 2*time.Second, func() bool { return rb.count() == 2 })
+	if got, _ := rb.last(); got.from != a.Addr() {
+		t.Fatalf("from = %s, want %s", got.from, a.Addr())
+	}
+}
+
+// Two nodes that dial each other at the same moment each hold a connection
+// they dialled and one they accepted. Both must settle on the same one —
+// never on none — and traffic must flow both ways over it. One core rarely
+// produces the collision from two racing Connect calls, so two subtests
+// build its two orders by hand.
+func TestSimultaneousDialKeepsOneConnection(t *testing.T) {
+	// flows waits until each end holds one connection and a frame sent each
+	// way has arrived. Until the higher address has seen the lower one's dial
+	// it still writes to its own, losing, connection, and those frames are
+	// dropped: keep sending.
+	flows := func(t *testing.T, a *Node, ra *recorder, b *Node, rb *recorder) {
+		t.Helper()
+		waitFor(t, 2*time.Second, func() bool {
+			if len(a.Peers()) != 1 || len(b.Peers()) != 1 {
+				return false
+			}
+			_ = a.Send(b.Addr(), FrameMeta, []byte("a→b"))
+			_ = b.Send(a.Addr(), FrameMeta, []byte("b→a"))
+			return ra.count() > 0 && rb.count() > 0
+		})
+	}
+	// settled also checks that both ends kept the same connection, the one
+	// the lower address dialled.
+	settled := func(t *testing.T, a *Node, ra *recorder, b *Node, rb *recorder) {
+		t.Helper()
+		flows(t, a, ra, b, rb)
+		time.Sleep(10 * time.Millisecond) // the losing connection's reader has exited
+		a.mu.Lock()
+		pa := a.peers[b.Addr()]
+		a.mu.Unlock()
+		b.mu.Lock()
+		pb := b.peers[a.Addr()]
+		b.mu.Unlock()
+		if pa == nil || pb == nil {
+			t.Fatalf("peer entries a=%v b=%v, want one each", pa, pb)
+		}
+		if pa.conn.LocalAddr().String() != pb.conn.RemoteAddr().String() {
+			t.Fatal("the two ends kept different connections")
+		}
+		if lowDialled := a.Addr() < b.Addr(); pa.outbound != lowDialled || pb.outbound == lowDialled {
+			t.Fatal("kept the connection the higher address dialled")
+		}
+	}
+	dial := func(t *testing.T, from, to *Node) net.Conn {
+		t.Helper()
+		conn, err := from.dial(to.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return conn
+	}
+	read := func(n *Node, conn net.Conn, peer string) {
+		n.wg.Add(1)
+		go func() {
+			defer n.wg.Done()
+			n.readLoop(conn, peer)
+		}()
+	}
+
+	// Each end registers the connection it dialled before it accepts the
+	// other's: what Connect does when the two calls truly overlap. Holding
+	// both peer tables keeps the accepting goroutines out until then.
+	t.Run("dialled first", func(t *testing.T) {
+		a, ra, b, rb := listenPair(t)
+		a.mu.Lock()
+		b.mu.Lock()
+		c1, c2 := dial(t, a, b), dial(t, b, a)
+		a.peers[b.Addr()] = &peer{addr: b.Addr(), conn: c1, outbound: true}
+		b.peers[a.Addr()] = &peer{addr: a.Addr(), conn: c2, outbound: true}
+		read(a, c1, b.Addr())
+		read(b, c2, a.Addr())
+		b.mu.Unlock()
+		a.mu.Unlock()
+		settled(t, a, ra, b, rb)
+	})
+
+	// Each end accepts the other's connection while its own dial is still in
+	// flight, and registers its own afterwards.
+	t.Run("accepted first", func(t *testing.T) {
+		a, ra, b, rb := listenPair(t)
+		c1, c2 := dial(t, a, b), dial(t, b, a)
+		waitFor(t, 2*time.Second, func() bool { return len(a.Peers()) == 1 && len(b.Peers()) == 1 })
+		for _, d := range []struct {
+			n    *Node
+			conn net.Conn
+			peer string
+		}{{a, c1, b.Addr()}, {b, c2, a.Addr()}} {
+			if d.n.register(d.peer, d.conn, true) {
+				read(d.n, d.conn, d.peer)
+			} else {
+				d.conn.Close()
+			}
+		}
+		settled(t, a, ra, b, rb)
+	})
+
+	t.Run("racing Connect", func(t *testing.T) {
+		for round := 0; round < 10; round++ {
+			a, ra, b, rb := listenPair(t)
+			var wg sync.WaitGroup
+			start := make(chan struct{})
+			for _, d := range []struct{ from, to *Node }{{a, b}, {b, a}} {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					if err := d.from.Connect(d.to.Addr()); err != nil {
+						t.Error(err)
+					}
+				}()
+			}
+			close(start)
+			wg.Wait()
+			flows(t, a, ra, b, rb)
+			a.Close()
+			b.Close()
+		}
+	})
 }
 
 func TestSelfConnectIgnored(t *testing.T) {
