@@ -156,14 +156,16 @@ func main() {
 		}()
 	}
 
-	if *peersFlag != "" {
-		for _, p := range strings.Split(*peersFlag, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				if err := node.Connect(p); err != nil {
-					log.Printf("connect %s: %v", p, err)
-				}
-			}
+	// One call for all of -peers: the connect-time locator probe then goes
+	// to a fan-out sample of them, not to each.
+	var peers []string
+	for _, p := range strings.Split(*peersFlag, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			peers = append(peers, p)
 		}
+	}
+	if err := node.Connect(peers...); err != nil {
+		log.Print(err)
 	}
 
 	if *publish > 0 {

@@ -90,39 +90,31 @@ func appendList(dst []byte, ns []int) []byte {
 func (b *Block) hashInputSize() int {
 	n := 8 + len(b.PrevHash) + 8 + len(b.Miner) + len(b.PoSHash) + 8 + 8 + 8
 	for _, it := range b.Items {
-		n += 8 + it.EncodedSize()
+		n += 8 + it.CanonicalSize()
 	}
 	return n + 8*(3+len(b.StoringNodes)+len(b.PrevStoringNodes)+len(b.RecentAssignees))
 }
 
-// appendHeader appends the fixed-size fields every encoding starts with.
-func (b *Block) appendHeader(dst []byte) []byte {
+// appendHashInput appends the canonical byte encoding of everything the
+// block hash covers (all fields except Hash itself): fixed width, write-only
+// and frozen, because every block hash on every chain is taken over it
+// (DESIGN.md "Wire format"). What travels and is stored is codec.go's.
+func (b *Block) appendHashInput(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, b.Index)
 	dst = append(dst, b.PrevHash[:]...)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(b.Timestamp))
 	dst = append(dst, b.Miner[:]...)
 	dst = append(dst, b.PoSHash[:]...)
 	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(b.B))
-	return binary.BigEndian.AppendUint64(dst, b.MinedAfter)
-}
-
-// appendTail appends the three node lists that follow the items.
-func (b *Block) appendTail(dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, b.MinedAfter)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(len(b.Items)))
+	for _, it := range b.Items {
+		dst = binary.BigEndian.AppendUint64(dst, uint64(it.CanonicalSize()))
+		dst = it.AppendCanonical(dst)
+	}
 	dst = appendList(dst, b.StoringNodes)
 	dst = appendList(dst, b.PrevStoringNodes)
 	return appendList(dst, b.RecentAssignees)
-}
-
-// appendHashInput appends the canonical byte encoding of everything the
-// block hash covers (all fields except Hash itself).
-func (b *Block) appendHashInput(dst []byte) []byte {
-	dst = b.appendHeader(dst)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(len(b.Items)))
-	for _, it := range b.Items {
-		dst = binary.BigEndian.AppendUint64(dst, uint64(it.EncodedSize()))
-		dst = it.AppendEncode(dst)
-	}
-	return b.appendTail(dst)
 }
 
 // ComputeHash returns the hash of the block's current content.
@@ -179,13 +171,6 @@ func (b *Block) VerifyLink(prev *Block) error {
 		return ErrBadPoSHash
 	}
 	return nil
-}
-
-// EncodedSize approximates the wire size of the block in bytes: the hash
-// input plus the 32-byte hash itself. Used for network and storage
-// accounting (paper: average block size under 10 KB).
-func (b *Block) EncodedSize() int {
-	return b.hashInputSize() + sha256.Size
 }
 
 // Clone returns a deep copy of the block.

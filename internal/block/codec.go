@@ -2,104 +2,92 @@ package block
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/meta"
+	"repro/internal/wire"
 )
 
-// Wire codec for blocks. The encoding is the canonical hash input followed
-// by the 32-byte block hash, so Decode can verify integrity for free. Used
-// by the live p2p transport; the in-process simulation passes pointers and
-// only uses EncodedSize for accounting.
+// Wire codec for blocks: what the p2p transport, the WAL and snapshots
+// carry (DESIGN.md "Wire format"). Same fields in the same order as the
+// hash input, but heights, durations, counts, lengths and node indices are
+// varints and items travel in their own wire form, back to back, followed
+// by the 32-byte block hash. Decode recomputes the hash over the canonical
+// bytes, so integrity comes for free. The in-process simulation passes
+// pointers and only uses EncodedSize for accounting.
 
-var errTruncated = errors.New("block: truncated input")
+// headerSize is the length of what appendHeader appends.
+func (b *Block) headerSize() int {
+	return wire.UvarintLen(b.Index) + len(b.PrevHash) + wire.UvarintLen(uint64(b.Timestamp)) +
+		len(b.Miner) + len(b.PoSHash) + 8 + wire.UvarintLen(b.MinedAfter)
+}
+
+// appendHeader appends the fields every encoding starts with.
+func (b *Block) appendHeader(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, b.Index)
+	dst = append(dst, b.PrevHash[:]...)
+	dst = binary.AppendUvarint(dst, uint64(b.Timestamp))
+	dst = append(dst, b.Miner[:]...)
+	dst = append(dst, b.PoSHash[:]...)
+	dst = wire.AppendFloat64(dst, b.B)
+	return binary.AppendUvarint(dst, b.MinedAfter)
+}
+
+// tailSize is the length of what appendTail appends.
+func (b *Block) tailSize() int {
+	return wire.IntsLen(b.StoringNodes) + wire.IntsLen(b.PrevStoringNodes) + wire.IntsLen(b.RecentAssignees) + len(b.Hash)
+}
+
+// appendTail appends the three node lists that follow the items, then the
+// block hash.
+func (b *Block) appendTail(dst []byte) []byte {
+	dst = wire.AppendInts(dst, b.StoringNodes)
+	dst = wire.AppendInts(dst, b.PrevStoringNodes)
+	dst = wire.AppendInts(dst, b.RecentAssignees)
+	return append(dst, b.Hash[:]...)
+}
+
+// EncodedSize is the wire size of the block in bytes (len(Encode())). Used
+// for network and storage accounting (paper: average block size under
+// 10 KB).
+func (b *Block) EncodedSize() int {
+	n := b.headerSize() + wire.UvarintLen(uint64(len(b.Items))) + b.tailSize()
+	for _, it := range b.Items {
+		n += it.EncodedSize()
+	}
+	return n
+}
 
 // Encode serializes the block.
 func (b *Block) Encode() []byte {
-	out := b.appendHashInput(make([]byte, 0, b.EncodedSize()))
-	return append(out, b.Hash[:]...)
+	out := b.appendHeader(make([]byte, 0, b.EncodedSize()))
+	out = binary.AppendUvarint(out, uint64(len(b.Items)))
+	for _, it := range b.Items {
+		out = it.AppendEncode(out)
+	}
+	return b.appendTail(out)
 }
 
-type reader struct {
-	b   []byte
-	off int
-	err error
+// readHeader reads what appendHeader wrote.
+func readHeader(r *wire.Reader, b *Block) {
+	b.Index = r.Uvarint()
+	b.PrevHash = r.Hash()
+	b.Timestamp = time.Duration(r.Uvarint())
+	b.Miner = r.Hash()
+	b.PoSHash = r.Hash()
+	b.B = r.Float64()
+	b.MinedAfter = r.Uvarint()
 }
 
-func (r *reader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.off+n > len(r.b) {
-		r.err = errTruncated
-		return nil
-	}
-	out := r.b[r.off : r.off+n]
-	r.off += n
-	return out
-}
-
-func (r *reader) uint64() uint64 {
-	b := r.take(8)
-	if r.err != nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (r *reader) hash() (h Hash) {
-	copy(h[:], r.take(len(h)))
-	return h
-}
-
-func (r *reader) intList(maxLen int) []int {
-	n := int(r.uint64())
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || n > maxLen {
-		r.err = fmt.Errorf("block: list length %d exceeds cap %d", n, maxLen)
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = int(int64(r.uint64()))
-	}
-	return out
-}
-
-// maxListLen bounds decoded list lengths against corrupt length prefixes.
-const maxListLen = 1 << 16
-
-// header reads what appendHeader wrote.
-func (r *reader) header(b *Block) {
-	b.Index = r.uint64()
-	b.PrevHash = r.hash()
-	b.Timestamp = time.Duration(r.uint64())
-	copy(b.Miner[:], r.take(len(b.Miner)))
-	b.PoSHash = r.hash()
-	b.B = math.Float64frombits(r.uint64())
-	b.MinedAfter = r.uint64()
-}
-
-// tail reads what appendTail wrote plus the trailing block hash, and
-// rejects bytes past it.
-func (r *reader) tail(b *Block) error {
-	b.StoringNodes = r.intList(maxListLen)
-	b.PrevStoringNodes = r.intList(maxListLen)
-	b.RecentAssignees = r.intList(maxListLen)
-	b.Hash = r.hash()
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(r.b) {
-		return fmt.Errorf("block: %d trailing bytes", len(r.b)-r.off)
+// readTail reads what appendTail wrote and rejects bytes past it.
+func readTail(r *wire.Reader, b *Block) error {
+	b.StoringNodes = r.Ints()
+	b.PrevStoringNodes = r.Ints()
+	b.RecentAssignees = r.Ints()
+	b.Hash = r.Hash()
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("block: %w", err)
 	}
 	return nil
 }
@@ -107,26 +95,18 @@ func (r *reader) tail(b *Block) error {
 // Decode parses a block encoded by Encode and verifies that the embedded
 // hash matches the content.
 func Decode(data []byte) (*Block, error) {
-	r := &reader{b: data}
+	r := wire.NewReader(data)
 	b := &Block{}
-	r.header(b)
-	nItems := int(r.uint64())
-	if r.err == nil && (nItems < 0 || nItems > maxListLen) {
-		return nil, fmt.Errorf("block: absurd item count %d", nItems)
+	readHeader(r, b)
+	if n := r.Count(meta.MinEncodedSize); n > 0 {
+		b.Items = make([]*meta.Item, n)
 	}
-	for i := 0; i < nItems && r.err == nil; i++ {
-		itemLen := int(r.uint64())
-		raw := r.take(itemLen)
-		if r.err != nil {
+	for i := range b.Items {
+		if b.Items[i] = meta.Read(r); r.Err() != nil {
 			break
 		}
-		it, err := meta.Decode(raw)
-		if err != nil {
-			return nil, fmt.Errorf("block: item %d: %w", i, err)
-		}
-		b.Items = append(b.Items, it)
 	}
-	if err := r.tail(b); err != nil {
+	if err := readTail(r, b); err != nil {
 		return nil, err
 	}
 	if b.ComputeHash() != b.Hash {
@@ -155,42 +135,35 @@ type Compact struct {
 }
 
 // minRefSize is the encoded size of a reference with no storing nodes.
-const minRefSize = len(meta.DataID{}) + 8
+const minRefSize = len(meta.DataID{}) + 1
 
 // EncodeCompact serializes the block in compact form.
 func (b *Block) EncodeCompact() []byte {
-	n := b.EncodedSize()
+	n := b.headerSize() + wire.UvarintLen(uint64(len(b.Items))) + b.tailSize()
 	for _, it := range b.Items {
-		n -= 8 + it.EncodedSize() - minRefSize - 8*len(it.StoringNodes) // what a reference leaves out
+		n += len(it.ID) + wire.IntsLen(it.StoringNodes)
 	}
 	out := b.appendHeader(make([]byte, 0, n))
-	out = binary.BigEndian.AppendUint64(out, uint64(len(b.Items)))
+	out = binary.AppendUvarint(out, uint64(len(b.Items)))
 	for _, it := range b.Items {
 		out = append(out, it.ID[:]...)
-		out = appendList(out, it.StoringNodes)
+		out = wire.AppendInts(out, it.StoringNodes)
 	}
-	return append(b.appendTail(out), b.Hash[:]...)
+	return b.appendTail(out)
 }
 
 // DecodeCompact parses a block encoded by EncodeCompact. The item count is
 // checked against the bytes that remain before anything is allocated for it.
 func DecodeCompact(data []byte) (*Compact, error) {
-	r := &reader{b: data}
+	r := wire.NewReader(data)
 	c := &Compact{}
-	r.header(&c.Head)
-	n := r.uint64()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if n > maxListLen || n > uint64((len(data)-r.off)/minRefSize) {
-		return nil, fmt.Errorf("block: compact item count %d exceeds payload", n)
-	}
-	c.Refs = make([]ItemRef, n)
+	readHeader(r, &c.Head)
+	c.Refs = make([]ItemRef, r.Count(minRefSize))
 	for i := range c.Refs {
-		copy(c.Refs[i].ID[:], r.take(len(meta.DataID{})))
-		c.Refs[i].StoringNodes = r.intList(maxListLen)
+		c.Refs[i].ID = r.Hash()
+		c.Refs[i].StoringNodes = r.Ints()
 	}
-	if err := r.tail(&c.Head); err != nil {
+	if err := readTail(r, &c.Head); err != nil {
 		return nil, err
 	}
 	return c, nil

@@ -1,11 +1,16 @@
 package block
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/meta"
 )
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -108,4 +113,59 @@ func TestEncodeDecodeProperty(t *testing.T) {
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestDecodeBoundsCountsAndIndices: an item count or list length the
+// payload cannot hold is refused before anything is allocated for it, and
+// a node index outside [0, MaxInt32] has no wire form.
+func TestDecodeBoundsCountsAndIndices(t *testing.T) {
+	g := Genesis(1)
+	enc := g.Encode()
+	countAt := g.headerSize()
+	for _, claim := range []uint64{1, 1 << 16, 1 << 60, math.MaxUint64} {
+		bad := binary.AppendUvarint(append([]byte(nil), enc[:countAt]...), claim)
+		bad = append(bad, enc[countAt+1:]...)
+		if _, err := Decode(bad); err == nil {
+			t.Fatalf("item count %d accepted on a body with no items", claim)
+		}
+		if n := testing.AllocsPerRun(10, func() { _, _ = Decode(bad) }); n > 16 { // the header, the error and its wrapping; more under -race, never the items
+			t.Fatalf("count %d: %v allocations before the refusal", claim, n)
+		}
+	}
+	for _, idx := range []int{-1, math.MaxInt32 + 1} {
+		b := NewBuilder(g, testIdentity(1).Address(), time.Minute, 60, 0.5).SetStoringNodes([]int{idx}).Seal()
+		if _, err := Decode(b.Encode()); err == nil {
+			t.Fatalf("storing node %d decoded", idx)
+		}
+		if _, err := DecodeCompact(b.EncodeCompact()); err == nil {
+			t.Fatalf("storing node %d decoded from a compact body", idx)
+		}
+	}
+}
+
+// FuzzBlockCodec: Decode never panics, what it accepts re-encodes to the
+// same bytes at the size EncodedSize computed, and the items it allocates
+// are bounded by the payload it was given.
+func FuzzBlockCodec(f *testing.F) {
+	g := goldenBlock(f)
+	enc := g.Encode()
+	f.Add(enc)
+	f.Add(Genesis(1).Encode())
+	f.Add(enc[:len(enc)-7])
+	f.Add(g.EncodeCompact()) // a compact body in a full frame
+	f.Add(g.appendHashInput(nil))
+	huge := append([]byte(nil), enc[:g.headerSize()]...)
+	f.Add(binary.AppendUvarint(huge, 1<<60))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := Decode(data)
+		if err != nil {
+			return
+		}
+		if len(b.Items)*meta.MinEncodedSize > len(data) {
+			t.Fatalf("%d items decoded from %d bytes", len(b.Items), len(data))
+		}
+		if out := b.Encode(); !bytes.Equal(out, data) || b.EncodedSize() != len(data) {
+			t.Fatalf("accepted bytes are not canonical (EncodedSize %d):\n in  %x\n out %x", b.EncodedSize(), data, out)
+		}
+	})
 }

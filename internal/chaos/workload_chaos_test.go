@@ -193,8 +193,15 @@ func TestChaosOpenLoopWorkload(t *testing.T) {
 	// between, and its locator probe goes to a fan-out sample drawn on the
 	// gossip RNG instead of to every peer, which shifts every later sample.
 	// A different but equally valid trajectory: 28 740 events, height 31.
+	//
+	// Re-pinned once for the varint wire format (DESIGN.md "Wire format"):
+	// items, blocks, compact blocks, ID lists, announces and the sync frames
+	// are all smaller on the wire, and frame sizes are folded into the
+	// digest. Hashed and signed bytes did not change, so every winner, fork
+	// and placement is the same: still 28 740 events, still height 31. If
+	// either of those two moves, something other than the encoding changed.
 	if seed == 1 && runtime.GOARCH == "amd64" {
-		const digest, events, height = 0xdd5f003376b3d74f, 28740, 31
+		const digest, events, height = 0x4f3b1ee272455795, 28740, 31
 		if res.digest != digest || res.events != events || res.height != height {
 			t.Fatalf("cluster behaviour changed at seed 1: digest %016x events %d height %d, golden %016x %d %d",
 				res.digest, res.events, res.height, uint64(digest), events, height)

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"time"
@@ -14,6 +13,7 @@ import (
 	"repro/internal/chain"
 	"repro/internal/meta"
 	"repro/internal/pos"
+	"repro/internal/wire"
 )
 
 // Serializable state snapshots and body pruning (DESIGN.md §14). The
@@ -22,11 +22,11 @@ import (
 // finalized height without replaying from genesis — the full block at the
 // snapshot height (the bootstrap anchor), the ledger counters, the storage
 // view, and the on-chain item indexes. The encoding is deterministic
-// (sorted IDs, fixed-width integers), so its SHA-256 content hash is
+// (sorted IDs, one encoding per value), so its SHA-256 content hash is
 // comparable across nodes and transports.
 
 // SnapshotVersion is the codec version embedded in every encoded snapshot.
-const SnapshotVersion = 1
+const SnapshotVersion = 2
 
 var snapshotMagic = [4]byte{'S', 'N', 'A', 'P'}
 
@@ -75,145 +75,63 @@ type StateSnapshot struct {
 
 // --- codec ----------------------------------------------------------------
 
-type snapWriter struct{ b []byte }
-
-func (w *snapWriter) u32(v uint32) { w.b = binary.BigEndian.AppendUint32(w.b, v) }
-func (w *snapWriter) u64(v uint64) { w.b = binary.BigEndian.AppendUint64(w.b, v) }
-func (w *snapWriter) raw(p []byte) { w.b = append(w.b, p...) }
-func (w *snapWriter) blob(p []byte) {
-	w.u32(uint32(len(p)))
-	w.raw(p)
-}
-
-type snapReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *snapReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (r *snapReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.off+n > len(r.b) || r.off+n < 0 {
-		r.fail("truncated at offset %d (want %d bytes)", r.off, n)
-		return nil
-	}
-	out := r.b[r.off : r.off+n]
-	r.off += n
-	return out
-}
-
-func (r *snapReader) u32() uint32 {
-	b := r.take(4)
-	if r.err != nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (r *snapReader) u64() uint64 {
-	b := r.take(8)
-	if r.err != nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-// count reads a list length and bounds it by the bytes remaining at
-// entrySize bytes per entry, so corrupt prefixes cannot trigger huge
-// allocations.
-func (r *snapReader) count(entrySize int) int {
-	n := int(r.u32())
-	if r.err != nil {
-		return 0
-	}
-	if n < 0 || entrySize > 0 && n > (len(r.b)-r.off)/entrySize {
-		r.fail("list length %d exceeds remaining input", n)
-		return 0
-	}
-	return n
-}
-
-func (r *snapReader) id() (id meta.DataID) {
-	copy(id[:], r.take(len(id)))
-	return id
-}
-
-func (r *snapReader) blob() []byte {
-	n := r.count(1)
-	return r.take(n)
-}
-
-func putIntList(w *snapWriter, ns []int) {
-	w.u32(uint32(len(ns)))
-	for _, n := range ns {
-		w.u64(uint64(int64(n)))
-	}
-}
-
-func putU64IntSlice(w *snapWriter, ns []int) {
-	for _, n := range ns {
-		w.u64(uint64(int64(n)))
-	}
-}
-
-// Encode serializes the snapshot with the canonical deterministic layout.
+// Encode serializes the snapshot with the canonical deterministic layout:
+// varint counts, heights and sizes like every other serialised form
+// (DESIGN.md "Wire format"); Rented is signed and Scale a float, so both
+// stay fixed width.
 func (s *StateSnapshot) Encode() []byte {
-	w := &snapWriter{b: make([]byte, 0, 4096)}
-	w.raw(snapshotMagic[:])
-	w.u32(SnapshotVersion)
-	w.u64(s.Height)
-	w.blob(s.Block.Encode())
+	uints := func(w []byte, ns []int) []byte {
+		for _, n := range ns {
+			w = binary.AppendUvarint(w, uint64(n))
+		}
+		return w
+	}
+	ids := func(w []byte, ids []meta.DataID) []byte {
+		w = binary.AppendUvarint(w, uint64(len(ids)))
+		for _, id := range ids {
+			w = append(w, id[:]...)
+		}
+		return w
+	}
+	w := make([]byte, 0, 4096)
+	w = append(w, snapshotMagic[:]...)
+	w = binary.BigEndian.AppendUint32(w, SnapshotVersion)
+	w = binary.AppendUvarint(w, s.Height)
+	w = wire.AppendBytes(w, s.Block.Encode())
 
-	n := len(s.Ledger.Mined)
-	w.u32(uint32(n))
+	w = binary.AppendUvarint(w, uint64(len(s.Ledger.Mined)))
 	for _, v := range s.Ledger.Mined {
-		w.u64(v)
+		w = binary.AppendUvarint(w, v)
 	}
 	for _, v := range s.Ledger.Stored {
-		w.u64(v)
+		w = binary.AppendUvarint(w, v)
 	}
 	for _, v := range s.Ledger.Rented {
-		w.u64(uint64(v))
+		w = binary.BigEndian.AppendUint64(w, uint64(v))
 	}
-	w.u64(s.Ledger.Applied)
-	w.u64(math.Float64bits(s.Ledger.Scale))
+	w = binary.AppendUvarint(w, s.Ledger.Applied)
+	w = wire.AppendFloat64(w, s.Ledger.Scale)
 
-	putU64IntSlice(w, s.DataLive)
-	putU64IntSlice(w, s.BlockBodies)
-	putU64IntSlice(w, s.RecentDepth)
-	w.u64(s.ViewHeight)
+	w = uints(w, s.DataLive)
+	w = uints(w, s.BlockBodies)
+	w = uints(w, s.RecentDepth)
+	w = binary.AppendUvarint(w, s.ViewHeight)
 
-	w.u32(uint32(len(s.Assignments)))
+	w = binary.AppendUvarint(w, uint64(len(s.Assignments)))
 	for _, a := range s.Assignments {
-		w.raw(a.ID[:])
-		putIntList(w, a.Nodes)
+		w = wire.AppendInts(append(w, a.ID[:]...), a.Nodes)
 	}
-	w.u32(uint32(len(s.Expiries)))
+	w = binary.AppendUvarint(w, uint64(len(s.Expiries)))
 	for _, e := range s.Expiries {
-		w.u64(uint64(e.At))
-		w.raw(e.ID[:])
+		w = append(binary.AppendUvarint(w, uint64(e.At)), e.ID[:]...)
 	}
-	w.u32(uint32(len(s.Expired)))
-	for _, id := range s.Expired {
-		w.raw(id[:])
-	}
-	w.u32(uint32(len(s.InChain)))
-	for _, id := range s.InChain {
-		w.raw(id[:])
-	}
-	w.u32(uint32(len(s.LiveItems)))
+	w = ids(w, s.Expired)
+	w = ids(w, s.InChain)
+	w = binary.AppendUvarint(w, uint64(len(s.LiveItems)))
 	for _, it := range s.LiveItems {
-		w.blob(it.Encode())
+		w = it.AppendEncode(w)
 	}
-	return w.b
+	return w
 }
 
 // ContentHash returns the SHA-256 of the canonical encoding; peers compare
@@ -227,19 +145,16 @@ func (s *StateSnapshot) ContentHash() [sha256.Size]byte {
 // semantic validation against the local configuration happens in
 // BootstrapFromSnapshot.
 func DecodeSnapshot(data []byte) (*StateSnapshot, error) {
-	r := &snapReader{b: data}
-	var magic [4]byte
-	copy(magic[:], r.take(4))
-	if r.err == nil && magic != snapshotMagic {
+	r := wire.NewReader(data)
+	if magic := r.Take(len(snapshotMagic)); r.Err() == nil && [4]byte(magic) != snapshotMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
 	}
-	if v := r.u32(); r.err == nil && v != SnapshotVersion {
+	if v := r.Uint32(); r.Err() == nil && v != SnapshotVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadSnapshot, v)
 	}
 	s := &StateSnapshot{}
-	s.Height = r.u64()
-	blockBlob := r.blob()
-	if r.err == nil {
+	s.Height = r.Uvarint()
+	if blockBlob := r.Bytes(); r.Err() == nil {
 		b, err := block.Decode(blockBlob)
 		if err != nil {
 			return nil, fmt.Errorf("%w: anchor block: %v", ErrBadSnapshot, err)
@@ -247,83 +162,56 @@ func DecodeSnapshot(data []byte) (*StateSnapshot, error) {
 		s.Block = b
 	}
 
-	n := r.count(8)
-	readU64s := func() []uint64 {
-		if r.err != nil {
-			return nil
-		}
-		out := make([]uint64, n)
-		for i := range out {
-			out[i] = r.u64()
-		}
-		return out
-	}
-	readInts := func() []int {
-		if r.err != nil {
-			return nil
-		}
+	// Every list below is counted against the bytes that remain before it
+	// is allocated, so a corrupt prefix cannot trigger a huge allocation.
+	n := r.Count(8)
+	uints := func() []int {
 		out := make([]int, n)
 		for i := range out {
-			out[i] = int(int64(r.u64()))
+			out[i] = int(r.Uvarint())
 		}
 		return out
 	}
-	s.Ledger.Mined = readU64s()
-	s.Ledger.Stored = readU64s()
+	ids := func() (out []meta.DataID) {
+		for i := r.Count(wire.HashSize); i > 0; i-- {
+			out = append(out, r.Hash())
+		}
+		return out
+	}
+	s.Ledger.Mined = make([]uint64, n)
+	for i := range s.Ledger.Mined {
+		s.Ledger.Mined[i] = r.Uvarint()
+	}
+	s.Ledger.Stored = make([]uint64, n)
+	for i := range s.Ledger.Stored {
+		s.Ledger.Stored[i] = r.Uvarint()
+	}
 	s.Ledger.Rented = make([]int64, n)
 	for i := range s.Ledger.Rented {
-		s.Ledger.Rented[i] = int64(r.u64())
+		s.Ledger.Rented[i] = int64(r.Uint64())
 	}
-	s.Ledger.Applied = r.u64()
-	s.Ledger.Scale = math.Float64frombits(r.u64())
+	s.Ledger.Applied = r.Uvarint()
+	s.Ledger.Scale = r.Float64()
 
-	s.DataLive = readInts()
-	s.BlockBodies = readInts()
-	s.RecentDepth = readInts()
-	s.ViewHeight = r.u64()
+	s.DataLive = uints()
+	s.BlockBodies = uints()
+	s.RecentDepth = uints()
+	s.ViewHeight = r.Uvarint()
 
-	na := r.count(36)
-	for i := 0; i < na && r.err == nil; i++ {
-		a := ItemAssignment{ID: r.id()}
-		m := r.count(8)
-		if m > 0 && r.err == nil {
-			a.Nodes = make([]int, m)
-			for j := range a.Nodes {
-				a.Nodes[j] = int(int64(r.u64()))
-			}
-		}
-		s.Assignments = append(s.Assignments, a)
+	for i := r.Count(wire.HashSize + 1); i > 0; i-- {
+		s.Assignments = append(s.Assignments, ItemAssignment{ID: r.Hash(), Nodes: r.Ints()})
 	}
-	ne := r.count(40)
-	for i := 0; i < ne && r.err == nil; i++ {
-		at := time.Duration(r.u64())
-		s.Expiries = append(s.Expiries, ItemExpiry{At: at, ID: r.id()})
+	for i := r.Count(1 + wire.HashSize); i > 0; i-- {
+		at := time.Duration(r.Uvarint())
+		s.Expiries = append(s.Expiries, ItemExpiry{At: at, ID: r.Hash()})
 	}
-	nx := r.count(32)
-	for i := 0; i < nx && r.err == nil; i++ {
-		s.Expired = append(s.Expired, r.id())
+	s.Expired = ids()
+	s.InChain = ids()
+	for i := r.Count(meta.MinEncodedSize); i > 0 && r.Err() == nil; i-- {
+		s.LiveItems = append(s.LiveItems, meta.Read(r))
 	}
-	nc := r.count(32)
-	for i := 0; i < nc && r.err == nil; i++ {
-		s.InChain = append(s.InChain, r.id())
-	}
-	nl := r.count(4)
-	for i := 0; i < nl && r.err == nil; i++ {
-		itemBlob := r.blob()
-		if r.err != nil {
-			break
-		}
-		it, err := meta.Decode(itemBlob)
-		if err != nil {
-			return nil, fmt.Errorf("%w: live item %d: %v", ErrBadSnapshot, i, err)
-		}
-		s.LiveItems = append(s.LiveItems, it)
-	}
-	if r.err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, r.err)
-	}
-	if r.off != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, len(data)-r.off)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
 	return s, nil
 }

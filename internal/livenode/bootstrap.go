@@ -19,12 +19,14 @@ package livenode
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"time"
 
 	"repro/internal/chain"
 	"repro/internal/engine"
 	"repro/internal/p2p"
+	"repro/internal/wire"
 )
 
 const (
@@ -53,11 +55,11 @@ type snapChunk struct {
 // encodeSnapshotChunk serializes one FrameSnapshot payload.
 func encodeSnapshotChunk(height, total uint64, hash [sha256.Size]byte, idx, count uint32, data []byte) []byte {
 	out := make([]byte, 0, 8+8+sha256.Size+4+4+len(data))
-	out = putU64(out, height)
-	out = putU64(out, total)
+	out = binary.BigEndian.AppendUint64(out, height)
+	out = binary.BigEndian.AppendUint64(out, total)
 	out = append(out, hash[:]...)
-	out = putU32(out, idx)
-	out = putU32(out, count)
+	out = binary.BigEndian.AppendUint32(out, idx)
+	out = binary.BigEndian.AppendUint32(out, count)
 	return append(out, data...)
 }
 
@@ -67,16 +69,16 @@ func encodeSnapshotChunk(height, total uint64, hash [sha256.Size]byte, idx, coun
 // here, before any state is touched).
 func decodeSnapshotChunk(payload []byte) (snapChunk, error) {
 	var c snapChunk
-	r := &syncReader{b: payload}
-	c.Height = r.uint64()
-	c.Total = r.uint64()
-	copy(c.Hash[:], r.take(sha256.Size))
-	c.Idx = r.uint32()
-	c.Count = r.uint32()
-	if r.err != nil {
-		return c, r.err
+	r := wire.NewReader(payload)
+	c.Height = r.Uint64()
+	c.Total = r.Uint64()
+	c.Hash = r.Hash()
+	c.Idx = r.Uint32()
+	c.Count = r.Uint32()
+	c.Data = r.Rest()
+	if err := r.Err(); err != nil {
+		return c, err
 	}
-	c.Data = payload[r.off:]
 	if c.Count == 0 {
 		if c.Total != 0 || len(c.Data) != 0 {
 			return c, fmt.Errorf("%w: non-empty no-snapshot chunk", errSyncFrame)

@@ -444,7 +444,11 @@ func TestPrunedSteadyStateBounded(t *testing.T) {
 // TestColdJoinSnapshotGate is the issue's cold-join acceptance gate: on a
 // long chain, a snapshot-bootstrap join must move at least 10x fewer wire
 // bytes AND verify at least 10x fewer blocks than a suffix sync from
-// genesis, and still land on the identical tip.
+// genesis, and still land on the identical tip. The bootstrap itself is one
+// snapshot chunk and a 16-block suffix at either scale, at most 4 400 B: the
+// 3 483 B the 50k-block join measures plus a quarter (4 808 B in the
+// fixed-width form, where the suffix sync read 13 018 640 B to today's
+// 9 566 349 B).
 func TestColdJoinSnapshotGate(t *testing.T) {
 	height := 50_000
 	if testing.Short() || raceEnabled {
@@ -494,6 +498,9 @@ func TestColdJoinSnapshotGate(t *testing.T) {
 		height, syncBytes, syncBlocks, bootBytes, bootBlocks)
 	if syncBytes < 10*bootBytes {
 		t.Fatalf("wire bytes: bootstrap %d vs suffix %d — less than 10x saving", bootBytes, syncBytes)
+	}
+	if bootBytes > 4400 {
+		t.Fatalf("bootstrap join moved %d wire bytes, want <= 4400", bootBytes)
 	}
 	if syncBlocks < 10*max(bootBlocks, 1) {
 		t.Fatalf("verified blocks: bootstrap %d vs suffix %d — less than 10x saving", bootBlocks, syncBlocks)

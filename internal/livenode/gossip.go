@@ -1,6 +1,7 @@
 package livenode
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"sort"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/meta"
 	"repro/internal/p2p"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 // Inv-style gossip block relay (DESIGN.md §13). A node that adopts a block
@@ -128,26 +130,26 @@ func (l *seenLRU[K, V]) Add(k K, v V) {
 
 // --- wire codecs --------------------------------------------------------------
 
-// encodeAnnounce serializes a FrameBlockAnnounce payload: 8-byte height,
+// encodeAnnounce serializes a FrameBlockAnnounce payload: varint height,
 // 32-byte header hash.
 func encodeAnnounce(height uint64, h block.Hash) []byte {
-	out := make([]byte, 0, 8+len(h))
-	out = putU64(out, height)
+	out := make([]byte, 0, binary.MaxVarintLen32+len(h))
+	out = binary.AppendUvarint(out, height)
 	return append(out, h[:]...)
 }
 
 func decodeAnnounce(payload []byte) (height uint64, h block.Hash, err error) {
-	r := &syncReader{b: payload}
-	height = r.uint64()
-	h = r.hash()
-	return height, h, r.done()
+	r := wire.NewReader(payload)
+	height = r.Uvarint()
+	h = r.Hash()
+	return height, h, r.Done()
 }
 
 // decodeGetBlock parses a FrameGetBlock payload: a bare 32-byte hash.
 func decodeGetBlock(payload []byte) (h block.Hash, err error) {
-	r := &syncReader{b: payload}
-	h = r.hash()
-	return h, r.done()
+	r := wire.NewReader(payload)
+	h = r.Hash()
+	return h, r.Done()
 }
 
 // --- relay --------------------------------------------------------------------

@@ -17,7 +17,6 @@ package livenode
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -594,22 +593,28 @@ func New(cfg Config) (*Node, error) {
 // Addr returns the node's listen address.
 func (n *Node) Addr() string { return n.net.Addr() }
 
-// Connect dials peers and probes the chains of a GossipFanout-bounded sample
-// of them with a block locator; any of those that is ahead answers with the
-// header range of the missing suffix (incremental sync, DESIGN.md §10). If
-// the whole sample is behind too, the next block announce from anyone ahead
-// opens the round instead.
+// Connect dials every address and probes the chains of a GossipFanout-bounded
+// sample of the peers that answered with a block locator; any of those that
+// is ahead answers with the header range of the missing suffix (incremental
+// sync, DESIGN.md §10). If the whole sample is behind too, the next block
+// announce from anyone ahead opens the round instead. A failed dial does not
+// stop the rest: the error joins one line per address that could not be
+// reached.
 func (n *Node) Connect(addrs ...string) error {
+	var errs []error
+	peers := make([]string, 0, len(addrs))
 	for _, a := range addrs {
 		if err := n.net.Connect(a); err != nil {
-			return err
+			errs = append(errs, fmt.Errorf("livenode: connect %s: %w", a, err))
+			continue
 		}
+		peers = append(peers, a)
 	}
 	if rd := n.repair; rd != nil { // set once in New
 		// Probe a bounded prefix of the new peers so initial address bindings
 		// bootstrap without an O(n) broadcast; the per-tick probe rotation
 		// binds the rest over time (DESIGN.md §15.2).
-		for _, a := range addrs[:min(len(addrs), n.cfg.ProbeFanout)] {
+		for _, a := range peers[:min(len(peers), n.cfg.ProbeFanout)] {
 			n.tel.probesSent.Inc()
 			n.send(a, p2p.FrameRepairProbe, rd.announce)
 		}
@@ -618,11 +623,10 @@ func (n *Node) Connect(addrs ...string) error {
 	// for the finalized state instead of syncing history from genesis
 	// (DESIGN.md §14); the locator probe runs once the snapshot is
 	// installed (or the attempt falls back).
-	if n.cfg.BootstrapSnapshot && len(addrs) > 0 && n.beginBootstrap(addrs[0]) {
-		return nil
+	if !(n.cfg.BootstrapSnapshot && len(peers) > 0 && n.beginBootstrap(peers[0])) {
+		n.sendSyncLocator(n.sampleFanout(peers)...)
 	}
-	n.sendSyncLocator(n.sampleFanout(slices.Clone(addrs))...)
-	return nil
+	return errors.Join(errs...)
 }
 
 // Height returns the chain height.

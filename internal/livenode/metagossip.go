@@ -1,8 +1,11 @@
 package livenode
 
 import (
+	"encoding/binary"
+
 	"repro/internal/meta"
 	"repro/internal/p2p"
+	"repro/internal/wire"
 )
 
 // Inv-style metadata relay (DESIGN.md §15.1). The consensus round (paper
@@ -50,19 +53,19 @@ const (
 	// past it announces are dropped (the §10 sync path still delivers
 	// whatever a miner packs).
 	maxPendingMetaFetch = 256
-	// shortMark, the top bit of an ID list's count word, says the IDs that
-	// follow are 8-byte short IDs; without it they are 32-byte data IDs, which
-	// only FrameGetMeta takes (the compact-miss path, §13.1).
-	shortMark = 1 << 31
+	// shortMark, the low bit of an ID list's varint count word, says the IDs
+	// that follow are 8-byte short IDs; without it they are 32-byte data IDs,
+	// which only FrameGetMeta takes (the compact-miss path, §13.1).
+	shortMark = 1
 )
 
 // --- wire codecs --------------------------------------------------------------
 
-// encodeIDList serializes a full-ID FrameGetMeta payload: a 4-byte count
-// followed by 32-byte data IDs.
+// encodeIDList serializes a full-ID FrameGetMeta payload: the varint word
+// count<<1, then 32-byte data IDs.
 func encodeIDList(ids []meta.DataID) []byte {
-	out := make([]byte, 0, 4+len(ids)*len(meta.DataID{}))
-	out = putU32(out, uint32(len(ids)))
+	out := make([]byte, 0, 1+len(ids)*len(meta.DataID{}))
+	out = binary.AppendUvarint(out, uint64(len(ids))<<1)
 	for _, id := range ids {
 		out = append(out, id[:]...)
 	}
@@ -70,10 +73,10 @@ func encodeIDList(ids []meta.DataID) []byte {
 }
 
 // encodeShortIDs serializes a FrameMetaAnnounce or short-ID FrameGetMeta
-// payload: a 4-byte count carrying shortMark, then 8-byte short IDs.
+// payload: the varint word count<<1|shortMark, then 8-byte short IDs.
 func encodeShortIDs(ids []meta.ShortID) []byte {
-	out := make([]byte, 0, 4+len(ids)*len(meta.ShortID{}))
-	out = putU32(out, shortMark|uint32(len(ids)))
+	out := make([]byte, 0, 1+len(ids)*len(meta.ShortID{}))
+	out = binary.AppendUvarint(out, uint64(len(ids))<<1|shortMark)
 	for _, id := range ids {
 		out = append(out, id[:]...)
 	}
@@ -83,24 +86,24 @@ func encodeShortIDs(ids []meta.ShortID) []byte {
 // decodeIDList parses either list; exactly one result is non-nil. The payload
 // must be exactly as long as its count word says.
 func decodeIDList(payload []byte) (full []meta.DataID, short []meta.ShortID, err error) {
-	r := &syncReader{b: payload}
-	w := r.uint32()
-	count, width := int(w&^shortMark), len(meta.DataID{})
+	r := wire.NewReader(payload)
+	w := r.Uvarint()
+	count, width := w>>1, len(meta.DataID{})
 	if w&shortMark != 0 {
 		width = len(meta.ShortID{})
 	}
-	if r.err != nil || count == 0 || count > maxMetaBatch || len(payload) != 4+count*width {
+	if r.Err() != nil || count == 0 || count > maxMetaBatch || r.Len() != int(count)*width {
 		return nil, nil, errSyncFrame
 	}
 	if w&shortMark != 0 {
 		short = make([]meta.ShortID, count)
 		for i := range short {
-			short[i] = meta.ShortID(r.take(width))
+			short[i] = meta.ShortID(r.Take(width))
 		}
 	} else {
 		full = make([]meta.DataID, count)
 		for i := range full {
-			full[i] = meta.DataID(r.take(width))
+			full[i] = meta.DataID(r.Take(width))
 		}
 	}
 	return full, short, nil

@@ -102,14 +102,14 @@ func FuzzMetaGossipFrames(f *testing.F) {
 	f.Add(unsolicited, testItem(idents[2], "fuzz item nobody asked for", 0).Encode())
 	f.Add(uint8(1), announceOf(ids...))
 	f.Add(uint8(1), announceOf(ids[0]))
-	f.Add(uint8(1), encodeIDList(ids))                     // full IDs: not an announce
-	f.Add(uint8(1), putU32(nil, shortMark))                // zero count
-	f.Add(uint8(1), putU32(nil, shortMark|maxMetaBatch+1)) // oversized count
-	f.Add(uint8(1), announceOf(ids...)[:10])               // truncated list
-	f.Add(uint8(1), putU32(encodeIDList(ids[:1])[4:], shortMark|1))
-	f.Add(uint8(2), announceOf(ids...)) // get-meta shares the codec, in both widths
+	f.Add(uint8(1), encodeIDList(ids))                                                // full IDs: not an announce
+	f.Add(uint8(1), putUv(nil, shortMark))                                            // zero count
+	f.Add(uint8(1), putUv(nil, (maxMetaBatch+1)<<1|shortMark))                        // oversized count
+	f.Add(uint8(1), announceOf(ids...)[:10])                                          // truncated list
+	f.Add(uint8(1), append(putUv(nil, 1<<1|shortMark), encodeIDList(ids[:1])[1:]...)) // a full ID marked short
+	f.Add(uint8(2), announceOf(ids...))                                               // get-meta shares the codec, in both widths
 	f.Add(uint8(2), encodeIDList(ids))
-	f.Add(uint8(2), putU32(nil, maxMetaBatch+1))
+	f.Add(uint8(2), putUv(nil, (maxMetaBatch+1)<<1))
 	f.Add(uint8(3), putU32(nil, 1))                // probe from roster idx 1
 	f.Add(uint8(3), putU32(nil, 99))               // out-of-range idx
 	f.Add(uint8(3), []byte{1, 2})                  // short probe

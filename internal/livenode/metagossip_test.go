@@ -157,7 +157,7 @@ func TestMetaGossipForgedItemNotPooledNotRelayed(t *testing.T) {
 	link(t, a, b)
 
 	it := testItem(a.idents()[1], "forged provenance", a.now())
-	it.Producer = a.cfg.Accounts[2] // signature no longer matches the producer
+	it.DataSize++ // a signed field edited after signing (a foreign Producer has no wire form)
 	feedItem(a, "b", it)
 	if poolHas(a.Node, it.ID) {
 		t.Fatal("forged item entered the pool")
@@ -181,15 +181,15 @@ func TestMetaGossipForgedItemNotPooledNotRelayed(t *testing.T) {
 func TestMetaIDListCodecBounds(t *testing.T) {
 	x, y := meta.HashData([]byte("x")), meta.HashData([]byte("y"))
 	full := encodeIDList([]meta.DataID{x, y})
-	if want := append(append([]byte{0, 0, 0, 2}, x[:]...), y[:]...); !bytes.Equal(full, want) {
+	if want := append(append([]byte{2 << 1}, x[:]...), y[:]...); !bytes.Equal(full, want) {
 		t.Fatalf("full list encodes as %x, want %x", full, want)
 	}
 	short := encodeShortIDs([]meta.ShortID{x.ShortID(), y.ShortID()})
-	if want := append(append([]byte{0x80, 0, 0, 2}, x[:8]...), y[:8]...); !bytes.Equal(short, want) {
+	if want := append(append([]byte{2<<1 | shortMark}, x[:8]...), y[:8]...); !bytes.Equal(short, want) {
 		t.Fatalf("short list encodes as %x, want %x", short, want)
 	}
-	if len(announceOf(x))+5 != 17 { // p2p frame header: type byte + length word
-		t.Errorf("a single-ID announce is %d B on the wire, want 17", len(announceOf(x))+5)
+	if len(announceOf(x))+5 != 14 { // p2p frame header: type byte + length word
+		t.Errorf("a single-ID announce is %d B on the wire, want 14", len(announceOf(x))+5)
 	}
 	if ids, sh, err := decodeIDList(full); err != nil || sh != nil || len(ids) != 2 || ids[0] != x || ids[1] != y {
 		t.Fatalf("full round trip: %v %v %v", ids, sh, err)
@@ -203,22 +203,24 @@ func TestMetaIDListCodecBounds(t *testing.T) {
 	if ids, _, err := decodeIDList(big); err != nil || len(ids) != maxMetaBatch {
 		t.Fatalf("a full batch of %d rejected: %v", maxMetaBatch, err)
 	}
-	remark := func(b []byte, w uint32) []byte { return append(putU32(nil, w), b[4:]...) }
+	// remark swaps a list's one-byte count word for count<<1|mark.
+	remark := func(b []byte, count, mark uint64) []byte { return append(putUv(nil, count<<1|mark), b[1:]...) }
 	bad := map[string][]byte{
 		"empty payload":                 nil,
-		"short count word":              {0x80, 0, 0},
+		"unfinished count word":         {0x80},
+		"padded count word":             append([]byte{0x82, 0x00}, full[1:]...),
 		"full list, count 0":            encodeIDList(nil),
 		"short list, count 0":           encodeShortIDs(nil),
 		"full list, oversized count":    encodeIDList(make([]meta.DataID, maxMetaBatch+1)),
 		"short list, oversized count":   encodeShortIDs(make([]meta.ShortID, maxMetaBatch+1)),
-		"count far past the payload":    putU32(nil, shortMark|0x7fffffff),
+		"count far past the payload":    putUv(nil, 1<<60|shortMark),
 		"full list, truncated":          full[:len(full)-1],
 		"short list, truncated":         short[:len(short)-1],
 		"full list, trailing byte":      append(append([]byte(nil), full...), 0),
 		"short list, trailing byte":     append(append([]byte(nil), short...), 0),
-		"full IDs marked short":         remark(full, shortMark|2),
-		"short IDs not marked":          remark(short, 2),
-		"64 full IDs marked 256 shorts": remark(big, shortMark|256),
+		"full IDs marked short":         remark(full, 2, shortMark),
+		"short IDs not marked":          remark(short, 2, 0),
+		"64 full IDs marked 256 shorts": remark(big, 256, shortMark),
 	}
 	for name, payload := range bad {
 		var err error

@@ -10,6 +10,7 @@ import (
 	"repro/internal/chain"
 	"repro/internal/meta"
 	"repro/internal/p2p"
+	"repro/internal/wire"
 )
 
 // Incremental batched chain sync (DESIGN.md §10). On a gap or fork a
@@ -60,91 +61,36 @@ type syncBatch struct {
 	Blocks []*block.Block
 }
 
-type syncReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *syncReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.off+n > len(r.b) {
-		r.err = errSyncFrame
-		return nil
-	}
-	out := r.b[r.off : r.off+n]
-	r.off += n
-	return out
-}
-
-func (r *syncReader) uint64() uint64 {
-	b := r.take(8)
-	if r.err != nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (r *syncReader) uint32() uint32 {
-	b := r.take(4)
-	if r.err != nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (r *syncReader) hash() (h block.Hash) {
-	copy(h[:], r.take(len(h)))
-	return h
-}
-
-func (r *syncReader) done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(r.b) {
-		return fmt.Errorf("%w: %d trailing bytes", errSyncFrame, len(r.b)-r.off)
-	}
-	return nil
-}
-
-func putU64(out []byte, v uint64) []byte {
-	var u [8]byte
-	binary.BigEndian.PutUint64(u[:], v)
-	return append(out, u[:]...)
-}
-
-func putU32(out []byte, v uint32) []byte {
-	var u [4]byte
-	binary.BigEndian.PutUint32(u[:], v)
-	return append(out, u[:]...)
-}
-
-// encodeLocator serializes a block locator: count, then (height, hash)
-// entries tip-first.
-func encodeLocator(loc []chain.LocatorEntry) []byte {
-	out := make([]byte, 0, 4+len(loc)*40)
-	out = putU32(out, uint32(len(loc)))
-	for _, e := range loc {
-		out = putU64(out, e.Height)
+// appendEntries appends (height, hash) pairs: varint height, 32-byte hash.
+func appendEntries(out []byte, es []chain.LocatorEntry) []byte {
+	for _, e := range es {
+		out = binary.AppendUvarint(out, e.Height)
 		out = append(out, e.Hash[:]...)
 	}
 	return out
 }
 
+// minEntrySize is the least one (height, hash) pair takes.
+const minEntrySize = 1 + wire.HashSize
+
+// encodeLocator serializes a block locator: varint count, then (height,
+// hash) entries tip-first.
+func encodeLocator(loc []chain.LocatorEntry) []byte {
+	out := make([]byte, 0, 1+len(loc)*(4+wire.HashSize))
+	return appendEntries(binary.AppendUvarint(out, uint64(len(loc))), loc)
+}
+
 func decodeLocator(payload []byte) ([]chain.LocatorEntry, error) {
-	r := &syncReader{b: payload}
-	n := int(r.uint32())
-	if r.err == nil && (n <= 0 || n > chain.MaxLocatorLen) {
+	r := wire.NewReader(payload)
+	n := r.Count(minEntrySize)
+	if r.Err() == nil && (n == 0 || n > chain.MaxLocatorLen) {
 		return nil, fmt.Errorf("%w: locator of %d entries", errSyncFrame, n)
 	}
 	loc := make([]chain.LocatorEntry, 0, n)
 	for i := 0; i < n; i++ {
-		h := r.uint64()
-		hash := r.hash()
-		if r.err != nil {
+		h := r.Uvarint()
+		hash := r.Hash()
+		if r.Err() != nil {
 			break
 		}
 		// Locators are strictly descending tip-first; enforce the shape so
@@ -154,42 +100,34 @@ func decodeLocator(payload []byte) ([]chain.LocatorEntry, error) {
 		}
 		loc = append(loc, chain.LocatorEntry{Height: h, Hash: hash})
 	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return loc, nil
+	return loc, r.Done()
 }
 
 // encodeSyncHeaders serializes fork point, fork hash, tip height and the
 // contiguous header range.
 func encodeSyncHeaders(h syncHeaders) []byte {
-	out := make([]byte, 0, 8+32+8+4+len(h.Headers)*40)
-	out = putU64(out, h.Fork)
+	out := make([]byte, 0, 3*binary.MaxVarintLen32+wire.HashSize+len(h.Headers)*(4+wire.HashSize))
+	out = binary.AppendUvarint(out, h.Fork)
 	out = append(out, h.ForkHash[:]...)
-	out = putU64(out, h.Tip)
-	out = putU32(out, uint32(len(h.Headers)))
-	for _, e := range h.Headers {
-		out = putU64(out, e.Height)
-		out = append(out, e.Hash[:]...)
-	}
-	return out
+	out = binary.AppendUvarint(out, h.Tip)
+	return appendEntries(binary.AppendUvarint(out, uint64(len(h.Headers))), h.Headers)
 }
 
 func decodeSyncHeaders(payload []byte) (syncHeaders, error) {
 	var h syncHeaders
-	r := &syncReader{b: payload}
-	h.Fork = r.uint64()
-	h.ForkHash = r.hash()
-	h.Tip = r.uint64()
-	n := int(r.uint32())
-	if r.err == nil && n > maxSyncHeaders {
+	r := wire.NewReader(payload)
+	h.Fork = r.Uvarint()
+	h.ForkHash = r.Hash()
+	h.Tip = r.Uvarint()
+	n := r.Count(minEntrySize)
+	if n > maxSyncHeaders {
 		return h, fmt.Errorf("%w: %d headers exceed cap %d", errSyncFrame, n, maxSyncHeaders)
 	}
 	h.Headers = make([]chain.LocatorEntry, 0, n)
 	for i := 0; i < n; i++ {
-		height := r.uint64()
-		hash := r.hash()
-		if r.err != nil {
+		height := r.Uvarint()
+		hash := r.Hash()
+		if r.Err() != nil {
 			break
 		}
 		// The header range must be contiguous and start right after the
@@ -199,24 +137,19 @@ func decodeSyncHeaders(payload []byte) (syncHeaders, error) {
 		}
 		h.Headers = append(h.Headers, chain.LocatorEntry{Height: height, Hash: hash})
 	}
-	if err := r.done(); err != nil {
-		return h, err
-	}
-	return h, nil
+	return h, r.Done()
 }
 
 // encodeGetBatch serializes a block-range request [from, to].
 func encodeGetBatch(from, to uint64) []byte {
-	out := make([]byte, 0, 16)
-	out = putU64(out, from)
-	return putU64(out, to)
+	return binary.AppendUvarint(binary.AppendUvarint(nil, from), to)
 }
 
 func decodeGetBatch(payload []byte) (from, to uint64, err error) {
-	r := &syncReader{b: payload}
-	from = r.uint64()
-	to = r.uint64()
-	if err := r.done(); err != nil {
+	r := wire.NewReader(payload)
+	from = r.Uvarint()
+	to = r.Uvarint()
+	if err := r.Done(); err != nil {
 		return 0, 0, err
 	}
 	if from == 0 || to < from {
@@ -228,28 +161,25 @@ func decodeGetBatch(payload []byte) (from, to uint64, err error) {
 // encodeBatch serializes one batch: starting index, count, then
 // length-prefixed encoded blocks.
 func encodeBatch(from uint64, blocks []*block.Block) []byte {
-	out := putU32(putU64(nil, from), uint32(len(blocks)))
+	out := binary.AppendUvarint(binary.AppendUvarint(nil, from), uint64(len(blocks)))
 	for _, b := range blocks {
-		enc := b.Encode()
-		out = putU32(out, uint32(len(enc)))
-		out = append(out, enc...)
+		out = wire.AppendBytes(out, b.Encode())
 	}
 	return out
 }
 
 func decodeBatch(payload []byte) (syncBatch, error) {
 	var sb syncBatch
-	r := &syncReader{b: payload}
-	sb.From = r.uint64()
-	n := int(r.uint32())
-	if r.err == nil && n > maxSyncBatch {
+	r := wire.NewReader(payload)
+	sb.From = r.Uvarint()
+	n := r.Count(1)
+	if n > maxSyncBatch {
 		return sb, fmt.Errorf("%w: batch of %d blocks exceeds cap %d", errSyncFrame, n, maxSyncBatch)
 	}
-	sb.Blocks = make([]*block.Block, 0, min(n, maxSyncBatch))
+	sb.Blocks = make([]*block.Block, 0, n)
 	for i := 0; i < n; i++ {
-		size := int(r.uint32())
-		raw := r.take(size)
-		if r.err != nil {
+		raw := r.Bytes()
+		if r.Err() != nil {
 			break
 		}
 		b, err := block.Decode(raw)
@@ -261,10 +191,7 @@ func decodeBatch(payload []byte) (syncBatch, error) {
 		}
 		sb.Blocks = append(sb.Blocks, b)
 	}
-	if err := r.done(); err != nil {
-		return sb, err
-	}
-	return sb, nil
+	return sb, r.Done()
 }
 
 // --- sync session -------------------------------------------------------------

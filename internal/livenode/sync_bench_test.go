@@ -102,18 +102,19 @@ func BenchmarkSyncCatchup(b *testing.B) {
 
 // TestSyncCatchupWireGate is the benchmark's acceptance gate in regular-test
 // form, scaled down so CI pays seconds, not minutes: on a 300-block chain a
-// 10-block-lagging node catches up in at most 4 400 wire bytes and processes
+// 10-block-lagging node catches up in at most 3 300 wire bytes and processes
 // exactly the 10 blocks it lacks — the cost does not depend on chain length.
-// The ceiling is the 3 484 B this exchange measures plus a quarter; the
-// whole chain shipped in one frame reads 67 432 B and 300 blocks here.
+// The ceiling is the 2 613 B this exchange measures plus a quarter (3 484 B
+// in the fixed-width form, where the whole chain shipped in one frame read
+// 67 432 B and 300 blocks).
 func TestSyncCatchupWireGate(t *testing.T) {
 	const chainLen, gap = 300, 10
 	f := newCatchupFixture(t, chainLen-gap)
 	f.lag(t, gap)
 	st := f.catchup(t)
 	t.Logf("chain=%d lag=%d: %d B in %d frames, %d blocks processed", chainLen, gap, st.wireBytes, st.wireFrames, st.processed)
-	if st.wireBytes > 4400 {
-		t.Errorf("catch-up moved %d wire bytes, want <= 4400", st.wireBytes)
+	if st.wireBytes > 3300 {
+		t.Errorf("catch-up moved %d wire bytes, want <= 3300", st.wireBytes)
 	}
 	if st.processed != gap {
 		t.Errorf("catch-up processed %d blocks, want exactly %d", st.processed, gap)

@@ -12,6 +12,7 @@ import (
 	"repro/internal/p2p"
 	"repro/internal/pos"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 // FuzzSyncFrames throws arbitrary bytes at the sync frame decoders and at
@@ -74,10 +75,10 @@ func FuzzSyncFrames(f *testing.F) {
 	f.Add(uint8(1), hdrs)
 	f.Add(uint8(2), encodeGetBatch(1, 64))
 	f.Add(uint8(3), batch)
-	f.Add(uint8(0), loc[:len(loc)-5])                         // truncated
-	f.Add(uint8(2), encodeGetBatch(9, 3))                     // inverted range
-	f.Add(uint8(1), putU32(putU64(nil, 1), maxSyncHeaders+1)) // oversized count
-	f.Add(uint8(3), putU32(putU64(nil, ^uint64(0)), maxSyncBatch+1))
+	f.Add(uint8(0), loc[:len(loc)-5])                       // truncated
+	f.Add(uint8(2), encodeGetBatch(9, 3))                   // inverted range
+	f.Add(uint8(1), putUv(putUv(nil, 1), maxSyncHeaders+1)) // oversized count
+	f.Add(uint8(3), putUv(putUv(nil, ^uint64(0)), maxSyncBatch+1))
 	// Near-MaxUint64 range: first+maxSyncBatch-1 must saturate, not wrap
 	// past first and echo a bogus batch.
 	f.Add(uint8(2), encodeGetBatch(^uint64(0)-2, ^uint64(0)))
@@ -94,7 +95,7 @@ func FuzzSyncFrames(f *testing.F) {
 	f.Add(uint8(6), announceOf(meta.HashData([]byte("sync-fuzz"))))
 	f.Add(uint8(7), announceOf(meta.HashData([]byte("sync-fuzz")))) // get-meta, short and full
 	f.Add(uint8(7), encodeIDList([]meta.DataID{meta.HashData([]byte("sync-fuzz"))}))
-	f.Add(uint8(7), putU32(nil, shortMark|maxMetaBatch+1))
+	f.Add(uint8(7), putUv(nil, (maxMetaBatch+1)<<1|shortMark))
 	f.Add(uint8(8), putU32(nil, 1))
 	f.Add(uint8(9), putU32(putU32(nil, 1), 2))
 	// Compact bodies (§13.1): a real one, one extending the tip with items
@@ -106,7 +107,8 @@ func FuzzSyncFrames(f *testing.F) {
 	f.Add(uint8(10), compact)
 	f.Add(uint8(10), next.EncodeCompact())
 	f.Add(uint8(10), compact[:len(compact)-9])
-	f.Add(uint8(10), putU64(append([]byte(nil), compact[:128]...), 1<<40))
+	hdr := wire.UvarintLen(tipBlk.Index) + wire.UvarintLen(uint64(tipBlk.Timestamp)) + 3*wire.HashSize + 8 + wire.UvarintLen(tipBlk.MinedAfter)
+	f.Add(uint8(10), putUv(append([]byte(nil), compact[:hdr]...), 1<<40))
 	// Data fetch (§11.1): a request that binds a roster index, the legacy
 	// 32-byte one, indices no peer can have, and an answer nobody asked for.
 	held := meta.HashData([]byte("sync-fuzz"))

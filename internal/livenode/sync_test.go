@@ -1,6 +1,7 @@
 package livenode
 
 import (
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"strings"
@@ -375,6 +376,46 @@ func TestConnectProbesAFanoutSample(t *testing.T) {
 				t.Errorf("sync.rounds = %d, want 1: one probe set is one round", v)
 			}
 		})
+	}
+}
+
+// TestConnectSurvivesADeadAddress: one unreachable address among five costs
+// nothing but its line in the returned error — the other four are peers and
+// the one locator round goes to (a sample of) them.
+func TestConnectSurvivesADeadAddress(t *testing.T) {
+	mn := memnet.New(1, nil)
+	a := newSyncTestNode(t, nil, "a", 0, time.Unix(1700000000, 0), func(cfg *Config) {
+		cfg.NewTransport = func(h p2p.Handler) (p2p.Transport, error) { return mn.Listen("a", h) }
+	})
+	addrs := []string{"peer0", "peer1", "dead", "peer2", "peer3"}
+	for _, p := range addrs {
+		if p == "dead" {
+			continue
+		}
+		if _, err := mn.Listen(p, p2p.HandlerFunc(func(string, byte, []byte) {})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := a.Connect(addrs...)
+	if err == nil || !strings.Contains(err.Error(), "dead") || strings.Contains(err.Error(), "peer") {
+		t.Fatalf("Connect error %v, want one that names the dead address only", err)
+	}
+	if got := a.net.Peers(); len(got) != 4 {
+		t.Fatalf("peers after Connect: %v, want the four live ones", got)
+	}
+	locators := 0
+	for _, ev := range mn.Events() {
+		if ev.Kind == memnet.EvSend && ev.Frame == p2p.FrameSyncLocator {
+			if locators++; ev.To == "dead" {
+				t.Fatal("locator sent to the address that refused the dial")
+			}
+		}
+	}
+	if locators == 0 || locators > defaultGossipFanout {
+		t.Fatalf("%d locators sent, want 1..%d", locators, defaultGossipFanout)
+	}
+	if v := counter(a.reg, "livenode.sync.rounds"); v != 1 {
+		t.Errorf("sync.rounds = %d, want 1", v)
 	}
 }
 
@@ -794,6 +835,13 @@ func TestSyncResponderAnswersLocatorAndRange(t *testing.T) {
 
 // --- codec adversarial cases --------------------------------------------------
 
+// putUv appends a varint, the sync and gossip codecs' word; putU64 and
+// putU32 append the fixed-width words that the probe frames still carry and
+// the retired frames used to.
+func putUv(out []byte, v uint64) []byte  { return binary.AppendUvarint(out, v) }
+func putU64(out []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(out, v) }
+func putU32(out []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(out, v) }
+
 func TestSyncCodecsRejectMalformedFrames(t *testing.T) {
 	goodLoc := encodeLocator([]chain.LocatorEntry{{Height: 5, Hash: block.Hash{1}}, {Height: 0, Hash: block.Hash{2}}})
 	if _, err := decodeLocator(goodLoc); err != nil {
@@ -810,18 +858,25 @@ func TestSyncCodecsRejectMalformedFrames(t *testing.T) {
 	}{
 		{"locator truncated", func() error { _, err := decodeLocator(goodLoc[:len(goodLoc)-3]); return err }},
 		{"locator trailing bytes", func() error { _, err := decodeLocator(append(goodLoc, 0)); return err }},
-		{"locator empty count", func() error { _, err := decodeLocator(putU32(nil, 0)); return err }},
-		{"locator oversized count", func() error { _, err := decodeLocator(putU32(nil, 1<<30)); return err }},
+		{"locator empty count", func() error { _, err := decodeLocator(putUv(nil, 0)); return err }},
+		{"locator oversized count", func() error { _, err := decodeLocator(putUv(nil, 1<<30)); return err }},
 		{"locator ascending heights", func() error {
 			_, err := decodeLocator(encodeLocator([]chain.LocatorEntry{{Height: 1}, {Height: 5}}))
 			return err
 		}},
 		{"headers truncated", func() error { _, err := decodeSyncHeaders(goodHdrs[:10]); return err }},
 		{"headers oversized count", func() error {
-			p := putU64(nil, 0)
+			big := syncHeaders{Tip: maxSyncHeaders + 1, Headers: make([]chain.LocatorEntry, maxSyncHeaders+1)}
+			for i := range big.Headers {
+				big.Headers[i].Height = uint64(i + 1)
+			}
+			_, err := decodeSyncHeaders(encodeSyncHeaders(big))
+			return err
+		}},
+		{"headers count past the payload", func() error {
+			p := putUv(nil, 0)
 			p = append(p, make([]byte, 32)...)
-			p = putU64(p, 10)
-			p = putU32(p, maxSyncHeaders+1)
+			p = putUv(putUv(p, 10), 1<<60)
 			_, err := decodeSyncHeaders(p)
 			return err
 		}},
@@ -838,26 +893,26 @@ func TestSyncCodecsRejectMalformedFrames(t *testing.T) {
 			return err
 		}},
 		{"get-batch short", func() error { _, _, err := decodeGetBatch([]byte{1}); return err }},
+		{"get-batch padded varint", func() error { _, _, err := decodeGetBatch([]byte{0x81, 0x00, 5}); return err }},
 		{"get-batch inverted", func() error { _, _, err := decodeGetBatch(encodeGetBatch(9, 3)); return err }},
 		{"get-batch from genesis", func() error { _, _, err := decodeGetBatch(encodeGetBatch(0, 3)); return err }},
 		{"batch oversized count", func() error {
-			p := putU64(nil, 1)
-			p = putU32(p, maxSyncBatch+1)
-			_, err := decodeBatch(p)
+			p := putUv(putUv(nil, 1), maxSyncBatch+1)
+			_, err := decodeBatch(append(p, make([]byte, maxSyncBatch+1)...))
+			return err
+		}},
+		{"batch count past the payload", func() error {
+			_, err := decodeBatch(putUv(putUv(nil, 1), 1<<60))
 			return err
 		}},
 		{"batch truncated block", func() error {
-			p := putU64(nil, 1)
-			p = putU32(p, 1)
-			p = putU32(p, 1000)
+			p := putUv(putUv(putUv(nil, 1), 1), 1000)
 			p = append(p, 1, 2, 3)
 			_, err := decodeBatch(p)
 			return err
 		}},
 		{"batch garbage block", func() error {
-			p := putU64(nil, 1)
-			p = putU32(p, 1)
-			p = putU32(p, 4)
+			p := putUv(putUv(putUv(nil, 1), 1), 4)
 			p = append(p, 1, 2, 3, 4)
 			_, err := decodeBatch(p)
 			return err

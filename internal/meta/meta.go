@@ -192,64 +192,6 @@ func (it *Item) ValidateAt(now time.Duration) error {
 	return nil
 }
 
-// EncodedSize is the wire size of the item in bytes (len(Encode())), used
-// for network accounting and block-size accounting.
-func (it *Item) EncodedSize() int {
-	return it.signingSize() + 4 + len(it.Signature) + 8 + 8*len(it.StoringNodes)
-}
-
-// AppendEncode appends the full item (including signature and storing
-// nodes) to dst in the canonical binary layout.
-func (it *Item) AppendEncode(dst []byte) []byte {
-	dst = it.AppendSigningBytes(dst)
-	dst = appendBytes(dst, it.Signature)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(len(it.StoringNodes)))
-	for _, n := range it.StoringNodes {
-		dst = binary.BigEndian.AppendUint64(dst, uint64(int64(n)))
-	}
-	return dst
-}
-
-// Encode serializes the full item.
-func (it *Item) Encode() []byte {
-	return it.AppendEncode(make([]byte, 0, it.EncodedSize()))
-}
-
-// Decode parses an item encoded by Encode.
-func Decode(b []byte) (*Item, error) {
-	r := &reader{b: b}
-	it := &Item{}
-	r.bytes(it.ID[:])
-	it.Type = r.str()
-	it.Produced = time.Duration(r.uint64())
-	it.Location.X = r.float()
-	it.Location.Y = r.float()
-	it.LocationName = r.str()
-	r.bytes(it.Producer[:])
-	it.ProducerPub = r.blob()
-	it.ValidFor = time.Duration(r.uint64())
-	it.Properties = r.str()
-	it.DataSize = int(r.uint64())
-	it.Signature = r.blob()
-	n := int(r.uint64())
-	if r.err == nil && n > len(b) {
-		return nil, fmt.Errorf("meta: decode: absurd storing-node count %d", n)
-	}
-	if n > 0 && r.err == nil {
-		it.StoringNodes = make([]int, n)
-		for i := range it.StoringNodes {
-			it.StoringNodes[i] = int(int64(r.uint64()))
-		}
-	}
-	if r.err != nil {
-		return nil, fmt.Errorf("meta: decode: %w", r.err)
-	}
-	if r.off != len(b) {
-		return nil, fmt.Errorf("meta: decode: %d trailing bytes", len(b)-r.off)
-	}
-	return it, nil
-}
-
 // Clone returns a deep copy; blocks hold copies so later mutation of the
 // miner's pool cannot alter chained content.
 func (it *Item) Clone() *Item {

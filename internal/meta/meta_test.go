@@ -11,7 +11,7 @@ import (
 	"repro/internal/identity"
 )
 
-func sampleItem(t *testing.T, rng *rand.Rand) (*Item, *identity.Identity) {
+func sampleItem(t testing.TB, rng *rand.Rand) (*Item, *identity.Identity) {
 	t.Helper()
 	id := identity.GenerateSeeded(rng)
 	content := []byte("PM2.5=17ug/m3 at sensor 42")

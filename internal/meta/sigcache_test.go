@@ -1,6 +1,8 @@
 package meta
 
 import (
+	"bytes"
+	"crypto/ed25519"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -11,8 +13,8 @@ import (
 	"repro/internal/identity"
 )
 
-// goldenItem is a fixed item whose encodings were recorded before the
-// encoders were rewritten to build into one pre-sized slice.
+// goldenItem is a fixed item whose canonical bytes were recorded when they
+// were also the wire form (the last fixed-width commit).
 func goldenItem(t *testing.T) *Item {
 	t.Helper()
 	it, _ := sampleItem(t, rand.New(rand.NewSource(1)))
@@ -35,19 +37,40 @@ const (
 		"000002bc"
 )
 
+// TestEncodingGolden pins the canonical bytes — what producers sign and
+// blocks hash, recorded at the last fixed-width commit; a change to either
+// string forks every chain — and the size of the wire form beside them.
 func TestEncodingGolden(t *testing.T) {
 	it := goldenItem(t)
 	if got := hex.EncodeToString(it.SigningBytes()); got != goldenSigning {
 		t.Fatalf("SigningBytes changed:\n got %s\nwant %s", got, goldenSigning)
 	}
+	canon := it.AppendCanonical([]byte("xy"))
+	if string(canon[:2]) != "xy" || hex.EncodeToString(canon[2:]) != goldenSigning+goldenTail {
+		t.Fatalf("AppendCanonical changed or clobbered dst:\n got %x\nwant %s", canon[2:], goldenSigning+goldenTail)
+	}
+	if it.CanonicalSize() != 284 {
+		t.Fatalf("CanonicalSize = %d, want 284", it.CanonicalSize())
+	}
+	// The pinned signature verifies over the pinned bytes with the pinned
+	// key, without going through Item at all.
+	signing, _ := hex.DecodeString(goldenSigning)
+	tail, _ := hex.DecodeString(goldenTail)
+	pub := signing[126 : 126+ed25519.PublicKeySize]
+	if !ed25519.Verify(pub, signing, tail[4:4+ed25519.SignatureSize]) || it.Verify() != nil {
+		t.Fatal("the golden signature no longer verifies over the golden signing bytes")
+	}
+
+	// Wire form, fixed width → varint: 284 → 202 B (no Producer, 1-byte
+	// lengths, 6- and 7-byte durations, a 3-byte size, 1–2-byte node
+	// indices). The canonical vector carries a -1 the wire form has no
+	// encoding for.
+	it.StoringNodes = []int{3, 1, 700}
 	enc := it.Encode()
-	if got := hex.EncodeToString(enc); got != goldenSigning+goldenTail {
-		t.Fatalf("Encode changed:\n got %s\nwant %s", got, goldenSigning+goldenTail)
+	if it.EncodedSize() != 202 || it.EncodedSize() != len(enc) {
+		t.Fatalf("EncodedSize = %d, len(Encode) = %d, want 202", it.EncodedSize(), len(enc))
 	}
-	if it.EncodedSize() != 284 || it.EncodedSize() != len(enc) {
-		t.Fatalf("EncodedSize = %d, len(Encode) = %d, want 284", it.EncodedSize(), len(enc))
-	}
-	if got := it.AppendEncode([]byte("xy")); string(got[:2]) != "xy" || hex.EncodeToString(got[2:]) != goldenSigning+goldenTail {
+	if got := it.AppendEncode([]byte("xy")); string(got[:2]) != "xy" || !bytes.Equal(got[2:], enc) {
 		t.Fatal("AppendEncode must append to dst and leave its prefix alone")
 	}
 	empty := &Item{}

@@ -2,10 +2,16 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/block"
 )
 
 func TestParseSegmentStart(t *testing.T) {
@@ -14,11 +20,12 @@ func TestParseSegmentStart(t *testing.T) {
 		start uint64
 		ok    bool
 	}{
-		{"wal-00000000000000000001.log", 1, true},
-		{"wal-42.log", 42, true},
-		{"wal-.log", 0, false},
-		{"wal-abc.log", 0, false},
-		{"wal-1.log.tmp", 0, false},
+		{"wal2-00000000000000000001.log", 1, true},
+		{"wal2-42.log", 42, true},
+		{"wal-42.log", 0, false},
+		{"wal2-.log", 0, false},
+		{"wal2-abc.log", 0, false},
+		{"wal2-1.log.tmp", 0, false},
 		{"manifest.json", 0, false},
 		{"wal.log", 0, false},
 	}
@@ -35,7 +42,7 @@ func TestParseSegmentStart(t *testing.T) {
 // up with an empty chain; the file is left as it was.
 func TestOpenRefusesPreSegmentationLog(t *testing.T) {
 	dir := t.TempDir()
-	legacy := filepath.Join(dir, legacyWALFile)
+	legacy := filepath.Join(dir, "wal.log")
 	if err := WriteWAL(legacy, testChain(t, 5)[1:]); err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +68,8 @@ func TestOpenRefusesPreSegmentationLog(t *testing.T) {
 // empty beside it.
 func TestOpenRefusesUnreadableLogName(t *testing.T) {
 	dir := t.TempDir()
-	legacy := filepath.Join(dir, legacyWALFile)
-	if err := os.Symlink(legacyWALFile, legacy); err != nil {
+	legacy := filepath.Join(dir, "wal.log")
+	if err := os.Symlink("wal.log", legacy); err != nil {
 		t.Skipf("symlink: %v", err)
 	}
 	s, err := Open(dir, Options{Sync: SyncAlways})
@@ -72,6 +79,61 @@ func TestOpenRefusesUnreadableLogName(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), legacy) {
 		t.Fatalf("error %q does not name %s", err, legacy)
+	}
+}
+
+// legacyEncode is the fixed-width block form wal-<idx>.log segments held
+// before the varint codec (item-less blocks only): the hash input, then the
+// hash.
+func legacyEncode(b *block.Block) []byte {
+	u64 := binary.BigEndian.AppendUint64
+	out := append(u64(nil, b.Index), b.PrevHash[:]...)
+	out = append(u64(out, uint64(b.Timestamp)), b.Miner[:]...)
+	out = u64(u64(append(out, b.PoSHash[:]...), math.Float64bits(b.B)), b.MinedAfter)
+	out = u64(u64(u64(u64(out, 0), 0), 0), 0) // no items, three empty node lists
+	return append(out, b.Hash[:]...)
+}
+
+// TestOpenRefusesFixedWidthFiles: recovery would read a fixed-width record
+// as a torn tail and truncate the segment to nothing, so a directory the
+// previous format wrote — segments, or a snapshot — fails to open with an
+// error naming the first such file, and nothing in it is touched.
+func TestOpenRefusesFixedWidthFiles(t *testing.T) {
+	var segment []byte
+	for _, b := range testChain(t, 5)[1:] {
+		payload := legacyEncode(b)
+		if sum := sha256.Sum256(payload[:len(payload)-sha256.Size]); block.Hash(sum) != b.Hash {
+			t.Fatal("legacyEncode is not the form the block hash is taken over")
+		}
+		if _, err := block.Decode(payload); err == nil {
+			t.Fatal("the fixed-width form decodes: this test no longer tests a format change")
+		}
+		segment = binary.BigEndian.AppendUint32(segment, uint32(len(payload)))
+		segment = binary.BigEndian.AppendUint32(segment, crc32.ChecksumIEEE(payload))
+		segment = append(segment, payload...)
+	}
+	for _, name := range []string{"wal-00000000000000000001.log", "snapshot-00000000000000000004.bin"} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			old := filepath.Join(dir, name)
+			if err := os.WriteFile(old, segment, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(dir, Options{Sync: SyncAlways})
+			if err == nil {
+				s.Close()
+				t.Fatalf("opened a fixed-width directory with %d blocks recovered", len(s.RecoveredBlocks()))
+			}
+			if !strings.Contains(err.Error(), old) {
+				t.Fatalf("error %q does not name %s", err, old)
+			}
+			if after, err := os.ReadFile(old); err != nil || !bytes.Equal(segment, after) {
+				t.Fatalf("refused open touched %s (read error %v)", old, err)
+			}
+			if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+				t.Fatalf("refused open left %d entries in the directory, want the old file alone", len(entries))
+			}
+		})
 	}
 }
 

@@ -9,16 +9,22 @@
 // within a few hops. That story needs the node to survive a process
 // restart with its chain intact, which this package provides:
 //
-//   - wal-<idx>.log   append-only block WAL segments (length + CRC32
+//   - wal2-<idx>.log  append-only block WAL segments (length + CRC32
 //     framed records, each payload an internal/block wire encoding),
 //     sealed every SegmentBlocks appends so history below the prune
 //     horizon compacts by whole-file unlink
 //   - data/xx/<hash>  content-addressed data items (temp-file + rename)
-//   - snapshot-<h>.bin / spine-<h>.bin  serialized engine state + header
+//   - snapshot2-<h>.bin / spine-<h>.bin  serialized engine state + header
 //     spine at the latest finalized snapshot height, letting a restart
 //     (or a fresh node, over the wire) skip replaying pruned history
 //   - manifest.json   checkpoint (chain head + height + snapshot hashes)
 //     making replay verification incremental and snapshot use safe
+//
+// The 2 in the segment and snapshot names is the on-disk format: blocks and
+// snapshots in the varint wire form (DESIGN.md "Wire format"). Recovery
+// would read a record in an older form as a torn tail and cut the chain to
+// nothing, so Open refuses a directory that holds any file under an older
+// name (legacyFile) and leaves it untouched.
 //
 // On Open the segments are scanned in index order, torn tails and
 // discontinuous stale segments are cut away, hash links are verified, and
@@ -33,6 +39,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 
 	"repro/internal/block"
@@ -79,10 +86,18 @@ type Options struct {
 }
 
 const (
-	legacyWALFile = "wal.log"
-	manifestFile  = "manifest.json"
-	dataDir       = "data"
+	manifestFile = "manifest.json"
+	dataDir      = "data"
 )
+
+// legacyFile reports whether name is a block log or snapshot in a format
+// this version cannot read: the single pre-segmentation wal.log, or the
+// fixed-width wal-<idx>.log and snapshot-<h>.bin.
+func legacyFile(name string) bool {
+	return name == "wal.log" ||
+		strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, segmentSuffix) ||
+		strings.HasPrefix(name, "snapshot-") && strings.HasSuffix(name, snapshotFileSuffix)
+}
 
 // Open opens (or creates) the store rooted at dir and runs crash
 // recovery: WAL segments are scanned, torn or stale tails are cut, the
@@ -101,13 +116,16 @@ func Open(dir string, opts Options) (*Store, error) {
 		man = Manifest{}
 	}
 	m := opts.Metrics.orInert()
-	// A single wal.log is the pre-segmentation layout, which recovery does
-	// not read: opening the directory as empty would silently drop its chain.
-	legacy := filepath.Join(dir, legacyWALFile)
-	if _, err := os.Stat(legacy); err == nil {
-		return nil, fmt.Errorf("store: %s is a pre-segmentation block log this version cannot read; move it away to start from an empty chain", legacy)
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("store: stat %s: %w", legacy, err)
+	// Opening beside files in an older format would come up empty and
+	// silently drop their chain.
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("store: list %s: %w", dir, err)
+	}
+	for _, e := range entries {
+		if legacyFile(e.Name()) {
+			return nil, fmt.Errorf("store: %s is in an older on-disk format this version cannot read; move it away to start from an empty chain", filepath.Join(dir, e.Name()))
+		}
 	}
 	blob, spine, snapHeight, snapOK := loadSnapshot(dir, man)
 	blocks, layout, err := recoverSegments(dir)
