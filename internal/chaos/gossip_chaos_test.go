@@ -12,7 +12,9 @@ import (
 // measureBlockPropagation mines a 128-node cluster to a fixed height and
 // returns each node's peak and summed livenode.wire.block_bytes — every
 // FrameBlockAnnounce, FrameGetBlock and FrameCompactBlock byte counted at
-// its sender — plus the converged height for normalization.
+// its sender — plus the converged height for normalization. The links are
+// perfect and every view complete, so the run is also held to the tree
+// relay's own terms (checkTreeRelayHealthy).
 func measureBlockPropagation(t *testing.T) (peak, total, height uint64) {
 	t.Helper()
 	const n, targetHeight = 128, 8
@@ -32,6 +34,15 @@ func measureBlockPropagation(t *testing.T) (peak, total, height uint64) {
 		t.Fatal(err)
 	}
 	checkInvariants(t, c)
+	height = c.Nodes()[0].Height()
+	if won := sumCounter(c, "livenode.mining.blocks_won"); won == height {
+		checkTreeRelayHealthy(t, c, "gossip", won)
+	} else {
+		// Two miners hit the same second on zero-delay links: each body stops
+		// where the other was adopted first, and the next block's locator
+		// rounds heal the split — a contested round, not the healthy relay.
+		t.Logf("%d blocks won for height %d: rounds were contested at this seed, push counts not asserted", won, height)
+	}
 	for i := 0; i < n; i++ {
 		v := c.NodeTelemetry(i).Snapshot().Counter("livenode.wire.block_bytes")
 		total += v
@@ -39,22 +50,24 @@ func measureBlockPropagation(t *testing.T) (peak, total, height uint64) {
 			peak = v
 		}
 	}
-	return peak, total, c.Nodes()[0].Height()
+	return peak, total, height
 }
 
 // TestBlockRelayWireGate is the block-propagation wire gate (the sibling of
 // livenode's TestSyncCatchupWireGate): at 128 nodes the busiest node's
-// block-propagation egress stays within 1 300 B per adopted block. Peak —
+// block-propagation egress stays within 1 010 B per adopted block. Peak —
 // not total — is the honest metric: every node receives each body exactly
 // once, so the cluster total is what it is; what the relay bounds is the
-// miner's fan-out, O(fanout) 33-byte announces plus at most fanout served
-// bodies. A full body pushed to all 127 peers read 17 455 B in the
-// fixed-width form.
+// busiest node's fan-out, at most GossipFanout+1 compact bodies and two
+// 38-byte backup announces per block. A full body pushed to all 127 peers
+// read 17 455 B in the fixed-width form.
 //
-// How many of the blocks the busiest node itself mined is the seed's luck:
-// 622 B/block at the default seed, up to 1 032 over seeds 1 to 60 and 1337
-// (1 261 and 2 389 before the varint wire format). The ceiling is the worst
-// of them plus a quarter, so it is asserted at every seed.
+// How often the hash puts the busiest node inside the tree is the seed's
+// luck: 511 B/block at the default seed, up to 808 over seeds 1 to 60 and
+// 1337. Re-pinned for the tree relay (§13) — six announces and the fetches
+// they drew read 622 and at most 1 032 (1 261 and 2 389 before the varint
+// wire format). The ceiling is the worst seed plus a quarter, so it is
+// asserted at every seed.
 func TestBlockRelayWireGate(t *testing.T) {
 	t.Parallel()
 	peak, total, height := measureBlockPropagation(t)
@@ -63,8 +76,8 @@ func TestBlockRelayWireGate(t *testing.T) {
 	}
 	rate := float64(peak) / float64(height)
 	t.Logf("peak per-node block-propagation egress: %.0f B/block (height %d); cluster total %d B", rate, height, total)
-	if rate > 1300 {
-		t.Errorf("peak block-propagation egress %.0f B/block, want <= 1300", rate)
+	if rate > 1010 {
+		t.Errorf("peak block-propagation egress %.0f B/block, want <= 1010", rate)
 	}
 }
 
@@ -77,12 +90,13 @@ type gossipChaosResult struct {
 	relays        uint64
 	fetchesServed uint64
 	dupSuppressed uint64
+	healed        time.Duration // virtual time from the heal to one chain everywhere
 }
 
-// runGossipConvergenceScenario drives the tentpole's flagship scenario:
-// 256 nodes on lossy, laggy links relay blocks purely by announce/fetch
-// gossip, suffer a half/half partition, heal, and must converge — with the
-// fetch-timeout locator fallback patching whatever the drops eat.
+// runGossipConvergenceScenario drives the block relay's flagship scenario:
+// 256 nodes on lossy, laggy links relay blocks by tree push with the
+// announce/fetch backup behind it, suffer a half/half partition, heal, and
+// must converge — with the locator fallback patching whatever the drops eat.
 func runGossipConvergenceScenario(t *testing.T, seed int64) gossipChaosResult {
 	t.Helper()
 	const n = 256
@@ -105,6 +119,7 @@ func runGossipConvergenceScenario(t *testing.T, seed int64) gossipChaosResult {
 	c.Run(30 * time.Second)
 	c.Heal()
 	c.Net.SetDefaults(memnet.Params{})
+	healedAt := c.Clock.Now()
 	if err := c.Settle(10 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -114,6 +129,7 @@ func runGossipConvergenceScenario(t *testing.T, seed int64) gossipChaosResult {
 		digest: c.Net.EventDigest(),
 		events: c.Net.EventCount(),
 		height: c.Nodes()[0].Height(),
+		healed: c.Clock.Now().Sub(healedAt),
 	}
 	for i := 0; i < n; i++ {
 		snap := c.NodeTelemetry(i).Snapshot()
@@ -125,13 +141,16 @@ func runGossipConvergenceScenario(t *testing.T, seed int64) gossipChaosResult {
 	return res
 }
 
-// TestChaosGossipConvergence256 is the tentpole's scale scenario: 256
-// nodes converge through inv-style gossip under drops, delays and a
-// partition, the gossip counters prove the announce/fetch path carried the
-// blocks, and a second run with the same seed is bit-identical.
+// TestChaosGossipConvergence256 is the block relay's scale scenario: 256
+// nodes converge under drops, delays and a partition, the gossip counters
+// prove that where a push was lost the announce/fetch backup carried the
+// block, and a second run with the same seed is bit-identical. The time from
+// the heal to one chain everywhere is logged: EXPERIMENTS.md, "Tree relay",
+// compares it with the announce-first relay's.
 func TestChaosGossipConvergence256(t *testing.T) {
 	t.Parallel()
 	first := runGossipConvergenceScenario(t, *seedFlag)
+	t.Logf("height %d, %d events; converged %v after the heal", first.height, first.events, first.healed)
 
 	if first.height < 4 {
 		t.Fatalf("256-node gossip cluster barely mined: height %d", first.height)
@@ -191,14 +210,17 @@ func runFlashCrowd64(t *testing.T, horizon time.Duration, payloadBytes int) (*Cl
 
 // TestCompactRelayWireGate pins what compact bodies (DESIGN.md §13.1) buy
 // where blocks are big: 64 nodes under a ×20 flash crowd on 8–12 ms links.
-// Every byte of the block plane — announces, fetches and compact bodies,
-// fork losers included — must stay within 30% of what shipping each
-// canonical block once in full to each of the other 63 nodes would cost,
-// and at most 2% of the fetched bodies may end on the locator path. The
-// varint wire format shrank both sides alike (block plane 2.54 → 1.62 MB,
-// full bodies 10.4 → 6.8 MB at the default seed), so the ratio held: 24.4 →
-// 23.8%, 22.7–23.9% over seeds 1, 2, 3, 7, 1337; the ceiling is that plus a
-// quarter.
+// Every byte of the block plane — pushed compact bodies, backup announces,
+// fetches, fork losers included — must stay within 27.5% of what shipping
+// each canonical block once in full to each of the other 63 nodes would cost,
+// and at most 2% of the compact bodies may end on the locator path. Re-pinned
+// for the tree relay (§13): 22.0% at the default seed, 21.5–22.1% over seeds
+// 1, 2, 3, 7, 1337, plus a quarter — nobody fetches a body any more, and the
+// items, one hop delay each instead of three, are in every pool before the
+// block that packs them (0 items fetched on a miss). With six announces ahead
+// of every fetch it read 23.8%, 22.7–23.9% (24.4% before the varint wire
+// format shrank both sides alike: block plane 2.54 → 1.62 MB, full bodies
+// 10.4 → 6.8 MB).
 func TestCompactRelayWireGate(t *testing.T) {
 	t.Parallel()
 	const n = 64
@@ -208,25 +230,20 @@ func TestCompactRelayWireGate(t *testing.T) {
 	for _, b := range c.Nodes()[0].ChainSnapshot()[1:] {
 		fullBytes += uint64(b.EncodedSize()) * (n - 1)
 	}
-	var blockPlane, served, rebuilt, missing, fallbacks uint64
-	for i := 0; i < n; i++ {
-		snap := c.NodeTelemetry(i).Snapshot()
-		blockPlane += snap.Counter("livenode.wire.block_bytes")
-		served += snap.Counter("livenode.gossip.fetches_served")
-		rebuilt += snap.Counter("livenode.gossip.compact_rebuilt")
-		missing += snap.Counter("livenode.gossip.compact_items_missing")
-		fallbacks += snap.Counter("livenode.gossip.compact_fallbacks")
+	blockPlane := sumCounter(c, "livenode.wire.block_bytes")
+	relayed, served := sumCounter(c, "livenode.gossip.relays"), sumCounter(c, "livenode.gossip.fetches_served")
+	rebuilt, missing := sumCounter(c, "livenode.gossip.compact_rebuilt"), sumCounter(c, "livenode.gossip.compact_items_missing")
+	fallbacks := sumCounter(c, "livenode.gossip.compact_fallbacks")
+	t.Logf("%d items in %d blocks: block plane %d B = %.1f%% of %d B in full bodies; %d bodies relayed, %d served to a fetch, %d rebuilt, %d items fetched on a miss, %d fall-throughs",
+		res.stats.Published, res.height, blockPlane, 100*float64(blockPlane)/float64(fullBytes), fullBytes, relayed, served, rebuilt, missing, fallbacks)
+	if res.stats.Published < 400 || rebuilt == 0 {
+		t.Fatalf("not the flash crowd this gate is about: %d items, %d bodies rebuilt", res.stats.Published, rebuilt)
 	}
-	t.Logf("%d items in %d blocks: block plane %d B = %.1f%% of %d B in full bodies; %d bodies served, %d rebuilt, %d items fetched on a miss, %d fall-throughs",
-		res.stats.Published, res.height, blockPlane, 100*float64(blockPlane)/float64(fullBytes), fullBytes, served, rebuilt, missing, fallbacks)
-	if res.stats.Published < 400 || served == 0 || rebuilt == 0 {
-		t.Fatalf("not the flash crowd this gate is about: %d items, %d bodies served, %d rebuilt", res.stats.Published, served, rebuilt)
+	if blockPlane*1000 > fullBytes*275 {
+		t.Errorf("block plane carried %d B, over 27.5%% of the %d B full bodies would cost", blockPlane, fullBytes)
 	}
-	if blockPlane*100 > fullBytes*30 {
-		t.Errorf("block plane carried %d B, over 30%% of the %d B full bodies would cost", blockPlane, fullBytes)
-	}
-	if fallbacks*50 > served {
-		t.Errorf("%d of %d fetched bodies fell through to the locator path, over 2%%", fallbacks, served)
+	if fallbacks*50 > rebuilt {
+		t.Errorf("%d compact bodies fell through to the locator path against %d rebuilt, over 2%%", fallbacks, rebuilt)
 	}
 }
 

@@ -1,0 +1,193 @@
+package chaos
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"repro/internal/meta"
+	"repro/internal/p2p/memnet"
+)
+
+// Tree relay scenarios (DESIGN.md §13, §15.1): what the push along the
+// roster-derived spanning tree costs when every view agrees, and that the
+// backup — lazy announce, fetch, fallback announce — completes every pool
+// when they do not.
+
+// lazyPeers mirrors livenode's constant: the peers a backup announce goes to.
+const lazyPeers = 2
+
+// sumCounter adds one counter over every node's registry.
+func sumCounter(c *Cluster, name string) (v uint64) {
+	for i := range c.nodeRegs {
+		v += c.NodeTelemetry(i).Snapshot().Counter(name)
+	}
+	return v
+}
+
+// checkTreeRelayHealthy holds a run on a healthy cluster — no drops, every
+// view complete — to the tree relay's own terms: each of the `bodies` items or
+// blocks crossed the network exactly n−1 times, nobody received one twice,
+// nobody had to fetch one, and the backup announces reached each node twice per
+// body on average (six times, before the tree). plane is "metagossip" or
+// "gossip".
+func checkTreeRelayHealthy(t *testing.T, c *Cluster, plane string, bodies uint64) {
+	t.Helper()
+	n := uint64(len(c.nodeRegs))
+	if pushed := sumCounter(c, "livenode.relay.pushed"); pushed != bodies*(n-1) {
+		t.Errorf("%d bodies pushed for %d relayed, want n−1 = %d each", pushed, bodies, n-1)
+	}
+	for _, name := range []string{"livenode.relay.dup_bodies", "livenode.relay.fallback_announces", "livenode.relay.stale_reannounced",
+		"livenode." + plane + ".fetches_sent", "livenode.metagossip.refetched_held", "livenode.metagossip.short_unresolved"} {
+		if v := sumCounter(c, name); v != 0 {
+			t.Errorf("%s = %d on a healthy cluster, want 0", name, v)
+		}
+	}
+	heard := sumCounter(c, "livenode."+plane+".dup_suppressed") + sumCounter(c, "livenode."+plane+".stale_suppressed")
+	// The newest body's lazy window may still be open when the run ends.
+	if lazy := sumCounter(c, "livenode.relay.lazy_ids"); lazy == 0 || lazy > bodies*n || heard != lazyPeers*lazy {
+		t.Errorf("%d IDs left lazily and %d were heard for %d bodies on %d nodes, want at most one per body-node sent and each heard %d times",
+			lazy, heard, bodies, n, lazyPeers)
+	}
+}
+
+// TestTreeRelayStorm is the case a prune/graft relay does not survive
+// (DESIGN.md §15.1, "Why not prune/graft"): 64 nodes on 8–12 ms links take
+// 100 items a second for ten seconds from producers all over the roster, a
+// hundred broadcasts in flight at any moment. The tree is computed, not
+// negotiated, so concurrency cannot bend it: 63 bodies per item, no
+// duplicate, no fetch, every pool complete.
+func TestTreeRelayStorm(t *testing.T) {
+	t.Parallel()
+	const n, perSecond = 64, 100
+	seconds := 10
+	if testing.Short() {
+		seconds = 2 // one ed25519 check per item-node: 63 000 of them cost minutes under the race detector
+	}
+	c := newQuietCluster(t, Options{
+		N:      n,
+		T0:     time.Hour, // park mining: only metadata frames flow
+		Faults: memnet.Params{DelayMin: 8 * time.Millisecond, DelayMax: 12 * time.Millisecond},
+	})
+	items := seconds * perSecond
+	for k := 0; k < items; k++ {
+		if _, err := c.Node((k*37)%n).Publish([]byte(fmt.Sprintf("storm item %04d", k)), "Road/Congestion", "storm"); err != nil {
+			t.Fatal(err)
+		}
+		c.Run(time.Second / perSecond)
+	}
+	c.Run(5 * time.Second) // the last lazy announces
+	for i := 0; i < n; i++ {
+		if got := len(c.Node(i).PoolIDs()); got != items {
+			t.Fatalf("node %d pools %d of %d items", i, got, items)
+		}
+	}
+	checkTreeRelayHealthy(t, c, "metagossip", uint64(items))
+	t.Logf("%d items at %d/s: %d bodies pushed, %d lazy IDs in %d meta bytes (%.1f KB/item)", items, perSecond,
+		sumCounter(c, "livenode.relay.pushed"), sumCounter(c, "livenode.relay.lazy_ids"),
+		sumCounter(c, "livenode.wire.meta_bytes"), float64(sumCounter(c, "livenode.wire.meta_bytes"))/1000/float64(items))
+}
+
+// TestTreeRelayDisagreeingViews: the tree is only as good as the agreement on
+// the sorted peer list, so the relay must degrade, not fail, where views
+// differ. Pushes that still land, the lazy announces behind them and the
+// fallback announces of whatever had to be fetched fill most pools within a
+// second; a node that drew none of an item's ≈ 2 announces (e⁻² of the nodes a
+// push missed) takes it from the block that packs it, by the compact-miss
+// path. Every live node must end with every item.
+func TestTreeRelayDisagreeingViews(t *testing.T) {
+	const n, items = 64, 24
+	publish := func(t *testing.T, c *Cluster, skip int) (ids []meta.DataID) {
+		for k := 0; k < items; k++ {
+			producer := (k * 7) % n
+			if producer == skip {
+				producer++
+			}
+			it, err := c.Node(producer).Publish([]byte(fmt.Sprintf("view item %03d", k)), "Road/Congestion", "views")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, it.ID)
+			c.Run(500 * time.Millisecond)
+		}
+		return ids
+	}
+	// backupRan fails a scenario in which no push was lost: it tests nothing.
+	backupRan := func(t *testing.T, c *Cluster) {
+		t.Helper()
+		fetched, fallback := sumCounter(c, "livenode.metagossip.fetches_sent"), sumCounter(c, "livenode.relay.fallback_announces")
+		t.Logf("%d pushed, %d duplicate bodies, %d lazy IDs, %d fetched, %d fallback announces",
+			sumCounter(c, "livenode.relay.pushed"), sumCounter(c, "livenode.relay.dup_bodies"), sumCounter(c, "livenode.relay.lazy_ids"), fetched, fallback)
+		if fetched == 0 || fallback == 0 {
+			t.Errorf("%d items fetched, %d fallback announces: no push was lost, the scenario tests nothing", fetched, fallback)
+		}
+	}
+	opts := Options{N: n, Faults: memnet.Params{DelayMin: 8 * time.Millisecond, DelayMax: 12 * time.Millisecond}}
+
+	// Two nodes never met, so each derives its trees over 63 ranks where the
+	// others see 64: their pushes go to the wrong neighbours.
+	t.Run("a missing peer", func(t *testing.T) {
+		t.Parallel()
+		c, err := NewCluster(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		c.Net.SetRecording(false)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if i == 20 && j == 41 {
+					continue
+				}
+				if err := c.nodes[i].Connect(Addr(j)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		drainItemSets(t, c, publish(t, c, -1))
+		backupRan(t, c)
+	})
+
+	// One node goes silent but stays in every view — a crash nobody has
+	// noticed yet. Whenever an item's tree makes it an interior node, the
+	// subtree behind it hears nothing until the lazy announces. It comes back
+	// once the last item is out and must catch up with all of them.
+	t.Run("a silent interior node", func(t *testing.T) {
+		t.Parallel()
+		const silent = 33
+		c := newQuietCluster(t, opts)
+		rest := make([]int, 0, n-1)
+		for i := 0; i < n; i++ {
+			if i != silent {
+				rest = append(rest, i)
+			}
+		}
+		c.Partition([]int{silent}, rest)
+		ids := publish(t, c, silent)
+		c.Heal()
+		drainItemSets(t, c, ids)
+		backupRan(t, c)
+	})
+
+	// The same node crashes while a burst of pushes is in flight: what it was
+	// relaying dies with it, and every later tree is derived without it.
+	t.Run("a crashed interior node", func(t *testing.T) {
+		t.Parallel()
+		const victim = 33
+		c := newQuietCluster(t, opts)
+		var ids []meta.DataID
+		for k := 0; k < 8; k++ {
+			it, err := c.Node(k).Publish([]byte(fmt.Sprintf("crash item %d", k)), "Road/Congestion", "views")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, it.ID)
+		}
+		c.Run(15 * time.Millisecond) // one hop delivered, the next in flight
+		if err := c.Crash(victim); err != nil {
+			t.Fatal(err)
+		}
+		drainItemSets(t, c, append(ids, publish(t, c, victim)...))
+		backupRan(t, c)
+	})
+}

@@ -200,8 +200,17 @@ func TestChaosOpenLoopWorkload(t *testing.T) {
 	// digest. Hashed and signed bytes did not change, so every winner, fork
 	// and placement is the same: still 28 740 events, still height 31. If
 	// either of those two moves, something other than the encoding changed.
+	//
+	// Re-pinned once for the tree relay (DESIGN.md §13, §15.1), and this time
+	// the trajectory moves on purpose: items and blocks are pushed along a
+	// spanning tree instead of announced to six peers and fetched, so who
+	// sends what to whom, and when, is different from the first publish on —
+	// a body arrives after one link delay per hop instead of three, a node
+	// hears two backup announces per item instead of six, a synced tip is
+	// announced, and a locator that has nothing to offer is not answered. Less
+	// than half the events for the same workload: 12 964 (28 740), height 27.
 	if seed == 1 && runtime.GOARCH == "amd64" {
-		const digest, events, height = 0x4f3b1ee272455795, 28740, 31
+		const digest, events, height = 0x593743592b6f5c05, 12964, 27
 		if res.digest != digest || res.events != events || res.height != height {
 			t.Fatalf("cluster behaviour changed at seed 1: digest %016x events %d height %d, golden %016x %d %d",
 				res.digest, res.events, res.height, uint64(digest), events, height)

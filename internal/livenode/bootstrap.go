@@ -190,7 +190,7 @@ func (n *Node) onBootstrapTimeout(gen uint64) {
 	}
 	n.abandonBootstrapLocked("snapshot transfer timed out")
 	n.mu.Unlock()
-	n.sendSyncLocator(n.sampleGossipPeers("")...)
+	n.sendSyncLocator(n.sampleOf(n.net.Peers(), n.cfg.GossipFanout)...)
 }
 
 // handleGetSnapshot serves a peer's snapshot request: export the newest
@@ -247,7 +247,7 @@ func (n *Node) handleSnapshot(from string, payload []byte) {
 	} else if c.Height != bs.height || c.Total != bs.total || c.Hash != bs.hash || int(c.Count) != len(bs.chunks) {
 		n.abandonBootstrapLocked("inconsistent snapshot stream")
 		n.mu.Unlock()
-		n.sendSyncLocator(n.sampleGossipPeers("")...)
+		n.sendSyncLocator(n.sampleOf(n.net.Peers(), n.cfg.GossipFanout)...)
 		return
 	}
 	if bs.chunks[c.Idx] == nil {
@@ -268,7 +268,7 @@ func (n *Node) handleSnapshot(from string, payload []byte) {
 	if sha256.Sum256(blob) != bs.hash {
 		n.abandonBootstrapLocked("snapshot hash mismatch")
 		n.mu.Unlock()
-		n.sendSyncLocator(n.sampleGossipPeers("")...)
+		n.sendSyncLocator(n.sampleOf(n.net.Peers(), n.cfg.GossipFanout)...)
 		return
 	}
 	snap, err := engine.DecodeSnapshot(blob)
@@ -281,7 +281,7 @@ func (n *Node) handleSnapshot(from string, payload []byte) {
 	if err != nil {
 		n.abandonBootstrapLocked(err.Error())
 		n.mu.Unlock()
-		n.sendSyncLocator(n.sampleGossipPeers("")...)
+		n.sendSyncLocator(n.sampleOf(n.net.Peers(), n.cfg.GossipFanout)...)
 		return
 	}
 	n.tel.bootInstalled.Inc()

@@ -2,6 +2,7 @@ package livenode
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
@@ -358,17 +359,87 @@ func TestCompactTamperNeverAdopts(t *testing.T) {
 	}
 }
 
-// TestCompactUnsolicitedIgnored: a compact frame nobody asked for does no
-// work at all — no rebuild, no item requests, no sync round.
-func TestCompactUnsolicitedIgnored(t *testing.T) {
-	fn, a, _, _, blk := compactCluster(t, 3, nil)
-	log := watchFrames(fn, nil)
-	a.handleFrame("b", p2p.FrameCompactBlock, blk.EncodeCompact())
-	if a.Height() != 0 {
-		t.Fatal("unsolicited compact body adopted")
+// treePeers lists whom n pushes a body keyed rot to, sender aside: its
+// neighbours in the tree over all, the sorted addresses of every node.
+func treePeers(n *syncTestNode, all []string, rot uint64, sender string) (out []string) {
+	self := sort.SearchStrings(all, n.Addr())
+	for _, r := range treeRanks(nil, len(all), self, rot, n.cfg.GossipFanout) {
+		if all[r] != sender {
+			out = append(out, all[r])
+		}
 	}
-	if n := log.count(p2p.FrameGetMeta) + log.count(p2p.FrameSyncLocator); n != 0 {
-		t.Errorf("unsolicited compact body caused %d requests", n)
+	return out
+}
+
+var abc = []string{"a", "b", "c"}
+
+// TestCompactPushedBody: a compact frame nobody asked for is a push. It opens
+// its own pending entry, misses go to the pusher by full ID, the rebuilt block
+// is adopted through receiveBlock and goes on along the tree, never back to
+// the pusher; no block announce or fetch happens anywhere. A second copy, and
+// a push at or below the tip, are dropped.
+func TestCompactPushedBody(t *testing.T) {
+	fn, a, b, c, blk := compactCluster(t, 3, nil)
+	log := watchFrames(fn, func(from, to string, ft byte) bool { return ft == p2p.FrameMetaAnnounce })
+	body := blk.EncodeCompact()
+	a.handleFrame("b", p2p.FrameCompactBlock, body)
+	// Where the hash puts a in the tree decides whether c is its to serve.
+	onward := treePeers(a, abc, binary.BigEndian.Uint64(blk.Hash[:]), "b")
+	adopters := []*syncTestNode{a, c}[:1+len(onward)]
+	for _, n := range adopters {
+		if got := n.Tip(); got.Hash != blk.Hash {
+			t.Fatalf("node %s at height %d did not adopt the pushed block", n.Addr(), n.Height())
+		}
+		if v := counter(n.reg, "livenode.gossip.compact_items_missing"); v != 3 {
+			t.Errorf("node %s: compact_items_missing = %d, want 3", n.Addr(), v)
+		}
+	}
+	if n := log.count(p2p.FrameBlockAnnounce) + log.count(p2p.FrameGetBlock) + log.count(p2p.FrameSyncLocator); n != 0 {
+		t.Errorf("%d announce/fetch/locator frames on the push path", n)
+	}
+	if pushed, served := counter(a.reg, "livenode.relay.pushed"), counter(b.reg, "livenode.gossip.fetches_served"); int(pushed) != len(onward) || served != 0 {
+		t.Errorf("a pushed %d bodies and b served %d fetches, want %v (never back to b) and 0", pushed, served, onward)
+	}
+	a.mu.Lock()
+	left := len(a.gossip.blocks.pending)
+	a.mu.Unlock()
+	if left != 0 {
+		t.Errorf("%d block fetches pending after the adoption", left)
+	}
+
+	a.handleFrame("c", p2p.FrameCompactBlock, body)
+	if v := counter(a.reg, "livenode.relay.dup_bodies"); v != 1 {
+		t.Errorf("dup_bodies = %d after a second copy, want 1", v)
+	}
+	sibling := *blk
+	sibling.Hash[0] ^= 1
+	a.handleFrame("c", p2p.FrameCompactBlock, sibling.EncodeCompact())
+	if v := counter(a.reg, "livenode.gossip.stale_suppressed"); v != 1 {
+		t.Errorf("stale_suppressed = %d after a push at our tip, want 1", v)
+	}
+	if n := log.count(p2p.FrameGetMeta); n != len(adopters) {
+		t.Errorf("%d FrameGetMeta frames, want one miss path per adopter", n)
+	}
+}
+
+// TestCompactPushOvertakesFetch: a body pushed by a peer other than the
+// announcer being asked takes the pending fetch over — adopted, passed on along
+// the tree — and the announcer's late answer is a duplicate.
+func TestCompactPushOvertakesFetch(t *testing.T) {
+	fn, a, _, _, blk := compactCluster(t, 0, nil)
+	watchFrames(fn, func(from, to string, ft byte) bool { return ft == p2p.FrameGetBlock })
+	a.handleFrame("b", p2p.FrameBlockAnnounce, encodeAnnounce(blk.Index, blk.Hash))
+	a.handleFrame("c", p2p.FrameCompactBlock, blk.EncodeCompact())
+	if got := a.Tip(); got.Hash != blk.Hash {
+		t.Fatalf("height %d: the pushed body did not complete the pending fetch", a.Height())
+	}
+	onward := treePeers(a, abc, binary.BigEndian.Uint64(blk.Hash[:]), "c")
+	if pushed, fallback := counter(a.reg, "livenode.relay.pushed"), counter(a.reg, "livenode.relay.fallback_announces"); int(pushed) != len(onward) || fallback != 0 {
+		t.Errorf("pushed %d, fallback_announces %d, want the body passed on to %v and no announce", pushed, fallback, onward)
+	}
+	a.handleFrame("b", p2p.FrameCompactBlock, blk.EncodeCompact())
+	if v := counter(a.reg, "livenode.relay.dup_bodies"); v != 1 {
+		t.Errorf("dup_bodies = %d after the announcer's late answer, want 1", v)
 	}
 }
 
@@ -394,7 +465,8 @@ func TestCompactParkedBodyTornDown(t *testing.T) {
 	if pf.waiting() || a.clock.activeTimers() != timers-1-len(blk.Items) {
 		t.Error("teardown left a timer of the parked body armed")
 	}
-	fn.setDrop(nil)
+	// b's backup announce of the block is still to come; keep it out.
+	fn.setDrop(func(from, to string, ft byte) bool { return ft == p2p.FrameBlockAnnounce })
 	for _, it := range blk.Items {
 		a.handleFrame("b", p2p.FrameMeta, it.Encode())
 	}

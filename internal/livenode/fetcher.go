@@ -29,8 +29,9 @@ type pendingFetch struct {
 	attempt Timer     // wait on the candidate asked last; nil before the first ask and once exhausted
 	expiry  Timer     // bound on the whole fetch; nil when running out of candidates ends it
 
-	compact *block.Compact           // block plane: the announcer's answer, parked while the items it
+	compact *block.Compact           // block plane: the sender's body, parked while the items it
 	missing map[meta.DataID]struct{} // references and this node lacks — missing — are fetched (§13.1)
+	pushed  bool                     // block plane: the body came unasked, along the tree (§13)
 	repair  bool                     // data plane: a re-replication, paid from the repair budget (§11)
 }
 

@@ -9,35 +9,40 @@ import (
 	"repro/internal/block"
 	"repro/internal/meta"
 	"repro/internal/p2p"
-	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
-// Inv-style gossip block relay (DESIGN.md §13). A node that adopts a block
-// it has not seen before announces only (height, header hash) to a bounded
-// random sample of peers. A peer that lacks the hash fetches the body from
-// the announcer; on adopting it, it relays the announce onward (excluding
-// whoever sent it the block), so dissemination is epidemic: O(fanout) 40-
-// byte announces per node and O(fanout · log n) hops to saturation,
-// while each node uploads the full body only a bounded number of times.
+// Tree relay (DESIGN.md §13). A block this node mines or adopts — and, one
+// plane over, an item it publishes or admits (§15.1) — travels as the body
+// itself, pushed unasked along a spanning tree that every node derives alone
+// from the sorted peer list (treeRanks), so each node receives it once and
+// uploads it at most GossipFanout+1 times:
 //
-//	miner                    sampled peer              its sampled peers
-//	  FrameBlockAnnounce ───────▶
-//	  ◀─────── FrameGetBlock(hash)   (only if the hash is unknown)
-//	  FrameCompactBlock ────────▶    (header + item IDs, §13.1)
-//	                              FrameBlockAnnounce ───────▶  …
+//	miner                        tree neighbour            its tree neighbours
+//	  FrameCompactBlock ─────────▶  (header + item IDs, §13.1)
+//	                                adopted: FrameCompactBlock ───────▶  …
 //
-// Duplicate announces are suppressed against the chain's own hash index
-// (adopted blocks), the pending fetches (fetcher.go: one candidate, the
-// announcer) and a small LRU of hashes seen but not adopted (stale forks,
-// timed-out fetches). A fetch the announcer never answers falls back to the
-// §10 sync locator path after cfg.SyncTimeout: the ladder is
-// announce → fetch → locator.
+// Announce → fetch is the backup: SyncTimeout/4 after adopting a pushed body
+// a node announces (height, hash) to lazyPeers sampled peers, and one that
+// still lacks the hash — a drop, a partition, peer views that disagree —
+// answers FrameGetBlock and gets the compact body. How a body arrived decides
+// how it is passed on: a fetched (or synced) one is evidence that the tree
+// failed here, so it is announced at once to a full GossipFanout sample and
+// the relay degrades to the epidemic it replaced, no further.
+//
+// Duplicates are suppressed against the chain's own hash index (adopted
+// blocks), the pending fetches (fetcher.go: one candidate, the sender) and a
+// small LRU of hashes seen but not adopted (stale forks, timed-out fetches).
+// A fetch the announcer never answers falls back to the §10 sync locator path
+// after cfg.SyncTimeout: the ladder is push → announce → fetch → locator.
 const (
-	// defaultGossipFanout is how many peers an announce is relayed to when
-	// Config.GossipFanout is 0. Six gives >99.9% epidemic saturation on
-	// overlays far past 1000 nodes.
+	// defaultGossipFanout is the tree's arity and a fallback announce's peer
+	// sample when Config.GossipFanout is 0. Six gives a tree three levels deep
+	// at 256 nodes and >99.9% epidemic saturation on overlays far past 1000.
 	defaultGossipFanout = 6
+	// lazyPeers is how many sampled peers hear the backup announce of an ID
+	// that travelled the tree.
+	lazyPeers = 2
 	// gossipSeenCap bounds the seen-hash LRU. It only has to cover hashes
 	// the chain index cannot answer for (stale forks, pending gaps), so a
 	// few hundred entries outlast any realistic announce storm.
@@ -59,6 +64,8 @@ type gossipState struct {
 	// Metadata relay (DESIGN.md §15.1).
 	metaKnown *seenLRU[meta.ShortID, meta.DataID] // items published, admitted or shown: short → full ID
 	metas     *fetcher[meta.ShortID]              // items being fetched from their announcer
+	lazy      []meta.ShortID                      // pushed on the tree; their backup announce leaves when the armed timer fires
+	lazyNext  []meta.ShortID                      // pushed since it was armed: they wait for the next
 }
 
 func (n *Node) newGossipState(seed int64) *gossipState {
@@ -69,8 +76,10 @@ func (n *Node) newGossipState(seed int64) *gossipState {
 		metaKnown: newSeenLRU[meta.ShortID, meta.DataID](metaSeenCap),
 		metas:     newFetcher[meta.ShortID](&n.mu, n.clock, n.cfg.SyncTimeout),
 	}
-	g.blocks.ask = func(h block.Hash, _ *pendingFetch, to string) bool {
-		n.send(to, p2p.FrameGetBlock, h[:])
+	g.blocks.ask = func(h block.Hash, e *pendingFetch, to string) bool {
+		if !e.pushed { // a pushed body is here already: only the wait for its missing items starts
+			n.send(to, p2p.FrameGetBlock, h[:])
+		}
 		return true // an announcer the request did not reach is given up by the timer
 	}
 	g.blocks.exhausted = n.blockFetchExhausted
@@ -154,31 +163,46 @@ func decodeGetBlock(payload []byte) (h block.Hash, err error) {
 
 // --- relay --------------------------------------------------------------------
 
-// relay announces a freshly adopted block (FrameBlockAnnounce) or freshly
-// pooled item IDs (FrameMetaAnnounce) to a bounded random sample of peers,
-// never the one they came from. Callers must NOT hold n.mu; the sends are
-// synchronous.
-func (n *Node) relay(ft byte, announce []byte, exclude string, relays *telemetry.Counter) {
-	targets := n.sampleGossipPeers(exclude)
-	if len(targets) == 0 {
-		return
+// treeRanks appends to out the ranks of rank r's neighbours — parent, then
+// children — in the spanning tree over n ranks rotated by rot: rank
+// (rot+p) mod n sits at position p of a k-ary heap. The rotation comes from
+// the ID relayed, so the interior role moves from item to item; nodes that
+// agree on the sorted peer list derive the same tree without exchanging a byte.
+func treeRanks(out []int, n, r int, rot uint64, k int) []int {
+	shift := int(rot % uint64(n))
+	p := (r - shift + n) % n
+	if p > 0 {
+		out = append(out, ((p-1)/k+shift)%n)
 	}
-	for _, p := range targets {
-		n.send(p, ft, announce)
+	for c := p*k + 1; c <= p*k+k && c < n; c++ {
+		out = append(out, (c+shift)%n)
 	}
-	relays.Inc()
+	return out
 }
 
-func (n *Node) relayBlock(blk *block.Block, exclude string) {
-	n.relay(p2p.FrameBlockAnnounce, encodeAnnounce(blk.Index, blk.Hash), exclude, n.tel.gossipRelays)
+// push sends a body to this node's tree neighbours for rot except the one it
+// came from. Ranks are the sorted peers ∪ self. Callers must NOT hold n.mu;
+// the sends are synchronous.
+func (n *Node) push(ft byte, body []byte, rot uint64, exclude string) {
+	peers := n.net.Peers()
+	if !sort.StringsAreSorted(peers) {
+		sort.Strings(peers)
+	}
+	self := sort.SearchStrings(peers, n.net.Addr())
+	var buf [defaultGossipFanout + 1]int
+	for _, r := range treeRanks(buf[:0], len(peers)+1, self, rot, n.cfg.GossipFanout) {
+		if r > self {
+			r-- // peers lacks self: ranks past it sit one lower
+		}
+		if peers[r] != exclude && n.send(peers[r], ft, body) == nil {
+			n.tel.relayPushed.Inc()
+		}
+	}
 }
 
-// sampleGossipPeers draws up to GossipFanout distinct peers from the sorted
-// peer list, excluding `exclude`; block and metadata announces both go to
-// such a sample. Sorting before sampling makes the draw a pure function of
-// the peer set and the node's seeded RNG, which is what keeps deterministic
-// chaos runs bit-identical.
-func (n *Node) sampleGossipPeers(exclude string) []string {
+// announce sends an ID frame to a sample of up to k peers, never the one the
+// body came from. Callers must NOT hold n.mu.
+func (n *Node) announce(ft byte, ids []byte, exclude string, k int) {
 	peers := n.net.Peers()
 	cand := peers[:0]
 	for _, p := range peers {
@@ -186,18 +210,41 @@ func (n *Node) sampleGossipPeers(exclude string) []string {
 			cand = append(cand, p)
 		}
 	}
-	return n.sampleFanout(cand)
+	for _, p := range n.sampleOf(cand, k) {
+		n.send(p, ft, ids)
+	}
 }
 
-// sampleFanout draws up to GossipFanout of cand on the node's seeded RNG,
-// reordering cand in place; a closed node draws nothing.
-func (n *Node) sampleFanout(cand []string) []string {
+// relayBlock passes on a block this node mined or adopted: along the tree with
+// a backup announce behind it or, when it had to be fetched, as an announce at
+// once. Stale pool items are re-announced on the way (reannounceStale).
+func (n *Node) relayBlock(blk *block.Block, from string, fetched bool) {
+	n.tel.gossipRelays.Inc()
+	ann := encodeAnnounce(blk.Index, blk.Hash)
+	if fetched {
+		n.tel.relayFallbacks.Inc()
+		n.announce(p2p.FrameBlockAnnounce, ann, from, n.cfg.GossipFanout)
+	} else {
+		n.push(p2p.FrameCompactBlock, blk.EncodeCompact(), binary.BigEndian.Uint64(blk.Hash[:]), from)
+		n.clock.AfterFunc(n.cfg.SyncTimeout/4, func() {
+			n.tel.relayLazyIDs.Inc()
+			n.announce(p2p.FrameBlockAnnounce, ann, "", lazyPeers)
+		})
+	}
+	n.reannounceStale(blk)
+}
+
+// sampleOf draws up to k of cand on the node's seeded RNG, reordering cand
+// in place; a closed node draws nothing. Announces, Connect's locator probe
+// and the bootstrap's all go to such a sample: a pure function of the peer set
+// and the RNG, which is what keeps deterministic chaos runs bit-identical.
+func (n *Node) sampleOf(cand []string, k int) []string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
 		return nil
 	}
-	return samplePeersLocked(n.gossip.rng, cand, n.cfg.GossipFanout)
+	return samplePeersLocked(n.gossip.rng, cand, k)
 }
 
 // samplePeersLocked draws up to k distinct entries from cand via a
@@ -289,27 +336,44 @@ func (n *Node) resolveItemLocked(id meta.DataID) *meta.Item {
 	return n.eng.LiveItem(id)
 }
 
-// handleCompactBlock rebuilds a fetched block from items this node already
-// holds (DESIGN.md §13.1). IDs it cannot resolve are requested from the
-// announcer, by full ID, while the body parks in its pending fetch, whose wait
-// on the announcer keeps running; more of them than a fetch table holds go
+// handleCompactBlock rebuilds a block, fetched or pushed, from items this
+// node already holds (DESIGN.md §13.1); a body nobody asked for opens its own
+// pending entry. IDs the body names and this node cannot resolve are requested
+// from the sender, by full ID, while the body parks in its pending fetch, whose
+// wait on the sender keeps running; more of them than a fetch table holds go
 // straight to the locator. Each one is also a pending metadata fetch, so an
 // announce of it meanwhile is a duplicate and handleMeta takes its answer.
 func (n *Node) handleCompactBlock(from string, payload []byte) {
-	cb, err := block.DecodeCompact(payload)
-	if err != nil {
+	if len(payload) < len(block.Hash{}) {
 		return
 	}
+	hash := block.Hash(payload[len(payload)-len(block.Hash{}):])
 	n.mu.Lock()
 	g := n.gossip
-	var pf *pendingFetch
-	if !n.closed {
-		pf = g.blocks.pending[cb.Head.Hash]
+	pf := g.blocks.pending[hash]
+	// A second copy, or a push of a hash already adopted, refused or given up
+	// on, is dropped before decode; a push at or below our tip, after it.
+	var cb *block.Compact
+	var err error
+	drop := n.closed || pf != nil && pf.compact != nil || pf == nil && (n.eng.Chain().ByHash(hash) != nil || g.seen.Has(hash))
+	if drop {
+		n.tel.relayDupBodies.Inc()
+	} else if cb, err = block.DecodeCompact(payload); err == nil && pf == nil && cb.Head.Index <= n.eng.Height() {
+		g.seen.Add(hash, struct{}{})
+		n.tel.gossipStaleSuppressed.Inc()
+		drop = true
 	}
-	if pf == nil || pf.compact != nil {
-		// Never requested, given up on, or a duplicate delivery.
+	if drop || err != nil {
 		n.mu.Unlock()
 		return
+	}
+	if pf == nil || pf.cands[0] != from {
+		// Nobody asked this sender: it pushed the body, and from here on
+		// stands in for whichever announcer a pending fetch was asking.
+		if pf == nil {
+			pf = g.blocks.begin(hash, nil, 0)
+		}
+		pf.cands, pf.pushed = []string{from}, true
 	}
 	blk, missing := cb.Rebuild(n.resolveItemLocked)
 	pf.compact, pf.missing = cb, make(map[meta.DataID]struct{}, len(missing))
@@ -323,6 +387,9 @@ func (n *Node) handleCompactBlock(from string, payload []byte) {
 	}
 	n.tel.compactItemsMissing.Add(len(missing))
 	n.mu.Unlock()
+	if blk == nil && pf.next == 0 {
+		g.blocks.advance(hash, pf) // a fresh push: asks nobody, starts the wait on the sender
+	}
 	if blk != nil || !fetch {
 		n.finishCompact(pf, blk)
 		return
@@ -365,15 +432,15 @@ func (n *Node) noteCompactItemLocked(id meta.DataID) (ready []*pendingFetch, blo
 // finishCompact ends a compact fetch. A rebuilt block goes through
 // receiveBlock like any block off the wire: the hash is recomputed over the
 // full item bytes there, so a wrong pool item is a locator round, never an
-// adoption. A body that cannot be rebuilt (blk nil) means the announcer
-// failed, and it was the only candidate.
+// adoption. A body that cannot be rebuilt (blk nil) means its sender failed,
+// and it was the only candidate.
 func (n *Node) finishCompact(pf *pendingFetch, blk *block.Block) {
 	if blk == nil {
 		n.gossip.blocks.advance(pf.compact.Head.Hash, pf)
 		return
 	}
 	n.tel.compactRebuilt.Inc()
-	if errors.Is(n.receiveBlock(pf.cands[0], blk), block.ErrBadHash) {
+	if errors.Is(n.receiveBlock(pf.cands[0], blk, !pf.pushed), block.ErrBadHash) {
 		n.tel.compactFallbacks.Inc()
 	}
 }

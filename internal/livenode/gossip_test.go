@@ -1,6 +1,7 @@
 package livenode
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -167,6 +168,104 @@ func TestGossipRelayOnAdoptExcludesSender(t *testing.T) {
 	}
 }
 
+// TestGossipTreePush walks the §13 primary path: a mined block travels as its
+// compact body along the tree, every node adopts it after n−1 bodies with no
+// announce, fetch or locator, and the backup announce a quarter SyncTimeout
+// later finds only duplicates.
+func TestGossipTreePush(t *testing.T) {
+	fn := newFakeNet()
+	epoch := time.Unix(1700000000, 0)
+	clk := newFakeClock(epoch)
+	b := newGossipTestNode(t, fn, clk, "b", 1, epoch, nil)
+	a := newGossipTestNode(t, fn, clk, "a", 0, epoch, nil)
+	c := newGossipTestNode(t, fn, clk, "c", 2, epoch, nil)
+	a.stopMining()
+	c.stopMining()
+	link(t, a, b, c)
+	log := watchFrames(fn, nil)
+	b.mineBlocks(t, 1)
+	a.stopMining()
+	c.stopMining()
+
+	if a.Tip().Hash != b.Tip().Hash || c.Tip().Hash != b.Tip().Hash {
+		t.Fatalf("heights a=%d c=%d after the push, want b's block on both", a.Height(), c.Height())
+	}
+	if n := log.count(p2p.FrameCompactBlock); n != 2 {
+		t.Errorf("%d compact bodies on the wire, want n−1 = 2", n)
+	}
+	if n := log.count(p2p.FrameBlockAnnounce) + log.count(p2p.FrameGetBlock) + log.count(p2p.FrameSyncLocator); n != 0 {
+		t.Errorf("%d announce/fetch/locator frames on the push path", n)
+	}
+	if v := sumCounter("livenode.relay.pushed", a, b, c); v != 2 {
+		t.Errorf("relay.pushed sums to %d, want 2", v)
+	}
+	if v := sumCounter("livenode.relay.dup_bodies", a, b, c) + sumCounter("livenode.relay.fallback_announces", a, b, c); v != 0 {
+		t.Errorf("%d duplicate bodies / fallback announces on a healthy push", v)
+	}
+	clk.Advance(250 * time.Millisecond) // SyncTimeout/4: every node's backup announce
+	if n, dup := log.count(p2p.FrameBlockAnnounce), sumCounter("livenode.gossip.dup_suppressed", a, b, c); n != 3*lazyPeers || int(dup) != n {
+		t.Errorf("%d backup announces, %d suppressed as duplicates, want %d and all of them", n, dup, 3*lazyPeers)
+	}
+	if v := sumCounter("livenode.gossip.fetches_sent", a, b, c); v != 0 {
+		t.Errorf("a backup announce of a delivered block drew %d fetches", v)
+	}
+}
+
+// TestTreeRanksSpanningTree is the property the relay rests on, checked on the
+// tree function alone: for every size, rotation and arity the neighbour
+// relation is symmetric, has n−1 edges, is connected and has degree ≤ arity+1.
+// Ranks are positions in the sorted peer list, so a peer that leaves every
+// view is the same property one size down.
+func TestTreeRanksSpanningTree(t *testing.T) {
+	step := 1
+	if raceEnabled || testing.Short() {
+		step = 7 // every rotation is ~70 M calls; a coprime stride still hits every residue class of small n
+	}
+	var buf, queue []int
+	for n := 1; n <= 300; n++ {
+		adj := make([][]int, n)
+		for k := 1; k <= 8; k++ {
+			for rot := 0; rot < n; rot += step {
+				edges := 0
+				for r := range adj {
+					// The rotation is taken mod n: one far past it must give the same tree.
+					adj[r] = treeRanks(adj[r][:0], n, r, uint64(rot)+uint64(n)<<40, k)
+					if buf = treeRanks(buf[:0], n, r, uint64(rot), k); !slices.Equal(buf, adj[r]) {
+						t.Fatalf("n=%d k=%d rot=%d rank %d: %v, but %v for rot+n·2⁴⁰", n, k, rot, r, buf, adj[r])
+					}
+					if len(adj[r]) > k+1 {
+						t.Fatalf("n=%d k=%d rot=%d: rank %d has degree %d", n, k, rot, r, len(adj[r]))
+					}
+					edges += len(adj[r])
+				}
+				if edges != 2*(n-1) {
+					t.Fatalf("n=%d k=%d rot=%d: %d directed edges, want %d", n, k, rot, edges, 2*(n-1))
+				}
+				for r, nb := range adj {
+					for _, q := range nb {
+						if q == r || q < 0 || q >= n || !slices.Contains(adj[q], r) {
+							t.Fatalf("n=%d k=%d rot=%d: edge %d→%d is not mirrored", n, k, rot, r, q)
+						}
+					}
+				}
+				// Connected: n−1 symmetric edges that reach everything are a tree.
+				seen := make([]bool, n)
+				seen[0], queue = true, append(queue[:0], 0)
+				for i := 0; i < len(queue); i++ {
+					for _, q := range adj[queue[i]] {
+						if !seen[q] {
+							seen[q], queue = true, append(queue, q)
+						}
+					}
+				}
+				if len(queue) != n {
+					t.Fatalf("n=%d k=%d rot=%d: %d of %d ranks reachable from rank 0", n, k, rot, len(queue), n)
+				}
+			}
+		}
+	}
+}
+
 func TestGossipFetchTimeoutFallsBackToLocator(t *testing.T) {
 	fn := newFakeNet()
 	epoch := time.Unix(1700000000, 0)
@@ -273,19 +372,32 @@ func TestGossipPendingOverflowDegradesToSync(t *testing.T) {
 func TestGossipSamplingBoundedAndExcludes(t *testing.T) {
 	fn := newFakeNet()
 	epoch := time.Unix(1700000000, 0)
-	a := newSyncTestNode(t, fn, "a", 0, epoch, func(cfg *Config) { cfg.GossipFanout = 2 })
-	b := newSyncTestNode(t, fn, "b", 1, epoch, nil)
-	c := newSyncTestNode(t, fn, "c", 2, epoch, nil)
-	link(t, a, b, c)
-
-	for i := 0; i < 32; i++ {
-		got := a.Node.sampleGossipPeers("b")
-		if len(got) != 1 || got[0] != "c" {
-			t.Fatalf("sample excluding b = %v, want [c]", got)
+	a := newSyncTestNode(t, fn, "a", 0, epoch, nil)
+	heard := map[string]*[]sentFrame{"b": spyOn(t, fn, a, "b"), "c": spyOn(t, fn, a, "c"), "d": spyOn(t, fn, a, "d")}
+	count := func() (peers, frames int) {
+		for _, got := range heard {
+			if frames += len(*got); len(*got) > 0 {
+				peers++
+			}
+			*got = nil
 		}
-		both := a.Node.sampleGossipPeers("")
-		if len(both) != 2 || both[0] == both[1] {
-			t.Fatalf("sample of 2 from {b,c} = %v", both)
+		return peers, frames
+	}
+	for i := 0; i < 32; i++ {
+		a.announce(p2p.FrameBlockAnnounce, []byte{1}, "b", 2)
+		if got := len(*heard["b"]); got != 0 {
+			t.Fatalf("an announce excluding b reached it %d times", got)
+		}
+		if peers, frames := count(); peers != 2 || frames != 2 {
+			t.Fatalf("sample of 2 excluding b reached %d peers with %d frames, want c and d once each", peers, frames)
+		}
+		a.announce(p2p.FrameBlockAnnounce, []byte{1}, "", 2)
+		if peers, frames := count(); peers != 2 || frames != 2 {
+			t.Fatalf("sample of 2 from {b,c,d} reached %d peers with %d frames", peers, frames)
+		}
+		a.announce(p2p.FrameBlockAnnounce, []byte{1}, "", 9)
+		if peers, frames := count(); peers != 3 || frames != 3 {
+			t.Fatalf("sample of 9 from 3 peers reached %d with %d frames, want all once", peers, frames)
 		}
 	}
 }

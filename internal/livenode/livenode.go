@@ -74,9 +74,9 @@ type Config struct {
 	// SyncBatchSize is how many blocks one incremental-sync batch request
 	// covers (default 64, capped at the protocol bound maxSyncBatch).
 	SyncBatchSize int
-	// SyncTimeout is the per-batch response deadline; each retry doubles
-	// it (default 2s). It is also how long a gossip fetch waits for its
-	// announcer and a data fetch for one candidate holder.
+	// SyncTimeout is the per-batch response deadline; each retry doubles it
+	// (default 2s). A gossip fetch waits that long for its announcer, a data
+	// fetch for one holder, and a backup announce trails its push by a quarter.
 	SyncTimeout time.Duration
 	// SyncRetries is how many times an unanswered batch is re-requested
 	// before the session is aborted; the next announce or locator answer
@@ -112,13 +112,11 @@ type Config struct {
 	// pin their entry forever. (A repair fetch gets 4·RepairProbeEvery per
 	// launch; its queue retries.)
 	FetchTimeout time.Duration
-	// GossipFanout is how many peers a block or metadata announce is
-	// relayed to (DESIGN.md §13, §15.1); 0 means the default of 6, a
-	// negative value is an error. Adopting a new block announces (height,
-	// hash) to a seeded random sample of that many peers and peers fetch
-	// only bodies they lack; an unanswered fetch falls back to the §10 sync
-	// locator path after SyncTimeout. A newly pooled metadata item spreads
-	// the same way by ID.
+	// GossipFanout is the arity of the spanning tree that blocks and metadata
+	// items are pushed along, and the size of the peer sample a fetched one is
+	// announced to (DESIGN.md §13, §15.1); 0 means the default of 6, a
+	// negative value is an error. A node uploads a body to at most
+	// GossipFanout+1 tree neighbours.
 	GossipFanout int
 
 	// RepairWorkers enables the self-healing data plane (DESIGN.md §11)
@@ -240,8 +238,8 @@ type nodeMetrics struct {
 	pruneHorizon       *telemetry.Gauge   // current prune horizon height
 	snapshotsPersisted *telemetry.Counter // snapshot blobs written to the store
 
-	// Inv-style gossip block relay (DESIGN.md §13).
-	gossipRelays          *telemetry.Counter // adopted blocks relayed as announces
+	// Block relay (DESIGN.md §13): announce/fetch, the tree push's backup.
+	gossipRelays          *telemetry.Counter // adopted blocks passed on, pushed or announced
 	gossipFetchesSent     *telemetry.Counter // FrameGetBlock requests issued
 	gossipFetchesServed   *telemetry.Counter // FrameGetBlock requests answered
 	gossipFetchTimeouts   *telemetry.Counter // fetches that fell back to the locator path
@@ -251,8 +249,8 @@ type nodeMetrics struct {
 	compactItemsMissing   *telemetry.Counter // referenced items requested from the announcer
 	compactFallbacks      *telemetry.Counter // compact fetches that ended on the locator path
 
-	// Inv-style metadata relay (DESIGN.md §15).
-	metaRelays          *telemetry.Counter // pooled items relayed as ID announces
+	// Metadata relay (DESIGN.md §15.1): announce/fetch, the tree push's backup.
+	metaRelays          *telemetry.Counter // pooled items passed on, pushed or announced
 	metaFetchesSent     *telemetry.Counter // IDs requested via FrameGetMeta
 	metaFetchesServed   *telemetry.Counter // pool items served to FrameGetMeta
 	metaFetchTimeouts   *telemetry.Counter // pending fetches dropped unanswered
@@ -260,6 +258,12 @@ type nodeMetrics struct {
 	metaDupSuppressed   *telemetry.Counter // announced IDs already known or being fetched
 	metaRefetchedHeld   *telemetry.Counter // fetched items pool or chain already held: metaKnown evicted them
 	metaShortUnresolved *telemetry.Counter // short IDs asked of this node that metaKnown no longer names
+	// The tree relay under both planes (DESIGN.md §13, §15.1).
+	relayPushed    *telemetry.Counter // bodies pushed to a tree neighbour
+	relayDupBodies *telemetry.Counter // bodies received that were already held, seen or parked
+	relayLazyIDs   *telemetry.Counter // IDs that left in a backup announce
+	relayFallbacks *telemetry.Counter // fetched bodies announced at once, to a full fan-out sample
+	relayStale     *telemetry.Counter // stale pool items announced again on a block adoption
 
 	// Sampled liveness probing (DESIGN.md §15).
 	probesSent        *telemetry.Counter // FrameRepairProbe sends
@@ -371,6 +375,11 @@ func newNodeMetrics(reg *telemetry.Registry) *nodeMetrics {
 		metaDupSuppressed:   reg.Counter("livenode.metagossip.dup_suppressed"),
 		metaRefetchedHeld:   reg.Counter("livenode.metagossip.refetched_held"),
 		metaShortUnresolved: reg.Counter("livenode.metagossip.short_unresolved"),
+		relayPushed:         reg.Counter("livenode.relay.pushed"),
+		relayDupBodies:      reg.Counter("livenode.relay.dup_bodies"),
+		relayLazyIDs:        reg.Counter("livenode.relay.lazy_ids"),
+		relayFallbacks:      reg.Counter("livenode.relay.fallback_announces"),
+		relayStale:          reg.Counter("livenode.relay.stale_reannounced"),
 
 		probesSent:        reg.Counter("livenode.probe.sent"),
 		probeAcks:         reg.Counter("livenode.probe.acks"),
@@ -624,7 +633,7 @@ func (n *Node) Connect(addrs ...string) error {
 	// (DESIGN.md §14); the locator probe runs once the snapshot is
 	// installed (or the attempt falls back).
 	if !(n.cfg.BootstrapSnapshot && len(peers) > 0 && n.beginBootstrap(peers[0])) {
-		n.sendSyncLocator(n.sampleFanout(peers)...)
+		n.sendSyncLocator(n.sampleOf(peers, n.cfg.GossipFanout)...)
 	}
 	return errors.Join(errs...)
 }
@@ -797,9 +806,9 @@ func (n *Node) StorageUsed() []int {
 // now returns the current time as an offset from the shared epoch.
 func (n *Node) now() time.Duration { return n.clock.Now().Sub(n.cfg.Epoch) }
 
-// Publish creates a data item from content, stores it locally, and
-// announces the signed metadata's ID to a bounded peer sample; peers fetch
-// the item and re-announce on first admission (DESIGN.md §15.1).
+// Publish creates a data item from content, stores it locally, and pushes
+// the signed metadata to this node's tree neighbours for its ID; peers pass
+// it on along the tree on first admission (DESIGN.md §15.1).
 func (n *Node) Publish(content []byte, typ, locationName string) (*meta.Item, error) {
 	it := &meta.Item{
 		ID:           meta.HashData(content),
@@ -816,6 +825,6 @@ func (n *Node) Publish(content []byte, typ, locationName string) (*meta.Item, er
 	n.eng.AddLocal(it)
 	n.gossip.metaKnown.Add(it.ID.ShortID(), it.ID)
 	n.mu.Unlock()
-	n.relayMeta(it.ID, "")
+	n.relayMeta(it.ID, it.Encode(), "", false)
 	return it, nil
 }

@@ -1,46 +1,50 @@
 package livenode
 
 import (
+	"bytes"
 	"encoding/binary"
+	"slices"
 
+	"repro/internal/block"
 	"repro/internal/meta"
 	"repro/internal/p2p"
+	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
-// Inv-style metadata relay (DESIGN.md §15.1). The consensus round (paper
-// §III-B) assumes every node eventually holds the metadata pool; items get
-// there by the same announce/fetch discipline blocks use, spoken in 8-byte
-// short IDs (meta.ShortID, the DataID's prefix):
+// Metadata relay (DESIGN.md §15.1). The consensus round (paper §III-B)
+// assumes every node eventually holds the metadata pool; items get there the
+// way blocks travel (gossip.go): the signed item itself is pushed along the
+// spanning tree its short ID (meta.ShortID, the DataID's prefix) selects, and
+// every node that admits it passes it on to its other tree neighbours, so an
+// item crosses the network n−1 times and nobody asks for it:
 //
-//	producer                  sampled peer              its sampled peers
-//	  FrameMetaAnnounce ─────────▶
-//	  ◀──────── FrameGetMeta(ids)    (only the IDs it lacks)
-//	  FrameMeta(item) ────────────▶  (one frame per fetched item)
-//	                              FrameMetaAnnounce ─────────▶  …
+//	producer                  tree neighbour             its tree neighbours
+//	  FrameMeta(item) ───────────▶ verified, pooled
+//	                               FrameMeta(item) ───────────▶  …
 //
-// A node that admits a fetched item to its pool for the first time
-// re-relays the announce to a bounded sample of peers, excluding
-// whoever delivered the item, so dissemination is epidemic: O(fanout)
-// 17-byte announces per node per item, and each node uploads the full
-// item only a bounded number of times.
+// The backup speaks short IDs. SyncTimeout/4 to /2 after admission a node
+// sends the IDs it pushed, batched, in a FrameMetaAnnounce to lazyPeers
+// sampled peers; whoever lacks one asks the announcer (FrameGetMeta, only the
+// IDs it lacks) and is answered with one FrameMeta per item. A fetched item
+// is evidence that the tree failed its receiver, so it is re-announced at
+// once to a GossipFanout sample: under drops, partitions and disagreeing peer
+// views the relay degrades to an epidemic, and no further.
 //
 // A short ID only says "you may lack this". Both ends resolve it through one
 // bounded table, gossipState.metaKnown (short → full ID of what this node
-// published, admitted or was shown): an announce's receiver to skip what it
-// has, the announcer to find what it is asked for. An item sharing another's
-// prefix, by accident or forged, loses its announce and nothing else: it
-// travels with the block that packs it (compact blocks and their miss path
-// name items by full ID), and FrameMeta still carries the whole item, taken
-// only for a short ID being fetched and pooled only by engine.AddMetadata
-// behind meta.Item.Verify — no announce or fetch can inject pool state.
+// published, admitted or was shown): a receiver to skip what it has — a
+// pushed body as much as an announced ID — the announcer to find what it is
+// asked for. An item sharing another's prefix, by accident or forged, loses
+// its push and its announce and nothing else: it travels with the block that
+// packs it (compact blocks and their miss path name items by full ID), and
+// FrameMeta still carries the whole item, pooled only by engine.AddMetadata
+// behind meta.Item.Verify — no push, announce or fetch can inject pool state.
 //
-// Deliberate divergence from the block path: an unanswered FrameGetMeta
-// does NOT fall back to a locator round. Metadata is not load-bearing
-// until a miner packs it into a block, and packed items reach every
-// replica through the §10 sync path anyway — so a timed-out fetch just
-// drops its pending entry (a later announce from any peer may retry) and
-// pool convergence becomes eventual instead of synchronous.
+// Deliberate divergence from the block path: an unanswered FrameGetMeta does
+// NOT fall back to a locator round — a packed item reaches every replica with
+// its block anyway — so a timed-out fetch just drops its pending entry. What
+// brings an unpacked item back is the pull side, reannounceStale.
 const (
 	// maxMetaBatch bounds the IDs one FrameMetaAnnounce or FrameGetMeta
 	// carries; oversized counts are rejected before allocation.
@@ -111,9 +115,69 @@ func decodeIDList(payload []byte) (full []meta.DataID, short []meta.ShortID, err
 
 // --- relay, announce and fetch handlers -----------------------------------------
 
-// relayMeta announces a freshly pooled item by short ID (gossip.go: relay).
-func (n *Node) relayMeta(id meta.DataID, exclude string) {
-	n.relay(p2p.FrameMetaAnnounce, encodeShortIDs([]meta.ShortID{id.ShortID()}), exclude, n.tel.metaRelays)
+// relayMeta passes on an item this node published or admitted (body: its
+// wire form): along the tree with a queued backup announce or, when it had to
+// be fetched, as an announce at once.
+func (n *Node) relayMeta(id meta.DataID, body []byte, from string, fetched bool) {
+	n.tel.metaRelays.Inc()
+	short := id.ShortID()
+	if fetched {
+		n.tel.relayFallbacks.Inc()
+		n.announce(p2p.FrameMetaAnnounce, encodeShortIDs([]meta.ShortID{short}), from, n.cfg.GossipFanout)
+		return
+	}
+	n.push(p2p.FrameMeta, body, binary.BigEndian.Uint64(short[:]), from)
+	n.mu.Lock()
+	if g := n.gossip; len(g.lazy) == 0 {
+		n.clock.AfterFunc(n.cfg.SyncTimeout/4, n.flushLazy)
+		g.lazy = append(g.lazy, short)
+	} else {
+		g.lazyNext = append(g.lazyNext, short)
+	}
+	n.mu.Unlock()
+}
+
+// flushLazy sends the backup announce of the IDs queued when its timer was
+// armed, in one frame, and arms the next for those queued since: an ID leaves
+// SyncTimeout/4 to /2 after its push — younger, it would race the tree.
+func (n *Node) flushLazy() {
+	n.mu.Lock()
+	g := n.gossip
+	ids := g.lazy
+	if g.lazy, g.lazyNext = g.lazyNext, nil; len(g.lazy) > 0 {
+		n.clock.AfterFunc(n.cfg.SyncTimeout/4, n.flushLazy)
+	}
+	n.mu.Unlock()
+	n.announceShort(ids, lazyPeers, n.tel.relayLazyIDs)
+}
+
+// announceShort sends ids, maxMetaBatch to a frame, each to its own sample of k peers.
+func (n *Node) announceShort(ids []meta.ShortID, k int, count *telemetry.Counter) {
+	for len(ids) > 0 {
+		m := min(len(ids), maxMetaBatch)
+		count.Add(m)
+		n.announce(p2p.FrameMetaAnnounce, encodeShortIDs(ids[:m]), "", k)
+		ids = ids[m:]
+	}
+}
+
+// reannounceStale is the relay's pull side, run on adopting blk: pool items
+// signed more than 2·T0 before it — two rounds went by without a miner that
+// pools them — are announced again to one sampled peer, at most maxMetaBatch of
+// them in ID order. An item stranded in its producer's pool spreads within a
+// few blocks instead of waiting for that node to win.
+func (n *Node) reannounceStale(blk *block.Block) {
+	var stale []meta.ShortID
+	n.mu.Lock()
+	now := n.now()
+	for _, id := range n.eng.PoolIDs() {
+		if it := n.eng.PoolItem(id); it.Produced+2*n.cfg.PoS.T0 < blk.Timestamp && !it.Expired(now) && !n.eng.OnChain(id) {
+			stale = append(stale, id.ShortID())
+		}
+	}
+	n.mu.Unlock()
+	slices.SortFunc(stale, func(a, b meta.ShortID) int { return bytes.Compare(a[:], b[:]) })
+	n.announceShort(stale[:min(len(stale), maxMetaBatch)], 1, n.tel.relayStale)
 }
 
 // handleMetaAnnounce applies the dedup rules per announced short ID and
@@ -185,14 +249,19 @@ func (n *Node) handleGetMeta(from string, payload []byte) {
 	}
 }
 
-// handleMeta admits a fetched item. One nobody asked for — no pending fetch
-// under its short ID, registered by handleMetaAnnounce or by the compact-miss
-// path — is dropped before it costs a decode and a signature check.
+// handleMeta admits an item, pushed or fetched, through engine.AddMetadata.
+// A pushed body whose short ID metaKnown already names — held, shown before
+// or forged — is dropped before it costs a decode and a signature check.
 func (n *Node) handleMeta(from string, payload []byte) {
 	short, ok := meta.EncodedShortID(payload)
+	if !ok {
+		return
+	}
 	n.mu.Lock()
 	g := n.gossip
-	if !ok || g.metas.pending[short] == nil {
+	pf := g.metas.pending[short]
+	if pf == nil && g.metaKnown.Has(short) {
+		n.tel.relayDupBodies.Inc()
 		n.mu.Unlock()
 		return
 	}
@@ -203,7 +272,7 @@ func (n *Node) handleMeta(from string, payload []byte) {
 	}
 	added := n.eng.AddMetadata(it) // verifies the signature, dedups vs pool+chain
 	g.metas.finish(short)
-	// Admitted, forged or a duplicate: its re-announce must not refetch it.
+	// Admitted, forged or a duplicate: no push or announce of it is looked at again.
 	g.metaKnown.Add(short, it.ID)
 	if !added && n.resolveItemLocked(it.ID) != nil {
 		n.tel.metaRefetchedHeld.Inc()
@@ -211,8 +280,8 @@ func (n *Node) handleMeta(from string, payload []byte) {
 	ready, blocks := n.noteCompactItemLocked(it.ID)
 	n.mu.Unlock()
 	if added {
-		// Relay on first admission, never back to whoever sent us the body.
-		n.relayMeta(it.ID, from)
+		// On first admission: fetched if the peer asked answered, pushed otherwise.
+		n.relayMeta(it.ID, payload, from, pf != nil && pf.cands[0] == from)
 	}
 	for i, pf := range ready {
 		n.finishCompact(pf, blocks[i])

@@ -17,9 +17,9 @@ import (
 // and sampled-probe decoders and at a live node's frame handler.
 // Invariants: no panic anywhere, no frame sequence moves the chain, and
 // the pool only ever holds items whose producer signature verifies — an
-// announce alone (an unfetched item) admits nothing, a FrameMeta nobody was
-// fetching admits nothing, and a forged FrameMeta body is rejected no matter
-// how it arrives.
+// announce alone (an unfetched item) admits nothing, and a FrameMeta body,
+// fetched or pushed unasked along the tree, is pooled only if it is exactly
+// one item that verifies; a forged one is rejected no matter how it arrives.
 
 var (
 	metaFuzzOnce sync.Once
@@ -91,15 +91,20 @@ func FuzzMetaGossipFrames(f *testing.F) {
 		p2p.FrameRepairProbe, p2p.FrameRepairProbeAck,
 	}
 	frames = append(frames, deadFrameTypes...)
-	// A FrameMeta with sel < 128 is announced by the fuzzer first, the way a
-	// relay would, so the body answers a pending fetch and reaches decode and
-	// AddMetadata; from 128 up it arrives unsolicited.
-	unsolicited := uint8(128 + len(frames) - 128%len(frames)) // ≡ 0: FrameMeta
+	// A FrameMeta with sel < 128 is announced by the fuzzer first, the way the
+	// backup path would, so the body answers a pending fetch; from 128 up it
+	// arrives unasked, a push. Both reach decode and AddMetadata.
+	pushed := uint8(128 + len(frames) - 128%len(frames)) // ≡ 0: FrameMeta
+	pushedForgery := testItem(idents[2], "fuzz forged push", 0)
+	pushedForgery.DataSize++
 
 	f.Add(uint8(0), good.Encode())
 	f.Add(uint8(0), forged.Encode())
 	f.Add(uint8(0), good.Encode()[:8]) // truncated body
-	f.Add(unsolicited, testItem(idents[2], "fuzz item nobody asked for", 0).Encode())
+	f.Add(pushed, testItem(idents[2], "fuzz item nobody asked for", 0).Encode())
+	f.Add(pushed, pushedForgery.Encode())
+	f.Add(pushed, good.Encode()) // a second copy once seed 0 ran: dropped before decode
+	f.Add(pushed, good.Encode()[:40])
 	f.Add(uint8(1), announceOf(ids...))
 	f.Add(uint8(1), announceOf(ids[0]))
 	f.Add(uint8(1), encodeIDList(ids))                                                // full IDs: not an announce
@@ -143,8 +148,11 @@ func FuzzMetaGossipFrames(f *testing.F) {
 			n.handleFrame("fuzzer", p2p.FrameMetaAnnounce, encodeShortIDs([]meta.ShortID{short}))
 		}
 		n.handleFrame("fuzzer", ft, payload)
-		if ft == p2p.FrameMeta && sel >= 128 && len(n.PoolIDs()) != pooled {
-			t.Fatal("an item nobody was fetching entered the pool")
+		if grew := len(n.PoolIDs()) - pooled; grew != 0 {
+			it, err := meta.Decode(payload)
+			if ft != p2p.FrameMeta || grew != 1 || err != nil || it.Verify() != nil || !poolHas(n, it.ID) {
+				t.Fatalf("pool grew by %d on frame type %d: only one verified FrameMeta item may enter", grew, ft)
+			}
 		}
 		if slices.Contains(deadFrameTypes, ft) {
 			deadFrameStoresNothing(t, n, ft, payload)

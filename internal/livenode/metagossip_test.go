@@ -2,6 +2,7 @@ package livenode
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
@@ -47,38 +48,96 @@ func poolHas(n *Node, id meta.DataID) bool {
 	return n.eng.PoolHas(id)
 }
 
-// TestMetaGossipAnnounceFetchRelay walks the §15 happy path end to end on
-// the fake fabric: Publish announces IDs instead of pushing bodies, the
-// announced peer fetches exactly the missing item, admits it, and
-// re-relays the announce onward — epidemically reaching the third node.
-func TestMetaGossipAnnounceFetchRelay(t *testing.T) {
-	fn := newFakeNet()
+// metaTrio is three linked nodes, each on its own fake clock.
+func metaTrio(t *testing.T) (fn *fakeNet, a, b, c *syncTestNode) {
+	fn = newFakeNet()
 	epoch := time.Unix(1700000000, 0)
 	mutate := func(cfg *Config) { cfg.GossipFanout = 2 }
-	a := newSyncTestNode(t, fn, "a", 0, epoch, mutate)
-	b := newSyncTestNode(t, fn, "b", 1, epoch, mutate)
-	c := newSyncTestNode(t, fn, "c", 2, epoch, mutate)
+	a = newSyncTestNode(t, fn, "a", 0, epoch, mutate)
+	b = newSyncTestNode(t, fn, "b", 1, epoch, mutate)
+	c = newSyncTestNode(t, fn, "c", 2, epoch, mutate)
 	link(t, a, b, c)
+	return fn, a, b, c
+}
 
-	it, err := a.Publish([]byte("meta travels as an inv"), "Road/Congestion", "lab")
+func sumCounter(name string, nodes ...*syncTestNode) (v uint64) {
+	for _, n := range nodes {
+		v += counter(n.reg, name)
+	}
+	return v
+}
+
+// TestMetaTreePush walks the §15.1 primary path on the fake fabric: Publish
+// pushes the item itself along the tree, every pool holds it after n−1
+// bodies, nobody announced or fetched anything, and the backup announce that
+// leaves a quarter SyncTimeout later finds every peer a duplicate.
+func TestMetaTreePush(t *testing.T) {
+	_, a, b, c := metaTrio(t)
+	it, err := a.Publish([]byte("meta travels as itself"), "Road/Congestion", "lab")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// fakeNet delivery is synchronous: announce -> fetch -> item -> relays
-	// all completed inside Publish.
+	// fakeNet delivery is synchronous: every push completed inside Publish.
 	for _, n := range []*syncTestNode{b, c} {
 		if !poolHas(n.Node, it.ID) {
 			t.Fatalf("node %s pool lacks the published item", n.Addr())
 		}
 	}
-	if v := counter(a.reg, "livenode.metagossip.relays"); v == 0 {
-		t.Error("publisher recorded no metagossip relay")
+	if v := sumCounter("livenode.relay.pushed", a, b, c); v != 2 {
+		t.Errorf("%d bodies pushed, want n−1 = 2", v)
 	}
-	if v := counter(a.reg, "livenode.metagossip.fetches_served"); v == 0 {
-		t.Error("publisher served no meta fetches")
+	if v := sumCounter("livenode.metagossip.relays", a, b, c); v != 3 {
+		t.Errorf("metagossip.relays sums to %d, want one per node", v)
 	}
-	if v := counter(b.reg, "livenode.metagossip.fetches_sent") + counter(c.reg, "livenode.metagossip.fetches_sent"); v == 0 {
-		t.Error("no peer fetched the announced item")
+	for _, name := range []string{"livenode.relay.dup_bodies", "livenode.relay.fallback_announces", "livenode.relay.lazy_ids",
+		"livenode.metagossip.fetches_sent", "livenode.metagossip.dup_suppressed"} {
+		if v := sumCounter(name, a, b, c); v != 0 {
+			t.Errorf("%s = %d on the push path, want 0", name, v)
+		}
+	}
+	a.clock.Advance(250 * time.Millisecond) // SyncTimeout/4 on the fabric
+	if lazy, dup := counter(a.reg, "livenode.relay.lazy_ids"), sumCounter("livenode.metagossip.dup_suppressed", b, c); lazy != 1 || dup != 2 {
+		t.Errorf("backup announce: lazy_ids %d, dup_suppressed %d, want 1 ID heard twice", lazy, dup)
+	}
+	if v := sumCounter("livenode.metagossip.fetches_sent", a, b, c); v != 0 {
+		t.Errorf("the backup announce of a delivered item drew %d fetches", v)
+	}
+}
+
+// TestMetaGossipAnnounceFetchRelay walks the backup path: every pushed body
+// is lost, so the item waits in its producer's pool until the lazy announce,
+// the announced peers fetch exactly the missing item, admit it, and — it had
+// to be fetched — re-announce it at once to a full fan-out sample.
+func TestMetaGossipAnnounceFetchRelay(t *testing.T) {
+	fn, a, b, c := metaTrio(t)
+	fn.setDrop(func(from, to string, ft byte) bool { return ft == p2p.FrameMeta })
+	it, err := a.Publish([]byte("meta travels as an inv"), "Road/Congestion", "lab")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if poolHas(b.Node, it.ID) || poolHas(c.Node, it.ID) {
+		t.Fatal("a dropped push was delivered")
+	}
+	fn.setDrop(nil)
+	a.clock.Advance(250 * time.Millisecond)
+	for _, n := range []*syncTestNode{b, c} {
+		if !poolHas(n.Node, it.ID) {
+			t.Fatalf("node %s pool lacks the announced item", n.Addr())
+		}
+		if v := counter(n.reg, "livenode.relay.fallback_announces"); v != 1 {
+			t.Errorf("node %s: fallback_announces = %d, want 1 (the item was fetched)", n.Addr(), v)
+		}
+		if v := counter(n.reg, "livenode.relay.pushed"); v != 0 {
+			t.Errorf("node %s pushed a fetched item %d times", n.Addr(), v)
+		}
+	}
+	// a's announce reaches b first, and b's own fallback announce reaches c
+	// before a's does: whoever announced first serves the fetch.
+	if v := sumCounter("livenode.metagossip.fetches_served", a, b); v != 2 {
+		t.Errorf("%d meta fetches served, want 2", v)
+	}
+	if v := sumCounter("livenode.metagossip.fetches_sent", b, c); v != 2 {
+		t.Errorf("%d fetches sent, want one per peer", v)
 	}
 	// Re-announcing a pooled item must suppress, not refetch.
 	before := counter(b.reg, "livenode.metagossip.fetches_sent")
@@ -88,6 +147,57 @@ func TestMetaGossipAnnounceFetchRelay(t *testing.T) {
 	}
 	if v := counter(b.reg, "livenode.metagossip.dup_suppressed"); v == 0 {
 		t.Error("duplicate announce not counted as suppressed")
+	}
+}
+
+// TestMetaStaleReannounced is the relay's pull side. Every push of one item
+// and every first fetch of it are lost, so it sits in its producer's pool with
+// no retry timer anywhere; the producer never wins a round. Two T0 later the
+// next block it adopts makes it announce the item again, to one peer, and the
+// fallback path carries it to every pool.
+func TestMetaStaleReannounced(t *testing.T) {
+	fn := newFakeNet()
+	epoch := time.Unix(1700000000, 0)
+	clk := newFakeClock(epoch)
+	b := newGossipTestNode(t, fn, clk, "b", 1, epoch, nil)
+	a := newGossipTestNode(t, fn, clk, "a", 0, epoch, nil)
+	c := newGossipTestNode(t, fn, clk, "c", 2, epoch, nil)
+	link(t, a, b, c)
+	a.stopMining()
+	c.stopMining()
+
+	fn.setDrop(func(from, to string, ft byte) bool { return ft == p2p.FrameMeta || ft == p2p.FrameGetMeta })
+	it, err := a.Publish([]byte("stranded"), "Road/Congestion", "lab")
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(1500 * time.Millisecond) // the backup announce, then the fetches it drew time out
+	if v := sumCounter("livenode.metagossip.fetch_timeouts", b, c); v != 2 || poolHas(b.Node, it.ID) || poolHas(c.Node, it.ID) {
+		t.Fatalf("fetch_timeouts = %d, want the item stranded after both first fetches were lost", v)
+	}
+	fn.setDrop(nil)
+
+	for i := 0; i < 6 && counter(a.reg, "livenode.relay.stale_reannounced") == 0; i++ {
+		b.mineBlocks(t, 1)
+		a.stopMining()
+		c.stopMining()
+		if young := b.Tip().Timestamp <= it.Produced+2*a.cfg.PoS.T0; young && counter(a.reg, "livenode.relay.stale_reannounced") != 0 {
+			t.Fatalf("re-announced %v after it was signed, before 2·T0", b.Tip().Timestamp-it.Produced)
+		}
+	}
+	if v := counter(a.reg, "livenode.relay.stale_reannounced"); v != 1 {
+		t.Fatalf("stale_reannounced = %d, want the one stranded item once", v)
+	}
+	for _, n := range []*syncTestNode{b, c} {
+		if !poolHas(n.Node, it.ID) {
+			t.Errorf("node %s still lacks the item after the re-announce", n.Addr())
+		}
+	}
+	if v := sumCounter("livenode.relay.fallback_announces", b, c); v == 0 {
+		t.Error("the refetched item was not passed on by the fallback path")
+	}
+	if a.Height() == 0 || a.Height() != b.Height() {
+		t.Errorf("heights a=%d b=%d: the blocks themselves did not arrive", a.Height(), b.Height())
 	}
 }
 
@@ -283,34 +393,47 @@ func spyOn(t *testing.T, fn *fakeNet, n *syncTestNode, name string) *[]sentFrame
 	return got
 }
 
-// TestMetaUnsolicitedItemDropped: a FrameMeta whose short ID this node is
-// not fetching is dropped before decode and ed25519 — a valid item is not
-// pooled, relayed or remembered, so one 255-byte frame buys no verification
-// and cannot poison the dedup table against the item's real announce.
-func TestMetaUnsolicitedItemDropped(t *testing.T) {
+// TestMetaPushedItemPaidOnce: a FrameMeta nobody asked for is a push. A valid
+// one is admitted behind one signature check and passed on to the tree
+// neighbours, never back to its sender; a second copy is dropped before
+// decode. A forged one costs one signature check too, pools and relays
+// nothing, and its second copy is dropped unread as well.
+func TestMetaPushedItemPaidOnce(t *testing.T) {
 	fn := newFakeNet()
 	epoch := time.Unix(1700000000, 0)
 	a := newSyncTestNode(t, fn, "a", 0, epoch, nil)
-	spy := spyOn(t, fn, a, "spy")
+	spy, other := spyOn(t, fn, a, "spy"), spyOn(t, fn, a, "other")
 
 	it := testItem(a.idents()[1], "nobody asked", a.now())
-	a.handleFrame("spy", p2p.FrameMeta, it.Encode())
-	if poolHas(a.Node, it.ID) {
-		t.Fatal("an item nobody was fetching entered the pool")
+	forged := testItem(a.idents()[1], "nobody signed", a.now())
+	forged.DataSize++
+	for i, tc := range []struct {
+		item   *meta.Item
+		pooled bool
+	}{{it, true}, {forged, false}} {
+		for round := 0; round < 2; round++ {
+			a.handleFrame("spy", p2p.FrameMeta, tc.item.Encode())
+		}
+		if poolHas(a.Node, tc.item.ID) != tc.pooled {
+			t.Fatalf("case %d: pooled %v, want %v", i, !tc.pooled, tc.pooled)
+		}
+		a.mu.Lock()
+		_, checks := a.eng.SigCacheStats()
+		a.mu.Unlock()
+		if checks != uint64(i+1) {
+			t.Errorf("case %d: %d signature checks so far, want one per distinct item", i, checks)
+		}
+		if v := counter(a.reg, "livenode.relay.dup_bodies"); v != uint64(i+1) {
+			t.Errorf("case %d: dup_bodies = %d, want one per second copy", i, v)
+		}
 	}
 	if len(*spy) != 0 {
-		t.Fatalf("unsolicited item caused %d frames", len(*spy))
+		t.Fatalf("a pushed item went back to its sender: %v", *spy)
 	}
-	if v := counter(a.reg, "livenode.sigcache.misses"); v != 0 {
-		t.Errorf("unsolicited item cost %d signature checks", v)
-	}
-	// Its announce still fetches it, and the answer is then admitted.
-	feedItem(a, "spy", it)
-	if len(*spy) == 0 || (*spy)[0].ft != p2p.FrameGetMeta || !bytes.Equal((*spy)[0].payload, announceOf(it.ID)) {
-		t.Fatalf("announce after the dropped item sent %v, want one short-ID FrameGetMeta", *spy)
-	}
-	if !poolHas(a.Node, it.ID) {
-		t.Fatal("announced and delivered item not pooled")
+	short := it.ID.ShortID()
+	onward := treePeers(a, []string{"a", "other", "spy"}, binary.BigEndian.Uint64(short[:]), "spy")
+	if len(*other) != len(onward) || len(onward) == 1 && ((*other)[0].ft != p2p.FrameMeta || !bytes.Equal((*other)[0].payload, it.Encode())) {
+		t.Fatalf("the other peer got %v, want the valid item once if it is a's tree neighbour (%v)", *other, onward)
 	}
 }
 
@@ -324,7 +447,7 @@ func TestMetaGetShortUnknownSilence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	*spy = nil // the publish announce
+	*spy = nil // the published item, pushed
 	a.handleFrame("spy", p2p.FrameGetMeta, announceOf(meta.HashData([]byte("never heard of"))))
 	if len(*spy) != 0 {
 		t.Fatalf("unknown short ID answered with %d frames", len(*spy))

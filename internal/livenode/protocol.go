@@ -222,9 +222,9 @@ func (n *Node) mine(r engine.Round) {
 	n.tel.events.RecordAt(n.clock.Now(), "block_won", fmt.Sprintf("height %d, %d items", blk.Index, len(blk.Items)))
 	n.scheduleMiningLocked()
 	n.mu.Unlock()
-	// Inv-style relay (DESIGN.md §13): announce (height, hash) to a bounded
-	// peer sample; bodies travel only to peers that fetch them.
-	n.relayBlock(blk, "")
+	// Tree relay (DESIGN.md §13): the compact body goes to this node's tree
+	// neighbours for the hash, a backup announce follows.
+	n.relayBlock(blk, "", false)
 }
 
 // --- frame handling -----------------------------------------------------------
@@ -330,9 +330,9 @@ func (n *Node) handleFrame(from string, ft byte, payload []byte) {
 }
 
 // receiveBlock runs one full block off the wire — rebuilt from a compact
-// body — through the engine, relays it if adopted and starts a
-// locator round if it did not fit. It returns the engine's verdict.
-func (n *Node) receiveBlock(from string, blk *block.Block) error {
+// body, pushed or fetched — through the engine, relays it if adopted and
+// starts a locator round if it did not fit. It returns the engine's verdict.
+func (n *Node) receiveBlock(from string, blk *block.Block, fetched bool) error {
 	n.mu.Lock()
 	_, addErr := n.eng.ReceiveBlock(blk)
 	if addErr == nil {
@@ -345,10 +345,9 @@ func (n *Node) receiveBlock(from string, blk *block.Block) error {
 	}
 	n.mu.Unlock()
 	if addErr == nil {
-		// Relay-on-adopt (DESIGN.md §13): a block we had not seen
-		// before spreads epidemically as an announce to a bounded peer
-		// sample, never back to whoever sent us the body.
-		n.relayBlock(blk, from)
+		// Relay-on-adopt (DESIGN.md §13): a block we had not seen before
+		// goes on the way it came, never back to whoever sent us the body.
+		n.relayBlock(blk, from, fetched)
 	}
 	if addErr != nil && !errors.Is(addErr, chain.ErrDuplicate) {
 		// Gap or fork: probe the sender with a block locator and fetch

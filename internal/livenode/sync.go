@@ -253,12 +253,13 @@ func (n *Node) clearSyncLocked() {
 }
 
 // buildSyncHeadersLocked answers a peer's locator against our chain
-// (n.mu held). Returns nil when the locator shares nothing with us.
+// (n.mu held). Returns nil when the locator shares nothing with us, or when
+// we hold nothing above the fork point: the receiver ignores an empty offer.
 func (n *Node) buildSyncHeadersLocked(loc []chain.LocatorEntry) []byte {
 	ch := n.eng.Chain()
 	fork, ok := ch.FindForkPoint(loc)
-	if !ok {
-		return nil // disjoint chains (different genesis): nothing to offer
+	if !ok || fork >= ch.Height() {
+		return nil // disjoint chains (different genesis), or nothing to offer
 	}
 	to := ch.Height()
 	if to > fork+maxSyncHeaders {
@@ -272,7 +273,7 @@ func (n *Node) buildSyncHeadersLocked(loc []chain.LocatorEntry) []byte {
 		return nil
 	}
 	blocks := ch.Range(fork+1, to)
-	if fork < to && len(blocks) == 0 {
+	if len(blocks) == 0 {
 		return nil
 	}
 	h := syncHeaders{Fork: fork, ForkHash: hdr.Hash, Tip: ch.Height()}
@@ -422,14 +423,18 @@ func (n *Node) handleSyncBatch(from string, sb syncBatch) {
 		n.mu.Unlock()
 		return
 	}
-	peerTip, height := s.peerTip, n.eng.Height()
+	peerTip, tip := s.peerTip, n.eng.Tip()
 	n.clearSyncLocked()
 	n.mu.Unlock()
-	if peerTip > height {
+	if peerTip > tip.Index {
 		// The peer's tip lies beyond this round's header window: run
 		// another locator round to keep draining.
 		n.sendSyncLocator(from)
+		return
 	}
+	// Caught up, by sync: the tree did not bring this tip here — a healed
+	// partition, a missed block — so announce it as a fetched block is (§13).
+	n.relayBlock(tip, from, true)
 }
 
 // abortSyncLocked drops the session, or refuses an offer that would have

@@ -62,6 +62,14 @@ func fuzzTarget(f *testing.F) *Node {
 
 func FuzzSyncFrames(f *testing.F) {
 	n := fuzzTarget(f)
+	frames := []byte{
+		p2p.FrameSyncLocator, p2p.FrameSyncHeaders, p2p.FrameSyncGetBatch,
+		p2p.FrameSyncBatch, p2p.FrameBlockAnnounce, p2p.FrameGetBlock,
+		p2p.FrameMetaAnnounce, p2p.FrameGetMeta,
+		p2p.FrameRepairProbe, p2p.FrameRepairProbeAck, p2p.FrameCompactBlock,
+		p2p.FrameDataRequest, p2p.FrameData,
+	}
+	frames = append(frames, deadFrameTypes...)
 
 	// Seed corpus: one well-formed frame of each type (with real hashes, so
 	// mutations explore the deep validation paths), plus shape-breaking
@@ -107,6 +115,13 @@ func FuzzSyncFrames(f *testing.F) {
 	f.Add(uint8(10), compact)
 	f.Add(uint8(10), next.EncodeCompact())
 	f.Add(uint8(10), compact[:len(compact)-9])
+	// The same bodies pushed unasked (sel ≥ 128): one already adopted, one that
+	// would extend the tip — sealed by no roster key, so PoS validation must
+	// stop it — and less than a hash.
+	pushedCompact := uint8(128 + 10 + len(frames) - 128%len(frames))
+	f.Add(pushedCompact, compact)
+	f.Add(pushedCompact, next.EncodeCompact())
+	f.Add(pushedCompact, compact[:17])
 	hdr := wire.UvarintLen(tipBlk.Index) + wire.UvarintLen(uint64(tipBlk.Timestamp)) + 3*wire.HashSize + 8 + wire.UvarintLen(tipBlk.MinedAfter)
 	f.Add(uint8(10), putUv(append([]byte(nil), compact[:hdr]...), 1<<40))
 	// Data fetch (§11.1): a request that binds a roster index, the legacy
@@ -130,14 +145,6 @@ func FuzzSyncFrames(f *testing.F) {
 	f.Add(uint8(18), append(held[:], "sync-fuzz"...)) // its answer, content that hashes to the ID
 	f.Add(uint8(19), next.Encode())
 
-	frames := []byte{
-		p2p.FrameSyncLocator, p2p.FrameSyncHeaders, p2p.FrameSyncGetBatch,
-		p2p.FrameSyncBatch, p2p.FrameBlockAnnounce, p2p.FrameGetBlock,
-		p2p.FrameMetaAnnounce, p2p.FrameGetMeta,
-		p2p.FrameRepairProbe, p2p.FrameRepairProbeAck, p2p.FrameCompactBlock,
-		p2p.FrameDataRequest, p2p.FrameData,
-	}
-	frames = append(frames, deadFrameTypes...)
 	f.Fuzz(func(t *testing.T, sel uint8, payload []byte) {
 		// Decoders must fail cleanly, never panic, on any input.
 		_, _ = decodeLocator(payload)
@@ -150,9 +157,10 @@ func FuzzSyncFrames(f *testing.F) {
 		// And the full handler path must hold the no-invalid-adoption
 		// invariant.
 		ft := frames[int(sel)%len(frames)]
-		if cb, err := block.DecodeCompact(payload); err == nil && ft == p2p.FrameCompactBlock {
-			// Only a body that answers a fetch is looked at: open the fetch
-			// (the announce parks it), so the rebuild and park paths run.
+		if cb, err := block.DecodeCompact(payload); err == nil && ft == p2p.FrameCompactBlock && sel < 128 {
+			// Below 128 the body answers a fetch the announce opens (the backup
+			// path); from 128 up it arrives unasked, a push along the tree.
+			// Either way the rebuild and park paths run.
 			n.handleFrame("fuzzer", p2p.FrameBlockAnnounce, encodeAnnounce(fuzzTip+1, cb.Head.Hash))
 		}
 		n.handleFrame("fuzzer", ft, payload)

@@ -292,7 +292,7 @@ func (n *syncTestNode) mineBlocks(t testing.TB, count int) {
 		}
 		n.mu.Unlock()
 		if res != nil {
-			n.relayBlock(res.Block, "")
+			n.relayBlock(res.Block, "", false)
 		}
 	}
 }
@@ -430,14 +430,14 @@ func (s recoveredStore) RecoveredBlocks() []*block.Block { return s.blocks }
 
 // TestRestartCatchesUpWhenSampleIsBehind is the fall-back the sampled probe
 // leans on: a restarted node whose whole connect-time sample is no further
-// than itself learns nothing from the probe, and the next block announce
-// from a peer that is ahead takes it up the announce → fetch → locator
-// ladder.
+// than itself learns nothing from the probe, and the next block pushed by a
+// peer that is ahead does not fit its tip and takes it to the locator.
 func TestRestartCatchesUpWhenSampleIsBehind(t *testing.T) {
 	fn := newFakeNet()
 	epoch := time.Unix(1700000000, 0)
 	c := newSyncTestNode(t, fn, "c", 2, epoch, nil)
 	c.mineBlocks(t, 10)
+	c.clock.Advance(time.Second)                    // block 10's backup announce leaves, to nobody
 	b := newSyncTestNode(t, fn, "b", 1, epoch, nil) // never saw a block
 	// a comes back with the first four blocks on disk and finds only b.
 	a := newSyncTestNode(t, fn, "a", 0, epoch, func(cfg *Config) {
@@ -460,18 +460,18 @@ func TestRestartCatchesUpWhenSampleIsBehind(t *testing.T) {
 		t.Fatalf("b moved to height %d", b.Height())
 	}
 
-	c.mineBlocks(t, 1) // announces block 11 to a
+	c.mineBlocks(t, 1) // pushes block 11 to a
 	if got, want := a.Height(), uint64(11); got != want {
-		t.Fatalf("height after the next announce = %d, want %d", got, want)
+		t.Fatalf("height after the next block = %d, want %d", got, want)
 	}
 	if a.Tip().Hash != c.Tip().Hash {
 		t.Fatal("tips diverge after catch-up")
 	}
 	if v := counter(a.reg, "livenode.sync.rounds"); v != 2 {
-		t.Errorf("sync.rounds = %d, want 2 (connect probe, then the ladder's locator)", v)
+		t.Errorf("sync.rounds = %d, want 2 (connect probe, then the pushed block's locator)", v)
 	}
-	if v := counter(a.reg, "livenode.gossip.fetches_sent"); v != 1 {
-		t.Errorf("gossip.fetches_sent = %d, want 1 (the announced block)", v)
+	if v := counter(a.reg, "livenode.gossip.fetches_sent"); v != 0 {
+		t.Errorf("gossip.fetches_sent = %d, want 0 (the body came unasked)", v)
 	}
 }
 
@@ -830,6 +830,20 @@ func TestSyncResponderAnswersLocatorAndRange(t *testing.T) {
 	b.Node.mu.Unlock()
 	if none != nil {
 		t.Fatal("disjoint locator produced an offer")
+	}
+	// A peer at our tip, or ahead of us on our own chain, is owed nothing: no
+	// empty FrameSyncHeaders goes back (the receiver would ignore it).
+	spy := spyOn(t, fn, b, "spy")
+	b.Node.mu.Lock()
+	loc := b.eng.Chain().Locator()
+	b.Node.mu.Unlock()
+	b.handleFrame("spy", p2p.FrameSyncLocator, encodeLocator(loc))
+	if len(*spy) != 0 {
+		t.Fatalf("a locator at our own tip was answered with %v", *spy)
+	}
+	b.handleFrame("spy", p2p.FrameSyncLocator, encodeLocator(loc[1:]))
+	if len(*spy) != 1 || (*spy)[0].ft != p2p.FrameSyncHeaders {
+		t.Fatalf("a locator one block behind was answered with %v, want one FrameSyncHeaders", *spy)
 	}
 }
 
