@@ -12,40 +12,15 @@ import (
 // are archival. The cluster mines long enough for pruning to actually run,
 // splits with one pruned and one archival node on each side, diverges,
 // heals, and must converge header-for-header with all invariants intact.
-//
-// It reports tied = true, and nothing else, when the warm-up ran into a defect
-// this scenario is not about: two miners hit the same virtual instant at a
-// checkpoint height, each pruning node finalized the sibling it saw first
-// (§V-D refuses a fork "at or below the newest checkpoint", and the tip can be
-// that checkpoint), and the cluster is split for good before the partition was
-// ever cut. Which seeds draw such a tie is the trajectory's luck: 8, 30 and 38
-// of 1–40 with the announce-first relay, 7, 8 and 32 with the tree relay
-// (ROADMAP item 1).
-func runPrunedPartitionHeal(t *testing.T, seed int64) (eventLog string, tied bool) {
+func runPrunedPartitionHeal(t *testing.T, seed int64) string {
 	t.Helper()
-	const depth = 16
 	c := newCluster(t, Options{
 		N:             4,
 		Seed:          seed,
-		PruneDepth:    depth,
-		SnapshotEvery: depth,
+		PruneDepth:    16,
+		SnapshotEvery: 16,
 		PruneNodes:    []int{0, 1},
 	})
-	// tiedAtCheckpoint finds two nodes holding sibling blocks at a checkpoint height.
-	tiedAtCheckpoint := func() bool {
-		for h := uint64(depth); h <= c.Node(0).Height(); h += depth {
-			below, _ := c.Node(0).HeaderHashAt(h - 1)
-			at, _ := c.Node(0).HeaderHashAt(h)
-			for _, n := range c.Nodes()[1:] {
-				if b, ok := n.HeaderHashAt(h - 1); ok && b == below {
-					if a, ok := n.HeaderHashAt(h); ok && a != at {
-						return true
-					}
-				}
-			}
-		}
-		return false
-	}
 
 	// Mine well past depth + checkpoint + snapshot lag so both pruned
 	// nodes have discarded bodies before the fault hits.
@@ -68,11 +43,8 @@ func runPrunedPartitionHeal(t *testing.T, seed int64) (eventLog string, tied boo
 	// checkpoint is never adopted; partition just after a checkpoint
 	// boundary so both divergent suffixes stay inside the open window.
 	if err := c.RunUntil(func() bool {
-		return c.ConvergedHeaders() && c.Node(0).Height()%depth <= 4
+		return c.ConvergedHeaders() && c.Node(0).Height()%16 <= 4
 	}, 10*time.Minute); err != nil {
-		if tiedAtCheckpoint() {
-			return "", true
-		}
 		t.Fatal(err)
 	}
 	forkBase := c.Node(0).Height()
@@ -132,7 +104,7 @@ func runPrunedPartitionHeal(t *testing.T, seed int64) (eventLog string, tied boo
 			t.Fatalf("node %d lost its prune horizon resolving the fork", i)
 		}
 	}
-	return c.Net.EventLog(), false
+	return c.Net.EventLog()
 }
 
 // TestChaosPrunedPartitionHeal runs the mixed pruned/archival
@@ -140,15 +112,8 @@ func runPrunedPartitionHeal(t *testing.T, seed int64) (eventLog string, tied boo
 // bit-identical faultnet event logs: pruning and snapshot-anchored fork
 // resolution must not introduce any nondeterminism into the protocol.
 func TestChaosPrunedPartitionHeal(t *testing.T) {
-	// A warm-up that ends in a checkpoint tie is drawn again from a derived
-	// seed, so the partition this scenario is about still runs in every lane.
-	seed := *seedFlag
-	first, tied := runPrunedPartitionHeal(t, seed)
-	for ; tied; first, tied = runPrunedPartitionHeal(t, seed) {
-		t.Logf("seed %d: two blocks tied at a checkpoint height before the partition; warm-up redrawn at seed %d", seed, seed+1000)
-		seed += 1000
-	}
-	second, _ := runPrunedPartitionHeal(t, seed)
+	first := runPrunedPartitionHeal(t, *seedFlag)
+	second := runPrunedPartitionHeal(t, *seedFlag)
 	if first == "" {
 		t.Fatal("scenario produced an empty event log")
 	}

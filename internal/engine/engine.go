@@ -429,13 +429,16 @@ func (e *Engine) AppendTrusted(b *block.Block) error {
 }
 
 // LastCheckpoint returns the height of the newest finalized block under
-// the checkpoint rule (0 when disabled or none reached yet).
+// the checkpoint rule (0 when disabled or none reached yet). A checkpoint
+// is final once a block is built on it: while it is the tip, a sibling mined
+// at the same instant can still win (longest chain), or two replicas that
+// saw the siblings in different orders would each finalize their own.
 func (e *Engine) LastCheckpoint() uint64 {
-	k := uint64(e.cfg.CheckpointInterval)
-	if k == 0 {
+	k, h := uint64(e.cfg.CheckpointInterval), e.ch.Height()
+	if k == 0 || h == 0 {
 		return 0
 	}
-	return (e.ch.Height() / k) * k
+	return (h - 1) / k * k
 }
 
 // AdoptChain evaluates a full candidate chain (Naivechain-style fork

@@ -413,9 +413,32 @@ func TestAdoptChain(t *testing.T) {
 	}
 }
 
+// forkFrom builds a valid candidate chain of n blocks: e's own up to height
+// base, then fresh ones mined by account.
+func (c *testCluster) forkFrom(t *testing.T, e *Engine, base uint64, account, n int) []*block.Block {
+	t.Helper()
+	candidate := append([]*block.Block(nil), e.Chain().Blocks()[:base+1]...)
+	led := pos.NewLedger(c.accounts)
+	for _, b := range candidate[1:] {
+		if err := led.ApplyBlock(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for len(candidate) < n {
+		prev := candidate[len(candidate)-1]
+		tt, bv := e.cfg.PoS.Round(prev, c.accounts[account], led)
+		nb := block.NewBuilder(prev, c.accounts[account], prev.Timestamp+time.Duration(tt)*time.Second, tt, bv).Seal()
+		if err := led.ApplyBlock(nb); err != nil {
+			t.Fatal(err)
+		}
+		candidate = append(candidate, nb)
+	}
+	return candidate
+}
+
 func TestAdoptChainCheckpointFinality(t *testing.T) {
 	c := newTestCluster(t, 3, func(i int, cfg *Config) { cfg.CheckpointInterval = 2 })
-	for r := 0; r < 4; r++ {
+	for r := 0; r < 5; r++ {
 		c.mineNext(t)
 	}
 	e := c.engines[0]
@@ -424,26 +447,43 @@ func TestAdoptChainCheckpointFinality(t *testing.T) {
 	}
 	// A longer candidate that rewrites history below the checkpoint: build
 	// it from the height-2 prefix with fresh blocks.
-	prefix := append([]*block.Block(nil), e.Chain().Blocks()[:3]...)
-	led := pos.NewLedger(c.accounts)
-	for _, b := range prefix[1:] {
-		if err := led.ApplyBlock(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	candidate := prefix
-	for len(candidate) < 7 {
-		prev := candidate[len(candidate)-1]
-		tt, bv := c.engines[1].cfg.PoS.Round(prev, c.accounts[1], led)
-		nb := block.NewBuilder(prev, c.accounts[1], prev.Timestamp+time.Duration(tt)*time.Second, tt, bv).Seal()
-		if err := led.ApplyBlock(nb); err != nil {
-			t.Fatal(err)
-		}
-		candidate = append(candidate, nb)
-	}
+	candidate := c.forkFrom(t, e, 2, 1, 7)
 	c.now += 100000 * time.Second // keep the candidate out of the future
 	if e.AdoptChain(candidate) {
 		t.Fatal("chain rewriting finalized history adopted")
+	}
+}
+
+// TestCheckpointTieAtTip: two miners fire at the same instant at a checkpoint
+// height. While that block is the tip it is not final, so a replica that saw
+// the losing sibling first still follows the longer chain, by either gate.
+func TestCheckpointTieAtTip(t *testing.T) {
+	c := newTestCluster(t, 3, func(i int, cfg *Config) { cfg.CheckpointInterval = 2 })
+	for r := 0; r < 4; r++ {
+		c.mineNext(t)
+	}
+	e := c.engines[0]
+	if got := e.LastCheckpoint(); got != 2 {
+		t.Fatalf("LastCheckpoint = %d with the checkpoint at the tip, want 2", got)
+	}
+	other := 0
+	if e.Tip().Miner == c.accounts[0] {
+		other = 1
+	}
+	candidate := c.forkFrom(t, e, 3, other, 6) // a sibling at height 4 and its child
+	c.now += 100000 * time.Second
+	if !e.AdoptChain(candidate) {
+		t.Fatal("AdoptChain refused the sibling of an unburied checkpoint")
+	}
+	if _, ok := c.engines[1].AdoptSuffix(candidate[4:]); !ok {
+		t.Fatal("AdoptSuffix refused the sibling of an unburied checkpoint")
+	}
+	// Buried now: the next rewrite of height 4 is refused.
+	if got := e.LastCheckpoint(); got != 4 {
+		t.Fatalf("LastCheckpoint = %d after burial, want 4", got)
+	}
+	if e.AdoptChain(c.forkFrom(t, c.engines[2], 4, other, 8)) {
+		t.Fatal("chain rewriting a buried checkpoint adopted")
 	}
 }
 

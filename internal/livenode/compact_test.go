@@ -443,6 +443,47 @@ func TestCompactPushOvertakesFetch(t *testing.T) {
 	}
 }
 
+// TestCompactPushOverflowDegradesToSync pins the bounds on what unsolicited
+// bodies can park, the push-path twin of TestGossipPendingOverflowDegradesToSync:
+// distinct bodies above the tip, each naming items nobody will serve, fill the
+// block fetch table and no more of the metadata fetch table than it holds; the
+// next body is dropped for a locator round.
+func TestCompactPushOverflowDegradesToSync(t *testing.T) {
+	fn, a, _, _, blk := compactCluster(t, 1, nil)
+	watchFrames(fn, func(from, to string, ft byte) bool { return ft == p2p.FrameGetMeta || ft == p2p.FrameSyncLocator })
+	forged := func(i int) []byte {
+		v := *blk
+		v.Index = blk.Index + 1 + uint64(i)
+		v.Hash[0], v.Hash[1] = byte(i), byte(i>>8)
+		v.Items = make([]*meta.Item, 5)
+		for k := range v.Items {
+			v.Items[k] = &meta.Item{ID: meta.DataID{byte(i), byte(i >> 8), byte(k), 1}}
+		}
+		return v.EncodeCompact()
+	}
+	tables := func() (blocks, metas int) {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return len(a.gossip.blocks.pending), len(a.gossip.metas.pending)
+	}
+	for i := 0; i < maxPendingFetch; i++ {
+		a.handleFrame("b", p2p.FrameCompactBlock, forged(i))
+	}
+	if blocks, metas := tables(); blocks != maxPendingFetch || metas != maxPendingMetaFetch {
+		t.Fatalf("%d bodies parked and %d metadata fetches pending, want both tables exactly full (%d, %d)", blocks, metas, maxPendingFetch, maxPendingMetaFetch)
+	}
+	if v := counter(a.reg, "livenode.sync.rounds"); v != 0 {
+		t.Fatalf("sync.rounds = %d while the table was filling, want 0", v)
+	}
+	a.handleFrame("b", p2p.FrameCompactBlock, forged(maxPendingFetch))
+	if blocks, _ := tables(); blocks != maxPendingFetch {
+		t.Errorf("%d bodies parked after the overflow push, want it dropped", blocks)
+	}
+	if v := counter(a.reg, "livenode.sync.rounds"); v != 1 {
+		t.Errorf("sync.rounds = %d after the overflow push, want 1", v)
+	}
+}
+
 // TestCompactParkedBodyTornDown: Close with a body parked must stop its
 // timer and drop it; items arriving afterwards find nothing to complete.
 func TestCompactParkedBodyTornDown(t *testing.T) {

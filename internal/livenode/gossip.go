@@ -25,10 +25,9 @@ import (
 // Announce → fetch is the backup: SyncTimeout/4 after adopting a pushed body
 // a node announces (height, hash) to lazyPeers sampled peers, and one that
 // still lacks the hash — a drop, a partition, peer views that disagree —
-// answers FrameGetBlock and gets the compact body. How a body arrived decides
-// how it is passed on: a fetched (or synced) one is evidence that the tree
-// failed here, so it is announced at once to a full GossipFanout sample and
-// the relay degrades to the epidemic it replaced, no further.
+// answers FrameGetBlock and gets the compact body. A fetched (or synced) body
+// is evidence that the tree failed here: it is announced at once to a full
+// GossipFanout sample, and the relay degrades to the epidemic it replaced.
 //
 // Duplicates are suppressed against the chain's own hash index (adopted
 // blocks), the pending fetches (fetcher.go: one candidate, the sender) and a
@@ -40,8 +39,7 @@ const (
 	// sample when Config.GossipFanout is 0. Six gives a tree three levels deep
 	// at 256 nodes and >99.9% epidemic saturation on overlays far past 1000.
 	defaultGossipFanout = 6
-	// lazyPeers is how many sampled peers hear the backup announce of an ID
-	// that travelled the tree.
+	// lazyPeers is how many sampled peers hear a pushed ID's backup announce.
 	lazyPeers = 2
 	// gossipSeenCap bounds the seen-hash LRU. It only has to cover hashes
 	// the chain index cannot answer for (stale forks, pending gaps), so a
@@ -66,6 +64,7 @@ type gossipState struct {
 	metas     *fetcher[meta.ShortID]              // items being fetched from their announcer
 	lazy      []meta.ShortID                      // pushed on the tree; their backup announce leaves when the armed timer fires
 	lazyNext  []meta.ShortID                      // pushed since it was armed: they wait for the next
+	own       []meta.DataID                       // published here and not seen packed yet, oldest first (reannounceStale)
 }
 
 func (n *Node) newGossipState(seed int64) *gossipState {
@@ -164,10 +163,9 @@ func decodeGetBlock(payload []byte) (h block.Hash, err error) {
 // --- relay --------------------------------------------------------------------
 
 // treeRanks appends to out the ranks of rank r's neighbours — parent, then
-// children — in the spanning tree over n ranks rotated by rot: rank
-// (rot+p) mod n sits at position p of a k-ary heap. The rotation comes from
-// the ID relayed, so the interior role moves from item to item; nodes that
-// agree on the sorted peer list derive the same tree without exchanging a byte.
+// children — in the spanning tree over n ranks where rank (rot+p) mod n sits at
+// position p of a k-ary heap. rot comes from the ID relayed, so interior roles
+// move from item to item; nodes that agree on the sorted peer list agree on the tree.
 func treeRanks(out []int, n, r int, rot uint64, k int) []int {
 	shift := int(rot % uint64(n))
 	p := (r - shift + n) % n
@@ -180,14 +178,11 @@ func treeRanks(out []int, n, r int, rot uint64, k int) []int {
 	return out
 }
 
-// push sends a body to this node's tree neighbours for rot except the one it
-// came from. Ranks are the sorted peers ∪ self. Callers must NOT hold n.mu;
-// the sends are synchronous.
+// push sends a body to this node's tree neighbours for rot, ranked over the
+// sorted peers ∪ self, except the one it came from. Callers must NOT hold n.mu.
 func (n *Node) push(ft byte, body []byte, rot uint64, exclude string) {
 	peers := n.net.Peers()
-	if !sort.StringsAreSorted(peers) {
-		sort.Strings(peers)
-	}
+	sort.Strings(peers) // memnet's arrive sorted and cost one pass, TCP's come in map order
 	self := sort.SearchStrings(peers, n.net.Addr())
 	var buf [defaultGossipFanout + 1]int
 	for _, r := range treeRanks(buf[:0], len(peers)+1, self, rot, n.cfg.GossipFanout) {
@@ -216,8 +211,9 @@ func (n *Node) announce(ft byte, ids []byte, exclude string, k int) {
 }
 
 // relayBlock passes on a block this node mined or adopted: along the tree with
-// a backup announce behind it or, when it had to be fetched, as an announce at
-// once. Stale pool items are re-announced on the way (reannounceStale).
+// a backup announce behind it — on a timer of its own, where items share a queue:
+// blocks come a round apart and FrameBlockAnnounce names one — or, when it had to
+// be fetched, as an announce at once. Then the pull side runs (reannounceStale).
 func (n *Node) relayBlock(blk *block.Block, from string, fetched bool) {
 	n.tel.gossipRelays.Inc()
 	ann := encodeAnnounce(blk.Index, blk.Hash)
@@ -234,10 +230,9 @@ func (n *Node) relayBlock(blk *block.Block, from string, fetched bool) {
 	n.reannounceStale(blk)
 }
 
-// sampleOf draws up to k of cand on the node's seeded RNG, reordering cand
-// in place; a closed node draws nothing. Announces, Connect's locator probe
-// and the bootstrap's all go to such a sample: a pure function of the peer set
-// and the RNG, which is what keeps deterministic chaos runs bit-identical.
+// sampleOf draws up to k of cand on the node's seeded RNG, reordering cand in
+// place; a closed node draws nothing. Announces and locator probes go to such a
+// sample: a pure function of the peer set and the RNG, so chaos runs repeat.
 func (n *Node) sampleOf(cand []string, k int) []string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -336,13 +331,12 @@ func (n *Node) resolveItemLocked(id meta.DataID) *meta.Item {
 	return n.eng.LiveItem(id)
 }
 
-// handleCompactBlock rebuilds a block, fetched or pushed, from items this
-// node already holds (DESIGN.md §13.1); a body nobody asked for opens its own
-// pending entry. IDs the body names and this node cannot resolve are requested
-// from the sender, by full ID, while the body parks in its pending fetch, whose
-// wait on the sender keeps running; more of them than a fetch table holds go
-// straight to the locator. Each one is also a pending metadata fetch, so an
-// announce of it meanwhile is a duplicate and handleMeta takes its answer.
+// handleCompactBlock rebuilds a block, fetched or pushed, from items this node
+// already holds (DESIGN.md §13.1); a body nobody asked for opens its own pending
+// entry. IDs it cannot resolve are requested from the sender, by full ID, while
+// the body parks in its pending fetch, whose wait on the sender keeps running;
+// more of them than a fetch table holds go straight to the locator. Each is also a
+// pending metadata fetch: an announce of it is a duplicate, handleMeta takes its answer.
 func (n *Node) handleCompactBlock(from string, payload []byte) {
 	if len(payload) < len(block.Hash{}) {
 		return
@@ -351,44 +345,46 @@ func (n *Node) handleCompactBlock(from string, payload []byte) {
 	n.mu.Lock()
 	g := n.gossip
 	pf := g.blocks.pending[hash]
-	// A second copy, or a push of a hash already adopted, refused or given up
-	// on, is dropped before decode; a push at or below our tip, after it.
-	var cb *block.Compact
-	var err error
-	drop := n.closed || pf != nil && pf.compact != nil || pf == nil && (n.eng.Chain().ByHash(hash) != nil || g.seen.Has(hash))
-	if drop {
+	if n.closed || pf != nil && pf.compact != nil || pf == nil && (n.eng.Chain().ByHash(hash) != nil || g.seen.Has(hash)) {
+		// A second copy, or a hash adopted, refused or given up on: dropped before decode.
 		n.tel.relayDupBodies.Inc()
-	} else if cb, err = block.DecodeCompact(payload); err == nil && pf == nil && cb.Head.Index <= n.eng.Height() {
-		g.seen.Add(hash, struct{}{})
-		n.tel.gossipStaleSuppressed.Inc()
-		drop = true
-	}
-	if drop || err != nil {
 		n.mu.Unlock()
 		return
 	}
-	if pf == nil || pf.cands[0] != from {
-		// Nobody asked this sender: it pushed the body, and from here on
-		// stands in for whichever announcer a pending fetch was asking.
-		if pf == nil {
-			pf = g.blocks.begin(hash, nil, 0)
-		}
+	cb, err := block.DecodeCompact(payload)
+	switch {
+	case err != nil, pf != nil: // nothing to open: undecodable, or a fetch of it is pending
+	case cb.Head.Index <= n.eng.Height():
+		g.seen.Add(hash, struct{}{}) // as an announce at or below our tip
+		n.tel.gossipStaleSuppressed.Inc()
+	case len(g.blocks.pending) >= maxPendingFetch:
+		defer n.sendSyncLocator(from) // table full, as for an announce: drop the body, sync in batches once unlocked
+	default:
+		pf = g.blocks.begin(hash, nil, 0)
+	}
+	if err != nil || pf == nil {
+		n.mu.Unlock()
+		return
+	}
+	if len(pf.cands) == 0 || pf.cands[0] != from {
+		// Nobody asked this sender: it pushed, and stands in for any announcer being asked.
 		pf.cands, pf.pushed = []string{from}, true
 	}
 	blk, missing := cb.Rebuild(n.resolveItemLocked)
 	pf.compact, pf.missing = cb, make(map[meta.DataID]struct{}, len(missing))
 	fetch := len(missing) <= maxPendingMetaFetch
-	began := make([]*pendingFetch, len(missing)) // nil: a fetch of that short ID was pending already
+	began := make([]*pendingFetch, len(missing)) // nil: a fetch of that short ID was pending already, or the table is full
 	for i, id := range missing {
 		pf.missing[id] = struct{}{}
-		if s := id.ShortID(); fetch && g.metas.pending[s] == nil {
+		if s := id.ShortID(); fetch && g.metas.pending[s] == nil && len(g.metas.pending) < maxPendingMetaFetch {
 			began[i] = g.metas.begin(s, []string{from}, 0)
 		}
 	}
 	n.tel.compactItemsMissing.Add(len(missing))
+	fresh := pf.next == 0 // a push nobody announced: its wait on the sender has yet to start
 	n.mu.Unlock()
-	if blk == nil && pf.next == 0 {
-		g.blocks.advance(hash, pf) // a fresh push: asks nobody, starts the wait on the sender
+	if blk == nil && fresh {
+		g.blocks.advance(hash, pf) // asks nobody (ask, above)
 	}
 	if blk != nil || !fetch {
 		n.finishCompact(pf, blk)

@@ -262,7 +262,7 @@ type nodeMetrics struct {
 	relayPushed    *telemetry.Counter // bodies pushed to a tree neighbour
 	relayDupBodies *telemetry.Counter // bodies received that were already held, seen or parked
 	relayLazyIDs   *telemetry.Counter // IDs that left in a backup announce
-	relayFallbacks *telemetry.Counter // fetched bodies announced at once, to a full fan-out sample
+	relayFallbacks *telemetry.Counter // fetched bodies and synced tips announced at once, to a full fan-out sample
 	relayStale     *telemetry.Counter // stale pool items announced again on a block adoption
 
 	// Sampled liveness probing (DESIGN.md §15).
@@ -824,6 +824,7 @@ func (n *Node) Publish(content []byte, typ, locationName string) (*meta.Item, er
 	n.mu.Lock()
 	n.eng.AddLocal(it)
 	n.gossip.metaKnown.Add(it.ID.ShortID(), it.ID)
+	n.gossip.own = append(n.gossip.own, it.ID)
 	n.mu.Unlock()
 	n.relayMeta(it.ID, it.Encode(), "", false)
 	return it, nil

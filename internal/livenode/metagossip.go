@@ -1,9 +1,7 @@
 package livenode
 
 import (
-	"bytes"
 	"encoding/binary"
-	"slices"
 
 	"repro/internal/block"
 	"repro/internal/meta"
@@ -26,10 +24,9 @@ import (
 // The backup speaks short IDs. SyncTimeout/4 to /2 after admission a node
 // sends the IDs it pushed, batched, in a FrameMetaAnnounce to lazyPeers
 // sampled peers; whoever lacks one asks the announcer (FrameGetMeta, only the
-// IDs it lacks) and is answered with one FrameMeta per item. A fetched item
-// is evidence that the tree failed its receiver, so it is re-announced at
-// once to a GossipFanout sample: under drops, partitions and disagreeing peer
-// views the relay degrades to an epidemic, and no further.
+// IDs it lacks) and is answered with one FrameMeta per item. A fetched item is
+// evidence that the tree failed its receiver, so it is re-announced at once to
+// a GossipFanout sample: the relay degrades to an epidemic, and no further.
 //
 // A short ID only says "you may lack this". Both ends resolve it through one
 // bounded table, gossipState.metaKnown (short → full ID of what this node
@@ -115,9 +112,8 @@ func decodeIDList(payload []byte) (full []meta.DataID, short []meta.ShortID, err
 
 // --- relay, announce and fetch handlers -----------------------------------------
 
-// relayMeta passes on an item this node published or admitted (body: its
-// wire form): along the tree with a queued backup announce or, when it had to
-// be fetched, as an announce at once.
+// relayMeta passes on an item this node published or admitted (body: its wire
+// form): along the tree, its backup announce queued, or at once if fetched.
 func (n *Node) relayMeta(id meta.DataID, body []byte, from string, fetched bool) {
 	n.tel.metaRelays.Inc()
 	short := id.ShortID()
@@ -161,23 +157,30 @@ func (n *Node) announceShort(ids []meta.ShortID, k int, count *telemetry.Counter
 	}
 }
 
-// reannounceStale is the relay's pull side, run on adopting blk: pool items
-// signed more than 2·T0 before it — two rounds went by without a miner that
-// pools them — are announced again to one sampled peer, at most maxMetaBatch of
-// them in ID order. An item stranded in its producer's pool spreads within a
-// few blocks instead of waiting for that node to win.
+// reannounceStale is the relay's pull side, run on adopting blk: items this
+// node published that sit in its pool unpacked, signed more than 2·T0 before
+// blk — two rounds without a miner that pools them — are announced again to
+// one sampled peer, oldest first, at most maxMetaBatch. A stranded item spreads
+// within a few blocks instead of waiting for its producer to win: whoever
+// fetches it passes it on at full fan-out.
 func (n *Node) reannounceStale(blk *block.Block) {
 	var stale []meta.ShortID
 	n.mu.Lock()
-	now := n.now()
-	for _, id := range n.eng.PoolIDs() {
-		if it := n.eng.PoolItem(id); it.Produced+2*n.cfg.PoS.T0 < blk.Timestamp && !it.Expired(now) && !n.eng.OnChain(id) {
+	g, now := n.gossip, n.now()
+	unpacked := g.own[:0]
+	for _, id := range g.own {
+		it := n.eng.PoolItem(id)
+		if it == nil || it.Expired(now) || n.eng.OnChain(id) {
+			continue // packed or gone: nothing left to push
+		}
+		unpacked = append(unpacked, id)
+		if it.Produced+2*n.cfg.PoS.T0 < blk.Timestamp && len(stale) < maxMetaBatch {
 			stale = append(stale, id.ShortID())
 		}
 	}
+	g.own = unpacked
 	n.mu.Unlock()
-	slices.SortFunc(stale, func(a, b meta.ShortID) int { return bytes.Compare(a[:], b[:]) })
-	n.announceShort(stale[:min(len(stale), maxMetaBatch)], 1, n.tel.relayStale)
+	n.announceShort(stale, 1, n.tel.relayStale)
 }
 
 // handleMetaAnnounce applies the dedup rules per announced short ID and

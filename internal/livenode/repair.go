@@ -220,8 +220,8 @@ func (n *Node) updateRepairGaugesLocked(now time.Duration) {
 //
 // Every application frame goes out through these wrappers so telemetry can
 // split wire bytes into consensus, data and repair traffic; the chaos
-// suite asserts the §11 invariant (re-replication strictly below consensus)
-// from the resulting counters. The 5 accounts for the frame header (4-byte
+// suite asserts the §11 invariant (repair strictly below consensus) from
+// the resulting counters. The 5 accounts for the frame header (4-byte
 // length + 1-byte type).
 
 func (n *Node) countWire(ft byte, payloadLen, copies int) {

@@ -432,8 +432,8 @@ func (n *Node) handleSyncBatch(from string, sb syncBatch) {
 		n.sendSyncLocator(from)
 		return
 	}
-	// Caught up, by sync: the tree did not bring this tip here — a healed
-	// partition, a missed block — so announce it as a fetched block is (§13).
+	// Caught up by sync: every batch above was adopted, so the tip moved and the
+	// tree did not bring it. Announce it as a fetched block is (§13).
 	n.relayBlock(tip, from, true)
 }
 
