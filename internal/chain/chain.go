@@ -102,12 +102,11 @@ type Chain struct {
 	// before it is appended; the core layer uses it for Proof-of-Stake
 	// claim validation. prev is the block being extended.
 	PreAppend func(prev, b *block.Block) error
-	// PostAppend, if set, runs after every append (including drains and
-	// whole-chain replacement); the core layer uses it to advance the
-	// stake ledger.
+	// PostAppend, if set, runs after every append (including drains); the
+	// engine uses it to advance the stake ledger.
 	PostAppend func(b *block.Block)
-	// Sigs, if set, is the owning node's verified-signature cache: Add and
-	// ReplaceIfLonger check item signatures through it.
+	// Sigs, if set, is the owning node's verified-signature cache: Add
+	// checks item signatures through it.
 	Sigs *meta.SigCache
 }
 
@@ -348,8 +347,8 @@ func (c *Chain) MissingRange() (from, to uint64, ok bool) {
 //   - index beyond tip+1: buffered, returns ErrGap (caller should fetch
 //     c.MissingRange()).
 //   - index at or below tip with a different hash: ErrStale (fork shorter
-//     than or equal to ours; longest-chain keeps ours). Use ReplaceIfLonger
-//     to adopt longer forks wholesale.
+//     than or equal to ours; longest-chain keeps ours). Use ReplaceSuffix
+//     to adopt a longer fork.
 //
 // Invalid blocks (bad hash, bad link, bad signatures) return the underlying
 // validation error and change nothing.
@@ -442,46 +441,9 @@ func (c *Chain) AppendTrusted(b *block.Block) error {
 	return nil
 }
 
-// ReplaceIfLonger adopts a full candidate chain if it is strictly longer
-// than the local one and fully valid (the longest-chain rule for fork
-// resolution). It reports whether the replacement happened. The replica
-// becomes fully unpruned. PreAppend and PostAppend hooks do NOT run;
-// callers that track derived state (stake ledger, storage view) must
-// rebuild it after a replacement — they are the only ones who can validate
-// candidate PoS claims against a replayed ledger first.
-func (c *Chain) ReplaceIfLonger(candidate []*block.Block) (bool, error) {
-	if len(candidate) <= c.Len() {
-		return false, nil
-	}
-	if err := validate(candidate, c.Sigs); err != nil {
-		return false, fmt.Errorf("chain: reject candidate: %w", err)
-	}
-	if candidate[0].Hash != c.genesis.Hash {
-		return false, errors.New("chain: candidate has different genesis")
-	}
-	bodies := make([]*block.Block, len(candidate))
-	headers := make([]Header, len(candidate))
-	byHash := make(map[block.Hash]uint64, len(candidate))
-	copy(bodies, candidate)
-	for i, b := range bodies {
-		headers[i] = HeaderOf(b)
-		byHash[b.Hash] = b.Index
-	}
-	c.genesis = bodies[0]
-	c.bodies = bodies
-	c.bodyBase = 0
-	c.headers = headers
-	c.hdrBase = 0
-	c.byHash = byHash
-	c.pending = make(map[uint64]*block.Block)
-	return true, nil
-}
-
 // Validate checks a full chain from genesis: indices, hashes, links and
 // metadata signatures. It trusts no node's signature cache.
-func Validate(blocks []*block.Block) error { return validate(blocks, nil) }
-
-func validate(blocks []*block.Block, sigs *meta.SigCache) error {
+func Validate(blocks []*block.Block) error {
 	if len(blocks) == 0 {
 		return errors.New("chain: empty")
 	}
@@ -489,7 +451,7 @@ func validate(blocks []*block.Block, sigs *meta.SigCache) error {
 		return errors.New("chain: first block is not genesis")
 	}
 	for i, b := range blocks {
-		if err := b.VerifySelfCached(sigs); err != nil {
+		if err := b.VerifySelf(); err != nil {
 			return fmt.Errorf("chain: block %d: %w", i, err)
 		}
 		if i > 0 {

@@ -181,61 +181,6 @@ func TestGapDrainDropsForeignForkBlock(t *testing.T) {
 	}
 }
 
-func TestReplaceIfLonger(t *testing.T) {
-	g := block.Genesis(1)
-	m := testMiner(1)
-	other := testMiner(2)
-
-	b1 := nextBlock(g, m, time.Minute)
-	c := New(g)
-	if _, err := c.Add(b1); err != nil {
-		t.Fatal(err)
-	}
-
-	// A longer competing fork.
-	alt1 := nextBlock(g, other, time.Minute)
-	alt2 := nextBlock(alt1, other, 2*time.Minute)
-	longer := []*block.Block{g, alt1, alt2}
-
-	ok, err := c.ReplaceIfLonger(longer)
-	if err != nil || !ok {
-		t.Fatalf("ReplaceIfLonger: ok=%v err=%v", ok, err)
-	}
-	if c.Height() != 2 || c.Tip() != alt2 {
-		t.Fatal("chain not replaced")
-	}
-	if c.ByHash(b1.Hash) != nil {
-		t.Fatal("old fork block still indexed")
-	}
-
-	// Equal-length candidate must be ignored.
-	ok, err = c.ReplaceIfLonger([]*block.Block{g, b1, nextBlock(b1, m, 2*time.Minute)})
-	if err != nil || ok {
-		t.Fatalf("equal-length fork adopted: ok=%v err=%v", ok, err)
-	}
-}
-
-func TestReplaceIfLongerRejectsInvalid(t *testing.T) {
-	g := block.Genesis(1)
-	c := New(g)
-	m := testMiner(1)
-	b1 := nextBlock(g, m, time.Minute)
-	b2 := nextBlock(b1, m, 2*time.Minute)
-	b2.MinedAfter = 999 // corrupt after seal
-
-	if ok, err := c.ReplaceIfLonger([]*block.Block{g, b1, b2}); err == nil || ok {
-		t.Fatalf("corrupt candidate adopted: ok=%v err=%v", ok, err)
-	}
-
-	// Different-genesis candidate.
-	g2 := block.Genesis(99)
-	c1 := nextBlock(g2, m, time.Minute)
-	c2 := nextBlock(c1, m, 2*time.Minute)
-	if ok, err := c.ReplaceIfLonger([]*block.Block{g2, c1, c2}); err == nil || ok {
-		t.Fatalf("foreign-genesis candidate adopted: ok=%v err=%v", ok, err)
-	}
-}
-
 func TestValidate(t *testing.T) {
 	blocks := buildChain(t, 1, 5)
 	if err := Validate(blocks); err != nil {

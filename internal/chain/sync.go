@@ -153,7 +153,8 @@ func (c *Chain) CheckSuffixLinks(suffix []*block.Block) (forkPoint uint64, err e
 // content verification and any consensus-level claim checks): this method
 // re-checks only the cheap structural facts and otherwise mutates
 // blindly. PreAppend/PostAppend hooks do NOT run — callers that track
-// derived state update it themselves, exactly as with ReplaceIfLonger.
+// derived state (the engine's ledger and storage view) validate the suffix
+// against a copy of it first and swap that in themselves.
 //
 // If forkPoint lies below the body window base, the retained bodies are
 // replaced wholesale and the window base moves to forkPoint+1; the header

@@ -376,17 +376,38 @@ func (n *Node) handleChainRequest(from int) {
 // the checkpoint rule (0 when disabled or none reached yet).
 func (n *Node) lastCheckpoint() uint64 { return n.eng.LastCheckpoint() }
 
-// handleChainResponse runs Naivechain-style fork resolution through the
-// engine (length check, checkpoint rule, scratch-ledger claim replay,
-// derived-state rebuild) and layers the adapter's cleanup on adoption.
+// handleChainResponse resolves a fork from a peer's full chain
+// (Naivechain-style exchange): the blocks past the common prefix go through
+// the engine as one suffix (length check, checkpoint rule, claim replay on
+// fork-point state), which calls onDisconnect and then onAppend per adopted
+// block, exactly as for blocks that arrived one by one.
 func (n *Node) handleChainResponse(m msgChainResponse) {
-	if !n.eng.AdoptChain(m.blocks) {
+	ch, k := n.eng.Chain(), 0
+	for k < len(m.blocks) {
+		if hdr, ok := ch.HeaderAt(uint64(k)); !ok || hdr.Hash != m.blocks[k].Hash {
+			break
+		}
+		k++
+	}
+	n.adopting = true
+	_, ok := n.eng.AdoptSuffix(m.blocks[k:])
+	n.adopting = false
+	if !ok {
 		return
 	}
 	n.sys.stats.forkReplacements++
-	n.reconcileStorage()
 	n.cancelSync()
 	n.scheduleMining()
+}
+
+// onDisconnect is the engine callback for blocks a fork adoption took off
+// the chain: their block-body assignments are void, and so is every data
+// assignment the adopted chain does not repeat.
+func (n *Node) onDisconnect(gone []*block.Block) {
+	for _, b := range gone {
+		delete(n.blockStore, b.Index)
+	}
+	n.reconcileStorage()
 }
 
 // join brings a late joiner online: it syncs the chain from its nearest
@@ -404,7 +425,7 @@ func (n *Node) join() {
 }
 
 // reconcileStorage drops stored data the adopted chain no longer assigns
-// to this node (fork adoptions can rewrite assignments wholesale).
+// to this node (a fork adoption can rewrite assignments wholesale).
 func (n *Node) reconcileStorage() {
 	for id := range n.dataStore {
 		it := n.eng.LiveItem(id)

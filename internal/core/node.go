@@ -47,6 +47,9 @@ type Node struct {
 
 	// Missing-block recovery state.
 	sync *syncState
+	// adopting is set while a peer's chain is being adopted: its rounds were
+	// not mined through here, so onAppend charges them no mining energy.
+	adopting bool
 
 	joined bool
 
@@ -121,6 +124,7 @@ func newNode(sys *System, id int, ident *identity.Identity, rng *rand.Rand) *Nod
 		MigrateMaxPerBlock: sys.cfg.MigrateMaxPerBlock,
 		MigrateCostRatio:   sys.cfg.MigrateCostRatio,
 		OnAppend:           n.onAppend,
+		OnDisconnect:       n.onDisconnect,
 	}
 	if sys.cfg.Consensus == ConsensusPoW {
 		// The PoW baseline keeps the engine's append/adopt machinery but
@@ -329,7 +333,7 @@ func isForkLink(err error) bool {
 // the round that block b closed: PoS performs one target check per second
 // plus the hit hash; PoW hashes continuously at the device hash rate.
 func (n *Node) chargeMiningEnergy(b *block.Block) {
-	if !n.joined || b.Index == 0 {
+	if !n.joined || n.adopting || b.Index == 0 {
 		return
 	}
 	prev := n.eng.Chain().At(b.Index - 1)

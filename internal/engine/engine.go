@@ -8,22 +8,25 @@
 // The engine is transport- and clock-agnostic: it never does I/O and it
 // never sleeps. Adapters — internal/core.Node over the discrete-event
 // simulator and internal/livenode.Node over real sockets — inject a time
-// source (Config.Now), a topology, and an OnAppend callback, and they
-// decide when to call NextRound/Mine and what to do with the blocks the
-// engine hands back. Because both stacks drive the same engine, every
+// source (Config.Now), a topology, and the OnAppend/OnDisconnect callbacks,
+// and they decide when to call NextRound/Mine and what to do with the blocks
+// the engine hands back. A block joins the chain one of two ways — appended
+// to the tip (ReceiveBlock, Mine, AppendTrusted) or as part of a longer
+// suffix (AdoptSuffix) — and both report it with the same AppendEvent. Because both stacks drive the same engine, every
 // invariant proven against one (chaos replay validity, ledger
 // reconciliation, golden round times) certifies the other.
 //
 // The engine itself is NOT internally locked: the simulation runs
 // single-threaded, and the live node wraps every engine call in its own
-// mutex. Callbacks (OnAppend, Topology, Now) are invoked synchronously
-// from whatever engine method triggered them.
+// mutex. Callbacks (OnAppend, OnDisconnect, Topology, Now) are invoked
+// synchronously from whatever engine method triggered them.
 package engine
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -54,7 +57,8 @@ type ItemEvent struct {
 }
 
 // AppendEvent is passed to Config.OnAppend after the engine has applied a
-// block's ledger, storage-view and pool side effects.
+// block's ledger, storage-view and pool side effects. Item contexts are as
+// of the block's parent, whichever way the block joined the chain.
 type AppendEvent struct {
 	Block *block.Block
 	Items []ItemEvent
@@ -116,15 +120,14 @@ type Config struct {
 	// Now returns the current time as an offset from the shared epoch.
 	Now func() time.Duration
 
-	// ValidateClaims enables PoS-claim validation in preAppend and scratch
-	// replay in AdoptChain. The PoW baseline disables it (nonce checks
-	// carry no allocation state; only timestamp sanity remains).
+	// ValidateClaims enables PoS-claim validation in preAppend and
+	// AdoptSuffix. The PoW baseline disables it (nonce checks carry no
+	// allocation state; only timestamp sanity remains).
 	ValidateClaims bool
 	// FutureSkew is the clock-skew tolerance for incoming block
 	// timestamps (default 2 s).
 	FutureSkew time.Duration
-	// StakeRescaleEvery periodically rescales the ledger (0 = never); it
-	// applies to the live ledger and to AdoptChain's scratch replay.
+	// StakeRescaleEvery periodically rescales the ledger (0 = never).
 	StakeRescaleEvery uint64
 	// CheckpointInterval enables Section V-D checkpoint finality: a fork
 	// candidate rewriting history at or below the newest multiple of this
@@ -133,7 +136,7 @@ type Config struct {
 	// SnapshotInterval, when positive, freezes a ledger/view snapshot
 	// every this many blocks so AdoptSuffix can validate fork suffixes by
 	// replaying only blocks past the snapshot instead of the whole chain
-	// (0 = snapshots off; true forks then always scratch-replay).
+	// (0 = snapshots off; true forks then always replay from genesis).
 	SnapshotInterval int
 	// VerifyWorkers bounds the goroutine pool AdoptSuffix uses to verify
 	// batch block content (hashes + metadata signatures) in parallel;
@@ -188,21 +191,80 @@ type Config struct {
 	// CustomRound overrides the PoS round computation (the PoW baseline
 	// derives exponential solve times from the same hit).
 	CustomRound func(prev *block.Block) (t uint64, b float64)
-	// OnAppend, if set, is called synchronously after each appended
-	// block's state transitions (ledger, view, pool, live-item index).
+	// OnAppend, if set, is called synchronously after each connected
+	// block's state transitions (ledger, view, pool, live-item index): once
+	// per tip append, and once per suffix block, oldest first, after
+	// AdoptSuffix has committed the whole suffix.
 	OnAppend func(ev AppendEvent)
+	// OnDisconnect, if set, is called when AdoptSuffix replaced this node's
+	// own blocks above the fork point: once, after the commit and before
+	// the suffix's first OnAppend, with the blocks that left the chain,
+	// oldest first. The adapter cuts whatever it derived from them back to
+	// disconnected[0].Index-1; the OnAppend calls then rebuild it.
+	OnDisconnect func(disconnected []*block.Block)
+}
+
+// state is what the engine derives from the chain alone: the same block
+// sequence gives the same state on every node. Fork adoption validates a
+// suffix on a clone and swaps it in whole.
+type state struct {
+	ledger    *pos.Ledger
+	view      *StorageView
+	inChain   map[meta.DataID]bool
+	liveItems map[meta.DataID]*meta.Item
+}
+
+// genesisState is the state of a chain that holds only genesis.
+func (cfg *Config) genesisState() state {
+	ledger := pos.NewLedger(cfg.Accounts)
+	ledger.RescaleEvery = cfg.StakeRescaleEvery
+	return state{
+		ledger:    ledger,
+		view:      NewStorageView(len(cfg.Accounts), cfg.StorageCapacity, cfg.MobilityRange, cfg.InitialRecentDepth, cfg.RecentDepthCap),
+		inChain:   make(map[meta.DataID]bool),
+		liveItems: make(map[meta.DataID]*meta.Item),
+	}
+}
+
+// clone returns an independent copy (the items themselves are immutable
+// and shared).
+func (s state) clone() state {
+	return state{
+		ledger:    s.ledger.Clone(),
+		view:      s.view.Clone(),
+		inChain:   maps.Clone(s.inChain),
+		liveItems: maps.Clone(s.liveItems),
+	}
+}
+
+// apply folds block b, the successor of the state's tip, into the state and
+// returns one ItemEvent per item of b, each against the state before b.
+func (s *state) apply(b *block.Block, self int) ([]ItemEvent, error) {
+	if err := s.ledger.ApplyBlock(b); err != nil {
+		return nil, err
+	}
+	s.view.ApplyBlock(b)
+	events := make([]ItemEvent, 0, len(b.Items))
+	for _, it := range b.Items {
+		events = append(events, ItemEvent{
+			Item:           it,
+			Prev:           s.liveItems[it.ID],
+			First:          !s.inChain[it.ID],
+			AssignedToSelf: slices.Contains(it.StoringNodes, self),
+		})
+		s.inChain[it.ID] = true
+		s.liveItems[it.ID] = it
+	}
+	return events, nil
 }
 
 // Engine owns all chain-derived consensus state of one node.
 type Engine struct {
-	cfg    Config
-	ch     *chain.Chain
-	ledger *pos.Ledger
-	view   *StorageView
+	cfg Config
+	ch  *chain.Chain
+	state
 
-	pool      map[meta.DataID]*meta.Item
-	inChain   map[meta.DataID]bool
-	liveItems map[meta.DataID]*meta.Item
+	pool map[meta.DataID]*meta.Item
 	// migrateCursor and repairCursor round-robin migration and repair
 	// checks across live items.
 	migrateCursor int
@@ -258,16 +320,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.InitialRecentDepth < 1 {
 		cfg.InitialRecentDepth = 1
 	}
-	ledger := pos.NewLedger(cfg.Accounts)
-	ledger.RescaleEvery = cfg.StakeRescaleEvery
-	e := &Engine{
-		cfg:       cfg,
-		ledger:    ledger,
-		view:      NewStorageView(len(cfg.Accounts), cfg.StorageCapacity, cfg.MobilityRange, cfg.InitialRecentDepth, cfg.RecentDepthCap),
-		pool:      make(map[meta.DataID]*meta.Item),
-		inChain:   make(map[meta.DataID]bool),
-		liveItems: make(map[meta.DataID]*meta.Item),
-	}
+	e := &Engine{cfg: cfg, state: cfg.genesisState(), pool: make(map[meta.DataID]*meta.Item)}
 	e.ch = chain.New(cfg.Genesis)
 	e.ch.PreAppend = e.preAppend
 	e.ch.PostAppend = e.postAppend
@@ -390,34 +443,24 @@ func (e *Engine) preAppend(prev, b *block.Block) error {
 // The adapter's OnAppend callback then layers physical storage, fetches
 // and telemetry on top.
 func (e *Engine) postAppend(b *block.Block) {
-	if err := e.ledger.ApplyBlock(b); err != nil {
+	items, err := e.state.apply(b, e.cfg.Self)
+	if err != nil {
 		// Cannot happen: PreAppend guarantees in-order application.
 		panic(fmt.Sprintf("engine: ledger apply: %v", err))
 	}
-	e.view.ApplyBlock(b)
-	ev := AppendEvent{Block: b, Items: make([]ItemEvent, 0, len(b.Items))}
 	for _, it := range b.Items {
 		delete(e.pool, it.ID)
-		ie := ItemEvent{Item: it, Prev: e.liveItems[it.ID], First: !e.inChain[it.ID]}
-		for _, sn := range it.StoringNodes {
-			if sn == e.cfg.Self {
-				ie.AssignedToSelf = true
-			}
-		}
-		e.inChain[it.ID] = true
-		e.liveItems[it.ID] = it
-		ev.Items = append(ev.Items, ie)
 	}
 	e.maybeSnapshot(b.Index)
 	if cb := e.cfg.OnAppend; cb != nil {
-		cb(ev)
+		cb(AppendEvent{Block: b, Items: items})
 	}
 }
 
 // ReceiveBlock runs a network block through validation and adoption; the
 // returned count includes previously buffered blocks drained by this one.
-// Gap and fork-link errors are the adapter's cue to start block recovery
-// or a full chain exchange.
+// Gap and fork-link errors are the adapter's cue to fetch the missing
+// blocks and hand them to ReceiveBlock or AdoptSuffix.
 func (e *Engine) ReceiveBlock(b *block.Block) (appended int, err error) {
 	return e.ch.Add(b)
 }
@@ -439,63 +482,6 @@ func (e *Engine) LastCheckpoint() uint64 {
 		return 0
 	}
 	return (h - 1) / k * k
-}
-
-// AdoptChain evaluates a full candidate chain (Naivechain-style fork
-// resolution): it must be strictly longer, respect checkpoint finality,
-// and replay cleanly — structural validation plus, when claims are
-// enabled, PoS-claim validation of every block against a scratch ledger.
-// On adoption all chain-derived state (ledger, view, pool, live-item
-// index) is rebuilt and true is returned; the caller handles physical
-// storage reconciliation, persistence and re-arming its miner.
-func (e *Engine) AdoptChain(blocks []*block.Block) bool {
-	if len(blocks) <= e.ch.Len() {
-		return false
-	}
-	// Checkpoint rule (Section V-D): a candidate that rewrites history at
-	// or below our newest checkpoint is refused even if longer. The spine
-	// header is enough even when the checkpoint body is pruned.
-	if cp := e.LastCheckpoint(); cp > 0 {
-		hdr, ok := e.ch.HeaderAt(cp)
-		if !ok || uint64(len(blocks)) <= cp || blocks[cp].Hash != hdr.Hash {
-			return false
-		}
-	}
-	if e.cfg.ValidateClaims {
-		scratch := pos.NewLedger(e.cfg.Accounts)
-		scratch.RescaleEvery = e.cfg.StakeRescaleEvery
-		for i := 1; i < len(blocks); i++ {
-			if err := e.cfg.PoS.ValidateClaim(blocks[i-1], blocks[i], scratch); err != nil {
-				return false
-			}
-			if err := scratch.ApplyBlock(blocks[i]); err != nil {
-				return false
-			}
-		}
-	}
-	replaced, err := e.ch.ReplaceIfLonger(blocks)
-	if err != nil || !replaced {
-		return false
-	}
-	// Rebuild all chain-derived state (ReplaceIfLonger runs no hooks).
-	if err := e.ledger.Rebuild(e.ch.Blocks()); err != nil {
-		panic("engine: ledger rebuild after fork: " + err.Error())
-	}
-	e.view.Rebuild(e.ch.Blocks())
-	e.inChain = make(map[meta.DataID]bool)
-	e.liveItems = make(map[meta.DataID]*meta.Item)
-	for _, b := range e.ch.Blocks() {
-		for _, it := range b.Items {
-			e.inChain[it.ID] = true
-			e.liveItems[it.ID] = it // later blocks overwrite: latest version wins
-			delete(e.pool, it.ID)
-		}
-	}
-	// Snapshots taken on the abandoned branch are now invalid; ones on the
-	// surviving common prefix stay usable.
-	e.pruneSnapshots()
-	e.maybePrune()
-	return true
 }
 
 // --- mining ---------------------------------------------------------------

@@ -360,6 +360,8 @@ func TestMineStaleRound(t *testing.T) {
 	}
 }
 
+// TestAdoptChain: a fresh replica adopts a whole longer chain as one suffix
+// from genesis, and refuses an equal, a shorter and a claim-forged one.
 func TestAdoptChain(t *testing.T) {
 	c := newTestCluster(t, 3, nil)
 	it := c.item(0, "payload")
@@ -370,13 +372,13 @@ func TestAdoptChain(t *testing.T) {
 		c.mineNext(t)
 	}
 	donor := c.engines[0]
-	chainBlocks := donor.Chain().Blocks()
+	suffix := donor.Chain().Blocks()[1:]
 
 	fresh := newTestCluster(t, 3, nil)
 	fresh.now = c.now
 	victim := fresh.engines[0]
 	victim.AddMetadata(it) // must be pruned on adoption
-	if !victim.AdoptChain(chainBlocks) {
+	if _, ok := victim.AdoptSuffix(suffix); !ok {
 		t.Fatal("valid longer chain refused")
 	}
 	if victim.Tip().Hash != donor.Tip().Hash {
@@ -395,17 +397,17 @@ func TestAdoptChain(t *testing.T) {
 	}
 
 	// Same-length chain: refused (strictly-longer rule).
-	if victim.AdoptChain(chainBlocks) {
+	if _, ok := victim.AdoptSuffix(suffix); ok {
 		t.Fatal("equal-length chain adopted")
 	}
 	// Truncation: refused.
-	if victim.AdoptChain(chainBlocks[:3]) {
+	if _, ok := victim.AdoptSuffix(suffix[:2]); ok {
 		t.Fatal("shorter chain adopted")
 	}
 	// Forged claim: extend with a block whose amendment B is wrong.
 	tip := donor.Tip()
 	forged := block.NewBuilder(tip, fresh.accounts[1], c.now+time.Second, 1, 12345).Seal()
-	if victim.AdoptChain(append(append([]*block.Block(nil), chainBlocks...), forged)) {
+	if _, ok := victim.AdoptSuffix(append(append([]*block.Block(nil), suffix...), forged)); ok {
 		t.Fatal("chain with forged PoS claim adopted")
 	}
 	if victim.Tip().Hash != donor.Tip().Hash {
@@ -449,14 +451,17 @@ func TestAdoptChainCheckpointFinality(t *testing.T) {
 	// it from the height-2 prefix with fresh blocks.
 	candidate := c.forkFrom(t, e, 2, 1, 7)
 	c.now += 100000 * time.Second // keep the candidate out of the future
-	if e.AdoptChain(candidate) {
+	if _, ok := e.AdoptSuffix(candidate[3:]); ok {
 		t.Fatal("chain rewriting finalized history adopted")
+	}
+	if len(c.events[0]) != 5 {
+		t.Fatalf("refused suffix delivered events: %d, want the 5 of the live appends", len(c.events[0]))
 	}
 }
 
 // TestCheckpointTieAtTip: two miners fire at the same instant at a checkpoint
 // height. While that block is the tip it is not final, so a replica that saw
-// the losing sibling first still follows the longer chain, by either gate.
+// the losing sibling first still follows the longer chain.
 func TestCheckpointTieAtTip(t *testing.T) {
 	c := newTestCluster(t, 3, func(i int, cfg *Config) { cfg.CheckpointInterval = 2 })
 	for r := 0; r < 4; r++ {
@@ -472,17 +477,14 @@ func TestCheckpointTieAtTip(t *testing.T) {
 	}
 	candidate := c.forkFrom(t, e, 3, other, 6) // a sibling at height 4 and its child
 	c.now += 100000 * time.Second
-	if !e.AdoptChain(candidate) {
-		t.Fatal("AdoptChain refused the sibling of an unburied checkpoint")
-	}
-	if _, ok := c.engines[1].AdoptSuffix(candidate[4:]); !ok {
+	if _, ok := e.AdoptSuffix(candidate[4:]); !ok {
 		t.Fatal("AdoptSuffix refused the sibling of an unburied checkpoint")
 	}
 	// Buried now: the next rewrite of height 4 is refused.
 	if got := e.LastCheckpoint(); got != 4 {
 		t.Fatalf("LastCheckpoint = %d after burial, want 4", got)
 	}
-	if e.AdoptChain(c.forkFrom(t, c.engines[2], 4, other, 8)) {
+	if _, ok := e.AdoptSuffix(c.forkFrom(t, c.engines[2], 3, other, 8)[4:]); ok {
 		t.Fatal("chain rewriting a buried checkpoint adopted")
 	}
 }

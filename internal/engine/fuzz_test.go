@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -9,20 +10,24 @@ import (
 	"repro/internal/pos"
 )
 
-// FuzzAdoptChain feeds AdoptChain mutated fork candidates — truncated,
-// reordered, duplicated-height and claim-forged chains — and asserts the
-// two safety properties: the engine never panics, and it never adopts a
-// chain that does not replay cleanly (structural validity plus PoS claim
-// validity). The victim's own chain must stay fully valid after every
+// FuzzAdoptSuffix feeds AdoptSuffix mutated fork candidates — truncated,
+// reordered, duplicated-height and claim-forged chains, cut at any height —
+// against a victim that shares the donor's first two blocks and then mined
+// one of its own, with a snapshot at the fork point. It asserts the safety
+// properties: the engine never panics; it never adopts a chain that does not
+// replay cleanly (structural validity plus PoS claim validity); a refusal
+// fires no callback and moves nothing; an adoption reports the victim's
+// blocks above the fork point disconnected, then one event per connected
+// block. The victim's own chain must stay fully valid after every
 // attempt, adopted or refused.
-func FuzzAdoptChain(f *testing.F) {
-	f.Add([]byte{})           // unmutated candidate: must adopt
-	f.Add([]byte{0, 3})       // truncate
-	f.Add([]byte{1, 2, 2, 0}) // duplicate a height, swap adjacent
-	f.Add([]byte{3, 1, 3, 9}) // stale-hash field tampering
-	f.Add([]byte{4, 2, 4, 5}) // resealed forged claims
-	f.Add([]byte{5, 7, 5, 1}) // forged-claim extensions
-	f.Add([]byte{2, 0, 1, 6, 0, 255, 5, 42})
+func FuzzAdoptSuffix(f *testing.F) {
+	f.Add([]byte{}, uint8(3))           // unmutated, cut at the fork: must adopt
+	f.Add([]byte{0, 3}, uint8(0))       // truncate
+	f.Add([]byte{1, 2, 2, 0}, uint8(1)) // duplicate a height, swap adjacent
+	f.Add([]byte{3, 1, 3, 9}, uint8(2)) // stale-hash field tampering
+	f.Add([]byte{4, 2, 4, 5}, uint8(0)) // resealed forged claims
+	f.Add([]byte{5, 7, 5, 1}, uint8(3)) // forged-claim extensions
+	f.Add([]byte{2, 0, 1, 6, 0, 255, 5, 42}, uint8(9))
 
 	// One valid 6-block donor chain, shared (read-only) by all inputs.
 	donor := newTestCluster(f, 3, nil)
@@ -36,8 +41,22 @@ func FuzzAdoptChain(f *testing.F) {
 	base := donor.engines[0].Chain().Blocks()
 	accounts := donor.accounts
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		victim := newTestCluster(t, 3, nil).engines[0]
+	f.Fuzz(func(t *testing.T, data []byte, cut uint8) {
+		var disconnected []*block.Block
+		vc := newTestCluster(t, 3, func(i int, cfg *Config) {
+			cfg.SnapshotInterval = 2
+			cfg.OnDisconnect = func(bs []*block.Block) { disconnected = append(disconnected, bs...) }
+		})
+		victim := vc.engines[0]
+		vc.now = base[2].Timestamp
+		for _, b := range base[1:3] {
+			if _, err := victim.ReceiveBlock(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		own := vc.mineAmong(t, []int{0})
+		vc.now = donor.now // the donor's blocks are not from the future
+		before, eventsBefore := victim.Chain().Blocks(), len(vc.events[0])
 
 		blocks := append([]*block.Block(nil), base...)
 		mutated := false
@@ -93,20 +112,31 @@ func FuzzAdoptChain(f *testing.F) {
 			}
 		}
 
-		adopted := victim.AdoptChain(blocks)
+		// Hand over the candidate from any height on, genesis included.
+		suffix := blocks[int(cut)%len(blocks):]
+		stats, adopted := victim.AdoptSuffix(suffix)
 
-		if !mutated && !adopted {
-			t.Fatal("unmutated valid chain refused")
+		if !mutated && !adopted && suffix[0].Index >= 1 && suffix[0].Index <= 3 {
+			t.Fatal("unmutated valid suffix refused")
+		}
+		if !adopted && (victim.Tip() != own || len(disconnected) != 0 || len(vc.events[0]) != eventsBefore) {
+			t.Fatal("refused suffix moved the tip or fired a callback")
 		}
 		if adopted {
 			snap := victim.Chain().Blocks()
-			if len(snap) != len(blocks) {
-				t.Fatalf("adopted %d blocks of a %d-block candidate", len(snap), len(blocks))
+			if got := snap[stats.ForkPoint+1:]; len(got) != len(suffix) {
+				t.Fatalf("adopted %d blocks of a %d-block suffix", len(got), len(suffix))
 			}
-			for i := range snap {
-				if snap[i].Hash != blocks[i].Hash {
-					t.Fatalf("adopted chain differs from candidate at height %d", i)
+			for i, b := range suffix {
+				if snap[int(stats.ForkPoint)+1+i] != b {
+					t.Fatalf("adopted chain differs from the suffix at offset %d", i)
 				}
+			}
+			if got := vc.events[0][eventsBefore:]; len(got) != len(suffix) || got[0].Block != suffix[0] {
+				t.Fatalf("%d append events for a %d-block suffix", len(got), len(suffix))
+			}
+			if !slices.Equal(disconnected, before[stats.ForkPoint+1:]) {
+				t.Fatalf("disconnected %d blocks, want the victim's %d above the fork point", len(disconnected), len(before[stats.ForkPoint+1:]))
 			}
 		}
 		// Whatever happened, the victim's chain must replay cleanly.

@@ -357,7 +357,7 @@ func BenchmarkSnapshotBootstrap(b *testing.B) {
 	b.Run("replay", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			e := freshObserver(b, c)
-			if !e.AdoptChain(blocks) {
+			if _, ok := e.AdoptSuffix(blocks[1:]); !ok {
 				b.Fatal("replay rejected")
 			}
 		}

@@ -75,13 +75,13 @@ func TestVerifyOncePerItemPerNode(t *testing.T) {
 	if want := [2]uint64{2*prefix + local + remote, prefix + local + remote}; sigStats(obs) != want {
 		t.Fatalf("after a full replay: hits/misses %v, want %v", sigStats(obs), want)
 	}
-	// The legacy whole-chain path goes through the same cache.
-	legacy := c.engines[3]
-	if !legacy.AdoptChain(c.engines[0].Chain().Blocks()) {
-		t.Fatal("valid candidate rejected")
+	// A suffix that restates the shared prefix finds those signatures cached.
+	whole := c.engines[3]
+	if _, ok := whole.AdoptSuffix(c.engines[0].Chain().Blocks()[1:]); !ok {
+		t.Fatal("valid whole-chain suffix rejected")
 	}
-	if want := [2]uint64{2*prefix + local, prefix + local + remote}; sigStats(legacy) != want {
-		t.Fatalf("AdoptChain: hits/misses %v, want %v", sigStats(legacy), want)
+	if want := [2]uint64{2*prefix + local, prefix + local + remote}; sigStats(whole) != want {
+		t.Fatalf("whole-chain suffix: hits/misses %v, want %v", sigStats(whole), want)
 	}
 }
 

@@ -314,12 +314,11 @@ func (e *Engine) BootstrapFromSnapshot(s *StateSnapshot) error {
 	if len(s.DataLive) != n || len(s.BlockBodies) != n || len(s.RecentDepth) != n {
 		return fmt.Errorf("%w: view roster size mismatch (want %d nodes)", ErrBadSnapshot, n)
 	}
-	ledger := pos.NewLedger(e.cfg.Accounts)
-	ledger.RescaleEvery = e.cfg.StakeRescaleEvery
-	if err := ledger.RestoreState(s.Ledger); err != nil {
+	st := e.cfg.genesisState()
+	if err := st.ledger.RestoreState(s.Ledger); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	view := NewStorageView(n, e.cfg.StorageCapacity, e.cfg.MobilityRange, e.cfg.InitialRecentDepth, e.cfg.RecentDepthCap)
+	view := st.view
 	copy(view.dataLive, s.DataLive)
 	copy(view.blockBodies, s.BlockBodies)
 	copy(view.recentDepth, s.RecentDepth)
@@ -344,44 +343,25 @@ func (e *Engine) BootstrapFromSnapshot(s *StateSnapshot) error {
 	newCh.PostAppend = e.postAppend
 	newCh.Sigs = &e.sigs
 
-	inChain := make(map[meta.DataID]bool, len(s.InChain))
 	for _, id := range s.InChain {
-		inChain[id] = true
+		st.inChain[id] = true
 	}
-	liveItems := make(map[meta.DataID]*meta.Item, len(s.LiveItems))
 	for _, it := range s.LiveItems {
-		if !inChain[it.ID] {
+		if !st.inChain[it.ID] {
 			return fmt.Errorf("%w: live item %s not marked on-chain", ErrBadSnapshot, it.ID.Short())
 		}
-		liveItems[it.ID] = it
+		st.liveItems[it.ID] = it
 	}
 
 	// Commit.
 	e.ch = newCh
-	e.ledger = ledger
-	e.view = view
-	e.inChain = inChain
-	e.liveItems = liveItems
+	e.state = st
 	for id := range e.pool {
-		if inChain[id] {
+		if st.inChain[id] {
 			delete(e.pool, id)
 		}
 	}
-	snap := snapshot{
-		height:    s.Height,
-		hash:      s.Block.Hash,
-		ledger:    ledger.Clone(),
-		view:      view.Clone(),
-		inChain:   make(map[meta.DataID]bool, len(inChain)),
-		liveItems: make(map[meta.DataID]*meta.Item, len(liveItems)),
-	}
-	for id := range inChain {
-		snap.inChain[id] = true
-	}
-	for id, it := range liveItems {
-		snap.liveItems[id] = it
-	}
-	e.snaps = []snapshot{snap}
+	e.snaps = []snapshot{{height: s.Height, hash: s.Block.Hash, state: st.clone()}}
 	return nil
 }
 

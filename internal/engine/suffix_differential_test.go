@@ -6,20 +6,75 @@ import (
 	"testing"
 
 	"repro/internal/block"
+	"repro/internal/chain"
+	"repro/internal/meta"
+	"repro/internal/pos"
 )
 
-// Differential equivalence suite (ISSUE: incremental sync). AdoptSuffix is
-// an optimization of AdoptChain — same acceptance decisions, same
-// resulting state — so for every seeded fork scenario we drive two
-// observer engines with identical histories, hand one the bare suffix and
-// the other the synthesized full candidate, and require bit-identical
-// results: tip hash, every block hash, ledger, StorageView, item indexes
-// and pool.
+// Differential equivalence suite. AdoptSuffix must make the acceptance
+// decisions, and reach the state, of the simplest thing that could work:
+// take the whole candidate chain, validate it from genesis against a scratch
+// ledger, and rebuild every piece of derived state from nothing. That was
+// the engine's first fork path (AdoptChain + chain.ReplaceIfLonger +
+// Ledger.Rebuild); it is retired from the engine and lives on below as the
+// reference. For every seeded fork scenario two observer engines with
+// identical histories get the bare suffix and the synthesized full candidate
+// respectively, and must end bit-identical: tip hash, every block hash,
+// ledger, StorageView, item indexes and pool.
 //
 // The scenarios deliberately avoid the two pieces of state that are NOT
 // chain-derived and hence outside the equivalence contract: ledger rentals
 // (Ledger.Rebuild documents they reset on scratch replay) and item
 // expiry (no test item carries a ValidFor).
+
+// AdoptChain is the reference oracle: whole-chain adoption by scratch replay.
+// It shares no logic with AdoptSuffix beyond the checkpoint rule's one line.
+func (e *Engine) AdoptChain(blocks []*block.Block) bool {
+	if len(blocks) <= e.ch.Len() || blocks[0].Hash != e.cfg.Genesis.Hash {
+		return false
+	}
+	if cp := e.LastCheckpoint(); cp > 0 {
+		hdr, ok := e.ch.HeaderAt(cp)
+		if !ok || uint64(len(blocks)) <= cp || blocks[cp].Hash != hdr.Hash {
+			return false
+		}
+	}
+	// Structure and content through a hookless scratch replica, claims
+	// against a scratch ledger.
+	ch := chain.New(e.cfg.Genesis)
+	ch.Sigs = &e.sigs
+	scratch := pos.NewLedger(e.cfg.Accounts)
+	scratch.RescaleEvery = e.cfg.StakeRescaleEvery
+	for i, b := range blocks[1:] {
+		if _, err := ch.Add(b); err != nil {
+			return false
+		}
+		if e.cfg.ValidateClaims && e.cfg.PoS.ValidateClaim(blocks[i], b, scratch) != nil {
+			return false
+		}
+		if scratch.ApplyBlock(b) != nil {
+			return false
+		}
+	}
+	ch.PreAppend, ch.PostAppend = e.preAppend, e.postAppend
+	e.ch = ch
+	if err := e.ledger.Rebuild(blocks); err != nil {
+		panic(err)
+	}
+	e.view.Rebuild(blocks)
+	e.inChain = make(map[meta.DataID]bool)
+	e.liveItems = make(map[meta.DataID]*meta.Item)
+	for _, b := range blocks {
+		for _, it := range b.Items {
+			e.inChain[it.ID] = true
+			e.liveItems[it.ID] = it
+			delete(e.pool, it.ID)
+		}
+	}
+	e.pruneSnapshots()
+	e.maybePrune()
+	return true
+}
 
 // mineAmong plays one round among a subset of the cluster's engines: the
 // member with the earliest winning time mines and only members adopt, so
@@ -142,7 +197,7 @@ func forkFixture(t *testing.T, snapInterval, prefixLen, localExtra, remoteExtra 
 }
 
 // runDifferential adopts the remote branch on observer 2 via AdoptSuffix
-// and on observer 3 via the legacy AdoptChain, then checks equivalence.
+// and on observer 3 via the AdoptChain oracle, then checks equivalence.
 func runDifferential(t *testing.T, c *testCluster, suffix []*block.Block, wantFullReplay bool) SuffixStats {
 	t.Helper()
 	candidate := append([]*block.Block(nil), c.engines[0].Chain().Blocks()...)
@@ -184,12 +239,12 @@ func TestAdoptSuffixEquivalentForkAtSnapshot(t *testing.T) {
 
 func TestAdoptSuffixEquivalentForkBeforeSnapshot(t *testing.T) {
 	// Observers snapshot at 4 and 8 on their own branch, but the fork point
-	// 3 predates both: the engine must fall back to a full scratch replay
-	// and still match the legacy path exactly.
+	// 3 predates both: fork-point state is replayed from genesis and must
+	// still match the oracle exactly.
 	c, suffix := forkFixture(t, 4, 3, 6, 8)
 	stats := runDifferential(t, c, suffix, true)
-	if got := len(c.engines[2].Chain().Blocks()); stats.Replayed != got-1 {
-		t.Errorf("Replayed = %d, want full chain %d", stats.Replayed, got-1)
+	if stats.Replayed != 3 {
+		t.Errorf("Replayed = %d, want the 3 own blocks below the fork", stats.Replayed)
 	}
 }
 
@@ -287,7 +342,7 @@ func TestAdoptSuffixParallelVerifyDeterministic(t *testing.T) {
 				t.Errorf("ParallelVerified = %d, want 0 on the sequential path", stats.ParallelVerified)
 			}
 			if !c.engines[3].AdoptChain(c.engines[0].Chain().Blocks()) {
-				t.Fatal("legacy candidate rejected")
+				t.Fatal("oracle rejected the candidate")
 			}
 			assertEngineStateEqual(t, c.engines[2], c.engines[3])
 		})

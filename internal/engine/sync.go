@@ -6,17 +6,14 @@ import (
 	"sync/atomic"
 
 	"repro/internal/block"
-	"repro/internal/meta"
-	"repro/internal/pos"
 )
 
-// Incremental fork adoption (DESIGN.md §10). AdoptChain re-validates a
-// candidate from genesis against a scratch ledger — O(chain) work that
-// grows forever. AdoptSuffix instead adopts only the blocks past the fork
-// point, sourcing the ledger/view state at the fork point from a periodic
-// snapshot (or from the live state when the suffix simply extends the
-// tip), and falls back to the legacy scratch replay when the fork
-// predates every snapshot it kept.
+// Fork and catch-up adoption (DESIGN.md §10): AdoptSuffix is the one way a
+// block joins the chain other than by extending the tip. It adopts only the
+// blocks past the fork point, on the state as of the fork point: the live
+// state when the suffix extends the tip, else the newest periodic snapshot
+// at or below the fork with this node's own blocks in between re-applied,
+// else (the fork predates every snapshot kept) all of them from genesis.
 
 // snapshotKeep is how many periodic snapshots the engine retains. Two
 // snapshots guarantee that any fork point within one full
@@ -25,27 +22,25 @@ const snapshotKeep = 2
 
 // snapshot is the engine's chain-derived state frozen at one height.
 type snapshot struct {
-	height    uint64
-	hash      block.Hash
-	ledger    *pos.Ledger
-	view      *StorageView
-	inChain   map[meta.DataID]bool
-	liveItems map[meta.DataID]*meta.Item
+	height uint64
+	hash   block.Hash
+	state
 }
 
 // SuffixStats reports what an AdoptSuffix call did, for telemetry: how
-// much state was replayed versus a full scratch replay, and how much of
-// the batch the verify pool handled.
+// much state was replayed, and how much of the batch the verify pool
+// handled.
 type SuffixStats struct {
 	// ForkPoint is the height of the common ancestor the suffix extends.
 	ForkPoint uint64
 	// Appended counts suffix blocks validated and applied.
 	Appended int
-	// Replayed counts this node's own blocks re-applied between the
-	// snapshot and the fork point to reconstruct fork-point state.
+	// Replayed counts this node's own blocks re-applied to reconstruct
+	// fork-point state: those above the snapshot, or on a full replay all
+	// of them up to the fork point.
 	Replayed int
-	// FullReplay reports that no snapshot covered the fork point and the
-	// engine fell back to the legacy scratch replay from genesis.
+	// FullReplay reports that no snapshot covered the fork point and
+	// fork-point state was replayed from genesis.
 	FullReplay bool
 	// ParallelVerified counts blocks content-verified by the worker pool
 	// (0 when the pool ran sequentially).
@@ -59,21 +54,7 @@ func (e *Engine) maybeSnapshot(height uint64) {
 	if k == 0 || height == 0 || height%k != 0 {
 		return
 	}
-	s := snapshot{
-		height:    height,
-		hash:      e.ch.At(height).Hash,
-		ledger:    e.ledger.Clone(),
-		view:      e.view.Clone(),
-		inChain:   make(map[meta.DataID]bool, len(e.inChain)),
-		liveItems: make(map[meta.DataID]*meta.Item, len(e.liveItems)),
-	}
-	for id := range e.inChain {
-		s.inChain[id] = true
-	}
-	for id, it := range e.liveItems {
-		s.liveItems[id] = it
-	}
-	e.snaps = append(e.snaps, s)
+	e.snaps = append(e.snaps, snapshot{height: height, hash: e.ch.At(height).Hash, state: e.state.clone()})
 	if len(e.snaps) > snapshotKeep {
 		e.snaps = e.snaps[len(e.snaps)-snapshotKeep:]
 	}
@@ -167,24 +148,49 @@ func (e *Engine) verifyContent(blocks []*block.Block) (int, error) {
 	return len(blocks), nil
 }
 
+// stateAt returns the chain-derived state as of height h of this chain, for
+// a suffix to be validated on without touching the live state, and records
+// in st what rebuilding it took. ok is false on a pruned replica that holds
+// no snapshot at or below h: the bodies to replay are gone. Refusing is safe
+// because pruning keeps the body window above the checkpoint, so any such
+// fork rewrites finalized history anyway.
+func (e *Engine) stateAt(h uint64, st *SuffixStats) (s state, ok bool) {
+	from := h
+	if snap, covered := e.bestSnapshot(h); h == e.ch.Height() {
+		s = e.state.clone()
+	} else if covered {
+		s, from = snap.state.clone(), snap.height
+	} else if e.ch.BodyBase() != 0 {
+		return state{}, false
+	} else {
+		s, from, st.FullReplay = e.cfg.genesisState(), 0, true
+	}
+	// Our own blocks (from, h] were validated when first adopted, so only
+	// the state transitions run.
+	for i := from + 1; i <= h; i++ {
+		if _, err := s.apply(e.ch.At(i), e.cfg.Self); err != nil {
+			panic(fmt.Sprintf("engine: replay of own block %d: %v", i, err))
+		}
+	}
+	st.Replayed = int(h - from)
+	return s, true
+}
+
 // AdoptSuffix evaluates a candidate chain suffix whose first block links
 // to a block this engine already holds (the fork point). The combined
-// chain must be strictly longer than the current one and respect
-// checkpoint finality, exactly as AdoptChain requires of a full
-// candidate; block content is verified by the bounded worker pool and
-// PoS claims (when enabled) are replayed sequentially against the ledger
-// state reconstructed at the fork point.
+// chain must be strictly longer than the current one and must not rewrite
+// finalized history (Section V-D); block content is verified by the bounded
+// worker pool and PoS claims (when enabled) are replayed sequentially
+// against the state reconstructed at the fork point (stateAt). Block
+// timestamps are not checked against Now.
 //
-// State reconstruction costs only the blocks between the newest covering
-// snapshot and the fork point — for the common reconnect case (suffix
-// extends the tip) nothing is replayed at all. When no snapshot covers
-// the fork point, the engine falls back to the legacy scratch replay
-// (stats.FullReplay), guaranteeing the same acceptance decisions.
-//
-// Like AdoptChain, AdoptSuffix runs no OnAppend callbacks and does not
-// check block timestamps against Now; on success all chain-derived state
-// is swapped atomically and true is returned. On any rejection the
-// engine is left exactly as it was.
+// On any rejection the engine is left exactly as it was and no callback
+// runs. On success the chain tail and all derived state are swapped
+// atomically and true is returned; then Config.OnDisconnect hears the blocks
+// that left the chain, if any, and Config.OnAppend one event per suffix
+// block, oldest first — the events a block-by-block ReceiveBlock of the same
+// suffix would have delivered, except that the engine already stands at the
+// new tip when the first one arrives.
 func (e *Engine) AdoptSuffix(suffix []*block.Block) (SuffixStats, bool) {
 	var st SuffixStats
 	forkPoint, err := e.ch.CheckSuffixLinks(suffix)
@@ -200,103 +206,34 @@ func (e *Engine) AdoptSuffix(suffix []*block.Block) (SuffixStats, bool) {
 	if err != nil {
 		return st, false
 	}
-
-	// Reconstruct ledger/view/index state as of the fork point.
-	var (
-		ledger     *pos.Ledger
-		view       *StorageView
-		inChain    map[meta.DataID]bool
-		liveItems  map[meta.DataID]*meta.Item
-		replayFrom uint64
-	)
-	if forkPoint == e.ch.Height() {
-		// Pure catch-up: the live state *is* the fork-point state. Clone it
-		// so a claim failure mid-suffix leaves the engine untouched.
-		ledger = e.ledger.Clone()
-		view = e.view.Clone()
-		inChain = make(map[meta.DataID]bool, len(e.inChain))
-		for id := range e.inChain {
-			inChain[id] = true
-		}
-		liveItems = make(map[meta.DataID]*meta.Item, len(e.liveItems))
-		for id, it := range e.liveItems {
-			liveItems[id] = it
-		}
-		replayFrom = forkPoint
-	} else if s, ok := e.bestSnapshot(forkPoint); ok {
-		ledger = s.ledger.Clone()
-		view = s.view.Clone()
-		inChain = make(map[meta.DataID]bool, len(s.inChain))
-		for id := range s.inChain {
-			inChain[id] = true
-		}
-		liveItems = make(map[meta.DataID]*meta.Item, len(s.liveItems))
-		for id, it := range s.liveItems {
-			liveItems[id] = it
-		}
-		replayFrom = s.height
-	} else {
-		// The fork predates every snapshot: legacy scratch replay of the
-		// synthesized full candidate. No extra network cost — the prefix is
-		// our own chain. A pruned replica cannot synthesize that prefix;
-		// refusing is safe because pruning keeps the body window above the
-		// checkpoint, so any such fork is non-finalizable history anyway.
-		if e.ch.BodyBase() != 0 {
-			return st, false
-		}
-		candidate := make([]*block.Block, 0, int(forkPoint)+1+len(suffix))
-		candidate = append(candidate, e.ch.Blocks()[:forkPoint+1]...)
-		candidate = append(candidate, suffix...)
-		st.FullReplay = true
-		st.Replayed = len(candidate) - 1
-		st.Appended = len(suffix)
-		return st, e.AdoptChain(candidate)
-	}
-
-	// Replay our own blocks (replayFrom, forkPoint] — already validated
-	// when first adopted, so only the state transitions run.
-	for h := replayFrom + 1; h <= forkPoint; h++ {
-		b := e.ch.At(h)
-		if err := ledger.ApplyBlock(b); err != nil {
-			panic(fmt.Sprintf("engine: snapshot replay at %d: %v", h, err))
-		}
-		view.ApplyBlock(b)
-		for _, it := range b.Items {
-			inChain[it.ID] = true
-			liveItems[it.ID] = it
-		}
-		st.Replayed++
+	next, ok := e.stateAt(forkPoint, &st)
+	if !ok {
+		return st, false
 	}
 
 	// Validate and apply the suffix on the reconstructed state.
+	events := make([][]ItemEvent, len(suffix))
 	prev := e.ch.At(forkPoint)
-	for _, b := range suffix {
+	for i, b := range suffix {
 		if e.cfg.ValidateClaims {
-			if err := e.cfg.PoS.ValidateClaim(prev, b, ledger); err != nil {
+			if err := e.cfg.PoS.ValidateClaim(prev, b, next.ledger); err != nil {
 				return st, false
 			}
 		}
-		if err := ledger.ApplyBlock(b); err != nil {
+		if events[i], err = next.apply(b, e.cfg.Self); err != nil {
 			return st, false
-		}
-		view.ApplyBlock(b)
-		for _, it := range b.Items {
-			inChain[it.ID] = true
-			liveItems[it.ID] = it
 		}
 		prev = b
 		st.Appended++
 	}
 
 	// Commit: swap the chain tail and all derived state atomically.
+	disconnected := e.ch.Range(forkPoint+1, e.ch.Height())
 	if err := e.ch.ReplaceSuffix(forkPoint, suffix); err != nil {
 		// Cannot happen: CheckSuffixLinks vetted the same suffix above.
 		panic("engine: suffix replace after validation: " + err.Error())
 	}
-	e.ledger = ledger
-	e.view = view
-	e.inChain = inChain
-	e.liveItems = liveItems
+	e.state = next
 	for _, b := range suffix {
 		for _, it := range b.Items {
 			delete(e.pool, it.ID)
@@ -304,5 +241,14 @@ func (e *Engine) AdoptSuffix(suffix []*block.Block) (SuffixStats, bool) {
 	}
 	e.pruneSnapshots()
 	e.maybePrune()
+
+	if cb := e.cfg.OnDisconnect; cb != nil && len(disconnected) > 0 {
+		cb(disconnected)
+	}
+	if cb := e.cfg.OnAppend; cb != nil {
+		for i, b := range suffix {
+			cb(AppendEvent{Block: b, Items: events[i]})
+		}
+	}
 	return st, true
 }

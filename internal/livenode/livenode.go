@@ -552,6 +552,7 @@ func New(cfg Config) (*Node, error) {
 		Liveness:           liveness,
 		RepairMaxPerBlock:  repairMax,
 		OnAppend:           n.onAppend,
+		OnDisconnect:       n.onDisconnect,
 	})
 	if err != nil {
 		return nil, err

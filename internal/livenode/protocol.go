@@ -27,9 +27,11 @@ func (n *Node) noteStoreErrLocked(err error) {
 }
 
 // onAppend layers the live node's I/O side effects on top of a block the
-// engine adopted (ledger, view, pool and item index are already updated).
-// The engine calls it synchronously from ReceiveBlock/Mine/AppendTrusted,
-// so n.mu is held.
+// engine connected (ledger, view, pool and item index are already updated):
+// the one place that persists a block, feeds the repair plane, fetches what
+// the block assigns this node and calls OnBlock. The engine calls it
+// synchronously from ReceiveBlock/Mine/AppendTrusted and, once per suffix
+// block, from AdoptSuffix, so n.mu is held.
 func (n *Node) onAppend(ev engine.AppendEvent) {
 	b := ev.Block
 	if n.replaying {
@@ -74,6 +76,23 @@ func (n *Node) onAppend(ev engine.AppendEvent) {
 	}
 	if cb := n.cfg.OnBlock; cb != nil && !n.replaying {
 		go cb(b)
+	}
+}
+
+// onDisconnect undoes what onAppend derived from blocks a fork adoption took
+// off the chain (n.mu held, like every engine callback): the WAL and the
+// provider index are cut back to the fork point, and the onAppend calls that
+// follow extend both along the new branch.
+func (n *Node) onDisconnect(gone []*block.Block) {
+	n.tel.forkAdoptions.Inc()
+	// Every body the replica holds up to the fork point, minus genesis (it is
+	// derived from the seed, never persisted). On a pruned replica the window
+	// base is a real block and is kept.
+	ch := n.eng.Chain()
+	kept := ch.Range(max(ch.BodyBase(), 1), gone[0].Index-1)
+	n.noteStoreErrLocked(n.store.ResetChain(kept))
+	if rd := n.repair; rd != nil {
+		rd.idx.Rebuild(kept)
 	}
 }
 
@@ -357,16 +376,4 @@ func (n *Node) receiveBlock(from string, blk *block.Block, fetched bool) error {
 		n.sendSyncLocator(from)
 	}
 	return addErr
-}
-
-// walBlocksLocked returns every block body the chain replica holds minus
-// genesis (which is derived from the seed, never persisted) — the exact
-// set ResetChain must write. On a pruned replica the window base is a
-// real block and is kept (n.mu held).
-func (n *Node) walBlocksLocked() []*block.Block {
-	bs := n.eng.Chain().Blocks()
-	if len(bs) > 0 && bs[0].Index == 0 {
-		bs = bs[1:]
-	}
-	return bs
 }

@@ -4,11 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/block"
 	"repro/internal/chain"
-	"repro/internal/meta"
 	"repro/internal/p2p"
 	"repro/internal/wire"
 )
@@ -446,80 +444,25 @@ func (n *Node) abortSyncLocked(why string) {
 	n.clearSyncLocked()
 }
 
-// adoptSyncSuffixLocked runs a fetched suffix through the engine and, on
-// success, layers persistence, data fetches, telemetry and mining
-// rescheduling on top (n.mu held). On engine rejection the session is
+// adoptSyncSuffixLocked runs a fetched suffix through the engine (n.mu held).
+// Persistence, the provider index, data fetches and OnBlock are onAppend's, as
+// for a live block, and what a true fork undoes is onDisconnect's: the engine
+// calls both before AdoptSuffix returns. On engine rejection the session is
 // aborted (the chain may simply have moved on) and false is returned.
 func (n *Node) adoptSyncSuffixLocked(suffix []*block.Block) bool {
 	oldHeight := n.eng.Height()
-	// Which suffix items were re-announcements must be decided against the
-	// provider index BEFORE the suffix is applied to it.
-	var knownBefore map[meta.DataID]bool
-	if rd := n.repair; rd != nil {
-		knownBefore = make(map[meta.DataID]bool)
-		for _, b := range suffix {
-			for _, it := range b.Items {
-				if rd.idx.Providers(it.ID) != nil {
-					knownBefore[it.ID] = true
-				}
-			}
-		}
-	}
 	stats, ok := n.eng.AdoptSuffix(suffix)
 	if !ok {
 		n.abortSyncLocked(fmt.Sprintf("engine rejected suffix at fork %d", stats.ForkPoint))
 		return false
 	}
-	// AdoptSuffix runs no OnAppend hooks; maintain the repair plane's
-	// provider index by hand. A pure catch-up extends it incrementally; a
-	// true fork invalidates incremental state, so rebuild from scratch.
-	if rd := n.repair; rd != nil {
-		if stats.ForkPoint == oldHeight {
-			for _, b := range suffix {
-				rd.idx.ApplyBlock(b)
-			}
-		} else {
-			rd.idx.Rebuild(n.eng.Chain().Blocks())
-		}
-	}
-	n.tel.blocksAdopted.Add(stats.Appended)
 	n.tel.syncBlocksReplayed.Add(stats.Replayed)
 	n.tel.syncVerifyParallel.Add(stats.ParallelVerified)
 	if stats.FullReplay {
 		n.tel.syncFullReplays.Inc()
 	}
-	n.updateChainGauges()
 	n.tel.events.RecordAt(n.clock.Now(), "sync_adopted",
 		fmt.Sprintf("fork %d, height %d -> %d (%d replayed)", stats.ForkPoint, oldHeight, n.eng.Height(), stats.Replayed))
-
-	if stats.ForkPoint == oldHeight {
-		// Tip extension: persist incrementally, like live adoption.
-		for _, b := range suffix {
-			n.noteStoreErrLocked(n.store.AppendBlock(b))
-			n.sinceCkpt++
-			if n.sinceCkpt >= n.cfg.CheckpointEvery {
-				n.sinceCkpt = 0
-				n.noteStoreErrLocked(n.store.Checkpoint(b.Index, b.Hash))
-				if n.cfg.PruneDepth > 0 {
-					n.persistSnapshotLocked()
-				}
-				n.pruneExpiredLocked()
-			}
-		}
-	} else {
-		// True fork: the persisted chain below the old tip changed.
-		n.tel.forkAdoptions.Inc()
-		n.noteStoreErrLocked(n.store.ResetChain(n.walBlocksLocked()))
-	}
-	// Fetch data content this node is newly assigned to store — the same
-	// side effect onAppend applies to live blocks.
-	for _, b := range suffix {
-		for _, it := range b.Items {
-			if slices.Contains(it.StoringNodes, n.selfIdx) {
-				n.fetchAssignedLocked(it.ID, knownBefore[it.ID])
-			}
-		}
-	}
 	n.scheduleMiningLocked()
 	return true
 }

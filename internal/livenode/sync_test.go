@@ -16,6 +16,7 @@ import (
 	"repro/internal/p2p"
 	"repro/internal/p2p/memnet"
 	"repro/internal/pos"
+	"repro/internal/store"
 	"repro/internal/telemetry"
 )
 
@@ -516,6 +517,74 @@ func TestSyncForkSuffixFromSnapshot(t *testing.T) {
 	// store must recover the synced chain, not the abandoned one.
 	if a.StoreErr() != nil {
 		t.Fatalf("store error: %v", a.StoreErr())
+	}
+}
+
+// TestSyncedBlocksTakeTheLivePath: blocks that arrive by locator sync get
+// what a live block gets — OnBlock fires for each — and after a true fork the
+// WAL holds exactly the adopted chain: the abandoned branch cut off by
+// onDisconnect, the new one appended block by block by onAppend. A crash and
+// restart from the same directory recovers the chain the node stood on.
+func TestSyncedBlocksTakeTheLivePath(t *testing.T) {
+	fn := newFakeNet()
+	epoch := time.Unix(1700000000, 0)
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	notified := make(map[block.Hash]bool)
+	a := newSyncTestNode(t, fn, "a", 0, epoch, func(cfg *Config) {
+		cfg.Store = st
+		cfg.OnBlock = func(b *block.Block) {
+			mu.Lock()
+			notified[b.Hash] = true
+			mu.Unlock()
+		}
+	})
+	b := newSyncTestNode(t, fn, "b", 1, epoch, nil)
+
+	// Common prefix of 4, then A mines 1 on its branch and B 3 on its own.
+	a.mineBlocks(t, 4)
+	for _, blk := range a.ChainSnapshot()[1:] {
+		b.handleFrame("a", p2p.FrameBlockAnnounce, encodeAnnounce(blk.Index, blk.Hash))
+	}
+	a.mineBlocks(t, 1)
+	abandoned := a.Tip()
+	b.mineBlocks(t, 3)
+	if err := a.Connect("b"); err != nil {
+		t.Fatal(err)
+	}
+	adopted := a.ChainSnapshot()
+	if len(adopted) != 8 || a.Tip().Hash != b.Tip().Hash {
+		t.Fatalf("a holds %d blocks after fork sync, want b's 8", len(adopted))
+	}
+	waitFor(t, 5*time.Second, "OnBlock for every synced block", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return notified[adopted[5].Hash] && notified[adopted[6].Hash] && notified[adopted[7].Hash]
+	})
+	if v := counter(a.reg, "livenode.blocks.adopted"); v != 8 {
+		t.Errorf("blocks.adopted = %d, want 8 (5 mined here, 3 synced)", v)
+	}
+
+	if err := a.Kill(); err != nil || a.StoreErr() != nil {
+		t.Fatalf("kill: %v, store: %v", err, a.StoreErr())
+	}
+	reopened, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	wal := reopened.RecoveredBlocks()
+	if len(wal) != 7 {
+		t.Fatalf("WAL recovers %d blocks, want the 7 of the adopted chain", len(wal))
+	}
+	for i, blk := range wal {
+		if blk.Hash == abandoned.Hash || blk.Hash != adopted[i+1].Hash {
+			t.Fatalf("WAL block %d is not the adopted chain's", blk.Index)
+		}
 	}
 }
 

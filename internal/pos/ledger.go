@@ -184,8 +184,9 @@ func (l *Ledger) Clone() *Ledger {
 	return cp
 }
 
-// Rebuild replays a whole chain (excluding genesis) into a fresh state;
-// used when a node adopts a longer fork.
+// Rebuild replays a whole chain (excluding genesis) into a fresh state: the
+// from-scratch form that incremental application is audited against (the
+// engine's reference oracle, bench/'s ledger probes). No node path calls it.
 func (l *Ledger) Rebuild(blocks []*block.Block) error {
 	for i := range l.mined {
 		l.mined[i] = 0

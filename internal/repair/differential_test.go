@@ -22,7 +22,7 @@ import (
 // incrementally from engine OnAppend feeds must be bit-identical — same
 // Snapshot() — to one rebuilt from scratch off the same chain, across
 // fresh announcements, migrations/re-announcements, item expiry, suffix
-// catch-up sync (AdoptSuffix) and whole-chain fork adoption (AdoptChain).
+// catch-up sync and fork adoption (both AdoptSuffix).
 // It also cross-checks provider sets against the engine's own StorageView,
 // the consensus-side source of truth for live assignments.
 
@@ -33,10 +33,11 @@ type diffCluster struct {
 	accounts []identity.Address
 	engines  []*engine.Engine
 	now      time.Duration
-	onItem   func(node int, ev engine.AppendEvent)
 }
 
-func newDiffCluster(t *testing.T, n int) *diffCluster {
+// newDiffCluster builds n engines; engine 0 maintains idx0 from its
+// callbacks, exactly as the live node does.
+func newDiffCluster(t *testing.T, n int, idx0 *repair.Index) *diffCluster {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	c := &diffCluster{
@@ -48,14 +49,19 @@ func newDiffCluster(t *testing.T, n int) *diffCluster {
 		c.idents[i] = identity.GenerateSeeded(rng)
 		c.accounts[i] = c.idents[i].Address()
 	}
-	for i := 0; i < n; i++ {
-		c.engines[i] = c.newEngine(t, i)
+	c.engines[0] = c.newEngine(t, 0, idx0)
+	for i := 1; i < n; i++ {
+		c.engines[i] = c.newEngine(t, i, repair.NewIndex(n))
 	}
 	return c
 }
 
-func (c *diffCluster) newEngine(t *testing.T, i int) *engine.Engine {
+// newEngine builds node i's engine with idx fed the way livenode feeds its
+// provider index: every connected block's items applied, a fork's
+// disconnected blocks undone by a rebuild of the chain below the fork point.
+func (c *diffCluster) newEngine(t *testing.T, i int, idx *repair.Index) *engine.Engine {
 	t.Helper()
+	var e *engine.Engine
 	topo := netsim.NewTopology(make([]geo.Point, len(c.accounts)), 1, nil)
 	blockPlanner := alloc.NewPlanner(1)
 	blockPlanner.MinReplicas = 1
@@ -73,9 +79,12 @@ func (c *diffCluster) newEngine(t *testing.T, i int) *engine.Engine {
 		InitialRecentDepth: 1,
 		MigrateMaxPerBlock: 2,
 		OnAppend: func(ev engine.AppendEvent) {
-			if c.onItem != nil {
-				c.onItem(i, ev)
+			for _, ie := range ev.Items {
+				idx.Apply(ie.Item)
 			}
+		},
+		OnDisconnect: func(gone []*block.Block) {
+			idx.Rebuild(e.Chain().Range(1, gone[0].Index-1))
 		},
 	})
 	if err != nil {
@@ -160,19 +169,9 @@ func checkDifferential(t *testing.T, phase string, e *engine.Engine, inc *repair
 
 func TestIndexDifferentialAcrossForkSyncExpiry(t *testing.T) {
 	const n = 4
-	c := newDiffCluster(t, n)
-	all := []int{0, 1, 2, 3}
-
-	// Engine 0's index is maintained incrementally from its OnAppend feed,
-	// exactly as the live node does.
 	inc := repair.NewIndex(n)
-	c.onItem = func(node int, ev engine.AppendEvent) {
-		if node == 0 {
-			for _, ie := range ev.Items {
-				inc.Apply(ie.Item)
-			}
-		}
-	}
+	c := newDiffCluster(t, n, inc)
+	all := []int{0, 1, 2, 3}
 
 	// Phase 1: fresh announcements, mixed lifetimes.
 	for k := 0; k < 6; k++ {
@@ -197,42 +196,31 @@ func TestIndexDifferentialAcrossForkSyncExpiry(t *testing.T) {
 	c.mineNext(t, all)
 	checkDifferential(t, "expiry", c.engines[0], inc, c.now)
 
-	// Phase 3: suffix catch-up sync. A fresh engine replays the first part
-	// of the chain block-by-block (incremental feed), then adopts the rest
-	// via AdoptSuffix — which runs no OnAppend hooks, so the index is
-	// extended with ApplyBlock, the way livenode's sync path does.
+	// Phase 3: suffix catch-up sync. A fresh engine receives the first part
+	// of the chain block by block, then adopts the rest via AdoptSuffix; both
+	// feed its index through the same OnAppend events.
 	chain := c.engines[0].Chain().Blocks()
 	lateIdx := repair.NewIndex(n)
-	late := c.newEngine(t, 1)
+	late := c.newEngine(t, 1, lateIdx)
 	split := len(chain) - 2
 	for _, b := range chain[1:split] {
 		if _, err := late.ReceiveBlock(b); err != nil {
 			t.Fatalf("late replay: %v", err)
 		}
-		lateIdx.ApplyBlock(b)
 	}
 	if _, ok := late.AdoptSuffix(chain[split:]); !ok {
 		t.Fatal("late engine rejected catch-up suffix")
 	}
-	for _, b := range chain[split:] {
-		lateIdx.ApplyBlock(b)
-	}
 	checkDifferential(t, "suffix-sync", late, lateIdx, c.now)
 
 	// Phase 4: fork adoption. A disjoint group mines a longer chain from
-	// the same genesis; engine 0 adopts it wholesale (AdoptChain), which
-	// invalidates incremental state — the index is rebuilt, and the result
-	// must match an index that followed the winning chain incrementally.
-	f := newDiffCluster(t, n)
-	f.now = c.now
+	// the same genesis; engine 0 adopts it as one suffix from genesis. Its
+	// index is cut back by OnDisconnect and extended by the suffix's
+	// OnAppend events, and must match both a scratch rebuild and an index
+	// that followed the winning chain block by block.
 	fIdx := repair.NewIndex(n)
-	f.onItem = func(node int, ev engine.AppendEvent) {
-		if node == 0 {
-			for _, ie := range ev.Items {
-				fIdx.Apply(ie.Item)
-			}
-		}
-	}
+	f := newDiffCluster(t, n, fIdx)
+	f.now = c.now
 	it := f.item(0, "fork-item", 0)
 	for _, i := range all {
 		f.engines[i].AddMetadata(it)
@@ -241,12 +229,11 @@ func TestIndexDifferentialAcrossForkSyncExpiry(t *testing.T) {
 		f.mineNext(t, all)
 	}
 	c.now = f.now
-	if !c.engines[0].AdoptChain(f.engines[0].Chain().Blocks()) {
+	if _, ok := c.engines[0].AdoptSuffix(f.engines[0].Chain().Blocks()[1:]); !ok {
 		t.Fatal("engine 0 refused the longer fork")
 	}
-	inc.Rebuild(c.engines[0].Chain().Blocks())
 	checkDifferential(t, "fork-adopt", c.engines[0], inc, c.now)
 	if got, want := inc.Snapshot(), fIdx.Snapshot(); got != want {
-		t.Fatalf("fork adoption rebuild diverged from the winner's incremental index\nrebuild:\n%s\nincremental:\n%s", got, want)
+		t.Fatalf("fork adoption diverged from the winner's incremental index\nadopted:\n%s\nincremental:\n%s", got, want)
 	}
 }
