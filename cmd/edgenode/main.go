@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"repro/internal/block"
-	"repro/internal/core"
 	"repro/internal/identity"
 	"repro/internal/livenode"
 	"repro/internal/pos"
@@ -97,7 +96,7 @@ func main() {
 
 	reg := telemetry.NewRegistry()
 
-	var nodeStore core.Store
+	var nodeStore store.Backend
 	if *dataDir != "" {
 		st, err := store.Open(*dataDir, store.Options{Sync: policy, Metrics: store.NewMetrics(reg)})
 		if err != nil {

@@ -48,6 +48,17 @@ func (b *Block) appendTail(dst []byte) []byte {
 	return append(dst, b.Hash[:]...)
 }
 
+// EncodedHash reads the block hash off an encoded block, full or compact,
+// without decoding it (the hash is the last field of both layouts); false if
+// data is too short. The hash is the sender's claim: it names the block for
+// dedup, and only VerifySelf on the decoded block proves it.
+func EncodedHash(data []byte) (Hash, bool) {
+	if len(data) < len(Hash{}) {
+		return Hash{}, false
+	}
+	return Hash(data[len(data)-len(Hash{}):]), true
+}
+
 // EncodedSize is the wire size of the block in bytes (len(Encode())). Used
 // for network and storage accounting (paper: average block size under
 // 10 KB).

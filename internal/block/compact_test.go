@@ -68,6 +68,14 @@ func TestCompactRebuildMatchesFullCodec(t *testing.T) {
 		if err != nil {
 			t.Fatalf("block %d: %v", i, err)
 		}
+		for _, wire := range [][]byte{enc, b.Encode()} {
+			if h, ok := EncodedHash(wire); !ok || h != b.Hash {
+				t.Fatalf("block %d: EncodedHash reads %v %v off a %d-byte body", i, h, ok, len(wire))
+			}
+		}
+		if _, ok := EncodedHash(enc[:len(Hash{})-1]); ok {
+			t.Fatal("EncodedHash read a hash off fewer bytes than one")
+		}
 		_, resolve := poolOf(b)
 		got, missing := c.Rebuild(resolve)
 		if got == nil {

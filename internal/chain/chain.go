@@ -32,7 +32,8 @@ var (
 	// ErrDuplicate means the block is already part of the chain.
 	ErrDuplicate = errors.New("chain: duplicate block")
 	// ErrGap means the block's index leaves a gap after the current tip;
-	// the block was buffered and the missing indices should be fetched.
+	// the missing indices should be fetched. The block was buffered if it
+	// lies within pendingWindow of the tip.
 	ErrGap = errors.New("chain: gap before block")
 	// ErrStale means the block extends a shorter or equal fork and was
 	// ignored (longest-chain rule).
@@ -43,6 +44,16 @@ var (
 	// ErrUnknownHeight means the height is beyond the tip (or, on a
 	// bootstrapped replica, below the anchor).
 	ErrUnknownHeight = errors.New("chain: unknown height")
+)
+
+// Bounds of the out-of-order buffer. Blocks reach it on content validity
+// alone, before any PoS claim can be checked, so a peer decides what goes in:
+// only heights close above the tip are parked, and only so many. Gap recovery
+// (Section III-C) fills from the tip upward, so the nearest blocks are the
+// ones a drain can use; anything farther is a locator sync or a chain request.
+const (
+	pendingWindow = 64 // park heights in (tip+1, tip+pendingWindow]
+	maxPending    = 16 // parked blocks; the farthest gives way
 )
 
 // Header is the fixed-size spine entry kept for every known height even
@@ -344,8 +355,9 @@ func (c *Chain) MissingRange() (from, to uint64, ok bool) {
 //   - extends the tip: validated and appended; buffered successors are then
 //     drained. Returns the number of blocks actually appended.
 //   - already known: ErrDuplicate.
-//   - index beyond tip+1: buffered, returns ErrGap (caller should fetch
-//     c.MissingRange()).
+//   - index beyond tip+1: ErrGap. Within pendingWindow of the tip the block
+//     is validated and buffered, evicting the farthest of maxPending (caller
+//     should fetch c.MissingRange()); beyond it the block is dropped unread.
 //   - index at or below tip with a different hash: ErrStale (fork shorter
 //     than or equal to ours; longest-chain keeps ours). Use ReplaceSuffix
 //     to adopt a longer fork.
@@ -373,14 +385,32 @@ func (c *Chain) Add(b *block.Block) (appended int, err error) {
 		c.append(b)
 		return 1 + c.drainPending(), nil
 	case b.Index > tip.Index+1:
-		if err := b.VerifySelfCached(c.Sigs); err != nil {
-			return 0, err
+		if b.Index-tip.Index <= pendingWindow {
+			if err := b.VerifySelfCached(c.Sigs); err != nil {
+				return 0, err
+			}
+			c.park(b)
 		}
-		c.pending[b.Index] = b
 		return 0, fmt.Errorf("%w: have %d, got %d", ErrGap, tip.Index, b.Index)
 	default:
 		return 0, fmt.Errorf("%w: index %d at height %d", ErrStale, b.Index, tip.Index)
 	}
+}
+
+// park buffers an out-of-order block; a full buffer keeps the maxPending
+// blocks nearest the tip.
+func (c *Chain) park(b *block.Block) {
+	if _, held := c.pending[b.Index]; !held && len(c.pending) >= maxPending {
+		far := b.Index
+		for idx := range c.pending {
+			far = max(far, idx)
+		}
+		if far == b.Index {
+			return
+		}
+		delete(c.pending, far)
+	}
+	c.pending[b.Index] = b
 }
 
 func (c *Chain) append(b *block.Block) {

@@ -181,6 +181,56 @@ func TestGapDrainDropsForeignForkBlock(t *testing.T) {
 	}
 }
 
+// TestPendingIsBounded: a peer feeding self-valid blocks far above the tip
+// cannot grow the out-of-order buffer past maxPending, a block beyond the
+// window is dropped before its content is even read, and the blocks kept are
+// the ones nearest the tip, which a gap fill then drains.
+func TestPendingIsBounded(t *testing.T) {
+	blocks := buildChain(t, 1, 2*pendingWindow)
+	c := New(blocks[0])
+	// Farthest first, so every later block is nearer than what is parked.
+	for i := len(blocks) - 1; i >= 3; i-- {
+		if _, err := c.Add(blocks[i]); !errors.Is(err, ErrGap) {
+			t.Fatalf("block %d: %v, want ErrGap", i, err)
+		}
+		if c.Pending() > maxPending {
+			t.Fatalf("%d blocks parked after block %d, cap is %d", c.Pending(), i, maxPending)
+		}
+	}
+	if from, to, ok := c.MissingRange(); !ok || from != 1 || to != 2 || c.Pending() != maxPending {
+		t.Fatalf("parked %d, missing [%d,%d] %v: want the %d blocks from 3 up", c.Pending(), from, to, ok, maxPending)
+	}
+	// Nearest first, the farther ones find the buffer full and are refused.
+	d := New(blocks[0])
+	for _, b := range blocks[2:] {
+		d.Add(b)
+	}
+	if _, kept := d.pending[2+maxPending]; d.Pending() != maxPending || kept {
+		t.Fatalf("parked %d of a nearest-first flood, want the %d nearest", d.Pending(), maxPending)
+	}
+	// Beyond the window nothing is parked and nothing verified: a corrupt
+	// block reads as a gap, not as a bad hash.
+	corrupt := blocks[pendingWindow+1].Clone()
+	corrupt.MinedAfter++
+	if _, err := New(blocks[0]).Add(corrupt); !errors.Is(err, ErrGap) {
+		t.Fatalf("corrupt block beyond the window: %v, want ErrGap unread", err)
+	}
+	corrupt = blocks[pendingWindow].Clone()
+	corrupt.MinedAfter++
+	if _, err := New(blocks[0]).Add(corrupt); errors.Is(err, ErrGap) || err == nil {
+		t.Fatalf("corrupt block inside the window: %v, want a validation error", err)
+	}
+	// Filling the gap drains everything that was kept.
+	for _, b := range blocks[1:3] {
+		if _, err := c.Add(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.Height() != uint64(2+maxPending) || c.Pending() != 0 {
+		t.Fatalf("height %d with %d parked after the gap fill, want %d and 0", c.Height(), c.Pending(), 2+maxPending)
+	}
+}
+
 func TestValidate(t *testing.T) {
 	blocks := buildChain(t, 1, 5)
 	if err := Validate(blocks); err != nil {

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/identity"
 	"repro/internal/livenode"
 	"repro/internal/p2p"
@@ -188,7 +187,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 }
 
 func (c *Cluster) startNode(i int) error {
-	var st core.Store
+	var st store.Backend
 	if c.opts.DataDirs != nil && c.opts.DataDirs[i] != "" {
 		s, err := store.Open(c.opts.DataDirs[i], store.Options{
 			Sync:    store.SyncAlways,

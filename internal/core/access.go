@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"time"
 
@@ -424,22 +425,21 @@ func (n *Node) join() {
 	n.scheduleMining()
 }
 
-// reconcileStorage drops stored data the adopted chain no longer assigns
-// to this node (a fork adoption can rewrite assignments wholesale).
+// reconcileStorage drops stored data, and fetches still under way, that the
+// adopted chain no longer assigns to this node (a fork adoption can rewrite
+// assignments wholesale).
 func (n *Node) reconcileStorage() {
-	for id := range n.dataStore {
+	assigned := func(id meta.DataID) bool {
 		it := n.eng.LiveItem(id)
-		keep := false
-		if it != nil {
-			for _, sn := range it.StoringNodes {
-				if sn == n.id {
-					keep = true
-					break
-				}
-			}
-		}
-		if !keep {
+		return it != nil && slices.Contains(it.StoringNodes, n.id)
+	}
+	for id := range n.dataStore {
+		if !assigned(id) {
 			delete(n.dataStore, id)
+		}
+	}
+	for id := range n.pendingFetch {
+		if !assigned(id) {
 			delete(n.pendingFetch, id)
 		}
 	}

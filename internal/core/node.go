@@ -308,9 +308,12 @@ func (n *Node) handleBlock(from int, b *block.Block) {
 			n.scheduleMining()
 		}
 	case isGap(err):
-		// Missing blocks (Section III-C): ask for [tip+1, b.Index-1].
+		// Missing blocks (Section III-C): ask for [tip+1, b.Index-1]. A
+		// block too far ahead to be parked takes a full chain exchange.
 		if fromIdx, to, ok := n.eng.Chain().MissingRange(); ok {
 			n.startBlockRecovery(fromIdx, to, from)
+		} else {
+			n.requestChain(from)
 		}
 	case isForkLink(err):
 		// Same height, different parent lineage: Naivechain-style full

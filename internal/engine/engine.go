@@ -12,9 +12,10 @@
 // and they decide when to call NextRound/Mine and what to do with the blocks
 // the engine hands back. A block joins the chain one of two ways — appended
 // to the tip (ReceiveBlock, Mine, AppendTrusted) or as part of a longer
-// suffix (AdoptSuffix) — and both report it with the same AppendEvent. Because both stacks drive the same engine, every
-// invariant proven against one (chaos replay validity, ledger
-// reconciliation, golden round times) certifies the other.
+// suffix (AdoptSuffix) — and both report it with the same AppendEvent.
+// Because both stacks drive the same engine, every invariant proven against
+// one (chaos replay validity, ledger reconciliation, golden round times)
+// certifies the other.
 //
 // The engine itself is NOT internally locked: the simulation runs
 // single-threaded, and the live node wraps every engine call in its own

@@ -63,8 +63,9 @@ func TestVerifyOncePerItemPerNode(t *testing.T) {
 	if _, ok := obs.AdoptSuffix(suffix); !ok {
 		t.Fatal("valid suffix rejected")
 	}
-	// The remote branch's items were never relayed here: first sight.
-	if want := [2]uint64{prefix + local, prefix + local + remote}; sigStats(obs) != want {
+	// The remote branch's items were never relayed here: first sight. The
+	// losing branch's item returns to the pool on a cache hit.
+	if want := [2]uint64{prefix + 2*local, prefix + local + remote}; sigStats(obs) != want {
 		t.Fatalf("after adopting the fork: hits/misses %v, want %v", sigStats(obs), want)
 	}
 	// A full replay of the adopted chain finds every signature cached.
@@ -72,7 +73,7 @@ func TestVerifyOncePerItemPerNode(t *testing.T) {
 	if _, err := obs.verifyContent(all); err != nil {
 		t.Fatal(err)
 	}
-	if want := [2]uint64{2*prefix + local + remote, prefix + local + remote}; sigStats(obs) != want {
+	if want := [2]uint64{2*prefix + 2*local + remote, prefix + local + remote}; sigStats(obs) != want {
 		t.Fatalf("after a full replay: hits/misses %v, want %v", sigStats(obs), want)
 	}
 	// A suffix that restates the shared prefix finds those signatures cached.
@@ -80,7 +81,7 @@ func TestVerifyOncePerItemPerNode(t *testing.T) {
 	if _, ok := whole.AdoptSuffix(c.engines[0].Chain().Blocks()[1:]); !ok {
 		t.Fatal("valid whole-chain suffix rejected")
 	}
-	if want := [2]uint64{2*prefix + local, prefix + local + remote}; sigStats(whole) != want {
+	if want := [2]uint64{2*prefix + 2*local, prefix + local + remote}; sigStats(whole) != want {
 		t.Fatalf("whole-chain suffix: hits/misses %v, want %v", sigStats(whole), want)
 	}
 }

@@ -30,7 +30,7 @@ import (
 // AdoptChain is the reference oracle: whole-chain adoption by scratch replay.
 // It shares no logic with AdoptSuffix beyond the checkpoint rule's one line.
 func (e *Engine) AdoptChain(blocks []*block.Block) bool {
-	if len(blocks) <= e.ch.Len() || blocks[0].Hash != e.cfg.Genesis.Hash {
+	if len(blocks) <= e.ch.Len() || blocks[0].Hash != e.cfg.Genesis.Hash || blocks[0].VerifySelf() != nil {
 		return false
 	}
 	if cp := e.LastCheckpoint(); cp > 0 {
@@ -57,6 +57,7 @@ func (e *Engine) AdoptChain(blocks []*block.Block) bool {
 		}
 	}
 	ch.PreAppend, ch.PostAppend = e.preAppend, e.postAppend
+	old := e.ch.Blocks()
 	e.ch = ch
 	if err := e.ledger.Rebuild(blocks); err != nil {
 		panic(err)
@@ -69,6 +70,14 @@ func (e *Engine) AdoptChain(blocks []*block.Block) bool {
 			e.inChain[it.ID] = true
 			e.liveItems[it.ID] = it
 			delete(e.pool, it.ID)
+		}
+	}
+	// What only the replaced chain had packed is pending again.
+	for _, b := range old {
+		for _, it := range b.Items {
+			if !e.inChain[it.ID] && !it.Expired(e.cfg.Now()) {
+				e.pool[it.ID] = it
+			}
 		}
 	}
 	e.pruneSnapshots()

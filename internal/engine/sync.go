@@ -156,13 +156,15 @@ func (e *Engine) verifyContent(blocks []*block.Block) (int, error) {
 // fork rewrites finalized history anyway.
 func (e *Engine) stateAt(h uint64, st *SuffixStats) (s state, ok bool) {
 	from := h
-	if snap, covered := e.bestSnapshot(h); h == e.ch.Height() {
+	snap, covered := e.bestSnapshot(h)
+	switch {
+	case h == e.ch.Height():
 		s = e.state.clone()
-	} else if covered {
+	case covered:
 		s, from = snap.state.clone(), snap.height
-	} else if e.ch.BodyBase() != 0 {
+	case e.ch.BodyBase() != 0:
 		return state{}, false
-	} else {
+	default:
 		s, from, st.FullReplay = e.cfg.genesisState(), 0, true
 	}
 	// Our own blocks (from, h] were validated when first adopted, so only
@@ -186,11 +188,12 @@ func (e *Engine) stateAt(h uint64, st *SuffixStats) (s state, ok bool) {
 //
 // On any rejection the engine is left exactly as it was and no callback
 // runs. On success the chain tail and all derived state are swapped
-// atomically and true is returned; then Config.OnDisconnect hears the blocks
-// that left the chain, if any, and Config.OnAppend one event per suffix
-// block, oldest first — the events a block-by-block ReceiveBlock of the same
-// suffix would have delivered, except that the engine already stands at the
-// new tip when the first one arrives.
+// atomically, the unexpired items that only the blocks leaving the chain had
+// packed return to the pool, and true is returned; before that,
+// Config.OnDisconnect hears those blocks, if any, and Config.OnAppend one
+// event per suffix block, oldest first — the events a block-by-block
+// ReceiveBlock of the same suffix would have delivered, except that the
+// engine already stands at the new tip when the first one arrives.
 func (e *Engine) AdoptSuffix(suffix []*block.Block) (SuffixStats, bool) {
 	var st SuffixStats
 	forkPoint, err := e.ch.CheckSuffixLinks(suffix)
@@ -237,6 +240,21 @@ func (e *Engine) AdoptSuffix(suffix []*block.Block) (SuffixStats, bool) {
 	for _, b := range suffix {
 		for _, it := range b.Items {
 			delete(e.pool, it.ID)
+		}
+	}
+	// Nothing acknowledged is lost: what the losing branch had packed and the
+	// winning one does not goes back to the pool, through AddMetadata's own
+	// admission (not on the new chain; the signature is a cache hit, it was
+	// verified when the block was adopted).
+	now := e.cfg.Now()
+	for _, b := range disconnected {
+		for _, it := range b.Items {
+			if !it.Expired(now) && e.AddMetadata(it) {
+				// Pooled as published: the losing miner's placement is void.
+				unpacked := it.Clone()
+				unpacked.StoringNodes = nil
+				e.pool[it.ID] = unpacked
+			}
 		}
 	}
 	e.pruneSnapshots()

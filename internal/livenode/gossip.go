@@ -338,10 +338,10 @@ func (n *Node) resolveItemLocked(id meta.DataID) *meta.Item {
 // more of them than a fetch table holds go straight to the locator. Each is also a
 // pending metadata fetch: an announce of it is a duplicate, handleMeta takes its answer.
 func (n *Node) handleCompactBlock(from string, payload []byte) {
-	if len(payload) < len(block.Hash{}) {
+	hash, ok := block.EncodedHash(payload)
+	if !ok {
 		return
 	}
-	hash := block.Hash(payload[len(payload)-len(block.Hash{}):])
 	n.mu.Lock()
 	g := n.gossip
 	pf := g.blocks.pending[hash]

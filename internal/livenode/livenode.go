@@ -22,13 +22,13 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/block"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/identity"
 	"repro/internal/meta"
 	"repro/internal/netsim"
 	"repro/internal/p2p"
 	"repro/internal/pos"
+	"repro/internal/store"
 	"repro/internal/telemetry"
 )
 
@@ -60,12 +60,12 @@ type Config struct {
 	// StorageCapacity is the per-node storage in items (default 250).
 	StorageCapacity int
 	// Store is the node's persistence backend. nil means in-memory
-	// (core.NewMemStore); pass internal/store's disk-backed Store for a
+	// (store.NewMemStore); pass the disk-backed store.Store for a
 	// node that survives restarts. The node takes ownership: Close closes
 	// it. Blocks recovered by the store are replayed into the chain
 	// before the node starts listening, and the normal chain-sync path
 	// then catches up anything mined while the node was down.
-	Store core.Store
+	Store store.Backend
 	// CheckpointEvery checkpoints the store manifest (and prunes expired
 	// data items) every this many adopted blocks (default 32). This is a
 	// persistence cadence, distinct from the engine's consensus
@@ -172,7 +172,7 @@ type Node struct {
 
 	mu            sync.Mutex
 	eng           *engine.Engine
-	store         core.Store
+	store         store.Backend
 	replaying     bool // WAL replay in progress: skip re-persisting/fetching
 	sinceCkpt     int  // blocks adopted since the last store checkpoint
 	storeErr      error
@@ -421,7 +421,7 @@ func New(cfg Config) (*Node, error) {
 		cfg.StorageCapacity = 250
 	}
 	if cfg.Store == nil {
-		cfg.Store = core.NewMemStore()
+		cfg.Store = store.NewMemStore()
 	}
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 32

@@ -3,6 +3,7 @@ package livenode
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/block"
 	"repro/internal/chain"
@@ -82,7 +83,8 @@ func (n *Node) onAppend(ev engine.AppendEvent) {
 // onDisconnect undoes what onAppend derived from blocks a fork adoption took
 // off the chain (n.mu held, like every engine callback): the WAL and the
 // provider index are cut back to the fork point, and the onAppend calls that
-// follow extend both along the new branch.
+// follow extend both along the new branch. Items published here that the
+// engine returned to the pool are this node's to push again (reannounceStale).
 func (n *Node) onDisconnect(gone []*block.Block) {
 	n.tel.forkAdoptions.Inc()
 	// Every body the replica holds up to the fork point, minus genesis (it is
@@ -93,6 +95,14 @@ func (n *Node) onDisconnect(gone []*block.Block) {
 	n.noteStoreErrLocked(n.store.ResetChain(kept))
 	if rd := n.repair; rd != nil {
 		rd.idx.Rebuild(kept)
+	}
+	g, self := n.gossip, n.cfg.Identity.Address()
+	for _, b := range gone {
+		for _, it := range b.Items {
+			if it.Producer == self && n.eng.PoolHas(it.ID) && !slices.Contains(g.own, it.ID) {
+				g.own = append(g.own, it.ID)
+			}
+		}
 	}
 }
 

@@ -6,14 +6,13 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/identity"
 	"repro/internal/meta"
 	"repro/internal/pos"
 	"repro/internal/store"
 )
 
-func startNodeWithStore(t *testing.T, ident *identity.Identity, accounts []identity.Address, epoch time.Time, t0 time.Duration, st core.Store) *Node {
+func startNodeWithStore(t *testing.T, ident *identity.Identity, accounts []identity.Address, epoch time.Time, t0 time.Duration, st store.Backend) *Node {
 	t.Helper()
 	node, err := New(Config{
 		Identity:    ident,

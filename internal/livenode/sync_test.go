@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -11,7 +12,6 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/chain"
-	"repro/internal/core"
 	"repro/internal/meta"
 	"repro/internal/p2p"
 	"repro/internal/p2p/memnet"
@@ -423,7 +423,7 @@ func TestConnectSurvivesADeadAddress(t *testing.T) {
 // recoveredStore is an in-memory store that "recovers" a fixed chain prefix,
 // standing in for a node restarted from its WAL.
 type recoveredStore struct {
-	*core.MemStore
+	*store.MemStore
 	blocks []*block.Block
 }
 
@@ -442,7 +442,7 @@ func TestRestartCatchesUpWhenSampleIsBehind(t *testing.T) {
 	b := newSyncTestNode(t, fn, "b", 1, epoch, nil) // never saw a block
 	// a comes back with the first four blocks on disk and finds only b.
 	a := newSyncTestNode(t, fn, "a", 0, epoch, func(cfg *Config) {
-		cfg.Store = recoveredStore{core.NewMemStore(), c.ChainSnapshot()[1:5]}
+		cfg.Store = recoveredStore{store.NewMemStore(), c.ChainSnapshot()[1:5]}
 		cfg.Clock = newFakeClock(c.clock.Now()) // replay refuses blocks from the future
 	})
 	if got := a.Height(); got != 4 {
@@ -524,7 +524,9 @@ func TestSyncForkSuffixFromSnapshot(t *testing.T) {
 // what a live block gets — OnBlock fires for each — and after a true fork the
 // WAL holds exactly the adopted chain: the abandoned branch cut off by
 // onDisconnect, the new one appended block by block by onAppend. A crash and
-// restart from the same directory recovers the chain the node stood on.
+// restart from the same directory recovers the chain the node stood on. An
+// item only the abandoned branch had packed is not lost with it: it is back
+// in its publisher's pool, pushed again on the next adoption, and packed.
 func TestSyncedBlocksTakeTheLivePath(t *testing.T) {
 	fn := newFakeNet()
 	epoch := time.Unix(1700000000, 0)
@@ -550,11 +552,21 @@ func TestSyncedBlocksTakeTheLivePath(t *testing.T) {
 	for _, blk := range a.ChainSnapshot()[1:] {
 		b.handleFrame("a", p2p.FrameBlockAnnounce, encodeAnnounce(blk.Index, blk.Hash))
 	}
+	stranded, err := a.Publish([]byte("stranded"), "Test/Fork", "Lab") // no peer yet: only a pools it
+	if err != nil {
+		t.Fatal(err)
+	}
 	a.mineBlocks(t, 1)
 	abandoned := a.Tip()
+	if !a.HasItemOnChain(stranded.ID) {
+		t.Fatal("a's own block did not pack its item")
+	}
 	b.mineBlocks(t, 3)
 	if err := a.Connect("b"); err != nil {
 		t.Fatal(err)
+	}
+	if a.HasItemOnChain(stranded.ID) || !slices.Contains(a.PoolIDs(), stranded.ID) || !slices.Contains(a.gossip.own, stranded.ID) {
+		t.Fatal("the abandoned block's item is not back in a's pool and on its own list")
 	}
 	adopted := a.ChainSnapshot()
 	if len(adopted) != 8 || a.Tip().Hash != b.Tip().Hash {
@@ -569,6 +581,17 @@ func TestSyncedBlocksTakeTheLivePath(t *testing.T) {
 		t.Errorf("blocks.adopted = %d, want 8 (5 mined here, 3 synced)", v)
 	}
 
+	// The next block a adopts is two rounds past the item: a announces it
+	// again, b fetches and pools it, and b's next block packs it.
+	for i := 0; i < 2; i++ {
+		b.mineBlocks(t, 1)
+		a.clock.Advance(b.clock.Now().Sub(a.clock.Now()))
+	}
+	if !a.HasItemOnChain(stranded.ID) || !b.HasItemOnChain(stranded.ID) {
+		t.Fatalf("re-pooled item on chain at a: %v, at b: %v, want both", a.HasItemOnChain(stranded.ID), b.HasItemOnChain(stranded.ID))
+	}
+	adopted = a.ChainSnapshot()
+
 	if err := a.Kill(); err != nil || a.StoreErr() != nil {
 		t.Fatalf("kill: %v, store: %v", err, a.StoreErr())
 	}
@@ -578,8 +601,8 @@ func TestSyncedBlocksTakeTheLivePath(t *testing.T) {
 	}
 	defer reopened.Close()
 	wal := reopened.RecoveredBlocks()
-	if len(wal) != 7 {
-		t.Fatalf("WAL recovers %d blocks, want the 7 of the adopted chain", len(wal))
+	if len(wal) != 9 {
+		t.Fatalf("WAL recovers %d blocks, want the 9 of the adopted chain", len(wal))
 	}
 	for i, blk := range wal {
 		if blk.Hash == abandoned.Hash || blk.Hash != adopted[i+1].Hash {

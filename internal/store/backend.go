@@ -1,4 +1,4 @@
-package core
+package store
 
 import (
 	"sync"
@@ -8,22 +8,22 @@ import (
 	"repro/internal/meta"
 )
 
-// Store abstracts a node's durable persistence: the block log that
+// Backend abstracts a node's durable persistence: the block log that
 // survives restarts and the content-addressed data-item bytes. The live
-// stack (internal/livenode, cmd/edgenode) plugs in internal/store's
-// disk-backed implementation; simulations and tests use MemStore, which
-// keeps the original purely-in-memory behaviour.
+// stack (internal/livenode, cmd/edgenode) plugs in the disk-backed Store;
+// virtual-time clusters and tests use MemStore, which keeps nothing across
+// a restart.
 //
 // Implementations must be safe for concurrent use.
-type Store interface {
+type Backend interface {
 	// RecoveredBlocks returns the blocks recovered at open time in index
 	// order (never including genesis); the caller replays them into its
 	// chain replica. In-memory stores return nil.
 	RecoveredBlocks() []*block.Block
 	// AppendBlock durably appends one adopted block.
 	AppendBlock(b *block.Block) error
-	// ResetChain replaces the whole persisted chain (fork adoption);
-	// genesis is excluded.
+	// ResetChain replaces the whole persisted chain (a fork adoption cuts
+	// it back to the fork point); genesis is excluded.
 	ResetChain(blocks []*block.Block) error
 	// Checkpoint records the chain head + height so the next open can
 	// replay incrementally.
@@ -52,9 +52,14 @@ type Store interface {
 	Close() error
 }
 
-// MemStore is the in-memory Store used by simulations and tests: data
-// items live in a map and the chain-persistence calls are no-ops, exactly
-// the pre-persistence behaviour of the live node.
+var (
+	_ Backend = (*Store)(nil)
+	_ Backend = (*MemStore)(nil)
+)
+
+// MemStore is the in-memory Backend used by virtual-time clusters and
+// tests: data items live in a map and the chain-persistence calls are
+// no-ops.
 type MemStore struct {
 	mu   sync.Mutex
 	data map[meta.DataID][]byte
@@ -65,27 +70,27 @@ func NewMemStore() *MemStore {
 	return &MemStore{data: make(map[meta.DataID][]byte)}
 }
 
-// RecoveredBlocks implements Store (nothing survives a restart).
+// RecoveredBlocks implements Backend (nothing survives a restart).
 func (s *MemStore) RecoveredBlocks() []*block.Block { return nil }
 
-// AppendBlock implements Store as a no-op.
+// AppendBlock implements Backend as a no-op.
 func (s *MemStore) AppendBlock(*block.Block) error { return nil }
 
-// ResetChain implements Store as a no-op.
+// ResetChain implements Backend as a no-op.
 func (s *MemStore) ResetChain([]*block.Block) error { return nil }
 
-// Checkpoint implements Store as a no-op.
+// Checkpoint implements Backend as a no-op.
 func (s *MemStore) Checkpoint(uint64, block.Hash) error { return nil }
 
-// SaveSnapshot implements Store as a no-op (nothing survives a restart).
+// SaveSnapshot implements Backend as a no-op (nothing survives a restart).
 func (s *MemStore) SaveSnapshot(uint64, []byte, []chain.Header) error { return nil }
 
-// RecoveredSnapshot implements Store (nothing survives a restart).
+// RecoveredSnapshot implements Backend (nothing survives a restart).
 func (s *MemStore) RecoveredSnapshot() ([]byte, []chain.Header, uint64, bool) {
 	return nil, nil, 0, false
 }
 
-// CompactBlocks implements Store as a no-op.
+// CompactBlocks implements Backend as a no-op.
 func (s *MemStore) CompactBlocks(uint64) error { return nil }
 
 // PutData stores a copy of the content.
@@ -128,5 +133,5 @@ func (s *MemStore) PruneData(expired func(meta.DataID) bool) (int, error) {
 	return removed, nil
 }
 
-// Close implements Store as a no-op.
+// Close implements Backend as a no-op.
 func (s *MemStore) Close() error { return nil }
