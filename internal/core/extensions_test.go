@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/block"
+	"repro/internal/meta"
 	"repro/internal/pos"
 )
 
@@ -247,25 +248,36 @@ func TestMigrationExecutes(t *testing.T) {
 	if res.Migrations == 0 {
 		t.Skip("no drift materialized under this seed")
 	}
-	// Consistency: for every live item, all nodes on the same chain agree on
-	// the latest assignment, and assigned nodes hold (or are fetching) the
-	// content. A node the cut-off caught behind or on a sibling branch has
-	// its own latest version.
+	// A fork is resolved by the next block that crosses it, and the radio
+	// topology splits for a mobility epoch now and then: at this seed nodes
+	// 1, 3, 4 and node 11 are out of the other eight's reach in the epoch
+	// that ends at 39m30s, both sides mine (heights 79 and 80), and no block
+	// is mined between the heal and 40m. Let the run go on until one has
+	// crossed; every node must then stand on node 0's tip.
 	ref := sys.Node(0)
-	var peers []int
-	for i := 1; i < cfg.NumNodes; i++ {
-		if sys.Node(i).eng.Tip().Hash == ref.eng.Tip().Hash {
-			peers = append(peers, i)
+	behind := func() (ids []int) {
+		for i := 1; i < cfg.NumNodes; i++ {
+			if sys.Node(i).eng.Tip().Hash != ref.eng.Tip().Hash {
+				ids = append(ids, i)
+			}
+		}
+		return ids
+	}
+	for deadline := sys.engine.Now() + 2*time.Minute; len(behind()) > 0; {
+		if sys.engine.Now() >= deadline {
+			t.Fatalf("nodes %v still off node 0's tip (height %d) at %v", behind(), ref.eng.Height(), sys.engine.Now())
+		}
+		if err := sys.engine.Run(sys.engine.Now() + time.Second); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if len(peers) < cfg.NumNodes/2 {
-		t.Fatalf("only %d of %d nodes share node 0's tip at the cut-off", len(peers), cfg.NumNodes)
-	}
+	// Consistency: for every live item, all nodes agree on the latest
+	// assignment, and assigned nodes hold (or are fetching) the content.
 	for id, it := range ref.eng.LiveItems() {
-		for _, i := range peers {
+		for i := 1; i < cfg.NumNodes; i++ {
 			other := sys.Node(i).eng.LiveItem(id)
 			if other == nil {
-				continue // forgotten at expiry
+				continue // late propagation
 			}
 			if !sameSet(it.StoringNodes, other.StoringNodes) {
 				t.Fatalf("nodes disagree on assignment of %s: %v vs %v",
@@ -337,5 +349,71 @@ func TestStakeRescaleInSystem(t *testing.T) {
 		if sys.Node(i).Chain().Tip().Hash != tip.Hash {
 			t.Fatalf("node %d diverged under stake rescaling", i)
 		}
+	}
+}
+
+// TestForkReannouncedItemRequestedOnce: an item first announced on a branch
+// that a fork adoption then disconnects is announced as new a second time by
+// the winning branch (First is computed against fork-point state). The
+// requester's consumption request is set up once all the same.
+func TestForkReannouncedItemRequestedOnce(t *testing.T) {
+	cfg := quickConfig(4, 23)
+	cfg.MobilityEpoch = 0
+	cfg.DataRatePerMin = 0
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := sys.Node(0)
+	// Nobody holds the content, so every request that is issued ends as
+	// exactly one failed request.
+	it := &meta.Item{
+		ID:       meta.HashData([]byte("wanted by node 0")),
+		Type:     "t",
+		ValidFor: time.Hour,
+		DataSize: cfg.DataSize,
+	}
+	it.Sign(sys.Node(2).ident)
+	it.StoringNodes = []int{3}
+	sys.wanted[it.ID] = map[int]bool{0: true}
+
+	ledger := pos.NewLedger(sys.accounts)
+	mine := func(prev *block.Block, miner int, items ...*meta.Item) *block.Block {
+		addr := sys.Node(miner).ident.Address()
+		bval := cfg.PoS.AmendmentB(ledger.N(), ledger.UBar())
+		wt := pos.TimeToMine(cfg.PoS.Hit(prev, addr), ledger.U(miner), bval)
+		if wt == pos.NeverMines {
+			t.Fatalf("node %d cannot mine", miner)
+		}
+		bl := block.NewBuilder(prev, addr, prev.Timestamp+time.Duration(wt)*time.Second, wt, bval)
+		for _, it := range items {
+			bl.AddItem(it)
+		}
+		return bl.Seal()
+	}
+	lost := mine(sys.genesis, 1, it)
+	won := mine(sys.genesis, 2, it)
+	if err := ledger.ApplyBlock(won); err != nil {
+		t.Fatal(err)
+	}
+	fork := []*block.Block{sys.genesis, won, mine(won, 2)}
+
+	// Nothing mines (Run was never called); only the clock moves.
+	if err := sys.engine.Run(max(lost.Timestamp, fork[2].Timestamp)); err != nil {
+		t.Fatal(err)
+	}
+	victim.handleBlock(1, lost)
+	if victim.Chain().Tip().Hash != lost.Hash {
+		t.Fatal("first branch not adopted")
+	}
+	victim.handleChainResponse(msgChainResponse{blocks: fork})
+	if victim.Chain().Tip().Hash != fork[2].Hash || !victim.eng.OnChain(it.ID) {
+		t.Fatal("fork not adopted")
+	}
+	if err := sys.engine.Run(sys.engine.Now() + cfg.RequestSpread + 4*cfg.RequestTimeout); err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.stats.failedRequests; got != 1 {
+		t.Fatalf("%d consumption requests for an item announced on both branches, want 1", got)
 	}
 }

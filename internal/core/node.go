@@ -34,6 +34,7 @@ type Node struct {
 	ownData      map[meta.DataID]bool // items this node produced
 	dataStore    map[meta.DataID]bool // assigned items actually fetched
 	consumed     map[meta.DataID]bool // items received as a requester
+	announced    map[meta.DataID]bool // items whose first announcement was acted on
 	blockStore   map[uint64]bool      // assigned block bodies
 	recent       *alloc.RecentCache
 	pendingFetch map[meta.DataID]int // assigned items awaiting fetch: retries used
@@ -97,6 +98,7 @@ func newNode(sys *System, id int, ident *identity.Identity, rng *rand.Rand) *Nod
 		ownData:      make(map[meta.DataID]bool),
 		dataStore:    make(map[meta.DataID]bool),
 		consumed:     make(map[meta.DataID]bool),
+		announced:    make(map[meta.DataID]bool),
 		blockStore:   make(map[uint64]bool),
 		recent:       alloc.NewRecentCache(depth),
 		pendingFetch: make(map[meta.DataID]int),
@@ -273,9 +275,13 @@ func (n *Node) onAppend(ev engine.AppendEvent) {
 			}
 		}
 
-		if !ie.First {
+		// A fork can announce as new an item that the branch it replaces
+		// had announced already; the request and the expiry timer below
+		// were set up then.
+		if !ie.First || n.announced[it.ID] {
 			continue
 		}
+		n.announced[it.ID] = true
 
 		// The workload's chosen requesters schedule a consumption request.
 		if n.sys.wantedBy(it.ID, n.id) && !n.ownData[it.ID] && !n.consumed[it.ID] {

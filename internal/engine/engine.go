@@ -238,21 +238,27 @@ func (s state) clone() state {
 	}
 }
 
-// apply folds block b, the successor of the state's tip, into the state and
-// returns one ItemEvent per item of b, each against the state before b.
-func (s *state) apply(b *block.Block, self int) ([]ItemEvent, error) {
+// apply folds block b, the successor of the state's tip, into the state and,
+// when report is set (somebody listens), returns one ItemEvent per item of b,
+// each against the state before b.
+func (s *state) apply(b *block.Block, self int, report bool) ([]ItemEvent, error) {
 	if err := s.ledger.ApplyBlock(b); err != nil {
 		return nil, err
 	}
 	s.view.ApplyBlock(b)
-	events := make([]ItemEvent, 0, len(b.Items))
+	var events []ItemEvent
+	if report {
+		events = make([]ItemEvent, 0, len(b.Items))
+	}
 	for _, it := range b.Items {
-		events = append(events, ItemEvent{
-			Item:           it,
-			Prev:           s.liveItems[it.ID],
-			First:          !s.inChain[it.ID],
-			AssignedToSelf: slices.Contains(it.StoringNodes, self),
-		})
+		if report {
+			events = append(events, ItemEvent{
+				Item:           it,
+				Prev:           s.liveItems[it.ID],
+				First:          !s.inChain[it.ID],
+				AssignedToSelf: slices.Contains(it.StoringNodes, self),
+			})
+		}
 		s.inChain[it.ID] = true
 		s.liveItems[it.ID] = it
 	}
@@ -444,7 +450,7 @@ func (e *Engine) preAppend(prev, b *block.Block) error {
 // The adapter's OnAppend callback then layers physical storage, fetches
 // and telemetry on top.
 func (e *Engine) postAppend(b *block.Block) {
-	items, err := e.state.apply(b, e.cfg.Self)
+	items, err := e.state.apply(b, e.cfg.Self, e.cfg.OnAppend != nil)
 	if err != nil {
 		// Cannot happen: PreAppend guarantees in-order application.
 		panic(fmt.Sprintf("engine: ledger apply: %v", err))

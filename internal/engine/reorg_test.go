@@ -55,8 +55,9 @@ func TestReorgEvents(t *testing.T) {
 	// call it a first appearance — the fork-point state says so.
 	both := publish("both", 0, 1, 2, 3, ref)
 	var local, remote []*block.Block
+	var onlyLocal []meta.DataID
 	for i := 0; i < 2; i++ {
-		publish(fmt.Sprint("local ", i), 2, 3)
+		onlyLocal = append(onlyLocal, publish(fmt.Sprint("local ", i), 2, 3))
 		local = append(local, c.mineAmong(t, []int{2, 3}))
 	}
 	for i := 0; i < 3; i++ {
@@ -70,8 +71,22 @@ func TestReorgEvents(t *testing.T) {
 	}
 
 	before := len(c.events[node])
+	_, verified := c.engines[node].SigCacheStats()
 	if _, ok := c.engines[node].AdoptSuffix(remote); !ok {
 		t.Fatal("valid suffix refused")
+	}
+	// What only the losing branch had packed is pooled again as published,
+	// at no signature check beyond the suffix's own one new item per block.
+	for _, id := range onlyLocal {
+		if it := c.engines[node].PoolItem(id); it == nil || it.StoringNodes != nil {
+			t.Fatalf("item of a disconnected block back in the pool as %+v, want it there unplaced", it)
+		}
+	}
+	if c.engines[node].PoolHas(both) {
+		t.Fatal("item the winning branch packs is pooled too")
+	}
+	if _, after := c.engines[node].SigCacheStats(); after != verified+uint64(len(remote)) {
+		t.Fatalf("%d signature checks during the adoption, want %d", after-verified, len(remote))
 	}
 	if len(gone) != 1 || !reflect.DeepEqual(gone[0], local) {
 		t.Fatalf("disconnect reports %v, want one call with the %d local blocks oldest first", gone, len(local))

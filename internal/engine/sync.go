@@ -170,7 +170,7 @@ func (e *Engine) stateAt(h uint64, st *SuffixStats) (s state, ok bool) {
 	// Our own blocks (from, h] were validated when first adopted, so only
 	// the state transitions run.
 	for i := from + 1; i <= h; i++ {
-		if _, err := s.apply(e.ch.At(i), e.cfg.Self); err != nil {
+		if _, err := s.apply(e.ch.At(i), e.cfg.Self, false); err != nil {
 			panic(fmt.Sprintf("engine: replay of own block %d: %v", i, err))
 		}
 	}
@@ -223,7 +223,7 @@ func (e *Engine) AdoptSuffix(suffix []*block.Block) (SuffixStats, bool) {
 				return st, false
 			}
 		}
-		if events[i], err = next.apply(b, e.cfg.Self); err != nil {
+		if events[i], err = next.apply(b, e.cfg.Self, e.cfg.OnAppend != nil); err != nil {
 			return st, false
 		}
 		prev = b
@@ -249,12 +249,13 @@ func (e *Engine) AdoptSuffix(suffix []*block.Block) (SuffixStats, bool) {
 	now := e.cfg.Now()
 	for _, b := range disconnected {
 		for _, it := range b.Items {
-			if !it.Expired(now) && e.AddMetadata(it) {
-				// Pooled as published: the losing miner's placement is void.
-				unpacked := it.Clone()
-				unpacked.StoringNodes = nil
-				e.pool[it.ID] = unpacked
+			if it.Expired(now) {
+				continue
 			}
+			// Pooled as published: the losing miner's placement is void.
+			unpacked := it.Clone()
+			unpacked.StoringNodes = nil
+			e.AddMetadata(unpacked)
 		}
 	}
 	e.pruneSnapshots()
