@@ -263,7 +263,7 @@ func TestMigrationExecutes(t *testing.T) {
 		}
 		return ids
 	}
-	for deadline := sys.engine.Now() + 2*time.Minute; len(behind()) > 0; {
+	for deadline := sys.engine.Now() + 5*time.Minute; len(behind()) > 0; {
 		if sys.engine.Now() >= deadline {
 			t.Fatalf("nodes %v still off node 0's tip (height %d) at %v", behind(), ref.eng.Height(), sys.engine.Now())
 		}

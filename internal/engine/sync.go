@@ -249,13 +249,12 @@ func (e *Engine) AdoptSuffix(suffix []*block.Block) (SuffixStats, bool) {
 	now := e.cfg.Now()
 	for _, b := range disconnected {
 		for _, it := range b.Items {
-			if it.Expired(now) {
-				continue
+			if !it.Expired(now) {
+				// Pooled as published: the losing miner's placement is void.
+				unpacked := it.Clone()
+				unpacked.StoringNodes = nil
+				e.AddMetadata(unpacked)
 			}
-			// Pooled as published: the losing miner's placement is void.
-			unpacked := it.Clone()
-			unpacked.StoringNodes = nil
-			e.AddMetadata(unpacked)
 		}
 	}
 	e.pruneSnapshots()
