@@ -14,8 +14,10 @@
 //   - the contribution-weighted Proof-of-Stake mechanism of Section V
 //     (hit/target lottery with the eq. 14 amendment), plus a Proof-of-Work
 //     baseline and a calibrated device energy model;
-//   - a deterministic discrete-event simulation of the pervasive edge
-//     environment (multi-hop radio, mobility, disconnections), a full Raft
+//   - a deterministic simulation of the pervasive edge environment
+//     (multi-hop radio, mobility, disconnections) ordered by one virtual
+//     clock — System.Clock(), the same internal/sim clock that drives whole
+//     clusters of live nodes in the tests and benchmarks —, a full Raft
 //     implementation for general information consensus, and harnesses that
 //     regenerate every figure of the paper's evaluation.
 //

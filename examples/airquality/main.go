@@ -29,7 +29,7 @@ func main() {
 	sensors := []int{2, 7, 12}
 	for i := 0; i < 8; i++ {
 		at := time.Duration(i+1) * 3 * time.Minute
-		sys.Engine().ScheduleAt(at, func() {
+		sys.Clock().AfterFunc(at, func() {
 			for _, s := range sensors {
 				sys.ProduceData(s, "AirQuality/PM2.5")
 			}
@@ -46,14 +46,14 @@ func main() {
 		})
 		observations = append(observations, len(fresh))
 		fmt.Printf("[%6s] subscriber sees %d fresh readings\n",
-			sys.Engine().Now().Truncate(time.Second), len(fresh))
+			sys.Clock().Elapsed().Truncate(time.Second), len(fresh))
 	}
 	for m := 6; m <= 36; m += 6 {
-		sys.Engine().ScheduleAt(time.Duration(m)*time.Minute, probe)
+		sys.Clock().AfterFunc(time.Duration(m)*time.Minute, probe)
 	}
 
 	// Geographic query at minute 20: readings near the subscriber.
-	sys.Engine().ScheduleAt(20*time.Minute, func() {
+	sys.Clock().AfterFunc(20*time.Minute, func() {
 		me := sys.Network().Topology().Position(5)
 		near := sys.Node(subscriber).FindMetadata(edgechain.MetadataQuery{
 			TypePrefix:   "AirQuality/",
@@ -61,7 +61,7 @@ func main() {
 			WithinMeters: 120,
 		})
 		fmt.Printf("[%6s] %d readings within 120 m of the subscriber\n",
-			sys.Engine().Now().Truncate(time.Second), len(near))
+			sys.Clock().Elapsed().Truncate(time.Second), len(near))
 	})
 
 	if err := sys.Run(40 * time.Minute); err != nil {

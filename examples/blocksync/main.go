@@ -28,24 +28,24 @@ func main() {
 	// Node 4 is "Node A": it drops off the network at minute 8 and comes
 	// back at minute 14, having missed several blocks.
 	const wanderer = 4
-	sys.Engine().ScheduleAt(8*time.Minute, func() {
+	sys.Clock().AfterFunc(8*time.Minute, func() {
 		fmt.Printf("[%6s] node %d disconnects (height %d)\n",
-			sys.Engine().Now().Truncate(time.Second), wanderer,
+			sys.Clock().Elapsed().Truncate(time.Second), wanderer,
 			sys.Node(wanderer).Chain().Height())
 		sys.Network().SetDown(netsim.NodeID(wanderer), true)
 	})
-	sys.Engine().ScheduleAt(14*time.Minute, func() {
+	sys.Clock().AfterFunc(14*time.Minute, func() {
 		sys.Network().SetDown(netsim.NodeID(wanderer), false)
 		fmt.Printf("[%6s] node %d reconnects (height %d, network at %d)\n",
-			sys.Engine().Now().Truncate(time.Second), wanderer,
+			sys.Clock().Elapsed().Truncate(time.Second), wanderer,
 			sys.Node(wanderer).Chain().Height(), sys.Node(0).Chain().Height())
 	})
 
 	// Watch both nodes catch up.
 	for m := 15; m <= 30; m += 5 {
-		sys.Engine().ScheduleAt(time.Duration(m)*time.Minute, func() {
+		sys.Clock().AfterFunc(time.Duration(m)*time.Minute, func() {
 			fmt.Printf("[%6s] heights: wanderer=%d joiner=%d network=%d\n",
-				sys.Engine().Now().Truncate(time.Second),
+				sys.Clock().Elapsed().Truncate(time.Second),
 				sys.Node(wanderer).Chain().Height(),
 				sys.Node(15).Chain().Height(),
 				sys.Node(0).Chain().Height())

@@ -33,21 +33,21 @@ func main() {
 	const seller = 3
 	for i := 0; i < 10; i++ {
 		at := time.Duration(i+1) * 2 * time.Minute
-		sys.Engine().ScheduleAt(at, func() {
+		sys.Clock().AfterFunc(at, func() {
 			it := sys.ProduceData(seller, "Road/Congestion")
 			fmt.Printf("[%6s] vehicle %d published report %s\n",
-				sys.Engine().Now().Truncate(time.Second), seller, it.ID.Short())
+				sys.Clock().Elapsed().Truncate(time.Second), seller, it.ID.Short())
 		})
 	}
 
 	// Vehicle 17 shops the market at minute 25: it queries its chain
 	// replica for fresh congestion reports and buys (fetches) each one.
 	const buyer = 17
-	sys.Engine().ScheduleAt(25*time.Minute, func() {
+	sys.Clock().AfterFunc(25*time.Minute, func() {
 		node := sys.Node(buyer)
 		reports := node.FindMetadata(edgechain.MetadataQuery{TypePrefix: "Road/"})
 		fmt.Printf("[%6s] vehicle %d found %d road reports on-chain\n",
-			sys.Engine().Now().Truncate(time.Second), buyer, len(reports))
+			sys.Clock().Elapsed().Truncate(time.Second), buyer, len(reports))
 		for _, r := range reports {
 			if node.RequestData(r.ID) {
 				fmt.Printf("         requesting %s (producer %s, stored on %v)\n",

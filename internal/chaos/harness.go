@@ -1,3 +1,14 @@
+// Package chaos is the deterministic fault-injection test harness for the
+// live edge-blockchain node. It drives N livenode instances over the
+// in-memory fault-injecting transport (internal/p2p/memnet) and a shared
+// virtual clock, so scripted and randomized schedules — partition/heal
+// cycles, node crash + WAL restart, concurrent miners forcing forks,
+// lossy/reordering links — run single-threaded, wall-clock-free, and
+// exactly reproducibly: the same seed yields the same faultnet event log.
+// After each schedule the harness checks the safety and convergence
+// invariants of the paper's deployment (Section V): single-chain
+// convergence, end-to-end PoS claim validity, common-prefix stability
+// across heals, and chain-derived Q_i/storage accounting.
 package chaos
 
 import (
@@ -13,9 +24,16 @@ import (
 	"repro/internal/p2p/memnet"
 	"repro/internal/pos"
 	"repro/internal/repair"
+	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/telemetry"
 )
+
+// VClock and NewVClock are the virtual clock of internal/sim under the
+// names the benchmark harness (bench/, a module of its own) calls it by.
+type VClock = sim.VClock
+
+func NewVClock(start time.Time) *VClock { return sim.NewVClock(start) }
 
 // Options configure a chaos cluster.
 type Options struct {
@@ -450,8 +468,9 @@ func (c *Cluster) step(horizon time.Time) bool {
 		if msgAt.After(horizon) {
 			return false
 		}
-		// No timer precedes msgAt, so jumping without firing is safe.
-		c.Clock.setNow(msgAt)
+		// No timer precedes msgAt, so jumping without firing is safe; a
+		// timer due exactly at msgAt waits for the message (sim.VClock.Jump).
+		c.Clock.Jump(msgAt)
 		c.Net.DeliverNext()
 	default:
 		if timerAt.After(horizon) {

@@ -46,7 +46,7 @@ func (n *Node) startConsume(it *meta.Item) {
 	if !n.joined || n.consumed[it.ID] || n.dataStore[it.ID] || n.ownData[it.ID] {
 		return
 	}
-	if it.Expired(n.sys.engine.Now()) {
+	if it.Expired(n.sys.clock.Elapsed()) {
 		return
 	}
 	cands := n.candidatesFor(it)
@@ -95,7 +95,7 @@ func (n *Node) beginRequest(kind requestKind, id meta.DataID, cands []int) {
 		kind:       kind,
 		id:         id,
 		candidates: cands,
-		start:      n.sys.engine.Now(),
+		start:      n.sys.clock.Elapsed(),
 	}
 	n.pending[n.nextSeq] = req
 	n.tryNextCandidate(n.nextSeq, req)
@@ -126,7 +126,7 @@ func (n *Node) tryNextCandidate(seq uint64, req *pendingRequest) {
 		// backoff (the topology may heal with mobility).
 		timeout = time.Second
 	}
-	req.timer = n.sys.engine.Schedule(timeout, func() {
+	req.timer = n.sys.clock.AfterFunc(timeout, func() {
 		if n.pending[seq] == req {
 			n.tryNextCandidate(seq, req)
 		}
@@ -144,7 +144,7 @@ func (n *Node) requestFailed(req *pendingRequest) {
 		if retries < 5 {
 			n.pendingFetch[req.id] = retries + 1
 			id := req.id
-			n.sys.engine.Schedule(10*time.Second, func() {
+			n.sys.clock.AfterFunc(10*time.Second, func() {
 				if _, active := n.pendingFetch[id]; active && !n.dataStore[id] {
 					if it := n.findItem(id); it != nil {
 						n.startFetch(it)
@@ -168,7 +168,7 @@ func (n *Node) findItem(id meta.DataID) *meta.Item {
 // III-B1). Expired items are excluded; migrated items appear once, in
 // their latest version.
 func (n *Node) FindMetadata(q meta.Query) []*meta.Item {
-	now := n.sys.engine.Now()
+	now := n.sys.clock.Elapsed()
 	var out []*meta.Item
 	for _, it := range n.eng.LiveItems() {
 		if !it.Expired(now) && q.Matches(it) {
@@ -224,7 +224,7 @@ func (n *Node) handleDataResponse(m msgDataResponse) {
 		req.timer.Stop()
 	}
 	delete(n.pending, m.seq)
-	now := n.sys.engine.Now()
+	now := n.sys.clock.Elapsed()
 	switch req.kind {
 	case reqConsume:
 		n.consumed[m.id] = true
@@ -315,7 +315,7 @@ func (n *Node) tryNextSyncCandidate() {
 	target := s.candidates[s.tried]
 	s.tried++
 	n.sys.net.Unicast(netsim.NodeID(n.id), netsim.NodeID(target), msgBlockRangeRequest{from: s.from, to: s.to})
-	s.timer = n.sys.engine.Schedule(2*time.Second, func() {
+	s.timer = n.sys.clock.AfterFunc(2*time.Second, func() {
 		if n.sync == s {
 			n.tryNextSyncCandidate()
 		}

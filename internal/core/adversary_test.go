@@ -35,7 +35,7 @@ func TestForgedBlockWithUnknownMinerRejected(t *testing.T) {
 
 	stranger := identity.GenerateSeeded(sys.rng)
 	tip := victim.Chain().Tip()
-	forged := block.NewBuilder(tip, stranger.Address(), sys.engine.Now(), 1, tip.B).Seal()
+	forged := block.NewBuilder(tip, stranger.Address(), sys.clock.Elapsed(), 1, tip.B).Seal()
 	victim.handleBlock(1, forged)
 	if victim.Chain().Height() != before {
 		t.Fatal("block from unknown account accepted")
@@ -60,12 +60,10 @@ func TestBlockWithPaddedMiningTimeRejected(t *testing.T) {
 		tip.Timestamp+time.Duration(padded)*time.Second, padded, bval).Seal()
 	// Deliver with a permissive clock: jump the engine forward so the
 	// timestamp is not "from the future".
-	sys.engine.ScheduleAt(blk.Timestamp+time.Second, func() {
+	sys.at(blk.Timestamp+time.Second, func() {
 		victim.handleBlock(1, blk)
 	})
-	if err := sys.engine.Run(blk.Timestamp + 2*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	sys.clock.Advance(blk.Timestamp + 2*time.Second - sys.clock.Elapsed())
 	if victim.Chain().Height() != before && victim.Chain().Tip().Hash == blk.Hash {
 		t.Fatal("padded mining time accepted")
 	}
@@ -83,12 +81,10 @@ func TestBlockWithWrongAmendmentRejected(t *testing.T) {
 	badB := params.AmendmentB(cheater.eng.Ledger().N(), cheater.eng.Ledger().UBar()) * 1e6
 	blk := block.NewBuilder(tip, cheater.ident.Address(),
 		tip.Timestamp+time.Second, 1, badB).Seal()
-	sys.engine.ScheduleAt(blk.Timestamp+time.Second, func() {
+	sys.at(blk.Timestamp+time.Second, func() {
 		victim.handleBlock(1, blk)
 	})
-	if err := sys.engine.Run(blk.Timestamp + 2*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	sys.clock.Advance(blk.Timestamp + 2*time.Second - sys.clock.Elapsed())
 	if victim.Chain().Tip().Hash == blk.Hash {
 		t.Fatalf("forged amendment accepted (height %d -> %d)", before, victim.Chain().Height())
 	}
@@ -106,7 +102,7 @@ func TestFutureTimestampRejected(t *testing.T) {
 	wt := pos.TimeToMine(hit, cheater.eng.Ledger().U(1), bval)
 	// Honest claim, but stamped one hour into the receiver's future.
 	blk := block.NewBuilder(tip, cheater.ident.Address(),
-		sys.engine.Now()+time.Hour, wt, bval).Seal()
+		sys.clock.Elapsed()+time.Hour, wt, bval).Seal()
 	victim.handleBlock(1, blk)
 	if victim.Chain().Tip().Hash == blk.Hash {
 		t.Fatal("future-stamped block accepted")
@@ -121,7 +117,7 @@ func TestTamperedMetadataInPoolDropped(t *testing.T) {
 	it := &meta.Item{
 		ID:       meta.HashData([]byte("legit")),
 		Type:     "T/x",
-		Produced: sys.engine.Now(),
+		Produced: sys.clock.Elapsed(),
 		DataSize: 100,
 	}
 	it.Sign(producer.ident)
@@ -156,10 +152,8 @@ func TestDataNackAdvancesToNextCandidate(t *testing.T) {
 	it.StoringNodes = []int{1}
 	producer.ownData[it.ID] = true
 
-	sys.engine.Schedule(0, func() { requester.startConsume(it) })
-	if err := sys.engine.Run(time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	sys.clock.AfterFunc(0, func() { requester.startConsume(it) })
+	sys.clock.Advance(time.Minute)
 	if !requester.consumed[it.ID] {
 		t.Fatal("requester never fell through to the producer after the NACK")
 	}

@@ -60,11 +60,11 @@ func TestProduceAndRequestDataAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	var produced *meta.Item
-	sys.Engine().Schedule(time.Second, func() {
+	sys.Clock().AfterFunc(time.Second, func() {
 		produced = sys.ProduceData(2, "Test/Item")
 	})
 	// Request it from another node once it's on chain.
-	sys.Engine().ScheduleAt(3*time.Minute, func() {
+	sys.Clock().AfterFunc(3*time.Minute, func() {
 		if !sys.Node(7).RequestData(produced.ID) {
 			t.Error("RequestData could not find the item")
 		}
@@ -96,7 +96,7 @@ func TestFindMetadataOnChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.Engine().Schedule(time.Second, func() {
+	sys.Clock().AfterFunc(time.Second, func() {
 		sys.ProduceData(1, "AirQuality/PM2.5")
 		sys.ProduceData(3, "Picture/Traffic")
 	})
@@ -176,7 +176,7 @@ func TestPlacementDriftBounds(t *testing.T) {
 	// View assignments are exposed for every live item.
 	n := sys.Node(0)
 	for id, it := range n.eng.LiveItems() {
-		if got := n.eng.View().Assignment(id); len(got) == 0 && !it.Expired(sys.Engine().Now()) {
+		if got := n.eng.View().Assignment(id); len(got) == 0 && !it.Expired(sys.Clock().Elapsed()) {
 			t.Fatalf("live item %s has no view assignment", id.Short())
 		}
 	}

@@ -263,13 +263,11 @@ func TestMigrationExecutes(t *testing.T) {
 		}
 		return ids
 	}
-	for deadline := sys.engine.Now() + 5*time.Minute; len(behind()) > 0; {
-		if sys.engine.Now() >= deadline {
-			t.Fatalf("nodes %v still off node 0's tip (height %d) at %v", behind(), ref.eng.Height(), sys.engine.Now())
+	for deadline := sys.clock.Elapsed() + 5*time.Minute; len(behind()) > 0; {
+		if sys.clock.Elapsed() >= deadline {
+			t.Fatalf("nodes %v still off node 0's tip (height %d) at %v", behind(), ref.eng.Height(), sys.clock.Elapsed())
 		}
-		if err := sys.engine.Run(sys.engine.Now() + time.Second); err != nil {
-			t.Fatal(err)
-		}
+		sys.clock.Advance(time.Second)
 	}
 	// Consistency: for every live item, all nodes agree on the latest
 	// assignment, and assigned nodes hold (or are fetching) the content.
@@ -399,9 +397,7 @@ func TestForkReannouncedItemRequestedOnce(t *testing.T) {
 	fork := []*block.Block{sys.genesis, won, mine(won, 2)}
 
 	// Nothing mines (Run was never called); only the clock moves.
-	if err := sys.engine.Run(max(lost.Timestamp, fork[2].Timestamp)); err != nil {
-		t.Fatal(err)
-	}
+	sys.clock.Advance(max(lost.Timestamp, fork[2].Timestamp) - sys.clock.Elapsed())
 	victim.handleBlock(1, lost)
 	if victim.Chain().Tip().Hash != lost.Hash {
 		t.Fatal("first branch not adopted")
@@ -410,9 +406,7 @@ func TestForkReannouncedItemRequestedOnce(t *testing.T) {
 	if victim.Chain().Tip().Hash != fork[2].Hash || !victim.eng.OnChain(it.ID) {
 		t.Fatal("fork not adopted")
 	}
-	if err := sys.engine.Run(sys.engine.Now() + cfg.RequestSpread + 4*cfg.RequestTimeout); err != nil {
-		t.Fatal(err)
-	}
+	sys.clock.Advance(cfg.RequestSpread + 4*cfg.RequestTimeout)
 	if got := sys.stats.failedRequests; got != 1 {
 		t.Fatalf("%d consumption requests for an item announced on both branches, want 1", got)
 	}

@@ -23,7 +23,7 @@ type MigrationAdvice struct {
 // the Section VII migration mechanism exists to push this back toward 1.
 func (s *System) PlacementDrift(observer int) float64 {
 	n := s.nodes[observer]
-	now := s.engine.Now()
+	now := s.clock.Elapsed()
 	topo := s.net.HomeTopology()
 	states := n.eng.View().NodeStates(now)
 	in := s.planner.BuildInstance(topo, states)
@@ -56,7 +56,7 @@ func (s *System) PlacementDrift(observer int) float64 {
 // paper, but examples and ablations can quantify the drift.
 func (s *System) MigrationAdvice(observer int) []MigrationAdvice {
 	n := s.nodes[observer]
-	now := s.engine.Now()
+	now := s.clock.Elapsed()
 	topo := s.net.HomeTopology()
 	states := n.eng.View().NodeStates(now)
 	var out []MigrationAdvice

@@ -40,7 +40,7 @@ type Node struct {
 	pendingFetch map[meta.DataID]int // assigned items awaiting fetch: retries used
 
 	// Mining.
-	mineTimer *sim.Timer
+	mineTimer sim.Timer
 
 	// Outstanding data requests/fetches keyed by sequence number.
 	nextSeq uint64
@@ -75,14 +75,14 @@ type pendingRequest struct {
 	candidates []int
 	tried      int
 	start      time.Duration
-	timer      *sim.Timer
+	timer      sim.Timer
 }
 
 type syncState struct {
 	from, to   uint64
 	candidates []int
 	tried      int
-	timer      *sim.Timer
+	timer      sim.Timer
 }
 
 func newNode(sys *System, id int, ident *identity.Identity, rng *rand.Rand) *Node {
@@ -110,7 +110,7 @@ func newNode(sys *System, id int, ident *identity.Identity, rng *rand.Rand) *Nod
 		Self:               id,
 		PoS:                sys.cfg.PoS,
 		Genesis:            sys.genesis,
-		Now:                sys.engine.Now,
+		Now:                sys.clock.Elapsed,
 		ValidateClaims:     sys.cfg.Consensus != ConsensusPoW,
 		StakeRescaleEvery:  sys.cfg.StakeRescaleEvery,
 		CheckpointInterval: sys.cfg.CheckpointInterval,
@@ -203,7 +203,7 @@ func (n *Node) handleMetadata(it *meta.Item) {
 // produce creates a data item on this node, stores it locally, and
 // broadcasts the signed metadata (Section IV-B).
 func (n *Node) produce(seq int, typ string) *meta.Item {
-	now := n.sys.engine.Now()
+	now := n.sys.clock.Elapsed()
 	payload := fmt.Sprintf("data-%d-from-%d", seq, n.id)
 	it := &meta.Item{
 		ID:           meta.HashData([]byte(payload)),
@@ -287,14 +287,14 @@ func (n *Node) onAppend(ev engine.AppendEvent) {
 		if n.sys.wantedBy(it.ID, n.id) && !n.ownData[it.ID] && !n.consumed[it.ID] {
 			it := it
 			delay := time.Duration(n.rng.Int63n(int64(n.sys.cfg.RequestSpread) + 1))
-			n.sys.engine.Schedule(delay, func() { n.startConsume(it) })
+			n.sys.clock.AfterFunc(delay, func() { n.startConsume(it) })
 		}
 
 		// Data expires: storing nodes free the storage at the valid-time
 		// boundary.
 		if it.ValidFor > 0 {
 			id := it.ID
-			n.sys.engine.ScheduleAt(it.ExpiresAt(), func() {
+			n.sys.at(it.ExpiresAt(), func() {
 				delete(n.dataStore, id)
 				delete(n.pendingFetch, id)
 				n.eng.ForgetItem(id)
@@ -377,8 +377,8 @@ func (n *Node) scheduleMining() {
 	if !ok {
 		return
 	}
-	delay := r.FireAt() - n.sys.engine.Now()
-	n.mineTimer = n.sys.engine.Schedule(delay, func() { n.mine(r) })
+	delay := r.FireAt() - n.sys.clock.Elapsed()
+	n.mineTimer = n.sys.clock.AfterFunc(delay, func() { n.mine(r) })
 }
 
 // powRound is the PoW baseline's round computation: solve times are

@@ -19,10 +19,10 @@ import (
 // System is one simulated edge-blockchain deployment: the network, the
 // node processes, the workload and the measurement hooks.
 type System struct {
-	cfg    Config
-	engine *sim.Engine
-	rng    *rand.Rand
-	net    *netsim.Network
+	cfg   Config
+	clock *sim.VClock
+	rng   *rand.Rand
+	net   *netsim.Network
 
 	placements []geo.Placement
 	idents     []*identity.Identity
@@ -70,7 +70,7 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	s := &System{
 		cfg:        cfg,
-		engine:     sim.NewEngine(),
+		clock:      sim.NewVClock(time.Time{}),
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		addrToNode: make(map[identity.Address]int, cfg.NumNodes),
 		requesters: make(map[int]bool),
@@ -87,7 +87,7 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	s.placements = placements
-	s.net = netsim.New(s.engine, cfg.Field, placements, cfg.CommRange, cfg.Net, rand.New(rand.NewSource(cfg.Seed+1)))
+	s.net = netsim.New(s.clock, cfg.Field, placements, cfg.CommRange, cfg.Net, rand.New(rand.NewSource(cfg.Seed+1)))
 
 	s.idents = make([]*identity.Identity, cfg.NumNodes)
 	s.accounts = make([]identity.Address, cfg.NumNodes)
@@ -150,8 +150,15 @@ func NewSystem(cfg Config) (*System, error) {
 	return s, nil
 }
 
-// Engine exposes the simulation engine (examples drive it directly).
-func (s *System) Engine() *sim.Engine { return s.engine }
+// Clock exposes the virtual clock the whole deployment runs on. Virtual
+// time is Clock().Elapsed(), counted from zero; examples and tests arm
+// their scenario steps on it with AfterFunc before calling Run.
+func (s *System) Clock() *sim.VClock { return s.clock }
+
+// at arms fn for absolute virtual time t (now, if t has passed).
+func (s *System) at(t time.Duration, fn func()) {
+	s.clock.AfterFunc(t-s.clock.Elapsed(), fn)
+}
 
 // Network exposes the simulated network.
 func (s *System) Network() *netsim.Network { return s.net }
@@ -201,23 +208,25 @@ func (s *System) setupRaft() {
 			ElectionTimeoutMin: 4 * hb,
 			ElectionTimeoutMax: 8 * hb,
 			Transport:          raftTransport{sys: s, from: i},
-			Clock:              raft.SimClock{Engine: s.engine},
+			Clock:              s.clock,
 			RNG:                rand.New(rand.NewSource(s.cfg.Seed + 100 + int64(i))),
 		})
 	}
 	// The leader periodically proposes a network-view snapshot (the
 	// "general information consensus" role Raft plays in the paper).
-	sim.NewTicker(s.engine, time.Minute, func() {
+	sim.Every(s.clock, time.Minute, func() bool {
 		for _, n := range s.nodes {
 			if n.raft != nil && n.raft.State() == raft.Leader {
 				n.raft.Propose(make([]byte, 128))
 				break
 			}
 		}
+		return true
 	})
 }
 
-// Run executes the simulation for the given virtual duration.
+// Run executes the simulation for the given virtual duration. The error
+// is always nil: nothing can stop the clock short of the horizon.
 func (s *System) Run(d time.Duration) error {
 	for _, n := range s.nodes {
 		if n.joined {
@@ -230,22 +239,24 @@ func (s *System) Run(d time.Duration) error {
 		s.scheduleNextData()
 	}
 	if s.mob != nil && s.cfg.MobilityEpoch > 0 {
-		sim.NewTicker(s.engine, s.cfg.MobilityEpoch, func() {
+		sim.Every(s.clock, s.cfg.MobilityEpoch, func() bool {
 			s.net.SetPositions(s.mob.Step())
+			return true
 		})
 	}
 	for id, at := range s.cfg.LateJoiners {
 		id := id
-		s.engine.ScheduleAt(at, func() { s.nodes[id].join() })
+		s.at(at, func() { s.nodes[id].join() })
 	}
-	return s.engine.Run(s.engine.Now() + d)
+	s.clock.Advance(d)
+	return nil
 }
 
 // scheduleTrace schedules every event of the pre-generated workload trace.
 func (s *System) scheduleTrace() {
 	for _, ev := range s.cfg.Trace.Events {
 		ev := ev
-		s.engine.ScheduleAt(ev.At, func() {
+		s.at(ev.At, func() {
 			if ev.Producer < 0 || ev.Producer >= s.cfg.NumNodes || !s.nodes[ev.Producer].joined {
 				return
 			}
@@ -274,7 +285,7 @@ func (s *System) scheduleNextData() {
 	if gap < time.Millisecond {
 		gap = time.Millisecond
 	}
-	s.engine.Schedule(gap, func() {
+	s.clock.AfterFunc(gap, func() {
 		producer := s.pickProducer()
 		if producer >= 0 {
 			s.dataSeq++
@@ -328,7 +339,7 @@ func (s *System) wantedBy(id meta.DataID, node int) bool {
 // ProduceData makes the given node produce one data item of the given type
 // immediately and routes it through the normal metadata/placement flow.
 // Examples use it to drive explicit scenarios instead of the random
-// workload. Must be called from inside the simulation (via Engine
+// workload. Must be called from inside the simulation (via Clock
 // scheduling) or before Run.
 func (s *System) ProduceData(producer int, typ string) *meta.Item {
 	s.dataSeq++
@@ -344,7 +355,7 @@ func (s *System) Identities() []*identity.Identity { return s.idents }
 
 // InjectItem feeds a pre-built, signed metadata item into producer's pool
 // as if that node had produced it, and broadcasts the metadata. Must be
-// called from inside the simulation (via Engine scheduling) or before Run.
+// called from inside the simulation (via Clock scheduling) or before Run.
 func (s *System) InjectItem(producer int, it *meta.Item) {
 	n := s.nodes[producer]
 	n.ownData[it.ID] = true

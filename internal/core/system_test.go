@@ -169,10 +169,10 @@ func TestSystemNodeOutageRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Knock node 4 out between minutes 5 and 12.
-	sys.Engine().ScheduleAt(5*time.Minute, func() {
+	sys.Clock().AfterFunc(5*time.Minute, func() {
 		sys.Network().SetDown(netsim.NodeID(4), true)
 	})
-	sys.Engine().ScheduleAt(12*time.Minute, func() {
+	sys.Clock().AfterFunc(12*time.Minute, func() {
 		sys.Network().SetDown(netsim.NodeID(4), false)
 	})
 	if err := sys.Run(25 * time.Minute); err != nil {
@@ -199,8 +199,8 @@ func TestSystemPartitionHeals(t *testing.T) {
 	blocked := func(a, b netsim.NodeID) bool {
 		return (a < 6) != (b < 6)
 	}
-	sys.Engine().ScheduleAt(4*time.Minute, func() { sys.Network().SetLinkFilter(blocked) })
-	sys.Engine().ScheduleAt(10*time.Minute, func() { sys.Network().SetLinkFilter(nil) })
+	sys.Clock().AfterFunc(4*time.Minute, func() { sys.Network().SetLinkFilter(blocked) })
+	sys.Clock().AfterFunc(10*time.Minute, func() { sys.Network().SetLinkFilter(nil) })
 	if err := sys.Run(25 * time.Minute); err != nil {
 		t.Fatal(err)
 	}

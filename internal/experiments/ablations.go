@@ -261,14 +261,14 @@ func RunRecentCacheAblation(depths []int, nodes int, duration time.Duration, see
 		}
 		down := duration / 3
 		up := 2 * duration / 3
-		sys.Engine().ScheduleAt(down, func() { sys.Network().SetDown(netsim.NodeID(4), true) })
-		sys.Engine().ScheduleAt(up, func() { sys.Network().SetDown(netsim.NodeID(4), false) })
+		clock := sys.Clock()
+		clock.AfterFunc(down, func() { sys.Network().SetDown(netsim.NodeID(4), true) })
+		clock.AfterFunc(up, func() { sys.Network().SetDown(netsim.NodeID(4), false) })
 		// Poll after the node comes back: the recovery time is how long it
 		// takes node 4 to reach the tallest chain in the network.
 		recoveredAt := time.Duration(-1)
-		var probe *sim.Ticker
-		sys.Engine().ScheduleAt(up, func() {
-			probe = sim.NewTicker(sys.Engine(), time.Second, func() {
+		clock.AfterFunc(up, func() {
+			sim.Every(clock, time.Second, func() bool {
 				best := uint64(0)
 				for i := 0; i < nodes; i++ {
 					if i == 4 {
@@ -278,10 +278,11 @@ func RunRecentCacheAblation(depths []int, nodes int, duration time.Duration, see
 						best = h
 					}
 				}
-				if sys.Node(4).Chain().Height() >= best {
-					recoveredAt = sys.Engine().Now() - up
-					probe.Stop()
+				if sys.Node(4).Chain().Height() < best {
+					return true
 				}
+				recoveredAt = clock.Elapsed() - up
+				return false
 			})
 		})
 		if err := sys.Run(duration); err != nil {

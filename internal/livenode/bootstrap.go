@@ -26,6 +26,7 @@ import (
 	"repro/internal/chain"
 	"repro/internal/engine"
 	"repro/internal/p2p"
+	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
@@ -117,7 +118,7 @@ type bootstrapState struct {
 	hash   [sha256.Size]byte
 	chunks [][]byte // nil until the first chunk fixes the stream shape
 	have   int
-	timer  Timer
+	timer  sim.Timer
 }
 
 // bootstrapPending reports whether a snapshot bootstrap is in flight.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/p2p"
+	"repro/internal/sim"
 	"repro/internal/store"
 )
 
@@ -318,7 +319,7 @@ func TestBootstrapPersistsAcrossRestart(t *testing.T) {
 	a2 := newSyncTestNode(t, fn, "a2", 0, epoch, func(cfg *Config) {
 		cfg.SnapshotEvery = 4
 		cfg.Store = st2
-		cfg.Clock = newFakeClock(b.clock.Now())
+		cfg.Clock = sim.NewVClock(b.clock.Now())
 	})
 	if err := a2.StoreErr(); err != nil {
 		t.Fatalf("replay error: %v", err)

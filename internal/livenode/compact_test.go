@@ -12,6 +12,7 @@ import (
 	"repro/internal/block"
 	"repro/internal/meta"
 	"repro/internal/p2p"
+	"repro/internal/sim"
 )
 
 // Compact block relay (DESIGN.md §13.1) on the fake fabric: delivery is
@@ -50,7 +51,7 @@ func compactCluster(t *testing.T, items int, mutate func(cfg *Config)) (fn *fake
 	t.Helper()
 	fn = newFakeNet()
 	epoch := time.Unix(1700000000, 0)
-	clk := newFakeClock(epoch)
+	clk := sim.NewVClock(epoch)
 	b = newGossipTestNode(t, fn, clk, "b", 1, epoch, mutate)
 	a = newGossipTestNode(t, fn, clk, "a", 0, epoch, mutate)
 	c = newGossipTestNode(t, fn, clk, "c", 2, epoch, mutate)
@@ -494,7 +495,7 @@ func TestCompactParkedBodyTornDown(t *testing.T) {
 	if pf == nil {
 		t.Fatal("body not parked")
 	}
-	timers := a.clock.activeTimers()
+	timers := a.clock.Pending()
 	a.mu.Lock()
 	a.clearFetchesLocked()
 	left := len(a.gossip.blocks.pending)
@@ -503,7 +504,7 @@ func TestCompactParkedBodyTornDown(t *testing.T) {
 		t.Fatalf("%d pending fetches after teardown", left)
 	}
 	// The body's wait and one per missing item, each a pending metadata fetch.
-	if pf.waiting() || a.clock.activeTimers() != timers-1-len(blk.Items) {
+	if pf.waiting() || a.clock.Pending() != timers-1-len(blk.Items) {
 		t.Error("teardown left a timer of the parked body armed")
 	}
 	// b's backup announce of the block is still to come; keep it out.

@@ -12,6 +12,7 @@ import (
 	"repro/internal/meta"
 	"repro/internal/p2p"
 	"repro/internal/repair"
+	"repro/internal/sim"
 )
 
 // Directed data fetch (DESIGN.md §11.1) on the fake fabric: delivery is
@@ -36,7 +37,7 @@ type wireFrame struct {
 // roster index yet. wire records the data-plane frames.
 type fetchCluster struct {
 	fn    *fakeNet
-	clk   *fakeClock
+	clk   *sim.VClock
 	nodes []*syncTestNode
 	wire  []wireFrame
 }
@@ -45,7 +46,7 @@ func newFetchCluster(t *testing.T, size int, mutate func(cfg *Config)) *fetchClu
 	t.Helper()
 	fc := &fetchCluster{fn: newFakeNet()}
 	epoch := time.Unix(1700000000, 0)
-	fc.clk = newFakeClock(epoch)
+	fc.clk = sim.NewVClock(epoch)
 	idents, accounts := testRoster(size)
 	for i := 0; i < size; i++ {
 		// The helper's own roster has three nodes; every field derived from
@@ -126,7 +127,7 @@ func TestFetchAsksOneHolder(t *testing.T) {
 	fc.know(0, 1, 2, 3)
 	id := fc.item(t, 0, "one holder is enough", 3, []int{1, 2}, 1, 2, 3)
 	got := fc.gotData(0)
-	timers := fc.clk.activeTimers()
+	timers := fc.clk.Pending()
 
 	a.RequestData(id)
 
@@ -137,8 +138,8 @@ func TestFetchAsksOneHolder(t *testing.T) {
 	if got[id] != "one holder is enough" || !a.HasData(id) {
 		t.Fatalf("content not delivered: %q", got[id])
 	}
-	if a.pendingFetches() != 0 || fc.clk.activeTimers() != timers {
-		t.Fatalf("served fetch left %d entries and %d timers behind", a.pendingFetches(), fc.clk.activeTimers()-timers)
+	if a.pendingFetches() != 0 || fc.clk.Pending() != timers {
+		t.Fatalf("served fetch left %d entries and %d timers behind", a.pendingFetches(), fc.clk.Pending()-timers)
 	}
 	snap := a.reg.Snapshot()
 	if snap.Counter("livenode.fetch.directed") != 1 || snap.Counter("livenode.fetch.broadcasts") != 0 ||
@@ -678,7 +679,7 @@ func TestRepairLaunchTakesOverPendingFetch(t *testing.T) {
 	a := fc.nodes[0]
 	id := fc.item(t, 0, "placed while nobody was known", 2, []int{0, 1})
 	a.requestData(id, placementFetch) // empty address table: broadcast, then FetchTimeout
-	timers := fc.clk.activeTimers()
+	timers := fc.clk.Pending()
 	entry := func() *pendingFetch {
 		a.mu.Lock()
 		defer a.mu.Unlock()
@@ -696,7 +697,7 @@ func TestRepairLaunchTakesOverPendingFetch(t *testing.T) {
 	if taken == old || !taken.repair || !reflect.DeepEqual(taken.cands, []string{"n2", "n1"}) {
 		t.Fatalf("after the repair launch the pending fetch is %+v", taken)
 	}
-	if got := fc.clk.activeTimers(); got != timers+1 {
+	if got := fc.clk.Pending(); got != timers+1 {
 		t.Fatalf("%d live timers, want the old expiry replaced and one attempt armed (%d)", got, timers+1)
 	}
 	a.RequestData(id)
@@ -731,7 +732,7 @@ func TestRepairLaunchLeavesRunningFetchAlone(t *testing.T) {
 	if running == nil || !running.waiting() {
 		t.Fatalf("consumer fetch %+v, want one waiting on its first candidate", running)
 	}
-	start, asked, timers := running.start, len(fc.wire), fc.clk.activeTimers()
+	start, asked, timers := running.start, len(fc.wire), fc.clk.Pending()
 
 	fc.clk.Advance(a.cfg.SyncTimeout / 2)
 	a.requestData(id, repairFetch)
@@ -742,7 +743,7 @@ func TestRepairLaunchLeavesRunningFetchAlone(t *testing.T) {
 	}
 	after, inFlight := entry()
 	if after != running || after.repair || after.start != start || after.next != 1 || inFlight != 1 ||
-		len(fc.wire) != asked || fc.clk.activeTimers() != timers {
+		len(fc.wire) != asked || fc.clk.Pending() != timers {
 		t.Fatalf("the launch disturbed a running consumer fetch: %+v, wire %v", after, fc.wire[asked:])
 	}
 
@@ -761,15 +762,15 @@ func TestCloseStopsFetchTimers(t *testing.T) {
 	fc := newFetchCluster(t, 3, nil)
 	a := fc.nodes[0]
 	fc.know(0, 1, 2)
-	timers := fc.clk.activeTimers()
+	timers := fc.clk.Pending()
 	a.RequestData(fc.item(t, 0, "silent holder", 2, []int{1}))
 	a.RequestData(meta.HashData([]byte("unknown")))
-	if got := fc.clk.activeTimers() - timers; got != 3 {
+	if got := fc.clk.Pending() - timers; got != 3 {
 		t.Fatalf("%d fetch timers armed, want 2 expiries + 1 attempt", got)
 	}
 	a.Close()
-	if a.pendingFetches() != 0 || fc.clk.activeTimers() > timers {
-		t.Fatalf("Close left %d fetches and %d timers", a.pendingFetches(), fc.clk.activeTimers()-timers)
+	if a.pendingFetches() != 0 || fc.clk.Pending() > timers {
+		t.Fatalf("Close left %d fetches and %d timers", a.pendingFetches(), fc.clk.Pending()-timers)
 	}
 	a.RequestData(meta.HashData([]byte("after close")))
 	if a.pendingFetches() != 0 {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/meta"
+	"repro/internal/sim"
 )
 
 // Keyed fetcher (DESIGN.md §11.2). The paper has one read path — a node that
@@ -26,8 +27,8 @@ type pendingFetch struct {
 	seq     uint64    // begin order within the table
 	cands   []string  // transport addresses to ask, in order
 	next    int       // cands[:next] have been asked
-	attempt Timer     // wait on the candidate asked last; nil before the first ask and once exhausted
-	expiry  Timer     // bound on the whole fetch; nil when running out of candidates ends it
+	attempt sim.Timer // wait on the candidate asked last; nil before the first ask and once exhausted
+	expiry  sim.Timer // bound on the whole fetch; nil when running out of candidates ends it
 
 	compact *block.Compact           // block plane: the sender's body, parked while the items it
 	missing map[meta.DataID]struct{} // references and this node lacks — missing — are fetched (§13.1)
@@ -44,7 +45,7 @@ func (e *pendingFetch) waiting() bool { return e.attempt != nil }
 // or a later fetch of the same key does nothing.
 type fetcher[K comparable] struct {
 	mu      *sync.Mutex // the owner's lock; guards pending and every entry
-	clock   Clock
+	clock   sim.Clock
 	wait    time.Duration // how long one candidate may stay silent
 	pending map[K]*pendingFetch
 	seq     uint64
@@ -62,7 +63,7 @@ type fetcher[K comparable] struct {
 	expired func(k K, e *pendingFetch)
 }
 
-func newFetcher[K comparable](mu *sync.Mutex, clock Clock, wait time.Duration) *fetcher[K] {
+func newFetcher[K comparable](mu *sync.Mutex, clock sim.Clock, wait time.Duration) *fetcher[K] {
 	return &fetcher[K]{mu: mu, clock: clock, wait: wait, pending: make(map[K]*pendingFetch)}
 }
 

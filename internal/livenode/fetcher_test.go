@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // Model-based test of the keyed fetcher (fetcher.go), no node: a byte script
@@ -130,7 +132,7 @@ func (m *fetcherModel) timers() (n int) {
 // the first difference. Two bytes make a step: an operation and its argument.
 func runFetcherScript(t *testing.T, script []byte) {
 	epoch := time.Unix(1700000000, 0)
-	clk := newFakeClock(epoch)
+	clk := sim.NewVClock(epoch)
 	model := &fetcherModel{now: epoch, live: make(map[uint8]*refFetch), down: make(map[string]bool)}
 
 	var mu sync.Mutex
@@ -229,14 +231,14 @@ func runFetcherScript(t *testing.T, script []byte) {
 		mu.Lock()
 		pending := len(f.pending)
 		mu.Unlock()
-		if pending != len(model.live) || clk.activeTimers() != model.timers() {
+		if pending != len(model.live) || clk.Pending() != model.timers() {
 			t.Fatalf("step %d (op %d arg %d): %d pending with %d live timers, model has %d with %d",
-				i/2, op, arg, pending, clk.activeTimers(), len(model.live), model.timers())
+				i/2, op, arg, pending, clk.Pending(), len(model.live), model.timers())
 		}
 	}
 	clearAll()
-	if clk.activeTimers() != 0 {
-		t.Fatalf("%d timers live after clear", clk.activeTimers())
+	if clk.Pending() != 0 {
+		t.Fatalf("%d timers live after clear", clk.Pending())
 	}
 	if len(ended) != began {
 		t.Fatalf("%d fetches began, %d ended: %v", began, len(ended), ended)

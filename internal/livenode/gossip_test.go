@@ -7,13 +7,14 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/p2p"
+	"repro/internal/sim"
 )
 
 // newGossipTestNode is newSyncTestNode on a shared fake clock: gossip
 // delivers rebuilt blocks straight into ReceiveBlock, whose future-timestamp
 // check needs the receiver's clock to match the miner's — exactly the
 // real-cluster shape, where every node reads one wall clock.
-func newGossipTestNode(t testing.TB, fn *fakeNet, clk *fakeClock, name string, idx int, epoch time.Time, mutate func(cfg *Config)) *syncTestNode {
+func newGossipTestNode(t testing.TB, fn *fakeNet, clk *sim.VClock, name string, idx int, epoch time.Time, mutate func(cfg *Config)) *syncTestNode {
 	t.Helper()
 	n := newSyncTestNode(t, fn, name, idx, epoch, func(cfg *Config) {
 		cfg.Clock = clk
@@ -57,7 +58,7 @@ func link(t *testing.T, nodes ...*syncTestNode) {
 func TestGossipAnnounceFetchAdopt(t *testing.T) {
 	fn := newFakeNet()
 	epoch := time.Unix(1700000000, 0)
-	clk := newFakeClock(epoch)
+	clk := sim.NewVClock(epoch)
 	b := newGossipTestNode(t, fn, clk, "b", 1, epoch, nil)
 	a := newGossipTestNode(t, fn, clk, "a", 0, epoch, nil)
 	a.stopMining()
@@ -98,7 +99,7 @@ func TestGossipAnnounceFetchAdopt(t *testing.T) {
 func TestGossipReannounceAdoptedSuppressed(t *testing.T) {
 	fn := newFakeNet()
 	epoch := time.Unix(1700000000, 0)
-	clk := newFakeClock(epoch)
+	clk := sim.NewVClock(epoch)
 	b := newGossipTestNode(t, fn, clk, "b", 1, epoch, nil)
 	a := newGossipTestNode(t, fn, clk, "a", 0, epoch, nil)
 	a.stopMining()
@@ -131,7 +132,7 @@ func TestGossipReannounceAdoptedSuppressed(t *testing.T) {
 func TestGossipRelayOnAdoptExcludesSender(t *testing.T) {
 	fn := newFakeNet()
 	epoch := time.Unix(1700000000, 0)
-	clk := newFakeClock(epoch)
+	clk := sim.NewVClock(epoch)
 	b := newGossipTestNode(t, fn, clk, "b", 1, epoch, nil)
 	a := newGossipTestNode(t, fn, clk, "a", 0, epoch, nil)
 	c := newGossipTestNode(t, fn, clk, "c", 2, epoch, nil)
@@ -175,7 +176,7 @@ func TestGossipRelayOnAdoptExcludesSender(t *testing.T) {
 func TestGossipTreePush(t *testing.T) {
 	fn := newFakeNet()
 	epoch := time.Unix(1700000000, 0)
-	clk := newFakeClock(epoch)
+	clk := sim.NewVClock(epoch)
 	b := newGossipTestNode(t, fn, clk, "b", 1, epoch, nil)
 	a := newGossipTestNode(t, fn, clk, "a", 0, epoch, nil)
 	c := newGossipTestNode(t, fn, clk, "c", 2, epoch, nil)

@@ -28,6 +28,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/p2p"
 	"repro/internal/pos"
+	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/telemetry"
 )
@@ -54,9 +55,11 @@ type Config struct {
 	// of the default TCP one (p2p.Listen on ListenAddr). The chaos harness
 	// injects internal/p2p/memnet endpoints here.
 	NewTransport func(h p2p.Handler) (p2p.Transport, error)
-	// Clock is the node's time source; nil means the wall clock. The chaos
-	// harness injects a virtual clock shared by all nodes.
-	Clock Clock
+	// Clock is the node's time source: every wall-clock read and every
+	// timer goes through it. nil means sim.WallClock(); the chaos harness
+	// and this package's tests inject one sim.VClock shared by all nodes and
+	// advance it themselves.
+	Clock sim.Clock
 	// StorageCapacity is the per-node storage in items (default 250).
 	StorageCapacity int
 	// Store is the node's persistence backend. nil means in-memory
@@ -143,12 +146,6 @@ type Config struct {
 	// (default 10s).
 	RepairSuspectAfter time.Duration
 	RepairHysteresis   time.Duration
-	// RepairMaxPerBlock bounds repair re-announcements packed per mined
-	// block (default 4 when repair is enabled).
-	RepairMaxPerBlock int
-	// RepairReplicaFloor is the replica count the under-replication gauge
-	// checks items against (default alloc.DefaultMinReplicas).
-	RepairReplicaFloor int
 	// OnBlock, if set, is called after each adopted block (any goroutine).
 	OnBlock func(b *block.Block)
 	// OnData, if set, is called when requested data content arrives.
@@ -168,7 +165,7 @@ type Node struct {
 	cfg     Config
 	selfIdx int
 	net     p2p.Transport
-	clock   Clock
+	clock   sim.Clock
 
 	mu            sync.Mutex
 	eng           *engine.Engine
@@ -176,7 +173,7 @@ type Node struct {
 	replaying     bool // WAL replay in progress: skip re-persisting/fetching
 	sinceCkpt     int  // blocks adopted since the last store checkpoint
 	storeErr      error
-	mineTimer     Timer
+	mineTimer     sim.Timer
 	closed        bool
 	onData        func(id meta.DataID, content []byte)
 	fetches       *fetcher[meta.DataID] // pending data fetches (fetch.go)
@@ -451,7 +448,7 @@ func New(cfg Config) (*Node, error) {
 		cfg.FetchTimeout = 2 * time.Minute
 	}
 	if cfg.Clock == nil {
-		cfg.Clock = WallClock()
+		cfg.Clock = sim.WallClock()
 	}
 	if cfg.GossipFanout < 0 || cfg.ProbeFanout < 0 {
 		return nil, fmt.Errorf("livenode: GossipFanout %d and ProbeFanout %d must not be negative (0 selects the default)",
@@ -475,12 +472,6 @@ func New(cfg Config) (*Node, error) {
 		}
 		if cfg.RepairHysteresis <= 0 {
 			cfg.RepairHysteresis = defaultRepairHysteresis
-		}
-		if cfg.RepairMaxPerBlock <= 0 {
-			cfg.RepairMaxPerBlock = defaultRepairMaxPacked
-		}
-		if cfg.RepairReplicaFloor <= 0 {
-			cfg.RepairReplicaFloor = alloc.DefaultMinReplicas
 		}
 	}
 	if cfg.NewTransport == nil {
@@ -520,7 +511,7 @@ func New(cfg Config) (*Node, error) {
 	repairMax := 0
 	if n.repair != nil {
 		liveness = n.livenessFor
-		repairMax = cfg.RepairMaxPerBlock
+		repairMax = defaultRepairMaxPacked
 	}
 
 	// Clique topology: every pair 1 hop (full TCP mesh). NewClique keeps

@@ -10,6 +10,7 @@ import (
 	"repro/internal/meta"
 	"repro/internal/p2p"
 	"repro/internal/pos"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -35,7 +36,7 @@ func metaFuzzTarget(f *testing.F) *Node {
 	metaFuzzOnce.Do(func() {
 		idents, accounts := testRoster(3)
 		epoch := time.Unix(1700000000, 0)
-		fc := newFakeClock(epoch)
+		fc := sim.NewVClock(epoch)
 		fn := newFakeNet()
 		n, err := New(Config{
 			Identity:    idents[0],

@@ -10,6 +10,7 @@ import (
 	"repro/internal/identity"
 	"repro/internal/meta"
 	"repro/internal/p2p"
+	"repro/internal/sim"
 )
 
 // testItem builds a signed metadata item from one of the roster identities.
@@ -158,7 +159,7 @@ func TestMetaGossipAnnounceFetchRelay(t *testing.T) {
 func TestMetaStaleReannounced(t *testing.T) {
 	fn := newFakeNet()
 	epoch := time.Unix(1700000000, 0)
-	clk := newFakeClock(epoch)
+	clk := sim.NewVClock(epoch)
 	b := newGossipTestNode(t, fn, clk, "b", 1, epoch, nil)
 	a := newGossipTestNode(t, fn, clk, "a", 0, epoch, nil)
 	c := newGossipTestNode(t, fn, clk, "c", 2, epoch, nil)
@@ -351,7 +352,7 @@ func TestMetaIDListCodecBounds(t *testing.T) {
 func TestSigCacheCountersPublished(t *testing.T) {
 	fn := newFakeNet()
 	epoch := time.Unix(1700000000, 0)
-	clk := newFakeClock(epoch)
+	clk := sim.NewVClock(epoch)
 	a := newGossipTestNode(t, fn, clk, "a", 0, epoch, nil)
 	b := newGossipTestNode(t, fn, clk, "b", 1, epoch, nil)
 	b.stopMining()
@@ -469,7 +470,7 @@ func TestMetaGetShortUnknownSilence(t *testing.T) {
 func TestMetaForgedPrefix(t *testing.T) {
 	fn := newFakeNet()
 	epoch := time.Unix(1700000000, 0)
-	clk := newFakeClock(epoch)
+	clk := sim.NewVClock(epoch)
 	b := newGossipTestNode(t, fn, clk, "b", 1, epoch, nil)
 	a := newGossipTestNode(t, fn, clk, "a", 0, epoch, nil)
 	a.stopMining()

@@ -10,6 +10,7 @@ import (
 	"repro/internal/p2p"
 	"repro/internal/pos"
 	"repro/internal/repair"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -20,7 +21,7 @@ import (
 // hour), so advancing the clock exercises exactly the liveness machinery.
 type probeCluster struct {
 	fn    *fakeNet
-	clock *fakeClock
+	clock *sim.VClock
 	nodes []*Node
 	regs  []*telemetry.Registry
 	live  []bool
@@ -38,7 +39,7 @@ func newProbeCluster(t testing.TB, n int, genesisSeed int64, fanout int) *probeC
 	epoch := time.Unix(1700000000, 0)
 	pc := &probeCluster{
 		fn:    newFakeNet(),
-		clock: newFakeClock(epoch),
+		clock: sim.NewVClock(epoch),
 		nodes: make([]*Node, n),
 		regs:  make([]*telemetry.Registry, n),
 		live:  make([]bool, n),

@@ -5,10 +5,12 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/alloc"
 	"repro/internal/engine"
 	"repro/internal/meta"
 	"repro/internal/p2p"
 	"repro/internal/repair"
+	"repro/internal/sim"
 )
 
 // Self-healing data plane (DESIGN.md §11). The repair driver glues the
@@ -45,7 +47,7 @@ const (
 	defaultRepairProbeEvery = 2 * time.Second
 	defaultRepairSuspect    = 6 * time.Second
 	defaultRepairHysteresis = 10 * time.Second
-	defaultRepairMaxPacked  = 4
+	defaultRepairMaxPacked  = 4 // repair re-announcements packed per mined block
 )
 
 // repairDriver is the per-node repair state; nil when repair is disabled
@@ -57,7 +59,7 @@ type repairDriver struct {
 	lim   *repair.Limiter
 
 	announce []byte // this node's encoded roster index (probe payload)
-	timer    Timer
+	timer    sim.Timer
 
 	// Sampled liveness probing (DESIGN.md §15.2). The rng is seeded
 	// separately from the gossip plane's so probe sampling never perturbs
@@ -212,7 +214,7 @@ func (n *Node) repairTick() {
 func (n *Node) updateRepairGaugesLocked(now time.Duration) {
 	rd := n.repair
 	dead := func(i int) bool { return rd.det.Status(i, now) == repair.Dead }
-	n.tel.underReplicated.Set(int64(len(rd.idx.Deficits(now, n.cfg.RepairReplicaFloor, dead))))
+	n.tel.underReplicated.Set(int64(len(rd.idx.Deficits(now, alloc.DefaultMinReplicas, dead))))
 	n.tel.deadNodes.Set(int64(rd.det.CountDead(now)))
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/p2p"
 	"repro/internal/pos"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -47,7 +48,7 @@ func snapFuzzTarget(f *testing.F) *Node {
 			NewTransport: func(h p2p.Handler) (p2p.Transport, error) {
 				return fn.endpoint("fuzz", h), nil
 			},
-			Clock:             newFakeClock(epoch),
+			Clock:             sim.NewVClock(epoch),
 			Telemetry:         telemetry.NewRegistry(),
 			BootstrapSnapshot: true,
 		})

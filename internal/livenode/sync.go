@@ -8,6 +8,7 @@ import (
 	"repro/internal/block"
 	"repro/internal/chain"
 	"repro/internal/p2p"
+	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
@@ -207,7 +208,7 @@ type syncSession struct {
 	suffix   []*block.Block // accumulated suffix (true-fork case only)
 	nextFrom uint64
 	attempts int
-	timer    Timer
+	timer    sim.Timer
 }
 
 // target is the last height this session can fetch (end of the header range).

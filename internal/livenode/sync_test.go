@@ -16,85 +16,12 @@ import (
 	"repro/internal/p2p"
 	"repro/internal/p2p/memnet"
 	"repro/internal/pos"
+	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/telemetry"
 )
 
 // --- deterministic test fabric ------------------------------------------------
-
-// fakeClock is a manually advanced clock: timers fire only inside Advance,
-// in timestamp order, which makes every sync timeout path deterministic.
-type fakeClock struct {
-	mu     sync.Mutex
-	now    time.Time
-	timers []*fakeTimer
-}
-
-type fakeTimer struct {
-	c    *fakeClock
-	at   time.Time
-	fn   func()
-	done bool
-}
-
-func newFakeClock(start time.Time) *fakeClock { return &fakeClock{now: start} }
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *fakeClock) AfterFunc(d time.Duration, fn func()) Timer {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// Compact fired/stopped timers so long-lived clocks (fuzzing) stay flat.
-	kept := c.timers[:0]
-	for _, t := range c.timers {
-		if !t.done {
-			kept = append(kept, t)
-		}
-	}
-	c.timers = kept
-	t := &fakeTimer{c: c, at: c.now.Add(d), fn: fn}
-	c.timers = append(c.timers, t)
-	return t
-}
-
-func (t *fakeTimer) Stop() bool {
-	t.c.mu.Lock()
-	defer t.c.mu.Unlock()
-	was := !t.done
-	t.done = true
-	return was
-}
-
-// Advance moves the clock forward, firing due timers in order.
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	target := c.now.Add(d)
-	for {
-		var next *fakeTimer
-		for _, t := range c.timers {
-			if !t.done && !t.at.After(target) && (next == nil || t.at.Before(next.at)) {
-				next = t
-			}
-		}
-		if next == nil {
-			break
-		}
-		next.done = true
-		if next.at.After(c.now) {
-			c.now = next.at
-		}
-		fn := next.fn
-		c.mu.Unlock()
-		fn()
-		c.mu.Lock()
-	}
-	c.now = target
-	c.mu.Unlock()
-}
 
 // fakeNet is a zero-latency in-process transport fabric: Send delivers
 // synchronously into the receiving node's handler, and an optional drop
@@ -230,7 +157,7 @@ func (e *fakeEP) Close() error {
 // telemetry registry.
 type syncTestNode struct {
 	*Node
-	clock *fakeClock
+	clock *sim.VClock
 	reg   *telemetry.Registry
 	epoch time.Time
 }
@@ -238,7 +165,7 @@ type syncTestNode struct {
 func newSyncTestNode(t testing.TB, fn *fakeNet, name string, idx int, epoch time.Time, mutate func(cfg *Config)) *syncTestNode {
 	t.Helper()
 	idents, accounts := testRoster(3)
-	fc := newFakeClock(epoch)
+	fc := sim.NewVClock(epoch)
 	reg := telemetry.NewRegistry()
 	cfg := Config{
 		Identity:    idents[idx],
@@ -443,7 +370,7 @@ func TestRestartCatchesUpWhenSampleIsBehind(t *testing.T) {
 	// a comes back with the first four blocks on disk and finds only b.
 	a := newSyncTestNode(t, fn, "a", 0, epoch, func(cfg *Config) {
 		cfg.Store = recoveredStore{store.NewMemStore(), c.ChainSnapshot()[1:5]}
-		cfg.Clock = newFakeClock(c.clock.Now()) // replay refuses blocks from the future
+		cfg.Clock = sim.NewVClock(c.clock.Now()) // replay refuses blocks from the future
 	})
 	if got := a.Height(); got != 4 {
 		t.Fatalf("recovered height = %d, want 4 (%v)", got, a.StoreErr())
@@ -652,18 +579,6 @@ func lastSyncAbort(reg *telemetry.Registry) string {
 	return ""
 }
 
-// activeTimers counts the clock's armed timers.
-func (c *fakeClock) activeTimers() (n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, t := range c.timers {
-		if !t.done {
-			n++
-		}
-	}
-	return n
-}
-
 // TestSyncBatchTimeoutRetriesThenAborts is the end of the sync ladder: a
 // peer that never answers batch requests costs the retry budget and then
 // the session, nothing else — and the next announce from any other peer
@@ -753,7 +668,7 @@ func TestSyncHeadersNotPastTipRefused(t *testing.T) {
 	a := newSyncTestNode(t, fn, "a", 0, epoch, nil)
 	a.mineBlocks(t, 3)
 	log := watchFrames(fn, nil)
-	timers := a.clock.activeTimers()
+	timers := a.clock.Pending()
 
 	genesis := a.ChainSnapshot()[0]
 	for _, last := range []uint64{2, 3} { // below the tip, and exactly at it
@@ -776,7 +691,7 @@ func TestSyncHeadersNotPastTipRefused(t *testing.T) {
 	if session != nil {
 		t.Fatal("an offer that cannot reach past our tip opened a session")
 	}
-	if got := a.clock.activeTimers(); got != timers {
+	if got := a.clock.Pending(); got != timers {
 		t.Errorf("%d timers armed, %d before the offers", got, timers)
 	}
 	if len(log.seen) != 0 {
@@ -795,7 +710,7 @@ func TestSyncHeadersNotPastTipRefused(t *testing.T) {
 func TestRetiredFrameTypesIgnored(t *testing.T) {
 	fn := newFakeNet()
 	epoch := time.Unix(1700000000, 0)
-	clk := newFakeClock(epoch)
+	clk := sim.NewVClock(epoch)
 	repairOn := func(cfg *Config) { cfg.RepairWorkers = 1 }
 	a := newGossipTestNode(t, fn, clk, "a", 0, epoch, repairOn)
 	b := newGossipTestNode(t, fn, clk, "b", 1, epoch, repairOn)

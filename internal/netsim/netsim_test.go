@@ -29,12 +29,12 @@ func linePlacements(n int, spacing float64) []geo.Placement {
 	return out
 }
 
-func lineNetwork(t *testing.T, n int, cfg Config) (*sim.Engine, *Network) {
+func lineNetwork(t *testing.T, n int, cfg Config) (*sim.VClock, *Network) {
 	t.Helper()
-	engine := sim.NewEngine()
+	clock := sim.NewVClock(time.Time{})
 	pls := linePlacements(n, 50) // 50 m spacing, 70 m range: only adjacent links
-	nw := New(engine, geo.Field{Width: 10000, Height: 100}, pls, 70, cfg, rand.New(rand.NewSource(1)))
-	return engine, nw
+	nw := New(clock, geo.Field{Width: 10000, Height: 100}, pls, 70, cfg, rand.New(rand.NewSource(1)))
+	return clock, nw
 }
 
 func TestTopologyLineHops(t *testing.T) {
@@ -131,20 +131,18 @@ func TestCliqueMatchesDenseTopology(t *testing.T) {
 
 func TestUnicastDelayAndAccounting(t *testing.T) {
 	cfg := Config{PerHopDelay: 10 * time.Millisecond, ChargeForwarding: true}
-	engine, nw := lineNetwork(t, 5, cfg)
+	clock, nw := lineNetwork(t, 5, cfg)
 	var gotFrom NodeID
 	var gotAt time.Duration
 	nw.Attach(4, HandlerFunc(func(from NodeID, msg Message) {
 		gotFrom = from
-		gotAt = engine.Now()
+		gotAt = clock.Elapsed()
 	}))
 	ok := nw.Unicast(0, 4, testMsg{size: 1000, kind: "data"})
 	if !ok {
 		t.Fatal("Unicast returned false")
 	}
-	if err := engine.RunAll(); err != nil {
-		t.Fatal(err)
-	}
+	clock.Advance(time.Hour)
 	if gotFrom != 0 {
 		t.Errorf("from = %d, want 0", gotFrom)
 	}
@@ -172,15 +170,13 @@ func TestUnicastEndToEndAccounting(t *testing.T) {
 	// Default accounting bills only the endpoints (the paper's model);
 	// forwarders relay for free but latency stays per-hop.
 	cfg := Config{PerHopDelay: 10 * time.Millisecond}
-	engine, nw := lineNetwork(t, 5, cfg)
+	clock, nw := lineNetwork(t, 5, cfg)
 	var gotAt time.Duration
-	nw.Attach(4, HandlerFunc(func(from NodeID, msg Message) { gotAt = engine.Now() }))
+	nw.Attach(4, HandlerFunc(func(from NodeID, msg Message) { gotAt = clock.Elapsed() }))
 	if !nw.Unicast(0, 4, testMsg{size: 1000, kind: "data"}) {
 		t.Fatal("Unicast returned false")
 	}
-	if err := engine.RunAll(); err != nil {
-		t.Fatal(err)
-	}
+	clock.Advance(time.Hour)
 	if want := 40 * time.Millisecond; gotAt != want {
 		t.Errorf("delivered at %v, want %v", gotAt, want)
 	}
@@ -202,13 +198,11 @@ func TestUnicastEndToEndAccounting(t *testing.T) {
 
 func TestUnicastBandwidthDelay(t *testing.T) {
 	cfg := Config{PerHopDelay: 10 * time.Millisecond, Bandwidth: 1 << 20} // 1 MiB/s
-	engine, nw := lineNetwork(t, 2, cfg)
+	clock, nw := lineNetwork(t, 2, cfg)
 	var gotAt time.Duration
-	nw.Attach(1, HandlerFunc(func(from NodeID, msg Message) { gotAt = engine.Now() }))
+	nw.Attach(1, HandlerFunc(func(from NodeID, msg Message) { gotAt = clock.Elapsed() }))
 	nw.Unicast(0, 1, testMsg{size: 1 << 20, kind: "data"}) // 1 MiB
-	if err := engine.RunAll(); err != nil {
-		t.Fatal(err)
-	}
+	clock.Advance(time.Hour)
 	want := 10*time.Millisecond + time.Second
 	if gotAt != want {
 		t.Errorf("delivered at %v, want %v", gotAt, want)
@@ -216,13 +210,11 @@ func TestUnicastBandwidthDelay(t *testing.T) {
 }
 
 func TestUnicastToSelf(t *testing.T) {
-	engine, nw := lineNetwork(t, 2, DefaultConfig())
+	clock, nw := lineNetwork(t, 2, DefaultConfig())
 	delivered := false
 	nw.Attach(0, HandlerFunc(func(from NodeID, msg Message) { delivered = true }))
 	nw.Unicast(0, 0, testMsg{size: 10, kind: "ctrl"})
-	if err := engine.RunAll(); err != nil {
-		t.Fatal(err)
-	}
+	clock.Advance(time.Hour)
 	if !delivered {
 		t.Fatal("self-unicast not delivered")
 	}
@@ -232,7 +224,7 @@ func TestUnicastToSelf(t *testing.T) {
 }
 
 func TestUnicastUnreachable(t *testing.T) {
-	engine, nw := lineNetwork(t, 3, DefaultConfig())
+	clock, nw := lineNetwork(t, 3, DefaultConfig())
 	nw.SetDown(1, true)
 	ok := nw.Unicast(0, 2, testMsg{size: 10, kind: "ctrl"})
 	if ok {
@@ -241,22 +233,18 @@ func TestUnicastUnreachable(t *testing.T) {
 	if nw.Stats().Unreachable != 1 {
 		t.Fatalf("Unreachable = %d, want 1", nw.Stats().Unreachable)
 	}
-	if err := engine.RunAll(); err != nil {
-		t.Fatal(err)
-	}
+	clock.Advance(time.Hour)
 }
 
 func TestBroadcastFloodsComponent(t *testing.T) {
-	engine, nw := lineNetwork(t, 4, Config{PerHopDelay: 10 * time.Millisecond})
+	clock, nw := lineNetwork(t, 4, Config{PerHopDelay: 10 * time.Millisecond})
 	got := make(map[NodeID]time.Duration)
 	for i := 0; i < 4; i++ {
 		id := NodeID(i)
-		nw.Attach(id, HandlerFunc(func(from NodeID, msg Message) { got[id] = engine.Now() }))
+		nw.Attach(id, HandlerFunc(func(from NodeID, msg Message) { got[id] = clock.Elapsed() }))
 	}
 	nw.Broadcast(0, testMsg{size: 100, kind: "block"})
-	if err := engine.RunAll(); err != nil {
-		t.Fatal(err)
-	}
+	clock.Advance(time.Hour)
 	if len(got) != 3 {
 		t.Fatalf("delivered to %d nodes, want 3 (not the source)", len(got))
 	}
@@ -276,7 +264,7 @@ func TestBroadcastFloodsComponent(t *testing.T) {
 }
 
 func TestBroadcastSkipsDownAndDisconnected(t *testing.T) {
-	engine, nw := lineNetwork(t, 4, DefaultConfig())
+	clock, nw := lineNetwork(t, 4, DefaultConfig())
 	nw.SetDown(2, true) // splits {0,1} from {3}
 	reached := make(map[NodeID]bool)
 	for i := 0; i < 4; i++ {
@@ -284,27 +272,23 @@ func TestBroadcastSkipsDownAndDisconnected(t *testing.T) {
 		nw.Attach(id, HandlerFunc(func(from NodeID, msg Message) { reached[id] = true }))
 	}
 	nw.Broadcast(0, testMsg{size: 10, kind: "block"})
-	if err := engine.RunAll(); err != nil {
-		t.Fatal(err)
-	}
+	clock.Advance(time.Hour)
 	if !reached[1] || reached[2] || reached[3] {
 		t.Fatalf("reached = %v, want only node 1", reached)
 	}
 }
 
 func TestDropInjection(t *testing.T) {
-	engine := sim.NewEngine()
+	clock := sim.NewVClock(time.Time{})
 	pls := linePlacements(2, 50)
 	cfg := Config{PerHopDelay: time.Millisecond, DropProb: 1.0}
-	nw := New(engine, geo.Field{Width: 1000, Height: 100}, pls, 70, cfg, rand.New(rand.NewSource(1)))
+	nw := New(clock, geo.Field{Width: 1000, Height: 100}, pls, 70, cfg, rand.New(rand.NewSource(1)))
 	delivered := false
 	nw.Attach(1, HandlerFunc(func(from NodeID, msg Message) { delivered = true }))
 	if nw.Unicast(0, 1, testMsg{size: 10, kind: "ctrl"}) {
 		t.Fatal("Unicast with DropProb=1 returned true")
 	}
-	if err := engine.RunAll(); err != nil {
-		t.Fatal(err)
-	}
+	clock.Advance(time.Hour)
 	if delivered {
 		t.Fatal("dropped message was delivered")
 	}
@@ -314,7 +298,7 @@ func TestDropInjection(t *testing.T) {
 }
 
 func TestLinkFilterPartition(t *testing.T) {
-	engine, nw := lineNetwork(t, 4, DefaultConfig())
+	_, nw := lineNetwork(t, 4, DefaultConfig())
 	// Sever the 1-2 link: {0,1} | {2,3}.
 	nw.SetLinkFilter(func(a, b NodeID) bool {
 		return (a == 1 && b == 2) || (a == 2 && b == 1)
@@ -326,11 +310,10 @@ func TestLinkFilterPartition(t *testing.T) {
 	if !nw.Topology().Reachable(0, 3) {
 		t.Fatal("healed partition still unreachable")
 	}
-	_ = engine
 }
 
 func TestSetPositionsRebuildsTopology(t *testing.T) {
-	engine, nw := lineNetwork(t, 3, DefaultConfig())
+	_, nw := lineNetwork(t, 3, DefaultConfig())
 	if !nw.Topology().Reachable(0, 2) {
 		t.Fatal("line should be connected initially")
 	}
@@ -340,7 +323,6 @@ func TestSetPositionsRebuildsTopology(t *testing.T) {
 	if nw.Topology().Reachable(0, 2) {
 		t.Fatal("node 2 moved out of range but still reachable")
 	}
-	_ = engine
 }
 
 func TestMobilityStepStaysInRange(t *testing.T) {
@@ -418,18 +400,16 @@ func TestBroadcastCoverageProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 10; trial++ {
 		n := 5 + rng.Intn(20)
-		engine := sim.NewEngine()
+		clock := sim.NewVClock(time.Time{})
 		pls := geo.PlaceNodes(geo.DefaultField(), n, 0, rng) // may be disconnected
-		nw := New(engine, geo.DefaultField(), pls, 70, Config{PerHopDelay: time.Millisecond}, rng)
+		nw := New(clock, geo.DefaultField(), pls, 70, Config{PerHopDelay: time.Millisecond}, rng)
 		got := make(map[NodeID]bool)
 		for i := 0; i < n; i++ {
 			id := NodeID(i)
 			nw.Attach(id, HandlerFunc(func(NodeID, Message) { got[id] = true }))
 		}
 		nw.Broadcast(0, testMsg{size: 10, kind: "x"})
-		if err := engine.RunAll(); err != nil {
-			t.Fatal(err)
-		}
+		clock.Advance(time.Hour)
 		topo := nw.Topology()
 		for i := 1; i < n; i++ {
 			want := topo.Reachable(0, NodeID(i))

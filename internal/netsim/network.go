@@ -101,7 +101,7 @@ func (s *Stats) AvgTxBytesPerNode() float64 {
 // Network delivers messages between nodes over the simulated radio graph.
 // It is single-threaded: all calls must happen on the simulation goroutine.
 type Network struct {
-	engine    *Engine
+	clock     sim.Clock
 	cfg       Config
 	placement []geo.Placement
 	field     geo.Field
@@ -122,17 +122,13 @@ type Network struct {
 	linkBlocked func(a, b NodeID) bool
 }
 
-// Engine aliases the simulation engine type to avoid import cycles in
-// callers that only use netsim.
-type Engine = sim.Engine
-
-// New creates a network over the given placements. Handlers are registered
-// later with Attach; messages to nodes without a handler are dropped
+// New creates a network over the given placements; every delivery is a
+// timer on clock. Handlers are registered later with Attach; messages to nodes without a handler are dropped
 // silently (counted as received).
-func New(engine *Engine, field geo.Field, placements []geo.Placement, commRange float64, cfg Config, rng *rand.Rand) *Network {
+func New(clock sim.Clock, field geo.Field, placements []geo.Placement, commRange float64, cfg Config, rng *rand.Rand) *Network {
 	n := len(placements)
 	nw := &Network{
-		engine:    engine,
+		clock:     clock,
 		cfg:       cfg,
 		placement: append([]geo.Placement(nil), placements...),
 		field:     field,
@@ -149,9 +145,6 @@ func New(engine *Engine, field geo.Field, placements []geo.Placement, commRange 
 
 // N returns the node count.
 func (nw *Network) N() int { return len(nw.placement) }
-
-// Engine returns the simulation engine driving this network.
-func (nw *Network) SimEngine() *Engine { return nw.engine }
 
 // Attach registers the handler for node id.
 func (nw *Network) Attach(id NodeID, h Handler) { nw.handlers[id] = h }
@@ -238,7 +231,7 @@ func (nw *Network) hopDelay(size int) time.Duration {
 func (nw *Network) Unicast(from, to NodeID, msg Message) bool {
 	if from == to {
 		// Local delivery: free and immediate (next event cycle).
-		nw.engine.Schedule(0, func() { nw.deliver(from, to, msg) })
+		nw.clock.AfterFunc(0, func() { nw.deliver(from, to, msg) })
 		return true
 	}
 	if nw.down[from] || nw.down[to] || !nw.topo.Reachable(from, to) {
@@ -277,7 +270,7 @@ func (nw *Network) Unicast(from, to NodeID, msg Message) bool {
 		nw.stats.KindBytes[msg.Kind()] += size
 	}
 	delay := time.Duration(hops) * nw.hopDelay(msg.Size())
-	nw.engine.Schedule(delay, func() { nw.deliver(from, to, msg) })
+	nw.clock.AfterFunc(delay, func() { nw.deliver(from, to, msg) })
 	return true
 }
 
@@ -311,7 +304,7 @@ func (nw *Network) Broadcast(from NodeID, msg Message) {
 		nw.stats.TxBytes[id] += size
 		nw.stats.TxMsgs[id]++
 		nw.stats.KindBytes[msg.Kind()] += size
-		nw.engine.Schedule(time.Duration(h)*hd, func() { nw.deliver(from, id, msg) })
+		nw.clock.AfterFunc(time.Duration(h)*hd, func() { nw.deliver(from, id, msg) })
 	}
 }
 

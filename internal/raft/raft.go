@@ -4,9 +4,9 @@
 // in our blockchain system").
 //
 // The implementation covers leader election, log replication, commitment
-// and follower catch-up, and runs single-threaded over an abstract Clock
-// and Transport so it plugs into the deterministic simulation. It counts
-// every message sent per type, which powers the heartbeat-overhead
+// and follower catch-up, and runs single-threaded over a sim.Clock and an
+// abstract Transport so it plugs into the deterministic simulation. It
+// counts every message sent per type, which powers the heartbeat-overhead
 // ablation the paper calls out as future work ("the approach transmits a
 // large number of heartbeat messages").
 package raft
@@ -16,6 +16,8 @@ import (
 	"math/rand"
 	"sort"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // NodeID identifies a Raft peer.
@@ -119,16 +121,6 @@ type Transport interface {
 	Send(to NodeID, msg *Message)
 }
 
-// Timer is a cancellable pending callback.
-type Timer interface {
-	Stop() bool
-}
-
-// Clock schedules callbacks; the simulation supplies virtual time.
-type Clock interface {
-	After(d time.Duration, fn func()) Timer
-}
-
 // Config configures one Raft node.
 type Config struct {
 	// ID is this node; Peers lists all other nodes.
@@ -143,7 +135,7 @@ type Config struct {
 	HeartbeatInterval time.Duration
 	// Transport sends messages; Clock schedules timeouts.
 	Transport Transport
-	Clock     Clock
+	Clock     sim.Clock
 	// RNG randomizes election timeouts.
 	RNG *rand.Rand
 	// Apply is called once per committed entry, in log order.
@@ -193,8 +185,8 @@ type Node struct {
 
 	leader NodeID // last known leader, -1 unknown
 
-	electionTimer  Timer
-	heartbeatTimer Timer
+	electionTimer  sim.Timer
+	heartbeatTimer sim.Timer
 	stopped        bool
 
 	stats Stats
@@ -268,7 +260,7 @@ func (n *Node) resetElectionTimer() {
 	if span > 0 {
 		d += time.Duration(n.cfg.RNG.Int63n(int64(span)))
 	}
-	n.electionTimer = n.cfg.Clock.After(d, n.onElectionTimeout)
+	n.electionTimer = n.cfg.Clock.AfterFunc(d, n.onElectionTimeout)
 }
 
 func (n *Node) onElectionTimeout() {
@@ -329,7 +321,7 @@ func (n *Node) becomeLeader() {
 }
 
 func (n *Node) armHeartbeat() {
-	n.heartbeatTimer = n.cfg.Clock.After(n.cfg.HeartbeatInterval, func() {
+	n.heartbeatTimer = n.cfg.Clock.AfterFunc(n.cfg.HeartbeatInterval, func() {
 		if n.stopped || n.state != Leader {
 			return
 		}

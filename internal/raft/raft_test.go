@@ -10,9 +10,9 @@ import (
 )
 
 // cluster wires n Raft nodes over an in-memory lossy transport driven by
-// the simulation engine.
+// the virtual clock.
 type cluster struct {
-	engine  *sim.Engine
+	clock   *sim.VClock
 	nodes   map[NodeID]*Node
 	applied map[NodeID][]string
 	// delay is the one-way message latency.
@@ -37,7 +37,7 @@ func (t clusterTransport) Send(to NodeID, msg *Message) {
 		return
 	}
 	m := *msg // copy; entries slice shared is fine (append-only)
-	c.engine.Schedule(c.delay, func() {
+	c.clock.AfterFunc(c.delay, func() {
 		if n, ok := c.nodes[to]; ok && !n.Stopped() {
 			n.Step(&m)
 		}
@@ -47,7 +47,7 @@ func (t clusterTransport) Send(to NodeID, msg *Message) {
 func newCluster(t *testing.T, n int, seed int64) *cluster {
 	t.Helper()
 	c := &cluster{
-		engine:  sim.NewEngine(),
+		clock:   sim.NewVClock(time.Time{}),
 		nodes:   make(map[NodeID]*Node, n),
 		applied: make(map[NodeID][]string, n),
 		delay:   10 * time.Millisecond,
@@ -70,7 +70,7 @@ func newCluster(t *testing.T, n int, seed int64) *cluster {
 			ID:        id,
 			Peers:     peers,
 			Transport: clusterTransport{c: c, from: id},
-			Clock:     SimClock{Engine: c.engine},
+			Clock:     c.clock,
 			RNG:       rand.New(rand.NewSource(seed + int64(id) + 100)),
 			Apply: func(index uint64, cmd []byte) {
 				c.applied[id] = append(c.applied[id], string(cmd))
@@ -83,9 +83,7 @@ func newCluster(t *testing.T, n int, seed int64) *cluster {
 // run advances virtual time by d.
 func (c *cluster) run(t *testing.T, d time.Duration) {
 	t.Helper()
-	if err := c.engine.Run(c.engine.Now() + d); err != nil {
-		t.Fatalf("engine run: %v", err)
-	}
+	c.clock.Advance(d)
 }
 
 // leader returns the unique live leader, or nil.
@@ -106,8 +104,8 @@ func (c *cluster) leader() *Node {
 
 func (c *cluster) waitLeader(t *testing.T, within time.Duration) *Node {
 	t.Helper()
-	deadline := c.engine.Now() + within
-	for c.engine.Now() < deadline {
+	deadline := c.clock.Elapsed() + within
+	for c.clock.Elapsed() < deadline {
 		c.run(t, 50*time.Millisecond)
 		if l := c.leader(); l != nil {
 			return l
@@ -187,8 +185,8 @@ func TestLeaderFailureTriggersReElection(t *testing.T) {
 	lead.Stop() // crash the leader
 	// A new leader must emerge among the rest.
 	var newLead *Node
-	deadline := c.engine.Now() + 10*time.Second
-	for c.engine.Now() < deadline {
+	deadline := c.clock.Elapsed() + 10*time.Second
+	for c.clock.Elapsed() < deadline {
 		c.run(t, 100*time.Millisecond)
 		if l := c.leader(); l != nil && l.cfg.ID != lead.cfg.ID {
 			newLead = l
@@ -245,8 +243,8 @@ func TestMinorityPartitionCannotCommit(t *testing.T) {
 	}
 	// Majority side elects a fresh leader that can commit.
 	var majLead *Node
-	deadline := c.engine.Now() + 10*time.Second
-	for c.engine.Now() < deadline {
+	deadline := c.clock.Elapsed() + 10*time.Second
+	for c.clock.Elapsed() < deadline {
 		c.run(t, 100*time.Millisecond)
 		for id, n := range c.nodes {
 			if !minority[id] && n.State() == Leader {
@@ -326,14 +324,14 @@ func TestHeartbeatOverheadGrowsWithFrequency(t *testing.T) {
 	// heartbeat interval roughly doubles AppendEntries traffic.
 	counts := make(map[time.Duration]uint64)
 	for _, hb := range []time.Duration{50 * time.Millisecond, 200 * time.Millisecond} {
-		engine := sim.NewEngine()
+		clock := sim.NewVClock(time.Time{})
 		rng := rand.New(rand.NewSource(7))
 		nodes := make(map[NodeID]*Node)
 		var transport func(from NodeID) Transport
 		transport = func(from NodeID) Transport {
 			return transportFunc(func(to NodeID, msg *Message) {
 				m := *msg
-				engine.Schedule(5*time.Millisecond, func() {
+				clock.AfterFunc(5*time.Millisecond, func() {
 					if n, ok := nodes[to]; ok {
 						n.Step(&m)
 					}
@@ -352,13 +350,11 @@ func TestHeartbeatOverheadGrowsWithFrequency(t *testing.T) {
 				ID: id, Peers: peers,
 				HeartbeatInterval: hb,
 				Transport:         transport(id),
-				Clock:             SimClock{Engine: engine},
+				Clock:             clock,
 				RNG:               rand.New(rand.NewSource(int64(id) + 11)),
 			})
 		}
-		if err := engine.Run(30 * time.Second); err != nil {
-			t.Fatal(err)
-		}
+		clock.Advance(30 * time.Second)
 		var total uint64
 		for _, n := range nodes {
 			total += n.Stats().Sent[MsgAppendEntries]
@@ -378,27 +374,23 @@ type transportFunc func(to NodeID, msg *Message)
 func (f transportFunc) Send(to NodeID, msg *Message) { f(to, msg) }
 
 func TestSingleNodeClusterSelfElects(t *testing.T) {
-	engine := sim.NewEngine()
+	clock := sim.NewVClock(time.Time{})
 	applied := 0
 	n := New(Config{
 		ID:        0,
 		Transport: transportFunc(func(NodeID, *Message) {}),
-		Clock:     SimClock{Engine: engine},
+		Clock:     clock,
 		RNG:       rand.New(rand.NewSource(1)),
 		Apply:     func(uint64, []byte) { applied++ },
 	})
-	if err := engine.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	clock.Advance(time.Second)
 	if n.State() != Leader {
 		t.Fatalf("singleton state = %v, want leader", n.State())
 	}
 	if _, ok := n.Propose([]byte("solo")); !ok {
 		t.Fatal("singleton refused proposal")
 	}
-	if err := engine.Run(engine.Now() + time.Second); err != nil {
-		t.Fatal(err)
-	}
+	clock.Advance(time.Second)
 	if applied != 1 {
 		t.Fatalf("applied = %d, want 1", applied)
 	}
