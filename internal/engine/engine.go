@@ -374,6 +374,10 @@ func (e *Engine) PoolLen() int { return len(e.pool) }
 // (misses).
 func (e *Engine) SigCacheStats() (hits, misses uint64) { return e.sigs.Stats() }
 
+// SigKeyTables returns how many producer-key tables the engine's cache has
+// built and how many it holds (DESIGN.md §16 "Verify fast").
+func (e *Engine) SigKeyTables() (built uint64, held int) { return e.sigs.Tables() }
+
 // --- metadata pool --------------------------------------------------------
 
 // AddMetadata verifies and pools a metadata item received from the

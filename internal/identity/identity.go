@@ -102,10 +102,14 @@ func Verify(pub ed25519.PublicKey, addr Address, msg, sig []byte) error {
 		return fmt.Errorf("identity: public key must be %d bytes, got %d", ed25519.PublicKeySize, len(pub))
 	}
 	if AddressOf(pub) != addr {
-		return fmt.Errorf("identity: public key does not match address %s", addr.Short())
+		return errAddressMismatch(addr)
 	}
 	if !ed25519.Verify(pub, msg, sig) {
 		return ErrBadSignature
 	}
 	return nil
+}
+
+func errAddressMismatch(addr Address) error {
+	return fmt.Errorf("identity: public key does not match address %s", addr.Short())
 }

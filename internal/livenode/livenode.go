@@ -285,8 +285,11 @@ type nodeMetrics struct {
 	// updateChainGauges publishes the increase since it last ran.
 	sigCacheHits   *telemetry.Counter // signature checks answered by the cache
 	sigCacheMisses *telemetry.Counter // signature checks that ran ed25519
+	sigKeysTabled  *telemetry.Counter // producer-key tables built ("Verify fast")
+	sigTablesHeld  *telemetry.Gauge   // producer-key tables held now
 	sigHitsSeen    uint64
 	sigMissesSeen  uint64
+	sigTabledSeen  uint64
 
 	// Directed data fetch (DESIGN.md §11.1).
 	fetchDirected      *telemetry.Counter // requests sent to one candidate holder
@@ -333,6 +336,8 @@ func newNodeMetrics(reg *telemetry.Registry) *nodeMetrics {
 		dataFetchExpired: reg.Counter("livenode.data.fetch_expired"),
 		sigCacheHits:     reg.Counter("livenode.sigcache.hits"),
 		sigCacheMisses:   reg.Counter("livenode.sigcache.misses"),
+		sigKeysTabled:    reg.Counter("livenode.sigcache.keys_tabled"),
+		sigTablesHeld:    reg.Gauge("livenode.sigcache.tables_held"),
 
 		repairEnqueued:    reg.Counter("livenode.repair.enqueued"),
 		repairCompleted:   reg.Counter("livenode.repair.completed"),
@@ -401,6 +406,10 @@ func (n *Node) updateChainGauges() {
 	n.tel.sigCacheHits.Add(int(hits - n.tel.sigHitsSeen))
 	n.tel.sigCacheMisses.Add(int(misses - n.tel.sigMissesSeen))
 	n.tel.sigHitsSeen, n.tel.sigMissesSeen = hits, misses
+	built, held := n.eng.SigKeyTables()
+	n.tel.sigKeysTabled.Add(int(built - n.tel.sigTabledSeen))
+	n.tel.sigTabledSeen = built
+	n.tel.sigTablesHeld.Set(int64(held))
 	led := n.eng.Ledger()
 	n.tel.ownS.Set(int64(led.S(n.selfIdx)))
 	n.tel.ownQ.Set(int64(led.Q(n.selfIdx)))

@@ -372,6 +372,18 @@ func TestSigCacheCountersPublished(t *testing.T) {
 	if hits, misses := counter(b.reg, "livenode.sigcache.hits"), counter(b.reg, "livenode.sigcache.misses"); hits != 1 || misses != 1 {
 		t.Fatalf("sigcache hits/misses = %d/%d, want 1/1", hits, misses)
 	}
+	// A second item from the same producer is the key's second miss on b:
+	// it builds the key's tables ("Verify fast"), and the gauges say so.
+	if _, err := a.Publish([]byte("verified fast"), "Road/Congestion", "lab"); err != nil {
+		t.Fatal(err)
+	}
+	a.mineBlocks(t, 1)
+	if hits, misses := counter(b.reg, "livenode.sigcache.hits"), counter(b.reg, "livenode.sigcache.misses"); hits != 2 || misses != 2 {
+		t.Fatalf("sigcache hits/misses = %d/%d, want 2/2", hits, misses)
+	}
+	if tabled, held := counter(b.reg, "livenode.sigcache.keys_tabled"), b.reg.Snapshot().Gauge("livenode.sigcache.tables_held"); tabled != 1 || held != 1 {
+		t.Fatalf("sigcache keys_tabled/tables_held = %d/%d, want 1/1", tabled, held)
+	}
 }
 
 // sentFrame is one frame a spy endpoint received.

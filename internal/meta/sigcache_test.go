@@ -6,7 +6,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -108,15 +110,53 @@ func TestVerifyCachedNeverCachesFailure(t *testing.T) {
 }
 
 // After a warm hit, changing any byte identity.Verify reads is a miss and
-// an error; changing only the storing nodes is a hit.
+// an error — Verify's error — and changing only the storing nodes is a hit.
+// The producer key has verified once here, so the first mutation that keeps
+// it builds its tables and the rest run on them.
 func TestVerifyCachedKeyCoversEverySignedByte(t *testing.T) {
 	base, _ := sampleItem(t, rand.New(rand.NewSource(2)))
 	var c SigCache
-	if err := base.VerifyCached(&c); err != nil {
+	coversEverySignedByte(t, &c, base)
+	if built, held := c.Tables(); built != 1 || held != 1 {
+		t.Fatalf("tables built/held = %d/%d, want the producer's once", built, held)
+	}
+}
+
+// The same with the producer key tabled before the first check.
+func TestVerifyCachedKeyCoversEverySignedByteTabled(t *testing.T) {
+	base, id := sampleItem(t, rand.New(rand.NewSource(2)))
+	var c SigCache
+	tableKey(t, &c, base, id)
+	coversEverySignedByte(t, &c, base)
+	if built, held := c.Tables(); built != 1 || held != 1 {
+		t.Fatalf("tables built/held = %d/%d, want the producer's once", built, held)
+	}
+}
+
+// tableKey verifies two fresh items of id's through c: the second builds
+// the key's tables.
+func tableKey(t *testing.T, c *SigCache, base *Item, id *identity.Identity) {
+	t.Helper()
+	for n := 1; n <= 2; n++ {
+		other := base.Clone()
+		other.DataSize += n
+		other.Sign(id)
+		if err := other.VerifyCached(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if built, held := c.Tables(); built != 1 || held != 1 {
+		t.Fatalf("after two items tables built/held = %d/%d, want 1/1", built, held)
+	}
+}
+
+func coversEverySignedByte(t *testing.T, c *SigCache, base *Item) {
+	start := stats(c)
+	if err := base.VerifyCached(c); err != nil {
 		t.Fatal(err)
 	}
-	if err := base.VerifyCached(&c); err != nil || stats(&c) != [2]uint64{1, 1} {
-		t.Fatalf("warm repeat: err %v, hits/misses %v, want 1/1", err, stats(&c))
+	if err := base.VerifyCached(c); err != nil || stats(c) != [2]uint64{start[0] + 1, start[1] + 1} {
+		t.Fatalf("warm repeat: err %v, hits/misses %v -> %v, want one of each", err, start, stats(c))
 	}
 	mutations := map[string]func(*Item){
 		"type":      func(it *Item) { it.Type = "Picture/Traffic" },
@@ -137,30 +177,109 @@ func TestVerifyCachedKeyCoversEverySignedByte(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			it := base.Clone()
 			mutate(it)
-			before := stats(&c)
-			err := it.VerifyCached(&c)
+			before := stats(c)
+			err := it.VerifyCached(c)
 			if err == nil {
 				t.Fatalf("tampered %s verified through a warm cache", name)
 			}
 			if want := it.Verify(); want == nil || err.Error() != want.Error() {
 				t.Fatalf("cached error %q, uncached %v", err, want)
 			}
-			if got := stats(&c); got != [2]uint64{before[0], before[1] + 1} {
+			if got := stats(c); got != [2]uint64{before[0], before[1] + 1} {
 				t.Fatalf("hits/misses %v -> %v, want one more miss", before, got)
 			}
 		})
 	}
 	placed := base.Clone()
 	placed.StoringNodes = []int{10, 11, 12}
-	before := stats(&c)
-	if err := placed.VerifyCached(&c); err != nil {
+	before := stats(c)
+	if err := placed.VerifyCached(c); err != nil {
 		t.Fatal(err)
 	}
-	if got := stats(&c); got != [2]uint64{before[0] + 1, before[1]} {
+	if got := stats(c); got != [2]uint64{before[0] + 1, before[1]} {
 		t.Fatalf("storing nodes are outside the signature: hits/misses %v -> %v, want one more hit", before, got)
 	}
 	if err := base.VerifyCached(nil); err != nil {
 		t.Fatalf("nil cache must behave as Verify: %v", err)
+	}
+}
+
+// A producer's tabled key does not vouch for another account: an item P
+// signed claiming Q's address is refused with Verify's error, with both
+// keys tabled, and so is an item carrying Q's key that P signed.
+func TestVerifyCachedTabledKeyForeignAddress(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	baseP, p := sampleItem(t, rng)
+	baseQ, q := sampleItem(t, rng)
+	var c SigCache
+	tableKey(t, &c, baseP, p)
+	for n := 1; n <= 2; n++ {
+		other := baseQ.Clone()
+		other.DataSize += n
+		other.Sign(q)
+		if err := other.VerifyCached(&c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	claimsQ := baseP.Clone()
+	claimsQ.Producer = q.Address()
+	claimsQ.Signature = p.Sign(claimsQ.SigningBytes())
+	carriesQ := baseP.Clone()
+	carriesQ.Producer, carriesQ.ProducerPub = q.Address(), q.PublicKey()
+	carriesQ.Signature = p.Sign(carriesQ.SigningBytes())
+	for name, it := range map[string]*Item{"P's key, Q's address": claimsQ, "Q's key and address, P's signature": carriesQ} {
+		err := it.VerifyCached(&c)
+		if want := it.Verify(); err == nil || want == nil || err.Error() != want.Error() {
+			t.Fatalf("%s: cached %v, uncached %v", name, err, want)
+		}
+	}
+	if built, held := c.Tables(); built != 2 || held != 2 {
+		t.Fatalf("tables built/held = %d/%d, want P's and Q's", built, held)
+	}
+}
+
+// VerifyCached from several goroutines through one cache — as
+// AdoptSuffix's VerifyWorkers call it — gives every item Verify's verdict;
+// racing goroutines build a producer's tables at most once each.
+func TestVerifyCachedConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const producers, workers = 4, 4
+	var items []*Item
+	for p := 0; p < producers; p++ {
+		base, id := sampleItem(t, rng)
+		for i := 0; i < 16; i++ {
+			it := base.Clone()
+			it.DataSize = i + 1
+			it.Sign(id)
+			if i%5 == 4 {
+				it.Signature[7] ^= 1
+			}
+			items = append(items, it)
+		}
+	}
+	want := make([]string, len(items))
+	for i, it := range items {
+		want[i] = fmt.Sprint(it.Verify())
+	}
+	var c SigCache
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for i := range items {
+					j := (i*7 + w*13) % len(items)
+					if got := fmt.Sprint(items[j].VerifyCached(&c)); got != want[j] {
+						t.Errorf("item %d: VerifyCached %s, Verify %s", j, got, want[j])
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if built, held := c.Tables(); held != producers || built < producers || built > producers*workers {
+		t.Fatalf("tables built/held = %d/%d, want %d held, built once per racing goroutine at most", built, held, producers)
 	}
 }
 
@@ -187,6 +306,38 @@ func TestSigCacheBound(t *testing.T) {
 	}
 	if c.lookup(testKey(0)) {
 		t.Fatal("the oldest key survived 4 generations of inserts")
+	}
+}
+
+// The key table never holds more than two generations; a key found in the
+// old one moves to the current one, so a key in use survives any number of
+// newcomers, and one not used is dropped.
+func TestSigCacheKeyBound(t *testing.T) {
+	_, id := sampleItem(t, rand.New(rand.NewSource(8)))
+	vk, err := identity.NewVerifyKey(id.PublicKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub := func(i int) (p [ed25519.PublicKeySize]byte) {
+		binary.BigEndian.PutUint64(p[:], uint64(i))
+		return p
+	}
+	var c SigCache
+	const n = 4 * keyCacheGen
+	for i := 0; i < n; i++ {
+		c.putKey(pub(i), vk)
+		if got, seen := c.verifyKey(pub(0)); !seen || got != vk {
+			t.Fatalf("after %d inserts the key in use was dropped", i+1)
+		}
+		if held := len(c.keys) + len(c.oldKeys); held > 2*keyCacheGen {
+			t.Fatalf("after %d inserts the key table holds %d keys, bound is %d", i+1, held, 2*keyCacheGen)
+		}
+	}
+	if _, seen := c.verifyKey(pub(1)); seen {
+		t.Fatal("an unused key survived 4 generations of inserts")
+	}
+	if built, held := c.Tables(); built != n || held > 2*keyCacheGen {
+		t.Fatalf("tables built/held = %d/%d, want %d built, at most %d held", built, held, n, 2*keyCacheGen)
 	}
 }
 

@@ -26,8 +26,10 @@
 package repair
 
 import (
+	"bytes"
 	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -208,19 +210,27 @@ func (idx *Index) Deficits(now time.Duration, floor int, dead func(i int) bool) 
 	if want > upNodes {
 		want = upNodes
 	}
+	up := func(p int) bool { return dead == nil || !dead(p) }
 	var out []Deficit
-	for _, id := range idx.Live() {
-		provs := idx.providers[id]
-		alive := make([]int, 0, len(provs))
+	for id, provs := range idx.providers {
+		n := 0
 		for _, p := range provs {
-			if dead == nil || !dead(p) {
+			if up(p) {
+				n++
+			}
+		}
+		if n >= want {
+			continue
+		}
+		alive := make([]int, 0, n)
+		for _, p := range provs {
+			if up(p) {
 				alive = append(alive, p)
 			}
 		}
-		if len(alive) < want {
-			out = append(out, Deficit{ID: id, Alive: alive, Want: want})
-		}
+		out = append(out, Deficit{ID: id, Alive: alive, Want: want})
 	}
+	slices.SortFunc(out, func(a, b Deficit) int { return bytes.Compare(a.ID[:], b.ID[:]) })
 	return out
 }
 
@@ -245,12 +255,5 @@ func (idx *Index) Snapshot() string {
 }
 
 func sortIDs(ids []meta.DataID) {
-	sort.Slice(ids, func(a, b int) bool {
-		for k := range ids[a] {
-			if ids[a][k] != ids[b][k] {
-				return ids[a][k] < ids[b][k]
-			}
-		}
-		return false
-	})
+	slices.SortFunc(ids, func(a, b meta.DataID) int { return bytes.Compare(a[:], b[:]) })
 }

@@ -1,6 +1,9 @@
 package repair
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -157,6 +160,88 @@ func TestIndexDeficits(t *testing.T) {
 	}
 	if defs := idx.Deficits(0, 2, nil); len(defs) != 1 || defs[0].ID != single.ID {
 		t.Fatalf("deficits with all alive = %+v, want only the single-replica item", defs)
+	}
+}
+
+// deficitsReference is Deficits as it was before it stopped sorting every
+// live ID: expire, sort all live IDs byte by byte, build Alive for each.
+func deficitsReference(idx *Index, now time.Duration, floor int, dead func(i int) bool) []Deficit {
+	idx.ExpireUntil(now)
+	upNodes := idx.n
+	if dead != nil {
+		upNodes = 0
+		for i := 0; i < idx.n; i++ {
+			if !dead(i) {
+				upNodes++
+			}
+		}
+	}
+	want := floor
+	if want > upNodes {
+		want = upNodes
+	}
+	live := make([]meta.DataID, 0, len(idx.providers))
+	for id := range idx.providers {
+		live = append(live, id)
+	}
+	sort.Slice(live, func(a, b int) bool {
+		for k := range live[a] {
+			if live[a][k] != live[b][k] {
+				return live[a][k] < live[b][k]
+			}
+		}
+		return false
+	})
+	var out []Deficit
+	for _, id := range live {
+		provs := idx.providers[id]
+		alive := make([]int, 0, len(provs))
+		for _, p := range provs {
+			if dead == nil || !dead(p) {
+				alive = append(alive, p)
+			}
+		}
+		if len(alive) < want {
+			out = append(out, Deficit{ID: id, Alive: alive, Want: want})
+		}
+	}
+	return out
+}
+
+// Deficits answers what the full-sort body answered — same deficits, same
+// Alive lists, same order — and leaves the index in the same state, on
+// random indexes, dead sets, floors and expiry instants.
+func TestDeficitsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(12)
+		got, ref := NewIndex(n), NewIndex(n)
+		for i, items := 0, rng.Intn(80); i < items; i++ {
+			storing := make([]int, rng.Intn(5))
+			for j := range storing {
+				storing[j] = rng.Intn(n+2) - 1 // out-of-roster indices are dropped by Apply
+			}
+			tag := string(rune('a' + rng.Intn(40))) // repeats are re-announcements
+			it := testItem(tag, time.Duration(rng.Intn(100))*time.Second, time.Duration(rng.Intn(3))*time.Minute, storing...)
+			got.Apply(it)
+			ref.Apply(it)
+		}
+		deadSet := make([]bool, n)
+		for i := range deadSet {
+			deadSet[i] = rng.Intn(3) == 0
+		}
+		dead := func(i int) bool { return deadSet[i] }
+		if rng.Intn(4) == 0 {
+			dead = nil
+		}
+		now, floor := time.Duration(rng.Intn(200))*time.Second, rng.Intn(5)
+		want := deficitsReference(ref, now, floor, dead)
+		if have := got.Deficits(now, floor, dead); !reflect.DeepEqual(have, want) {
+			t.Fatalf("trial %d: Deficits = %+v, reference %+v", trial, have, want)
+		}
+		if got.Snapshot() != ref.Snapshot() {
+			t.Fatalf("trial %d: index state after Deficits differs from the reference's", trial)
+		}
 	}
 }
 

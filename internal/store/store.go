@@ -178,11 +178,14 @@ func Open(dir string, opts Options) (*Store, error) {
 // validatePrefix returns the longest prefix of blocks that forms a valid
 // hash-linked sequence. Blocks at or below the checkpoint height are
 // trusted content-wise (CRC already checked); newer ones get a full
-// VerifySelf including item signatures.
+// VerifySelf including item signatures, through a signature cache that
+// lives for this call only, so each producer's key tables are built once
+// per restart and no verdict reaches anything else (DESIGN.md §16).
 func validatePrefix(blocks []*block.Block, checkpointHeight uint64) []*block.Block {
+	var sigs meta.SigCache
 	for i, b := range blocks {
 		if b.Index > checkpointHeight {
-			if err := b.VerifySelf(); err != nil {
+			if err := b.VerifySelfCached(&sigs); err != nil {
 				return blocks[:i]
 			}
 		} else if b.ComputeHash() != b.Hash {

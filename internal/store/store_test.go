@@ -146,6 +146,63 @@ func TestCorruptMiddleRecordKeepsPrefix(t *testing.T) {
 	}
 }
 
+// signedChain builds genesis + n linked blocks packing one item each, the
+// producers alternating; block bad's item has one signature bit flipped
+// and the block is sealed over it, so CRC and hash hold and only the
+// signature check can refuse it.
+func signedChain(t testing.TB, n, bad int) []*block.Block {
+	t.Helper()
+	rng := rand.New(rand.NewSource(11))
+	producers := []*identity.Identity{identity.GenerateSeeded(rng), identity.GenerateSeeded(rng)}
+	blocks := []*block.Block{block.Genesis(7)}
+	for i := 1; i <= n; i++ {
+		it := &meta.Item{ID: meta.HashData([]byte{byte(i)}), Type: "T", DataSize: i}
+		it.Sign(producers[i%2])
+		if i == bad {
+			it.Signature[9] ^= 1
+		}
+		blocks = append(blocks, block.NewBuilder(blocks[i-1], identity.Address{}, time.Duration(i)*time.Second, 1, 0).AddItem(it).Seal())
+	}
+	return blocks
+}
+
+// TestBadSignatureMidSegmentCutsPrefix: a record in the middle of a segment
+// whose CRC and hash hold but whose item signature does not cuts recovery at
+// the block before it, as a flipped payload byte does — with or without a
+// torn tail behind it. Its producer signed blocks 2 and 4, so by block 6 the
+// restart's own signature cache checks it on the key's tables.
+func TestBadSignatureMidSegmentCutsPrefix(t *testing.T) {
+	chain := signedChain(t, 8, 6)
+	if chain[6].VerifySelf() == nil {
+		t.Fatal("the forged block verifies")
+	}
+	for _, torn := range []bool{false, true} {
+		dir := t.TempDir()
+		s := openStore(t, dir, Options{Sync: SyncAlways})
+		appendAll(t, s, chain)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if torn {
+			st, err := os.Stat(segmentPath(dir, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(segmentPath(dir, 1), st.Size()-5); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s2 := openStore(t, dir, Options{})
+		got := s2.RecoveredBlocks()
+		if len(got) != 5 || got[4].Hash != chain[5].Hash {
+			t.Fatalf("torn=%v: recovered %d blocks, want blocks 1-5", torn, len(got))
+		}
+		if err := s2.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestCheckpointSkipsContentVerification shows the incremental-replay
 // contract: a block whose item signature is invalid (content tampered
 // after signing, hash recomputed) is rejected on a cold open, but
