@@ -117,9 +117,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := sys.Run(*duration); err != nil {
-		log.Fatal(err)
-	}
+	sys.Run(*duration)
 	res := sys.Results()
 
 	fmt.Printf("edgesim: %d nodes, %.0f items/min, %v simulated in %v wall time (seed %d)\n",

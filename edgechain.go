@@ -26,7 +26,7 @@
 //	cfg := edgechain.DefaultConfig(20) // 20 nodes, paper parameters
 //	sys, err := edgechain.NewSimulation(cfg)
 //	if err != nil { ... }
-//	if err := sys.Run(30 * time.Minute); err != nil { ... }
+//	sys.Run(30 * time.Minute)
 //	res := sys.Results()
 //	fmt.Printf("height=%d gini=%.3f delivery=%.2fs\n",
 //	    res.ChainHeight, res.StorageGini, res.Delivery.Mean)
@@ -114,9 +114,7 @@ func RunSimulation(cfg Config, d time.Duration) (*Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := sys.Run(d); err != nil {
-		return nil, err
-	}
+	sys.Run(d)
 	return sys.Results(), nil
 }
 

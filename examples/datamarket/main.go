@@ -56,9 +56,7 @@ func main() {
 		}
 	})
 
-	if err := sys.Run(30 * time.Minute); err != nil {
-		log.Fatal(err)
-	}
+	sys.Run(30 * time.Minute)
 
 	res := sys.Results()
 	node := sys.Node(buyer)

@@ -264,7 +264,7 @@ func TestDirectedFetchWireGate(t *testing.T) {
 	t.Parallel()
 	const n, payload = 64, 1024
 	c, res := runFlashCrowd64(t, 8*time.Minute, payload)
-	// An unserved fetch expires FetchTimeout (2 min) after it began.
+	// An unserved fetch expires two minutes (livenode's fetchTimeout) after it began.
 	c.Run(2*time.Minute + time.Second)
 
 	var dataPlane, completed, expired, directed, moved, broadcasts uint64

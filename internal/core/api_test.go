@@ -72,9 +72,7 @@ func TestProduceAndRequestDataAPI(t *testing.T) {
 			t.Error("RequestData found a nonexistent item")
 		}
 	})
-	if err := sys.Run(5 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	sys.Run(5 * time.Minute)
 	if produced == nil {
 		t.Fatal("ProduceData did not run")
 	}
@@ -100,9 +98,7 @@ func TestFindMetadataOnChain(t *testing.T) {
 		sys.ProduceData(1, "AirQuality/PM2.5")
 		sys.ProduceData(3, "Picture/Traffic")
 	})
-	if err := sys.Run(4 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	sys.Run(4 * time.Minute)
 	air := sys.Node(5).FindMetadata(meta.Query{TypePrefix: "AirQuality/"})
 	if len(air) != 1 {
 		t.Fatalf("found %d air-quality items, want 1", len(air))
@@ -131,9 +127,7 @@ func TestTraceDrivenWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Run(25 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	sys.Run(25 * time.Minute)
 	res := sys.Results()
 	if res.DataGenerated != trace.Len() {
 		t.Fatalf("generated %d items, trace has %d", res.DataGenerated, trace.Len())
@@ -146,9 +140,7 @@ func TestTraceDrivenWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys2.Run(25 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	sys2.Run(25 * time.Minute)
 	if sys2.Results().DataGenerated != res.DataGenerated {
 		t.Fatal("trace replay diverged")
 	}
@@ -161,9 +153,7 @@ func TestPlacementDriftBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Run(20 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	sys.Run(20 * time.Minute)
 	// Drift hovers around or above 1; it can dip slightly below when an
 	// old assignment happens to beat the greedy "optimal" on current-state costs.
 	d := sys.PlacementDrift(0)

@@ -21,9 +21,7 @@ func TestCheckpointBlocksFinalizeHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Run(15 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	sys.Run(15 * time.Minute)
 	victim := sys.Node(0)
 	h := victim.Chain().Height()
 	if h < 4 {
@@ -70,9 +68,7 @@ func TestCheckpointBlocksFinalizeHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys2.Run(15 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	sys2.Run(15 * time.Minute)
 	victim2 := sys2.Node(0)
 	if int(victim2.Chain().Height()) >= len(fake)-1 {
 		t.Skip("control chain too tall for the fake fork")
@@ -94,9 +90,7 @@ func TestRecentDepthCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Run(40 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	sys.Run(40 * time.Minute)
 	for i := 0; i < cfg.NumNodes; i++ {
 		n := sys.Node(i)
 		if d := n.recent.Depth(); d > 2 {
@@ -118,9 +112,7 @@ func TestMigrationAdvice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Run(30 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	sys.Run(30 * time.Minute)
 	advice := sys.MigrationAdvice(0)
 	for _, a := range advice {
 		if a.Plan.Empty() {
@@ -146,9 +138,7 @@ func TestPoWConsensusMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Run(20 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	sys.Run(20 * time.Minute)
 	res := sys.Results()
 	if res.Consensus != ConsensusPoW {
 		t.Fatalf("consensus echo = %v", res.Consensus)
@@ -183,9 +173,7 @@ func TestEnergyAccountingPoSVsPoW(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sys.Run(20 * time.Minute); err != nil {
-			t.Fatal(err)
-		}
+		sys.Run(20 * time.Minute)
 		return sys.Results()
 	}
 	posRes := run(ConsensusPoS)
@@ -215,9 +203,7 @@ func TestRadioEnergyScalesWithTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Run(20 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	sys.Run(20 * time.Minute)
 	res := sys.Results()
 	st := sys.Network().Stats()
 	for i, j := range res.RadioEnergyJ {
@@ -241,9 +227,7 @@ func TestMigrationExecutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Run(40 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	sys.Run(40 * time.Minute)
 	res := sys.Results()
 	if res.Migrations == 0 {
 		t.Skip("no drift materialized under this seed")
@@ -314,9 +298,7 @@ func TestMigrationDisabledByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Run(20 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	sys.Run(20 * time.Minute)
 	if sys.Results().Migrations != 0 {
 		t.Fatal("migrations ran without being enabled")
 	}
@@ -333,9 +315,7 @@ func TestStakeRescaleInSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Run(15 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	sys.Run(15 * time.Minute)
 	if sys.Node(0).Chain().Height() < 5 {
 		t.Skip("too few blocks")
 	}

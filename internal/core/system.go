@@ -225,9 +225,9 @@ func (s *System) setupRaft() {
 	})
 }
 
-// Run executes the simulation for the given virtual duration. The error
-// is always nil: nothing can stop the clock short of the horizon.
-func (s *System) Run(d time.Duration) error {
+// Run executes the simulation for the given virtual duration: nothing can
+// stop the clock short of the horizon.
+func (s *System) Run(d time.Duration) {
 	for _, n := range s.nodes {
 		if n.joined {
 			n.scheduleMining()
@@ -249,7 +249,6 @@ func (s *System) Run(d time.Duration) error {
 		s.at(at, func() { s.nodes[id].join() })
 	}
 	s.clock.Advance(d)
-	return nil
 }
 
 // scheduleTrace schedules every event of the pre-generated workload trace.

@@ -35,9 +35,7 @@ func TestSystemMinesBlocksNearExpectedRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	dur := 20 * time.Minute
-	if err := sys.Run(dur); err != nil {
-		t.Fatal(err)
-	}
+	sys.Run(dur)
 	res := sys.Results()
 	// t0 = 30 s over 20 min -> ~40 blocks expected; the derivation is
 	// approximate, so accept a wide band.
@@ -54,9 +52,7 @@ func TestSystemAllNodesConverge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Run(15 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	sys.Run(15 * time.Minute)
 	tip := sys.Node(0).Chain().Tip()
 	for i := 1; i < cfg.NumNodes; i++ {
 		other := sys.Node(i).Chain().Tip()
@@ -74,9 +70,7 @@ func TestSystemDataFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Run(30 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	sys.Run(30 * time.Minute)
 	res := sys.Results()
 	if res.DataGenerated == 0 {
 		t.Fatal("no data generated")
@@ -109,9 +103,7 @@ func TestSystemDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sys.Run(10 * time.Minute); err != nil {
-			t.Fatal(err)
-		}
+		sys.Run(10 * time.Minute)
 		return sys.Results()
 	}
 	a, b := run(), run()
@@ -128,9 +120,7 @@ func TestSystemStorageFairness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Run(30 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	sys.Run(30 * time.Minute)
 	res := sys.Results()
 	// Paper: Gini below 0.15 for equal-capacity nodes. Short runs are
 	// noisier than the paper's 500 min, so allow some slack.
@@ -148,9 +138,7 @@ func TestSystemLateJoinerSyncs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Run(20 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	sys.Run(20 * time.Minute)
 	joiner := sys.Node(3).Chain().Height()
 	reference := sys.Node(0).Chain().Height()
 	if joiner == 0 {
@@ -175,9 +163,7 @@ func TestSystemNodeOutageRecovers(t *testing.T) {
 	sys.Clock().AfterFunc(12*time.Minute, func() {
 		sys.Network().SetDown(netsim.NodeID(4), false)
 	})
-	if err := sys.Run(25 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	sys.Run(25 * time.Minute)
 	down := sys.Node(4).Chain().Height()
 	ref := sys.Node(0).Chain().Height()
 	if diff := int64(ref) - int64(down); diff > 2 || diff < -2 {
@@ -201,9 +187,7 @@ func TestSystemPartitionHeals(t *testing.T) {
 	}
 	sys.Clock().AfterFunc(4*time.Minute, func() { sys.Network().SetLinkFilter(blocked) })
 	sys.Clock().AfterFunc(10*time.Minute, func() { sys.Network().SetLinkFilter(nil) })
-	if err := sys.Run(25 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	sys.Run(25 * time.Minute)
 	tip := sys.Node(0).Chain().Tip()
 	for i := 1; i < cfg.NumNodes; i++ {
 		if sys.Node(i).Chain().Tip().Hash != tip.Hash {
@@ -221,9 +205,7 @@ func TestSystemRandomPlacementRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Run(15 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	sys.Run(15 * time.Minute)
 	res := sys.Results()
 	if res.ChainHeight == 0 || res.Placement != PlaceRandom {
 		t.Fatalf("random-placement run broken: %+v", res)
@@ -238,9 +220,7 @@ func TestSystemWithRaftOverhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Run(10 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	sys.Run(10 * time.Minute)
 	res := sys.Results()
 	if res.KindBytes["raft"] == 0 {
 		t.Fatal("raft enabled but no raft traffic recorded")
@@ -277,9 +257,7 @@ func TestSystemDataExpiryReleasesStorage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Run(30 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	sys.Run(30 * time.Minute)
 	// With a 5-minute lifetime, stored data counts must stay bounded well
 	// below the total generated.
 	live := 0

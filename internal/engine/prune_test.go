@@ -15,6 +15,7 @@ import (
 	"repro/internal/meta"
 	"repro/internal/netsim"
 	"repro/internal/pos"
+	"repro/internal/repair"
 )
 
 // freshObserver builds a fresh engine over the cluster's roster, clock and
@@ -300,6 +301,10 @@ func TestBootstrapRejectsCorruptSnapshots(t *testing.T) {
 		{"height mismatch", func(s *StateSnapshot) { s.Height++ }},
 		{"ledger not applied to height", func(s *StateSnapshot) { s.Ledger.Applied-- }},
 		{"roster shrunk", func(s *StateSnapshot) { s.DataLive = s.DataLive[:1] }},
+		{"counts disagree with assignments", func(s *StateSnapshot) { s.DataLive[0]++ }},
+		{"assignment outside the roster", func(s *StateSnapshot) {
+			s.Assignments = append(s.Assignments, repair.Assignment{ID: c.item(0, "off roster").ID, Nodes: []int{3}})
+		}},
 		{"live item off-chain", func(s *StateSnapshot) {
 			s.InChain = nil
 			if len(s.LiveItems) == 0 {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/chain"
 	"repro/internal/meta"
 	"repro/internal/pos"
+	"repro/internal/repair"
 	"repro/internal/wire"
 )
 
@@ -33,18 +34,6 @@ var snapshotMagic = [4]byte{'S', 'N', 'A', 'P'}
 // ErrBadSnapshot covers every snapshot decode or validation failure.
 var ErrBadSnapshot = errors.New("engine: bad snapshot")
 
-// ItemExpiry is one pending valid-time expiry carried by a snapshot.
-type ItemExpiry struct {
-	At time.Duration
-	ID meta.DataID
-}
-
-// ItemAssignment is one live storage assignment carried by a snapshot.
-type ItemAssignment struct {
-	ID    meta.DataID
-	Nodes []int
-}
-
 // StateSnapshot is the engine's chain-derived state frozen at one height,
 // in serializable form. Roster-indexed slices must match the receiving
 // engine's Config.Accounts; configuration (capacities, mobility, planner
@@ -57,14 +46,16 @@ type StateSnapshot struct {
 	Block  *block.Block
 	Ledger pos.LedgerState
 
-	// Storage-view state (chain-derived portion).
+	// Storage-view state (chain-derived portion). The last three lists
+	// are the view's assignment index (repair.Index.Export); DataLive is
+	// its per-node count, which a receiver checks against them.
 	DataLive    []int
 	BlockBodies []int
 	RecentDepth []int
 	ViewHeight  uint64
-	Assignments []ItemAssignment // sorted by ID
-	Expiries    []ItemExpiry     // sorted by (At, ID)
-	Expired     []meta.DataID    // sorted
+	Assignments []repair.Assignment // sorted by ID
+	Expiries    []repair.Expiry     // sorted by (At, ID)
+	Expired     []meta.DataID       // sorted
 
 	// InChain lists every data ID recorded on-chain up to Height (sorted);
 	// LiveItems carries the latest on-chain version of each live item
@@ -199,11 +190,11 @@ func DecodeSnapshot(data []byte) (*StateSnapshot, error) {
 	s.ViewHeight = r.Uvarint()
 
 	for i := r.Count(wire.HashSize + 1); i > 0; i-- {
-		s.Assignments = append(s.Assignments, ItemAssignment{ID: r.Hash(), Nodes: r.Ints()})
+		s.Assignments = append(s.Assignments, repair.Assignment{ID: r.Hash(), Nodes: r.Ints()})
 	}
 	for i := r.Count(1 + wire.HashSize); i > 0; i-- {
 		at := time.Duration(r.Uvarint())
-		s.Expiries = append(s.Expiries, ItemExpiry{At: at, ID: r.Hash()})
+		s.Expiries = append(s.Expiries, repair.Expiry{At: at, ID: r.Hash()})
 	}
 	s.Expired = ids()
 	s.InChain = ids()
@@ -244,34 +235,15 @@ func exportSnapshot(s snapshot, anchor *block.Block) *StateSnapshot {
 		Height:      s.height,
 		Block:       anchor,
 		Ledger:      s.ledger.ExportState(),
-		DataLive:    append([]int(nil), v.dataLive...),
-		BlockBodies: append([]int(nil), v.blockBodies...),
-		RecentDepth: append([]int(nil), v.recentDepth...),
+		DataLive:    make([]int, len(v.blockBodies)),
+		BlockBodies: slices.Clone(v.blockBodies),
+		RecentDepth: slices.Clone(v.recentDepth),
 		ViewHeight:  v.height,
 	}
-	out.Assignments = make([]ItemAssignment, 0, len(v.assignments))
-	for id, nodes := range v.assignments {
-		out.Assignments = append(out.Assignments, ItemAssignment{ID: id, Nodes: append([]int(nil), nodes...)})
+	for i := range out.DataLive {
+		out.DataLive[i] = v.items.Count(i)
 	}
-	sort.Slice(out.Assignments, func(i, j int) bool {
-		return compareID(out.Assignments[i].ID, out.Assignments[j].ID) < 0
-	})
-	out.Expiries = make([]ItemExpiry, 0, len(v.expiries))
-	for _, ex := range v.expiries {
-		out.Expiries = append(out.Expiries, ItemExpiry{At: ex.at, ID: ex.id})
-	}
-	sort.Slice(out.Expiries, func(i, j int) bool {
-		a, b := out.Expiries[i], out.Expiries[j]
-		if a.At != b.At {
-			return a.At < b.At
-		}
-		return compareID(a.ID, b.ID) < 0
-	})
-	out.Expired = make([]meta.DataID, 0, len(v.expired))
-	for id := range v.expired {
-		out.Expired = append(out.Expired, id)
-	}
-	slices.SortFunc(out.Expired, compareID)
+	out.Assignments, out.Expiries, out.Expired = v.items.Export()
 	out.InChain = make([]meta.DataID, 0, len(s.inChain))
 	for id := range s.inChain {
 		out.InChain = append(out.InChain, id)
@@ -319,21 +291,19 @@ func (e *Engine) BootstrapFromSnapshot(s *StateSnapshot) error {
 		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
 	view := st.view
-	copy(view.dataLive, s.DataLive)
+	items, err := repair.RestoreIndex(n, s.Assignments, s.Expiries, s.Expired)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+	}
+	for i, c := range s.DataLive {
+		if items.Count(i) != c {
+			return fmt.Errorf("%w: node %d stores %d items by the assignments, %d by the counts", ErrBadSnapshot, i, items.Count(i), c)
+		}
+	}
+	view.items = items
 	copy(view.blockBodies, s.BlockBodies)
 	copy(view.recentDepth, s.RecentDepth)
 	view.height = s.ViewHeight
-	for _, a := range s.Assignments {
-		view.assignments[a.ID] = append([]int(nil), a.Nodes...)
-	}
-	// A sorted-ascending array already satisfies the min-heap property.
-	view.expiries = make(expiryHeap, 0, len(s.Expiries))
-	for _, ex := range s.Expiries {
-		view.expiries = append(view.expiries, expiry{at: ex.At, id: ex.ID})
-	}
-	for _, id := range s.Expired {
-		view.expired[id] = true
-	}
 
 	newCh, err := chain.NewBootstrapped(e.cfg.Genesis, s.Block)
 	if err != nil {

@@ -1,12 +1,13 @@
 package engine
 
 import (
-	"container/heap"
+	"slices"
 	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/block"
 	"repro/internal/meta"
+	"repro/internal/repair"
 )
 
 // StorageView is a node's chain-derived picture of every node's storage
@@ -19,21 +20,20 @@ import (
 //   - min(recent depth, chain height): the recent FIFO holds at most
 //     depth blocks and cannot hold more blocks than exist.
 //
-// Data assignments are tracked per item so a re-announcement (migration,
-// Section VII) replaces the old assignment instead of double counting.
-// Assignments expire with their item's valid time and are removed lazily
-// against the simulation clock.
+// Data assignments live in a repair.Index, the one implementation of the
+// assignment rule: a re-announcement (migration, Section VII) replaces the
+// old assignment instead of double counting, and assignments expire with
+// their item's valid time, lazily against the simulation clock. The repair
+// plane reads the same index (Index), so placement and repair agree on
+// who stores what by construction.
 type StorageView struct {
 	capacity     int
 	initialDepth int
 	depthCap     int // 0 = unlimited
-	dataLive     []int
+	items        *repair.Index
 	blockBodies  []int
 	recentDepth  []int
 	height       uint64
-	assignments  map[meta.DataID][]int
-	expiries     expiryHeap
-	expired      map[meta.DataID]bool
 	mobility     []float64
 }
 
@@ -49,11 +49,9 @@ func NewStorageView(n, capacity int, mobilityRange float64, initialDepth, depthC
 		capacity:     capacity,
 		initialDepth: initialDepth,
 		depthCap:     depthCap,
-		dataLive:     make([]int, n),
+		items:        repair.NewIndex(n),
 		blockBodies:  make([]int, n),
 		recentDepth:  make([]int, n),
-		assignments:  make(map[meta.DataID][]int),
-		expired:      make(map[meta.DataID]bool),
 		mobility:     make([]float64, n),
 	}
 	for i := range v.recentDepth {
@@ -63,30 +61,9 @@ func NewStorageView(n, capacity int, mobilityRange float64, initialDepth, depthC
 	return v
 }
 
-type expiry struct {
-	at time.Duration
-	id meta.DataID
-}
-
-type expiryHeap []expiry
-
-func (h expiryHeap) Len() int           { return len(h) }
-func (h expiryHeap) Less(i, j int) bool { return h[i].at < h[j].at }
-func (h expiryHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *expiryHeap) Push(x any)        { *h = append(*h, x.(expiry)) }
-func (h *expiryHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
 // ApplyBlock folds one adopted block's assignments into the view.
 func (v *StorageView) ApplyBlock(b *block.Block) {
-	for _, it := range b.Items {
-		v.applyItem(it)
-	}
+	v.items.ApplyBlock(b)
 	for _, n := range b.StoringNodes {
 		if n >= 0 && n < len(v.blockBodies) {
 			v.blockBodies[n]++
@@ -104,69 +81,25 @@ func (v *StorageView) ApplyBlock(b *block.Block) {
 	}
 }
 
-func (v *StorageView) applyItem(it *meta.Item) {
-	if v.expired[it.ID] {
-		return // re-announcement of an already-expired item: ignore
-	}
-	prev, known := v.assignments[it.ID]
-	if known {
-		// Migration: replace the previous assignment.
-		for _, n := range prev {
-			if n >= 0 && n < len(v.dataLive) && v.dataLive[n] > 0 {
-				v.dataLive[n]--
-			}
-		}
-	}
-	assigned := make([]int, 0, len(it.StoringNodes))
-	for _, n := range it.StoringNodes {
-		if n >= 0 && n < len(v.dataLive) {
-			v.dataLive[n]++
-			assigned = append(assigned, n)
-		}
-	}
-	v.assignments[it.ID] = assigned
-	if !known && it.ValidFor > 0 {
-		heap.Push(&v.expiries, expiry{at: it.ExpiresAt(), id: it.ID})
-	}
-}
-
 // Clone returns an independent deep copy of the view. Snapshots for
 // incremental fork adoption (AdoptSuffix) replay candidate suffixes on a
 // clone so a rejected candidate leaves the live view untouched.
 func (v *StorageView) Clone() *StorageView {
-	cp := &StorageView{
-		capacity:     v.capacity,
-		initialDepth: v.initialDepth,
-		depthCap:     v.depthCap,
-		dataLive:     append([]int(nil), v.dataLive...),
-		blockBodies:  append([]int(nil), v.blockBodies...),
-		recentDepth:  append([]int(nil), v.recentDepth...),
-		height:       v.height,
-		assignments:  make(map[meta.DataID][]int, len(v.assignments)),
-		expiries:     append(expiryHeap(nil), v.expiries...),
-		expired:      make(map[meta.DataID]bool, len(v.expired)),
-		mobility:     v.mobility,
-	}
-	for id, nodes := range v.assignments {
-		cp.assignments[id] = append([]int(nil), nodes...)
-	}
-	for id := range v.expired {
-		cp.expired[id] = true
-	}
-	return cp
+	cp := *v
+	cp.items = v.items.Clone()
+	cp.blockBodies = slices.Clone(v.blockBodies)
+	cp.recentDepth = slices.Clone(v.recentDepth)
+	return &cp
 }
 
 // Rebuild replays a whole chain into a fresh view (fork adoption).
 func (v *StorageView) Rebuild(blocks []*block.Block) {
-	for i := range v.dataLive {
-		v.dataLive[i] = 0
+	for i := range v.blockBodies {
 		v.blockBodies[i] = 0
 		v.recentDepth[i] = v.initialDepth
 	}
 	v.height = 0
-	v.expiries = v.expiries[:0]
-	v.assignments = make(map[meta.DataID][]int)
-	v.expired = make(map[meta.DataID]bool)
+	v.items.Rebuild(nil)
 	for _, b := range blocks {
 		if b.Index == 0 {
 			continue
@@ -175,27 +108,22 @@ func (v *StorageView) Rebuild(blocks []*block.Block) {
 	}
 }
 
-// expire drops data assignments past their valid time.
-func (v *StorageView) expire(now time.Duration) {
-	for len(v.expiries) > 0 && v.expiries[0].at < now {
-		e := heap.Pop(&v.expiries).(expiry)
-		for _, n := range v.assignments[e.id] {
-			if n >= 0 && n < len(v.dataLive) && v.dataLive[n] > 0 {
-				v.dataLive[n]--
-			}
-		}
-		delete(v.assignments, e.id)
-		v.expired[e.id] = true
-	}
+// Index returns the view's assignment index with every assignment whose
+// valid time has passed at now dropped. It is the view's own: callers
+// read it (Providers, Items, Deficits) and never Apply to it.
+func (v *StorageView) Index(now time.Duration) *repair.Index {
+	v.items.ExpireUntil(now)
+	return v.items
 }
 
-// Assignment returns the current storing nodes of an item (nil if unknown
-// or expired). The returned slice must not be modified.
-func (v *StorageView) Assignment(id meta.DataID) []int { return v.assignments[id] }
+// Assignment returns the current storing nodes of an item in ascending
+// order (nil if unknown or expired). The returned slice must not be
+// modified.
+func (v *StorageView) Assignment(id meta.DataID) []int { return v.items.Providers(id) }
 
 // Used returns node i's storage usage at the given time.
 func (v *StorageView) Used(i int, now time.Duration) int {
-	v.expire(now)
+	v.items.ExpireUntil(now)
 	recent := v.recentDepth[i]
 	if h := int(v.height); recent > h && h >= 0 {
 		if h == 0 {
@@ -204,7 +132,7 @@ func (v *StorageView) Used(i int, now time.Duration) int {
 			recent = h
 		}
 	}
-	return v.dataLive[i] + v.blockBodies[i] + recent
+	return v.items.Count(i) + v.blockBodies[i] + recent
 }
 
 // NodeStates builds the planner input for the current moment.
@@ -216,11 +144,10 @@ func (v *StorageView) NodeStates(now time.Duration) []alloc.NodeState {
 // per-round callers can reuse one buffer instead of allocating a fresh
 // slice every mining round.
 func (v *StorageView) NodeStatesInto(dst []alloc.NodeState, now time.Duration) []alloc.NodeState {
-	v.expire(now)
-	if cap(dst) < len(v.dataLive) {
-		dst = make([]alloc.NodeState, len(v.dataLive))
+	if cap(dst) < len(v.blockBodies) {
+		dst = make([]alloc.NodeState, len(v.blockBodies))
 	}
-	dst = dst[:len(v.dataLive)]
+	dst = dst[:len(v.blockBodies)]
 	for i := range dst {
 		dst[i] = alloc.NodeState{
 			Used:          v.Used(i, now),

@@ -58,9 +58,7 @@ func RunFDCWeightAblation(weights []float64, nodes int, duration time.Duration, 
 		if err != nil {
 			return nil, err
 		}
-		if err := sys.Run(duration); err != nil {
-			return nil, err
-		}
+		sys.Run(duration)
 		res := sys.Results()
 		stored := 0
 		for _, c := range res.StorageCounts {
@@ -113,9 +111,7 @@ func RunRaftHeartbeatAblation(intervals []time.Duration, nodes int, duration tim
 		if err != nil {
 			return nil, err
 		}
-		if err := sys.Run(duration); err != nil {
-			return nil, err
-		}
+		sys.Run(duration)
 		var appends uint64
 		for i := 0; i < nodes; i++ {
 			if r := sys.Node(i).Raft(); r != nil {
@@ -285,9 +281,7 @@ func RunRecentCacheAblation(depths []int, nodes int, duration time.Duration, see
 				return false
 			})
 		})
-		if err := sys.Run(duration); err != nil {
-			return nil, err
-		}
+		sys.Run(duration)
 		res := sys.Results()
 		gap := int64(res.ChainHeight) - int64(sys.Node(4).Chain().Height())
 		rows = append(rows, RecentCacheRow{
@@ -336,9 +330,7 @@ func RunConsensusEnergyAblation(nodes int, duration time.Duration, seed int64) (
 		if err != nil {
 			return nil, err
 		}
-		if err := sys.Run(duration); err != nil {
-			return nil, err
-		}
+		sys.Run(duration)
 		res := sys.Results()
 		var mining, radio float64
 		for i := range res.MiningEnergyJ {
@@ -391,9 +383,7 @@ func RunMigrationAblation(nodes int, duration time.Duration, seed int64) ([]Migr
 		if err != nil {
 			return nil, err
 		}
-		if err := sys.Run(duration); err != nil {
-			return nil, err
-		}
+		sys.Run(duration)
 		res := sys.Results()
 		rows = append(rows, MigrationRow{
 			MaxPerBlock: maxPer,

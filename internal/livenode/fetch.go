@@ -3,6 +3,7 @@ package livenode
 import (
 	"encoding/binary"
 	"slices"
+	"time"
 
 	"repro/internal/meta"
 	"repro/internal/p2p"
@@ -32,6 +33,12 @@ const (
 	placementFetch
 	repairFetch
 )
+
+// fetchTimeout is how long a consumer or placement fetch may stay pending,
+// across all its candidates and the final broadcast, before it is dropped:
+// without it, fetches no peer can answer would pin their entry forever. (A
+// repair fetch gets 4·RepairProbeEvery per launch; its queue retries.)
+const fetchTimeout = 2 * time.Minute
 
 // repairMark, the top bit of a data request's roster-index word, is set on a
 // repair fetch: the holder charges its answer to the repair budget and both
@@ -112,7 +119,7 @@ func (n *Node) fetchCandidatesLocked(id meta.DataID, purpose fetchPurpose) []str
 // RequestData fetches a data item from one of its holders; OnData fires when
 // verified content arrives. While a fetch for id is pending a repeated call
 // restarts nothing: it only repeats the broadcast of a fetch that has run
-// out of candidates. A fetch nobody answers is dropped after FetchTimeout.
+// out of candidates. A fetch nobody answers is dropped after fetchTimeout.
 func (n *Node) RequestData(id meta.DataID) { n.requestData(id, consumerFetch) }
 
 func (n *Node) requestData(id meta.DataID, purpose fetchPurpose) {
@@ -126,7 +133,7 @@ func (n *Node) requestData(id meta.DataID, purpose fetchPurpose) {
 		pf = nil
 	}
 	if pf == nil && !n.closed {
-		expiry := n.cfg.FetchTimeout
+		expiry := fetchTimeout
 		if purpose == repairFetch {
 			expiry = n.cfg.RepairProbeEvery * 4 // one bounded try
 		}

@@ -53,7 +53,6 @@ func newFetchCluster(t *testing.T, size int, mutate func(cfg *Config)) *fetchClu
 		// its index argument is replaced here.
 		n := newGossipTestNode(t, fc.fn, fc.clk, fmt.Sprintf("n%d", i), 0, epoch, func(cfg *Config) {
 			cfg.Identity, cfg.Accounts = idents[i], accounts
-			cfg.FetchTimeout = 30 * time.Second
 			if mutate != nil {
 				mutate(cfg)
 			}
@@ -294,7 +293,7 @@ func TestFetchSendErrorMovesOnAtOnce(t *testing.T) {
 	}
 }
 
-// (d) Every candidate stays silent: one broadcast, then the FetchTimeout
+// (d) Every candidate stays silent: one broadcast, then the fetchTimeout
 // expiry. A repeated RequestData neither re-arms the expiry nor restarts
 // the cursor; once the fetch broadcasts, it repeats the broadcast.
 func TestFetchExhaustedBroadcastsThenExpires(t *testing.T) {
@@ -328,13 +327,13 @@ func TestFetchExhaustedBroadcastsThenExpires(t *testing.T) {
 		t.Fatalf("counters: %v", snap.Counters)
 	}
 	// 8 s have passed; the expiry still stands where the FIRST request put it.
-	fc.clk.Advance(a.cfg.FetchTimeout - 8*st - time.Millisecond)
+	fc.clk.Advance(fetchTimeout - 8*st - time.Millisecond)
 	if a.pendingFetches() != 1 {
 		t.Fatal("fetch expired early")
 	}
 	fc.clk.Advance(time.Millisecond)
 	if a.pendingFetches() != 0 || counter(a.reg, "livenode.data.fetch_expired") != 1 {
-		t.Fatalf("fetch not expired at FetchTimeout: %d pending, %d expired",
+		t.Fatalf("fetch not expired at fetchTimeout: %d pending, %d expired",
 			a.pendingFetches(), counter(a.reg, "livenode.data.fetch_expired"))
 	}
 	// The broadcast reaches holders outside the candidate list.
@@ -582,7 +581,9 @@ func TestUnsolicitedDataNotStored(t *testing.T) {
 
 // Re-replication pays from the repair budget and is counted as repair
 // traffic, whoever ends up serving it. Node 2 died; the chain re-assigned its
-// item to node 0, next to node 1. The producer (node 3, not a storing node)
+// item to node 0, next to node 1: node 0 adopts the announcement and the
+// re-announcement through its engine, which puts the item on its repair
+// queue. The producer (node 3, not a storing node)
 // and node 1 both hold the bytes, and the item is larger than anybody's bucket
 // (RepairRate bytes). The producer's bucket is in debt: asked first, it stays
 // silent and counts a throttle. The fetch moves on to node 1 after
@@ -600,11 +601,11 @@ func TestRepairFetchPaysBudgetAndCountsAsRepair(t *testing.T) {
 		t.Fatalf("the answer (%d B) must not fit a bucket of %d B", charged, rate)
 	}
 	it := testItem(a.idents()[3], content, 0)
-	it.StoringNodes = []int{1, 0}
-	a.mu.Lock()
-	a.eng.AddLocal(it)
-	a.repair.idx.Apply(it) // the self-audit finds the assignment and queues it
-	a.mu.Unlock()
+	it.StoringNodes = []int{1, 2}
+	a.winWith(t, it)
+	moved := it.Clone()
+	moved.StoringNodes = []int{1, 0}
+	a.winWith(t, moved)
 	for _, h := range []int{1, 3} {
 		if err := fc.nodes[h].store.PutData(it.ID, []byte(content)); err != nil {
 			t.Fatal(err)
@@ -617,7 +618,8 @@ func TestRepairFetchPaysBudgetAndCountsAsRepair(t *testing.T) {
 	producer.mu.Unlock()
 	got := fc.gotData(0)
 
-	fc.clk.Advance(a.cfg.RepairProbeEvery) // one repair tick everywhere
+	// One repair tick everywhere: the blocks left the clock between two.
+	fc.clk.Advance(a.cfg.RepairProbeEvery - a.now()%a.cfg.RepairProbeEvery)
 	if want := []wireFrame{{"n0", "n3", p2p.FrameDataRequest}}; !reflect.DeepEqual(fc.wire, want) {
 		t.Fatalf("after the tick the wire carried %v, want %v", fc.wire, want)
 	}
@@ -678,7 +680,7 @@ func TestRepairLaunchTakesOverPendingFetch(t *testing.T) {
 	fc := newFetchCluster(t, 3, func(cfg *Config) { cfg.RepairWorkers = 1 })
 	a := fc.nodes[0]
 	id := fc.item(t, 0, "placed while nobody was known", 2, []int{0, 1})
-	a.requestData(id, placementFetch) // empty address table: broadcast, then FetchTimeout
+	a.requestData(id, placementFetch) // empty address table: broadcast, then fetchTimeout
 	timers := fc.clk.Pending()
 	entry := func() *pendingFetch {
 		a.mu.Lock()

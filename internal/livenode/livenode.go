@@ -95,10 +95,9 @@ type Config struct {
 	// store persists the justifying snapshot plus header spine and
 	// compacts WAL segments below the horizon. Steady-state memory and
 	// disk become O(PruneDepth) instead of O(chain length). Zero (the
-	// default) keeps every body forever. Note the repair plane's provider
-	// index is rebuilt from block bodies, so combining PruneDepth with
-	// RepairWorkers leaves repair blind to assignments older than the
-	// prune window.
+	// default) keeps every body forever. The repair plane reads the
+	// engine's assignment index, which the snapshots carry, so a pruned node
+	// still repairs what it was assigned below its body window.
 	PruneDepth int
 	// BootstrapSnapshot makes a fresh node (empty chain, empty store) ask
 	// the first peer it connects to for the latest finalized state
@@ -109,12 +108,6 @@ type Config struct {
 	// VerifyWorkers bounds the worker pool that content-verifies sync
 	// suffixes in parallel (default 4).
 	VerifyWorkers int
-	// FetchTimeout is how long a consumer or placement fetch may stay
-	// pending, across all its candidates and the final broadcast, before it
-	// is dropped (default 2m). Without it, fetches no peer can answer would
-	// pin their entry forever. (A repair fetch gets 4·RepairProbeEvery per
-	// launch; its queue retries.)
-	FetchTimeout time.Duration
 	// GossipFanout is the arity of the spanning tree that blocks and metadata
 	// items are pushed along, and the size of the peer sample a fetched one is
 	// announced to (DESIGN.md §13, §15.1); 0 means the default of 6, a
@@ -124,7 +117,7 @@ type Config struct {
 
 	// RepairWorkers enables the self-healing data plane (DESIGN.md §11)
 	// and bounds its concurrent repair fetches; 0 disables repair
-	// entirely (no provider index, churn detector or probes).
+	// entirely (no churn detector, queue or probes).
 	RepairWorkers int
 	// RepairRate is the repair plane's token-bucket byte budget in bytes
 	// per second (default 4096); it keeps background re-replication
@@ -297,7 +290,7 @@ type nodeMetrics struct {
 	fetchBroadcasts    *telemetry.Counter // requests broadcast: no candidate (left)
 	rosterBound        *telemetry.Gauge   // roster nodes with a known transport address
 
-	dataFetchExpired *telemetry.Counter // pending fetches dropped by FetchTimeout
+	dataFetchExpired *telemetry.Counter // pending fetches dropped by fetchTimeout
 	height           *telemetry.Gauge
 	ownS             *telemetry.Gauge // this node's stake S_i
 	ownQ             *telemetry.Gauge // this node's storage credit Q_i
@@ -452,9 +445,6 @@ func New(cfg Config) (*Node, error) {
 	}
 	if cfg.VerifyWorkers <= 0 {
 		cfg.VerifyWorkers = 4
-	}
-	if cfg.FetchTimeout <= 0 {
-		cfg.FetchTimeout = 2 * time.Minute
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = sim.WallClock()

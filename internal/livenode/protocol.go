@@ -28,11 +28,12 @@ func (n *Node) noteStoreErrLocked(err error) {
 }
 
 // onAppend layers the live node's I/O side effects on top of a block the
-// engine connected (ledger, view, pool and item index are already updated):
-// the one place that persists a block, feeds the repair plane, fetches what
-// the block assigns this node and calls OnBlock. The engine calls it
-// synchronously from ReceiveBlock/Mine/AppendTrusted and, once per suffix
-// block, from AdoptSuffix, so n.mu is held.
+// engine connected (ledger, view with its assignment index, pool and item
+// index are already updated): the one place that persists a block, feeds
+// the churn detector, fetches what the block assigns this node and calls
+// OnBlock. The engine calls it synchronously from
+// ReceiveBlock/Mine/AppendTrusted and, once per suffix block, from
+// AdoptSuffix, so n.mu is held.
 func (n *Node) onAppend(ev engine.AppendEvent) {
 	b := ev.Block
 	if n.replaying {
@@ -55,20 +56,13 @@ func (n *Node) onAppend(ev engine.AppendEvent) {
 			n.pruneExpiredLocked()
 		}
 	}
-	// Feed the repair plane: the provider index tracks every announcement
-	// (including during WAL replay — the index must mirror the chain), and
-	// the miner of a live block is liveness evidence as of its timestamp.
-	if rd := n.repair; rd != nil {
-		for _, ie := range ev.Items {
-			rd.idx.Apply(ie.Item)
-		}
-		if !n.replaying {
+	if !n.replaying { // no networking during WAL replay
+		// The miner of a live block is liveness evidence as of its timestamp.
+		if rd := n.repair; rd != nil {
 			if mi, ok := n.eng.Ledger().IndexOf(b.Miner); ok {
 				rd.det.Seen(mi, b.Timestamp)
 			}
 		}
-	}
-	if !n.replaying { // no networking during WAL replay
 		for _, ie := range ev.Items {
 			if ie.AssignedToSelf {
 				n.fetchAssignedLocked(ie.Item.ID, ie.Prev != nil)
@@ -81,10 +75,10 @@ func (n *Node) onAppend(ev engine.AppendEvent) {
 }
 
 // onDisconnect undoes what onAppend derived from blocks a fork adoption took
-// off the chain (n.mu held, like every engine callback): the WAL and the
-// provider index are cut back to the fork point, and the onAppend calls that
-// follow extend both along the new branch. Items published here that the
-// engine returned to the pool are this node's to push again (reannounceStale).
+// off the chain (n.mu held, like every engine callback): the WAL is cut back
+// to the fork point, and the onAppend calls that follow extend it along the
+// new branch. Items published here that the engine returned to the pool are
+// this node's to push again (reannounceStale).
 func (n *Node) onDisconnect(gone []*block.Block) {
 	n.tel.forkAdoptions.Inc()
 	// Every body the replica holds up to the fork point, minus genesis (it is
@@ -93,9 +87,6 @@ func (n *Node) onDisconnect(gone []*block.Block) {
 	ch := n.eng.Chain()
 	kept := ch.Range(max(ch.BodyBase(), 1), gone[0].Index-1)
 	n.noteStoreErrLocked(n.store.ResetChain(kept))
-	if rd := n.repair; rd != nil {
-		rd.idx.Rebuild(kept)
-	}
 	g, self := n.gossip, n.cfg.Identity.Address()
 	for _, b := range gone {
 		for _, it := range b.Items {

@@ -14,10 +14,10 @@ import (
 )
 
 // Self-healing data plane (DESIGN.md §11). The repair driver glues the
-// three pure components of internal/repair to the node's I/O:
+// pure components of internal/repair to the node's I/O:
 //
-//	chain (OnAppend / sync / fork adoption)
-//	   └─▶ repair.Index     — who should hold what, derived from metadata
+//	engine.StorageView's repair.Index — who should hold what, derived from
+//	   the chain (and restored with it from a snapshot); read at n.now()
 //	transport (probes, any frame, membership, mined blocks)
 //	   └─▶ repair.Detector  — who is alive / suspect / dead
 //	repairTick (every RepairProbeEvery)
@@ -53,7 +53,6 @@ const (
 // repairDriver is the per-node repair state; nil when repair is disabled
 // (Config.RepairWorkers == 0). All fields are guarded by Node.mu.
 type repairDriver struct {
-	idx   *repair.Index
 	det   *repair.Detector
 	queue *repair.Queue
 	lim   *repair.Limiter
@@ -77,7 +76,6 @@ func (n *Node) initRepair() *repairDriver {
 	}
 	now := n.now()
 	return &repairDriver{
-		idx: repair.NewIndex(len(n.cfg.Accounts)),
 		det: repair.NewDetector(repair.DetectorConfig{
 			N:            len(n.cfg.Accounts),
 			Self:         n.selfIdx,
@@ -136,9 +134,9 @@ func (n *Node) noteFrameFrom(from string) {
 }
 
 // repairTick is the repair plane's heartbeat: it refreshes liveness
-// evidence (sampled probes), sweeps membership, expires index entries and
-// pumps the queue — launching repair fetches under the worker and byte-rate
-// budgets. Network sends happen after n.mu is released.
+// evidence (sampled probes), sweeps membership, audits this node's
+// assignments and pumps the queue — launching repair fetches under the
+// worker and byte-rate budgets. Network sends happen after n.mu is released.
 func (n *Node) repairTick() {
 	peers := n.net.Peers() // transport snapshot, taken outside n.mu
 	var launches []meta.DataID
@@ -165,16 +163,16 @@ func (n *Node) repairTick() {
 		}
 	}
 
-	rd.idx.ExpireUntil(nowD)
-
 	// Self-audit: any live item the chain assigns to this node whose bytes
 	// the local store lacks goes (back) on the queue. The usual fetch hooks
 	// fire on chain adoption (onAppend, suffix sync), which misses two
 	// cases: a node that restarted with its chain already current adopts
 	// nothing, and a queue task that failed MaxAttempts times is forgotten.
 	// The audit makes both reconverge at probe cadence; Queue.Add dedups, so
-	// a pending or in-flight task is never duplicated.
-	for _, id := range rd.idx.Items(n.selfIdx) {
+	// a pending or in-flight task is never duplicated. The engine's index
+	// covers assignments below a pruned body window or a snapshot anchor, and
+	// is read afresh: AdoptSuffix swaps the view.
+	for _, id := range n.eng.View().Index(nowD).Items(n.selfIdx) {
 		n.fetchAssignedLocked(id, true)
 	}
 
@@ -214,7 +212,7 @@ func (n *Node) repairTick() {
 func (n *Node) updateRepairGaugesLocked(now time.Duration) {
 	rd := n.repair
 	dead := func(i int) bool { return rd.det.Status(i, now) == repair.Dead }
-	n.tel.underReplicated.Set(int64(len(rd.idx.Deficits(now, alloc.DefaultMinReplicas, dead))))
+	n.tel.underReplicated.Set(int64(len(n.eng.View().Index(now).Deficits(now, alloc.DefaultMinReplicas, dead))))
 	n.tel.deadNodes.Set(int64(rd.det.CountDead(now)))
 }
 

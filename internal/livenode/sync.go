@@ -446,10 +446,10 @@ func (n *Node) abortSyncLocked(why string) {
 }
 
 // adoptSyncSuffixLocked runs a fetched suffix through the engine (n.mu held).
-// Persistence, the provider index, data fetches and OnBlock are onAppend's, as
-// for a live block, and what a true fork undoes is onDisconnect's: the engine
-// calls both before AdoptSuffix returns. On engine rejection the session is
-// aborted (the chain may simply have moved on) and false is returned.
+// Persistence, data fetches and OnBlock are onAppend's, as for a live block,
+// and what a true fork undoes is onDisconnect's: the engine calls both before
+// AdoptSuffix returns. On engine rejection the session is aborted (the chain
+// may simply have moved on) and false is returned.
 func (n *Node) adoptSyncSuffixLocked(suffix []*block.Block) bool {
 	oldHeight := n.eng.Height()
 	stats, ok := n.eng.AdoptSuffix(suffix)

@@ -951,9 +951,7 @@ func TestSyncCodecsRejectMalformedFrames(t *testing.T) {
 func TestRequestDataExpiryDropsLeakedEntries(t *testing.T) {
 	fn := newFakeNet()
 	epoch := time.Unix(1700000000, 0)
-	a := newSyncTestNode(t, fn, "a", 0, epoch, func(cfg *Config) {
-		cfg.FetchTimeout = 10 * time.Second
-	})
+	a := newSyncTestNode(t, fn, "a", 0, epoch, nil)
 
 	// Fetches nobody can answer (no peers): before the fix these entries
 	// were tracked forever.
@@ -963,7 +961,7 @@ func TestRequestDataExpiryDropsLeakedEntries(t *testing.T) {
 	if got := a.pendingFetches(); got != 5 {
 		t.Fatalf("pending fetches = %d, want 5", got)
 	}
-	a.clock.Advance(9 * time.Second)
+	a.clock.Advance(fetchTimeout - time.Second)
 	if got := a.pendingFetches(); got != 5 {
 		t.Fatalf("pending fetches = %d before timeout, want 5", got)
 	}
@@ -985,7 +983,7 @@ func TestRequestDataExpiryDropsLeakedEntries(t *testing.T) {
 	if got := a.pendingFetches(); got != 0 {
 		t.Fatalf("pending fetches = %d after answer, want 0", got)
 	}
-	a.clock.Advance(time.Minute)
+	a.clock.Advance(fetchTimeout)
 	if v := counter(a.reg, "livenode.data.fetch_expired"); v != 5 {
 		t.Errorf("data.fetch_expired = %d after answered fetch, want still 5", v)
 	}

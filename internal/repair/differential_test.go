@@ -3,7 +3,6 @@ package repair_test
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 	"time"
 
@@ -18,13 +17,13 @@ import (
 	"repro/internal/repair"
 )
 
-// Differential test (DESIGN.md §11): the provider index maintained
-// incrementally from engine OnAppend feeds must be bit-identical — same
-// Snapshot() — to one rebuilt from scratch off the same chain, across
-// fresh announcements, migrations/re-announcements, item expiry, suffix
-// catch-up sync and fork adoption (both AdoptSuffix).
-// It also cross-checks provider sets against the engine's own StorageView,
-// the consensus-side source of truth for live assignments.
+// Differential test (DESIGN.md §11): the assignment index an engine keeps in
+// its StorageView — maintained incrementally block by block, swapped in whole
+// from a cloned snapshot on a fork or a catch-up, restored from an exported
+// snapshot on a bootstrap — must render a Snapshot() bit-identical to an
+// index rebuilt from scratch off the same chain, across fresh announcements,
+// migrations/re-announcements, item expiry, suffix catch-up and fork
+// adoption.
 
 // diffCluster is a minimal multi-engine harness over one virtual clock
 // (the engine package's test harness is not exported).
@@ -35,9 +34,7 @@ type diffCluster struct {
 	now      time.Duration
 }
 
-// newDiffCluster builds n engines; engine 0 maintains idx0 from its
-// callbacks, exactly as the live node does.
-func newDiffCluster(t *testing.T, n int, idx0 *repair.Index) *diffCluster {
+func newDiffCluster(t *testing.T, n int) *diffCluster {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	c := &diffCluster{
@@ -49,19 +46,16 @@ func newDiffCluster(t *testing.T, n int, idx0 *repair.Index) *diffCluster {
 		c.idents[i] = identity.GenerateSeeded(rng)
 		c.accounts[i] = c.idents[i].Address()
 	}
-	c.engines[0] = c.newEngine(t, 0, idx0)
-	for i := 1; i < n; i++ {
-		c.engines[i] = c.newEngine(t, i, repair.NewIndex(n))
+	for i := range c.engines {
+		c.engines[i] = c.newEngine(t, i)
 	}
 	return c
 }
 
-// newEngine builds node i's engine with idx fed the way livenode feeds its
-// provider index: every connected block's items applied, a fork's
-// disconnected blocks undone by a rebuild of the chain below the fork point.
-func (c *diffCluster) newEngine(t *testing.T, i int, idx *repair.Index) *engine.Engine {
+// newEngine builds node i's engine. Snapshots every two blocks make fork
+// adoption start from a cloned snapshot state, not from genesis.
+func (c *diffCluster) newEngine(t *testing.T, i int) *engine.Engine {
 	t.Helper()
-	var e *engine.Engine
 	topo := netsim.NewTopology(make([]geo.Point, len(c.accounts)), 1, nil)
 	blockPlanner := alloc.NewPlanner(1)
 	blockPlanner.MinReplicas = 1
@@ -72,20 +66,13 @@ func (c *diffCluster) newEngine(t *testing.T, i int, idx *repair.Index) *engine.
 		Genesis:            block.Genesis(42),
 		Now:                func() time.Duration { return c.now },
 		ValidateClaims:     true,
+		SnapshotInterval:   2,
 		Topology:           func() *netsim.Topology { return topo },
 		Planner:            alloc.NewPlanner(1),
 		BlockPlanner:       blockPlanner,
 		StorageCapacity:    250,
 		InitialRecentDepth: 1,
 		MigrateMaxPerBlock: 2,
-		OnAppend: func(ev engine.AppendEvent) {
-			for _, ie := range ev.Items {
-				idx.Apply(ie.Item)
-			}
-		},
-		OnDisconnect: func(gone []*block.Block) {
-			idx.Rebuild(e.Chain().Range(1, gone[0].Index-1))
-		},
 	})
 	if err != nil {
 		t.Fatalf("engine %d: %v", i, err)
@@ -144,40 +131,30 @@ func (c *diffCluster) item(producer int, content string, validFor time.Duration)
 	return it
 }
 
-// checkDifferential asserts the three-way agreement at time now:
-// incremental index == scratch rebuild of the chain, and provider sets ==
-// the engine StorageView's live assignments.
-func checkDifferential(t *testing.T, phase string, e *engine.Engine, inc *repair.Index, now time.Duration) {
+// checkDifferential asserts that e's own index at now renders what a
+// scratch rebuild of chain renders at now, and returns the rendering.
+func checkDifferential(t *testing.T, phase string, e *engine.Engine, chain []*block.Block, now time.Duration) string {
 	t.Helper()
-	n := len(e.View().NodeStates(now)) // also forces the view's lazy expiry
-	scratch := repair.NewIndex(n)
-	scratch.Rebuild(e.Chain().Blocks())
-	inc.ExpireUntil(now)
+	scratch := repair.NewIndex(e.Ledger().N())
+	scratch.Rebuild(chain)
 	scratch.ExpireUntil(now)
-	if got, want := inc.Snapshot(), scratch.Snapshot(); got != want {
-		t.Fatalf("%s: incremental index diverged from scratch rebuild\nincremental:\n%s\nrebuild:\n%s", phase, got, want)
+	got, want := e.View().Index(now).Snapshot(), scratch.Snapshot()
+	if got != want {
+		t.Fatalf("%s: engine's index diverged from scratch rebuild\nengine:\n%s\nrebuild:\n%s", phase, got, want)
 	}
-	for _, id := range inc.Live() {
-		va := append([]int(nil), e.View().Assignment(id)...)
-		sort.Ints(va)
-		ia := inc.Providers(id)
-		if fmt.Sprint(va) != fmt.Sprint(ia) {
-			t.Fatalf("%s: item %s providers %v != storage-view assignment %v", phase, id, ia, va)
-		}
-	}
+	return got
 }
 
 func TestIndexDifferentialAcrossForkSyncExpiry(t *testing.T) {
 	const n = 4
-	inc := repair.NewIndex(n)
-	c := newDiffCluster(t, n, inc)
+	c := newDiffCluster(t, n)
 	all := []int{0, 1, 2, 3}
 
 	// Phase 1: fresh announcements, mixed lifetimes.
 	for k := 0; k < 6; k++ {
 		validFor := time.Duration(0)
 		if k%2 == 0 {
-			validFor = 150 * time.Second // expires mid-test
+			validFor = 10 * time.Minute // expires in phase 2
 		}
 		it := c.item(k%n, fmt.Sprintf("item-%d", k), validFor)
 		for _, i := range all {
@@ -187,21 +164,22 @@ func TestIndexDifferentialAcrossForkSyncExpiry(t *testing.T) {
 	for k := 0; k < 3; k++ {
 		c.mineNext(t, all)
 	}
-	checkDifferential(t, "announce", c.engines[0], inc, c.now)
+	if s := checkDifferential(t, "announce", c.engines[0], c.engines[0].Chain().Blocks(), c.now); s == "" {
+		t.Fatal("nothing announced: the comparison would be vacuous")
+	}
 
 	// Phase 2: expiry. Advance past the short-lived items' valid time and
 	// keep mining (migration re-announcements of expired items must be
 	// ignored identically on both paths).
-	c.now += 300 * time.Second
+	c.now += 15 * time.Minute
 	c.mineNext(t, all)
-	checkDifferential(t, "expiry", c.engines[0], inc, c.now)
+	c.mineNext(t, all)
+	checkDifferential(t, "expiry", c.engines[0], c.engines[0].Chain().Blocks(), c.now)
 
 	// Phase 3: suffix catch-up sync. A fresh engine receives the first part
-	// of the chain block by block, then adopts the rest via AdoptSuffix; both
-	// feed its index through the same OnAppend events.
+	// of the chain block by block, then adopts the rest via AdoptSuffix.
 	chain := c.engines[0].Chain().Blocks()
-	lateIdx := repair.NewIndex(n)
-	late := c.newEngine(t, 1, lateIdx)
+	late := c.newEngine(t, 1)
 	split := len(chain) - 2
 	for _, b := range chain[1:split] {
 		if _, err := late.ReceiveBlock(b); err != nil {
@@ -211,15 +189,35 @@ func TestIndexDifferentialAcrossForkSyncExpiry(t *testing.T) {
 	if _, ok := late.AdoptSuffix(chain[split:]); !ok {
 		t.Fatal("late engine rejected catch-up suffix")
 	}
-	checkDifferential(t, "suffix-sync", late, lateIdx, c.now)
+	checkDifferential(t, "suffix-sync", late, chain, c.now)
 
-	// Phase 4: fork adoption. A disjoint group mines a longer chain from
-	// the same genesis; engine 0 adopts it as one suffix from genesis. Its
-	// index is cut back by OnDisconnect and extended by the suffix's
-	// OnAppend events, and must match both a scratch rebuild and an index
-	// that followed the winning chain block by block.
-	fIdx := repair.NewIndex(n)
-	f := newDiffCluster(t, n, fIdx)
+	// Phase 4: snapshot start. A fresh engine installs engine 0's exported
+	// snapshot, takes the blocks above its anchor, and must hold the whole
+	// chain's assignments although it never saw a body below the anchor.
+	snap, ok := c.engines[0].ExportSnapshot()
+	if !ok {
+		t.Fatal("no exportable snapshot")
+	}
+	dec, err := engine.DecodeSnapshot(snap.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	booted := c.newEngine(t, 2)
+	if err := booted.BootstrapFromSnapshot(dec); err != nil {
+		t.Fatalf("bootstrap: %v", err)
+	}
+	for _, b := range chain[snap.Height+1:] {
+		if _, err := booted.ReceiveBlock(b); err != nil {
+			t.Fatalf("suffix above the anchor: %v", err)
+		}
+	}
+	checkDifferential(t, "snapshot-start", booted, chain, c.now)
+
+	// Phase 5: fork adoption. A disjoint group mines a longer chain from
+	// the same genesis; engine 0 adopts it as one suffix from genesis and
+	// must match both a scratch rebuild and the index of an engine that
+	// followed the winning chain block by block.
+	f := newDiffCluster(t, n)
 	f.now = c.now
 	it := f.item(0, "fork-item", 0)
 	for _, i := range all {
@@ -229,11 +227,12 @@ func TestIndexDifferentialAcrossForkSyncExpiry(t *testing.T) {
 		f.mineNext(t, all)
 	}
 	c.now = f.now
-	if _, ok := c.engines[0].AdoptSuffix(f.engines[0].Chain().Blocks()[1:]); !ok {
+	winner := f.engines[0].Chain().Blocks()
+	if _, ok := c.engines[0].AdoptSuffix(winner[1:]); !ok {
 		t.Fatal("engine 0 refused the longer fork")
 	}
-	checkDifferential(t, "fork-adopt", c.engines[0], inc, c.now)
-	if got, want := inc.Snapshot(), fIdx.Snapshot(); got != want {
-		t.Fatalf("fork adoption diverged from the winner's incremental index\nadopted:\n%s\nincremental:\n%s", got, want)
+	adopted := checkDifferential(t, "fork-adopt", c.engines[0], winner, c.now)
+	if want := f.engines[0].View().Index(c.now).Snapshot(); adopted != want {
+		t.Fatalf("fork adoption diverged from the winner's incremental index\nadopted:\n%s\nincremental:\n%s", adopted, want)
 	}
 }

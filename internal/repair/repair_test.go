@@ -31,11 +31,8 @@ func TestIndexApplyReplaceAndReverse(t *testing.T) {
 	if got := idx.Providers(a.ID); len(got) != 2 || got[0] != 0 || got[1] != 2 {
 		t.Fatalf("providers = %v, want [0 2]", got)
 	}
-	if got := idx.Size(a.ID); got != 1 {
-		t.Fatalf("size = %d, want 1", got)
-	}
-	if items := idx.Items(2); len(items) != 1 || items[0] != a.ID {
-		t.Fatalf("node 2 items = %v", items)
+	if items := idx.Items(2); len(items) != 1 || items[0] != a.ID || idx.Count(2) != 1 {
+		t.Fatalf("node 2 items = %v, count %d", items, idx.Count(2))
 	}
 	// Re-announcement replaces the previous assignment entirely.
 	moved := a.Clone()
@@ -44,8 +41,8 @@ func TestIndexApplyReplaceAndReverse(t *testing.T) {
 	if got := idx.Providers(a.ID); len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Fatalf("providers after migration = %v, want [1 3]", got)
 	}
-	if items := idx.Items(0); len(items) != 0 {
-		t.Fatalf("node 0 still indexed after migration: %v", items)
+	if items := idx.Items(0); len(items) != 0 || idx.Count(0) != 0 || idx.Count(3) != 1 {
+		t.Fatalf("node 0 still indexed after migration: %v (counts %d, %d)", items, idx.Count(0), idx.Count(3))
 	}
 	// Out-of-range storing nodes are dropped, like StorageView.
 	weird := a.Clone()
@@ -72,8 +69,8 @@ func TestIndexExpiry(t *testing.T) {
 	if idx.Providers(short.ID) != nil {
 		t.Fatal("item still live past its valid time")
 	}
-	if items := idx.Items(0); len(items) != 0 {
-		t.Fatalf("node 0 items after expiry = %v", items)
+	if items := idx.Items(0); len(items) != 0 || idx.Count(0) != 0 || idx.Count(1) != 1 {
+		t.Fatalf("node 0 items after expiry = %v (counts %d, %d)", items, idx.Count(0), idx.Count(1))
 	}
 	if idx.Providers(forever.ID) == nil {
 		t.Fatal("ValidFor==0 item must never expire")
@@ -127,6 +124,89 @@ func TestIndexRebuildMatchesIncremental(t *testing.T) {
 	}
 }
 
+// A clone shares nothing the index writes: changing either side leaves the
+// other's Snapshot and counts as they were.
+func TestIndexCloneIndependent(t *testing.T) {
+	idx := NewIndex(4)
+	short := testItem("short", 0, 10*time.Second, 0, 1)
+	forever := testItem("forever", 0, 0, 1, 2)
+	idx.Apply(short)
+	idx.Apply(forever)
+	before := idx.Snapshot()
+
+	cp := idx.Clone()
+	if cp.Snapshot() != before {
+		t.Fatalf("clone renders\n%s\nwant\n%s", cp.Snapshot(), before)
+	}
+	moved := forever.Clone()
+	moved.StoringNodes = []int{3}
+	cp.Apply(moved)
+	cp.Apply(testItem("fresh", 0, time.Minute, 0))
+	cp.ExpireUntil(time.Hour)
+	if got := idx.Snapshot(); got != before {
+		t.Fatalf("mutating the clone changed the original:\n%s\nwant\n%s", got, before)
+	}
+	if idx.Count(0) != 1 || idx.Count(1) != 2 || idx.Count(3) != 0 {
+		t.Fatalf("original counts %d/%d/%d, want 1/2/0", idx.Count(0), idx.Count(1), idx.Count(3))
+	}
+
+	after := cp.Snapshot()
+	idx.ExpireUntil(time.Hour)
+	idx.Apply(testItem("other", 0, 0, 2))
+	if got := cp.Snapshot(); got != after {
+		t.Fatalf("mutating the original changed the clone:\n%s\nwant\n%s", got, after)
+	}
+}
+
+// Export and RestoreIndex round-trip the whole index — live assignments,
+// pending expiries, the expired set, the counts — and a restored index keeps
+// applying the rule: its pending expiries fire, its expired items stay dead.
+func TestIndexExportRestore(t *testing.T) {
+	idx := NewIndex(4)
+	for _, it := range []*meta.Item{
+		testItem("a", 0, 30*time.Second, 3, 0),
+		testItem("b", 0, 0, 1, 2),
+		testItem("c", 0, 5*time.Second, 2),
+		testItem("d", time.Second, 30*time.Second, 1),
+	} {
+		idx.Apply(it)
+	}
+	idx.ExpireUntil(10 * time.Second) // c expires; a and d stay pending
+	live, pending, expired := idx.Export()
+	if len(live) != 3 || len(pending) != 2 || len(expired) != 1 || pending[0].At > pending[1].At {
+		t.Fatalf("export: %d live, pending %v, %d expired", len(live), pending, len(expired))
+	}
+	back, err := RestoreIndex(4, live, pending, expired)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Snapshot() != idx.Snapshot() {
+		t.Fatalf("restored\n%s\nwant\n%s", back.Snapshot(), idx.Snapshot())
+	}
+	for i := 0; i < 4; i++ {
+		if back.Count(i) != idx.Count(i) {
+			t.Fatalf("node %d: restored count %d, want %d", i, back.Count(i), idx.Count(i))
+		}
+	}
+	back.Apply(testItem("c", 0, 5*time.Second, 0))
+	back.ExpireUntil(time.Minute)
+	idx.ExpireUntil(time.Minute)
+	if back.Snapshot() != idx.Snapshot() || back.Providers(meta.HashData([]byte("c"))) != nil {
+		t.Fatalf("restored index stopped following the rule:\n%s", back.Snapshot())
+	}
+	// Unsorted node lists are sorted; a node outside the roster is refused.
+	r, err := RestoreIndex(4, []Assignment{{ID: live[0].ID, Nodes: []int{3, 1}}}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Providers(live[0].ID); !reflect.DeepEqual(got, []int{1, 3}) || r.Count(3) != 1 {
+		t.Fatalf("unsorted nodes restored as %v", got)
+	}
+	if _, err := RestoreIndex(4, []Assignment{{ID: live[0].ID, Nodes: []int{4}}}, nil, nil); err == nil {
+		t.Fatal("an assignment outside the roster was restored")
+	}
+}
+
 func TestIndexDeficits(t *testing.T) {
 	idx := NewIndex(4)
 	a := testItem("a", 0, 0, 0, 1)
@@ -167,10 +247,10 @@ func TestIndexDeficits(t *testing.T) {
 // live ID: expire, sort all live IDs byte by byte, build Alive for each.
 func deficitsReference(idx *Index, now time.Duration, floor int, dead func(i int) bool) []Deficit {
 	idx.ExpireUntil(now)
-	upNodes := idx.n
+	upNodes := len(idx.count)
 	if dead != nil {
 		upNodes = 0
-		for i := 0; i < idx.n; i++ {
+		for i := 0; i < len(idx.count); i++ {
 			if !dead(i) {
 				upNodes++
 			}
