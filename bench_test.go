@@ -124,42 +124,6 @@ func BenchmarkAblationFDCWeight(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRecentCache sweeps the recent-cache depth (A2).
-func BenchmarkAblationRecentCache(b *testing.B) {
-	for _, depth := range []int{1, 8} {
-		b.Run("depth="+itoa(depth), func(b *testing.B) {
-			var gap float64
-			for i := 0; i < b.N; i++ {
-				rows, err := experiments.RunRecentCacheAblation(
-					[]int{depth}, 12, 30*time.Minute, int64(i+1))
-				if err != nil {
-					b.Fatal(err)
-				}
-				gap = float64(rows[0].FinalHeightGap)
-			}
-			b.ReportMetric(gap, "height-gap")
-		})
-	}
-}
-
-// BenchmarkAblationRaftHeartbeat sweeps the Raft heartbeat interval (A3).
-func BenchmarkAblationRaftHeartbeat(b *testing.B) {
-	for _, hb := range []time.Duration{500 * time.Millisecond, 2 * time.Second} {
-		b.Run("hb="+hb.String(), func(b *testing.B) {
-			var appends float64
-			for i := 0; i < b.N; i++ {
-				rows, err := experiments.RunRaftHeartbeatAblation(
-					[]time.Duration{hb}, 10, 5*time.Minute, int64(i+1))
-				if err != nil {
-					b.Fatal(err)
-				}
-				appends = float64(rows[0].AppendEntries)
-			}
-			b.ReportMetric(appends, "append-entries")
-		})
-	}
-}
-
 // BenchmarkAblationUFLSolvers compares the solver suite against the exact
 // optimum (A4).
 func BenchmarkAblationUFLSolvers(b *testing.B) {

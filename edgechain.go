@@ -9,17 +9,14 @@
 //   - the fair-and-efficient storage allocation of Section IV, built on
 //     the Fairness Degree Cost (eq. 1), the Range-Distance Cost (eq. 2)
 //     and Uncapacitated Facility Location solvers;
-//   - the recent-block FIFO allocation of Section IV-C for fast recovery
-//     of missing blocks after disconnections;
 //   - the contribution-weighted Proof-of-Stake mechanism of Section V
 //     (hit/target lottery with the eq. 14 amendment), plus a Proof-of-Work
 //     baseline and a calibrated device energy model;
-//   - a deterministic simulation of the pervasive edge environment
-//     (multi-hop radio, mobility, disconnections) ordered by one virtual
-//     clock — System.Clock(), the same internal/sim clock that drives whole
-//     clusters of live nodes in the tests and benchmarks —, a full Raft
-//     implementation for general information consensus, and harnesses that
-//     regenerate every figure of the paper's evaluation.
+//   - one node implementation (LiveNode) that runs over real TCP sockets
+//     and the wall clock, or — for every simulation, the paper's figures
+//     included — over an in-memory multi-hop radio field with mobility,
+//     ordered by one virtual clock, and harnesses that regenerate every
+//     figure of the paper's evaluation.
 //
 // # Quick start
 //
@@ -29,7 +26,7 @@
 //	sys.Run(30 * time.Minute)
 //	res := sys.Results()
 //	fmt.Printf("height=%d gini=%.3f delivery=%.2fs\n",
-//	    res.ChainHeight, res.StorageGini, res.Delivery.Mean)
+//	    res.ChainHeight, res.StorageGini, res.DeliverySec)
 //
 // See examples/ for runnable scenarios and cmd/figures for the
 // paper-figure harness.
@@ -40,7 +37,6 @@ import (
 	mathrand "math/rand"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/identity"
 	"repro/internal/livenode"
@@ -51,38 +47,36 @@ import (
 
 // Config parametrizes a simulation; DefaultConfig returns the paper's
 // Section VI setup.
-type Config = core.Config
+type Config = experiments.Config
 
-// System is one running deployment.
-type System = core.System
-
-// Node is one edge device in a deployment.
-type Node = core.Node
+// System is one running deployment: live nodes on a simulated radio field
+// under a virtual clock.
+type System = experiments.System
 
 // Results summarizes a finished run.
-type Results = core.Results
+type Results = experiments.Results
 
 // PlacementStrategy selects how storing nodes are chosen.
-type PlacementStrategy = core.PlacementStrategy
+type PlacementStrategy = experiments.PlacementStrategy
 
 // Placement strategies for Config.Placement.
 const (
 	// PlaceOptimal is the paper's fair-and-efficient UFL placement.
-	PlaceOptimal = core.PlaceOptimal
+	PlaceOptimal = experiments.PlaceOptimal
 	// PlaceRandom is the random baseline of the Fig. 5 comparison.
-	PlaceRandom = core.PlaceRandom
+	PlaceRandom = experiments.PlaceRandom
 )
 
 // ConsensusAlgo selects the mining consensus for Config.Consensus.
-type ConsensusAlgo = core.ConsensusAlgo
+type ConsensusAlgo = experiments.ConsensusAlgo
 
 // Consensus algorithms of the Fig. 6 comparison.
 const (
 	// ConsensusPoS is the paper's contribution-weighted Proof of Stake.
-	ConsensusPoS = core.ConsensusPoS
+	ConsensusPoS = experiments.ConsensusPoS
 	// ConsensusPoW is the Proof-of-Work baseline with in-system energy
 	// accounting.
-	ConsensusPoW = core.ConsensusPoW
+	ConsensusPoW = experiments.ConsensusPoW
 )
 
 // MetadataItem is one metadata record stored in blocks (Section III-B).
@@ -95,17 +89,14 @@ type MetadataQuery = meta.Query
 // DataID identifies a data item by its content hash.
 type DataID = meta.DataID
 
-// Summary holds descriptive statistics (mean, min, max, percentiles).
-type Summary = metrics.Summary
-
 // DefaultConfig returns the paper's simulation parameters for n nodes:
 // 300 m x 300 m field, 70 m radio range, 30 m mobility, 250-item storage,
 // 1 MB data items, 60 s expected block time, 10% requesters.
-func DefaultConfig(n int) Config { return core.DefaultConfig(n) }
+func DefaultConfig(n int) Config { return experiments.DefaultConfig(n) }
 
 // NewSimulation builds a deployment. The same Config.Seed yields an
 // identical run.
-func NewSimulation(cfg Config) (*System, error) { return core.NewSystem(cfg) }
+func NewSimulation(cfg Config) (*System, error) { return experiments.NewSystem(cfg) }
 
 // RunSimulation is the one-call convenience: build, run for the duration,
 // and return the results.
@@ -149,25 +140,10 @@ func RunFig5(cfg Fig5Config) ([]Fig5Row, error) { return experiments.RunFig5(cfg
 // RunFig6 regenerates the Fig. 6 energy comparison.
 func RunFig6(cfg Fig6Config) (*Fig6Result, error) { return experiments.RunFig6(cfg) }
 
-// Workload traces: pre-generated data-production schedules that can be
-// replayed across configurations via Config.Trace for paired comparisons.
-type (
-	// WorkloadConfig parametrizes trace generation.
-	WorkloadConfig = workload.Config
-	// WorkloadTrace is a deterministic, time-ordered workload.
-	WorkloadTrace = workload.Trace
-)
-
-// GenerateWorkload materializes a deterministic workload trace.
-func GenerateWorkload(cfg WorkloadConfig) (*WorkloadTrace, error) {
-	return workload.Generate(cfg)
-}
-
-// Open-loop streaming workloads: the generalization of WorkloadConfig
-// with time-varying arrival rates (diurnal sinusoid, flash-crowd bursts),
-// Zipf popularity skew, and millions of logical users multiplexed over
-// the node set. Events are generated lazily in O(1) memory; Drain
-// materializes them into a WorkloadTrace for Config.Trace replay.
+// Open-loop streaming workloads: time-varying arrival rates (diurnal
+// sinusoid, flash-crowd bursts), Zipf popularity skew, and millions of
+// logical users multiplexed over the node set. Events are generated lazily
+// in O(1) memory; Config.Stream shapes the one a simulation runs.
 type (
 	// StreamWorkloadConfig parametrizes an open-loop event stream.
 	StreamWorkloadConfig = workload.StreamConfig
@@ -178,8 +154,7 @@ type (
 )
 
 // NewWorkloadStream builds an open-loop generator; same config, same
-// event sequence. A config with none of the streaming knobs set yields
-// exactly the GenerateWorkload events for the same seed.
+// event sequence.
 func NewWorkloadStream(cfg StreamWorkloadConfig) (*WorkloadStream, error) {
 	return workload.NewStream(cfg)
 }

@@ -71,45 +71,56 @@ func ExampleRunSimulation() {
 	// Output: true true
 }
 
-// TestStreamWorkloadFacade drives a simulation from a drained open-loop
-// stream (diurnal + burst arrivals, Zipf types, multiplexed users) and
-// checks the trade loop actually ran: items produced, requesters served.
+// TestStreamWorkloadFacade drives a simulation from an open-loop stream
+// (diurnal + burst arrivals, Zipf types, multiplexed users) and checks the
+// trade loop actually ran: items produced, requesters served.
 func TestStreamWorkloadFacade(t *testing.T) {
 	const nodes = 12
 	cfg := edgechain.DefaultConfig(nodes)
 	cfg.Seed = 1
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	stream, err := edgechain.NewWorkloadStream(edgechain.StreamWorkloadConfig{
-		Duration:         30 * time.Minute,
-		RatePerMin:       3,
-		DiurnalPeriod:    30 * time.Minute,
-		DiurnalAmplitude: 0.7,
-		BurstEvery:       30 * time.Minute,
-		BurstOffset:      5 * time.Minute,
-		BurstDuration:    3 * time.Minute,
-		BurstFactor:      6,
-		NumNodes:         nodes,
-		Requesters:       edgechain.PickRequesterPool(nodes, 0.25, rng),
-		RequestsPerItem:  1,
-		TypeZipfS:        1.2,
-		Users:            50_000,
-		UserZipfS:        1.3,
-		SessionEpoch:     10 * time.Minute,
-		Seed:             cfg.Seed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Trace = stream.Drain()
-	if cfg.Trace.Len() == 0 {
-		t.Fatal("stream drained no events")
+	cfg.RequesterFraction = 0.25
+	cfg.Stream = func(sc *edgechain.StreamWorkloadConfig) {
+		sc.RatePerMin = 3
+		sc.DiurnalPeriod = 30 * time.Minute
+		sc.DiurnalAmplitude = 0.7
+		sc.BurstEvery = 30 * time.Minute
+		sc.BurstOffset = 5 * time.Minute
+		sc.BurstDuration = 3 * time.Minute
+		sc.BurstFactor = 6
+		sc.TypeZipfS = 1.2
+		sc.Users = 50_000
+		sc.UserZipfS = 1.3
+		sc.SessionEpoch = 10 * time.Minute
 	}
 	res, err := edgechain.RunSimulation(cfg, 30*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.DataGenerated == 0 || res.Delivery.Count == 0 {
-		t.Fatalf("trace-driven run produced %d items, delivered %d requests",
-			res.DataGenerated, res.Delivery.Count)
+	if res.DataGenerated == 0 || res.Deliveries == 0 {
+		t.Fatalf("stream-driven run produced %d items, delivered %d requests",
+			res.DataGenerated, res.Deliveries)
+	}
+}
+
+// TestStreamFacadeDeterministic checks that a stream built through the
+// facade replays: same config, same events.
+func TestStreamFacadeDeterministic(t *testing.T) {
+	sc := edgechain.StreamWorkloadConfig{
+		Duration: 30 * time.Minute, RatePerMin: 2, NumNodes: 8,
+		Requesters:      edgechain.PickRequesterPool(8, 0.25, rand.New(rand.NewSource(1))),
+		RequestsPerItem: 1, Seed: 4,
+	}
+	var runs [2][]edgechain.WorkloadEvent
+	for k := range runs {
+		s, err := edgechain.NewWorkloadStream(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ev, ok := s.Next(); ok; ev, ok = s.Next() {
+			runs[k] = append(runs[k], ev)
+		}
+	}
+	if len(runs[0]) == 0 || fmt.Sprint(runs[0]) != fmt.Sprint(runs[1]) {
+		t.Fatalf("stream did not replay: %d vs %d events", len(runs[0]), len(runs[1]))
 	}
 }

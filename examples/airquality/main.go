@@ -1,7 +1,7 @@
 // Airquality: IoT sensing-as-a-service, the metadata example from Section
-// III-B of the paper. Sensor nodes publish PM2.5 readings with short valid
-// times; subscribers query by type and location and the expired readings
-// age out of both the metadata index and the storing nodes.
+// III-B of the paper. Sensor nodes publish PM2.5 readings that stay fresh
+// for a few minutes; a subscriber queries its chain replica by type,
+// freshness and producer, so stale readings drop out of what it sees.
 package main
 
 import (
@@ -10,15 +10,16 @@ import (
 	"time"
 
 	edgechain "repro"
-	"repro/internal/geo"
 )
+
+// freshFor is how long a reading stays worth reading.
+const freshFor = 8 * time.Minute
 
 func main() {
 	cfg := edgechain.DefaultConfig(15)
 	cfg.Seed = 11
 	cfg.DataRatePerMin = 0
-	cfg.DataValidFor = 8 * time.Minute // readings go stale quickly
-	cfg.DataSize = 64 << 10            // 64 KB sensor batches
+	cfg.DataSize = 64 << 10 // 64 KB sensor batches
 
 	sys, err := edgechain.NewSimulation(cfg)
 	if err != nil {
@@ -31,37 +32,47 @@ func main() {
 		at := time.Duration(i+1) * 3 * time.Minute
 		sys.Clock().AfterFunc(at, func() {
 			for _, s := range sensors {
-				sys.ProduceData(s, "AirQuality/PM2.5")
+				if _, err := sys.ProduceData(s, "AirQuality/PM2.5"); err != nil {
+					log.Fatal(err)
+				}
 			}
 		})
 	}
 
-	// A subscriber samples the index every 6 minutes: only unexpired
-	// readings should be visible.
+	// A subscriber samples the index every 6 minutes: only readings
+	// produced within the freshness window count.
 	const subscriber = 5
+	fresh := func() edgechain.MetadataQuery {
+		return edgechain.MetadataQuery{
+			TypePrefix:    "AirQuality/",
+			ProducedAfter: sys.Clock().Elapsed() - freshFor,
+		}
+	}
 	var observations []int
 	probe := func() {
-		fresh := sys.Node(subscriber).FindMetadata(edgechain.MetadataQuery{
-			TypePrefix: "AirQuality/",
-		})
-		observations = append(observations, len(fresh))
+		seen := sys.FindMetadata(subscriber, fresh())
+		observations = append(observations, len(seen))
 		fmt.Printf("[%6s] subscriber sees %d fresh readings\n",
-			sys.Clock().Elapsed().Truncate(time.Second), len(fresh))
+			sys.Clock().Elapsed().Truncate(time.Second), len(seen))
 	}
 	for m := 6; m <= 36; m += 6 {
 		sys.Clock().AfterFunc(time.Duration(m)*time.Minute, probe)
 	}
 
-	// Geographic query at minute 20: readings near the subscriber.
+	// At minute 20 the subscriber narrows the query to the sensor fewest
+	// radio hops away from it.
 	sys.Clock().AfterFunc(20*time.Minute, func() {
-		me := sys.Network().Topology().Position(5)
-		near := sys.Node(subscriber).FindMetadata(edgechain.MetadataQuery{
-			TypePrefix:   "AirQuality/",
-			Near:         geo.Point{X: me.X, Y: me.Y},
-			WithinMeters: 120,
-		})
-		fmt.Printf("[%6s] %d readings within 120 m of the subscriber\n",
-			sys.Clock().Elapsed().Truncate(time.Second), len(near))
+		nearest := sensors[0]
+		for _, s := range sensors {
+			if sys.Radio().Hops(subscriber, s) < sys.Radio().Hops(subscriber, nearest) {
+				nearest = s
+			}
+		}
+		q := fresh()
+		q.Producer = sys.Cluster().Accounts()[nearest]
+		fmt.Printf("[%6s] %d fresh readings from sensor %d, %d hops from the subscriber\n",
+			sys.Clock().Elapsed().Truncate(time.Second), len(sys.FindMetadata(subscriber, q)),
+			nearest, sys.Radio().Hops(subscriber, nearest))
 	})
 
 	sys.Run(40 * time.Minute)
@@ -71,10 +82,10 @@ func main() {
 		res.ChainHeight, res.DataGenerated, res.StorageGini)
 
 	// The last probe runs after production stopped at minute 24 plus the
-	// 8-minute valid time: everything must have expired.
+	// 8-minute freshness window: nothing may still count as fresh.
 	last := observations[len(observations)-1]
 	if last != 0 {
-		log.Fatalf("expiry failed: %d readings still visible at the end", last)
+		log.Fatalf("freshness failed: %d readings still visible at the end", last)
 	}
-	fmt.Println("expiry verified: no stale readings remain visible")
+	fmt.Println("freshness verified: no stale readings remain visible")
 }

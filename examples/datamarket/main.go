@@ -20,9 +20,7 @@ import (
 func main() {
 	cfg := edgechain.DefaultConfig(25)
 	cfg.Seed = 7
-	cfg.DataRatePerMin = 0       // we drive the workload by hand
-	cfg.DataValidFor = time.Hour // road info goes stale after an hour
-	cfg.RequestSpread = 10 * time.Second
+	cfg.DataRatePerMin = 0 // we drive the workload by hand
 
 	sys, err := edgechain.NewSimulation(cfg)
 	if err != nil {
@@ -34,7 +32,10 @@ func main() {
 	for i := 0; i < 10; i++ {
 		at := time.Duration(i+1) * 2 * time.Minute
 		sys.Clock().AfterFunc(at, func() {
-			it := sys.ProduceData(seller, "Road/Congestion")
+			it, err := sys.ProduceData(seller, "Road/Congestion")
+			if err != nil {
+				log.Fatal(err)
+			}
 			fmt.Printf("[%6s] vehicle %d published report %s\n",
 				sys.Clock().Elapsed().Truncate(time.Second), seller, it.ID.Short())
 		})
@@ -45,14 +46,13 @@ func main() {
 	const buyer = 17
 	sys.Clock().AfterFunc(25*time.Minute, func() {
 		node := sys.Node(buyer)
-		reports := node.FindMetadata(edgechain.MetadataQuery{TypePrefix: "Road/"})
+		reports := sys.FindMetadata(buyer, edgechain.MetadataQuery{TypePrefix: "Road/"})
 		fmt.Printf("[%6s] vehicle %d found %d road reports on-chain\n",
 			sys.Clock().Elapsed().Truncate(time.Second), buyer, len(reports))
 		for _, r := range reports {
-			if node.RequestData(r.ID) {
-				fmt.Printf("         requesting %s (producer %s, stored on %v)\n",
-					r.ID.Short(), r.Producer.Short(), r.StoringNodes)
-			}
+			node.RequestData(r.ID)
+			fmt.Printf("         requesting %s (producer %s, stored on %v)\n",
+				r.ID.Short(), r.Producer.Short(), r.StoringNodes)
 		}
 	})
 
@@ -61,13 +61,13 @@ func main() {
 	res := sys.Results()
 	node := sys.Node(buyer)
 	bought := 0
-	for _, r := range node.FindMetadata(edgechain.MetadataQuery{TypePrefix: "Road/"}) {
+	for _, r := range sys.FindMetadata(buyer, edgechain.MetadataQuery{TypePrefix: "Road/"}) {
 		if node.HasData(r.ID) {
 			bought++
 		}
 	}
 	fmt.Printf("\nmarket closed: %d blocks, buyer received %d reports, mean delivery %.2f s\n",
-		res.ChainHeight, bought, res.Delivery.Mean)
+		res.ChainHeight, bought, res.DeliverySec)
 	if bought == 0 {
 		log.Fatal("buyer received nothing — market broken")
 	}

@@ -26,12 +26,9 @@ func main() {
 	fmt.Printf("  blocks mined:          %d (expected ~%d at one per minute)\n",
 		res.ChainHeight, 30)
 	fmt.Printf("  data items generated:  %d\n", res.DataGenerated)
-	fmt.Printf("  deliveries:            %d (mean %.2f s, p95 %.2f s)\n",
-		res.Delivery.Count, res.Delivery.Mean, res.Delivery.P95)
+	fmt.Printf("  deliveries:            %d of %d reads (mean %.2f s)\n",
+		res.Deliveries, res.Requests, res.DeliverySec)
 	fmt.Printf("  storage Gini:          %.3f (paper bound: < 0.15)\n", res.StorageGini)
 	fmt.Printf("  avg tx per node:       %.1f MB\n", res.AvgTxBytesPerNode/(1<<20))
-	fmt.Println("  traffic by kind:")
-	for _, k := range []string{"data", "block", "meta", "ctrl"} {
-		fmt.Printf("    %-6s %8.1f MB\n", k, float64(res.KindBytes[k])/(1<<20))
-	}
+	fmt.Printf("  energy per block:      %.2f J (mining + radio)\n", res.EnergyPerBlockJ)
 }

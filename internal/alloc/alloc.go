@@ -137,6 +137,16 @@ func (p *Planner) Place(topo *netsim.Topology, nodes []NodeState) (*Placement, e
 	if len(nodes) != topo.N() {
 		return nil, fmt.Errorf("alloc: %d node states for %d topology nodes", len(nodes), topo.N())
 	}
+	if i, ok := overflowNode(nodes); ok {
+		// Every node is full: FDC rules them all out and no choice is fair,
+		// so the item goes to the least-used node and overload spreads
+		// evenly instead of piling onto one node.
+		assign := make([]int, len(nodes))
+		for j := range assign {
+			assign[j] = i
+		}
+		return &Placement{StoringNodes: []int{i}, AccessFrom: assign, Cost: math.Inf(1)}, nil
+	}
 	if p.Solve == nil && topo.Clique() && uniformRanges(nodes) {
 		// One-hop clique with uniform mobility: eq. (3) separates per node
 		// and has an exact O(n) solution — skip the O(n²) instance and the
@@ -174,6 +184,21 @@ func (p *Planner) Place(topo *netsim.Topology, nodes []NodeState) (*Placement, e
 	}, nil
 }
 
+// overflowNode returns the least-used node (lowest index on ties) when every
+// node is full, and false while any node has room.
+func overflowNode(nodes []NodeState) (int, bool) {
+	best := 0
+	for i, st := range nodes {
+		if st.Used < st.Capacity {
+			return 0, false
+		}
+		if st.Used < nodes[best].Used {
+			best = i
+		}
+	}
+	return best, true
+}
+
 // uniformRanges reports whether every node shares one mobility range, the
 // condition under which a clique's RDC matrix is a single constant off the
 // diagonal.
@@ -190,11 +215,11 @@ func uniformRanges(nodes []NodeState) bool {
 // mobility ranges. There c_ij = c for every i ≠ j and 0 on the diagonal,
 // so the objective collapses to c·n + Σ_open (f_i − c): open exactly the
 // nodes whose weighted FDC is below c (each pays for itself by serving
-// its own demand), or the single cheapest node when none qualifies — node
-// 0 when every node is full, matching cheapestFallback, where all clique
-// connection totals tie. The MinReplicas top-up mirrors topUpReplicas:
-// every unopened non-full node offers the identical connection saving c,
-// so the marginal criterion reduces to FDC order with index ties.
+// its own demand), or the single cheapest node when none qualifies (Place
+// handles the all-full case before the fast path). The MinReplicas top-up
+// mirrors topUpReplicas: every unopened non-full node offers the identical
+// connection saving c, so the marginal criterion reduces to FDC order with
+// index ties.
 func (p *Planner) placeClique(nodes []NodeState) *Placement {
 	n := len(nodes)
 	c := 1 + (nodes[0].MobilityRange+nodes[0].MobilityRange)/p.CommRange

@@ -250,6 +250,27 @@ func TestRandomPlace(t *testing.T) {
 	}
 }
 
+// TestPlaceOverflowSpreads checks the all-full case on both solver paths:
+// the item goes to the least-used node, so overload spreads evenly.
+func TestPlaceOverflowSpreads(t *testing.T) {
+	nodes := uniformStates(5, 10, 10)
+	nodes[0].Used, nodes[1].Used, nodes[3].Used, nodes[4].Used = 13, 14, 12, 11
+	rng := rand.New(rand.NewSource(1))
+	pls, _ := geo.PlaceNodesConnected(geo.DefaultField(), 5, 30, 70, rng, 50)
+	for name, topo := range map[string]*netsim.Topology{
+		"clique": netsim.NewClique(5),
+		"radio":  netsim.NewTopology(netsim.HomePositions(pls), 70, nil),
+	} {
+		pl, err := NewPlanner(70).Place(topo, nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(pl.StoringNodes, []int{2}) {
+			t.Errorf("%s: all full, stored on %v, want the least-used node [2]", name, pl.StoringNodes)
+		}
+	}
+}
+
 func TestRandomPlaceMoreThanAvailable(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	states := uniformStates(3, 0, 10)
@@ -257,119 +278,6 @@ func TestRandomPlaceMoreThanAvailable(t *testing.T) {
 	got := RandomPlace(states, 5, rng)
 	if len(got) != 2 {
 		t.Fatalf("got %v, want the 2 non-full nodes", got)
-	}
-}
-
-func TestRecentCacheFIFO(t *testing.T) {
-	c := NewRecentCache(2)
-	if ev := c.Push(1); ev != nil {
-		t.Fatalf("eviction on first push: %v", ev)
-	}
-	if ev := c.Push(2); ev != nil {
-		t.Fatalf("eviction below depth: %v", ev)
-	}
-	ev := c.Push(3)
-	if len(ev) != 1 || ev[0] != 1 {
-		t.Fatalf("evicted %v, want [1]", ev)
-	}
-	if c.Contains(1) || !c.Contains(2) || !c.Contains(3) {
-		t.Fatal("cache contents wrong after FIFO eviction")
-	}
-}
-
-func TestRecentCacheGrow(t *testing.T) {
-	c := NewRecentCache(1)
-	c.Push(1)
-	c.Grow()
-	if c.Depth() != 2 {
-		t.Fatalf("depth = %d, want 2", c.Depth())
-	}
-	if ev := c.Push(2); ev != nil {
-		t.Fatalf("eviction after grow: %v", ev)
-	}
-	if !c.Contains(1) || !c.Contains(2) {
-		t.Fatal("grown cache lost entries")
-	}
-}
-
-// Regression: Heights used to return the internal FIFO slice, so a caller
-// mutating the result (or holding it across an eviction, which rewrites the
-// backing array in place) corrupted or observed corrupted cache state.
-func TestRecentCacheHeightsIsACopy(t *testing.T) {
-	c := NewRecentCache(2)
-	c.Push(1)
-	c.Push(2)
-
-	got := c.Heights()
-	got[0] = 99 // must not write through to the cache
-	if !c.Contains(1) || c.Contains(99) {
-		t.Fatal("mutating Heights() result corrupted the cache")
-	}
-
-	before := c.Heights()
-	c.Push(3) // evicts 1 and shifts the backing array in place
-	if before[0] != 1 || before[1] != 2 {
-		t.Fatalf("snapshot taken before eviction changed underneath the caller: %v", before)
-	}
-}
-
-func TestRecentCacheDuplicatePush(t *testing.T) {
-	c := NewRecentCache(3)
-	c.Push(5)
-	c.Push(5)
-	if c.Len() != 1 {
-		t.Fatalf("duplicate push grew cache to %d", c.Len())
-	}
-}
-
-func TestRecentCacheSetDepth(t *testing.T) {
-	c := NewRecentCache(4)
-	for h := uint64(1); h <= 4; h++ {
-		c.Push(h)
-	}
-	ev := c.SetDepth(2)
-	if len(ev) != 2 || ev[0] != 1 || ev[1] != 2 {
-		t.Fatalf("evicted %v, want [1 2]", ev)
-	}
-	if c.SetDepth(0); c.Depth() != 1 {
-		t.Fatalf("depth clamped to %d, want 1", c.Depth())
-	}
-}
-
-func TestRecentCacheMinDepthOne(t *testing.T) {
-	c := NewRecentCache(0)
-	if c.Depth() != 1 {
-		t.Fatalf("depth = %d, want clamp to 1", c.Depth())
-	}
-	c.Push(1)
-	ev := c.Push(2)
-	if len(ev) != 1 || ev[0] != 1 {
-		t.Fatalf("evicted %v, want [1]", ev)
-	}
-}
-
-// Property: cache never exceeds its depth and keeps the newest entries.
-func TestRecentCacheProperty(t *testing.T) {
-	prop := func(depthRaw uint8, pushes []uint8) bool {
-		depth := int(depthRaw)%8 + 1
-		c := NewRecentCache(depth)
-		var last []uint64
-		for _, p := range pushes {
-			c.Push(uint64(p))
-			if c.Len() > depth {
-				return false
-			}
-			last = c.Heights()
-			for i := 1; i < len(last); i++ {
-				// FIFO keeps insertion order.
-				_ = i
-			}
-		}
-		_ = last
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -172,99 +172,6 @@ func TestRandomPlaceNoOverflowProperty(t *testing.T) {
 	}
 }
 
-// Property: RecentCache behaves exactly like a bounded FIFO queue model —
-// never exceeds its allowance, evicts oldest-first, rejects duplicates,
-// and evictions partition the pushed set against the cached set.
-func TestRecentCacheFIFOModelProperty(t *testing.T) {
-	type op struct {
-		kind   uint8
-		height uint64
-		depth  int
-	}
-	run := func(ops []op) bool {
-		c := NewRecentCache(1)
-		var model []uint64 // oldest first
-		depth := 1
-		contains := func(h uint64) bool {
-			for _, x := range model {
-				if x == h {
-					return true
-				}
-			}
-			return false
-		}
-		trim := func() []uint64 {
-			if len(model) <= depth {
-				return nil
-			}
-			ev := append([]uint64(nil), model[:len(model)-depth]...)
-			model = model[len(model)-depth:]
-			return ev
-		}
-		same := func(a, b []uint64) bool {
-			if len(a) != len(b) {
-				return false
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					return false
-				}
-			}
-			return true
-		}
-		for _, o := range ops {
-			switch o.kind % 3 {
-			case 0:
-				evicted := c.Push(o.height)
-				var want []uint64
-				if !contains(o.height) {
-					model = append(model, o.height)
-					want = trim()
-				}
-				if !same(evicted, want) {
-					return false
-				}
-			case 1:
-				c.Grow()
-				depth++
-			case 2:
-				evicted := c.SetDepth(o.depth)
-				depth = o.depth
-				if depth < 1 {
-					depth = 1
-				}
-				if !same(evicted, trim()) {
-					return false
-				}
-			}
-			if c.Depth() != depth || c.Len() != len(model) || c.Len() > c.Depth() {
-				return false
-			}
-			if !same(c.Heights(), model) {
-				return false
-			}
-		}
-		return true
-	}
-	prop := func(kinds []uint8, heights []uint8, depths []int8) bool {
-		ops := make([]op, len(kinds))
-		for i, k := range kinds {
-			o := op{kind: k}
-			if len(heights) > 0 {
-				o.height = uint64(heights[i%len(heights)] % 8) // force duplicates
-			}
-			if len(depths) > 0 {
-				o.depth = int(depths[i%len(depths)] % 6)
-			}
-			ops[i] = o
-		}
-		return run(ops)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 400}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: a migration plan's Keep/Release partition the current holders,
 // and its move targets are exactly desired \ current in ascending order.
 func TestMigrationPlanPartitionProperty(t *testing.T) {

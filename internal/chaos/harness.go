@@ -18,8 +18,10 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/identity"
 	"repro/internal/livenode"
+	"repro/internal/netsim"
 	"repro/internal/p2p"
 	"repro/internal/p2p/memnet"
 	"repro/internal/pos"
@@ -100,6 +102,13 @@ type Options struct {
 	// cluster is the interesting case: forks, sync and restarts must work
 	// across both replica shapes.
 	PruneNodes []int
+	// Radio, when set, puts the nodes on a multi-hop radio field (radio
+	// node k is roster node k): frames take its hop latency, placement
+	// plans on its graph, and a timer steps its mobility every epoch. nil
+	// keeps the one-hop clique.
+	Radio *netsim.Radio
+	// Rules is passed through to livenode.Config.Rules on every node.
+	Rules func(*engine.Config)
 }
 
 // prunes reports whether node i runs with a prune horizon.
@@ -179,6 +188,16 @@ func NewCluster(opts Options) (*Cluster, error) {
 	c.Net.SetDefaults(opts.Faults)
 	c.netReg = telemetry.NewRegistry()
 	c.Net.SetMetrics(memnet.NewMetrics(c.netReg))
+	if r := opts.Radio; r != nil {
+		addrs := make([]string, opts.N)
+		for i := range addrs {
+			addrs[i] = Addr(i)
+		}
+		c.Net.SetRadio(r, addrs)
+		if r.MobilityEpoch() > 0 {
+			sim.Every(c.Clock, r.MobilityEpoch(), func() bool { r.Step(); return true })
+		}
+	}
 	c.nodeRegs = make([]*telemetry.Registry, opts.N)
 	for i := range c.nodeRegs {
 		c.nodeRegs[i] = telemetry.NewRegistry()
@@ -242,6 +261,7 @@ func (c *Cluster) startNode(i int) error {
 		RepairSuspectAfter: c.opts.RepairSuspectAfter,
 		RepairHysteresis:   c.opts.RepairHysteresis,
 		ProbeFanout:        c.opts.ProbeFanout,
+		Rules:              c.opts.Rules,
 	})
 	if err != nil {
 		return fmt.Errorf("chaos: start node %d: %w", i, err)

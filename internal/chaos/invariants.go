@@ -100,7 +100,7 @@ func CheckLedgerAccounting(n *livenode.Node, accounts []identity.Address, now ti
 			return fmt.Errorf("chaos: recompute ledger: %w", err)
 		}
 	}
-	refView := engine.NewStorageView(len(accounts), 0, 0, 1, 0)
+	refView := engine.NewStorageView(len(accounts), 0, 0)
 	refView.Rebuild(snap)
 	gotS, gotQ := n.LedgerStats()
 	gotUsed := n.StorageUsed()

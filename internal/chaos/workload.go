@@ -21,6 +21,12 @@ type WorkloadOptions struct {
 	// ask for the bytes (default 3 block intervals at the cluster's T0) —
 	// enough time for the item to land in a block and be placed.
 	RequestDelay time.Duration
+	// ConsumerReads makes requesters read like the paper's consumers
+	// (§III-B): a request waits until the item's metadata is on the
+	// requester's chain, checking again every block interval, and is not
+	// made at all if the requester already holds the content as one of the
+	// item's storing nodes.
+	ConsumerReads bool
 	// PayloadBytes sizes each published item's content (default 64).
 	PayloadBytes int
 }
@@ -132,13 +138,25 @@ func (d *WorkloadDriver) fire(ev workload.Event) {
 	}
 	d.stats.Published++
 	for _, r := range ev.Requesters {
-		r := r
-		d.c.Clock.AfterFunc(d.opts.RequestDelay, func() {
-			if n := d.c.nodes[r]; n != nil {
-				d.stats.Requests++
-				n.RequestData(it.ID)
+		var ask func()
+		ask = func() {
+			n := d.c.nodes[r]
+			if n == nil {
+				return
 			}
-		})
+			if d.opts.ConsumerReads {
+				if !n.HasItemOnChain(it.ID) {
+					d.c.Clock.AfterFunc(d.c.opts.T0, ask)
+					return
+				}
+				if n.HasData(it.ID) {
+					return
+				}
+			}
+			d.stats.Requests++
+			n.RequestData(it.ID)
+		}
+		d.c.Clock.AfterFunc(d.opts.RequestDelay, ask)
 	}
 }
 

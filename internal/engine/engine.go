@@ -108,6 +108,14 @@ const (
 	LiveDead
 )
 
+const (
+	// futureSkew is the clock-skew tolerance for incoming block timestamps.
+	futureSkew = 2 * time.Second
+	// migrateCostRatio is the migration drift threshold: an item moves only
+	// when its storing set costs this many times the fresh optimum.
+	migrateCostRatio = 1.2
+)
+
 // Config wires an Engine to its host node.
 type Config struct {
 	// Accounts is the fixed roster; index k is node ID k.
@@ -125,11 +133,6 @@ type Config struct {
 	// AdoptSuffix. The PoW baseline disables it (nonce checks carry no
 	// allocation state; only timestamp sanity remains).
 	ValidateClaims bool
-	// FutureSkew is the clock-skew tolerance for incoming block
-	// timestamps (default 2 s).
-	FutureSkew time.Duration
-	// StakeRescaleEvery periodically rescales the ledger (0 = never).
-	StakeRescaleEvery uint64
 	// CheckpointInterval enables Section V-D checkpoint finality: a fork
 	// candidate rewriting history at or below the newest multiple of this
 	// interval is refused even if longer (0 = disabled).
@@ -167,20 +170,20 @@ type Config struct {
 	StorageCapacity int
 	// MobilityRange feeds the RDC mobility terms of the storage view.
 	MobilityRange float64
-	// InitialRecentDepth is every node's starting recent-cache allowance
-	// (floored to 1); RecentDepthCap bounds its growth (0 = unlimited).
+	// InitialRecentDepth is ignored: every node's recent-cache allowance
+	// starts at 1 (Section IV-C: each node caches at least the newest
+	// block).
+	//
+	// Deprecated: kept so existing callers compile; set nothing.
 	InitialRecentDepth int
-	RecentDepthCap     int
 	// RandomPlacement switches item placement to the random baseline with
 	// the optimal replica count (Section VI-B); Rand must then be set.
 	RandomPlacement bool
 	Rand            *rand.Rand
 
 	// MigrateMaxPerBlock bounds data-migration re-announcements per mined
-	// block (0 = migration off); MigrateCostRatio is the drift threshold
-	// (values <= 1 mean the 1.5 default).
+	// block (0 = migration off).
 	MigrateMaxPerBlock int
-	MigrateCostRatio   float64
 
 	// Liveness, when set, reports each roster node's churn status (from
 	// the adapter's repair.Detector). nil = every node alive.
@@ -217,11 +220,9 @@ type state struct {
 
 // genesisState is the state of a chain that holds only genesis.
 func (cfg *Config) genesisState() state {
-	ledger := pos.NewLedger(cfg.Accounts)
-	ledger.RescaleEvery = cfg.StakeRescaleEvery
 	return state{
-		ledger:    ledger,
-		view:      NewStorageView(len(cfg.Accounts), cfg.StorageCapacity, cfg.MobilityRange, cfg.InitialRecentDepth, cfg.RecentDepthCap),
+		ledger:    pos.NewLedger(cfg.Accounts),
+		view:      NewStorageView(len(cfg.Accounts), cfg.StorageCapacity, cfg.MobilityRange),
 		inChain:   make(map[meta.DataID]bool),
 		liveItems: make(map[meta.DataID]*meta.Item),
 	}
@@ -320,12 +321,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.PruneDepth > 0 && (cfg.CheckpointInterval <= 0 || cfg.SnapshotInterval <= 0) {
 		return nil, errors.New("engine: PruneDepth requires CheckpointInterval and SnapshotInterval")
-	}
-	if cfg.FutureSkew == 0 {
-		cfg.FutureSkew = 2 * time.Second
-	}
-	if cfg.InitialRecentDepth < 1 {
-		cfg.InitialRecentDepth = 1
 	}
 	e := &Engine{cfg: cfg, state: cfg.genesisState(), pool: make(map[meta.DataID]*meta.Item)}
 	e.ch = chain.New(cfg.Genesis)
@@ -440,7 +435,7 @@ func compareID(a, b meta.DataID) int { return bytes.Compare(a[:], b[:]) }
 func (e *Engine) preAppend(prev, b *block.Block) error {
 	// Reject timestamps from the future (a miner cannot backdate thanks to
 	// pos.ErrBadElapsed, nor post-date past the receiver's clock).
-	if b.Timestamp > e.cfg.Now()+e.cfg.FutureSkew {
+	if b.Timestamp > e.cfg.Now()+futureSkew {
 		return fmt.Errorf("engine: block %d timestamp in the future", b.Index)
 	}
 	if !e.cfg.ValidateClaims {
@@ -713,8 +708,11 @@ func (e *Engine) placeItem(topo *netsim.Topology, states []alloc.NodeState) []in
 	optimal := e.place(e.cfg.Planner, topo, states)
 	if e.cfg.RandomPlacement {
 		// Baseline: same replica count, uniformly random nodes
-		// (Section VI-B's "fair comparison").
-		return alloc.RandomPlace(states, len(optimal), e.cfg.Rand)
+		// (Section VI-B's "fair comparison"); with every node full it
+		// overflows where the optimal placement does.
+		if random := alloc.RandomPlace(states, len(optimal), e.cfg.Rand); len(random) > 0 {
+			return random
+		}
 	}
 	return optimal
 }
@@ -733,7 +731,7 @@ func (e *Engine) place(p *alloc.Planner, topo *netsim.Topology, states []alloc.N
 }
 
 // pickMigrations selects up to MigrateMaxPerBlock live items whose
-// current storing set costs more than MigrateCostRatio times the freshly
+// current storing set costs more than migrateCostRatio times the freshly
 // computed optimal, and returns re-announced clones carrying the new
 // assignment. The cursor round-robins across items so every item is
 // eventually reconsidered.
@@ -741,10 +739,6 @@ func (e *Engine) pickMigrations(topo *netsim.Topology, states []alloc.NodeState,
 	maxPer := e.cfg.MigrateMaxPerBlock
 	if maxPer <= 0 || len(e.liveItems) == 0 {
 		return nil
-	}
-	ratio := e.cfg.MigrateCostRatio
-	if ratio <= 1 {
-		ratio = 1.5
 	}
 	ids := e.sortedLiveIDs()
 	var out []*meta.Item
@@ -787,7 +781,7 @@ func (e *Engine) pickMigrations(topo *netsim.Topology, states []alloc.NodeState,
 		}
 		cur := SetCost(in, it.StoringNodes)
 		des := SetCost(in, pl.StoringNodes)
-		if sameSet(it.StoringNodes, pl.StoringNodes) || cur <= ratio*des {
+		if sameSet(it.StoringNodes, pl.StoringNodes) || cur <= migrateCostRatio*des {
 			continue
 		}
 		migrated := it.Clone()

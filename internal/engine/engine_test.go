@@ -43,17 +43,16 @@ func newTestCluster(t testing.TB, n int, mutate func(i int, cfg *Config)) *testC
 		blockPlanner := alloc.NewPlanner(1)
 		blockPlanner.MinReplicas = 1
 		cfg := Config{
-			Accounts:           c.accounts,
-			Self:               i,
-			PoS:                pos.Params{M: pos.DefaultM, T0: 60 * time.Second},
-			Genesis:            block.Genesis(42),
-			Now:                func() time.Duration { return c.now },
-			ValidateClaims:     true,
-			Topology:           func() *netsim.Topology { return topo },
-			Planner:            alloc.NewPlanner(1),
-			BlockPlanner:       blockPlanner,
-			StorageCapacity:    250,
-			InitialRecentDepth: 1,
+			Accounts:        c.accounts,
+			Self:            i,
+			PoS:             pos.Params{M: pos.DefaultM, T0: 60 * time.Second},
+			Genesis:         block.Genesis(42),
+			Now:             func() time.Duration { return c.now },
+			ValidateClaims:  true,
+			Topology:        func() *netsim.Topology { return topo },
+			Planner:         alloc.NewPlanner(1),
+			BlockPlanner:    blockPlanner,
+			StorageCapacity: 250,
 		}
 		idx := i
 		cfg.OnAppend = func(ev AppendEvent) { c.events[idx] = append(c.events[idx], ev) }

@@ -26,18 +26,17 @@ func freshObserver(t testing.TB, c *testCluster) *Engine {
 	blockPlanner := alloc.NewPlanner(1)
 	blockPlanner.MinReplicas = 1
 	e, err := New(Config{
-		Accounts:           c.accounts,
-		Self:               0,
-		PoS:                pos.Params{M: pos.DefaultM, T0: 60 * time.Second},
-		Genesis:            block.Genesis(42),
-		Now:                func() time.Duration { return c.now },
-		ValidateClaims:     true,
-		Topology:           func() *netsim.Topology { return topo },
-		Planner:            alloc.NewPlanner(1),
-		BlockPlanner:       blockPlanner,
-		StorageCapacity:    250,
-		InitialRecentDepth: 1,
-		SnapshotInterval:   4,
+		Accounts:         c.accounts,
+		Self:             0,
+		PoS:              pos.Params{M: pos.DefaultM, T0: 60 * time.Second},
+		Genesis:          block.Genesis(42),
+		Now:              func() time.Duration { return c.now },
+		ValidateClaims:   true,
+		Topology:         func() *netsim.Topology { return topo },
+		Planner:          alloc.NewPlanner(1),
+		BlockPlanner:     blockPlanner,
+		StorageCapacity:  250,
+		SnapshotInterval: 4,
 	})
 	if err != nil {
 		t.Fatalf("observer engine: %v", err)

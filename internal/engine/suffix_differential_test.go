@@ -44,7 +44,6 @@ func (e *Engine) AdoptChain(blocks []*block.Block) bool {
 	ch := chain.New(e.cfg.Genesis)
 	ch.Sigs = &e.sigs
 	scratch := pos.NewLedger(e.cfg.Accounts)
-	scratch.RescaleEvery = e.cfg.StakeRescaleEvery
 	for i, b := range blocks[1:] {
 		if _, err := ch.Add(b); err != nil {
 			return false

@@ -27,35 +27,28 @@ import (
 // plane reads the same index (Index), so placement and repair agree on
 // who stores what by construction.
 type StorageView struct {
-	capacity     int
-	initialDepth int
-	depthCap     int // 0 = unlimited
-	items        *repair.Index
-	blockBodies  []int
-	recentDepth  []int
-	height       uint64
-	mobility     []float64
+	capacity    int
+	items       *repair.Index
+	blockBodies []int
+	recentDepth []int
+	height      uint64
+	mobility    []float64
 }
 
 // NewStorageView creates the view for n nodes of the given capacity and
-// mobility range. initialDepth is every node's starting recent-cache
-// allowance (the paper uses 1: every node caches at least the last block);
-// depthCap bounds allowance growth (0 = unlimited).
-func NewStorageView(n, capacity int, mobilityRange float64, initialDepth, depthCap int) *StorageView {
-	if initialDepth < 1 {
-		initialDepth = 1
-	}
+// mobility range. Every node's recent-cache allowance starts at 1 (every
+// node caches at least the last block) and grows by one per recent-block
+// assignment.
+func NewStorageView(n, capacity int, mobilityRange float64) *StorageView {
 	v := &StorageView{
-		capacity:     capacity,
-		initialDepth: initialDepth,
-		depthCap:     depthCap,
-		items:        repair.NewIndex(n),
-		blockBodies:  make([]int, n),
-		recentDepth:  make([]int, n),
-		mobility:     make([]float64, n),
+		capacity:    capacity,
+		items:       repair.NewIndex(n),
+		blockBodies: make([]int, n),
+		recentDepth: make([]int, n),
+		mobility:    make([]float64, n),
 	}
 	for i := range v.recentDepth {
-		v.recentDepth[i] = initialDepth
+		v.recentDepth[i] = 1
 		v.mobility[i] = mobilityRange
 	}
 	return v
@@ -71,9 +64,7 @@ func (v *StorageView) ApplyBlock(b *block.Block) {
 	}
 	for _, n := range b.RecentAssignees {
 		if n >= 0 && n < len(v.recentDepth) {
-			if v.depthCap == 0 || v.recentDepth[n] < v.depthCap {
-				v.recentDepth[n]++
-			}
+			v.recentDepth[n]++
 		}
 	}
 	if b.Index > v.height {
@@ -96,7 +87,7 @@ func (v *StorageView) Clone() *StorageView {
 func (v *StorageView) Rebuild(blocks []*block.Block) {
 	for i := range v.blockBodies {
 		v.blockBodies[i] = 0
-		v.recentDepth[i] = v.initialDepth
+		v.recentDepth[i] = 1
 	}
 	v.height = 0
 	v.items.Rebuild(nil)

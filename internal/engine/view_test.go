@@ -20,7 +20,7 @@ func viewBlock(t *testing.T, prev *block.Block, miner *identity.Identity, items 
 }
 
 func TestStorageViewInitial(t *testing.T) {
-	v := NewStorageView(3, 250, 30, 1, 0)
+	v := NewStorageView(3, 250, 30)
 	for i := 0; i < 3; i++ {
 		if got := v.Used(i, 0); got != 0 {
 			t.Fatalf("Used(%d) = %d at height 0, want 0 (no blocks yet)", i, got)
@@ -37,7 +37,7 @@ func TestStorageViewCountsAssignments(t *testing.T) {
 	miner := identity.GenerateSeeded(rng)
 	producer := identity.GenerateSeeded(rng)
 	g := block.Genesis(1)
-	v := NewStorageView(4, 250, 30, 1, 0)
+	v := NewStorageView(4, 250, 30)
 
 	it := &meta.Item{ID: meta.HashData([]byte("x")), Type: "T/x", DataSize: 1}
 	it.Sign(producer)
@@ -69,7 +69,7 @@ func TestStorageViewExpiry(t *testing.T) {
 	miner := identity.GenerateSeeded(rng)
 	producer := identity.GenerateSeeded(rng)
 	g := block.Genesis(1)
-	v := NewStorageView(2, 250, 30, 1, 0)
+	v := NewStorageView(2, 250, 30)
 
 	it := &meta.Item{
 		ID: meta.HashData([]byte("y")), Type: "T/y",
@@ -93,7 +93,7 @@ func TestStorageViewRecentCappedByHeight(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	miner := identity.GenerateSeeded(rng)
 	g := block.Genesis(1)
-	v := NewStorageView(2, 250, 30, 1, 0)
+	v := NewStorageView(2, 250, 30)
 
 	// Node 0 accumulates recent depth 4 over 3 blocks.
 	prev := g
@@ -115,7 +115,7 @@ func TestStorageViewRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	miner := identity.GenerateSeeded(rng)
 	g := block.Genesis(1)
-	v := NewStorageView(2, 250, 30, 1, 0)
+	v := NewStorageView(2, 250, 30)
 
 	b1 := viewBlock(t, g, miner, nil, []int{0}, []int{1})
 	v.ApplyBlock(b1)
@@ -138,7 +138,7 @@ func TestStorageViewRebuild(t *testing.T) {
 // NodeStates call. Mine reuses one such buffer per round, which keeps
 // per-round garbage flat as clusters scale to hundreds of nodes.
 func TestNodeStatesIntoHotPathAllocs(t *testing.T) {
-	v := NewStorageView(256, 250, 30, 1, 0)
+	v := NewStorageView(256, 250, 30)
 	buf := v.NodeStatesInto(nil, 0)
 	if got := testing.AllocsPerRun(1000, func() {
 		buf = v.NodeStatesInto(buf, 0)

@@ -7,11 +7,8 @@ import (
 	"time"
 
 	"repro/internal/alloc"
-	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/netsim"
-	"repro/internal/raft"
-	"repro/internal/sim"
 	"repro/internal/ufl"
 )
 
@@ -37,39 +34,19 @@ func RunFDCWeightAblation(weights []float64, nodes int, duration time.Duration, 
 	}
 	rows := make([]FDCWeightRow, 0, len(weights))
 	for _, w := range weights {
-		w := w
-		cfg := core.DefaultConfig(nodes)
+		cfg := DefaultConfig(nodes)
 		cfg.Seed = seed
 		cfg.DataRatePerMin = 2
-		// Rescale the instance's open costs by w/1000 relative to the
-		// default planner weight via a solver wrapper.
-		ratio := w / alloc.DefaultFDCWeight
-		cfg.Solver = func(in *ufl.Instance) (*ufl.Solution, error) {
-			scaled := &ufl.Instance{
-				OpenCost: make([]float64, len(in.OpenCost)),
-				ConnCost: in.ConnCost,
-			}
-			for i, f := range in.OpenCost {
-				scaled.OpenCost[i] = f * ratio
-			}
-			return ufl.Greedy(scaled)
-		}
-		sys, err := core.NewSystem(cfg)
+		cfg.FDCWeight = w
+		res, _, err := run(cfg, duration)
 		if err != nil {
 			return nil, err
 		}
-		sys.Run(duration)
-		res := sys.Results()
 		stored := 0
 		for _, c := range res.StorageCounts {
 			stored += c
 		}
-		rows = append(rows, FDCWeightRow{
-			Weight:      w,
-			Gini:        res.StorageGini,
-			DeliverySec: res.Delivery.Mean,
-			StoredUnits: stored,
-		})
+		rows = append(rows, FDCWeightRow{Weight: w, Gini: res.StorageGini, DeliverySec: res.DeliverySec, StoredUnits: stored})
 	}
 	return rows, nil
 }
@@ -80,59 +57,6 @@ func PrintFDCWeightAblation(w io.Writer, rows []FDCWeightRow) {
 	fmt.Fprintf(w, "%10s %8s %14s %14s\n", "A", "gini", "delivery (s)", "stored units")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%10.0f %8.3f %14.2f %14d\n", r.Weight, r.Gini, r.DeliverySec, r.StoredUnits)
-	}
-}
-
-// --- A3: raft heartbeat overhead --------------------------------------------
-
-// RaftHeartbeatRow reports message load for one heartbeat interval.
-type RaftHeartbeatRow struct {
-	Heartbeat     time.Duration
-	AppendEntries uint64
-	TotalBytes    uint64
-}
-
-// RunRaftHeartbeatAblation measures the heartbeat traffic the paper calls
-// out ("the approach transmits a large number of heartbeat messages") for
-// a range of intervals, over the same simulated radio network the
-// blockchain uses.
-func RunRaftHeartbeatAblation(intervals []time.Duration, nodes int, duration time.Duration, seed int64) ([]RaftHeartbeatRow, error) {
-	if len(intervals) == 0 {
-		intervals = []time.Duration{250 * time.Millisecond, 500 * time.Millisecond, time.Second, 2 * time.Second, 4 * time.Second}
-	}
-	rows := make([]RaftHeartbeatRow, 0, len(intervals))
-	for _, hb := range intervals {
-		cfg := core.DefaultConfig(nodes)
-		cfg.Seed = seed
-		cfg.DataRatePerMin = 0 // isolate the raft traffic
-		cfg.EnableRaft = true
-		cfg.RaftHeartbeat = hb
-		sys, err := core.NewSystem(cfg)
-		if err != nil {
-			return nil, err
-		}
-		sys.Run(duration)
-		var appends uint64
-		for i := 0; i < nodes; i++ {
-			if r := sys.Node(i).Raft(); r != nil {
-				appends += r.Stats().Sent[raft.MsgAppendEntries]
-			}
-		}
-		rows = append(rows, RaftHeartbeatRow{
-			Heartbeat:     hb,
-			AppendEntries: appends,
-			TotalBytes:    sys.Results().KindBytes["raft"],
-		})
-	}
-	return rows, nil
-}
-
-// PrintRaftHeartbeatAblation renders A3.
-func PrintRaftHeartbeatAblation(w io.Writer, rows []RaftHeartbeatRow) {
-	fmt.Fprintln(w, "Ablation A3 — raft heartbeat interval vs message overhead")
-	fmt.Fprintf(w, "%12s %16s %14s\n", "heartbeat", "AppendEntries", "bytes")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%12v %16d %14d\n", r.Heartbeat, r.AppendEntries, r.TotalBytes)
 	}
 }
 
@@ -225,85 +149,6 @@ func PrintUFLSolverAblation(w io.Writer, rows []UFLSolverRow) {
 	}
 }
 
-// --- A2: recent-block cache depth ---------------------------------------------
-
-// RecentCacheRow reports recovery behaviour for one initial cache depth.
-type RecentCacheRow struct {
-	Depth          int
-	RecoveredIn    time.Duration
-	GapRecoveries  int
-	CtrlBytes      uint64
-	FinalHeightGap int64
-}
-
-// RunRecentCacheAblation measures how quickly a briefly disconnected node
-// catches up for different minimum recent-cache depths. It reuses the
-// system's outage machinery: node 4 goes down for the middle third of the
-// run and must recover the blocks it missed.
-func RunRecentCacheAblation(depths []int, nodes int, duration time.Duration, seed int64) ([]RecentCacheRow, error) {
-	if len(depths) == 0 {
-		depths = []int{1, 2, 4, 8}
-	}
-	rows := make([]RecentCacheRow, 0, len(depths))
-	for _, d := range depths {
-		cfg := core.DefaultConfig(nodes)
-		cfg.Seed = seed
-		cfg.DataRatePerMin = 1
-		cfg.MobilityEpoch = 0
-		cfg.InitialRecentDepth = d
-		sys, err := core.NewSystem(cfg)
-		if err != nil {
-			return nil, err
-		}
-		down := duration / 3
-		up := 2 * duration / 3
-		clock := sys.Clock()
-		clock.AfterFunc(down, func() { sys.Network().SetDown(netsim.NodeID(4), true) })
-		clock.AfterFunc(up, func() { sys.Network().SetDown(netsim.NodeID(4), false) })
-		// Poll after the node comes back: the recovery time is how long it
-		// takes node 4 to reach the tallest chain in the network.
-		recoveredAt := time.Duration(-1)
-		clock.AfterFunc(up, func() {
-			sim.Every(clock, time.Second, func() bool {
-				best := uint64(0)
-				for i := 0; i < nodes; i++ {
-					if i == 4 {
-						continue
-					}
-					if h := sys.Node(i).Chain().Height(); h > best {
-						best = h
-					}
-				}
-				if sys.Node(4).Chain().Height() < best {
-					return true
-				}
-				recoveredAt = clock.Elapsed() - up
-				return false
-			})
-		})
-		sys.Run(duration)
-		res := sys.Results()
-		gap := int64(res.ChainHeight) - int64(sys.Node(4).Chain().Height())
-		rows = append(rows, RecentCacheRow{
-			Depth:          d,
-			RecoveredIn:    recoveredAt,
-			GapRecoveries:  res.GapRecoveries,
-			CtrlBytes:      res.KindBytes["ctrl"],
-			FinalHeightGap: gap,
-		})
-	}
-	return rows, nil
-}
-
-// PrintRecentCacheAblation renders A2.
-func PrintRecentCacheAblation(w io.Writer, rows []RecentCacheRow) {
-	fmt.Fprintln(w, "Ablation A2 — recent-cache depth vs recovery")
-	fmt.Fprintf(w, "%8s %14s %14s %12s %14s\n", "depth", "recovered in", "recoveries", "ctrl bytes", "height gap")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%8d %14v %14d %12d %14d\n", r.Depth, r.RecoveredIn, r.GapRecoveries, r.CtrlBytes, r.FinalHeightGap)
-	}
-}
-
 // --- A5: network-level consensus energy ---------------------------------------
 
 // ConsensusEnergyRow reports the in-system energy of one consensus
@@ -321,27 +166,19 @@ type ConsensusEnergyRow struct {
 // and compares the network-wide energy consumption.
 func RunConsensusEnergyAblation(nodes int, duration time.Duration, seed int64) ([]ConsensusEnergyRow, error) {
 	rows := make([]ConsensusEnergyRow, 0, 2)
-	for _, algo := range []core.ConsensusAlgo{core.ConsensusPoS, core.ConsensusPoW} {
-		cfg := core.DefaultConfig(nodes)
+	for _, algo := range []ConsensusAlgo{ConsensusPoS, ConsensusPoW} {
+		cfg := DefaultConfig(nodes)
 		cfg.Seed = seed
-		cfg.DataRatePerMin = 1
 		cfg.Consensus = algo
-		sys, err := core.NewSystem(cfg)
+		res, _, err := run(cfg, duration)
 		if err != nil {
 			return nil, err
-		}
-		sys.Run(duration)
-		res := sys.Results()
-		var mining, radio float64
-		for i := range res.MiningEnergyJ {
-			mining += res.MiningEnergyJ[i]
-			radio += res.RadioEnergyJ[i]
 		}
 		rows = append(rows, ConsensusEnergyRow{
 			Consensus:       algo.String(),
 			Blocks:          res.ChainHeight,
-			MiningJ:         mining,
-			RadioJ:          radio,
+			MiningJ:         res.MiningJ,
+			RadioJ:          res.RadioJ,
 			EnergyPerBlockJ: res.EnergyPerBlockJ,
 		})
 	}
@@ -366,7 +203,7 @@ type MigrationRow struct {
 	Drift       float64 // mean cost(current)/cost(optimal) over live items
 	Migrations  int
 	DeliverySec float64
-	CtrlMB      float64
+	TxMB        float64 // radio bytes sent, all nodes
 }
 
 // RunMigrationAblation runs identical deployments with migration disabled
@@ -374,23 +211,20 @@ type MigrationRow struct {
 func RunMigrationAblation(nodes int, duration time.Duration, seed int64) ([]MigrationRow, error) {
 	rows := make([]MigrationRow, 0, 2)
 	for _, maxPer := range []int{0, 2} {
-		cfg := core.DefaultConfig(nodes)
+		cfg := DefaultConfig(nodes)
 		cfg.Seed = seed
 		cfg.DataRatePerMin = 3
 		cfg.MigrateMaxPerBlock = maxPer
-		cfg.MigrateCostRatio = 1.2
-		sys, err := core.NewSystem(cfg)
+		res, sys, err := run(cfg, duration)
 		if err != nil {
 			return nil, err
 		}
-		sys.Run(duration)
-		res := sys.Results()
 		rows = append(rows, MigrationRow{
 			MaxPerBlock: maxPer,
 			Drift:       sys.PlacementDrift(0),
 			Migrations:  res.Migrations,
-			DeliverySec: res.Delivery.Mean,
-			CtrlMB:      float64(res.KindBytes["ctrl"]+res.KindBytes["data"]) / (1 << 20),
+			DeliverySec: res.DeliverySec,
+			TxMB:        float64(res.TotalTxBytes) / (1 << 20),
 		})
 	}
 	return rows, nil
@@ -399,8 +233,8 @@ func RunMigrationAblation(nodes int, duration time.Duration, seed int64) ([]Migr
 // PrintMigrationAblation renders A6.
 func PrintMigrationAblation(w io.Writer, rows []MigrationRow) {
 	fmt.Fprintln(w, "Ablation A6 — data migration (Section VII future work)")
-	fmt.Fprintf(w, "%14s %8s %12s %14s %12s\n", "max per block", "drift", "migrations", "delivery (s)", "data+ctrl MB")
+	fmt.Fprintf(w, "%14s %8s %12s %14s %12s\n", "max per block", "drift", "migrations", "delivery (s)", "tx MB")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%14d %8.3f %12d %14.2f %12.1f\n", r.MaxPerBlock, r.Drift, r.Migrations, r.DeliverySec, r.CtrlMB)
+		fmt.Fprintf(w, "%14d %8.3f %12d %14.2f %12.1f\n", r.MaxPerBlock, r.Drift, r.Migrations, r.DeliverySec, r.TxMB)
 	}
 }

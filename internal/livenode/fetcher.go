@@ -34,6 +34,7 @@ type pendingFetch struct {
 	missing map[meta.DataID]struct{} // references and this node lacks — missing — are fetched (§13.1)
 	pushed  bool                     // block plane: the body came unasked, along the tree (§13)
 	repair  bool                     // data plane: a re-replication, paid from the repair budget (§11)
+	read    bool                     // data plane: a consumer's read, not a storer's own copy
 }
 
 // waiting reports whether a candidate has been asked and may still answer.

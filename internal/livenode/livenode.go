@@ -1,17 +1,19 @@
 // Package livenode runs the edge blockchain over real TCP sockets and the
 // wall clock, the way the paper's original deployment ran Node.js
-// processes in Docker containers. All consensus and allocation rules —
-// chain validation, fork choice, ledger accounting, pool packing and UFL
-// placement — live in the shared internal/engine package, the exact same
-// code the simulation executes; this package only supplies the I/O: a
-// transport (package p2p), a clock, a persistence store and telemetry.
+// processes in Docker containers, and over the in-memory transport and the
+// virtual clock, which is how every simulated run of this repository —
+// the paper's figures included — drives it. All consensus and allocation
+// rules — chain validation, fork choice, ledger accounting, pool packing
+// and UFL placement — live in internal/engine; this package only supplies
+// the I/O: a transport (package p2p), a clock, a persistence store and
+// telemetry.
 //
-// Simplifications relative to the simulated System (documented in
-// DESIGN.md): peers form a full TCP mesh, so the placement problem runs on
-// a 1-hop clique topology where the Fairness Degree Cost drives storing
-// decisions; membership (the account roster) is fixed at genesis, as in
-// the paper's private-blockchain evaluation; and all nodes share a genesis
-// wall-clock epoch, standing in for synchronized clocks.
+// The placement problem runs on the transport's graph: a full TCP mesh is a
+// 1-hop clique, where the Fairness Degree Cost drives storing decisions,
+// and a radio field (memnet over netsim.Radio) gives eq. 2's Range-Distance
+// Cost its hop counts. Membership (the account roster) is fixed at genesis,
+// as in the paper's private-blockchain evaluation, and all nodes share a
+// genesis wall-clock epoch, standing in for synchronized clocks.
 package livenode
 
 import (
@@ -139,6 +141,11 @@ type Config struct {
 	// (default 10s).
 	RepairSuspectAfter time.Duration
 	RepairHysteresis   time.Duration
+	// Rules, if set, edits the engine's consensus and placement rules before
+	// the engine starts. The paper's baselines and ablations use it: random
+	// placement (Fig. 5), the FDC weight A (A1), PoW rounds (A5) and data
+	// migration (A6). Every node of a deployment must apply the same rules.
+	Rules func(*engine.Config)
 	// OnBlock, if set, is called after each adopted block (any goroutine).
 	OnBlock func(b *block.Block)
 	// OnData, if set, is called when requested data content arrives.
@@ -158,6 +165,7 @@ type Node struct {
 	cfg     Config
 	selfIdx int
 	net     p2p.Transport
+	radio   *netsim.Radio // the transport's radio field; nil on a clique
 	clock   sim.Clock
 
 	mu            sync.Mutex
@@ -187,12 +195,13 @@ type Node struct {
 // nodeMetrics is the node's telemetry bundle; every field is nil-safe so
 // a node without a registry pays only the no-op calls.
 type nodeMetrics struct {
-	miningAttempts *telemetry.Counter // mine() fired (incl. lost races)
-	blocksWon      *telemetry.Counter // own blocks sealed and adopted
-	blocksAdopted  *telemetry.Counter // live blocks appended (any miner)
-	blocksReplayed *telemetry.Counter // blocks replayed from the WAL
-	forkAdoptions  *telemetry.Counter // longer-chain replacements accepted
-	dataFetchNs    *telemetry.Histogram
+	miningAttempts *telemetry.Counter   // mine() fired (incl. lost races)
+	blocksWon      *telemetry.Counter   // own blocks sealed and adopted
+	blocksAdopted  *telemetry.Counter   // live blocks appended (any miner)
+	blocksReplayed *telemetry.Counter   // blocks replayed from the WAL
+	forkAdoptions  *telemetry.Counter   // longer-chain replacements accepted
+	dataFetchNs    *telemetry.Histogram // every data fetch but repair: request → verified content
+	dataReadNs     *telemetry.Histogram // of those, consumer reads (the paper's delivery time)
 
 	// Incremental sync (DESIGN.md §10).
 	syncRounds         *telemetry.Counter   // locator probes sent
@@ -305,6 +314,7 @@ func newNodeMetrics(reg *telemetry.Registry) *nodeMetrics {
 		blocksReplayed: reg.Counter("livenode.blocks.replayed"),
 		forkAdoptions:  reg.Counter("livenode.fork.adoptions"),
 		dataFetchNs:    reg.Histogram("livenode.data.fetch_ns"),
+		dataReadNs:     reg.Histogram("livenode.data.read_ns"),
 		height:         reg.Gauge("livenode.height"),
 		ownS:           reg.Gauge("livenode.ledger.s"),
 		ownQ:           reg.Gauge("livenode.ledger.q"),
@@ -513,26 +523,50 @@ func New(cfg Config) (*Node, error) {
 		repairMax = defaultRepairMaxPacked
 	}
 
+	// The transport comes first because its graph is the one placement plans
+	// on. A TCP peer that dials in before the engine exists waits at ready.
+	ready := make(chan struct{})
+	transport, err := cfg.NewTransport(p2p.HandlerFunc(func(from string, ft byte, payload []byte) {
+		<-ready
+		if n.eng != nil {
+			n.handleFrame(from, ft, payload)
+		}
+	}))
+	if err != nil {
+		return nil, err
+	}
+	n.net = transport
+	// The default TCP transport gets the p2p frame counters; custom
+	// transports (memnet) wire their own metrics at the network level.
+	if tn, ok := transport.(*p2p.Node); ok && cfg.Telemetry != nil {
+		tn.SetMetrics(p2p.NewMetrics(cfg.Telemetry))
+	}
+
 	// Clique topology: every pair 1 hop (full TCP mesh). NewClique keeps
 	// this O(n) — the position-based constructor would burn O(n²) memory
 	// and an O(n³) BFS in every node stack, minutes of setup at 1000
-	// nodes before the first frame ever flowed.
-	topo := netsim.NewClique(len(cfg.Accounts))
-	blockPlanner := alloc.NewPlanner(1)
+	// nodes before the first frame ever flowed. A radio transport plans on
+	// its home graph instead, with the mobility terms of eq. 2.
+	topo, commRange, mobility := netsim.NewClique(len(cfg.Accounts)), 1.0, 0.0
+	if rt, ok := transport.(interface{ Radio() *netsim.Radio }); ok && rt.Radio() != nil {
+		n.radio = rt.Radio()
+		topo, commRange, mobility = n.radio.Home(), n.radio.CommRange(), n.radio.MobilityRange()
+	}
+	blockPlanner := alloc.NewPlanner(commRange)
 	blockPlanner.MinReplicas = 1
-	eng, err := engine.New(engine.Config{
-		Accounts:           cfg.Accounts,
-		Self:               selfIdx,
-		PoS:                cfg.PoS,
-		Genesis:            block.Genesis(cfg.GenesisSeed),
-		Now:                n.now,
-		ValidateClaims:     true,
-		Topology:           func() *netsim.Topology { return topo },
-		Planner:            alloc.NewPlanner(1),
-		BlockPlanner:       blockPlanner,
-		StorageCapacity:    cfg.StorageCapacity,
-		InitialRecentDepth: 1,
-		SnapshotInterval:   cfg.SnapshotEvery,
+	ecfg := engine.Config{
+		Accounts:         cfg.Accounts,
+		Self:             selfIdx,
+		PoS:              cfg.PoS,
+		Genesis:          block.Genesis(cfg.GenesisSeed),
+		Now:              n.now,
+		ValidateClaims:   true,
+		Topology:         func() *netsim.Topology { return topo },
+		Planner:          alloc.NewPlanner(commRange),
+		BlockPlanner:     blockPlanner,
+		StorageCapacity:  cfg.StorageCapacity,
+		MobilityRange:    mobility,
+		SnapshotInterval: cfg.SnapshotEvery,
 		// Pruning needs finality below the horizon: run the engine's
 		// consensus checkpoints at the prune depth (disabled when 0).
 		CheckpointInterval: cfg.PruneDepth,
@@ -543,27 +577,23 @@ func New(cfg Config) (*Node, error) {
 		RepairMaxPerBlock:  repairMax,
 		OnAppend:           n.onAppend,
 		OnDisconnect:       n.onDisconnect,
-	})
+	}
+	if cfg.Rules != nil {
+		cfg.Rules(&ecfg)
+	}
+	eng, err := engine.New(ecfg)
 	if err != nil {
+		close(ready)
+		transport.Close()
 		return nil, err
 	}
 	n.eng = eng
 
 	// Crash recovery: replay blocks the store persisted in earlier runs
-	// before going online. Everything mined while this node was down is
+	// before taking frames. Everything mined while this node was down is
 	// then caught up by the locator sync Connect starts (DESIGN.md §10).
 	n.replayRecovered()
-
-	transport, err := cfg.NewTransport(p2p.HandlerFunc(n.handleFrame))
-	if err != nil {
-		return nil, err
-	}
-	n.net = transport
-	// The default TCP transport gets the p2p frame counters; custom
-	// transports (memnet) wire their own metrics at the network level.
-	if tn, ok := transport.(*p2p.Node); ok && cfg.Telemetry != nil {
-		tn.SetMetrics(p2p.NewMetrics(cfg.Telemetry))
-	}
+	close(ready)
 
 	n.mu.Lock()
 	// A fresh node configured for snapshot bootstrap must not mine before

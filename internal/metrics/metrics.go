@@ -1,13 +1,8 @@
-// Package metrics provides the statistics the evaluation section reports:
-// the Gini coefficient for storage fairness (footnote 3), and summary
-// statistics over delivery-time and overhead samples.
+// Package metrics provides the Gini coefficient the evaluation reports for
+// storage fairness (footnote 3, Fig. 4b).
 package metrics
 
-import (
-	"math"
-	"sort"
-	"time"
-)
+import "sort"
 
 // Gini computes the Gini coefficient of the values:
 //
@@ -46,77 +41,3 @@ func GiniInts(values []int) float64 {
 	}
 	return Gini(f)
 }
-
-// Summary holds basic descriptive statistics.
-type Summary struct {
-	Count int
-	Mean  float64
-	Min   float64
-	Max   float64
-	P50   float64
-	P95   float64
-}
-
-// Summarize computes a Summary over the samples. An empty input returns a
-// zero Summary.
-func Summarize(samples []float64) Summary {
-	if len(samples) == 0 {
-		return Summary{}
-	}
-	sorted := append([]float64(nil), samples...)
-	sort.Float64s(sorted)
-	sum := 0.0
-	for _, v := range sorted {
-		sum += v
-	}
-	return Summary{
-		Count: len(sorted),
-		Mean:  sum / float64(len(sorted)),
-		Min:   sorted[0],
-		Max:   sorted[len(sorted)-1],
-		P50:   percentile(sorted, 0.50),
-		P95:   percentile(sorted, 0.95),
-	}
-}
-
-// percentile reads the p-quantile from sorted samples by linear
-// interpolation between closest ranks (the R-7 estimator, numpy's
-// default): the quantile position is p*(n-1), and positions between two
-// sample ranks blend both neighbors instead of snapping to the nearest
-// sample (which would be the nearest-rank method — this is NOT that).
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	pos := p * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// DeliverySamples collects data-delivery latencies.
-type DeliverySamples struct {
-	durations []time.Duration
-}
-
-// Add records one delivery.
-func (d *DeliverySamples) Add(dur time.Duration) { d.durations = append(d.durations, dur) }
-
-// Count returns the number of samples.
-func (d *DeliverySamples) Count() int { return len(d.durations) }
-
-// Seconds returns the samples in seconds.
-func (d *DeliverySamples) Seconds() []float64 {
-	out := make([]float64, len(d.durations))
-	for i, v := range d.durations {
-		out[i] = v.Seconds()
-	}
-	return out
-}
-
-// Summary summarizes the samples in seconds.
-func (d *DeliverySamples) Summary() Summary { return Summarize(d.Seconds()) }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestGiniKnownValues(t *testing.T) {
@@ -111,67 +110,5 @@ func TestGiniUnsortedInput(t *testing.T) {
 func TestGiniInts(t *testing.T) {
 	if got, want := GiniInts([]int{0, 10}), 0.5; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("GiniInts = %v, want %v", got, want)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{4, 1, 3, 2})
-	if s.Count != 4 || s.Min != 1 || s.Max != 4 {
-		t.Fatalf("summary %+v wrong count/min/max", s)
-	}
-	if math.Abs(s.Mean-2.5) > 1e-12 {
-		t.Fatalf("mean = %v, want 2.5", s.Mean)
-	}
-	if math.Abs(s.P50-2.5) > 1e-12 {
-		t.Fatalf("p50 = %v, want 2.5", s.P50)
-	}
-	if s.P95 < 3.8 || s.P95 > 4 {
-		t.Fatalf("p95 = %v, want ≈ 3.85", s.P95)
-	}
-	if z := Summarize(nil); z.Count != 0 || z.Mean != 0 {
-		t.Fatalf("empty summary %+v", z)
-	}
-}
-
-// TestPercentileGoldenSmallN pins the interpolation behavior for tiny
-// sample counts, where linear interpolation (R-7: position p*(n-1)) and
-// nearest-rank visibly disagree. These values are the contract: under
-// nearest-rank, n=2 would give P50=1 and P95=3, not the blends below.
-func TestPercentileGoldenSmallN(t *testing.T) {
-	cases := []struct {
-		name     string
-		samples  []float64
-		p50, p95 float64
-	}{
-		// n=1: every quantile is the single sample.
-		{"n1", []float64{7}, 7, 7},
-		// n=2 over {1,3}: position p*(2-1)=p, so P50 = midpoint 2 and
-		// P95 = 1 + 0.95*(3-1) = 2.9.
-		{"n2", []float64{3, 1}, 2, 2.9},
-		// n=3 over {1,3,10}: P50 position 1 lands exactly on the middle
-		// sample; P95 position 1.9 blends 3 and 10: 3 + 0.9*7 = 9.3.
-		{"n3", []float64{10, 1, 3}, 3, 9.3},
-	}
-	for _, tc := range cases {
-		s := Summarize(tc.samples)
-		if math.Abs(s.P50-tc.p50) > 1e-12 {
-			t.Errorf("%s: P50 = %v, want %v", tc.name, s.P50, tc.p50)
-		}
-		if math.Abs(s.P95-tc.p95) > 1e-12 {
-			t.Errorf("%s: P95 = %v, want %v", tc.name, s.P95, tc.p95)
-		}
-	}
-}
-
-func TestDeliverySamples(t *testing.T) {
-	var d DeliverySamples
-	d.Add(time.Second)
-	d.Add(3 * time.Second)
-	if d.Count() != 2 {
-		t.Fatalf("count = %d", d.Count())
-	}
-	s := d.Summary()
-	if math.Abs(s.Mean-2.0) > 1e-12 {
-		t.Fatalf("mean = %v s, want 2", s.Mean)
 	}
 }

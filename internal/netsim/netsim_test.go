@@ -6,18 +6,7 @@ import (
 	"time"
 
 	"repro/internal/geo"
-	"repro/internal/sim"
 )
-
-// testMsg is a trivial message for tests.
-type testMsg struct {
-	size int
-	kind string
-	body string
-}
-
-func (m testMsg) Size() int    { return m.size }
-func (m testMsg) Kind() string { return m.kind }
 
 // linePlacements lays nodes on a horizontal line with the given spacing, so
 // hop counts are predictable.
@@ -29,12 +18,11 @@ func linePlacements(n int, spacing float64) []geo.Placement {
 	return out
 }
 
-func lineNetwork(t *testing.T, n int, cfg Config) (*sim.VClock, *Network) {
-	t.Helper()
-	clock := sim.NewVClock(time.Time{})
-	pls := linePlacements(n, 50) // 50 m spacing, 70 m range: only adjacent links
-	nw := New(clock, geo.Field{Width: 10000, Height: 100}, pls, 70, cfg, rand.New(rand.NewSource(1)))
-	return clock, nw
+func lineRadio(n int, cfg RadioConfig) *Radio {
+	cfg.Field = geo.Field{Width: 10000, Height: 100}
+	cfg.Placements = linePlacements(n, 50) // 50 m spacing, 70 m range: only adjacent links
+	cfg.CommRange = 70
+	return NewRadio(cfg)
 }
 
 func TestTopologyLineHops(t *testing.T) {
@@ -130,198 +118,87 @@ func TestCliqueMatchesDenseTopology(t *testing.T) {
 }
 
 func TestUnicastDelayAndAccounting(t *testing.T) {
-	cfg := Config{PerHopDelay: 10 * time.Millisecond, ChargeForwarding: true}
-	clock, nw := lineNetwork(t, 5, cfg)
-	var gotFrom NodeID
-	var gotAt time.Duration
-	nw.Attach(4, HandlerFunc(func(from NodeID, msg Message) {
-		gotFrom = from
-		gotAt = clock.Elapsed()
-	}))
-	ok := nw.Unicast(0, 4, testMsg{size: 1000, kind: "data"})
+	r := lineRadio(5, RadioConfig{PerHopDelay: 10 * time.Millisecond, Bandwidth: 100_000})
+	delay, ok := r.Send(0, 4, 1000)
 	if !ok {
-		t.Fatal("Unicast returned false")
+		t.Fatal("Send over a connected line failed")
 	}
-	clock.Advance(time.Hour)
-	if gotFrom != 0 {
-		t.Errorf("from = %d, want 0", gotFrom)
+	// Path 0-1-2-3-4: four hops of 10 ms propagation + 10 ms transmission.
+	if want := 80 * time.Millisecond; delay != want {
+		t.Errorf("delay %v, want %v (4 hops x (10ms + 1000 B / 100 kB/s))", delay, want)
 	}
-	if want := 40 * time.Millisecond; gotAt != want {
-		t.Errorf("delivered at %v, want %v (4 hops x 10ms)", gotAt, want)
-	}
-	st := nw.Stats()
-	// Path 0-1-2-3-4: nodes 0..3 transmit, 1..4 receive.
-	for i, wantTx := range []uint64{1000, 1000, 1000, 1000, 0} {
-		if st.TxBytes[i] != wantTx {
-			t.Errorf("TxBytes[%d] = %d, want %d", i, st.TxBytes[i], wantTx)
-		}
-	}
-	for i, wantRx := range []uint64{0, 1000, 1000, 1000, 1000} {
-		if st.RxBytes[i] != wantRx {
-			t.Errorf("RxBytes[%d] = %d, want %d", i, st.RxBytes[i], wantRx)
-		}
-	}
-	if st.KindBytes["data"] != 4000 {
-		t.Errorf(`KindBytes["data"] = %d, want 4000`, st.KindBytes["data"])
+	if got := r.Hops(0, 4); got != 4 {
+		t.Errorf("Hops(0,4) = %d, want 4", got)
 	}
 }
 
 func TestUnicastEndToEndAccounting(t *testing.T) {
-	// Default accounting bills only the endpoints (the paper's model);
-	// forwarders relay for free but latency stays per-hop.
-	cfg := Config{PerHopDelay: 10 * time.Millisecond}
-	clock, nw := lineNetwork(t, 5, cfg)
-	var gotAt time.Duration
-	nw.Attach(4, HandlerFunc(func(from NodeID, msg Message) { gotAt = clock.Elapsed() }))
-	if !nw.Unicast(0, 4, testMsg{size: 1000, kind: "data"}) {
-		t.Fatal("Unicast returned false")
+	// The radio bills only the endpoints (the paper's model); forwarders
+	// relay for free.
+	r := lineRadio(5, RadioConfig{PerHopDelay: 10 * time.Millisecond})
+	if _, ok := r.Send(0, 4, 1000); !ok {
+		t.Fatal("Send failed")
 	}
-	clock.Advance(time.Hour)
-	if want := 40 * time.Millisecond; gotAt != want {
-		t.Errorf("delivered at %v, want %v", gotAt, want)
+	if _, ok := r.Send(4, 3, 10); !ok {
+		t.Fatal("Send failed")
 	}
-	st := nw.Stats()
-	for i, wantTx := range []uint64{1000, 0, 0, 0, 0} {
-		if st.TxBytes[i] != wantTx {
-			t.Errorf("TxBytes[%d] = %d, want %d", i, st.TxBytes[i], wantTx)
+	tx, rx := r.Bytes()
+	for i, wantTx := range []uint64{1000, 0, 0, 0, 10} {
+		if tx[i] != wantTx {
+			t.Errorf("tx[%d] = %d, want %d", i, tx[i], wantTx)
 		}
 	}
-	for i, wantRx := range []uint64{0, 0, 0, 0, 1000} {
-		if st.RxBytes[i] != wantRx {
-			t.Errorf("RxBytes[%d] = %d, want %d", i, st.RxBytes[i], wantRx)
+	for i, wantRx := range []uint64{0, 0, 0, 10, 1000} {
+		if rx[i] != wantRx {
+			t.Errorf("rx[%d] = %d, want %d", i, rx[i], wantRx)
 		}
 	}
-	if st.KindBytes["data"] != 1000 {
-		t.Errorf(`KindBytes["data"] = %d, want 1000`, st.KindBytes["data"])
+	tx[0] = 0
+	if again, _ := r.Bytes(); again[0] != 1000 {
+		t.Fatal("Bytes returned the radio's own slice")
 	}
 }
 
 func TestUnicastBandwidthDelay(t *testing.T) {
-	cfg := Config{PerHopDelay: 10 * time.Millisecond, Bandwidth: 1 << 20} // 1 MiB/s
-	clock, nw := lineNetwork(t, 2, cfg)
-	var gotAt time.Duration
-	nw.Attach(1, HandlerFunc(func(from NodeID, msg Message) { gotAt = clock.Elapsed() }))
-	nw.Unicast(0, 1, testMsg{size: 1 << 20, kind: "data"}) // 1 MiB
-	clock.Advance(time.Hour)
-	want := 10*time.Millisecond + time.Second
-	if gotAt != want {
-		t.Errorf("delivered at %v, want %v", gotAt, want)
-	}
-}
-
-func TestUnicastToSelf(t *testing.T) {
-	clock, nw := lineNetwork(t, 2, DefaultConfig())
-	delivered := false
-	nw.Attach(0, HandlerFunc(func(from NodeID, msg Message) { delivered = true }))
-	nw.Unicast(0, 0, testMsg{size: 10, kind: "ctrl"})
-	clock.Advance(time.Hour)
-	if !delivered {
-		t.Fatal("self-unicast not delivered")
-	}
-	if nw.Stats().TotalTxBytes() != 0 {
-		t.Fatal("self-unicast must not be charged")
+	r := lineRadio(2, RadioConfig{PerHopDelay: 10 * time.Millisecond, Bandwidth: 1 << 20}) // 1 MiB/s
+	delay, _ := r.Send(0, 1, 1<<20)                                                        // 1 MiB
+	if want := 10*time.Millisecond + time.Second; delay != want {
+		t.Errorf("delay %v, want %v", delay, want)
 	}
 }
 
 func TestUnicastUnreachable(t *testing.T) {
-	clock, nw := lineNetwork(t, 3, DefaultConfig())
-	nw.SetDown(1, true)
-	ok := nw.Unicast(0, 2, testMsg{size: 10, kind: "ctrl"})
-	if ok {
-		t.Fatal("Unicast to unreachable node returned true")
-	}
-	if nw.Stats().Unreachable != 1 {
-		t.Fatalf("Unreachable = %d, want 1", nw.Stats().Unreachable)
-	}
-	clock.Advance(time.Hour)
-}
-
-func TestBroadcastFloodsComponent(t *testing.T) {
-	clock, nw := lineNetwork(t, 4, Config{PerHopDelay: 10 * time.Millisecond})
-	got := make(map[NodeID]time.Duration)
-	for i := 0; i < 4; i++ {
-		id := NodeID(i)
-		nw.Attach(id, HandlerFunc(func(from NodeID, msg Message) { got[id] = clock.Elapsed() }))
-	}
-	nw.Broadcast(0, testMsg{size: 100, kind: "block"})
-	clock.Advance(time.Hour)
-	if len(got) != 3 {
-		t.Fatalf("delivered to %d nodes, want 3 (not the source)", len(got))
-	}
-	for id, at := range got {
-		want := time.Duration(id) * 10 * time.Millisecond
-		if at != want {
-			t.Errorf("node %d received at %v, want %v", id, at, want)
-		}
-	}
-	st := nw.Stats()
-	// Flooding: all 4 nodes transmit once.
-	for i := 0; i < 4; i++ {
-		if st.TxBytes[i] != 100 {
-			t.Errorf("TxBytes[%d] = %d, want 100", i, st.TxBytes[i])
-		}
-	}
-}
-
-func TestBroadcastSkipsDownAndDisconnected(t *testing.T) {
-	clock, nw := lineNetwork(t, 4, DefaultConfig())
-	nw.SetDown(2, true) // splits {0,1} from {3}
-	reached := make(map[NodeID]bool)
-	for i := 0; i < 4; i++ {
-		id := NodeID(i)
-		nw.Attach(id, HandlerFunc(func(from NodeID, msg Message) { reached[id] = true }))
-	}
-	nw.Broadcast(0, testMsg{size: 10, kind: "block"})
-	clock.Advance(time.Hour)
-	if !reached[1] || reached[2] || reached[3] {
-		t.Fatalf("reached = %v, want only node 1", reached)
-	}
-}
-
-func TestDropInjection(t *testing.T) {
-	clock := sim.NewVClock(time.Time{})
-	pls := linePlacements(2, 50)
-	cfg := Config{PerHopDelay: time.Millisecond, DropProb: 1.0}
-	nw := New(clock, geo.Field{Width: 1000, Height: 100}, pls, 70, cfg, rand.New(rand.NewSource(1)))
-	delivered := false
-	nw.Attach(1, HandlerFunc(func(from NodeID, msg Message) { delivered = true }))
-	if nw.Unicast(0, 1, testMsg{size: 10, kind: "ctrl"}) {
-		t.Fatal("Unicast with DropProb=1 returned true")
-	}
-	clock.Advance(time.Hour)
-	if delivered {
-		t.Fatal("dropped message was delivered")
-	}
-	if nw.Stats().Dropped != 1 {
-		t.Fatalf("Dropped = %d, want 1", nw.Stats().Dropped)
-	}
-}
-
-func TestLinkFilterPartition(t *testing.T) {
-	_, nw := lineNetwork(t, 4, DefaultConfig())
-	// Sever the 1-2 link: {0,1} | {2,3}.
-	nw.SetLinkFilter(func(a, b NodeID) bool {
-		return (a == 1 && b == 2) || (a == 2 && b == 1)
+	r := NewRadio(RadioConfig{
+		Field:      geo.Field{Width: 1000, Height: 100},
+		Placements: []geo.Placement{{Home: geo.Point{X: 0}}, {Home: geo.Point{X: 500}}},
+		CommRange:  70,
 	})
-	if nw.Topology().Reachable(0, 3) {
-		t.Fatal("partitioned nodes still reachable")
+	if _, ok := r.Send(0, 1, 10); ok {
+		t.Fatal("Send to an unreachable node succeeded")
 	}
-	nw.SetLinkFilter(nil)
-	if !nw.Topology().Reachable(0, 3) {
-		t.Fatal("healed partition still unreachable")
+	if tx, rx := r.Bytes(); tx[0] != 0 || rx[1] != 0 {
+		t.Fatalf("an undeliverable frame was billed: tx %v rx %v", tx, rx)
 	}
 }
 
 func TestSetPositionsRebuildsTopology(t *testing.T) {
-	_, nw := lineNetwork(t, 3, DefaultConfig())
-	if !nw.Topology().Reachable(0, 2) {
+	// Node 2 wanders a kilometre; a mobility step takes it out of range of
+	// the line, while the home graph placement plans on stays as it was.
+	pls := linePlacements(3, 50)
+	pls[2].Range = 1000
+	r := NewRadio(RadioConfig{Field: geo.Field{Width: 10000, Height: 100}, Placements: pls, CommRange: 70, Seed: 2})
+	if r.Hops(0, 2) != 2 {
 		t.Fatal("line should be connected initially")
 	}
-	// Move node 2 far away.
-	pos := []geo.Point{{X: 0}, {X: 50}, {X: 5000}}
-	nw.SetPositions(pos)
-	if nw.Topology().Reachable(0, 2) {
-		t.Fatal("node 2 moved out of range but still reachable")
+	r.Step()
+	if r.Hops(0, 2) != InfHops {
+		t.Fatal("node 2 moved out of range but is still reachable")
+	}
+	if r.Home().Hops(0, 2) != 2 {
+		t.Fatal("a mobility step changed the home graph")
+	}
+	if r.Hops(0, 1) != 1 {
+		t.Fatal("nodes with no mobility range moved")
 	}
 }
 
@@ -342,22 +219,6 @@ func TestMobilityStepStaysInRange(t *testing.T) {
 				t.Fatalf("node %d moved %v m from home, beyond 30 m range", i, d)
 			}
 		}
-	}
-}
-
-func TestStatsAverages(t *testing.T) {
-	s := newStats(4)
-	s.TxBytes[0] = 100
-	s.TxBytes[1] = 300
-	if got := s.TotalTxBytes(); got != 400 {
-		t.Fatalf("TotalTxBytes = %d, want 400", got)
-	}
-	if got := s.AvgTxBytesPerNode(); got != 100 {
-		t.Fatalf("AvgTxBytesPerNode = %v, want 100", got)
-	}
-	empty := newStats(0)
-	if empty.AvgTxBytesPerNode() != 0 {
-		t.Fatal("empty stats average should be 0")
 	}
 }
 
@@ -390,31 +251,6 @@ func TestRoutingConsistencyProperty(t *testing.T) {
 				if topo.Hops(next, NodeID(b)) != ha-1 {
 					t.Fatalf("next hop does not reduce distance: %d -> %d", ha, topo.Hops(next, NodeID(b)))
 				}
-			}
-		}
-	}
-}
-
-// Property: a flooded broadcast reaches exactly the source's component.
-func TestBroadcastCoverageProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 10; trial++ {
-		n := 5 + rng.Intn(20)
-		clock := sim.NewVClock(time.Time{})
-		pls := geo.PlaceNodes(geo.DefaultField(), n, 0, rng) // may be disconnected
-		nw := New(clock, geo.DefaultField(), pls, 70, Config{PerHopDelay: time.Millisecond}, rng)
-		got := make(map[NodeID]bool)
-		for i := 0; i < n; i++ {
-			id := NodeID(i)
-			nw.Attach(id, HandlerFunc(func(NodeID, Message) { got[id] = true }))
-		}
-		nw.Broadcast(0, testMsg{size: 10, kind: "x"})
-		clock.Advance(time.Hour)
-		topo := nw.Topology()
-		for i := 1; i < n; i++ {
-			want := topo.Reachable(0, NodeID(i))
-			if got[NodeID(i)] != want {
-				t.Fatalf("node %d: got=%v reachable=%v", i, got[NodeID(i)], want)
 			}
 		}
 	}

@@ -1,13 +1,14 @@
-// Package netsim simulates the multi-hop wireless network connecting edge
+// Package netsim models the multi-hop wireless network connecting edge
 // devices.
 //
 // Nodes are placed by package geo; any two nodes within the radio range
-// (70 m in the paper, typical 802.11n) share a link. Messages travel along
-// shortest hop-count paths with a fixed per-hop propagation delay (10 ms in
-// the paper). Broadcasts flood the connected component. The network charges
-// every transmitted byte to the transmitting and receiving nodes so the
-// evaluation can report per-node transmission overhead exactly as in
-// Section VI-A.
+// (70 m in the paper, typical 802.11n) share a link. Topology holds the
+// radio graph's shortest hop counts, the distance the Range-Distance Cost
+// (eq. 2) is counted in. Radio (radio.go) is the hop model an in-memory
+// transport delivers frames over: a fixed per-hop delay (10 ms in the
+// paper), per-hop transmission time, mobility epochs, and every frame's
+// bytes billed to its sender and receiver so the evaluation can report
+// per-node transmission overhead as in Section VI-A.
 package netsim
 
 import (

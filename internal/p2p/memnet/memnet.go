@@ -4,6 +4,11 @@
 // message loss, latency, duplication and reordering — plus directed and
 // symmetric partitions.
 //
+// Every link is one hop by default (a clique). SetRadio puts the endpoints
+// on a multi-hop radio field instead (netsim.Radio): a frame then takes its
+// path's hop latency, an unreachable destination loses it, and its bytes
+// are billed to both ends.
+//
 // Delivery is pull-based: Send and Broadcast only enqueue; nothing reaches
 // a handler until the test harness calls DeliverNext. Combined with a
 // virtual clock (internal/chaos) this makes whole-cluster runs
@@ -21,6 +26,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/netsim"
 	"repro/internal/p2p"
 	"repro/internal/telemetry"
 )
@@ -181,6 +187,8 @@ type Network struct {
 	blocked   map[linkKey]bool
 	lastDue   map[linkKey]time.Time
 	endpoints map[string]*Endpoint
+	radio     *netsim.Radio  // nil: every link one instant hop
+	radioIdx  map[string]int // address → radio node
 	queue     messageQueue
 	msgSeq    uint64
 	evSeq     uint64
@@ -282,6 +290,19 @@ func (n *Network) SetDefaults(p Params) {
 	n.mu.Lock()
 	n.defaults = p
 	n.mu.Unlock()
+}
+
+// SetRadio carries every later frame over r: addrs[k] is radio node k, and
+// a frame between two of them takes r's hop latency on top of its link's
+// sampled delay. nil restores the one-hop clique.
+func (n *Network) SetRadio(r *netsim.Radio, addrs []string) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.radio = r
+	n.radioIdx = make(map[string]int, len(addrs))
+	for k, a := range addrs {
+		n.radioIdx[a] = k
+	}
 }
 
 // SetLink overrides the fault parameters of the directed link from → to.
@@ -496,8 +517,10 @@ func (n *Network) DeliverNext() bool {
 // is true the payload is already detached from the caller's buffer (a
 // broadcast's shared copy) and is enqueued as-is; otherwise it is copied
 // once before entering the queue. Either way a duplicate delivery shares
-// the in-queue buffer — delivered payloads are read-only by contract.
-func (n *Network) enqueueLocked(from, to string, frame byte, payload []byte, owned bool) {
+// the in-queue buffer — delivered payloads are read-only by contract. It
+// reports false when the radio has no path to the destination, which the
+// sender learns at once, like a route lookup failing.
+func (n *Network) enqueueLocked(from, to string, frame byte, payload []byte, owned bool) bool {
 	n.metrics.Sends.Inc()
 	n.logLocked(Event{Kind: EvSend, From: from, To: to, Frame: frame, Size: len(payload)})
 	key := linkKey{from, to}
@@ -506,7 +529,7 @@ func (n *Network) enqueueLocked(from, to string, frame byte, payload []byte, own
 		// silent, exactly like a TCP write buffered into a dead link.
 		n.metrics.PartitionKills.Inc()
 		n.logLocked(Event{Kind: EvDrop, From: from, To: to, Frame: frame, Size: len(payload), Note: "partition"})
-		return
+		return true
 	}
 	p, ok := n.links[key]
 	if !ok {
@@ -515,21 +538,41 @@ func (n *Network) enqueueLocked(from, to string, frame byte, payload []byte, own
 	if p.Drop > 0 && n.rng.Float64() < p.Drop {
 		n.metrics.Drops.Inc()
 		n.logLocked(Event{Kind: EvDrop, From: from, To: to, Frame: frame, Size: len(payload), Note: "loss"})
-		return
+		return true
+	}
+	hop, reachable := n.radioHopLocked(from, to, len(payload))
+	if !reachable {
+		n.metrics.PartitionKills.Inc()
+		n.logLocked(Event{Kind: EvDrop, From: from, To: to, Frame: frame, Size: len(payload), Note: "unreachable"})
+		return false
 	}
 	if !owned {
 		payload = append([]byte(nil), payload...)
 	}
-	n.scheduleLocked(key, frame, payload, p)
+	n.scheduleLocked(key, frame, payload, p, hop)
 	if p.Duplicate > 0 && n.rng.Float64() < p.Duplicate {
 		n.metrics.Dups.Inc()
 		n.logLocked(Event{Kind: EvDuplicate, From: from, To: to, Frame: frame, Size: len(payload)})
-		n.scheduleLocked(key, frame, payload, p)
+		hop, _ = n.radioHopLocked(from, to, len(payload))
+		n.scheduleLocked(key, frame, payload, p, hop)
 	}
+	return true
 }
 
-func (n *Network) scheduleLocked(key linkKey, frame byte, payload []byte, p Params) {
-	due := n.nowFn().Add(p.delay(n.rng))
+// radioHopLocked is the radio latency of one frame, billed to its ends;
+// without a radio, or between addresses it does not place, a frame is one
+// instant hop.
+func (n *Network) radioHopLocked(from, to string, size int) (time.Duration, bool) {
+	a, okA := n.radioIdx[from]
+	b, okB := n.radioIdx[to]
+	if n.radio == nil || !okA || !okB {
+		return 0, true
+	}
+	return n.radio.Send(a, b, size)
+}
+
+func (n *Network) scheduleLocked(key linkKey, frame byte, payload []byte, p Params, hop time.Duration) {
+	due := n.nowFn().Add(hop + p.delay(n.rng))
 	reordered := p.Reorder > 0 && n.rng.Float64() < p.Reorder
 	if reordered {
 		n.metrics.Reorders.Inc()
@@ -588,6 +631,14 @@ var _ p2p.Transport = (*Endpoint)(nil)
 // Addr returns the endpoint's symbolic address.
 func (e *Endpoint) Addr() string { return e.addr }
 
+// Radio returns the radio model the network carries frames over, nil on a
+// clique.
+func (e *Endpoint) Radio() *netsim.Radio {
+	e.net.mu.Lock()
+	defer e.net.mu.Unlock()
+	return e.net.radio
+}
+
 // Connect establishes a symmetric link with the peer at addr (mirroring
 // the TCP transport's hello handshake). Connecting to self or an existing
 // peer is a no-op; connecting to a missing or closed endpoint fails.
@@ -644,7 +695,8 @@ func (e *Endpoint) sortedPeersLocked() []string {
 }
 
 // Send enqueues one frame for a specific peer. A dead peer endpoint fails
-// the send and tears the link down, like a TCP write error.
+// the send and tears the link down, like a TCP write error; a peer the
+// radio cannot reach right now fails it and keeps the link.
 func (e *Endpoint) Send(peerAddr string, frameType byte, payload []byte) error {
 	n := e.net
 	n.mu.Lock()
@@ -660,13 +712,16 @@ func (e *Endpoint) Send(peerAddr string, frameType byte, payload []byte) error {
 		n.logLocked(Event{Kind: EvDisconnect, From: e.addr, To: peerAddr, Note: "send failed"})
 		return fmt.Errorf("memnet: peer %s gone", peerAddr)
 	}
-	n.enqueueLocked(e.addr, peerAddr, frameType, payload, false)
+	if !n.enqueueLocked(e.addr, peerAddr, frameType, payload, false) {
+		return fmt.Errorf("memnet: no radio path to %s", peerAddr)
+	}
 	return nil
 }
 
 // Broadcast enqueues one frame for every connected peer, in sorted
 // address order so fault sampling is deterministic. Dead peers count as
-// failed and are disconnected. The payload is copied once and the copy
+// failed and are disconnected; peers the radio cannot reach count as
+// failed and stay connected. The payload is copied once and the copy
 // shared by every recipient (and duplicate), which is what keeps a
 // 256-node broadcast O(1) in copies instead of O(peers) — handlers must
 // treat delivered payloads as read-only.
@@ -685,8 +740,11 @@ func (e *Endpoint) Broadcast(frameType byte, payload []byte) (delivered, failed 
 			failed++
 			continue
 		}
-		n.enqueueLocked(e.addr, addr, frameType, shared, true)
-		delivered++
+		if n.enqueueLocked(e.addr, addr, frameType, shared, true) {
+			delivered++
+		} else {
+			failed++
+		}
 	}
 	return delivered, failed
 }

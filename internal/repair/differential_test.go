@@ -71,7 +71,6 @@ func (c *diffCluster) newEngine(t *testing.T, i int) *engine.Engine {
 		Planner:            alloc.NewPlanner(1),
 		BlockPlanner:       blockPlanner,
 		StorageCapacity:    250,
-		InitialRecentDepth: 1,
 		MigrateMaxPerBlock: 2,
 	})
 	if err != nil {

@@ -2,11 +2,10 @@ package telemetry
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/metrics"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -98,8 +97,17 @@ func TestConcurrentIncrementRace(t *testing.T) {
 	}
 }
 
+// exactQuantile reads the p-quantile from sorted samples by linear
+// interpolation between the closest ranks (the R-7 estimator).
+func exactQuantile(sorted []float64, p float64) float64 {
+	pos := p * float64(len(sorted)-1)
+	lo, hi := int(math.Floor(pos)), int(math.Ceil(pos))
+	frac := pos - float64(lo)
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
 // TestHistogramQuantileAccuracy compares histogram quantile estimates
-// against the exact metrics.Summarize over the same samples. The
+// against the exact quantiles of the same samples. The
 // log-linear bucket layout bounds relative reconstruction error by
 // ~1/histSub, so estimates must land within a few percent.
 func TestHistogramQuantileAccuracy(t *testing.T) {
@@ -116,7 +124,15 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 			v = -v
 		}
 	}
-	exact := metrics.Summarize(samples)
+	slices.Sort(samples)
+	sum := 0.0
+	for _, x := range samples {
+		sum += x
+	}
+	exact := struct{ P50, P95, Mean, Min, Max float64 }{
+		exactQuantile(samples, 0.50), exactQuantile(samples, 0.95),
+		sum / float64(len(samples)), samples[0], samples[len(samples)-1],
+	}
 	got := h.Snapshot()
 	if got.Count != 5000 {
 		t.Fatalf("count = %d, want 5000", got.Count)
@@ -127,7 +143,7 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 		}
 		return math.Abs(got-want) / want
 	}
-	// Interpolated-percentile (Summarize) vs nearest-rank-midpoint can
+	// Interpolated percentile vs nearest-rank-midpoint can
 	// legitimately differ by one bucket width plus one rank: allow 7%.
 	if e := relErr(got.P50, exact.P50); e > 0.07 {
 		t.Errorf("P50 = %.1f, exact %.1f (err %.3f)", got.P50, exact.P50, e)

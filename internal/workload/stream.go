@@ -1,8 +1,7 @@
 // Open-loop streaming workload engine.
 //
-// The legacy Generate materializes a whole trace up front, which caps
-// workloads at what fits in memory and at the paper's tiny Section VI-A
-// rates. Stream generates the same kind of events lazily — one at a time,
+// A materialized trace caps workloads at what fits in memory and at the
+// paper's tiny Section VI-A rates. Stream generates the events lazily — one at a time,
 // O(1) memory regardless of horizon or rate — and extends the model along
 // three axes the evaluation scenarios (vehicles, smartphones) need:
 //
@@ -18,9 +17,8 @@
 //
 // Everything is driven by one seeded RNG: the same StreamConfig always
 // yields the same event sequence. A StreamConfig with none of the new
-// knobs set reproduces the legacy Generate output event-for-event (the
-// differential test in stream_test.go pins this), which keeps the Fig. 5
-// paired-trace experiments valid.
+// knobs set reproduces the original materializing generator event-for-event
+// (the differential test in stream_test.go pins this).
 package workload
 
 import (
@@ -34,7 +32,7 @@ import (
 
 // StreamConfig parametrizes an open-loop event stream. The zero knobs
 // (no diurnal, no burst, no users, no skew) make the stream equivalent to
-// the legacy materialized Generate for the same Seed.
+// the original materializing generator for the same Seed.
 type StreamConfig struct {
 	// Duration is the stream horizon; Next returns ok=false past it.
 	Duration time.Duration
@@ -395,9 +393,9 @@ func (s *Stream) Next() (ev Event, ok bool) {
 	}
 }
 
-// Drain materializes the remaining stream into a Trace. Intended for
-// legacy consumers (core.Config.Trace); open-loop drivers should consume
-// Next directly and never hold the whole workload in memory.
+// Drain materializes the remaining stream into a Trace, for inspecting a
+// whole workload offline; open-loop drivers should consume Next directly
+// and never hold the whole workload in memory.
 func (s *Stream) Drain() *Trace {
 	tr := &Trace{}
 	for {

@@ -12,8 +12,7 @@ import (
 // legacyGenerate is a verbatim pin of the pre-stream materializing
 // generator. The streaming engine must reproduce its output bit-for-bit
 // so the Fig. 5 paired-trace experiments stay valid; if Stream's legacy
-// path ever drifts, TestStreamMatchesLegacy catches it against this copy,
-// not against the adapter under test. (Event.User post-dates the pinned
+// path ever drifts, TestStreamMatchesLegacy catches it against this copy. (Event.User post-dates the pinned
 // algorithm; -1 is the documented "no user model" value.)
 func legacyGenerate(cfg Config) *Trace {
 	types := cfg.Types
@@ -50,7 +49,7 @@ func legacyGenerate(cfg Config) *Trace {
 }
 
 // TestStreamMatchesLegacy is the differential gate: for legacy configs
-// the streaming generator (and therefore Generate, its adapter) must
+// the streaming generator, drained or pulled event by event, must
 // reproduce the pinned materializing algorithm event-for-event.
 func TestStreamMatchesLegacy(t *testing.T) {
 	configs := map[string]Config{
@@ -75,7 +74,7 @@ func TestStreamMatchesLegacy(t *testing.T) {
 		for seed := int64(0); seed < 4; seed++ {
 			cfg.Seed += seed
 			want := legacyGenerate(cfg)
-			got, err := Generate(cfg)
+			got, err := generate(cfg)
 			if err != nil {
 				t.Fatalf("%s/seed+%d: %v", name, seed, err)
 			}
@@ -440,24 +439,24 @@ func TestStreamConfigValidation(t *testing.T) {
 	}
 }
 
-// TestGenerateRequesterEdgeCases pins the satellite fix on the legacy
-// entry point: these used to silently cap at generation time.
+// TestGenerateRequesterEdgeCases pins the requester-pool checks on legacy
+// configurations: these used to silently cap at generation time.
 func TestGenerateRequesterEdgeCases(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Requesters = nil
-	if _, err := Generate(cfg); err == nil {
+	if _, err := generate(cfg); err == nil {
 		t.Fatal("empty requester pool with RequestsPerItem > 0 accepted")
 	}
 	cfg = baseConfig()
 	cfg.RequestsPerItem = len(cfg.Requesters) + 1
-	if _, err := Generate(cfg); err == nil {
+	if _, err := generate(cfg); err == nil {
 		t.Fatal("RequestsPerItem above pool size accepted")
 	}
 	// RequestsPerItem == len(pool) stays legal: when the producer is in
 	// the pool the draw caps at pool-1, as before.
 	cfg = baseConfig()
 	cfg.RequestsPerItem = len(cfg.Requesters)
-	if _, err := Generate(cfg); err != nil {
+	if _, err := generate(cfg); err != nil {
 		t.Fatalf("RequestsPerItem == pool size rejected: %v", err)
 	}
 }

@@ -3,14 +3,13 @@
 // minute, each produced by a random node and requested by consumers drawn
 // from the requester pool (10% of nodes), per Section VI-A.
 //
-// Two generation modes exist. The legacy Generate materializes a trace up
-// front so experiments can replay the exact same workload across
-// configurations (the Fig. 5 comparison runs optimal and random placement
-// against identical traces via core.Config.Trace). The open-loop Stream
-// (stream.go) produces the same events lazily with O(1) memory plus
-// arrival-process, popularity-skew, and user-multiplexing extensions;
-// Generate is a thin adapter over it and is pinned bit-identical to the
-// original algorithm by a differential test.
+// The open-loop Stream (stream.go) produces the events lazily with O(1)
+// memory, plus arrival-process, popularity-skew and user-multiplexing
+// extensions. Replaying one StreamConfig yields the same events, which is
+// how the Fig. 5 comparison runs optimal and random placement against an
+// identical workload; with none of the extensions set, the stream is pinned
+// bit-identical to the original materializing generator by a differential
+// test.
 package workload
 
 import (
@@ -50,60 +49,6 @@ func DefaultTypes() []string {
 		"AirQuality/PM2.5", "Picture/Traffic", "Video/Clip",
 		"Energy/Reading", "Road/Congestion",
 	}
-}
-
-// Config parametrizes legacy materialized trace generation: constant-rate
-// Poisson arrivals, uniform producers, round-robin types. StreamConfig is
-// the superset used by the open-loop engine.
-type Config struct {
-	// Duration is the trace horizon.
-	Duration time.Duration
-	// RatePerMin is the network-wide production rate (paper: 1-3).
-	RatePerMin float64
-	// NumNodes is the node population; producers are drawn uniformly.
-	NumNodes int
-	// Requesters is the consumer pool (paper: 10% of nodes).
-	Requesters []int
-	// RequestsPerItem consumers are drawn per item (without replacement).
-	RequestsPerItem int
-	// Types cycles through the produced data types (DefaultTypes if nil).
-	Types []string
-	// Seed fixes the trace.
-	Seed int64
-}
-
-// Stream lifts the legacy configuration into the open-loop engine's
-// parameter space; the resulting stream replays the legacy RNG sequence
-// exactly.
-func (c Config) Stream() StreamConfig {
-	return StreamConfig{
-		Duration:        c.Duration,
-		RatePerMin:      c.RatePerMin,
-		NumNodes:        c.NumNodes,
-		Requesters:      c.Requesters,
-		RequestsPerItem: c.RequestsPerItem,
-		Types:           c.Types,
-		Seed:            c.Seed,
-	}
-}
-
-// Validate checks the configuration, including the requester-sampling
-// edge cases (empty pool or RequestsPerItem exceeding it) that used to
-// surface only at generation time.
-func (c Config) Validate() error {
-	sc := c.Stream()
-	return sc.Validate()
-}
-
-// Generate materializes a trace. It is the legacy adapter over Stream and
-// produces the identical event sequence the original materializing
-// generator did for the same Config (see TestStreamMatchesLegacy).
-func Generate(cfg Config) (*Trace, error) {
-	s, err := NewStream(cfg.Stream())
-	if err != nil {
-		return nil, err
-	}
-	return s.Drain(), nil
 }
 
 // drawRequesters picks up to k distinct requesters, excluding the producer.

@@ -7,6 +7,43 @@ import (
 	"time"
 )
 
+// Config is the legacy generator's parameter set: constant-rate Poisson
+// arrivals, uniform producers, round-robin types. StreamConfig is its
+// superset.
+type Config struct {
+	Duration        time.Duration
+	RatePerMin      float64
+	NumNodes        int
+	Requesters      []int
+	RequestsPerItem int
+	Types           []string
+	Seed            int64
+}
+
+// Stream lifts the legacy configuration into the open-loop engine's
+// parameter space; the resulting stream replays the legacy RNG sequence
+// exactly.
+func (c Config) Stream() StreamConfig {
+	return StreamConfig{
+		Duration:        c.Duration,
+		RatePerMin:      c.RatePerMin,
+		NumNodes:        c.NumNodes,
+		Requesters:      c.Requesters,
+		RequestsPerItem: c.RequestsPerItem,
+		Types:           c.Types,
+		Seed:            c.Seed,
+	}
+}
+
+// generate drains the stream a legacy configuration describes.
+func generate(cfg Config) (*Trace, error) {
+	s, err := NewStream(cfg.Stream())
+	if err != nil {
+		return nil, err
+	}
+	return s.Drain(), nil
+}
+
 func baseConfig() Config {
 	return Config{
 		Duration:        500 * time.Minute,
@@ -19,7 +56,7 @@ func baseConfig() Config {
 }
 
 func TestGenerateRate(t *testing.T) {
-	tr, err := Generate(baseConfig())
+	tr, err := generate(baseConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +68,7 @@ func TestGenerateRate(t *testing.T) {
 
 func TestGenerateOrderingAndBounds(t *testing.T) {
 	cfg := baseConfig()
-	tr, err := Generate(cfg)
+	tr, err := generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +99,11 @@ func TestGenerateOrderingAndBounds(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	a, err := Generate(baseConfig())
+	a, err := generate(baseConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Generate(baseConfig())
+	b, err := generate(baseConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +112,7 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 	cfg := baseConfig()
 	cfg.Seed = 2
-	c, err := Generate(cfg)
+	c, err := generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +124,7 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestGenerateZeroRate(t *testing.T) {
 	cfg := baseConfig()
 	cfg.RatePerMin = 0
-	tr, err := Generate(cfg)
+	tr, err := generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,12 +136,12 @@ func TestGenerateZeroRate(t *testing.T) {
 func TestGenerateErrors(t *testing.T) {
 	cfg := baseConfig()
 	cfg.NumNodes = 0
-	if _, err := Generate(cfg); err == nil {
+	if _, err := generate(cfg); err == nil {
 		t.Fatal("zero nodes accepted")
 	}
 	cfg = baseConfig()
 	cfg.RatePerMin = -1
-	if _, err := Generate(cfg); err == nil {
+	if _, err := generate(cfg); err == nil {
 		t.Fatal("negative rate accepted")
 	}
 }
