@@ -52,7 +52,7 @@ func main() {
 		syncBatch  = flag.Int("sync-batch", 0, "blocks per incremental-sync batch (0 = default 64)")
 		syncTmo    = flag.Duration("sync-timeout", 0, "per-batch sync response deadline (0 = default 2s)")
 		verifyWrk  = flag.Int("verify-workers", 0, "parallel signature-verification workers for sync suffixes (0 = default 4)")
-		snapEvery  = flag.Int("snapshot-every", 0, "ledger snapshot cadence in blocks, for incremental fork adoption (0 = default 32)")
+		snapEvery  = flag.Int("snapshot-every", 0, "ledger snapshot and store checkpoint cadence in blocks: forks adopt incrementally and a restart re-verifies at most this many blocks (0 = default 32)")
 		pruneDepth = flag.Int("prune-depth", 0, "finite-lifetime chain: discard block bodies this far below the tip, with checkpoint finality at the same interval (0 = keep everything)")
 		bootSnap   = flag.Bool("bootstrap-snapshot", false, "on a fresh start, install the first peer's finalized state snapshot instead of syncing history from genesis")
 		fsync      = flag.String("fsync", "batch", "WAL fsync policy: always|batch|none")

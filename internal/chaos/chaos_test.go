@@ -88,9 +88,8 @@ func TestChaosPartitionHeal(t *testing.T) {
 // WAL and checks it catches back up with consistent derived state.
 func TestChaosCrashRestart(t *testing.T) {
 	c := newCluster(t, Options{
-		N:               3,
-		DataDirs:        []string{t.TempDir(), "", ""},
-		CheckpointEvery: 4,
+		N:        3,
+		DataDirs: []string{t.TempDir(), "", ""},
 	})
 	c.Run(40 * time.Second)
 	preCrash := c.Node(0).Height()

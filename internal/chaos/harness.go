@@ -57,9 +57,6 @@ type Options struct {
 	// StorageCapacity is the per-node storage in items (0 = livenode
 	// default).
 	StorageCapacity int
-	// CheckpointEvery is the store checkpoint cadence in blocks (0 =
-	// livenode default).
-	CheckpointEvery int
 	// SyncBatchSize caps how many blocks one incremental-sync batch
 	// carries (0 = livenode default). Small values force multi-round
 	// batched catch-up in scenarios.
@@ -249,7 +246,6 @@ func (c *Cluster) startNode(i int) error {
 		NewTransport:    func(h p2p.Handler) (p2p.Transport, error) { return c.Net.Listen(Addr(i), h) },
 		Store:           st,
 		StorageCapacity: c.opts.StorageCapacity,
-		CheckpointEvery: c.opts.CheckpointEvery,
 		SyncBatchSize:   c.opts.SyncBatchSize,
 		SnapshotEvery:   c.opts.SnapshotEvery,
 		Telemetry:       c.nodeRegs[i],

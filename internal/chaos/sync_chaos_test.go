@@ -31,12 +31,11 @@ func runBatchedSyncScenario(t *testing.T, seed int64, dataDir string) syncChaosR
 	dirs := make([]string, n)
 	dirs[0] = dataDir
 	c := newCluster(t, Options{
-		N:               n,
-		Seed:            seed,
-		DataDirs:        dirs,
-		CheckpointEvery: 4,
-		SyncBatchSize:   4, // force multi-batch catch-up for ~6-block gaps
-		SnapshotEvery:   snapshotEvery,
+		N:             n,
+		Seed:          seed,
+		DataDirs:      dirs,
+		SyncBatchSize: 4, // force multi-batch catch-up for ~6-block gaps
+		SnapshotEvery: snapshotEvery,
 	})
 
 	// Warm up until two snapshot generations exist everywhere. RunUntil is

@@ -28,7 +28,6 @@ func TestMeasureFootprint100k(t *testing.T) {
 			cfg.Store = st
 			cfg.PruneDepth = depth
 			cfg.SnapshotEvery = 64
-			cfg.CheckpointEvery = 256
 		})
 		n.mineBlocks(t, height)
 		if err := n.StoreErr(); err != nil {

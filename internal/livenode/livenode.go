@@ -71,11 +71,6 @@ type Config struct {
 	// before the node starts listening, and the normal chain-sync path
 	// then catches up anything mined while the node was down.
 	Store store.Backend
-	// CheckpointEvery checkpoints the store manifest (and prunes expired
-	// data items) every this many adopted blocks (default 32). This is a
-	// persistence cadence, distinct from the engine's consensus
-	// checkpoint-finality interval (disabled unless PruneDepth is set).
-	CheckpointEvery int
 	// SyncBatchSize is how many blocks one incremental-sync batch request
 	// covers (default 64, capped at the protocol bound maxSyncBatch).
 	SyncBatchSize int
@@ -89,7 +84,11 @@ type Config struct {
 	SyncRetries int
 	// SnapshotEvery is the engine's ledger-snapshot cadence in blocks;
 	// snapshots let fork suffixes adopt without a scratch replay
-	// (default 32, see engine.Config.SnapshotInterval).
+	// (default 32, see engine.Config.SnapshotInterval). It is also the
+	// store's checkpoint cadence: every adopted block at a multiple of it is
+	// checkpointed (and expired data items are pruned), so a restart
+	// re-verifies at most this many blocks' signatures. The engine's
+	// consensus checkpoint finality is separate (PruneDepth).
 	SnapshotEvery int
 	// PruneDepth, when positive, runs the finite-lifetime chain
 	// (DESIGN.md §14): the engine enables checkpoint finality at this
@@ -172,7 +171,6 @@ type Node struct {
 	eng           *engine.Engine
 	store         store.Backend
 	replaying     bool // WAL replay in progress: skip re-persisting/fetching
-	sinceCkpt     int  // blocks adopted since the last store checkpoint
 	storeErr      error
 	mineTimer     sim.Timer
 	closed        bool
@@ -431,9 +429,6 @@ func New(cfg Config) (*Node, error) {
 	}
 	if cfg.Store == nil {
 		cfg.Store = store.NewMemStore()
-	}
-	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = 32
 	}
 	if cfg.SyncBatchSize <= 0 {
 		cfg.SyncBatchSize = defaultSyncBatch

@@ -44,11 +44,11 @@ func (n *Node) onAppend(ev engine.AppendEvent) {
 	n.updateChainGauges()
 	if !n.replaying {
 		// Durably log the block before acting on it; replayed blocks are
-		// already in the WAL.
+		// already in the WAL. A verified block at a multiple of the snapshot
+		// cadence becomes the store checkpoint. Keyed by height rather than
+		// by appends since start, the cadence survives restarts.
 		n.noteStoreErrLocked(n.store.AppendBlock(b))
-		n.sinceCkpt++
-		if n.sinceCkpt >= n.cfg.CheckpointEvery {
-			n.sinceCkpt = 0
+		if b.Index%uint64(n.cfg.SnapshotEvery) == 0 {
 			n.noteStoreErrLocked(n.store.Checkpoint(b.Index, b.Hash))
 			if n.cfg.PruneDepth > 0 {
 				n.persistSnapshotLocked()

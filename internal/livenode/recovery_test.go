@@ -9,7 +9,9 @@ import (
 	"repro/internal/identity"
 	"repro/internal/meta"
 	"repro/internal/pos"
+	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/telemetry"
 )
 
 func startNodeWithStore(t *testing.T, ident *identity.Identity, accounts []identity.Address, epoch time.Time, t0 time.Duration, st store.Backend) *Node {
@@ -110,6 +112,62 @@ func TestRecoveryAfterTornWAL(t *testing.T) {
 		got, ok2 := a2.BlockHashAt(h)
 		return ok1 && ok2 && want == got
 	})
+}
+
+// TestRestartVerifiesAtMostOneInterval: the store checkpoint follows the
+// snapshot cadence by height, so a node killed every 3 blocks re-checks the
+// signatures of at most those 3 blocks on each restart, however long its
+// chain has grown, and after a clean Close it re-checks none.
+func TestRestartVerifiesAtMostOneInterval(t *testing.T) {
+	const snapshotEvery, perLife, target = 4, 3, 200
+	epoch := time.Unix(1700000000, 0)
+	dir := t.TempDir()
+	now := epoch
+	// start opens the store and a node on it with its clock where the last
+	// life's stopped, and returns how many blocks the Open signature-checked.
+	start := func() (*syncTestNode, uint64) {
+		t.Helper()
+		reg := telemetry.NewRegistry()
+		st, err := store.Open(dir, store.Options{Sync: store.SyncAlways, Metrics: store.NewMetrics(reg)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clock := sim.NewVClock(now)
+		n := newSyncTestNode(t, newFakeNet(), "a", 0, epoch, func(cfg *Config) {
+			cfg.Store = st
+			cfg.SnapshotEvery = snapshotEvery
+			cfg.Clock = clock
+		})
+		n.clock = clock
+		if err := n.StoreErr(); err != nil {
+			t.Fatalf("replay: %v", err)
+		}
+		return n, counter(reg, "store.recovery.verified_blocks")
+	}
+
+	var height uint64
+	for height < target {
+		n, verified := start()
+		if got := n.Height(); got != height {
+			t.Fatalf("restart recovered height %d, want %d", got, height)
+		}
+		if verified > perLife {
+			t.Fatalf("restart at height %d verified %d blocks, want at most %d", height, verified, perLife)
+		}
+		n.mineBlocks(t, perLife)
+		height, now = n.Height(), n.clock.Now()
+		if err := n.Kill(); err != nil || n.StoreErr() != nil {
+			t.Fatalf("kill: %v, store: %v", err, n.StoreErr())
+		}
+	}
+
+	n, _ := start()
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n, verified := start(); verified != 0 || n.Height() != height {
+		t.Fatalf("restart after a clean close: height %d with %d blocks verified, want %d with 0", n.Height(), verified, height)
+	}
 }
 
 // TestRestartReloadsChainAndData checks the clean-shutdown path: chain

@@ -17,8 +17,10 @@ type Metrics struct {
 	// sealed segment files deleted below the prune horizon.
 	WALSegmentsSealed, WALSegmentsCompacted *telemetry.Counter
 	// RecoveredBlocks counts blocks replayed from the WAL at Open;
-	// RecoveryDropped counts scanned blocks discarded by validation.
-	RecoveredBlocks, RecoveryDropped *telemetry.Counter
+	// RecoveryDropped counts scanned blocks discarded by validation;
+	// RecoveryVerified counts the blocks whose item signatures Open checked
+	// (those above the hash-pinned checkpoint).
+	RecoveredBlocks, RecoveryDropped, RecoveryVerified *telemetry.Counter
 	// DataReads / DataWrites count data-store operations that reached
 	// the API (reads include cache hits).
 	DataReads, DataWrites *telemetry.Counter
@@ -38,6 +40,7 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		WALSegmentsCompacted: reg.Counter("store.wal.segments_compacted"),
 		RecoveredBlocks:      reg.Counter("store.recovery.blocks"),
 		RecoveryDropped:      reg.Counter("store.recovery.dropped"),
+		RecoveryVerified:     reg.Counter("store.recovery.verified_blocks"),
 		DataReads:            reg.Counter("store.data.reads"),
 		DataWrites:           reg.Counter("store.data.writes"),
 		LRUHits:              reg.Counter("store.lru.hits"),

@@ -10,6 +10,7 @@ import (
 	"repro/internal/block"
 	"repro/internal/chain"
 	"repro/internal/identity"
+	"repro/internal/telemetry"
 )
 
 // spineOf converts a block prefix [1, n] into its header spine.
@@ -146,48 +147,56 @@ func TestTornTailAcrossSegments(t *testing.T) {
 	}
 }
 
-// forkChain builds an alternative chain off the same genesis whose block
+// forkChain builds an alternative chain of n blocks off base whose block
 // hashes differ from testChain's (different storage price).
-func forkChain(t testing.TB, genesis *block.Block, n int) []*block.Block {
+func forkChain(t testing.TB, base *block.Block, n int) []*block.Block {
 	t.Helper()
-	blocks := []*block.Block{genesis}
+	blocks := []*block.Block{base}
 	for i := 1; i <= n; i++ {
-		b := block.NewBuilder(blocks[i-1], identity.Address{}, time.Duration(i)*time.Second, 1, 0.9).Seal()
+		b := block.NewBuilder(blocks[i-1], identity.Address{}, base.Timestamp+time.Duration(i)*time.Second, 1, 0.9).Seal()
 		blocks = append(blocks, b)
 	}
 	return blocks
 }
 
 // TestResetChainSurvivesRestart covers the happy path of the crash-safe
-// Reset: a fork replacement rewrites the whole log and the new chain is
-// what a restart replays.
+// Reset: a fork replacement cuts the log back to the fork point f, the new
+// branch extends it, and the new chain is what a restart replays. The
+// checkpoint moves to f, so that restart checks signatures only above f.
 func TestResetChainSurvivesRestart(t *testing.T) {
+	const f = 3
 	dir := t.TempDir()
 	old := testChain(t, 6)
-	fork := forkChain(t, old[0], 5)
+	fork := forkChain(t, old[f], 4) // fork[0] is old[f]
 
 	s := openStore(t, dir, Options{Sync: SyncAlways, SegmentBlocks: 3})
 	appendAll(t, s, old)
 	if err := s.Checkpoint(6, old[6].Hash); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ResetChain(fork[1:]); err != nil {
+	if err := s.ResetChain(old[1 : f+1]); err != nil {
 		t.Fatal(err)
 	}
+	appendAll(t, s, fork[1:])
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	s2 := openStore(t, dir, Options{Sync: SyncAlways, SegmentBlocks: 3})
+	reg := telemetry.NewRegistry()
+	s2 := openStore(t, dir, Options{Sync: SyncAlways, SegmentBlocks: 3, Metrics: NewMetrics(reg)})
 	defer s2.Close()
+	want := append(old[1:f+1:f+1], fork[1:]...)
 	got := s2.RecoveredBlocks()
-	if len(got) != 5 {
-		t.Fatalf("recovered %d blocks after reset, want 5", len(got))
+	if len(got) != len(want) {
+		t.Fatalf("recovered %d blocks after reset, want %d", len(got), len(want))
 	}
 	for i, b := range got {
-		if b.Hash != fork[i+1].Hash {
-			t.Fatalf("recovered block %d is not from the fork", i+1)
+		if b.Hash != want[i].Hash {
+			t.Fatalf("recovered block %d is not the kept prefix plus the fork", i+1)
 		}
+	}
+	if v := reg.Snapshot().Counter("store.recovery.verified_blocks"); v != uint64(len(fork)-1) {
+		t.Fatalf("restart verified %d blocks, want the %d above fork point %d", v, len(fork)-1, f)
 	}
 }
 

@@ -19,6 +19,8 @@
 //     (or a fresh node, over the wire) skip replaying pruned history
 //   - manifest.json   checkpoint (chain head + height + snapshot hashes)
 //     making replay verification incremental and snapshot use safe
+//   - LOCK            held exclusively from Open to Close, so two processes
+//     never share one directory
 //
 // The 2 in the segment and snapshot names is the on-disk format: blocks and
 // snapshots in the varint wire form (DESIGN.md "Wire format"). Recovery
@@ -30,12 +32,14 @@
 // discontinuous stale segments are cut away, hash links are verified, and
 // the surviving blocks are handed to the caller to replay on top of the
 // recovered snapshot (or from genesis when no valid snapshot exists).
-// Blocks at or below the last checkpoint height skip the expensive
-// per-item signature re-verification: their integrity is already covered
-// by the record CRC and the hash-link walk.
+// Blocks at or below the last checkpoint skip the expensive per-item
+// signature re-verification when the block at the checkpoint height hashes
+// to the checkpoint's head: the hash-link walk then ties every block below
+// it to the chain the node verified before writing the checkpoint.
 package store
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -56,6 +60,7 @@ type Store struct {
 	data *DataStore
 
 	mu        sync.Mutex
+	lock      *os.File // <dir>/LOCK, held from Open; nil once closed
 	recovered []*block.Block
 	manifest  Manifest
 
@@ -88,7 +93,10 @@ type Options struct {
 const (
 	manifestFile = "manifest.json"
 	dataDir      = "data"
+	lockFile     = "LOCK"
 )
+
+var errClosed = errors.New("store: closed")
 
 // legacyFile reports whether name is a block log or snapshot in a format
 // this version cannot read: the single pre-segmentation wal.log, or the
@@ -99,25 +107,32 @@ func legacyFile(name string) bool {
 		strings.HasPrefix(name, "snapshot-") && strings.HasSuffix(name, snapshotFileSuffix)
 }
 
+// openLockFile opens, creating it if needed, the directory's lock file.
+func openLockFile(dir string) (*os.File, error) {
+	f, err := os.OpenFile(filepath.Join(dir, lockFile), os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("store: open lock: %w", err)
+	}
+	return f, nil
+}
+
 // Open opens (or creates) the store rooted at dir and runs crash
 // recovery: WAL segments are scanned, torn or stale tails are cut, the
 // persisted snapshot (if any) is hash-verified, and the surviving block
-// sequence is validated (hash links always; full content verification
-// only above the checkpoint height). The recovered blocks are available
-// via RecoveredBlocks, the snapshot via RecoveredSnapshot.
-func Open(dir string, opts Options) (*Store, error) {
+// sequence is validated (hashes and hash links always; item signatures only
+// above the checkpoint, and only when the block at the checkpoint height
+// hashes to the manifest's head). The recovered blocks are available via
+// RecoveredBlocks, the snapshot via RecoveredSnapshot.
+//
+// The store holds an exclusive lock on <dir>/LOCK until Close, so a second
+// Open of a directory in use fails, naming the directory.
+func Open(dir string, opts Options) (_ *Store, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: mkdir: %w", err)
 	}
-	man, err := LoadManifest(filepath.Join(dir, manifestFile))
-	if err != nil {
-		// A corrupt manifest costs only the verification shortcut (and any
-		// snapshot, which cannot be trusted without its manifest hash).
-		man = Manifest{}
-	}
-	m := opts.Metrics.orInert()
 	// Opening beside files in an older format would come up empty and
-	// silently drop their chain.
+	// silently drop their chain. The refusal comes before the lock so that it
+	// leaves the directory untouched.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: list %s: %w", dir, err)
@@ -127,13 +142,29 @@ func Open(dir string, opts Options) (*Store, error) {
 			return nil, fmt.Errorf("store: %s is in an older on-disk format this version cannot read; move it away to start from an empty chain", filepath.Join(dir, e.Name()))
 		}
 	}
+	lock, err := lockDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if err != nil {
+			lock.Close()
+		}
+	}()
+	man, err := LoadManifest(filepath.Join(dir, manifestFile))
+	if err != nil {
+		// A corrupt manifest costs only the verification shortcut (and any
+		// snapshot, which cannot be trusted without its manifest hash).
+		man = Manifest{}
+	}
+	m := opts.Metrics.orInert()
 	blob, spine, snapHeight, snapOK := loadSnapshot(dir, man)
 	blocks, layout, err := recoverSegments(dir)
 	if err != nil {
 		return nil, err
 	}
 	scanned := len(blocks)
-	blocks = validatePrefix(blocks, man.Height)
+	blocks = validatePrefix(blocks, man, m)
 	if !snapOK && len(blocks) > 0 && blocks[0].Index != 1 {
 		// The blocks start mid-chain (a pruned node's log) but the snapshot
 		// that anchored them is missing or corrupt. They cannot be replayed
@@ -170,29 +201,42 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	ds.setMetrics(m)
 	return &Store{
-		dir: dir, wal: w, data: ds, recovered: blocks, manifest: man,
+		dir: dir, lock: lock, wal: w, data: ds, recovered: blocks, manifest: man,
 		snapBlob: blob, snapSpine: spine, snapHeight: snapHeight, snapOK: snapOK,
 	}, nil
 }
 
 // validatePrefix returns the longest prefix of blocks that forms a valid
-// hash-linked sequence. Blocks at or below the checkpoint height are
-// trusted content-wise (CRC already checked); newer ones get a full
-// VerifySelf including item signatures, through a signature cache that
-// lives for this call only, so each producer's key tables are built once
-// per restart and no verdict reaches anything else (DESIGN.md §16).
-func validatePrefix(blocks []*block.Block, checkpointHeight uint64) []*block.Block {
+// hash-linked sequence of blocks whose items carry valid signatures. Every
+// block's hash and link are checked. Item signatures are skipped at and
+// below the checkpoint, but only when the prefix reaches the block at the
+// checkpoint height and that block hashes to the manifest's head: the hash
+// links then pin every block below it to the chain this node verified
+// before writing the checkpoint. A checkpoint that does not match (a crash
+// between a WAL rewrite and its manifest, a tampered block) trusts nothing.
+// Signatures are checked through a cache that lives for this call only, so
+// each producer's key tables are built once per restart and no verdict
+// reaches anything else (DESIGN.md §16).
+func validatePrefix(blocks []*block.Block, man Manifest, m *Metrics) []*block.Block {
+	for i, b := range blocks {
+		if b.ComputeHash() != b.Hash || i > 0 && b.VerifyLink(blocks[i-1]) != nil {
+			blocks = blocks[:i]
+			break
+		}
+	}
+	var trusted uint64
+	if len(blocks) > 0 && man.Height >= blocks[0].Index && man.Height <= blocks[len(blocks)-1].Index &&
+		blocks[man.Height-blocks[0].Index].Hash.String() == man.Head {
+		trusted = man.Height
+	}
 	var sigs meta.SigCache
 	for i, b := range blocks {
-		if b.Index > checkpointHeight {
-			if err := b.VerifySelfCached(&sigs); err != nil {
-				return blocks[:i]
-			}
-		} else if b.ComputeHash() != b.Hash {
-			return blocks[:i]
+		if b.Index <= trusted {
+			continue
 		}
-		if i > 0 {
-			if err := b.VerifyLink(blocks[i-1]); err != nil {
+		m.RecoveryVerified.Inc()
+		for _, it := range b.Items {
+			if it.VerifyCached(&sigs) != nil {
 				return blocks[:i]
 			}
 		}
@@ -245,33 +289,48 @@ func (s *Store) WALSize() int64 { return s.wal.Size() }
 func (s *Store) WALSegments() int { return s.wal.Segments() }
 
 // ResetChain atomically replaces the WAL content with the given block
-// sequence (genesis excluded by the caller). Used after a fork
-// replacement adopts a longer chain wholesale. The checkpoint is cleared
-// (it referenced the replaced history); any persisted snapshot is kept —
-// if the fork invalidated it, the next Open detects the mismatch against
-// the recovered blocks and the next checkpoint re-persists a fresh one.
+// sequence (genesis excluded by the caller): a fork adoption cuts the log
+// back to the fork point. The caller passes only blocks it has verified, so
+// the checkpoint moves to the last of them (nothing when the sequence is
+// empty), and the next Open checks signatures only above the fork point.
+// The WAL is rewritten before the manifest: a crash between the two leaves
+// the old checkpoint, whose head no longer matches, or still matches a kept
+// block. Any persisted snapshot is kept; if the fork invalidated it, the
+// next Open detects the mismatch against the recovered blocks and the next
+// checkpoint re-persists a fresh one.
 func (s *Store) ResetChain(blocks []*block.Block) error {
 	if err := s.wal.Reset(blocks); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.manifest.Height = 0
-	s.manifest.Head = ""
-	s.manifest.WALBytes = 0
-	return SaveManifest(filepath.Join(s.dir, manifestFile), s.manifest)
+	var height uint64
+	var head string
+	if len(blocks) > 0 {
+		last := blocks[len(blocks)-1]
+		height, head = last.Index, last.Hash.String()
+	}
+	return s.saveCheckpoint(height, head)
 }
 
-// Checkpoint fsyncs the WAL and persists the chain head + height so the
-// next Open can skip full content verification up to this height.
+// Checkpoint fsyncs the WAL and records height and head as the highest
+// block this node has verified and made durable, so the next Open can skip
+// item signature checks up to it. It must name a block in the WAL: Open
+// trusts the checkpoint only if the block it recovers at height hashes to
+// head.
 func (s *Store) Checkpoint(height uint64, head block.Hash) error {
 	if err := s.wal.Sync(); err != nil {
 		return err
 	}
+	return s.saveCheckpoint(height, head.String())
+}
+
+func (s *Store) saveCheckpoint(height uint64, head string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.lock == nil {
+		return errClosed
+	}
 	s.manifest.Height = height
-	s.manifest.Head = head.String()
+	s.manifest.Head = head
 	s.manifest.WALBytes = s.wal.Size()
 	return SaveManifest(filepath.Join(s.dir, manifestFile), s.manifest)
 }
@@ -299,5 +358,17 @@ func (s *Store) PruneData(expired func(meta.DataID) bool) (int, error) {
 	return s.data.Prune(expired)
 }
 
-// Close fsyncs and closes the WAL. The store must not be used afterwards.
-func (s *Store) Close() error { return s.wal.Close() }
+// Close fsyncs and closes the WAL and releases the directory lock. The
+// store must not be used afterwards; a second Close does nothing.
+func (s *Store) Close() error {
+	err := s.wal.Close()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.lock != nil {
+		if cerr := s.lock.Close(); err == nil {
+			err = cerr
+		}
+		s.lock = nil
+	}
+	return err
+}

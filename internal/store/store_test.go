@@ -4,12 +4,14 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/block"
 	"repro/internal/identity"
 	"repro/internal/meta"
+	"repro/internal/telemetry"
 )
 
 // testChain builds genesis + n linked blocks with zero miners (VerifyLink
@@ -206,8 +208,10 @@ func TestBadSignatureMidSegmentCutsPrefix(t *testing.T) {
 // TestCheckpointSkipsContentVerification shows the incremental-replay
 // contract: a block whose item signature is invalid (content tampered
 // after signing, hash recomputed) is rejected on a cold open, but
-// accepted when a checkpoint already covers its height — CRC plus hash
-// links stand in for the full re-verification below the checkpoint.
+// accepted when a checkpoint already covers it — CRC plus hash links stand
+// in for the full re-verification below the checkpoint. The checkpoint is
+// pinned by hash: one that names another head at that height vouches for
+// nothing, and the block is cut as on a cold open.
 func TestCheckpointSkipsContentVerification(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	producer := identity.GenerateSeeded(rng)
@@ -252,6 +256,90 @@ func TestCheckpointSkipsContentVerification(t *testing.T) {
 	if len(got) != 1 || got[0].Hash != bad.Hash {
 		t.Fatalf("checkpointed open recovered %d blocks, want the vouched block", len(got))
 	}
+
+	dir = build()
+	other := block.NewBuilder(genesis, identity.Address{}, 2*time.Second, 1, 0).Seal()
+	err = SaveManifest(filepath.Join(dir, manifestFile), Manifest{Height: 1, Head: other.Hash.String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := openStore(t, dir, Options{})
+	defer pinned.Close()
+	if n := len(pinned.RecoveredBlocks()); n != 0 {
+		t.Fatalf("a checkpoint naming another head kept %d unverifiable blocks, want 0", n)
+	}
+}
+
+// TestCheckpointAddsNoWALSync: a checkpoint fsyncs only appends that are not
+// yet durable, so under SyncAlways it adds no WAL sync at all, and under
+// SyncNone a second checkpoint with nothing appended adds none either.
+func TestCheckpointAddsNoWALSync(t *testing.T) {
+	chain := testChain(t, 5)
+	for _, tc := range []struct {
+		policy SyncPolicy
+		syncs  uint64
+	}{{SyncAlways, 5}, {SyncNone, 1}} {
+		reg := telemetry.NewRegistry()
+		s := openStore(t, t.TempDir(), Options{Sync: tc.policy, Metrics: NewMetrics(reg)})
+		appendAll(t, s, chain)
+		for range 2 {
+			if err := s.Checkpoint(5, chain[5].Hash); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := reg.Snapshot().Counter("store.wal.syncs"); got != tc.syncs {
+			t.Errorf("fsync=%v: %d WAL syncs after 5 appends and 2 checkpoints, want %d", tc.policy, got, tc.syncs)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestOpenLocksDirectory: a directory in use by one store cannot be opened
+// by a second, and the error names it; Close releases the lock, and so does
+// an Open that fails after taking it.
+func TestOpenLocksDirectory(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir, Options{Sync: SyncAlways})
+	appendAll(t, s, testChain(t, 2))
+	if second, err := Open(dir, Options{}); err == nil {
+		second.Close()
+		t.Fatal("a second store opened a directory in use")
+	} else if !strings.Contains(err.Error(), dir) {
+		t.Fatalf("error %q does not name %s", err, dir)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A file where the data directory belongs fails Open after the lock.
+	data := filepath.Join(dir, dataDir)
+	if err := os.RemoveAll(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(data, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := Open(dir, Options{}); err == nil {
+		s.Close()
+		t.Fatal("opened a store whose data directory is a file")
+	}
+	if err := os.Remove(data); err != nil {
+		t.Fatal(err)
+	}
+	s2 := openStore(t, dir, Options{})
+	if got := len(s2.RecoveredBlocks()); got != 2 {
+		t.Fatalf("reopened after a failed open with %d blocks, want 2", got)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Checkpoint(2, block.Hash{}); err == nil {
+		t.Fatal("a closed store wrote a checkpoint")
+	}
+	s3 := openStore(t, dir, Options{})
+	defer s3.Close()
 }
 
 func TestResetChain(t *testing.T) {

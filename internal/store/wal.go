@@ -252,11 +252,13 @@ func (w *WAL) syncLocked() error {
 	return nil
 }
 
-// Sync forces an fsync regardless of policy.
+// Sync fsyncs every append not yet synced, regardless of policy. With none
+// pending (always under SyncAlways) it does nothing: segment rolls and
+// Reset sync what they write themselves.
 func (w *WAL) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
+	if w.closed || w.pending == 0 {
 		return nil
 	}
 	return w.syncLocked()
