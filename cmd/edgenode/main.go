@@ -49,25 +49,16 @@ func main() {
 		epochUnix  = flag.Int64("epoch", 0, "shared epoch as unix seconds (must match; default: now, fine for the first node)")
 		publish    = flag.Duration("publish", 0, "publish a demo data item this often (0 = never)")
 		dataDir    = flag.String("data-dir", "", "directory for the durable block WAL and data store (empty = in-memory)")
-		syncBatch  = flag.Int("sync-batch", 0, "blocks per incremental-sync batch (0 = default 64)")
-		syncTmo    = flag.Duration("sync-timeout", 0, "per-batch sync response deadline (0 = default 2s)")
-		verifyWrk  = flag.Int("verify-workers", 0, "parallel signature-verification workers for sync suffixes (0 = default 4)")
 		snapEvery  = flag.Int("snapshot-every", 0, "ledger snapshot and store checkpoint cadence in blocks: forks adopt incrementally and a restart re-verifies at most this many blocks (0 = default 32)")
 		pruneDepth = flag.Int("prune-depth", 0, "finite-lifetime chain: discard block bodies this far below the tip, with checkpoint finality at the same interval (0 = keep everything)")
 		bootSnap   = flag.Bool("bootstrap-snapshot", false, "on a fresh start, install the first peer's finalized state snapshot instead of syncing history from genesis")
 		fsync      = flag.String("fsync", "batch", "WAL fsync policy: always|batch|none")
 		metricsAdr = flag.String("metrics-addr", "", "HTTP address serving /metrics (JSON) and /debug/vars (expvar); empty = disabled")
 		repairWrk  = flag.Int("repair-workers", 0, "concurrent background re-replication fetches (0 = repair disabled)")
-		repairRate = flag.Int("repair-rate", 0, "repair traffic budget in bytes/sec (0 = default 4096)")
 		repairHyst = flag.Duration("repair-hysteresis", 0, "extra silence before a suspect peer is declared dead (0 = default 10s)")
-		gossipFan  = flag.Int("gossip-fanout", 0, "peers each block or metadata announce is relayed to (0 = default 6)")
-		probeFan   = flag.Int("probe-fanout", 0, "peers probed per liveness tick (0 = default 4)")
 	)
 	flag.Parse()
 
-	if *gossipFan < 0 || *probeFan < 0 {
-		log.Fatalf("-gossip-fanout %d, -probe-fanout %d: neither may be negative (0 = default)", *gossipFan, *probeFan)
-	}
 	if *index < 0 || *index >= *rosterSize {
 		log.Fatalf("index %d out of roster [0,%d)", *index, *rosterSize)
 	}
@@ -122,19 +113,13 @@ func main() {
 		ListenAddr:    *listen,
 		Store:         nodeStore,
 		Telemetry:     reg,
-		SyncBatchSize: *syncBatch,
-		SyncTimeout:   *syncTmo,
-		VerifyWorkers: *verifyWrk,
 		SnapshotEvery: *snapEvery,
-		GossipFanout:  *gossipFan,
 
 		PruneDepth:        *pruneDepth,
 		BootstrapSnapshot: *bootSnap,
 
 		RepairWorkers:    *repairWrk,
-		RepairRate:       *repairRate,
 		RepairHysteresis: *repairHyst,
-		ProbeFanout:      *probeFan,
 		OnBlock: func(b *block.Block) {
 			log.Printf("adopted block %d by %s (%d items)", b.Index, b.Miner.Short(), len(b.Items))
 		},

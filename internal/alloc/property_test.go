@@ -171,54 +171,3 @@ func TestRandomPlaceNoOverflowProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Property: a migration plan's Keep/Release partition the current holders,
-// and its move targets are exactly desired \ current in ascending order.
-func TestMigrationPlanPartitionProperty(t *testing.T) {
-	prop := func(curRaw, desRaw []uint8) bool {
-		current := make([]int, len(curRaw))
-		for i, v := range curRaw {
-			current[i] = int(v % 12)
-		}
-		desired := make([]int, len(desRaw))
-		for i, v := range desRaw {
-			desired[i] = int(v % 12)
-		}
-		p := MigrationPlan(current, desired)
-		curSet := make(map[int]bool)
-		for _, n := range current {
-			curSet[n] = true
-		}
-		desSet := make(map[int]bool)
-		for _, n := range desired {
-			desSet[n] = true
-		}
-		seen := make(map[int]bool)
-		for _, n := range p.Keep {
-			if !curSet[n] || !desSet[n] || seen[n] {
-				return false
-			}
-			seen[n] = true
-		}
-		for _, n := range p.Release {
-			if !curSet[n] || desSet[n] || seen[n] {
-				return false
-			}
-			seen[n] = true
-		}
-		if len(seen) != len(curSet) {
-			return false // Keep ∪ Release must cover every current holder
-		}
-		prev := -1
-		for _, m := range p.Moves {
-			if curSet[m.To] || !desSet[m.To] || m.To <= prev {
-				return false
-			}
-			prev = m.To
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}

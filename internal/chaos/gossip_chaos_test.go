@@ -58,9 +58,9 @@ func measureBlockPropagation(t *testing.T) (peak, total, height uint64) {
 // block-propagation egress stays within 1 010 B per adopted block. Peak —
 // not total — is the honest metric: every node receives each body exactly
 // once, so the cluster total is what it is; what the relay bounds is the
-// busiest node's fan-out, at most GossipFanout+1 compact bodies and two
-// 38-byte backup announces per block. A full body pushed to all 127 peers
-// read 17 455 B in the fixed-width form.
+// busiest node's fan-out, at most seven compact bodies (the relay's fan-out
+// of six, plus one) and two 38-byte backup announces per block. A full body
+// pushed to all 127 peers read 17 455 B in the fixed-width form.
 //
 // How often the hash puts the busiest node inside the tree is the seed's
 // luck: 511 B/block at the default seed, up to 808 over seeds 1 to 60 and

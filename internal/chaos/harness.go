@@ -57,10 +57,6 @@ type Options struct {
 	// StorageCapacity is the per-node storage in items (0 = livenode
 	// default).
 	StorageCapacity int
-	// SyncBatchSize caps how many blocks one incremental-sync batch
-	// carries (0 = livenode default). Small values force multi-round
-	// batched catch-up in scenarios.
-	SyncBatchSize int
 	// SnapshotEvery is the engine ledger-snapshot cadence in blocks (0 =
 	// livenode default). Forks no deeper than this resolve without a
 	// scratch replay.
@@ -74,9 +70,6 @@ type Options struct {
 	// RepairWorkers enables the self-healing data plane on every node with
 	// that many concurrent fetches (0 = repair disabled, the default).
 	RepairWorkers int
-	// RepairRate caps repair traffic in bytes per virtual second (0 =
-	// livenode default).
-	RepairRate int
 	// RepairProbeEvery is the liveness-probe and repair-pump cadence (0 =
 	// livenode default).
 	RepairProbeEvery time.Duration
@@ -85,10 +78,6 @@ type Options struct {
 	// = livenode defaults).
 	RepairSuspectAfter time.Duration
 	RepairHysteresis   time.Duration
-	// ProbeFanout is passed through to livenode.Config.ProbeFanout: peers
-	// probed per repair tick, 0 = the default (DESIGN.md §15.2). Only
-	// meaningful when RepairWorkers > 0.
-	ProbeFanout int
 	// PruneDepth, when positive, runs the finite-lifetime chain on the
 	// nodes selected by PruneNodes: bodies below the snapshot-covered
 	// checkpoint horizon are discarded and only the header spine kept
@@ -246,17 +235,14 @@ func (c *Cluster) startNode(i int) error {
 		NewTransport:    func(h p2p.Handler) (p2p.Transport, error) { return c.Net.Listen(Addr(i), h) },
 		Store:           st,
 		StorageCapacity: c.opts.StorageCapacity,
-		SyncBatchSize:   c.opts.SyncBatchSize,
 		SnapshotEvery:   c.opts.SnapshotEvery,
 		Telemetry:       c.nodeRegs[i],
 		PruneDepth:      pruneDepth,
 
 		RepairWorkers:      c.opts.RepairWorkers,
-		RepairRate:         c.opts.RepairRate,
 		RepairProbeEvery:   c.opts.RepairProbeEvery,
 		RepairSuspectAfter: c.opts.RepairSuspectAfter,
 		RepairHysteresis:   c.opts.RepairHysteresis,
-		ProbeFanout:        c.opts.ProbeFanout,
 		Rules:              c.opts.Rules,
 	})
 	if err != nil {

@@ -24,8 +24,9 @@ type repairChaosResult struct {
 	reannounced    uint64
 }
 
-// Liveness cadence of the scenario: livenode's defaults, named here because
-// the heartbeat bound below is written in them.
+// Liveness cadence of the scenario: livenode's default tick and the probe
+// fan-out it derives for a 24-node roster, named here because the heartbeat
+// bound below is written in them.
 const (
 	repairProbeEvery = 2 * time.Second
 	repairFanout     = 4
@@ -58,7 +59,6 @@ func runRepairScenario(t *testing.T, seed int64) repairChaosResult {
 		RepairSuspectAfter: 4 * time.Second,
 		RepairHysteresis:   4 * time.Second,
 		RepairProbeEvery:   repairProbeEvery,
-		ProbeFanout:        repairFanout,
 	})
 	now := func() time.Duration { return c.Clock.Now().Sub(c.Epoch) }
 
@@ -144,7 +144,7 @@ func runRepairScenario(t *testing.T, seed int64) repairChaosResult {
 // back at its replica floor and fetchable from every assigned survivor,
 // the §11 byte invariants, and a bit-identical run when the same seed
 // executes twice. The invariants split repair_bytes in two: re-replication
-// (repair_bytes − heartbeat_bytes), what RepairRate budgets, stays strictly
+// (repair_bytes − heartbeat_bytes), what the repair byte budget covers, stays strictly
 // below consensus bytes; liveness (heartbeat_bytes) has a budget of its own,
 // the per-tick probe bound times the ticks. Liveness alone outweighs the
 // consensus plane at some seeds: the probes follow the clock, the blocks do

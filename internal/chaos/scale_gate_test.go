@@ -75,7 +75,7 @@ func measureMetaDistribution(t *testing.T) (peak, total, relays uint64) {
 // 256 nodes the busiest node's metadata egress for 8 items from one
 // producer stays within 4 350 B — the 3 482 B this run measures at every
 // seed plus a quarter. Re-pinned for the tree relay (§15.1): a node uploads
-// an item to at most GossipFanout+1 tree neighbours and the interior role
+// an item to at most seven tree neighbours (the relay's fan-out of six, plus one) and the interior role
 // rotates with the ID, where the producer used to serve the fetches its six
 // announces drew, item after item (9 342 B; 12 912 B before the varint wire
 // format, 14 064 B before announces spoke short IDs). Peak, not total:
@@ -300,9 +300,9 @@ func TestMetaRelayPoolConvergence(t *testing.T) {
 // compared with itself. Nothing in the stack may touch wall-clock
 // randomness for either to hold.
 //
-// Detector windows follow the §15 coverage math: with fanout 8, sampled
-// evidence about one node refreshes roughly every
-// roster/(fanout·(digest+1)) ≈ 7 ticks, so the 36-tick dead window has
+// Detector windows follow the §15 coverage math: with the fanout of 8 that
+// livenode derives for 1000 nodes, sampled evidence about one node refreshes
+// roughly every roster/(fanout·(digest+1)) ≈ 7 ticks, so the 36-tick dead window has
 // ~5× slack — alive nodes never flap dead (a false-dead at this scale
 // snowballs into a repair-repacking livelock), while churned nodes are
 // only down ~4 ticks and never even reach suspect.
@@ -318,7 +318,6 @@ func TestChaosScale1000(t *testing.T) {
 		Seed:               seed,
 		StorageCapacity:    64,
 		RepairWorkers:      1,
-		ProbeFanout:        8,
 		RepairProbeEvery:   10 * time.Second,
 		RepairSuspectAfter: 180 * time.Second,
 		RepairHysteresis:   180 * time.Second,

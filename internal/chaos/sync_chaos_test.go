@@ -34,7 +34,6 @@ func runBatchedSyncScenario(t *testing.T, seed int64, dataDir string) syncChaosR
 		N:             n,
 		Seed:          seed,
 		DataDirs:      dirs,
-		SyncBatchSize: 4, // force multi-batch catch-up for ~6-block gaps
 		SnapshotEvery: snapshotEvery,
 	})
 

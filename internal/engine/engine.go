@@ -6,21 +6,19 @@
 // into every mined block.
 //
 // The engine is transport- and clock-agnostic: it never does I/O and it
-// never sleeps. Adapters — internal/core.Node over the discrete-event
-// simulator and internal/livenode.Node over real sockets — inject a time
-// source (Config.Now), a topology, and the OnAppend/OnDisconnect callbacks,
-// and they decide when to call NextRound/Mine and what to do with the blocks
-// the engine hands back. A block joins the chain one of two ways — appended
-// to the tip (ReceiveBlock, Mine, AppendTrusted) or as part of a longer
-// suffix (AdoptSuffix) — and both report it with the same AppendEvent.
-// Because both stacks drive the same engine, every invariant proven against
-// one (chaos replay validity, ledger reconciliation, golden round times)
-// certifies the other.
+// never sleeps. Its one adapter, internal/livenode.Node, runs it over real
+// sockets and the wall clock or over the in-memory transport and the virtual
+// clock; it injects a time source (Config.Now), the topology its transport
+// gives (a 1-hop clique, or a radio field's home graph), and the
+// OnAppend/OnDisconnect callbacks, and it decides when to call
+// NextRound/Mine and what to do with the blocks the engine hands back. A
+// block joins the chain one of two ways — appended to the tip (ReceiveBlock,
+// Mine, AppendTrusted) or as part of a longer suffix (AdoptSuffix) — and both
+// report it with the same AppendEvent.
 //
-// The engine itself is NOT internally locked: the simulation runs
-// single-threaded, and the live node wraps every engine call in its own
-// mutex. Callbacks (OnAppend, OnDisconnect, Topology, Now) are invoked
-// synchronously from whatever engine method triggered them.
+// The engine itself is NOT internally locked: the live node wraps every
+// engine call in its own mutex. Callbacks (OnAppend, OnDisconnect, Topology,
+// Now) are invoked synchronously from whatever engine method triggered them.
 package engine
 
 import (
@@ -159,8 +157,8 @@ type Config struct {
 	// persistent storage to match.
 	OnPrune func(horizon uint64, pruned int)
 
-	// Topology returns the placement topology (home positions for the
-	// sim, a 1-hop clique for the live mesh).
+	// Topology returns the placement topology: a 1-hop clique for a full
+	// mesh, the radio field's home graph for a multi-hop transport.
 	Topology func() *netsim.Topology
 	// Planner places data items (replica floor enforced); BlockPlanner
 	// places block bodies and recent-block assignments without one.

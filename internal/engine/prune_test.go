@@ -80,9 +80,6 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 	if !bytes.Equal(dec.Encode(), blob) {
 		t.Fatal("re-encoded snapshot differs from original bytes")
 	}
-	if dec.ContentHash() != snap.ContentHash() {
-		t.Fatal("content hash changed across the round trip")
-	}
 	for cut := 0; cut < len(blob); cut += 7 {
 		if _, err := DecodeSnapshot(blob[:cut]); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", cut)

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -123,12 +122,6 @@ func (s *StateSnapshot) Encode() []byte {
 		w = it.AppendEncode(w)
 	}
 	return w
-}
-
-// ContentHash returns the SHA-256 of the canonical encoding; peers compare
-// it before installing a transferred snapshot.
-func (s *StateSnapshot) ContentHash() [sha256.Size]byte {
-	return sha256.Sum256(s.Encode())
 }
 
 // DecodeSnapshot parses an encoded snapshot. It validates structure only

@@ -21,7 +21,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"time"
 
 	"repro/internal/chain"
 	"repro/internal/engine"
@@ -145,9 +144,8 @@ func (n *Node) beginBootstrap(peer string) bool {
 	bs := &bootstrapState{gen: n.bootGen, peer: peer}
 	// One generous deadline for the whole transfer; chunk loss is not
 	// retried (the snapshot is an optimization — suffix sync always works).
-	timeout := n.cfg.SyncTimeout * time.Duration(n.cfg.SyncRetries+1)
 	gen := bs.gen
-	bs.timer = n.clock.AfterFunc(timeout, func() { n.onBootstrapTimeout(gen) })
+	bs.timer = n.clock.AfterFunc(bootstrapTimeout, func() { n.onBootstrapTimeout(gen) })
 	n.boot = bs
 	n.tel.bootRequests.Inc()
 	// A bootstrap in flight suppresses mining (the fresh-engine check
@@ -191,7 +189,7 @@ func (n *Node) onBootstrapTimeout(gen uint64) {
 	}
 	n.abandonBootstrapLocked("snapshot transfer timed out")
 	n.mu.Unlock()
-	n.sendSyncLocator(n.sampleOf(n.net.Peers(), n.cfg.GossipFanout)...)
+	n.sendSyncLocator(n.sampleOf(n.net.Peers(), gossipFanout)...)
 }
 
 // handleGetSnapshot serves a peer's snapshot request: export the newest
@@ -211,7 +209,7 @@ func (n *Node) handleGetSnapshot(from string) {
 		return
 	}
 	n.tel.bootServed.Inc()
-	hash := snap.ContentHash()
+	hash := sha256.Sum256(blob)
 	total := uint64(len(blob))
 	count := uint32((total + snapChunkData - 1) / snapChunkData)
 	for i := uint32(0); i < count; i++ {
@@ -248,7 +246,7 @@ func (n *Node) handleSnapshot(from string, payload []byte) {
 	} else if c.Height != bs.height || c.Total != bs.total || c.Hash != bs.hash || int(c.Count) != len(bs.chunks) {
 		n.abandonBootstrapLocked("inconsistent snapshot stream")
 		n.mu.Unlock()
-		n.sendSyncLocator(n.sampleOf(n.net.Peers(), n.cfg.GossipFanout)...)
+		n.sendSyncLocator(n.sampleOf(n.net.Peers(), gossipFanout)...)
 		return
 	}
 	if bs.chunks[c.Idx] == nil {
@@ -269,7 +267,7 @@ func (n *Node) handleSnapshot(from string, payload []byte) {
 	if sha256.Sum256(blob) != bs.hash {
 		n.abandonBootstrapLocked("snapshot hash mismatch")
 		n.mu.Unlock()
-		n.sendSyncLocator(n.sampleOf(n.net.Peers(), n.cfg.GossipFanout)...)
+		n.sendSyncLocator(n.sampleOf(n.net.Peers(), gossipFanout)...)
 		return
 	}
 	snap, err := engine.DecodeSnapshot(blob)
@@ -282,7 +280,7 @@ func (n *Node) handleSnapshot(from string, payload []byte) {
 	if err != nil {
 		n.abandonBootstrapLocked(err.Error())
 		n.mu.Unlock()
-		n.sendSyncLocator(n.sampleOf(n.net.Peers(), n.cfg.GossipFanout)...)
+		n.sendSyncLocator(n.sampleOf(n.net.Peers(), gossipFanout)...)
 		return
 	}
 	n.tel.bootInstalled.Inc()

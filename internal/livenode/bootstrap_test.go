@@ -121,15 +121,23 @@ func TestBootstrapHoldsMiningUntilConnect(t *testing.T) {
 	b := newSyncTestNode(t, fn, "b", 1, epoch, func(cfg *Config) { cfg.SnapshotEvery = 4 })
 	b.mineBlocks(t, 10)
 
+	// The node starts long after genesis, so its first PoS round fire time
+	// is already past: unheld, it would mine at once. Time passes up to the
+	// end of the hold before the operator's peer list is dialed; the held
+	// node must stay fresh instead of mining its own fork.
+	clk := sim.NewVClock(b.clock.Now())
 	a := newSyncTestNode(t, fn, "a", 0, epoch, func(cfg *Config) {
 		cfg.SnapshotEvery = 4
 		cfg.BootstrapSnapshot = true
-		cfg.SyncTimeout = time.Hour // keep the startup hold open for the whole test
+		cfg.Clock = clk
 	})
-	// Wall-clock time passes well beyond the node's first PoS round fire
-	// times before the operator's peer list is dialed; the held node must
-	// stay fresh instead of mining its own fork.
-	a.clock.Advance(10 * time.Minute)
+	a.mu.Lock()
+	r, ok := a.eng.NextRound()
+	a.mu.Unlock()
+	if !ok || epoch.Add(r.FireAt()).After(clk.Now()) {
+		t.Fatal("the first round is not due at start: the hold would be untested")
+	}
+	clk.Advance(bootstrapTimeout - time.Millisecond)
 	if got := a.Height(); got != 0 {
 		t.Fatalf("held node mined %d block(s) before Connect", got)
 	}
@@ -160,7 +168,7 @@ func TestBootstrapHoldExpiresWithoutPeers(t *testing.T) {
 	epoch := time.Unix(1700000000, 0)
 	a := newSyncTestNode(t, fn, "a", 0, epoch, func(cfg *Config) {
 		cfg.BootstrapSnapshot = true
-		// Grace = SyncTimeout * (SyncRetries+1) = 3s with the test config.
+		// Grace = bootstrapTimeout.
 	})
 	a.clock.Advance(10 * time.Minute)
 	if a.Height() == 0 {
@@ -218,8 +226,7 @@ func TestBootstrapTimeoutFallsBack(t *testing.T) {
 	if got := a.Height(); got != 0 {
 		t.Fatalf("height %d before any chunk arrived", got)
 	}
-	// SyncTimeout(1s) x (SyncRetries(2)+1) = 3s transfer deadline.
-	a.clock.Advance(3500 * time.Millisecond)
+	a.clock.Advance(bootstrapTimeout + 500*time.Millisecond)
 	if a.bootstrapPending() {
 		t.Fatal("bootstrap session survived its deadline")
 	}
@@ -447,9 +454,11 @@ func TestPrunedSteadyStateBounded(t *testing.T) {
 // bytes AND verify at least 10x fewer blocks than a suffix sync from
 // genesis, and still land on the identical tip. The bootstrap itself is one
 // snapshot chunk and a 16-block suffix at either scale, at most 4 400 B: the
-// 3 483 B the 50k-block join measures plus a quarter (4 808 B in the
-// fixed-width form, where the suffix sync read 13 018 640 B to today's
-// 9 566 349 B).
+// 3 493 B the 50k-block join measures plus a quarter (4 808 B in the
+// fixed-width form, where the suffix sync read 13 018 640 B). The suffix
+// sync reads 9 571 340 B in batches of 64 blocks; it read 9 566 254 B when
+// this test asked for 256, the difference being the frame overhead of four
+// times as many batch requests and replies.
 func TestColdJoinSnapshotGate(t *testing.T) {
 	height := 50_000
 	if testing.Short() || raceEnabled {
@@ -459,14 +468,11 @@ func TestColdJoinSnapshotGate(t *testing.T) {
 	}
 	fn := newFakeNet()
 	epoch := time.Unix(1700000000, 0)
-	b := newSyncTestNode(t, fn, "b", 1, epoch, func(cfg *Config) {
-		cfg.SnapshotEvery = 64
-		cfg.SyncBatchSize = 256
-	})
+	b := newSyncTestNode(t, fn, "b", 1, epoch, func(cfg *Config) { cfg.SnapshotEvery = 64 })
 	b.mineBlocks(t, height)
 
 	// Control: plain suffix sync from genesis.
-	c := newSyncTestNode(t, fn, "c", 2, epoch, func(cfg *Config) { cfg.SyncBatchSize = 256 })
+	c := newSyncTestNode(t, fn, "c", 2, epoch, nil)
 	fn.startCounting()
 	if err := c.Connect("b"); err != nil {
 		t.Fatal(err)
@@ -478,10 +484,7 @@ func TestColdJoinSnapshotGate(t *testing.T) {
 	syncBlocks := counter(c.reg, "livenode.sync.blocks_fetched")
 
 	// Snapshot bootstrap.
-	a := newSyncTestNode(t, fn, "a", 0, epoch, func(cfg *Config) {
-		cfg.SyncBatchSize = 256
-		cfg.BootstrapSnapshot = true
-	})
+	a := newSyncTestNode(t, fn, "a", 0, epoch, func(cfg *Config) { cfg.BootstrapSnapshot = true })
 	fn.startCounting()
 	if err := a.Connect("b"); err != nil {
 		t.Fatal(err)

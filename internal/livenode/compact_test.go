@@ -220,7 +220,7 @@ func TestCompactSilentAnnouncerFallsBackToLocator(t *testing.T) {
 	}
 
 	fn.setDrop(nil)
-	a.clock.Advance(1500 * time.Millisecond) // SyncTimeout is 1s on the fabric
+	a.clock.Advance(3 * syncTimeout / 2)
 	if got := a.Tip(); got.Hash != blk.Hash {
 		t.Fatalf("height %d after the timeout: locator sync did not deliver the block", a.Height())
 	}
@@ -364,7 +364,7 @@ func TestCompactTamperNeverAdopts(t *testing.T) {
 // neighbours in the tree over all, the sorted addresses of every node.
 func treePeers(n *syncTestNode, all []string, rot uint64, sender string) (out []string) {
 	self := sort.SearchStrings(all, n.Addr())
-	for _, r := range treeRanks(nil, len(all), self, rot, n.cfg.GossipFanout) {
+	for _, r := range treeRanks(nil, len(all), self, rot, gossipFanout) {
 		if all[r] != sender {
 			out = append(out, all[r])
 		}

@@ -22,7 +22,7 @@ import (
 //
 // Bindings are unsigned, like the probe: content is verified against its ID
 // before it is stored, so a forged binding can only cost the fetch one
-// SyncTimeout, and the real node's next frame overwrites it.
+// syncTimeout, and the real node's next frame overwrites it.
 
 // fetchPurpose says why a data item is fetched — a consumer's read, a new
 // storer's placement fetch and the repair plane's re-replication are the same
@@ -163,7 +163,7 @@ func (n *Node) requestData(id meta.DataID, purpose fetchPurpose) {
 // and with no candidate left the request is broadcast — any holder may answer,
 // as before the fetch was directed — and the fetch waits for its expiry.
 func (n *Node) newDataFetcher() *fetcher[meta.DataID] {
-	f := newFetcher[meta.DataID](&n.mu, n.clock, n.cfg.SyncTimeout)
+	f := newFetcher[meta.DataID](&n.mu, n.clock)
 	request := func(id meta.DataID, pf *pendingFetch) []byte {
 		w := uint32(n.selfIdx)
 		if pf.repair {

@@ -230,7 +230,7 @@ func TestFetchCandidatesFollowLiveness(t *testing.T) {
 }
 
 // (b) The first candidate is alive but lacks the bytes: the second is asked
-// after SyncTimeout, and the latency counts from the first request.
+// after syncTimeout, and the latency counts from the first request.
 func TestFetchSilentCandidateMovesOn(t *testing.T) {
 	fc := newFetchCluster(t, 4, nil)
 	a := fc.nodes[0]
@@ -241,9 +241,9 @@ func TestFetchSilentCandidateMovesOn(t *testing.T) {
 	if len(fc.wire) != 1 || fc.wire[0].to != "n1" || a.HasData(id) {
 		t.Fatalf("before the timeout the wire carried %v", fc.wire)
 	}
-	fc.clk.Advance(a.cfg.SyncTimeout - time.Millisecond)
+	fc.clk.Advance(syncTimeout - time.Millisecond)
 	if len(fc.wire) != 1 {
-		t.Fatalf("moved on before SyncTimeout: %v", fc.wire)
+		t.Fatalf("moved on before syncTimeout: %v", fc.wire)
 	}
 	fc.clk.Advance(time.Millisecond)
 	want := []wireFrame{{"n0", "n1", p2p.FrameDataRequest}, {"n0", "n2", p2p.FrameDataRequest}, {"n2", "n0", p2p.FrameData}}
@@ -251,8 +251,8 @@ func TestFetchSilentCandidateMovesOn(t *testing.T) {
 		t.Fatalf("wire carried %v, want %v", fc.wire, want)
 	}
 	snap := a.reg.Snapshot()
-	if h := snap.Histogram("livenode.data.fetch_ns"); h.Count != 1 || h.Max != int64(a.cfg.SyncTimeout) {
-		t.Fatalf("fetch latency %+v, want one sample of %v", h, a.cfg.SyncTimeout)
+	if h := snap.Histogram("livenode.data.fetch_ns"); h.Count != 1 || h.Max != int64(syncTimeout) {
+		t.Fatalf("fetch latency %+v, want one sample of %v", h, syncTimeout)
 	}
 	if snap.Counter("livenode.fetch.directed") != 2 || snap.Counter("livenode.fetch.next_candidate") != 1 {
 		t.Fatalf("counters: %v", snap.Counters)
@@ -301,7 +301,7 @@ func TestFetchExhaustedBroadcastsThenExpires(t *testing.T) {
 	a := fc.nodes[0]
 	fc.know(0, 1, 2, 3)
 	id := fc.item(t, 0, "nobody has it", 3, []int{1, 2})
-	st := a.cfg.SyncTimeout
+	st := syncTimeout
 
 	a.RequestData(id)
 	fc.clk.Advance(st)
@@ -425,7 +425,7 @@ func TestFetchRequestTeachesAddress(t *testing.T) {
 }
 
 // (f, continued) A peer that claims to be every holder and answers with
-// other bytes delays the fetch by one SyncTimeout and changes nothing that
+// other bytes delays the fetch by one syncTimeout and changes nothing that
 // is stored; the real node's next request takes its index back.
 func TestFetchForgedBindingOnlyDelays(t *testing.T) {
 	fc := newFetchCluster(t, 4, nil)
@@ -455,7 +455,7 @@ func TestFetchForgedBindingOnlyDelays(t *testing.T) {
 	if forged != 1 || a.HasData(id) || len(got) != 0 {
 		t.Fatalf("forged answer: asked evil %d times, stored=%v, OnData %v", forged, a.HasData(id), got)
 	}
-	fc.clk.Advance(a.cfg.SyncTimeout)
+	fc.clk.Advance(syncTimeout)
 	if !a.HasData(id) || got[id] != "the real bytes" {
 		t.Fatalf("fetch did not recover through the broadcast: OnData %v", got)
 	}
@@ -585,17 +585,17 @@ func TestUnsolicitedDataNotStored(t *testing.T) {
 // re-announcement through its engine, which puts the item on its repair
 // queue. The producer (node 3, not a storing node)
 // and node 1 both hold the bytes, and the item is larger than anybody's bucket
-// (RepairRate bytes). The producer's bucket is in debt: asked first, it stays
+// (repairRate bytes). The producer's bucket is in debt: asked first, it stays
 // silent and counts a throttle. The fetch moves on to node 1 after
-// SyncTimeout, whose full bucket lets the oversized answer through and goes
+// syncTimeout, whose full bucket lets the oversized answer through and goes
 // into debt for it; request and answer bytes land in repair_bytes on both
 // ends and in nobody's data_bytes.
 func TestRepairFetchPaysBudgetAndCountsAsRepair(t *testing.T) {
-	const rate = 128
-	fc := newFetchCluster(t, 4, func(cfg *Config) { cfg.RepairWorkers, cfg.RepairRate = 1, rate })
+	const rate = repairRate
+	fc := newFetchCluster(t, 4, func(cfg *Config) { cfg.RepairWorkers = 1 })
 	a, holder, producer := fc.nodes[0], fc.nodes[1], fc.nodes[3]
 	fc.know(0, 1, 3)
-	content := "re-replicated under the budget: " + strings.Repeat("x", 200)
+	content := "re-replicated under the budget: " + strings.Repeat("x", rate)
 	charged := repairFrameOverhead + len(content)
 	if charged <= rate {
 		t.Fatalf("the answer (%d B) must not fit a bucket of %d B", charged, rate)
@@ -626,7 +626,7 @@ func TestRepairFetchPaysBudgetAndCountsAsRepair(t *testing.T) {
 	if v := counter(producer.reg, "livenode.repair.throttled"); v != 1 {
 		t.Fatalf("holder over its budget: repair.throttled = %d, want 1", v)
 	}
-	fc.clk.Advance(a.cfg.SyncTimeout)
+	fc.clk.Advance(syncTimeout)
 	want := []wireFrame{{"n0", "n3", p2p.FrameDataRequest}, {"n0", "n1", p2p.FrameDataRequest}, {"n1", "n0", p2p.FrameData}}
 	if !reflect.DeepEqual(fc.wire, want) || got[it.ID] != content {
 		t.Fatalf("wire carried %v, want %v (OnData %d items)", fc.wire, want, len(got))
@@ -652,8 +652,8 @@ func TestRepairFetchPaysBudgetAndCountsAsRepair(t *testing.T) {
 		snap.Counter("livenode.repair.fallbacks") != 0 {
 		t.Errorf("repair counters at the requester: %v", snap.Counters)
 	}
-	if h := snap.Histogram("livenode.repair.fetch_ns"); h.Count != 1 || h.Max != int64(a.cfg.SyncTimeout) {
-		t.Errorf("repair.fetch_ns %+v, want one sample of %v (launch to verified content)", h, a.cfg.SyncTimeout)
+	if h := snap.Histogram("livenode.repair.fetch_ns"); h.Count != 1 || h.Max != int64(syncTimeout) {
+		t.Errorf("repair.fetch_ns %+v, want one sample of %v (launch to verified content)", h, syncTimeout)
 	}
 	// The holder's bucket paid for the whole answer: it is in debt by what did
 	// not fit, and good again once the refill has covered that.
@@ -736,7 +736,7 @@ func TestRepairLaunchLeavesRunningFetchAlone(t *testing.T) {
 	}
 	start, asked, timers := running.start, len(fc.wire), fc.clk.Pending()
 
-	fc.clk.Advance(a.cfg.SyncTimeout / 2)
+	fc.clk.Advance(syncTimeout / 2)
 	a.requestData(id, repairFetch)
 	entry := func() (*pendingFetch, int) {
 		a.mu.Lock()
@@ -749,7 +749,7 @@ func TestRepairLaunchLeavesRunningFetchAlone(t *testing.T) {
 		t.Fatalf("the launch disturbed a running consumer fetch: %+v, wire %v", after, fc.wire[asked:])
 	}
 
-	fc.clk.Advance(2 * a.cfg.SyncTimeout) // n1, then the producer, stayed silent
+	fc.clk.Advance(2 * syncTimeout) // n1, then the producer, stayed silent
 	if after, inFlight = entry(); after != running || after.waiting() || inFlight != 0 {
 		t.Fatalf("exhausted consumer fetch %+v with %d tasks in flight, want it broadcasting and the task back in the queue", after, inFlight)
 	}

@@ -13,7 +13,7 @@ import (
 // needs something asks a node that has it (§IV-D) — and so does this package:
 // a block body, a metadata item and a data item are all fetched by
 //
-//	begin(key, candidates) → ask one → silent for `wait`? ask the next → …
+//	begin(key, candidates) → ask one → silent for syncTimeout? ask the next → …
 //	  → answered (finish) | candidates exhausted | expired | cleared
 //
 // The planes differ in the key, in who the candidates are and in what "nobody
@@ -47,7 +47,6 @@ func (e *pendingFetch) waiting() bool { return e.attempt != nil }
 type fetcher[K comparable] struct {
 	mu      *sync.Mutex // the owner's lock; guards pending and every entry
 	clock   sim.Clock
-	wait    time.Duration // how long one candidate may stay silent
 	pending map[K]*pendingFetch
 	seq     uint64
 
@@ -64,8 +63,8 @@ type fetcher[K comparable] struct {
 	expired func(k K, e *pendingFetch)
 }
 
-func newFetcher[K comparable](mu *sync.Mutex, clock sim.Clock, wait time.Duration) *fetcher[K] {
-	return &fetcher[K]{mu: mu, clock: clock, wait: wait, pending: make(map[K]*pendingFetch)}
+func newFetcher[K comparable](mu *sync.Mutex, clock sim.Clock) *fetcher[K] {
+	return &fetcher[K]{mu: mu, clock: clock, pending: make(map[K]*pendingFetch)}
 }
 
 // begin registers a fetch of k from cands and returns it; nothing is asked
@@ -118,7 +117,7 @@ func (f *fetcher[K]) advance(k K, e *pendingFetch) {
 		}
 		to := e.cands[e.next]
 		e.next++
-		e.attempt = f.clock.AfterFunc(f.wait, func() { f.advance(k, e) })
+		e.attempt = f.clock.AfterFunc(syncTimeout, func() { f.advance(k, e) })
 		f.mu.Unlock()
 		if f.ask(k, e, to) {
 			return

@@ -16,12 +16,11 @@ import (
 // stepped through them in (time, arming order). Both sides log what they ask
 // and every verdict; the logs must stay equal.
 
-const (
-	fuzzWait = time.Second
-	fuzzKeys = 4
-)
+const fuzzKeys = 4
 
-var fuzzExpiries = [4]time.Duration{0, fuzzWait, 2500 * time.Millisecond, 10 * time.Second}
+// fuzzExpiries are the fetch bounds a script picks from, in units of the
+// fetcher's wait on one candidate (syncTimeout).
+var fuzzExpiries = [4]time.Duration{0, syncTimeout, 5 * syncTimeout / 2, 10 * syncTimeout}
 
 // refDeadline is a timer of the reference: armed says whether it is pending.
 type refDeadline struct {
@@ -77,7 +76,7 @@ func (m *fetcherModel) advance(k uint8, r *refFetch) {
 		}
 		to := r.cands[r.next]
 		r.next++
-		r.attempt = m.arm(fuzzWait)
+		r.attempt = m.arm(syncTimeout)
 		m.log = append(m.log, fmt.Sprintf("ask %d %s", k, to))
 		if !m.down[to] {
 			return
@@ -139,7 +138,7 @@ func runFetcherScript(t *testing.T, script []byte) {
 	var log []string
 	ended := make(map[*pendingFetch]string) // every entry that is over, and why
 	began, fetches, checked := 0, 0, 0      // checked: log entries already compared
-	f := newFetcher[uint8](&mu, clk, fuzzWait)
+	f := newFetcher[uint8](&mu, clk)
 	alive := func(hook string, k uint8, e *pendingFetch) {
 		if why, over := ended[e]; over {
 			t.Fatalf("%s called for a fetch of %d that had ended (%s)", hook, k, why)
@@ -218,7 +217,7 @@ func runFetcherScript(t *testing.T, script []byte) {
 				clk.Advance(d.at.Sub(clk.Now()))
 			}
 		case 3: // let time pass
-			d := time.Duration(arg) * 100 * time.Millisecond
+			d := time.Duration(arg) * syncTimeout / 10
 			model.runUntil(model.now.Add(d))
 			clk.Advance(d)
 		case 4:

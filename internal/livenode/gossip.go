@@ -16,29 +16,29 @@ import (
 // plane over, an item it publishes or admits (§15.1) — travels as the body
 // itself, pushed unasked along a spanning tree that every node derives alone
 // from the sorted peer list (treeRanks), so each node receives it once and
-// uploads it at most GossipFanout+1 times:
+// uploads it at most gossipFanout+1 times:
 //
 //	miner                        tree neighbour            its tree neighbours
 //	  FrameCompactBlock ─────────▶  (header + item IDs, §13.1)
 //	                                adopted: FrameCompactBlock ───────▶  …
 //
-// Announce → fetch is the backup: SyncTimeout/4 after adopting a pushed body
+// Announce → fetch is the backup: syncTimeout/4 after adopting a pushed body
 // a node announces (height, hash) to lazyPeers sampled peers, and one that
 // still lacks the hash — a drop, a partition, peer views that disagree —
 // answers FrameGetBlock and gets the compact body. A fetched (or synced) body
 // is evidence that the tree failed here: it is announced at once to a full
-// GossipFanout sample, and the relay degrades to the epidemic it replaced.
+// gossipFanout sample, and the relay degrades to the epidemic it replaced.
 //
 // Duplicates are suppressed against the chain's own hash index (adopted
 // blocks), the pending fetches (fetcher.go: one candidate, the sender) and a
 // small LRU of hashes seen but not adopted (stale forks, timed-out fetches).
 // A fetch the announcer never answers falls back to the §10 sync locator path
-// after cfg.SyncTimeout: the ladder is push → announce → fetch → locator.
+// after syncTimeout: the ladder is push → announce → fetch → locator.
 const (
-	// defaultGossipFanout is the tree's arity and a fallback announce's peer
-	// sample when Config.GossipFanout is 0. Six gives a tree three levels deep
+	// gossipFanout is the tree's arity and a fallback announce's peer
+	// sample. Six gives a tree three levels deep
 	// at 256 nodes and >99.9% epidemic saturation on overlays far past 1000.
-	defaultGossipFanout = 6
+	gossipFanout = 6
 	// lazyPeers is how many sampled peers hear a pushed ID's backup announce.
 	lazyPeers = 2
 	// gossipSeenCap bounds the seen-hash LRU. It only has to cover hashes
@@ -71,9 +71,9 @@ func (n *Node) newGossipState(seed int64) *gossipState {
 	g := &gossipState{
 		rng:       rand.New(rand.NewSource(seed)),
 		seen:      newSeenLRU[block.Hash, struct{}](gossipSeenCap),
-		blocks:    newFetcher[block.Hash](&n.mu, n.clock, n.cfg.SyncTimeout),
+		blocks:    newFetcher[block.Hash](&n.mu, n.clock),
 		metaKnown: newSeenLRU[meta.ShortID, meta.DataID](metaSeenCap),
-		metas:     newFetcher[meta.ShortID](&n.mu, n.clock, n.cfg.SyncTimeout),
+		metas:     newFetcher[meta.ShortID](&n.mu, n.clock),
 	}
 	g.blocks.ask = func(h block.Hash, e *pendingFetch, to string) bool {
 		if !e.pushed { // a pushed body is here already: only the wait for its missing items starts
@@ -184,8 +184,8 @@ func (n *Node) push(ft byte, body []byte, rot uint64, exclude string) {
 	peers := n.net.Peers()
 	sort.Strings(peers) // memnet's arrive sorted and cost one pass, TCP's come in map order
 	self := sort.SearchStrings(peers, n.net.Addr())
-	var buf [defaultGossipFanout + 1]int
-	for _, r := range treeRanks(buf[:0], len(peers)+1, self, rot, n.cfg.GossipFanout) {
+	var buf [gossipFanout + 1]int
+	for _, r := range treeRanks(buf[:0], len(peers)+1, self, rot, gossipFanout) {
 		if r > self {
 			r-- // peers lacks self: ranks past it sit one lower
 		}
@@ -219,10 +219,10 @@ func (n *Node) relayBlock(blk *block.Block, from string, fetched bool) {
 	ann := encodeAnnounce(blk.Index, blk.Hash)
 	if fetched {
 		n.tel.relayFallbacks.Inc()
-		n.announce(p2p.FrameBlockAnnounce, ann, from, n.cfg.GossipFanout)
+		n.announce(p2p.FrameBlockAnnounce, ann, from, gossipFanout)
 	} else {
 		n.push(p2p.FrameCompactBlock, blk.EncodeCompact(), binary.BigEndian.Uint64(blk.Hash[:]), from)
-		n.clock.AfterFunc(n.cfg.SyncTimeout/4, func() {
+		n.clock.AfterFunc(syncTimeout/4, func() {
 			n.tel.relayLazyIDs.Inc()
 			n.announce(p2p.FrameBlockAnnounce, ann, "", lazyPeers)
 		})

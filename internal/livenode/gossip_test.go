@@ -171,7 +171,7 @@ func TestGossipRelayOnAdoptExcludesSender(t *testing.T) {
 
 // TestGossipTreePush walks the §13 primary path: a mined block travels as its
 // compact body along the tree, every node adopts it after n−1 bodies with no
-// announce, fetch or locator, and the backup announce a quarter SyncTimeout
+// announce, fetch or locator, and the backup announce a quarter syncTimeout
 // later finds only duplicates.
 func TestGossipTreePush(t *testing.T) {
 	fn := newFakeNet()
@@ -203,7 +203,7 @@ func TestGossipTreePush(t *testing.T) {
 	if v := sumCounter("livenode.relay.dup_bodies", a, b, c) + sumCounter("livenode.relay.fallback_announces", a, b, c); v != 0 {
 		t.Errorf("%d duplicate bodies / fallback announces on a healthy push", v)
 	}
-	clk.Advance(250 * time.Millisecond) // SyncTimeout/4: every node's backup announce
+	clk.Advance(syncTimeout / 4) // every node's backup announce
 	if n, dup := log.count(p2p.FrameBlockAnnounce), sumCounter("livenode.gossip.dup_suppressed", a, b, c); n != 3*lazyPeers || int(dup) != n {
 		t.Errorf("%d backup announces, %d suppressed as duplicates, want %d and all of them", n, dup, 3*lazyPeers)
 	}
@@ -282,7 +282,7 @@ func TestGossipFetchTimeoutFallsBackToLocator(t *testing.T) {
 	if a.Height() != 0 {
 		t.Fatalf("height = %d before timeout, want 0", a.Height())
 	}
-	a.clock.Advance(time.Second) // cfg.SyncTimeout
+	a.clock.Advance(syncTimeout)
 	if v := counter(a.reg, "livenode.gossip.fetch_timeouts"); v != 1 {
 		t.Fatalf("gossip.fetch_timeouts = %d, want 1", v)
 	}

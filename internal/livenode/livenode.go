@@ -35,6 +35,10 @@ import (
 	"repro/internal/telemetry"
 )
 
+// verifyWorkers bounds the worker pool that content-verifies sync suffixes
+// in parallel (engine.Config.VerifyWorkers).
+const verifyWorkers = 4
+
 // Config configures one live node.
 type Config struct {
 	// Identity is this node's key pair; its address must appear in
@@ -71,17 +75,6 @@ type Config struct {
 	// before the node starts listening, and the normal chain-sync path
 	// then catches up anything mined while the node was down.
 	Store store.Backend
-	// SyncBatchSize is how many blocks one incremental-sync batch request
-	// covers (default 64, capped at the protocol bound maxSyncBatch).
-	SyncBatchSize int
-	// SyncTimeout is the per-batch response deadline; each retry doubles it
-	// (default 2s). A gossip fetch waits that long for its announcer, a data
-	// fetch for one holder, and a backup announce trails its push by a quarter.
-	SyncTimeout time.Duration
-	// SyncRetries is how many times an unanswered batch is re-requested
-	// before the session is aborted; the next announce or locator answer
-	// from any peer starts a new one (default 3).
-	SyncRetries int
 	// SnapshotEvery is the engine's ledger-snapshot cadence in blocks;
 	// snapshots let fork suffixes adopt without a scratch replay
 	// (default 32, see engine.Config.SnapshotInterval). It is also the
@@ -106,34 +99,14 @@ type Config struct {
 	// only the live suffix above the anchor is then fetched through the
 	// §10 locator sync. Any failure falls back to plain suffix sync.
 	BootstrapSnapshot bool
-	// VerifyWorkers bounds the worker pool that content-verifies sync
-	// suffixes in parallel (default 4).
-	VerifyWorkers int
-	// GossipFanout is the arity of the spanning tree that blocks and metadata
-	// items are pushed along, and the size of the peer sample a fetched one is
-	// announced to (DESIGN.md §13, §15.1); 0 means the default of 6, a
-	// negative value is an error. A node uploads a body to at most
-	// GossipFanout+1 tree neighbours.
-	GossipFanout int
 
 	// RepairWorkers enables the self-healing data plane (DESIGN.md §11)
 	// and bounds its concurrent repair fetches; 0 disables repair
 	// entirely (no churn detector, queue or probes).
 	RepairWorkers int
-	// RepairRate is the repair plane's token-bucket byte budget in bytes
-	// per second (default 4096); it keeps background re-replication
-	// traffic strictly below consensus traffic. Both ends of every repair
-	// fetch pay from it; the bucket holds one second's worth, and an item
-	// larger than that passes a full bucket and leaves it in debt.
-	RepairRate int
 	// RepairProbeEvery is the repair tick cadence: liveness probing,
 	// membership sweep and queue pump (default 2s).
 	RepairProbeEvery time.Duration
-	// ProbeFanout is how many peers are probed per repair tick (DESIGN.md
-	// §15.2); 0 means the default of 4, a negative value is an error. A
-	// roster with fewer peers than that probes them all. Acks carry bounded
-	// third-party liveness digests, so evidence spreads epidemically.
-	ProbeFanout int
 	// RepairSuspectAfter is the silence after which a roster node turns
 	// suspect (default 6s); RepairHysteresis is the ADDITIONAL silence
 	// before a suspect counts dead and triggers re-replication
@@ -430,44 +403,16 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Store == nil {
 		cfg.Store = store.NewMemStore()
 	}
-	if cfg.SyncBatchSize <= 0 {
-		cfg.SyncBatchSize = defaultSyncBatch
-	}
-	if cfg.SyncBatchSize > maxSyncBatch {
-		cfg.SyncBatchSize = maxSyncBatch
-	}
-	if cfg.SyncTimeout <= 0 {
-		cfg.SyncTimeout = 2 * time.Second
-	}
-	if cfg.SyncRetries <= 0 {
-		cfg.SyncRetries = defaultSyncRetries
-	}
 	if cfg.SnapshotEvery <= 0 {
 		cfg.SnapshotEvery = 32
 	}
 	if cfg.PruneDepth < 0 {
 		cfg.PruneDepth = 0
 	}
-	if cfg.VerifyWorkers <= 0 {
-		cfg.VerifyWorkers = 4
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = sim.WallClock()
 	}
-	if cfg.GossipFanout < 0 || cfg.ProbeFanout < 0 {
-		return nil, fmt.Errorf("livenode: GossipFanout %d and ProbeFanout %d must not be negative (0 selects the default)",
-			cfg.GossipFanout, cfg.ProbeFanout)
-	}
-	if cfg.GossipFanout == 0 {
-		cfg.GossipFanout = defaultGossipFanout
-	}
 	if cfg.RepairWorkers > 0 {
-		if cfg.ProbeFanout == 0 {
-			cfg.ProbeFanout = defaultProbeFanout
-		}
-		if cfg.RepairRate <= 0 {
-			cfg.RepairRate = defaultRepairRate
-		}
 		if cfg.RepairProbeEvery <= 0 {
 			cfg.RepairProbeEvery = defaultRepairProbeEvery
 		}
@@ -567,7 +512,7 @@ func New(cfg Config) (*Node, error) {
 		CheckpointInterval: cfg.PruneDepth,
 		PruneDepth:         cfg.PruneDepth,
 		OnPrune:            n.onPrune,
-		VerifyWorkers:      cfg.VerifyWorkers,
+		VerifyWorkers:      verifyWorkers,
 		Liveness:           liveness,
 		RepairMaxPerBlock:  repairMax,
 		OnAppend:           n.onAppend,
@@ -599,8 +544,7 @@ func New(cfg Config) (*Node, error) {
 	// block adoption, or by a grace deadline if no peer ever answers.
 	if cfg.BootstrapSnapshot && n.eng.Height() == 0 {
 		n.bootHold = true
-		grace := cfg.SyncTimeout * time.Duration(cfg.SyncRetries+1)
-		n.clock.AfterFunc(grace, func() {
+		n.clock.AfterFunc(bootstrapTimeout, func() {
 			n.mu.Lock()
 			if n.bootHold && n.boot == nil && !n.closed {
 				n.bootHold = false
@@ -618,7 +562,7 @@ func New(cfg Config) (*Node, error) {
 // Addr returns the node's listen address.
 func (n *Node) Addr() string { return n.net.Addr() }
 
-// Connect dials every address and probes the chains of a GossipFanout-bounded
+// Connect dials every address and probes the chains of a gossipFanout-bounded
 // sample of the peers that answered with a block locator; any of those that
 // is ahead answers with the header range of the missing suffix (incremental
 // sync, DESIGN.md §10). If the whole sample is behind too, the next block
@@ -639,7 +583,7 @@ func (n *Node) Connect(addrs ...string) error {
 		// Probe a bounded prefix of the new peers so initial address bindings
 		// bootstrap without an O(n) broadcast; the per-tick probe rotation
 		// binds the rest over time (DESIGN.md §15.2).
-		for _, a := range peers[:min(len(peers), n.cfg.ProbeFanout)] {
+		for _, a := range peers[:min(len(peers), probeFanout(len(n.cfg.Accounts)))] {
 			n.tel.probesSent.Inc()
 			n.send(a, p2p.FrameRepairProbe, rd.announce)
 		}
@@ -649,7 +593,7 @@ func (n *Node) Connect(addrs ...string) error {
 	// (DESIGN.md §14); the locator probe runs once the snapshot is
 	// installed (or the attempt falls back).
 	if !(n.cfg.BootstrapSnapshot && len(peers) > 0 && n.beginBootstrap(peers[0])) {
-		n.sendSyncLocator(n.sampleOf(peers, n.cfg.GossipFanout)...)
+		n.sendSyncLocator(n.sampleOf(peers, gossipFanout)...)
 	}
 	return errors.Join(errs...)
 }

@@ -2,13 +2,11 @@ package livenode
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/identity"
 	"repro/internal/meta"
-	"repro/internal/p2p"
 	"repro/internal/pos"
 	"repro/internal/telemetry"
 )
@@ -262,49 +260,5 @@ func TestLiveRejectsWrongRoster(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("identity outside roster accepted")
-	}
-}
-
-// TestNewRejectsNegativeFanouts: the two fanouts are plain sizes, so a
-// negative one is a configuration error, not a mode.
-func TestNewRejectsNegativeFanouts(t *testing.T) {
-	idents, accounts := testRoster(3)
-	for _, tc := range []struct {
-		name          string
-		gossip, probe int
-		wantErr       bool
-	}{
-		{"defaults", 0, 0, false},
-		{"explicit sizes", 2, 3, false},
-		{"negative gossip fanout", -1, 0, true},
-		{"negative probe fanout", 0, -1, true},
-		{"both negative", -6, -4, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			n, err := New(Config{
-				Identity:    idents[0],
-				Accounts:    accounts,
-				PoS:         pos.DefaultParams(),
-				GenesisSeed: 1,
-				Epoch:       time.Now(),
-				NewTransport: func(h p2p.Handler) (p2p.Transport, error) {
-					return newFakeNet().endpoint("n", h), nil
-				},
-				RepairWorkers: 1,
-				GossipFanout:  tc.gossip,
-				ProbeFanout:   tc.probe,
-			})
-			if n != nil {
-				defer n.Close()
-			}
-			switch {
-			case tc.wantErr && err == nil:
-				t.Fatal("negative fanout accepted")
-			case tc.wantErr && !strings.Contains(err.Error(), "Fanout"):
-				t.Fatalf("error %q does not name the offending option", err)
-			case !tc.wantErr && err != nil:
-				t.Fatal(err)
-			}
-		})
 	}
 }

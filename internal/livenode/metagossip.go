@@ -21,12 +21,12 @@ import (
 //	  FrameMeta(item) ───────────▶ verified, pooled
 //	                               FrameMeta(item) ───────────▶  …
 //
-// The backup speaks short IDs. SyncTimeout/4 to /2 after admission a node
+// The backup speaks short IDs. syncTimeout/4 to /2 after admission a node
 // sends the IDs it pushed, batched, in a FrameMetaAnnounce to lazyPeers
 // sampled peers; whoever lacks one asks the announcer (FrameGetMeta, only the
 // IDs it lacks) and is answered with one FrameMeta per item. A fetched item is
 // evidence that the tree failed its receiver, so it is re-announced at once to
-// a GossipFanout sample: the relay degrades to an epidemic, and no further.
+// a gossipFanout sample: the relay degrades to an epidemic, and no further.
 //
 // A short ID only says "you may lack this". Both ends resolve it through one
 // bounded table, gossipState.metaKnown (short → full ID of what this node
@@ -119,13 +119,13 @@ func (n *Node) relayMeta(id meta.DataID, body []byte, from string, fetched bool)
 	short := id.ShortID()
 	if fetched {
 		n.tel.relayFallbacks.Inc()
-		n.announce(p2p.FrameMetaAnnounce, encodeShortIDs([]meta.ShortID{short}), from, n.cfg.GossipFanout)
+		n.announce(p2p.FrameMetaAnnounce, encodeShortIDs([]meta.ShortID{short}), from, gossipFanout)
 		return
 	}
 	n.push(p2p.FrameMeta, body, binary.BigEndian.Uint64(short[:]), from)
 	n.mu.Lock()
 	if g := n.gossip; len(g.lazy) == 0 {
-		n.clock.AfterFunc(n.cfg.SyncTimeout/4, n.flushLazy)
+		n.clock.AfterFunc(syncTimeout/4, n.flushLazy)
 		g.lazy = append(g.lazy, short)
 	} else {
 		g.lazyNext = append(g.lazyNext, short)
@@ -135,13 +135,13 @@ func (n *Node) relayMeta(id meta.DataID, body []byte, from string, fetched bool)
 
 // flushLazy sends the backup announce of the IDs queued when its timer was
 // armed, in one frame, and arms the next for those queued since: an ID leaves
-// SyncTimeout/4 to /2 after its push — younger, it would race the tree.
+// syncTimeout/4 to /2 after its push — younger, it would race the tree.
 func (n *Node) flushLazy() {
 	n.mu.Lock()
 	g := n.gossip
 	ids := g.lazy
 	if g.lazy, g.lazyNext = g.lazyNext, nil; len(g.lazy) > 0 {
-		n.clock.AfterFunc(n.cfg.SyncTimeout/4, n.flushLazy)
+		n.clock.AfterFunc(syncTimeout/4, n.flushLazy)
 	}
 	n.mu.Unlock()
 	n.announceShort(ids, lazyPeers, n.tel.relayLazyIDs)

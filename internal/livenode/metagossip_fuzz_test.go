@@ -49,7 +49,6 @@ func metaFuzzTarget(f *testing.F) *Node {
 			},
 			Clock:         fc,
 			Telemetry:     telemetry.NewRegistry(),
-			GossipFanout:  2,
 			RepairWorkers: 1,
 		})
 		if err != nil {

@@ -53,10 +53,9 @@ func poolHas(n *Node, id meta.DataID) bool {
 func metaTrio(t *testing.T) (fn *fakeNet, a, b, c *syncTestNode) {
 	fn = newFakeNet()
 	epoch := time.Unix(1700000000, 0)
-	mutate := func(cfg *Config) { cfg.GossipFanout = 2 }
-	a = newSyncTestNode(t, fn, "a", 0, epoch, mutate)
-	b = newSyncTestNode(t, fn, "b", 1, epoch, mutate)
-	c = newSyncTestNode(t, fn, "c", 2, epoch, mutate)
+	a = newSyncTestNode(t, fn, "a", 0, epoch, nil)
+	b = newSyncTestNode(t, fn, "b", 1, epoch, nil)
+	c = newSyncTestNode(t, fn, "c", 2, epoch, nil)
 	link(t, a, b, c)
 	return fn, a, b, c
 }
@@ -71,7 +70,7 @@ func sumCounter(name string, nodes ...*syncTestNode) (v uint64) {
 // TestMetaTreePush walks the §15.1 primary path on the fake fabric: Publish
 // pushes the item itself along the tree, every pool holds it after n−1
 // bodies, nobody announced or fetched anything, and the backup announce that
-// leaves a quarter SyncTimeout later finds every peer a duplicate.
+// leaves a quarter syncTimeout later finds every peer a duplicate.
 func TestMetaTreePush(t *testing.T) {
 	_, a, b, c := metaTrio(t)
 	it, err := a.Publish([]byte("meta travels as itself"), "Road/Congestion", "lab")
@@ -96,7 +95,7 @@ func TestMetaTreePush(t *testing.T) {
 			t.Errorf("%s = %d on the push path, want 0", name, v)
 		}
 	}
-	a.clock.Advance(250 * time.Millisecond) // SyncTimeout/4 on the fabric
+	a.clock.Advance(syncTimeout / 4)
 	if lazy, dup := counter(a.reg, "livenode.relay.lazy_ids"), sumCounter("livenode.metagossip.dup_suppressed", b, c); lazy != 1 || dup != 2 {
 		t.Errorf("backup announce: lazy_ids %d, dup_suppressed %d, want 1 ID heard twice", lazy, dup)
 	}
@@ -120,7 +119,7 @@ func TestMetaGossipAnnounceFetchRelay(t *testing.T) {
 		t.Fatal("a dropped push was delivered")
 	}
 	fn.setDrop(nil)
-	a.clock.Advance(250 * time.Millisecond)
+	a.clock.Advance(syncTimeout / 4)
 	for _, n := range []*syncTestNode{b, c} {
 		if !poolHas(n.Node, it.ID) {
 			t.Fatalf("node %s pool lacks the announced item", n.Addr())
@@ -172,7 +171,7 @@ func TestMetaStaleReannounced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk.Advance(1500 * time.Millisecond) // the backup announce, then the fetches it drew time out
+	clk.Advance(syncTimeout/2 + syncTimeout) // the backup announce, then the fetches it drew time out
 	if v := sumCounter("livenode.metagossip.fetch_timeouts", b, c); v != 2 || poolHas(b.Node, it.ID) || poolHas(c.Node, it.ID) {
 		t.Fatalf("fetch_timeouts = %d, want the item stranded after both first fetches were lost", v)
 	}
@@ -204,13 +203,13 @@ func TestMetaStaleReannounced(t *testing.T) {
 
 // TestMetaGossipFetchTimeoutDropsPending verifies the deliberate §15
 // divergence from the block path: an unanswered FrameGetMeta entry is
-// simply forgotten after SyncTimeout — no locator fallback — and a later
+// simply forgotten after syncTimeout — no locator fallback — and a later
 // re-announce may retry it.
 func TestMetaGossipFetchTimeoutDropsPending(t *testing.T) {
 	fn := newFakeNet()
 	epoch := time.Unix(1700000000, 0)
-	a := newSyncTestNode(t, fn, "a", 0, epoch, func(cfg *Config) { cfg.GossipFanout = 2 })
-	b := newSyncTestNode(t, fn, "b", 1, epoch, func(cfg *Config) { cfg.GossipFanout = 2 })
+	a := newSyncTestNode(t, fn, "a", 0, epoch, nil)
+	b := newSyncTestNode(t, fn, "b", 1, epoch, nil)
 	link(t, a, b)
 
 	// Announce an ID nobody will serve (drop the fetch in flight).
@@ -225,7 +224,7 @@ func TestMetaGossipFetchTimeoutDropsPending(t *testing.T) {
 	}
 	syncs := counter(a.reg, "livenode.sync.rounds")
 
-	a.clock.Advance(2 * time.Second) // SyncTimeout is 1s on the fabric
+	a.clock.Advance(syncTimeout)
 	a.mu.Lock()
 	pending = len(a.gossip.metas.pending)
 	a.mu.Unlock()
@@ -263,8 +262,8 @@ func (n *syncTestNode) idents() []*identity.Identity {
 func TestMetaGossipForgedItemNotPooledNotRelayed(t *testing.T) {
 	fn := newFakeNet()
 	epoch := time.Unix(1700000000, 0)
-	a := newSyncTestNode(t, fn, "a", 0, epoch, func(cfg *Config) { cfg.GossipFanout = 2 })
-	b := newSyncTestNode(t, fn, "b", 1, epoch, func(cfg *Config) { cfg.GossipFanout = 2 })
+	a := newSyncTestNode(t, fn, "a", 0, epoch, nil)
+	b := newSyncTestNode(t, fn, "b", 1, epoch, nil)
 	link(t, a, b)
 
 	it := testItem(a.idents()[1], "forged provenance", a.now())

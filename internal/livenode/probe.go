@@ -31,11 +31,13 @@ import (
 // only evidence strictly newer than the local timestamp, so digests can
 // circulate forever without reviving a dead node.
 const (
-	// defaultProbeFanout is how many peers are probed per repair tick when
-	// Config.ProbeFanout is 0. Four keeps expected detection latency a
-	// small constant number of periods on rosters past 1000 nodes (SWIM's
+	// minProbeFanout is the fewest peers probed per repair tick. Four keeps
+	// expected detection latency a small constant number of periods (SWIM's
 	// regime: miss probability per period decays exponentially in fanout).
-	defaultProbeFanout = 4
+	minProbeFanout = 4
+	// probeRefreshTicks is the number of ticks within which the acks'
+	// digests should have named every roster node (probeFanout).
+	probeRefreshTicks = 8
 	// probeDigestMax bounds the (index, age) pairs one ack carries. 16
 	// entries keep the ack at 75 wire bytes.
 	probeDigestMax = 16
@@ -44,6 +46,16 @@ const (
 	// minutes of silence — orders past the stale cutoff.
 	probeDigestUnit = 100 * time.Millisecond
 )
+
+// probeFanout is how many peers a node of an n-node roster probes per repair
+// tick: minProbeFanout, or enough that the acks' digests — each carries
+// probeDigestMax entries besides the responder itself — name every roster
+// node within about probeRefreshTicks ticks. It is 4 up to 544 nodes and 8 at
+// 1000. A roster with fewer peers than that probes them all.
+func probeFanout(n int) int {
+	perTick := probeRefreshTicks * (probeDigestMax + 1)
+	return max(minProbeFanout, (n+perTick-1)/perTick)
+}
 
 // encodeProbeAck builds a FrameRepairProbeAck payload (n.mu held): the
 // responder's 4-byte index, a 2-byte entry count, then (uint16 index,

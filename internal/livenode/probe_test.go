@@ -33,7 +33,7 @@ const (
 	probeTestHyst    = 3 * time.Second
 )
 
-func newProbeCluster(t testing.TB, n int, genesisSeed int64, fanout int) *probeCluster {
+func newProbeCluster(t testing.TB, n int, genesisSeed int64) *probeCluster {
 	t.Helper()
 	idents, accounts := testRoster(n)
 	epoch := time.Unix(1700000000, 0)
@@ -62,7 +62,6 @@ func newProbeCluster(t testing.TB, n int, genesisSeed int64, fanout int) *probeC
 			RepairProbeEvery:   probeTestEvery,
 			RepairSuspectAfter: probeTestSuspect,
 			RepairHysteresis:   probeTestHyst,
-			ProbeFanout:        fanout,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -144,17 +143,41 @@ func dropSampled(seed int64, frac float64) func(from, to string, ft byte) bool {
 	}
 }
 
+// probeTestRosters are the roster sizes the probe properties run at: the
+// fan-out probes most of a 6-node roster's peers per tick, a third of a
+// 12-node one's and a sixth of a 24-node one's.
+var probeTestRosters = []int{6, 12, 24}
+
+// TestProbeFanoutFromRoster pins the derived fan-out: 4 up to 544 nodes, 8 at
+// 1000 (the two values deployments and the chaos scale gate run), and never
+// smaller for a larger roster.
+func TestProbeFanoutFromRoster(t *testing.T) {
+	for n := 1; n <= 544; n++ {
+		if got := probeFanout(n); got != 4 {
+			t.Fatalf("probeFanout(%d) = %d, want 4", n, got)
+		}
+	}
+	if got := probeFanout(1000); got != 8 {
+		t.Fatalf("probeFanout(1000) = %d, want 8", got)
+	}
+	for n := 2; n <= 10_000; n++ {
+		if probeFanout(n) < probeFanout(n-1) {
+			t.Fatalf("probeFanout(%d) = %d < probeFanout(%d) = %d", n, probeFanout(n), n-1, probeFanout(n-1))
+		}
+	}
+}
+
 // TestProbeDeadDetectionBound is the sampled detector's convergence
-// property: across fanouts and seeded topologies, a killed node is
+// property: across roster sizes and seeded topologies, a killed node is
 // counted dead by EVERY live observer within SuspectAfter + Hysteresis +
 // k·probeEvery (k = 2 covers tick granularity plus digest-age rounding),
 // and no live node is collateral damage.
 func TestProbeDeadDetectionBound(t *testing.T) {
-	const n, victim = 12, 3
-	for _, fanout := range []int{2, 4, 6} {
+	const victim = 3
+	for _, n := range probeTestRosters {
 		for _, seed := range []int64{1, 7, 42} {
-			t.Run(fmt.Sprintf("fanout=%d/seed=%d", fanout, seed), func(t *testing.T) {
-				pc := newProbeCluster(t, n, seed, fanout)
+			t.Run(fmt.Sprintf("n=%d/seed=%d", n, seed), func(t *testing.T) {
+				pc := newProbeCluster(t, n, seed)
 				pc.clock.Advance(5 * time.Second) // bindings + evidence warm up
 				pc.assertNoLiveDead(t, "before kill")
 
@@ -181,11 +204,10 @@ func TestProbeDeadDetectionBound(t *testing.T) {
 // any other across a long horizon — direct samples plus digest epidemics
 // keep every pair's evidence inside the SuspectAfter+Hysteresis window.
 func TestProbeAliveUnderLossNeverDead(t *testing.T) {
-	const n = 12
-	for _, fanout := range []int{2, 4, 6} {
-		t.Run(fmt.Sprintf("fanout=%d", fanout), func(t *testing.T) {
-			pc := newProbeCluster(t, n, 42, fanout)
-			pc.fn.setDrop(dropSampled(int64(fanout)*1000+7, 0.20))
+	for _, n := range probeTestRosters {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			pc := newProbeCluster(t, n, 42)
+			pc.fn.setDrop(dropSampled(int64(n)*1000+7, 0.20))
 			for tick := 0; tick < 30; tick++ {
 				pc.clock.Advance(probeTestEvery)
 				pc.assertNoLiveDead(t, fmt.Sprintf("tick %d", tick))
@@ -214,7 +236,7 @@ func TestProbeTinyRosterDetectsDead(t *testing.T) {
 	for _, n := range []int{3, 5} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			const victim = 1
-			pc := newProbeCluster(t, n, 42, 0)
+			pc := newProbeCluster(t, n, 42)
 			pc.clock.Advance(5 * time.Second)
 			for i, node := range pc.nodes {
 				node.mu.Lock()
@@ -249,7 +271,7 @@ func TestProbeTinyRosterDetectsDead(t *testing.T) {
 // dead window are omitted.
 func TestProbeAckDigestBounded(t *testing.T) {
 	const n = 40 // roster wider than the digest bound
-	pc := newProbeCluster(t, n, 42, 4)
+	pc := newProbeCluster(t, n, 42)
 	pc.clock.Advance(3 * time.Second)
 	node := pc.nodes[0]
 	node.mu.Lock()

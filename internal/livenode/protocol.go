@@ -318,11 +318,9 @@ func (n *Node) handleFrame(from string, ft byte, payload []byte) {
 		if err != nil {
 			return
 		}
-		// Saturating clamp: a forged first near MaxUint64 would wrap
-		// first+maxSyncBatch-1 past zero and turn the bound into a no-op.
-		if last < first {
-			return
-		}
+		// Saturating clamp (decodeGetBatch refuses last < first): a forged
+		// first near MaxUint64 would wrap first+maxSyncBatch-1 past zero and
+		// turn the bound into a no-op.
 		if last-first >= maxSyncBatch {
 			last = first + maxSyncBatch - 1
 		}

@@ -61,7 +61,7 @@ func TestRecoveryAfterTornWAL(t *testing.T) {
 	// last WAL record mid-payload. The segmented WAL names its first
 	// segment after its first block index (block 1).
 	walPath := filepath.Join(dirA, "wal2-00000000000000000001.log")
-	persisted, err := store.RecoverWAL(walPath)
+	persisted, _, err := store.ScanWAL(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}

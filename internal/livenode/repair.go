@@ -43,7 +43,13 @@ const (
 	// repair fetch (length prefix, type byte, data ID) for rate-limiting.
 	repairFrameOverhead = 32
 
-	defaultRepairRate       = 4096 // bytes/second
+	// repairRate is the repair plane's token-bucket byte budget in bytes per
+	// second; it keeps background re-replication traffic strictly below
+	// consensus traffic. Both ends of every repair fetch pay from it; the
+	// bucket holds one second's worth, and an item larger than that passes a
+	// full bucket and leaves it in debt.
+	repairRate = 4096
+
 	defaultRepairProbeEvery = 2 * time.Second
 	defaultRepairSuspect    = 6 * time.Second
 	defaultRepairHysteresis = 10 * time.Second
@@ -86,7 +92,7 @@ func (n *Node) initRepair() *repairDriver {
 			Workers: n.cfg.RepairWorkers,
 			Backoff: n.cfg.RepairProbeEvery,
 		}),
-		lim:      repair.NewLimiter(n.cfg.RepairRate, 0, now),
+		lim:      repair.NewLimiter(repairRate, 0, now),
 		announce: binary.BigEndian.AppendUint32(nil, uint32(n.selfIdx)),
 		// Distinct multiplier from the gossip RNG seed: the two planes
 		// must draw independent deterministic streams.
@@ -149,7 +155,7 @@ func (n *Node) repairTick() {
 	nowD := n.now()
 	// Sampled probing (§15.2): direct evidence to a bounded deterministic
 	// sample per tick; third-party evidence arrives as ack digests.
-	probeTargets := samplePeersLocked(rd.rng, append([]string(nil), peers...), n.cfg.ProbeFanout)
+	probeTargets := samplePeersLocked(rd.rng, append([]string(nil), peers...), probeFanout(len(n.cfg.Accounts)))
 
 	// Membership sweep: a roster node whose known address dropped off the
 	// transport's peer list accumulates failures toward Suspect.
@@ -167,7 +173,7 @@ func (n *Node) repairTick() {
 	// the local store lacks goes (back) on the queue. The usual fetch hooks
 	// fire on chain adoption (onAppend, suffix sync), which misses two
 	// cases: a node that restarted with its chain already current adopts
-	// nothing, and a queue task that failed MaxAttempts times is forgotten.
+	// nothing, and a queue task that ran out of attempts is forgotten.
 	// The audit makes both reconverge at probe cadence; Queue.Add dedups, so
 	// a pending or in-flight task is never duplicated. The engine's index
 	// covers assignments below a pruned body window or a snapshot anchor, and

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/block"
 	"repro/internal/chain"
@@ -35,8 +36,20 @@ const (
 	// exchange, whatever the requester asked for.
 	maxSyncBatch = 512
 
-	defaultSyncBatch   = 64
-	defaultSyncRetries = 3
+	// syncBatchBlocks is how many blocks one batch request asks for.
+	syncBatchBlocks = 64
+	// syncTimeout is the per-batch response deadline; each retry doubles it.
+	// A gossip fetch waits that long for its announcer, a data fetch for one
+	// holder, and a backup announce trails its push by a quarter of it.
+	syncTimeout = 2 * time.Second
+	// syncRetries is how many times an unanswered batch is re-requested
+	// before the session is aborted; the next announce or locator answer
+	// from any peer starts a new one.
+	syncRetries = 3
+	// bootstrapTimeout is the whole snapshot transfer's deadline, and how
+	// long a fresh bootstrapping node holds its mining back when no peer
+	// answers: one syncTimeout for each attempt a batch gets, undoubled.
+	bootstrapTimeout = syncTimeout * (syncRetries + 1)
 )
 
 var errSyncFrame = errors.New("livenode: bad sync frame")
@@ -328,14 +341,14 @@ func (n *Node) requestBatchLocked() []byte {
 	s := n.sync
 	from := s.nextFrom
 	to := s.target()
-	if to > from+uint64(n.cfg.SyncBatchSize)-1 {
-		to = from + uint64(n.cfg.SyncBatchSize) - 1
+	if to > from+syncBatchBlocks-1 {
+		to = from + syncBatchBlocks - 1
 	}
 	if s.timer != nil {
 		s.timer.Stop()
 	}
 	gen := s.gen
-	timeout := n.cfg.SyncTimeout << s.attempts
+	timeout := syncTimeout << s.attempts
 	s.timer = n.clock.AfterFunc(timeout, func() { n.onSyncTimeout(gen) })
 	return encodeGetBatch(from, to)
 }
@@ -350,8 +363,8 @@ func (n *Node) onSyncTimeout(gen uint64) {
 		return
 	}
 	s.attempts++
-	if s.attempts > n.cfg.SyncRetries {
-		n.abortSyncLocked(fmt.Sprintf("peer %s left batch %d unanswered after %d retries", s.peer, s.nextFrom, n.cfg.SyncRetries))
+	if s.attempts > syncRetries {
+		n.abortSyncLocked(fmt.Sprintf("peer %s left batch %d unanswered after %d retries", s.peer, s.nextFrom, syncRetries))
 		n.mu.Unlock()
 		return
 	}

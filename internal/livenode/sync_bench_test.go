@@ -25,14 +25,9 @@ type catchupFixture struct {
 func newCatchupFixture(tb testing.TB, prefixLen int) *catchupFixture {
 	fn := newFakeNet()
 	epoch := time.Unix(1700000000, 0)
-	a := newSyncTestNode(tb, fn, "a", 0, epoch, func(cfg *Config) {
-		cfg.SyncBatchSize = 0 // default (64)
-		cfg.SnapshotEvery = 0 // default (32)
-	})
-	b := newSyncTestNode(tb, fn, "b", 1, epoch, func(cfg *Config) {
-		cfg.SyncBatchSize = 0
-		cfg.SnapshotEvery = 0
-	})
+	noSnapshotOverride := func(cfg *Config) { cfg.SnapshotEvery = 0 } // default (32)
+	a := newSyncTestNode(tb, fn, "a", 0, epoch, noSnapshotOverride)
+	b := newSyncTestNode(tb, fn, "b", 1, epoch, noSnapshotOverride)
 	if err := b.Connect("a"); err != nil {
 		tb.Fatal(err)
 	}

@@ -178,9 +178,6 @@ func newSyncTestNode(t testing.TB, fn *fakeNet, name string, idx int, epoch time
 		},
 		Clock:         fc,
 		Telemetry:     reg,
-		SyncBatchSize: 4,
-		SyncTimeout:   time.Second,
-		SyncRetries:   2,
 		SnapshotEvery: 2,
 	}
 	if mutate != nil {
@@ -231,17 +228,20 @@ func counter(reg *telemetry.Registry, name string) uint64 {
 
 // --- incremental sync end-to-end ---------------------------------------------
 
+// TestSyncCatchUpBatched: a gap of more than two batches is fetched in
+// syncBatchBlocks-sized batches, each adopted as it arrives.
 func TestSyncCatchUpBatched(t *testing.T) {
+	const gap = 2*syncBatchBlocks + 10
 	fn := newFakeNet()
 	epoch := time.Unix(1700000000, 0)
 	b := newSyncTestNode(t, fn, "b", 1, epoch, nil)
-	b.mineBlocks(t, 10)
+	b.mineBlocks(t, gap)
 	a := newSyncTestNode(t, fn, "a", 0, epoch, nil)
 
 	if err := a.Connect("b"); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := a.Height(), uint64(10); got != want {
+	if got, want := a.Height(), uint64(gap); got != want {
 		t.Fatalf("height after sync = %d, want %d", got, want)
 	}
 	at, bt := a.Tip(), b.Tip()
@@ -251,11 +251,11 @@ func TestSyncCatchUpBatched(t *testing.T) {
 	if v := counter(a.reg, "livenode.sync.full_replays"); v != 0 {
 		t.Errorf("sync.full_replays = %d, want 0 (pure catch-up)", v)
 	}
-	if v := counter(a.reg, "livenode.sync.blocks_fetched"); v != 10 {
-		t.Errorf("sync.blocks_fetched = %d, want 10", v)
+	if v := counter(a.reg, "livenode.sync.blocks_fetched"); v != gap {
+		t.Errorf("sync.blocks_fetched = %d, want %d", v, gap)
 	}
 	if v := counter(a.reg, "livenode.sync.batches"); v != 3 {
-		t.Errorf("sync.batches = %d, want 3 (batch size 4)", v)
+		t.Errorf("sync.batches = %d, want 3 (%d, %d and 10 blocks)", v, syncBatchBlocks, syncBatchBlocks)
 	}
 	if a.StoreErr() != nil {
 		t.Fatalf("store error: %v", a.StoreErr())
@@ -264,10 +264,10 @@ func TestSyncCatchUpBatched(t *testing.T) {
 
 // TestConnectProbesAFanoutSample pins what joining costs: however many
 // peers one Connect call dials, the locator probe goes to at most
-// GossipFanout of them and counts as one sync round. A cluster no larger
+// gossipFanout of them and counts as one sync round. A cluster no larger
 // than the fan-out is probed whole, as before.
 func TestConnectProbesAFanoutSample(t *testing.T) {
-	for _, tc := range []struct{ peers, want int }{{20, defaultGossipFanout}, {3, 3}} {
+	for _, tc := range []struct{ peers, want int }{{20, gossipFanout}, {3, 3}} {
 		t.Run(fmt.Sprintf("%d peers", tc.peers), func(t *testing.T) {
 			mn := memnet.New(1, nil)
 			a := newSyncTestNode(t, nil, "a", 0, time.Unix(1700000000, 0), func(cfg *Config) {
@@ -339,8 +339,8 @@ func TestConnectSurvivesADeadAddress(t *testing.T) {
 			}
 		}
 	}
-	if locators == 0 || locators > defaultGossipFanout {
-		t.Fatalf("%d locators sent, want 1..%d", locators, defaultGossipFanout)
+	if locators == 0 || locators > gossipFanout {
+		t.Fatalf("%d locators sent, want 1..%d", locators, gossipFanout)
 	}
 	if v := counter(a.reg, "livenode.sync.rounds"); v != 1 {
 		t.Errorf("sync.rounds = %d, want 1", v)
@@ -607,22 +607,26 @@ func TestSyncBatchTimeoutRetriesThenAborts(t *testing.T) {
 	if a.Height() != 0 {
 		t.Fatalf("height = %d before any retry, want 0", a.Height())
 	}
-	// Exponential backoff: 1s, then 2s, then the 4s attempt exhausts the
-	// retry budget.
-	a.clock.Advance(time.Second)
-	if v := counter(a.reg, "livenode.sync.retries"); v != 1 {
-		t.Fatalf("sync.retries = %d after first timeout, want 1", v)
+	// Exponential backoff: syncTimeout doubles per retry, and the attempt
+	// after the last retry exhausts the budget.
+	wait := syncTimeout
+	for retry := 1; retry <= syncRetries; retry++ {
+		a.clock.Advance(wait - time.Millisecond)
+		if v := counter(a.reg, "livenode.sync.retries"); v != uint64(retry-1) {
+			t.Fatalf("sync.retries = %d before timeout %d fired, want %d", v, retry, retry-1)
+		}
+		a.clock.Advance(time.Millisecond)
+		if v := counter(a.reg, "livenode.sync.retries"); v != uint64(retry) {
+			t.Fatalf("sync.retries = %d after timeout %d, want %d", v, retry, retry)
+		}
+		wait *= 2
 	}
-	a.clock.Advance(2 * time.Second)
-	if v := counter(a.reg, "livenode.sync.retries"); v != 2 {
-		t.Fatalf("sync.retries = %d after second timeout, want 2", v)
-	}
-	a.clock.Advance(4 * time.Second)
+	a.clock.Advance(wait)
 	if v := counter(a.reg, "livenode.sync.aborts"); v != 1 {
 		t.Fatalf("sync.aborts = %d after the retry budget, want 1", v)
 	}
-	if v := counter(a.reg, "livenode.sync.retries"); v != 2 {
-		t.Errorf("sync.retries = %d after the abort, want still 2", v)
+	if v := counter(a.reg, "livenode.sync.retries"); v != syncRetries {
+		t.Errorf("sync.retries = %d after the abort, want still %d", v, syncRetries)
 	}
 	if why := lastSyncAbort(a.reg); !strings.Contains(why, "peer b") {
 		t.Errorf("sync_abort event %q does not name the silent peer", why)

@@ -10,13 +10,14 @@ import (
 type QueueConfig struct {
 	// Workers bounds concurrent in-flight fetches (default 1).
 	Workers int
-	// MaxAttempts is how many failed launches a task gets before the queue
-	// forgets it (default 5); the caller re-adds what it still needs.
-	MaxAttempts int
 	// Backoff is the base retry delay; attempt k waits Backoff<<k,
 	// capped at Backoff<<maxShift (default 2s).
 	Backoff time.Duration
 }
+
+// maxAttempts is how many failed launches a task gets before the queue
+// forgets it; the caller re-adds what it still needs.
+const maxAttempts = 5
 
 // maxShift caps the exponential growth of per-attempt backoff at 8×.
 // Unbounded doubling lets a few silent failures (a provider that is
@@ -48,9 +49,6 @@ type Queue struct {
 func NewQueue(cfg QueueConfig) *Queue {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 5
 	}
 	if cfg.Backoff <= 0 {
 		cfg.Backoff = 2 * time.Second
@@ -138,7 +136,7 @@ func (q *Queue) Failed(id meta.DataID, now time.Duration) {
 	t.inflight = false
 	q.inflight--
 	t.attempts++
-	if t.attempts >= q.cfg.MaxAttempts {
+	if t.attempts >= maxAttempts {
 		delete(q.tasks, id)
 		return
 	}

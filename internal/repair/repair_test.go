@@ -477,36 +477,45 @@ func TestQueueDedupOrderingAndWorkers(t *testing.T) {
 }
 
 func TestQueueFailedBackoffAndGiveUp(t *testing.T) {
-	q := NewQueue(QueueConfig{Workers: 2, MaxAttempts: 2, Backoff: time.Second})
+	q := NewQueue(QueueConfig{Workers: 2, Backoff: time.Second})
 	a := meta.HashData([]byte("a"))
 	q.Add(a, 0)
 	q.Failed(a, time.Second) // not launched: nothing failed
 	if id, ok := q.Next(time.Second); !ok || id != a {
 		t.Fatal("Failed on a pending task charged it an attempt")
 	}
-	q.Launch(a, 0)
-	q.Failed(a, 10*time.Second)
-	if q.Len() != 1 || q.InFlight() != 0 {
-		t.Fatalf("len=%d inflight=%d after the first failure: it must back off, not give up", q.Len(), q.InFlight())
+	// Each failure short of maxAttempts backs off, not gives up: not eligible
+	// until now + Backoff<<min(attempts, maxShift).
+	now := time.Duration(0)
+	for attempt := 1; attempt < maxAttempts; attempt++ {
+		q.Launch(a, now)
+		now += 10 * time.Second
+		q.Failed(a, now)
+		if q.Len() != 1 || q.InFlight() != 0 {
+			t.Fatalf("len=%d inflight=%d after failure %d: it must back off, not give up", q.Len(), q.InFlight(), attempt)
+		}
+		wait := time.Second << min(attempt, maxShift)
+		if _, ok := q.Next(now + wait - time.Millisecond); ok {
+			t.Fatalf("task relaunched inside its backoff window after failure %d", attempt)
+		}
+		now += wait
+		if _, ok := q.Next(now); !ok {
+			t.Fatalf("task not eligible after backoff %d", attempt)
+		}
 	}
-	// Backoff: not eligible until now + Backoff<<attempts.
-	if _, ok := q.Next(11 * time.Second); ok {
-		t.Fatal("task relaunched inside its backoff window")
-	}
-	if _, ok := q.Next(12 * time.Second); !ok {
-		t.Fatal("task not eligible after backoff")
-	}
-	q.Launch(a, 12*time.Second)
-	// The second failure exhausts MaxAttempts=2.
-	q.Failed(a, 40*time.Second)
+	q.Launch(a, now)
+	// The last failure exhausts maxAttempts.
+	now += 10 * time.Second
+	q.Failed(a, now)
 	if q.Len() != 0 || q.InFlight() != 0 {
 		t.Fatal("given-up task still tracked")
 	}
 	// Forgotten is not banned: the driver's audit may add it again, fresh.
-	if !q.Add(a, 41*time.Second) {
+	now += time.Second
+	if !q.Add(a, now) {
 		t.Fatal("a forgotten task could not be re-added")
 	}
-	if id, ok := q.Next(41 * time.Second); !ok || id != a {
+	if id, ok := q.Next(now); !ok || id != a {
 		t.Fatal("re-added task carries the old backoff")
 	}
 }

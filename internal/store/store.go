@@ -75,16 +75,9 @@ type Store struct {
 type Options struct {
 	// Sync is the WAL fsync policy (default SyncBatch).
 	Sync SyncPolicy
-	// BatchN fsyncs after this many appends under SyncBatch (default 8).
-	BatchN int
-	// BatchInterval fsyncs when this much time has passed since the last
-	// sync under SyncBatch (default 500ms).
-	BatchInterval int64 // nanoseconds; 0 = default
 	// SegmentBlocks seals a WAL segment after this many appends (default
 	// DefaultSegmentBlocks). Smaller segments compact at a finer grain.
 	SegmentBlocks int
-	// CacheBytes bounds the data-item LRU read cache (default 64 MiB).
-	CacheBytes int
 	// Metrics, when non-nil, receives the store's instrumentation (see
 	// NewMetrics). nil disables collection.
 	Metrics *Metrics
@@ -194,7 +187,7 @@ func Open(dir string, opts Options) (_ *Store, err error) {
 	if err != nil {
 		return nil, err
 	}
-	ds, err := NewDataStore(filepath.Join(dir, dataDir), opts.CacheBytes)
+	ds, err := NewDataStore(filepath.Join(dir, dataDir), DefaultCacheBytes)
 	if err != nil {
 		w.Close()
 		return nil, err

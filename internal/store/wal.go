@@ -28,14 +28,14 @@ import (
 // records land in `wal2-<firstIndex>.log` files sealed every SegmentBlocks
 // appends, so CompactBelow can delete history wholly below the prune
 // horizon by unlinking whole files. The framing within each segment is
-// unchanged; ScanWAL/RecoverWAL/WriteWAL operate on one segment file.
+// unchanged; ScanWAL and WriteWAL operate on one segment file.
 
 // SyncPolicy selects when the WAL fsyncs.
 type SyncPolicy int
 
 const (
-	// SyncBatch (the default) fsyncs after BatchN appends or
-	// BatchInterval elapsed time, whichever comes first.
+	// SyncBatch (the default) fsyncs after batchAppends appends or
+	// batchInterval elapsed time, whichever comes first.
 	SyncBatch SyncPolicy = iota
 	// SyncAlways fsyncs after every append (maximum durability).
 	SyncAlways
@@ -76,8 +76,10 @@ const (
 	// prefixes (matches the p2p frame cap).
 	MaxRecordSize = 64 << 20
 
-	defaultBatchN        = 8
-	defaultBatchInterval = 500 * time.Millisecond
+	// batchAppends and batchInterval bound the unsynced appends under
+	// SyncBatch: whichever is reached first fsyncs.
+	batchAppends  = 8
+	batchInterval = 500 * time.Millisecond
 )
 
 // WAL is the append-only segmented block log writer.
@@ -96,8 +98,6 @@ type WAL struct {
 	// how a snapshot-bootstrapped node starts persisting mid-chain).
 	nextIndex uint64
 	policy    SyncPolicy
-	batchN    int
-	interval  time.Duration
 	pending   int
 	lastSync  time.Time
 	closed    bool
@@ -112,18 +112,10 @@ func OpenWAL(dir string, opts Options, layout []segmentInfo) (*WAL, error) {
 		metrics:   opts.Metrics.orInert(),
 		segBlocks: opts.SegmentBlocks,
 		policy:    opts.Sync,
-		batchN:    opts.BatchN,
-		interval:  time.Duration(opts.BatchInterval),
 		lastSync:  time.Now(),
 	}
 	if w.segBlocks <= 0 {
 		w.segBlocks = DefaultSegmentBlocks
-	}
-	if w.batchN <= 0 {
-		w.batchN = defaultBatchN
-	}
-	if w.interval <= 0 {
-		w.interval = defaultBatchInterval
 	}
 	if err := w.attachLocked(layout); err != nil {
 		return nil, err
@@ -231,7 +223,7 @@ func (w *WAL) Append(b *block.Block) error {
 	case SyncAlways:
 		return w.syncLocked()
 	case SyncBatch:
-		if w.pending >= w.batchN || time.Since(w.lastSync) >= w.interval {
+		if w.pending >= batchAppends || time.Since(w.lastSync) >= batchInterval {
 			return w.syncLocked()
 		}
 	}
@@ -280,22 +272,6 @@ func (w *WAL) Segments() int {
 		n++
 	}
 	return n
-}
-
-// FirstIndex returns the lowest block index the log still holds (ok=false
-// when the log is empty).
-func (w *WAL) FirstIndex() (uint64, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, s := range w.sealed {
-		if s.blocks > 0 {
-			return s.start, true
-		}
-	}
-	if w.f != nil && w.active.blocks > 0 {
-		return w.active.start, true
-	}
-	return 0, false
 }
 
 // CompactBelow unlinks sealed segments whose every block lies strictly
@@ -415,28 +391,6 @@ func ScanWAL(path string) (blocks []*block.Block, validSize int64, err error) {
 		blocks = append(blocks, b)
 		off += int64(recordHeaderSize) + int64(size)
 	}
-}
-
-// RecoverWAL scans one segment file and truncates any torn tail so the
-// file ends on a record boundary, returning the surviving blocks.
-func RecoverWAL(path string) ([]*block.Block, error) {
-	blocks, validSize, err := ScanWAL(path)
-	if err != nil {
-		return nil, err
-	}
-	st, err := os.Stat(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return blocks, nil
-		}
-		return nil, fmt.Errorf("store: stat wal: %w", err)
-	}
-	if st.Size() > validSize {
-		if err := os.Truncate(path, validSize); err != nil {
-			return nil, fmt.Errorf("store: truncate torn wal tail: %w", err)
-		}
-	}
-	return blocks, nil
 }
 
 // WriteWAL writes a fresh segment file containing exactly the given
