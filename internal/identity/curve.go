@@ -5,9 +5,10 @@
 // Copied from Go 1.24.0, src/crypto/internal/fips140/edwards25519/
 // edwards25519.go, tables.go and scalar.go, keeping only what verifykey.go
 // calls. Changes: Point is renamed point and loses its incomparable field
-// and initialization check; field.Element is fieldElement; nafLookupTable4 is nafLookupTable5
-// cut to four points (width-4 NAF digits are below 8); nonAdjacentForm
-// takes the 32 little-endian scalar bytes instead of a Scalar.
+// and initialization check; field.Element is fieldElement; the NAF lookup
+// tables and affineCached.FromP3 are replaced by verifykey.go's tables;
+// nonAdjacentForm takes the 32 little-endian scalar bytes instead of a
+// Scalar; bytes inverts Z in variable time (InvertVar).
 
 package identity
 
@@ -67,7 +68,7 @@ var generator, _ = new(point).SetBytes([]byte{
 
 func (v *point) bytes(buf *[32]byte) []byte {
 	var zInv, x, y fieldElement
-	zInv.Invert(&v.z)       // zInv = 1 / Z
+	zInv.InvertVar(&v.z)    // zInv = 1 / Z
 	x.Multiply(&v.x, &zInv) // x = X / Z
 	y.Multiply(&v.y, &zInv) // y = Y / Z
 
@@ -180,19 +181,6 @@ func (v *projCached) FromP3(p *point) *projCached {
 	return v
 }
 
-func (v *affineCached) FromP3(p *point) *affineCached {
-	v.YplusX.Add(&p.y, &p.x)
-	v.YminusX.Subtract(&p.y, &p.x)
-	v.T2d.Multiply(&p.t, d2)
-
-	var invZ fieldElement
-	invZ.Invert(&p.z)
-	v.YplusX.Multiply(&v.YplusX, &invZ)
-	v.YminusX.Multiply(&v.YminusX, &invZ)
-	v.T2d.Multiply(&v.T2d, &invZ)
-	return v
-}
-
 // (Re)addition and subtraction.
 
 // Add sets v = p + q, and returns v.
@@ -219,26 +207,6 @@ func (v *projP1xP1) Add(p *point, q *projCached) *projP1xP1 {
 	v.Y.Add(&PP, &MM)
 	v.Z.Add(&ZZ2, &TT2d)
 	v.T.Subtract(&ZZ2, &TT2d)
-	return v
-}
-
-func (v *projP1xP1) Sub(p *point, q *projCached) *projP1xP1 {
-	var YplusX, YminusX, PP, MM, TT2d, ZZ2 fieldElement
-
-	YplusX.Add(&p.y, &p.x)
-	YminusX.Subtract(&p.y, &p.x)
-
-	PP.Multiply(&YplusX, &q.YminusX) // flipped sign
-	MM.Multiply(&YminusX, &q.YplusX) // flipped sign
-	TT2d.Multiply(&p.t, &q.T2d)
-	ZZ2.Multiply(&p.z, &q.Z)
-
-	ZZ2.Add(&ZZ2, &ZZ2)
-
-	v.X.Subtract(&PP, &MM)
-	v.Y.Add(&PP, &MM)
-	v.Z.Subtract(&ZZ2, &TT2d) // flipped sign
-	v.T.Add(&ZZ2, &TT2d)      // flipped sign
 	return v
 }
 
@@ -309,52 +277,6 @@ func (v *point) Negate(p *point) *point {
 	v.z.Set(&p.z)
 	v.t.Negate(&p.t)
 	return v
-}
-
-// A dynamic lookup table for variable-base, variable-time scalar muls.
-type nafLookupTable4 struct {
-	points [4]projCached
-}
-
-// A precomputed lookup table for fixed-base, variable-time scalar muls.
-type nafLookupTable8 struct {
-	points [64]affineCached
-}
-
-// Builds a lookup table at runtime. Fast.
-func (v *nafLookupTable4) FromP3(q *point) {
-	// Goal: v.points[i] = (2*i+1)*Q, i.e., Q, 3Q, 5Q, 7Q
-	// This allows lookup of -7Q, ..., -3Q, -Q, 0, Q, 3Q, ..., 7Q
-	v.points[0].FromP3(q)
-	q2 := point{}
-	q2.Add(q, q)
-	tmpP3 := point{}
-	tmpP1xP1 := projP1xP1{}
-	for i := 0; i < 3; i++ {
-		v.points[i+1].FromP3(tmpP3.fromP1xP1(tmpP1xP1.Add(&q2, &v.points[i])))
-	}
-}
-
-// This is not optimised for speed; fixed-base tables should be precomputed.
-func (v *nafLookupTable8) FromP3(q *point) {
-	v.points[0].FromP3(q)
-	q2 := point{}
-	q2.Add(q, q)
-	tmpP3 := point{}
-	tmpP1xP1 := projP1xP1{}
-	for i := 0; i < 63; i++ {
-		v.points[i+1].FromP3(tmpP3.fromP1xP1(tmpP1xP1.AddAffine(&q2, &v.points[i])))
-	}
-}
-
-// Given odd x with 0 < x < 2^3, return x*Q (in variable time).
-func (v *nafLookupTable4) SelectInto(dest *projCached, x int8) {
-	*dest = v.points[x/2]
-}
-
-// Given odd x with 0 < x < 2^7, return x*Q (in variable time).
-func (v *nafLookupTable8) SelectInto(dest *affineCached, x int8) {
-	*dest = v.points[x/2]
 }
 
 // scalarMinusOneBytes is l - 1 in little endian.

@@ -182,7 +182,9 @@ func treeRanks(out []int, n, r int, rot uint64, k int) []int {
 // sorted peers ∪ self, except the one it came from. Callers must NOT hold n.mu.
 func (n *Node) push(ft byte, body []byte, rot uint64, exclude string) {
 	peers := n.net.Peers()
-	sort.Strings(peers) // memnet's arrive sorted and cost one pass, TCP's come in map order
+	if !sort.StringsAreSorted(peers) { // memnet's arrive sorted, TCP's in map order
+		sort.Strings(peers)
+	}
 	self := sort.SearchStrings(peers, n.net.Addr())
 	var buf [gossipFanout + 1]int
 	for _, r := range treeRanks(buf[:0], len(peers)+1, self, rot, gossipFanout) {

@@ -17,7 +17,7 @@ const sigCacheGen = 1 << 15
 
 // keyCacheGen is how many producer keys one generation of a SigCache's key
 // table holds. Two generations are live at most, so a node holds at most
-// 2*keyCacheGen identity.VerifyKeys (about 340 KB).
+// 2*keyCacheGen identity.VerifyKeys (about 520 KB).
 const keyCacheGen = 64
 
 // SigCache remembers which producer signatures one node has already
@@ -34,8 +34,8 @@ const keyCacheGen = 64
 // A miss is verified through the same node's key table (DESIGN.md "Verify
 // fast"): a producer key that verified once on this node is remembered, and
 // the second miss under it builds the key's identity.VerifyKey, which
-// answers every later miss under that key at about half the cost of
-// identity.Verify. A first-seen key goes to identity.Verify.
+// answers every later miss under that key at about two fifths of the cost
+// of identity.Verify. A first-seen key goes to identity.Verify.
 //
 // Eviction is by generation: inserts fill cur, and when cur holds
 // sigCacheGen keys it becomes old and the previous old is dropped. An entry
