@@ -189,7 +189,7 @@ func (n *Node) onBootstrapTimeout(gen uint64) {
 	}
 	n.abandonBootstrapLocked("snapshot transfer timed out")
 	n.mu.Unlock()
-	n.sendSyncLocator(n.sampleOf(n.net.Peers(), gossipFanout)...)
+	n.sendSyncLocator(n.sampleOf(n.net.Peers(), "", gossipFanout)...)
 }
 
 // handleGetSnapshot serves a peer's snapshot request: export the newest
@@ -246,7 +246,7 @@ func (n *Node) handleSnapshot(from string, payload []byte) {
 	} else if c.Height != bs.height || c.Total != bs.total || c.Hash != bs.hash || int(c.Count) != len(bs.chunks) {
 		n.abandonBootstrapLocked("inconsistent snapshot stream")
 		n.mu.Unlock()
-		n.sendSyncLocator(n.sampleOf(n.net.Peers(), gossipFanout)...)
+		n.sendSyncLocator(n.sampleOf(n.net.Peers(), "", gossipFanout)...)
 		return
 	}
 	if bs.chunks[c.Idx] == nil {
@@ -267,7 +267,7 @@ func (n *Node) handleSnapshot(from string, payload []byte) {
 	if sha256.Sum256(blob) != bs.hash {
 		n.abandonBootstrapLocked("snapshot hash mismatch")
 		n.mu.Unlock()
-		n.sendSyncLocator(n.sampleOf(n.net.Peers(), gossipFanout)...)
+		n.sendSyncLocator(n.sampleOf(n.net.Peers(), "", gossipFanout)...)
 		return
 	}
 	snap, err := engine.DecodeSnapshot(blob)
@@ -280,7 +280,7 @@ func (n *Node) handleSnapshot(from string, payload []byte) {
 	if err != nil {
 		n.abandonBootstrapLocked(err.Error())
 		n.mu.Unlock()
-		n.sendSyncLocator(n.sampleOf(n.net.Peers(), gossipFanout)...)
+		n.sendSyncLocator(n.sampleOf(n.net.Peers(), "", gossipFanout)...)
 		return
 	}
 	n.tel.bootInstalled.Inc()

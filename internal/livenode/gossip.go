@@ -179,12 +179,10 @@ func treeRanks(out []int, n, r int, rot uint64, k int) []int {
 }
 
 // push sends a body to this node's tree neighbours for rot, ranked over the
-// sorted peers ∪ self, except the one it came from. Callers must NOT hold n.mu.
+// peers ∪ self (the transport hands them out sorted), except the one it came
+// from. Callers must NOT hold n.mu.
 func (n *Node) push(ft byte, body []byte, rot uint64, exclude string) {
 	peers := n.net.Peers()
-	if !sort.StringsAreSorted(peers) { // memnet's arrive sorted, TCP's in map order
-		sort.Strings(peers)
-	}
 	self := sort.SearchStrings(peers, n.net.Addr())
 	var buf [gossipFanout + 1]int
 	for _, r := range treeRanks(buf[:0], len(peers)+1, self, rot, gossipFanout) {
@@ -200,14 +198,7 @@ func (n *Node) push(ft byte, body []byte, rot uint64, exclude string) {
 // announce sends an ID frame to a sample of up to k peers, never the one the
 // body came from. Callers must NOT hold n.mu.
 func (n *Node) announce(ft byte, ids []byte, exclude string, k int) {
-	peers := n.net.Peers()
-	cand := peers[:0]
-	for _, p := range peers {
-		if p != exclude {
-			cand = append(cand, p)
-		}
-	}
-	for _, p := range n.sampleOf(cand, k) {
+	for _, p := range n.sampleOf(n.net.Peers(), exclude, k) {
 		n.send(p, ft, ids)
 	}
 }
@@ -232,35 +223,59 @@ func (n *Node) relayBlock(blk *block.Block, from string, fetched bool) {
 	n.reannounceStale(blk)
 }
 
-// sampleOf draws up to k of cand on the node's seeded RNG, reordering cand in
-// place; a closed node draws nothing. Announces and locator probes go to such a
-// sample: a pure function of the peer set and the RNG, so chaos runs repeat.
-func (n *Node) sampleOf(cand []string, k int) []string {
+// sampleOf draws up to k of peers ∖ {exclude} on the node's seeded RNG; a
+// closed node draws nothing. Announces and locator probes go to such a sample:
+// a pure function of the peer set and the RNG, so chaos runs repeat.
+func (n *Node) sampleOf(peers []string, exclude string, k int) []string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
 		return nil
 	}
-	return samplePeersLocked(n.gossip.rng, cand, k)
+	return samplePeersLocked(n.gossip.rng, peers, exclude, k)
 }
 
-// samplePeersLocked draws up to k distinct entries from cand via a
-// partial Fisher-Yates shuffle over the sorted candidates, so the draw is
-// a pure function of the candidate set and the caller's seeded RNG (n.mu
-// held — the RNGs live behind it). memnet's Peers() arrives sorted, TCP's
-// in map order. Both gossip planes and the liveness prober share this.
-func samplePeersLocked(rng *rand.Rand, cand []string, k int) []string {
-	if !sort.StringsAreSorted(cand) {
-		sort.Strings(cand)
+// samplePeersLocked draws up to k distinct entries of peers ∖ {exclude} into a
+// new slice; peers is sorted and duplicate-free (a p2p.Transport.Peers
+// snapshot). It runs a partial Fisher-Yates shuffle of the candidates
+// sparsely: peers is only read, and only the at most k positions the shuffle
+// displaced are kept, so a draw costs O(k log n). It makes the rng.Intn calls
+// an in-place shuffle of the sorted candidates would and returns the same
+// peers in the same order, so the draw is a pure function of the peer set and
+// the caller's seeded RNG (n.mu held — the RNGs live behind it). Both gossip
+// planes and the liveness prober share this.
+func samplePeersLocked(rng *rand.Rand, peers []string, exclude string, k int) []string {
+	skip := sort.SearchStrings(peers, exclude) // candidate c is peers[c], or peers[c+1] from skip on
+	m := len(peers)
+	if skip < m && peers[skip] == exclude {
+		m--
+	} else {
+		skip = m
 	}
-	if k > len(cand) {
-		k = len(cand)
+	k = min(k, m)
+	if k <= 0 {
+		return nil
 	}
-	for i := 0; i < k; i++ {
-		j := i + rng.Intn(len(cand)-i)
-		cand[i], cand[j] = cand[j], cand[i]
+	// moved maps a position the shuffle swapped a candidate into to the
+	// candidate it now holds; every other position still holds its own.
+	moved := make(map[int]int, k)
+	at := func(p int) int {
+		if c, ok := moved[p]; ok {
+			return c
+		}
+		return p
 	}
-	return cand[:k]
+	out := make([]string, k)
+	for i := range out {
+		j := i + rng.Intn(m-i)
+		cj := at(j)
+		moved[j] = at(i) // position i is never read again
+		if cj >= skip {
+			cj++
+		}
+		out[i] = peers[cj]
+	}
+	return out
 }
 
 // --- announce / fetch handlers ------------------------------------------------

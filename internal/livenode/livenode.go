@@ -19,6 +19,7 @@ package livenode
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -592,7 +593,8 @@ func (n *Node) Connect(addrs ...string) error {
 	// (DESIGN.md §14); the locator probe runs once the snapshot is
 	// installed (or the attempt falls back).
 	if !(n.cfg.BootstrapSnapshot && len(peers) > 0 && n.beginBootstrap(peers[0])) {
-		n.sendSyncLocator(n.sampleOf(peers, gossipFanout)...)
+		sort.Strings(peers) // the sampler draws from a sorted list, and this one is ours, not a transport snapshot
+		n.sendSyncLocator(n.sampleOf(peers, "", gossipFanout)...)
 	}
 	return errors.Join(errs...)
 }

@@ -3,6 +3,7 @@ package livenode
 import (
 	"encoding/binary"
 	"math/rand"
+	"sort"
 	"time"
 
 	"repro/internal/alloc"
@@ -142,16 +143,15 @@ func (n *Node) repairTick() {
 	nowD := n.now()
 	// Sampled probing (§15.2): direct evidence to a bounded deterministic
 	// sample per tick; third-party evidence arrives as ack digests.
-	probeTargets := samplePeersLocked(rd.rng, append([]string(nil), peers...), probeFanout(len(n.cfg.Accounts)))
+	probeTargets := samplePeersLocked(rd.rng, peers, "", probeFanout(len(n.cfg.Accounts)))
 
 	// Membership sweep: a roster node whose known address dropped off the
-	// transport's peer list accumulates failures toward Suspect.
-	peerSet := make(map[string]bool, len(peers))
-	for _, a := range peers {
-		peerSet[a] = true
-	}
+	// transport's (sorted) peer list accumulates failures toward Suspect.
 	for i, a := range n.addrOf {
-		if a != "" && !peerSet[a] {
+		if a == "" {
+			continue
+		}
+		if j := sort.SearchStrings(peers, a); j == len(peers) || peers[j] != a {
 			rd.det.Fail(i)
 		}
 	}

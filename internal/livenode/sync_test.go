@@ -98,6 +98,8 @@ func (e *fakeEP) Connect(addr string) error {
 	return nil
 }
 
+// Peers keeps p2p.Transport's contract — sorted, and never modified once
+// handed out — by building a fresh snapshot on every call.
 func (e *fakeEP) Peers() []string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -105,6 +107,7 @@ func (e *fakeEP) Peers() []string {
 	for p := range e.peers {
 		out = append(out, p)
 	}
+	slices.Sort(out)
 	return out
 }
 

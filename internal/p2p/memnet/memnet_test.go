@@ -1,6 +1,7 @@
 package memnet
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -262,11 +263,13 @@ func TestEventLogDeterminism(t *testing.T) {
 	}
 }
 
-// TestPeersCacheFollowsEveryChange: Peers() is served from a cached
-// sorted slice, so every way the peer set can change — connect from
-// either side, a failed send, a failed broadcast, the peer closing, the
-// endpoint itself closing — must show in the next call, and the slice
-// handed out must be the caller's own.
+// TestPeersCacheFollowsEveryChange: Peers() hands out one shared sorted
+// snapshot (p2p.Transport), so every way the peer set can change — connect
+// from either side, a failed send, a failed broadcast, the peer closing, the
+// endpoint itself closing — must show in the next call, while every snapshot
+// handed out before the change stays exactly as it was, still sorted: a
+// change installs a new slice and never edits the old one. A warm Peers()
+// allocates nothing.
 func TestPeersCacheFollowsEveryChange(t *testing.T) {
 	n := New(1, nil)
 	eps := map[string]*Endpoint{}
@@ -278,15 +281,23 @@ func TestPeersCacheFollowsEveryChange(t *testing.T) {
 		eps[addr] = e
 	}
 	a := eps["a"]
+	// held are snapshots taken before some change, each with the contents
+	// it had then: no later change may touch them.
+	type held struct {
+		step       string
+		snap, copy []string
+	}
+	var kept []held
 	want := func(step string, e *Endpoint, peers ...string) {
 		t.Helper()
 		got := e.Peers()
-		if len(got) != len(peers) {
+		if !slices.Equal(got, peers) {
 			t.Fatalf("%s: %s peers = %v, want %v", step, e.Addr(), got, peers)
 		}
-		for i := range got {
-			if got[i] != peers[i] {
-				t.Fatalf("%s: %s peers = %v, want %v", step, e.Addr(), got, peers)
+		kept = append(kept, held{step, got, slices.Clone(got)})
+		for _, h := range kept {
+			if !slices.Equal(h.snap, h.copy) || !slices.IsSorted(h.snap) {
+				t.Fatalf("%s: the snapshot taken at %q changed to %v, was %v", step, h.step, h.snap, h.copy)
 			}
 		}
 	}
@@ -306,9 +317,12 @@ func TestPeersCacheFollowsEveryChange(t *testing.T) {
 	}
 	want("inbound connects", a, "b", "c", "d", "e")
 
-	got := a.Peers()
-	got[0] = "scribbled"
-	want("caller mutated its copy", a, "b", "c", "d", "e")
+	if allocs := testing.AllocsPerRun(100, func() { a.Peers() }); allocs != 0 {
+		t.Fatalf("a warm Peers() allocates %.1f times, want 0: the snapshot is shared, not copied", allocs)
+	}
+	if p, q := a.Peers(), a.Peers(); &p[0] != &q[0] {
+		t.Fatal("two Peers() calls with no change between them returned different slices")
+	}
 
 	// A closing peer disconnects from everyone that knew it.
 	if err := eps["c"].Close(); err != nil {

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -144,6 +145,7 @@ type Node struct {
 
 	mu       sync.Mutex
 	peers    map[string]*peer // keyed by remote listen address
+	sorted   []string         // Peers' snapshot of the keys; nil after a change, built afresh on demand
 	closed   bool
 	dispatch sync.Mutex // serializes handler calls
 
@@ -185,15 +187,22 @@ func (n *Node) SetMetrics(m *Metrics) {
 // Addr returns the node's listen address.
 func (n *Node) Addr() string { return n.ln.Addr().String() }
 
-// Peers returns the listen addresses of connected peers.
+// Peers returns the listen addresses of connected peers in sorted order, as
+// the shared snapshot Transport describes: callers must not modify it. A
+// connection registered or dropped makes the next call build a fresh slice,
+// so a snapshot already handed out, which reader goroutines may be reading,
+// never changes.
 func (n *Node) Peers() []string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := make([]string, 0, len(n.peers))
-	for a := range n.peers {
-		out = append(out, a)
+	if n.sorted == nil && len(n.peers) > 0 {
+		n.sorted = make([]string, 0, len(n.peers))
+		for a := range n.peers {
+			n.sorted = append(n.sorted, a)
+		}
+		sort.Strings(n.sorted)
 	}
-	return out
+	return n.sorted
 }
 
 // Close shuts the node down and waits for all connection goroutines.
@@ -208,7 +217,7 @@ func (n *Node) Close() error {
 	for _, p := range n.peers {
 		p.conn.Close()
 	}
-	n.peers = make(map[string]*peer)
+	n.peers, n.sorted = make(map[string]*peer), nil
 	n.mu.Unlock()
 	n.wg.Wait()
 	return err
@@ -299,6 +308,7 @@ func (n *Node) register(addr string, conn net.Conn, outbound bool) bool {
 		old.conn.Close() // its reader exits; unregister leaves the new entry alone
 	}
 	n.peers[addr] = &peer{addr: addr, conn: conn, outbound: outbound}
+	n.sorted = nil
 	return true
 }
 
@@ -307,6 +317,7 @@ func (n *Node) unregister(addr string, conn net.Conn) {
 	defer n.mu.Unlock()
 	if p, ok := n.peers[addr]; ok && p.conn == conn {
 		delete(n.peers, addr)
+		n.sorted = nil
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -144,6 +145,80 @@ func TestBroadcastReachesAllPeers(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// TestPeersSortedSharedSnapshot pins Transport's Peers contract on TCP:
+// the peers come sorted whatever order they connected in; a connect, a
+// disconnect or Close shows in the next call and never in a snapshot handed
+// out before it; and calls with no change between them share one slice.
+// A goroutine reads each snapshot with no lock held, so under -race a change
+// that edited one in place would be a reported race, too.
+func TestPeersSortedSharedSnapshot(t *testing.T) {
+	center, err := Listen("127.0.0.1:0", &recorder{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { center.Close() })
+	leaves := make([]*Node, 5)
+	for i := range leaves {
+		if leaves[i], err = Listen("127.0.0.1:0", &recorder{}); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { leaves[i].Close() })
+	}
+	type held struct {
+		step       string
+		snap, copy []string
+	}
+	var kept []held
+	var readers sync.WaitGroup
+	check := func(step string, want []string) {
+		t.Helper()
+		got := center.Peers()
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: peers = %v, want %v", step, got, want)
+		}
+		if again := center.Peers(); len(got) > 0 && &again[0] != &got[0] {
+			t.Fatalf("%s: two Peers() calls with no change between them returned different slices", step)
+		}
+		kept = append(kept, held{step, got, slices.Clone(got)})
+		for _, h := range kept {
+			if !slices.Equal(h.snap, h.copy) || !slices.IsSorted(h.snap) {
+				t.Fatalf("%s: the snapshot taken at %q changed to %v, was %v", step, h.step, h.snap, h.copy)
+			}
+		}
+		readers.Add(1)
+		go func(snap []string) { // reads the snapshot as a relay would, unsynchronised with the steps below
+			defer readers.Done()
+			_ = slices.IsSorted(snap)
+		}(got)
+	}
+	defer readers.Wait()
+
+	var want []string
+	check("fresh", want)
+	for _, i := range []int{3, 0, 4} { // outbound connects, out of address order
+		if err := center.Connect(leaves[i].Addr()); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, leaves[i].Addr())
+		check(fmt.Sprintf("dialled leaf %d", i), want)
+	}
+	for _, i := range []int{2, 1} { // inbound: registered by the accept loop
+		if err := leaves[i].Connect(center.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, leaves[i].Addr())
+		waitFor(t, 2*time.Second, func() bool { return len(center.Peers()) == len(want) })
+		check(fmt.Sprintf("accepted leaf %d", i), want)
+	}
+	leaves[0].Close() // the center's reader sees EOF and unregisters it
+	want = slices.DeleteFunc(want, func(a string) bool { return a == leaves[0].Addr() })
+	waitFor(t, 2*time.Second, func() bool { return len(center.Peers()) == len(want) })
+	check("leaf 0 closed", want)
+	center.Close()
+	check("center closed", nil)
 }
 
 func TestDuplicateConnectIsNoop(t *testing.T) {

@@ -17,7 +17,13 @@ type Transport interface {
 	// Connect establishes a (symmetric) link to the peer at addr.
 	// Connecting to self or an already-connected peer is a no-op.
 	Connect(addr string) error
-	// Peers returns the addresses of currently connected peers.
+	// Peers returns the addresses of currently connected peers, sorted
+	// ascending and without duplicates. The slice is a snapshot shared with
+	// every other caller: callers must not modify it. A connect or
+	// disconnect installs a new slice and never edits one already handed
+	// out (copy-on-write), so a snapshot stays valid, and unchanged, for as
+	// long as a caller keeps it. The relay derives its spanning tree from
+	// this order and samples it without copying (DESIGN.md §13).
 	Peers() []string
 	// Send writes one frame to a specific peer.
 	Send(peerAddr string, frameType byte, payload []byte) error
