@@ -348,6 +348,10 @@ func (e *Engine) SigCacheStats() (hits, misses uint64) { return e.sigs.Stats() }
 // built and how many it holds (DESIGN.md §16 "Verify fast").
 func (e *Engine) SigKeyTables() (built uint64, held int) { return e.sigs.Tables() }
 
+// SigFirstChecks returns how many of the cache's misses were verified
+// without a producer key's tables (DESIGN.md §16 "Verify fast").
+func (e *Engine) SigFirstChecks() uint64 { return e.sigs.FirstChecks() }
+
 // --- metadata pool --------------------------------------------------------
 
 // AddMetadata verifies and pools a metadata item received from the

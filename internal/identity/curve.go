@@ -4,18 +4,16 @@
 
 // Copied from Go 1.24.0, src/crypto/internal/fips140/edwards25519/
 // edwards25519.go, tables.go and scalar.go, keeping only what verifykey.go
-// calls. Changes: Point is renamed point and loses its incomparable field
-// and initialization check; field.Element is fieldElement; the NAF lookup
-// tables and affineCached.FromP3 are replaced by verifykey.go's tables;
-// nonAdjacentForm takes the 32 little-endian scalar bytes instead of a
-// Scalar; bytes inverts Z in variable time (InvertVar).
+// and verifyfirst.go call. Changes: Point is renamed point and loses its
+// incomparable field and initialization check; field.Element is
+// fieldElement; the NAF lookup tables and affineCached.FromP3 are replaced
+// by the tables of verifykey.go and verifyfirst.go; nonAdjacentForm is
+// replaced by scalar.go's naf; bytes inverts Z in variable time
+// (InvertVar).
 
 package identity
 
-import (
-	"encoding/binary"
-	"errors"
-)
+import "errors"
 
 // Point types.
 
@@ -210,6 +208,26 @@ func (v *projP1xP1) Add(p *point, q *projCached) *projP1xP1 {
 	return v
 }
 
+func (v *projP1xP1) Sub(p *point, q *projCached) *projP1xP1 {
+	var YplusX, YminusX, PP, MM, TT2d, ZZ2 fieldElement
+
+	YplusX.Add(&p.y, &p.x)
+	YminusX.Subtract(&p.y, &p.x)
+
+	PP.Multiply(&YplusX, &q.YminusX) // flipped sign
+	MM.Multiply(&YminusX, &q.YplusX) // flipped sign
+	TT2d.Multiply(&p.t, &q.T2d)
+	ZZ2.Multiply(&p.z, &q.Z)
+
+	ZZ2.Add(&ZZ2, &ZZ2)
+
+	v.X.Subtract(&PP, &MM)
+	v.Y.Add(&PP, &MM)
+	v.Z.Subtract(&ZZ2, &TT2d) // flipped sign
+	v.T.Add(&ZZ2, &TT2d)      // flipped sign
+	return v
+}
+
 func (v *projP1xP1) AddAffine(p *point, q *affineCached) *projP1xP1 {
 	var YplusX, YminusX, PP, MM, TT2d, Z2 fieldElement
 
@@ -298,71 +316,4 @@ func isReduced(s []byte) bool {
 		}
 	}
 	return true
-}
-
-// nonAdjacentForm computes a width-w non-adjacent form for this scalar.
-//
-// w must be between 2 and 8, or nonAdjacentForm will panic.
-func nonAdjacentForm(b *[32]byte, w uint) [256]int8 {
-	// This implementation is adapted from the one
-	// in curve25519-dalek and is documented there:
-	// https://github.com/dalek-cryptography/curve25519-dalek/blob/f630041af28e9a405255f98a8a93adca18e4315b/src/scalar.rs#L800-L871
-	if b[31] > 127 {
-		panic("scalar has high bit set illegally")
-	}
-	if w < 2 {
-		panic("w must be at least 2 by the definition of NAF")
-	} else if w > 8 {
-		panic("NAF digits must fit in int8")
-	}
-
-	var naf [256]int8
-	var digits [5]uint64
-
-	for i := 0; i < 4; i++ {
-		digits[i] = binary.LittleEndian.Uint64(b[i*8:])
-	}
-
-	width := uint64(1 << w)
-	windowMask := uint64(width - 1)
-
-	pos := uint(0)
-	carry := uint64(0)
-	for pos < 256 {
-		indexU64 := pos / 64
-		indexBit := pos % 64
-		var bitBuf uint64
-		if indexBit < 64-w {
-			// This window's bits are contained in a single u64
-			bitBuf = digits[indexU64] >> indexBit
-		} else {
-			// Combine the current 64 bits with bits from the next 64
-			bitBuf = (digits[indexU64] >> indexBit) | (digits[1+indexU64] << (64 - indexBit))
-		}
-
-		// Add carry into the current window
-		window := carry + (bitBuf & windowMask)
-
-		if window&1 == 0 {
-			// If the window value is even, preserve the carry and continue.
-			// Why is the carry preserved?
-			// If carry == 0 and window & 1 == 0,
-			//    then the next carry should be 0
-			// If carry == 1 and window & 1 == 0,
-			//    then bit_buf & 1 == 1 so the next carry should be 1
-			pos += 1
-			continue
-		}
-
-		if window < width/2 {
-			carry = 0
-			naf[pos] = int8(window)
-		} else {
-			carry = 1
-			naf[pos] = int8(window) - int8(width)
-		}
-
-		pos += w
-	}
-	return naf
 }

@@ -99,7 +99,7 @@ func (id *Identity) Sign(msg []byte) []byte {
 // to the claimed address, binding the signature to the account.
 func Verify(pub ed25519.PublicKey, addr Address, msg, sig []byte) error {
 	if len(pub) != ed25519.PublicKeySize {
-		return fmt.Errorf("identity: public key must be %d bytes, got %d", ed25519.PublicKeySize, len(pub))
+		return errKeySize(len(pub))
 	}
 	if AddressOf(pub) != addr {
 		return errAddressMismatch(addr)
@@ -108,6 +108,10 @@ func Verify(pub ed25519.PublicKey, addr Address, msg, sig []byte) error {
 		return ErrBadSignature
 	}
 	return nil
+}
+
+func errKeySize(n int) error {
+	return fmt.Errorf("identity: public key must be %d bytes, got %d", ed25519.PublicKeySize, n)
 }
 
 func errAddressMismatch(addr Address) error {

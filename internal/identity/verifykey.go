@@ -3,7 +3,6 @@ package identity
 import (
 	"bytes"
 	"crypto/ed25519"
-	"crypto/sha512"
 	"fmt"
 	"sync"
 )
@@ -42,7 +41,7 @@ type VerifyKey struct {
 // every signature under such a key.
 func NewVerifyKey(pub ed25519.PublicKey) (*VerifyKey, error) {
 	if len(pub) != ed25519.PublicKeySize {
-		return nil, fmt.Errorf("identity: public key must be %d bytes, got %d", ed25519.PublicKeySize, len(pub))
+		return nil, errKeySize(len(pub))
 	}
 	var a point
 	if _, err := a.SetBytes(pub); err != nil {
@@ -136,15 +135,12 @@ func (k *VerifyKey) verify(msg, sig []byte) bool {
 	if len(sig) != ed25519.SignatureSize || sig[63]&224 != 0 || !isReduced(sig[32:]) {
 		return false
 	}
-	h := sha512.New()
-	h.Write(sig[:32])
-	h.Write(k.pub[:])
-	h.Write(msg)
-	var digest [sha512.Size]byte
-	h.Sum(digest[:0])
-	kBytes := reduceModL(&digest)
-	kNaf := nonAdjacentForm(&kBytes, 4)
-	sNaf := nonAdjacentForm((*[32]byte)(sig[32:]), 8)
+	c := challenge(sig[:32], k.pub[:], msg)
+	var s [4]uint64
+	loadLimbs(s[:], sig[32:])
+	var kNaf, sNaf [256]int8
+	naf(&kNaf, &c, 4)
+	naf(&sNaf, &s, 8)
 	base := baseTables()
 
 	var acc projP2

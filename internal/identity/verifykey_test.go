@@ -18,10 +18,13 @@ func stdlibVerdict(pub, msg, sig []byte) bool {
 }
 
 // differ returns crypto/ed25519's verdict on (pub, msg, sig) and how the
-// tabled verify disagrees with it, or nil. k is pub's VerifyKey, nil when
-// NewVerifyKey refused pub.
+// tabled verify or the first check disagrees with it, or nil. k is pub's
+// VerifyKey, nil when NewVerifyKey refused pub.
 func differ(k *VerifyKey, pub, msg, sig []byte) (bool, error) {
 	want := stdlibVerdict(pub, msg, sig)
+	if first := VerifyFirst(pub, AddressOf(pub), msg, sig) == nil; first != want {
+		return want, fmt.Errorf("pub %x msg %x sig %x: first check %v, crypto/ed25519 %v", pub, msg, sig, first, want)
+	}
 	if k == nil {
 		if want {
 			return want, fmt.Errorf("crypto/ed25519 accepts a signature under %x, which NewVerifyKey refused", pub)
@@ -82,7 +85,8 @@ func TestLowOrderPoints(t *testing.T) {
 
 // TestVerifyKeyRFC8032 runs the RFC 8032 §7.1 Ed25519 vectors (TEST 1, 2,
 // 3 and SHA(abc)): the key derives from the secret, signing reproduces the
-// signature, both verifies accept it and both reject it one bit off.
+// signature, the tabled verify, the first check and crypto/ed25519 accept
+// it and all three reject it one bit off.
 func TestVerifyKeyRFC8032(t *testing.T) {
 	for _, v := range []struct{ secret, pub, msg, sig string }{
 		{"9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60",
@@ -113,13 +117,13 @@ func TestVerifyKeyRFC8032(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !k.verify(msg, sig) || !ed25519.Verify(pub, msg, sig) {
+		if !k.verify(msg, sig) || !verifyFirst(pub, msg, sig) || !ed25519.Verify(pub, msg, sig) {
 			t.Fatalf("vector %s rejected", v.pub[:8])
 		}
 		for _, bit := range []int{0, 255, 256, 511} {
 			bad := bytes.Clone(sig)
 			bad[bit/8] ^= 1 << (bit % 8)
-			if k.verify(msg, bad) || ed25519.Verify(pub, msg, bad) {
+			if k.verify(msg, bad) || verifyFirst(pub, msg, bad) || ed25519.Verify(pub, msg, bad) {
 				t.Fatalf("vector %s accepted with signature bit %d flipped", v.pub[:8], bit)
 			}
 		}
@@ -127,8 +131,8 @@ func TestVerifyKeyRFC8032(t *testing.T) {
 }
 
 // TestVerifyKeyMatchesStdlib is the differential: over 100 000 cases (5 000
-// under -short) the tabled verify and crypto/ed25519.Verify give the same
-// verdict — valid signatures, flipped signature and message bits, random
+// under -short) the tabled verify, the first check and crypto/ed25519.Verify
+// give the same verdict — valid signatures, flipped signature and message bits, random
 // signatures, S ≥ ℓ, high bits in sig[63], a wrong key or message, R =
 // identity, and random, low-order and non-canonical 32-byte keys. Four
 // seeded workers split the cases, so the set is the same on any machine.
@@ -247,8 +251,8 @@ func differential(t *testing.T, rng *mrand.Rand, cases int) {
 	}
 }
 
-// FuzzVerifyKey holds the tabled verify to crypto/ed25519's verdict on any
-// key, message and signature.
+// FuzzVerifyKey holds the tabled verify and the first check to
+// crypto/ed25519's verdict on any key, message and signature.
 func FuzzVerifyKey(f *testing.F) {
 	id := GenerateSeeded(mrand.New(mrand.NewSource(2)))
 	msg := []byte("fuzz")
@@ -267,8 +271,8 @@ func FuzzVerifyKey(f *testing.F) {
 	})
 }
 
-// VerifyKey.Verify answers what Verify answers, error for error: a wrong
-// address is refused before the signature is read.
+// VerifyKey.Verify and VerifyFirst answer what Verify answers, error for
+// error: a wrong address is refused before the signature is read.
 func TestVerifyKeyErrorsMatchVerify(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(3))
 	a, b := GenerateSeeded(rng), GenerateSeeded(rng)
@@ -293,10 +297,17 @@ func TestVerifyKeyErrorsMatchVerify(t *testing.T) {
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Errorf("%s: VerifyKey.Verify = %v, Verify = %v", name, got, want)
 		}
+		if first := VerifyFirst(a.PublicKey(), c.addr, c.msg, c.sig); fmt.Sprint(first) != fmt.Sprint(want) {
+			t.Errorf("%s: VerifyFirst = %v, Verify = %v", name, first, want)
+		}
 	}
 	for _, pub := range [][]byte{a.PublicKey()[:31], mustHex("0200000000000000000000000000000000000000000000000000000000000000")} {
 		if _, err := NewVerifyKey(pub); err == nil {
 			t.Errorf("NewVerifyKey(%x) accepted a key that is not a point encoding", pub)
+		}
+		addr := AddressOf(pub)
+		if want, got := Verify(pub, addr, good, good), VerifyFirst(pub, addr, good, good); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("key %x: VerifyFirst = %v, Verify = %v", pub, got, want)
 		}
 	}
 }
@@ -360,6 +371,22 @@ func TestVerifyKeyAllocs(t *testing.T) {
 	}
 }
 
+// A warm first check allocates nothing either: both points, their tables
+// and the NAFs stay on the stack.
+func TestVerifyFirstAllocs(t *testing.T) {
+	id := GenerateSeeded(mrand.New(mrand.NewSource(8)))
+	msg := make([]byte, 200)
+	sig := id.Sign(msg)
+	allocs := testing.AllocsPerRun(100, func() {
+		if VerifyFirst(id.PublicKey(), id.Address(), msg, sig) != nil {
+			t.Fatal("valid signature rejected")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm first check allocates %.0f times, want 0", allocs)
+	}
+}
+
 var benchOK bool
 
 func BenchmarkVerify(b *testing.B) {
@@ -372,6 +399,11 @@ func BenchmarkVerify(b *testing.B) {
 			benchOK = Verify(id.PublicKey(), id.Address(), msg, sig) == nil
 		}
 	})
+	b.Run("first", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			benchOK = VerifyFirst(id.PublicKey(), id.Address(), msg, sig) == nil
+		}
+	})
 	b.Run("tabled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			benchOK = k.Verify(id.Address(), msg, sig) == nil
@@ -382,20 +414,25 @@ func BenchmarkVerify(b *testing.B) {
 			k, _ = NewVerifyKey(id.PublicKey())
 		}
 	})
-	// One loop alternates the three, so a machine whose speed drifts
-	// between runs still prices a tabled check and a build in stdlib checks.
+	// One loop alternates the four, so a machine whose speed drifts
+	// between runs still prices a first check, a tabled check and a build
+	// in stdlib checks.
 	b.Run("interleaved", func(b *testing.B) {
-		var stdlib, tabled, build time.Duration
+		var stdlib, first, tabled, build time.Duration
 		for i := 0; i < b.N; i++ {
 			t0 := time.Now()
 			benchOK = Verify(id.PublicKey(), id.Address(), msg, sig) == nil
 			t1 := time.Now()
-			benchOK = k.Verify(id.Address(), msg, sig) == nil
+			benchOK = VerifyFirst(id.PublicKey(), id.Address(), msg, sig) == nil
 			t2 := time.Now()
-			k, _ = NewVerifyKey(id.PublicKey())
+			benchOK = k.Verify(id.Address(), msg, sig) == nil
 			t3 := time.Now()
-			stdlib, tabled, build = stdlib+t1.Sub(t0), tabled+t2.Sub(t1), build+t3.Sub(t2)
+			k, _ = NewVerifyKey(id.PublicKey())
+			t4 := time.Now()
+			stdlib, first = stdlib+t1.Sub(t0), first+t2.Sub(t1)
+			tabled, build = tabled+t3.Sub(t2), build+t4.Sub(t3)
 		}
+		b.ReportMetric(float64(first)/float64(stdlib), "first/stdlib")
 		b.ReportMetric(float64(tabled)/float64(stdlib), "tabled/stdlib")
 		b.ReportMetric(float64(build)/float64(stdlib), "build/stdlib")
 	})

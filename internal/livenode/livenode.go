@@ -262,10 +262,12 @@ type nodeMetrics struct {
 	sigCacheHits   *telemetry.Counter // signature checks answered by the cache
 	sigCacheMisses *telemetry.Counter // signature checks that ran ed25519
 	sigKeysTabled  *telemetry.Counter // producer-key tables built ("Verify fast")
+	sigFirstChecks *telemetry.Counter // misses verified without tables; the rest used them
 	sigTablesHeld  *telemetry.Gauge   // producer-key tables held now
 	sigHitsSeen    uint64
 	sigMissesSeen  uint64
 	sigTabledSeen  uint64
+	sigFirstSeen   uint64
 
 	// Directed data fetch (DESIGN.md §11.1).
 	fetchDirected      *telemetry.Counter // requests sent to one candidate holder
@@ -314,6 +316,7 @@ func newNodeMetrics(reg *telemetry.Registry) *nodeMetrics {
 		sigCacheHits:     reg.Counter("livenode.sigcache.hits"),
 		sigCacheMisses:   reg.Counter("livenode.sigcache.misses"),
 		sigKeysTabled:    reg.Counter("livenode.sigcache.keys_tabled"),
+		sigFirstChecks:   reg.Counter("livenode.sigcache.first_checks"),
 		sigTablesHeld:    reg.Gauge("livenode.sigcache.tables_held"),
 
 		repairLaunched:    reg.Counter("livenode.repair.enqueued"),
@@ -386,6 +389,9 @@ func (n *Node) updateChainGauges() {
 	built, held := n.eng.SigKeyTables()
 	n.tel.sigKeysTabled.Add(int(built - n.tel.sigTabledSeen))
 	n.tel.sigTabledSeen = built
+	first := n.eng.SigFirstChecks()
+	n.tel.sigFirstChecks.Add(int(first - n.tel.sigFirstSeen))
+	n.tel.sigFirstSeen = first
 	n.tel.sigTablesHeld.Set(int64(held))
 	led := n.eng.Ledger()
 	n.tel.ownS.Set(int64(led.S(n.selfIdx)))

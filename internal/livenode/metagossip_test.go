@@ -371,6 +371,9 @@ func TestSigCacheCountersPublished(t *testing.T) {
 	if hits, misses := counter(b.reg, "livenode.sigcache.hits"), counter(b.reg, "livenode.sigcache.misses"); hits != 1 || misses != 1 {
 		t.Fatalf("sigcache hits/misses = %d/%d, want 1/1", hits, misses)
 	}
+	if first := counter(b.reg, "livenode.sigcache.first_checks"); first != 1 {
+		t.Fatalf("sigcache first_checks = %d after the key's first miss, want 1", first)
+	}
 	// A second item from the same producer is the key's second miss on b:
 	// it builds the key's tables ("Verify fast"), and the gauges say so.
 	if _, err := a.Publish([]byte("verified fast"), "Road/Congestion", "lab"); err != nil {
@@ -382,6 +385,10 @@ func TestSigCacheCountersPublished(t *testing.T) {
 	}
 	if tabled, held := counter(b.reg, "livenode.sigcache.keys_tabled"), b.reg.Snapshot().Gauge("livenode.sigcache.tables_held"); tabled != 1 || held != 1 {
 		t.Fatalf("sigcache keys_tabled/tables_held = %d/%d, want 1/1", tabled, held)
+	}
+	// The second miss ran on the tables, so first checks stay at one.
+	if first := counter(b.reg, "livenode.sigcache.first_checks"); first != 1 {
+		t.Fatalf("sigcache first_checks = %d after a tabled miss, want 1", first)
 	}
 }
 

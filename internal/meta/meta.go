@@ -148,13 +148,7 @@ func (it *Item) Verify() error {
 	if len(it.Signature) == 0 {
 		return ErrUnsigned
 	}
-	return it.verifyBytes(it.SigningBytes())
-}
-
-// verifyBytes checks Signature over msg, which must be the item's signing
-// bytes, and the key/address binding.
-func (it *Item) verifyBytes(msg []byte) error {
-	if err := identity.Verify(it.ProducerPub, it.Producer, msg, it.Signature); err != nil {
+	if err := identity.Verify(it.ProducerPub, it.Producer, it.SigningBytes(), it.Signature); err != nil {
 		return fmt.Errorf("meta: item %s: %w", it.ID.Short(), err)
 	}
 	return nil

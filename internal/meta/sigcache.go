@@ -35,7 +35,8 @@ const keyCacheGen = 64
 // fast"): a producer key that verified once on this node is remembered, and
 // the second miss under it builds the key's identity.VerifyKey, which
 // answers every later miss under that key at about two fifths of the cost
-// of identity.Verify. A first-seen key goes to identity.Verify.
+// of identity.Verify. A first-seen key goes to identity.VerifyFirst, at
+// about four fifths.
 //
 // Eviction is by generation: inserts fill cur, and when cur holds
 // sigCacheGen keys it becomes old and the previous old is dropped. An entry
@@ -51,6 +52,7 @@ type SigCache struct {
 	// tables, nil until the second miss under it.
 	keys, oldKeys map[[ed25519.PublicKeySize]byte]*identity.VerifyKey
 	tabled        uint64
+	firsts        uint64 // misses verified without tables
 }
 
 // lookup reports whether key was verified before, counting the outcome.
@@ -104,6 +106,15 @@ func (c *SigCache) Tables() (built uint64, held int) {
 	return c.tabled, held
 }
 
+// FirstChecks returns how many misses so far were verified without a
+// producer key's tables, by identity.VerifyFirst; the other misses were
+// answered by tables.
+func (c *SigCache) FirstChecks() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.firsts
+}
+
 // verifyKey reports whether pub verified on this node before, and its
 // tables if they were built.
 func (c *SigCache) verifyKey(pub [ed25519.PublicKeySize]byte) (vk *identity.VerifyKey, seen bool) {
@@ -142,28 +153,34 @@ func (c *SigCache) putKeyLocked(pub [ed25519.PublicKeySize]byte, vk *identity.Ve
 	c.keys[pub] = vk
 }
 
-// verifyMiss is verifyBytes for an item whose signature this cache has not
-// seen: through the producer key's tables from the key's second miss on,
-// through identity.Verify before that.
+// verifyMiss is Verify on the signing bytes msg, for an item whose
+// signature this cache has not seen: through the producer key's tables
+// from the key's second miss on, through identity.VerifyFirst before that.
 func (c *SigCache) verifyMiss(it *Item, msg []byte) error {
-	if len(it.ProducerPub) != ed25519.PublicKeySize {
-		return it.verifyBytes(msg)
-	}
-	pub := [ed25519.PublicKeySize]byte(it.ProducerPub)
-	vk, seen := c.verifyKey(pub)
-	if seen && vk == nil {
-		if vk, _ = identity.NewVerifyKey(it.ProducerPub); vk != nil {
-			c.putKey(pub, vk)
+	var pub [ed25519.PublicKeySize]byte
+	var vk *identity.VerifyKey
+	seen := false
+	if len(it.ProducerPub) == ed25519.PublicKeySize {
+		pub = [ed25519.PublicKeySize]byte(it.ProducerPub)
+		if vk, seen = c.verifyKey(pub); seen && vk == nil {
+			if vk, _ = identity.NewVerifyKey(it.ProducerPub); vk != nil {
+				c.putKey(pub, vk)
+			}
 		}
 	}
-	if vk == nil {
-		err := it.verifyBytes(msg)
-		if err == nil && !seen {
+	var err error
+	if vk != nil {
+		err = vk.Verify(it.Producer, msg, it.Signature)
+	} else {
+		c.mu.Lock()
+		c.firsts++
+		c.mu.Unlock()
+		// Success implies a 32-byte key.
+		if err = identity.VerifyFirst(it.ProducerPub, it.Producer, msg, it.Signature); err == nil && !seen {
 			c.putKey(pub, nil)
 		}
-		return err
 	}
-	if err := vk.Verify(it.Producer, msg, it.Signature); err != nil {
+	if err != nil {
 		return fmt.Errorf("meta: item %s: %w", it.ID.Short(), err)
 	}
 	return nil

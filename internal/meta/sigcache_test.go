@@ -99,6 +99,9 @@ func TestVerifyCachedNeverCachesFailure(t *testing.T) {
 		if got := stats(&c); got != [2]uint64{0, uint64(i)} {
 			t.Fatalf("attempt %d: hits/misses = %v, want 0/%d", i, got, i)
 		}
+		if first := c.FirstChecks(); first != uint64(i) {
+			t.Fatalf("attempt %d: %d first checks, want %d: a key that never verified gets no tables", i, first, i)
+		}
 	}
 	if c.cur != nil || c.old != nil {
 		t.Fatal("a cache that never stored anything must hold and allocate nothing")
@@ -133,8 +136,8 @@ func TestVerifyCachedKeyCoversEverySignedByteTabled(t *testing.T) {
 	}
 }
 
-// tableKey verifies two fresh items of id's through c: the second builds
-// the key's tables.
+// tableKey verifies two fresh items of id's through c: the first is a first
+// check, the second builds the key's tables.
 func tableKey(t *testing.T, c *SigCache, base *Item, id *identity.Identity) {
 	t.Helper()
 	for n := 1; n <= 2; n++ {
@@ -145,8 +148,8 @@ func tableKey(t *testing.T, c *SigCache, base *Item, id *identity.Identity) {
 			t.Fatal(err)
 		}
 	}
-	if built, held := c.Tables(); built != 1 || held != 1 {
-		t.Fatalf("after two items tables built/held = %d/%d, want 1/1", built, held)
+	if built, held := c.Tables(); built != 1 || held != 1 || c.FirstChecks() != 1 {
+		t.Fatalf("after two items tables built/held = %d/%d, first checks %d, want 1/1, 1", built, held, c.FirstChecks())
 	}
 }
 
