@@ -5,8 +5,8 @@
 // nodes do (Section IV-B); storage accounting lives in the core node. The
 // replica also implements the gap detection of Section III-C: a node that
 // receives a block whose index exceeds its tip index + 1 knows exactly
-// which indices it is missing, and buffers the out-of-order block until the
-// gap is filled.
+// which indices it is missing. Such a block is refused unread (ErrGap); the
+// caller fills the gap by a locator sync, which brings the block again.
 //
 // Since the finite-lifetime refactor (DESIGN.md §14) the replica separates
 // the *header spine* — one fixed-size Header per known height, enough to
@@ -32,8 +32,7 @@ var (
 	// ErrDuplicate means the block is already part of the chain.
 	ErrDuplicate = errors.New("chain: duplicate block")
 	// ErrGap means the block's index leaves a gap after the current tip;
-	// the missing indices should be fetched. The block was buffered if it
-	// lies within pendingWindow of the tip.
+	// the missing indices should be fetched. The block was not read.
 	ErrGap = errors.New("chain: gap before block")
 	// ErrStale means the block extends a shorter or equal fork and was
 	// ignored (longest-chain rule).
@@ -44,16 +43,6 @@ var (
 	// ErrUnknownHeight means the height is beyond the tip (or, on a
 	// bootstrapped replica, below the anchor).
 	ErrUnknownHeight = errors.New("chain: unknown height")
-)
-
-// Bounds of the out-of-order buffer. Blocks reach it on content validity
-// alone, before any PoS claim can be checked, so a peer decides what goes in:
-// only heights close above the tip are parked, and only so many. Gap recovery
-// (Section III-C) fills from the tip upward, so the nearest blocks are the
-// ones a drain can use; anything farther is a locator sync or a chain request.
-const (
-	pendingWindow = 64 // park heights in (tip+1, tip+pendingWindow]
-	maxPending    = 16 // parked blocks; the farthest gives way
 )
 
 // Header is the fixed-size spine entry kept for every known height even
@@ -107,14 +96,13 @@ type Chain struct {
 	bodies   []*block.Block
 	bodyBase uint64
 	byHash   map[block.Hash]uint64
-	pending  map[uint64]*block.Block
 
 	// PreAppend, if set, can veto a block after the structural checks but
 	// before it is appended; the core layer uses it for Proof-of-Stake
 	// claim validation. prev is the block being extended.
 	PreAppend func(prev, b *block.Block) error
-	// PostAppend, if set, runs after every append (including drains); the
-	// engine uses it to advance the stake ledger.
+	// PostAppend, if set, runs after every append; the engine uses it to
+	// advance the stake ledger.
 	PostAppend func(b *block.Block)
 	// Sigs, if set, is the owning node's verified-signature cache: Add
 	// checks item signatures through it.
@@ -131,7 +119,6 @@ func New(genesis *block.Block) *Chain {
 		headers: []Header{HeaderOf(genesis)},
 		bodies:  []*block.Block{genesis},
 		byHash:  map[block.Hash]uint64{genesis.Hash: 0},
-		pending: make(map[uint64]*block.Block),
 	}
 	return c
 }
@@ -158,7 +145,6 @@ func NewBootstrapped(genesis, anchor *block.Block) (*Chain, error) {
 			genesis.Hash: 0,
 			anchor.Hash:  anchor.Index,
 		},
-		pending: make(map[uint64]*block.Block),
 	}
 	return c, nil
 }
@@ -331,18 +317,14 @@ func (c *Chain) Blocks() []*block.Block {
 	return out
 }
 
-// Pending returns the number of buffered out-of-order blocks.
-func (c *Chain) Pending() int { return len(c.pending) }
-
-// Add validates and appends a block. Behaviour by case:
+// Add validates and appends a block, and returns how many blocks it
+// appended: 1 when it appends b, 0 with an error otherwise. Behaviour by
+// case:
 //
-//   - extends the tip: validated and appended; buffered successors are then
-//     drained. Returns the number of blocks actually appended.
+//   - extends the tip: validated and appended.
 //   - already known: ErrDuplicate.
-//   - index beyond tip+1: ErrGap. Within pendingWindow of the tip the block
-//     is validated and buffered, evicting the farthest of maxPending (the
-//     caller should fetch the blocks between the tip and it); beyond it the
-//     block is dropped unread.
+//   - index beyond tip+1: ErrGap, without reading the block; the caller
+//     fetches the blocks between the tip and it.
 //   - index at or below tip with a different hash: ErrStale (fork shorter
 //     than or equal to ours; longest-chain keeps ours). Use ReplaceSuffix
 //     to adopt a longer fork.
@@ -368,34 +350,12 @@ func (c *Chain) Add(b *block.Block) (appended int, err error) {
 			}
 		}
 		c.append(b)
-		return 1 + c.drainPending(), nil
+		return 1, nil
 	case b.Index > tip.Index+1:
-		if b.Index-tip.Index <= pendingWindow {
-			if err := b.VerifySelfCached(c.Sigs); err != nil {
-				return 0, err
-			}
-			c.park(b)
-		}
 		return 0, fmt.Errorf("%w: have %d, got %d", ErrGap, tip.Index, b.Index)
 	default:
 		return 0, fmt.Errorf("%w: index %d at height %d", ErrStale, b.Index, tip.Index)
 	}
-}
-
-// park buffers an out-of-order block; a full buffer keeps the maxPending
-// blocks nearest the tip.
-func (c *Chain) park(b *block.Block) {
-	if _, held := c.pending[b.Index]; !held && len(c.pending) >= maxPending {
-		far := b.Index
-		for idx := range c.pending {
-			far = max(far, idx)
-		}
-		if far == b.Index {
-			return
-		}
-		delete(c.pending, far)
-	}
-	c.pending[b.Index] = b
 }
 
 func (c *Chain) append(b *block.Block) {
@@ -404,31 +364,6 @@ func (c *Chain) append(b *block.Block) {
 	c.byHash[b.Hash] = b.Index
 	if c.PostAppend != nil {
 		c.PostAppend(b)
-	}
-}
-
-// drainPending appends any buffered blocks that now connect.
-func (c *Chain) drainPending() int {
-	n := 0
-	for {
-		next, ok := c.pending[c.Height()+1]
-		if !ok {
-			return n
-		}
-		if err := next.VerifyLink(c.Tip()); err != nil {
-			// The buffered block belongs to a different fork; drop it.
-			delete(c.pending, next.Index)
-			return n
-		}
-		if c.PreAppend != nil {
-			if err := c.PreAppend(c.Tip(), next); err != nil {
-				delete(c.pending, next.Index)
-				return n
-			}
-		}
-		delete(c.pending, next.Index)
-		c.append(next)
-		n++
 	}
 }
 

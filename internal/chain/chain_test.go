@@ -75,7 +75,11 @@ func TestAddDuplicate(t *testing.T) {
 	}
 }
 
-func TestAddGapBuffersAndDrains(t *testing.T) {
+// TestAddGapRefusedUnread: a block above tip+1 is refused with ErrGap
+// before any of it is read — a corrupt one reads as a gap, not as a bad hash —
+// and nothing is buffered: the block that fills the gap appends alone, and
+// the blocks above it must come again.
+func TestAddGapRefusedUnread(t *testing.T) {
 	g := block.Genesis(1)
 	m := testMiner(1)
 	b1 := nextBlock(g, m, 1*time.Minute)
@@ -83,30 +87,24 @@ func TestAddGapBuffersAndDrains(t *testing.T) {
 	b3 := nextBlock(b2, m, 3*time.Minute)
 
 	c := New(g)
-	// Receive b3 first: gap, buffered.
-	if _, err := c.Add(b3); !errors.Is(err, ErrGap) {
-		t.Fatalf("err = %v, want ErrGap", err)
+	if n, err := c.Add(b3); n != 0 || !errors.Is(err, ErrGap) {
+		t.Fatalf("b3 first: n=%d err=%v, want 0 and ErrGap", n, err)
 	}
-	if c.Height() != 0 || c.Pending() != 1 {
-		t.Fatalf("height=%d pending=%d after b3, want 0, 1", c.Height(), c.Pending())
+	corrupt := b2.Clone()
+	corrupt.B = 99 // content change after seal
+	if _, err := c.Add(corrupt); !errors.Is(err, ErrGap) {
+		t.Fatalf("corrupt block above the tip: %v, want ErrGap unread", err)
 	}
-	// Receive b2: still a gap (missing 1).
-	if _, err := c.Add(b2); !errors.Is(err, ErrGap) {
-		t.Fatalf("err = %v, want ErrGap", err)
+	if n, err := c.Add(b1); n != 1 || err != nil || c.Height() != 1 {
+		t.Fatalf("b1: n=%d err=%v height=%d, want 1, nil, 1 (nothing buffered to drain)", n, err, c.Height())
 	}
-	if c.Height() != 0 || c.Pending() != 2 {
-		t.Fatalf("height=%d pending=%d after b2, want 0, 2", c.Height(), c.Pending())
+	for _, b := range []*block.Block{b2, b3} {
+		if n, err := c.Add(b); n != 1 || err != nil {
+			t.Fatalf("block %d in order: n=%d err=%v", b.Index, n, err)
+		}
 	}
-	// Receive b1: everything drains.
-	n, err := c.Add(b1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("appended %d blocks, want 3", n)
-	}
-	if c.Height() != 3 || c.Pending() != 0 {
-		t.Fatalf("height=%d pending=%d, want 3, 0", c.Height(), c.Pending())
+	if c.Height() != 3 {
+		t.Fatalf("height %d, want 3", c.Height())
 	}
 }
 
@@ -148,81 +146,6 @@ func TestAddRejectsInvalidBlocks(t *testing.T) {
 	}
 	if c.Height() != 0 {
 		t.Fatal("invalid block changed the chain")
-	}
-}
-
-func TestGapDrainDropsForeignForkBlock(t *testing.T) {
-	g := block.Genesis(1)
-	m := testMiner(1)
-	other := testMiner(2)
-	b1 := nextBlock(g, m, time.Minute)
-	// A block at height 2 building on a *different* height-1 block.
-	alt1 := nextBlock(g, other, time.Minute)
-	alt2 := nextBlock(alt1, other, 2*time.Minute)
-
-	c := New(g)
-	if _, err := c.Add(alt2); !errors.Is(err, ErrGap) {
-		t.Fatalf("err = %v, want ErrGap", err)
-	}
-	n, err := c.Add(b1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("appended %d, want 1 (foreign fork block must not drain)", n)
-	}
-	if c.Pending() != 0 {
-		t.Fatal("foreign fork block still pending after failed drain")
-	}
-}
-
-// TestPendingIsBounded: a peer feeding self-valid blocks far above the tip
-// cannot grow the out-of-order buffer past maxPending, a block beyond the
-// window is dropped before its content is even read, and the blocks kept are
-// the ones nearest the tip, which a gap fill then drains.
-func TestPendingIsBounded(t *testing.T) {
-	blocks := buildChain(t, 1, 2*pendingWindow)
-	c := New(blocks[0])
-	// Farthest first, so every later block is nearer than what is parked.
-	for i := len(blocks) - 1; i >= 3; i-- {
-		if _, err := c.Add(blocks[i]); !errors.Is(err, ErrGap) {
-			t.Fatalf("block %d: %v, want ErrGap", i, err)
-		}
-		if c.Pending() > maxPending {
-			t.Fatalf("%d blocks parked after block %d, cap is %d", c.Pending(), i, maxPending)
-		}
-	}
-	if c.Height() != 0 || c.Pending() != maxPending {
-		t.Fatalf("height %d, parked %d: want 0 and the %d blocks from 3 up", c.Height(), c.Pending(), maxPending)
-	}
-	// Nearest first, the farther ones find the buffer full and are refused.
-	d := New(blocks[0])
-	for _, b := range blocks[2:] {
-		d.Add(b)
-	}
-	if _, kept := d.pending[2+maxPending]; d.Pending() != maxPending || kept {
-		t.Fatalf("parked %d of a nearest-first flood, want the %d nearest", d.Pending(), maxPending)
-	}
-	// Beyond the window nothing is parked and nothing verified: a corrupt
-	// block reads as a gap, not as a bad hash.
-	corrupt := blocks[pendingWindow+1].Clone()
-	corrupt.MinedAfter++
-	if _, err := New(blocks[0]).Add(corrupt); !errors.Is(err, ErrGap) {
-		t.Fatalf("corrupt block beyond the window: %v, want ErrGap unread", err)
-	}
-	corrupt = blocks[pendingWindow].Clone()
-	corrupt.MinedAfter++
-	if _, err := New(blocks[0]).Add(corrupt); errors.Is(err, ErrGap) || err == nil {
-		t.Fatalf("corrupt block inside the window: %v, want a validation error", err)
-	}
-	// Filling the gap drains everything that was kept.
-	for _, b := range blocks[1:3] {
-		if _, err := c.Add(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if c.Height() != uint64(2+maxPending) || c.Pending() != 0 {
-		t.Fatalf("height %d with %d parked after the gap fill, want %d and 0", c.Height(), c.Pending(), 2+maxPending)
 	}
 }
 
@@ -282,33 +205,6 @@ func TestPreAppendHookVetoes(t *testing.T) {
 	}
 }
 
-func TestPreAppendHookVetoesDuringDrain(t *testing.T) {
-	g := block.Genesis(1)
-	m := testMiner(1)
-	c := New(g)
-	c.PreAppend = func(prev, b *block.Block) error {
-		if b.Index == 2 {
-			return errors.New("no")
-		}
-		return nil
-	}
-	b1 := nextBlock(g, m, time.Minute)
-	b2 := nextBlock(b1, m, 2*time.Minute)
-	if _, err := c.Add(b2); !errors.Is(err, ErrGap) {
-		t.Fatalf("err = %v, want gap", err)
-	}
-	n, err := c.Add(b1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 || c.Height() != 1 {
-		t.Fatalf("vetoed buffered block drained: n=%d height=%d", n, c.Height())
-	}
-	if c.Pending() != 0 {
-		t.Fatal("vetoed block still buffered")
-	}
-}
-
 func TestPostAppendHookOrderAndCoverage(t *testing.T) {
 	g := block.Genesis(1)
 	m := testMiner(1)
@@ -318,11 +214,10 @@ func TestPostAppendHookOrderAndCoverage(t *testing.T) {
 	b1 := nextBlock(g, m, time.Minute)
 	b2 := nextBlock(b1, m, 2*time.Minute)
 	b3 := nextBlock(b2, m, 3*time.Minute)
-	// Out of order: b3 and b2 buffer, b1 drains all.
-	c.Add(b3)
-	c.Add(b2)
-	if _, err := c.Add(b1); err != nil {
-		t.Fatal(err)
+	for _, b := range []*block.Block{b1, b2, b3} {
+		if _, err := c.Add(b); err != nil {
+			t.Fatal(err)
+		}
 	}
 	want := []uint64{1, 2, 3}
 	if len(seen) != len(want) {

@@ -189,6 +189,5 @@ func (c *Chain) ReplaceSuffix(forkPoint uint64, suffix []*block.Block) error {
 	}
 	c.headers = headers
 	c.bodies = bodies
-	c.pending = make(map[uint64]*block.Block)
 	return nil
 }

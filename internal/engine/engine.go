@@ -442,8 +442,8 @@ func (e *Engine) postAppend(b *block.Block) {
 	}
 }
 
-// ReceiveBlock runs a network block through validation and adoption; the
-// returned count includes previously buffered blocks drained by this one.
+// ReceiveBlock runs a network block through validation and adoption and
+// returns how many blocks it appended: 1, or 0 with an error (chain.Add).
 // Gap and fork-link errors are the adapter's cue to fetch the missing
 // blocks and hand them to ReceiveBlock or AdoptSuffix.
 func (e *Engine) ReceiveBlock(b *block.Block) (appended int, err error) {

@@ -250,7 +250,7 @@ func (n *Node) handleSnapshot(from string, payload []byte) {
 		return
 	}
 	if bs.chunks[c.Idx] == nil {
-		bs.chunks[c.Idx] = append([]byte(nil), c.Data...)
+		bs.chunks[c.Idx] = c.Data // a view into the frame, which nobody modifies
 		bs.have++
 		n.tel.bootChunks.Inc()
 		n.tel.bootBytes.Add(len(c.Data))

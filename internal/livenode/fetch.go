@@ -254,7 +254,8 @@ func (n *Node) handleDataRequest(from string, payload []byte) {
 // handleData ingests a fetch answer. Only content this node has a pending
 // fetch for and that hashes to its ID (§III-B2 data integrity) is stored;
 // unsolicited frames and the late duplicate answers to a broadcast are
-// dropped before the copy and the hash.
+// dropped before the hash, which runs in place: the content is a view into
+// the frame (immutable after Send), handed as is to PutData and OnData.
 func (n *Node) handleData(payload []byte) {
 	var id meta.DataID
 	if len(payload) < len(id) {
@@ -267,10 +268,9 @@ func (n *Node) handleData(payload []byte) {
 	if !asked {
 		return
 	}
+	content := payload[len(id):]
 	dup := n.store.HasData(id)
-	var content []byte
 	if !dup {
-		content = append([]byte(nil), payload[len(id):]...)
 		if meta.HashData(content) != id {
 			return // forged or corrupt: the fetch moves on after its timeout
 		}

@@ -123,8 +123,6 @@ type Config struct {
 	Rules func(*engine.Config)
 	// OnBlock, if set, is called after each adopted block (any goroutine).
 	OnBlock func(b *block.Block)
-	// OnData, if set, is called when requested data content arrives.
-	OnData func(id meta.DataID, content []byte)
 	// Telemetry, when non-nil, receives the node's runtime metrics
 	// ("livenode.*": mining attempts vs. blocks won, fork adoptions,
 	// chain-sync rounds, data-fetch latency, the node's own S_i/Q_i gauges) and
@@ -451,7 +449,6 @@ func New(cfg Config) (*Node, error) {
 		selfIdx: selfIdx,
 		clock:   cfg.Clock,
 		store:   cfg.Store,
-		onData:  cfg.OnData,
 		addrOf:  make([]string, len(cfg.Accounts)),
 		idxOf:   make(map[string]int),
 		tel:     newNodeMetrics(cfg.Telemetry),
@@ -683,7 +680,8 @@ func (n *Node) HasItemOnChain(id meta.DataID) bool {
 	return n.eng.OnChain(id)
 }
 
-// SetOnData installs (or replaces) the data-arrival callback.
+// SetOnData installs (or replaces) the data-arrival callback; content is a
+// view into the received frame, which the callback must not modify.
 func (n *Node) SetOnData(fn func(id meta.DataID, content []byte)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -738,7 +736,7 @@ func (n *Node) Kill() error {
 func (n *Node) ChainSnapshot() []*block.Block {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return append([]*block.Block(nil), n.eng.Chain().Blocks()...)
+	return n.eng.Chain().Blocks()
 }
 
 // LedgerStats returns every roster node's stake S_i and storage credit

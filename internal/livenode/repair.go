@@ -278,10 +278,14 @@ func (n *Node) send(peer string, ft byte, payload []byte) error {
 	return nil
 }
 
-// bcast is the counted p2p.Transport.Broadcast; it returns how many peers
-// the frame went out to.
-func (n *Node) bcast(ft byte, payload []byte) int {
-	delivered, _ := n.net.Broadcast(ft, payload)
+// bcast sends one frame to every peer, not through send: the churn detector
+// hears none of its failures. It returns how many sends succeeded.
+func (n *Node) bcast(ft byte, payload []byte) (delivered int) {
+	for _, p := range n.net.Peers() {
+		if n.net.Send(p, ft, payload) == nil {
+			delivered++
+		}
+	}
 	n.countWire(ft, len(payload), delivered)
 	return delivered
 }

@@ -138,17 +138,6 @@ func (e *fakeEP) Send(peerAddr string, ft byte, payload []byte) error {
 	return nil
 }
 
-func (e *fakeEP) Broadcast(ft byte, payload []byte) (delivered, failed int) {
-	for _, p := range e.Peers() {
-		if err := e.Send(p, ft, payload); err != nil {
-			failed++
-		} else {
-			delivered++
-		}
-	}
-	return delivered, failed
-}
-
 func (e *fakeEP) Close() error {
 	e.mu.Lock()
 	e.closed = true

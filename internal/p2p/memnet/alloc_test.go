@@ -1,7 +1,6 @@
 package memnet
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -13,54 +12,37 @@ type sink struct{}
 func (sink) HandleFrame(string, byte, []byte) {}
 
 // TestMemnetHotPathAllocs is the transport's alloc gate for large
-// clusters: with recording off, a steady-state broadcast costs exactly
-// one allocation (the shared payload copy, fanned out to every peer) and
-// delivering a message costs none — message structs cycle through the
-// free list and the event digest folds without allocating.
+// clusters: with recording off, a steady-state send+deliver cycle allocates
+// nothing — the queue holds the sender's payload (frames are immutable after
+// Send), message structs cycle through the free list and the event digest
+// folds without allocating.
 func TestMemnetHotPathAllocs(t *testing.T) {
-	const peers = 32
 	n := New(1, nil)
 	n.SetRecording(false)
-	eps := make([]*Endpoint, peers)
-	for i := range eps {
-		e, err := n.Listen(fmt.Sprintf("n%02d", i), sink{})
-		if err != nil {
+	a, err := n.Listen("a", sink{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Listen("b", sink{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Connect("b"); err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte("steady-state frame payload")
+	send := func() {
+		if err := a.Send("b", p2p.FrameMeta, payload); err != nil {
 			t.Fatal(err)
 		}
-		eps[i] = e
-	}
-	for i := 1; i < peers; i++ {
-		if err := eps[0].Connect(eps[i].Addr()); err != nil {
-			t.Fatal(err)
+		for n.DeliverNext() {
 		}
 	}
-	payload := []byte("steady-state broadcast frame payload")
-
-	// Warm the free list, the queue heap, and the peer scratch.
+	// Warm the free list, the queue heap and the link's state.
 	for i := 0; i < 4; i++ {
-		eps[0].Broadcast(p2p.FrameData, payload)
-		for n.DeliverNext() {
-		}
+		send()
 	}
-
-	if got := testing.AllocsPerRun(200, func() {
-		if d, _ := eps[0].Broadcast(p2p.FrameData, payload); d != peers-1 {
-			t.Fatalf("broadcast reached %d peers, want %d", d, peers-1)
-		}
-		for n.DeliverNext() {
-		}
-	}); got > 1 {
-		t.Fatalf("broadcast+deliver cycle allocates %.2f/op, want ≤ 1 (the shared payload copy)", got)
-	}
-
-	if got := testing.AllocsPerRun(200, func() {
-		if err := eps[0].Send(eps[1].Addr(), p2p.FrameMeta, payload); err != nil {
-			t.Fatal(err)
-		}
-		for n.DeliverNext() {
-		}
-	}); got > 1 {
-		t.Fatalf("send+deliver cycle allocates %.2f/op, want ≤ 1 (the payload copy)", got)
+	if got := testing.AllocsPerRun(200, send); got != 0 {
+		t.Fatalf("send+deliver cycle allocates %.2f/op, want 0", got)
 	}
 }
 
@@ -87,7 +69,7 @@ func TestEventDigestMatchesLog(t *testing.T) {
 			t.Fatal(err)
 		}
 		a.Send("b", p2p.FrameMeta, []byte("x"))
-		a.Broadcast(p2p.FrameData, []byte("yy"))
+		a.Send("b", p2p.FrameData, []byte("yy"))
 		n.BlockLink("a", "b")
 		a.Send("b", p2p.FrameMeta, []byte("z"))
 		n.Heal()
@@ -115,34 +97,37 @@ func TestEventDigestMatchesLog(t *testing.T) {
 	}
 }
 
-// TestBroadcastSharedPayloadIsolated: the shared broadcast buffer must
-// still be detached from the caller's slice — mutating the input after
-// Broadcast cannot change what recipients see.
-func TestBroadcastSharedPayloadIsolated(t *testing.T) {
+// TestHandlerGetsSenderPayload pins the frame contract on memnet: the
+// handler is handed the very slice the sender passed to Send — same backing
+// array, nothing copied — and a duplicated frame's second delivery shares it.
+func TestHandlerGetsSenderPayload(t *testing.T) {
 	n := New(3, nil)
-	ra, rb := &recorder{}, &recorder{}
-	a, err := n.Listen("a", ra)
+	n.SetDefaults(Params{Duplicate: 1})
+	var got [][]byte
+	a, err := n.Listen("a", sink{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.Listen("b", rb); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.Listen("c", &recorder{}); err != nil {
+	if _, err := n.Listen("b", p2p.HandlerFunc(func(_ string, _ byte, payload []byte) {
+		got = append(got, payload)
+	})); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Connect("b"); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Connect("c"); err != nil {
+	buf := []byte("frame")
+	if err := a.Send("b", p2p.FrameMeta, buf); err != nil {
 		t.Fatal(err)
 	}
-	buf := []byte("original")
-	a.Broadcast(p2p.FrameMeta, buf)
-	copy(buf, "SCRIBBLE")
 	for n.DeliverNext() {
 	}
-	if len(rb.frames) != 1 || rb.frames[0].payload != "original" {
-		t.Fatalf("recipient saw caller's mutation: %+v", rb.frames)
+	if len(got) != 2 {
+		t.Fatalf("%d deliveries, want the frame and its duplicate", len(got))
+	}
+	for i, p := range got {
+		if len(p) != len(buf) || &p[0] != &buf[0] {
+			t.Fatalf("delivery %d is not the sender's slice", i)
+		}
 	}
 }

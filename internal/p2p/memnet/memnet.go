@@ -9,7 +9,7 @@
 // path's hop latency, an unreachable destination loses it, and its bytes
 // are billed to both ends.
 //
-// Delivery is pull-based: Send and Broadcast only enqueue; nothing reaches
+// Delivery is pull-based: Send only enqueues; nothing reaches
 // a handler until the test harness calls DeliverNext. Combined with a
 // virtual clock (internal/chaos) this makes whole-cluster runs
 // single-threaded and exactly reproducible: the same seed yields the same
@@ -35,8 +35,9 @@ import (
 type Params struct {
 	// Drop is the probability a message is silently lost in flight.
 	Drop float64
-	// Duplicate is the probability a message is delivered twice (the copy
-	// gets its own independently sampled latency).
+	// Duplicate is the probability a message is delivered twice (the
+	// duplicate shares the payload and gets its own independently sampled
+	// latency).
 	Duplicate float64
 	// Reorder is the probability a message may overtake earlier traffic on
 	// its link. Links are FIFO otherwise (TCP-like): a sampled delivery
@@ -398,7 +399,7 @@ func (n *Network) dropCrossingLocked(reason string) {
 }
 
 // getMsgLocked and putMsgLocked recycle message structs through a free
-// list: at 256 nodes a single broadcast round puts tens of thousands of
+// list: at 256 nodes a single fan-out round puts tens of thousands of
 // messages in flight, and without recycling every one is garbage the
 // moment it is delivered.
 func (n *Network) getMsgLocked() *message {
@@ -469,9 +470,10 @@ func (n *Network) NextDue() (time.Time, bool) {
 }
 
 // DeliverNext pops the earliest in-flight message (ties broken by send
-// order) and hands it to the destination handler inline. It reports
-// whether a message was processed; messages to closed or disconnected
-// endpoints are consumed and logged as drops.
+// order) and hands it to the destination handler inline, with the payload
+// slice its sender passed to Send. It reports whether a message was
+// processed; messages to closed or disconnected endpoints are consumed and
+// logged as drops.
 func (n *Network) DeliverNext() bool {
 	n.mu.Lock()
 	if n.lastDelivered != nil {
@@ -507,20 +509,18 @@ func (n *Network) DeliverNext() bool {
 	n.lastDelivered = m
 	n.mu.Unlock()
 	// Handler runs outside the lock: it may send, connect or partition.
-	// Payloads are read-only — broadcast fans one buffer out to every
-	// recipient, so a handler mutating it would corrupt its siblings.
+	// The payload is the sender's own slice, shared with any duplicate of
+	// the frame: frames are immutable after Send (p2p.Transport).
 	handler.HandleFrame(from, frame, payload)
 	return true
 }
 
-// enqueueLocked applies the link's fault model to one send. When owned
-// is true the payload is already detached from the caller's buffer (a
-// broadcast's shared copy) and is enqueued as-is; otherwise it is copied
-// once before entering the queue. Either way a duplicate delivery shares
-// the in-queue buffer — delivered payloads are read-only by contract. It
-// reports false when the radio has no path to the destination, which the
-// sender learns at once, like a route lookup failing.
-func (n *Network) enqueueLocked(from, to string, frame byte, payload []byte, owned bool) bool {
+// enqueueLocked applies the link's fault model to one send. The queue holds
+// the sender's slice, and a duplicate delivery shares it: frames are
+// immutable after Send (p2p.Transport), so nothing is copied. It reports
+// false when the radio has no path to the destination, which the sender
+// learns at once, like a route lookup failing.
+func (n *Network) enqueueLocked(from, to string, frame byte, payload []byte) bool {
 	n.metrics.Sends.Inc()
 	n.logLocked(Event{Kind: EvSend, From: from, To: to, Frame: frame, Size: len(payload)})
 	key := linkKey{from, to}
@@ -545,9 +545,6 @@ func (n *Network) enqueueLocked(from, to string, frame byte, payload []byte, own
 		n.metrics.PartitionKills.Inc()
 		n.logLocked(Event{Kind: EvDrop, From: from, To: to, Frame: frame, Size: len(payload), Note: "unreachable"})
 		return false
-	}
-	if !owned {
-		payload = append([]byte(nil), payload...)
 	}
 	n.scheduleLocked(key, frame, payload, p, hop)
 	if p.Duplicate > 0 && n.rng.Float64() < p.Duplicate {
@@ -621,8 +618,8 @@ type Endpoint struct {
 	peers   map[string]bool
 	closed  bool
 	// sorted caches the peers in sorted order. setPeerLocked and Close drop
-	// it; the next use rebuilds it into a fresh slice, so a Broadcast in
-	// progress and every snapshot Peers handed out keep their view.
+	// it; the next use rebuilds it into a fresh slice, so every snapshot
+	// Peers handed out keeps its view.
 	sorted []string
 }
 
@@ -716,41 +713,10 @@ func (e *Endpoint) Send(peerAddr string, frameType byte, payload []byte) error {
 		n.logLocked(Event{Kind: EvDisconnect, From: e.addr, To: peerAddr, Note: "send failed"})
 		return fmt.Errorf("memnet: peer %s gone", peerAddr)
 	}
-	if !n.enqueueLocked(e.addr, peerAddr, frameType, payload, false) {
+	if !n.enqueueLocked(e.addr, peerAddr, frameType, payload) {
 		return fmt.Errorf("memnet: no radio path to %s", peerAddr)
 	}
 	return nil
-}
-
-// Broadcast enqueues one frame for every connected peer, in sorted
-// address order so fault sampling is deterministic. Dead peers count as
-// failed and are disconnected; peers the radio cannot reach count as
-// failed and stay connected. The payload is copied once and the copy
-// shared by every recipient (and duplicate), which is what keeps a
-// 256-node broadcast O(1) in copies instead of O(peers) — handlers must
-// treat delivered payloads as read-only.
-func (e *Endpoint) Broadcast(frameType byte, payload []byte) (delivered, failed int) {
-	n := e.net
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if e.closed {
-		return 0, 0
-	}
-	shared := append([]byte(nil), payload...)
-	for _, addr := range e.sortedPeersLocked() {
-		if dst, ok := n.endpoints[addr]; !ok || dst.closed {
-			e.setPeerLocked(addr, false)
-			n.logLocked(Event{Kind: EvDisconnect, From: e.addr, To: addr, Note: "send failed"})
-			failed++
-			continue
-		}
-		if n.enqueueLocked(e.addr, addr, frameType, shared, true) {
-			delivered++
-		} else {
-			failed++
-		}
-	}
-	return delivered, failed
 }
 
 // Close detaches the endpoint: peers observe a disconnect (as a TCP read

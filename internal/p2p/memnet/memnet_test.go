@@ -195,36 +195,49 @@ func TestPartitionAndHeal(t *testing.T) {
 	}
 }
 
-func TestBroadcastCountsAndCloseSemantics(t *testing.T) {
+// TestCloseSemantics: a closed endpoint drops out of its peers' snapshots,
+// a send to it fails, frames it had not received when it closed are lost,
+// and its address can be listened on again (a node restart).
+func TestCloseSemantics(t *testing.T) {
 	n := New(1, nil)
 	ra, rb, rc := &recorder{}, &recorder{}, &recorder{}
 	a, _ := n.Listen("a", ra)
 	b, _ := n.Listen("b", rb)
-	c, _ := n.Listen("c", rc)
-	_ = c
+	if _, err := n.Listen("c", rc); err != nil {
+		t.Fatal(err)
+	}
 	if err := a.Connect("b"); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Connect("c"); err != nil {
 		t.Fatal(err)
 	}
-	if d, f := a.Broadcast(p2p.FrameMeta, []byte("all")); d != 2 || f != 0 {
-		t.Fatalf("broadcast delivered=%d failed=%d", d, f)
+	for _, p := range a.Peers() {
+		if err := a.Send(p, p2p.FrameMeta, []byte("all")); err != nil {
+			t.Fatal(err)
+		}
 	}
 	pump(n)
 
-	// Closing b: a observes the disconnect, later broadcasts skip it.
+	// Closing b: a observes the disconnect, later sends to b fail and a
+	// frame in flight to it when it closes is dropped.
+	if err := a.Send("b", p2p.FrameMeta, []byte("in flight")); err != nil {
+		t.Fatal(err)
+	}
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if got := a.Peers(); len(got) != 1 || got[0] != "c" {
 		t.Fatalf("a peers after close = %v", got)
 	}
-	if d, f := a.Broadcast(p2p.FrameMeta, []byte("again")); d != 1 || f != 0 {
-		t.Fatalf("broadcast after close delivered=%d failed=%d", d, f)
+	if err := a.Send("b", p2p.FrameMeta, []byte("again")); err == nil {
+		t.Fatal("send to a closed peer succeeded")
+	}
+	if err := a.Send("c", p2p.FrameMeta, []byte("again")); err != nil {
+		t.Fatal(err)
 	}
 	pump(n)
-	if len(rb.frames) != 1 { // only the pre-close broadcast
+	if len(rb.frames) != 1 { // only the frame delivered before the close
 		t.Fatalf("closed endpoint received %+v", rb.frames)
 	}
 	if len(rc.frames) != 2 {
@@ -246,7 +259,7 @@ func TestEventLogDeterminism(t *testing.T) {
 		a, _, b, _ := twoEndpoints(t, n)
 		for i := byte(0); i < 30; i++ {
 			_ = a.Send("b", p2p.FrameMeta, []byte{i})
-			_, _ = b.Broadcast(p2p.FrameData, []byte{i, i})
+			_ = b.Send("a", p2p.FrameData, []byte{i, i})
 		}
 		n.Partition([]string{"a"}, []string{"b"})
 		n.Heal()
@@ -265,8 +278,8 @@ func TestEventLogDeterminism(t *testing.T) {
 
 // TestPeersCacheFollowsEveryChange: Peers() hands out one shared sorted
 // snapshot (p2p.Transport), so every way the peer set can change — connect
-// from either side, a failed send, a failed broadcast, the peer closing, the
-// endpoint itself closing — must show in the next call, while every snapshot
+// from either side, a failed send (alone or in a fan-out over a snapshot),
+// the peer closing, the endpoint itself closing — must show in the next call, while every snapshot
 // handed out before the change stays exactly as it was, still sorted: a
 // change installs a new slice and never edits the old one. A warm Peers()
 // allocates nothing.
@@ -330,7 +343,7 @@ func TestPeersCacheFollowsEveryChange(t *testing.T) {
 	}
 	want("peer closed", a, "b", "d", "e")
 
-	// Send and Broadcast failures need a dead endpoint a still lists:
+	// Send failures need a dead endpoint a still lists:
 	// re-register "c" closed-over (restart) so a's entry is stale.
 	n.mu.Lock()
 	a.setPeerLocked("c", true)
@@ -343,10 +356,18 @@ func TestPeersCacheFollowsEveryChange(t *testing.T) {
 	n.mu.Lock()
 	a.setPeerLocked("c", true)
 	n.mu.Unlock()
-	if d, f := a.Broadcast(p2p.FrameMeta, []byte("x")); d != 3 || f != 1 {
-		t.Fatalf("broadcast delivered=%d failed=%d, want 3/1", d, f)
+	delivered, failed := 0, 0
+	for _, p := range a.Peers() { // the fan-out keeps reading its snapshot while c drops out
+		if err := a.Send(p, p2p.FrameMeta, []byte("x")); err != nil {
+			failed++
+		} else {
+			delivered++
+		}
 	}
-	want("broadcast failed", a, "b", "d", "e")
+	if delivered != 3 || failed != 1 {
+		t.Fatalf("fan-out delivered=%d failed=%d, want 3/1", delivered, failed)
+	}
+	want("fan-out send failed", a, "b", "d", "e")
 
 	if err := a.Close(); err != nil {
 		t.Fatal(err)

@@ -43,8 +43,6 @@ type Metrics struct {
 	FramesSentByType, FramesRecvByType [frameTypeEnd]*telemetry.Counter
 	// BytesSent / BytesRecv count wire bytes including the 5-byte header.
 	BytesSent, BytesRecv *telemetry.Counter
-	// BroadcastDelivered / BroadcastFailed accumulate Broadcast results.
-	BroadcastDelivered, BroadcastFailed *telemetry.Counter
 	// DialFailures counts failed Connect dials.
 	DialFailures *telemetry.Counter
 	// WriteDeadlineHits counts frame writes that failed on a timeout —
@@ -58,15 +56,13 @@ type Metrics struct {
 // "p2p.*"). A nil registry yields a Metrics whose counters are inert.
 func NewMetrics(reg *telemetry.Registry) *Metrics {
 	m := &Metrics{
-		FramesSent:         reg.Counter("p2p.frames_sent"),
-		FramesRecv:         reg.Counter("p2p.frames_recv"),
-		BytesSent:          reg.Counter("p2p.bytes_sent"),
-		BytesRecv:          reg.Counter("p2p.bytes_recv"),
-		BroadcastDelivered: reg.Counter("p2p.broadcast.delivered"),
-		BroadcastFailed:    reg.Counter("p2p.broadcast.failed"),
-		DialFailures:       reg.Counter("p2p.dial_failures"),
-		WriteDeadlineHits:  reg.Counter("p2p.write_deadline_hits"),
-		SendErrors:         reg.Counter("p2p.send_errors"),
+		FramesSent:        reg.Counter("p2p.frames_sent"),
+		FramesRecv:        reg.Counter("p2p.frames_recv"),
+		BytesSent:         reg.Counter("p2p.bytes_sent"),
+		BytesRecv:         reg.Counter("p2p.bytes_recv"),
+		DialFailures:      reg.Counter("p2p.dial_failures"),
+		WriteDeadlineHits: reg.Counter("p2p.write_deadline_hits"),
+		SendErrors:        reg.Counter("p2p.send_errors"),
 	}
 	for ft, name := range frameNames {
 		if name == "" {

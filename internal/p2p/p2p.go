@@ -26,12 +26,13 @@ import (
 
 // Network deadlines. A hung or unreachable peer must not stall the caller:
 // Connect bounds the TCP dial, and every frame write carries a deadline so
-// a peer that stops draining its socket cannot hold writeMu (and thereby a
-// Broadcast) forever — the write fails and the connection is dropped.
+// a peer that stops draining its socket cannot hold writeMu (and thereby
+// every later Send to it) forever — the write fails and the connection is
+// dropped.
 var (
 	// DialTimeout bounds Connect's TCP dial.
 	DialTimeout = 5 * time.Second
-	// WriteTimeout bounds each frame write (hello, Send, Broadcast).
+	// WriteTimeout bounds each frame write (hello, Send).
 	WriteTimeout = 10 * time.Second
 )
 
@@ -116,11 +117,6 @@ const MaxFrameSize = 64 << 20
 // a malicious dialer register arbitrarily large keys; an empty one would
 // register as "". Real host:port strings are far below this.
 const MaxHelloLen = 256
-
-// broadcastConcurrency bounds how many peer writes a single Broadcast runs
-// in flight at once. Writes fan out concurrently so one stalled peer
-// (blocked until WriteTimeout) cannot delay delivery to the others.
-const broadcastConcurrency = 16
 
 // Handler receives inbound frames. from is the peer's listen address.
 // Calls are serialized: the node holds its handler lock while dispatching,
@@ -236,8 +232,8 @@ func (n *Node) acceptLoop() {
 }
 
 // Connect dials a peer, performs the hello handshake and registers the
-// connection before it returns, so Send and Broadcast reach the peer at
-// once. Connecting to an already-connected peer is a no-op.
+// connection before it returns, so a Send reaches the peer at once.
+// Connecting to an already-connected peer is a no-op.
 func (n *Node) Connect(addr string) error {
 	n.mu.Lock()
 	if n.closed {
@@ -386,54 +382,6 @@ func (n *Node) Send(peerAddr string, frameType byte, payload []byte) error {
 	}
 	n.metrics.Load().onSent(frameType, len(payload))
 	return nil
-}
-
-// Broadcast writes one frame to every connected peer; per-peer errors drop
-// that peer's connection but do not abort the broadcast. It returns how
-// many peer writes succeeded and how many failed, so callers can observe
-// partial delivery.
-//
-// Writes fan out concurrently (bounded by broadcastConcurrency) so a
-// stalled peer burning its full WriteTimeout cannot head-of-line block
-// delivery to healthy peers; Broadcast still waits for every write to
-// finish before returning so the delivered/failed counts are complete.
-func (n *Node) Broadcast(frameType byte, payload []byte) (delivered, failed int) {
-	n.mu.Lock()
-	peers := make([]*peer, 0, len(n.peers))
-	for _, p := range n.peers {
-		peers = append(peers, p)
-	}
-	n.mu.Unlock()
-	m := n.metrics.Load()
-	var (
-		wg   sync.WaitGroup
-		sem  = make(chan struct{}, broadcastConcurrency)
-		dlv  atomic.Int64
-		fail atomic.Int64
-	)
-	for _, p := range peers {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(p *peer) {
-			defer func() { <-sem; wg.Done() }()
-			p.writeMu.Lock()
-			err := writeFrameDeadline(p.conn, frameType, payload)
-			p.writeMu.Unlock()
-			if err != nil {
-				m.onSendErr(err)
-				p.conn.Close()
-				fail.Add(1)
-				return
-			}
-			m.onSent(frameType, len(payload))
-			dlv.Add(1)
-		}(p)
-	}
-	wg.Wait()
-	delivered, failed = int(dlv.Load()), int(fail.Load())
-	m.BroadcastDelivered.Add(delivered)
-	m.BroadcastFailed.Add(failed)
-	return delivered, failed
 }
 
 // writeFrameDeadline writes one frame under WriteTimeout and clears the

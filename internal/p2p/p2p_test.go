@@ -114,7 +114,11 @@ func TestBidirectional(t *testing.T) {
 	}
 }
 
-func TestBroadcastReachesAllPeers(t *testing.T) {
+// TestSendReachesEveryPeer: a fan-out is one Send per peer of a Peers
+// snapshot, every one with the same payload slice (frames are immutable after
+// Send, so nothing is copied per peer); each leaf that dialled the center
+// receives it.
+func TestSendReachesEveryPeer(t *testing.T) {
 	hub, _ := &recorder{}, 0
 	center, err := Listen("127.0.0.1:0", hub)
 	if err != nil {
@@ -136,7 +140,12 @@ func TestBroadcastReachesAllPeers(t *testing.T) {
 		}
 	}
 	waitFor(t, 2*time.Second, func() bool { return len(center.Peers()) == n })
-	center.Broadcast(FrameMeta, []byte("to-everyone"))
+	payload := []byte("to-everyone")
+	for _, p := range center.Peers() {
+		if err := center.Send(p, FrameMeta, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
 	waitFor(t, 2*time.Second, func() bool {
 		for _, r := range recs {
 			if r.count() != 1 {
@@ -247,8 +256,8 @@ func TestSendRightAfterConnect(t *testing.T) {
 	if err := a.Send(b.Addr(), FrameMeta, []byte("first")); err != nil {
 		t.Fatalf("Send right after Connect: %v", err)
 	}
-	if delivered, failed := a.Broadcast(FrameData, []byte("second")); delivered != 1 || failed != 0 {
-		t.Fatalf("Broadcast right after Connect: delivered %d failed %d, want 1 0", delivered, failed)
+	if err := a.Send(b.Addr(), FrameData, []byte("second")); err != nil {
+		t.Fatalf("second Send right after Connect: %v", err)
 	}
 	waitFor(t, 2*time.Second, func() bool { return rb.count() == 2 })
 	if got, _ := rb.last(); got.from != a.Addr() {
@@ -540,78 +549,6 @@ func TestHelloValidation(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestBroadcastNotBlockedByStalledPeer pins the head-of-line fix: one peer
-// that stops draining its socket (its write burns the full WriteTimeout)
-// must not delay the same Broadcast's delivery to healthy peers.
-func TestBroadcastNotBlockedByStalledPeer(t *testing.T) {
-	oldTimeout := WriteTimeout
-	WriteTimeout = 3 * time.Second
-	t.Cleanup(func() { WriteTimeout = oldTimeout })
-
-	hub := &recorder{}
-	center, err := Listen("127.0.0.1:0", hub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { center.Close() })
-
-	const healthy = 4
-	recs := make([]*recorder, healthy)
-	for i := 0; i < healthy; i++ {
-		recs[i] = &recorder{}
-		leaf, err := Listen("127.0.0.1:0", recs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { leaf.Close() })
-		if err := leaf.Connect(center.Addr()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The stalled peer handshakes but never reads another byte, so a large
-	// frame write to it blocks until the write deadline fires.
-	stalled, err := net.Dial("tcp", center.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { stalled.Close() })
-	if err := writeFrame(stalled, FrameHello, []byte("127.0.0.1:59999")); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 2*time.Second, func() bool { return len(center.Peers()) == healthy+1 })
-
-	// 8 MiB overflows the socket buffers, so the stalled peer's write
-	// cannot complete; healthy peers drain theirs immediately.
-	payload := make([]byte, 8<<20)
-	start := time.Now()
-	type result struct{ delivered, failed int }
-	done := make(chan result, 1)
-	go func() {
-		d, f := center.Broadcast(FrameData, payload)
-		done <- result{d, f}
-	}()
-	waitFor(t, 2*time.Second, func() bool {
-		for _, r := range recs {
-			if r.count() != 1 {
-				return false
-			}
-		}
-		return true
-	})
-	if elapsed := time.Since(start); elapsed >= WriteTimeout {
-		t.Fatalf("healthy peers waited %v, head-of-line blocked behind the stalled peer", elapsed)
-	}
-	select {
-	case res := <-done:
-		if res.delivered != healthy || res.failed != 1 {
-			t.Fatalf("broadcast = %d delivered / %d failed, want %d/1", res.delivered, res.failed, healthy)
-		}
-	case <-time.After(2 * WriteTimeout):
-		t.Fatal("broadcast never returned")
-	}
-	waitFor(t, 2*time.Second, func() bool { return len(center.Peers()) == healthy })
 }
 
 // TestEveryFrameTypeIsNamed keeps the per-type counter table from going

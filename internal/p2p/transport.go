@@ -25,14 +25,13 @@ type Transport interface {
 	// long as a caller keeps it. The relay derives its spanning tree from
 	// this order and samples it without copying (DESIGN.md §13).
 	Peers() []string
-	// Send writes one frame to a specific peer.
+	// Send writes one frame to a specific peer. Frames are immutable after
+	// Send: once a payload is handed over, neither its sender nor any
+	// receiver may modify it. A transport may hand the receiver the sender's
+	// slice itself, shared between the deliveries of a duplicated frame
+	// (memnet does), and a receiver may keep views into it. A fan-out is one
+	// Send per peer of a Peers snapshot, all with the same payload.
 	Send(peerAddr string, frameType byte, payload []byte) error
-	// Broadcast writes one frame to every connected peer and reports how
-	// many sends were handed to the wire and how many failed outright
-	// (dead connection, closed endpoint). A frame the network later loses
-	// in flight still counts as delivered here — like TCP, the sender only
-	// observes local write failures.
-	Broadcast(frameType byte, payload []byte) (delivered, failed int)
 	// Close shuts the endpoint down; subsequent sends fail.
 	Close() error
 }
