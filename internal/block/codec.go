@@ -128,15 +128,15 @@ func Decode(data []byte) (*Block, error) {
 
 // ItemRef stands for one packed item in a Compact block.
 type ItemRef struct {
-	ID           meta.DataID
+	ID           meta.ShortID
 	StoringNodes []int
 }
 
-// Compact is a block with every item replaced by its data ID and the
+// Compact is a block with every item replaced by its short ID and the
 // storing nodes the miner assigned — the one part of a packed item its
 // producer did not sign and no pool can supply (DESIGN.md §13.1). Wire
-// layout: header, item count, per item (ID, storing-node list), the three
-// node lists, block hash.
+// layout: header, item count, per item (8-byte short ID, storing-node
+// list), the three node lists, block hash.
 type Compact struct {
 	// Head holds every field of the block except Items. Head.Hash is the
 	// sender's claim: nothing checks it until the rebuilt block is verified.
@@ -146,18 +146,18 @@ type Compact struct {
 }
 
 // minRefSize is the encoded size of a reference with no storing nodes.
-const minRefSize = len(meta.DataID{}) + 1
+const minRefSize = len(meta.ShortID{}) + 1
 
 // EncodeCompact serializes the block in compact form.
 func (b *Block) EncodeCompact() []byte {
 	n := b.headerSize() + wire.UvarintLen(uint64(len(b.Items))) + b.tailSize()
 	for _, it := range b.Items {
-		n += len(it.ID) + wire.IntsLen(it.StoringNodes)
+		n += len(meta.ShortID{}) + wire.IntsLen(it.StoringNodes)
 	}
 	out := b.appendHeader(make([]byte, 0, n))
 	out = binary.AppendUvarint(out, uint64(len(b.Items)))
 	for _, it := range b.Items {
-		out = append(out, it.ID[:]...)
+		out = append(out, it.ID[:len(meta.ShortID{})]...)
 		out = wire.AppendInts(out, it.StoringNodes)
 	}
 	return b.appendTail(out)
@@ -171,7 +171,7 @@ func DecodeCompact(data []byte) (*Compact, error) {
 	readHeader(r, &c.Head)
 	c.Refs = make([]ItemRef, r.Count(minRefSize))
 	for i := range c.Refs {
-		c.Refs[i].ID = r.Hash()
+		copy(c.Refs[i].ID[:], r.Take(len(meta.ShortID{})))
 		c.Refs[i].StoringNodes = r.Ints()
 	}
 	if err := readTail(r, &c.Head); err != nil {
@@ -181,15 +181,16 @@ func DecodeCompact(data []byte) (*Compact, error) {
 }
 
 // Rebuild assembles the full block from the items resolve returns for the
-// referenced IDs (nil = unknown): each is cloned and given the miner's
-// storing nodes. If any ID is unknown it returns nil and the unknown IDs.
+// referenced short IDs (nil = unknown): each is cloned and given the miner's
+// storing nodes. If any is unknown it returns nil and the unknown short IDs.
 // The rebuilt block carries the claimed hash unchecked, so it must go
 // through VerifySelf like any block off the wire: a resolver that returned
-// different bytes than the miner packed shows up there as ErrBadHash.
-func (c *Compact) Rebuild(resolve func(meta.DataID) *meta.Item) (*Block, []meta.DataID) {
+// different bytes than the miner packed — another item under the same
+// prefix included — shows up there as ErrBadHash.
+func (c *Compact) Rebuild(resolve func(meta.ShortID) *meta.Item) (*Block, []meta.ShortID) {
 	b := c.Head
 	b.Items = make([]*meta.Item, len(c.Refs))
-	var missing []meta.DataID
+	var missing []meta.ShortID
 	for i, ref := range c.Refs {
 		it := resolve(ref.ID)
 		if it == nil {

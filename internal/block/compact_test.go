@@ -14,15 +14,16 @@ import (
 )
 
 // poolOf returns a resolver over the block's items as a pool holds them:
-// separate copies, without the storing nodes the miner assigned.
-func poolOf(b *Block) (map[meta.DataID]*meta.Item, func(meta.DataID) *meta.Item) {
-	pool := make(map[meta.DataID]*meta.Item, len(b.Items))
+// separate copies, without the storing nodes the miner assigned, found by
+// short ID.
+func poolOf(b *Block) (map[meta.ShortID]*meta.Item, func(meta.ShortID) *meta.Item) {
+	pool := make(map[meta.ShortID]*meta.Item, len(b.Items))
 	for _, it := range b.Items {
 		cp := it.Clone()
 		cp.StoringNodes = nil
-		pool[it.ID] = cp
+		pool[it.ID.ShortID()] = cp
 	}
-	return pool, func(id meta.DataID) *meta.Item { return pool[id] }
+	return pool, func(id meta.ShortID) *meta.Item { return pool[id] }
 }
 
 func randomList(rng *rand.Rand, maxLen int) []int {
@@ -91,7 +92,8 @@ func TestCompactRebuildMatchesFullCodec(t *testing.T) {
 }
 
 // TestCompactGolden pins the compact layout: header, item count, per item
-// the 32-byte ID and its storing-node list, the three node lists, the hash.
+// the 8-byte short ID and its storing-node list, the three node lists, the
+// hash.
 func TestCompactGolden(t *testing.T) {
 	b := goldenBlock(t)
 	enc := b.EncodeCompact()
@@ -113,7 +115,7 @@ func TestCompactGolden(t *testing.T) {
 	uv(b.MinedAfter)
 	uv(3)
 	for _, it := range b.Items {
-		want = append(want, it.ID[:]...)
+		want = append(want, it.ID[:8]...)
 		list(it.StoringNodes)
 	}
 	list(b.StoringNodes)
@@ -124,9 +126,10 @@ func TestCompactGolden(t *testing.T) {
 		t.Fatalf("compact layout changed:\n got %x\nwant %x", enc, want)
 	}
 
-	// Fixed width → varint: 392 → 257 B.
+	// Fixed width → varint: 392 → 257 B; full → short IDs: 257 → 185 B.
+	// Re-pinned once for short-ID compact references.
 	sum := sha256.Sum256(enc)
-	if got := hex.EncodeToString(sum[:]); len(enc) != 257 || got != "9bbb1cd9a1f9b7382f2d65ee2711f842b3f7f9e3272a2ee495dc20316d271ddc" {
+	if got := hex.EncodeToString(sum[:]); len(enc) != 185 || got != "4c8f78666d9de58ca521eafea5621982e9a7e33ee8068fe1826a97cf912bec76" {
 		t.Fatalf("compact encoding changed: %d bytes, sha256 %s", len(enc), got)
 	}
 	// The point of the form: under half the full block even at three items.
@@ -142,35 +145,35 @@ func TestCompactTamperIsBadHash(t *testing.T) {
 	sigs := &meta.SigCache{}
 	cases := []struct {
 		name   string
-		tamper func(c *Compact, pool map[meta.DataID]*meta.Item)
+		tamper func(c *Compact, pool map[meta.ShortID]*meta.Item)
 	}{
-		{"swapped IDs", func(c *Compact, _ map[meta.DataID]*meta.Item) {
+		{"swapped IDs", func(c *Compact, _ map[meta.ShortID]*meta.Item) {
 			c.Refs[0].ID, c.Refs[1].ID = c.Refs[1].ID, c.Refs[0].ID
 		}},
-		{"altered storing nodes", func(c *Compact, _ map[meta.DataID]*meta.Item) {
+		{"altered storing nodes", func(c *Compact, _ map[meta.ShortID]*meta.Item) {
 			c.Refs[1].StoringNodes = []int{1, 9}
 		}},
-		{"dropped storing nodes", func(c *Compact, _ map[meta.DataID]*meta.Item) {
+		{"dropped storing nodes", func(c *Compact, _ map[meta.ShortID]*meta.Item) {
 			c.Refs[2].StoringNodes = nil
 		}},
-		{"reordered items", func(c *Compact, _ map[meta.DataID]*meta.Item) {
+		{"reordered items", func(c *Compact, _ map[meta.ShortID]*meta.Item) {
 			c.Refs[0], c.Refs[2] = c.Refs[2], c.Refs[0]
 		}},
-		{"dropped item", func(c *Compact, _ map[meta.DataID]*meta.Item) {
+		{"dropped item", func(c *Compact, _ map[meta.ShortID]*meta.Item) {
 			c.Refs = c.Refs[:2]
 		}},
-		{"same DataID from another producer in the pool", func(c *Compact, pool map[meta.DataID]*meta.Item) {
+		{"same DataID from another producer in the pool", func(c *Compact, pool map[meta.ShortID]*meta.Item) {
 			other := pool[c.Refs[0].ID].Clone()
 			other.Sign(testIdentity(99)) // a valid signature, by someone else
-			pool[other.ID] = other
+			pool[c.Refs[0].ID] = other
 		}},
-		{"pool item with other signed fields", func(c *Compact, pool map[meta.DataID]*meta.Item) {
+		{"pool item with other signed fields", func(c *Compact, pool map[meta.ShortID]*meta.Item) {
 			pool[c.Refs[1].ID].Properties = "edited"
 		}},
-		{"forged hash", func(c *Compact, _ map[meta.DataID]*meta.Item) {
+		{"forged hash", func(c *Compact, _ map[meta.ShortID]*meta.Item) {
 			c.Head.Hash[0] ^= 1
 		}},
-		{"altered header", func(c *Compact, _ map[meta.DataID]*meta.Item) {
+		{"altered header", func(c *Compact, _ map[meta.ShortID]*meta.Item) {
 			c.Head.MinedAfter++
 		}},
 	}
@@ -194,9 +197,39 @@ func TestCompactTamperIsBadHash(t *testing.T) {
 	}
 }
 
-// TestCompactRebuildReportsMissing: unknown IDs come back in block order
-// (a duplicate reference twice), nothing is returned to adopt, and the
-// pool is only read.
+// TestCompactRebuildPrefixImpostorIsBadHash: a resolver holding another
+// item under a referenced short ID — a validly signed one whose full ID
+// shares the 8-byte prefix, by accident or forged — rebuilds a block
+// without complaint, and the block fails VerifySelf with ErrBadHash.
+func TestCompactRebuildPrefixImpostorIsBadHash(t *testing.T) {
+	b := goldenBlock(t)
+	c, err := DecodeCompact(b.EncodeCompact())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, resolve := poolOf(b)
+	impostor := &meta.Item{ID: meta.HashData([]byte("impostor")), Type: "Test/Item", Produced: time.Minute, ValidFor: time.Hour}
+	copy(impostor.ID[:], b.Items[1].ID[:8])
+	impostor.Sign(testIdentity(99))
+	if impostor.ID == b.Items[1].ID || impostor.ID.ShortID() != c.Refs[1].ID || impostor.Verify() != nil {
+		t.Fatal("impostor is not a valid item under exactly the referenced prefix")
+	}
+	pool[c.Refs[1].ID] = impostor
+	got, missing := c.Rebuild(resolve)
+	if got == nil || missing != nil {
+		t.Fatalf("Rebuild = %v, missing %v: the impostor resolves, so the block must rebuild", got, missing)
+	}
+	if got.Items[1].ID != impostor.ID {
+		t.Fatal("the rebuilt block does not carry the impostor")
+	}
+	if err := got.VerifySelf(); !errors.Is(err, ErrBadHash) {
+		t.Fatalf("rebuild with an impostor verified with %v, want ErrBadHash", err)
+	}
+}
+
+// TestCompactRebuildReportsMissing: unknown short IDs come back in block
+// order (a duplicate reference twice), nothing is returned to adopt, and
+// the pool is only read.
 func TestCompactRebuildReportsMissing(t *testing.T) {
 	b := goldenBlock(t)
 	c, err := DecodeCompact(b.EncodeCompact())
@@ -204,13 +237,13 @@ func TestCompactRebuildReportsMissing(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool, resolve := poolOf(b)
-	delete(pool, b.Items[0].ID)
-	delete(pool, b.Items[2].ID)
+	delete(pool, b.Items[0].ID.ShortID())
+	delete(pool, b.Items[2].ID.ShortID())
 	got, missing := c.Rebuild(resolve)
-	if got != nil || len(missing) != 2 || missing[0] != b.Items[0].ID || missing[1] != b.Items[2].ID {
+	if got != nil || len(missing) != 2 || missing[0] != b.Items[0].ID.ShortID() || missing[1] != b.Items[2].ID.ShortID() {
 		t.Fatalf("Rebuild = %v, missing %v", got, missing)
 	}
-	if pool[b.Items[1].ID].StoringNodes != nil {
+	if pool[b.Items[1].ID.ShortID()].StoringNodes != nil {
 		t.Fatal("Rebuild wrote the miner's storing nodes into the pool's own item")
 	}
 }
@@ -221,8 +254,8 @@ func TestDecodeCompactBoundsCountBeforeAllocating(t *testing.T) {
 	enc := Genesis(1).EncodeCompact()
 	countAt := len(enc) - 3 - sha256.Size - 1
 	// What follows the count in a genesis body (three empty lists and the
-	// hash, 35 bytes) could hold one bare reference, not two.
-	for _, claim := range []uint64{2, 4, 1 << 16, 1 << 40, 1 << 60, ^uint64(0)} {
+	// hash, 35 bytes) could hold three bare 9-byte references, not four.
+	for _, claim := range []uint64{4, 8, 1 << 16, 1 << 40, 1 << 60, ^uint64(0)} {
 		bad := binary.AppendUvarint(append([]byte(nil), enc[:countAt]...), claim)
 		bad = append(bad, enc[countAt+1:]...)
 		if _, err := DecodeCompact(bad); err == nil {
@@ -253,6 +286,9 @@ func FuzzCompactBlock(f *testing.F) {
 	f.Add(Genesis(1).EncodeCompact())
 	f.Add(enc[:len(enc)-7])
 	f.Add(g.Encode()) // a full body in a compact frame
+	unknown := append([]byte(nil), enc...)
+	unknown[g.headerSize()+1] ^= 1 // the first reference's short ID: no pool item has it
+	f.Add(unknown)
 	huge := append([]byte(nil), enc[:g.headerSize()]...)
 	f.Add(binary.AppendUvarint(huge, 1<<40))
 	_, resolve := poolOf(g)

@@ -376,8 +376,14 @@ func TestChaosScale1000(t *testing.T) {
 	// the commit before the figure stack and the harness came to share one
 	// virtual clock, and unchanged by it: the values move only when the
 	// cluster's trajectory does.
+	//
+	// Re-pinned once for short-ID compact references (DESIGN.md §13.1): a
+	// compact block names each item by its 8-byte short ID, 24 B less per
+	// item per hop, so the wire falls 19 941 826 → 19 329 898 B and the
+	// digest, which folds frame sizes in, moves. The trajectory did not:
+	// still 1 116 431 events, height 13.
 	if seed == 1 && runtime.GOARCH == "amd64" {
-		const digest, events, height, wireB = 0xd25225bc718a7e19, 1116431, 13, 19941826
+		const digest, events, height, wireB = 0x1416f5abc00a9a35, 1116431, 13, 19329898
 		if r1.digest != digest || r1.events != events || r1.height != height || r1.wireB != wireB {
 			t.Fatalf("1000-node behaviour changed at seed 1: digest %016x events %d height %d wire %d B, golden %016x %d %d %d",
 				r1.digest, r1.events, r1.height, r1.wireB, uint64(digest), events, height, wireB)

@@ -209,8 +209,14 @@ func TestChaosOpenLoopWorkload(t *testing.T) {
 	// hears two backup announces per item instead of six, a synced tip is
 	// announced, and a locator that has nothing to offer is not answered. Less
 	// than half the events for the same workload: 12 964 (28 740), height 27.
+	//
+	// Re-pinned once for short-ID compact references (DESIGN.md §13.1): each
+	// FrameCompactBlock names an item by its 8-byte short ID where it named
+	// it by the 32-byte data ID, and frame sizes are folded into the digest.
+	// Nothing collides and no receiver misses an item it would have resolved
+	// before, so the trajectory did not move: still 12 964 events, height 27.
 	if seed == 1 && runtime.GOARCH == "amd64" {
-		const digest, events, height = 0x593743592b6f5c05, 12964, 27
+		const digest, events, height = 0x88d0b055951339b5, 12964, 27
 		if res.digest != digest || res.events != events || res.height != height {
 			t.Fatalf("cluster behaviour changed at seed 1: digest %016x events %d height %d, golden %016x %d %d",
 				res.digest, res.events, res.height, uint64(digest), events, height)

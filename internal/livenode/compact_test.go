@@ -278,51 +278,62 @@ func TestCompactFetchBurstIsChunked(t *testing.T) {
 }
 
 // TestCompactTamperNeverAdopts: a hostile announcer (or a pool holding a
-// same-ID item from another producer) makes the rebuilt bytes differ from
-// the sealed ones. Each case must end in the hash check — a locator round
-// toward the announcer — and never in an adoption or a pool change.
+// same-ID item from another producer, or another item under a referenced
+// short ID) makes the rebuilt bytes differ from the sealed ones. Each case
+// must end in the hash check — a locator round toward the announcer — and
+// never in an adoption or a pool change.
 func TestCompactTamperNeverAdopts(t *testing.T) {
 	cases := []struct {
 		name   string
-		tamper func(t *testing.T, a *syncTestNode, c *block.Compact)
+		tamper func(t *testing.T, a *syncTestNode, c *block.Compact, blk *block.Block)
 	}{
-		{"swapped IDs", func(_ *testing.T, _ *syncTestNode, c *block.Compact) {
+		{"swapped IDs", func(_ *testing.T, _ *syncTestNode, c *block.Compact, _ *block.Block) {
 			c.Refs[0].ID, c.Refs[1].ID = c.Refs[1].ID, c.Refs[0].ID
 		}},
-		{"altered storing nodes", func(_ *testing.T, _ *syncTestNode, c *block.Compact) {
+		{"altered storing nodes", func(_ *testing.T, _ *syncTestNode, c *block.Compact, _ *block.Block) {
 			c.Refs[0].StoringNodes = append([]int{7}, c.Refs[0].StoringNodes...)
 		}},
-		{"reordered items", func(_ *testing.T, _ *syncTestNode, c *block.Compact) {
+		{"reordered items", func(_ *testing.T, _ *syncTestNode, c *block.Compact, _ *block.Block) {
 			c.Refs[0], c.Refs[2] = c.Refs[2], c.Refs[0]
 		}},
-		{"forged hash", func(_ *testing.T, _ *syncTestNode, c *block.Compact) {
+		{"forged hash", func(_ *testing.T, _ *syncTestNode, c *block.Compact, _ *block.Block) {
 			c.Head.Hash[5] ^= 0x40
 		}},
-		{"same DataID from another producer pooled", func(t *testing.T, a *syncTestNode, c *block.Compact) {
+		{"same DataID from another producer pooled", func(_ *testing.T, a *syncTestNode, _ *block.Compact, blk *block.Block) {
 			// Anyone may sign metadata for content they have seen; the first
 			// version to arrive wins the pool slot.
-			a.mu.Lock()
-			twin := a.eng.PoolItem(c.Refs[1].ID).Clone()
-			a.mu.Unlock()
+			twin := blk.Items[1].Clone()
+			twin.StoringNodes = nil
 			twin.Sign(a.idents()[2])
 			a.mu.Lock()
 			a.eng.AddLocal(twin)
 			a.mu.Unlock()
 		}},
+		{"same-prefix impostor pooled", func(t *testing.T, a *syncTestNode, _ *block.Compact, blk *block.Block) {
+			// Another valid item under the referenced short ID, admitted first:
+			// metaKnown names it, and the honest item's push is a duplicate.
+			impostor := testItem(a.idents()[2], "impostor", 0)
+			copy(impostor.ID[:], blk.Items[1].ID[:len(meta.ShortID{})])
+			impostor.Sign(a.idents()[2])
+			feedItem(a, "c", impostor)
+			if !poolHas(a.Node, impostor.ID) {
+				t.Fatal("impostor not pooled")
+			}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			fn, a, _, _, blk := compactCluster(t, 3, nil)
+			cb, err := block.DecodeCompact(blk.EncodeCompact())
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.tamper(t, a, cb, blk)
 			for _, it := range blk.Items {
 				bare := it.Clone()
 				bare.StoringNodes = nil
 				feedItem(a, "c", bare)
 			}
-			cb, err := block.DecodeCompact(blk.EncodeCompact())
-			if err != nil {
-				t.Fatal(err)
-			}
-			tc.tamper(t, a, cb)
 			pool := sortedPool(a)
 
 			// The honest answer and the locator round are lost; the tampered
@@ -334,7 +345,8 @@ func TestCompactTamperNeverAdopts(t *testing.T) {
 			forged := cb.Head
 			forged.Items = make([]*meta.Item, len(cb.Refs))
 			for i, ref := range cb.Refs {
-				forged.Items[i] = &meta.Item{ID: ref.ID, StoringNodes: ref.StoringNodes}
+				forged.Items[i] = &meta.Item{StoringNodes: ref.StoringNodes}
+				copy(forged.Items[i].ID[:], ref.ID[:]) // EncodeCompact writes the prefix alone
 			}
 			a.handleFrame("b", p2p.FrameCompactBlock, forged.EncodeCompact())
 
@@ -375,7 +387,7 @@ func treePeers(n *syncTestNode, all []string, rot uint64, sender string) (out []
 var abc = []string{"a", "b", "c"}
 
 // TestCompactPushedBody: a compact frame nobody asked for is a push. It opens
-// its own pending entry, misses go to the pusher by full ID, the rebuilt block
+// its own pending entry, misses go to the pusher by short ID, the rebuilt block
 // is adopted through receiveBlock and goes on along the tree, never back to
 // the pusher; no block announce or fetch happens anywhere. A second copy, and
 // a push at or below the tip, are dropped.
@@ -528,14 +540,14 @@ func TestCompactParkedBodyTornDown(t *testing.T) {
 // contract. A body still waiting for something else stays parked.
 func TestCompactBodiesCompletedInFetchOrder(t *testing.T) {
 	_, a, _, _, _ := compactCluster(t, 0, nil)
-	id, other := meta.HashData([]byte("shared")), meta.HashData([]byte("other"))
+	id, other := meta.HashData([]byte("shared")).ShortID(), meta.HashData([]byte("other")).ShortID()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for i := 0; i < 24; i++ {
 		h := block.Hash{byte(i), 0xcb}
 		pf := a.gossip.blocks.begin(h, []string{"b"}, 0)
 		pf.compact = &block.Compact{Head: block.Block{Hash: h}}
-		pf.missing = map[meta.DataID]struct{}{id: {}}
+		pf.missing = map[meta.ShortID]struct{}{id: {}}
 		if i%8 == 7 {
 			pf.missing[other] = struct{}{}
 		}
@@ -556,4 +568,51 @@ func TestCompactBodiesCompletedInFetchOrder(t *testing.T) {
 		t.Fatalf("%d bodies completed twice by the same item", len(again))
 	}
 	a.clearFetchesLocked()
+}
+
+// TestCompactResolvesSyncedItem: an item a node learned only from a block it
+// synced (AdoptSuffix) is still named in metaKnown, so a compact body on a
+// competing branch that packs it again is rebuilt from the chain without a
+// FrameGetMeta — the restarted-node case, where nothing was ever relayed.
+func TestCompactResolvesSyncedItem(t *testing.T) {
+	fn := newFakeNet()
+	epoch := time.Unix(1700000000, 0)
+	a := newSyncTestNode(t, fn, "a", 0, epoch, nil)
+	b := newSyncTestNode(t, fn, "b", 1, epoch, nil)
+	c := newSyncTestNode(t, fn, "c", 2, epoch, nil)
+	it, err := b.Publish([]byte("packed on both branches"), "Road/Congestion", "lab")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.mineBlocks(t, 1) // b's branch: one block packing the item
+	c.mineBlocks(t, 1) // c's: an empty block, then the item
+	c.handleFrame("b", p2p.FrameMeta, it.Encode())
+	c.mineBlocks(t, 1)
+	fork := c.Tip()
+	if len(fork.Items) != 1 || fork.Items[0].ID != it.ID || len(b.Tip().Items) != 1 {
+		t.Fatal("the branches do not both pack the item")
+	}
+	if err := a.Connect("b"); err != nil {
+		t.Fatal(err)
+	}
+	if a.Tip().Hash != b.Tip().Hash || poolHas(a.Node, it.ID) {
+		t.Fatalf("a at height %d: want b's block synced and the item never pooled", a.Height())
+	}
+
+	link(t, a, c)
+	log := watchFrames(fn, nil)
+	a.handleFrame("c", p2p.FrameCompactBlock, fork.EncodeCompact())
+	if n := log.count(p2p.FrameGetMeta); n != 0 {
+		t.Errorf("%d FrameGetMeta frames for an item on a's chain", n)
+	}
+	if rebuilt, missing := counter(a.reg, "livenode.gossip.compact_rebuilt"), counter(a.reg, "livenode.gossip.compact_items_missing"); rebuilt != 1 || missing != 0 {
+		t.Errorf("compact_rebuilt %d, compact_items_missing %d: want the body rebuilt from the chain", rebuilt, missing)
+	}
+	if v := counter(a.reg, "livenode.gossip.compact_fallbacks"); v != 0 {
+		t.Errorf("compact_fallbacks = %d: the rebuilt block was not the one c sealed", v)
+	}
+	// Its parent is on the other branch: one locator round fetches the fork.
+	if a.Tip().Hash != fork.Hash || counter(a.reg, "livenode.fork.adoptions") != 1 {
+		t.Fatalf("a at height %d after the compact body, want c's branch adopted", a.Height())
+	}
 }

@@ -30,11 +30,11 @@ type pendingFetch struct {
 	attempt sim.Timer // wait on the candidate asked last; nil before the first ask and once exhausted
 	expiry  sim.Timer // bound on the whole fetch; nil when running out of candidates ends it
 
-	compact *block.Compact           // block plane: the sender's body, parked while the items it
-	missing map[meta.DataID]struct{} // references and this node lacks — missing — are fetched (§13.1)
-	pushed  bool                     // block plane: the body came unasked, along the tree (§13)
-	repair  bool                     // data plane: a re-replication, paid from the repair budget (§11)
-	read    bool                     // data plane: a consumer's read, not a storer's own copy
+	compact *block.Compact            // block plane: the sender's body, parked while the items it
+	missing map[meta.ShortID]struct{} // references and this node lacks — missing — are fetched (§13.1)
+	pushed  bool                      // block plane: the body came unasked, along the tree (§13)
+	repair  bool                      // data plane: a re-replication, paid from the repair budget (§11)
+	read    bool                      // data plane: a consumer's read, not a storer's own copy
 }
 
 // waiting reports whether a candidate has been asked and may still answer.

@@ -19,7 +19,7 @@ import (
 // uploads it at most gossipFanout+1 times:
 //
 //	miner                        tree neighbour            its tree neighbours
-//	  FrameCompactBlock ─────────▶  (header + item IDs, §13.1)
+//	  FrameCompactBlock ─────────▶  (header + short item IDs, §13.1)
 //	                                adopted: FrameCompactBlock ───────▶  …
 //
 // Announce → fetch is the backup: syncTimeout/4 after adopting a pushed body
@@ -60,7 +60,7 @@ type gossipState struct {
 	blocks *fetcher[block.Hash]           // bodies being fetched from their announcer
 
 	// Metadata relay (DESIGN.md §15.1).
-	metaKnown *seenLRU[meta.ShortID, meta.DataID] // items published, admitted or shown: short → full ID
+	metaKnown *seenLRU[meta.ShortID, meta.DataID] // items published, admitted, shown or appended: short → full ID
 	metas     *fetcher[meta.ShortID]              // items being fetched from their announcer
 	lazy      []meta.ShortID                      // pushed on the tree; their backup announce leaves when the armed timer fires
 	lazyNext  []meta.ShortID                      // pushed since it was armed: they wait for the next
@@ -348,9 +348,18 @@ func (n *Node) resolveItemLocked(id meta.DataID) *meta.Item {
 	return n.eng.LiveItem(id)
 }
 
+// resolveShortLocked resolves a compact reference: metaKnown names the full
+// ID, resolveItemLocked the item (n.mu held).
+func (n *Node) resolveShortLocked(s meta.ShortID) *meta.Item {
+	if id, ok := n.gossip.metaKnown.Get(s); ok {
+		return n.resolveItemLocked(id)
+	}
+	return nil
+}
+
 // handleCompactBlock rebuilds a block, fetched or pushed, from items this node
 // already holds (DESIGN.md §13.1); a body nobody asked for opens its own pending
-// entry. IDs it cannot resolve are requested from the sender, by full ID, while
+// entry. Short IDs it cannot resolve are requested from the sender while
 // the body parks in its pending fetch, whose wait on the sender keeps running;
 // more of them than a fetch table holds go straight to the locator. Each is also a
 // pending metadata fetch: an announce of it is a duplicate, handleMeta takes its answer.
@@ -387,14 +396,14 @@ func (n *Node) handleCompactBlock(from string, payload []byte) {
 		// Nobody asked this sender: it pushed, and stands in for any announcer being asked.
 		pf.cands, pf.pushed = []string{from}, true
 	}
-	blk, missing := cb.Rebuild(n.resolveItemLocked)
-	pf.compact, pf.missing = cb, make(map[meta.DataID]struct{}, len(missing))
+	blk, missing := cb.Rebuild(n.resolveShortLocked)
+	pf.compact, pf.missing = cb, make(map[meta.ShortID]struct{}, len(missing))
 	fetch := len(missing) <= maxPendingMetaFetch
 	began := make([]*pendingFetch, len(missing)) // nil: a fetch of that short ID was pending already, or the table is full
 	for i, id := range missing {
 		pf.missing[id] = struct{}{}
-		if s := id.ShortID(); fetch && g.metas.pending[s] == nil && len(g.metas.pending) < maxPendingMetaFetch {
-			began[i] = g.metas.begin(s, []string{from}, 0)
+		if fetch && g.metas.pending[id] == nil && len(g.metas.pending) < maxPendingMetaFetch {
+			began[i] = g.metas.begin(id, []string{from}, 0)
 		}
 	}
 	n.tel.compactItemsMissing.Add(len(missing))
@@ -409,12 +418,12 @@ func (n *Node) handleCompactBlock(from string, payload []byte) {
 	}
 	for i, id := range missing {
 		if began[i] != nil {
-			g.metas.advance(id.ShortID(), began[i])
+			g.metas.advance(id, began[i])
 		}
 	}
 	for len(missing) > 0 {
 		k := min(len(missing), maxMetaBatch)
-		n.send(from, p2p.FrameGetMeta, encodeIDList(missing[:k]))
+		n.send(from, p2p.FrameGetMeta, encodeShortIDs(missing[:k]))
 		missing = missing[k:]
 	}
 }
@@ -423,7 +432,7 @@ func (n *Node) handleCompactBlock(from string, payload []byte) {
 // waiting for it and rebuilds those that now wait for nothing, for the
 // caller to pass to finishCompact (n.mu held). They come in fetch order:
 // two bodies completed by one item must adopt deterministically.
-func (n *Node) noteCompactItemLocked(id meta.DataID) (ready []*pendingFetch, blocks []*block.Block) {
+func (n *Node) noteCompactItemLocked(id meta.ShortID) (ready []*pendingFetch, blocks []*block.Block) {
 	for _, pf := range n.gossip.blocks.pending {
 		if _, waiting := pf.missing[id]; !waiting {
 			continue
@@ -436,7 +445,7 @@ func (n *Node) noteCompactItemLocked(id meta.DataID) (ready []*pendingFetch, blo
 	for _, pf := range ready {
 		// An item that arrived but was not admitted (forged, expired) is
 		// still unresolved: a nil block, and finishCompact gives the fetch up.
-		blk, _ := pf.compact.Rebuild(n.resolveItemLocked)
+		blk, _ := pf.compact.Rebuild(n.resolveShortLocked)
 		blocks = append(blocks, blk)
 	}
 	return ready, blocks

@@ -30,13 +30,15 @@ import (
 //
 // A short ID only says "you may lack this". Both ends resolve it through one
 // bounded table, gossipState.metaKnown (short → full ID of what this node
-// published, admitted or was shown): a receiver to skip what it has — a
-// pushed body as much as an announced ID — the announcer to find what it is
-// asked for. An item sharing another's prefix, by accident or forged, loses
-// its push and its announce and nothing else: it travels with the block that
-// packs it (compact blocks and their miss path name items by full ID), and
-// FrameMeta still carries the whole item, pooled only by engine.AddMetadata
-// behind meta.Item.Verify — no push, announce or fetch can inject pool state.
+// published, admitted, was shown or appended in a block): a receiver to skip
+// what it has — a pushed body as much as an announced ID — and to rebuild a
+// compact block (§13.1), the announcer or relayer to find what it is asked
+// for. An item sharing another's prefix, by accident or forged, loses its push
+// and its announce, and a block that packs it is rebuilt with the item that
+// held the prefix first: the hash check refuses that block and a locator round
+// ships it in full. FrameMeta still carries the whole item, pooled only by
+// engine.AddMetadata behind meta.Item.Verify — no push, announce or fetch can
+// inject pool state.
 //
 // Deliberate divergence from the block path: an unanswered FrameGetMeta does
 // NOT fall back to a locator round — a packed item reaches every replica with
@@ -46,68 +48,42 @@ const (
 	// maxMetaBatch bounds the IDs one FrameMetaAnnounce or FrameGetMeta
 	// carries; oversized counts are rejected before allocation.
 	maxMetaBatch = 64
-	// metaSeenCap bounds metaKnown. An entry is needed from an item's first
-	// announce to its last (milliseconds); one evicted earlier costs a refetch
-	// that AddMetadata refuses (livenode.metagossip.refetched_held).
+	// metaSeenCap bounds metaKnown. An entry is needed from an item's push until
+	// the block packing it is rebuilt here, a pool's worth of items later
+	// (DESIGN.md §15.1); one evicted earlier costs a refetch or a compact miss.
 	metaSeenCap = 1024
 	// maxPendingMetaFetch bounds concurrently outstanding announced IDs;
 	// past it announces are dropped (the §10 sync path still delivers
 	// whatever a miner packs).
 	maxPendingMetaFetch = 256
-	// shortMark, the low bit of an ID list's varint count word, says the IDs
-	// that follow are 8-byte short IDs; without it they are 32-byte data IDs,
-	// which only FrameGetMeta takes (the compact-miss path, §13.1).
-	shortMark = 1
 )
 
 // --- wire codecs --------------------------------------------------------------
 
-// encodeIDList serializes a full-ID FrameGetMeta payload: the varint word
-// count<<1, then 32-byte data IDs.
-func encodeIDList(ids []meta.DataID) []byte {
-	out := make([]byte, 0, 1+len(ids)*len(meta.DataID{}))
-	out = binary.AppendUvarint(out, uint64(len(ids))<<1)
-	for _, id := range ids {
-		out = append(out, id[:]...)
-	}
-	return out
-}
-
-// encodeShortIDs serializes a FrameMetaAnnounce or short-ID FrameGetMeta
-// payload: the varint word count<<1|shortMark, then 8-byte short IDs.
+// encodeShortIDs serializes a FrameMetaAnnounce or FrameGetMeta payload: the
+// varint count, then 8-byte short IDs.
 func encodeShortIDs(ids []meta.ShortID) []byte {
 	out := make([]byte, 0, 1+len(ids)*len(meta.ShortID{}))
-	out = binary.AppendUvarint(out, uint64(len(ids))<<1|shortMark)
+	out = binary.AppendUvarint(out, uint64(len(ids)))
 	for _, id := range ids {
 		out = append(out, id[:]...)
 	}
 	return out
 }
 
-// decodeIDList parses either list; exactly one result is non-nil. The payload
-// must be exactly as long as its count word says.
-func decodeIDList(payload []byte) (full []meta.DataID, short []meta.ShortID, err error) {
+// decodeIDList parses a short-ID list. The payload must be exactly as long as
+// its count says.
+func decodeIDList(payload []byte) ([]meta.ShortID, error) {
 	r := wire.NewReader(payload)
-	w := r.Uvarint()
-	count, width := w>>1, len(meta.DataID{})
-	if w&shortMark != 0 {
-		width = len(meta.ShortID{})
+	count := r.Uvarint()
+	if r.Err() != nil || count == 0 || count > maxMetaBatch || r.Len() != int(count)*len(meta.ShortID{}) {
+		return nil, errSyncFrame
 	}
-	if r.Err() != nil || count == 0 || count > maxMetaBatch || r.Len() != int(count)*width {
-		return nil, nil, errSyncFrame
+	ids := make([]meta.ShortID, count)
+	for i := range ids {
+		ids[i] = meta.ShortID(r.Take(len(meta.ShortID{})))
 	}
-	if w&shortMark != 0 {
-		short = make([]meta.ShortID, count)
-		for i := range short {
-			short[i] = meta.ShortID(r.Take(width))
-		}
-	} else {
-		full = make([]meta.DataID, count)
-		for i := range full {
-			full[i] = meta.DataID(r.Take(width))
-		}
-	}
-	return full, short, nil
+	return ids, nil
 }
 
 // --- relay, announce and fetch handlers -----------------------------------------
@@ -186,7 +162,7 @@ func (n *Node) reannounceStale(blk *block.Block) {
 // handleMetaAnnounce applies the dedup rules per announced short ID and
 // batches one FrameGetMeta back to the announcer for the unknown ones.
 func (n *Node) handleMetaAnnounce(from string, payload []byte) {
-	_, ids, err := decodeIDList(payload)
+	ids, err := decodeIDList(payload)
 	if err != nil {
 		return
 	}
@@ -220,26 +196,23 @@ func (n *Node) handleMetaAnnounce(from string, payload []byte) {
 	}
 }
 
-// handleGetMeta serves fetched items, one FrameMeta each: pooled ones, or
-// — what a compact block's receiver asks for, by full ID — chained ones
-// without their storing nodes (the compact body carries those). A short ID
-// is one this node announced, so metaKnown names it. Unknown IDs are ignored.
+// handleGetMeta serves fetched items, one FrameMeta each: pooled ones, or —
+// what a compact block's receiver asks for — chained ones without their
+// storing nodes (the compact body carries those). A short ID asked for is one
+// this node announced or appended in a block, so metaKnown names it. Unknown
+// IDs are ignored.
 func (n *Node) handleGetMeta(from string, payload []byte) {
-	ids, short, err := decodeIDList(payload)
+	short, err := decodeIDList(payload)
 	if err != nil {
 		return
 	}
 	var bodies [][]byte
 	n.mu.Lock()
 	for _, s := range short {
-		if id, ok := n.gossip.metaKnown.Get(s); ok {
-			ids = append(ids, id)
-		} else {
+		id, ok := n.gossip.metaKnown.Get(s)
+		if !ok {
 			n.tel.metaShortUnresolved.Inc()
-		}
-	}
-	for _, id := range ids {
-		if it := n.resolveItemLocked(id); it != nil {
+		} else if it := n.resolveItemLocked(id); it != nil {
 			bare := *it
 			bare.StoringNodes = nil
 			bodies = append(bodies, bare.Encode())
@@ -280,7 +253,7 @@ func (n *Node) handleMeta(from string, payload []byte) {
 	if !added && n.resolveItemLocked(it.ID) != nil {
 		n.tel.metaRefetchedHeld.Inc()
 	}
-	ready, blocks := n.noteCompactItemLocked(it.ID)
+	ready, blocks := n.noteCompactItemLocked(short)
 	n.mu.Unlock()
 	if added {
 		// On first admission: fetched if the peer asked answered, pushed otherwise.

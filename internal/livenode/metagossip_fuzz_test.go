@@ -1,6 +1,7 @@
 package livenode
 
 import (
+	"bytes"
 	"encoding/binary"
 	"slices"
 	"sync"
@@ -107,14 +108,14 @@ func FuzzMetaGossipFrames(f *testing.F) {
 	f.Add(pushed, good.Encode()[:40])
 	f.Add(uint8(1), announceOf(ids...))
 	f.Add(uint8(1), announceOf(ids[0]))
-	f.Add(uint8(1), encodeIDList(ids))                                                // full IDs: not an announce
-	f.Add(uint8(1), putUv(nil, shortMark))                                            // zero count
-	f.Add(uint8(1), putUv(nil, (maxMetaBatch+1)<<1|shortMark))                        // oversized count
-	f.Add(uint8(1), announceOf(ids...)[:10])                                          // truncated list
-	f.Add(uint8(1), append(putUv(nil, 1<<1|shortMark), encodeIDList(ids[:1])[1:]...)) // a full ID marked short
-	f.Add(uint8(2), announceOf(ids...))                                               // get-meta shares the codec, in both widths
-	f.Add(uint8(2), encodeIDList(ids))
-	f.Add(uint8(2), putUv(nil, (maxMetaBatch+1)<<1))
+	f.Add(uint8(1), putUv(nil, 0))                       // zero count
+	f.Add(uint8(1), putUv(nil, maxMetaBatch+1))          // oversized count
+	f.Add(uint8(1), announceOf(ids...)[:10])             // truncated list
+	f.Add(uint8(1), append(announceOf(ids[0]), 0))       // length not a multiple of 8
+	f.Add(uint8(1), append(putUv(nil, 1), ids[0][:]...)) // a full 32-byte ID: four IDs' worth
+	f.Add(uint8(2), announceOf(ids...))                  // get-meta shares the codec
+	f.Add(uint8(2), append(putUv(nil, 4), ids[0][:]...)) // a full ID read as four short ones
+	f.Add(uint8(2), putUv(nil, maxMetaBatch+1))
 	f.Add(uint8(3), putU32(nil, 1))                // probe from roster idx 1
 	f.Add(uint8(3), putU32(nil, 99))               // out-of-range idx
 	f.Add(uint8(3), []byte{1, 2})                  // short probe
@@ -137,9 +138,10 @@ func FuzzMetaGossipFrames(f *testing.F) {
 	f.Add(uint8(11), putU32(nil, 1))
 
 	f.Fuzz(func(t *testing.T, sel uint8, payload []byte) {
-		// The shared codec must fail cleanly on any input.
-		if full, short, err := decodeIDList(payload); err == nil && (full == nil) == (short == nil) {
-			t.Fatalf("decodeIDList returned %d full and %d short IDs", len(full), len(short))
+		// The shared codec must fail cleanly on any input and accept only
+		// its own canonical encoding.
+		if ids, err := decodeIDList(payload); err == nil && !bytes.Equal(encodeShortIDs(ids), payload) {
+			t.Fatalf("decodeIDList accepted %x as %d IDs that encode differently", payload, len(ids))
 		}
 
 		ft := frames[int(sel)%len(frames)]

@@ -283,58 +283,42 @@ func TestMetaGossipForgedItemNotPooledNotRelayed(t *testing.T) {
 	}
 }
 
-// TestMetaIDListCodecBounds pins both widths of the ID-list codec byte for byte —
-// the count word, its short mark, the IDs back to back — and its bounds:
-// count 0, an oversized count, a payload shorter or longer than the count
-// says, and a list whose mark contradicts its length are all rejected, and
-// none of them allocates a result.
+// TestMetaIDListCodecBounds pins the ID-list codec byte for byte — the count,
+// the 8-byte short IDs back to back — and its bounds: count 0, an oversized
+// count, a payload shorter or longer than the count says, and a length that is
+// not a multiple of 8 are all rejected, and none of them allocates a result.
 func TestMetaIDListCodecBounds(t *testing.T) {
 	x, y := meta.HashData([]byte("x")), meta.HashData([]byte("y"))
-	full := encodeIDList([]meta.DataID{x, y})
-	if want := append(append([]byte{2 << 1}, x[:]...), y[:]...); !bytes.Equal(full, want) {
-		t.Fatalf("full list encodes as %x, want %x", full, want)
-	}
 	short := encodeShortIDs([]meta.ShortID{x.ShortID(), y.ShortID()})
-	if want := append(append([]byte{2<<1 | shortMark}, x[:8]...), y[:8]...); !bytes.Equal(short, want) {
-		t.Fatalf("short list encodes as %x, want %x", short, want)
+	if want := append(append([]byte{2}, x[:8]...), y[:8]...); !bytes.Equal(short, want) {
+		t.Fatalf("list encodes as %x, want %x", short, want)
 	}
 	if len(announceOf(x))+5 != 14 { // p2p frame header: type byte + length word
 		t.Errorf("a single-ID announce is %d B on the wire, want 14", len(announceOf(x))+5)
 	}
-	if ids, sh, err := decodeIDList(full); err != nil || sh != nil || len(ids) != 2 || ids[0] != x || ids[1] != y {
-		t.Fatalf("full round trip: %v %v %v", ids, sh, err)
+	if sh, err := decodeIDList(short); err != nil || len(sh) != 2 || sh[0] != x.ShortID() || sh[1] != y.ShortID() {
+		t.Fatalf("round trip: %v %v", sh, err)
 	}
-	if ids, sh, err := decodeIDList(short); err != nil || ids != nil || len(sh) != 2 || sh[0] != x.ShortID() || sh[1] != y.ShortID() {
-		t.Fatalf("short round trip: %v %v %v", ids, sh, err)
+	big := encodeShortIDs(make([]meta.ShortID, maxMetaBatch))
+	if sh, err := decodeIDList(big); err != nil || len(sh) != maxMetaBatch || len(big) != 1+8*maxMetaBatch {
+		t.Fatalf("a full batch of %d (%d B) rejected: %v", maxMetaBatch, len(big), err)
 	}
-	// 64 full IDs are exactly as long as 256 short ones would be: the mark,
-	// not the length, picks the width, and 256 is past the batch bound.
-	big := encodeIDList(make([]meta.DataID, maxMetaBatch))
-	if ids, _, err := decodeIDList(big); err != nil || len(ids) != maxMetaBatch {
-		t.Fatalf("a full batch of %d rejected: %v", maxMetaBatch, err)
-	}
-	// remark swaps a list's one-byte count word for count<<1|mark.
-	remark := func(b []byte, count, mark uint64) []byte { return append(putUv(nil, count<<1|mark), b[1:]...) }
 	bad := map[string][]byte{
-		"empty payload":                 nil,
-		"unfinished count word":         {0x80},
-		"padded count word":             append([]byte{0x82, 0x00}, full[1:]...),
-		"full list, count 0":            encodeIDList(nil),
-		"short list, count 0":           encodeShortIDs(nil),
-		"full list, oversized count":    encodeIDList(make([]meta.DataID, maxMetaBatch+1)),
-		"short list, oversized count":   encodeShortIDs(make([]meta.ShortID, maxMetaBatch+1)),
-		"count far past the payload":    putUv(nil, 1<<60|shortMark),
-		"full list, truncated":          full[:len(full)-1],
-		"short list, truncated":         short[:len(short)-1],
-		"full list, trailing byte":      append(append([]byte(nil), full...), 0),
-		"short list, trailing byte":     append(append([]byte(nil), short...), 0),
-		"full IDs marked short":         remark(full, 2, shortMark),
-		"short IDs not marked":          remark(short, 2, 0),
-		"64 full IDs marked 256 shorts": remark(big, 256, shortMark),
+		"empty payload":                     nil,
+		"unfinished count word":             {0x80},
+		"padded count word":                 append([]byte{0x82, 0x00}, short[1:]...),
+		"count 0":                           encodeShortIDs(nil),
+		"oversized count":                   encodeShortIDs(make([]meta.ShortID, maxMetaBatch+1)),
+		"count far past the payload":        putUv(nil, 1<<60),
+		"truncated":                         short[:len(short)-1],
+		"trailing byte":                     append(append([]byte(nil), short...), 0),
+		"length not a multiple of 8":        append(putUv(nil, 2), make([]byte, 12)...),
+		"a full ID under a count of one":    append(putUv(nil, 1), x[:]...),
+		"two full IDs under a count of two": append(append(putUv(nil, 2), x[:]...), y[:]...),
 	}
 	for name, payload := range bad {
 		var err error
-		allocs := testing.AllocsPerRun(10, func() { _, _, err = decodeIDList(payload) })
+		allocs := testing.AllocsPerRun(10, func() { _, err = decodeIDList(payload) })
 		if err == nil {
 			t.Errorf("%s: accepted", name)
 		}
@@ -481,10 +465,12 @@ func TestMetaGetShortUnknownSilence(t *testing.T) {
 }
 
 // TestMetaForgedPrefix: an item forged to share a pooled item's 8-byte prefix
-// loses its announce and nothing else. It is not fetched on announce and
-// neither displaces nor alters the pooled item; when a block packs it, the
-// compact-miss path fetches it by full ID and the block is adopted; and the
-// short ID keeps naming the item that held it first.
+// loses its announce, and a block that packs it one locator round. It is not
+// fetched on announce and neither displaces nor alters the pooled item; when a
+// block packs it, the compact reference resolves to the pooled item, the
+// rebuilt block fails its hash, and a single locator round against the sender
+// ships the block in full and adopts it; and the short ID keeps naming the
+// item that held it first.
 func TestMetaForgedPrefix(t *testing.T) {
 	fn := newFakeNet()
 	epoch := time.Unix(1700000000, 0)
@@ -531,15 +517,22 @@ func TestMetaForgedPrefix(t *testing.T) {
 	if len(blk.Items) != 1 || blk.Items[0].ID != twin.ID {
 		t.Fatalf("b's block packs %d items, want the twin alone", len(blk.Items))
 	}
+	log := watchFrames(fn, nil)
 	a.handleFrame("b", p2p.FrameBlockAnnounce, encodeAnnounce(blk.Index, blk.Hash))
 	if got := a.Tip(); got.Hash != blk.Hash {
 		t.Fatalf("height %d: the block packing the twin was not adopted", a.Height())
 	}
-	if v := counter(a.reg, "livenode.gossip.compact_items_missing"); v != 1 {
-		t.Errorf("compact_items_missing = %d, want the twin", v)
+	if v := counter(a.reg, "livenode.gossip.compact_items_missing"); v != 0 {
+		t.Errorf("compact_items_missing = %d, want 0: the reference resolved, to the wrong item", v)
 	}
-	if v := counter(a.reg, "livenode.gossip.compact_fallbacks") + counter(a.reg, "livenode.sync.rounds"); v != 0 {
-		t.Errorf("%d fallbacks/sync rounds: the twin did not come by full ID", v)
+	if v := counter(a.reg, "livenode.gossip.compact_fallbacks"); v != 1 {
+		t.Errorf("compact_fallbacks = %d, want 1 (the rebuilt hash fails)", v)
+	}
+	if v := counter(a.reg, "livenode.sync.rounds"); v != 1 {
+		t.Errorf("sync.rounds = %d, want exactly one locator round", v)
+	}
+	if n := log.count(p2p.FrameGetMeta); n != 0 {
+		t.Errorf("%d FrameGetMeta frames: nothing was missing", n)
 	}
 	if got := a.PoolIDs(); len(got) != 1 || !bytes.Equal(pooled(), honest.Encode()) {
 		t.Fatalf("pool %v after adopting the twin's block, want the honest item untouched", got)

@@ -29,9 +29,9 @@ func (n *Node) noteStoreErrLocked(err error) {
 
 // onAppend layers the live node's I/O side effects on top of a block the
 // engine connected (ledger, view with its assignment index, pool and item
-// index are already updated): the one place that persists a block, feeds
-// the churn detector, fetches what the block assigns this node and calls
-// OnBlock. The engine calls it synchronously from
+// index are already updated): the one place that persists a block, names
+// its items in metaKnown, feeds the churn detector, fetches what the block
+// assigns this node and calls OnBlock. The engine calls it synchronously from
 // ReceiveBlock/Mine/AppendTrusted and, once per suffix block, from
 // AdoptSuffix, so n.mu is held.
 func (n *Node) onAppend(ev engine.AppendEvent) {
@@ -42,6 +42,12 @@ func (n *Node) onAppend(ev engine.AppendEvent) {
 		n.tel.blocksAdopted.Inc()
 	}
 	n.updateChainGauges()
+	// Compact references resolve through metaKnown (§13.1), so every item on
+	// the chain is named there too, however it came: fork twins and synced
+	// suffixes are packed again, and the misses this node serves ask for them.
+	for _, it := range b.Items {
+		n.gossip.metaKnown.Add(it.ID.ShortID(), it.ID)
+	}
 	if !n.replaying {
 		// Durably log the block before acting on it; replayed blocks are
 		// already in the WAL. A verified block at a multiple of the snapshot

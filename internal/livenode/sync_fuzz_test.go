@@ -102,9 +102,10 @@ func FuzzSyncFrames(f *testing.F) {
 	// their deep invariants, this corpus just keeps the dispatch surface
 	// co-fuzzed with sync.
 	f.Add(uint8(6), announceOf(meta.HashData([]byte("sync-fuzz"))))
-	f.Add(uint8(7), announceOf(meta.HashData([]byte("sync-fuzz")))) // get-meta, short and full
-	f.Add(uint8(7), encodeIDList([]meta.DataID{meta.HashData([]byte("sync-fuzz"))}))
-	f.Add(uint8(7), putUv(nil, (maxMetaBatch+1)<<1|shortMark))
+	syncFuzzID := meta.HashData([]byte("sync-fuzz"))
+	f.Add(uint8(7), announceOf(syncFuzzID))                  // get-meta
+	f.Add(uint8(7), append(putUv(nil, 1), syncFuzzID[:]...)) // a full 32-byte ID under a count of one
+	f.Add(uint8(7), putUv(nil, maxMetaBatch+1))
 	f.Add(uint8(8), putU32(nil, 1))
 	f.Add(uint8(9), putU32(putU32(nil, 1), 2))
 	// Compact bodies (§13.1): a real one, one extending the tip with items

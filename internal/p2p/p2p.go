@@ -82,12 +82,13 @@ const (
 	// height, total length, content hash, chunk index/count, then the chunk
 	// bytes. A chunk count of zero means "no snapshot available".
 	FrameSnapshot
-	// FrameMetaAnnounce advertises a batch of metadata items by 32-byte
-	// data ID without shipping the bodies (inv-style metadata gossip,
-	// DESIGN.md §15).
+	// FrameMetaAnnounce advertises a batch of metadata items by 8-byte
+	// short ID without shipping the bodies (inv-style metadata gossip,
+	// DESIGN.md §15.1).
 	FrameMetaAnnounce
-	// FrameGetMeta asks the announcer for the full metadata items behind a
-	// batch of 32-byte data IDs; each is answered with one FrameMeta.
+	// FrameGetMeta asks the announcer (or a compact block's sender) for the
+	// full metadata items behind a batch of 8-byte short IDs; each is
+	// answered with one FrameMeta.
 	FrameGetMeta
 	// FrameRepairProbe is the sampled liveness probe (DESIGN.md §15): a
 	// 4-byte roster index binding the sender's transport address to its
@@ -98,8 +99,8 @@ const (
 	// index plus a bounded digest of third-party liveness evidence
 	// (roster index, evidence age) so aliveness spreads epidemically.
 	FrameRepairProbeAck
-	// FrameCompactBlock answers a FrameGetBlock: the block with each item
-	// replaced by its data ID and assigned storing nodes; the receiver
+	// FrameCompactBlock is a pushed or fetched block with each item
+	// replaced by its short ID and assigned storing nodes; the receiver
 	// rebuilds the body from items it already holds (DESIGN.md §13.1).
 	FrameCompactBlock
 

@@ -106,3 +106,19 @@ func BenchmarkStoreRecovery(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPutDataZeroTail prices MemStore.PutData on the simulated
+// workloads' item: a short header padded with zeros to 1 MB, kept as the
+// header and a length. Each iteration stores a new ID.
+func BenchmarkPutDataZeroTail(b *testing.B) {
+	content := make([]byte, 1<<20)
+	copy(content, "sensor reading header")
+	s := NewMemStore()
+	b.SetBytes(int64(len(content)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := s.PutData(meta.DataID{byte(i), byte(i >> 8), byte(i >> 16), byte(i >> 24)}, content); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
