@@ -308,21 +308,15 @@ func (c *Cluster) Params() pos.Params { return c.params }
 // symmetric), so the whole mesh costs one sync round per node — a locator
 // probe to a fan-out sample of those peers — and no virtual time passes.
 func (c *Cluster) ConnectAll() error {
-	addrs := make([]string, 0, len(c.nodes))
+	var live []*livenode.Node
+	var addrs []string // live[k]'s address is addrs[k]
 	for i, a := range c.nodes {
-		if a == nil {
-			continue
+		if a != nil {
+			live, addrs = append(live, a), append(addrs, Addr(i))
 		}
-		addrs = addrs[:0]
-		for j := i + 1; j < len(c.nodes); j++ {
-			if c.nodes[j] != nil {
-				addrs = append(addrs, Addr(j))
-			}
-		}
-		if len(addrs) == 0 {
-			continue
-		}
-		if err := a.Connect(addrs...); err != nil {
+	}
+	for k, a := range live[:max(len(live)-1, 0)] {
+		if err := a.Connect(addrs[k+1:]...); err != nil {
 			return err
 		}
 	}

@@ -382,8 +382,17 @@ func TestChaosScale1000(t *testing.T) {
 	// item per hop, so the wire falls 19 941 826 → 19 329 898 B and the
 	// digest, which folds frame sizes in, moves. The trajectory did not:
 	// still 1 116 431 events, height 13.
+	//
+	// Re-pinned once: bindings from the hello (DESIGN.md §11.1). A fetch asks
+	// a holder it knows from the link's hello instead of broadcasting to learn
+	// addresses, so 124 756 fewer events (991 675). The wire rises 19 329 898
+	// → 23 580 354 B all the same: every node books each of its 999 peers'
+	// hellos as a 6- or 7-byte frame of the data plane (6 865 128 B over the
+	// cluster), and twenty minutes of 1 000 nodes are too few fetches to pay
+	// that back.
+	// The height is still 13.
 	if seed == 1 && runtime.GOARCH == "amd64" {
-		const digest, events, height, wireB = 0x1416f5abc00a9a35, 1116431, 13, 19329898
+		const digest, events, height, wireB = 0x0cca73b917ad9db5, 991675, 13, 23580354
 		if r1.digest != digest || r1.events != events || r1.height != height || r1.wireB != wireB {
 			t.Fatalf("1000-node behaviour changed at seed 1: digest %016x events %d height %d wire %d B, golden %016x %d %d %d",
 				r1.digest, r1.events, r1.height, r1.wireB, uint64(digest), events, height, wireB)

@@ -215,8 +215,13 @@ func TestChaosOpenLoopWorkload(t *testing.T) {
 	// it by the 32-byte data ID, and frame sizes are folded into the digest.
 	// Nothing collides and no receiver misses an item it would have resolved
 	// before, so the trajectory did not move: still 12 964 events, height 27.
+	//
+	// Re-pinned once: bindings from the hello (DESIGN.md §11.1). Each link's
+	// hello names its ends by roster index, so no fetch broadcasts to learn
+	// an address, and a request is 33 bytes where it was 36: 11 316 events,
+	// still height 27.
 	if seed == 1 && runtime.GOARCH == "amd64" {
-		const digest, events, height = 0x88d0b055951339b5, 12964, 27
+		const digest, events, height = 0xea548340ca0f5aa3, 11316, 27
 		if res.digest != digest || res.events != events || res.height != height {
 			t.Fatalf("cluster behaviour changed at seed 1: digest %016x events %d height %d, golden %016x %d %d",
 				res.digest, res.events, res.height, uint64(digest), events, height)

@@ -14,15 +14,14 @@ import (
 // Directed data fetch (DESIGN.md §11.1), the one read path. The paper places
 // every item so a consumer can read it from a nearby storing node (§IV-D); a
 // fetch therefore asks ONE holder at a time — the item's on-chain storing
-// nodes, then its producer — and falls through to a broadcast only when it
-// knows nobody to ask or everybody it asked stayed silent. Asking a node needs
-// its transport address: the roster ↔ address table below is learned lazily
-// from frames that carry a roster index anyway (the data request itself,
-// probes and acks), never from a handshake.
+// nodes, then its producer — and falls through to a broadcast only when every
+// candidate stayed silent. Asking a node needs its transport address: the
+// roster ↔ address table below is filled by the links' hellos, which name
+// each peer by roster index once, as the link comes up.
 //
-// Bindings are unsigned, like the probe: content is verified against its ID
-// before it is stored, so a forged binding can only cost the fetch one
-// syncTimeout, and the real node's next frame overwrites it.
+// Bindings are unsigned: content is verified against its ID before it is
+// stored, so a forged binding can only cost the fetch one syncTimeout, and
+// the real node's next hello takes its index back.
 
 // fetchPurpose says why a data item is fetched — a consumer's read, a new
 // storer's placement fetch and the repair plane's re-replication are the same
@@ -42,13 +41,29 @@ const (
 // self-audit launches it again.)
 const fetchTimeout = 2 * time.Minute
 
-// repairMark, the top bit of a data request's roster-index word, is set on a
-// repair fetch: the holder charges its answer to the repair budget and both
-// ends count the exchange as repair traffic. Unmarked requests never set it.
-const repairMark = 1 << 31
+// repairMark, a data request's last byte on a repair fetch, has the holder
+// charge its answer to the repair budget, and both ends count the exchange as
+// repair traffic. Other requests end in 0.
+const repairMark = 1
+
+// handleHello binds the roster index a peer's hello carries, a uvarint, to
+// the address the link names it by. The hello is booked as the frame it
+// would be on its own (5 B of header and the index) in data_bytes: the data
+// plane is what the table serves.
+func (n *Node) handleHello(from string, hello []byte) {
+	i, k := binary.Uvarint(hello)
+	if k <= 0 || k != len(hello) || i >= uint64(len(n.addrOf)) {
+		return
+	}
+	n.mu.Lock()
+	if n.bindAddrLocked(int(i), from) {
+		n.tel.wireDataBytes.Add(5 + len(hello))
+	}
+	n.mu.Unlock()
+}
 
 // bindAddrLocked records that roster node i speaks from transport address
-// from and, with repair on, counts the frame as liveness evidence (n.mu
+// from and, with repair on, counts the hello as liveness evidence (n.mu
 // held). It keeps the table one-to-one and reports false for an index that
 // is out of range or this node's own.
 func (n *Node) bindAddrLocked(i int, from string) bool {
@@ -166,11 +181,11 @@ func (n *Node) requestData(id meta.DataID, purpose fetchPurpose) {
 func (n *Node) newDataFetcher() *fetcher[meta.DataID] {
 	f := newFetcher[meta.DataID](&n.mu, n.clock)
 	request := func(id meta.DataID, pf *pendingFetch) []byte {
-		w := uint32(n.selfIdx)
+		var mark byte
 		if pf.repair {
-			w |= repairMark
+			mark = repairMark
 		}
-		return binary.BigEndian.AppendUint32(id[:], w)
+		return append(id[:], mark)
 	}
 	f.ask = func(id meta.DataID, pf *pendingFetch, to string) bool {
 		n.tel.fetchDirected.Inc()
@@ -185,7 +200,7 @@ func (n *Node) newDataFetcher() *fetcher[meta.DataID] {
 			n.tel.repairFallbacks.Inc()
 		}
 		return func() {
-			n.countFetch(pf.repair, len(id)+4, n.bcast(p2p.FrameDataRequest, request(id, pf)))
+			n.countFetch(pf.repair, len(id)+1, n.bcast(p2p.FrameDataRequest, request(id, pf)))
 		}
 	}
 	f.expired = func(id meta.DataID, pf *pendingFetch) {
@@ -225,21 +240,19 @@ func (n *Node) sendFetch(to string, ft byte, payload []byte, repair bool) bool {
 }
 
 // handleDataRequest answers a fetch if this node holds the content. The
-// payload is DataID ‖ u32 requester roster index (‖ repairMark); the index
-// teaches this node the requester's address. The answer to a marked request
-// is paid from this node's repair budget: denied means no answer, the
-// requester moves on to its next candidate — the rate limit doing its job.
+// payload is DataID ‖ mark byte (0, or repairMark); the answer goes to the
+// sender. The answer to a marked request is paid from this node's repair
+// budget: denied means no answer, the requester moves on to its next
+// candidate — the rate limit doing its job.
 func (n *Node) handleDataRequest(from string, payload []byte) {
 	var id meta.DataID
-	if len(payload) != len(id)+4 {
+	if len(payload) != len(id)+1 || payload[len(id)] > repairMark {
 		return
 	}
 	copy(id[:], payload)
-	w := binary.BigEndian.Uint32(payload[len(id):])
-	repairReq := w&repairMark != 0
+	repairReq := payload[len(id)] == repairMark
 	content, held := n.store.GetData(id)
 	n.mu.Lock()
-	n.bindAddrLocked(int(w&^repairMark), from)
 	denied := held && repairReq && n.repair != nil && !n.repair.lim.Allow(n.now(), repairFrameOverhead+len(content))
 	n.mu.Unlock()
 	if denied {

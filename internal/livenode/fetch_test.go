@@ -35,8 +35,8 @@ type wireFrame struct {
 }
 
 // fetchCluster is size nodes "n0".."n<size-1>" with one roster, one fake
-// clock and a full transport mesh; nobody mines and nobody knows anybody's
-// roster index yet. wire records the data-plane frames.
+// clock and a full transport mesh whose hellos have bound every roster index
+// everywhere; nobody mines. wire records the data-plane frames.
 type fetchCluster struct {
 	fn    *fakeNet
 	clk   *sim.VClock
@@ -72,13 +72,26 @@ func newFetchCluster(t *testing.T, size int, mutate func(cfg *Config)) *fetchClu
 	return fc
 }
 
-// know teaches node at the transport addresses of the given roster nodes.
+// know binds, at node at, the given roster nodes to their transport
+// addresses, as their hellos do.
 func (fc *fetchCluster) know(at int, nodes ...int) {
 	n := fc.nodes[at]
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for _, i := range nodes {
 		n.bindAddrLocked(i, fc.nodes[i].Addr())
+	}
+}
+
+// forget unbinds, at node at, the given roster nodes, as if no hello had
+// named them.
+func (fc *fetchCluster) forget(at int, nodes ...int) {
+	n := fc.nodes[at]
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for _, i := range nodes {
+		delete(n.idxOf, n.addrOf[i])
+		n.addrOf[i] = ""
 	}
 }
 
@@ -116,9 +129,12 @@ func (fc *fetchCluster) gotData(at int) map[meta.DataID]string {
 	return got
 }
 
-func dataRequest(id meta.DataID, idx uint32) []byte {
-	return binary.BigEndian.AppendUint32(id[:], idx)
+func dataRequest(id meta.DataID, mark byte) []byte {
+	return append(id[:], mark)
 }
+
+// hello is the hello of roster node i.
+func hello(i uint64) []byte { return binary.AppendUvarint(nil, i) }
 
 // (a) The first candidate holds the bytes: one request, one answer, no
 // timer left behind.
@@ -193,6 +209,7 @@ func TestFetchCandidateOrder(t *testing.T) {
 		}
 	}
 	// A node with an empty table has nobody to ask.
+	fc.forget(2, 0, 1, 3, 4)
 	if got := cands(2, fc.item(t, 2, "ordered", 4, []int{0, 1}), consumerFetch); got != nil {
 		t.Errorf("candidates %v from an empty address table", got)
 	}
@@ -379,56 +396,9 @@ func TestFetchUnknownItemBroadcasts(t *testing.T) {
 	}
 }
 
-// (f) Bindings are learned from the 36-byte request, follow the node to a
-// new address, and ignore indices that cannot be a peer's.
-func TestFetchRequestTeachesAddress(t *testing.T) {
-	fc := newFetchCluster(t, 4, nil)
-	a := fc.nodes[0]
-	id := meta.HashData([]byte("whatever"))
-	table := func() ([]string, map[string]int) {
-		a.mu.Lock()
-		defer a.mu.Unlock()
-		inv := make(map[string]int, len(a.idxOf))
-		for k, v := range a.idxOf {
-			inv[k] = v
-		}
-		return append([]string(nil), a.addrOf...), inv
-	}
-	check := func(when string, wantAddr []string, wantIdx map[string]int) {
-		t.Helper()
-		addr, idx := table()
-		if !reflect.DeepEqual(addr, wantAddr) || !reflect.DeepEqual(idx, wantIdx) {
-			t.Fatalf("%s: table %v / %v, want %v / %v", when, addr, idx, wantAddr, wantIdx)
-		}
-	}
-	a.handleFrame("x", p2p.FrameDataRequest, dataRequest(id, 2))
-	check("first request", []string{"", "", "x", ""}, map[string]int{"x": 2})
-	a.handleFrame("y", p2p.FrameDataRequest, dataRequest(id, 2))
-	check("same index, new address", []string{"", "", "y", ""}, map[string]int{"y": 2})
-	a.handleFrame("z", p2p.FrameDataRequest, dataRequest(id, 0)) // this node's own index
-	a.handleFrame("z", p2p.FrameDataRequest, dataRequest(id, 4)) // past the roster
-	a.handleFrame("z", p2p.FrameDataRequest, dataRequest(id, ^uint32(0)))
-	// The repair mark is not part of the index: what is left after masking
-	// it off is checked the same way.
-	a.handleFrame("z", p2p.FrameDataRequest, dataRequest(id, repairMark|0))
-	a.handleFrame("z", p2p.FrameDataRequest, dataRequest(id, repairMark|4))
-	check("self and out-of-range indices", []string{"", "", "y", ""}, map[string]int{"y": 2})
-	a.handleFrame("w", p2p.FrameDataRequest, dataRequest(id, repairMark|1))
-	check("a marked request binds like any other", []string{"", "w", "y", ""}, map[string]int{"w": 1, "y": 2})
-	a.handleFrame("y", p2p.FrameDataRequest, dataRequest(id, 1)) // y moves to 1 and w is unbound
-	// One address speaks for one node: claiming every index keeps the last.
-	for i := uint32(0); i < 4; i++ {
-		a.handleFrame("y", p2p.FrameDataRequest, dataRequest(id, i))
-	}
-	check("one address claiming every index", []string{"", "", "", "y"}, map[string]int{"y": 3})
-	if g := a.reg.Snapshot().Gauge("livenode.roster.bound"); g != 1 {
-		t.Fatalf("roster.bound = %d, want 1", g)
-	}
-}
-
-// (f, continued) A peer that claims to be every holder and answers with
+// (f) A peer whose hellos claim to be every holder and who answers with
 // other bytes delays the fetch by one syncTimeout and changes nothing that
-// is stored; the real node's next request takes its index back.
+// is stored; the real node's next hello takes its index back.
 func TestFetchForgedBindingOnlyDelays(t *testing.T) {
 	fc := newFetchCluster(t, 4, nil)
 	a := fc.nodes[0]
@@ -444,13 +414,12 @@ func TestFetchForgedBindingOnlyDelays(t *testing.T) {
 	if err := a.net.Connect("evil"); err != nil {
 		t.Fatal(err)
 	}
-	fc.know(0, 1, 2, 3)
-	for _, i := range []uint32{1, 2, 3} {
-		a.handleFrame("evil", p2p.FrameDataRequest, dataRequest(id, i))
+	for _, i := range []uint64{1, 2, 3} {
+		a.handleHello("evil", hello(i))
 	}
 	// The table is one-to-one, so evil holds index 3 and 1 and 2 are blank:
 	// take the holder's index too, as a forger who arrived last would.
-	a.handleFrame("evil", p2p.FrameDataRequest, dataRequest(id, 1))
+	a.handleHello("evil", hello(1))
 	got := fc.gotData(0)
 
 	a.RequestData(id)
@@ -464,17 +433,18 @@ func TestFetchForgedBindingOnlyDelays(t *testing.T) {
 	if c, ok := a.store.GetData(id); !ok || string(c) != "the real bytes" {
 		t.Fatalf("stored %q", c)
 	}
-	// n1 asks for anything: its index is its own again.
-	fc.nodes[1].RequestData(meta.HashData([]byte("anything")))
+	// n1 links again: its index is its own again.
+	a.handleHello("n1", hello(1))
 	a.mu.Lock()
 	addr := a.addrOf[1]
 	a.mu.Unlock()
 	if addr != "n1" {
-		t.Fatalf("index 1 bound to %q after the real node's request", addr)
+		t.Fatalf("index 1 bound to %q after the real node's hello", addr)
 	}
 }
 
-// (g) Malformed requests are dropped: no answer, no binding.
+// (g) Malformed requests are dropped unanswered: a request is the 32-byte ID
+// and one mark byte, 0 or repairMark. The holder answers whoever sent it.
 func TestFetchMalformedRequestDropped(t *testing.T) {
 	fc := newFetchCluster(t, 3, nil)
 	a := fc.nodes[0]
@@ -483,24 +453,21 @@ func TestFetchMalformedRequestDropped(t *testing.T) {
 	if err := a.store.PutData(id, content); err != nil {
 		t.Fatal(err)
 	}
-	good := dataRequest(id, 1)
-	for _, p := range [][]byte{nil, id[:], good[:35], append(good[:36:36], 0), id[:8]} {
+	good := dataRequest(id, 0)
+	for _, p := range [][]byte{nil, id[:], append(good[:33:33], 0), id[:8], dataRequest(id, repairMark+1), dataRequest(id, 0xFF)} {
 		a.handleFrame("n1", p2p.FrameDataRequest, p)
 	}
-	a.mu.Lock()
-	bound := len(a.idxOf)
-	a.mu.Unlock()
-	if len(fc.wire) != 0 || bound != 0 {
-		t.Fatalf("malformed requests were answered (%v) or bound (%d)", fc.wire, bound)
+	if len(fc.wire) != 0 {
+		t.Fatalf("malformed requests were answered: %v", fc.wire)
 	}
-	a.handleFrame("n1", p2p.FrameDataRequest, good)
-	if ans := fc.sent(p2p.FrameData); len(ans) != 1 || ans[0].to != "n1" {
-		t.Fatalf("well-formed request not answered: %v", fc.wire)
+	a.handleFrame("n2", p2p.FrameDataRequest, good)
+	if ans := fc.sent(p2p.FrameData); len(ans) != 1 || ans[0].to != "n2" {
+		t.Fatalf("well-formed request not answered to its sender: %v", fc.wire)
 	}
 }
 
-// (h) With repair on there is still one table: a probed node's address is
-// what a fetch of any purpose asks, and it follows a re-binding.
+// (h) With repair on there is still one table: a hello's address is what a
+// fetch of any purpose asks, and it follows a re-binding.
 func TestFetchAndRepairShareAddressTable(t *testing.T) {
 	fc := newFetchCluster(t, 3, func(cfg *Config) { cfg.RepairWorkers = 1 })
 	a := fc.nodes[0]
@@ -514,14 +481,15 @@ func TestFetchAndRepairShareAddressTable(t *testing.T) {
 		defer a.mu.Unlock()
 		return a.fetchCandidatesLocked(it.ID, repairFetch), a.fetchCandidatesLocked(it.ID, consumerFetch)
 	}
+	fc.forget(0, 1, 2)
 	if r, c := both(); r != nil || c != nil {
 		t.Fatalf("before any binding: repair candidates %v, consumer candidates %v", r, c)
 	}
-	a.handleFrame("n1", p2p.FrameRepairProbe, binary.BigEndian.AppendUint32(nil, 1))
+	a.handleHello("n1", hello(1))
 	if r, c := both(); !reflect.DeepEqual(r, []string{"n1"}) || !reflect.DeepEqual(c, r) {
-		t.Fatalf("after a probe: repair candidates %v, consumer candidates %v", r, c)
+		t.Fatalf("after a hello: repair candidates %v, consumer candidates %v", r, c)
 	}
-	a.handleFrame("n1-moved", p2p.FrameDataRequest, dataRequest(it.ID, 1))
+	a.handleHello("n1-moved", hello(1))
 	if r, c := both(); !reflect.DeepEqual(r, []string{"n1-moved"}) || !reflect.DeepEqual(c, r) {
 		t.Fatalf("after re-binding: repair candidates %v, consumer candidates %v", r, c)
 	}
@@ -606,6 +574,10 @@ func TestRepairFetchPaysBudgetAndCountsAsRepair(t *testing.T) {
 	}
 	producer.mu.Unlock()
 	got := fc.gotData(0)
+	hellos := make([]uint64, len(fc.nodes)) // data_bytes the hellos booked
+	for i, n := range fc.nodes {
+		hellos[i] = counter(n.reg, "livenode.wire.data_bytes")
+	}
 
 	// One repair tick everywhere: the blocks left the clock between two.
 	fc.clk.Advance(a.cfg.RepairProbeEvery - a.now()%a.cfg.RepairProbeEvery)
@@ -625,14 +597,14 @@ func TestRepairFetchPaysBudgetAndCountsAsRepair(t *testing.T) {
 		snap := n.reg.Snapshot()
 		return snap.Counter("livenode.wire.repair_bytes") - snap.Counter("livenode.wire.heartbeat_bytes")
 	}
-	if sent, want := rereplication(a), uint64(2*(36+5)); sent != want {
-		t.Errorf("requester counted %d re-replication bytes, want two 36-byte requests = %d", sent, want)
+	if sent, want := rereplication(a), uint64(2*(33+5)); sent != want {
+		t.Errorf("requester counted %d re-replication bytes, want two 33-byte requests = %d", sent, want)
 	}
 	if sent, want := rereplication(holder), uint64(32+len(content)+5); sent != want {
 		t.Errorf("holder counted %d re-replication bytes, want the answer's %d", sent, want)
 	}
 	for i, n := range fc.nodes {
-		if v := counter(n.reg, "livenode.wire.data_bytes"); v != 0 {
+		if v := counter(n.reg, "livenode.wire.data_bytes") - hellos[i]; v != 0 {
 			t.Errorf("node %d counted %d bytes of a repair fetch as data_bytes", i, v)
 		}
 	}
@@ -668,6 +640,7 @@ func TestRepairFetchPaysBudgetAndCountsAsRepair(t *testing.T) {
 func TestRepairLaunchTakesOverPendingFetch(t *testing.T) {
 	fc := newFetchCluster(t, 3, func(cfg *Config) { cfg.RepairWorkers = 1 })
 	a := fc.nodes[0]
+	fc.forget(0, 1, 2)
 	id := fc.item(t, 0, "placed while nobody was known", 2, []int{0, 1})
 	a.requestData(id, placementFetch) // empty address table: broadcast, then fetchTimeout
 	timers := fc.clk.Pending()
@@ -922,8 +895,8 @@ func TestCloseStopsFetchTimers(t *testing.T) {
 }
 
 // Requests for the same and for different items from several goroutines,
-// while peers' requests re-bind the table: everything is served and nothing
-// stays pending (run under -race).
+// while peers' requests are served and their hellos re-bind the table:
+// everything is served and nothing stays pending (run under -race).
 func TestFetchConcurrentRequests(t *testing.T) {
 	fc := newFetchCluster(t, 4, nil)
 	fc.fn.setDrop(nil) // the frame recorder is not synchronized
@@ -947,7 +920,8 @@ func TestFetchConcurrentRequests(t *testing.T) {
 			defer wg.Done()
 			for _, id := range ids {
 				a.RequestData(id)
-				a.handleFrame(fmt.Sprintf("n%d", 1+g%3), p2p.FrameDataRequest, dataRequest(id, uint32(1+g%3)))
+				a.handleHello(fmt.Sprintf("n%d", 1+g%3), hello(uint64(1+g%3)))
+				a.handleFrame(fmt.Sprintf("n%d", 1+g%3), p2p.FrameDataRequest, dataRequest(id, 0))
 			}
 		}()
 	}

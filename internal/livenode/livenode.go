@@ -17,6 +17,7 @@
 package livenode
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -135,13 +136,23 @@ type Config struct {
 // Node is a live blockchain node: a thin transport/clock/persistence
 // adapter around the shared consensus engine.
 type Node struct {
-	cfg     Config
+	// What a hello's binding touches comes first, in one cache line: a
+	// connect storm binds every peer of every node at once, and at 256 nodes
+	// those 65 280 bindings, each into a table cold in memory, are most of
+	// what the hello adds to set-up.
+	mu      sync.Mutex
 	selfIdx int
-	net     p2p.Transport
-	radio   *netsim.Radio // the transport's radio field; nil on a clique
-	clock   sim.Clock
+	addrOf  []string       // roster index → transport address, "" until a hello binds it
+	idxOf   map[string]int // its inverse
+	repair  *repairDriver  // nil when repair is disabled
+	tel     *nodeMetrics
+	ready   chan struct{} // closed once the engine exists and the WAL is replayed
 
-	mu            sync.Mutex
+	cfg   Config
+	net   p2p.Transport
+	radio *netsim.Radio // the transport's radio field; nil on a clique
+	clock sim.Clock
+
 	eng           *engine.Engine
 	store         store.Backend
 	replaying     bool // WAL replay in progress: skip re-persisting/fetching
@@ -150,18 +161,13 @@ type Node struct {
 	closed        bool
 	onData        func(id meta.DataID, content []byte)
 	fetches       *fetcher[meta.DataID] // pending data fetches (fetch.go)
-	addrOf        []string              // roster index → transport address, "" until learned
-	idxOf         map[string]int        // its inverse
 	sync          *syncSession          // at most one incremental sync in flight
 	syncGen       uint64                // session generation, guards stale timers
-	repair        *repairDriver         // nil when repair is disabled
 	gossip        *gossipState          // block and metadata relay bookkeeping
 	boot          *bootstrapState       // at most one snapshot bootstrap in flight
 	bootGen       uint64                // bootstrap generation, guards stale timers
 	bootHold      bool                  // fresh node: mining held for the first bootstrap attempt
 	persistedSnap uint64                // newest snapshot height written to the store
-
-	tel *nodeMetrics
 }
 
 // nodeMetrics is the node's telemetry bundle; every field is nil-safe so
@@ -450,7 +456,7 @@ func New(cfg Config) (*Node, error) {
 		clock:   cfg.Clock,
 		store:   cfg.Store,
 		addrOf:  make([]string, len(cfg.Accounts)),
-		idxOf:   make(map[string]int),
+		idxOf:   make(map[string]int, len(cfg.Accounts)),
 		tel:     newNodeMetrics(cfg.Telemetry),
 	}
 	n.fetches = n.newDataFetcher()
@@ -468,14 +474,10 @@ func New(cfg Config) (*Node, error) {
 	}
 
 	// The transport comes first because its graph is the one placement plans
-	// on. A TCP peer that dials in before the engine exists waits at ready.
-	ready := make(chan struct{})
-	transport, err := cfg.NewTransport(p2p.HandlerFunc(func(from string, ft byte, payload []byte) {
-		<-ready
-		if n.eng != nil {
-			n.handleFrame(from, ft, payload)
-		}
-	}))
+	// on. A TCP peer that dials in before the engine exists has its hello
+	// bound at once, and its frames wait at ready.
+	n.ready = make(chan struct{})
+	transport, err := cfg.NewTransport((*linkHandler)(n))
 	if err != nil {
 		return nil, err
 	}
@@ -526,7 +528,7 @@ func New(cfg Config) (*Node, error) {
 	}
 	eng, err := engine.New(ecfg)
 	if err != nil {
-		close(ready)
+		close(n.ready)
 		transport.Close()
 		return nil, err
 	}
@@ -536,7 +538,7 @@ func New(cfg Config) (*Node, error) {
 	// before taking frames. Everything mined while this node was down is
 	// then caught up by the locator sync Connect starts (DESIGN.md §10).
 	n.replayRecovered()
-	close(ready)
+	close(n.ready)
 
 	n.mu.Lock()
 	// A fresh node configured for snapshot bootstrap must not mine before
@@ -562,6 +564,24 @@ func New(cfg Config) (*Node, error) {
 	return n, nil
 }
 
+// linkHandler is the node's p2p.Greeter: every link introduces its two ends
+// once, the hello being the roster index as a uvarint, and the hellos fill
+// the roster ↔ address table. It is the node itself, so a transport that
+// calls it reaches the node's fields without a hop through a copy.
+type linkHandler Node
+
+func (h *linkHandler) HandleFrame(from string, ft byte, payload []byte) {
+	n := (*Node)(h)
+	<-n.ready
+	if n.eng != nil {
+		n.handleFrame(from, ft, payload)
+	}
+}
+
+func (h *linkHandler) Hello() []byte { return binary.AppendUvarint(nil, uint64(h.selfIdx)) }
+
+func (h *linkHandler) HandleHello(from string, hello []byte) { (*Node)(h).handleHello(from, hello) }
+
 // Addr returns the node's listen address.
 func (n *Node) Addr() string { return n.net.Addr() }
 
@@ -581,15 +601,6 @@ func (n *Node) Connect(addrs ...string) error {
 			continue
 		}
 		peers = append(peers, a)
-	}
-	if rd := n.repair; rd != nil { // set once in New
-		// Probe a bounded prefix of the new peers so initial address bindings
-		// bootstrap without an O(n) broadcast; the per-tick probe rotation
-		// binds the rest over time (DESIGN.md §15.2).
-		for _, a := range peers[:min(len(peers), probeFanout(len(n.cfg.Accounts)))] {
-			n.tel.probesSent.Inc()
-			n.send(a, p2p.FrameRepairProbe, rd.announce)
-		}
 	}
 	// A fresh node configured for snapshot bootstrap asks its first peer
 	// for the finalized state instead of syncing history from genesis

@@ -32,7 +32,8 @@ var (
 // metaFuzzTarget lazily builds one node with gossip, metadata relay and
 // the repair plane all enabled, shared by every iteration in this
 // process; each iteration clears the relay state so runs stay
-// independent.
+// independent. A hello has bound the fuzzer to roster index 1, so its
+// probes and acks reach the digest merge.
 func metaFuzzTarget(f *testing.F) *Node {
 	metaFuzzOnce.Do(func() {
 		idents, accounts := testRoster(3)
@@ -55,6 +56,7 @@ func metaFuzzTarget(f *testing.F) *Node {
 		if err != nil {
 			f.Fatal(err)
 		}
+		n.handleHello("fuzzer", hello(1))
 		metaFuzzNode = n
 		metaFuzzTip = n.Height()
 	})
@@ -116,19 +118,20 @@ func FuzzMetaGossipFrames(f *testing.F) {
 	f.Add(uint8(2), announceOf(ids...))                  // get-meta shares the codec
 	f.Add(uint8(2), append(putUv(nil, 4), ids[0][:]...)) // a full ID read as four short ones
 	f.Add(uint8(2), putUv(nil, maxMetaBatch+1))
-	f.Add(uint8(3), putU32(nil, 1))                // probe from roster idx 1
-	f.Add(uint8(3), putU32(nil, 99))               // out-of-range idx
-	f.Add(uint8(3), []byte{1, 2})                  // short probe
-	ack := binary.BigEndian.AppendUint32(nil, 1)   // ack from idx 1 ...
-	ack = binary.BigEndian.AppendUint16(ack, 2)    // ... carrying 2 entries
+	f.Add(uint8(3), []byte{})                      // probe: the hello names the sender
+	f.Add(uint8(3), putU32(nil, 1))                // the legacy probe, a roster index
+	f.Add(uint8(3), []byte{1, 2})                  // not empty
+	ack := binary.BigEndian.AppendUint16(nil, 2)   // ack carrying 2 entries
 	ack = binary.BigEndian.AppendUint16(ack, 2)    // idx 2
 	ack = binary.BigEndian.AppendUint16(ack, 5)    // 500ms ago
 	ack = binary.BigEndian.AppendUint16(ack, 0)    // idx 0 (receiver itself)
 	ack = binary.BigEndian.AppendUint16(ack, 1000) // stale age
 	f.Add(uint8(4), ack)
-	f.Add(uint8(4), ack[:9])   // length does not match count
-	f.Add(uint8(4), ack[:6])   // zero entries declared as two
-	f.Add(uint8(4), []byte{0}) // runt
+	f.Add(uint8(4), ack[:5])                                // length does not match count
+	f.Add(uint8(4), ack[:2])                                // zero entries declared as two
+	f.Add(uint8(4), putU32(nil, 1))                         // the legacy ack: a roster index, zero entries
+	f.Add(uint8(4), binary.BigEndian.AppendUint16(nil, 99)) // count past the digest bound
+	f.Add(uint8(4), []byte{0})                              // runt
 	// Retired type bytes and the first unassigned one: the heartbeat's
 	// roster index (repair is on here) and an item body.
 	f.Add(uint8(5), good.Encode())

@@ -11,16 +11,14 @@ import (
 // only has to reach a bounded sample per period, and third-party evidence
 // rides along as piggybacked digests.
 //
-// Each tick a node sends FrameRepairProbe (its 4-byte roster index) to a
-// bounded deterministic sample of transport peers. The probed peer binds
-// the prober's address, refreshes its liveness, and answers with
-// FrameRepairProbeAck: its own index plus a bounded digest of (index,
-// age) pairs drawn from a rotating cursor over its detector state. The
-// prober merges entries that are newer than what it already knows, so
-// liveness evidence spreads epidemically at O(n·fanout) frames per tick
-// deployment-wide. Passive evidence (any frame from a bound address, the
-// miner of every adopted block) and the membership sweep feed the same
-// detector.
+// Each tick a node sends an empty FrameRepairProbe (the link's hello named
+// the prober) to a bounded deterministic sample of transport peers, which
+// answer with FrameRepairProbeAck: a bounded digest of (index, age) pairs
+// drawn from a rotating cursor over the detector state. The prober merges
+// entries that are newer than what it already knows, so liveness evidence
+// spreads epidemically at O(n·fanout) frames per tick deployment-wide.
+// Passive evidence (the hello, any frame from a bound address, the miner of
+// every adopted block) and the membership sweep feed the same detector.
 //
 // Digest ages are relative (duration since the responder last saw the
 // node), so the encoding needs no clock agreement beyond the shared
@@ -39,7 +37,7 @@ const (
 	// digests should have named every roster node (probeFanout).
 	probeRefreshTicks = 8
 	// probeDigestMax bounds the (index, age) pairs one ack carries. 16
-	// entries keep the ack at 75 wire bytes.
+	// entries keep the ack at 71 wire bytes.
 	probeDigestMax = 16
 	// probeDigestUnit is the age quantum in digests. 100ms resolution is
 	// far below any sane SuspectAfter, and a uint16 of units spans 109
@@ -57,14 +55,12 @@ func probeFanout(n int) int {
 	return max(minProbeFanout, (n+perTick-1)/perTick)
 }
 
-// encodeProbeAck builds a FrameRepairProbeAck payload (n.mu held): the
-// responder's 4-byte index, a 2-byte entry count, then (uint16 index,
-// uint16 age-units) pairs selected by a rotating cursor over the roster.
+// encodeProbeAck builds a FrameRepairProbeAck payload (n.mu held): a 2-byte
+// entry count, then (uint16 index, uint16 age-units) pairs selected by a
+// rotating cursor over the roster.
 func (n *Node) encodeProbeAckLocked(now time.Duration) []byte {
 	rd := n.repair
-	out := binary.BigEndian.AppendUint32(nil, uint32(n.selfIdx))
-	countAt := len(out)
-	out = append(out, 0, 0)
+	out := []byte{0, 0}
 	count := 0
 	stale := n.cfg.RepairSuspectAfter + n.cfg.RepairHysteresis
 	roster := len(n.cfg.Accounts)
@@ -94,20 +90,19 @@ func (n *Node) encodeProbeAckLocked(now time.Duration) []byte {
 		out = binary.BigEndian.AppendUint16(out, uint16(units))
 		count++
 	}
-	binary.BigEndian.PutUint16(out[countAt:], uint16(count))
+	binary.BigEndian.PutUint16(out, uint16(count))
 	return out
 }
 
-// handleRepairProbe ingests a liveness probe: it binds the prober's
-// address and refreshes its liveness, then answers with the
-// digest-carrying ack.
+// handleRepairProbe answers a liveness probe from a bound peer with the
+// digest-carrying ack; handleFrame has already counted the probe as
+// evidence that the prober is alive.
 func (n *Node) handleRepairProbe(from string, payload []byte) {
-	if len(payload) != 4 {
+	if len(payload) != 0 {
 		return
 	}
-	i := int(binary.BigEndian.Uint32(payload))
 	n.mu.Lock()
-	if n.repair == nil || n.closed || !n.bindAddrLocked(i, from) {
+	if _, bound := n.idxOf[from]; n.repair == nil || n.closed || !bound {
 		n.mu.Unlock()
 		return
 	}
@@ -117,29 +112,28 @@ func (n *Node) handleRepairProbe(from string, payload []byte) {
 	n.send(from, p2p.FrameRepairProbeAck, ack)
 }
 
-// handleRepairProbeAck ingests a probe reply: direct evidence for the
-// responder, plus any digest entries strictly newer than what the local
-// detector already knows. The merge keeps Seen timestamps monotonic, so
-// a looping digest cannot revive a node silent past its entries' ages.
+// handleRepairProbeAck merges a bound peer's digest entries that are
+// strictly newer than what the local detector knows (handleFrame counted the
+// ack itself as direct evidence). The merge keeps Seen timestamps monotonic,
+// so a looping digest cannot revive a node silent past its entries' ages.
 func (n *Node) handleRepairProbeAck(from string, payload []byte) {
-	if len(payload) < 6 {
+	if len(payload) < 2 {
 		return
 	}
-	i := int(binary.BigEndian.Uint32(payload))
-	count := int(binary.BigEndian.Uint16(payload[4:6]))
-	if count > probeDigestMax || len(payload) != 6+count*4 {
+	count := int(binary.BigEndian.Uint16(payload))
+	if count > probeDigestMax || len(payload) != 2+count*4 {
 		return
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	rd := n.repair
-	if rd == nil || n.closed || !n.bindAddrLocked(i, from) {
+	if _, bound := n.idxOf[from]; rd == nil || n.closed || !bound {
 		return
 	}
 	now := n.now()
 	merged := 0
 	for e := 0; e < count; e++ {
-		off := 6 + e*4
+		off := 2 + e*4
 		j := int(binary.BigEndian.Uint16(payload[off:]))
 		age := time.Duration(binary.BigEndian.Uint16(payload[off+2:])) * probeDigestUnit
 		if j == n.selfIdx || j >= len(n.cfg.Accounts) {

@@ -277,14 +277,14 @@ func TestProbeAckDigestBounded(t *testing.T) {
 	node.mu.Lock()
 	ack := node.encodeProbeAckLocked(node.now())
 	node.mu.Unlock()
-	if len(ack) < 6 {
+	if len(ack) < 2 {
 		t.Fatalf("ack too short: %d bytes", len(ack))
 	}
-	count := int(ack[4])<<8 | int(ack[5])
+	count := int(ack[0])<<8 | int(ack[1])
 	if count > probeDigestMax {
 		t.Fatalf("digest carries %d entries, bound is %d", count, probeDigestMax)
 	}
-	if len(ack) != 6+4*count {
+	if len(ack) != 2+4*count {
 		t.Fatalf("ack length %d does not match count %d", len(ack), count)
 	}
 	if count == 0 {

@@ -1,7 +1,6 @@
 package livenode
 
 import (
-	"encoding/binary"
 	"math/rand"
 	"sort"
 	"time"
@@ -33,13 +32,14 @@ import (
 // launches is a data fetch (fetch.go) with the repair purpose, which marks
 // its requests so that both ends charge them to the budget.
 //
-// Liveness evidence is deliberately cheap: a 4-byte unsigned probe to a
-// bounded peer sample per tick (probe.go), passive refresh on every frame
-// from a mapped address, a membership sweep against the transport's peer
-// list, and the miner of every adopted block (at the block's timestamp).
-// The probe is unsigned — a forged binding cannot inject data (content is
-// verified against its hash) and self-corrects: a fetch from a wrong
-// address fails verification or times out and moves to the next candidate.
+// Liveness evidence is deliberately cheap: the link's hello, an empty probe
+// to a bounded peer sample per tick (probe.go), passive refresh on every
+// frame from an address a hello bound, a membership sweep against the
+// transport's peer list, and the miner of every adopted block (at the
+// block's timestamp). The hello is unsigned — a forged binding cannot
+// inject data (content is verified against its hash) and self-corrects: a
+// fetch from a wrong address fails verification or times out and moves to
+// the next candidate.
 const (
 	// repairFrameOverhead approximates the fixed wire cost of one frame of a
 	// repair fetch (length prefix, type byte, data ID) for rate-limiting.
@@ -63,8 +63,7 @@ type repairDriver struct {
 	det *repair.Detector
 	lim *repair.Limiter
 
-	announce []byte // this node's encoded roster index (probe payload)
-	timer    sim.Timer
+	timer sim.Timer
 
 	// Sampled liveness probing (DESIGN.md §15.2). The rng is seeded
 	// separately from the gossip plane's so probe sampling never perturbs
@@ -93,8 +92,7 @@ func (n *Node) initRepair() *repairDriver {
 			SuspectAfter: n.cfg.RepairSuspectAfter,
 			Hysteresis:   n.cfg.RepairHysteresis,
 		}, now),
-		lim:      repair.NewLimiter(repairRate, 0, now),
-		announce: binary.BigEndian.AppendUint32(nil, uint32(n.selfIdx)),
+		lim: repair.NewLimiter(repairRate, 0, now),
 		// Distinct multiplier from the gossip RNG seed: the two planes
 		// must draw independent deterministic streams.
 		rng: rand.New(rand.NewSource(n.cfg.GenesisSeed ^ (int64(n.selfIdx+1) * 0x7F4A7C15))),
@@ -199,7 +197,7 @@ func (n *Node) repairTick() {
 
 	for _, p := range probeTargets {
 		n.tel.probesSent.Inc()
-		n.send(p, p2p.FrameRepairProbe, rd.announce)
+		n.send(p, p2p.FrameRepairProbe, nil)
 	}
 	for _, id := range launches {
 		n.requestData(id, repairFetch)

@@ -1,6 +1,7 @@
 package livenode
 
 import (
+	"encoding/binary"
 	"slices"
 	"sync"
 	"testing"
@@ -106,8 +107,10 @@ func FuzzSyncFrames(f *testing.F) {
 	f.Add(uint8(7), announceOf(syncFuzzID))                  // get-meta
 	f.Add(uint8(7), append(putUv(nil, 1), syncFuzzID[:]...)) // a full 32-byte ID under a count of one
 	f.Add(uint8(7), putUv(nil, maxMetaBatch+1))
+	f.Add(uint8(8), []byte{})
 	f.Add(uint8(8), putU32(nil, 1))
-	f.Add(uint8(9), putU32(putU32(nil, 1), 2))
+	f.Add(uint8(9), binary.BigEndian.AppendUint16(putU32(nil, 1), 2))
+	f.Add(uint8(9), []byte{0, 0})
 	// Compact bodies (§13.1): a real one, one extending the tip with items
 	// this node cannot resolve, a truncated one and an absurd item count.
 	compact := tipBlk.EncodeCompact()
@@ -126,14 +129,15 @@ func FuzzSyncFrames(f *testing.F) {
 	f.Add(pushedCompact, compact[:17])
 	hdr := wire.UvarintLen(tipBlk.Index) + wire.UvarintLen(uint64(tipBlk.Timestamp)) + 3*wire.HashSize + 8 + wire.UvarintLen(tipBlk.MinedAfter)
 	f.Add(uint8(10), putUv(append([]byte(nil), compact[:hdr]...), 1<<40))
-	// Data fetch (§11.1): a request that binds a roster index, the legacy
-	// 32-byte one, indices no peer can have, and an answer nobody asked for.
+	// Data fetch (§11.1): a request and a repair request, the legacy 32- and
+	// 36-byte shapes, a mark no request carries, and an answer nobody asked
+	// for.
 	held := meta.HashData([]byte("sync-fuzz"))
-	f.Add(uint8(11), dataRequest(held, 1))
-	f.Add(uint8(11), held[:])
 	f.Add(uint8(11), dataRequest(held, 0))
-	f.Add(uint8(11), dataRequest(held, ^uint32(0)))
-	f.Add(uint8(11), dataRequest(held, 1)[:35])
+	f.Add(uint8(11), dataRequest(held, repairMark))
+	f.Add(uint8(11), held[:])
+	f.Add(uint8(11), putU32(append([]byte(nil), held[:]...), 1))
+	f.Add(uint8(11), dataRequest(held, 2))
 	f.Add(uint8(12), append(held[:], "sync-fuzz"...))
 	// Retired type bytes and the first unassigned one, with what their old
 	// handlers took: a block on our tip, a whole chain, a roster index.
@@ -175,13 +179,13 @@ func FuzzSyncFrames(f *testing.F) {
 		if pooled := len(n.PoolIDs()); pooled != 0 {
 			t.Fatalf("forged frames put %d items in the pool", pooled)
 		}
-		// Nothing was asked for, so nothing may be stored; and the fuzzer's
-		// one address can speak for at most one roster node, never this one.
+		// Nothing was asked for, so nothing may be stored; and only a hello
+		// binds a roster index, so no frame does.
 		if len(payload) >= 32 && n.store.HasData(meta.DataID(payload[:32])) {
 			t.Fatalf("unsolicited content stored under %x", payload[:32])
 		}
 		n.mu.Lock()
-		if len(n.idxOf) > 1 || n.addrOf[n.selfIdx] != "" {
+		if len(n.idxOf) != 0 {
 			t.Fatalf("roster table after forged frames: %v / %v", n.addrOf, n.idxOf)
 		}
 		n.clearSyncLocked()

@@ -25,7 +25,8 @@ import (
 
 // fakeNet is a zero-latency in-process transport fabric: Send delivers
 // synchronously into the receiving node's handler, and an optional drop
-// filter models lossy links for the timeout/retry paths.
+// filter models lossy links for the timeout/retry paths. Connect hands each
+// end's p2p.Greeter the other's hello, as memnet does.
 type fakeNet struct {
 	mu   sync.Mutex
 	eps  map[string]*fakeEP
@@ -90,12 +91,26 @@ func (e *fakeEP) Connect(addr string) error {
 		return fmt.Errorf("fakeNet: no endpoint %q", addr)
 	}
 	e.mu.Lock()
+	known := e.peers[addr]
 	e.peers[addr] = true
 	e.mu.Unlock()
+	if known || addr == e.name {
+		return nil
+	}
 	peer.mu.Lock()
 	peer.peers[e.name] = true
 	peer.mu.Unlock()
+	fakeGreet(peer, e)
+	fakeGreet(e, peer)
 	return nil
+}
+
+// fakeGreet hands from's hello, if it has one, to to's Greeter.
+func fakeGreet(to, from *fakeEP) {
+	g, ok := to.h.(p2p.Greeter)
+	if f, fok := from.h.(p2p.Greeter); ok && fok && len(f.Hello()) > 0 {
+		g.HandleHello(from.name, f.Hello())
+	}
 }
 
 // Peers keeps p2p.Transport's contract — sorted, and never modified once
@@ -702,7 +717,8 @@ func TestSyncHeadersNotPastTipRefused(t *testing.T) {
 // byte above the highest live type, payloads their old handlers would have
 // acted on — a block extending the tip, a whole longer chain, a roster
 // index to bind, the content of a pending fetch — and checks that chain,
-// pool, store, roster table and detector all stay put.
+// pool, store, roster table and detector all stay put. They come from an
+// address no hello bound: any frame from a bound one is liveness evidence.
 func TestRetiredFrameTypesIgnored(t *testing.T) {
 	fn := newFakeNet()
 	epoch := time.Unix(1700000000, 0)
@@ -736,12 +752,17 @@ func TestRetiredFrameTypesIgnored(t *testing.T) {
 		}
 		return out
 	}
+	boundTable := func() int {
+		a.Node.mu.Lock()
+		defer a.Node.mu.Unlock()
+		return len(a.idxOf)
+	}
 	clk.Advance(time.Millisecond) // evidence recorded now would be newer than at start
-	seenBefore := lastSeen()
+	seenBefore, boundBefore := lastSeen(), boundTable()
 
 	for _, ft := range deadFrameTypes {
 		for _, payload := range payloads {
-			a.handleFrame("b", ft, payload)
+			a.handleFrame("x", ft, payload)
 		}
 		id := meta.HashData(wanted)
 		deadFrameStoresNothing(t, a.Node, ft, append(id[:], wanted...))
@@ -752,11 +773,8 @@ func TestRetiredFrameTypesIgnored(t *testing.T) {
 	if pooled := len(a.PoolIDs()); pooled != 0 {
 		t.Errorf("a retired frame pooled %d items", pooled)
 	}
-	a.Node.mu.Lock()
-	bound := len(a.idxOf)
-	a.Node.mu.Unlock()
-	if bound != 0 {
-		t.Errorf("a retired frame bound %d roster addresses", bound)
+	if bound := boundTable(); bound != boundBefore {
+		t.Errorf("retired frames bound %d roster addresses, %d before", bound, boundBefore)
 	}
 	if got := lastSeen(); !reflect.DeepEqual(got, seenBefore) {
 		t.Errorf("a retired frame refreshed the detector: %v -> %v", seenBefore, got)

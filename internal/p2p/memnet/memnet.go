@@ -605,6 +605,9 @@ func (n *Network) Listen(addr string, h p2p.Handler) (*Endpoint, error) {
 		return nil, fmt.Errorf("memnet: address %s in use", addr)
 	}
 	e := &Endpoint{net: n, addr: addr, handler: h, peers: make(map[string]bool)}
+	if g, ok := h.(p2p.Greeter); ok {
+		e.hello = g.Hello()
+	}
 	n.endpoints[addr] = e
 	return e, nil
 }
@@ -615,6 +618,7 @@ type Endpoint struct {
 	net     *Network
 	addr    string
 	handler p2p.Handler
+	hello   []byte // the handler's, if it is a p2p.Greeter: read once at Listen
 	peers   map[string]bool
 	closed  bool
 	// sorted caches the peers in sorted order. setPeerLocked and Close drop
@@ -638,25 +642,40 @@ func (e *Endpoint) Radio() *netsim.Radio {
 
 // Connect establishes a symmetric link with the peer at addr (mirroring
 // the TCP transport's hello handshake). Connecting to self or an existing
-// peer is a no-op; connecting to a missing or closed endpoint fails.
+// peer is a no-op; connecting to a missing or closed endpoint fails. Each
+// end's Greeter gets the other's hello before Connect returns, like the peer
+// lists: no event, no delay, before any frame of the link can be delivered.
 func (e *Endpoint) Connect(addr string) error {
 	n := e.net
 	n.mu.Lock()
-	defer n.mu.Unlock()
 	if e.closed {
+		n.mu.Unlock()
 		return fmt.Errorf("memnet: endpoint %s closed", e.addr)
 	}
 	if addr == e.addr || e.peers[addr] {
+		n.mu.Unlock()
 		return nil
 	}
 	dst, ok := n.endpoints[addr]
 	if !ok || dst.closed {
+		n.mu.Unlock()
 		return fmt.Errorf("memnet: connect %s: connection refused", addr)
 	}
 	e.setPeerLocked(addr, true)
 	dst.setPeerLocked(e.addr, true)
 	n.logLocked(Event{Kind: EvConnect, From: e.addr, To: addr})
+	n.mu.Unlock()
+	// Greeters run outside the lock, as handlers do: they may send.
+	greet(dst, e)
+	greet(e, dst)
 	return nil
+}
+
+// greet hands from's hello, if it has one, to to's handler if it is a Greeter.
+func greet(to, from *Endpoint) {
+	if g, ok := to.handler.(p2p.Greeter); ok && len(from.hello) > 0 {
+		g.HandleHello(from.addr, from.hello)
+	}
 }
 
 // Peers returns the connected peer addresses in sorted order, as the shared

@@ -375,3 +375,61 @@ func TestPeersCacheFollowsEveryChange(t *testing.T) {
 	want("self closed", a)
 	want("self closed, far side", eps["b"])
 }
+
+// greeter is a recorder that introduces itself with a fixed hello.
+type greeter struct {
+	recorder
+	hello  string
+	hellos []recordedFrame // the peers' hellos, in arrival order
+}
+
+func (g *greeter) Hello() []byte { return []byte(g.hello) }
+
+func (g *greeter) HandleHello(from string, hello []byte) {
+	g.hellos = append(g.hellos, recordedFrame{from, 0, string(hello)})
+}
+
+// Connect hands each Greeter the other end's hello directly: no event, no
+// delay, before any frame of the link can be delivered, and never through
+// HandleFrame. An endpoint whose handler is no Greeter sends no hello and
+// gets none, and the network behaves for it exactly as without hellos.
+func TestConnectHandsHellos(t *testing.T) {
+	n := New(1, nil)
+	ga, gb := &greeter{hello: "A"}, &greeter{hello: "B"}
+	plain := &recorder{}
+	for addr, h := range map[string]p2p.Handler{"a": ga, "b": gb, "p": plain} {
+		if _, err := n.Listen(addr, h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, p := n.endpoints["a"], n.endpoints["p"]
+	for _, to := range []string{"b", "p"} {
+		if err := a.Connect(to); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Connect("b"); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(ga.hellos, []recordedFrame{{"b", 0, "B"}}) || !slices.Equal(gb.hellos, []recordedFrame{{"a", 0, "A"}}) {
+		t.Fatalf("hellos: a got %v, b got %v; want each the other's, and nothing from p", ga.hellos, gb.hellos)
+	}
+	for _, e := range n.Events() {
+		if e.Kind != EvConnect {
+			t.Fatalf("connecting logged %v: a hello must cost no event", e)
+		}
+	}
+	if err := a.Connect("b"); err != nil || len(gb.hellos) != 1 {
+		t.Fatalf("a repeated Connect greeted again: %v, %v", err, gb.hellos)
+	}
+	for _, to := range []string{"b", "p"} {
+		if err := a.Send(to, p2p.FrameMeta, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pump(n)
+	want := []recordedFrame{{"a", p2p.FrameMeta, "x"}}
+	if !slices.Equal(gb.frames, want) || !slices.Equal(plain.frames, want) {
+		t.Fatalf("frames: b got %v, p got %v; want %v each", gb.frames, plain.frames, want)
+	}
+}

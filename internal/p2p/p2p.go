@@ -9,10 +9,11 @@
 //
 // Peers form a full mesh (the paper's private-blockchain scale of tens of
 // nodes). Connect performs a handshake exchanging listen addresses so both
-// sides can identify and deduplicate peers.
+// sides can identify and deduplicate peers; a Greeter's hello rides along.
 package p2p
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -38,7 +39,8 @@ var (
 
 // Frame types.
 const (
-	// FrameHello carries the sender's listen address (handshake).
+	// FrameHello carries the sender's listen address (handshake) and, if
+	// its handler is a Greeter, a zero byte and its hello.
 	FrameHello byte = iota + 1
 	// 2 is retired (the full-block push). Retired numbers are never
 	// reused: surviving types keep their byte values.
@@ -48,8 +50,8 @@ const (
 	// 4 and 5 are retired (the whole-chain request and reply).
 	_
 	_
-	// FrameDataRequest carries a 32-byte data ID and the requester's 4-byte
-	// roster index, whose top bit marks a repair fetch.
+	// FrameDataRequest carries a 32-byte data ID and one mark byte, 1 on a
+	// repair fetch and 0 otherwise. The holder answers the sender.
 	FrameDataRequest
 	// FrameData carries a 32-byte data ID followed by the content.
 	FrameData
@@ -90,14 +92,13 @@ const (
 	// full metadata items behind a batch of 8-byte short IDs; each is
 	// answered with one FrameMeta.
 	FrameGetMeta
-	// FrameRepairProbe is the sampled liveness probe (DESIGN.md §15): a
-	// 4-byte roster index binding the sender's transport address to its
-	// node ID, sent to a bounded deterministic peer sample each repair
-	// tick.
+	// FrameRepairProbe is the sampled liveness probe (DESIGN.md §15), sent
+	// to a bounded deterministic peer sample each repair tick. Empty
+	// payload: the link's hello names the sender.
 	FrameRepairProbe
-	// FrameRepairProbeAck answers a probe: the responder's 4-byte roster
-	// index plus a bounded digest of third-party liveness evidence
-	// (roster index, evidence age) so aliveness spreads epidemically.
+	// FrameRepairProbeAck answers a probe with a bounded digest of
+	// third-party liveness evidence (roster index, evidence age) so
+	// aliveness spreads epidemically.
 	FrameRepairProbeAck
 	// FrameCompactBlock is a pushed or fetched block with each item
 	// replaced by its short ID and assigned storing nodes; the receiver
@@ -113,10 +114,11 @@ const (
 // prefixes.
 const MaxFrameSize = 64 << 20
 
-// MaxHelloLen bounds the listen address carried by a hello frame. A hello
-// payload becomes the peer-map key verbatim, so an unbounded one would let
-// a malicious dialer register arbitrarily large keys; an empty one would
-// register as "". Real host:port strings are far below this.
+// MaxHelloLen bounds each part of a hello frame: the listen address and a
+// Greeter's hello. The address becomes the peer-map key verbatim, so an
+// unbounded one would let a malicious dialer register arbitrarily large
+// keys; an empty one would register as "". Real host:port strings are far
+// below this.
 const MaxHelloLen = 256
 
 // Handler receives inbound frames. from is the peer's listen address.
@@ -138,6 +140,7 @@ func (f HandlerFunc) HandleFrame(from string, frameType byte, payload []byte) {
 type Node struct {
 	ln      net.Listener
 	handler Handler
+	hello   []byte                  // our hello frame's payload: listen address (‖ 0 ‖ Greeter's hello)
 	metrics atomic.Pointer[Metrics] // never nil; swap via SetMetrics
 
 	mu       sync.Mutex
@@ -166,6 +169,12 @@ func Listen(addr string, h Handler) (*Node, error) {
 		return nil, fmt.Errorf("p2p: listen: %w", err)
 	}
 	n := &Node{ln: ln, handler: h, peers: make(map[string]*peer)}
+	n.hello = []byte(n.Addr())
+	if g, ok := h.(Greeter); ok {
+		if hello := g.Hello(); len(hello) > 0 {
+			n.hello = append(append(n.hello, 0), hello...)
+		}
+	}
 	n.metrics.Store(&Metrics{}) // inert until SetMetrics
 	n.wg.Add(1)
 	go n.acceptLoop()
@@ -276,13 +285,34 @@ func (n *Node) dial(addr string) (net.Conn, error) {
 		n.metrics.Load().DialFailures.Inc()
 		return nil, fmt.Errorf("p2p: dial %s: %w", addr, err)
 	}
-	if err := writeFrameDeadline(conn, FrameHello, []byte(n.Addr())); err != nil {
+	if err := writeFrameDeadline(conn, FrameHello, n.hello); err != nil {
 		n.metrics.Load().onSendErr(err)
 		conn.Close()
 		return nil, fmt.Errorf("p2p: hello: %w", err)
 	}
-	n.metrics.Load().onSent(FrameHello, len(n.Addr()))
+	n.metrics.Load().onSent(FrameHello, len(n.hello))
 	return conn, nil
+}
+
+// splitHello parses a hello payload: the sender's listen address, then, if
+// the sender's handler is a Greeter, a zero byte and its hello. The address
+// may not be empty, and neither part may exceed MaxHelloLen.
+func splitHello(payload []byte) (addr, hello []byte, ok bool) {
+	addr = payload
+	if k := bytes.IndexByte(payload, 0); k >= 0 {
+		addr, hello = payload[:k], payload[k+1:]
+	}
+	return addr, hello, len(addr) > 0 && len(addr) <= MaxHelloLen && len(hello) <= MaxHelloLen
+}
+
+// greet hands a peer's hello to a Greeter handler, under the dispatch lock
+// like a frame.
+func (n *Node) greet(peerAddr string, hello []byte) {
+	if g, ok := n.handler.(Greeter); ok && len(hello) > 0 {
+		n.dispatch.Lock()
+		g.HandleHello(peerAddr, hello)
+		n.dispatch.Unlock()
+	}
 }
 
 // register records conn as the connection to addr and reports whether it
@@ -323,25 +353,26 @@ func (n *Node) unregister(addr string, conn net.Conn) {
 func (n *Node) serveConn(conn net.Conn) {
 	defer n.wg.Done()
 	defer conn.Close()
-	// The hello payload becomes the peer-map key — reject empty or oversized
-	// addresses so a malicious dialer cannot register as "" or flood the map
-	// with giant keys.
+	// The hello's address becomes the peer-map key — reject empty or
+	// oversized ones so a malicious dialer cannot register as "" or flood
+	// the map with giant keys.
 	ft, payload, err := readFrame(conn)
-	if err != nil || ft != FrameHello || len(payload) == 0 || len(payload) > MaxHelloLen {
+	addr, hello, ok := splitHello(payload)
+	if err != nil || ft != FrameHello || !ok {
 		return
 	}
-	peerAddr := string(payload)
-	// Reply with our own hello so the dialer path stays symmetric for
-	// future peer-exchange extensions (the dialer's reader skips
-	// inbound hellos, so this is safe against old peers too).
-	if err := writeFrameDeadline(conn, FrameHello, []byte(n.Addr())); err != nil {
+	peerAddr := string(addr)
+	// Reply with our own hello: the dialer's reader hands it to its Greeter
+	// before any frame of ours.
+	if err := writeFrameDeadline(conn, FrameHello, n.hello); err != nil {
 		n.metrics.Load().onSendErr(err)
 		return
 	}
-	n.metrics.Load().onSent(FrameHello, len(n.Addr()))
+	n.metrics.Load().onSent(FrameHello, len(n.hello))
 	if !n.register(peerAddr, conn, false) {
 		return // duplicate connection or node closed
 	}
+	n.greet(peerAddr, hello)
 	n.readLoop(conn, peerAddr)
 }
 
@@ -357,6 +388,11 @@ func (n *Node) readLoop(conn net.Conn, peerAddr string) {
 		}
 		n.metrics.Load().onRecv(ft, len(payload))
 		if ft == FrameHello {
+			// On a dialled connection the first frame is the acceptor's
+			// reply hello. The peer stays keyed by the address we dialled.
+			if _, hello, ok := splitHello(payload); ok {
+				n.greet(peerAddr, hello)
+			}
 			continue
 		}
 		n.dispatch.Lock()

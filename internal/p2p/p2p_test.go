@@ -514,7 +514,8 @@ func TestServeConnRepliesWithHello(t *testing.T) {
 }
 
 // TestHelloValidation pins that an empty or oversized hello payload is
-// rejected instead of being registered verbatim as a peer key.
+// rejected instead of being registered verbatim as a peer key, and so is a
+// Greeter's hello past MaxHelloLen or one without an address.
 func TestHelloValidation(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -522,6 +523,8 @@ func TestHelloValidation(t *testing.T) {
 	}{
 		{"empty", nil},
 		{"oversized", make([]byte, MaxHelloLen+1)},
+		{"oversized hello", append([]byte("127.0.0.1:1\x00"), make([]byte, MaxHelloLen+1)...)},
+		{"hello without address", []byte("\x00hello")},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -589,5 +592,113 @@ func TestEveryFrameTypeIsNamed(t *testing.T) {
 	}
 	if got := snap.Counter("p2p.frames_sent"); got != 5 {
 		t.Errorf("frames_sent = %d, want 5", got)
+	}
+}
+
+// greeter is a recorder that introduces itself with a fixed hello and
+// records the hellos it is handed.
+type greeter struct {
+	recorder
+	hello  string
+	mu     sync.Mutex
+	hellos map[string]string // peer address → its hello
+	early  map[string]bool   // peers with a frame dispatched before any hello
+}
+
+func newGreeter(hello string) *greeter {
+	return &greeter{hello: hello, hellos: map[string]string{}, early: map[string]bool{}}
+}
+
+func (g *greeter) Hello() []byte { return []byte(g.hello) }
+
+func (g *greeter) HandleHello(from string, hello []byte) {
+	g.mu.Lock()
+	g.hellos[from] = string(hello)
+	g.mu.Unlock()
+}
+
+func (g *greeter) HandleFrame(from string, ft byte, payload []byte) {
+	g.mu.Lock()
+	if _, greeted := g.hellos[from]; !greeted {
+		g.early[from] = true
+	}
+	g.mu.Unlock()
+	g.recorder.HandleFrame(from, ft, payload)
+}
+
+func (g *greeter) helloFrom(addr string) (string, bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	h, ok := g.hellos[addr]
+	return h, ok
+}
+
+// A Greeter's hello rides on the hello frames both ends already exchange:
+// the acceptor reads the dialer's, the dialer's reader the acceptor's reply,
+// each before any frame of the link, and neither reaches HandleFrame. A node
+// whose handler is no Greeter sends its bare address, as before, and
+// receives no hello; the frames themselves arrive exactly as without hellos.
+func TestHelloNeverReachesHandleFrame(t *testing.T) {
+	listen := func(h Handler) *Node {
+		t.Helper()
+		n, err := Listen("127.0.0.1:0", h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		return n
+	}
+	ga, gb, plain := newGreeter("A"), newGreeter("B"), &recorder{}
+	a, b, p := listen(ga), listen(gb), listen(plain)
+	if !bytes.Equal(p.hello, []byte(p.Addr())) || !bytes.Equal(a.hello, []byte(a.Addr()+"\x00A")) {
+		t.Fatalf("hello payloads %q and %q", p.hello, a.hello)
+	}
+	for _, c := range [][2]*Node{{a, b}, {p, a}, {b, p}} {
+		if err := c[0].Connect(c[1].Addr()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 2*time.Second, func() bool {
+		_, ab := ga.helloFrom(b.Addr())
+		_, ba := gb.helloFrom(a.Addr())
+		return ab && ba && len(a.Peers()) == 2 && len(b.Peers()) == 2 && len(p.Peers()) == 2
+	})
+	for _, n := range []*Node{a, b, p} {
+		for _, to := range n.Peers() {
+			if err := n.Send(to, FrameMeta, []byte(n.Addr())); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	waitFor(t, 2*time.Second, func() bool { return ga.count() == 2 && gb.count() == 2 && plain.count() == 2 })
+	if h, _ := ga.helloFrom(b.Addr()); h != "B" {
+		t.Errorf("a (dialer) got hello %q from b, want B", h)
+	}
+	if h, _ := gb.helloFrom(a.Addr()); h != "A" {
+		t.Errorf("b (acceptor) got hello %q from a, want A", h)
+	}
+	for _, g := range []*greeter{ga, gb} {
+		if _, ok := g.helloFrom(p.Addr()); ok {
+			t.Errorf("hellos %v: want none from the plain node", g.hellos)
+		}
+	}
+	for _, c := range []struct {
+		g    *greeter
+		peer string
+	}{{ga, b.Addr()}, {gb, a.Addr()}} {
+		c.g.mu.Lock()
+		if c.g.early[c.peer] {
+			t.Errorf("a frame from %s was dispatched before its hello", c.peer)
+		}
+		c.g.mu.Unlock()
+	}
+	for _, r := range []*recorder{&ga.recorder, &gb.recorder, plain} {
+		r.mu.Lock()
+		for _, f := range r.frames {
+			if f.ft != FrameMeta || string(f.payload) != f.from {
+				t.Errorf("handler got frame %d %q from %s", f.ft, f.payload, f.from)
+			}
+		}
+		r.mu.Unlock()
 	}
 }

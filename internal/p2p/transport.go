@@ -36,5 +36,17 @@ type Transport interface {
 	Close() error
 }
 
+// Greeter is a Handler that introduces its end of every link once, with a
+// Hello of at most MaxHelloLen bytes read when the transport is created. The
+// transport hands each peer's hello to HandleHello as the link comes up,
+// before any frame from that peer, and never to HandleFrame. It rides on
+// what opening a link exchanges anyway: no frame of its own, no round trip.
+// With any other Handler, or an empty Hello, nothing changes.
+type Greeter interface {
+	Handler
+	Hello() []byte
+	HandleHello(from string, hello []byte)
+}
+
 // The TCP node is the reference Transport implementation.
 var _ Transport = (*Node)(nil)
