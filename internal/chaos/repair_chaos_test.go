@@ -169,11 +169,12 @@ func TestChaosRepairReplication(t *testing.T) {
 			rereplication, first.consensusBytes)
 	}
 	// A node sends at most repairFanout probes per tick and as many more at
-	// its Connect, each answered by at most one ack: 9 B for the probe (a
-	// 4-byte index and the 5-byte frame header), at most 75 B for the ack (its
-	// index, a count and 16 digest entries of 4 B, and the header).
+	// its Connect, each answered by at most one ack: 5 B for the probe (an
+	// empty payload under the 5-byte frame header), at most 37 B for the ack
+	// (the header and 16 digest entries of 2 B: a gap below the 24-node
+	// roster and an age below the 8 s dead window, 80 units, one byte each).
 	ticks := uint64(first.elapsed/repairProbeEvery) + 1
-	if limit := 24 * repairFanout * (ticks + 1) * (9 + 75); first.heartbeatBytes > limit {
+	if limit := 24 * repairFanout * (ticks + 1) * (5 + 37); first.heartbeatBytes > limit {
 		t.Fatalf("liveness wire-bytes %d over the probe bound %d (%d ticks)", first.heartbeatBytes, limit, ticks)
 	}
 

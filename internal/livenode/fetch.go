@@ -251,9 +251,12 @@ func (n *Node) handleDataRequest(from string, payload []byte) {
 	}
 	copy(id[:], payload)
 	repairReq := payload[len(id)] == repairMark
-	content, held := n.store.GetData(id)
+	// The answer is ID ‖ content, built in one buffer: the request's ID
+	// capped at its own length, so the store's append allocates the frame
+	// and never writes into the request.
+	answer, held := n.store.AppendData(payload[:len(id):len(id)], id)
 	n.mu.Lock()
-	denied := held && repairReq && n.repair != nil && !n.repair.lim.Allow(n.now(), repairFrameOverhead+len(content))
+	denied := held && repairReq && n.repair != nil && !n.repair.lim.Allow(n.now(), repairFrameOverhead+len(answer)-len(id))
 	n.mu.Unlock()
 	if denied {
 		n.tel.repairThrottled.Inc()
@@ -261,7 +264,7 @@ func (n *Node) handleDataRequest(from string, payload []byte) {
 	if !held || denied {
 		return
 	}
-	n.sendFetch(from, p2p.FrameData, append(id[:], content...), repairReq)
+	n.sendFetch(from, p2p.FrameData, answer, repairReq)
 }
 
 // handleData ingests a fetch answer. Only content this node has a pending

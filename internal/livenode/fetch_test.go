@@ -430,7 +430,7 @@ func TestFetchForgedBindingOnlyDelays(t *testing.T) {
 	if !a.HasData(id) || got[id] != "the real bytes" {
 		t.Fatalf("fetch did not recover through the broadcast: OnData %v", got)
 	}
-	if c, ok := a.store.GetData(id); !ok || string(c) != "the real bytes" {
+	if c, ok := a.store.AppendData(nil, id); !ok || string(c) != "the real bytes" {
 		t.Fatalf("stored %q", c)
 	}
 	// n1 links again: its index is its own again.

@@ -118,20 +118,20 @@ func FuzzMetaGossipFrames(f *testing.F) {
 	f.Add(uint8(2), announceOf(ids...))                  // get-meta shares the codec
 	f.Add(uint8(2), append(putUv(nil, 4), ids[0][:]...)) // a full ID read as four short ones
 	f.Add(uint8(2), putUv(nil, maxMetaBatch+1))
-	f.Add(uint8(3), []byte{})                      // probe: the hello names the sender
-	f.Add(uint8(3), putU32(nil, 1))                // the legacy probe, a roster index
-	f.Add(uint8(3), []byte{1, 2})                  // not empty
-	ack := binary.BigEndian.AppendUint16(nil, 2)   // ack carrying 2 entries
-	ack = binary.BigEndian.AppendUint16(ack, 2)    // idx 2
-	ack = binary.BigEndian.AppendUint16(ack, 5)    // 500ms ago
-	ack = binary.BigEndian.AppendUint16(ack, 0)    // idx 0 (receiver itself)
-	ack = binary.BigEndian.AppendUint16(ack, 1000) // stale age
+	f.Add(uint8(3), []byte{})        // probe: the hello names the sender
+	f.Add(uint8(3), putU32(nil, 1))  // the legacy probe, a roster index
+	f.Add(uint8(3), []byte{1, 2})    // not empty
+	ack := putUv(putUv(nil, 2), 5)   // idx 2 (gap 2 from the start), 500ms ago
+	ack = putUv(putUv(ack, 0), 1000) // idx 0 (the receiver itself, wrapping), stale age
 	f.Add(uint8(4), ack)
-	f.Add(uint8(4), ack[:5])                                // length does not match count
-	f.Add(uint8(4), ack[:2])                                // zero entries declared as two
-	f.Add(uint8(4), putU32(nil, 1))                         // the legacy ack: a roster index, zero entries
-	f.Add(uint8(4), binary.BigEndian.AppendUint16(nil, 99)) // count past the digest bound
-	f.Add(uint8(4), []byte{0})                              // runt
+	f.Add(uint8(4), ack[:3])                                          // ends inside an entry
+	f.Add(uint8(4), []byte{})                                         // empty digest
+	f.Add(uint8(4), []byte{3, 1})                                     // gap past the roster
+	f.Add(uint8(4), []byte{0, 1, 1, 1, 1, 1})                         // indices 0, 2, 1: a second cycle
+	f.Add(uint8(4), []byte{0x80, 0x00, 1})                            // padded varint
+	f.Add(uint8(4), putUv([]byte{1}, 0x10000))                        // age past 0xFFFF units
+	f.Add(uint8(4), bytes.Repeat([]byte{0, 1}, probeDigestMax+1))     // past the digest bound
+	f.Add(uint8(4), binary.BigEndian.AppendUint16(putU32(nil, 2), 5)) // the fixed-width layout
 	// Retired type bytes and the first unassigned one: the heartbeat's
 	// roster index (repair is on here) and an item body.
 	f.Add(uint8(5), good.Encode())

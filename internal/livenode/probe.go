@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/p2p"
+	"repro/internal/wire"
 )
 
 // Sampled liveness probing (DESIGN.md §15.2), after SWIM: direct evidence
@@ -13,21 +14,18 @@ import (
 //
 // Each tick a node sends an empty FrameRepairProbe (the link's hello named
 // the prober) to a bounded deterministic sample of transport peers, which
-// answer with FrameRepairProbeAck: a bounded digest of (index, age) pairs
+// answer with FrameRepairProbeAck: a bounded digest of (index, age) entries
 // drawn from a rotating cursor over the detector state. The prober merges
 // entries that are newer than what it already knows, so liveness evidence
 // spreads epidemically at O(n·fanout) frames per tick deployment-wide.
 // Passive evidence (the hello, any frame from a bound address, the miner of
 // every adopted block) and the membership sweep feed the same detector.
 //
-// Digest ages are relative (duration since the responder last saw the
-// node), so the encoding needs no clock agreement beyond the shared
-// epoch the deployment already assumes. Entries silent past
-// SuspectAfter+Hysteresis are omitted: replaying them cannot change any
-// verdict, and dropping them keeps acks small exactly when many nodes
-// are dead. A stale entry that does arrive is a no-op — merges apply
-// only evidence strictly newer than the local timestamp, so digests can
-// circulate forever without reviving a dead node.
+// Ages are relative (time since the responder last heard the node), so
+// digests need no clock agreement. Entries silent past SuspectAfter+Hysteresis
+// are omitted: they cannot change a verdict, and acks stay small exactly when
+// many nodes are dead. A stale entry that does arrive is a no-op, as merges
+// apply only evidence strictly newer than the local timestamp.
 const (
 	// minProbeFanout is the fewest peers probed per repair tick. Four keeps
 	// expected detection latency a small constant number of periods (SWIM's
@@ -36,12 +34,11 @@ const (
 	// probeRefreshTicks is the number of ticks within which the acks'
 	// digests should have named every roster node (probeFanout).
 	probeRefreshTicks = 8
-	// probeDigestMax bounds the (index, age) pairs one ack carries. 16
-	// entries keep the ack at 71 wire bytes.
+	// probeDigestMax bounds the entries one ack carries. 16 entries of
+	// adjacent indices younger than 12.8 s keep the ack at 37 wire bytes.
 	probeDigestMax = 16
-	// probeDigestUnit is the age quantum in digests. 100ms resolution is
-	// far below any sane SuspectAfter, and a uint16 of units spans 109
-	// minutes of silence — orders past the stale cutoff.
+	// probeDigestUnit is the age quantum in digests: far below any sane
+	// SuspectAfter, while 0xFFFF units span 109 minutes of silence.
 	probeDigestUnit = 100 * time.Millisecond
 )
 
@@ -55,42 +52,59 @@ func probeFanout(n int) int {
 	return max(minProbeFanout, (n+perTick-1)/perTick)
 }
 
-// encodeProbeAck builds a FrameRepairProbeAck payload (n.mu held): a 2-byte
-// entry count, then (uint16 index, uint16 age-units) pairs selected by a
-// rotating cursor over the roster.
+// probeEntry is one digest entry: a roster index and its age in units.
+type probeEntry struct{ idx, units int }
+
+// appendProbeEntry appends e to an ack whose previous entry named prev (−1
+// before the first): uvarint((e.idx − prev − 1) mod roster) ‖ uvarint(units).
+func appendProbeEntry(dst []byte, roster, prev int, e probeEntry) []byte {
+	gap := (e.idx - prev - 1 + roster) % roster
+	return binary.AppendUvarint(binary.AppendUvarint(dst, uint64(gap)), uint64(e.units))
+}
+
+// decodeProbeAck reads an ack for an n-node roster into dst[:0]; the length
+// implies the count. It refuses over probeDigestMax entries, a gap ≥ roster,
+// entries spanning more than one roster cycle and units above 0xFFFF, so an
+// accepted ack names distinct nodes and re-encodes to the same bytes.
+func decodeProbeAck(dst []probeEntry, payload []byte, roster int) ([]probeEntry, bool) {
+	r := wire.NewReader(payload)
+	dst, pos := dst[:0], -1
+	for r.Len() > 0 {
+		gap, units := r.Uvarint(), r.Uvarint()
+		if r.Err() != nil || len(dst) == probeDigestMax || gap >= uint64(roster) || units > 0xFFFF {
+			return nil, false
+		}
+		if pos += int(gap) + 1; len(dst) > 0 && pos-dst[0].idx >= roster {
+			return nil, false
+		}
+		dst = append(dst, probeEntry{pos % roster, int(units)})
+	}
+	return dst, true
+}
+
+// encodeProbeAckLocked builds a FrameRepairProbeAck payload (n.mu held): the
+// entries a rotating cursor over the roster selects.
 func (n *Node) encodeProbeAckLocked(now time.Duration) []byte {
 	rd := n.repair
-	out := []byte{0, 0}
-	count := 0
+	out := make([]byte, 0, 2*probeDigestMax)
+	count, prev := 0, -1
 	stale := n.cfg.RepairSuspectAfter + n.cfg.RepairHysteresis
 	roster := len(n.cfg.Accounts)
 	for scanned := 0; scanned < roster && count < probeDigestMax; scanned++ {
 		i := rd.digestCursor % roster
 		rd.digestCursor++
-		if i == n.selfIdx {
-			continue
-		}
-		age := now - rd.det.LastSeen(i)
-		if age < 0 {
-			age = 0
-		}
-		if age >= stale {
-			continue
-		}
-		// Round UP to the unit: understating an age would timestamp the
-		// merged evidence after the responder's real observation, and a
-		// digest bouncing between nodes could then creep a silent node's
-		// lastSeen forward ~one unit per hop, forever. Overstating only
-		// makes third-party evidence (at most one unit) conservative.
+		// Round the age UP: understating it would date merged evidence after
+		// the responder's observation, and a digest bouncing between nodes
+		// could creep a silent node's lastSeen forward one unit per hop.
+		age := max(0, now-rd.det.LastSeen(i))
 		units := (age + probeDigestUnit - 1) / probeDigestUnit
-		if units > 0xFFFF {
+		if i == n.selfIdx || age >= stale || units > 0xFFFF {
 			continue
 		}
-		out = binary.BigEndian.AppendUint16(out, uint16(i))
-		out = binary.BigEndian.AppendUint16(out, uint16(units))
+		out = appendProbeEntry(out, roster, prev, probeEntry{i, int(units)})
+		prev = i
 		count++
 	}
-	binary.BigEndian.PutUint16(out, uint16(count))
 	return out
 }
 
@@ -112,16 +126,13 @@ func (n *Node) handleRepairProbe(from string, payload []byte) {
 	n.send(from, p2p.FrameRepairProbeAck, ack)
 }
 
-// handleRepairProbeAck merges a bound peer's digest entries that are
-// strictly newer than what the local detector knows (handleFrame counted the
-// ack itself as direct evidence). The merge keeps Seen timestamps monotonic,
-// so a looping digest cannot revive a node silent past its entries' ages.
+// handleRepairProbeAck merges a bound peer's digest entries that are strictly
+// newer than what the local detector knows (handleFrame counted the ack as
+// direct evidence). Seen stays monotonic: a looping digest revives no one.
 func (n *Node) handleRepairProbeAck(from string, payload []byte) {
-	if len(payload) < 2 {
-		return
-	}
-	count := int(binary.BigEndian.Uint16(payload))
-	if count > probeDigestMax || len(payload) != 2+count*4 {
+	var buf [probeDigestMax]probeEntry
+	entries, ok := decodeProbeAck(buf[:0], payload, len(n.cfg.Accounts))
+	if !ok {
 		return
 	}
 	n.mu.Lock()
@@ -130,18 +141,10 @@ func (n *Node) handleRepairProbeAck(from string, payload []byte) {
 	if _, bound := n.idxOf[from]; rd == nil || n.closed || !bound {
 		return
 	}
-	now := n.now()
-	merged := 0
-	for e := 0; e < count; e++ {
-		off := 2 + e*4
-		j := int(binary.BigEndian.Uint16(payload[off:]))
-		age := time.Duration(binary.BigEndian.Uint16(payload[off+2:])) * probeDigestUnit
-		if j == n.selfIdx || j >= len(n.cfg.Accounts) {
-			continue
-		}
-		at := now - age
-		if at > rd.det.LastSeen(j) {
-			rd.det.Seen(j, at)
+	now, merged := n.now(), 0
+	for _, e := range entries {
+		if at := now - time.Duration(e.units)*probeDigestUnit; e.idx != n.selfIdx && at > rd.det.LastSeen(e.idx) {
+			rd.det.Seen(e.idx, at)
 			merged++
 		}
 	}

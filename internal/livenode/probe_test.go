@@ -1,8 +1,11 @@
 package livenode
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -266,9 +269,10 @@ func TestProbeTinyRosterDetectsDead(t *testing.T) {
 	}
 }
 
-// TestProbeAckDigestBounded pins the §15 byte story: one ack never
-// carries more than probeDigestMax entries, and entries silent past the
-// dead window are omitted.
+// TestProbeAckDigestBounded pins the §15 byte story: one ack, read through
+// the decoder, never carries more than probeDigestMax entries, names neither
+// the responder nor a node silent past the dead window, and spends two bytes
+// an entry on a warm cluster (adjacent indices, ages under 12.8 s).
 func TestProbeAckDigestBounded(t *testing.T) {
 	const n = 40 // roster wider than the digest bound
 	pc := newProbeCluster(t, n, 42)
@@ -277,17 +281,142 @@ func TestProbeAckDigestBounded(t *testing.T) {
 	node.mu.Lock()
 	ack := node.encodeProbeAckLocked(node.now())
 	node.mu.Unlock()
-	if len(ack) < 2 {
-		t.Fatalf("ack too short: %d bytes", len(ack))
+	entries, ok := decodeProbeAck(nil, ack, n)
+	if !ok {
+		t.Fatalf("the decoder refuses a live node's ack % x", ack)
 	}
-	count := int(ack[0])<<8 | int(ack[1])
-	if count > probeDigestMax {
-		t.Fatalf("digest carries %d entries, bound is %d", count, probeDigestMax)
+	if len(entries) > probeDigestMax {
+		t.Fatalf("digest carries %d entries, bound is %d", len(entries), probeDigestMax)
 	}
-	if len(ack) != 2+4*count {
-		t.Fatalf("ack length %d does not match count %d", len(ack), count)
-	}
-	if count == 0 {
+	if len(entries) == 0 {
 		t.Fatal("warm cluster produced an empty digest")
 	}
+	for _, e := range entries {
+		if e.idx == 0 || time.Duration(e.units)*probeDigestUnit > probeTestSuspect+probeTestHyst {
+			t.Fatalf("digest entry %+v names the responder or a node past the dead window", e)
+		}
+	}
+	if len(ack) > 2*len(entries) {
+		t.Errorf("ack of %d entries takes %d bytes, want <= 2 an entry", len(entries), len(ack))
+	}
+}
+
+// appendProbeAck encodes entries as encodeProbeAckLocked lays them out.
+func appendProbeAck(dst []byte, roster int, entries []probeEntry) []byte {
+	prev := -1
+	for _, e := range entries {
+		dst = appendProbeEntry(dst, roster, prev, e)
+		prev = e.idx
+	}
+	return dst
+}
+
+// TestProbeAckCodec round-trips digests that start late in the roster and
+// wrap, with gaps and ages of every varint width, at roster sizes from 2 to
+// past the 16-bit indices the fixed-width layout truncated; and it holds
+// every rejection: a malformed varint, an entry cut short, more than
+// probeDigestMax entries, a gap ≥ roster, a second roster cycle and an age
+// above 0xFFFF units.
+func TestProbeAckCodec(t *testing.T) {
+	gaps := []int{0, 0, 1, 0, 200, 0, 3, 0}
+	units := []int{0, 1, 127, 128, 16383, 16384, 0xFFFF}
+	for _, roster := range []int{2, 64, 256, 1000, 70_000} {
+		var entries []probeEntry
+		pos, span := max(roster-9, 0), 0 // the first entry sits near the roster's end
+		for k := 0; len(entries) < min(probeDigestMax, roster); k++ {
+			gap := gaps[k%len(gaps)]
+			if len(entries) > 0 && span+gap+1 >= roster {
+				gap = 0 // keep the digest inside one cycle
+			}
+			if len(entries) > 0 {
+				span += gap + 1
+			}
+			pos += gap + 1
+			entries = append(entries, probeEntry{pos % roster, units[k%len(units)]})
+		}
+		ack := appendProbeAck(nil, roster, entries)
+		got, ok := decodeProbeAck(nil, ack, roster)
+		if !ok || !slices.Equal(got, entries) {
+			t.Fatalf("roster %d: %v encodes to % x, which decodes to %v (ok=%v)", roster, entries, ack, got, ok)
+		}
+		if !bytes.Equal(appendProbeAck(nil, roster, got), ack) {
+			t.Fatalf("roster %d: % x does not re-encode to itself", roster, ack)
+		}
+		if roster == 70_000 && entries[0].idx <= 0xFFFF {
+			t.Fatalf("roster %d: the digest names no index past 16 bits", roster)
+		}
+	}
+
+	uv := func(vs ...uint64) (out []byte) {
+		for _, v := range vs {
+			out = binary.AppendUvarint(out, v)
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name    string
+		roster  int
+		payload []byte
+	}{
+		{"padded varint", 64, []byte{0x80, 0x00, 1}},
+		{"varint past 64 bits", 64, append(bytes.Repeat([]byte{0xff}, 10), 1, 1)},
+		{"gap without an age", 64, uv(0)},
+		{"age cut short", 64, []byte{0, 0x80}},
+		{"17 entries", 64, bytes.Repeat(uv(0, 1), probeDigestMax+1)},
+		{"gap = roster", 64, uv(64, 1)},
+		{"gap past the roster", 2, uv(0, 1, 2, 1)},
+		{"second cycle", 64, uv(0, 1, 63, 1)},
+		{"second cycle by small gaps", 3, uv(2, 1, 0, 1, 0, 1, 0, 1)},
+		{"age above 0xFFFF", 64, uv(0, 0x10000)},
+	} {
+		if got, ok := decodeProbeAck(nil, c.payload, c.roster); ok {
+			t.Errorf("%s (roster %d): % x accepted as %v", c.name, c.roster, c.payload, got)
+		}
+	}
+	// The largest accepted cases just inside each bound.
+	for _, c := range []struct {
+		roster  int
+		payload []byte
+	}{
+		{64, bytes.Repeat(uv(0, 1), probeDigestMax)},
+		{64, uv(63, 1, 62, 0xFFFF)},
+		{3, uv(2, 1, 0, 1, 0, 1)},
+		{1, uv(0, 0)},
+		{64, nil},
+	} {
+		if _, ok := decodeProbeAck(nil, c.payload, c.roster); !ok {
+			t.Errorf("roster %d: % x refused", c.roster, c.payload)
+		}
+	}
+}
+
+// FuzzProbeAck feeds arbitrary bytes and roster sizes to the ack decoder:
+// whatever it accepts names at most probeDigestMax distinct roster nodes with
+// ages of at most 0xFFFF units, and re-encodes to exactly the same bytes.
+func FuzzProbeAck(f *testing.F) {
+	f.Add(uint32(64), []byte{0, 1, 0, 1, 0, 0x80, 0x01})
+	f.Add(uint32(2), []byte{1, 5, 0, 5})
+	f.Add(uint32(70_000), binary.AppendUvarint([]byte{0x80, 0x80, 0x04, 1}, 0xFFFF))
+	f.Add(uint32(64), []byte{63, 1, 62, 1})
+	f.Add(uint32(64), []byte{0x80, 0x00, 1})
+	f.Fuzz(func(t *testing.T, roster uint32, payload []byte) {
+		n := 1 + int(roster%100_000)
+		entries, ok := decodeProbeAck(nil, payload, n)
+		if !ok {
+			return
+		}
+		if len(entries) > probeDigestMax {
+			t.Fatalf("accepted %d entries", len(entries))
+		}
+		seen := make(map[int]bool)
+		for _, e := range entries {
+			if e.idx < 0 || e.idx >= n || seen[e.idx] || e.units < 0 || e.units > 0xFFFF {
+				t.Fatalf("roster %d: accepted entry %+v of %v", n, e, entries)
+			}
+			seen[e.idx] = true
+		}
+		if re := appendProbeAck(nil, n, entries); !bytes.Equal(re, payload) {
+			t.Fatalf("roster %d: % x decodes to %v, which re-encodes to % x", n, payload, entries, re)
+		}
+	})
 }

@@ -214,7 +214,7 @@ func TestRestartReloadsChainAndData(t *testing.T) {
 		t.Fatal("data item content lost across restart")
 	}
 	var id meta.DataID = it.ID
-	if got, ok := a2.store.GetData(id); !ok || string(got) != string(content) {
+	if got, ok := a2.store.AppendData(nil, id); !ok || string(got) != string(content) {
 		t.Fatal("data content mismatch across restart")
 	}
 }

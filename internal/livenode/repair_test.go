@@ -159,11 +159,13 @@ func TestLiveRepairReReplicates(t *testing.T) {
 		t.Fatalf("re-replication bytes %d not below consensus bytes %d", repairBytes-heartbeatBytes, consensusBytes)
 	}
 	// Liveness has its own budget. A four-node roster fits in one probe
-	// sample, so a tick costs a node at most one 9-byte probe to, and one
-	// full-digest ack (5 + 6 + 4 per other node) for, each of its peers —
-	// at this tick rate more than the handful of blocks mined meanwhile.
+	// sample, so a tick costs a node at most one 5-byte probe (the frame
+	// header alone) to, and one full-digest ack for, each of its peers. The
+	// ack is the header and one 2-byte entry per other node: a gap below the
+	// roster and an age below the 3 s dead window, 30 units, one byte each.
+	// At this tick rate that is more than the handful of blocks mined meanwhile.
 	ticks := uint64(time.Since(epoch)/probeEvery) + 1
-	const perTick = (n - 1) * (9 + 5 + 6 + 4*(n-1))
+	const perTick = (n - 1) * (5 + 5 + 2*(n-1))
 	if limit := (n - 1) * ticks * perTick; heartbeatBytes > limit {
 		t.Fatalf("liveness bytes %d over %d (%d ticks of %d B on each survivor)", heartbeatBytes, limit, ticks, perTick)
 	}

@@ -42,8 +42,9 @@ type Backend interface {
 
 	// PutData stores a data item's content under its content hash.
 	PutData(id meta.DataID, content []byte) error
-	// GetData returns a data item's content.
-	GetData(id meta.DataID) ([]byte, bool)
+	// AppendData appends a data item's content to dst and returns the
+	// extended slice; ok is false, and dst unchanged, when it is not held.
+	AppendData(dst []byte, id meta.DataID) (out []byte, ok bool)
 	// HasData reports whether the item's content is held.
 	HasData(id meta.DataID) bool
 	// PruneData removes items for which expired returns true.
@@ -132,17 +133,25 @@ func (s *MemStore) PutData(id meta.DataID, content []byte) error {
 	return nil
 }
 
-// GetData returns the stored content.
-func (s *MemStore) GetData(id meta.DataID) ([]byte, bool) {
+// AppendData appends the stored content to dst. When dst has to grow, the
+// fresh allocation comes zeroed, so only the stored head is copied and the
+// zero tail costs no write.
+func (s *MemStore) AppendData(dst []byte, id meta.DataID) ([]byte, bool) {
 	s.mu.Lock()
 	d, ok := s.data[id]
 	s.mu.Unlock()
-	if len(d.head) == d.size {
-		return d.head, ok
+	if !ok {
+		return dst, false
 	}
-	content := make([]byte, d.size)
-	copy(content, d.head)
-	return content, true
+	n := len(dst)
+	if n+d.size <= cap(dst) {
+		dst = dst[:n+d.size]
+		clear(dst[n+len(d.head):])
+	} else {
+		dst = append(make([]byte, 0, n+d.size), dst...)[:n+d.size]
+	}
+	copy(dst[n:], d.head)
+	return dst, true
 }
 
 // HasData reports whether the item is held.

@@ -55,8 +55,38 @@ func TestPutDataZeroTailMatchesByteLoop(t *testing.T) {
 		if held := len(s.data[id].head); held != wantHead {
 			t.Fatalf("case %d (%d bytes, head %d): MemStore holds %d bytes, want %d", i, len(c), want, held, wantHead)
 		}
-		if got, ok := s.GetData(id); !ok || !bytes.Equal(got, c) {
+		if got, ok := s.AppendData(nil, id); !ok || !bytes.Equal(got, c) {
 			t.Fatalf("case %d (%d bytes): content did not round-trip", i, len(c))
 		}
+		// Into a buffer with room, left dirty by an earlier answer: the
+		// prefix stays and the zero tail is written, not assumed.
+		dirty := bytes.Repeat([]byte{0xAA}, 3+len(c))[:3]
+		if got, ok := s.AppendData(dirty, id); !ok || !bytes.Equal(got[:3], []byte{0xAA, 0xAA, 0xAA}) || !bytes.Equal(got[3:], c) {
+			t.Fatalf("case %d (%d bytes): content did not round-trip into a dirty buffer", i, len(c))
+		}
+	}
+}
+
+// TestAppendDataOneAlloc pins the data-plane answer to one allocation: a
+// 1 MB item appended behind a capped 32-byte ID, as a fetch answer is built,
+// costs the frame buffer and nothing else, and a missing item costs nothing.
+func TestAppendDataOneAlloc(t *testing.T) {
+	content := make([]byte, 1<<20)
+	copy(content, "sensor reading header")
+	id := meta.HashData(content)
+	s := NewMemStore()
+	if err := s.PutData(id, content); err != nil {
+		t.Fatal(err)
+	}
+	prefix := id[:]
+	var got []byte
+	if allocs := testing.AllocsPerRun(20, func() { got, _ = s.AppendData(prefix[:32:32], id) }); allocs != 1 {
+		t.Fatalf("AppendData of a 1 MB item: %.1f allocations, want 1", allocs)
+	}
+	if !bytes.Equal(got[:32], id[:]) || !bytes.Equal(got[32:], content) {
+		t.Fatal("the answer is not ID ‖ content")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { s.AppendData(prefix[:32:32], meta.DataID{1}) }); allocs != 0 {
+		t.Fatalf("AppendData of a missing item: %.1f allocations, want 0", allocs)
 	}
 }

@@ -122,3 +122,24 @@ func BenchmarkPutDataZeroTail(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAppendData1MB prices a fetch answer from MemStore: the 32-byte ID
+// and the simulated workloads' 1 MB item (a short header padded with zeros)
+// in one freshly allocated frame buffer.
+func BenchmarkAppendData1MB(b *testing.B) {
+	content := make([]byte, 1<<20)
+	copy(content, "sensor reading header")
+	id := meta.HashData(content)
+	s := NewMemStore()
+	if err := s.PutData(id, content); err != nil {
+		b.Fatal(err)
+	}
+	prefix := id[:]
+	b.SetBytes(int64(len(content)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, ok := s.AppendData(prefix[:32:32], id); !ok {
+			b.Fatal("item not held")
+		}
+	}
+}

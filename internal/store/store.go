@@ -339,6 +339,12 @@ func (s *Store) GetData(id meta.DataID) ([]byte, bool) {
 	return content, ok
 }
 
+// AppendData appends a data item's content to dst.
+func (s *Store) AppendData(dst []byte, id meta.DataID) ([]byte, bool) {
+	content, ok := s.GetData(id)
+	return append(dst, content...), ok
+}
+
 // HasData reports whether the item's content is on disk.
 func (s *Store) HasData(id meta.DataID) bool { return s.data.Has(id) }
 
