@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/geo"
 	"repro/internal/meta"
 )
 
@@ -156,6 +157,14 @@ func FuzzBlockCodec(f *testing.F) {
 	f.Add(g.appendHashInput(nil))
 	huge := append([]byte(nil), enc[:g.headerSize()]...)
 	f.Add(binary.AppendUvarint(huge, 1<<60))
+	// Items whose flags name different optional fields, back to back.
+	mixed := NewBuilder(Genesis(1), testIdentity(1).Address(), time.Minute, 60, 0.5)
+	placed := signedItem(f, testIdentity(2), "placed")
+	placed.Location, placed.LocationName, placed.Properties = geo.Point{X: 1.5, Y: -2}, "Cell,7", "Camera"
+	placed.Sign(testIdentity(2))
+	placed.StoringNodes = []int{4}
+	mixed.AddItem(placed).AddItem(&meta.Item{ID: meta.HashData([]byte("bare")), Type: "t", DataSize: 1})
+	f.Add(mixed.Seal().Encode())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := Decode(data)
 		if err != nil {

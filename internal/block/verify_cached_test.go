@@ -45,10 +45,12 @@ func TestEncodingGolden(t *testing.T) {
 	if got := hex.EncodeToString(sum[:]); got != b.Hash.String() || b.hashInputSize() != 1007-sha256.Size {
 		t.Fatalf("hash input changed: %d bytes, sha256 %s", b.hashInputSize(), got)
 	}
-	// Three signed items on the wire: 1007 → 680 B.
+	// Three signed items on the wire: 1007 → 680 B, then 680 → 623 B when
+	// items took a flags byte: each leaves out its zero location, empty name
+	// and empty properties and its key's and signature's length bytes, 19 B.
 	enc := b.Encode()
-	if b.EncodedSize() != 680 || len(enc) != 680 || cap(enc) != 680 {
-		t.Fatalf("EncodedSize = %d, len(Encode) = %d, cap %d, want 680", b.EncodedSize(), len(enc), cap(enc))
+	if b.EncodedSize() != 623 || len(enc) != 623 || cap(enc) != 623 {
+		t.Fatalf("EncodedSize = %d, len(Encode) = %d, cap %d, want 623", b.EncodedSize(), len(enc), cap(enc))
 	}
 }
 

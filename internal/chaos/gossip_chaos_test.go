@@ -222,7 +222,10 @@ func runFlashCrowd64(t *testing.T, horizon time.Duration, payloadBytes int) (*Cl
 // IDs it read 22.0%, 21.5–22.1% (gate 27.5%); before the tree relay (§13),
 // with six announces ahead of every fetch, 23.8%, 22.7–23.9% (24.4% before
 // the varint wire format shrank both sides alike: block plane 2.54 → 1.62 MB,
-// full bodies 10.4 → 6.8 MB).
+// full bodies 10.4 → 6.8 MB). Since items took a flags byte (§17) it reads
+// 9.6%, 8.9–9.7% over the same seeds, under the same 11%: the block plane
+// names items by short ID and did not move (576 139 B at the default seed),
+// while the full bodies it is measured against lost 19–21 B per item.
 func TestCompactRelayWireGate(t *testing.T) {
 	t.Parallel()
 	const n = 64

@@ -220,8 +220,13 @@ func TestChaosOpenLoopWorkload(t *testing.T) {
 	// hello names its ends by roster index, so no fetch broadcasts to learn
 	// an address, and a request is 33 bytes where it was 36: 11 316 events,
 	// still height 27.
+	//
+	// Re-pinned once: metadata items open with a flags byte (DESIGN.md §17)
+	// and leave their empty fields out, so item and block frames shrink and
+	// the digest moves with their sizes. Canonical bytes are the same: still
+	// 11 316 events, height 27.
 	if seed == 1 && runtime.GOARCH == "amd64" {
-		const digest, events, height = 0xea548340ca0f5aa3, 11316, 27
+		const digest, events, height = 0x7b9b14b3faa5ede3, 11316, 27
 		if res.digest != digest || res.events != events || res.height != height {
 			t.Fatalf("cluster behaviour changed at seed 1: digest %016x events %d height %d, golden %016x %d %d",
 				res.digest, res.events, res.height, uint64(digest), events, height)

@@ -26,7 +26,7 @@ import (
 // comparable across nodes and transports.
 
 // SnapshotVersion is the codec version embedded in every encoded snapshot.
-const SnapshotVersion = 2
+const SnapshotVersion = 3
 
 var snapshotMagic = [4]byte{'S', 'N', 'A', 'P'}
 

@@ -60,7 +60,7 @@ func TestRecoveryAfterTornWAL(t *testing.T) {
 	// Count the durably-logged blocks, then simulate the crash: tear the
 	// last WAL record mid-payload. The segmented WAL names its first
 	// segment after its first block index (block 1).
-	walPath := filepath.Join(dirA, "wal2-00000000000000000001.log")
+	walPath := filepath.Join(dirA, "wal3-00000000000000000001.log")
 	persisted, _, err := store.ScanWAL(walPath)
 	if err != nil {
 		t.Fatal(err)

@@ -65,12 +65,14 @@ func TestEncodingGolden(t *testing.T) {
 
 	// Wire form, fixed width → varint: 284 → 202 B (no Producer, 1-byte
 	// lengths, 6- and 7-byte durations, a 3-byte size, 1–2-byte node
-	// indices). The canonical vector carries a -1 the wire form has no
-	// encoding for.
+	// indices); then 202 → 201 B for the flags byte, which drops the key's
+	// and the signature's length bytes. Every optional field is set here,
+	// so none is left out. The canonical vector carries a -1 the wire form
+	// has no encoding for.
 	it.StoringNodes = []int{3, 1, 700}
 	enc := it.Encode()
-	if it.EncodedSize() != 202 || it.EncodedSize() != len(enc) {
-		t.Fatalf("EncodedSize = %d, len(Encode) = %d, want 202", it.EncodedSize(), len(enc))
+	if it.EncodedSize() != 201 || it.EncodedSize() != len(enc) {
+		t.Fatalf("EncodedSize = %d, len(Encode) = %d, want 201", it.EncodedSize(), len(enc))
 	}
 	if got := it.AppendEncode([]byte("xy")); string(got[:2]) != "xy" || !bytes.Equal(got[2:], enc) {
 		t.Fatal("AppendEncode must append to dst and leave its prefix alone")

@@ -12,7 +12,7 @@ import (
 )
 
 // WAL segmentation (DESIGN.md §14). Blocks append into files named
-// wal2-<firstIndex>.log; a segment seals after Options.SegmentBlocks
+// wal3-<firstIndex>.log; a segment seals after Options.SegmentBlocks
 // records and compaction below the prune horizon unlinks whole sealed
 // files instead of rewriting one giant log. Recovery stitches the
 // segments back together in index order, enforcing that each file starts
@@ -21,7 +21,7 @@ import (
 // mid-Reset) cuts the log there and unlinks the orphaned tail.
 
 const (
-	segmentPrefix = "wal2-"
+	segmentPrefix = "wal3-"
 	segmentSuffix = ".log"
 	// DefaultSegmentBlocks is the per-segment seal threshold.
 	DefaultSegmentBlocks = 512

@@ -6,12 +6,17 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/block"
+	"repro/internal/identity"
+	"repro/internal/meta"
+	"repro/internal/wire"
 )
 
 func TestParseSegmentStart(t *testing.T) {
@@ -20,12 +25,13 @@ func TestParseSegmentStart(t *testing.T) {
 		start uint64
 		ok    bool
 	}{
-		{"wal2-00000000000000000001.log", 1, true},
-		{"wal2-42.log", 42, true},
+		{"wal3-00000000000000000001.log", 1, true},
+		{"wal3-42.log", 42, true},
 		{"wal-42.log", 0, false},
-		{"wal2-.log", 0, false},
-		{"wal2-abc.log", 0, false},
-		{"wal2-1.log.tmp", 0, false},
+		{"wal2-42.log", 0, false},
+		{"wal3-.log", 0, false},
+		{"wal3-abc.log", 0, false},
+		{"wal3-1.log.tmp", 0, false},
 		{"manifest.json", 0, false},
 		{"wal.log", 0, false},
 	}
@@ -113,27 +119,80 @@ func TestOpenRefusesFixedWidthFiles(t *testing.T) {
 		segment = append(segment, payload...)
 	}
 	for _, name := range []string{"wal-00000000000000000001.log", "snapshot-00000000000000000004.bin"} {
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			old := filepath.Join(dir, name)
-			if err := os.WriteFile(old, segment, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			s, err := Open(dir, Options{Sync: SyncAlways})
-			if err == nil {
-				s.Close()
-				t.Fatalf("opened a fixed-width directory with %d blocks recovered", len(s.RecoveredBlocks()))
-			}
-			if !strings.Contains(err.Error(), old) {
-				t.Fatalf("error %q does not name %s", err, old)
-			}
-			if after, err := os.ReadFile(old); err != nil || !bytes.Equal(segment, after) {
-				t.Fatalf("refused open touched %s (read error %v)", old, err)
-			}
-			if entries, _ := os.ReadDir(dir); len(entries) != 1 {
-				t.Fatalf("refused open left %d entries in the directory, want the old file alone", len(entries))
-			}
-		})
+		t.Run(name, func(t *testing.T) { checkOpenRefuses(t, name, segment) })
+	}
+}
+
+// checkOpenRefuses writes content under name into an empty directory and
+// requires Open to fail with the older-format error naming the file, and to
+// leave the file, alone in the directory, as it was.
+func checkOpenRefuses(t *testing.T, name string, content []byte) {
+	t.Helper()
+	dir := t.TempDir()
+	old := filepath.Join(dir, name)
+	if err := os.WriteFile(old, content, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, Options{Sync: SyncAlways})
+	if err == nil {
+		s.Close()
+		t.Fatalf("opened a directory holding %s with %d blocks recovered", name, len(s.RecoveredBlocks()))
+	}
+	if !strings.Contains(err.Error(), old) || !strings.Contains(err.Error(), "older on-disk format") {
+		t.Fatalf("error %q does not name %s as an older format", err, old)
+	}
+	if after, err := os.ReadFile(old); err != nil || !bytes.Equal(content, after) {
+		t.Fatalf("refused open touched %s (read error %v)", old, err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("refused open left %d entries in the directory, want the old file alone", len(entries))
+	}
+}
+
+// preFlagsItem is an item's wire form before the flags byte, as wal2- and
+// snapshot2- files hold it: every field written, the key and the signature
+// behind a length byte.
+func preFlagsItem(it *meta.Item) []byte {
+	out := append([]byte(nil), it.ID[:]...)
+	out = wire.AppendBytes(out, it.Type)
+	out = binary.AppendUvarint(out, uint64(it.Produced))
+	out = wire.AppendFloat64(wire.AppendFloat64(out, it.Location.X), it.Location.Y)
+	out = wire.AppendBytes(out, it.LocationName)
+	out = wire.AppendBytes(out, it.ProducerPub)
+	out = binary.AppendUvarint(out, uint64(it.ValidFor))
+	out = wire.AppendBytes(out, it.Properties)
+	out = binary.AppendUvarint(out, uint64(it.DataSize))
+	out = wire.AppendBytes(out, it.Signature)
+	return wire.AppendInts(out, it.StoringNodes)
+}
+
+// TestOpenRefusesPreFlagsFiles: a wal2- segment or snapshot2- file holds
+// items without the flags byte, which recovery would read as a torn tail, so
+// a directory holding one fails to open with an error naming it, and
+// nothing in it is touched.
+func TestOpenRefusesPreFlagsFiles(t *testing.T) {
+	it := &meta.Item{ID: meta.HashData([]byte("pre-flags")), Type: "Test/Item", Produced: time.Minute, ValidFor: time.Hour, DataSize: 1 << 20}
+	it.Sign(identity.GenerateSeeded(rand.New(rand.NewSource(3))))
+	it.StoringNodes = []int{1, 2}
+	b := block.NewBuilder(block.Genesis(7), identity.Address{}, time.Second, 1, 0).AddItem(it).Seal()
+	// No location, name or properties (16 + 1 + 1 B), two length bytes,
+	// against one flags byte.
+	old := preFlagsItem(it)
+	if len(old) != it.EncodedSize()+19 {
+		t.Fatalf("pre-flags item is %d bytes, the flagged one %d", len(old), it.EncodedSize())
+	}
+	enc := b.Encode()
+	tail := wire.IntsLen(b.StoringNodes) + wire.IntsLen(b.PrevStoringNodes) + wire.IntsLen(b.RecentAssignees) + len(b.Hash)
+	head := len(enc) - tail - it.EncodedSize()
+	payload := append(append(append([]byte(nil), enc[:head]...), old...), enc[len(enc)-tail:]...)
+	if _, err := block.Decode(payload); err == nil {
+		t.Fatal("the pre-flags form decodes: this test no longer tests a format change")
+	}
+	record := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
+	record = binary.BigEndian.AppendUint32(record, crc32.ChecksumIEEE(payload))
+	record = append(record, payload...)
+	for _, name := range []string{"wal2-00000000000000000001.log", "snapshot2-00000000000000000001.bin"} {
+		t.Run(name, func(t *testing.T) { checkOpenRefuses(t, name, record) })
 	}
 }
 

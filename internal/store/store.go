@@ -9,12 +9,12 @@
 // within a few hops. That story needs the node to survive a process
 // restart with its chain intact, which this package provides:
 //
-//   - wal2-<idx>.log  append-only block WAL segments (length + CRC32
+//   - wal3-<idx>.log  append-only block WAL segments (length + CRC32
 //     framed records, each payload an internal/block wire encoding),
 //     sealed every SegmentBlocks appends so history below the prune
 //     horizon compacts by whole-file unlink
 //   - data/xx/<hash>  content-addressed data items (temp-file + rename)
-//   - snapshot2-<h>.bin / spine-<h>.bin  serialized engine state + header
+//   - snapshot3-<h>.bin / spine-<h>.bin  serialized engine state + header
 //     spine at the latest finalized snapshot height, letting a restart
 //     (or a fresh node, over the wire) skip replaying pruned history
 //   - manifest.json   checkpoint (chain head + height + snapshot hashes)
@@ -22,8 +22,9 @@
 //   - LOCK            held exclusively from Open to Close, so two processes
 //     never share one directory
 //
-// The 2 in the segment and snapshot names is the on-disk format: blocks and
-// snapshots in the varint wire form (DESIGN.md "Wire format"). Recovery
+// The 3 in the segment and snapshot names is the on-disk format: blocks and
+// snapshots in the varint wire form whose items open with a flags byte
+// (DESIGN.md "Wire format"). Recovery
 // would read a record in an older form as a torn tail and cut the chain to
 // nothing, so Open refuses a directory that holds any file under an older
 // name (legacyFile) and leaves it untouched.
@@ -92,12 +93,13 @@ const (
 var errClosed = errors.New("store: closed")
 
 // legacyFile reports whether name is a block log or snapshot in a format
-// this version cannot read: the single pre-segmentation wal.log, or the
-// fixed-width wal-<idx>.log and snapshot-<h>.bin.
+// this version cannot read: the single pre-segmentation wal.log, the
+// fixed-width wal-<idx>.log and snapshot-<h>.bin, or wal2-<idx>.log and
+// snapshot2-<h>.bin, whose items have no flags byte.
 func legacyFile(name string) bool {
 	return name == "wal.log" ||
-		strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, segmentSuffix) ||
-		strings.HasPrefix(name, "snapshot-") && strings.HasSuffix(name, snapshotFileSuffix)
+		(strings.HasPrefix(name, "wal-") || strings.HasPrefix(name, "wal2-")) && strings.HasSuffix(name, segmentSuffix) ||
+		(strings.HasPrefix(name, "snapshot-") || strings.HasPrefix(name, "snapshot2-")) && strings.HasSuffix(name, snapshotFileSuffix)
 }
 
 // openLockFile opens, creating it if needed, the directory's lock file.

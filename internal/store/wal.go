@@ -25,7 +25,7 @@ import (
 // multiple goroutines in livenode) cannot interleave records.
 //
 // Since the finite-lifetime refactor (DESIGN.md §14) the log is segmented:
-// records land in `wal2-<firstIndex>.log` files sealed every SegmentBlocks
+// records land in `wal3-<firstIndex>.log` files sealed every SegmentBlocks
 // appends, so CompactBelow can delete history wholly below the prune
 // horizon by unlinking whole files. The framing within each segment is
 // unchanged; ScanWAL and WriteWAL operate on one segment file.

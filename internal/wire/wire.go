@@ -155,6 +155,14 @@ func (r *Reader) Ints() []int {
 	return out
 }
 
+// Fail records err unless an error is already set, so a decoder's own
+// rule — a flag naming an empty field, say — sticks like a short read.
+func (r *Reader) Fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+}
+
 // Done returns the first error, or an error if unread bytes remain.
 func (r *Reader) Done() error {
 	if r.err == nil && r.Len() != 0 {

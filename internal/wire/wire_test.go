@@ -96,6 +96,14 @@ func TestFirstErrorSticks(t *testing.T) {
 	if r := NewReader(nil); r.Take(-1) != nil || r.Err() == nil {
 		t.Fatal("negative Take accepted")
 	}
+	rule, later := errors.New("a decoder's rule"), errors.New("a later one")
+	r = NewReader([]byte{1})
+	if r.Fail(rule); r.Uvarint() != 0 || r.Err() != rule {
+		t.Fatalf("after Fail: Err = %v, and a read still returned data", r.Err())
+	}
+	if r.Fail(later); !errors.Is(r.Done(), rule) {
+		t.Fatalf("a second Fail replaced the first error: %v", r.Done())
+	}
 }
 
 func TestVarintsAreCanonicalAndBounded(t *testing.T) {
