@@ -124,22 +124,6 @@ func BenchmarkAblationFDCWeight(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationUFLSolvers compares the solver suite against the exact
-// optimum (A4).
-func BenchmarkAblationUFLSolvers(b *testing.B) {
-	var rows []experiments.UFLSolverRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.RunUFLSolverAblation(14, 20, int64(i+1))
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.MeanRatio, r.Solver+"-ratio")
-	}
-}
-
 // BenchmarkSimulationStep measures raw simulation throughput: one default
 // 30-node deployment minute.
 func BenchmarkSimulationStep(b *testing.B) {

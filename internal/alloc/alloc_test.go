@@ -210,11 +210,7 @@ func TestPlaceErrors(t *testing.T) {
 func TestPlaceWithAlternateSolvers(t *testing.T) {
 	topo := lineTopo(5)
 	states := uniformStates(5, 50, 250)
-	for _, solve := range []func(*ufl.Instance) (*ufl.Solution, error){
-		ufl.Greedy,
-		ufl.JMS,
-		func(in *ufl.Instance) (*ufl.Solution, error) { return ufl.LocalSearch(in, nil) },
-	} {
+	for _, solve := range []func(*ufl.Instance) (*ufl.Solution, error){ufl.Greedy, ufl.Exact} {
 		p := NewPlanner(70)
 		p.Solve = solve
 		if _, err := p.Place(topo, states); err != nil {

@@ -2,9 +2,11 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,6 +18,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/pos"
 	"repro/internal/repair"
+	"repro/internal/wire"
 )
 
 // freshObserver builds a fresh engine over the cluster's roster, clock and
@@ -88,6 +91,63 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 	padded := append(append([]byte(nil), blob...), 0)
 	if _, err := DecodeSnapshot(padded); err == nil {
 		t.Fatal("trailing byte accepted")
+	}
+
+	// A wide roster with nothing stored yet: five one-byte varints a node
+	// is all the roster-indexed lists take, and the decoder's count bound
+	// must not ask for more.
+	const n = 1000
+	wide := &StateSnapshot{
+		Block:       block.Genesis(1),
+		Ledger:      pos.LedgerState{Mined: make([]uint64, n), Stored: make([]uint64, n)},
+		DataLive:    make([]int, n),
+		BlockBodies: make([]int, n),
+		RecentDepth: make([]int, n),
+	}
+	blob = wide.Encode()
+	if dec, err = DecodeSnapshot(blob); err != nil || !bytes.Equal(dec.Encode(), blob) {
+		t.Fatalf("%d-node snapshot of %d bytes: decode error %v", n, len(blob), err)
+	}
+}
+
+// TestDecodeSnapshotRefusesVersion3: a version-3 snapshot of the same state
+// carried a fixed-width rental per node after the stored counts and a
+// float64 stake scale after the applied height, 8n + 8 bytes that version 4
+// dropped. DecodeSnapshot refuses it as a bad snapshot rather than misread
+// the rentals as the view's counts.
+func TestDecodeSnapshotRefusesVersion3(t *testing.T) {
+	c := newTestCluster(t, 3, func(i int, cfg *Config) { cfg.SnapshotInterval = 4 })
+	for r := 0; r < 8; r++ {
+		c.addItem(t, r%3, fmt.Sprintf("v3 item %d", r))
+		c.mineNext(t)
+	}
+	snap, ok := c.engines[0].ExportSnapshot()
+	if !ok {
+		t.Fatal("no exportable snapshot after 8 blocks at interval 4")
+	}
+	v4 := snap.Encode()
+	// The ledger's head: everything up to and including the stored counts.
+	head := binary.BigEndian.AppendUint32(append([]byte(nil), snapshotMagic[:]...), SnapshotVersion)
+	head = binary.AppendUvarint(head, snap.Height)
+	head = wire.AppendBytes(head, snap.Block.Encode())
+	head = binary.AppendUvarint(head, uint64(len(snap.Ledger.Mined)))
+	for _, v := range append(append([]uint64(nil), snap.Ledger.Mined...), snap.Ledger.Stored...) {
+		head = binary.AppendUvarint(head, v)
+	}
+	applied := binary.AppendUvarint(nil, snap.Ledger.Applied)
+	if !bytes.HasPrefix(v4, append(head, applied...)) {
+		t.Fatal("the version-4 layout is not the one this test splices")
+	}
+	v3 := binary.BigEndian.AppendUint32(append([]byte(nil), snapshotMagic[:]...), 3)
+	v3 = append(v3, head[len(v3):]...)
+	v3 = append(v3, make([]byte, 8*len(snap.Ledger.Mined))...)
+	v3 = wire.AppendFloat64(append(v3, applied...), 1)
+	v3 = append(v3, v4[len(head)+len(applied):]...)
+	if n := len(snap.Ledger.Mined); len(v3) != len(v4)+8*n+8 {
+		t.Fatalf("version 3 is %d bytes, version 4 %d: want 8n + 8 = %d more", len(v3), len(v4), 8*n+8)
+	}
+	if _, err := DecodeSnapshot(v3); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "version 3") {
+		t.Fatalf("version-3 snapshot: err = %v, want ErrBadSnapshot for its version", err)
 	}
 }
 

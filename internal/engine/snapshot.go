@@ -26,7 +26,7 @@ import (
 // comparable across nodes and transports.
 
 // SnapshotVersion is the codec version embedded in every encoded snapshot.
-const SnapshotVersion = 3
+const SnapshotVersion = 4
 
 var snapshotMagic = [4]byte{'S', 'N', 'A', 'P'}
 
@@ -67,8 +67,7 @@ type StateSnapshot struct {
 
 // Encode serializes the snapshot with the canonical deterministic layout:
 // varint counts, heights and sizes like every other serialised form
-// (DESIGN.md "Wire format"); Rented is signed and Scale a float, so both
-// stay fixed width.
+// (DESIGN.md "Wire format").
 func (s *StateSnapshot) Encode() []byte {
 	uints := func(w []byte, ns []int) []byte {
 		for _, n := range ns {
@@ -96,11 +95,7 @@ func (s *StateSnapshot) Encode() []byte {
 	for _, v := range s.Ledger.Stored {
 		w = binary.AppendUvarint(w, v)
 	}
-	for _, v := range s.Ledger.Rented {
-		w = binary.BigEndian.AppendUint64(w, uint64(v))
-	}
 	w = binary.AppendUvarint(w, s.Ledger.Applied)
-	w = wire.AppendFloat64(w, s.Ledger.Scale)
 
 	w = uints(w, s.DataLive)
 	w = uints(w, s.BlockBodies)
@@ -148,7 +143,9 @@ func DecodeSnapshot(data []byte) (*StateSnapshot, error) {
 
 	// Every list below is counted against the bytes that remain before it
 	// is allocated, so a corrupt prefix cannot trigger a huge allocation.
-	n := r.Count(8)
+	// The roster size n heads five per-node varint lists: mined, stored,
+	// and the view's three counts.
+	n := r.Count(5)
 	uints := func() []int {
 		out := make([]int, n)
 		for i := range out {
@@ -170,12 +167,7 @@ func DecodeSnapshot(data []byte) (*StateSnapshot, error) {
 	for i := range s.Ledger.Stored {
 		s.Ledger.Stored[i] = r.Uvarint()
 	}
-	s.Ledger.Rented = make([]int64, n)
-	for i := range s.Ledger.Rented {
-		s.Ledger.Rented[i] = int64(r.Uint64())
-	}
 	s.Ledger.Applied = r.Uvarint()
-	s.Ledger.Scale = r.Float64()
 
 	s.DataLive = uints()
 	s.BlockBodies = uints()

@@ -3,13 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"time"
-
-	"repro/internal/alloc"
-	"repro/internal/geo"
-	"repro/internal/netsim"
-	"repro/internal/ufl"
 )
 
 // --- A1: FDC weight sweep ---------------------------------------------------
@@ -57,95 +51,6 @@ func PrintFDCWeightAblation(w io.Writer, rows []FDCWeightRow) {
 	fmt.Fprintf(w, "%10s %8s %14s %14s\n", "A", "gini", "delivery (s)", "stored units")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%10.0f %8.3f %14.2f %14d\n", r.Weight, r.Gini, r.DeliverySec, r.StoredUnits)
-	}
-}
-
-// --- A4: UFL solver comparison ------------------------------------------------
-
-// UFLSolverRow compares one solver against the exact optimum on random
-// geometric instances shaped like the paper's (hop-count connection costs,
-// FDC-scaled opening costs).
-type UFLSolverRow struct {
-	Solver    string
-	MeanRatio float64
-	MaxRatio  float64
-	MeanCost  float64
-}
-
-// RunUFLSolverAblation evaluates the solver suite on trials random
-// instances with the given facility count (≤ ufl.MaxExactFacilities).
-func RunUFLSolverAblation(facilities, trials int, seed int64) ([]UFLSolverRow, error) {
-	if facilities > ufl.MaxExactFacilities {
-		return nil, fmt.Errorf("experiments: %d facilities exceeds exact-solver cap %d", facilities, ufl.MaxExactFacilities)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	solvers := []struct {
-		name string
-		fn   func(*ufl.Instance) (*ufl.Solution, error)
-	}{
-		{"greedy", ufl.Greedy},
-		{"localsearch", func(in *ufl.Instance) (*ufl.Solution, error) { return ufl.LocalSearch(in, nil) }},
-		{"jms", ufl.JMS},
-	}
-	sums := make([]float64, len(solvers))
-	maxs := make([]float64, len(solvers))
-	costs := make([]float64, len(solvers))
-	for trial := 0; trial < trials; trial++ {
-		in := paperLikeInstance(rng, facilities)
-		opt, err := ufl.Exact(in)
-		if err != nil {
-			return nil, err
-		}
-		for i, s := range solvers {
-			sol, err := s.fn(in)
-			if err != nil {
-				return nil, err
-			}
-			ratio := sol.Cost / opt.Cost
-			sums[i] += ratio
-			costs[i] += sol.Cost
-			if ratio > maxs[i] {
-				maxs[i] = ratio
-			}
-		}
-	}
-	rows := make([]UFLSolverRow, len(solvers))
-	for i, s := range solvers {
-		rows[i] = UFLSolverRow{
-			Solver:    s.name,
-			MeanRatio: sums[i] / float64(trials),
-			MaxRatio:  maxs[i],
-			MeanCost:  costs[i] / float64(trials),
-		}
-	}
-	return rows, nil
-}
-
-// paperLikeInstance builds a UFL instance with the paper's cost structure:
-// nodes random in the field, hop-count RDC connection costs, FDC-weighted
-// opening costs under random storage loads.
-func paperLikeInstance(rng *rand.Rand, n int) *ufl.Instance {
-	field := geo.DefaultField()
-	pls, _ := geo.PlaceNodesConnected(field, n, 30, 70, rng, 50)
-	topo := netsim.NewTopology(netsim.HomePositions(pls), 70, nil)
-	states := make([]alloc.NodeState, n)
-	for i := range states {
-		states[i] = alloc.NodeState{
-			Used:          rng.Intn(200),
-			Capacity:      250,
-			MobilityRange: 30,
-		}
-	}
-	p := alloc.NewPlanner(70)
-	return p.BuildInstance(topo, states)
-}
-
-// PrintUFLSolverAblation renders A4.
-func PrintUFLSolverAblation(w io.Writer, rows []UFLSolverRow) {
-	fmt.Fprintln(w, "Ablation A4 — UFL solver vs exact optimum")
-	fmt.Fprintf(w, "%12s %12s %12s %14s\n", "solver", "mean ratio", "max ratio", "mean cost")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%12s %12.4f %12.4f %14.1f\n", r.Solver, r.MeanRatio, r.MaxRatio, r.MeanCost)
 	}
 }
 

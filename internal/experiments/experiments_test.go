@@ -164,32 +164,6 @@ func TestFDCWeightAblation(t *testing.T) {
 	}
 }
 
-func TestUFLSolverAblation(t *testing.T) {
-	rows, err := RunUFLSolverAblation(12, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("got %d rows", len(rows))
-	}
-	for _, r := range rows {
-		if r.MeanRatio < 1-1e-9 {
-			t.Fatalf("%s beat the exact optimum: %+v", r.Solver, r)
-		}
-		if r.MeanRatio > 2 {
-			t.Fatalf("%s mean ratio %.3f implausibly bad", r.Solver, r.MeanRatio)
-		}
-	}
-	if _, err := RunUFLSolverAblation(100, 1, 1); err == nil {
-		t.Fatal("oversized exact instance accepted")
-	}
-	var buf bytes.Buffer
-	PrintUFLSolverAblation(&buf, rows)
-	if buf.Len() == 0 {
-		t.Fatal("empty table")
-	}
-}
-
 func TestConsensusEnergyAblation(t *testing.T) {
 	rows, err := RunConsensusEnergyAblation(12, 30*time.Minute, 1)
 	if err != nil {

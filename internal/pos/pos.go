@@ -88,8 +88,7 @@ func (p Params) AmendmentB(n int, ubar float64) float64 {
 }
 
 // Target computes R_i = U·t·B (eq. 8, with U = S·Q) after t whole
-// seconds. U must be the ledger's effective (rescaled) stake product so it
-// matches the B computed from the same ledger.
+// seconds.
 func Target(u float64, t uint64, b float64) float64 {
 	return u * float64(t) * b
 }

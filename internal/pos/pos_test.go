@@ -224,44 +224,53 @@ func TestLedgerRebuild(t *testing.T) {
 	}
 }
 
-func TestRescaleInvariance(t *testing.T) {
-	// Rescaling S (Section V-B) must leave winning times unchanged: B
-	// grows by exactly the ratio that U shrinks.
-	addrs, ids := testAccounts(5, 8)
+// TestAmendmentBStaysNormalWithoutRescaling: the paper divides every stake
+// by a ratio now and then to keep B representable (Section V-B). float64
+// does not need it. A 1 000-node ledger takes 2 000 blocks, all mined by
+// node 0, each crediting the whole roster in every list a block credits:
+// an item's storers, the block's storers and the recent assignees. After
+// every block B is a normal, finite float64, the lightest node still wins a
+// round at the worst hit, and the heaviest wins no sooner than the first
+// second at the best one.
+func TestAmendmentBStaysNormalWithoutRescaling(t *testing.T) {
+	const n, blocks = 1000, 2000
+	const minNormal = 0x1p-1022
+	addrs, _ := testAccounts(n, 40)
+	roster := make([]int, n)
+	for i := range roster {
+		roster[i] = i
+	}
 	p := DefaultParams()
-	g := block.Genesis(1)
 	l := NewLedger(addrs)
-	b1 := minedBlock(g, ids[0], []int{1, 2}, []int{3}, nil)
-	if err := l.ApplyBlock(b1); err != nil {
-		t.Fatal(err)
-	}
-
-	before := make([]uint64, len(addrs))
-	bval := p.AmendmentB(l.N(), l.UBar())
-	for i := range addrs {
-		before[i] = TimeToMine(p.Hit(b1, addrs[i]), l.U(i), bval)
-	}
-
-	l.Rescale(16)
-	bval2 := p.AmendmentB(l.N(), l.UBar())
-	if bval2 <= bval {
-		t.Fatalf("B did not grow after rescale: %v -> %v", bval, bval2)
-	}
-	for i := range addrs {
-		after := TimeToMine(p.Hit(b1, addrs[i]), l.U(i), bval2)
-		if after != before[i] {
-			t.Fatalf("node %d winning time changed by rescale: %d -> %d", i, before[i], after)
+	heavy, light := 0, 1
+	var bval float64
+	for h := uint64(1); h <= blocks; h++ {
+		b := &block.Block{
+			Index:           h,
+			Miner:           addrs[heavy],
+			Items:           []*meta.Item{{StoringNodes: roster}},
+			StoringNodes:    roster,
+			RecentAssignees: roster,
+		}
+		if err := l.ApplyBlock(b); err != nil {
+			t.Fatal(err)
+		}
+		bval = p.AmendmentB(n, l.UBar())
+		if math.IsInf(bval, 0) || math.IsNaN(bval) || bval < minNormal {
+			t.Fatalf("height %d: B = %v is not a normal float64", h, bval)
+		}
+		if tm := TimeToMine(p.M-1, l.U(light), bval); tm >= NeverMines {
+			t.Fatalf("height %d: lightest node (U = %v) never mines under B = %v", h, l.U(light), bval)
+		}
+		if tm := TimeToMine(1, l.U(heavy), bval); tm < 1 {
+			t.Fatalf("height %d: heaviest node (U = %v) mines at %d s", h, l.U(heavy), tm)
 		}
 	}
-}
-
-func TestRescaleIgnoresBadRatio(t *testing.T) {
-	addrs, _ := testAccounts(2, 9)
-	l := NewLedger(addrs)
-	l.Rescale(0.5)
-	if l.Scale() != 1 {
-		t.Fatal("ratio <= 1 must be ignored")
+	if l.U(heavy) <= l.U(light) || l.U(light) != float64(1+3*blocks) {
+		t.Fatalf("stakes did not grow as built: U heavy %v, light %v", l.U(heavy), l.U(light))
 	}
+	t.Logf("after %d blocks: Ū = %v, B = %v, lightest worst time %d s", blocks, l.UBar(), bval,
+		TimeToMine(p.M-1, l.U(light), bval))
 }
 
 func TestValidateClaimAcceptsHonestBlock(t *testing.T) {
@@ -426,116 +435,4 @@ func TestStakeBiasesWinning(t *testing.T) {
 		t.Fatalf("high-stake node won %d of 300; others %d — stake advantage missing", wins[0], others)
 	}
 	t.Logf("high-stake node won %d/300 rounds", wins[0])
-}
-
-func TestRent(t *testing.T) {
-	addrs, ids := testAccounts(3, 20)
-	l := NewLedger(addrs)
-	g := block.Genesis(1)
-	// Give node 0 five extra tokens by mining.
-	prev := g
-	for i := 0; i < 5; i++ {
-		b := minedBlock(prev, ids[0], nil, nil, nil)
-		if err := l.ApplyBlock(b); err != nil {
-			t.Fatal(err)
-		}
-		prev = b
-	}
-	if l.S(0) != 6 {
-		t.Fatalf("S(0) = %d, want 6", l.S(0))
-	}
-	if err := l.Rent(0, 1, 3); err != nil {
-		t.Fatal(err)
-	}
-	if l.S(0) != 3 || l.S(1) != 4 {
-		t.Fatalf("after rent: S(0)=%d S(1)=%d, want 3, 4", l.S(0), l.S(1))
-	}
-}
-
-func TestRentErrors(t *testing.T) {
-	addrs, _ := testAccounts(2, 21)
-	l := NewLedger(addrs)
-	if err := l.Rent(0, 1, 1); err == nil {
-		t.Fatal("lender with 1 token rented it away")
-	}
-	if err := l.Rent(0, 0, 0); err == nil {
-		t.Fatal("self-rent accepted")
-	}
-	if err := l.Rent(-1, 1, 1); err == nil {
-		t.Fatal("unknown lender accepted")
-	}
-	if err := l.Rent(0, 9, 1); err == nil {
-		t.Fatal("unknown borrower accepted")
-	}
-}
-
-func TestRentResetOnRebuild(t *testing.T) {
-	addrs, ids := testAccounts(2, 22)
-	l := NewLedger(addrs)
-	g := block.Genesis(1)
-	b1 := minedBlock(g, ids[0], nil, nil, nil)
-	if err := l.ApplyBlock(b1); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Rent(0, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Rebuild([]*block.Block{g, b1}); err != nil {
-		t.Fatal(err)
-	}
-	if l.S(0) != 2 || l.S(1) != 1 {
-		t.Fatalf("rentals survived rebuild: S(0)=%d S(1)=%d", l.S(0), l.S(1))
-	}
-}
-
-func TestAutomaticRescale(t *testing.T) {
-	addrs, ids := testAccounts(3, 30)
-	l := NewLedger(addrs)
-	l.RescaleEvery = 5
-	g := block.Genesis(1)
-	prev := g
-	for i := 0; i < 12; i++ {
-		b := minedBlock(prev, ids[i%3], []int{i % 3}, nil, nil)
-		if err := l.ApplyBlock(b); err != nil {
-			t.Fatal(err)
-		}
-		prev = b
-	}
-	// Two rescales at heights 5 and 10: scale = 4.
-	if l.Scale() != 4 {
-		t.Fatalf("scale = %v, want 4", l.Scale())
-	}
-	// Relative advantages unchanged: U ratios equal the unscaled ledger's.
-	plain := NewLedger(addrs)
-	prev = g
-	for i := 0; i < 12; i++ {
-		b := minedBlock(prev, ids[i%3], []int{i % 3}, nil, nil)
-		if err := plain.ApplyBlock(b); err != nil {
-			t.Fatal(err)
-		}
-		prev = b
-	}
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			a := l.U(i) / l.U(j)
-			b := plain.U(i) / plain.U(j)
-			if math.Abs(a-b) > 1e-12 {
-				t.Fatalf("relative advantage changed: U(%d)/U(%d) = %v vs %v", i, j, a, b)
-			}
-		}
-	}
-	// Rebuild resets the scale and replays the automatic rescaling.
-	blocks := []*block.Block{g}
-	prev = g
-	for i := 0; i < 12; i++ {
-		b := minedBlock(prev, ids[i%3], []int{i % 3}, nil, nil)
-		blocks = append(blocks, b)
-		prev = b
-	}
-	if err := l.Rebuild(blocks); err != nil {
-		t.Fatal(err)
-	}
-	if l.Scale() != 4 {
-		t.Fatalf("scale after rebuild = %v, want 4", l.Scale())
-	}
 }

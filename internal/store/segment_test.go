@@ -167,9 +167,10 @@ func preFlagsItem(it *meta.Item) []byte {
 }
 
 // TestOpenRefusesPreFlagsFiles: a wal2- segment or snapshot2- file holds
-// items without the flags byte, which recovery would read as a torn tail, so
-// a directory holding one fails to open with an error naming it, and
-// nothing in it is touched.
+// items without the flags byte, which recovery would read as a torn tail,
+// and a snapshot3- file holds an engine snapshot of version 3, whose ledger
+// carries token rentals and a stake scale. A directory holding any of them
+// fails to open with an error naming it, and nothing in it is touched.
 func TestOpenRefusesPreFlagsFiles(t *testing.T) {
 	it := &meta.Item{ID: meta.HashData([]byte("pre-flags")), Type: "Test/Item", Produced: time.Minute, ValidFor: time.Hour, DataSize: 1 << 20}
 	it.Sign(identity.GenerateSeeded(rand.New(rand.NewSource(3))))
@@ -194,6 +195,13 @@ func TestOpenRefusesPreFlagsFiles(t *testing.T) {
 	for _, name := range []string{"wal2-00000000000000000001.log", "snapshot2-00000000000000000001.bin"} {
 		t.Run(name, func(t *testing.T) { checkOpenRefuses(t, name, record) })
 	}
+	// Open refuses by name before it reads a byte, so a version-3 header
+	// stands for the whole blob (engine's TestDecodeSnapshotRefusesVersion3
+	// refuses a full one).
+	v3 := append([]byte("SNAP\x00\x00\x00\x03"), record...)
+	t.Run("snapshot3-00000000000000000001.bin", func(t *testing.T) {
+		checkOpenRefuses(t, "snapshot3-00000000000000000001.bin", v3)
+	})
 }
 
 // TestRecoverSegmentEdgeCases drives recoverSegments through its cut

@@ -14,7 +14,7 @@
 //     sealed every SegmentBlocks appends so history below the prune
 //     horizon compacts by whole-file unlink
 //   - data/xx/<hash>  content-addressed data items (temp-file + rename)
-//   - snapshot3-<h>.bin / spine-<h>.bin  serialized engine state + header
+//   - snapshot4-<h>.bin / spine-<h>.bin  serialized engine state + header
 //     spine at the latest finalized snapshot height, letting a restart
 //     (or a fresh node, over the wire) skip replaying pruned history
 //   - manifest.json   checkpoint (chain head + height + snapshot hashes)
@@ -22,12 +22,13 @@
 //   - LOCK            held exclusively from Open to Close, so two processes
 //     never share one directory
 //
-// The 3 in the segment and snapshot names is the on-disk format: blocks and
-// snapshots in the varint wire form whose items open with a flags byte
-// (DESIGN.md "Wire format"). Recovery
-// would read a record in an older form as a torn tail and cut the chain to
-// nothing, so Open refuses a directory that holds any file under an older
-// name (legacyFile) and leaves it untouched.
+// The 3 in the segment names is the on-disk format: blocks in the varint
+// wire form whose items open with a flags byte (DESIGN.md "Wire format").
+// The 4 in the snapshot names adds engine snapshot version 4, whose ledger
+// holds only mined and stored counts. Recovery would read a record in an
+// older form as a torn tail and cut the chain to nothing, and an older
+// snapshot is one the engine refuses, so Open refuses a directory that
+// holds any file under an older name (legacyFile) and leaves it untouched.
 //
 // On Open the segments are scanned in index order, torn tails and
 // discontinuous stale segments are cut away, hash links are verified, and
@@ -94,12 +95,14 @@ var errClosed = errors.New("store: closed")
 
 // legacyFile reports whether name is a block log or snapshot in a format
 // this version cannot read: the single pre-segmentation wal.log, the
-// fixed-width wal-<idx>.log and snapshot-<h>.bin, or wal2-<idx>.log and
-// snapshot2-<h>.bin, whose items have no flags byte.
+// fixed-width wal-<idx>.log and snapshot-<h>.bin, wal2-<idx>.log and
+// snapshot2-<h>.bin, whose items have no flags byte, or snapshot3-<h>.bin,
+// whose ledger still carries token rentals and a stake scale.
 func legacyFile(name string) bool {
 	return name == "wal.log" ||
 		(strings.HasPrefix(name, "wal-") || strings.HasPrefix(name, "wal2-")) && strings.HasSuffix(name, segmentSuffix) ||
-		(strings.HasPrefix(name, "snapshot-") || strings.HasPrefix(name, "snapshot2-")) && strings.HasSuffix(name, snapshotFileSuffix)
+		(strings.HasPrefix(name, "snapshot-") || strings.HasPrefix(name, "snapshot2-") || strings.HasPrefix(name, "snapshot3-")) &&
+			strings.HasSuffix(name, snapshotFileSuffix)
 }
 
 // openLockFile opens, creating it if needed, the directory's lock file.

@@ -20,26 +20,6 @@ func BenchmarkGreedy50(b *testing.B) {
 	}
 }
 
-func BenchmarkLocalSearch50(b *testing.B) {
-	in := benchInstance(b, 50, 50)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := LocalSearch(in, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkJMS50(b *testing.B) {
-	in := benchInstance(b, 50, 50)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := JMS(in); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkExact16(b *testing.B) {
 	in := benchInstance(b, 16, 16)
 	b.ResetTimer()

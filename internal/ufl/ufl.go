@@ -10,13 +10,11 @@
 // points at approximation algorithms (Li's 1.488). This package provides:
 //
 //   - Greedy: Hochbaum's greedy with best cost-effectiveness ratio,
-//     the workhorse used by the allocation layer (ln n approximation,
-//     excellent in practice on these small geometric instances).
-//   - LocalSearch: add/drop/swap local search (3-approximation), used to
-//     polish greedy solutions.
-//   - JMS: Jain–Mahdian–Saberi style primal–dual dual-fitting.
+//     the solver the allocation layer runs (ln n approximation; on
+//     paper-shaped instances of 16 facilities it lands within 0.1 % of
+//     the optimum on average, 3.2 % at worst, TestGreedyNearExactOnPaperInstances).
 //   - Exact: bitmask brute force for ≤ 20 facilities, the ground truth in
-//     tests and ablations.
+//     tests.
 package ufl
 
 import (
@@ -153,7 +151,7 @@ func solutionFor(in *Instance, openSet map[int]bool) *Solution {
 	return &Solution{Open: open, Assign: assign, Cost: total}
 }
 
-// finiteOrFallback ensures at least one facility is openable: if every open
+// cheapestFallback ensures at least one facility is openable: if every open
 // cost is +Inf the caller still must store the data somewhere, so the
 // facility with the cheapest connection total is used as a last resort.
 func cheapestFallback(in *Instance) int {
@@ -263,82 +261,6 @@ func Greedy(in *Instance) (*Solution, error) {
 		}
 	}
 	return solutionFor(in, openSet), nil
-}
-
-// LocalSearch improves a starting solution (or greedy if start is nil) with
-// add / drop / swap moves until no single move lowers the cost. The scale
-// parameter of the classic analysis is unnecessary at these sizes.
-func LocalSearch(in *Instance, start *Solution) (*Solution, error) {
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	if start == nil {
-		var err error
-		start, err = Greedy(in)
-		if err != nil {
-			return nil, err
-		}
-	}
-	openSet := make(map[int]bool, len(start.Open))
-	for _, i := range start.Open {
-		openSet[i] = true
-	}
-	cur := solutionFor(in, openSet)
-	improved := true
-	for improved {
-		improved = false
-		// Add moves.
-		for i := 0; i < in.NFacilities(); i++ {
-			if openSet[i] || math.IsInf(in.OpenCost[i], 1) {
-				continue
-			}
-			openSet[i] = true
-			if cand := solutionFor(in, openSet); cand.Cost < cur.Cost-1e-12 {
-				cur = cand
-				improved = true
-			} else {
-				delete(openSet, i)
-			}
-		}
-		// Drop moves.
-		if len(openSet) > 1 {
-			for i := range openSet {
-				delete(openSet, i)
-				if cand := solutionFor(in, openSet); cand.Cost < cur.Cost-1e-12 {
-					cur = cand
-					improved = true
-				} else {
-					openSet[i] = true
-				}
-				if len(openSet) == 1 {
-					break
-				}
-			}
-		}
-		// Swap moves.
-		for out := range openSet {
-			swapped := false
-			for i := 0; i < in.NFacilities(); i++ {
-				if openSet[i] || math.IsInf(in.OpenCost[i], 1) {
-					continue
-				}
-				delete(openSet, out)
-				openSet[i] = true
-				if cand := solutionFor(in, openSet); cand.Cost < cur.Cost-1e-12 {
-					cur = cand
-					improved = true
-					swapped = true
-					break
-				}
-				delete(openSet, i)
-				openSet[out] = true
-			}
-			if swapped {
-				break
-			}
-		}
-	}
-	return cur, nil
 }
 
 // Exact solves the instance optimally by enumerating facility subsets. It
