@@ -179,19 +179,3 @@ func BenchmarkAblationConsensusEnergy(b *testing.B) {
 		b.ReportMetric(r.EnergyPerBlockJ, r.Consensus+"-J/blk")
 	}
 }
-
-// BenchmarkAblationMigration compares placement drift with the Section
-// VII migration mechanism off and on (DESIGN.md A6).
-func BenchmarkAblationMigration(b *testing.B) {
-	var rows []experiments.MigrationRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.RunMigrationAblation(15, 40*time.Minute, int64(i+1))
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.Drift, "drift-max"+itoa(r.MaxPerBlock))
-	}
-}

@@ -26,7 +26,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random seed; same seed, same run")
 		blockTime = flag.Duration("t0", time.Minute, "expected time between blocks")
 		consensus = flag.String("consensus", "pos", "mining consensus: pos | pow")
-		migrate   = flag.Int("migrate", 0, "max data migrations per block (0 = off)")
 		verbose   = flag.Bool("v", false, "print per-node detail")
 
 		// Open-loop streaming workload knobs: they shape the workload
@@ -65,7 +64,6 @@ func main() {
 	default:
 		log.Fatalf("unknown consensus %q (want pos or pow)", *consensus)
 	}
-	cfg.MigrateMaxPerBlock = *migrate
 
 	streaming := *diurnal > 0 || *burstEvery > 0 || *typeZipf > 1 || *users > 0
 	if streaming {
@@ -113,7 +111,6 @@ func main() {
 	fmt.Printf("  storage gini:     %.4f\n", res.StorageGini)
 	fmt.Printf("  avg tx per node:  %.1f MB (total %.1f MB)\n",
 		res.AvgTxBytesPerNode/(1<<20), float64(res.TotalTxBytes)/(1<<20))
-	fmt.Printf("  migrations:       %d\n", res.Migrations)
 	fmt.Printf("  energy:           %.1f J mining (%s) + %.1f J radio, %.2f J/block\n",
 		res.MiningJ, res.Consensus, res.RadioJ, res.EnergyPerBlockJ)
 	if *verbose {

@@ -9,7 +9,7 @@
 //	figures -fig 5            # Fig. 5 placement comparison
 //	figures -fig 6            # Fig. 6 PoW vs PoS energy
 //	figures -fig all          # everything including ablations
-//	figures -ablation a1      # one ablation (a1|a5|a6)
+//	figures -ablation a1      # one ablation (a1|a5)
 //	figures -duration 100m    # shrink the sweep for a quick look
 package main
 
@@ -27,7 +27,7 @@ func main() {
 	log.SetFlags(0)
 	var (
 		fig      = flag.String("fig", "", "figure to regenerate: 4 | 5 | 6 | all")
-		ablation = flag.String("ablation", "", "ablation to run: a1 | a5 | a6")
+		ablation = flag.String("ablation", "", "ablation to run: a1 | a5")
 		duration = flag.Duration("duration", 500*time.Minute, "simulated duration per cell")
 		seed     = flag.Int64("seed", 1, "random seed")
 	)
@@ -79,12 +79,6 @@ func main() {
 				log.Fatal(err)
 			}
 			experiments.PrintConsensusEnergyAblation(os.Stdout, rows)
-		case "a6":
-			rows, err := experiments.RunMigrationAblation(20, *duration/2, *seed)
-			if err != nil {
-				log.Fatal(err)
-			}
-			experiments.PrintMigrationAblation(os.Stdout, rows)
 		default:
 			log.Fatalf("unknown ablation %q", name)
 		}
@@ -96,7 +90,7 @@ func main() {
 		for _, f := range []string{"4", "5", "6"} {
 			runFig(f)
 		}
-		for _, a := range []string{"a1", "a5", "a6"} {
+		for _, a := range []string{"a1", "a5"} {
 			runAblation(a)
 		}
 	case *fig != "":

@@ -44,7 +44,7 @@ func runFigureStack(t *testing.T, cfg edgechain.Config, d time.Duration) figureG
 // which hop, so a scheduler that ordered two of them differently moves a
 // tip hash, a byte count or the digest here. "paper" is the exact call
 // bench/probes.go times; "extensions" adds the engine-rule variants the
-// ablations use (the FDC weight and migration) at twice the data rate.
+// ablations use (the FDC weight) at twice the data rate.
 // amd64 only: placement costs are floating point.
 //
 // Re-pinned once for short-ID compact references (DESIGN.md §13.1): a
@@ -66,6 +66,13 @@ func runFigureStack(t *testing.T, cfg edgechain.Config, d time.Duration) figureG
 // change: radio bytes fall 70 430 073 → 70 419 308 ("paper") and
 // 234 131 780 → 234 113 578 ("extensions"), the digest moves with the frame
 // sizes, and heights, tips and event counts stay.
+//
+// Re-pinned once: data migration is gone, so "extensions" no longer sets it
+// and runs as it always did with migration off (at 0 the engine never read
+// or wrote its state). The values are those of the old code with migration
+// off, which proves deletion equals off: height 41 stays, the tip moves,
+// radio bytes fall 234 113 578 → 219 430 531 and events 9 582 → 9 464 with
+// the re-announcements gone. "paper" never set it and does not move.
 func TestFigureStackGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden values are pinned on amd64")
@@ -74,7 +81,6 @@ func TestFigureStackGolden(t *testing.T) {
 	ext.Seed = 5
 	ext.DataRatePerMin = 2
 	ext.FDCWeight = 100
-	ext.MigrateMaxPerBlock = 2
 
 	for _, tc := range []struct {
 		name string
@@ -87,8 +93,8 @@ func TestFigureStackGolden(t *testing.T) {
 			txBytes: 70419308, events: 6963, digest: "c066c448f5e3a771",
 		}},
 		{name: "extensions", cfg: ext, d: 40 * time.Minute, want: figureGolden{
-			height: 41, tip: "b8e994c22eda3c1c15dc4794b07f2a5aaf287be494f77b669a486070a028715d",
-			txBytes: 234113578, events: 9582, digest: "ecaab93945fa65e3",
+			height: 41, tip: "7795bf054512a99b724bf2ad332ed62d05b6e4adc97f52b11ea5e5245776af95",
+			txBytes: 219430531, events: 9464, digest: "9f4a835bdeec05b0",
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -18,15 +18,12 @@
 //     2^16 hashes: E_hash ≈ 1.0 mJ/hash (a realistic figure for JS
 //     SHA-256 on a phone, matching the paper's react-native setup).
 //
-// Fig. 6 is therefore fitted to the paper's own answer, and the default
-// run (experiments.RunFig6) does no mining either: it samples each PoW
-// block's attempt count (pow.SimulatedHashes, a geometric draw at the
-// difficulty) and each PoS round time (an exponential draw with the 25 s
-// mean) and prices them with this model. What a run adds to the
-// calibration is the spread of those draws: over seeds 1–10, PoW gives
-// 3.6–4.4 and PoS 10.7–12.3 blocks per 1 % (EXPERIMENTS.md, Fig. 6).
-// Fig6Config.RealHashing (cmd/minebench -real) hashes the PoW blocks for
-// real instead.
+// Fig. 6 is therefore fitted to the paper's own answer. What a run
+// (experiments.RunFig6) adds is the work priced: each PoW block is mined
+// with pow.Mine, so its attempt count is the SHA-256 work the code did,
+// while each PoS round time is still an exponential draw with the 25 s
+// mean. Over seeds 1–10, PoW gives 3.8–4.3 and PoS 10.7–12.3 blocks per
+// 1 % (EXPERIMENTS.md, Fig. 6).
 package energy
 
 import (

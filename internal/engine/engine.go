@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"math"
 	"math/rand"
 	"slices"
 	"time"
@@ -39,7 +38,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/pos"
 	"repro/internal/repair"
-	"repro/internal/ufl"
 )
 
 // ItemEvent describes one data item carried by an adopted block, with the
@@ -47,8 +45,8 @@ import (
 type ItemEvent struct {
 	// Item is the packed item, StoringNodes assigned.
 	Item *meta.Item
-	// Prev is the previously live on-chain version (non-nil for
-	// migration re-announcements), as of before this block.
+	// Prev is the previously live on-chain version as of before this
+	// block: non-nil for a re-announcement (repair).
 	Prev *meta.Item
 	// First reports whether this ID appears on-chain for the first time.
 	First bool
@@ -81,9 +79,6 @@ func (r Round) FireAt() time.Duration {
 // MineResult is a successfully sealed and self-adopted block.
 type MineResult struct {
 	Block *block.Block
-	// Migrations counts the data-migration re-announcements packed into
-	// the block (Section VII).
-	Migrations int
 	// Repairs counts the repair re-announcements packed into the block:
 	// under-replicated items re-placed away from dead providers.
 	Repairs int
@@ -92,9 +87,6 @@ type MineResult struct {
 const (
 	// futureSkew is the clock-skew tolerance for incoming block timestamps.
 	futureSkew = 2 * time.Second
-	// migrateCostRatio is the migration drift threshold: an item moves only
-	// when its storing set costs this many times the fresh optimum.
-	migrateCostRatio = 1.2
 	// repairMaxPerBlock bounds the repair re-announcements packed into one
 	// mined block; repair packing runs only when Config.Liveness is set.
 	repairMaxPerBlock = 4
@@ -164,10 +156,6 @@ type Config struct {
 	// the optimal replica count (Section VI-B); Rand must then be set.
 	RandomPlacement bool
 	Rand            *rand.Rand
-
-	// MigrateMaxPerBlock bounds data-migration re-announcements per mined
-	// block (0 = migration off).
-	MigrateMaxPerBlock int
 
 	// Liveness, when set, reports each roster node's churn verdict (from
 	// the adapter's repair.Detector) and turns repair packing on. The engine
@@ -256,10 +244,9 @@ type Engine struct {
 	state
 
 	pool map[meta.DataID]*meta.Item
-	// migrateCursor and repairCursor round-robin migration and repair
-	// checks across live items.
-	migrateCursor int
-	repairCursor  int
+	// repairCursor round-robins re-announcement (repair) checks across
+	// live items.
+	repairCursor int
 	// snaps holds the periodic state snapshots AdoptSuffix adopts from
 	// (ascending height, at most snapshotKeep entries).
 	snaps []snapshot
@@ -491,10 +478,10 @@ func (e *Engine) NextRound() (r Round, ok bool) {
 // Mine assembles, self-adopts and returns the next block for a round won
 // at the current time: pool items are packed in deterministic order with
 // UFL placements, block-body and recent-block assignments are solved on
-// the same scratch state, and drifted items are re-announced (migration).
-// It returns (nil, nil) when the round moved on (the tip changed), and an
-// error only when the engine rejects its own block — a programming error
-// the adapter surfaces loudly.
+// the same scratch state, and under-replicated items are re-announced
+// (repair). It returns (nil, nil) when the round moved on (the tip
+// changed), and an error only when the engine rejects its own block — a
+// programming error the adapter surfaces loudly.
 func (e *Engine) Mine(r Round) (*MineResult, error) {
 	prev := e.ch.Tip()
 	if prev.Hash != r.PrevHash {
@@ -512,8 +499,8 @@ func (e *Engine) Mine(r Round) (*MineResult, error) {
 	// while the live topology wobbles.
 	topo := e.cfg.Topology()
 
-	// announced collects every ID packed into this block so migration and
-	// repair never re-announce an item the block already carries.
+	// announced collects every ID packed into this block so repair never
+	// re-announces an item the block already carries.
 	if e.mineAnnounced == nil {
 		e.mineAnnounced = make(map[meta.DataID]bool)
 	}
@@ -550,17 +537,6 @@ func (e *Engine) Mine(r Round) (*MineResult, error) {
 	}
 	bld.SetRecentAssignees(recentNodes)
 
-	// Data migration (Section VII future work): re-place up to the
-	// configured number of drifted items.
-	migrated := e.pickMigrations(topo, states, now)
-	for _, m := range migrated {
-		bld.AddItem(m)
-		announced[m.ID] = true
-		for _, sn := range m.StoringNodes {
-			states[sn].Used++
-		}
-	}
-
 	// Repair (self-healing data plane): re-announce under-replicated items
 	// whose providers the churn detector marked dead, placing replacement
 	// replicas on alive nodes only.
@@ -576,16 +552,7 @@ func (e *Engine) Mine(r Round) (*MineResult, error) {
 	if _, err := e.ch.Add(blk); err != nil {
 		return nil, fmt.Errorf("engine: own block rejected: %w", err)
 	}
-	return &MineResult{Block: blk, Migrations: len(migrated), Repairs: len(repaired)}, nil
-}
-
-// nodeLiveness returns the adapter's churn verdict for node i (alive when
-// no detector is wired).
-func (e *Engine) nodeLiveness(i int) repair.Status {
-	if e.cfg.Liveness == nil || i < 0 || i >= len(e.cfg.Accounts) {
-		return repair.Alive
-	}
-	return e.cfg.Liveness(i)
+	return &MineResult{Block: blk, Repairs: len(repaired)}, nil
 }
 
 // sortedLiveIDs returns the live-item IDs in deterministic order.
@@ -615,7 +582,7 @@ func (e *Engine) pickRepairs(topo *netsim.Topology, states []alloc.NodeState, no
 	masked := make([]alloc.NodeState, len(states))
 	alive := 0
 	for i := range states {
-		verdicts[i] = e.nodeLiveness(i)
+		verdicts[i] = e.cfg.Liveness(i)
 		masked[i] = states[i]
 		if verdicts[i] == repair.Alive {
 			alive++
@@ -707,93 +674,6 @@ func (e *Engine) place(p *alloc.Planner, topo *netsim.Topology, states []alloc.N
 		return nil
 	}
 	return pl.StoringNodes
-}
-
-// pickMigrations selects up to MigrateMaxPerBlock live items whose
-// current storing set costs more than migrateCostRatio times the freshly
-// computed optimal, and returns re-announced clones carrying the new
-// assignment. The cursor round-robins across items so every item is
-// eventually reconsidered.
-func (e *Engine) pickMigrations(topo *netsim.Topology, states []alloc.NodeState, now time.Duration) []*meta.Item {
-	maxPer := e.cfg.MigrateMaxPerBlock
-	if maxPer <= 0 || len(e.liveItems) == 0 {
-		return nil
-	}
-	ids := e.sortedLiveIDs()
-	var out []*meta.Item
-	budget := 4 * maxPer // cost-evaluation budget per block
-	for k := 0; k < len(ids) && budget > 0 && len(out) < maxPer; k++ {
-		idx := (e.migrateCursor + k) % len(ids)
-		it := e.liveItems[ids[idx]]
-		if it.Expired(now) || len(it.StoringNodes) == 0 {
-			continue
-		}
-		// Churn guard: items with a dead provider are the repair path's
-		// responsibility, not a cost-drift migration.
-		deadProvider := false
-		for _, sn := range it.StoringNodes {
-			if e.nodeLiveness(sn) == repair.Dead {
-				deadProvider = true
-				break
-			}
-		}
-		if deadProvider {
-			continue
-		}
-		budget--
-		in := e.cfg.Planner.BuildInstance(topo, states)
-		pl, err := e.cfg.Planner.Place(topo, states)
-		if err != nil || len(pl.StoringNodes) == 0 {
-			continue
-		}
-		// Churn guard: never migrate ONTO a suspect or dead node — a
-		// cheaper-looking placement that immediately needs repair is a loss.
-		targetsAlive := true
-		for _, sn := range pl.StoringNodes {
-			if e.nodeLiveness(sn) != repair.Alive {
-				targetsAlive = false
-				break
-			}
-		}
-		if !targetsAlive {
-			continue
-		}
-		cur := SetCost(in, it.StoringNodes)
-		des := SetCost(in, pl.StoringNodes)
-		if sameSet(it.StoringNodes, pl.StoringNodes) || cur <= migrateCostRatio*des {
-			continue
-		}
-		migrated := it.Clone()
-		migrated.StoringNodes = pl.StoringNodes
-		out = append(out, migrated)
-	}
-	e.migrateCursor += 4 * maxPer
-	return out
-}
-
-// SetCost evaluates the UFL objective of serving every client from the
-// given open set under the instance's costs.
-func SetCost(in *ufl.Instance, open []int) float64 {
-	total := 0.0
-	for _, i := range open {
-		if i >= 0 && i < in.NFacilities() {
-			total += in.OpenCost[i]
-		}
-	}
-	for j := 0; j < in.NClients(); j++ {
-		best := math.Inf(1)
-		for _, i := range open {
-			if i >= 0 && i < in.NFacilities() {
-				if c := in.ConnCost[i][j]; c < best {
-					best = c
-				}
-			}
-		}
-		if !math.IsInf(best, 1) {
-			total += best
-		}
-	}
-	return total
 }
 
 func sameSet(a, b []int) bool {

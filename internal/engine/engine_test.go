@@ -488,35 +488,6 @@ func TestCheckpointTieAtTip(t *testing.T) {
 	}
 }
 
-func TestPickMigrationsReassignsDriftedItem(t *testing.T) {
-	c := newTestCluster(t, 3, func(i int, cfg *Config) { cfg.MigrateMaxPerBlock = 2 })
-	e := c.engines[0]
-	it := c.item(0, "drifted")
-	// Fake an on-chain item stuck on a node that is now nearly full.
-	it.StoringNodes = []int{0}
-	e.liveItems[it.ID] = it
-	states := []alloc.NodeState{
-		{Used: 249, Capacity: 250},
-		{Used: 1, Capacity: 250},
-		{Used: 1, Capacity: 250},
-	}
-	out := e.pickMigrations(e.cfg.Topology(), states, c.now)
-	if len(out) != 1 {
-		t.Fatalf("migrations = %d, want 1", len(out))
-	}
-	if sameSet(out[0].StoringNodes, it.StoringNodes) {
-		t.Fatal("migration kept the drifted assignment")
-	}
-	// Balanced states: nothing drifts, nothing migrates.
-	for i := range states {
-		states[i].Used = 1
-	}
-	e.migrateCursor = 0
-	if out := e.pickMigrations(e.cfg.Topology(), states, c.now); len(out) != 0 {
-		t.Fatalf("balanced cluster migrated %d items", len(out))
-	}
-}
-
 func TestLastCheckpointDisabled(t *testing.T) {
 	c := newTestCluster(t, 2, nil)
 	c.mineNext(t)

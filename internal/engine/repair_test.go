@@ -237,42 +237,3 @@ func TestPickRepairsCapsPerBlock(t *testing.T) {
 		t.Fatalf("pickRepairs packed %d repairs, want the cap of %d", len(out), repairMaxPerBlock)
 	}
 }
-
-func TestPickMigrationsSkipsChurn(t *testing.T) {
-	status := make([]repair.Status, 3)
-	c := newTestCluster(t, 3, func(i int, cfg *Config) {
-		cfg.MigrateMaxPerBlock = 2
-		cfg.Liveness = func(j int) repair.Status { return status[j] }
-	})
-	e := c.engines[0]
-	it := c.item(0, "drifting-under-churn")
-	it.StoringNodes = []int{0}
-	e.liveItems[it.ID] = it
-	drifted := []alloc.NodeState{
-		{Used: 249, Capacity: 250},
-		{Used: 1, Capacity: 250},
-		{Used: 1, Capacity: 250},
-	}
-	states := func() []alloc.NodeState { return append([]alloc.NodeState(nil), drifted...) }
-
-	// Baseline: with everyone alive the drifted item migrates.
-	if out := e.pickMigrations(e.cfg.Topology(), states(), c.now); len(out) != 1 {
-		t.Fatalf("baseline migrations = %d, want 1", len(out))
-	}
-
-	// A dead storing node makes the item the repair path's problem.
-	status[0] = repair.Dead
-	e.migrateCursor = 0
-	if out := e.pickMigrations(e.cfg.Topology(), states(), c.now); len(out) != 0 {
-		t.Fatalf("migrated %d items that have a dead provider", len(out))
-	}
-
-	// A churn-dead (or suspect) node in the candidate TARGET set blocks the
-	// migration: don't move data onto nodes that are failing.
-	status[0] = repair.Alive
-	status[1], status[2] = repair.Dead, repair.Suspect
-	e.migrateCursor = 0
-	if out := e.pickMigrations(e.cfg.Topology(), states(), c.now); len(out) != 0 {
-		t.Fatalf("migrated %d items onto churn-dead/suspect targets", len(out))
-	}
-}

@@ -21,7 +21,7 @@ import (
 //     depth blocks and cannot hold more blocks than exist.
 //
 // Data assignments live in a repair.Index, the one implementation of the
-// assignment rule: a re-announcement (migration, Section VII) replaces the
+// assignment rule: a re-announcement (repair) replaces the
 // old assignment instead of double counting, and assignments expire with
 // their item's valid time, lazily against the simulation clock. The repair
 // plane reads the same index (Index), so placement and repair agree on

@@ -32,7 +32,7 @@ func RunFDCWeightAblation(weights []float64, nodes int, duration time.Duration, 
 		cfg.Seed = seed
 		cfg.DataRatePerMin = 2
 		cfg.FDCWeight = w
-		res, _, err := run(cfg, duration)
+		res, err := run(cfg, duration)
 		if err != nil {
 			return nil, err
 		}
@@ -75,7 +75,7 @@ func RunConsensusEnergyAblation(nodes int, duration time.Duration, seed int64) (
 		cfg := DefaultConfig(nodes)
 		cfg.Seed = seed
 		cfg.Consensus = algo
-		res, _, err := run(cfg, duration)
+		res, err := run(cfg, duration)
 		if err != nil {
 			return nil, err
 		}
@@ -97,49 +97,5 @@ func PrintConsensusEnergyAblation(w io.Writer, rows []ConsensusEnergyRow) {
 	for _, r := range rows {
 		fmt.Fprintf(w, "%10s %8d %14.1f %12.1f %14.1f\n", r.Consensus, r.Blocks, r.MiningJ, r.RadioJ, r.EnergyPerBlockJ)
 	}
-}
-
-// --- A6: data migration ---------------------------------------------------------
-
-// MigrationRow reports placement drift with and without the Section VII
-// migration mechanism.
-type MigrationRow struct {
-	MaxPerBlock int
-	Drift       float64 // mean cost(current)/cost(optimal) over live items
-	Migrations  int
-	DeliverySec float64
-	TxMB        float64 // radio bytes sent, all nodes
-}
-
-// RunMigrationAblation runs identical deployments with migration disabled
-// and enabled, and compares the end-of-run placement drift.
-func RunMigrationAblation(nodes int, duration time.Duration, seed int64) ([]MigrationRow, error) {
-	rows := make([]MigrationRow, 0, 2)
-	for _, maxPer := range []int{0, 2} {
-		cfg := DefaultConfig(nodes)
-		cfg.Seed = seed
-		cfg.DataRatePerMin = 3
-		cfg.MigrateMaxPerBlock = maxPer
-		res, sys, err := run(cfg, duration)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, MigrationRow{
-			MaxPerBlock: maxPer,
-			Drift:       sys.PlacementDrift(0),
-			Migrations:  res.Migrations,
-			DeliverySec: res.DeliverySec,
-			TxMB:        float64(res.TotalTxBytes) / (1 << 20),
-		})
-	}
-	return rows, nil
-}
-
-// PrintMigrationAblation renders A6.
-func PrintMigrationAblation(w io.Writer, rows []MigrationRow) {
-	fmt.Fprintln(w, "Ablation A6 — data migration (Section VII future work)")
-	fmt.Fprintf(w, "%14s %8s %12s %14s %12s\n", "max per block", "drift", "migrations", "delivery (s)", "tx MB")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%14d %8.3f %12d %14.2f %12.1f\n", r.MaxPerBlock, r.Drift, r.Migrations, r.DeliverySec, r.TxMB)
-	}
+	fmt.Fprintln(w, "pow mining is a timer model: powRound's exponential solve times at HashRate, not counted hashes")
 }

@@ -63,13 +63,13 @@ func (c *Fig4Config) withDefaults() Fig4Config {
 }
 
 // run builds one deployment from cfg, runs it for d and returns its results.
-func run(cfg Config, d time.Duration) (*Results, *System, error) {
+func run(cfg Config, d time.Duration) (*Results, error) {
 	sys, err := NewSystem(cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	sys.Run(d)
-	return sys.Results(), sys, nil
+	return sys.Results(), nil
 }
 
 // RunFig4 executes the Fig. 4 sweep.
@@ -81,7 +81,7 @@ func RunFig4(cfg Fig4Config) ([]Fig4Row, error) {
 			sc := DefaultConfig(n)
 			sc.DataRatePerMin = rate
 			sc.Seed = c.Seed
-			res, _, err := run(sc, c.Duration)
+			res, err := run(sc, c.Duration)
 			if err != nil {
 				return nil, err
 			}
@@ -160,7 +160,7 @@ func RunFig5(cfg Fig5Config) ([]Fig5Row, error) {
 			sc := DefaultConfig(n)
 			sc.Placement = strat
 			sc.Seed = c.Seed
-			r, _, err := run(sc, c.Duration)
+			r, err := run(sc, c.Duration)
 			if err != nil {
 				return nil, err
 			}
@@ -223,11 +223,8 @@ type Fig6Config struct {
 	DifficultyBits int
 	// Blocks is how many blocks to mine per algorithm.
 	Blocks int
-	// Seed drives the hash-count sampling.
+	// Seed drives the PoW start nonces and the PoS round times.
 	Seed int64
-	// RealHashing performs actual SHA-256 PoW work instead of sampling the
-	// geometric attempt distribution; slower but bit-faithful.
-	RealHashing bool
 }
 
 func (c *Fig6Config) withDefaults() Fig6Config {
@@ -263,20 +260,13 @@ func RunFig6(cfg Fig6Config) (*Fig6Result, error) {
 	res.PoW = append(res.PoW, Fig6Point{0, powBattery.RemainingPercent()})
 	var powEnergy float64
 	for b := 1; b <= c.Blocks && !powBattery.Empty(); b++ {
-		var hashes uint64
-		if c.RealHashing {
-			header := []byte(fmt.Sprintf("pow-block-%d", b))
-			r, err := pow.Mine(header, c.DifficultyBits, rng)
-			if err != nil {
-				return nil, err
-			}
-			hashes = r.Hashes
-		} else {
-			hashes = pow.SimulatedHashes(c.DifficultyBits, rng)
+		r, err := pow.Mine([]byte(fmt.Sprintf("pow-block-%d", b)), c.DifficultyBits, rng)
+		if err != nil {
+			return nil, err
 		}
 		// Block time scales with the work actually done this round.
-		t := secs * float64(hashes) / pow.ExpectedHashes(c.DifficultyBits)
-		e := model.BlockEnergy(t, hashes)
+		t := secs * float64(r.Hashes) / pow.ExpectedHashes(c.DifficultyBits)
+		e := model.BlockEnergy(t, r.Hashes)
 		powEnergy += e
 		powBattery.Drain(e)
 		res.PoW = append(res.PoW, Fig6Point{b, powBattery.RemainingPercent()})

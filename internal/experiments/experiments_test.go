@@ -132,7 +132,7 @@ func TestFig6ReproducesEnergyClaims(t *testing.T) {
 
 func TestFig6RealHashing(t *testing.T) {
 	// Real SHA-256 mining at reduced difficulty, scaled block count.
-	res, err := RunFig6(Fig6Config{Seed: 2, Blocks: 30, DifficultyBits: 14, RealHashing: true})
+	res, err := RunFig6(Fig6Config{Seed: 2, Blocks: 30, DifficultyBits: 14})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,31 +188,4 @@ func TestConsensusEnergyAblation(t *testing.T) {
 	}
 	t.Logf("PoS %.1f J mining, PoW %.1f J mining over %d/%d blocks",
 		posRow.MiningJ, powRow.MiningJ, posRow.Blocks, powRow.Blocks)
-}
-
-func TestMigrationAblation(t *testing.T) {
-	rows, err := RunMigrationAblation(15, 60*time.Minute, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows", len(rows))
-	}
-	off, on := rows[0], rows[1]
-	if off.Migrations != 0 {
-		t.Fatalf("baseline ran %d migrations", off.Migrations)
-	}
-	if on.Migrations == 0 {
-		t.Skip("no drift materialized under this seed")
-	}
-	// Migration must not make placement worse.
-	if on.Drift > off.Drift*1.1 {
-		t.Fatalf("migration worsened drift: %.3f -> %.3f", off.Drift, on.Drift)
-	}
-	var buf bytes.Buffer
-	PrintMigrationAblation(&buf, rows)
-	if buf.Len() == 0 {
-		t.Fatal("empty table")
-	}
-	t.Logf("drift without migration %.3f, with %.3f (%d migrations)", off.Drift, on.Drift, on.Migrations)
 }

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/alloc"
 	"repro/internal/block"
 	"repro/internal/chaos"
 	"repro/internal/energy"
@@ -86,13 +85,11 @@ type Config struct {
 	RequestDelay time.Duration
 	// T0 is the expected block interval (paper: 60 s).
 	T0 time.Duration
-	// Placement, Consensus, FDCWeight (A of eq. 3; 0 means the paper's
-	// 1000) and MigrateMaxPerBlock (0: no migration) select the engine
-	// rules of the paper's baselines and ablations.
-	Placement          PlacementStrategy
-	Consensus          ConsensusAlgo
-	FDCWeight          float64
-	MigrateMaxPerBlock int
+	// Placement, Consensus and FDCWeight (A of eq. 3; 0 means the paper's
+	// 1000) select the engine rules of the paper's baselines and ablations.
+	Placement PlacementStrategy
+	Consensus ConsensusAlgo
+	FDCWeight float64
 	// HashRate is the PoW device hash rate in SHA-256/s (default 2621: the
 	// paper's phone solves 16-bit difficulty in 25 s on average).
 	HashRate float64
@@ -163,7 +160,6 @@ func (c *Config) rules(e *engine.Config) {
 		e.ValidateClaims = false
 		e.CustomRound = powRound(e.PoS, e.Accounts[e.Self], len(e.Accounts))
 	}
-	e.MigrateMaxPerBlock = c.MigrateMaxPerBlock
 }
 
 // powRound is the PoW baseline's round: exponential solve times, sampled
@@ -274,7 +270,7 @@ func (s *System) ProduceData(producer int, typ string) (*meta.Item, error) {
 }
 
 // FindMetadata searches node i's chain replica for items matching q ("the
-// user can search what it demands", Section III-B1). A migrated item
+// user can search what it demands", Section III-B1). A re-announced item
 // appears once, in its latest version; the result is ordered by ID.
 func (s *System) FindMetadata(i int, q meta.Query) []*meta.Item {
 	var out []*meta.Item
@@ -311,9 +307,6 @@ type Results struct {
 	Tip           block.Hash
 	DataGenerated int
 	OnChain       int
-	// Migrations counts the re-announcements on the chain (Section VII;
-	// needs MigrateMaxPerBlock > 0).
-	Migrations int
 
 	// Fig. 4(a) / 5: per-node transmission over the radio, in bytes.
 	AvgTxBytesPerNode float64
@@ -385,9 +378,6 @@ func (s *System) Results() *Results {
 	seen := make(map[meta.DataID]bool)
 	for k, b := range chain {
 		for _, it := range b.Items {
-			if seen[it.ID] {
-				r.Migrations++
-			}
 			seen[it.ID] = true
 		}
 		if k > 0 {
@@ -410,40 +400,4 @@ func (s *System) roundHashes(b, prev *block.Block) float64 {
 		return s.cfg.HashRate * secs
 	}
 	return secs + 1
-}
-
-// PlacementDrift measures how far live items have drifted from optimal
-// placement, as node observer sees it: the mean over live items of
-// cost(current storing set) / cost(recomputed optimal), the UFL objective
-// of eq. (3). 1 means every item is optimally placed; Section VII's
-// migration exists to push it back toward 1.
-func (s *System) PlacementDrift(observer int) float64 {
-	n := s.c.Node(observer)
-	planner := alloc.NewPlanner(s.cfg.CommRange)
-	if s.cfg.FDCWeight > 0 {
-		planner.FDCWeight = s.cfg.FDCWeight
-	}
-	used := n.StorageUsed()
-	states := make([]alloc.NodeState, len(used))
-	for i, u := range used {
-		states[i] = alloc.NodeState{Used: u, Capacity: s.cfg.StorageCapacity, MobilityRange: s.cfg.MobilityRange}
-	}
-	topo := s.radio.Home()
-	in := planner.BuildInstance(topo, states)
-	pl, err := planner.Place(topo, states)
-	if err != nil || len(pl.StoringNodes) == 0 {
-		return 1
-	}
-	optimal := engine.SetCost(in, pl.StoringNodes)
-	total, count := 0.0, 0
-	for _, it := range liveItems(n.ChainSnapshot()) {
-		if len(it.StoringNodes) > 0 {
-			total += engine.SetCost(in, it.StoringNodes) / optimal
-			count++
-		}
-	}
-	if count == 0 || optimal <= 0 {
-		return 1
-	}
-	return total / float64(count)
 }

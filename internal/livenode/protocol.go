@@ -108,7 +108,7 @@ func (n *Node) onDisconnect(gone []*block.Block) {
 // placement fetch, which asks the producer first (only it is sure to have the
 // content yet, DESIGN.md §11.1), scheduled through the clock so that
 // virtual-clock runs issue the request at a deterministic point. With repair
-// on, a re-announcement (repair or migration) is left to the next probe
+// on, a re-announcement (repair) is left to the next probe
 // tick's self-audit, which fetches it under the repair budget.
 func (n *Node) fetchAssignedLocked(id meta.DataID, reannounced bool) {
 	if (reannounced && n.repair != nil) || n.store.HasData(id) {

@@ -173,7 +173,7 @@ func TestLiveRepairReReplicates(t *testing.T) {
 
 // winWith has n win its next round with a block built by hand: the items
 // keep the storing sets the test gave them and nothing else is packed — no
-// placement, migration or repair of n's own. The PoS claim is n's valid one,
+// placement or repair of n's own. The PoS claim is n's valid one,
 // so every replica on the same chain accepts the block. The clock moves to
 // the round's fire time first; n adopts the block through its engine, which
 // neither relays it nor re-arms mining.

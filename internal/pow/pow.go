@@ -94,21 +94,3 @@ func Verify(header []byte, nonce uint64, difficultyBits int) bool {
 	d := sha256.Sum256(buf)
 	return LeadingZeroBits(d[:]) >= difficultyBits
 }
-
-// SimulatedHashes draws the number of hashes a mining round would take at
-// the given difficulty without doing the work: the attempt count is
-// geometrically distributed with success probability 2^-bits. Used by the
-// Fig. 6 harness to extend runs cheaply at high difficulty.
-func SimulatedHashes(difficultyBits int, rng *rand.Rand) uint64 {
-	p := 1.0 / math.Exp2(float64(difficultyBits))
-	// Inverse-CDF sampling of the geometric distribution.
-	u := rng.Float64()
-	if u >= 1 {
-		u = math.Nextafter(1, 0)
-	}
-	n := math.Ceil(math.Log(1-u) / math.Log(1-p))
-	if n < 1 {
-		n = 1
-	}
-	return uint64(n)
-}

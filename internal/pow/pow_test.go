@@ -100,22 +100,38 @@ func TestExpectedHashes(t *testing.T) {
 }
 
 func TestSimulatedHashesDistribution(t *testing.T) {
+	// Fig. 6 prices each simulated PoW block by Mine's hash count, so the
+	// counts must follow the geometric law with success 2^-bits: mean within
+	// ±15 % of 2^bits, and about e^-1 of rounds needing more than 2^bits.
 	rng := rand.New(rand.NewSource(5))
-	const bits = 16
-	const runs = 2000
+	const bits = 10
+	const runs = 1000
+	want := ExpectedHashes(bits)
 	var total float64
+	over := 0
 	for i := 0; i < runs; i++ {
-		n := SimulatedHashes(bits, rng)
-		if n == 0 {
-			t.Fatal("zero simulated hashes")
+		res, err := Mine([]byte{byte(i), byte(i >> 8), 0x5a}, bits, rng)
+		if err != nil {
+			t.Fatal(err)
 		}
-		total += float64(n)
+		if res.Hashes == 0 {
+			t.Fatal("zero hashes")
+		}
+		total += float64(res.Hashes)
+		if float64(res.Hashes) > want {
+			over++
+		}
 	}
 	mean := total / runs
-	want := ExpectedHashes(bits)
 	if mean < want*0.85 || mean > want*1.15 {
-		t.Fatalf("simulated mean %.0f too far from %.0f", mean, want)
+		t.Fatalf("mean hashes %.0f too far from %.0f", mean, want)
 	}
+	tail := float64(over) / runs
+	wantTail := math.Pow(1-1/want, want)
+	if math.Abs(tail-wantTail) > 0.06 {
+		t.Fatalf("P(hashes > 2^bits) = %.3f, want ≈ %.3f", tail, wantTail)
+	}
+	t.Logf("mean hashes %.0f (expected %.0f), tail %.3f (expected %.3f)", mean, want, tail, wantTail)
 }
 
 func TestMineDeterministicGivenRNG(t *testing.T) {

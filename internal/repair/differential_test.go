@@ -22,7 +22,7 @@ import (
 // from a cloned snapshot on a fork or a catch-up, restored from an exported
 // snapshot on a bootstrap — must render a Snapshot() bit-identical to an
 // index rebuilt from scratch off the same chain, across fresh announcements,
-// migrations/re-announcements, item expiry, suffix catch-up and fork
+// re-announcements (repair), item expiry, suffix catch-up and fork
 // adoption.
 
 // diffCluster is a minimal multi-engine harness over one virtual clock
@@ -32,6 +32,8 @@ type diffCluster struct {
 	accounts []identity.Address
 	engines  []*engine.Engine
 	now      time.Duration
+	// dead is the node every engine's Liveness reports dead (-1: none).
+	dead int
 }
 
 func newDiffCluster(t *testing.T, n int) *diffCluster {
@@ -41,6 +43,7 @@ func newDiffCluster(t *testing.T, n int) *diffCluster {
 		idents:   make([]*identity.Identity, n),
 		accounts: make([]identity.Address, n),
 		engines:  make([]*engine.Engine, n),
+		dead:     -1,
 	}
 	for i := 0; i < n; i++ {
 		c.idents[i] = identity.GenerateSeeded(rng)
@@ -53,25 +56,32 @@ func newDiffCluster(t *testing.T, n int) *diffCluster {
 }
 
 // newEngine builds node i's engine. Snapshots every two blocks make fork
-// adoption start from a cloned snapshot state, not from genesis.
+// adoption start from a cloned snapshot state, not from genesis. Liveness
+// turns repair packing on: while c.dead is set, a winner re-announces the
+// items that node provides.
 func (c *diffCluster) newEngine(t *testing.T, i int) *engine.Engine {
 	t.Helper()
 	topo := netsim.NewTopology(make([]geo.Point, len(c.accounts)), 1, nil)
 	blockPlanner := alloc.NewPlanner(1)
 	blockPlanner.MinReplicas = 1
 	e, err := engine.New(engine.Config{
-		Accounts:           c.accounts,
-		Self:               i,
-		PoS:                pos.Params{M: pos.DefaultM, T0: 60 * time.Second},
-		Genesis:            block.Genesis(42),
-		Now:                func() time.Duration { return c.now },
-		ValidateClaims:     true,
-		SnapshotInterval:   2,
-		Topology:           func() *netsim.Topology { return topo },
-		Planner:            alloc.NewPlanner(1),
-		BlockPlanner:       blockPlanner,
-		StorageCapacity:    250,
-		MigrateMaxPerBlock: 2,
+		Accounts:         c.accounts,
+		Self:             i,
+		PoS:              pos.Params{M: pos.DefaultM, T0: 60 * time.Second},
+		Genesis:          block.Genesis(42),
+		Now:              func() time.Duration { return c.now },
+		ValidateClaims:   true,
+		SnapshotInterval: 2,
+		Topology:         func() *netsim.Topology { return topo },
+		Planner:          alloc.NewPlanner(1),
+		BlockPlanner:     blockPlanner,
+		StorageCapacity:  250,
+		Liveness: func(j int) repair.Status {
+			if j == c.dead {
+				return repair.Dead
+			}
+			return repair.Alive
+		},
 	})
 	if err != nil {
 		t.Fatalf("engine %d: %v", i, err)
@@ -130,6 +140,21 @@ func (c *diffCluster) item(producer int, content string, validFor time.Duration)
 	return it
 }
 
+// reannounced counts the items of chain whose ID an earlier block carries.
+func reannounced(chain []*block.Block) int {
+	seen := make(map[meta.DataID]bool)
+	n := 0
+	for _, b := range chain {
+		for _, it := range b.Items {
+			if seen[it.ID] {
+				n++
+			}
+			seen[it.ID] = true
+		}
+	}
+	return n
+}
+
 // checkDifferential asserts that e's own index at now renders what a
 // scratch rebuild of chain renders at now, and returns the rendering.
 func checkDifferential(t *testing.T, phase string, e *engine.Engine, chain []*block.Block, now time.Duration) string {
@@ -167,15 +192,25 @@ func TestIndexDifferentialAcrossForkSyncExpiry(t *testing.T) {
 		t.Fatal("nothing announced: the comparison would be vacuous")
 	}
 
-	// Phase 2: expiry. Advance past the short-lived items' valid time and
-	// keep mining (migration re-announcements of expired items must be
-	// ignored identically on both paths).
+	// Phase 2: re-announcement (repair). The first item's first provider is
+	// dead for one block, so the winner re-places the items it provides; the
+	// new assignment must replace the old one on both paths.
+	c.dead = c.engines[0].Chain().Blocks()[1].Items[0].StoringNodes[0]
+	c.mineNext(t, all)
+	c.dead = -1
+	if reannounced(c.engines[0].Chain().Blocks()) == 0 {
+		t.Fatal("no item re-announced: the comparison would be vacuous")
+	}
+	checkDifferential(t, "re-announce", c.engines[0], c.engines[0].Chain().Blocks(), c.now)
+
+	// Phase 3: expiry. Advance past the short-lived items' valid time and
+	// keep mining: their assignments must drop identically on both paths.
 	c.now += 15 * time.Minute
 	c.mineNext(t, all)
 	c.mineNext(t, all)
 	checkDifferential(t, "expiry", c.engines[0], c.engines[0].Chain().Blocks(), c.now)
 
-	// Phase 3: suffix catch-up sync. A fresh engine receives the first part
+	// Phase 4: suffix catch-up sync. A fresh engine receives the first part
 	// of the chain block by block, then adopts the rest via AdoptSuffix.
 	chain := c.engines[0].Chain().Blocks()
 	late := c.newEngine(t, 1)
@@ -190,7 +225,7 @@ func TestIndexDifferentialAcrossForkSyncExpiry(t *testing.T) {
 	}
 	checkDifferential(t, "suffix-sync", late, chain, c.now)
 
-	// Phase 4: snapshot start. A fresh engine installs engine 0's exported
+	// Phase 5: snapshot start. A fresh engine installs engine 0's exported
 	// snapshot, takes the blocks above its anchor, and must hold the whole
 	// chain's assignments although it never saw a body below the anchor.
 	snap, ok := c.engines[0].ExportSnapshot()
@@ -212,7 +247,7 @@ func TestIndexDifferentialAcrossForkSyncExpiry(t *testing.T) {
 	}
 	checkDifferential(t, "snapshot-start", booted, chain, c.now)
 
-	// Phase 5: fork adoption. A disjoint group mines a longer chain from
+	// Phase 6: fork adoption. A disjoint group mines a longer chain from
 	// the same genesis; engine 0 adopts it as one suffix from genesis and
 	// must match both a scratch rebuild and the index of an engine that
 	// followed the winning chain block by block.

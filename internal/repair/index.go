@@ -94,7 +94,7 @@ func (h *expiryHeap) Pop() any {
 }
 
 // Apply folds one adopted item announcement into the index. A known ID is
-// a re-announcement (migration or repair): the previous assignment is
+// a re-announcement (repair): the previous assignment is
 // replaced. Storing nodes outside the roster are dropped.
 func (idx *Index) Apply(it *meta.Item) {
 	if idx.expired[it.ID] {

@@ -39,10 +39,10 @@ func TestIndexApplyReplaceAndReverse(t *testing.T) {
 	moved.StoringNodes = []int{1, 3}
 	idx.Apply(moved)
 	if got := idx.Providers(a.ID); len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("providers after migration = %v, want [1 3]", got)
+		t.Fatalf("providers after re-announcement (repair) = %v, want [1 3]", got)
 	}
 	if items := idx.Items(0); len(items) != 0 || idx.Count(0) != 0 || idx.Count(3) != 1 {
-		t.Fatalf("node 0 still indexed after migration: %v (counts %d, %d)", items, idx.Count(0), idx.Count(3))
+		t.Fatalf("node 0 still indexed after re-announcement (repair): %v (counts %d, %d)", items, idx.Count(0), idx.Count(3))
 	}
 	// Out-of-range storing nodes are dropped, like StorageView.
 	weird := a.Clone()
@@ -92,12 +92,12 @@ func TestIndexRebuildMatchesIncremental(t *testing.T) {
 		testItem("y", 0, 0, 1, 2),
 		testItem("z", 2*time.Second, 20*time.Second, 0, 2),
 	}
-	migrated := items[1].Clone()
-	migrated.StoringNodes = []int{0, 3}
+	reannounced := items[1].Clone()
+	reannounced.StoringNodes = []int{0, 3}
 	blocks := []*block.Block{
 		genesis,
 		{Index: 1, Items: items[:2]},
-		{Index: 2, Items: []*meta.Item{items[2], migrated}},
+		{Index: 2, Items: []*meta.Item{items[2], reannounced}},
 	}
 	now := 8 * time.Second
 
@@ -120,7 +120,7 @@ func TestIndexRebuildMatchesIncremental(t *testing.T) {
 		t.Fatal("item x should have expired")
 	}
 	if got := inc.Providers(items[1].ID); len(got) != 2 || got[0] != 0 || got[1] != 3 {
-		t.Fatalf("migrated item providers = %v, want [0 3]", got)
+		t.Fatalf("re-announced item providers = %v, want [0 3]", got)
 	}
 }
 

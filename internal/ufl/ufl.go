@@ -298,5 +298,9 @@ func Exact(in *Instance) (*Solution, error) {
 	if best == nil {
 		return nil, errors.New("ufl: no feasible solution")
 	}
+	if math.IsInf(best.Cost, 1) {
+		// Every subset is unopenable: fall back as Greedy does.
+		return solutionFor(in, map[int]bool{cheapestFallback(in): true}), nil
+	}
 	return best, nil
 }

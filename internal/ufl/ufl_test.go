@@ -137,12 +137,14 @@ func TestAllInfiniteFallsBack(t *testing.T) {
 			{1, 1},
 		},
 	}
-	sol, err := Greedy(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sol.Open) != 1 || sol.Open[0] != 1 {
-		t.Fatalf("open = %v, want fallback [1]", sol.Open)
+	for name, solve := range map[string]func(*Instance) (*Solution, error){"Greedy": Greedy, "Exact": Exact} {
+		sol, err := solve(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sol.Open) != 1 || sol.Open[0] != 1 {
+			t.Fatalf("%s open = %v, want fallback [1]", name, sol.Open)
+		}
 	}
 }
 
