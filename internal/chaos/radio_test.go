@@ -164,18 +164,19 @@ func nodeIndex(addr string) int {
 }
 
 // TestRadioStorerRetriesOwnCopy: a storer whose placement fetch finds no
-// holder it can reach fetches again once that fetch expires, on a radio
-// field without a repair plane. The producer, the only holder, is down from
-// just before the item is packed until after the storers' first fetches
-// have run out; it comes back with the item on disk and behind the chain,
-// so nothing but the retry asks it again.
+// holder it can reach walks its candidates again one mobility epoch after
+// the walk ran out, on a radio field without a repair plane. The producer,
+// the only holder, is down from just before the item is packed until after
+// the storers' first walks have ended; it comes back with the item on disk
+// and behind the chain, so nothing but the re-walk asks it again.
 func TestRadioStorerRetriesOwnCopy(t *testing.T) {
 	field := geo.Field{Width: 40, Height: 40}
 	pls, err := geo.PlaceNodesConnected(field, 6, 0, 70, rand.New(rand.NewSource(3)), 500)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := netsim.NewRadio(netsim.RadioConfig{Field: field, Placements: pls, CommRange: 70, PerHopDelay: 10 * time.Millisecond})
+	r := netsim.NewRadio(netsim.RadioConfig{Field: field, Placements: pls, CommRange: 70, PerHopDelay: 10 * time.Millisecond,
+		MobilityEpoch: 30 * time.Second})
 	dirs := make([]string, 6)
 	dirs[0] = t.TempDir()
 	c := newCluster(t, Options{N: 6, Seed: 1, T0: 10 * time.Second, Radio: r, DataDirs: dirs})
@@ -214,13 +215,21 @@ func TestRadioStorerRetriesOwnCopy(t *testing.T) {
 	if len(storers) == 0 {
 		t.Fatal("the item was placed on its producer alone")
 	}
-	c.Run(3 * time.Minute) // past fetchTimeout: every first fetch has expired
+	directed := func(s int) uint64 { return c.NodeTelemetry(s).Snapshot().Counter("livenode.fetch.directed") }
+	c.Run(10 * time.Second) // every first walk has ended
+	asked := make(map[int]uint64)
 	for _, s := range storers {
 		if c.Node(s).HasData(it.ID) {
 			t.Fatalf("storer %d holds the item while its only holder is down", s)
 		}
-		if c.NodeTelemetry(s).Snapshot().Counter("livenode.data.fetch_expired") == 0 {
-			t.Fatalf("storer %d: no placement fetch expired", s)
+		if asked[s] = directed(s); asked[s] == 0 {
+			t.Fatalf("storer %d never asked for its copy", s)
+		}
+	}
+	c.Run(r.MobilityEpoch())
+	for _, s := range storers {
+		if directed(s) == asked[s] {
+			t.Fatalf("storer %d did not walk again within one mobility epoch (%d asks)", s, asked[s])
 		}
 	}
 	if err := c.Restart(0); err != nil {

@@ -100,12 +100,12 @@ func measureRepairConvergence(b *testing.B, n int, frac float64) {
 	b.ReportMetric(float64(sumCounter("livenode.wire.repair_bytes")), "repairB")
 	b.ReportMetric(float64(sumCounter("livenode.wire.consensus_bytes")), "consB")
 	b.Logf("n=%d churn=%.0f%%: killed %d nodes %v, healed in %v virtual; "+
-		"repair: launched=%d completed=%d fallbacks=%d throttled=%d reannounced=%d; "+
+		"repair: launched=%d completed=%d throttled=%d reannounced=%d; "+
 		"wire: repair=%dB consensus=%dB data=%dB",
 		n, frac*100, len(killed), killed, heal,
 		sumCounter("livenode.repair.enqueued"),
-		sumCounter("livenode.repair.completed"), sumCounter("livenode.repair.fallbacks"),
-		sumCounter("livenode.repair.throttled"), sumCounter("livenode.repair.reannounced"),
+		sumCounter("livenode.repair.completed"), sumCounter("livenode.repair.throttled"),
+		sumCounter("livenode.repair.reannounced"),
 		sumCounter("livenode.wire.repair_bytes"), sumCounter("livenode.wire.consensus_bytes"),
 		sumCounter("livenode.wire.data_bytes"))
 }

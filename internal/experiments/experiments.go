@@ -28,8 +28,9 @@ type Fig4Row struct {
 	RatePerMin  float64
 	AvgTxMB     float64 // panel (a)
 	Gini        float64 // panel (b)
-	DeliverySec float64 // panel (c)
+	DeliverySec float64 // panel (c): the mean over the Deliveries, the reads served of Requests issued
 	Deliveries  int
+	Requests    int
 	ChainHeight uint64
 	// DataGenerated items were published; Unchained of them never reached
 	// the chain by the end of the run.
@@ -92,6 +93,7 @@ func RunFig4(cfg Fig4Config) ([]Fig4Row, error) {
 				Gini:          res.StorageGini,
 				DeliverySec:   res.DeliverySec,
 				Deliveries:    res.Deliveries,
+				Requests:      res.Requests,
 				ChainHeight:   res.ChainHeight,
 				DataGenerated: res.DataGenerated,
 				Unchained:     res.DataGenerated - res.OnChain,
@@ -106,12 +108,15 @@ func PrintFig4(w io.Writer, rows []Fig4Row) {
 	fmt.Fprintln(w, "Fig. 4(a) — average transmission per node (MB)")
 	fmt.Fprintln(w, "Fig. 4(b) — storage Gini coefficient")
 	fmt.Fprintln(w, "Fig. 4(c) — average data delivery time (s)")
-	fmt.Fprintf(w, "%6s %10s %12s %8s %14s %10s %10s\n", "nodes", "items/min", "avg tx (MB)", "gini", "delivery (s)", "blocks", "unchained")
+	fmt.Fprintf(w, "%6s %10s %12s %8s %14s %11s %10s %10s\n", "nodes", "items/min", "avg tx (MB)", "gini", "delivery (s)", "served", "blocks", "unchained")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%6d %10.0f %12.1f %8.3f %14.2f %10d %6d/%-4d\n",
-			r.Nodes, r.RatePerMin, r.AvgTxMB, r.Gini, r.DeliverySec, r.ChainHeight, r.Unchained, r.DataGenerated)
+		fmt.Fprintf(w, "%6d %10.0f %12.1f %8.3f %14.2f %11s %10d %6d/%-4d\n",
+			r.Nodes, r.RatePerMin, r.AvgTxMB, r.Gini, r.DeliverySec, served(r.Deliveries, r.Requests), r.ChainHeight, r.Unchained, r.DataGenerated)
 	}
 }
+
+// served spells reads served out of reads issued.
+func served(deliveries, requests int) string { return fmt.Sprintf("%d/%d", deliveries, requests) }
 
 // Fig5Row compares placement strategies at one node count.
 type Fig5Row struct {
@@ -122,8 +127,10 @@ type Fig5Row struct {
 	RandomTxMB     float64
 	DeliveryRatio  float64 // optimal / random, paper: ≈ 0.85 (15% less)
 	OverheadRatio  float64 // optimal / random, paper: ≈ 1
-	OptDeliveries  int
+	OptDeliveries  int     // reads served, of OptRequests issued
 	RandDeliveries int
+	OptRequests    int
+	RandRequests   int
 }
 
 // Fig5Config parametrizes the placement comparison.
@@ -173,6 +180,7 @@ func RunFig5(cfg Fig5Config) ([]Fig5Row, error) {
 			OptimalTxMB:   res[0].AvgTxBytesPerNode / (1 << 20),
 			RandomTxMB:    res[1].AvgTxBytesPerNode / (1 << 20),
 			OptDeliveries: res[0].Deliveries, RandDeliveries: res[1].Deliveries,
+			OptRequests: res[0].Requests, RandRequests: res[1].Requests,
 		}
 		if row.RandomSec > 0 {
 			row.DeliveryRatio = row.OptimalSec / row.RandomSec
@@ -188,11 +196,12 @@ func RunFig5(cfg Fig5Config) ([]Fig5Row, error) {
 // PrintFig5 renders the comparison table.
 func PrintFig5(w io.Writer, rows []Fig5Row) {
 	fmt.Fprintln(w, "Fig. 5 — optimal vs random placement (1 item/min)")
-	fmt.Fprintf(w, "%6s %12s %12s %10s %12s %12s %10s\n",
-		"nodes", "opt del(s)", "rnd del(s)", "ratio", "opt tx(MB)", "rnd tx(MB)", "ratio")
+	fmt.Fprintf(w, "%6s %12s %12s %10s %11s %11s %12s %12s %10s\n",
+		"nodes", "opt del(s)", "rnd del(s)", "ratio", "opt served", "rnd served", "opt tx(MB)", "rnd tx(MB)", "ratio")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%6d %12.2f %12.2f %10.2f %12.1f %12.1f %10.2f\n",
+		fmt.Fprintf(w, "%6d %12.2f %12.2f %10.2f %11s %11s %12.1f %12.1f %10.2f\n",
 			r.Nodes, r.OptimalSec, r.RandomSec, r.DeliveryRatio,
+			served(r.OptDeliveries, r.OptRequests), served(r.RandDeliveries, r.RandRequests),
 			r.OptimalTxMB, r.RandomTxMB, r.OverheadRatio)
 	}
 }

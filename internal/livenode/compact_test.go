@@ -516,7 +516,7 @@ func TestCompactParkedBodyTornDown(t *testing.T) {
 		t.Fatalf("%d pending fetches after teardown", left)
 	}
 	// The body's wait and one per missing item, each a pending metadata fetch.
-	if pf.waiting() || a.clock.Pending() != timers-1-len(blk.Items) {
+	if pf.attempt != nil || a.clock.Pending() != timers-1-len(blk.Items) {
 		t.Error("teardown left a timer of the parked body armed")
 	}
 	// b's backup announce of the block is still to come; keep it out.
@@ -545,7 +545,7 @@ func TestCompactBodiesCompletedInFetchOrder(t *testing.T) {
 	defer a.mu.Unlock()
 	for i := 0; i < 24; i++ {
 		h := block.Hash{byte(i), 0xcb}
-		pf := a.gossip.blocks.begin(h, []string{"b"}, 0)
+		pf := a.gossip.blocks.begin(h, []string{"b"})
 		pf.compact = &block.Compact{Head: block.Block{Hash: h}}
 		pf.missing = map[meta.ShortID]struct{}{id: {}}
 		if i%8 == 7 {

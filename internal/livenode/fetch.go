@@ -14,18 +14,22 @@ import (
 // Directed data fetch (DESIGN.md §11.1), the one read path. The paper places
 // every item so a consumer can read it from a nearby storing node (§IV-D); a
 // fetch therefore asks ONE holder at a time — the item's on-chain storing
-// nodes, then its producer — and falls through to a broadcast only when every
-// candidate stayed silent. Asking a node needs its transport address: the
-// roster ↔ address table below is filled by the links' hellos, which name
-// each peer by roster index once, as the link comes up.
+// nodes, then its producer — and a holder without the bytes says so at once
+// with the bare ID, so the next is asked without waiting. When the walk runs
+// out the fetch ends: a reader asks again, the repair plane's next audit
+// relaunches, and a storer on a moving radio field walks again after a
+// mobility step. Asking a node needs its transport address: the roster ↔
+// address table below is filled by the links' hellos, which name each peer by
+// roster index once, as the link comes up.
 //
 // Bindings are unsigned: content is verified against its ID before it is
-// stored, so a forged binding can only cost the fetch one syncTimeout, and
-// the real node's next hello takes its index back.
+// stored, so a forged binding can only cost the fetch that candidate, and the
+// real node's next hello takes its index back.
 
 // fetchPurpose says why a data item is fetched — a consumer's read, a new
 // storer's placement fetch and the repair plane's re-replication are the same
-// fetch — and picks the candidate order, the expiry and who pays.
+// fetch — and picks the candidate order, what a walk that runs out does and
+// who pays.
 type fetchPurpose uint8
 
 const (
@@ -33,13 +37,6 @@ const (
 	placementFetch
 	repairFetch
 )
-
-// fetchTimeout is how long a consumer or placement fetch may stay pending,
-// across all its candidates and the final broadcast, before it is dropped:
-// without it, fetches no peer can answer would pin their entry forever. (A
-// repair fetch gets 4·RepairProbeEvery per launch; the next probe tick's
-// self-audit launches it again.)
-const fetchTimeout = 2 * time.Minute
 
 // repairMark, a data request's last byte on a repair fetch, has the holder
 // charge its answer to the repair budget, and both ends count the exchange as
@@ -144,106 +141,75 @@ func (n *Node) fetchCandidatesLocked(id meta.DataID, purpose fetchPurpose) []str
 
 // RequestData fetches a data item from one of its holders; OnData fires when
 // verified content arrives. While a fetch for id is pending a repeated call
-// restarts nothing: it only repeats the broadcast of a fetch that has run
-// out of candidates. A fetch nobody answers is dropped after fetchTimeout.
+// changes nothing. A fetch whose candidates all failed has ended, and a
+// repeated call walks them again.
 func (n *Node) RequestData(id meta.DataID) { n.requestData(id, consumerFetch) }
 
 func (n *Node) requestData(id meta.DataID, purpose fetchPurpose) {
 	n.mu.Lock()
-	pf := n.fetches.pending[id]
-	if pf != nil && !pf.repair && !pf.waiting() && purpose == repairFetch {
-		// That fetch has nobody left to ask and waits out its broadcast: the
-		// launch replaces it, picks afresh and pays the budget. One still
-		// waiting on a candidate is left alone: its answer stores the bytes.
-		n.fetches.finish(id)
-		pf = nil
-	}
-	if pf == nil && !n.closed {
-		expiry := fetchTimeout
-		if purpose == repairFetch {
-			expiry = n.cfg.RepairProbeEvery * 4 // one bounded try
-		}
-		pf = n.fetches.begin(id, n.fetchCandidatesLocked(id, purpose), expiry)
+	var pf *pendingFetch
+	if n.fetches.pending[id] == nil && !n.closed {
+		pf = n.fetches.begin(id, n.fetchCandidatesLocked(id, purpose))
 		pf.repair = purpose == repairFetch
 		pf.read = purpose == consumerFetch
 	}
-	idle := pf != nil && !pf.waiting() // new, or broadcasting already
 	n.mu.Unlock()
-	if idle {
+	if pf != nil {
 		n.fetches.advance(id, pf)
 	}
 }
 
 // newDataFetcher builds the data plane's fetch table (fetcher.go): one holder
 // is asked at a time, a holder the transport cannot reach is skipped at once,
-// and with no candidate left the request is broadcast — any holder may answer,
-// as before the fetch was directed — and the fetch waits for its expiry.
+// and one that refuses (handleData) is left at once.
 func (n *Node) newDataFetcher() *fetcher[meta.DataID] {
 	f := newFetcher[meta.DataID](&n.mu, n.clock)
-	request := func(id meta.DataID, pf *pendingFetch) []byte {
-		var mark byte
-		if pf.repair {
-			mark = repairMark
-		}
-		return append(id[:], mark)
-	}
 	f.ask = func(id meta.DataID, pf *pendingFetch, to string) bool {
 		n.tel.fetchDirected.Inc()
 		if to != pf.cands[0] {
 			n.tel.fetchNextCandidate.Inc()
 		}
-		return n.sendFetch(to, p2p.FrameDataRequest, request(id, pf), pf.repair)
-	}
-	f.exhausted = func(id meta.DataID, pf *pendingFetch) func() {
-		n.tel.fetchBroadcasts.Inc()
+		var mark byte
 		if pf.repair {
-			n.tel.repairFallbacks.Inc()
+			mark = repairMark
 		}
-		return func() {
-			n.countFetch(pf.repair, len(id)+1, n.bcast(p2p.FrameDataRequest, request(id, pf)))
-		}
+		return n.sendFetch(to, p2p.FrameDataRequest, append(id[:], mark), pf.repair)
 	}
-	f.expired = func(id meta.DataID, pf *pendingFetch) {
-		if !pf.repair {
-			n.tel.dataFetchExpired.Inc()
-		}
+	f.exhausted = func(id meta.DataID, pf *pendingFetch) (time.Duration, func()) {
 		if n.repair == nil && n.radio != nil && !pf.read && slices.Contains(n.eng.View().Assignment(id), n.selfIdx) {
 			// With repair on, the next probe tick's self-audit retries a
-			// storer's own copy; without it nothing else does. On a radio field
-			// a moving node may have had every holder out of reach for one
-			// fetchTimeout, so it tries again; on a clique an unreachable holder
-			// is gone, and the fetch gives up.
-			n.fetchAssignedLocked(id, false)
+			// storer's own copy; without it nothing else does. On a radio
+			// field a moving node may have had every holder out of reach, so
+			// it walks again once the nodes have moved; on a clique, or a
+			// field that stands still, the walk would only repeat itself.
+			return n.radio.MobilityEpoch(), nil
 		}
+		return 0, nil
 	}
 	return f
 }
 
-// countFetch books copies frames of a data fetch: repair traffic if the fetch
-// re-replicates, data traffic otherwise (5 = frame header; countWire leaves
-// these two frame types to their fetch).
-func (n *Node) countFetch(repair bool, payloadLen, copies int) {
+// sendFetch is send for one frame of a data fetch, booked as repair traffic
+// if the fetch re-replicates and as data traffic otherwise (5 = frame header;
+// countWire leaves these two frame types to their fetch).
+func (n *Node) sendFetch(to string, ft byte, payload []byte, repair bool) bool {
+	if n.send(to, ft, payload) != nil {
+		return false
+	}
 	c := n.tel.wireDataBytes
 	if repair {
 		c = n.tel.wireRepairBytes
 	}
-	c.Add((payloadLen + 5) * copies)
+	c.Add(len(payload) + 5)
+	return true
 }
 
-// sendFetch is send for one frame of a data fetch.
-func (n *Node) sendFetch(to string, ft byte, payload []byte, repair bool) bool {
-	err := n.send(to, ft, payload)
-	if err == nil {
-		n.countFetch(repair, len(payload), 1)
-	}
-	return err == nil
-}
-
-// handleDataRequest answers a fetch if this node holds the content. The
-// payload is DataID ‖ mark byte (0, or repairMark); the answer goes to the
-// sender. The answer to a marked request is paid from this node's repair
-// budget: denied means no answer, the requester moves on to its next
-// candidate — the rate limit doing its job.
+// handleDataRequest answers a fetch: with the content if this node holds it,
+// with the bare ID (a nack) if it does not. The payload is DataID ‖ mark byte
+// (0, or repairMark); the answer goes to the sender. The answer to a marked
+// request is paid from this node's repair budget: denied means no answer, and
+// the requester moves on to its next candidate after syncTimeout — the rate
+// limit doing its job.
 func (n *Node) handleDataRequest(from string, payload []byte) {
 	var id meta.DataID
 	if len(payload) != len(id)+1 || payload[len(id)] > repairMark {
@@ -253,7 +219,7 @@ func (n *Node) handleDataRequest(from string, payload []byte) {
 	repairReq := payload[len(id)] == repairMark
 	// The answer is ID ‖ content, built in one buffer: the request's ID
 	// capped at its own length, so the store's append allocates the frame
-	// and never writes into the request.
+	// and never writes into the request. Not held, it is the ID alone.
 	answer, held := n.store.AppendData(payload[:len(id):len(id)], id)
 	n.mu.Lock()
 	denied := held && repairReq && n.repair != nil && !n.repair.lim.Allow(n.now(), repairFrameOverhead+len(answer)-len(id))
@@ -261,7 +227,7 @@ func (n *Node) handleDataRequest(from string, payload []byte) {
 	if denied {
 		n.tel.repairThrottled.Inc()
 	}
-	if !held || denied {
+	if denied {
 		return
 	}
 	n.sendFetch(from, p2p.FrameData, answer, repairReq)
@@ -269,10 +235,13 @@ func (n *Node) handleDataRequest(from string, payload []byte) {
 
 // handleData ingests a fetch answer. Only content this node has a pending
 // fetch for and that hashes to its ID (§III-B2 data integrity) is stored;
-// unsolicited frames and the late duplicate answers to a broadcast are
-// dropped before the hash, which runs in place: the content is a view into
-// the frame (immutable after Send), handed as is to PutData and OnData.
-func (n *Node) handleData(payload []byte) {
+// unsolicited frames are dropped before the hash, which runs in place: the
+// content is a view into the frame (immutable after Send), handed as is to
+// PutData and OnData. An answer that fails the hash — a holder's nack, the
+// bare ID, or bytes that are not the item — moves the walk on at once if it
+// came from the candidate asked last; from anyone else it is dropped. The
+// empty item's bare ID does hash to its ID, and is stored.
+func (n *Node) handleData(from string, payload []byte) {
 	var id meta.DataID
 	if len(payload) < len(id) {
 		return
@@ -288,7 +257,8 @@ func (n *Node) handleData(payload []byte) {
 	dup := n.store.HasData(id)
 	if !dup {
 		if meta.HashData(content) != id {
-			return // forged or corrupt: the fetch moves on after its timeout
+			n.fetches.refused(id, from)
+			return
 		}
 		if err := n.store.PutData(id, content); err != nil {
 			return

@@ -36,17 +36,19 @@ type wireFrame struct {
 
 // fetchCluster is size nodes "n0".."n<size-1>" with one roster, one fake
 // clock and a full transport mesh whose hellos have bound every roster index
-// everywhere; nobody mines. wire records the data-plane frames.
+// everywhere; nobody mines. wire records the data-plane frames; a data
+// request to a silent node is recorded and dropped.
 type fetchCluster struct {
-	fn    *fakeNet
-	clk   *sim.VClock
-	nodes []*syncTestNode
-	wire  []wireFrame
+	fn     *fakeNet
+	clk    *sim.VClock
+	nodes  []*syncTestNode
+	wire   []wireFrame
+	silent map[string]bool
 }
 
 func newFetchCluster(t *testing.T, size int, mutate func(cfg *Config)) *fetchCluster {
 	t.Helper()
-	fc := &fetchCluster{fn: newFakeNet()}
+	fc := &fetchCluster{fn: newFakeNet(), silent: make(map[string]bool)}
 	epoch := time.Unix(1700000000, 0)
 	fc.clk = sim.NewVClock(epoch)
 	idents, accounts := testRoster(size)
@@ -67,9 +69,17 @@ func newFetchCluster(t *testing.T, size int, mutate func(cfg *Config)) *fetchClu
 		if ft == p2p.FrameDataRequest || ft == p2p.FrameData {
 			fc.wire = append(fc.wire, wireFrame{from, to, ft})
 		}
-		return false
+		return ft == p2p.FrameDataRequest && fc.silent[to]
 	})
 	return fc
+}
+
+// silence makes the given nodes drop every data request they are sent:
+// candidates that neither answer nor refuse.
+func (fc *fetchCluster) silence(nodes ...int) {
+	for _, i := range nodes {
+		fc.silent[fc.nodes[i].Addr()] = true
+	}
 }
 
 // know binds, at node at, the given roster nodes to their transport
@@ -159,7 +169,7 @@ func TestFetchAsksOneHolder(t *testing.T) {
 		t.Fatalf("served fetch left %d entries and %d timers behind", a.pendingFetches(), fc.clk.Pending()-timers)
 	}
 	snap := a.reg.Snapshot()
-	if snap.Counter("livenode.fetch.directed") != 1 || snap.Counter("livenode.fetch.broadcasts") != 0 ||
+	if snap.Counter("livenode.fetch.directed") != 1 ||
 		snap.Counter("livenode.fetch.next_candidate") != 0 || snap.Histogram("livenode.data.fetch_ns").Count != 1 {
 		t.Fatalf("counters after one directed fetch: %v", snap.Counters)
 	}
@@ -248,14 +258,30 @@ func TestFetchCandidatesFollowLiveness(t *testing.T) {
 	}
 }
 
-// (b) The first candidate is alive but lacks the bytes: the second is asked
-// after syncTimeout, and the latency counts from the first request.
+// (b) The first candidate is alive but lacks the bytes: it says so with the
+// bare ID, and the second is asked at once. A first candidate that stays
+// silent instead is given up after syncTimeout, and the latency counts from
+// the first request.
 func TestFetchSilentCandidateMovesOn(t *testing.T) {
 	fc := newFetchCluster(t, 4, nil)
 	a := fc.nodes[0]
 	fc.know(0, 1, 2, 3)
 	id := fc.item(t, 0, "second replica has it", 3, []int{1, 2}, 2)
 
+	a.RequestData(id)
+	want := []wireFrame{{"n0", "n1", p2p.FrameDataRequest}, {"n1", "n0", p2p.FrameData},
+		{"n0", "n2", p2p.FrameDataRequest}, {"n2", "n0", p2p.FrameData}}
+	if !reflect.DeepEqual(fc.wire, want) || !a.HasData(id) {
+		t.Fatalf("a holder without the bytes: the wire carried %v, want %v", fc.wire, want)
+	}
+	snap := a.reg.Snapshot()
+	if h := snap.Histogram("livenode.data.fetch_ns"); h.Count != 1 || h.Max != 0 {
+		t.Fatalf("fetch latency %+v, want one sample of 0: the nack costs no wait", h)
+	}
+
+	fc.wire = nil
+	fc.silence(1)
+	id = fc.item(t, 0, "second replica has this too", 3, []int{1, 2}, 2)
 	a.RequestData(id)
 	if len(fc.wire) != 1 || fc.wire[0].to != "n1" || a.HasData(id) {
 		t.Fatalf("before the timeout the wire carried %v", fc.wire)
@@ -265,20 +291,20 @@ func TestFetchSilentCandidateMovesOn(t *testing.T) {
 		t.Fatalf("moved on before syncTimeout: %v", fc.wire)
 	}
 	fc.clk.Advance(time.Millisecond)
-	want := []wireFrame{{"n0", "n1", p2p.FrameDataRequest}, {"n0", "n2", p2p.FrameDataRequest}, {"n2", "n0", p2p.FrameData}}
+	want = []wireFrame{{"n0", "n1", p2p.FrameDataRequest}, {"n0", "n2", p2p.FrameDataRequest}, {"n2", "n0", p2p.FrameData}}
 	if !reflect.DeepEqual(fc.wire, want) || !a.HasData(id) {
-		t.Fatalf("wire carried %v, want %v", fc.wire, want)
+		t.Fatalf("a silent holder: the wire carried %v, want %v", fc.wire, want)
 	}
-	snap := a.reg.Snapshot()
-	if h := snap.Histogram("livenode.data.fetch_ns"); h.Count != 1 || h.Max != int64(syncTimeout) {
-		t.Fatalf("fetch latency %+v, want one sample of %v", h, syncTimeout)
+	snap = a.reg.Snapshot()
+	if h := snap.Histogram("livenode.data.fetch_ns"); h.Count != 2 || h.Max != int64(syncTimeout) {
+		t.Fatalf("fetch latency %+v, want a second sample of %v", h, syncTimeout)
 	}
-	if snap.Counter("livenode.fetch.directed") != 2 || snap.Counter("livenode.fetch.next_candidate") != 1 {
+	if snap.Counter("livenode.fetch.directed") != 4 || snap.Counter("livenode.fetch.next_candidate") != 2 {
 		t.Fatalf("counters: %v", snap.Counters)
 	}
 	fc.clk.Advance(time.Hour)
-	if v := counter(a.reg, "livenode.data.fetch_expired"); v != 0 || len(fc.wire) != 3 {
-		t.Fatalf("a served fetch went on: %d expired, wire %v", v, fc.wire)
+	if len(fc.wire) != 3 || a.pendingFetches() != 0 {
+		t.Fatalf("a served fetch went on: %d pending, wire %v", a.pendingFetches(), fc.wire)
 	}
 }
 
@@ -312,93 +338,56 @@ func TestFetchSendErrorMovesOnAtOnce(t *testing.T) {
 	}
 }
 
-// (d) Every candidate stays silent: one broadcast, then the fetchTimeout
-// expiry. A repeated RequestData neither re-arms the expiry nor restarts
-// the cursor; once the fetch broadcasts, it repeats the broadcast.
-func TestFetchExhaustedBroadcastsThenExpires(t *testing.T) {
+// (d) A walk whose candidates all refuse, or stay silent, ends: nothing is
+// broadcast, no entry or timer is left, and a repeated RequestData walks the
+// candidates again. An item this node cannot name has no candidate, and its
+// fetch ends before it asks anybody.
+func TestFetchWalkEndsWhenCandidatesRunOut(t *testing.T) {
 	fc := newFetchCluster(t, 4, nil)
 	a := fc.nodes[0]
 	fc.know(0, 1, 2, 3)
 	id := fc.item(t, 0, "nobody has it", 3, []int{1, 2})
-	st := syncTimeout
+	timers := fc.clk.Pending()
 
 	a.RequestData(id)
-	fc.clk.Advance(st)
-	a.RequestData(id) // second candidate is being asked: nothing to do
-	if got := fc.sent(p2p.FrameDataRequest); len(got) != 2 || got[1].to != "n2" {
+	if got := fc.sent(p2p.FrameDataRequest); len(got) != 3 || len(fc.sent(p2p.FrameData)) != 3 {
+		t.Fatalf("wire carried %v, want three requests and three nacks", fc.wire)
+	}
+	if a.pendingFetches() != 0 || fc.clk.Pending() != timers || a.HasData(id) {
+		t.Fatalf("a walk that ran out left %d entries and %d timers", a.pendingFetches(), fc.clk.Pending()-timers)
+	}
+
+	fc.wire = nil
+	fc.silence(1, 2, 3)
+	a.RequestData(id)
+	a.RequestData(id) // the first candidate is being asked: nothing to do
+	if got := fc.sent(p2p.FrameDataRequest); len(got) != 1 || got[0].to != "n1" {
 		t.Fatalf("a repeated request disturbed the cursor: %v", got)
 	}
-	fc.clk.Advance(2 * st)
-	if got := len(fc.sent(p2p.FrameDataRequest)); got != 3+3 {
-		t.Fatalf("%d requests after all candidates timed out, want 3 directed + 1 broadcast to 3 peers", got)
-	}
-	fc.clk.Advance(5 * st)
-	if got := len(fc.sent(p2p.FrameDataRequest)); got != 6 {
-		t.Fatalf("the broadcast repeated on its own: %d requests", got)
-	}
-	a.RequestData(id)
-	if got := len(fc.sent(p2p.FrameDataRequest)); got != 9 {
-		t.Fatalf("a repeated request in the broadcast phase sent %d frames, want 3 more", got-6)
-	}
-	snap := a.reg.Snapshot()
-	if snap.Counter("livenode.fetch.directed") != 3 || snap.Counter("livenode.fetch.next_candidate") != 2 ||
-		snap.Counter("livenode.fetch.broadcasts") != 2 {
-		t.Fatalf("counters: %v", snap.Counters)
-	}
-	// 8 s have passed; the expiry still stands where the FIRST request put it.
-	fc.clk.Advance(fetchTimeout - 8*st - time.Millisecond)
-	if a.pendingFetches() != 1 {
-		t.Fatal("fetch expired early")
+	fc.clk.Advance(3*syncTimeout - time.Millisecond)
+	if a.pendingFetches() != 1 || len(fc.sent(p2p.FrameDataRequest)) != 3 {
+		t.Fatalf("%d pending after %v of silence, wire %v", a.pendingFetches(), 3*syncTimeout, fc.wire)
 	}
 	fc.clk.Advance(time.Millisecond)
-	if a.pendingFetches() != 0 || counter(a.reg, "livenode.data.fetch_expired") != 1 {
-		t.Fatalf("fetch not expired at fetchTimeout: %d pending, %d expired",
-			a.pendingFetches(), counter(a.reg, "livenode.data.fetch_expired"))
+	if a.pendingFetches() != 0 || fc.clk.Pending() != timers || len(fc.wire) != 3 {
+		t.Fatalf("the silent walk did not end: %d pending, %d timers, wire %v", a.pendingFetches(), fc.clk.Pending()-timers, fc.wire)
 	}
-	// The broadcast reaches holders outside the candidate list.
-	if err := fc.nodes[3].store.PutData(id, []byte("nobody has it")); err != nil {
-		t.Fatal(err)
-	}
-	a.mu.Lock()
-	a.addrOf[3], a.idxOf = "", map[string]int{"n1": 1, "n2": 2}
-	a.mu.Unlock()
-	a.RequestData(id)
-	fc.clk.Advance(2 * st)
-	if !a.HasData(id) {
-		t.Fatal("the last-resort broadcast did not fetch from a holder outside the candidates")
-	}
-}
 
-// (e) An item in neither pool nor chain is broadcast at once, and any
-// holder's answer completes it.
-func TestFetchUnknownItemBroadcasts(t *testing.T) {
-	fc := newFetchCluster(t, 4, nil)
-	a := fc.nodes[0]
-	fc.know(0, 1, 2, 3)
-	content := []byte("known to its holders only")
-	id := meta.HashData(content)
-	for _, h := range []int{2, 3} {
-		if err := fc.nodes[h].store.PutData(id, content); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := fc.gotData(0)
-	a.RequestData(id)
-	if req, ans := fc.sent(p2p.FrameDataRequest), fc.sent(p2p.FrameData); len(req) != 3 || len(ans) != 2 {
-		t.Fatalf("wire carried %v, want 3 requests and both holders' answers", fc.wire)
-	}
-	if len(got) != 1 || got[id] != string(content) {
-		t.Fatalf("OnData got %v", got)
+	fc.wire = nil
+	a.RequestData(meta.HashData([]byte("never heard of")))
+	if a.pendingFetches() != 0 || len(fc.wire) != 0 {
+		t.Fatalf("an unknown item: %d pending, wire %v", a.pendingFetches(), fc.wire)
 	}
 	snap := a.reg.Snapshot()
-	if snap.Counter("livenode.fetch.broadcasts") != 1 || snap.Counter("livenode.fetch.directed") != 0 {
+	if snap.Counter("livenode.fetch.directed") != 6 || snap.Counter("livenode.fetch.next_candidate") != 4 {
 		t.Fatalf("counters: %v", snap.Counters)
 	}
 }
 
 // (f) A peer whose hellos claim to be every holder and who answers with
-// other bytes delays the fetch by one syncTimeout and changes nothing that
-// is stored; the real node's next hello takes its index back.
+// other bytes costs the fetch: its answer fails the hash, so the walk moves
+// past it and, with nobody left, ends. Nothing is stored, and once the real
+// node's next hello takes its index back, the next request is served.
 func TestFetchForgedBindingOnlyDelays(t *testing.T) {
 	fc := newFetchCluster(t, 4, nil)
 	a := fc.nodes[0]
@@ -423,15 +412,8 @@ func TestFetchForgedBindingOnlyDelays(t *testing.T) {
 	got := fc.gotData(0)
 
 	a.RequestData(id)
-	if forged != 1 || a.HasData(id) || len(got) != 0 {
-		t.Fatalf("forged answer: asked evil %d times, stored=%v, OnData %v", forged, a.HasData(id), got)
-	}
-	fc.clk.Advance(syncTimeout)
-	if !a.HasData(id) || got[id] != "the real bytes" {
-		t.Fatalf("fetch did not recover through the broadcast: OnData %v", got)
-	}
-	if c, ok := a.store.AppendData(nil, id); !ok || string(c) != "the real bytes" {
-		t.Fatalf("stored %q", c)
+	if forged != 1 || a.HasData(id) || len(got) != 0 || a.pendingFetches() != 0 {
+		t.Fatalf("forged answer: asked evil %d times, stored=%v, OnData %v, %d pending", forged, a.HasData(id), got, a.pendingFetches())
 	}
 	// n1 links again: its index is its own again.
 	a.handleHello("n1", hello(1))
@@ -440,6 +422,13 @@ func TestFetchForgedBindingOnlyDelays(t *testing.T) {
 	a.mu.Unlock()
 	if addr != "n1" {
 		t.Fatalf("index 1 bound to %q after the real node's hello", addr)
+	}
+	a.RequestData(id)
+	if forged != 1 || !a.HasData(id) || got[id] != "the real bytes" {
+		t.Fatalf("the request after the real hello: asked evil %d times, OnData %v", forged, got)
+	}
+	if c, ok := a.store.AppendData(nil, id); !ok || string(c) != "the real bytes" {
+		t.Fatalf("stored %q", c)
 	}
 }
 
@@ -502,37 +491,56 @@ func TestFetchAndRepairShareAddressTable(t *testing.T) {
 	}
 }
 
-// Content is stored only when it was asked for AND hashes to its ID.
+// Content is stored only when it was asked for AND hashes to its ID. An
+// answer that fails the hash moves the walk on at once if it came from the
+// candidate asked last, and is dropped if it came from anyone else. The
+// empty item's bare ID hashes to its ID, so it is stored as the content.
 func TestUnsolicitedDataNotStored(t *testing.T) {
 	fc := newFetchCluster(t, 3, func(cfg *Config) { cfg.RepairWorkers = 1 })
 	a := fc.nodes[0]
+	fc.know(0, 1, 2)
+	fc.silence(1, 2)
 	got := fc.gotData(0)
-	content := []byte("nobody asked for this")
-	id := meta.HashData(content)
+	content := "nobody asked for this"
+	id := fc.item(t, 0, content, 2, []int{1})
 	frame := append(id[:], content...)
+	requests := func() int { return len(fc.sent(p2p.FrameDataRequest)) }
 
 	a.handleFrame("n1", p2p.FrameData, frame)
 	if a.HasData(id) || len(got) != 0 {
 		t.Fatalf("unsolicited frame was stored (OnData %v)", got)
 	}
-	// Asked for, but the bytes do not hash to the ID: still nothing.
-	a.RequestData(id)
+	// Asked for, but the bytes do not hash to the ID: still nothing. From a
+	// node that was not asked, the walk stays where it is.
+	a.RequestData(id) // asks n1
+	a.handleFrame("n2", p2p.FrameData, append(id[:], "something else"...))
+	if a.HasData(id) || len(got) != 0 || a.pendingFetches() != 1 || requests() != 1 {
+		t.Fatalf("a corrupt answer from a node not asked: stored=%v, %d pending, %d requests", a.HasData(id), a.pendingFetches(), requests())
+	}
+	// From the node asked last, it moves the walk on at once.
 	a.handleFrame("n1", p2p.FrameData, append(id[:], "something else"...))
-	if a.HasData(id) || len(got) != 0 || a.pendingFetches() != 1 {
-		t.Fatal("content that does not hash to its ID was accepted")
+	if a.HasData(id) || len(got) != 0 || a.pendingFetches() != 1 || requests() != 2 || fc.wire[len(fc.wire)-1].to != "n2" {
+		t.Fatalf("a corrupt answer from the asked holder: stored=%v, %d pending, wire %v", a.HasData(id), a.pendingFetches(), fc.wire)
 	}
 	a.handleFrame("n1", p2p.FrameData, frame)
-	if !a.HasData(id) || got[id] != string(content) || a.pendingFetches() != 0 {
+	if !a.HasData(id) || got[id] != content || a.pendingFetches() != 0 {
 		t.Fatalf("solicited answer not stored: OnData %v", got)
 	}
 	// A repair fetch solicits like any other once it is pending, and its
 	// answer completes the repair.
-	other := []byte("repair wants this")
-	oid := meta.HashData(other)
+	other := "repair wants this"
+	oid := fc.item(t, 0, other, 2, []int{1})
 	a.requestData(oid, repairFetch)
 	a.handleFrame("n1", p2p.FrameData, append(oid[:], other...))
-	if !a.HasData(oid) || got[oid] != string(other) || a.pendingFetches() != 0 || counter(a.reg, "livenode.repair.completed") != 1 {
+	if !a.HasData(oid) || got[oid] != other || a.pendingFetches() != 0 || counter(a.reg, "livenode.repair.completed") != 1 {
 		t.Fatalf("repair answer not stored: OnData %v", got)
+	}
+	// The empty item: its bare ID is its content, whoever sends it.
+	eid := fc.item(t, 0, "", 2, []int{1})
+	a.RequestData(eid)
+	a.handleFrame("n2", p2p.FrameData, eid[:])
+	if c, ok := got[eid]; !a.HasData(eid) || !ok || c != "" || a.pendingFetches() != 0 {
+		t.Fatalf("the empty item's bare ID was not stored: OnData %v", got)
 	}
 }
 
@@ -609,8 +617,7 @@ func TestRepairFetchPaysBudgetAndCountsAsRepair(t *testing.T) {
 		}
 	}
 	snap := a.reg.Snapshot()
-	if snap.Counter("livenode.repair.enqueued") != 1 || snap.Counter("livenode.repair.completed") != 1 ||
-		snap.Counter("livenode.repair.fallbacks") != 0 {
+	if snap.Counter("livenode.repair.enqueued") != 1 || snap.Counter("livenode.repair.completed") != 1 {
 		t.Errorf("repair counters at the requester: %v", snap.Counters)
 	}
 	if h := snap.Histogram("livenode.repair.fetch_ns"); h.Count != 1 || h.Max != int64(syncTimeout) {
@@ -633,59 +640,15 @@ func TestRepairFetchPaysBudgetAndCountsAsRepair(t *testing.T) {
 	}
 }
 
-// A repair launch replaces a pending consumer or placement fetch of the same
-// item that has nobody left to ask — fresh candidates, the launch's own
-// expiry, marked requests — and leaves no timer of the old fetch behind; a
-// consumer's request while a repair fetch is pending rides on it.
-func TestRepairLaunchTakesOverPendingFetch(t *testing.T) {
-	fc := newFetchCluster(t, 3, func(cfg *Config) { cfg.RepairWorkers = 1 })
-	a := fc.nodes[0]
-	fc.forget(0, 1, 2)
-	id := fc.item(t, 0, "placed while nobody was known", 2, []int{0, 1})
-	a.requestData(id, placementFetch) // empty address table: broadcast, then fetchTimeout
-	timers := fc.clk.Pending()
-	entry := func() *pendingFetch {
-		a.mu.Lock()
-		defer a.mu.Unlock()
-		return a.fetches.pending[id]
-	}
-	old := entry()
-	if old == nil || old.repair || old.waiting() {
-		t.Fatalf("placement fetch %+v, want one that is broadcasting", old)
-	}
-
-	fc.know(0, 1, 2)
-	fc.wire = nil
-	a.requestData(id, repairFetch)
-	taken := entry()
-	if taken == old || !taken.repair || !reflect.DeepEqual(taken.cands, []string{"n2", "n1"}) {
-		t.Fatalf("after the repair launch the pending fetch is %+v", taken)
-	}
-	if got := fc.clk.Pending(); got != timers+1 {
-		t.Fatalf("%d live timers, want the old expiry replaced and one attempt armed (%d)", got, timers+1)
-	}
-	a.RequestData(id)
-	if entry() != taken || len(fc.sent(p2p.FrameDataRequest)) != 1 {
-		t.Fatalf("a consumer's request disturbed the repair fetch: wire %v", fc.wire)
-	}
-	fc.clk.Advance(4*a.cfg.RepairProbeEvery - time.Millisecond)
-	if entry() != taken {
-		t.Fatal("repair fetch expired early")
-	}
-	fc.clk.Advance(time.Millisecond)
-	if entry() != nil || counter(a.reg, "livenode.data.fetch_expired") != 0 {
-		t.Fatalf("repair fetch not dropped at 4 probe intervals (or counted as a consumer's): %+v", entry())
-	}
-}
-
 // A consumer's fetch that is still waiting on a candidate is not the repair
 // plane's to restart: a launch for the same item leaves its start, cursor,
-// purpose and expiry alone and rides on it. Once it has run out of candidates
-// the next launch replaces it.
+// purpose and timer alone and rides on it. Once its walk has ended the next
+// launch starts a repair fetch of its own.
 func TestRepairLaunchLeavesRunningFetchAlone(t *testing.T) {
 	fc := newFetchCluster(t, 3, func(cfg *Config) { cfg.RepairWorkers = 1 })
 	a := fc.nodes[0]
 	fc.know(0, 1, 2)
+	fc.silence(1, 2)
 	id := fc.item(t, 0, "a consumer is reading this", 2, []int{0, 1}) // nobody holds the bytes
 	a.RequestData(id)
 	entry := func() *pendingFetch {
@@ -694,7 +657,7 @@ func TestRepairLaunchLeavesRunningFetchAlone(t *testing.T) {
 		return a.fetches.pending[id]
 	}
 	running := entry()
-	if running == nil || !running.waiting() {
+	if running == nil || running.attempt == nil {
 		t.Fatalf("consumer fetch %+v, want one waiting on its first candidate", running)
 	}
 	start, asked, timers := running.start, len(fc.wire), fc.clk.Pending()
@@ -707,20 +670,20 @@ func TestRepairLaunchLeavesRunningFetchAlone(t *testing.T) {
 	}
 
 	fc.clk.Advance(2 * syncTimeout) // n1, then the producer, stayed silent
-	if after := entry(); after != running || after.waiting() {
-		t.Fatalf("exhausted consumer fetch %+v, want it broadcasting", after)
+	if after := entry(); after != nil {
+		t.Fatalf("exhausted consumer fetch %+v, want it ended", after)
 	}
 	a.requestData(id, repairFetch)
-	if after := entry(); after == running || !after.repair || counter(a.reg, "livenode.data.fetch_expired") != 0 {
-		t.Fatalf("the next launch did not replace the exhausted fetch: %+v", after)
+	if after := entry(); after == nil || !after.repair || !reflect.DeepEqual(after.cands, []string{"n2", "n1"}) {
+		t.Fatalf("the next launch did not start a repair fetch: %+v", after)
 	}
 }
 
 // The probe tick's self-audit launches a repair fetch only where nobody is
-// fetching. A placement fetch still waiting on a candidate is left alone; one
-// that has run out of candidates is replaced by a launch with fresh
-// candidates, under RepairWorkers (1 here). Ticks are driven by hand: the tick
-// timer is an hour, and nobody turns suspect within the test.
+// fetching. A placement fetch still waiting on a candidate is left alone; once
+// its walk has ended, a launch fetches the item afresh, under RepairWorkers
+// (1 here). Ticks are driven by hand: the tick timer is an hour, and nobody
+// turns suspect within the test.
 func TestRepairAuditLaunchesWhereNobodyFetches(t *testing.T) {
 	fc := newFetchCluster(t, 3, func(cfg *Config) {
 		cfg.RepairWorkers = 1
@@ -729,6 +692,7 @@ func TestRepairAuditLaunchesWhereNobodyFetches(t *testing.T) {
 	})
 	a := fc.nodes[0]
 	fc.know(0, 1, 2)
+	fc.silence(1, 2)
 	var ids []meta.DataID
 	var items []*meta.Item
 	for _, content := range []string{"assigned, and nobody has the bytes", "assigned as well"} {
@@ -747,7 +711,7 @@ func TestRepairAuditLaunchesWhereNobodyFetches(t *testing.T) {
 	}
 	launched := func() uint64 { return counter(a.reg, "livenode.repair.enqueued") }
 	p1, p2 := entry(first), entry(second)
-	if p1 == nil || p1.repair || !p1.waiting() || p2 == nil || len(fc.wire) != 2 {
+	if p1 == nil || p1.repair || p1.attempt == nil || p2 == nil || len(fc.wire) != 2 {
 		t.Fatalf("placement fetches %+v %+v, wire %v: want both waiting on the producer", p1, p2, fc.wire)
 	}
 
@@ -756,15 +720,15 @@ func TestRepairAuditLaunchesWhereNobodyFetches(t *testing.T) {
 		t.Fatalf("the audit disturbed placement fetches that are still waiting: wire %v", fc.wire)
 	}
 
-	fc.clk.Advance(2 * syncTimeout) // n2, then n1, stayed silent: both broadcast
-	if p1.waiting() || p2.waiting() || entry(first) != p1 {
+	fc.clk.Advance(2 * syncTimeout) // n2, then n1, stayed silent: both walks end
+	if entry(first) != nil || entry(second) != nil {
 		t.Fatal("placement fetches did not run out of candidates")
 	}
 	fc.wire = nil
 	a.repairTick()
 	r1 := entry(first)
-	if r1 == p1 || !r1.repair || !reflect.DeepEqual(r1.cands, []string{"n2", "n1"}) ||
-		entry(second) != p2 || launched() != 1 || !reflect.DeepEqual(fc.wire, []wireFrame{{"n0", "n2", p2p.FrameDataRequest}}) {
+	if r1 == nil || !r1.repair || !reflect.DeepEqual(r1.cands, []string{"n2", "n1"}) ||
+		entry(second) != nil || launched() != 1 || !reflect.DeepEqual(fc.wire, []wireFrame{{"n0", "n2", p2p.FrameDataRequest}}) {
 		t.Fatalf("after the tick: first %+v, wire %v, %d launched; want one repair fetch asking the producer", r1, fc.wire, launched())
 	}
 }
@@ -787,15 +751,17 @@ func (fc *fetchCluster) reassignToFirst(t *testing.T, items ...*meta.Item) {
 
 // An assigned item nobody can serve does not keep the repair plane from the
 // rest. With one worker, the audit first launches the item that comes first
-// in ID order, which every holder has lost; its fetch holds the slot until it
-// expires at the fourth tick. The tick that frees the slot starts after that
-// item, so the other item, which node 1 holds, is repaired within two ticks of
-// the expiry. Started from the front instead, every audit would relaunch the
+// in ID order, which every holder has lost; its fetch holds the slot while the
+// producer, asked first, stays silent, and ends when node 1 refuses it, right
+// after the second tick. The tick that frees the slot starts after that item,
+// so the other item, which node 1 holds, is repaired within two ticks of the
+// walk's end. Started from the front instead, every audit would relaunch the
 // lost item and the other would never get the slot.
 func TestRepairAuditRoundRobinsPastUnservableItem(t *testing.T) {
 	fc := newFetchCluster(t, 4, func(cfg *Config) { cfg.RepairWorkers = 1 })
 	a := fc.nodes[0]
 	fc.know(0, 1, 3)
+	fc.silence(3)
 	content := map[meta.DataID]string{}
 	var items []*meta.Item
 	for _, c := range []string{"lost by every holder", "still held by node 1"} {
@@ -820,16 +786,14 @@ func TestRepairAuditRoundRobinsPastUnservableItem(t *testing.T) {
 	if r == nil || !r.repair || entry(held) != nil {
 		t.Fatalf("first tick: lost %+v, held %+v; want one repair fetch, for the first item", r, entry(held))
 	}
-	for k := 1; k < 4; k++ {
-		tick()
-		if entry(lost) != r || entry(held) != nil {
-			t.Fatalf("tick %d: the lost item's fetch must hold the only slot until it expires", k)
-		}
+	tick()
+	if entry(lost) != nil || entry(held) != nil || counter(a.reg, "livenode.repair.enqueued") != 1 {
+		t.Fatal("tick 2: the lost item's fetch must hold the only slot until its walk ends")
 	}
-	tick() // the expiry frees the slot; this tick launches the other item
+	tick() // the slot is free; this tick launches the other item
 	tick()
 	if !a.HasData(held) {
-		t.Fatalf("the held item was not repaired within two ticks of the expiry (%d launched)", counter(a.reg, "livenode.repair.enqueued"))
+		t.Fatalf("the held item was not repaired within two ticks of the walk's end (%d launched)", counter(a.reg, "livenode.repair.enqueued"))
 	}
 	if counter(a.reg, "livenode.repair.completed") != 1 {
 		t.Fatal("the held item came back without a repair fetch")
@@ -838,12 +802,13 @@ func TestRepairAuditRoundRobinsPastUnservableItem(t *testing.T) {
 
 // Repair fetches in flight never exceed RepairWorkers, however many assigned
 // items are missing, and the cursor walks every one of them in turn: five
-// items nobody can serve, two workers, twelve ticks.
+// items nobody can serve from two silent holders, two workers, twelve ticks.
 func TestRepairAuditHoldsWorkerBound(t *testing.T) {
 	const workers = 2
 	fc := newFetchCluster(t, 4, func(cfg *Config) { cfg.RepairWorkers = workers })
 	a := fc.nodes[0]
 	fc.know(0, 1, 3)
+	fc.silence(1, 3)
 	var items []*meta.Item
 	for k := 0; k < 5; k++ {
 		items = append(items, testItem(a.idents()[3], fmt.Sprintf("lost item %d", k), 0))
@@ -877,12 +842,12 @@ func TestCloseStopsFetchTimers(t *testing.T) {
 	fc := newFetchCluster(t, 3, func(cfg *Config) { cfg.RepairWorkers = 1 })
 	a := fc.nodes[0]
 	fc.know(0, 1, 2)
+	fc.silence(1, 2)
 	timers := fc.clk.Pending()
 	a.RequestData(fc.item(t, 0, "silent holder", 2, []int{1}))
-	a.RequestData(meta.HashData([]byte("unknown")))
 	a.requestData(fc.item(t, 0, "repair asks a silent holder", 2, []int{0, 1}), repairFetch)
-	if got := fc.clk.Pending() - timers; got != 5 {
-		t.Fatalf("%d fetch timers armed, want 3 expiries + 2 attempts", got)
+	if got := fc.clk.Pending() - timers; got != 2 || a.pendingFetches() != 2 {
+		t.Fatalf("%d fetch timers armed for %d fetches, want 2 attempts", got, a.pendingFetches())
 	}
 	a.Close()
 	if a.pendingFetches() != 0 || fc.clk.Pending() > timers {
@@ -895,7 +860,8 @@ func TestCloseStopsFetchTimers(t *testing.T) {
 }
 
 // Requests for the same and for different items from several goroutines,
-// while peers' requests are served and their hellos re-bind the table:
+// while peers' requests are served and their hellos re-bind the table, and
+// half the items are missing at the first holder asked, which nacks:
 // everything is served and nothing stays pending (run under -race).
 func TestFetchConcurrentRequests(t *testing.T) {
 	fc := newFetchCluster(t, 4, nil)
@@ -904,7 +870,7 @@ func TestFetchConcurrentRequests(t *testing.T) {
 	fc.know(0, 1, 2, 3)
 	ids := make([]meta.DataID, 8)
 	for i := range ids {
-		ids[i] = fc.item(t, 0, fmt.Sprintf("concurrent %d", i), 3, []int{1, 2}, 1, 2)
+		ids[i] = fc.item(t, 0, fmt.Sprintf("concurrent %d", i), 3, []int{1, 2}, 2-i%2, 2)
 	}
 	var mu sync.Mutex
 	delivered := make(map[meta.DataID]int)

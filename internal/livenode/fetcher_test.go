@@ -18,9 +18,10 @@ import (
 
 const fuzzKeys = 4
 
-// fuzzExpiries are the fetch bounds a script picks from, in units of the
-// fetcher's wait on one candidate (syncTimeout).
-var fuzzExpiries = [4]time.Duration{0, syncTimeout, 5 * syncTimeout / 2, 10 * syncTimeout}
+// fuzzRewalks are the verdicts on an exhausted fetch a script picks from: 0
+// ends it, a delay walks its candidates again after it (the data plane's
+// mobility epoch is 15 syncTimeouts).
+var fuzzRewalks = [4]time.Duration{0, syncTimeout / 2, syncTimeout, 15 * syncTimeout}
 
 // refDeadline is a timer of the reference: armed says whether it is pending.
 type refDeadline struct {
@@ -30,9 +31,10 @@ type refDeadline struct {
 }
 
 type refFetch struct {
-	cands           []string
-	next            int
-	attempt, expiry refDeadline
+	cands   []string
+	next    int
+	again   time.Duration // the exhausted verdict: 0 ends the fetch
+	attempt refDeadline
 }
 
 // fetcherModel is the reference: what a fetcher must do, written without
@@ -50,16 +52,10 @@ func (m *fetcherModel) arm(d time.Duration) refDeadline {
 	return refDeadline{at: m.now.Add(d), order: m.armed, armed: true}
 }
 
-func (m *fetcherModel) begin(k uint8, cands []string, expiry time.Duration) {
-	r := m.live[k]
-	if r == nil {
-		r = &refFetch{cands: cands}
-		if expiry > 0 {
-			r.expiry = m.arm(expiry)
-		}
+func (m *fetcherModel) begin(k uint8, cands []string, again time.Duration) {
+	if m.live[k] == nil { // a pending fetch is left alone
+		r := &refFetch{cands: cands, again: again}
 		m.live[k] = r
-	}
-	if !r.attempt.armed { // new, or exhausted and waiting for its expiry
 		m.advance(k, r)
 	}
 }
@@ -69,7 +65,10 @@ func (m *fetcherModel) advance(k uint8, r *refFetch) {
 		r.attempt.armed = false
 		if r.next == len(r.cands) {
 			m.log = append(m.log, fmt.Sprintf("exhausted %d", k))
-			if !r.expiry.armed {
+			if r.again > 0 {
+				r.next = 0
+				r.attempt = m.arm(r.again)
+			} else {
 				delete(m.live, k)
 			}
 			return
@@ -84,44 +83,44 @@ func (m *fetcherModel) advance(k uint8, r *refFetch) {
 	}
 }
 
+// refused is an answer from `from` that is not the item: it moves the walk
+// on only if from is the candidate asked last.
+func (m *fetcherModel) refused(k uint8, from string) {
+	if r := m.live[k]; r != nil && r.attempt.armed && r.next > 0 && r.cands[r.next-1] == from {
+		m.advance(k, r)
+	}
+}
+
 // due returns the deadline that fires next, at or before limit, and its key.
-func (m *fetcherModel) due(limit time.Time) (key uint8, isExpiry bool, best refDeadline) {
+func (m *fetcherModel) due(limit time.Time) (key uint8, best refDeadline) {
 	for k, r := range m.live {
-		for i, d := range []refDeadline{r.attempt, r.expiry} {
-			if !d.armed || d.at.After(limit) {
-				continue
-			}
-			if !best.armed || d.at.Before(best.at) || (d.at.Equal(best.at) && d.order < best.order) {
-				key, isExpiry, best = k, i == 1, d
-			}
+		d := r.attempt
+		if !d.armed || d.at.After(limit) {
+			continue
+		}
+		if !best.armed || d.at.Before(best.at) || (d.at.Equal(best.at) && d.order < best.order) {
+			key, best = k, d
 		}
 	}
-	return key, isExpiry, best
+	return key, best
 }
 
 func (m *fetcherModel) runUntil(limit time.Time) {
 	for {
-		k, isExpiry, d := m.due(limit)
+		k, d := m.due(limit)
 		if !d.armed {
 			m.now = limit
 			return
 		}
 		m.now = d.at
-		if isExpiry {
-			m.log = append(m.log, fmt.Sprintf("expired %d", k))
-			delete(m.live, k)
-		} else {
-			m.advance(k, m.live[k])
-		}
+		m.advance(k, m.live[k])
 	}
 }
 
 func (m *fetcherModel) timers() (n int) {
 	for _, r := range m.live {
-		for _, d := range []refDeadline{r.attempt, r.expiry} {
-			if d.armed {
-				n++
-			}
+		if r.attempt.armed {
+			n++
 		}
 	}
 	return n
@@ -149,19 +148,15 @@ func runFetcherScript(t *testing.T, script []byte) {
 		log = append(log, fmt.Sprintf("ask %d %s", k, to))
 		return !model.down[to]
 	}
-	f.exhausted = func(k uint8, e *pendingFetch) func() {
+	again := make(map[*pendingFetch]time.Duration) // each fetch's verdict
+	f.exhausted = func(k uint8, e *pendingFetch) (time.Duration, func()) {
 		alive("exhausted", k, e)
-		if e.expiry == nil {
+		if again[e] == 0 {
 			ended[e] = "exhausted"
 		}
 		// The verdict is logged from the unlocked half, so the test also
 		// sees that half run, and run once.
-		return func() { log = append(log, fmt.Sprintf("exhausted %d", k)) }
-	}
-	f.expired = func(k uint8, e *pendingFetch) {
-		alive("expired", k, e)
-		ended[e] = "expired"
-		log = append(log, fmt.Sprintf("expired %d", k))
+		return again[e], func() { log = append(log, fmt.Sprintf("exhausted %d", k)) }
 	}
 	clearAll := func() {
 		mu.Lock()
@@ -174,31 +169,31 @@ func runFetcherScript(t *testing.T, script []byte) {
 	}
 
 	for i := 0; i+1 < len(script); i += 2 {
-		op, arg := script[i]%5, script[i+1]
+		op, arg := script[i]%6, script[i+1]
 		k := arg % fuzzKeys
 		switch op {
-		case 0: // begin k: arg picks how many candidates, which are down, the expiry
+		case 0: // begin k: arg picks how many candidates, which are down, the verdict
 			fetches++
 			cands := make([]string, int(arg>>2)%4)
 			for j := range cands {
 				cands[j] = fmt.Sprintf("f%dc%d", fetches, j)
 				model.down[cands[j]] = arg>>(5+j)&1 == 1
 			}
-			expiry := fuzzExpiries[arg>>4%4]
+			rewalk := fuzzRewalks[arg>>4%4]
 			mu.Lock()
 			before := f.pending[k]
-			e := f.begin(k, cands, expiry)
-			idle := !e.waiting()
+			e := f.begin(k, cands)
+			if before == nil {
+				again[e] = rewalk
+			}
 			mu.Unlock()
 			if before == nil {
 				began++
+				f.advance(k, e)
 			} else if e != before {
 				t.Fatalf("begin for pending key %d replaced its fetch", k)
 			}
-			if idle {
-				f.advance(k, e)
-			}
-			model.begin(k, cands, expiry)
+			model.begin(k, cands, rewalk)
 		case 1: // the answer for k arrives
 			mu.Lock()
 			e := f.finish(k)
@@ -212,7 +207,7 @@ func runFetcherScript(t *testing.T, script []byte) {
 				delete(model.live, k)
 			}
 		case 2: // run to the next timer
-			if _, _, d := model.due(model.now.Add(time.Hour)); d.armed {
+			if _, d := model.due(model.now.Add(time.Hour)); d.armed {
 				model.runUntil(d.at)
 				clk.Advance(d.at.Sub(clk.Now()))
 			}
@@ -222,6 +217,13 @@ func runFetcherScript(t *testing.T, script []byte) {
 			clk.Advance(d)
 		case 4:
 			clearAll()
+		case 5: // an answer that is not the item: from the candidate asked last, or a stranger
+			from := "stranger"
+			if r := model.live[k]; r != nil && r.next > 0 && arg>>2&1 == 0 {
+				from = r.cands[r.next-1]
+			}
+			f.refused(k, from)
+			model.refused(k, from)
 		}
 		if !reflect.DeepEqual(log[checked:], model.log[min(checked, len(model.log)):]) {
 			t.Fatalf("step %d (op %d arg %d): fetcher did\n  %v\nmodel\n  %v", i/2, op, arg, log, model.log)
@@ -251,14 +253,15 @@ func runFetcherScript(t *testing.T, script []byte) {
 func FuzzFetcher(f *testing.F) {
 	// One candidate, silent: asked, exhausted, over (the relays' shape).
 	f.Add([]byte{0, 1<<2 | 0, 2, 0})
-	// Three candidates and an expiry: cursor, broadcast phase, a repeated
-	// begin, the expiry (the data plane's shape).
-	f.Add([]byte{0, 3<<4 | 3<<2 | 1, 2, 0, 2, 0, 0, 1, 2, 0, 0, 1, 3, 200})
+	// Three candidates, a re-walk after 15 syncTimeouts: cursor, a repeated
+	// begin, the wait, the walk again (the data plane's own-copy shape).
+	f.Add([]byte{0, 3<<4 | 3<<2 | 1, 2, 0, 2, 0, 0, 1, 2, 0, 2, 0, 2, 0, 3, 200})
 	// Unreachable candidates are skipped inside one advance.
 	f.Add([]byte{0, 3<<5 | 2<<4 | 3<<2 | 2, 2, 0, 1, 2})
 	// No candidates at all; answers for nothing; clear in the middle.
 	f.Add([]byte{0, 3<<4 | 3, 1, 3, 1, 0, 0, 1<<2 | 0, 4, 0, 3, 50})
-	// The expiry and the first attempt fall due at the same instant.
-	f.Add([]byte{0, 1<<4 | 2<<2 | 0, 0, 1<<4 | 2<<2 | 1, 3, 10, 3, 10})
+	// Refusals: a stranger's moves nothing, the asked candidate's moves the
+	// walk on at once, past its end too; none in the re-walk wait.
+	f.Add([]byte{0, 2<<4 | 3<<2 | 1, 5, 1<<2 | 1, 5, 1, 5, 1, 5, 1, 5, 1, 3, 5, 5, 1})
 	f.Fuzz(runFetcherScript)
 }

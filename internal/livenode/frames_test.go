@@ -160,7 +160,7 @@ func TestFramesImmutableAfterSend(t *testing.T) {
 		run(5 * time.Second)
 	}
 	// Node 5 publishes and crashes before any storer fetched the content:
-	// the storers find no holder to ask and fall back to every peer.
+	// the storers ask each other, and a storer without the bytes nacks.
 	publish(5, 5)
 	run(time.Second)
 	if err := nodes[5].Kill(); err != nil {
@@ -181,6 +181,12 @@ func TestFramesImmutableAfterSend(t *testing.T) {
 	}
 	run(20 * time.Second)
 
+	nacks := uint64(0) // a nack is the bare 32-byte ID in a FrameData
+	for _, f := range log.sent {
+		if f.ft == p2p.FrameData && len(f.payload) == len(meta.DataID{}) {
+			nacks++
+		}
+	}
 	sum := func(name string) (v uint64) {
 		for _, reg := range regs {
 			v += reg.Snapshot().Counter(name)
@@ -198,7 +204,7 @@ func TestFramesImmutableAfterSend(t *testing.T) {
 		{"probes", uint64(log.byType[p2p.FrameRepairProbe])},
 		{"data requests", uint64(log.byType[p2p.FrameDataRequest])},
 		{"data answers", uint64(log.byType[p2p.FrameData])},
-		{"fetch fallbacks", sum("livenode.fetch.broadcasts")},
+		{"data nacks", nacks},
 		{"bootstrap installs", sum("livenode.bootstrap.installed")},
 		{"pruned bodies", sum("livenode.prune.bodies")},
 	} {

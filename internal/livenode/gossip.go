@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"sort"
+	"time"
 
 	"repro/internal/block"
 	"repro/internal/meta"
@@ -85,10 +86,10 @@ func (n *Node) newGossipState(seed int64) *gossipState {
 	// handleMetaAnnounce and handleCompactBlock send one batched request for
 	// every ID they begin, so advancing an entry only starts its wait.
 	g.metas.ask = func(meta.ShortID, *pendingFetch, string) bool { return true }
-	g.metas.exhausted = func(meta.ShortID, *pendingFetch) func() {
+	g.metas.exhausted = func(meta.ShortID, *pendingFetch) (time.Duration, func()) {
 		// No locator fallback (metagossip.go): a later announce may retry.
 		n.tel.metaFetchTimeouts.Inc()
-		return nil
+		return 0, nil
 	}
 	return g
 }
@@ -311,7 +312,7 @@ func (n *Node) handleBlockAnnounce(from string, payload []byte) {
 		// fetching is the wrong tool. Degrade to batched sync.
 		saturated = true
 	default:
-		pf = g.blocks.begin(hash, []string{from}, 0)
+		pf = g.blocks.begin(hash, []string{from})
 		n.tel.gossipFetchesSent.Inc()
 	}
 	n.mu.Unlock()
@@ -386,7 +387,7 @@ func (n *Node) handleCompactBlock(from string, payload []byte) {
 	case len(g.blocks.pending) >= maxPendingFetch:
 		defer n.sendSyncLocator(from) // table full, as for an announce: drop the body, sync in batches once unlocked
 	default:
-		pf = g.blocks.begin(hash, nil, 0)
+		pf = g.blocks.begin(hash, nil)
 	}
 	if err != nil || pf == nil {
 		n.mu.Unlock()
@@ -403,7 +404,7 @@ func (n *Node) handleCompactBlock(from string, payload []byte) {
 	for i, id := range missing {
 		pf.missing[id] = struct{}{}
 		if fetch && g.metas.pending[id] == nil && len(g.metas.pending) < maxPendingMetaFetch {
-			began[i] = g.metas.begin(id, []string{from}, 0)
+			began[i] = g.metas.begin(id, []string{from})
 		}
 	}
 	n.tel.compactItemsMissing.Add(len(missing))
@@ -471,7 +472,7 @@ func (n *Node) finishCompact(pf *pendingFetch, blk *block.Block) {
 // never answered, or whose compact answer could not be completed (n.mu held):
 // probe the announcer with a block locator instead, so one silent peer cannot
 // strand a block.
-func (n *Node) blockFetchExhausted(hash block.Hash, pf *pendingFetch) func() {
+func (n *Node) blockFetchExhausted(hash block.Hash, pf *pendingFetch) (time.Duration, func()) {
 	// Remember the hash: a re-announce must not restart a fetch the
 	// locator path is already covering.
 	n.gossip.seen.Add(hash, struct{}{})
@@ -479,5 +480,5 @@ func (n *Node) blockFetchExhausted(hash block.Hash, pf *pendingFetch) func() {
 	if pf.compact != nil {
 		n.tel.compactFallbacks.Inc()
 	}
-	return func() { n.sendSyncLocator(pf.cands[0]) }
+	return 0, func() { n.sendSyncLocator(pf.cands[0]) }
 }

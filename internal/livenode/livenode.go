@@ -196,7 +196,6 @@ type nodeMetrics struct {
 	// Self-healing data plane (DESIGN.md §11).
 	repairLaunched    *telemetry.Counter   // repair fetches the self-audit launched ("enqueued": the name bench/ reads)
 	repairCompleted   *telemetry.Counter   // repair fetches finished by verified content
-	repairFallbacks   *telemetry.Counter   // repair fetches that ran out of candidates and broadcast
 	repairThrottled   *telemetry.Counter   // launches and answers denied by the byte-rate budget
 	repairReannounced *telemetry.Counter   // repair re-announcements packed into own blocks
 	repairFetchNs     *telemetry.Histogram // launch → verified content
@@ -276,14 +275,12 @@ type nodeMetrics struct {
 	// Directed data fetch (DESIGN.md §11.1).
 	fetchDirected      *telemetry.Counter // requests sent to one candidate holder
 	fetchNextCandidate *telemetry.Counter // of those, sent after an earlier candidate failed
-	fetchBroadcasts    *telemetry.Counter // requests broadcast: no candidate (left)
 	rosterBound        *telemetry.Gauge   // roster nodes with a known transport address
 
-	dataFetchExpired *telemetry.Counter // pending fetches dropped by fetchTimeout
-	height           *telemetry.Gauge
-	ownS             *telemetry.Gauge // this node's stake S_i
-	ownQ             *telemetry.Gauge // this node's storage credit Q_i
-	events           *telemetry.Ring
+	height *telemetry.Gauge
+	ownS   *telemetry.Gauge // this node's stake S_i
+	ownQ   *telemetry.Gauge // this node's storage credit Q_i
+	events *telemetry.Ring
 }
 
 func newNodeMetrics(reg *telemetry.Registry) *nodeMetrics {
@@ -313,19 +310,16 @@ func newNodeMetrics(reg *telemetry.Registry) *nodeMetrics {
 
 		fetchDirected:      reg.Counter("livenode.fetch.directed"),
 		fetchNextCandidate: reg.Counter("livenode.fetch.next_candidate"),
-		fetchBroadcasts:    reg.Counter("livenode.fetch.broadcasts"),
 		rosterBound:        reg.Gauge("livenode.roster.bound"),
 
-		dataFetchExpired: reg.Counter("livenode.data.fetch_expired"),
-		sigCacheHits:     reg.Counter("livenode.sigcache.hits"),
-		sigCacheMisses:   reg.Counter("livenode.sigcache.misses"),
-		sigKeysTabled:    reg.Counter("livenode.sigcache.keys_tabled"),
-		sigFirstChecks:   reg.Counter("livenode.sigcache.first_checks"),
-		sigTablesHeld:    reg.Gauge("livenode.sigcache.tables_held"),
+		sigCacheHits:   reg.Counter("livenode.sigcache.hits"),
+		sigCacheMisses: reg.Counter("livenode.sigcache.misses"),
+		sigKeysTabled:  reg.Counter("livenode.sigcache.keys_tabled"),
+		sigFirstChecks: reg.Counter("livenode.sigcache.first_checks"),
+		sigTablesHeld:  reg.Gauge("livenode.sigcache.tables_held"),
 
 		repairLaunched:    reg.Counter("livenode.repair.enqueued"),
 		repairCompleted:   reg.Counter("livenode.repair.completed"),
-		repairFallbacks:   reg.Counter("livenode.repair.fallbacks"),
 		repairThrottled:   reg.Counter("livenode.repair.throttled"),
 		repairReannounced: reg.Counter("livenode.repair.reannounced"),
 		repairFetchNs:     reg.Histogram("livenode.repair.fetch_ns"),

@@ -182,7 +182,7 @@ func (n *Node) handleMetaAnnounce(from string, payload []byte) {
 			// Fetch table saturated: nothing to degrade to, the announce is dropped.
 			n.tel.metaFetchDropped.Inc()
 		default:
-			began = append(began, g.metas.begin(id, []string{from}, 0))
+			began = append(began, g.metas.begin(id, []string{from}))
 			want = append(want, id)
 		}
 	}

@@ -345,7 +345,7 @@ func (n *Node) handleFrame(from string, ft byte, payload []byte) {
 		n.handleDataRequest(from, payload)
 
 	case p2p.FrameData:
-		n.handleData(payload)
+		n.handleData(from, payload)
 	}
 }
 

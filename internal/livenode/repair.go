@@ -158,13 +158,12 @@ func (n *Node) repairTick() {
 	// the local store lacks is fetched with the repair purpose. That covers a
 	// re-announcement onto this node (onAppend leaves it to this tick), a
 	// node that restarted with its chain already current and so adopts
-	// nothing, and a repair fetch that expired unanswered, which a later tick
+	// nothing, and a repair fetch whose holders ran out, which a later tick
 	// launches afresh. The engine's index covers assignments below a pruned
 	// body window or a snapshot anchor, and is read afresh: AdoptSuffix swaps
 	// the view. An item whose fetch is still at work is left to it: a repair
 	// fetch holds one of the RepairWorkers slots until it ends, and a
-	// placement or consumer fetch still waiting on a candidate may yet be
-	// answered; one that is out of candidates is replaced (requestData).
+	// placement or consumer fetch may yet be answered.
 	free := n.cfg.RepairWorkers
 	for _, pf := range n.fetches.pending {
 		if pf.repair {
@@ -178,7 +177,7 @@ func (n *Node) repairTick() {
 		if n.store.HasData(id) {
 			continue
 		}
-		if pf := n.fetches.pending[id]; pf != nil && (pf.repair || pf.waiting()) {
+		if n.fetches.pending[id] != nil {
 			continue
 		}
 		if !rd.lim.Allow(nowD, repairFrameOverhead) {
@@ -228,7 +227,7 @@ func (n *Node) countWire(ft byte, payloadLen, copies int) {
 	bytes := (payloadLen + 5) * copies
 	switch ft {
 	case p2p.FrameDataRequest, p2p.FrameData:
-		// Data or repair traffic by the purpose of the fetch: countFetch.
+		// Data or repair traffic by the purpose of the fetch: sendFetch.
 	case p2p.FrameRepairProbe, p2p.FrameRepairProbeAck:
 		// Liveness traffic alone — the bytes the §15.2 sampled-probe gate
 		// bounds.
@@ -274,16 +273,4 @@ func (n *Node) send(peer string, ft byte, payload []byte) error {
 	}
 	n.countWire(ft, len(payload), 1)
 	return nil
-}
-
-// bcast sends one frame to every peer, not through send: the churn detector
-// hears none of its failures. It returns how many sends succeeded.
-func (n *Node) bcast(ft byte, payload []byte) (delivered int) {
-	for _, p := range n.net.Peers() {
-		if n.net.Send(p, ft, payload) == nil {
-			delivered++
-		}
-	}
-	n.countWire(ft, len(payload), delivered)
-	return delivered
 }

@@ -553,8 +553,9 @@ var deadFrameTypes = []byte{2, 4, 5, 12, 13, 14, p2p.FrameCompactBlock + 1}
 
 // deadFrameStoresNothing gives a dead type byte the one thing the retired
 // repair answer (14) needed to be stored: a fetch pending for the DataID its
-// payload starts with. Whatever follows the ID, nothing may be stored and the
-// fetch must stay pending.
+// payload starts with, waiting on a silent candidate (registered, never
+// asked, so no timer ends it). Whatever follows the ID, nothing may be stored
+// and the fetch must stay pending.
 func deadFrameStoresNothing(t *testing.T, n *Node, ft byte, payload []byte) {
 	t.Helper()
 	if len(payload) < len(meta.DataID{}) || n.store.HasData(meta.DataID(payload[:32])) {
@@ -567,7 +568,9 @@ func deadFrameStoresNothing(t *testing.T, n *Node, ft byte, payload []byte) {
 		return n.fetches.pending[id] != nil
 	}
 	if !pending() {
-		n.RequestData(id)
+		n.mu.Lock()
+		n.fetches.begin(id, []string{"silent"})
+		n.mu.Unlock()
 	}
 	n.handleFrame("fuzzer", ft, payload)
 	if n.store.HasData(id) || !pending() {
@@ -732,8 +735,7 @@ func TestRetiredFrameTypesIgnored(t *testing.T) {
 	}
 	b.mineBlocks(t, 2)
 	link(t, a, b)
-	wanted := []byte("a fetch is pending for this")
-	a.RequestData(meta.HashData(wanted)) // nobody holds it: pending until the test ends
+	wanted := []byte("a fetch is pending for this") // deadFrameStoresNothing keeps it pending
 	log := watchFrames(fn, nil)
 
 	longer := b.ChainSnapshot()
@@ -957,48 +959,5 @@ func TestSyncCodecsRejectMalformedFrames(t *testing.T) {
 		if err := tc.run(); err == nil {
 			t.Errorf("%s: accepted, want error", tc.name)
 		}
-	}
-}
-
-// --- pending-fetch leak regression ----------------------------------------------
-
-func TestRequestDataExpiryDropsLeakedEntries(t *testing.T) {
-	fn := newFakeNet()
-	epoch := time.Unix(1700000000, 0)
-	a := newSyncTestNode(t, fn, "a", 0, epoch, nil)
-
-	// Fetches nobody can answer (no peers): before the fix these entries
-	// were tracked forever.
-	for i := 0; i < 5; i++ {
-		a.RequestData(meta.HashData([]byte(fmt.Sprintf("ghost %d", i))))
-	}
-	if got := a.pendingFetches(); got != 5 {
-		t.Fatalf("pending fetches = %d, want 5", got)
-	}
-	a.clock.Advance(fetchTimeout - time.Second)
-	if got := a.pendingFetches(); got != 5 {
-		t.Fatalf("pending fetches = %d before timeout, want 5", got)
-	}
-	a.clock.Advance(2 * time.Second)
-	if got := a.pendingFetches(); got != 0 {
-		t.Fatalf("pending fetches = %d after timeout, want 0", got)
-	}
-	if v := counter(a.reg, "livenode.data.fetch_expired"); v != 5 {
-		t.Errorf("data.fetch_expired = %d, want 5", v)
-	}
-
-	// A fetch answered in time must not be double-counted by its stale
-	// expiry timer, and a re-request after completion starts fresh.
-	content := []byte("answered in time")
-	id := meta.HashData(content)
-	a.RequestData(id)
-	resp := append(append([]byte(nil), id[:]...), content...)
-	a.handleFrame("b", p2p.FrameData, resp)
-	if got := a.pendingFetches(); got != 0 {
-		t.Fatalf("pending fetches = %d after answer, want 0", got)
-	}
-	a.clock.Advance(fetchTimeout)
-	if v := counter(a.reg, "livenode.data.fetch_expired"); v != 5 {
-		t.Errorf("data.fetch_expired = %d after answered fetch, want still 5", v)
 	}
 }
