@@ -73,8 +73,11 @@ func measureMetaDistribution(t *testing.T) (peak, total, relays uint64) {
 
 // TestMetaRelayWireGate is the metadata half of the §15 acceptance gate: at
 // 256 nodes the busiest node's metadata egress for 8 items from one
-// producer stays within 3 900 B — the 3 122 B this run measures at every
-// seed plus a quarter. Tightened from 4 350 B (3 482 B measured) when items
+// producer stays within 3 620 B — the 2 898 B this run measures at every
+// seed plus a quarter. Tightened from 3 900 B (3 122 B measured) when the
+// backup announce of every pushed item went (§15.1: the next block is the
+// metadata plane's backup), 28 B of short IDs per item-node. Tightened from
+// 4 350 B (3 482 B measured) when items
 // took a flags byte (§17): a body leaves out its zero location and its empty
 // fields, and its key and signature lose their length bytes, 21 B of 175.
 // Re-pinned for the tree relay (§15.1): a node uploads
@@ -86,7 +89,7 @@ func measureMetaDistribution(t *testing.T) (peak, total, relays uint64) {
 // is; what the relay bounds is the busiest node's fan-out. A full item pushed
 // to all 255 peers reads 514 080 B in the fixed-width form. The run is on
 // perfect links, so it is also held to the tree's own terms: 255 bodies per
-// item, none twice, none fetched, two announces heard per item-node.
+// item, none twice, none fetched, no announce sent.
 func TestMetaRelayWireGate(t *testing.T) {
 	t.Parallel()
 	peak, total, relays := measureMetaDistribution(t)
@@ -94,8 +97,8 @@ func TestMetaRelayWireGate(t *testing.T) {
 		t.Fatal("metagossip.relays = 0 — items did not travel by the relay")
 	}
 	t.Logf("peak per-node metadata egress %d B; cluster total %d B", peak, total)
-	if peak > 3900 {
-		t.Errorf("peak metadata egress %d B, want <= 3900", peak)
+	if peak > 3620 {
+		t.Errorf("peak metadata egress %d B, want <= 3620", peak)
 	}
 }
 
@@ -263,7 +266,8 @@ func drainItemSets(t *testing.T, c *Cluster, published []meta.DataID) {
 // cluster ends with every item packed, every pool drained, and every
 // node's complete item set exactly the 24 items published — on perfect links,
 // where the tree alone carries them, and with one frame in twenty lost, where
-// the lazy announces, the fetches they draw and the blocks' miss path fill in.
+// the blocks' miss path, the fetches it draws and the fallback announces of
+// what was fetched fill in.
 // The relay changes bytes on the wire, never what converges.
 func TestMetaRelayPoolConvergence(t *testing.T) {
 	for _, tc := range []struct {
@@ -407,8 +411,14 @@ func TestChaosScale1000(t *testing.T) {
 	// and leave their empty fields out, 21 B less per item body. The wire
 	// falls 22 606 411 → 22 060 649 B and the digest moves with the frame
 	// sizes; still 991 675 events, height 13.
+	//
+	// Re-pinned once: the metadata plane's backup announce is gone (DESIGN.md
+	// §15.1: the next block is its backup). Every frame not sent shifts
+	// memnet's one delay RNG, so later frames draw other delays. The wire
+	// falls 22 060 649 → 21 395 617 B and the events 991 675 → 901 437; the
+	// height is still 13.
 	if seed == 1 && runtime.GOARCH == "amd64" {
-		const digest, events, height, wireB = 0xa593b62b1d7312bb, 991675, 13, 22060649
+		const digest, events, height, wireB = 0xe6c5bb1da41d223d, 901437, 13, 21395617
 		if r1.digest != digest || r1.events != events || r1.height != height || r1.wireB != wireB {
 			t.Fatalf("1000-node behaviour changed at seed 1: digest %016x events %d height %d wire %d B, golden %016x %d %d %d",
 				r1.digest, r1.events, r1.height, r1.wireB, uint64(digest), events, height, wireB)

@@ -225,8 +225,14 @@ func TestChaosOpenLoopWorkload(t *testing.T) {
 	// and leave their empty fields out, so item and block frames shrink and
 	// the digest moves with their sizes. Canonical bytes are the same: still
 	// 11 316 events, height 27.
+	//
+	// Re-pinned once: the metadata plane's backup announce is gone (DESIGN.md
+	// §15.1: the next block is its backup). Two short IDs per item-node and
+	// the duplicate suppressions they drew leave the log, and every frame not
+	// sent shifts memnet's one delay RNG, so later frames draw other delays:
+	// 8 908 events, still height 27.
 	if seed == 1 && runtime.GOARCH == "amd64" {
-		const digest, events, height = 0x7b9b14b3faa5ede3, 11316, 27
+		const digest, events, height = 0x65c4f9456a241513, 8908, 27
 		if res.digest != digest || res.events != events || res.height != height {
 			t.Fatalf("cluster behaviour changed at seed 1: digest %016x events %d height %d, golden %016x %d %d",
 				res.digest, res.events, res.height, uint64(digest), events, height)

@@ -57,7 +57,7 @@ func (r recordingTransport) Send(peer string, ft byte, payload []byte) error {
 // sends frames — metadata pushes, compact block bodies, locator sync batches
 // after a crash and restart, snapshot chunks from a pruning node to a
 // bootstrapping late joiner, liveness probes, data requests and answers, and
-// the fetch's send-to-every-peer fallback — on links that drop 5 % of frames.
+// a holder's nack — on links that drop 5 % of frames.
 // Every payload any node handed to Send must still hash to what it hashed to
 // then: no sender reused its buffer and no receiver wrote into one.
 func TestFramesImmutableAfterSend(t *testing.T) {
@@ -159,8 +159,7 @@ func TestFramesImmutableAfterSend(t *testing.T) {
 		publish(k, k)
 		run(5 * time.Second)
 	}
-	// Node 5 publishes and crashes before any storer fetched the content:
-	// the storers ask each other, and a storer without the bytes nacks.
+	// Node 5 publishes and crashes before any storer fetched the content.
 	publish(5, 5)
 	run(time.Second)
 	if err := nodes[5].Kill(); err != nil {
@@ -175,6 +174,11 @@ func TestFramesImmutableAfterSend(t *testing.T) {
 	run(20 * time.Second)
 	nodes[6].RequestData(publish(7, 7).ID)
 	run(20 * time.Second)
+	// Asked for bytes it does not hold, a node nacks with the bare ID. The
+	// request is handed over directly: the nack is what must reach Send.
+	absent := meta.HashData([]byte("held by nobody"))
+	nodes[1].handleDataRequest(addr(6), append(absent[:], 0))
+	run(time.Second)
 	start(n-1, func(cfg *Config) { cfg.BootstrapSnapshot = true })
 	if err := nodes[n-1].Connect(others(n-1, n)...); err != nil { // node 0 first: it serves the snapshot
 		t.Fatal(err)

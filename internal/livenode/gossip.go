@@ -17,18 +17,18 @@ import (
 // plane over, an item it publishes or admits (§15.1) — travels as the body
 // itself, pushed unasked along a spanning tree that every node derives alone
 // from the sorted peer list (treeRanks), so each node receives it once and
-// uploads it at most gossipFanout+1 times:
+// uploads it at most gossipFanout+1 times (more only to go around a failed send):
 //
 //	miner                        tree neighbour            its tree neighbours
 //	  FrameCompactBlock ─────────▶  (header + short item IDs, §13.1)
 //	                                adopted: FrameCompactBlock ───────▶  …
 //
-// Announce → fetch is the backup: syncTimeout/4 after adopting a pushed body
-// a node announces (height, hash) to lazyPeers sampled peers, and one that
-// still lacks the hash — a drop, a partition, peer views that disagree —
-// answers FrameGetBlock and gets the compact body. A fetched (or synced) body
-// is evidence that the tree failed here: it is announced at once to a full
-// gossipFanout sample, and the relay degrades to the epidemic it replaced.
+// Announce → fetch is the block plane's backup (an item's is the next block,
+// metagossip.go): syncTimeout/4 after adopting a pushed body a node announces
+// (height, hash) to lazyPeers sampled peers; one that lacks it — a drop, a
+// losing fork, views that disagree — fetches the compact body. A fetched (or
+// synced) body is evidence that the tree failed here: it is announced at once
+// to a full gossipFanout sample, and the relay degrades to the epidemic it replaced.
 //
 // Duplicates are suppressed against the chain's own hash index (adopted
 // blocks), the pending fetches (fetcher.go: one candidate, the sender) and a
@@ -36,11 +36,10 @@ import (
 // A fetch the announcer never answers falls back to the §10 sync locator path
 // after syncTimeout: the ladder is push → announce → fetch → locator.
 const (
-	// gossipFanout is the tree's arity and a fallback announce's peer
-	// sample. Six gives a tree three levels deep
-	// at 256 nodes and >99.9% epidemic saturation on overlays far past 1000.
+	// gossipFanout is the tree's arity and a fallback announce's peer sample. Six gives
+	// a tree three levels deep at 256 nodes and >99.9% epidemic saturation past 1000.
 	gossipFanout = 6
-	// lazyPeers is how many sampled peers hear a pushed ID's backup announce.
+	// lazyPeers is how many sampled peers hear a pushed block's backup announce.
 	lazyPeers = 2
 	// gossipSeenCap bounds the seen-hash LRU. It only has to cover hashes
 	// the chain index cannot answer for (stale forks, pending gaps), so a
@@ -63,8 +62,6 @@ type gossipState struct {
 	// Metadata relay (DESIGN.md §15.1).
 	metaKnown *seenLRU[meta.ShortID, meta.DataID] // items published, admitted, shown or appended: short → full ID
 	metas     *fetcher[meta.ShortID]              // items being fetched from their announcer
-	lazy      []meta.ShortID                      // pushed on the tree; their backup announce leaves when the armed timer fires
-	lazyNext  []meta.ShortID                      // pushed since it was armed: they wait for the next
 	own       []meta.DataID                       // published here and not seen packed yet, oldest first (reannounceStale)
 }
 
@@ -179,19 +176,53 @@ func treeRanks(out []int, n, r int, rot uint64, k int) []int {
 	return out
 }
 
+// treeToward is the rank of rank a's neighbour on the tree path to rank b ≠ a:
+// the child above b (heap positions grow downward), else a's parent.
+func treeToward(n, a, b int, rot uint64, k int) int {
+	shift := int(rot % uint64(n))
+	pa, pb := (a-shift+n)%n, (b-shift+n)%n
+	for pb > pa && (pb-1)/k != pa {
+		pb = (pb - 1) / k
+	}
+	if pb < pa {
+		pb = (pa - 1) / k
+	}
+	return (pb + shift) % n
+}
+
 // push sends a body to this node's tree neighbours for rot, ranked over the
-// peers ∪ self (the transport hands them out sorted), except the one it came
-// from. Callers must NOT hold n.mu.
+// peers ∪ self (sorted by the transport), except the one it came from. A failed
+// send goes on at once to that neighbour's other tree neighbours, and so
+// outward, unless the sender went around it already. Callers must NOT hold n.mu.
 func (n *Node) push(ft byte, body []byte, rot uint64, exclude string) {
 	peers := n.net.Peers()
-	self := sort.SearchStrings(peers, n.net.Addr())
-	var buf [gossipFanout + 1]int
-	for _, r := range treeRanks(buf[:0], len(peers)+1, self, rot, gossipFanout) {
-		if r > self {
-			r-- // peers lacks self: ranks past it sit one lower
+	size, self := len(peers)+1, sort.SearchStrings(peers, n.net.Addr())
+	toward := -1 // the neighbour toward the sender
+	if s := sort.SearchStrings(peers, exclude); s < len(peers) && peers[s] == exclude {
+		if s >= self {
+			s++ // peers lacks self: ranks past it sit one lower
 		}
-		if peers[r] != exclude && n.send(peers[r], ft, body) == nil {
+		toward = treeToward(size, self, s, rot, gossipFanout)
+	}
+	queue := treeRanks(make([]int, 0, gossipFanout+1), size, self, rot, gossipFanout)
+	for i := 0; i < len(queue); i++ {
+		r, p := queue[i], queue[i]
+		if p > self {
+			p--
+		}
+		if peers[p] == exclude {
+			continue
+		}
+		if n.send(peers[p], ft, body) == nil {
 			n.tel.relayPushed.Inc()
+		} else if r != toward { // only a neighbour of self can be toward
+			n.tel.relayRouted.Inc()
+			back := treeToward(size, r, self, rot, gossipFanout) // the rank r was reached through
+			for _, q := range treeRanks(nil, size, r, rot, gossipFanout) {
+				if q != back {
+					queue = append(queue, q)
+				}
+			}
 		}
 	}
 }
@@ -205,9 +236,8 @@ func (n *Node) announce(ft byte, ids []byte, exclude string, k int) {
 }
 
 // relayBlock passes on a block this node mined or adopted: along the tree with
-// a backup announce behind it — on a timer of its own, where items share a queue:
-// blocks come a round apart and FrameBlockAnnounce names one — or, when it had to
-// be fetched, as an announce at once. Then the pull side runs (reannounceStale).
+// a backup announce behind it, or, when it had to be fetched, as an announce at
+// once. Then the metadata plane's pull side runs (reannounceStale).
 func (n *Node) relayBlock(blk *block.Block, from string, fetched bool) {
 	n.tel.gossipRelays.Inc()
 	ann := encodeAnnounce(blk.Index, blk.Hash)

@@ -1,13 +1,19 @@
 package livenode
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/block"
+	"repro/internal/meta"
 	"repro/internal/p2p"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // newGossipTestNode is newSyncTestNode on a shared fake clock: gossip
@@ -264,6 +270,124 @@ func TestTreeRanksSpanningTree(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// treeFabric carries push alone, for the route-around property: a send to a
+// rank in down fails at once, as memnet's radio does without a path, and any
+// other is queued for the test to deliver in order.
+type treeFabric struct {
+	addrs []string   // rank r's address; sorted, so the ranks are the tree's
+	peers [][]string // rank r's view: every other address
+	down  []bool
+	sent  [][2]int // from, to
+}
+
+type treeEP struct {
+	p2p.Transport // Connect and Close are never called
+	f             *treeFabric
+	rank          int
+}
+
+func (e treeEP) Addr() string    { return e.f.addrs[e.rank] }
+func (e treeEP) Peers() []string { return e.f.peers[e.rank] }
+
+func (e treeEP) Send(to string, _ byte, _ []byte) error {
+	r, _ := slices.BinarySearch(e.f.addrs, to)
+	if e.f.down[r] {
+		return errors.New("treeFabric: no path")
+	}
+	e.f.sent = append(e.f.sent, [2]int{e.rank, r})
+	return nil
+}
+
+// TestPushRoutesAroundUnreachable is the route-around rule's property, run
+// through push itself. On random roster sizes 2–300 and rotations, with up
+// to half the ranks unreachable, a body pushed from a reachable rank and
+// relayed by every rank on its first copy reaches every other reachable rank
+// exactly once: a failed neighbour's other neighbours are sent it in its
+// place, and nobody goes around the neighbour toward its sender again.
+func TestPushRoutesAroundUnreachable(t *testing.T) {
+	trees := 2000
+	if raceEnabled || testing.Short() {
+		trees = 200
+	}
+	rng := rand.New(rand.NewSource(46))
+	tel := newNodeMetrics(telemetry.NewRegistry())
+	for tree := 0; tree < trees; tree++ {
+		size := 2 + rng.Intn(299)
+		f := &treeFabric{addrs: make([]string, size), peers: make([][]string, size), down: make([]bool, size)}
+		for r := range f.addrs {
+			f.addrs[r] = fmt.Sprintf("n%03d", r)
+		}
+		nodes := make([]*Node, size)
+		for r := range nodes {
+			f.peers[r] = slices.Delete(slices.Clone(f.addrs), r, r+1)
+			nodes[r] = &Node{net: treeEP{f: f, rank: r}, tel: tel}
+		}
+		perm := rng.Perm(size)
+		for _, r := range perm[:rng.Intn(size/2+1)] {
+			f.down[r] = true
+		}
+		src, rot := perm[size-1], rng.Uint64() // at most half are down: the last of perm is up
+		got := make([]int, size)
+		nodes[src].push(p2p.FrameMeta, nil, rot, "")
+		for i := 0; i < len(f.sent); i++ {
+			from, to := f.sent[i][0], f.sent[i][1]
+			if got[to]++; got[to] == 1 {
+				nodes[to].push(p2p.FrameMeta, nil, rot, f.addrs[from])
+			}
+		}
+		for r, g := range got {
+			want := 1
+			if r == src || f.down[r] {
+				want = 0
+			}
+			if g != want {
+				t.Fatalf("tree %d (size %d, rot %d, source %d): rank %d (down %v) received %d copies, want %d", tree, size, rot, src, r, f.down[r], g, want)
+			}
+		}
+	}
+}
+
+// TestPushRoutesAroundUnreachableParent: a producer whose tree parent the
+// transport cannot reach at send time sends the item to the parent's other
+// tree neighbour at once, and that neighbour, relaying on, does not go around
+// the parent a second time. Every other node pools the item from the push
+// alone, none twice, with no announce or fetch behind it.
+func TestPushRoutesAroundUnreachableParent(t *testing.T) {
+	const size = 8
+	fc := newFetchCluster(t, size, nil)
+	content := []byte("routed around its parent")
+	short := meta.HashData(content).ShortID()
+	// Rank r is node r. Over 8 ranks a 6-ary heap has one leaf below an
+	// interior node: position 7, under position 1, whose other neighbour is
+	// the root.
+	shift := int(binary.BigEndian.Uint64(short[:]) % size)
+	producer, parent := (7+shift)%size, (1+shift)%size
+	fc.fn.refuse = func(_, to string) bool { return to == fc.nodes[parent].Addr() }
+	log := watchFrames(fc.fn, nil)
+	it, err := fc.nodes[producer].Publish(content, "Road/Congestion", "lab")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range fc.nodes {
+		if held := poolHas(n.Node, it.ID); held != (i != parent) {
+			t.Errorf("node %d (producer %d, parent %d) pools the item: %v", i, producer, parent, held)
+		}
+	}
+	for name, want := range map[string]uint64{
+		"livenode.relay.pushed":            size - 2,
+		"livenode.relay.routed_around":     1, // the producer's; the root's failed send is toward its sender
+		"livenode.relay.dup_bodies":        0,
+		"livenode.metagossip.fetches_sent": 0,
+	} {
+		if v := sumCounter(name, fc.nodes...); v != want {
+			t.Errorf("%s = %d, want %d", name, v, want)
+		}
+	}
+	if n := log.count(p2p.FrameMetaAnnounce) + log.count(p2p.FrameGetMeta); n != 0 {
+		t.Errorf("%d announce or fetch frames behind a push that went around", n)
 	}
 }
 

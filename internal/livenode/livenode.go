@@ -225,7 +225,7 @@ type nodeMetrics struct {
 	compactItemsMissing   *telemetry.Counter // referenced items requested from the announcer
 	compactFallbacks      *telemetry.Counter // compact fetches that ended on the locator path
 
-	// Metadata relay (DESIGN.md §15.1): announce/fetch, the tree push's backup.
+	// Metadata relay (DESIGN.md §15.1): what a block's miss or an announce fetches.
 	metaRelays          *telemetry.Counter // pooled items passed on, pushed or announced
 	metaFetchesSent     *telemetry.Counter // IDs requested via FrameGetMeta
 	metaFetchesServed   *telemetry.Counter // pool items served to FrameGetMeta
@@ -237,7 +237,8 @@ type nodeMetrics struct {
 	// The tree relay under both planes (DESIGN.md §13, §15.1).
 	relayPushed    *telemetry.Counter // bodies pushed to a tree neighbour
 	relayDupBodies *telemetry.Counter // bodies received that were already held, seen or parked
-	relayLazyIDs   *telemetry.Counter // IDs that left in a backup announce
+	relayLazyIDs   *telemetry.Counter // block announces sent behind a push (the metadata plane has none)
+	relayRouted    *telemetry.Counter // tree neighbours a push could not reach, whose own neighbours it sent to instead
 	relayFallbacks *telemetry.Counter // fetched bodies and synced tips announced at once, to a full fan-out sample
 	relayStale     *telemetry.Counter // stale pool items announced again on a block adoption
 
@@ -358,6 +359,7 @@ func newNodeMetrics(reg *telemetry.Registry) *nodeMetrics {
 		relayPushed:         reg.Counter("livenode.relay.pushed"),
 		relayDupBodies:      reg.Counter("livenode.relay.dup_bodies"),
 		relayLazyIDs:        reg.Counter("livenode.relay.lazy_ids"),
+		relayRouted:         reg.Counter("livenode.relay.routed_around"),
 		relayFallbacks:      reg.Counter("livenode.relay.fallback_announces"),
 		relayStale:          reg.Counter("livenode.relay.stale_reannounced"),
 

@@ -6,7 +6,6 @@ import (
 	"repro/internal/block"
 	"repro/internal/meta"
 	"repro/internal/p2p"
-	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -21,12 +20,12 @@ import (
 //	  FrameMeta(item) ───────────▶ verified, pooled
 //	                               FrameMeta(item) ───────────▶  …
 //
-// The backup speaks short IDs. syncTimeout/4 to /2 after admission a node
-// sends the IDs it pushed, batched, in a FrameMetaAnnounce to lazyPeers
-// sampled peers; whoever lacks one asks the announcer (FrameGetMeta, only the
-// IDs it lacks) and is answered with one FrameMeta per item. A fetched item is
-// evidence that the tree failed its receiver, so it is re-announced at once to
-// a gossipFanout sample: the relay degrades to an epidemic, and no further.
+// The next block is the backup, Plumtree's IHAVE without a frame of its own:
+// it names its items by short ID, and a node the push missed asks its sender
+// for those it lacks (FrameGetMeta, §13.1). A fetched item is evidence that
+// the tree failed its receiver, so it is announced at once (FrameMetaAnnounce)
+// to a gossipFanout sample: the relay degrades to an epidemic, and no further.
+// The ladder is push → the next block's miss path → reannounceStale.
 //
 // A short ID only says "you may lack this". Both ends resolve it through one
 // bounded table, gossipState.metaKnown (short → full ID of what this node
@@ -42,8 +41,7 @@ import (
 //
 // Deliberate divergence from the block path: an unanswered FrameGetMeta does
 // NOT fall back to a locator round — a packed item reaches every replica with
-// its block anyway — so a timed-out fetch just drops its pending entry. What
-// brings an unpacked item back is the pull side, reannounceStale.
+// its block anyway — so a timed-out fetch just drops its pending entry.
 const (
 	// maxMetaBatch bounds the IDs one FrameMetaAnnounce or FrameGetMeta
 	// carries; oversized counts are rejected before allocation.
@@ -52,9 +50,8 @@ const (
 	// the block packing it is rebuilt here, a pool's worth of items later
 	// (DESIGN.md §15.1); one evicted earlier costs a refetch or a compact miss.
 	metaSeenCap = 1024
-	// maxPendingMetaFetch bounds concurrently outstanding announced IDs;
-	// past it announces are dropped (the §10 sync path still delivers
-	// whatever a miner packs).
+	// maxPendingMetaFetch bounds the IDs being fetched at once; past it an announced
+	// ID is dropped (the block that packs it still delivers it).
 	maxPendingMetaFetch = 256
 )
 
@@ -89,7 +86,7 @@ func decodeIDList(payload []byte) ([]meta.ShortID, error) {
 // --- relay, announce and fetch handlers -----------------------------------------
 
 // relayMeta passes on an item this node published or admitted (body: its wire
-// form): along the tree, its backup announce queued, or at once if fetched.
+// form): along the tree, or, if it had to be fetched, as an announce at once.
 func (n *Node) relayMeta(id meta.DataID, body []byte, from string, fetched bool) {
 	n.tel.metaRelays.Inc()
 	short := id.ShortID()
@@ -99,38 +96,6 @@ func (n *Node) relayMeta(id meta.DataID, body []byte, from string, fetched bool)
 		return
 	}
 	n.push(p2p.FrameMeta, body, binary.BigEndian.Uint64(short[:]), from)
-	n.mu.Lock()
-	if g := n.gossip; len(g.lazy) == 0 {
-		n.clock.AfterFunc(syncTimeout/4, n.flushLazy)
-		g.lazy = append(g.lazy, short)
-	} else {
-		g.lazyNext = append(g.lazyNext, short)
-	}
-	n.mu.Unlock()
-}
-
-// flushLazy sends the backup announce of the IDs queued when its timer was
-// armed, in one frame, and arms the next for those queued since: an ID leaves
-// syncTimeout/4 to /2 after its push — younger, it would race the tree.
-func (n *Node) flushLazy() {
-	n.mu.Lock()
-	g := n.gossip
-	ids := g.lazy
-	if g.lazy, g.lazyNext = g.lazyNext, nil; len(g.lazy) > 0 {
-		n.clock.AfterFunc(syncTimeout/4, n.flushLazy)
-	}
-	n.mu.Unlock()
-	n.announceShort(ids, lazyPeers, n.tel.relayLazyIDs)
-}
-
-// announceShort sends ids, maxMetaBatch to a frame, each to its own sample of k peers.
-func (n *Node) announceShort(ids []meta.ShortID, k int, count *telemetry.Counter) {
-	for len(ids) > 0 {
-		m := min(len(ids), maxMetaBatch)
-		count.Add(m)
-		n.announce(p2p.FrameMetaAnnounce, encodeShortIDs(ids[:m]), "", k)
-		ids = ids[m:]
-	}
 }
 
 // reannounceStale is the relay's pull side, run on adopting blk: items this
@@ -156,7 +121,10 @@ func (n *Node) reannounceStale(blk *block.Block) {
 	}
 	g.own = unpacked
 	n.mu.Unlock()
-	n.announceShort(stale, 1, n.tel.relayStale)
+	if len(stale) > 0 {
+		n.tel.relayStale.Add(len(stale))
+		n.announce(p2p.FrameMetaAnnounce, encodeShortIDs(stale), "", 1)
+	}
 }
 
 // handleMetaAnnounce applies the dedup rules per announced short ID and

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/block"
 	"repro/internal/identity"
 	"repro/internal/meta"
 	"repro/internal/p2p"
@@ -69,10 +70,11 @@ func sumCounter(name string, nodes ...*syncTestNode) (v uint64) {
 
 // TestMetaTreePush walks the §15.1 primary path on the fake fabric: Publish
 // pushes the item itself along the tree, every pool holds it after n−1
-// bodies, nobody announced or fetched anything, and the backup announce that
-// leaves a quarter syncTimeout later finds every peer a duplicate.
+// bodies, and nothing follows: no announce of it leaves any node, then or
+// later (the next block is the backup), and nobody fetches anything.
 func TestMetaTreePush(t *testing.T) {
-	_, a, b, c := metaTrio(t)
+	fn, a, b, c := metaTrio(t)
+	log := watchFrames(fn, nil)
 	it, err := a.Publish([]byte("meta travels as itself"), "Road/Congestion", "lab")
 	if err != nil {
 		t.Fatal(err)
@@ -89,25 +91,26 @@ func TestMetaTreePush(t *testing.T) {
 	if v := sumCounter("livenode.metagossip.relays", a, b, c); v != 3 {
 		t.Errorf("metagossip.relays sums to %d, want one per node", v)
 	}
+	for _, n := range []*syncTestNode{a, b, c} {
+		n.clock.Advance(2 * syncTimeout) // past any timer a backup announce could wait on
+	}
 	for _, name := range []string{"livenode.relay.dup_bodies", "livenode.relay.fallback_announces", "livenode.relay.lazy_ids",
-		"livenode.metagossip.fetches_sent", "livenode.metagossip.dup_suppressed"} {
+		"livenode.relay.routed_around", "livenode.metagossip.fetches_sent", "livenode.metagossip.dup_suppressed"} {
 		if v := sumCounter(name, a, b, c); v != 0 {
 			t.Errorf("%s = %d on the push path, want 0", name, v)
 		}
 	}
-	a.clock.Advance(syncTimeout / 4)
-	if lazy, dup := counter(a.reg, "livenode.relay.lazy_ids"), sumCounter("livenode.metagossip.dup_suppressed", b, c); lazy != 1 || dup != 2 {
-		t.Errorf("backup announce: lazy_ids %d, dup_suppressed %d, want 1 ID heard twice", lazy, dup)
-	}
-	if v := sumCounter("livenode.metagossip.fetches_sent", a, b, c); v != 0 {
-		t.Errorf("the backup announce of a delivered item drew %d fetches", v)
+	if n := log.count(p2p.FrameMetaAnnounce) + log.count(p2p.FrameGetMeta); n != 0 {
+		t.Errorf("%d announce or fetch frames behind a push that reached every pool, want 0", n)
 	}
 }
 
-// TestMetaGossipAnnounceFetchRelay walks the backup path: every pushed body
-// is lost, so the item waits in its producer's pool until the lazy announce,
-// the announced peers fetch exactly the missing item, admit it, and — it had
-// to be fetched — re-announce it at once to a full fan-out sample.
+// TestMetaGossipAnnounceFetchRelay walks the announce path that is left:
+// every pushed body is lost, so the item waits in its producer's pool until
+// its producer re-announces it (reannounceStale, run here on a block two T0
+// past its signing) to one sampled peer; that peer fetches exactly the
+// missing item, admits it, and — it had to be fetched — announces it at once
+// to a full fan-out sample, from which the last peer fetches it in turn.
 func TestMetaGossipAnnounceFetchRelay(t *testing.T) {
 	fn, a, b, c := metaTrio(t)
 	fn.setDrop(func(from, to string, ft byte) bool { return ft == p2p.FrameMeta })
@@ -119,7 +122,10 @@ func TestMetaGossipAnnounceFetchRelay(t *testing.T) {
 		t.Fatal("a dropped push was delivered")
 	}
 	fn.setDrop(nil)
-	a.clock.Advance(syncTimeout / 4)
+	a.reannounceStale(&block.Block{Timestamp: it.Produced + 2*a.cfg.PoS.T0 + time.Second})
+	if v := counter(a.reg, "livenode.relay.stale_reannounced"); v != 1 {
+		t.Fatalf("stale_reannounced = %d, want the one stranded item", v)
+	}
 	for _, n := range []*syncTestNode{b, c} {
 		if !poolHas(n.Node, it.ID) {
 			t.Fatalf("node %s pool lacks the announced item", n.Addr())
@@ -131,9 +137,9 @@ func TestMetaGossipAnnounceFetchRelay(t *testing.T) {
 			t.Errorf("node %s pushed a fetched item %d times", n.Addr(), v)
 		}
 	}
-	// a's announce reaches b first, and b's own fallback announce reaches c
-	// before a's does: whoever announced first serves the fetch.
-	if v := sumCounter("livenode.metagossip.fetches_served", a, b); v != 2 {
+	// a's announce reaches one peer, whose fallback announce reaches the
+	// other: each announcer serves one fetch.
+	if v := sumCounter("livenode.metagossip.fetches_served", a, b, c); v != 2 {
 		t.Errorf("%d meta fetches served, want 2", v)
 	}
 	if v := sumCounter("livenode.metagossip.fetches_sent", b, c); v != 2 {
@@ -150,11 +156,11 @@ func TestMetaGossipAnnounceFetchRelay(t *testing.T) {
 	}
 }
 
-// TestMetaStaleReannounced is the relay's pull side. Every push of one item
-// and every first fetch of it are lost, so it sits in its producer's pool with
-// no retry timer anywhere; the producer never wins a round. Two T0 later the
-// next block it adopts makes it announce the item again, to one peer, and the
-// fallback path carries it to every pool.
+// TestMetaStaleReannounced is the relay's pull side, driven by real blocks.
+// Every push of one item is lost, so it sits in its producer's pool with no
+// announce and no retry timer anywhere; the producer never wins a round, so
+// no block packs it. Two T0 later the next block it adopts makes it announce
+// the item again, to one peer, and the fallback path carries it to every pool.
 func TestMetaStaleReannounced(t *testing.T) {
 	fn := newFakeNet()
 	epoch := time.Unix(1700000000, 0)
@@ -166,16 +172,16 @@ func TestMetaStaleReannounced(t *testing.T) {
 	a.stopMining()
 	c.stopMining()
 
-	fn.setDrop(func(from, to string, ft byte) bool { return ft == p2p.FrameMeta || ft == p2p.FrameGetMeta })
+	log := watchFrames(fn, func(from, to string, ft byte) bool { return ft == p2p.FrameMeta })
 	it, err := a.Publish([]byte("stranded"), "Road/Congestion", "lab")
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk.Advance(syncTimeout/2 + syncTimeout) // the backup announce, then the fetches it drew time out
-	if v := sumCounter("livenode.metagossip.fetch_timeouts", b, c); v != 2 || poolHas(b.Node, it.ID) || poolHas(c.Node, it.ID) {
-		t.Fatalf("fetch_timeouts = %d, want the item stranded after both first fetches were lost", v)
+	clk.Advance(2 * syncTimeout)
+	if n := log.count(p2p.FrameMetaAnnounce) + log.count(p2p.FrameGetMeta); n != 0 || poolHas(b.Node, it.ID) || poolHas(c.Node, it.ID) {
+		t.Fatalf("%d announce or fetch frames, want the item stranded with nothing on the wire", n)
 	}
-	fn.setDrop(nil)
+	log.drop = nil
 
 	for i := 0; i < 6 && counter(a.reg, "livenode.relay.stale_reannounced") == 0; i++ {
 		b.mineBlocks(t, 1)

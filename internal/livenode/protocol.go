@@ -244,8 +244,6 @@ func (n *Node) mine(r engine.Round) {
 	n.tel.events.RecordAt(n.clock.Now(), "block_won", fmt.Sprintf("height %d, %d items", blk.Index, len(blk.Items)))
 	n.scheduleMiningLocked()
 	n.mu.Unlock()
-	// Tree relay (DESIGN.md §13): the compact body goes to this node's tree
-	// neighbours for the hash, a backup announce follows.
 	n.relayBlock(blk, "", false)
 }
 

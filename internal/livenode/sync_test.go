@@ -31,6 +31,9 @@ type fakeNet struct {
 	mu   sync.Mutex
 	eps  map[string]*fakeEP
 	drop func(from, to string, ft byte) bool
+	// refuse fails a send at once, the error returned to the sender, as
+	// memnet does where its radio has no path.
+	refuse func(from, to string) bool
 
 	// Wire accounting (see startCounting): every delivered frame's payload
 	// size, for bytes-on-wire comparisons in benchmarks.
@@ -135,10 +138,13 @@ func (e *fakeEP) Send(peerAddr string, ft byte, payload []byte) error {
 	}
 	e.net.mu.Lock()
 	peer, ok := e.net.eps[peerAddr]
-	dropFn := e.net.drop
+	dropFn, refuse := e.net.drop, e.net.refuse
 	e.net.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("fakeNet: no endpoint %q", peerAddr)
+	}
+	if refuse != nil && refuse(e.name, peerAddr) {
+		return fmt.Errorf("fakeNet: no path to %q", peerAddr)
 	}
 	if dropFn != nil && dropFn(e.name, peerAddr, ft) {
 		return nil // lost in flight: sender sees success, like TCP
