@@ -163,19 +163,3 @@ func BenchmarkPoSRound(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkAblationConsensusEnergy compares network-wide mining energy
-// under PoS and PoW (DESIGN.md A5, the in-system Fig. 6).
-func BenchmarkAblationConsensusEnergy(b *testing.B) {
-	var rows []experiments.ConsensusEnergyRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.RunConsensusEnergyAblation(12, 20*time.Minute, int64(i+1))
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.EnergyPerBlockJ, r.Consensus+"-J/blk")
-	}
-}

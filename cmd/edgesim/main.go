@@ -25,7 +25,6 @@ func main() {
 		placement = flag.String("placement", "optimal", "data placement strategy: optimal | random")
 		seed      = flag.Int64("seed", 1, "random seed; same seed, same run")
 		blockTime = flag.Duration("t0", time.Minute, "expected time between blocks")
-		consensus = flag.String("consensus", "pos", "mining consensus: pos | pow")
 		verbose   = flag.Bool("v", false, "print per-node detail")
 
 		// Open-loop streaming workload knobs: they shape the workload
@@ -55,14 +54,6 @@ func main() {
 		cfg.Placement = edgechain.PlaceRandom
 	default:
 		log.Fatalf("unknown placement %q (want optimal or random)", *placement)
-	}
-	switch *consensus {
-	case "pos":
-		cfg.Consensus = edgechain.ConsensusPoS
-	case "pow":
-		cfg.Consensus = edgechain.ConsensusPoW
-	default:
-		log.Fatalf("unknown consensus %q (want pos or pow)", *consensus)
 	}
 
 	streaming := *diurnal > 0 || *burstEvery > 0 || *typeZipf > 1 || *users > 0
@@ -111,8 +102,6 @@ func main() {
 	fmt.Printf("  storage gini:     %.4f\n", res.StorageGini)
 	fmt.Printf("  avg tx per node:  %.1f MB (total %.1f MB)\n",
 		res.AvgTxBytesPerNode/(1<<20), float64(res.TotalTxBytes)/(1<<20))
-	fmt.Printf("  energy:           %.1f J mining (%s) + %.1f J radio, %.2f J/block\n",
-		res.MiningJ, res.Consensus, res.RadioJ, res.EnergyPerBlockJ)
 	if *verbose {
 		tx, _ := sys.Radio().Bytes()
 		fmt.Println("  per-node storage / tx:")

@@ -8,8 +8,8 @@
 //	figures -fig 4            # Fig. 4 sweep
 //	figures -fig 5            # Fig. 5 placement comparison
 //	figures -fig 6            # Fig. 6 PoW vs PoS energy
-//	figures -fig all          # everything including ablations
-//	figures -ablation a1      # one ablation (a1|a5)
+//	figures -fig all          # everything including ablation A1
+//	figures -ablation a1      # the FDC weight ablation
 //	figures -duration 100m    # shrink the sweep for a quick look
 package main
 
@@ -27,7 +27,7 @@ func main() {
 	log.SetFlags(0)
 	var (
 		fig      = flag.String("fig", "", "figure to regenerate: 4 | 5 | 6 | all")
-		ablation = flag.String("ablation", "", "ablation to run: a1 | a5")
+		ablation = flag.String("ablation", "", "ablation to run: a1")
 		duration = flag.Duration("duration", 500*time.Minute, "simulated duration per cell")
 		seed     = flag.Int64("seed", 1, "random seed")
 	)
@@ -73,12 +73,6 @@ func main() {
 				log.Fatal(err)
 			}
 			experiments.PrintFDCWeightAblation(os.Stdout, rows)
-		case "a5":
-			rows, err := experiments.RunConsensusEnergyAblation(20, *duration/5, *seed)
-			if err != nil {
-				log.Fatal(err)
-			}
-			experiments.PrintConsensusEnergyAblation(os.Stdout, rows)
 		default:
 			log.Fatalf("unknown ablation %q", name)
 		}
@@ -90,9 +84,7 @@ func main() {
 		for _, f := range []string{"4", "5", "6"} {
 			runFig(f)
 		}
-		for _, a := range []string{"a1", "a5"} {
-			runAblation(a)
-		}
+		runAblation("a1")
 	case *fig != "":
 		runFig(*fig)
 	}

@@ -67,18 +67,6 @@ const (
 	PlaceRandom = experiments.PlaceRandom
 )
 
-// ConsensusAlgo selects the mining consensus for Config.Consensus.
-type ConsensusAlgo = experiments.ConsensusAlgo
-
-// Consensus algorithms of the Fig. 6 comparison.
-const (
-	// ConsensusPoS is the paper's contribution-weighted Proof of Stake.
-	ConsensusPoS = experiments.ConsensusPoS
-	// ConsensusPoW is the Proof-of-Work baseline with in-system energy
-	// accounting.
-	ConsensusPoW = experiments.ConsensusPoW
-)
-
 // MetadataItem is one metadata record stored in blocks (Section III-B).
 type MetadataItem = meta.Item
 

@@ -30,5 +30,4 @@ func main() {
 		res.Deliveries, res.Requests, res.DeliverySec)
 	fmt.Printf("  storage Gini:          %.3f (paper bound: < 0.15)\n", res.StorageGini)
 	fmt.Printf("  avg tx per node:       %.1f MB\n", res.AvgTxBytesPerNode/(1<<20))
-	fmt.Printf("  energy per block:      %.2f J (mining + radio)\n", res.EnergyPerBlockJ)
 }

@@ -61,10 +61,6 @@ type Options struct {
 	// livenode default). Forks no deeper than this resolve without a
 	// scratch replay.
 	SnapshotEvery int
-	// Identities, when non-nil, overrides the seeded roster generation
-	// (len must equal N). The differential engine test uses it to run the
-	// exact same key pairs through the sim and the live stack.
-	Identities []*identity.Identity
 	// GenesisSeed overrides the fixed default genesis seed (0 = default).
 	GenesisSeed int64
 	// RepairWorkers enables the self-healing data plane on every node with
@@ -156,9 +152,6 @@ func NewCluster(opts Options) (*Cluster, error) {
 	if opts.DataDirs != nil && len(opts.DataDirs) != opts.N {
 		return nil, fmt.Errorf("chaos: %d data dirs for %d nodes", len(opts.DataDirs), opts.N)
 	}
-	if opts.Identities != nil && len(opts.Identities) != opts.N {
-		return nil, fmt.Errorf("chaos: %d identities for %d nodes", len(opts.Identities), opts.N)
-	}
 	if opts.GenesisSeed == 0 {
 		opts.GenesisSeed = GenesisSeed
 	}
@@ -192,11 +185,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 	c.idents = make([]*identity.Identity, opts.N)
 	c.accounts = make([]identity.Address, opts.N)
 	for i := range c.idents {
-		if opts.Identities != nil {
-			c.idents[i] = opts.Identities[i]
-		} else {
-			c.idents[i] = identity.GenerateSeeded(rng)
-		}
+		c.idents[i] = identity.GenerateSeeded(rng)
 		c.accounts[i] = c.idents[i].Address()
 	}
 	c.nodes = make([]*livenode.Node, opts.N)

@@ -21,15 +21,13 @@
 // Fig. 6 is therefore fitted to the paper's own answer. What a run
 // (experiments.RunFig6) adds is the work priced: each PoW block is mined
 // with pow.Mine, so its attempt count is the SHA-256 work the code did,
-// while each PoS round time is still an exponential draw with the 25 s
-// mean. Over seeds 1–10, PoW gives 3.8–4.3 and PoS 10.7–12.3 blocks per
-// 1 % (EXPERIMENTS.md, Fig. 6).
+// and each PoS block is won in the eq. 7–9 lottery on a one-account
+// ledger, so its round time is the winning second pos computed. Over
+// seeds 1–10, PoW gives 3.8–4.3 and PoS 10.3–11.1 blocks per 1 %
+// (EXPERIMENTS.md, Fig. 6).
 package energy
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // Calibrated constants (see package comment).
 const (
@@ -73,51 +71,7 @@ func (m Model) BlockEnergy(seconds float64, hashes uint64) float64 {
 	return m.BasePowerWatts*seconds + m.HashEnergyJoules*float64(hashes)
 }
 
-// Battery tracks remaining charge. The zero value is empty; create one
-// with NewBattery.
-type Battery struct {
-	model     Model
-	remaining float64
-}
-
-// NewBattery returns a fully charged battery for the model.
-func NewBattery(m Model) (*Battery, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return &Battery{model: m, remaining: m.CapacityJoules}, nil
-}
-
-// Drain removes joules and reports whether any charge is left. Draining
-// below zero clamps to zero.
-func (b *Battery) Drain(joules float64) bool {
-	if joules < 0 {
-		joules = 0
-	}
-	b.remaining -= joules
-	if b.remaining < 0 {
-		b.remaining = 0
-	}
-	return b.remaining > 0
-}
-
-// DrainBlock charges the battery for one mined block.
-func (b *Battery) DrainBlock(seconds float64, hashes uint64) bool {
-	return b.Drain(b.model.BlockEnergy(seconds, hashes))
-}
-
-// RemainingJoules returns the charge left.
-func (b *Battery) RemainingJoules() float64 { return b.remaining }
-
-// RemainingPercent returns the charge left as 0-100.
-func (b *Battery) RemainingPercent() float64 {
-	return 100 * b.remaining / b.model.CapacityJoules
-}
-
-// Empty reports whether the battery is fully drained.
-func (b *Battery) Empty() bool { return b.remaining <= 0 }
-
-// String implements fmt.Stringer.
-func (b *Battery) String() string {
-	return fmt.Sprintf("%.1f%% (%.0f J)", b.RemainingPercent(), b.remaining)
+// PercentLeft returns the charge left after used joules, as 0-100.
+func (m Model) PercentLeft(used float64) float64 {
+	return 100 * max(m.CapacityJoules-used, 0) / m.CapacityJoules
 }

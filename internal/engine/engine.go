@@ -163,9 +163,6 @@ type Config struct {
 	// whose providers died. nil = every node alive, no repair packing.
 	Liveness func(i int) repair.Status
 
-	// CustomRound overrides the PoS round computation (the PoW baseline
-	// derives exponential solve times from the same hit).
-	CustomRound func(prev *block.Block) (t uint64, b float64)
 	// OnAppend, if set, is called synchronously after each connected
 	// block's state transitions (ledger, view, pool, live-item index): once
 	// per tip append, and once per suffix block, oldest first, after
@@ -462,13 +459,7 @@ func (e *Engine) LastCheckpoint() uint64 {
 // ok is false when the node cannot mine this round.
 func (e *Engine) NextRound() (r Round, ok bool) {
 	prev := e.ch.Tip()
-	var t uint64
-	var bval float64
-	if e.cfg.CustomRound != nil {
-		t, bval = e.cfg.CustomRound(prev)
-	} else {
-		t, bval = e.cfg.PoS.Round(prev, e.cfg.Accounts[e.cfg.Self], e.ledger)
-	}
+	t, bval := e.cfg.PoS.Round(prev, e.cfg.Accounts[e.cfg.Self], e.ledger)
 	if t == pos.NeverMines {
 		return Round{}, false
 	}

@@ -328,24 +328,6 @@ func TestNextRoundMatchesPos(t *testing.T) {
 	}
 }
 
-func TestCustomRound(t *testing.T) {
-	c := newTestCluster(t, 2, func(i int, cfg *Config) {
-		cfg.ValidateClaims = false
-		if i == 0 {
-			cfg.CustomRound = func(prev *block.Block) (uint64, float64) { return 7, 0 }
-		} else {
-			cfg.CustomRound = func(prev *block.Block) (uint64, float64) { return pos.NeverMines, 0 }
-		}
-	})
-	r, ok := c.engines[0].NextRound()
-	if !ok || r.T != 7 {
-		t.Fatalf("custom round = (%d, ok=%v), want (7, true)", r.T, ok)
-	}
-	if _, ok := c.engines[1].NextRound(); ok {
-		t.Fatal("NeverMines round reported ok")
-	}
-}
-
 func TestMineStaleRound(t *testing.T) {
 	c := newTestCluster(t, 2, nil)
 	r0, _ := c.engines[0].NextRound()

@@ -53,49 +53,3 @@ func PrintFDCWeightAblation(w io.Writer, rows []FDCWeightRow) {
 		fmt.Fprintf(w, "%10.0f %8.3f %14.2f %14d\n", r.Weight, r.Gini, r.DeliverySec, r.StoredUnits)
 	}
 }
-
-// --- A5: network-level consensus energy ---------------------------------------
-
-// ConsensusEnergyRow reports the in-system energy of one consensus
-// algorithm (the Fig. 6 comparison embedded in the full network
-// simulation: every node mines, stores and transmits).
-type ConsensusEnergyRow struct {
-	Consensus       string
-	Blocks          uint64
-	MiningJ         float64
-	RadioJ          float64
-	EnergyPerBlockJ float64
-}
-
-// RunConsensusEnergyAblation runs identical deployments under PoS and PoW
-// and compares the network-wide energy consumption.
-func RunConsensusEnergyAblation(nodes int, duration time.Duration, seed int64) ([]ConsensusEnergyRow, error) {
-	rows := make([]ConsensusEnergyRow, 0, 2)
-	for _, algo := range []ConsensusAlgo{ConsensusPoS, ConsensusPoW} {
-		cfg := DefaultConfig(nodes)
-		cfg.Seed = seed
-		cfg.Consensus = algo
-		res, err := run(cfg, duration)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, ConsensusEnergyRow{
-			Consensus:       algo.String(),
-			Blocks:          res.ChainHeight,
-			MiningJ:         res.MiningJ,
-			RadioJ:          res.RadioJ,
-			EnergyPerBlockJ: res.EnergyPerBlockJ,
-		})
-	}
-	return rows, nil
-}
-
-// PrintConsensusEnergyAblation renders A5.
-func PrintConsensusEnergyAblation(w io.Writer, rows []ConsensusEnergyRow) {
-	fmt.Fprintln(w, "Ablation A5 — network-wide mining energy, PoS vs PoW (in-system Fig. 6)")
-	fmt.Fprintf(w, "%10s %8s %14s %12s %14s\n", "consensus", "blocks", "mining (J)", "radio (J)", "J/block")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%10s %8d %14.1f %12.1f %14.1f\n", r.Consensus, r.Blocks, r.MiningJ, r.RadioJ, r.EnergyPerBlockJ)
-	}
-	fmt.Fprintln(w, "pow mining is a timer model: powRound's exponential solve times at HashRate, not counted hashes")
-}

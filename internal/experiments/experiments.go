@@ -18,7 +18,10 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/block"
 	"repro/internal/energy"
+	"repro/internal/identity"
+	"repro/internal/pos"
 	"repro/internal/pow"
 )
 
@@ -206,16 +209,20 @@ func PrintFig5(w io.Writer, rows []Fig5Row) {
 	}
 }
 
-// Fig6Point is one sample of the battery trace.
+// Fig6Point is one sample of the battery trace: the charge left after
+// Blocks blocks, the last of which was charged Hashes SHA-256 evaluations.
 type Fig6Point struct {
 	Blocks  int
 	Percent float64
+	Hashes  uint64
 }
 
 // Fig6Result holds both algorithms' traces.
 type Fig6Result struct {
 	PoW []Fig6Point
 	PoS []Fig6Point
+	// PoSChain is the chain the PoS column mined, genesis first.
+	PoSChain []*block.Block
 	// BlocksPerPercent summarizes the headline claim (paper: PoW ≈ 4,
 	// PoS ≈ 11).
 	PoWBlocksPerPercent float64
@@ -232,7 +239,8 @@ type Fig6Config struct {
 	DifficultyBits int
 	// Blocks is how many blocks to mine per algorithm.
 	Blocks int
-	// Seed drives the PoW start nonces and the PoS round times.
+	// Seed drives the PoW start nonces, and the PoS genesis block and
+	// phone key that fix every PoS round.
 	Seed int64
 }
 
@@ -255,47 +263,50 @@ func (c *Fig6Config) withDefaults() Fig6Config {
 
 // RunFig6 mines blocks under both consensus algorithms against the
 // calibrated Galaxy S8 battery model and records the remaining charge.
+// Every joule is priced from work the consensus code did: a PoW block
+// costs the SHA-256 attempts pow.Mine made, and a PoS block the round
+// that pos computed on a chain of real blocks.
 func RunFig6(cfg Fig6Config) (*Fig6Result, error) {
 	c := cfg.withDefaults()
 	model := energy.GalaxyS8()
 	rng := rand.New(rand.NewSource(c.Seed))
 	secs := c.MeanBlockTime.Seconds()
 
-	powBattery, err := energy.NewBattery(model)
-	if err != nil {
-		return nil, err
-	}
 	res := &Fig6Result{}
-	res.PoW = append(res.PoW, Fig6Point{0, powBattery.RemainingPercent()})
+	res.PoW = append(res.PoW, Fig6Point{Percent: 100})
 	var powEnergy float64
-	for b := 1; b <= c.Blocks && !powBattery.Empty(); b++ {
+	for b := 1; b <= c.Blocks && powEnergy < model.CapacityJoules; b++ {
 		r, err := pow.Mine([]byte(fmt.Sprintf("pow-block-%d", b)), c.DifficultyBits, rng)
 		if err != nil {
 			return nil, err
 		}
 		// Block time scales with the work actually done this round.
 		t := secs * float64(r.Hashes) / pow.ExpectedHashes(c.DifficultyBits)
-		e := model.BlockEnergy(t, r.Hashes)
-		powEnergy += e
-		powBattery.Drain(e)
-		res.PoW = append(res.PoW, Fig6Point{b, powBattery.RemainingPercent()})
+		powEnergy += model.BlockEnergy(t, r.Hashes)
+		res.PoW = append(res.PoW, Fig6Point{b, model.PercentLeft(powEnergy), r.Hashes})
 	}
 
-	posBattery, err := energy.NewBattery(model)
-	if err != nil {
-		return nil, err
-	}
-	res.PoS = append(res.PoS, Fig6Point{0, posBattery.RemainingPercent()})
+	// PoS: the paper's single phone is the ledger's one account, so each
+	// round is its eq. 7–9 lottery on top of the previous real block. It
+	// costs one hash for the hit plus one target check per second
+	// (Section V-C).
+	params := pos.Params{M: pos.DefaultM, T0: c.MeanBlockTime}
+	phone := identity.GenerateSeeded(rand.New(rand.NewSource(c.Seed))).Address()
+	ledger := pos.NewLedger([]identity.Address{phone})
+	res.PoSChain = []*block.Block{block.Genesis(c.Seed)}
+	res.PoS = append(res.PoS, Fig6Point{Percent: 100})
 	var posEnergy float64
-	for b := 1; b <= c.Blocks && !posBattery.Empty(); b++ {
-		// PoS: exponential round time with the same mean; one hash for the
-		// hit plus one target check per second (alg. Section V-C).
-		t := rng.ExpFloat64() * secs
-		hashes := uint64(t) + 1
-		e := model.BlockEnergy(t, hashes)
-		posEnergy += e
-		posBattery.Drain(e)
-		res.PoS = append(res.PoS, Fig6Point{b, posBattery.RemainingPercent()})
+	for b := 1; b <= c.Blocks && posEnergy < model.CapacityJoules; b++ {
+		prev := res.PoSChain[len(res.PoSChain)-1]
+		t, amendB := params.Round(prev, phone, ledger)
+		ts := prev.Timestamp + time.Duration(t)*time.Second
+		blk := block.NewBuilder(prev, phone, ts, t, amendB).Seal()
+		if err := ledger.ApplyBlock(blk); err != nil {
+			return nil, err
+		}
+		res.PoSChain = append(res.PoSChain, blk)
+		posEnergy += model.BlockEnergy(float64(t), t+1)
+		res.PoS = append(res.PoS, Fig6Point{b, model.PercentLeft(posEnergy), t + 1})
 	}
 
 	onePct := model.CapacityJoules / 100

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"repro/internal/identity"
+	"repro/internal/pos"
 )
 
 // Short-duration sweeps keep unit tests fast; the bench harness and
@@ -130,6 +133,38 @@ func TestFig6ReproducesEnergyClaims(t *testing.T) {
 		res.PoWBlocksPerPercent, res.PoSBlocksPerPercent, res.EnergySaving*100)
 }
 
+// TestFig6PoSIsTheLottery replays Fig. 6's PoS chain through the
+// validators: every block is a winning eq. 7–9 claim on the one-account
+// ledger, and each is charged its winning second's checks plus the hit.
+func TestFig6PoSIsTheLottery(t *testing.T) {
+	cfg := (&Fig6Config{}).withDefaults()
+	res, err := RunFig6(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := res.PoSChain
+	if len(chain) != len(res.PoS) || len(chain) < 2 {
+		t.Fatalf("%d PoS blocks for %d trace points", len(chain), len(res.PoS))
+	}
+	params := pos.Params{M: pos.DefaultM, T0: cfg.MeanBlockTime}
+	ledger := pos.NewLedger([]identity.Address{chain[1].Miner})
+	for i := 1; i < len(chain); i++ {
+		prev, b := chain[i-1], chain[i]
+		if err := b.VerifyLink(prev); err != nil {
+			t.Fatalf("block %d: %v", i, err)
+		}
+		if err := params.ValidateClaim(prev, b, ledger); err != nil {
+			t.Fatalf("block %d: %v", i, err)
+		}
+		if got, want := res.PoS[i].Hashes, b.MinedAfter+1; got != want {
+			t.Fatalf("block %d charged %d hashes, want %d", i, got, want)
+		}
+		if err := ledger.ApplyBlock(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestFig6RealHashing(t *testing.T) {
 	// Real SHA-256 mining at reduced difficulty, scaled block count.
 	res, err := RunFig6(Fig6Config{Seed: 2, Blocks: 30, DifficultyBits: 14})
@@ -138,6 +173,11 @@ func TestFig6RealHashing(t *testing.T) {
 	}
 	if len(res.PoW) < 31 {
 		t.Fatalf("PoW mined only %d blocks", len(res.PoW)-1)
+	}
+	for _, p := range res.PoW[1:] {
+		if p.Hashes == 0 {
+			t.Fatalf("PoW block %d charged no hashes", p.Blocks)
+		}
 	}
 	if res.EnergySaving <= 0 {
 		t.Fatalf("no energy saving with real hashing: %+v", res)
@@ -162,30 +202,4 @@ func TestFDCWeightAblation(t *testing.T) {
 	if buf.Len() == 0 {
 		t.Fatal("empty table")
 	}
-}
-
-func TestConsensusEnergyAblation(t *testing.T) {
-	rows, err := RunConsensusEnergyAblation(12, 30*time.Minute, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows", len(rows))
-	}
-	posRow, powRow := rows[0], rows[1]
-	if posRow.Blocks == 0 || powRow.Blocks == 0 {
-		t.Fatalf("missing blocks: %+v", rows)
-	}
-	// PoW must burn far more mining energy per block (paper: PoS saves
-	// ~64%; in-network with radio overhead the gap stays large).
-	if powRow.MiningJ < 10*posRow.MiningJ {
-		t.Fatalf("PoW mining energy %.1f J not dominating PoS %.1f J", powRow.MiningJ, posRow.MiningJ)
-	}
-	var buf bytes.Buffer
-	PrintConsensusEnergyAblation(&buf, rows)
-	if buf.Len() == 0 {
-		t.Fatal("empty table")
-	}
-	t.Logf("PoS %.1f J mining, PoW %.1f J mining over %d/%d blocks",
-		posRow.MiningJ, powRow.MiningJ, posRow.Blocks, powRow.Blocks)
 }

@@ -3,17 +3,14 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"time"
 
 	"repro/internal/block"
 	"repro/internal/chaos"
-	"repro/internal/energy"
 	"repro/internal/engine"
 	"repro/internal/geo"
-	"repro/internal/identity"
 	"repro/internal/livenode"
 	"repro/internal/meta"
 	"repro/internal/metrics"
@@ -38,22 +35,6 @@ const (
 // String implements fmt.Stringer.
 func (s PlacementStrategy) String() string { return [...]string{"optimal", "random"}[s] }
 
-// ConsensusAlgo selects the mining consensus.
-type ConsensusAlgo int
-
-// Consensus algorithms of the Fig. 6 comparison.
-const (
-	// ConsensusPoS is the paper's contribution-weighted Proof of Stake.
-	ConsensusPoS ConsensusAlgo = iota
-	// ConsensusPoW is the Proof-of-Work baseline: exponential solve times
-	// with the same expected block interval, every node hashing at
-	// HashRate until the round is won.
-	ConsensusPoW
-)
-
-// String implements fmt.Stringer.
-func (c ConsensusAlgo) String() string { return [...]string{"pos", "pow"}[c] }
-
 // Config parametrizes one simulated deployment: live nodes
 // (internal/livenode) on a chaos.Cluster over the paper's radio field, fed
 // by the cluster's open-loop workload driver. DefaultConfig returns the
@@ -76,23 +57,15 @@ type Config struct {
 	// DataRatePerMin is the network-wide production rate (paper: 1-3); 0
 	// leaves production to ProduceData.
 	DataRatePerMin float64
-	// RequesterFraction of nodes request data (paper: 10%), and
-	// RequestsPerItem of them ask for each item.
+	// RequesterFraction of nodes request data (paper: 10%); one of them
+	// asks for each item, three block intervals after its production.
 	RequesterFraction float64
-	RequestsPerItem   int
-	// RequestDelay is how long after production a requester asks (0: the
-	// workload driver's three block intervals).
-	RequestDelay time.Duration
 	// T0 is the expected block interval (paper: 60 s).
 	T0 time.Duration
-	// Placement, Consensus and FDCWeight (A of eq. 3; 0 means the paper's
-	// 1000) select the engine rules of the paper's baselines and ablations.
+	// Placement and FDCWeight (A of eq. 3; 0 means the paper's 1000)
+	// select the engine rules of the paper's baselines and ablations.
 	Placement PlacementStrategy
-	Consensus ConsensusAlgo
 	FDCWeight float64
-	// HashRate is the PoW device hash rate in SHA-256/s (default 2621: the
-	// paper's phone solves 16-bit difficulty in 25 s on average).
-	HashRate float64
 	// Stream, if set, edits the workload stream before it starts
 	// (diurnal and burst arrivals, Zipf skew, logical users).
 	Stream func(*workload.StreamConfig)
@@ -112,9 +85,7 @@ func DefaultConfig(n int) Config {
 		DataSize:          1 << 20,
 		DataRatePerMin:    1,
 		RequesterFraction: 0.10,
-		RequestsPerItem:   1,
 		T0:                pos.DefaultT0,
-		HashRate:          2621,
 		Seed:              1,
 	}
 }
@@ -138,10 +109,6 @@ func (c *Config) Validate() error {
 		return errors.New("experiments: T0 must be positive")
 	case c.Placement != PlaceOptimal && c.Placement != PlaceRandom:
 		return fmt.Errorf("experiments: unknown placement %d", c.Placement)
-	case c.Consensus != ConsensusPoS && c.Consensus != ConsensusPoW:
-		return fmt.Errorf("experiments: unknown consensus %d", c.Consensus)
-	case c.Consensus == ConsensusPoW && c.HashRate <= 0:
-		return errors.New("experiments: PoW needs a positive HashRate")
 	}
 	return nil
 }
@@ -155,22 +122,6 @@ func (c *Config) rules(e *engine.Config) {
 	if c.Placement == PlaceRandom {
 		e.RandomPlacement = true
 		e.Rand = rand.New(rand.NewSource(c.Seed + 10 + int64(e.Self)))
-	}
-	if c.Consensus == ConsensusPoW {
-		e.ValidateClaims = false
-		e.CustomRound = powRound(e.PoS, e.Accounts[e.Self], len(e.Accounts))
-	}
-}
-
-// powRound is the PoW baseline's round: exponential solve times, sampled
-// deterministically from the node's PoS hit so a run replays exactly. Each
-// node's mean is n·T0, making the expected round (the minimum over nodes)
-// T0.
-func powRound(params pos.Params, self identity.Address, n int) func(*block.Block) (uint64, float64) {
-	return func(prev *block.Block) (uint64, float64) {
-		u := (float64(params.Hit(prev, self)) + 0.5) / float64(params.M)
-		t := -params.T0.Seconds() * float64(n) * math.Log(1-u)
-		return uint64(max(t, 1)), 0
 	}
 }
 
@@ -245,13 +196,13 @@ func (s *System) Run(d time.Duration) {
 			RatePerMin:      s.cfg.DataRatePerMin,
 			NumNodes:        s.cfg.NumNodes,
 			Requesters:      workload.PickRequesterPool(s.cfg.NumNodes, s.cfg.RequesterFraction, rand.New(rand.NewSource(s.cfg.Seed+1000))),
-			RequestsPerItem: s.cfg.RequestsPerItem,
+			RequestsPerItem: 1,
 			Seed:            s.cfg.Seed,
 		}
 		if s.cfg.Stream != nil {
 			s.cfg.Stream(&sc)
 		}
-		wl, err := s.c.StartWorkload(chaos.WorkloadOptions{Stream: sc, RequestDelay: s.cfg.RequestDelay, ConsumerReads: true, PayloadBytes: s.cfg.DataSize})
+		wl, err := s.c.StartWorkload(chaos.WorkloadOptions{Stream: sc, ConsumerReads: true, PayloadBytes: s.cfg.DataSize})
 		if err != nil {
 			panic(fmt.Sprintf("experiments: workload: %v", err)) // the config was validated
 		}
@@ -299,7 +250,6 @@ type Results struct {
 	NumNodes       int
 	DataRatePerMin float64
 	Placement      PlacementStrategy
-	Consensus      ConsensusAlgo
 
 	// Chain outcome: the tallest replica's height and tip, the items
 	// published, and how many of them reached that chain.
@@ -322,13 +272,6 @@ type Results struct {
 	DeliverySec float64
 	Requests    int
 
-	// Fig. 6 in the network: mining is hash work (PoW) or one target check
-	// per second (PoS) on every node for every round; the radio charges
-	// 1 µJ per byte sent or received.
-	MiningJ         float64
-	RadioJ          float64
-	EnergyPerBlockJ float64
-
 	// EventDigest and Events fingerprint the whole run (memnet's log).
 	EventDigest uint64
 	Events      uint64
@@ -340,7 +283,6 @@ func (s *System) Results() *Results {
 		NumNodes:       s.cfg.NumNodes,
 		DataRatePerMin: s.cfg.DataRatePerMin,
 		Placement:      s.cfg.Placement,
-		Consensus:      s.cfg.Consensus,
 		DataGenerated:  s.seq,
 		EventDigest:    s.c.Net.EventDigest(),
 		Events:         s.c.Net.EventCount(),
@@ -363,10 +305,9 @@ func (s *System) Results() *Results {
 	if r.Deliveries > 0 {
 		r.DeliverySec = readNs / float64(r.Deliveries) / 1e9
 	}
-	tx, rx := s.radio.Bytes()
+	tx, _ := s.radio.Bytes()
 	for i := range tx {
 		r.TotalTxBytes += tx[i]
-		r.RadioJ += 1e-6 * float64(tx[i]+rx[i])
 	}
 	r.AvgTxBytesPerNode = float64(r.TotalTxBytes) / float64(len(tx))
 	if tallest == nil {
@@ -376,28 +317,13 @@ func (s *System) Results() *Results {
 	tip := chain[len(chain)-1]
 	r.ChainHeight, r.Tip = tip.Index, tip.Hash
 	seen := make(map[meta.DataID]bool)
-	for k, b := range chain {
+	for _, b := range chain {
 		for _, it := range b.Items {
 			seen[it.ID] = true
 		}
-		if k > 0 {
-			r.MiningJ += s.roundHashes(b, chain[k-1]) * energy.HashEnergyJoules * float64(s.cfg.NumNodes)
-		}
 	}
 	r.OnChain = len(seen)
-	if r.ChainHeight > 0 {
-		r.EnergyPerBlockJ = (r.MiningJ + r.RadioJ) / float64(r.ChainHeight)
-	}
 	r.StorageCounts = tallest.StorageUsed()
 	r.StorageGini = metrics.GiniInts(r.StorageCounts)
 	return r
-}
-
-// roundHashes is one node's hash work in the round block b closed.
-func (s *System) roundHashes(b, prev *block.Block) float64 {
-	secs := (b.Timestamp - prev.Timestamp).Seconds()
-	if s.cfg.Consensus == ConsensusPoW {
-		return s.cfg.HashRate * secs
-	}
-	return secs + 1
 }

@@ -30,16 +30,14 @@ func newSystem(t *testing.T, cfg Config) *System {
 
 func TestConfigValidateTable(t *testing.T) {
 	mutations := map[string]func(*Config){
-		"zero nodes":       func(c *Config) { c.NumNodes = 0 },
-		"zero range":       func(c *Config) { c.CommRange = 0 },
-		"zero storage":     func(c *Config) { c.StorageCapacity = 0 },
-		"zero data size":   func(c *Config) { c.DataSize = 0 },
-		"negative rate":    func(c *Config) { c.DataRatePerMin = -1 },
-		"bad fraction":     func(c *Config) { c.RequesterFraction = 1.5 },
-		"zero t0":          func(c *Config) { c.T0 = 0 },
-		"bad placement":    func(c *Config) { c.Placement = 9 },
-		"bad consensus":    func(c *Config) { c.Consensus = 9 },
-		"pow no hash rate": func(c *Config) { c.Consensus, c.HashRate = ConsensusPoW, 0 },
+		"zero nodes":     func(c *Config) { c.NumNodes = 0 },
+		"zero range":     func(c *Config) { c.CommRange = 0 },
+		"zero storage":   func(c *Config) { c.StorageCapacity = 0 },
+		"zero data size": func(c *Config) { c.DataSize = 0 },
+		"negative rate":  func(c *Config) { c.DataRatePerMin = -1 },
+		"bad fraction":   func(c *Config) { c.RequesterFraction = 1.5 },
+		"zero t0":        func(c *Config) { c.T0 = 0 },
+		"bad placement":  func(c *Config) { c.Placement = 9 },
 	}
 	for name, mutate := range mutations {
 		t.Run(name, func(t *testing.T) {
@@ -60,9 +58,6 @@ func TestConfigValidateTable(t *testing.T) {
 }
 
 func TestEnumStrings(t *testing.T) {
-	if ConsensusPoS.String() != "pos" || ConsensusPoW.String() != "pow" {
-		t.Fatal("consensus strings wrong")
-	}
 	if PlaceOptimal.String() != "optimal" || PlaceRandom.String() != "random" {
 		t.Fatal("placement strings wrong")
 	}
@@ -260,72 +255,5 @@ func TestFindMetadataOnChain(t *testing.T) {
 	}
 	if all := sys.FindMetadata(5, meta.Query{}); len(all) != 2 {
 		t.Fatalf("found %d items, want 2", len(all))
-	}
-}
-
-// TestPoWConsensusMode verifies the Fig. 6 baseline inside the full system:
-// blocks are mined at roughly the same pace as PoS, the hash work burns
-// orders of magnitude more energy, and every node still agrees.
-func TestPoWConsensusMode(t *testing.T) {
-	cfg := quickConfig(10, 31)
-	cfg.Consensus = ConsensusPoW
-	cfg.DataRatePerMin = 1
-	cfg.MobilityEpoch = 0
-	sys := newSystem(t, cfg)
-	sys.Run(20 * time.Minute)
-	res := sys.Results()
-	if res.Consensus != ConsensusPoW {
-		t.Fatalf("consensus echo = %v", res.Consensus)
-	}
-	if res.ChainHeight < 5 {
-		t.Fatalf("PoW mode mined only %d blocks in 20 min (t0=30s)", res.ChainHeight)
-	}
-	if res.MiningJ <= 0 {
-		t.Fatal("no mining energy recorded")
-	}
-	if err := sys.Cluster().Settle(time.Minute); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestEnergyAccountingPoSVsPoW checks the in-system energy ordering.
-func TestEnergyAccountingPoSVsPoW(t *testing.T) {
-	run := func(algo ConsensusAlgo) *Results {
-		cfg := quickConfig(8, 32)
-		cfg.Consensus = algo
-		cfg.DataRatePerMin = 0
-		cfg.MobilityEpoch = 0
-		sys := newSystem(t, cfg)
-		sys.Run(20 * time.Minute)
-		return sys.Results()
-	}
-	posRes, powRes := run(ConsensusPoS), run(ConsensusPoW)
-	if powRes.MiningJ <= 10*posRes.MiningJ {
-		t.Fatalf("PoW mining energy %.2f J not far above PoS %.2f J", powRes.MiningJ, posRes.MiningJ)
-	}
-	if posRes.EnergyPerBlockJ <= 0 || powRes.EnergyPerBlockJ <= 0 {
-		t.Fatal("per-block energy not recorded")
-	}
-}
-
-// TestRadioEnergyScalesWithTraffic confirms radio joules follow the radio's
-// byte counters.
-func TestRadioEnergyScalesWithTraffic(t *testing.T) {
-	cfg := quickConfig(10, 33)
-	cfg.DataRatePerMin = 3
-	sys := newSystem(t, cfg)
-	sys.Run(20 * time.Minute)
-	res := sys.Results()
-	tx, rx := sys.Radio().Bytes()
-	var bytes, sent uint64
-	for i := range tx {
-		bytes += tx[i] + rx[i]
-		sent += tx[i]
-	}
-	if bytes == 0 || sent != res.TotalTxBytes {
-		t.Fatalf("radio moved %d B (%d sent), results say %d sent", bytes, sent, res.TotalTxBytes)
-	}
-	if want := 1e-6 * float64(bytes); res.RadioJ < want*0.999999 || res.RadioJ > want*1.000001 {
-		t.Fatalf("radio energy %.3f J, want %.3f J", res.RadioJ, want)
 	}
 }
