@@ -103,7 +103,7 @@ func main() {
 	fmt.Printf("  avg tx per node:  %.1f MB (total %.1f MB)\n",
 		res.AvgTxBytesPerNode/(1<<20), float64(res.TotalTxBytes)/(1<<20))
 	if *verbose {
-		tx, _ := sys.Radio().Bytes()
+		tx := sys.Radio().Bytes()
 		fmt.Println("  per-node storage / tx:")
 		for i, c := range res.StorageCounts {
 			fmt.Printf("    node %2d: %4d items stored, %8.1f MB sent\n", i, c, float64(tx[i])/(1<<20))

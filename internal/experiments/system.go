@@ -305,7 +305,7 @@ func (s *System) Results() *Results {
 	if r.Deliveries > 0 {
 		r.DeliverySec = readNs / float64(r.Deliveries) / 1e9
 	}
-	tx, _ := s.radio.Bytes()
+	tx := s.radio.Bytes()
 	for i := range tx {
 		r.TotalTxBytes += tx[i]
 	}

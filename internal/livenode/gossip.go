@@ -94,19 +94,19 @@ func (n *Node) newGossipState(seed int64) *gossipState {
 // seenLRU is a fixed-capacity table keyed by identifiers (block hashes, short
 // data IDs) with FIFO eviction: a map for O(1) lookup plus a ring of
 // insertion order. Re-adding a present key is a no-op (announce storms
-// must not churn the ring, and the first value under a key stays).
+// must not churn the ring, and the first value under a key stays). Both
+// grow as keys arrive: the ring by append up to capacity, after which
+// each new key overwrites the oldest. A node that never hears a key
+// holds none of the capacity.
 type seenLRU[K comparable, V any] struct {
-	m    map[K]V
-	ring []K
-	next int
-	full bool
+	m        map[K]V
+	ring     []K
+	next     int // once the ring is full, the slot of the oldest key
+	capacity int
 }
 
 func newSeenLRU[K comparable, V any](capacity int) *seenLRU[K, V] {
-	return &seenLRU[K, V]{
-		m:    make(map[K]V, capacity),
-		ring: make([]K, capacity),
-	}
+	return &seenLRU[K, V]{m: make(map[K]V), capacity: capacity}
 }
 
 func (l *seenLRU[K, V]) Get(k K) (V, bool) {
@@ -123,15 +123,16 @@ func (l *seenLRU[K, V]) Add(k K, v V) {
 	if l.Has(k) {
 		return
 	}
-	if l.full {
+	if len(l.ring) < l.capacity {
+		l.ring = append(l.ring, k)
+	} else {
 		delete(l.m, l.ring[l.next])
+		l.ring[l.next] = k
+		if l.next++; l.next == l.capacity {
+			l.next = 0
+		}
 	}
-	l.ring[l.next] = k
 	l.m[k] = v
-	l.next++
-	if l.next == len(l.ring) {
-		l.next, l.full = 0, true
-	}
 }
 
 // --- wire codecs --------------------------------------------------------------

@@ -563,6 +563,46 @@ func TestHashLRU(t *testing.T) {
 	}
 }
 
+// TestSeenLRUMatchesFIFOModel drives seenLRU and a reference FIFO — keys in
+// insertion order, a re-add ignored, the oldest dropped past capacity — with
+// the same random keys, re-adds among them, through the ring's growth to
+// capacity and many wraps after it. Membership and the value under every key
+// must agree at each step, and the ring holds only what was added.
+func TestSeenLRUMatchesFIFOModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, capacity := range []int{1, 2, 7, 64} {
+		l := newSeenLRU[uint16, int](capacity)
+		var fifo []uint16
+		vals := map[uint16]int{}
+		keys := 3*capacity + 1
+		for step := 0; step < 20*capacity+50; step++ {
+			k := uint16(rng.Intn(keys))
+			l.Add(k, step)
+			if _, ok := vals[k]; !ok {
+				fifo = append(fifo, k)
+				vals[k] = step
+				if len(fifo) > capacity {
+					delete(vals, fifo[0])
+					fifo = fifo[1:]
+				}
+			}
+			if len(l.ring) != len(fifo) || len(l.m) != len(fifo) {
+				t.Fatalf("cap %d step %d: ring %d, map %d keys; the model holds %d", capacity, step, len(l.ring), len(l.m), len(fifo))
+			}
+			for q := 0; q < keys; q++ {
+				got, ok := l.Get(uint16(q))
+				want, wantOK := vals[uint16(q)]
+				if ok != wantOK || got != want || l.Has(uint16(q)) != wantOK {
+					t.Fatalf("cap %d step %d key %d: got %d, %v; the model has %d, %v", capacity, step, q, got, ok, want, wantOK)
+				}
+			}
+		}
+	}
+	if l := newSeenLRU[block.Hash, struct{}](gossipSeenCap); cap(l.ring) != 0 {
+		t.Errorf("an empty seen-set holds a ring of %d slots", cap(l.ring))
+	}
+}
+
 func TestGossipCodecs(t *testing.T) {
 	var h block.Hash
 	for i := range h {

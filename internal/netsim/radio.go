@@ -33,8 +33,8 @@ type RadioConfig struct {
 // Radio is the disc-radio hop model a transport carries frames over: two
 // nodes share a link when they are within CommRange, a frame follows the
 // shortest path and takes hops × (PerHopDelay + size/Bandwidth), and its
-// bytes are billed to the sender and the receiver only, the paper's
-// end-to-end accounting (forwarders relay for free). Step moves every node
+// bytes are billed to the sender only, the paper's end-to-end accounting
+// (forwarders relay for free). Step moves every node
 // inside its mobility disc and rebuilds the graph. Safe for concurrent use.
 type Radio struct {
 	mu   sync.Mutex
@@ -43,7 +43,6 @@ type Radio struct {
 	cur  *Topology
 	mob  *Mobility
 	tx   []uint64
-	rx   []uint64
 }
 
 // NewRadio builds the radio graph with every node at home.
@@ -56,7 +55,6 @@ func NewRadio(cfg RadioConfig) *Radio {
 		cur:  home,
 		mob:  &Mobility{Field: cfg.Field, Placements: cfg.Placements, RNG: rand.New(rand.NewSource(cfg.Seed))},
 		tx:   make([]uint64, n),
-		rx:   make([]uint64, n),
 	}
 }
 
@@ -99,8 +97,8 @@ func (r *Radio) Hops(a, b int) int {
 }
 
 // Send times one frame of size bytes from a to b over the current graph
-// and bills it to both endpoints. ok is false, and nothing is billed, when
-// no path joins them.
+// and bills it to the sender. ok is false, and nothing is billed, when no
+// path joins them.
 func (r *Radio) Send(a, b, size int) (delay time.Duration, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -109,7 +107,6 @@ func (r *Radio) Send(a, b, size int) (delay time.Duration, ok bool) {
 		return 0, false
 	}
 	r.tx[a] += uint64(size)
-	r.rx[b] += uint64(size)
 	perHop := r.cfg.PerHopDelay
 	if r.cfg.Bandwidth > 0 {
 		perHop += time.Duration(float64(size) / r.cfg.Bandwidth * float64(time.Second))
@@ -117,10 +114,9 @@ func (r *Radio) Send(a, b, size int) (delay time.Duration, ok bool) {
 	return time.Duration(h) * perHop, true
 }
 
-// Bytes returns copies of the per-node transmitted and received byte
-// counts.
-func (r *Radio) Bytes() (tx, rx []uint64) {
+// Bytes returns a copy of the per-node transmitted byte counts.
+func (r *Radio) Bytes() []uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]uint64(nil), r.tx...), append([]uint64(nil), r.rx...)
+	return append([]uint64(nil), r.tx...)
 }

@@ -243,6 +243,79 @@ func TestRingOverwrite(t *testing.T) {
 	}
 }
 
+// TestRingKeepsNewestAcrossGrowth: a ring of 100 grows by append as events
+// arrive and then overwrites in place; after every event it holds the newest
+// min(recorded, 100), oldest first, and never more slots than its size.
+func TestRingKeepsNewestAcrossGrowth(t *testing.T) {
+	const size = 100
+	ring := NewRing(size)
+	if cap(ring.buf) != 0 {
+		t.Fatalf("a new ring holds %d slots before any event", cap(ring.buf))
+	}
+	at := time.Unix(1700000000, 0)
+	for i := 1; i <= 3*size+17; i++ {
+		ring.RecordAt(at.Add(time.Duration(i)*time.Second), "ev", "")
+		events := ring.Events()
+		if want := min(i, size); len(events) != want {
+			t.Fatalf("after %d events the ring holds %d, want %d", i, len(events), want)
+		}
+		for k, e := range events {
+			if want := uint64(i - len(events) + 1 + k); e.Seq != want || !e.At.Equal(at.Add(time.Duration(want)*time.Second)) {
+				t.Fatalf("after %d events, event %d is seq %d at %v, want seq %d", i, k, e.Seq, e.At, want)
+			}
+		}
+		if len(ring.buf) > size {
+			t.Fatalf("after %d events the buffer holds %d slots, want <= %d", i, len(ring.buf), size)
+		}
+	}
+}
+
+// TestHistogramUnobservedIsZero: a histogram nothing observed holds no bucket
+// array and snapshots as the zero snapshot, standalone or from a registry.
+func TestHistogramUnobservedIsZero(t *testing.T) {
+	var h Histogram
+	if got := h.Snapshot(); got != (HistSnapshot{}) {
+		t.Fatalf("unobserved snapshot = %+v, want the zero snapshot", got)
+	}
+	if h.buckets.Load() != nil {
+		t.Fatal("an unobserved histogram allocated its buckets")
+	}
+	r := NewRegistry()
+	r.Histogram("idle")
+	if got := r.Snapshot().Histogram("idle"); got != (HistSnapshot{}) {
+		t.Fatalf("registry snapshot of an idle histogram = %+v, want zero", got)
+	}
+	h.Observe(0)
+	if got := h.Snapshot(); got.Count != 1 || got.Min != 0 || got.Max != 0 {
+		t.Fatalf("after Observe(0): %+v, want one observation of 0", got)
+	}
+}
+
+// TestHistogramFirstObserveRace: eight goroutines released together each
+// make a fresh histogram's first observation at once; whichever swap
+// publishes the bucket array, every observation is counted. Run under -race.
+func TestHistogramFirstObserveRace(t *testing.T) {
+	const workers, trials = 8, 200
+	for trial := 0; trial < trials; trial++ {
+		var h Histogram
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(v int64) {
+				defer wg.Done()
+				<-start
+				h.Observe(v)
+			}(int64(w * 1000))
+		}
+		close(start)
+		wg.Wait()
+		if got := h.Snapshot(); got.Count != workers || got.Min != 0 || got.Max != (workers-1)*1000 {
+			t.Fatalf("trial %d: %+v, want %d observations over [0, %d]", trial, got, workers, (workers-1)*1000)
+		}
+	}
+}
+
 // TestHotPathNoAllocs pins the zero-allocation contract the CI bench
 // smoke step guards: counter/gauge/histogram writes on the frame path
 // must not allocate.
@@ -259,5 +332,12 @@ func TestHotPathNoAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(1000, func() { h.Observe(12345) }); n != 0 {
 		t.Fatalf("Histogram.Observe allocates %.1f/op", n)
+	}
+	// Only the first observation allocates (the bucket array): the
+	// warm-up call AllocsPerRun makes is that one.
+	fresh := r.Histogram("fresh")
+	v := int64(0)
+	if n := testing.AllocsPerRun(1000, func() { fresh.Observe(v); v = v*3 + 7 }); n != 0 {
+		t.Fatalf("Histogram.Observe allocates %.1f/op after its first call", n)
 	}
 }
