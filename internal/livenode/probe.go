@@ -35,11 +35,13 @@ const (
 	// digests should have named every roster node (probeFanout).
 	probeRefreshTicks = 8
 	// probeDigestMax bounds the entries one ack carries. 16 entries of
-	// adjacent indices younger than 12.8 s keep the ack at 37 wire bytes.
+	// adjacent indices younger than 64 s (127 units) take one byte each for
+	// the gap and the age: 32 B of payload, 37 wire bytes with the header.
 	probeDigestMax = 16
 	// probeDigestUnit is the age quantum in digests: far below any sane
-	// SuspectAfter, while 0xFFFF units span 109 minutes of silence.
-	probeDigestUnit = 100 * time.Millisecond
+	// SuspectAfter, and coarse enough that every age under a 60 s dead
+	// window is one varint byte; 0xFFFF units span 9.1 hours of silence.
+	probeDigestUnit = 500 * time.Millisecond
 )
 
 // probeFanout is how many peers a node of an n-node roster probes per repair
