@@ -15,8 +15,8 @@ import (
 // benchInstance builds a paper-shaped UFL instance with n nodes.
 func benchInstance(n int) *ufl.Instance {
 	rng := rand.New(rand.NewSource(1))
-	pls, _ := geo.PlaceNodesConnected(geo.DefaultField(), n, 30, 70, rng, 100)
-	topo := netsim.NewTopology(netsim.HomePositions(pls), 70, nil)
+	pls, _ := netsim.PlaceConnected(geo.DefaultField(), n, 30, 70, rng)
+	topo := netsim.NewTopology(netsim.HomePositions(pls), 70)
 	states := make([]alloc.NodeState, n)
 	for i := range states {
 		states[i] = alloc.NodeState{Used: rng.Intn(200), Capacity: 250, MobilityRange: 30}

@@ -55,7 +55,7 @@ func lineTopo(n int) *netsim.Topology {
 	for i := range pos {
 		pos[i] = geo.Point{X: float64(i) * 50}
 	}
-	return netsim.NewTopology(pos, 70, nil)
+	return netsim.NewTopology(pos, 70)
 }
 
 func TestRDC(t *testing.T) {
@@ -77,7 +77,7 @@ func TestRDC(t *testing.T) {
 
 func TestRDCUnreachable(t *testing.T) {
 	pos := []geo.Point{{X: 0}, {X: 1000}}
-	topo := netsim.NewTopology(pos, 70, nil)
+	topo := netsim.NewTopology(pos, 70)
 	if got := RDC(topo, 0, 1, [2]float64{0, 0}, 70); !math.IsInf(got, 1) {
 		t.Errorf("RDC unreachable = %v, want +Inf", got)
 	}
@@ -140,7 +140,7 @@ func TestPlaceAvoidsFullNodes(t *testing.T) {
 func TestPlacePrefersEmptierNodes(t *testing.T) {
 	// Clique topology so RDC is symmetric; load skews the decision.
 	pos := []geo.Point{{X: 0}, {X: 10}, {X: 20}}
-	topo := netsim.NewTopology(pos, 70, nil)
+	topo := netsim.NewTopology(pos, 70)
 	p := NewPlanner(70)
 	p.MinReplicas = 1
 	states := []NodeState{
@@ -165,7 +165,7 @@ func TestPlacePrefersEmptierNodes(t *testing.T) {
 
 func TestPlaceMinReplicasTopUp(t *testing.T) {
 	pos := []geo.Point{{X: 0}, {X: 10}, {X: 20}, {X: 30}}
-	topo := netsim.NewTopology(pos, 70, nil)
+	topo := netsim.NewTopology(pos, 70)
 	p := NewPlanner(70)
 	p.MinReplicas = 3
 	pl, err := p.Place(topo, uniformStates(4, 0, 250))
@@ -179,7 +179,7 @@ func TestPlaceMinReplicasTopUp(t *testing.T) {
 
 func TestPlaceMinReplicasCappedByCapacity(t *testing.T) {
 	pos := []geo.Point{{X: 0}, {X: 10}, {X: 20}}
-	topo := netsim.NewTopology(pos, 70, nil)
+	topo := netsim.NewTopology(pos, 70)
 	p := NewPlanner(70)
 	p.MinReplicas = 3
 	states := []NodeState{
@@ -252,10 +252,10 @@ func TestPlaceOverflowSpreads(t *testing.T) {
 	nodes := uniformStates(5, 10, 10)
 	nodes[0].Used, nodes[1].Used, nodes[3].Used, nodes[4].Used = 13, 14, 12, 11
 	rng := rand.New(rand.NewSource(1))
-	pls, _ := geo.PlaceNodesConnected(geo.DefaultField(), 5, 30, 70, rng, 50)
+	pls, _ := netsim.PlaceConnected(geo.DefaultField(), 5, 30, 70, rng)
 	for name, topo := range map[string]*netsim.Topology{
 		"clique": netsim.NewClique(5),
-		"radio":  netsim.NewTopology(netsim.HomePositions(pls), 70, nil),
+		"radio":  netsim.NewTopology(netsim.HomePositions(pls), 70),
 	} {
 		pl, err := NewPlanner(70).Place(topo, nodes)
 		if err != nil {

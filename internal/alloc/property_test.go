@@ -57,7 +57,7 @@ func randomCluster(rng *rand.Rand, minFree int) (*netsim.Topology, []NodeState) 
 		nodes[i].Capacity = 1 + rng.Intn(5)
 		nodes[i].Used = rng.Intn(nodes[i].Capacity)
 	}
-	return netsim.NewTopology(pos, 70, nil), nodes
+	return netsim.NewTopology(pos, 70), nodes
 }
 
 // Property: Place never opens a full node (no capacity overflow), returns

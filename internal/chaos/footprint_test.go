@@ -44,7 +44,7 @@ func liveHeap() uint64 {
 // Per-node structures are sized on use (DESIGN.md §18): seen-sets and event
 // rings grow as they fill, a histogram's buckets arrive with its first
 // observation and the PoS ledger indexes the shared roster without a map.
-// This run measures about 18 MB; 86 MB when each node pre-sized its seen-sets
+// This run measures about 17 MB; 86 MB when each node pre-sized its seen-sets
 // for 1 536 entries, zeroed 15 KB of buckets per histogram and copied the
 // roster into a map. It is not parallel: parallel tests wait until it has
 // returned, so the heap it reads is its own.

@@ -21,7 +21,7 @@ import (
 func radioField(t *testing.T) *netsim.Radio {
 	t.Helper()
 	field := geo.Field{Width: 450, Height: 450}
-	pls, err := geo.PlaceNodesConnected(field, 64, 30, 70, rand.New(rand.NewSource(7)), 500)
+	pls, err := netsim.PlaceConnected(field, 64, 30, 70, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func nodeIndex(addr string) int {
 // and behind the chain, so nothing but the re-walk asks it again.
 func TestRadioStorerRetriesOwnCopy(t *testing.T) {
 	field := geo.Field{Width: 40, Height: 40}
-	pls, err := geo.PlaceNodesConnected(field, 6, 0, 70, rand.New(rand.NewSource(3)), 500)
+	pls, err := netsim.PlaceConnected(field, 6, 0, 70, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,8 +106,9 @@ type Config struct {
 	Now func() time.Duration
 
 	// ValidateClaims enables PoS-claim validation in preAppend and
-	// AdoptSuffix. The PoW baseline disables it (nonce checks carry no
-	// allocation state; only timestamp sanity remains).
+	// AdoptSuffix. Every runtime caller sets it; the field stays because
+	// bench/probes.go sets it too, until the benchmark harness is next
+	// changed (ROADMAP item 4).
 	ValidateClaims bool
 	// CheckpointInterval enables Section V-D checkpoint finality: a fork
 	// candidate rewriting history at or below the newest multiple of this

@@ -38,7 +38,7 @@ func newTestCluster(t testing.TB, n int, mutate func(i int, cfg *Config)) *testC
 		c.idents[i] = identity.GenerateSeeded(rng)
 		c.accounts[i] = c.idents[i].Address()
 	}
-	topo := netsim.NewTopology(make([]geo.Point, n), 1, nil)
+	topo := netsim.NewTopology(make([]geo.Point, n), 1)
 	for i := 0; i < n; i++ {
 		blockPlanner := alloc.NewPlanner(1)
 		blockPlanner.MinReplicas = 1
@@ -120,7 +120,7 @@ func (c *testCluster) item(producer int, content string) *meta.Item {
 func TestNewConfigValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	id := identity.GenerateSeeded(rng)
-	topo := netsim.NewTopology(make([]geo.Point, 1), 1, nil)
+	topo := netsim.NewTopology(make([]geo.Point, 1), 1)
 	base := Config{
 		Accounts:        []identity.Address{id.Address()},
 		Self:            0,
@@ -272,7 +272,7 @@ func TestPreAppendRejectsFutureTimestamp(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	idents := []*identity.Identity{identity.GenerateSeeded(rng), identity.GenerateSeeded(rng)}
 	accounts := []identity.Address{idents[0].Address(), idents[1].Address()}
-	topo := netsim.NewTopology(make([]geo.Point, 2), 1, nil)
+	topo := netsim.NewTopology(make([]geo.Point, 2), 1)
 	mk := func(self int, now *time.Duration) *Engine {
 		bp := alloc.NewPlanner(1)
 		bp.MinReplicas = 1

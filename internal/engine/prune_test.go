@@ -25,7 +25,7 @@ import (
 // genesis — the receiving side of a snapshot bootstrap.
 func freshObserver(t testing.TB, c *testCluster) *Engine {
 	t.Helper()
-	topo := netsim.NewTopology(make([]geo.Point, len(c.accounts)), 1, nil)
+	topo := netsim.NewTopology(make([]geo.Point, len(c.accounts)), 1)
 	blockPlanner := alloc.NewPlanner(1)
 	blockPlanner.MinReplicas = 1
 	e, err := New(Config{

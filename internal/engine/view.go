@@ -32,7 +32,7 @@ type StorageView struct {
 	blockBodies []int
 	recentDepth []int
 	height      uint64
-	mobility    []float64
+	mobility    float64 // every node's range(i) of eq. 2
 }
 
 // NewStorageView creates the view for n nodes of the given capacity and
@@ -45,11 +45,10 @@ func NewStorageView(n, capacity int, mobilityRange float64) *StorageView {
 		items:       repair.NewIndex(n),
 		blockBodies: make([]int, n),
 		recentDepth: make([]int, n),
-		mobility:    make([]float64, n),
+		mobility:    mobilityRange,
 	}
 	for i := range v.recentDepth {
 		v.recentDepth[i] = 1
-		v.mobility[i] = mobilityRange
 	}
 	return v
 }
@@ -143,7 +142,7 @@ func (v *StorageView) NodeStatesInto(dst []alloc.NodeState, now time.Duration) [
 		dst[i] = alloc.NodeState{
 			Used:          v.Used(i, now),
 			Capacity:      v.capacity,
-			MobilityRange: v.mobility[i],
+			MobilityRange: v.mobility,
 		}
 	}
 	return dst

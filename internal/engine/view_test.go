@@ -27,8 +27,13 @@ func TestStorageViewInitial(t *testing.T) {
 		}
 	}
 	states := v.NodeStates(0)
-	if len(states) != 3 || states[0].Capacity != 250 || states[0].MobilityRange != 30 {
+	if len(states) != 3 {
 		t.Fatalf("states = %+v", states)
+	}
+	for i, st := range states {
+		if st.Capacity != 250 || st.MobilityRange != 30 {
+			t.Fatalf("states[%d] = %+v, want capacity 250 and mobility range 30", i, st)
+		}
 	}
 }
 

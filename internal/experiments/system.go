@@ -141,7 +141,7 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	pls, err := geo.PlaceNodesConnected(cfg.Field, cfg.NumNodes, cfg.MobilityRange, cfg.CommRange, rng, 500)
+	pls, err := netsim.PlaceConnected(cfg.Field, cfg.NumNodes, cfg.MobilityRange, cfg.CommRange, rng)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}

@@ -86,93 +86,3 @@ func PlaceNodes(f Field, n int, mobilityRange float64, rng *rand.Rand) []Placeme
 	}
 	return out
 }
-
-// PlaceNodesConnected places nodes randomly such that the radio graph at
-// commRange is connected (every node reaches every other over multi-hop
-// paths). Purely uniform layouts are almost never connected at the paper's
-// density (10 nodes, 70 m range in 300 m x 300 m), so after trying a few
-// uniform layouts this uses connected growth: each node samples uniform
-// positions until one lands within radio range of the already-placed
-// component, falling back to a position inside a random placed node's
-// radio disc. The result stays spread over the field but is connected by
-// construction, which the multi-hop protocol evaluation requires.
-func PlaceNodesConnected(f Field, n int, mobilityRange, commRange float64, rng *rand.Rand, maxAttempts int) ([]Placement, error) {
-	if maxAttempts <= 0 {
-		maxAttempts = 100
-	}
-	if commRange <= 0 && n > 1 {
-		return PlaceNodes(f, n, mobilityRange, rng), fmt.Errorf("geo: no connected layout possible with commRange %.1f", commRange)
-	}
-	// A handful of fully uniform tries keeps high-density layouts unbiased.
-	for attempt := 0; attempt < min(maxAttempts, 25); attempt++ {
-		layout := PlaceNodes(f, n, mobilityRange, rng)
-		if layoutConnected(layout, commRange) {
-			return layout, nil
-		}
-	}
-	// Connected growth.
-	out := make([]Placement, 0, n)
-	if n == 0 {
-		return out, nil
-	}
-	out = append(out, Placement{Home: f.RandomPoint(rng), Range: mobilityRange})
-	const triesPerNode = 200
-	for len(out) < n {
-		placed := false
-		for try := 0; try < triesPerNode; try++ {
-			p := f.RandomPoint(rng)
-			for _, q := range out {
-				if Dist(p, q.Home) <= commRange {
-					out = append(out, Placement{Home: p, Range: mobilityRange})
-					placed = true
-					break
-				}
-			}
-			if placed {
-				break
-			}
-		}
-		if !placed {
-			// Force a position inside a random placed node's radio disc.
-			anchor := out[rng.Intn(len(out))]
-			p := Placement{Home: anchor.Home, Range: commRange}.RandomOffset(f, rng)
-			out = append(out, Placement{Home: p, Range: mobilityRange})
-		}
-	}
-	if !layoutConnected(out, commRange) {
-		return out, fmt.Errorf("geo: growth layout unexpectedly disconnected for n=%d", n)
-	}
-	return out, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// layoutConnected checks radio-graph connectivity with a BFS over home
-// positions.
-func layoutConnected(pl []Placement, commRange float64) bool {
-	n := len(pl)
-	if n <= 1 {
-		return true
-	}
-	visited := make([]bool, n)
-	queue := []int{0}
-	visited[0] = true
-	seen := 1
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for v := 0; v < n; v++ {
-			if !visited[v] && Dist(pl[u].Home, pl[v].Home) <= commRange {
-				visited[v] = true
-				seen++
-				queue = append(queue, v)
-			}
-		}
-	}
-	return seen == n
-}

@@ -100,64 +100,3 @@ func TestRandomOffsetClampedToField(t *testing.T) {
 		}
 	}
 }
-
-func TestPlaceNodesConnected(t *testing.T) {
-	f := DefaultField()
-	rng := rand.New(rand.NewSource(5))
-	for _, n := range []int{10, 20, 30, 50} {
-		pl, err := PlaceNodesConnected(f, n, 30, 70, rng, 500)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if !layoutConnected(pl, 70) {
-			t.Fatalf("n=%d: returned layout not connected", n)
-		}
-	}
-}
-
-func TestPlaceNodesConnectedTrivialCases(t *testing.T) {
-	f := DefaultField()
-	rng := rand.New(rand.NewSource(6))
-	if pl, err := PlaceNodesConnected(f, 0, 30, 70, rng, 10); err != nil || len(pl) != 0 {
-		t.Fatalf("n=0: pl=%v err=%v", pl, err)
-	}
-	if pl, err := PlaceNodesConnected(f, 1, 30, 70, rng, 10); err != nil || len(pl) != 1 {
-		t.Fatalf("n=1: pl=%v err=%v", pl, err)
-	}
-}
-
-func TestPlaceNodesConnectedImpossible(t *testing.T) {
-	// Zero radio range can never connect more than one node.
-	f := Field{Width: 1e6, Height: 1e6}
-	rng := rand.New(rand.NewSource(7))
-	if _, err := PlaceNodesConnected(f, 5, 0, 0, rng, 5); err == nil {
-		t.Fatal("expected error for zero comm range")
-	}
-}
-
-func TestPlaceNodesConnectedSparse(t *testing.T) {
-	// The growth fallback must connect even extremely sparse densities.
-	f := Field{Width: 1e5, Height: 1e5}
-	rng := rand.New(rand.NewSource(8))
-	pl, err := PlaceNodesConnected(f, 20, 5, 50, rng, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !layoutConnected(pl, 50) {
-		t.Fatal("sparse layout not connected")
-	}
-}
-
-func TestLayoutConnectedDisconnected(t *testing.T) {
-	pl := []Placement{
-		{Home: Point{0, 0}},
-		{Home: Point{10, 0}},
-		{Home: Point{1000, 0}},
-	}
-	if layoutConnected(pl, 70) {
-		t.Fatal("layout with isolated node reported connected")
-	}
-	if !layoutConnected(pl[:2], 70) {
-		t.Fatal("close pair reported disconnected")
-	}
-}

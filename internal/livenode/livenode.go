@@ -119,8 +119,8 @@ type Config struct {
 	RepairHysteresis   time.Duration
 	// Rules, if set, edits the engine's consensus and placement rules before
 	// the engine starts. The paper's baselines and ablations use it: random
-	// placement (Fig. 5), the FDC weight A (A1) and PoW rounds (A5). Every
-	// node of a deployment must apply the same rules.
+	// placement (Fig. 5) and the FDC weight A (A1). Every node of a
+	// deployment must apply the same rules.
 	Rules func(*engine.Config)
 	// OnBlock, if set, is called after each adopted block (any goroutine).
 	OnBlock func(b *block.Block)

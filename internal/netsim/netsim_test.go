@@ -1,9 +1,11 @@
 package netsim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/geo"
 )
@@ -27,7 +29,7 @@ func lineRadio(n int, cfg RadioConfig) *Radio {
 
 func TestTopologyLineHops(t *testing.T) {
 	pls := linePlacements(5, 50)
-	topo := NewTopology(HomePositions(pls), 70, nil)
+	topo := NewTopology(HomePositions(pls), 70)
 	tests := []struct {
 		a, b NodeID
 		want int
@@ -41,79 +43,38 @@ func TestTopologyLineHops(t *testing.T) {
 	}
 }
 
-func TestTopologyNextHopFollowsShortestPath(t *testing.T) {
-	pls := linePlacements(5, 50)
-	topo := NewTopology(HomePositions(pls), 70, nil)
-	cur := NodeID(0)
-	var path []NodeID
-	for cur != 4 {
-		cur = topo.NextHop(cur, 4)
-		path = append(path, cur)
-	}
-	want := []NodeID{1, 2, 3, 4}
-	if len(path) != len(want) {
-		t.Fatalf("path = %v, want %v", path, want)
-	}
-	for i := range want {
-		if path[i] != want[i] {
-			t.Fatalf("path = %v, want %v", path, want)
-		}
-	}
-}
-
-func TestTopologyDownNodeDisconnects(t *testing.T) {
-	pls := linePlacements(3, 50)
-	down := []bool{false, true, false}
-	topo := NewTopology(HomePositions(pls), 70, down)
-	if topo.Reachable(0, 2) {
-		t.Fatal("nodes 0 and 2 reachable through a down relay")
-	}
-	if topo.Connected(down) {
-		t.Fatal("partitioned graph reported connected")
-	}
-	if !topo.Connected([]bool{false, true, true}) {
-		t.Fatal("single up node must count as connected")
-	}
-}
-
 // TestCliqueMatchesDenseTopology pins NewClique to the topology it
-// replaces: every co-located node within range, routes computed by BFS.
-// The O(1) clique must answer every query identically without ever
-// materializing the O(n²) tables.
+// replaces: every co-located node within range, hops computed by BFS.
+// The clique must answer every query identically without materializing
+// the O(n²) matrix.
 func TestCliqueMatchesDenseTopology(t *testing.T) {
 	const n = 17
-	dense := NewTopology(make([]geo.Point, n), 1, nil)
+	dense := NewTopology(make([]geo.Point, n), 1)
 	clique := NewClique(n)
-	if clique.N() != n {
-		t.Fatalf("clique.N() = %d, want %d", clique.N(), n)
+	if clique.N() != n || dense.N() != n {
+		t.Fatalf("N() = %d (clique), %d (dense), want %d", clique.N(), dense.N(), n)
+	}
+	if !clique.Clique() || dense.Clique() {
+		t.Fatalf("Clique() = %v (clique), %v (dense)", clique.Clique(), dense.Clique())
 	}
 	for a := 0; a < n; a++ {
 		for b := 0; b < n; b++ {
 			if got, want := clique.Hops(NodeID(a), NodeID(b)), dense.Hops(NodeID(a), NodeID(b)); got != want {
 				t.Fatalf("Hops(%d,%d) = %d, dense says %d", a, b, got, want)
 			}
-			if !clique.Reachable(NodeID(a), NodeID(b)) {
-				t.Fatalf("Reachable(%d,%d) = false", a, b)
-			}
-			next := clique.NextHop(NodeID(a), NodeID(b))
-			if a == b && next != NodeID(a) {
-				t.Fatalf("NextHop(%d,%d) = %d, want self", a, b, next)
-			}
-			if a != b && next != NodeID(b) {
-				t.Fatalf("NextHop(%d,%d) = %d, want direct hop %d", a, b, next, b)
-			}
-		}
-		if got, want := len(clique.Neighbors(NodeID(a))), len(dense.Neighbors(NodeID(a))); got != want {
-			t.Fatalf("node %d has %d neighbors, dense says %d", a, got, want)
-		}
-		for _, v := range clique.Neighbors(NodeID(a)) {
-			if v == NodeID(a) {
-				t.Fatalf("node %d lists itself as neighbor", a)
-			}
 		}
 	}
-	if !clique.Connected(nil) {
-		t.Fatal("clique reported disconnected")
+}
+
+// TestCliqueHoldsNothing: a clique is its node count. Every node stack of a
+// TCP or memnet cluster holds one, so it must not grow with n.
+func TestCliqueHoldsNothing(t *testing.T) {
+	var topo *Topology
+	if allocs := testing.AllocsPerRun(100, func() { topo = NewClique(1000) }); allocs != 1 {
+		t.Fatalf("NewClique(1000) makes %.1f allocations, want 1 (the Topology itself)", allocs)
+	}
+	if size := unsafe.Sizeof(*topo); size >= 64 {
+		t.Fatalf("a Topology is %d B, want under 64", size)
 	}
 }
 
@@ -197,56 +158,162 @@ func TestSetPositionsRebuildsTopology(t *testing.T) {
 	}
 }
 
+// TestMobilityStepStaysInRange reads Radio.Step's moves through the hop
+// matrix. A fixed anchor sits in the middle of the field with a ring of
+// nodes of 30 m mobility range around it at 39 m, whose every step stays
+// within 69 m and so within radio range, and a ring at 101 m, whose every
+// step stays at 71 m or more, outside it. A pair of ring nodes 70 m apart
+// must link in some epochs and not in others: the nodes do move.
 func TestMobilityStepStaysInRange(t *testing.T) {
-	field := geo.DefaultField()
-	rng := rand.New(rand.NewSource(9))
-	pls := geo.PlaceNodes(field, 20, 30, rng)
-	mob := &Mobility{Field: field, Placements: pls, RNG: rng}
-	for epoch := 0; epoch < 10; epoch++ {
-		pos := mob.Step()
-		if len(pos) != 20 {
-			t.Fatalf("Step returned %d positions", len(pos))
+	const rings = 8
+	centre := geo.Point{X: 150, Y: 150}
+	pls := []geo.Placement{{Home: centre}}
+	for _, radius := range []float64{39, 101} {
+		for k := 0; k < rings; k++ {
+			theta := 2 * math.Pi * float64(k) / rings
+			home := geo.Point{X: centre.X + radius*math.Cos(theta), Y: centre.Y + radius*math.Sin(theta)}
+			pls = append(pls, geo.Placement{Home: home, Range: 30})
 		}
-		for i, p := range pos {
-			if d := geo.Dist(pls[i].Home, p); d > 30+1e-9 && field.Contains(pls[i].Home) {
-				// Clamping can only pull points closer to the field, which
-				// never increases distance beyond the range for in-field homes.
-				t.Fatalf("node %d moved %v m from home, beyond 30 m range", i, d)
+	}
+	pls = append(pls, // a pair 70 m apart, away from the rings
+		geo.Placement{Home: geo.Point{X: 10, Y: 280}, Range: 30},
+		geo.Placement{Home: geo.Point{X: 80, Y: 280}, Range: 30})
+	r := NewRadio(RadioConfig{Field: geo.DefaultField(), Placements: pls, CommRange: 70, Seed: 9})
+	linked := map[bool]int{}
+	for epoch := 0; epoch < 200; epoch++ {
+		r.Step()
+		for k := 1; k <= rings; k++ {
+			if h := r.Hops(0, k); h != 1 {
+				t.Fatalf("epoch %d: node %d, 39 m from the anchor with a 30 m range, is %d hops away", epoch, k, h)
 			}
+			if h := r.Hops(0, rings+k); h == 1 {
+				t.Fatalf("epoch %d: node %d, 101 m from the anchor with a 30 m range, is in radio range", epoch, rings+k)
+			}
+		}
+		linked[r.Hops(len(pls)-2, len(pls)-1) == 1]++
+	}
+	if linked[true] == 0 || linked[false] == 0 {
+		t.Fatalf("the 70 m pair linked in %d of 200 epochs: mobility steps do not move the nodes", linked[true])
+	}
+}
+
+// TestHopsMatchFloydWarshall checks the BFS hop matrix against
+// Floyd–Warshall over the same disc graph on 20 random fields: connected
+// layouts, whose long paths cross the field, alternating with uniform
+// ones, which at these densities are split, so unreachable pairs are
+// covered too.
+func TestHopsMatchFloydWarshall(t *testing.T) {
+	const commRange, inf = 70, math.MaxInt32
+	rng := rand.New(rand.NewSource(42))
+	var multiHop, unreachable int
+	for trial := 0; trial < 20; trial++ {
+		n := 5 + rng.Intn(30)
+		pls := geo.PlaceNodes(geo.DefaultField(), n, 30, rng)
+		if trial%2 == 0 {
+			var err error
+			if pls, err = PlaceConnected(geo.DefaultField(), n, 30, commRange, rng); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pos := HomePositions(pls)
+		d := make([][]int64, n)
+		for i := range d {
+			d[i] = make([]int64, n)
+			for j := range d[i] {
+				switch {
+				case i == j:
+				case geo.Dist(pos[i], pos[j]) <= commRange:
+					d[i][j] = 1
+				default:
+					d[i][j] = inf
+				}
+			}
+		}
+		for k := 0; k < n; k++ {
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					d[i][j] = min(d[i][j], d[i][k]+d[k][j])
+				}
+			}
+		}
+		topo := NewTopology(pos, commRange)
+		for a := 0; a < n; a++ {
+			for b := 0; b < n; b++ {
+				want := int(min(d[a][b], InfHops))
+				if got := topo.Hops(NodeID(a), NodeID(b)); got != want {
+					t.Fatalf("trial %d (n=%d): Hops(%d,%d) = %d, Floyd-Warshall says %d", trial, n, a, b, got, want)
+				}
+				switch {
+				case want == InfHops:
+					unreachable++
+				case want > 1:
+					multiHop++
+				}
+			}
+		}
+	}
+	if multiHop == 0 || unreachable == 0 {
+		t.Fatalf("fields covered %d multi-hop and %d unreachable pairs, want both", multiHop, unreachable)
+	}
+}
+
+func TestPlaceConnected(t *testing.T) {
+	f := geo.DefaultField()
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{10, 20, 30, 50} {
+		pl, err := PlaceConnected(f, n, 30, 70, rng)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if !connected(pl, 70) {
+			t.Fatalf("n=%d: returned layout not connected", n)
 		}
 	}
 }
 
-// Property: on random connected layouts, hop counts are symmetric and the
-// next-hop table walks shortest paths (each step reduces the distance by
-// exactly one).
-func TestRoutingConsistencyProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 20; trial++ {
-		n := 5 + rng.Intn(30)
-		pls, err := geo.PlaceNodesConnected(geo.DefaultField(), n, 30, 70, rng, 100)
-		if err != nil {
-			t.Fatal(err)
-		}
-		topo := NewTopology(HomePositions(pls), 70, nil)
-		for a := 0; a < n; a++ {
-			for b := 0; b < n; b++ {
-				ha := topo.Hops(NodeID(a), NodeID(b))
-				hb := topo.Hops(NodeID(b), NodeID(a))
-				if ha != hb {
-					t.Fatalf("asymmetric hops %d vs %d", ha, hb)
-				}
-				if a == b {
-					continue
-				}
-				next := topo.NextHop(NodeID(a), NodeID(b))
-				if next < 0 {
-					t.Fatalf("connected pair (%d,%d) has no next hop", a, b)
-				}
-				if topo.Hops(next, NodeID(b)) != ha-1 {
-					t.Fatalf("next hop does not reduce distance: %d -> %d", ha, topo.Hops(next, NodeID(b)))
-				}
-			}
-		}
+func TestPlaceConnectedTrivialCases(t *testing.T) {
+	f := geo.DefaultField()
+	rng := rand.New(rand.NewSource(6))
+	if pl, err := PlaceConnected(f, 0, 30, 70, rng); err != nil || len(pl) != 0 {
+		t.Fatalf("n=0: pl=%v err=%v", pl, err)
+	}
+	if pl, err := PlaceConnected(f, 1, 30, 70, rng); err != nil || len(pl) != 1 {
+		t.Fatalf("n=1: pl=%v err=%v", pl, err)
+	}
+}
+
+func TestPlaceConnectedImpossible(t *testing.T) {
+	// Zero radio range can never connect more than one node.
+	f := geo.Field{Width: 1e6, Height: 1e6}
+	rng := rand.New(rand.NewSource(7))
+	if _, err := PlaceConnected(f, 5, 0, 0, rng); err == nil {
+		t.Fatal("expected error for zero comm range")
+	}
+}
+
+func TestPlaceConnectedSparse(t *testing.T) {
+	// The growth fallback must connect even extremely sparse densities.
+	f := geo.Field{Width: 1e5, Height: 1e5}
+	rng := rand.New(rand.NewSource(8))
+	pl, err := PlaceConnected(f, 20, 5, 50, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !connected(pl, 50) {
+		t.Fatal("sparse layout not connected")
+	}
+}
+
+func TestConnectedIsolatedNode(t *testing.T) {
+	pl := []geo.Placement{
+		{Home: geo.Point{X: 0, Y: 0}},
+		{Home: geo.Point{X: 10, Y: 0}},
+		{Home: geo.Point{X: 1000, Y: 0}},
+	}
+	if connected(pl, 70) {
+		t.Fatal("layout with isolated node reported connected")
+	}
+	if !connected(pl[:2], 70) {
+		t.Fatal("close pair reported disconnected")
 	}
 }

@@ -41,20 +41,19 @@ type Radio struct {
 	cfg  RadioConfig
 	home *Topology
 	cur  *Topology
-	mob  *Mobility
+	rng  *rand.Rand // mobility steps
 	tx   []uint64
 }
 
 // NewRadio builds the radio graph with every node at home.
 func NewRadio(cfg RadioConfig) *Radio {
-	n := len(cfg.Placements)
-	home := NewTopology(HomePositions(cfg.Placements), cfg.CommRange, nil)
+	home := NewTopology(HomePositions(cfg.Placements), cfg.CommRange)
 	return &Radio{
 		cfg:  cfg,
 		home: home,
 		cur:  home,
-		mob:  &Mobility{Field: cfg.Field, Placements: cfg.Placements, RNG: rand.New(rand.NewSource(cfg.Seed))},
-		tx:   make([]uint64, n),
+		rng:  rand.New(rand.NewSource(cfg.Seed)),
+		tx:   make([]uint64, len(cfg.Placements)),
 	}
 }
 
@@ -78,11 +77,15 @@ func (r *Radio) MobilityRange() float64 {
 // MobilityEpoch returns how often Step is meant to run (0: never).
 func (r *Radio) MobilityEpoch() time.Duration { return r.cfg.MobilityEpoch }
 
-// Step moves every node to a random point of its mobility disc and
-// rebuilds the current graph.
+// Step moves every node to a uniformly random point of its mobility disc
+// (clamped to the field), per Section VI ("mobility of the nodes is within
+// 30 meter ranges"), and rebuilds the current graph.
 func (r *Radio) Step() {
-	pos := r.mob.Step()
-	topo := NewTopology(pos, r.cfg.CommRange, nil)
+	pos := make([]geo.Point, len(r.cfg.Placements))
+	for i, pl := range r.cfg.Placements {
+		pos[i] = pl.RandomOffset(r.cfg.Field, r.rng)
+	}
+	topo := NewTopology(pos, r.cfg.CommRange)
 	r.mu.Lock()
 	r.cur = topo
 	r.mu.Unlock()

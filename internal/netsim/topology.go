@@ -1,19 +1,21 @@
 // Package netsim models the multi-hop wireless network connecting edge
 // devices.
 //
-// Nodes are placed by package geo; any two nodes within the radio range
-// (70 m in the paper, typical 802.11n) share a link. Topology holds the
-// radio graph's shortest hop counts, the distance the Range-Distance Cost
-// (eq. 2) is counted in. Radio (radio.go) is the hop model an in-memory
-// transport delivers frames over: a fixed per-hop delay (10 ms in the
-// paper), per-hop transmission time, mobility epochs, and every frame's
-// bytes billed to its sender and receiver so the evaluation can report
+// Any two nodes within the radio range (70 m in the paper, typical 802.11n)
+// share a link. PlaceConnected lays nodes out so that this graph is
+// connected, and Topology holds its shortest hop counts, the distance the
+// Range-Distance Cost (eq. 2) is counted in. Radio (radio.go) is the hop
+// model an in-memory transport delivers frames over: a fixed per-hop delay
+// (10 ms in the paper), per-hop transmission time, mobility epochs, and
+// every frame's bytes billed to its sender so the evaluation can report
 // per-node transmission overhead as in Section VI-A.
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/geo"
 )
@@ -24,196 +26,73 @@ type NodeID int
 // InfHops marks unreachable node pairs in hop-count queries.
 const InfHops = math.MaxInt32
 
-// Topology is the radio graph over current node positions. It is rebuilt
-// whenever nodes move or change up/down state.
+// Topology is the radio graph's all-pairs shortest hop counts. It is
+// rebuilt whenever nodes move.
 type Topology struct {
-	positions []geo.Point
-	commRange float64
-	clique    bool // all-pairs 1 hop; adj/hops/next stay nil
-	adj       [][]NodeID
-	hops      [][]int32  // all-pairs hop counts; InfHops if unreachable
-	next      [][]NodeID // next[u][v]: first hop from u toward v, -1 if none
+	n    int
+	hops []int32 // row-major n×n, InfHops if unreachable; nil for a clique
 }
 
 // NewClique returns the all-pairs-one-hop topology of a full TCP overlay
-// mesh: every distinct pair is one hop apart and always reachable. Unlike
-// NewTopology it materializes no adjacency or route tables, so building
-// one is O(n) in memory and O(1) in route work — a position-based clique
-// costs O(n²) memory and O(n³) BFS time, which at 1000 nodes is gigabytes
-// and minutes PER NODE STACK that holds one. Down state is not modeled;
-// overlay deployments track liveness above the transport.
-func NewClique(n int) *Topology {
-	return &Topology{positions: make([]geo.Point, n), commRange: 1, clique: true}
-}
+// mesh: every distinct pair is one hop apart and always reachable. It holds
+// n alone, so building one is O(1) — a dense radio graph over co-located
+// nodes costs O(n²) memory and O(n³) BFS time, which at 1000 nodes is
+// gigabytes and minutes PER NODE STACK that holds one. Overlay deployments
+// track liveness above the transport.
+func NewClique(n int) *Topology { return &Topology{n: n} }
 
-// NewTopology builds the radio graph for the given positions and range.
-// down[i], if non-nil and true, removes node i from the graph entirely.
-func NewTopology(positions []geo.Point, commRange float64, down []bool) *Topology {
+// NewTopology builds the radio graph for the given positions and range:
+// one BFS per source over the disc graph.
+func NewTopology(positions []geo.Point, commRange float64) *Topology {
 	n := len(positions)
-	t := &Topology{
-		positions: append([]geo.Point(nil), positions...),
-		commRange: commRange,
-		adj:       make([][]NodeID, n),
-	}
-	for i := 0; i < n; i++ {
-		if isDown(down, i) {
-			continue
-		}
+	adj := make([][]int32, n)
+	for i := range positions {
 		for j := i + 1; j < n; j++ {
-			if isDown(down, j) {
-				continue
-			}
 			if geo.Dist(positions[i], positions[j]) <= commRange {
-				t.adj[i] = append(t.adj[i], NodeID(j))
-				t.adj[j] = append(t.adj[j], NodeID(i))
+				adj[i] = append(adj[i], int32(j))
+				adj[j] = append(adj[j], int32(i))
 			}
 		}
 	}
-	t.computeRoutes(down)
+	t := &Topology{n: n, hops: make([]int32, n*n)}
+	queue := make([]int32, 0, n)
+	for s := 0; s < n; s++ {
+		h := t.hops[s*n : (s+1)*n]
+		for i := range h {
+			h[i] = InfHops
+		}
+		h[s] = 0
+		queue = append(queue[:0], int32(s))
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
+			for _, v := range adj[u] {
+				if h[v] == InfHops {
+					h[v] = h[u] + 1
+					queue = append(queue, v)
+				}
+			}
+		}
+	}
 	return t
 }
 
-func isDown(down []bool, i int) bool { return down != nil && down[i] }
-
-// computeRoutes fills the hop-count matrix and next-hop table with one BFS
-// per node.
-func (t *Topology) computeRoutes(down []bool) {
-	n := len(t.positions)
-	t.hops = make([][]int32, n)
-	t.next = make([][]NodeID, n)
-	queue := make([]NodeID, 0, n)
-	for s := 0; s < n; s++ {
-		h := make([]int32, n)
-		nx := make([]NodeID, n)
-		for i := range h {
-			h[i] = InfHops
-			nx[i] = -1
-		}
-		t.hops[s] = h
-		t.next[s] = nx
-		if isDown(down, s) {
-			continue
-		}
-		h[s] = 0
-		queue = queue[:0]
-		queue = append(queue, NodeID(s))
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, v := range t.adj[u] {
-				if h[v] != InfHops {
-					continue
-				}
-				h[v] = h[u] + 1
-				if u == NodeID(s) {
-					nx[v] = v
-				} else {
-					nx[v] = nx[u]
-				}
-				queue = append(queue, v)
-			}
-		}
-	}
-}
-
-// N returns the number of nodes (including down nodes).
-func (t *Topology) N() int { return len(t.positions) }
+// N returns the number of nodes.
+func (t *Topology) N() int { return t.n }
 
 // Clique reports whether this topology came from NewClique: every pair one
-// hop, no route tables. Cost models can exploit the uniform structure.
-func (t *Topology) Clique() bool { return t.clique }
-
-// Position returns the current position of node id.
-func (t *Topology) Position(id NodeID) geo.Point { return t.positions[id] }
-
-// Neighbors returns the direct radio neighbors of id. The returned slice
-// must not be modified. Clique topologies build the row on every call
-// (their only in-tree consumers never enumerate neighbors).
-func (t *Topology) Neighbors(id NodeID) []NodeID {
-	if t.clique {
-		out := make([]NodeID, 0, len(t.positions)-1)
-		for v := 0; v < len(t.positions); v++ {
-			if NodeID(v) != id {
-				out = append(out, NodeID(v))
-			}
-		}
-		return out
-	}
-	return t.adj[id]
-}
+// hop. Cost models can exploit the uniform structure.
+func (t *Topology) Clique() bool { return t.hops == nil }
 
 // Hops returns the shortest hop count between two nodes, or InfHops if they
 // are in different components.
 func (t *Topology) Hops(a, b NodeID) int {
-	if t.clique {
+	if t.hops == nil {
 		if a == b {
 			return 0
 		}
 		return 1
 	}
-	return int(t.hops[a][b])
-}
-
-// NextHop returns the first hop on a shortest path from a toward b, or -1
-// if b is unreachable. NextHop(a, a) returns a.
-func (t *Topology) NextHop(a, b NodeID) NodeID {
-	if a == b {
-		return a
-	}
-	if t.clique {
-		return b
-	}
-	return t.next[a][b]
-}
-
-// Reachable reports whether b can be reached from a.
-func (t *Topology) Reachable(a, b NodeID) bool {
-	return t.clique || t.hops[a][b] != InfHops
-}
-
-// Connected reports whether all up nodes form a single component.
-// Down nodes are ignored.
-func (t *Topology) Connected(down []bool) bool {
-	if t.clique {
-		return true
-	}
-	first := -1
-	for i := 0; i < t.N(); i++ {
-		if !isDown(down, i) {
-			first = i
-			break
-		}
-	}
-	if first < 0 {
-		return true
-	}
-	for i := 0; i < t.N(); i++ {
-		if isDown(down, i) {
-			continue
-		}
-		if t.hops[first][i] == InfHops {
-			return false
-		}
-	}
-	return true
-}
-
-// Mobility drives short-term node movement: every epoch each node jumps to
-// a uniformly random point inside its mobility disc (clamped to the field),
-// per Section VI ("mobility of the nodes is within 30 meter ranges").
-type Mobility struct {
-	Field      geo.Field
-	Placements []geo.Placement
-	RNG        *rand.Rand
-}
-
-// Step returns new positions for all nodes.
-func (m *Mobility) Step() []geo.Point {
-	out := make([]geo.Point, len(m.Placements))
-	for i, pl := range m.Placements {
-		out[i] = pl.RandomOffset(m.Field, m.RNG)
-	}
-	return out
+	return int(t.hops[int(a)*t.n+int(b)])
 }
 
 // HomePositions extracts the home points from placements; used for the RDC
@@ -224,4 +103,59 @@ func HomePositions(pls []geo.Placement) []geo.Point {
 		out[i] = pl.Home
 	}
 	return out
+}
+
+// PlaceConnected places n nodes randomly such that the radio graph over
+// their homes at commRange is connected (every node reaches every other
+// over multi-hop paths). Purely uniform layouts are almost never connected
+// at the paper's density (10 nodes, 70 m range in 300 m x 300 m), so after
+// 25 uniform layouts this uses connected growth: each node samples uniform
+// positions until one lands within radio range of the already-placed
+// component, falling back to a position inside a random placed node's
+// radio disc. The result stays spread over the field but is connected by
+// construction, which the multi-hop protocol evaluation requires.
+func PlaceConnected(f geo.Field, n int, mobilityRange, commRange float64, rng *rand.Rand) ([]geo.Placement, error) {
+	if commRange <= 0 && n > 1 {
+		return geo.PlaceNodes(f, n, mobilityRange, rng), fmt.Errorf("netsim: no connected layout possible with commRange %.1f", commRange)
+	}
+	// A handful of fully uniform tries keeps high-density layouts unbiased.
+	for attempt := 0; attempt < 25; attempt++ {
+		layout := geo.PlaceNodes(f, n, mobilityRange, rng)
+		if connected(layout, commRange) {
+			return layout, nil
+		}
+	}
+	// Connected growth.
+	out := make([]geo.Placement, 0, n)
+	out = append(out, geo.Placement{Home: f.RandomPoint(rng), Range: mobilityRange})
+	const triesPerNode = 200
+	for len(out) < n {
+		placed := false
+		for try := 0; try < triesPerNode && !placed; try++ {
+			p := f.RandomPoint(rng)
+			for _, q := range out {
+				if geo.Dist(p, q.Home) <= commRange {
+					out = append(out, geo.Placement{Home: p, Range: mobilityRange})
+					placed = true
+					break
+				}
+			}
+		}
+		if !placed {
+			// Force a position inside a random placed node's radio disc.
+			anchor := out[rng.Intn(len(out))]
+			p := geo.Placement{Home: anchor.Home, Range: commRange}.RandomOffset(f, rng)
+			out = append(out, geo.Placement{Home: p, Range: mobilityRange})
+		}
+	}
+	if !connected(out, commRange) {
+		return out, fmt.Errorf("netsim: growth layout unexpectedly disconnected for n=%d", n)
+	}
+	return out, nil
+}
+
+// connected reports whether every home reaches node 0's on the radio graph:
+// row 0 of its hop matrix holds no InfHops.
+func connected(pls []geo.Placement, commRange float64) bool {
+	return len(pls) == 0 || !slices.Contains(NewTopology(HomePositions(pls), commRange).hops[:len(pls)], InfHops)
 }

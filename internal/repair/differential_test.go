@@ -61,7 +61,7 @@ func newDiffCluster(t *testing.T, n int) *diffCluster {
 // items that node provides.
 func (c *diffCluster) newEngine(t *testing.T, i int) *engine.Engine {
 	t.Helper()
-	topo := netsim.NewTopology(make([]geo.Point, len(c.accounts)), 1, nil)
+	topo := netsim.NewTopology(make([]geo.Point, len(c.accounts)), 1)
 	blockPlanner := alloc.NewPlanner(1)
 	blockPlanner.MinReplicas = 1
 	e, err := engine.New(engine.Config{

@@ -15,8 +15,8 @@ import (
 // for a data item: n nodes random in the field, hop-count RDC connection
 // costs (eq. 2) and FDC opening costs (eq. 1) under random storage loads.
 func paperLikeInstance(rng *rand.Rand, n int) *ufl.Instance {
-	pls, _ := geo.PlaceNodesConnected(geo.DefaultField(), n, 30, 70, rng, 50)
-	topo := netsim.NewTopology(netsim.HomePositions(pls), 70, nil)
+	pls, _ := netsim.PlaceConnected(geo.DefaultField(), n, 30, 70, rng)
+	topo := netsim.NewTopology(netsim.HomePositions(pls), 70)
 	states := make([]alloc.NodeState, n)
 	for i := range states {
 		states[i] = alloc.NodeState{Used: rng.Intn(200), Capacity: 250, MobilityRange: 30}
