@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"slices"
 	"testing"
 	"time"
@@ -213,5 +214,44 @@ func FuzzAdoptChain(f *testing.F) {
 			t.Fatalf("AdoptSuffix adopted: %v, the scratch-replay oracle: %v", got, want)
 		}
 		assertEngineStateEqual(t, victim, reference)
+	})
+}
+
+// FuzzSnapshotDecode throws arbitrary bytes at DecodeSnapshot and installs
+// whatever it accepts into a fresh engine. Nothing may panic; a decoded
+// blob re-encodes to its own bytes; and a snapshot BootstrapFromSnapshot
+// installs exports back to those bytes, so the item table, its assignments,
+// counts and pending expiries survive the round trip whole. The seed is an
+// honest snapshot holding an expired item, a pending expiry and
+// re-announcements before and after expiry.
+func FuzzSnapshotDecode(f *testing.F) {
+	c, obs, _, _, _, _ := expiryScenario(f)
+	snap, ok := obs.ExportSnapshot()
+	if !ok {
+		f.Fatal("no exportable snapshot")
+	}
+	blob := snap.Encode()
+	f.Add(blob)
+	f.Add(blob[:len(blob)/2])
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := DecodeSnapshot(data)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(s.Encode(), data) {
+			t.Fatal("a decoded snapshot re-encodes to other bytes")
+		}
+		e := freshObserver(t, c)
+		if e.BootstrapFromSnapshot(s) != nil {
+			return
+		}
+		back, ok := e.ExportSnapshot()
+		if !ok {
+			t.Fatal("an installed snapshot is not exportable")
+		}
+		if !bytes.Equal(back.Encode(), data) {
+			t.Fatal("an installed snapshot exports other bytes")
+		}
 	})
 }

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
-	"time"
 
 	"repro/internal/block"
 	"repro/internal/chain"
@@ -21,12 +19,17 @@ import (
 // StateSnapshot carries everything a fresh node needs to stand at a
 // finalized height without replaying from genesis — the full block at the
 // snapshot height (the bootstrap anchor), the ledger counters, the storage
-// view, and the on-chain item indexes. The encoding is deterministic
-// (sorted IDs, one encoding per value), so its SHA-256 content hash is
-// comparable across nodes and transports.
+// view's block counts, and the item table: every item's latest on-chain
+// version and which of them expired. The item assignments, per-node counts
+// and pending expiries are not written: each item carries its storing
+// nodes and valid time, so the receiver derives them. The encoding is
+// deterministic (sorted IDs, one encoding per value), so its SHA-256
+// content hash is comparable across nodes and transports.
 
 // SnapshotVersion is the codec version embedded in every encoded snapshot.
-const SnapshotVersion = 4
+// Version 5 dropped version 4's InChain, Assignments, Expiries and DataLive
+// lists, which repeated what LiveItems and Expired say.
+const SnapshotVersion = 5
 
 var snapshotMagic = [4]byte{'S', 'N', 'A', 'P'}
 
@@ -45,21 +48,16 @@ type StateSnapshot struct {
 	Block  *block.Block
 	Ledger pos.LedgerState
 
-	// Storage-view state (chain-derived portion). The last three lists
-	// are the view's assignment index (repair.Index.Export); DataLive is
-	// its per-node count, which a receiver checks against them.
-	DataLive    []int
+	// Storage-view state (chain-derived portion).
 	BlockBodies []int
 	RecentDepth []int
 	ViewHeight  uint64
-	Assignments []repair.Assignment // sorted by ID
-	Expiries    []repair.Expiry     // sorted by (At, ID)
-	Expired     []meta.DataID       // sorted
 
-	// InChain lists every data ID recorded on-chain up to Height (sorted);
-	// LiveItems carries the latest on-chain version of each live item
-	// (sorted by ID).
-	InChain   []meta.DataID
+	// The view's item table (repair.Index.Export): LiveItems carries the
+	// latest on-chain version of every item recorded up to Height, expired
+	// or not (sorted by ID); Expired lists the IDs among them that have
+	// expired (sorted).
+	Expired   []meta.DataID
 	LiveItems []*meta.Item
 }
 
@@ -72,13 +70,6 @@ func (s *StateSnapshot) Encode() []byte {
 	uints := func(w []byte, ns []int) []byte {
 		for _, n := range ns {
 			w = binary.AppendUvarint(w, uint64(n))
-		}
-		return w
-	}
-	ids := func(w []byte, ids []meta.DataID) []byte {
-		w = binary.AppendUvarint(w, uint64(len(ids)))
-		for _, id := range ids {
-			w = append(w, id[:]...)
 		}
 		return w
 	}
@@ -97,21 +88,14 @@ func (s *StateSnapshot) Encode() []byte {
 	}
 	w = binary.AppendUvarint(w, s.Ledger.Applied)
 
-	w = uints(w, s.DataLive)
 	w = uints(w, s.BlockBodies)
 	w = uints(w, s.RecentDepth)
 	w = binary.AppendUvarint(w, s.ViewHeight)
 
-	w = binary.AppendUvarint(w, uint64(len(s.Assignments)))
-	for _, a := range s.Assignments {
-		w = wire.AppendInts(append(w, a.ID[:]...), a.Nodes)
+	w = binary.AppendUvarint(w, uint64(len(s.Expired)))
+	for _, id := range s.Expired {
+		w = append(w, id[:]...)
 	}
-	w = binary.AppendUvarint(w, uint64(len(s.Expiries)))
-	for _, e := range s.Expiries {
-		w = append(binary.AppendUvarint(w, uint64(e.At)), e.ID[:]...)
-	}
-	w = ids(w, s.Expired)
-	w = ids(w, s.InChain)
 	w = binary.AppendUvarint(w, uint64(len(s.LiveItems)))
 	for _, it := range s.LiveItems {
 		w = it.AppendEncode(w)
@@ -143,19 +127,13 @@ func DecodeSnapshot(data []byte) (*StateSnapshot, error) {
 
 	// Every list below is counted against the bytes that remain before it
 	// is allocated, so a corrupt prefix cannot trigger a huge allocation.
-	// The roster size n heads five per-node varint lists: mined, stored,
-	// and the view's three counts.
-	n := r.Count(5)
+	// The roster size n heads four per-node varint lists: mined, stored,
+	// and the view's two block counts.
+	n := r.Count(4)
 	uints := func() []int {
 		out := make([]int, n)
 		for i := range out {
 			out[i] = int(r.Uvarint())
-		}
-		return out
-	}
-	ids := func() (out []meta.DataID) {
-		for i := r.Count(wire.HashSize); i > 0; i-- {
-			out = append(out, r.Hash())
 		}
 		return out
 	}
@@ -169,20 +147,13 @@ func DecodeSnapshot(data []byte) (*StateSnapshot, error) {
 	}
 	s.Ledger.Applied = r.Uvarint()
 
-	s.DataLive = uints()
 	s.BlockBodies = uints()
 	s.RecentDepth = uints()
 	s.ViewHeight = r.Uvarint()
 
-	for i := r.Count(wire.HashSize + 1); i > 0; i-- {
-		s.Assignments = append(s.Assignments, repair.Assignment{ID: r.Hash(), Nodes: r.Ints()})
+	for i := r.Count(wire.HashSize); i > 0; i-- {
+		s.Expired = append(s.Expired, r.Hash())
 	}
-	for i := r.Count(1 + wire.HashSize); i > 0; i-- {
-		at := time.Duration(r.Uvarint())
-		s.Expiries = append(s.Expiries, repair.Expiry{At: at, ID: r.Hash()})
-	}
-	s.Expired = ids()
-	s.InChain = ids()
 	for i := r.Count(meta.MinEncodedSize); i > 0 && r.Err() == nil; i-- {
 		s.LiveItems = append(s.LiveItems, meta.Read(r))
 	}
@@ -220,25 +191,11 @@ func exportSnapshot(s snapshot, anchor *block.Block) *StateSnapshot {
 		Height:      s.height,
 		Block:       anchor,
 		Ledger:      s.ledger.ExportState(),
-		DataLive:    make([]int, len(v.blockBodies)),
 		BlockBodies: slices.Clone(v.blockBodies),
 		RecentDepth: slices.Clone(v.recentDepth),
 		ViewHeight:  v.height,
 	}
-	for i := range out.DataLive {
-		out.DataLive[i] = v.items.Count(i)
-	}
-	out.Assignments, out.Expiries, out.Expired = v.items.Export()
-	out.InChain = make([]meta.DataID, 0, len(s.inChain))
-	for id := range s.inChain {
-		out.InChain = append(out.InChain, id)
-	}
-	slices.SortFunc(out.InChain, compareID)
-	out.LiveItems = make([]*meta.Item, 0, len(s.liveItems))
-	for _, it := range s.liveItems {
-		out.LiveItems = append(out.LiveItems, it)
-	}
-	sort.Slice(out.LiveItems, func(i, j int) bool { return compareID(out.LiveItems[i].ID, out.LiveItems[j].ID) < 0 })
+	out.LiveItems, out.Expired = v.items.Export()
 	return out
 }
 
@@ -247,10 +204,12 @@ func exportSnapshot(s snapshot, anchor *block.Block) *StateSnapshot {
 // BootstrapFromSnapshot initializes a fresh engine (height 0, nothing
 // adopted yet) from a finalized snapshot: the chain replica is anchored at
 // the snapshot block, ledger/view/item state is restored without any
-// replay, and the snapshot is seeded into the periodic-snapshot ring so
-// fork adoption works immediately above the anchor. Heights below the
-// anchor stay unknown (header spine starts at the anchor); the node then
-// catches up the live suffix through the normal §10 locator sync.
+// replay (applying the items derives their assignments, per-node counts
+// and pending expiries), and the snapshot is seeded into the
+// periodic-snapshot ring so fork adoption works immediately above the
+// anchor. Heights below the anchor stay unknown (header spine starts at
+// the anchor); the node then catches up the live suffix through the normal
+// §10 locator sync.
 func (e *Engine) BootstrapFromSnapshot(s *StateSnapshot) error {
 	if e.ch.Height() != 0 || e.ch.BodyBase() != 0 {
 		return errors.New("engine: bootstrap requires a fresh engine at height 0")
@@ -268,7 +227,7 @@ func (e *Engine) BootstrapFromSnapshot(s *StateSnapshot) error {
 		return fmt.Errorf("%w: ledger applied %d, snapshot height %d", ErrBadSnapshot, s.Ledger.Applied, s.Height)
 	}
 	n := len(e.cfg.Accounts)
-	if len(s.DataLive) != n || len(s.BlockBodies) != n || len(s.RecentDepth) != n {
+	if len(s.BlockBodies) != n || len(s.RecentDepth) != n {
 		return fmt.Errorf("%w: view roster size mismatch (want %d nodes)", ErrBadSnapshot, n)
 	}
 	st := e.cfg.genesisState()
@@ -276,14 +235,9 @@ func (e *Engine) BootstrapFromSnapshot(s *StateSnapshot) error {
 		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
 	view := st.view
-	items, err := repair.RestoreIndex(n, s.Assignments, s.Expiries, s.Expired)
+	items, err := repair.RestoreIndex(n, s.LiveItems, s.Expired)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	for i, c := range s.DataLive {
-		if items.Count(i) != c {
-			return fmt.Errorf("%w: node %d stores %d items by the assignments, %d by the counts", ErrBadSnapshot, i, items.Count(i), c)
-		}
 	}
 	view.items = items
 	copy(view.blockBodies, s.BlockBodies)
@@ -298,21 +252,11 @@ func (e *Engine) BootstrapFromSnapshot(s *StateSnapshot) error {
 	newCh.PostAppend = e.postAppend
 	newCh.Sigs = &e.sigs
 
-	for _, id := range s.InChain {
-		st.inChain[id] = true
-	}
-	for _, it := range s.LiveItems {
-		if !st.inChain[it.ID] {
-			return fmt.Errorf("%w: live item %s not marked on-chain", ErrBadSnapshot, it.ID.Short())
-		}
-		st.liveItems[it.ID] = it
-	}
-
 	// Commit.
 	e.ch = newCh
 	e.state = st
 	for id := range e.pool {
-		if st.inChain[id] {
+		if e.OnChain(id) {
 			delete(e.pool, id)
 		}
 	}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/chain"
-	"repro/internal/meta"
 	"repro/internal/pos"
 )
 
@@ -20,7 +19,7 @@ import (
 // reference. For every seeded fork scenario two observer engines with
 // identical histories get the bare suffix and the synthesized full candidate
 // respectively, and must end bit-identical: tip hash, every block hash,
-// ledger, StorageView, item indexes and pool.
+// ledger, StorageView (with its item index) and pool.
 //
 // The scenarios deliberately avoid the two pieces of state that are NOT
 // chain-derived and hence outside the equivalence contract: ledger rentals
@@ -62,19 +61,15 @@ func (e *Engine) AdoptChain(blocks []*block.Block) bool {
 		panic(err)
 	}
 	e.view.Rebuild(blocks)
-	e.inChain = make(map[meta.DataID]bool)
-	e.liveItems = make(map[meta.DataID]*meta.Item)
 	for _, b := range blocks {
 		for _, it := range b.Items {
-			e.inChain[it.ID] = true
-			e.liveItems[it.ID] = it
 			delete(e.pool, it.ID)
 		}
 	}
 	// What only the replaced chain had packed is pending again.
 	for _, b := range old {
 		for _, it := range b.Items {
-			if !e.inChain[it.ID] && !it.Expired(e.cfg.Now()) {
+			if !e.OnChain(it.ID) && !it.Expired(e.cfg.Now()) {
 				e.pool[it.ID] = it
 			}
 		}
@@ -140,12 +135,6 @@ func assertEngineStateEqual(t *testing.T, a, b *Engine) {
 	}
 	if !reflect.DeepEqual(a.view, b.view) {
 		t.Errorf("storage views differ:\n  suffix: %+v\n  chain:  %+v", a.view, b.view)
-	}
-	if !reflect.DeepEqual(a.inChain, b.inChain) {
-		t.Errorf("inChain indexes differ: %d vs %d entries", len(a.inChain), len(b.inChain))
-	}
-	if !reflect.DeepEqual(a.liveItems, b.liveItems) {
-		t.Errorf("liveItems indexes differ: %d vs %d entries", len(a.liveItems), len(b.liveItems))
 	}
 	apool, bpool := make(map[string]bool), make(map[string]bool)
 	for id := range a.pool {

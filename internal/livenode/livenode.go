@@ -509,15 +509,12 @@ func New(cfg Config) (*Node, error) {
 		StorageCapacity:  cfg.StorageCapacity,
 		MobilityRange:    mobility,
 		SnapshotInterval: cfg.SnapshotEvery,
-		// Pruning needs finality below the horizon: run the engine's
-		// consensus checkpoints at the prune depth (disabled when 0).
-		CheckpointInterval: cfg.PruneDepth,
-		PruneDepth:         cfg.PruneDepth,
-		OnPrune:            n.onPrune,
-		VerifyWorkers:      verifyWorkers,
-		Liveness:           liveness,
-		OnAppend:           n.onAppend,
-		OnDisconnect:       n.onDisconnect,
+		PruneDepth:       cfg.PruneDepth,
+		OnPrune:          n.onPrune,
+		VerifyWorkers:    verifyWorkers,
+		Liveness:         liveness,
+		OnAppend:         n.onAppend,
+		OnDisconnect:     n.onDisconnect,
 	}
 	if cfg.Rules != nil {
 		cfg.Rules(&ecfg)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"math/rand"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/block"
+	"repro/internal/engine"
 	"repro/internal/identity"
 	"repro/internal/meta"
 	"repro/internal/wire"
@@ -196,8 +198,7 @@ func TestOpenRefusesPreFlagsFiles(t *testing.T) {
 		t.Run(name, func(t *testing.T) { checkOpenRefuses(t, name, record) })
 	}
 	// Open refuses by name before it reads a byte, so a version-3 header
-	// stands for the whole blob (engine's TestDecodeSnapshotRefusesVersion3
-	// refuses a full one).
+	// stands for the whole blob.
 	v3 := append([]byte("SNAP\x00\x00\x00\x03"), record...)
 	t.Run("snapshot3-00000000000000000001.bin", func(t *testing.T) {
 		checkOpenRefuses(t, "snapshot3-00000000000000000001.bin", v3)
@@ -261,4 +262,35 @@ func TestRecoverSegmentEdgeCases(t *testing.T) {
 			t.Fatal("mismatched segment not unlinked")
 		}
 	})
+}
+
+// TestOpenRefusesVersion4Snapshot: a snapshot4- file holds an engine
+// snapshot of version 4, which the engine refuses (its
+// TestDecodeSnapshotRefusesVersion4 refuses a full one), so Open refuses
+// the directory by the name alone; a version-4 header stands for the blob.
+func TestOpenRefusesVersion4Snapshot(t *testing.T) {
+	checkOpenRefuses(t, "snapshot4-00000000000000000064.bin", []byte("SNAP\x00\x00\x00\x04"))
+}
+
+// TestSnapshotFileNameFollowsEngineVersion ties the snapshot file prefix to
+// the engine's snapshot codec version, so a format bump cannot rename one
+// without the other: the current prefix names engine.SnapshotVersion, and
+// every older version's prefix is a legacy name Open refuses.
+func TestSnapshotFileNameFollowsEngineVersion(t *testing.T) {
+	if want := fmt.Sprintf("snapshot%d-", engine.SnapshotVersion); snapshotFilePrefix != want {
+		t.Fatalf("snapshot files are named %q, engine snapshots are version %d: want %q",
+			snapshotFilePrefix, engine.SnapshotVersion, want)
+	}
+	name := func(prefix string) string { return fmt.Sprintf("%s%020d%s", prefix, 64, snapshotFileSuffix) }
+	if legacyFile(name(snapshotFilePrefix)) {
+		t.Fatalf("the current snapshot name %s is refused as legacy", name(snapshotFilePrefix))
+	}
+	if !legacyFile(name("snapshot-")) {
+		t.Fatal("the unversioned snapshot name is not refused as legacy")
+	}
+	for v := 2; v < engine.SnapshotVersion; v++ {
+		if old := name(fmt.Sprintf("snapshot%d-", v)); !legacyFile(old) {
+			t.Fatalf("version-%d snapshot file %s is not refused as legacy", v, old)
+		}
+	}
 }

@@ -26,7 +26,7 @@ import (
 // discarded at Open (falling back to a plain genesis replay).
 
 const (
-	snapshotFilePrefix = "snapshot4-"
+	snapshotFilePrefix = "snapshot5-"
 	spineFilePrefix    = "spine-"
 	snapshotFileSuffix = ".bin"
 

@@ -14,7 +14,7 @@
 //     sealed every SegmentBlocks appends so history below the prune
 //     horizon compacts by whole-file unlink
 //   - data/xx/<hash>  content-addressed data items (temp-file + rename)
-//   - snapshot4-<h>.bin / spine-<h>.bin  serialized engine state + header
+//   - snapshot5-<h>.bin / spine-<h>.bin  serialized engine state + header
 //     spine at the latest finalized snapshot height, letting a restart
 //     (or a fresh node, over the wire) skip replaying pruned history
 //   - manifest.json   checkpoint (chain head + height + snapshot hashes)
@@ -24,8 +24,10 @@
 //
 // The 3 in the segment names is the on-disk format: blocks in the varint
 // wire form whose items open with a flags byte (DESIGN.md "Wire format").
-// The 4 in the snapshot names adds engine snapshot version 4, whose ledger
-// holds only mined and stored counts. Recovery would read a record in an
+// The 5 in the snapshot names is engine.SnapshotVersion: version 5 writes
+// the item table as the items and the expired IDs alone, where version 4
+// also wrote the assignments, pending expiries, per-node counts and
+// on-chain IDs that follow from them. Recovery would read a record in an
 // older form as a torn tail and cut the chain to nothing, and an older
 // snapshot is one the engine refuses, so Open refuses a directory that
 // holds any file under an older name (legacyFile) and leaves it untouched.
@@ -96,12 +98,14 @@ var errClosed = errors.New("store: closed")
 // legacyFile reports whether name is a block log or snapshot in a format
 // this version cannot read: the single pre-segmentation wal.log, the
 // fixed-width wal-<idx>.log and snapshot-<h>.bin, wal2-<idx>.log and
-// snapshot2-<h>.bin, whose items have no flags byte, or snapshot3-<h>.bin,
-// whose ledger still carries token rentals and a stake scale.
+// snapshot2-<h>.bin, whose items have no flags byte, snapshot3-<h>.bin,
+// whose ledger still carries token rentals and a stake scale, or
+// snapshot4-<h>.bin, which repeats the item table in four derived lists.
 func legacyFile(name string) bool {
 	return name == "wal.log" ||
 		(strings.HasPrefix(name, "wal-") || strings.HasPrefix(name, "wal2-")) && strings.HasSuffix(name, segmentSuffix) ||
-		(strings.HasPrefix(name, "snapshot-") || strings.HasPrefix(name, "snapshot2-") || strings.HasPrefix(name, "snapshot3-")) &&
+		(strings.HasPrefix(name, "snapshot-") || strings.HasPrefix(name, "snapshot2-") ||
+			strings.HasPrefix(name, "snapshot3-") || strings.HasPrefix(name, "snapshot4-")) &&
 			strings.HasSuffix(name, snapshotFileSuffix)
 }
 
