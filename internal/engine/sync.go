@@ -172,9 +172,9 @@ func (e *Engine) stateAt(h uint64, st *SuffixStats) (s state, ok bool) {
 // to a block this engine already holds (the fork point). The combined
 // chain must be strictly longer than the current one and must not rewrite
 // finalized history (Section V-D); block content is verified by the bounded
-// worker pool and PoS claims (when enabled) are replayed sequentially
-// against the state reconstructed at the fork point (stateAt). Block
-// timestamps are not checked against Now.
+// worker pool, and item admission and PoS claims (when enabled) are
+// replayed sequentially against the state reconstructed at the fork point
+// (stateAt). Block timestamps are not checked against Now.
 //
 // On any rejection the engine is left exactly as it was and no callback
 // runs. On success the chain tail and all derived state are swapped
@@ -208,6 +208,9 @@ func (e *Engine) AdoptSuffix(suffix []*block.Block) (SuffixStats, bool) {
 	events := make([][]ItemEvent, len(suffix))
 	prev := e.ch.At(forkPoint)
 	for i, b := range suffix {
+		if next.view.items.Admit(b.Items) != nil {
+			return st, false
+		}
 		if e.cfg.ValidateClaims {
 			if err := e.cfg.PoS.ValidateClaim(prev, b, next.ledger); err != nil {
 				return st, false

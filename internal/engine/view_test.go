@@ -49,7 +49,7 @@ func TestStorageViewCountsAssignments(t *testing.T) {
 	it.StoringNodes = []int{0, 1}
 
 	b1 := viewBlock(t, g, miner, []*meta.Item{it}, []int{2}, []int{3})
-	v.ApplyBlock(b1)
+	v.ApplyBlock(b1, nil)
 
 	now := b1.Timestamp
 	// Node 0: 1 data + recent min(1, height=1)=1 -> 2.
@@ -84,7 +84,7 @@ func TestStorageViewExpiry(t *testing.T) {
 	it.StoringNodes = []int{0}
 
 	b1 := viewBlock(t, g, miner, []*meta.Item{it}, nil, nil)
-	v.ApplyBlock(b1)
+	v.ApplyBlock(b1, nil)
 
 	if got := v.Used(0, 2*time.Minute); got != 2 { // data + recent
 		t.Fatalf("Used before expiry = %d, want 2", got)
@@ -104,7 +104,7 @@ func TestStorageViewRecentCappedByHeight(t *testing.T) {
 	prev := g
 	for i := 0; i < 3; i++ {
 		b := viewBlock(t, prev, miner, nil, nil, []int{0})
-		v.ApplyBlock(b)
+		v.ApplyBlock(b, nil)
 		prev = b
 	}
 	if v.RecentDepth(0) != 4 {
@@ -123,7 +123,7 @@ func TestStorageViewRebuild(t *testing.T) {
 	v := NewStorageView(2, 250, 30)
 
 	b1 := viewBlock(t, g, miner, nil, []int{0}, []int{1})
-	v.ApplyBlock(b1)
+	v.ApplyBlock(b1, nil)
 	v.Rebuild([]*block.Block{g, b1})
 	if got := v.Used(0, b1.Timestamp); got != 2 { // block body + recent
 		t.Fatalf("Used(0) after rebuild = %d, want 2", got)
