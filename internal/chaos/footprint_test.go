@@ -3,9 +3,6 @@ package chaos
 import (
 	"runtime"
 	"testing"
-	"time"
-
-	"repro/internal/p2p/memnet"
 )
 
 // warmedHeap is the live heap an n-node cluster holds once it is built with
@@ -15,14 +12,7 @@ import (
 func warmedHeap(tb testing.TB, n int) uint64 {
 	tb.Helper()
 	before := liveHeap()
-	c := newQuietCluster(tb, Options{
-		N:               n,
-		Seed:            *seedFlag,
-		T0:              30 * time.Second,
-		StorageCapacity: 2000,
-		SnapshotEvery:   4,
-		Faults:          memnet.Params{DelayMin: 8 * time.Millisecond, DelayMax: 12 * time.Millisecond},
-	})
+	c := newQuietCluster(tb, simOptions(n))
 	warmUp(tb, c)
 	after := liveHeap()
 	runtime.KeepAlive(c)
@@ -43,11 +33,12 @@ func liveHeap() uint64 {
 // work: a warmed 256-node cluster within 32 MB of live heap, 128 KB a node.
 // Per-node structures are sized on use (DESIGN.md §18): seen-sets and event
 // rings grow as they fill, a histogram's buckets arrive with its first
-// observation and the PoS ledger indexes the shared roster without a map.
-// This run measures about 17 MB; 86 MB when each node pre-sized its seen-sets
-// for 1 536 entries, zeroed 15 KB of buckets per histogram and copied the
-// roster into a map. It is not parallel: parallel tests wait until it has
-// returned, so the heap it reads is its own.
+// observation, the PoS ledger indexes the shared roster without a map and
+// memnet holds a link as a bit at each end. This run measures about 13 MB;
+// 86 MB when each node pre-sized its seen-sets for 1 536 entries, zeroed
+// 15 KB of buckets per histogram and copied the roster into a map. It is not
+// parallel: parallel tests wait until it has returned, so the heap it reads
+// is its own.
 func TestWarmedClusterFootprint(t *testing.T) {
 	const n, budget = 256, 32 << 20
 	heap := warmedHeap(t, n)

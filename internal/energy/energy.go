@@ -27,8 +27,6 @@
 // (EXPERIMENTS.md, Fig. 6).
 package energy
 
-import "errors"
-
 // Calibrated constants (see package comment).
 const (
 	// GalaxyS8CapacityJoules is the full battery capacity.
@@ -55,14 +53,6 @@ func GalaxyS8() Model {
 		BasePowerWatts:   BasePowerWatts,
 		HashEnergyJoules: HashEnergyJoules,
 	}
-}
-
-// Validate checks the model constants.
-func (m Model) Validate() error {
-	if m.CapacityJoules <= 0 || m.BasePowerWatts < 0 || m.HashEnergyJoules < 0 {
-		return errors.New("energy: non-positive capacity or negative power constants")
-	}
-	return nil
 }
 
 // BlockEnergy returns the joules consumed mining one block that took

@@ -5,30 +5,6 @@ import (
 	"testing"
 )
 
-func TestModelValidate(t *testing.T) {
-	if err := GalaxyS8().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := []Model{
-		{CapacityJoules: 0, BasePowerWatts: 1, HashEnergyJoules: 1},
-		{CapacityJoules: 1, BasePowerWatts: -1, HashEnergyJoules: 1},
-		{CapacityJoules: 1, BasePowerWatts: 1, HashEnergyJoules: -1},
-	}
-	for i, m := range bad {
-		if err := m.Validate(); err == nil {
-			t.Errorf("model %d validated", i)
-		}
-	}
-}
-
-// The zero model is what a caller gets by forgetting to set one; Validate,
-// the check every battery model passes through, must refuse it.
-func TestNewBatteryRejectsBadModel(t *testing.T) {
-	if err := (Model{}).Validate(); err == nil {
-		t.Fatal("zero model accepted")
-	}
-}
-
 func TestBlockEnergy(t *testing.T) {
 	m := Model{CapacityJoules: 1000, BasePowerWatts: 2, HashEnergyJoules: 0.001}
 	got := m.BlockEnergy(10, 5000)

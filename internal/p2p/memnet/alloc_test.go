@@ -1,6 +1,7 @@
 package memnet
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -129,5 +130,50 @@ func TestHandlerGetsSenderPayload(t *testing.T) {
 		if len(p) != len(buf) || &p[0] != &buf[0] {
 			t.Fatalf("delivery %d is not the sender's slice", i)
 		}
+	}
+}
+
+// TestConnectAndCloseAllocs pins what a link costs in a 256-endpoint network
+// with recording off: a Connect sets one bit at each end and a Close clears
+// its bit at every peer, walking the network's address order, so neither
+// allocates. A per-call copy or sort of the address set, or a per-link map
+// entry, would show here.
+func TestConnectAndCloseAllocs(t *testing.T) {
+	const size = 256
+	n := New(1, nil)
+	n.SetRecording(false)
+	eps := make([]*Endpoint, size)
+	for i := range eps {
+		e, err := n.Listen(fmt.Sprintf("node%02d", i), sink{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eps[i] = e
+	}
+	next := 1
+	connect := func() { // the hub to one endpoint it has no link to yet
+		if err := eps[0].Connect(eps[next].Addr()); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	if got := testing.AllocsPerRun(100, connect); got != 0 {
+		t.Fatalf("a Connect allocates %.2f times, want 0", got)
+	}
+	if got := len(eps[0].Peers()); got != next-1 {
+		t.Fatalf("the hub lists %d peers after %d connects", got, next-1)
+	}
+	next = 1
+	closeOne := func() { // an endpoint linked to the hub
+		if err := eps[next].Close(); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	if got := testing.AllocsPerRun(100, closeOne); got != 0 {
+		t.Fatalf("a Close allocates %.2f times, want 0", got)
+	}
+	if got := eps[0].Peers(); len(got) != 0 {
+		t.Fatalf("the hub lists %v after every peer closed", got)
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -140,13 +141,26 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 
 type linkKey struct{ from, to string }
 
+// message is one frame in flight; from and to are endpoint numbers.
 type message struct {
 	seq      uint64
-	from, to string
+	from, to int32
 	frame    byte
 	payload  []byte
 	due      time.Time
 }
+
+// peerSet is a set of endpoint numbers, one bit each: a link is one bit at
+// each of its ends. Every endpoint's set is as long as the network's
+// numbering needs (Listen grows them together), so no operation grows one.
+type peerSet []uint64
+
+func (s peerSet) has(k int32) bool { return s[k>>6]&(1<<(k&63)) != 0 }
+func (s peerSet) add(k int32)      { s[k>>6] |= 1 << (k & 63) }
+func (s peerSet) remove(k int32)   { s[k>>6] &^= 1 << (k & 63) }
+
+// words is the length of a peerSet over n endpoint numbers.
+func words(n int) int { return (n + 63) / 64 }
 
 // messageQueue is a min-heap of in-flight messages ordered by (due, seq)
 // — exactly the delivery order DeliverNext promises. seq is unique, so
@@ -187,7 +201,14 @@ type Network struct {
 	links     map[linkKey]Params
 	blocked   map[linkKey]bool
 	lastDue   map[linkKey]time.Time
-	endpoints map[string]*Endpoint
+	endpoints map[string]*Endpoint // the endpoint last listened on each address
+	// Each address gets a dense number at its first Listen: addrs[k] is
+	// number k's address and byNum[k] its latest endpoint. order lists the
+	// numbers in address order, the order of every Peers snapshot and of
+	// Close's disconnects.
+	addrs     []string
+	byNum     []*Endpoint
+	order     []int32
 	radio     *netsim.Radio  // nil: every link one instant hop
 	radioIdx  map[string]int // address → radio node
 	queue     messageQueue
@@ -380,7 +401,7 @@ func (n *Network) dropCrossingLocked(reason string) {
 	var dropped []*message
 	kept := n.queue[:0]
 	for _, m := range n.queue {
-		if n.blocked[linkKey{m.from, m.to}] {
+		if n.blocked[linkKey{n.addrs[m.from], n.addrs[m.to]}] {
 			dropped = append(dropped, m)
 			continue
 		}
@@ -393,7 +414,7 @@ func (n *Network) dropCrossingLocked(reason string) {
 	sort.Slice(dropped, func(i, j int) bool { return dropped[i].seq < dropped[j].seq })
 	for _, m := range dropped {
 		n.metrics.PartitionKills.Inc()
-		n.logLocked(Event{Kind: EvDrop, From: m.from, To: m.to, Frame: m.frame, Size: len(m.payload), Note: reason})
+		n.logLocked(Event{Kind: EvDrop, From: n.addrs[m.from], To: n.addrs[m.to], Frame: m.frame, Size: len(m.payload), Note: reason})
 		n.putMsgLocked(m)
 	}
 }
@@ -487,25 +508,26 @@ func (n *Network) DeliverNext() bool {
 		return false
 	}
 	m := heap.Pop(&n.queue).(*message)
-	if n.blocked[linkKey{m.from, m.to}] {
+	from, to := n.addrs[m.from], n.addrs[m.to]
+	if n.blocked[linkKey{from, to}] {
 		n.metrics.PartitionKills.Inc()
-		n.logLocked(Event{Kind: EvDrop, From: m.from, To: m.to, Frame: m.frame, Size: len(m.payload), Note: "cut"})
+		n.logLocked(Event{Kind: EvDrop, From: from, To: to, Frame: m.frame, Size: len(m.payload), Note: "cut"})
 		n.putMsgLocked(m)
 		n.mu.Unlock()
 		return true
 	}
-	dst, ok := n.endpoints[m.to]
-	if !ok || dst.closed || !dst.peers[m.from] {
+	dst := n.byNum[m.to]
+	if dst.closed || !dst.peers.has(m.from) {
 		n.metrics.PartitionKills.Inc()
-		n.logLocked(Event{Kind: EvDrop, From: m.from, To: m.to, Frame: m.frame, Size: len(m.payload), Note: "no connection"})
+		n.logLocked(Event{Kind: EvDrop, From: from, To: to, Frame: m.frame, Size: len(m.payload), Note: "no connection"})
 		n.putMsgLocked(m)
 		n.mu.Unlock()
 		return true
 	}
 	n.metrics.Delivered.Inc()
-	n.logLocked(Event{Kind: EvDeliver, From: m.from, To: m.to, Frame: m.frame, Size: len(m.payload)})
+	n.logLocked(Event{Kind: EvDeliver, From: from, To: to, Frame: m.frame, Size: len(m.payload)})
 	handler := dst.handler
-	from, frame, payload := m.from, m.frame, m.payload
+	frame, payload := m.frame, m.payload
 	n.lastDelivered = m
 	n.mu.Unlock()
 	// Handler runs outside the lock: it may send, connect or partition.
@@ -520,7 +542,8 @@ func (n *Network) DeliverNext() bool {
 // immutable after Send (p2p.Transport), so nothing is copied. It reports
 // false when the radio has no path to the destination, which the sender
 // learns at once, like a route lookup failing.
-func (n *Network) enqueueLocked(from, to string, frame byte, payload []byte) bool {
+func (n *Network) enqueueLocked(src, dst *Endpoint, frame byte, payload []byte) bool {
+	from, to := src.addr, dst.addr
 	n.metrics.Sends.Inc()
 	n.logLocked(Event{Kind: EvSend, From: from, To: to, Frame: frame, Size: len(payload)})
 	key := linkKey{from, to}
@@ -546,12 +569,12 @@ func (n *Network) enqueueLocked(from, to string, frame byte, payload []byte) boo
 		n.logLocked(Event{Kind: EvDrop, From: from, To: to, Frame: frame, Size: len(payload), Note: "unreachable"})
 		return false
 	}
-	n.scheduleLocked(key, frame, payload, p, hop)
+	n.scheduleLocked(src, dst, frame, payload, p, hop)
 	if p.Duplicate > 0 && n.rng.Float64() < p.Duplicate {
 		n.metrics.Dups.Inc()
 		n.logLocked(Event{Kind: EvDuplicate, From: from, To: to, Frame: frame, Size: len(payload)})
 		hop, _ = n.radioHopLocked(from, to, len(payload))
-		n.scheduleLocked(key, frame, payload, p, hop)
+		n.scheduleLocked(src, dst, frame, payload, p, hop)
 	}
 	return true
 }
@@ -568,7 +591,8 @@ func (n *Network) radioHopLocked(from, to string, size int) (time.Duration, bool
 	return n.radio.Send(a, b, size)
 }
 
-func (n *Network) scheduleLocked(key linkKey, frame byte, payload []byte, p Params, hop time.Duration) {
+func (n *Network) scheduleLocked(src, dst *Endpoint, frame byte, payload []byte, p Params, hop time.Duration) {
+	key := linkKey{src.addr, dst.addr}
 	due := n.nowFn().Add(hop + p.delay(n.rng))
 	reordered := p.Reorder > 0 && n.rng.Float64() < p.Reorder
 	if reordered {
@@ -584,8 +608,8 @@ func (n *Network) scheduleLocked(key linkKey, frame byte, payload []byte, p Para
 	m := n.getMsgLocked()
 	*m = message{
 		seq:     n.msgSeq,
-		from:    key.from,
-		to:      key.to,
+		from:    src.num,
+		to:      dst.num,
 		frame:   frame,
 		payload: payload,
 		due:     due,
@@ -601,15 +625,40 @@ func (n *Network) Listen(addr string, h p2p.Handler) (*Endpoint, error) {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if old, ok := n.endpoints[addr]; ok && !old.closed {
+	old, ok := n.endpoints[addr]
+	if ok && !old.closed {
 		return nil, fmt.Errorf("memnet: address %s in use", addr)
 	}
-	e := &Endpoint{net: n, addr: addr, handler: h, peers: make(map[string]bool)}
+	var num int32
+	if ok {
+		num = old.num // a restart keeps its address's number
+	} else {
+		num = n.numberLocked(addr)
+	}
+	e := &Endpoint{net: n, addr: addr, num: num, handler: h, peers: make(peerSet, words(len(n.addrs)))}
 	if g, ok := h.(p2p.Greeter); ok {
 		e.hello = g.Hello()
 	}
 	n.endpoints[addr] = e
+	n.byNum[num] = e
 	return e, nil
+}
+
+// numberLocked gives a new address the next number, inserts it into the
+// address order and returns it, growing every endpoint's peer set when the
+// numbering needs another word.
+func (n *Network) numberLocked(addr string) int32 {
+	num := int32(len(n.addrs))
+	n.addrs = append(n.addrs, addr)
+	n.byNum = append(n.byNum, nil)
+	at, _ := slices.BinarySearchFunc(n.order, addr, func(k int32, a string) int { return strings.Compare(n.addrs[k], a) })
+	n.order = slices.Insert(n.order, at, num)
+	if num%64 == 0 { // the new number starts a word
+		for _, e := range n.byNum[:num] {
+			e.peers = append(e.peers, 0)
+		}
+	}
+	return num
 }
 
 // Endpoint is one memnet attachment point, implementing p2p.Transport.
@@ -618,10 +667,12 @@ type Endpoint struct {
 	net     *Network
 	addr    string
 	handler p2p.Handler
+	num     int32  // the address's number in the network
 	hello   []byte // the handler's, if it is a p2p.Greeter: read once at Listen
-	peers   map[string]bool
+	peers   peerSet
+	npeers  int // how many bits peers has set
 	closed  bool
-	// sorted caches the peers in sorted order. setPeerLocked and Close drop
+	// sorted caches the peers in address order. setPeerLocked and Close drop
 	// it; the next use rebuilds it into a fresh slice, so every snapshot
 	// Peers handed out keeps its view.
 	sorted []string
@@ -652,17 +703,17 @@ func (e *Endpoint) Connect(addr string) error {
 		n.mu.Unlock()
 		return fmt.Errorf("memnet: endpoint %s closed", e.addr)
 	}
-	if addr == e.addr || e.peers[addr] {
+	dst, ok := n.endpoints[addr]
+	if addr == e.addr || ok && e.peers.has(dst.num) {
 		n.mu.Unlock()
 		return nil
 	}
-	dst, ok := n.endpoints[addr]
 	if !ok || dst.closed {
 		n.mu.Unlock()
 		return fmt.Errorf("memnet: connect %s: connection refused", addr)
 	}
-	e.setPeerLocked(addr, true)
-	dst.setPeerLocked(e.addr, true)
+	e.setPeerLocked(dst.num, true)
+	dst.setPeerLocked(e.num, true)
 	n.logLocked(Event{Kind: EvConnect, From: e.addr, To: addr})
 	n.mu.Unlock()
 	// Greeters run outside the lock, as handlers do: they may send.
@@ -687,12 +738,16 @@ func (e *Endpoint) Peers() []string {
 	return e.sortedPeersLocked()
 }
 
-// setPeerLocked adds or removes one peer and drops the sorted cache.
-func (e *Endpoint) setPeerLocked(addr string, connected bool) {
-	if connected {
-		e.peers[addr] = true
-	} else {
-		delete(e.peers, addr)
+// setPeerLocked adds or removes the peer numbered num and drops the sorted
+// cache.
+func (e *Endpoint) setPeerLocked(num int32, connected bool) {
+	switch {
+	case connected && !e.peers.has(num):
+		e.peers.add(num)
+		e.npeers++
+	case !connected && e.peers.has(num):
+		e.peers.remove(num)
+		e.npeers--
 	}
 	e.sorted = nil
 }
@@ -702,14 +757,19 @@ func (e *Endpoint) setPeerLocked(addr string, connected bool) {
 // and the next call builds a fresh slice, so a snapshot already handed out
 // never changes (copy-on-write). The relay planes ask once per relayed item
 // per node: sorting the peer map on every call was a fifth of the CPU of a
-// 256-node run, and copying the snapshot out a twentieth.
+// 256-node run, and copying the snapshot out a twentieth. A rebuild walks
+// the network's address order and sorts nothing.
 func (e *Endpoint) sortedPeersLocked() []string {
-	if e.sorted == nil && len(e.peers) > 0 {
-		e.sorted = make([]string, 0, len(e.peers))
-		for a := range e.peers {
-			e.sorted = append(e.sorted, a)
+	if e.sorted == nil && e.npeers > 0 {
+		n := e.net
+		e.sorted = make([]string, 0, e.npeers)
+		for _, k := range n.order {
+			if e.peers.has(k) {
+				if e.sorted = append(e.sorted, n.addrs[k]); len(e.sorted) == e.npeers {
+					break
+				}
+			}
 		}
-		sort.Strings(e.sorted)
 	}
 	return e.sorted
 }
@@ -724,15 +784,16 @@ func (e *Endpoint) Send(peerAddr string, frameType byte, payload []byte) error {
 	if e.closed {
 		return fmt.Errorf("memnet: endpoint %s closed", e.addr)
 	}
-	if !e.peers[peerAddr] {
+	dst, ok := n.endpoints[peerAddr]
+	if !ok || !e.peers.has(dst.num) {
 		return fmt.Errorf("memnet: unknown peer %s", peerAddr)
 	}
-	if dst, ok := n.endpoints[peerAddr]; !ok || dst.closed {
-		e.setPeerLocked(peerAddr, false)
+	if dst.closed {
+		e.setPeerLocked(dst.num, false)
 		n.logLocked(Event{Kind: EvDisconnect, From: e.addr, To: peerAddr, Note: "send failed"})
 		return fmt.Errorf("memnet: peer %s gone", peerAddr)
 	}
-	if !n.enqueueLocked(e.addr, peerAddr, frameType, payload) {
+	if !n.enqueueLocked(e, dst, frameType, payload) {
 		return fmt.Errorf("memnet: no radio path to %s", peerAddr)
 	}
 	return nil
@@ -749,21 +810,16 @@ func (e *Endpoint) Close() error {
 	}
 	e.closed = true
 	n.logLocked(Event{Kind: EvClose, From: e.addr})
-	// Sorted iteration: disconnect events must appear in a deterministic
+	// Address order: disconnect events must appear in a deterministic
 	// order for the same-seed ⇒ same-log guarantee.
-	addrs := make([]string, 0, len(n.endpoints))
-	for a := range n.endpoints {
-		addrs = append(addrs, a)
-	}
-	sort.Strings(addrs)
-	for _, a := range addrs {
-		other := n.endpoints[a]
-		if other != e && other.peers[e.addr] {
-			other.setPeerLocked(e.addr, false)
+	for _, k := range n.order {
+		if other := n.byNum[k]; other != e && other.peers.has(e.num) {
+			other.setPeerLocked(e.num, false)
 			n.logLocked(Event{Kind: EvDisconnect, From: other.addr, To: e.addr, Note: "peer closed"})
 		}
 	}
-	e.peers = make(map[string]bool)
+	clear(e.peers)
+	e.npeers = 0
 	e.sorted = nil
 	return nil
 }

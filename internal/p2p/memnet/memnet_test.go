@@ -346,7 +346,7 @@ func TestPeersCacheFollowsEveryChange(t *testing.T) {
 	// Send failures need a dead endpoint a still lists:
 	// re-register "c" closed-over (restart) so a's entry is stale.
 	n.mu.Lock()
-	a.setPeerLocked("c", true)
+	a.setPeerLocked(n.endpoints["c"].num, true)
 	n.mu.Unlock()
 	want("stale entry", a, "b", "c", "d", "e")
 	if err := a.Send("c", p2p.FrameMeta, nil); err == nil {
@@ -354,7 +354,7 @@ func TestPeersCacheFollowsEveryChange(t *testing.T) {
 	}
 	want("send failed", a, "b", "d", "e")
 	n.mu.Lock()
-	a.setPeerLocked("c", true)
+	a.setPeerLocked(n.endpoints["c"].num, true)
 	n.mu.Unlock()
 	delivered, failed := 0, 0
 	for _, p := range a.Peers() { // the fan-out keeps reading its snapshot while c drops out

@@ -1,6 +1,7 @@
 package pos
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -68,5 +69,22 @@ func BenchmarkLedgerApplyBlock(b *testing.B) {
 			b.Fatal(err)
 		}
 		prev = blk
+	}
+}
+
+// BenchmarkNewLedger prices indexing a roster, which every node of a cluster
+// does once for the roster they share.
+func BenchmarkNewLedger(b *testing.B) {
+	for _, n := range []int{64, 256, 1000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			accounts := make([]identity.Address, n)
+			for i := range accounts {
+				rng.Read(accounts[i][:])
+			}
+			for i := 0; i < b.N; i++ {
+				NewLedger(accounts)
+			}
+		})
 	}
 }

@@ -44,34 +44,89 @@ type Ledger struct {
 // is immutable, and the caller must not write to the slice afterwards
 // (every node of a cluster shares one).
 func NewLedger(accounts []identity.Address) *Ledger {
-	// Sort (leading 8 bytes, position) pairs: an address is a hash, so the
-	// prefixes nearly always differ and the rare tie falls back to the rest
-	// of the address. Ties on the whole address go to the roster position,
-	// so IndexOf answers with the last position of a repeated address.
-	type entry struct {
-		prefix uint64
-		pos    int32
-	}
-	es := make([]entry, len(accounts))
-	for i := range accounts {
-		es[i] = entry{binary.BigEndian.Uint64(accounts[i][:8]), int32(i)}
-	}
-	slices.SortFunc(es, func(x, y entry) int {
-		if x.prefix != y.prefix {
-			return cmp.Compare(x.prefix, y.prefix)
-		}
-		return cmp.Or(bytes.Compare(accounts[x.pos][8:], accounts[y.pos][8:]), cmp.Compare(x.pos, y.pos))
-	})
-	l := &Ledger{
+	return &Ledger{
 		accounts: accounts,
-		byAddr:   make([]int32, len(accounts)),
+		byAddr:   addressOrder(accounts),
 		mined:    make([]uint64, len(accounts)),
 		stored:   make([]uint64, len(accounts)),
 	}
-	for k, e := range es {
-		l.byAddr[k] = e.pos
+}
+
+// addressOrder returns the roster positions sorted by address, ties on the
+// whole address (a repeated one) by position, so IndexOf answers with the
+// last position of a repeated address. It sorts (leading 8 bytes, position)
+// pairs by the prefix alone with a stable radix sort, leading byte first
+// (sortPrefixes), so equal prefixes keep their positions ascending, and
+// compares the rest of the address only inside a run of equal prefixes. An
+// address is a hash: at 1000 accounts a first-byte bucket holds about four,
+// and a run of equal prefixes nearly always one, so every node of a cluster
+// indexes the roster they share without a comparison sort.
+func addressOrder(accounts []identity.Address) []int32 {
+	es := make([]prefixPos, len(accounts))
+	for i := range accounts {
+		es[i] = prefixPos{binary.BigEndian.Uint64(accounts[i][:8]), int32(i)}
 	}
-	return l
+	sortPrefixes(es, make([]prefixPos, len(es)), 0)
+	byAddr := make([]int32, len(es))
+	for i := 0; i < len(es); {
+		j := i + 1
+		for j < len(es) && es[j].prefix == es[i].prefix {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(es[i:j], func(x, y prefixPos) int {
+				return cmp.Or(bytes.Compare(accounts[x.pos][8:], accounts[y.pos][8:]), cmp.Compare(x.pos, y.pos))
+			})
+		}
+		for ; i < j; i++ {
+			byAddr[i] = es[i].pos
+		}
+	}
+	return byAddr
+}
+
+// prefixPos is one roster position and its address's leading 8 bytes.
+type prefixPos struct {
+	prefix uint64
+	pos    int32
+}
+
+// sortPrefixes stably sorts es by prefix, whose leading d bytes are all
+// equal, with tmp as scratch: a counting pass and a scatter on byte d, then
+// each bucket the same way on the next byte. A bucket of a few entries is
+// insertion-sorted instead, which is as stable.
+func sortPrefixes(es, tmp []prefixPos, d int) {
+	if len(es) <= 16 {
+		for i := 1; i < len(es); i++ {
+			for j := i; j > 0 && es[j].prefix < es[j-1].prefix; j-- {
+				es[j], es[j-1] = es[j-1], es[j]
+			}
+		}
+		return
+	}
+	if d == 8 {
+		return // all 8 bytes equal: one run, already in position order
+	}
+	shift := 56 - 8*d
+	var start [257]int // bucket b is es[start[b]:start[b+1]] once scattered
+	for _, e := range es {
+		start[int(byte(e.prefix>>shift))+1]++
+	}
+	for b := 1; b < len(start); b++ {
+		start[b] += start[b-1]
+	}
+	next := start
+	for _, e := range es {
+		b := byte(e.prefix >> shift)
+		tmp[next[b]] = e
+		next[b]++
+	}
+	copy(es, tmp)
+	for b := 0; b < 256; b++ {
+		if lo, hi := start[b], start[b+1]; hi-lo > 1 {
+			sortPrefixes(es[lo:hi], tmp[lo:hi], d+1)
+		}
+	}
 }
 
 // N returns the number of nodes.

@@ -1,7 +1,10 @@
 package pos
 
 import (
+	"bytes"
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/identity"
@@ -52,6 +55,54 @@ func TestIndexOfMatchesMap(t *testing.T) {
 					t.Fatalf("trial %d (n=%d): IndexOf(%x) = %d, %v; the map says %d, %v", trial, n, a[:4], got, ok, w, wok)
 				}
 			}
+		}
+	}
+}
+
+// TestAddressOrderMatchesComparator checks the ledger's radix-built index
+// against a comparison sort of the roster positions by (address, position)
+// over random rosters of 1-1000 accounts, in which some accounts share their
+// leading 8 bytes (and some their leading 8 and all but the last byte) and
+// some repeat an earlier address outright, so the equal-prefix runs the
+// comparator orders are exercised beside the radix passes.
+func TestAddressOrderMatchesComparator(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(1000)
+		if trial < 10 {
+			n = 1 + trial // the smallest rosters, every one
+		}
+		roster := make([]identity.Address, n)
+		for i := range roster {
+			rng.Read(roster[i][:])
+			if i == 0 {
+				continue
+			}
+			switch rng.Intn(8) {
+			case 0: // an earlier account's prefix, a fresh rest
+				copy(roster[i][:8], roster[rng.Intn(i)][:8])
+			case 1: // an earlier account's address but its last byte
+				last := roster[i][identity.AddressSize-1]
+				roster[i] = roster[rng.Intn(i)]
+				roster[i][identity.AddressSize-1] = last
+			case 2: // an earlier account outright
+				roster[i] = roster[rng.Intn(i)]
+			}
+		}
+		if trial%3 == 0 { // one prefix for the whole roster: a single run
+			for i := range roster {
+				copy(roster[i][:8], roster[0][:8])
+			}
+		}
+		want := make([]int32, n)
+		for i := range want {
+			want[i] = int32(i)
+		}
+		slices.SortFunc(want, func(x, y int32) int {
+			return cmp.Or(bytes.Compare(roster[x][:], roster[y][:]), cmp.Compare(x, y))
+		})
+		if got := NewLedger(roster).byAddr; !slices.Equal(got, want) {
+			t.Fatalf("trial %d (n=%d): index %v, the comparison sort says %v", trial, n, got, want)
 		}
 	}
 }
