@@ -109,15 +109,7 @@ func TestMetaRelayWireGate(t *testing.T) {
 // were won on the way.
 func measureConnectStorm(t *testing.T) (join, warm, blocks uint64) {
 	t.Helper()
-	const n = 256
-	c := newQuietCluster(t, Options{
-		N:               n,
-		Seed:            *seedFlag,
-		T0:              30 * time.Second,
-		StorageCapacity: 2000,
-		SnapshotEvery:   4,
-		Faults:          memnet.Params{DelayMin: 8 * time.Millisecond, DelayMax: 12 * time.Millisecond},
-	})
+	c := newQuietCluster(t, simOptions(256))
 	if err := c.RunUntil(func() bool { return true }, time.Second); err != nil { // to network idle
 		t.Fatal(err)
 	}
