@@ -327,10 +327,9 @@ func (c *Cluster) Crash(i int) error {
 // assigned at least one unexpired item, with each candidate's chance of
 // being picked weighted by how many items it stores — churn hits the data
 // plane where it hurts most. Stored-item counts come from a provider index
-// rebuilt off the first live node's chain at the current virtual time, the
-// same chain-only derivation the repair subsystem itself uses. Nodes
-// listed in protect are never killed (keep producers up so content stays
-// re-fetchable). Victim choice draws on the cluster's fault RNG, so a
+// rebuilt off the first live node's chain, the same chain-only derivation
+// the repair subsystem itself uses. Nodes listed in protect are never
+// killed (keep producers up so content stays re-fetchable). Victim choice draws on the cluster's fault RNG, so a
 // fixed seed always kills the same nodes. Returns the killed roster
 // indices, ascending.
 func (c *Cluster) KillStoringNodes(frac float64, protect ...int) ([]int, error) {
@@ -346,7 +345,6 @@ func (c *Cluster) KillStoringNodes(frac float64, protect ...int) ([]int, error) 
 	}
 	idx := repair.NewIndex(c.opts.N)
 	idx.Rebuild(ref.ChainSnapshot())
-	idx.ExpireUntil(c.Clock.Now().Sub(c.Epoch))
 
 	shielded := make(map[int]bool, len(protect))
 	for _, p := range protect {
@@ -531,8 +529,7 @@ func (c *Cluster) CheckInvariants() error {
 		return err
 	}
 	for i, n := range nodes {
-		now := c.Clock.Now().Sub(c.Epoch)
-		if err := CheckLedgerAccounting(n, c.accounts, now); err != nil {
+		if err := CheckLedgerAccounting(n, c.accounts); err != nil {
 			return fmt.Errorf("live node %d: %w", i, err)
 		}
 	}

@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/block"
 	"repro/internal/chain"
@@ -87,9 +86,9 @@ func CheckChainValidity(snapshot []*block.Block, accounts []identity.Address, pa
 // Q_i) and its placement storage view match an independent recomputation
 // from the node's own chain replica — i.e. derived state never drifts from
 // chain contents across forks, replays and restarts. The storage view is
-// recomputed through a fresh engine.StorageView replay at virtual time
-// now, so expiry handling is covered too.
-func CheckLedgerAccounting(n *livenode.Node, accounts []identity.Address, now time.Duration) error {
+// recomputed through a fresh engine.StorageView replay, which expires
+// items at the same block timestamps, so expiry handling is covered too.
+func CheckLedgerAccounting(n *livenode.Node, accounts []identity.Address) error {
 	snap := n.ChainSnapshot()
 	ref := pos.NewLedger(accounts)
 	for _, b := range snap {
@@ -111,7 +110,7 @@ func CheckLedgerAccounting(n *livenode.Node, accounts []identity.Address, now ti
 		if gotQ[i] != ref.Q(i) {
 			return fmt.Errorf("chaos: Q_%d = %d, chain says %d", i, gotQ[i], ref.Q(i))
 		}
-		if want := refView.Used(i, now); gotUsed[i] != want {
+		if want := refView.Used(i); gotUsed[i] != want {
 			return fmt.Errorf("chaos: storage view used_%d = %d, chain says %d", i, gotUsed[i], want)
 		}
 	}
@@ -119,10 +118,10 @@ func CheckLedgerAccounting(n *livenode.Node, accounts []identity.Address, now ti
 }
 
 // CheckReplication verifies the data plane has healed: from a provider
-// index rebuilt off the first live node's chain at the current virtual
-// time, every unexpired item must have at least min(floor, live-node
-// count) of its assigned providers among the live nodes, and every
-// assigned live provider must actually hold the item's bytes. Run it only
+// index rebuilt off the first live node's chain, every item unexpired at
+// its tip must have at least min(floor, live-node count) of its assigned
+// providers among the live nodes, and every assigned live provider must
+// actually hold the item's bytes. Run it only
 // after the cluster has settled — mid-churn deficits are exactly what the
 // repair plane exists to close.
 func (c *Cluster) CheckReplication(floor int) error {
@@ -142,12 +141,11 @@ func (c *Cluster) CheckReplication(floor int) error {
 	}
 	idx := repair.NewIndex(c.opts.N)
 	idx.Rebuild(ref.ChainSnapshot())
-	idx.ExpireUntil(c.Clock.Now().Sub(c.Epoch))
 	want := floor
 	if want > live {
 		want = live
 	}
-	for _, id := range idx.Live() {
+	for _, id := range idx.IDs() {
 		alive := 0
 		for _, p := range idx.Providers(id) {
 			if c.nodes[p] == nil {

@@ -65,7 +65,6 @@ func measureRepairConvergence(b *testing.B, n int, frac float64) {
 	placed := func() bool {
 		idx := repair.NewIndex(n)
 		idx.Rebuild(c.Node(0).ChainSnapshot())
-		idx.ExpireUntil(now())
 		for _, id := range ids {
 			if p := idx.Providers(id); len(p) == 0 || len(p) >= n {
 				return false

@@ -79,7 +79,6 @@ func runRepairScenario(t *testing.T, seed int64) repairChaosResult {
 	placed := func() bool {
 		idx := repair.NewIndex(n)
 		idx.Rebuild(c.Node(0).ChainSnapshot())
-		idx.ExpireUntil(now())
 		for _, id := range ids {
 			if p := idx.Providers(id); len(p) == 0 || len(p) >= n {
 				return false

@@ -58,6 +58,9 @@ type ItemEvent struct {
 type AppendEvent struct {
 	Block *block.Block
 	Items []ItemEvent
+	// Expired lists the items the block's timestamp expired: they left the
+	// item table before the block's items were applied.
+	Expired []meta.DataID
 }
 
 // Round is one armed mining round: the tip it extends, the winning time T
@@ -103,10 +106,11 @@ type Config struct {
 	// Now returns the current time as an offset from the shared epoch.
 	Now func() time.Duration
 
-	// ValidateClaims enables PoS-claim validation in preAppend and
-	// AdoptSuffix. Every runtime caller sets it; the field stays because
-	// bench/probes.go sets it too, until the benchmark harness is next
-	// changed (ROADMAP item 4).
+	// ValidateClaims is ignored: the engine always validates PoS claims in
+	// preAppend and AdoptSuffix.
+	//
+	// Deprecated: kept because bench/probes.go sets it, until the benchmark
+	// harness is next changed (ROADMAP item 4); set nothing.
 	ValidateClaims bool
 	// SnapshotInterval, when positive, freezes a ledger/view snapshot
 	// every this many blocks so AdoptSuffix can validate fork suffixes by
@@ -198,25 +202,26 @@ func (s state) clone() state {
 }
 
 // apply folds block b, the successor of the state's tip, into the state and,
-// when report is set (somebody listens), returns one ItemEvent per item of b,
-// each against the state before that item.
-func (s *state) apply(b *block.Block, self int, report bool) ([]ItemEvent, error) {
+// when report is set (somebody listens), returns b's AppendEvent: one
+// ItemEvent per item of b, each against the state before that item, and the
+// IDs b's timestamp expired.
+func (s *state) apply(b *block.Block, self int, report bool) (AppendEvent, error) {
 	if err := s.ledger.ApplyBlock(b); err != nil {
-		return nil, err
+		return AppendEvent{}, err
 	}
 	if !report {
 		s.view.ApplyBlock(b, nil)
-		return nil, nil
+		return AppendEvent{}, nil
 	}
-	events := make([]ItemEvent, 0, len(b.Items))
-	s.view.ApplyBlock(b, func(it, prev *meta.Item) {
-		events = append(events, ItemEvent{
+	ev := AppendEvent{Block: b, Items: make([]ItemEvent, 0, len(b.Items))}
+	ev.Expired = s.view.ApplyBlock(b, func(it, prev *meta.Item) {
+		ev.Items = append(ev.Items, ItemEvent{
 			Item:           it,
 			Prev:           prev,
 			AssignedToSelf: slices.Contains(it.StoringNodes, self),
 		})
 	})
-	return events, nil
+	return ev, nil
 }
 
 // Engine owns all chain-derived consensus state of one node.
@@ -299,11 +304,12 @@ func (e *Engine) Tip() *block.Block { return e.ch.Tip() }
 // Height returns the chain height.
 func (e *Engine) Height() uint64 { return e.ch.Height() }
 
-// OnChain reports whether an item with the given ID is recorded on-chain.
+// OnChain reports whether an item with the given ID is on chain and
+// unexpired as of the tip.
 func (e *Engine) OnChain(id meta.DataID) bool { return e.LiveItem(id) != nil }
 
-// LiveItem returns the latest on-chain version of the item, expired or not
-// (nil if none).
+// LiveItem returns the latest on-chain version of the item if it is
+// unexpired as of the tip (nil otherwise).
 func (e *Engine) LiveItem(id meta.DataID) *meta.Item { return e.view.items.Item(id) }
 
 // PoolLen returns the metadata-pool size.
@@ -325,10 +331,11 @@ func (e *Engine) SigFirstChecks() uint64 { return e.sigs.FirstChecks() }
 // --- metadata pool --------------------------------------------------------
 
 // AddMetadata verifies and pools a metadata item received from the
-// network; duplicates and items already on-chain are dropped. It reports
-// whether the item entered the pool.
+// network; duplicates, items already on chain and items past their valid
+// time are dropped (an expired item has left the chain's table, and no
+// block may carry it again). It reports whether the item entered the pool.
 func (e *Engine) AddMetadata(it *meta.Item) bool {
-	if e.OnChain(it.ID) || e.pool[it.ID] != nil {
+	if e.OnChain(it.ID) || e.pool[it.ID] != nil || it.Expired(e.cfg.Now()) {
 		return false
 	}
 	if err := it.VerifyCached(&e.sigs); err != nil {
@@ -389,11 +396,8 @@ func (e *Engine) preAppend(prev, b *block.Block) error {
 	}
 	// Items a snapshot could not restore as this node holds them are
 	// refused (repair.Index.Admit), so every snapshot of the chain installs.
-	if err := e.view.items.Admit(b.Items); err != nil {
+	if err := e.view.items.Admit(b.Timestamp, b.Items); err != nil {
 		return fmt.Errorf("engine: block %d: %w", b.Index, err)
-	}
-	if !e.cfg.ValidateClaims {
-		return nil
 	}
 	return e.cfg.PoS.ValidateClaim(prev, b, e.ledger)
 }
@@ -403,7 +407,7 @@ func (e *Engine) preAppend(prev, b *block.Block) error {
 // The adapter's OnAppend callback then layers physical storage, fetches
 // and telemetry on top.
 func (e *Engine) postAppend(b *block.Block) {
-	items, err := e.state.apply(b, e.cfg.Self, e.cfg.OnAppend != nil)
+	ev, err := e.state.apply(b, e.cfg.Self, e.cfg.OnAppend != nil)
 	if err != nil {
 		// Cannot happen: PreAppend guarantees in-order application.
 		panic(fmt.Sprintf("engine: ledger apply: %v", err))
@@ -413,7 +417,7 @@ func (e *Engine) postAppend(b *block.Block) {
 	}
 	e.maybeSnapshot(b.Index)
 	if cb := e.cfg.OnAppend; cb != nil {
-		cb(AppendEvent{Block: b, Items: items})
+		cb(ev)
 	}
 }
 
@@ -473,9 +477,10 @@ func (e *Engine) Mine(r Round) (*MineResult, error) {
 	now := e.cfg.Now()
 	bld := block.NewBuilder(prev, e.cfg.Accounts[e.cfg.Self], now, r.T, r.B)
 
-	// Scratch storage view: assignments within this block must see each
-	// other so one block doesn't dump everything on the same nodes.
-	e.mineStates = e.view.NodeStatesInto(e.mineStates, now)
+	// Scratch storage view: the tip's, so the plan reads the chain and not
+	// this node's clock; assignments within this block must see each other
+	// so one block doesn't dump everything on the same nodes.
+	e.mineStates = e.view.NodeStatesInto(e.mineStates)
 	states := e.mineStates
 	// Placement plans on home positions: the RDC (eq. 2) covers short-term
 	// movement through the mobility-range terms, so the plan stays valid
@@ -543,8 +548,9 @@ func (e *Engine) Mine(r Round) (*MineResult, error) {
 // re-announced clones whose storing set is the surviving providers plus
 // UFL-chosen alive nodes. Suspect nodes keep their replicas counted
 // (hysteresis) but receive no new ones. The cursor round-robins across
-// items so every item is eventually reconsidered.
-func (e *Engine) pickRepairs(topo *netsim.Topology, states []alloc.NodeState, now time.Duration, skip map[meta.DataID]bool) []*meta.Item {
+// items so every item is eventually reconsidered. at is the new block's
+// timestamp.
+func (e *Engine) pickRepairs(topo *netsim.Topology, states []alloc.NodeState, at time.Duration, skip map[meta.DataID]bool) []*meta.Item {
 	const maxPer = repairMaxPerBlock
 	if e.cfg.Liveness == nil {
 		return nil
@@ -577,13 +583,16 @@ func (e *Engine) pickRepairs(topo *netsim.Topology, states []alloc.NodeState, no
 	var out []*meta.Item
 	budget := 4 * maxPer // deficiency-evaluation budget per block
 	for k := 0; k < len(ids) && budget > 0 && len(out) < maxPer; k++ {
-		it := e.view.items.Item(ids[(e.repairCursor+k)%len(ids)])
-		if skip[it.ID] || it.Expired(now) || len(it.StoringNodes) == 0 {
+		id := ids[(e.repairCursor+k)%len(ids)]
+		it, providers := e.view.items.Item(id), e.view.items.Providers(id)
+		// The index holds the items live at the tip; one whose valid time
+		// ends before the new block's timestamp is Admit's to refuse.
+		if skip[id] || it.Expired(at) || len(providers) == 0 {
 			continue
 		}
-		survivors := make([]int, 0, len(it.StoringNodes))
-		for _, sn := range it.StoringNodes {
-			if sn >= 0 && sn < len(states) && verdicts[sn] != repair.Dead {
+		survivors := make([]int, 0, len(providers))
+		for _, sn := range providers {
+			if verdicts[sn] != repair.Dead {
 				survivors = append(survivors, sn)
 			}
 		}

@@ -48,7 +48,6 @@ func newTestCluster(t testing.TB, n int, mutate func(i int, cfg *Config)) *testC
 			PoS:             pos.Params{M: pos.DefaultM, T0: 60 * time.Second},
 			Genesis:         block.Genesis(42),
 			Now:             func() time.Duration { return c.now },
-			ValidateClaims:  true,
 			Topology:        func() *netsim.Topology { return topo },
 			Planner:         alloc.NewPlanner(1),
 			BlockPlanner:    blockPlanner,
@@ -93,7 +92,17 @@ func (c *testCluster) nextRound(t testing.TB) (winner int, best Round) {
 // mines at exactly that time and everyone else adopts the block.
 func (c *testCluster) mineNext(t testing.TB) *block.Block {
 	t.Helper()
+	return c.mineLate(t, 0)
+}
+
+// mineLate is mineNext with the winner sealing late after its winning
+// second, as a miner whose timer fired late would: the claim stays valid (a
+// timestamp may trail the winning second), and the block's timestamp moves
+// the chain's time on by late more.
+func (c *testCluster) mineLate(t testing.TB, late time.Duration) *block.Block {
+	t.Helper()
 	winner, best := c.nextRound(t)
+	c.now += late
 	res, err := c.engines[winner].Mine(best)
 	if err != nil {
 		t.Fatalf("engine %d mine: %v", winner, err)
@@ -290,7 +299,6 @@ func TestPreAppendRejectsFutureTimestamp(t *testing.T) {
 			PoS:             pos.Params{M: pos.DefaultM, T0: 60 * time.Second},
 			Genesis:         block.Genesis(42),
 			Now:             func() time.Duration { return *now },
-			ValidateClaims:  true,
 			Topology:        func() *netsim.Topology { return topo },
 			Planner:         alloc.NewPlanner(1),
 			BlockPlanner:    bp,

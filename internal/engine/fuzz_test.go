@@ -222,10 +222,10 @@ func FuzzAdoptChain(f *testing.F) {
 // blob re-encodes to its own bytes; and a snapshot BootstrapFromSnapshot
 // installs exports back to those bytes, so the item table, its assignments,
 // counts and pending expiries survive the round trip whole. The seed is an
-// honest snapshot holding an expired item, a pending expiry and
-// re-announcements before and after expiry.
+// honest snapshot taken after a block expired an item, holding pending
+// expiries and a re-announcement.
 func FuzzSnapshotDecode(f *testing.F) {
-	c, obs, _, _, _, _ := expiryScenario(f)
+	c, obs, _, _, _, _, _ := expiryScenario(f)
 	snap, ok := obs.ExportSnapshot()
 	if !ok {
 		f.Fatal("no exportable snapshot")

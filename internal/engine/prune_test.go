@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
 	"strings"
@@ -27,6 +28,12 @@ import (
 // genesis — the receiving side of a snapshot bootstrap.
 func freshObserver(t testing.TB, c *testCluster) *Engine {
 	t.Helper()
+	return clockedObserver(t, c, func() time.Duration { return c.now })
+}
+
+// clockedObserver is freshObserver reading its own clock.
+func clockedObserver(t testing.TB, c *testCluster, now func() time.Duration) *Engine {
+	t.Helper()
 	topo := netsim.NewTopology(make([]geo.Point, len(c.accounts)), 1)
 	blockPlanner := alloc.NewPlanner(1)
 	blockPlanner.MinReplicas = 1
@@ -35,8 +42,7 @@ func freshObserver(t testing.TB, c *testCluster) *Engine {
 		Self:             0,
 		PoS:              pos.Params{M: pos.DefaultM, T0: 60 * time.Second},
 		Genesis:          block.Genesis(42),
-		Now:              func() time.Duration { return c.now },
-		ValidateClaims:   true,
+		Now:              now,
 		Topology:         func() *netsim.Topology { return topo },
 		Planner:          alloc.NewPlanner(1),
 		BlockPlanner:     blockPlanner,
@@ -111,17 +117,20 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// expiryScenario mines four blocks on a 4-node repair cluster and feeds them
-// to an observer whose expiry tick reads 2 h ahead of the miners' clock, as
-// a node with a fast clock would. The observer's snapshot at height 4 holds
-// an item that expired before the snapshot (a), a re-announced item with a
-// pending expiry (b), an item that never expires (c), and an item
-// re-announced after the observer had expired it (d).
-func expiryScenario(t testing.TB) (c *testCluster, obs *Engine, a, b, cc, d *meta.Item) {
+// expiryScenario mines four blocks on a 4-node repair cluster, the third
+// sealed 40 min late, and feeds them to two observers that read their views
+// after every block at their own clocks, as a node's timers do: fast, whose
+// clock runs 2 h ahead of the miners', and steady, on the miners' clock.
+// Block 3's timestamp expires a (valid 30 min); at height 4 the table holds
+// b (valid 100 h), cc (never expires) and d (valid 1 h, re-announced at
+// height 2 when one of its providers died). Read at its own clock, fast
+// would have expired d as well.
+func expiryScenario(t testing.TB) (c *testCluster, fast, steady *Engine, a, b, cc, d *meta.Item) {
 	t.Helper()
 	status := make([]repair.Status, 4)
 	c = repairCluster(t, 4, status)
-	obs = freshObserver(t, c)
+	fast = clockedObserver(t, c, func() time.Duration { return c.now + 2*time.Hour })
+	steady = freshObserver(t, c)
 	valid := func(content string, validFor time.Duration) *meta.Item {
 		it := c.item(0, content)
 		it.ValidFor = validFor
@@ -136,24 +145,116 @@ func expiryScenario(t testing.TB) (c *testCluster, obs *Engine, a, b, cc, d *met
 		if h == 2 { // a provider of d dies: the miners re-announce what it held
 			status[c.engines[0].LiveItem(d.ID).StoringNodes[0]] = repair.Dead
 		}
-		if _, err := obs.ReceiveBlock(c.mineNextRes(t).Block); err != nil {
-			t.Fatalf("observer, block %d: %v", h, err)
+		late := time.Duration(0)
+		if h == 3 {
+			late = 40 * time.Minute
 		}
-		obs.View().Index(c.now + 2*time.Hour) // the fast clock's tick
+		blk := c.mineLate(t, late)
+		for _, obs := range []*Engine{fast, steady} {
+			if _, err := obs.ReceiveBlock(blk); err != nil {
+				t.Fatalf("observer, block %d: %v", h, err)
+			}
+			readView(obs)
+		}
 	}
-	if got := obs.LiveItem(d.ID); got == d || got == nil {
+	if got := fast.LiveItem(d.ID); got == d || got == nil {
 		t.Fatal("d was not re-announced")
 	}
-	return c, obs, a, b, cc, d
+	if fast.OnChain(a.ID) {
+		t.Fatal("a outlived the block that passed its valid time")
+	}
+	return c, fast, steady, a, b, cc, d
+}
+
+// readView reads e's view the way a node's timers do — the repair audit and
+// gauges, a mining plan — at e's own clock.
+func readView(e *Engine) {
+	v := e.View()
+	v.Index().Deficits(e.cfg.Now(), alloc.DefaultMinReplicas, nil)
+	v.Index().Items(e.cfg.Self)
+	v.NodeStates()
+}
+
+// sameSnapshots fails unless x and y hold the same periodic snapshots, each
+// encoding to the same bytes.
+func sameSnapshots(t *testing.T, x, y *Engine) {
+	t.Helper()
+	if len(x.snaps) == 0 || len(x.snaps) != len(y.snaps) {
+		t.Fatalf("%d and %d snapshots held", len(x.snaps), len(y.snaps))
+	}
+	for k := range x.snaps {
+		sx, sy := x.snaps[k], y.snaps[k]
+		bx := exportSnapshot(sx, x.ch.At(sx.height)).Encode()
+		by := exportSnapshot(sy, y.ch.At(sy.height)).Encode()
+		if sx.height != sy.height || !bytes.Equal(bx, by) {
+			t.Fatalf("snapshots at heights %d and %d encode differently (%d and %d bytes)", sx.height, sy.height, len(bx), len(by))
+		}
+	}
+}
+
+// TestSnapshotBytesIgnoreLocalClock: two replicas fed the same blocks
+// encode byte-identical snapshots at every snapshot height, however their
+// clocks and read schedules differ — the item table expires at block
+// timestamps, so a snapshot is a function of the chain. The expiry
+// scenario's fast observer reads 2 h ahead; in the random schedule one
+// replica's clock drifts ahead by up to 8 h and reads its view zero to three
+// times between blocks.
+func TestSnapshotBytesIgnoreLocalClock(t *testing.T) {
+	t.Run("expiry scenario", func(t *testing.T) {
+		_, fast, steady, _, _, _, _ := expiryScenario(t)
+		sameSnapshots(t, fast, steady)
+	})
+	t.Run("random schedule", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(5))
+		c := newTestCluster(t, 3, nil)
+		var drift time.Duration
+		x := freshObserver(t, c)
+		y := clockedObserver(t, c, func() time.Duration { return c.now + drift })
+		lifetimes := []time.Duration{0, 5 * time.Minute, 20 * time.Minute, time.Hour}
+		expired := 0
+		for h := 1; h <= 48; h++ {
+			if rng.Intn(3) > 0 {
+				it := c.item(h%3, fmt.Sprintf("schedule item %d", h))
+				it.ValidFor = lifetimes[rng.Intn(len(lifetimes))]
+				it.Sign(c.idents[h%3])
+				for _, e := range c.engines {
+					e.AddMetadata(it)
+				}
+			}
+			before := x.view.items.IDs()
+			blk := c.mineLate(t, time.Duration(rng.Intn(10))*time.Minute)
+			for _, obs := range []*Engine{x, y} {
+				if _, err := obs.ReceiveBlock(blk); err != nil {
+					t.Fatalf("observer, block %d: %v", h, err)
+				}
+			}
+			for _, id := range before {
+				if !x.OnChain(id) {
+					expired++
+				}
+			}
+			readView(x)
+			for k := rng.Intn(4); k > 0; k-- {
+				drift = time.Duration(rng.Intn(8*60)) * time.Minute
+				readView(y)
+			}
+			if h%4 == 0 {
+				sameSnapshots(t, x, y)
+			}
+		}
+		if expired == 0 {
+			t.Fatal("no item expired: the comparison would be vacuous")
+		}
+	})
 }
 
 // TestSnapshotRoundTripKeepsItemTable runs the item table through export,
 // Encode, DecodeSnapshot and BootstrapFromSnapshot: the restored index
 // renders the exporter's, and LiveItem and OnChain answer alike for every
 // ID, with the assignments, counts and pending expiries derived from the
-// items alone.
+// items alone. The expired item is in neither.
 func TestSnapshotRoundTripKeepsItemTable(t *testing.T) {
-	c, obs, a, b, cc, d := expiryScenario(t)
+	c, obs, _, a, b, cc, d := expiryScenario(t)
 	snap, ok := obs.ExportSnapshot()
 	if !ok {
 		t.Fatal("no exportable snapshot")
@@ -164,14 +265,16 @@ func TestSnapshotRoundTripKeepsItemTable(t *testing.T) {
 	}
 	want := exporter.view.items.Snapshot()
 	for _, line := range []string{
-		"expired " + a.ID.String(),
-		"expired " + d.ID.String(),
 		"live " + cc.ID.String(),
 		"expires " + b.ID.String(),
+		"expires " + d.ID.String(),
 	} {
 		if !strings.Contains(want, line) {
 			t.Fatalf("scenario index lacks %q:\n%s", line, want)
 		}
+	}
+	if strings.Contains(want, a.ID.String()) || len(snap.LiveItems) != 3 {
+		t.Fatalf("snapshot holds %d items, want the 3 live ones:\n%s", len(snap.LiveItems), want)
 	}
 	if exporter.view.items.Item(b.ID) == b {
 		t.Fatal("b was not re-announced")
@@ -203,18 +306,19 @@ func TestSnapshotRoundTripKeepsItemTable(t *testing.T) {
 
 // TestDecodeSnapshotRefusesVersion4: a version-4 snapshot of the same state
 // also wrote each node's live item count after the applied height, and the
-// assignments, pending expiries and on-chain IDs beside the expired IDs and
-// the items, all of which version 5 derives from the items. DecodeSnapshot
-// refuses it as a bad snapshot rather than misread the counts as the view's
-// block counts.
+// assignments, pending expiries, expired IDs and on-chain IDs beside the
+// items, all of which later versions derive from the items; a version-5
+// snapshot still wrote the expired IDs. DecodeSnapshot refuses both as bad
+// snapshots rather than misread the counts as the view's block counts or
+// the expired count as the item count.
 func TestDecodeSnapshotRefusesVersion4(t *testing.T) {
-	_, obs, _, _, _, _ := expiryScenario(t)
+	_, obs, _, _, _, _, _ := expiryScenario(t)
 	snap, ok := obs.ExportSnapshot()
 	if !ok {
 		t.Fatal("no exportable snapshot")
 	}
 	idx := obs.snaps[len(obs.snaps)-1].view.items
-	v5 := snap.Encode()
+	v6 := snap.Encode()
 	// The ledger's head: everything up to and including the applied height.
 	head := binary.BigEndian.AppendUint32(append([]byte(nil), snapshotMagic[:]...), SnapshotVersion)
 	head = binary.AppendUvarint(head, snap.Height)
@@ -224,8 +328,11 @@ func TestDecodeSnapshotRefusesVersion4(t *testing.T) {
 		head = binary.AppendUvarint(head, v)
 	}
 	head = binary.AppendUvarint(head, snap.Ledger.Applied)
-	if !bytes.HasPrefix(v5, head) {
-		t.Fatal("the version-5 layout is not the one this test splices")
+	if !bytes.HasPrefix(v6, head) {
+		t.Fatal("the version-6 layout is not the one this test splices")
+	}
+	version := func(v uint32) []byte {
+		return binary.BigEndian.AppendUint32(append([]byte(nil), snapshotMagic[:]...), v)
 	}
 	ids := func(w []byte, ids []meta.DataID) []byte {
 		w = binary.AppendUvarint(w, uint64(len(ids)))
@@ -234,16 +341,25 @@ func TestDecodeSnapshotRefusesVersion4(t *testing.T) {
 		}
 		return w
 	}
-	v4 := binary.BigEndian.AppendUint32(append([]byte(nil), snapshotMagic[:]...), 4)
-	v4 = append(v4, head[len(v4):]...)
+	counts := func(w []byte) []byte {
+		for _, n := range append(append([]int(nil), snap.BlockBodies...), snap.RecentDepth...) {
+			w = binary.AppendUvarint(w, uint64(n))
+		}
+		return binary.AppendUvarint(w, snap.ViewHeight)
+	}
+	items := func(w []byte) []byte {
+		w = binary.AppendUvarint(w, uint64(len(snap.LiveItems)))
+		for _, it := range snap.LiveItems {
+			w = it.AppendEncode(w)
+		}
+		return w
+	}
+	v4 := append(version(4), head[len(version(4)):]...)
 	for i := range snap.BlockBodies {
 		v4 = binary.AppendUvarint(v4, uint64(idx.Count(i)))
 	}
-	for _, n := range append(append([]int(nil), snap.BlockBodies...), snap.RecentDepth...) {
-		v4 = binary.AppendUvarint(v4, uint64(n))
-	}
-	v4 = binary.AppendUvarint(v4, snap.ViewHeight)
-	live := idx.Live()
+	v4 = counts(v4)
+	live := idx.IDs()
 	v4 = binary.AppendUvarint(v4, uint64(len(live)))
 	var pending []*meta.Item
 	for _, id := range live {
@@ -259,25 +375,25 @@ func TestDecodeSnapshotRefusesVersion4(t *testing.T) {
 	for _, it := range pending {
 		v4 = append(binary.AppendUvarint(v4, uint64(it.ExpiresAt())), it.ID[:]...)
 	}
-	v4 = ids(v4, snap.Expired)
-	v4 = ids(v4, idx.IDs())
-	v4 = binary.AppendUvarint(v4, uint64(len(snap.LiveItems)))
-	for _, it := range snap.LiveItems {
-		v4 = it.AppendEncode(v4)
+	v4 = ids(v4, nil)
+	v4 = items(ids(v4, live))
+	v5 := items(ids(counts(append(version(5), head[len(version(5)):]...)), nil))
+	t.Logf("the same state: version 4 %d bytes, version 5 %d bytes, version 6 %d bytes", len(v4), len(v5), len(v6))
+	if len(v4) <= len(v5) || len(v5) != len(v6)+1 {
+		t.Fatalf("versions 4, 5 and 6 are %d, %d and %d bytes: the dropped lists are not what this test splices", len(v4), len(v5), len(v6))
 	}
-	t.Logf("the same state: version 4 %d bytes, version 5 %d bytes", len(v4), len(v5))
-	if len(v4) <= len(v5) {
-		t.Fatalf("version 4 is %d bytes, version 5 %d: the dropped lists cost nothing", len(v4), len(v5))
-	}
-	if _, err := DecodeSnapshot(v4); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "version 4") {
-		t.Fatalf("version-4 snapshot: err = %v, want ErrBadSnapshot for its version", err)
+	for v, blob := range map[int][]byte{4: v4, 5: v5} {
+		if _, err := DecodeSnapshot(blob); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) {
+			t.Fatalf("version-%d snapshot: err = %v, want ErrBadSnapshot for its version", v, err)
+		}
 	}
 }
 
-// TestPrunedEngineMatchesFull is the issue's differential acceptance test: a
-// pruned replica and a full replica fed the same blocks end with
-// bit-identical tips, headers and ledgers, while the pruned replica's body
-// window stays O(PruneDepth).
+// TestPrunedEngineMatchesFull is the pruning differential test: a pruned
+// replica and a full replica fed the same blocks end with bit-identical
+// tips, headers, ledgers and item tables, while the pruned replica's body
+// window stays O(PruneDepth). Items carry valid times drawn from {never,
+// 10 min, 1 h}, so the tables also expire alike.
 func TestPrunedEngineMatchesFull(t *testing.T) {
 	const (
 		snapEvery = 4
@@ -297,10 +413,13 @@ func TestPrunedEngineMatchesFull(t *testing.T) {
 			}
 		}
 	})
+	rng := rand.New(rand.NewSource(3))
+	lifetimes := []time.Duration{0, 10 * time.Minute, time.Hour}
 	var items []*meta.Item
 	for r := 0; r < rounds; r++ {
 		if r%3 == 0 {
-			items = append(items, c.addItem(t, r%len(c.engines), fmt.Sprintf("diff item %d", r)))
+			validFor := lifetimes[rng.Intn(len(lifetimes))]
+			items = append(items, c.validItem(t, r%len(c.engines), fmt.Sprintf("diff item %d", r), validFor))
 		}
 		c.mineNext(t)
 	}
@@ -335,10 +454,21 @@ func TestPrunedEngineMatchesFull(t *testing.T) {
 	if !reflect.DeepEqual(pruned.Ledger().ExportState(), full.Ledger().ExportState()) {
 		t.Fatal("ledgers diverge between pruned and full replicas")
 	}
+	if got, want := pruned.view.items.Snapshot(), full.view.items.Snapshot(); got != want {
+		t.Fatalf("item tables diverge:\npruned:\n%s\nfull:\n%s", got, want)
+	}
+	expired := 0
 	for _, it := range items {
-		if !pruned.OnChain(it.ID) || !full.OnChain(it.ID) {
-			t.Fatalf("item %s lost", it.ID.Short())
+		live := !it.Expired(pruned.Tip().Timestamp)
+		if pruned.OnChain(it.ID) != live || full.OnChain(it.ID) != live {
+			t.Fatalf("item %s (valid for %v): on chain %v and %v at the tip, want %v", it.ID.Short(), it.ValidFor, pruned.OnChain(it.ID), full.OnChain(it.ID), live)
 		}
+		if !live {
+			expired++
+		}
+	}
+	if expired == 0 || expired == len(items) {
+		t.Fatalf("%d of %d items expired: the valid times are not exercised", expired, len(items))
 	}
 
 	// Bounded footprint: the window holds at most tip-horizon+1 bodies, and
@@ -476,6 +606,8 @@ func TestBootstrapRejectsCorruptSnapshots(t *testing.T) {
 	}
 	offRoster := snap.LiveItems[0].Clone()
 	offRoster.StoringNodes = []int{len(c.accounts)}
+	expired := snap.LiveItems[0].Clone()
+	expired.ValidFor = snap.Block.Timestamp - expired.Produced - 1
 	cases := []struct {
 		name   string
 		mutate func(s *StateSnapshot)
@@ -489,9 +621,7 @@ func TestBootstrapRejectsCorruptSnapshots(t *testing.T) {
 			s.LiveItems[0], s.LiveItems[1] = s.LiveItems[1], s.LiveItems[0]
 		}},
 		{"duplicate IDs", func(s *StateSnapshot) { s.LiveItems[1] = s.LiveItems[0] }},
-		{"unlisted expired ID", func(s *StateSnapshot) {
-			s.Expired = append(s.Expired, c.item(0, "never on chain").ID)
-		}},
+		{"item expired at the anchor", func(s *StateSnapshot) { s.LiveItems[0] = expired }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -522,12 +652,7 @@ func TestChainRefusesWhatASnapshotCannotRestore(t *testing.T) {
 	c := newTestCluster(t, 3, func(i int, cfg *Config) { cfg.SnapshotInterval = 2 })
 	a := c.addItem(t, 0, "a") // ValidFor 0: never expires
 	c.mineNext(t)
-	claimed := func(it *meta.Item) *block.Block {
-		winner, r := c.nextRound(t)
-		bld := block.NewBuilder(c.engines[0].Tip(), c.accounts[winner], c.now, r.T, r.B)
-		bld.AddItem(it)
-		return bld.Seal()
-	}
+	claimed := c.claimedBlock
 	offRoster := c.item(1, "b")
 	offRoster.StoringNodes = []int{0, 7}
 	longer := c.engines[0].LiveItem(a.ID).Clone()
@@ -540,7 +665,7 @@ func TestChainRefusesWhatASnapshotCannotRestore(t *testing.T) {
 		{"storing node 7 of 3", offRoster},
 		{"re-announced with another ValidFor", longer},
 	} {
-		b := claimed(tc.item)
+		b := claimed(t, tc.item)
 		for i, e := range c.engines {
 			if _, err := e.ReceiveBlock(b); err == nil {
 				t.Fatalf("%s: engine %d adopted the block", tc.name, i)
@@ -553,7 +678,7 @@ func TestChainRefusesWhatASnapshotCannotRestore(t *testing.T) {
 
 	inRoster := c.item(1, "b")
 	inRoster.StoringNodes = []int{0, 2}
-	b := claimed(inRoster)
+	b := claimed(t, inRoster)
 	for i, e := range c.engines {
 		if _, err := e.ReceiveBlock(b); err != nil {
 			t.Fatalf("engine %d refused the in-roster block: %v", i, err)
@@ -570,6 +695,157 @@ func TestChainRefusesWhatASnapshotCannotRestore(t *testing.T) {
 	if got, want := fresh.view.items.Snapshot(), c.engines[0].view.items.Snapshot(); got != want {
 		t.Fatalf("restored index renders\n%s\nwant\n%s", got, want)
 	}
+}
+
+// claimedBlock seals a validly claimed successor of the cluster's tip that
+// carries items, at the next round's winning second, without adopting it.
+func (c *testCluster) claimedBlock(t testing.TB, items ...*meta.Item) *block.Block {
+	t.Helper()
+	winner, r := c.nextRound(t)
+	bld := block.NewBuilder(c.engines[0].Tip(), c.accounts[winner], c.now, r.T, r.B)
+	for _, it := range items {
+		bld.AddItem(it)
+	}
+	return bld.Seal()
+}
+
+// validItem signs an item of producer's with a valid time and pools it on
+// every engine.
+func (c *testCluster) validItem(t testing.TB, producer int, content string, validFor time.Duration) *meta.Item {
+	t.Helper()
+	it := c.item(producer, content)
+	it.ValidFor = validFor
+	it.Sign(c.idents[producer])
+	for i, e := range c.engines {
+		if !e.AddMetadata(it) {
+			t.Fatalf("engine %d rejected item %q", i, content)
+		}
+	}
+	return it
+}
+
+// TestExpiredItemsStayOffChain: an item whose valid time ends before a
+// block's timestamp never enters that block. The miner drops it from its
+// pool and does not re-announce it as a repair (Admit would refuse its own
+// block), and a peer refuses a validly claimed block that carries one,
+// first announced or re-announced.
+func TestExpiredItemsStayOffChain(t *testing.T) {
+	status := make([]repair.Status, 3)
+	c := repairCluster(t, 3, status)
+	packed := c.validItem(t, 0, "packed", 10*time.Minute)
+	c.mineNext(t)
+	if !c.engines[0].OnChain(packed.ID) {
+		t.Fatal("the first block did not pack the item")
+	}
+	pooled := c.validItem(t, 1, "pooled", 2*time.Minute)
+	stale := func(it *meta.Item) *meta.Item { // a fresh copy, so no pool holds it
+		cp := it.Clone()
+		cp.ID = meta.HashData([]byte("stale copy of " + it.ID.String()))
+		cp.Sign(c.idents[1])
+		return cp
+	}
+	// A provider of the packed item dies, so the next miner would
+	// re-announce it — but its block is sealed 15 min late, past both valid
+	// times.
+	status[c.engines[0].LiveItem(packed.ID).StoringNodes[0]] = repair.Dead
+	b := c.mineLate(t, 15*time.Minute)
+	if len(b.Items) != 0 {
+		t.Fatalf("a block stamped %v packed %d items past their valid time", b.Timestamp, len(b.Items))
+	}
+	for i, e := range c.engines {
+		if e.OnChain(packed.ID) {
+			t.Fatalf("engine %d still holds the expired item on chain", i)
+		}
+		if c.accounts[i] == b.Miner && e.PoolHas(pooled.ID) {
+			t.Fatalf("the miner, engine %d, kept the expired item in its pool", i)
+		}
+		if e.AddMetadata(stale(pooled)) {
+			t.Fatalf("engine %d pooled an expired item", i)
+		}
+	}
+
+	late := c.item(2, "late")
+	late.Produced, late.ValidFor = 0, time.Minute
+	late.Sign(c.idents[2])
+	again := packed.Clone()
+	again.StoringNodes = []int{1, 2}
+	for _, tc := range []struct {
+		name string
+		item *meta.Item
+	}{
+		{"first announced", late},
+		{"re-announced", again},
+	} {
+		blk := c.claimedBlock(t, tc.item)
+		for i, e := range c.engines {
+			if _, err := e.ReceiveBlock(blk); err == nil {
+				t.Fatalf("%s: engine %d adopted a block carrying an expired item", tc.name, i)
+			}
+			if _, ok := e.AdoptSuffix([]*block.Block{blk}); ok {
+				t.Fatalf("%s: engine %d adopted the block as a suffix", tc.name, i)
+			}
+		}
+	}
+	if got := c.engines[0].Height(); got != 2 {
+		t.Fatalf("height %d, want 2", got)
+	}
+}
+
+// TestItemTableHoldsLiveItemsOnly runs 512 blocks of items with valid times
+// on a pruned engine: after every block the item table holds exactly the
+// unexpired on-chain items (an independent model follows the rule), and
+// every snapshot encodes to at most its header plus those items'
+// encodings, so neither grows with the items ever packed.
+func TestItemTableHoldsLiveItemsOnly(t *testing.T) {
+	const blocks = 512
+	c := newTestCluster(t, 3, func(i int, cfg *Config) {
+		cfg.SnapshotInterval = 4
+		cfg.PruneDepth = 8
+	})
+	rng := rand.New(rand.NewSource(9))
+	lifetimes := []time.Duration{2 * time.Minute, 10 * time.Minute, time.Hour}
+	e := c.engines[0]
+	live := make(map[meta.DataID]*meta.Item) // the model: latest version of each unexpired on-chain item
+	packed, most := 0, 0
+	for h := 1; h <= blocks; h++ {
+		for k := rng.Intn(3); k > 0; k-- {
+			c.validItem(t, rng.Intn(3), fmt.Sprintf("bounded item %d/%d", h, k), lifetimes[rng.Intn(len(lifetimes))])
+		}
+		b := c.mineNext(t)
+		for id, it := range live {
+			if it.Expired(b.Timestamp) {
+				delete(live, id)
+			}
+		}
+		for _, it := range b.Items {
+			live[it.ID] = it
+		}
+		packed += len(b.Items)
+		most = max(most, len(live))
+		if got := len(e.View().Index().IDs()); got != len(live) {
+			t.Fatalf("block %d: the item table holds %d items, %d are live", h, got, len(live))
+		}
+		if h%4 != 0 {
+			continue
+		}
+		snap, ok := e.ExportSnapshot()
+		if !ok || snap.Height != b.Index {
+			t.Fatalf("block %d: no snapshot at its height", h)
+		}
+		bare := *snap
+		bare.LiveItems = nil
+		bound := len(bare.Encode()) - 1 + len(binary.AppendUvarint(nil, uint64(len(live))))
+		for _, it := range live {
+			bound += len(it.Encode())
+		}
+		if got := len(snap.Encode()); got > bound {
+			t.Fatalf("block %d: snapshot of %d bytes exceeds its header and %d live items (%d bytes)", h, got, len(live), bound)
+		}
+	}
+	if e.Chain().BodyBase() == 0 || packed < 4*most {
+		t.Fatalf("pruned to %d, %d items packed, at most %d live: the bound is not exercised", e.Chain().BodyBase(), packed, most)
+	}
+	t.Logf("%d items packed over %d blocks, at most %d live at once", packed, blocks, most)
 }
 
 // BenchmarkSnapshotBootstrap compares standing up a replica at height N via

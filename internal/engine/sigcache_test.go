@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/block"
+	"repro/internal/pos"
 )
 
 func sigStats(e *Engine) [2]uint64 {
@@ -110,10 +111,14 @@ func TestMineVerifiesLocalItemsOnce(t *testing.T) {
 // the same keys at once.
 func TestVerifyContentParallelMatchesSequential(t *testing.T) {
 	c := newTestCluster(t, 1, nil)
+	// Every block is validly claimed — the sole account's winning second on
+	// a ledger that follows the batch — so content alone decides below.
+	params, led := c.engines[0].cfg.PoS, pos.NewLedger(c.accounts)
 	var blocks []*block.Block
 	prev := block.Genesis(42)
 	for i := 0; i < 16; i++ {
-		bld := block.NewBuilder(prev, c.accounts[0], time.Duration(i+1)*time.Minute, 60, 0.5)
+		mined, b := params.Round(prev, c.accounts[0], led)
+		bld := block.NewBuilder(prev, c.accounts[0], prev.Timestamp+time.Duration(mined)*time.Second, mined, b)
 		for k := 0; k < 6; k++ {
 			it := c.item(0, fmt.Sprint("shared ", k))
 			if i == 5 && k == 4 {
@@ -122,6 +127,9 @@ func TestVerifyContentParallelMatchesSequential(t *testing.T) {
 			bld.AddItem(it)
 		}
 		blk := bld.Seal()
+		if err := led.ApplyBlock(blk); err != nil {
+			t.Fatal(err)
+		}
 		if i == 11 {
 			blk.StoringNodes = []int{7} // not re-sealed: bad hash
 		}
@@ -154,10 +162,7 @@ func TestVerifyContentParallelMatchesSequential(t *testing.T) {
 	// The same through AdoptSuffix: the chain links hold (they use the
 	// stored hashes), content verification must refuse, state stays put.
 	for _, workers := range []int{0, 4} {
-		e := newTestCluster(t, 1, func(_ int, cfg *Config) {
-			cfg.VerifyWorkers = workers
-			cfg.ValidateClaims = false
-		}).engines[0]
+		e := newTestCluster(t, 1, func(_ int, cfg *Config) { cfg.VerifyWorkers = workers }).engines[0]
 		if _, ok := e.AdoptSuffix(blocks); ok || e.Height() != 0 {
 			t.Fatalf("workers=%d: suffix with forged content adopted (height %d)", workers, e.Height())
 		}

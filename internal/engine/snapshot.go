@@ -14,22 +14,26 @@ import (
 	"repro/internal/wire"
 )
 
-// Serializable state snapshots and body pruning (DESIGN.md §14). The
-// engine's periodic in-memory snapshots (sync.go) become exportable: a
-// StateSnapshot carries everything a fresh node needs to stand at a
-// finalized height without replaying from genesis — the full block at the
-// snapshot height (the bootstrap anchor), the ledger counters, the storage
-// view's block counts, and the item table: every item's latest on-chain
-// version and which of them expired. The item assignments, per-node counts
-// and pending expiries are not written: each item carries its storing
-// nodes and valid time, so the receiver derives them. The encoding is
-// deterministic (sorted IDs, one encoding per value), so its SHA-256
-// content hash is comparable across nodes and transports.
+// Serializable state snapshots (DESIGN.md §14). The engine's periodic
+// in-memory snapshots (sync.go) become exportable: a StateSnapshot carries
+// everything a fresh node needs to stand at a finalized height without
+// replaying from genesis — the full block at the snapshot height (the
+// bootstrap anchor), the ledger counters, the storage view's block counts,
+// and the item table: the latest on-chain version of every item unexpired
+// at the anchor's timestamp. The item assignments, per-node counts and
+// pending expiries are not written: each item carries its storing nodes
+// and valid time, so the receiver derives them. The item table expires
+// items at block timestamps and reads no local clock, so the frozen state
+// is a function of the chain up to the anchor; the encoding is
+// deterministic (sorted IDs, one encoding per value), so two replicas at
+// one height write the same bytes and its SHA-256 content hash is
+// comparable across nodes and transports.
 
 // SnapshotVersion is the codec version embedded in every encoded snapshot.
 // Version 5 dropped version 4's InChain, Assignments, Expiries and DataLive
-// lists, which repeated what LiveItems and Expired say.
-const SnapshotVersion = 5
+// lists, which repeated what LiveItems and Expired say; version 6 dropped
+// Expired, because the item table holds live items only.
+const SnapshotVersion = 6
 
 var snapshotMagic = [4]byte{'S', 'N', 'A', 'P'}
 
@@ -53,11 +57,9 @@ type StateSnapshot struct {
 	RecentDepth []int
 	ViewHeight  uint64
 
-	// The view's item table (repair.Index.Export): LiveItems carries the
-	// latest on-chain version of every item recorded up to Height, expired
-	// or not (sorted by ID); Expired lists the IDs among them that have
-	// expired (sorted).
-	Expired   []meta.DataID
+	// The view's item table (repair.Index.Export): the latest on-chain
+	// version of every item unexpired at the anchor's timestamp, sorted by
+	// ID.
 	LiveItems []*meta.Item
 }
 
@@ -92,10 +94,6 @@ func (s *StateSnapshot) Encode() []byte {
 	w = uints(w, s.RecentDepth)
 	w = binary.AppendUvarint(w, s.ViewHeight)
 
-	w = binary.AppendUvarint(w, uint64(len(s.Expired)))
-	for _, id := range s.Expired {
-		w = append(w, id[:]...)
-	}
 	w = binary.AppendUvarint(w, uint64(len(s.LiveItems)))
 	for _, it := range s.LiveItems {
 		w = it.AppendEncode(w)
@@ -151,9 +149,6 @@ func DecodeSnapshot(data []byte) (*StateSnapshot, error) {
 	s.RecentDepth = uints()
 	s.ViewHeight = r.Uvarint()
 
-	for i := r.Count(wire.HashSize); i > 0; i-- {
-		s.Expired = append(s.Expired, r.Hash())
-	}
 	for i := r.Count(meta.MinEncodedSize); i > 0 && r.Err() == nil; i-- {
 		s.LiveItems = append(s.LiveItems, meta.Read(r))
 	}
@@ -187,16 +182,15 @@ func (e *Engine) ExportSnapshot() (*StateSnapshot, bool) {
 
 func exportSnapshot(s snapshot, anchor *block.Block) *StateSnapshot {
 	v := s.view
-	out := &StateSnapshot{
+	return &StateSnapshot{
 		Height:      s.height,
 		Block:       anchor,
 		Ledger:      s.ledger.ExportState(),
 		BlockBodies: slices.Clone(v.blockBodies),
 		RecentDepth: slices.Clone(v.recentDepth),
 		ViewHeight:  v.height,
+		LiveItems:   v.items.Export(),
 	}
-	out.LiveItems, out.Expired = v.items.Export()
-	return out
 }
 
 // --- bootstrap ------------------------------------------------------------
@@ -235,7 +229,7 @@ func (e *Engine) BootstrapFromSnapshot(s *StateSnapshot) error {
 		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
 	view := st.view
-	items, err := repair.RestoreIndex(n, s.LiveItems, s.Expired)
+	items, err := repair.RestoreIndex(n, s.Block.Timestamp, s.LiveItems)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}

@@ -47,7 +47,7 @@ func (e *Engine) AdoptChain(blocks []*block.Block) bool {
 		if _, err := ch.Add(b); err != nil {
 			return false
 		}
-		if e.cfg.ValidateClaims && e.cfg.PoS.ValidateClaim(blocks[i], b, scratch) != nil {
+		if e.cfg.PoS.ValidateClaim(blocks[i], b, scratch) != nil {
 			return false
 		}
 		if scratch.ApplyBlock(b) != nil {

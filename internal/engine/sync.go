@@ -205,16 +205,14 @@ func (e *Engine) AdoptSuffix(suffix []*block.Block) (SuffixStats, bool) {
 	}
 
 	// Validate and apply the suffix on the reconstructed state.
-	events := make([][]ItemEvent, len(suffix))
+	events := make([]AppendEvent, len(suffix))
 	prev := e.ch.At(forkPoint)
 	for i, b := range suffix {
-		if next.view.items.Admit(b.Items) != nil {
+		if next.view.items.Admit(b.Timestamp, b.Items) != nil {
 			return st, false
 		}
-		if e.cfg.ValidateClaims {
-			if err := e.cfg.PoS.ValidateClaim(prev, b, next.ledger); err != nil {
-				return st, false
-			}
+		if err := e.cfg.PoS.ValidateClaim(prev, b, next.ledger); err != nil {
+			return st, false
 		}
 		if events[i], err = next.apply(b, e.cfg.Self, e.cfg.OnAppend != nil); err != nil {
 			return st, false
@@ -238,16 +236,13 @@ func (e *Engine) AdoptSuffix(suffix []*block.Block) (SuffixStats, bool) {
 	// Nothing acknowledged is lost: what the losing branch had packed and the
 	// winning one does not goes back to the pool, through AddMetadata's own
 	// admission (not on the new chain; the signature is a cache hit, it was
-	// verified when the block was adopted).
-	now := e.cfg.Now()
+	// verified when the block was adopted; an expired item is dropped there).
 	for _, b := range disconnected {
 		for _, it := range b.Items {
-			if !it.Expired(now) {
-				// Pooled as published: the losing miner's placement is void.
-				unpacked := it.Clone()
-				unpacked.StoringNodes = nil
-				e.AddMetadata(unpacked)
-			}
+			// Pooled as published: the losing miner's placement is void.
+			unpacked := it.Clone()
+			unpacked.StoringNodes = nil
+			e.AddMetadata(unpacked)
 		}
 	}
 	e.pruneSnapshots()
@@ -257,8 +252,8 @@ func (e *Engine) AdoptSuffix(suffix []*block.Block) (SuffixStats, bool) {
 		cb(disconnected)
 	}
 	if cb := e.cfg.OnAppend; cb != nil {
-		for i, b := range suffix {
-			cb(AppendEvent{Block: b, Items: events[i]})
+		for _, ev := range events {
+			cb(ev)
 		}
 	}
 	return st, true

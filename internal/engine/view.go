@@ -2,7 +2,6 @@ package engine
 
 import (
 	"slices"
-	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/block"
@@ -22,11 +21,13 @@ import (
 //
 // Data assignments live in a repair.Index, the engine's one per-item table
 // and the one implementation of the assignment rule: a re-announcement
-// (repair) replaces the old assignment instead of double counting, and
-// assignments expire with their item's valid time, lazily against the
-// simulation clock. The engine's on-chain lookups (OnChain, LiveItem) and
-// the repair plane read the same index (Index), so placement, pooling and
-// repair agree on what is on chain and who stores it by construction.
+// (repair) replaces the old assignment instead of double counting, and an
+// item leaves the table at the first block whose timestamp passes its valid
+// time. The view reads no clock: it is a function of the blocks applied,
+// so every replica at one height holds the same view. The engine's on-chain
+// lookups (OnChain, LiveItem) and the repair plane read the same index
+// (Index), so placement, pooling and repair agree on what is on chain and
+// who stores it by construction.
 type StorageView struct {
 	capacity    int
 	items       *repair.Index
@@ -54,16 +55,13 @@ func NewStorageView(n, capacity int, mobilityRange float64) *StorageView {
 	return v
 }
 
-// ApplyBlock folds one adopted block's assignments into the view. When
-// replaced is non-nil, it hears each item of b in block order with the
-// version that item replaced (nil for the ID's first announcement).
-func (v *StorageView) ApplyBlock(b *block.Block, replaced func(it, prev *meta.Item)) {
-	for _, it := range b.Items {
-		prev := v.items.Apply(it)
-		if replaced != nil {
-			replaced(it, prev)
-		}
-	}
+// ApplyBlock folds one adopted block's assignments into the view: the
+// items whose valid time b's timestamp passes leave the index, then b's
+// items are applied. It returns the IDs that left. When replaced is
+// non-nil, it hears each item of b in block order with the version that
+// item replaced (nil for the ID's first announcement).
+func (v *StorageView) ApplyBlock(b *block.Block, replaced func(it, prev *meta.Item)) (expired []meta.DataID) {
+	expired = v.items.ApplyBlock(b, replaced)
 	for _, n := range b.StoringNodes {
 		if n >= 0 && n < len(v.blockBodies) {
 			v.blockBodies[n]++
@@ -77,6 +75,7 @@ func (v *StorageView) ApplyBlock(b *block.Block, replaced func(it, prev *meta.It
 	if b.Index > v.height {
 		v.height = b.Index
 	}
+	return expired
 }
 
 // Clone returns an independent deep copy of the view. Snapshots for
@@ -106,22 +105,18 @@ func (v *StorageView) Rebuild(blocks []*block.Block) {
 	}
 }
 
-// Index returns the view's assignment index with every assignment whose
-// valid time has passed at now dropped. It is the view's own: callers
-// read it (Providers, Items, Deficits) and never Apply to it.
-func (v *StorageView) Index(now time.Duration) *repair.Index {
-	v.items.ExpireUntil(now)
-	return v.items
-}
+// Index returns the view's assignment index as of the last applied block.
+// It is the view's own: callers read it (Providers, Items, Deficits) and
+// never Apply to it.
+func (v *StorageView) Index() *repair.Index { return v.items }
 
 // Assignment returns the current storing nodes of an item in ascending
 // order (nil if unknown or expired). The returned slice must not be
 // modified.
 func (v *StorageView) Assignment(id meta.DataID) []int { return v.items.Providers(id) }
 
-// Used returns node i's storage usage at the given time.
-func (v *StorageView) Used(i int, now time.Duration) int {
-	v.items.ExpireUntil(now)
+// Used returns node i's storage usage as of the last applied block.
+func (v *StorageView) Used(i int) int {
 	recent := v.recentDepth[i]
 	if h := int(v.height); recent > h && h >= 0 {
 		if h == 0 {
@@ -133,22 +128,22 @@ func (v *StorageView) Used(i int, now time.Duration) int {
 	return v.items.Count(i) + v.blockBodies[i] + recent
 }
 
-// NodeStates builds the planner input for the current moment.
-func (v *StorageView) NodeStates(now time.Duration) []alloc.NodeState {
-	return v.NodeStatesInto(nil, now)
+// NodeStates builds the planner input as of the last applied block.
+func (v *StorageView) NodeStates() []alloc.NodeState {
+	return v.NodeStatesInto(nil)
 }
 
 // NodeStatesInto is NodeStates writing into dst (grown as needed), so
 // per-round callers can reuse one buffer instead of allocating a fresh
 // slice every mining round.
-func (v *StorageView) NodeStatesInto(dst []alloc.NodeState, now time.Duration) []alloc.NodeState {
+func (v *StorageView) NodeStatesInto(dst []alloc.NodeState) []alloc.NodeState {
 	if cap(dst) < len(v.blockBodies) {
 		dst = make([]alloc.NodeState, len(v.blockBodies))
 	}
 	dst = dst[:len(v.blockBodies)]
 	for i := range dst {
 		dst[i] = alloc.NodeState{
-			Used:          v.Used(i, now),
+			Used:          v.Used(i),
 			Capacity:      v.capacity,
 			MobilityRange: v.mobility,
 		}

@@ -22,11 +22,11 @@ func viewBlock(t *testing.T, prev *block.Block, miner *identity.Identity, items 
 func TestStorageViewInitial(t *testing.T) {
 	v := NewStorageView(3, 250, 30)
 	for i := 0; i < 3; i++ {
-		if got := v.Used(i, 0); got != 0 {
+		if got := v.Used(i); got != 0 {
 			t.Fatalf("Used(%d) = %d at height 0, want 0 (no blocks yet)", i, got)
 		}
 	}
-	states := v.NodeStates(0)
+	states := v.NodeStates()
 	if len(states) != 3 {
 		t.Fatalf("states = %+v", states)
 	}
@@ -51,17 +51,16 @@ func TestStorageViewCountsAssignments(t *testing.T) {
 	b1 := viewBlock(t, g, miner, []*meta.Item{it}, []int{2}, []int{3})
 	v.ApplyBlock(b1, nil)
 
-	now := b1.Timestamp
 	// Node 0: 1 data + recent min(1, height=1)=1 -> 2.
-	if got := v.Used(0, now); got != 2 {
+	if got := v.Used(0); got != 2 {
 		t.Fatalf("Used(0) = %d, want 2", got)
 	}
 	// Node 2: 1 block body + 1 recent -> 2.
-	if got := v.Used(2, now); got != 2 {
+	if got := v.Used(2); got != 2 {
 		t.Fatalf("Used(2) = %d, want 2", got)
 	}
 	// Node 3: recent assignee: depth 2 but height 1 -> recent 1 -> 1.
-	if got := v.Used(3, now); got != 1 {
+	if got := v.Used(3); got != 1 {
 		t.Fatalf("Used(3) = %d, want 1", got)
 	}
 	if v.RecentDepth(3) != 2 {
@@ -83,14 +82,29 @@ func TestStorageViewExpiry(t *testing.T) {
 	it.Sign(producer)
 	it.StoringNodes = []int{0}
 
-	b1 := viewBlock(t, g, miner, []*meta.Item{it}, nil, nil)
-	v.ApplyBlock(b1, nil)
-
-	if got := v.Used(0, 2*time.Minute); got != 2 { // data + recent
-		t.Fatalf("Used before expiry = %d, want 2", got)
-	}
-	if got := v.Used(0, 12*time.Minute); got != 1 { // recent only
-		t.Fatalf("Used after expiry = %d, want 1", got)
+	// Blocks a minute apart: the item expires at 11 min, so the block
+	// stamped 11 min keeps it (strict) and the one stamped 12 min drops it.
+	prev := g
+	for ts := time.Minute; ts <= 12*time.Minute; ts += time.Minute {
+		var items []*meta.Item
+		if ts == time.Minute {
+			items = []*meta.Item{it}
+		}
+		b := viewBlock(t, prev, miner, items, nil, nil)
+		expired := v.ApplyBlock(b, nil)
+		want := 2 // data + recent
+		if ts == 12*time.Minute {
+			want = 1 // recent only
+			if len(expired) != 1 || expired[0] != it.ID {
+				t.Fatalf("block at %v expired %v, want the item", ts, expired)
+			}
+		} else if expired != nil {
+			t.Fatalf("block at %v expired %v before the item's valid time passed", ts, expired)
+		}
+		if got := v.Used(0); got != want {
+			t.Fatalf("Used after the block at %v = %d, want %d", ts, got, want)
+		}
+		prev = b
 	}
 }
 
@@ -111,7 +125,7 @@ func TestStorageViewRecentCappedByHeight(t *testing.T) {
 		t.Fatalf("depth = %d, want 4", v.RecentDepth(0))
 	}
 	// Height is 3, so the FIFO holds at most 3.
-	if got := v.Used(0, prev.Timestamp); got != 3 {
+	if got := v.Used(0); got != 3 {
 		t.Fatalf("Used = %d, want 3 (capped by height)", got)
 	}
 }
@@ -125,7 +139,7 @@ func TestStorageViewRebuild(t *testing.T) {
 	b1 := viewBlock(t, g, miner, nil, []int{0}, []int{1})
 	v.ApplyBlock(b1, nil)
 	v.Rebuild([]*block.Block{g, b1})
-	if got := v.Used(0, b1.Timestamp); got != 2 { // block body + recent
+	if got := v.Used(0); got != 2 { // block body + recent
 		t.Fatalf("Used(0) after rebuild = %d, want 2", got)
 	}
 	if v.RecentDepth(1) != 2 {
@@ -133,7 +147,7 @@ func TestStorageViewRebuild(t *testing.T) {
 	}
 	// Rebuild with empty chain resets.
 	v.Rebuild([]*block.Block{g})
-	if got := v.Used(0, b1.Timestamp); got != 0 {
+	if got := v.Used(0); got != 0 {
 		t.Fatalf("Used(0) after reset = %d, want 0", got)
 	}
 }
@@ -144,13 +158,13 @@ func TestStorageViewRebuild(t *testing.T) {
 // per-round garbage flat as clusters scale to hundreds of nodes.
 func TestNodeStatesIntoHotPathAllocs(t *testing.T) {
 	v := NewStorageView(256, 250, 30)
-	buf := v.NodeStatesInto(nil, 0)
+	buf := v.NodeStatesInto(nil)
 	if got := testing.AllocsPerRun(1000, func() {
-		buf = v.NodeStatesInto(buf, 0)
+		buf = v.NodeStatesInto(buf)
 	}); got != 0 {
 		t.Fatalf("NodeStatesInto with warm buffer allocates %.2f/op, want 0", got)
 	}
-	fresh := v.NodeStates(0)
+	fresh := v.NodeStates()
 	if len(fresh) != len(buf) {
 		t.Fatalf("lengths differ: %d vs %d", len(fresh), len(buf))
 	}

@@ -3,9 +3,12 @@ package livenode
 import (
 	"bytes"
 	"crypto/sha256"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"repro/internal/meta"
 	"repro/internal/p2p"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -405,6 +408,101 @@ func TestPrunedNodeRestartFromSnapshotAndWAL(t *testing.T) {
 	}
 	if err := p2node.StoreErr(); err != nil {
 		t.Fatalf("store error after restart mining: %v", err)
+	}
+}
+
+// TestExpiredBytesStayDeletedAcrossRestart: the block whose timestamp
+// passes an item's valid time deletes the item's bytes as it is adopted, and
+// a node killed right after it restarts from its persisted snapshot and WAL
+// without them. The bytes are put back before the restart, as a crash
+// between the block's log append and the delete would leave them: replaying
+// the block deletes them again. A temp file an interrupted data write left
+// is gone once the store opens.
+func TestExpiredBytesStayDeletedAcrossRestart(t *testing.T) {
+	fn := newFakeNet()
+	epoch := time.Unix(1700000000, 0)
+	dir := t.TempDir()
+	opts := store.Options{Sync: store.SyncAlways, SegmentBlocks: 4}
+	st, err := store.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	durable := func(st store.Backend) func(cfg *Config) {
+		return func(cfg *Config) {
+			cfg.Store = st
+			cfg.PruneDepth = 4
+			cfg.SnapshotEvery = 4
+		}
+	}
+	p := newSyncTestNode(t, fn, "p", 0, epoch, durable(st))
+	p.mineBlocks(t, 4)
+
+	// The item is produced at the next block's winning second and valid for
+	// 1 ns: that block packs it, and the one after expires it.
+	p.mu.Lock()
+	r, ok := p.eng.NextRound()
+	p.mu.Unlock()
+	if !ok {
+		t.Fatal("node cannot mine")
+	}
+	content := []byte("short-lived reading")
+	it := &meta.Item{ID: meta.HashData(content), Type: "Test/Expiry", Produced: r.FireAt(), ValidFor: time.Nanosecond, DataSize: len(content)}
+	it.Sign(p.cfg.Identity)
+	if err := st.PutData(it.ID, content); err != nil {
+		t.Fatal(err)
+	}
+	p.mu.Lock()
+	p.eng.AddLocal(it)
+	p.mu.Unlock()
+	p.mineBlocks(t, 1)
+	if !p.HasItemOnChain(it.ID) {
+		t.Fatal("the next block did not pack the item")
+	}
+	for p.HasItemOnChain(it.ID) {
+		p.mineBlocks(t, 1)
+	}
+	height, tip := p.Height(), p.Tip().Hash
+	if height%4 == 0 {
+		t.Fatalf("the item expired at snapshot height %d: the restart would not replay its block", height)
+	}
+	if p.HasData(it.ID) {
+		t.Fatalf("block %d expired the item but its bytes are still held", height)
+	}
+	if err := p.Kill(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := os.WriteFile(filepath.Join(dir, "data", "tmp", ".put-1"), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := store.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, snapHeight, ok := st2.RecoveredSnapshot(); !ok || snapHeight >= height {
+		t.Fatalf("recovered snapshot at %d (ok %v), want one below block %d", snapHeight, ok, height)
+	}
+	if entries, err := os.ReadDir(filepath.Join(dir, "data", "tmp")); err != nil || len(entries) != 0 {
+		t.Fatalf("%d temp files left after Open (error %v)", len(entries), err)
+	}
+	if err := st2.PutData(it.ID, content); err != nil {
+		t.Fatal(err)
+	}
+	// The restarted node's clock resumes where the killed one stopped, so
+	// the replayed blocks are not from its future.
+	resume := p.clock.Now()
+	p2 := newSyncTestNode(t, fn, "p2", 0, epoch, func(cfg *Config) {
+		durable(st2)(cfg)
+		cfg.Clock = sim.NewVClock(resume)
+	})
+	if err := p2.StoreErr(); err != nil {
+		t.Fatalf("replay error: %v", err)
+	}
+	if p2.Height() != height || p2.Tip().Hash != tip {
+		t.Fatalf("restart recovered height %d, want %d", p2.Height(), height)
+	}
+	if p2.HasItemOnChain(it.ID) || p2.HasData(it.ID) {
+		t.Fatalf("after the restart the expired item is on chain %v, its bytes held %v", p2.HasItemOnChain(it.ID), p2.HasData(it.ID))
 	}
 }
 

@@ -502,7 +502,6 @@ func New(cfg Config) (*Node, error) {
 		PoS:              cfg.PoS,
 		Genesis:          block.Genesis(cfg.GenesisSeed),
 		Now:              n.now,
-		ValidateClaims:   true,
 		Topology:         func() *netsim.Topology { return topo },
 		Planner:          alloc.NewPlanner(commRange),
 		BlockPlanner:     blockPlanner,
@@ -676,8 +675,8 @@ func (n *Node) PoolIDs() []meta.DataID {
 	return n.eng.PoolIDs()
 }
 
-// HasItemOnChain reports whether an item with the given ID is recorded in
-// the node's chain replica.
+// HasItemOnChain reports whether an item with the given ID is on chain and
+// unexpired in the node's chain replica.
 func (n *Node) HasItemOnChain(id meta.DataID) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -759,15 +758,14 @@ func (n *Node) LedgerStats() (s, q []uint64) {
 }
 
 // StorageUsed returns the chain-derived per-node storage usage this node's
-// placement view currently assumes (live data items, block bodies and
-// recent-cache slots; expired items no longer count).
+// placement view assumes at its tip (unexpired data items, block bodies
+// and recent-cache slots).
 func (n *Node) StorageUsed() []int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	now := n.now()
 	out := make([]int, len(n.cfg.Accounts))
 	for i := range out {
-		out[i] = n.eng.View().Used(i, now)
+		out[i] = n.eng.View().Used(i)
 	}
 	return out
 }

@@ -50,16 +50,23 @@ func (n *Node) onAppend(ev engine.AppendEvent) {
 	}
 	if !n.replaying {
 		// Durably log the block before acting on it; replayed blocks are
-		// already in the WAL. A verified block at a multiple of the snapshot
-		// cadence becomes the store checkpoint. Keyed by height rather than
-		// by appends since start, the cadence survives restarts.
+		// already in the WAL.
 		n.noteStoreErrLocked(n.store.AppendBlock(b))
-		if b.Index%uint64(n.cfg.SnapshotEvery) == 0 {
-			n.noteStoreErrLocked(n.store.Checkpoint(b.Index, b.Hash))
-			if n.cfg.PruneDepth > 0 {
-				n.persistSnapshotLocked()
-			}
-			n.pruneExpiredLocked()
+	}
+	// The items the block expired lose their bytes before a checkpoint or
+	// snapshot can cover the block, so a restart from either misses no
+	// delete; a replayed block deletes again, which covers a crash between
+	// the log append and here.
+	for _, id := range ev.Expired {
+		n.noteStoreErrLocked(n.store.DeleteData(id))
+	}
+	if !n.replaying && b.Index%uint64(n.cfg.SnapshotEvery) == 0 {
+		// A verified block at a multiple of the snapshot cadence becomes the
+		// store checkpoint. Keyed by height rather than by appends since
+		// start, the cadence survives restarts.
+		n.noteStoreErrLocked(n.store.Checkpoint(b.Index, b.Hash))
+		if n.cfg.PruneDepth > 0 {
+			n.persistSnapshotLocked()
 		}
 	}
 	if !n.replaying { // no networking during WAL replay
@@ -169,18 +176,6 @@ func (n *Node) replayRecovered() {
 			return
 		}
 	}
-}
-
-// pruneExpiredLocked deletes on-disk data items whose latest on-chain
-// metadata valid-time has passed (n.mu held). Items the chain does not
-// know about — locally produced but not yet packed, or fetched as a
-// consumer — are kept.
-func (n *Node) pruneExpiredLocked() {
-	now := n.now()
-	_, _ = n.store.PruneData(func(id meta.DataID) bool {
-		it := n.eng.LiveItem(id)
-		return it != nil && it.Expired(now)
-	})
 }
 
 // --- mining ------------------------------------------------------------------

@@ -170,7 +170,7 @@ func (n *Node) repairTick() {
 			free--
 		}
 	}
-	items := n.eng.View().Index(nowD).Items(n.selfIdx)
+	items := n.eng.View().Index().Items(n.selfIdx)
 	for k, from := 0, rd.auditCursor; k < len(items) && free > 0; k++ {
 		i := (from + k) % len(items)
 		id := items[i]
@@ -208,7 +208,7 @@ func (n *Node) repairTick() {
 func (n *Node) updateRepairGaugesLocked(now time.Duration) {
 	rd := n.repair
 	dead := func(i int) bool { return rd.det.Status(i, now) == repair.Dead }
-	n.tel.underReplicated.Set(int64(len(n.eng.View().Index(now).Deficits(now, alloc.DefaultMinReplicas, dead))))
+	n.tel.underReplicated.Set(int64(len(n.eng.View().Index().Deficits(now, alloc.DefaultMinReplicas, dead))))
 	n.tel.deadNodes.Set(int64(rd.det.CountDead(now)))
 }
 

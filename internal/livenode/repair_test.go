@@ -268,7 +268,7 @@ func checkAuditRefetches(t *testing.T, n *syncTestNode, id meta.DataID) {
 		}
 	}
 	tick()
-	if _, err := n.store.PruneData(func(x meta.DataID) bool { return x == id }); err != nil {
+	if err := n.store.DeleteData(id); err != nil {
 		t.Fatal(err)
 	}
 	for k := 0; !n.HasData(id); k++ {

@@ -70,7 +70,6 @@ func (c *diffCluster) newEngine(t *testing.T, i int) *engine.Engine {
 		PoS:              pos.Params{M: pos.DefaultM, T0: 60 * time.Second},
 		Genesis:          block.Genesis(42),
 		Now:              func() time.Duration { return c.now },
-		ValidateClaims:   true,
 		SnapshotInterval: 2,
 		Topology:         func() *netsim.Topology { return topo },
 		Planner:          alloc.NewPlanner(1),
@@ -155,14 +154,13 @@ func reannounced(chain []*block.Block) int {
 	return n
 }
 
-// checkDifferential asserts that e's own index at now renders what a
-// scratch rebuild of chain renders at now, and returns the rendering.
-func checkDifferential(t *testing.T, phase string, e *engine.Engine, chain []*block.Block, now time.Duration) string {
+// checkDifferential asserts that e's own index renders what a scratch
+// rebuild of chain renders, and returns the rendering.
+func checkDifferential(t *testing.T, phase string, e *engine.Engine, chain []*block.Block) string {
 	t.Helper()
 	scratch := repair.NewIndex(e.Ledger().N())
 	scratch.Rebuild(chain)
-	scratch.ExpireUntil(now)
-	got, want := e.View().Index(now).Snapshot(), scratch.Snapshot()
+	got, want := e.View().Index().Snapshot(), scratch.Snapshot()
 	if got != want {
 		t.Fatalf("%s: engine's index diverged from scratch rebuild\nengine:\n%s\nrebuild:\n%s", phase, got, want)
 	}
@@ -188,7 +186,7 @@ func TestIndexDifferentialAcrossForkSyncExpiry(t *testing.T) {
 	for k := 0; k < 3; k++ {
 		c.mineNext(t, all)
 	}
-	if s := checkDifferential(t, "announce", c.engines[0], c.engines[0].Chain().Blocks(), c.now); s == "" {
+	if s := checkDifferential(t, "announce", c.engines[0], c.engines[0].Chain().Blocks()); s == "" {
 		t.Fatal("nothing announced: the comparison would be vacuous")
 	}
 
@@ -201,14 +199,18 @@ func TestIndexDifferentialAcrossForkSyncExpiry(t *testing.T) {
 	if reannounced(c.engines[0].Chain().Blocks()) == 0 {
 		t.Fatal("no item re-announced: the comparison would be vacuous")
 	}
-	checkDifferential(t, "re-announce", c.engines[0], c.engines[0].Chain().Blocks(), c.now)
+	checkDifferential(t, "re-announce", c.engines[0], c.engines[0].Chain().Blocks())
 
 	// Phase 3: expiry. Advance past the short-lived items' valid time and
-	// keep mining: their assignments must drop identically on both paths.
+	// keep mining: the next block's timestamp must drop them identically on
+	// both paths, leaving the three that never expire.
 	c.now += 15 * time.Minute
 	c.mineNext(t, all)
 	c.mineNext(t, all)
-	checkDifferential(t, "expiry", c.engines[0], c.engines[0].Chain().Blocks(), c.now)
+	checkDifferential(t, "expiry", c.engines[0], c.engines[0].Chain().Blocks())
+	if live := c.engines[0].View().Index().IDs(); len(live) != 3 {
+		t.Fatalf("%d items live after expiry, want the 3 that never expire", len(live))
+	}
 
 	// Phase 4: suffix catch-up sync. A fresh engine receives the first part
 	// of the chain block by block, then adopts the rest via AdoptSuffix.
@@ -223,7 +225,7 @@ func TestIndexDifferentialAcrossForkSyncExpiry(t *testing.T) {
 	if _, ok := late.AdoptSuffix(chain[split:]); !ok {
 		t.Fatal("late engine rejected catch-up suffix")
 	}
-	checkDifferential(t, "suffix-sync", late, chain, c.now)
+	checkDifferential(t, "suffix-sync", late, chain)
 
 	// Phase 5: snapshot start. A fresh engine installs engine 0's exported
 	// snapshot, takes the blocks above its anchor, and must hold the whole
@@ -245,7 +247,7 @@ func TestIndexDifferentialAcrossForkSyncExpiry(t *testing.T) {
 			t.Fatalf("suffix above the anchor: %v", err)
 		}
 	}
-	checkDifferential(t, "snapshot-start", booted, chain, c.now)
+	checkDifferential(t, "snapshot-start", booted, chain)
 
 	// Phase 6: fork adoption. A disjoint group mines a longer chain from
 	// the same genesis; engine 0 adopts it as one suffix from genesis and
@@ -265,8 +267,8 @@ func TestIndexDifferentialAcrossForkSyncExpiry(t *testing.T) {
 	if _, ok := c.engines[0].AdoptSuffix(winner[1:]); !ok {
 		t.Fatal("engine 0 refused the longer fork")
 	}
-	adopted := checkDifferential(t, "fork-adopt", c.engines[0], winner, c.now)
-	if want := f.engines[0].View().Index(c.now).Snapshot(); adopted != want {
+	adopted := checkDifferential(t, "fork-adopt", c.engines[0], winner)
+	if want := f.engines[0].View().Index().Snapshot(); adopted != want {
 		t.Fatalf("fork adoption diverged from the winner's incremental index\nadopted:\n%s\nincremental:\n%s", adopted, want)
 	}
 }

@@ -61,13 +61,11 @@ func TestIndexExpiry(t *testing.T) {
 	idx.Apply(forever)
 
 	// Strict comparison: at exactly ExpiresAt the item is still live.
-	idx.ExpireUntil(10 * time.Second)
-	if idx.Providers(short.ID) == nil {
-		t.Fatal("item expired at exactly ExpiresAt; expiry must be strict")
+	if gone := idx.ExpireUntil(10 * time.Second); gone != nil || idx.Providers(short.ID) == nil {
+		t.Fatalf("item expired at exactly ExpiresAt (%v); expiry must be strict", gone)
 	}
-	idx.ExpireUntil(10*time.Second + 1)
-	if idx.Providers(short.ID) != nil {
-		t.Fatal("item still live past its valid time")
+	if gone := idx.ExpireUntil(10*time.Second + 1); len(gone) != 1 || gone[0] != short.ID || idx.Providers(short.ID) != nil {
+		t.Fatalf("expired %v past the valid time, want the short item", gone)
 	}
 	if items := idx.Items(0); len(items) != 0 || idx.Count(0) != 0 || idx.Count(1) != 1 {
 		t.Fatalf("node 0 items after expiry = %v (counts %d, %d)", items, idx.Count(0), idx.Count(1))
@@ -75,13 +73,16 @@ func TestIndexExpiry(t *testing.T) {
 	if idx.Providers(forever.ID) == nil {
 		t.Fatal("ValidFor==0 item must never expire")
 	}
-	// A stale re-announcement of an expired item is ignored.
-	idx.Apply(short.Clone())
-	if idx.Providers(short.ID) != nil {
-		t.Fatal("expired item revived by a stale re-announcement")
+	// The expired item is gone from the table, not flagged: the index holds
+	// live items only, and a stale re-announcement is Admit's to refuse.
+	if idx.Item(short.ID) != nil {
+		t.Fatal("expired item still in the table")
 	}
-	if live := idx.Live(); len(live) != 1 || live[0] != forever.ID {
-		t.Fatalf("live = %v, want only the forever item", live)
+	if ids := idx.IDs(); len(ids) != 1 || ids[0] != forever.ID {
+		t.Fatalf("IDs = %v, want only the forever item", ids)
+	}
+	if err := idx.Admit(10*time.Second+1, []*meta.Item{short.Clone()}); err == nil {
+		t.Fatal("Admit passed a stale re-announcement of an expired item")
 	}
 }
 
@@ -96,23 +97,21 @@ func TestIndexRebuildMatchesIncremental(t *testing.T) {
 	reannounced.StoringNodes = []int{0, 3}
 	blocks := []*block.Block{
 		genesis,
-		{Index: 1, Items: items[:2]},
-		{Index: 2, Items: []*meta.Item{items[2], reannounced}},
+		{Index: 1, Timestamp: time.Second, Items: items[:2]},
+		{Index: 2, Timestamp: 8 * time.Second, Items: []*meta.Item{items[2], reannounced}},
 	}
-	now := 8 * time.Second
 
 	inc := NewIndex(4)
+	var expired []meta.DataID
 	for _, b := range blocks[1:] {
-		for _, it := range b.Items {
-			inc.Apply(it)
-		}
-		inc.ExpireUntil(3 * time.Second) // interleaved partial expiry
+		expired = append(expired, inc.ApplyBlock(b, nil)...)
 	}
-	inc.ExpireUntil(now)
+	if len(expired) != 1 || expired[0] != items[0].ID {
+		t.Fatalf("blocks expired %v, want x at block 2", expired)
+	}
 
 	scratch := NewIndex(4)
 	scratch.Rebuild(blocks)
-	scratch.ExpireUntil(now)
 
 	if inc.Snapshot() != scratch.Snapshot() {
 		t.Fatalf("incremental and rebuilt snapshots differ:\n--- incremental\n%s--- rebuilt\n%s",
@@ -160,10 +159,9 @@ func TestIndexCloneIndependent(t *testing.T) {
 	}
 }
 
-// Export and RestoreIndex round-trip the whole index — live assignments,
-// pending expiries, the expired set, the counts — from the items and the
-// expired IDs alone, and a restored index keeps applying the rule: its
-// pending expiries fire, its expired items stay dead.
+// Export and RestoreIndex round-trip the whole index — assignments,
+// pending expiries, the counts — from the items alone, and a restored index
+// keeps applying the rule: its pending expiries fire.
 func TestIndexExportRestore(t *testing.T) {
 	idx := NewIndex(4)
 	for _, it := range []*meta.Item{
@@ -174,14 +172,13 @@ func TestIndexExportRestore(t *testing.T) {
 	} {
 		idx.Apply(it)
 	}
-	idx.ExpireUntil(10 * time.Second) // c expires; a and d stay pending
-	later := testItem("c", 0, 5*time.Second, 3)
-	idx.Apply(later) // a re-announcement after expiry: recorded, assigns nothing
-	items, expired := idx.Export()
-	if len(items) != 4 || len(expired) != 1 || expired[0] != later.ID {
-		t.Fatalf("export: %d items, expired %v", len(items), expired)
+	const at = 10 * time.Second
+	idx.ExpireUntil(at) // c expires; a and d stay pending
+	items := idx.Export()
+	if len(items) != 3 || idx.Item(items[0].ID) != items[0] {
+		t.Fatalf("export: %d items, want the 3 live ones", len(items))
 	}
-	back, err := RestoreIndex(4, items, expired)
+	back, err := RestoreIndex(4, at, items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,19 +195,15 @@ func TestIndexExportRestore(t *testing.T) {
 			t.Fatalf("item %s: restored version differs", it.ID.Short())
 		}
 	}
-	if back.Item(later.ID) != later {
-		t.Fatal("the expired item's latest version was not kept")
-	}
-	back.Apply(testItem("c", 0, 5*time.Second, 0))
 	back.ExpireUntil(time.Minute)
 	idx.ExpireUntil(time.Minute)
-	if back.Snapshot() != idx.Snapshot() || back.Providers(later.ID) != nil {
+	if back.Snapshot() != idx.Snapshot() || len(back.IDs()) != 1 {
 		t.Fatalf("restored index stopped following the rule:\n%s", back.Snapshot())
 	}
 
 	// Unsorted storing nodes are sorted on the way in.
 	unsorted := testItem("u", 0, 0, 3, 1)
-	r, err := RestoreIndex(4, []*meta.Item{unsorted}, nil)
+	r, err := RestoreIndex(4, 0, []*meta.Item{unsorted})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,18 +218,15 @@ func TestIndexExportRestore(t *testing.T) {
 	x, y := testItem("x", 0, 0, 0), testItem("y", 0, 0, 1)
 	asc := sorted(x, y)
 	for _, tc := range []struct {
-		name    string
-		items   []*meta.Item
-		expired []meta.DataID
+		name  string
+		items []*meta.Item
 	}{
-		{"node outside the roster", []*meta.Item{testItem("off", 0, 0, 4)}, nil},
-		{"unsorted items", []*meta.Item{asc[1], asc[0]}, nil},
-		{"duplicate items", []*meta.Item{x, x}, nil},
-		{"unlisted expired ID", asc, []meta.DataID{meta.HashData([]byte("z"))}},
-		{"unsorted expired IDs", asc, []meta.DataID{asc[1].ID, asc[0].ID}},
-		{"duplicate expired IDs", asc, []meta.DataID{x.ID, x.ID}},
+		{"node outside the roster", []*meta.Item{testItem("off", 0, 0, 4)}},
+		{"unsorted items", []*meta.Item{asc[1], asc[0]}},
+		{"duplicate items", []*meta.Item{x, x}},
+		{"item expired at the anchor", sorted(x, testItem("gone", 0, 5*time.Second, 0))},
 	} {
-		if _, err := RestoreIndex(4, tc.items, tc.expired); err == nil {
+		if _, err := RestoreIndex(4, at, tc.items); err == nil {
 			t.Errorf("%s: restored", tc.name)
 		}
 	}
@@ -250,7 +240,9 @@ func TestIndexExportRestore(t *testing.T) {
 func TestIndexAdmit(t *testing.T) {
 	idx := NewIndex(3)
 	a := testItem("a", 0, 30*time.Second, 0, 1)
+	short := testItem("short", 0, 15*time.Second, 0)
 	idx.Apply(a)
+	idx.Apply(short)
 	before := idx.Snapshot()
 	with := func(it *meta.Item, edit func(*meta.Item)) *meta.Item {
 		cp := it.Clone()
@@ -263,19 +255,24 @@ func TestIndexAdmit(t *testing.T) {
 	longer := with(a, func(it *meta.Item) { it.ValidFor = time.Hour })
 	later := with(a, func(it *meta.Item) { it.Produced = time.Second })
 	bForever := with(b, func(it *meta.Item) { it.ValidFor = 0 })
+	stale := testItem("stale", 0, 10*time.Second, 1)
+	const at = 20 * time.Second // the block's timestamp
 	for _, tc := range []struct {
 		name  string
 		items []*meta.Item
 		ok    bool
 	}{
 		{"new items and re-announcements keeping the valid time", []*meta.Item{b, moved, bMoved}, true},
+		{"new item expired at the block's timestamp", []*meta.Item{stale}, false},
+		{"re-announcement expired at the block's timestamp", []*meta.Item{with(short, func(it *meta.Item) { it.StoringNodes = []int{2} })}, false},
+		{"item live at exactly the block's timestamp", []*meta.Item{testItem("edge", 0, at, 2)}, true},
 		{"storing node outside the roster", []*meta.Item{testItem("off", 0, 0, 0, 7)}, false},
 		{"negative storing node", []*meta.Item{testItem("neg", 0, 0, -1)}, false},
 		{"on-chain item with another ValidFor", []*meta.Item{longer}, false},
 		{"on-chain item with another Produced", []*meta.Item{later}, false},
 		{"new item twice with another ValidFor", []*meta.Item{b, bForever}, false},
 	} {
-		if err := idx.Admit(tc.items); (err == nil) != tc.ok {
+		if err := idx.Admit(at, tc.items); (err == nil) != tc.ok {
 			t.Errorf("%s: Admit = %v", tc.name, err)
 		}
 	}
@@ -283,11 +280,10 @@ func TestIndexAdmit(t *testing.T) {
 		t.Fatal("Admit changed the index")
 	}
 
-	for _, it := range []*meta.Item{b, moved, bMoved} {
-		idx.Apply(it)
+	if gone := idx.ApplyBlock(&block.Block{Index: 1, Timestamp: at, Items: []*meta.Item{b, moved, bMoved}}, nil); len(gone) != 1 || gone[0] != short.ID {
+		t.Fatalf("the block expired %v, want the short item", gone)
 	}
-	items, expired := idx.Export()
-	back, err := RestoreIndex(3, items, expired)
+	back, err := RestoreIndex(3, at, idx.Export())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,8 +296,7 @@ func TestIndexAdmit(t *testing.T) {
 	refused := NewIndex(3)
 	refused.Apply(a)
 	refused.Apply(longer)
-	items, expired = refused.Export()
-	if back, err = RestoreIndex(3, items, expired); err != nil {
+	if back, err = RestoreIndex(3, at, refused.Export()); err != nil {
 		t.Fatal(err)
 	}
 	if back.Snapshot() == refused.Snapshot() {
@@ -346,9 +341,8 @@ func TestIndexDeficits(t *testing.T) {
 }
 
 // deficitsReference is Deficits as it was before it stopped sorting every
-// live ID: expire, sort all live IDs byte by byte, build Alive for each.
-func deficitsReference(idx *Index, now time.Duration, floor int, dead func(i int) bool) []Deficit {
-	idx.ExpireUntil(now)
+// live ID: sort all IDs byte by byte, build Alive for each.
+func deficitsReference(idx *Index, floor int, dead func(i int) bool) []Deficit {
 	upNodes := len(idx.count)
 	if dead != nil {
 		upNodes = 0
@@ -363,10 +357,8 @@ func deficitsReference(idx *Index, now time.Duration, floor int, dead func(i int
 		want = upNodes
 	}
 	var live []meta.DataID
-	for id, e := range idx.items {
-		if !e.expired {
-			live = append(live, id)
-		}
+	for id := range idx.items {
+		live = append(live, id)
 	}
 	sort.Slice(live, func(a, b int) bool {
 		for k := range live[a] {
@@ -393,8 +385,9 @@ func deficitsReference(idx *Index, now time.Duration, floor int, dead func(i int
 }
 
 // Deficits answers what the full-sort body answered — same deficits, same
-// Alive lists, same order — and leaves the index in the same state, on
-// random indexes, dead sets, floors and expiry instants.
+// Alive lists, same order — and leaves the index as it was, on random
+// indexes, dead sets, floors and expiry instants. Its time argument changes
+// nothing: the index expires at block timestamps only.
 func TestDeficitsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
@@ -419,12 +412,15 @@ func TestDeficitsMatchesReference(t *testing.T) {
 			dead = nil
 		}
 		now, floor := time.Duration(rng.Intn(200))*time.Second, rng.Intn(5)
-		want := deficitsReference(ref, now, floor, dead)
-		if have := got.Deficits(now, floor, dead); !reflect.DeepEqual(have, want) {
+		got.ExpireUntil(now)
+		ref.ExpireUntil(now)
+		before := got.Snapshot()
+		want := deficitsReference(ref, floor, dead)
+		if have := got.Deficits(now+time.Hour, floor, dead); !reflect.DeepEqual(have, want) {
 			t.Fatalf("trial %d: Deficits = %+v, reference %+v", trial, have, want)
 		}
-		if got.Snapshot() != ref.Snapshot() {
-			t.Fatalf("trial %d: index state after Deficits differs from the reference's", trial)
+		if got.Snapshot() != before {
+			t.Fatalf("trial %d: Deficits changed the index", trial)
 		}
 	}
 }

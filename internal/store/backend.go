@@ -47,8 +47,9 @@ type Backend interface {
 	AppendData(dst []byte, id meta.DataID) (out []byte, ok bool)
 	// HasData reports whether the item's content is held.
 	HasData(id meta.DataID) bool
-	// PruneData removes items for which expired returns true.
-	PruneData(expired func(meta.DataID) bool) (int, error)
+	// DeleteData removes a data item's content; an item not held is no
+	// error.
+	DeleteData(id meta.DataID) error
 
 	// Close releases the store.
 	Close() error
@@ -162,18 +163,12 @@ func (s *MemStore) HasData(id meta.DataID) bool {
 	return ok
 }
 
-// PruneData removes expired items.
-func (s *MemStore) PruneData(expired func(meta.DataID) bool) (int, error) {
+// DeleteData removes the item.
+func (s *MemStore) DeleteData(id meta.DataID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	removed := 0
-	for id := range s.data {
-		if expired(id) {
-			delete(s.data, id)
-			removed++
-		}
-	}
-	return removed, nil
+	delete(s.data, id)
+	return nil
 }
 
 // Close implements Backend as a no-op.

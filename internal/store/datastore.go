@@ -12,8 +12,9 @@ import (
 // DataStore is a content-addressed file store for data items. Each item
 // lives at data/<hex[:2]>/<hex> where hex is its full content hash, so
 // the path is derivable from the DataID alone and a directory never grows
-// beyond 1/256 of the item population. Writes go through a temp file +
-// rename, so a crash leaves either the whole item or nothing. Reads are
+// beyond 1/256 of the item population. Writes go through a temp file in
+// data/tmp + rename, so a crash leaves either the whole item or nothing
+// but a stray temp file, and NewDataStore empties data/tmp. Reads are
 // fronted by a bounded LRU cache: the paper's ~1 MB data items make the
 // cache the hot path when serving repeated FrameDataRequest fetches.
 type DataStore struct {
@@ -25,10 +26,19 @@ type DataStore struct {
 // DefaultCacheBytes is the default LRU budget (64 MiB ≈ 64 paper items).
 const DefaultCacheBytes = 64 << 20
 
+// tmpDir is the data store's directory of in-flight writes. Its name is
+// no item's subdirectory (those are two hex digits).
+const tmpDir = "tmp"
+
 // NewDataStore creates the store rooted at dir with the given LRU budget
-// in bytes (0 = DefaultCacheBytes, negative = no cache).
+// in bytes (0 = DefaultCacheBytes, negative = no cache). It deletes the
+// temp files of writes a crash interrupted.
 func NewDataStore(dir string, cacheBytes int) (*DataStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	tmp := filepath.Join(dir, tmpDir)
+	if err := os.RemoveAll(tmp); err != nil {
+		return nil, fmt.Errorf("store: data tmp: %w", err)
+	}
+	if err := os.MkdirAll(tmp, 0o755); err != nil {
 		return nil, fmt.Errorf("store: data dir: %w", err)
 	}
 	if cacheBytes == 0 {
@@ -67,7 +77,7 @@ func (s *DataStore) Put(id meta.DataID, content []byte) error {
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		return fmt.Errorf("store: data subdir: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(dst), ".put-*")
+	tmp, err := os.CreateTemp(filepath.Join(s.dir, tmpDir), ".put-*")
 	if err != nil {
 		return fmt.Errorf("store: data tmp: %w", err)
 	}
@@ -131,44 +141,4 @@ func (s *DataStore) Delete(id meta.DataID) error {
 		return fmt.Errorf("store: data delete: %w", err)
 	}
 	return nil
-}
-
-// Prune walks the store and deletes every item for which expired returns
-// true — the on-disk counterpart of StorageView's valid-time expiry
-// (items whose metadata valid time has passed no longer earn storage
-// credit, so keeping their bytes only wastes the device's capacity).
-// Returns the number of items removed. Stray temp files from interrupted
-// writes are removed opportunistically.
-func (s *DataStore) Prune(expired func(meta.DataID) bool) (int, error) {
-	removed := 0
-	subdirs, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0, fmt.Errorf("store: prune: %w", err)
-	}
-	for _, sub := range subdirs {
-		if !sub.IsDir() {
-			continue
-		}
-		subPath := filepath.Join(s.dir, sub.Name())
-		entries, err := os.ReadDir(subPath)
-		if err != nil {
-			continue
-		}
-		for _, e := range entries {
-			raw, decErr := hex.DecodeString(e.Name())
-			if decErr != nil || len(raw) != len(meta.DataID{}) {
-				// Leftover temp file or foreign junk.
-				_ = os.Remove(filepath.Join(subPath, e.Name()))
-				continue
-			}
-			var id meta.DataID
-			copy(id[:], raw)
-			if expired(id) {
-				if err := s.Delete(id); err == nil {
-					removed++
-				}
-			}
-		}
-	}
-	return removed, nil
 }

@@ -64,9 +64,12 @@ func TestDataStoreColdReadVerifiesHash(t *testing.T) {
 	}
 }
 
-func TestDataStorePrune(t *testing.T) {
+// DeleteData removes exactly the named items, from cache and disk, and a
+// temp file an interrupted write left behind is gone once the store is
+// opened again.
+func TestDataStoreDelete(t *testing.T) {
 	dir := t.TempDir()
-	ds, err := NewDataStore(dir, 0)
+	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,34 +78,45 @@ func TestDataStorePrune(t *testing.T) {
 		content := []byte(fmt.Sprintf("item-%d", i))
 		id := meta.HashData(content)
 		ids = append(ids, id)
-		if err := ds.Put(id, content); err != nil {
+		if err := s.PutData(id, content); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Plant a stray temp file; Prune must clean it up without counting it.
-	stray := filepath.Join(dir, "ab")
-	if err := os.MkdirAll(stray, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(stray, ".put-123"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	expired := map[meta.DataID]bool{ids[1]: true, ids[3]: true}
-	removed, err := ds.Prune(func(id meta.DataID) bool { return expired[id] })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed != 2 {
-		t.Fatalf("pruned %d items, want 2", removed)
-	}
-	for i, id := range ids {
-		if got := ds.Has(id); got == expired[id] {
-			t.Fatalf("item %d: has=%v after prune", i, got)
+	gone := map[meta.DataID]bool{ids[1]: true, ids[3]: true}
+	for id := range gone {
+		if err := s.DeleteData(id); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if _, err := os.Stat(filepath.Join(stray, ".put-123")); !os.IsNotExist(err) {
-		t.Fatal("stray temp file survived prune")
+	if err := s.DeleteData(ids[1]); err != nil {
+		t.Fatalf("deleting an item no longer held: %v", err)
+	}
+	check := func(s *Store, when string) {
+		for i, id := range ids {
+			if got := s.HasData(id); got == gone[id] {
+				t.Fatalf("%s: item %d held %v", when, i, got)
+			}
+		}
+	}
+	check(s, "after delete")
+	// A crash mid-write leaves its temp file in the temp directory.
+	stray := filepath.Join(dir, dataDir, tmpDir, ".put-123")
+	if err := os.WriteFile(stray, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(dir, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	check(s, "after reopen")
+	if _, err := os.Stat(stray); !os.IsNotExist(err) {
+		t.Fatalf("stray temp file survived Open (stat error %v)", err)
+	}
+	if entries, err := os.ReadDir(filepath.Join(dir, dataDir, tmpDir)); err != nil || len(entries) != 0 {
+		t.Fatalf("temp directory holds %d entries after Open (error %v)", len(entries), err)
 	}
 }
 

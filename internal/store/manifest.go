@@ -21,7 +21,7 @@ type Manifest struct {
 	// WALBytes is the WAL size at checkpoint time (informational).
 	WALBytes int64 `json:"wal_bytes"`
 	// SnapshotHeight is the height of the persisted state snapshot
-	// (snapshot5-<height>.bin / spine-<height>.bin), 0 when none.
+	// (snapshot<v>-<height>.bin / spine-<height>.bin), 0 when none.
 	SnapshotHeight uint64 `json:"snapshot_height,omitempty"`
 	// SnapshotHash is the hex SHA-256 of the snapshot blob; restore
 	// refuses a blob that does not hash to it.

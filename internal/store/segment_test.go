@@ -272,6 +272,14 @@ func TestOpenRefusesVersion4Snapshot(t *testing.T) {
 	checkOpenRefuses(t, "snapshot4-00000000000000000064.bin", []byte("SNAP\x00\x00\x00\x04"))
 }
 
+// TestOpenRefusesVersion5Snapshot: a snapshot5- file holds a version-5
+// engine snapshot, whose expired-ID list version 6 dropped (the engine's
+// TestDecodeSnapshotRefusesVersion4 refuses a full one); Open refuses the
+// directory by the name alone.
+func TestOpenRefusesVersion5Snapshot(t *testing.T) {
+	checkOpenRefuses(t, "snapshot5-00000000000000000064.bin", []byte("SNAP\x00\x00\x00\x05"))
+}
+
 // TestSnapshotFileNameFollowsEngineVersion ties the snapshot file prefix to
 // the engine's snapshot codec version, so a format bump cannot rename one
 // without the other: the current prefix names engine.SnapshotVersion, and

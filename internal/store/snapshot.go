@@ -26,7 +26,9 @@ import (
 // discarded at Open (falling back to a plain genesis replay).
 
 const (
-	snapshotFilePrefix = "snapshot5-"
+	// snapshotFilePrefix names the engine's current snapshot version
+	// (engine.SnapshotVersion); every other snapshot<k>- name is legacy.
+	snapshotFilePrefix = "snapshot6-"
 	spineFilePrefix    = "spine-"
 	snapshotFileSuffix = ".bin"
 

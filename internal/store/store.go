@@ -13,8 +13,9 @@
 //     framed records, each payload an internal/block wire encoding),
 //     sealed every SegmentBlocks appends so history below the prune
 //     horizon compacts by whole-file unlink
-//   - data/xx/<hash>  content-addressed data items (temp-file + rename)
-//   - snapshot5-<h>.bin / spine-<h>.bin  serialized engine state + header
+//   - data/xx/<hash>  content-addressed data items (written to data/tmp,
+//     then renamed; Open empties data/tmp)
+//   - snapshot6-<h>.bin / spine-<h>.bin  serialized engine state + header
 //     spine at the latest finalized snapshot height, letting a restart
 //     (or a fresh node, over the wire) skip replaying pruned history
 //   - manifest.json   checkpoint (chain head + height + snapshot hashes)
@@ -24,11 +25,9 @@
 //
 // The 3 in the segment names is the on-disk format: blocks in the varint
 // wire form whose items open with a flags byte (DESIGN.md "Wire format").
-// The 5 in the snapshot names is engine.SnapshotVersion: version 5 writes
-// the item table as the items and the expired IDs alone, where version 4
-// also wrote the assignments, pending expiries, per-node counts and
-// on-chain IDs that follow from them. Recovery would read a record in an
-// older form as a torn tail and cut the chain to nothing, and an older
+// The 6 in the snapshot names is engine.SnapshotVersion: version 6 writes
+// the item table as its live items alone. Recovery would read a record in
+// an older form as a torn tail and cut the chain to nothing, and an older
 // snapshot is one the engine refuses, so Open refuses a directory that
 // holds any file under an older name (legacyFile) and leaves it untouched.
 //
@@ -97,16 +96,16 @@ var errClosed = errors.New("store: closed")
 
 // legacyFile reports whether name is a block log or snapshot in a format
 // this version cannot read: the single pre-segmentation wal.log, the
-// fixed-width wal-<idx>.log and snapshot-<h>.bin, wal2-<idx>.log and
-// snapshot2-<h>.bin, whose items have no flags byte, snapshot3-<h>.bin,
-// whose ledger still carries token rentals and a stake scale, or
-// snapshot4-<h>.bin, which repeats the item table in four derived lists.
+// fixed-width wal-<idx>.log, wal2-<idx>.log, whose items have no flags
+// byte, and every snapshot<k>-<h>.bin or unversioned snapshot-<h>.bin but
+// the current version's (snapshotFilePrefix), which the engine refuses.
 func legacyFile(name string) bool {
+	if gen, ok := strings.CutPrefix(name, "snapshot"); ok && strings.HasSuffix(name, snapshotFileSuffix) {
+		gen, _, ok = strings.Cut(gen, "-")
+		return ok && strings.Trim(gen, "0123456789") == "" && !strings.HasPrefix(name, snapshotFilePrefix)
+	}
 	return name == "wal.log" ||
-		(strings.HasPrefix(name, "wal-") || strings.HasPrefix(name, "wal2-")) && strings.HasSuffix(name, segmentSuffix) ||
-		(strings.HasPrefix(name, "snapshot-") || strings.HasPrefix(name, "snapshot2-") ||
-			strings.HasPrefix(name, "snapshot3-") || strings.HasPrefix(name, "snapshot4-")) &&
-			strings.HasSuffix(name, snapshotFileSuffix)
+		(strings.HasPrefix(name, "wal-") || strings.HasPrefix(name, "wal2-")) && strings.HasSuffix(name, segmentSuffix)
 }
 
 // openLockFile opens, creating it if needed, the directory's lock file.
@@ -357,11 +356,8 @@ func (s *Store) AppendData(dst []byte, id meta.DataID) ([]byte, bool) {
 // HasData reports whether the item's content is on disk.
 func (s *Store) HasData(id meta.DataID) bool { return s.data.Has(id) }
 
-// PruneData deletes every stored data item for which expired returns
-// true, returning how many were removed.
-func (s *Store) PruneData(expired func(meta.DataID) bool) (int, error) {
-	return s.data.Prune(expired)
-}
+// DeleteData removes a data item's content from cache and disk.
+func (s *Store) DeleteData(id meta.DataID) error { return s.data.Delete(id) }
 
 // Close fsyncs and closes the WAL and releases the directory lock. The
 // store must not be used afterwards; a second Close does nothing.
