@@ -381,6 +381,16 @@ func (e *Engine) poolItems(now time.Duration) []*meta.Item {
 	return items
 }
 
+// expirePool drops the pooled items whose valid time a block timestamp has
+// passed, the clock the item table expires by.
+func (e *Engine) expirePool(at time.Duration) {
+	for id, it := range e.pool {
+		if it.Expired(at) {
+			delete(e.pool, id)
+		}
+	}
+}
+
 // compareID orders data IDs by their bytes.
 func compareID(a, b meta.DataID) int { return bytes.Compare(a[:], b[:]) }
 
@@ -403,7 +413,8 @@ func (e *Engine) preAppend(prev, b *block.Block) error {
 }
 
 // postAppend is the chain hook applying an adopted block's side effects:
-// ledger accounting, storage view and its item index, and pool pruning.
+// ledger accounting, storage view and its item index, and pool pruning (the
+// block's items and what its timestamp expired).
 // The adapter's OnAppend callback then layers physical storage, fetches
 // and telemetry on top.
 func (e *Engine) postAppend(b *block.Block) {
@@ -415,6 +426,7 @@ func (e *Engine) postAppend(b *block.Block) {
 	for _, it := range b.Items {
 		delete(e.pool, it.ID)
 	}
+	e.expirePool(b.Timestamp)
 	e.maybeSnapshot(b.Index)
 	if cb := e.cfg.OnAppend; cb != nil {
 		cb(ev)
@@ -429,8 +441,9 @@ func (e *Engine) ReceiveBlock(b *block.Block) (appended int, err error) {
 	return e.ch.Add(b)
 }
 
-// AppendTrusted appends an already-validated block (WAL replay), skipping
-// claim checks but running the normal state transitions.
+// AppendTrusted appends a block whose content this node verified before
+// (WAL replay up to the store's pin): it skips the content checks but runs
+// the link and claim checks and the normal state transitions.
 func (e *Engine) AppendTrusted(b *block.Block) error {
 	return e.ch.AppendTrusted(b)
 }

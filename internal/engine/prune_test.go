@@ -615,6 +615,7 @@ func TestBootstrapRejectsCorruptSnapshots(t *testing.T) {
 		{"nil anchor", func(s *StateSnapshot) { s.Block = nil }},
 		{"height mismatch", func(s *StateSnapshot) { s.Height++ }},
 		{"ledger not applied to height", func(s *StateSnapshot) { s.Ledger.Applied-- }},
+		{"view at another height", func(s *StateSnapshot) { s.ViewHeight-- }},
 		{"roster shrunk", func(s *StateSnapshot) { s.BlockBodies = s.BlockBodies[:1] }},
 		{"assignment outside the roster", func(s *StateSnapshot) { s.LiveItems[0] = offRoster }},
 		{"unsorted IDs", func(s *StateSnapshot) {
@@ -725,10 +726,11 @@ func (c *testCluster) validItem(t testing.TB, producer int, content string, vali
 }
 
 // TestExpiredItemsStayOffChain: an item whose valid time ends before a
-// block's timestamp never enters that block. The miner drops it from its
-// pool and does not re-announce it as a repair (Admit would refuse its own
-// block), and a peer refuses a validly claimed block that carries one,
-// first announced or re-announced.
+// block's timestamp never enters that block. The miner does not re-announce
+// it as a repair (Admit would refuse its own block), every engine drops it
+// from its pool at that block — the miner, the peers that received the block
+// and an observer that adopted the chain as one suffix — and a peer refuses
+// a validly claimed block that carries one, first announced or re-announced.
 func TestExpiredItemsStayOffChain(t *testing.T) {
 	status := make([]repair.Status, 3)
 	c := repairCluster(t, 3, status)
@@ -738,6 +740,10 @@ func TestExpiredItemsStayOffChain(t *testing.T) {
 		t.Fatal("the first block did not pack the item")
 	}
 	pooled := c.validItem(t, 1, "pooled", 2*time.Minute)
+	observer := freshObserver(t, c) // adopts the chain as one suffix below
+	if !observer.AddMetadata(pooled) {
+		t.Fatal("the observer rejected the pooled item")
+	}
 	stale := func(it *meta.Item) *meta.Item { // a fresh copy, so no pool holds it
 		cp := it.Clone()
 		cp.ID = meta.HashData([]byte("stale copy of " + it.ID.String()))
@@ -752,12 +758,15 @@ func TestExpiredItemsStayOffChain(t *testing.T) {
 	if len(b.Items) != 0 {
 		t.Fatalf("a block stamped %v packed %d items past their valid time", b.Timestamp, len(b.Items))
 	}
+	if _, ok := observer.AdoptSuffix(c.engines[0].Chain().Range(1, b.Index)); !ok || observer.PoolHas(pooled.ID) {
+		t.Fatalf("the observer adopted the chain: %v, and still pools the expired item: %v", ok, observer.PoolHas(pooled.ID))
+	}
 	for i, e := range c.engines {
 		if e.OnChain(packed.ID) {
 			t.Fatalf("engine %d still holds the expired item on chain", i)
 		}
-		if c.accounts[i] == b.Miner && e.PoolHas(pooled.ID) {
-			t.Fatalf("the miner, engine %d, kept the expired item in its pool", i)
+		if e.PoolHas(pooled.ID) {
+			t.Fatalf("engine %d (miner %v) kept the expired item in its pool", i, c.accounts[i] == b.Miner)
 		}
 		if e.AddMetadata(stale(pooled)) {
 			t.Fatalf("engine %d pooled an expired item", i)

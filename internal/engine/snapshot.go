@@ -55,7 +55,7 @@ type StateSnapshot struct {
 	// Storage-view state (chain-derived portion).
 	BlockBodies []int
 	RecentDepth []int
-	ViewHeight  uint64
+	ViewHeight  uint64 // must equal Height; goes at the next format change
 
 	// The view's item table (repair.Index.Export): the latest on-chain
 	// version of every item unexpired at the anchor's timestamp, sorted by
@@ -219,6 +219,9 @@ func (e *Engine) BootstrapFromSnapshot(s *StateSnapshot) error {
 	}
 	if s.Ledger.Applied != s.Height {
 		return fmt.Errorf("%w: ledger applied %d, snapshot height %d", ErrBadSnapshot, s.Ledger.Applied, s.Height)
+	}
+	if s.ViewHeight != s.Height {
+		return fmt.Errorf("%w: view height %d, snapshot height %d", ErrBadSnapshot, s.ViewHeight, s.Height)
 	}
 	n := len(e.cfg.Accounts)
 	if len(s.BlockBodies) != n || len(s.RecentDepth) != n {

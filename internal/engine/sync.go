@@ -245,6 +245,7 @@ func (e *Engine) AdoptSuffix(suffix []*block.Block) (SuffixStats, bool) {
 			e.AddMetadata(unpacked)
 		}
 	}
+	e.expirePool(e.ch.Tip().Timestamp)
 	e.pruneSnapshots()
 	e.maybePrune()
 

@@ -287,11 +287,10 @@ func (n *Node) handleSnapshot(from string, payload []byte) {
 	n.tel.events.RecordAt(n.clock.Now(), "bootstrap_installed",
 		fmt.Sprintf("height %d, %d bytes", snap.Height, len(blob)))
 	// Persist the installed state so a restart does not depend on the
-	// peer still being around: snapshot blob + manifest checkpoint. The
-	// spine below the anchor is unknown to a bootstrapped node, so none
-	// is written.
+	// peer still being around; SaveSnapshot points the manifest at it. The
+	// spine below the anchor is unknown to a bootstrapped node, so none is
+	// written.
 	n.noteStoreErrLocked(n.store.SaveSnapshot(snap.Height, blob, nil))
-	n.noteStoreErrLocked(n.store.Checkpoint(snap.Height, snap.Block.Hash))
 	n.persistedSnap = snap.Height
 	n.updateChainGauges()
 	peer := bs.peer

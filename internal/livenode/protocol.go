@@ -125,12 +125,12 @@ func (n *Node) fetchAssignedLocked(id meta.DataID, reannounced bool) {
 }
 
 // replayRecovered rebuilds the chain replica from the store before
-// networking starts. A persisted snapshot (pruned node or earlier
-// snapshot bootstrap) is installed first — anchoring the replica without
-// replaying pruned history — then the WAL blocks above the anchor run the
-// normal engine state transitions. The first failure stops the replay and
-// rewrites the WAL to the surviving prefix so the corruption cannot
-// resurface.
+// networking starts; it is the one judge of what the store recovered. A
+// persisted snapshot is installed first (one that fails is only noted), then
+// the WAL blocks above its anchor take the block path: AppendTrusted at or
+// below the store's pin, ReceiveBlock's full check above it. The first
+// refusal cuts the WAL there, which also drops blocks that cannot link to
+// genesis or to the anchor.
 func (n *Node) replayRecovered() {
 	recovered := n.store.RecoveredBlocks()
 	blob, spine, snapHeight, haveSnap := n.store.RecoveredSnapshot()
@@ -147,14 +147,7 @@ func (n *Node) replayRecovered() {
 			err = n.eng.BootstrapFromSnapshot(snap)
 		}
 		if err != nil {
-			// The persisted snapshot is unusable. Blocks that don't reach
-			// back to genesis are unreachable without it; drop them and
-			// start clean rather than replay a gapped chain.
 			n.noteStoreErrLocked(err)
-			if len(recovered) > 0 && recovered[0].Index != 1 {
-				recovered = nil
-			}
-			n.noteStoreErrLocked(n.store.ResetChain(recovered))
 		} else {
 			n.persistedSnap = snapHeight
 			if len(spine) > 0 {
@@ -169,9 +162,16 @@ func (n *Node) replayRecovered() {
 			n.updateChainGauges()
 		}
 	}
+	pin := n.store.RecoveredPin()
 	for i, b := range recovered {
-		if err := n.eng.AppendTrusted(b); err != nil {
-			n.noteStoreErrLocked(err)
+		var err error
+		if b.Index <= pin {
+			err = n.eng.AppendTrusted(b)
+		} else {
+			_, err = n.eng.ReceiveBlock(b)
+		}
+		if err != nil {
+			n.noteStoreErrLocked(fmt.Errorf("livenode: recovered block %d refused: %w", b.Index, err))
 			n.noteStoreErrLocked(n.store.ResetChain(recovered[:i]))
 			return
 		}

@@ -13,14 +13,20 @@ import (
 // survives restarts and the content-addressed data-item bytes. The live
 // stack (internal/livenode, cmd/edgenode) plugs in the disk-backed Store;
 // virtual-time clusters and tests use MemStore, which keeps nothing across
-// a restart.
+// a restart. A Backend reports what it holds and judges no block: the
+// node's own block path decides which recovered blocks rejoin the chain.
 //
 // Implementations must be safe for concurrent use.
 type Backend interface {
-	// RecoveredBlocks returns the blocks recovered at open time in index
-	// order (never including genesis); the caller replays them into its
-	// chain replica. In-memory stores return nil.
+	// RecoveredBlocks returns the blocks the log held at open time in index
+	// order (never including genesis), unjudged: the caller replays them into
+	// its chain replica and cuts the log (ResetChain) at the first one its
+	// block path refuses. In-memory stores return nil.
 	RecoveredBlocks() []*block.Block
+	// RecoveredPin returns the checkpoint height up to which the recovered
+	// blocks hash-link to the head this node verified before writing it (0 =
+	// none); the caller may skip content checks at or below it.
+	RecoveredPin() uint64
 	// AppendBlock durably appends one adopted block.
 	AppendBlock(b *block.Block) error
 	// ResetChain replaces the whole persisted chain (a fork adoption cuts
@@ -90,6 +96,9 @@ func NewMemStore() *MemStore {
 
 // RecoveredBlocks implements Backend (nothing survives a restart).
 func (s *MemStore) RecoveredBlocks() []*block.Block { return nil }
+
+// RecoveredPin implements Backend (nothing survives a restart).
+func (s *MemStore) RecoveredPin() uint64 { return 0 }
 
 // AppendBlock implements Backend as a no-op.
 func (s *MemStore) AppendBlock(*block.Block) error { return nil }

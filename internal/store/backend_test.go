@@ -90,3 +90,55 @@ func TestAppendDataOneAlloc(t *testing.T) {
 		t.Fatalf("AppendData of a missing item: %.1f allocations, want 0", allocs)
 	}
 }
+
+// TestBackendDataContract runs the Backend data contract over both backends:
+// AppendData appends behind a non-empty dst, a missing ID leaves dst
+// unchanged and answers ok == false, and DeleteData of an item not held is
+// no error. The disk store answers the same after a restart, from disk.
+func TestBackendDataContract(t *testing.T) {
+	content := []byte("sensor reading")
+	id, missing := meta.HashData(content), meta.HashData([]byte("never stored"))
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		open func(t *testing.T) Backend
+		put  bool // false: the item is on disk from the run before, the cache cold
+	}{
+		{"MemStore", func(*testing.T) Backend { return NewMemStore() }, true},
+		{"Store", func(t *testing.T) Backend { return openStore(t, dir, Options{}) }, true},
+		{"Store reopened", func(t *testing.T) Backend { return openStore(t, dir, Options{}) }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.open(t)
+			defer s.Close()
+			if tc.put {
+				if err := s.PutData(id, content); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dst := []byte("prefix:")
+			if got, ok := s.AppendData(dst, id); !ok || string(got) != "prefix:sensor reading" {
+				t.Fatalf("AppendData = %q, %v; want the content behind the prefix", got, ok)
+			}
+			if got, ok := s.AppendData(dst, missing); ok || !bytes.Equal(got, dst) {
+				t.Fatalf("AppendData of a missing ID = %q, %v; want dst unchanged and false", got, ok)
+			}
+			if err := s.DeleteData(missing); err != nil {
+				t.Fatalf("DeleteData of an absent item: %v", err)
+			}
+			if !s.HasData(id) {
+				t.Fatal("the stored item is gone")
+			}
+		})
+	}
+	s := openStore(t, dir, Options{})
+	defer s.Close()
+	for range 2 {
+		if err := s.DeleteData(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, ok := s.AppendData([]byte("x"), id); ok || string(got) != "x" || s.HasData(id) {
+		t.Fatalf("deleted item answers %q, %v", got, ok)
+	}
+}

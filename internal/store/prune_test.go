@@ -201,9 +201,11 @@ func TestResetChainSurvivesRestart(t *testing.T) {
 }
 
 // TestTornResetCutsStaleTail is the Reset crash-safety regression: a crash
-// mid-Reset leaves new-prefix segments alongside stale old-fork segments,
-// and recovery must cut at the fork discontinuity instead of splicing old
-// history onto the new prefix.
+// mid-Reset leaves new-prefix segments alongside stale old-fork segments
+// whose indices continue them. The store hands back what the disk holds and
+// pins nothing, since the old checkpoint's head sits above the broken link;
+// the node's replay refuses the first stale block and cuts there with
+// ResetChain, after which a restart sees only the fork prefix.
 func TestTornResetCutsStaleTail(t *testing.T) {
 	dir := t.TempDir()
 	old := testChain(t, 6)
@@ -211,6 +213,9 @@ func TestTornResetCutsStaleTail(t *testing.T) {
 
 	s := openStore(t, dir, Options{Sync: SyncAlways, SegmentBlocks: 3})
 	appendAll(t, s, old) // segments: 1-3 sealed, 4-6 active
+	if err := s.Checkpoint(6, old[6].Hash); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -222,19 +227,26 @@ func TestTornResetCutsStaleTail(t *testing.T) {
 
 	s2 := openStore(t, dir, Options{Sync: SyncAlways, SegmentBlocks: 3})
 	got := s2.RecoveredBlocks()
-	if len(got) != 3 {
-		t.Fatalf("recovered %d blocks from torn reset, want 3", len(got))
+	want := append(fork[1:4:4], old[4:]...)
+	if len(got) != len(want) {
+		t.Fatalf("recovered %d blocks from torn reset, want the %d on disk", len(got), len(want))
 	}
 	for i, b := range got {
-		if b.Hash != fork[i+1].Hash {
-			t.Fatalf("block %d spliced from the old fork", i+1)
+		if b.Hash != want[i].Hash {
+			t.Fatalf("block %d is not the one on disk", i+1)
 		}
+	}
+	if pin := s2.RecoveredPin(); pin != 0 {
+		t.Fatalf("a checkpoint above a broken link pinned height %d", pin)
+	}
+	// The replay's cut: the stale segment is gone from disk, and a second
+	// restart sees only the fork prefix.
+	if err := s2.ResetChain(got[:3]); err != nil {
+		t.Fatal(err)
 	}
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The stale segment must be gone from disk after the recovery rewrite:
-	// a second restart sees only the fork prefix.
 	if _, err := os.Stat(segmentPath(dir, 4)); !os.IsNotExist(err) {
 		t.Fatalf("stale old-fork segment still on disk: %v", err)
 	}
@@ -242,6 +254,9 @@ func TestTornResetCutsStaleTail(t *testing.T) {
 	defer s3.Close()
 	if got := s3.RecoveredBlocks(); len(got) != 3 || got[2].Hash != fork[3].Hash {
 		t.Fatalf("second restart recovered %d blocks", len(got))
+	}
+	if pin := s3.RecoveredPin(); pin != 3 {
+		t.Fatalf("the cut's checkpoint pins height %d, want 3", pin)
 	}
 }
 
@@ -263,21 +278,18 @@ func TestSnapshotManifestEdgeCases(t *testing.T) {
 		}
 		return dir, blocks
 	}
-	// Every corruption case must fall back to "no snapshot"; and because
-	// the surviving blocks start mid-chain they are unreachable without it,
-	// so recovery falls back to a clean empty chain (genesis replay).
+	// Every corruption case must fall back to "no snapshot". The blocks
+	// start mid-chain, so without it the node's replay refuses the first and
+	// starts from genesis; the store still hands back what the disk holds.
 	assertCleanFallback := func(t *testing.T, dir string) {
 		s := openStore(t, dir, Options{Sync: SyncAlways, SegmentBlocks: 4})
 		defer s.Close()
 		if _, _, _, ok := s.RecoveredSnapshot(); ok {
 			t.Fatal("corrupt snapshot accepted")
 		}
-		if got := s.RecoveredBlocks(); len(got) != 0 {
-			t.Fatalf("unreachable mid-chain blocks kept: %d", len(got))
+		if got := s.RecoveredBlocks(); len(got) != 2 || got[0].Index != 9 {
+			t.Fatalf("recovered %d blocks, want blocks 9-10 as on disk", len(got))
 		}
-		// The store stays usable: a fresh chain persists from genesis.
-		fresh := testChain(t, 2)
-		appendAll(t, s, fresh)
 	}
 
 	t.Run("missing snapshot blob", func(t *testing.T) {
@@ -302,8 +314,9 @@ func TestSnapshotManifestEdgeCases(t *testing.T) {
 		assertCleanFallback(t, dir)
 	})
 	t.Run("gap between snapshot and blocks", func(t *testing.T) {
-		// Snapshot anchored below the surviving blocks: the blocks are
-		// unreachable and dropped, the snapshot is kept.
+		// Snapshot anchored below the surviving blocks: the snapshot is
+		// kept, and the blocks are handed back for the node's replay to
+		// refuse.
 		dir := t.TempDir()
 		blocks := testChain(t, 10)
 		s := openStore(t, dir, Options{Sync: SyncAlways, SegmentBlocks: 4})
@@ -322,8 +335,8 @@ func TestSnapshotManifestEdgeCases(t *testing.T) {
 		if _, _, h, ok := s2.RecoveredSnapshot(); !ok || h != 3 {
 			t.Fatalf("snapshot lost: ok=%v h=%d", ok, h)
 		}
-		if got := s2.RecoveredBlocks(); len(got) != 0 {
-			t.Fatalf("unreachable blocks above the gap kept: %d", len(got))
+		if got := s2.RecoveredBlocks(); len(got) != 2 || got[0].Index != 9 {
+			t.Fatalf("recovered %d blocks, want blocks 9-10 as on disk", len(got))
 		}
 	})
 	t.Run("newer snapshot replaces older files", func(t *testing.T) {

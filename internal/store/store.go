@@ -32,13 +32,13 @@
 // holds any file under an older name (legacyFile) and leaves it untouched.
 //
 // On Open the segments are scanned in index order, torn tails and
-// discontinuous stale segments are cut away, hash links are verified, and
-// the surviving blocks are handed to the caller to replay on top of the
-// recovered snapshot (or from genesis when no valid snapshot exists).
-// Blocks at or below the last checkpoint skip the expensive per-item
-// signature re-verification when the block at the checkpoint height hashes
-// to the checkpoint's head: the hash-link walk then ties every block below
-// it to the chain the node verified before writing the checkpoint.
+// discontinuous stale segments are cut away, and the surviving blocks are
+// handed to the caller as the disk holds them, to replay on top of the
+// recovered snapshot (or from genesis when no valid snapshot exists). The
+// store judges no block: it checks bytes, CRCs and file hashes, and it
+// reports one height, the pin (RecoveredPin). The node's own block path
+// decides which recovered blocks rejoin the chain, checking content only
+// above the pin.
 package store
 
 import (
@@ -65,6 +65,7 @@ type Store struct {
 	mu        sync.Mutex
 	lock      *os.File // <dir>/LOCK, held from Open; nil once closed
 	recovered []*block.Block
+	pin       uint64 // set at Open, read-only after
 	manifest  Manifest
 
 	// Recovered snapshot (valid only when snapOK).
@@ -118,12 +119,10 @@ func openLockFile(dir string) (*os.File, error) {
 }
 
 // Open opens (or creates) the store rooted at dir and runs crash
-// recovery: WAL segments are scanned, torn or stale tails are cut, the
-// persisted snapshot (if any) is hash-verified, and the surviving block
-// sequence is validated (hashes and hash links always; item signatures only
-// above the checkpoint, and only when the block at the checkpoint height
-// hashes to the manifest's head). The recovered blocks are available via
-// RecoveredBlocks, the snapshot via RecoveredSnapshot.
+// recovery: WAL segments are scanned, torn or stale tails are cut, and the
+// persisted snapshot (if any) is hash-verified. The recovered blocks are
+// available via RecoveredBlocks, the snapshot via RecoveredSnapshot and the
+// checkpoint that vouches for a prefix of the blocks via RecoveredPin.
 //
 // The store holds an exclusive lock on <dir>/LOCK until Close, so a second
 // Open of a directory in use fails, naming the directory.
@@ -164,31 +163,11 @@ func Open(dir string, opts Options) (_ *Store, err error) {
 	if err != nil {
 		return nil, err
 	}
-	scanned := len(blocks)
-	blocks = validatePrefix(blocks, man, m)
-	if !snapOK && len(blocks) > 0 && blocks[0].Index != 1 {
-		// The blocks start mid-chain (a pruned node's log) but the snapshot
-		// that anchored them is missing or corrupt. They cannot be replayed
-		// from genesis; fall back cleanly to an empty chain.
-		blocks = nil
-		man = Manifest{}
-		if err := SaveManifest(filepath.Join(dir, manifestFile), man); err != nil {
-			return nil, err
-		}
-	}
-	if snapOK && len(blocks) > 0 && blocks[0].Index > snapHeight+1 {
-		// Gap between the snapshot anchor and the first persisted block:
-		// the blocks are unreachable, drop them (keep the snapshot).
-		blocks = nil
-	}
+	pin := pinHeight(blocks, man)
 	m.RecoveredBlocks.Add(len(blocks))
-	m.RecoveryDropped.Add(scanned - len(blocks))
-	// If validation dropped blocks beyond what the scan kept, rewrite the
-	// segments to the surviving prefix so disk and memory agree.
-	if len(blocks) < scanned {
-		layout, err = writeSegments(dir, blocks, opts.SegmentBlocks)
-		if err != nil {
-			return nil, err
+	for _, b := range blocks {
+		if b.Index > pin {
+			m.RecoveryVerified.Inc()
 		}
 	}
 	w, err := OpenWAL(dir, opts, layout)
@@ -202,58 +181,46 @@ func Open(dir string, opts Options) (_ *Store, err error) {
 	}
 	ds.setMetrics(m)
 	return &Store{
-		dir: dir, lock: lock, wal: w, data: ds, recovered: blocks, manifest: man,
+		dir: dir, lock: lock, wal: w, data: ds, recovered: blocks, pin: pin, manifest: man,
 		snapBlob: blob, snapSpine: spine, snapHeight: snapHeight, snapOK: snapOK,
 	}, nil
 }
 
-// validatePrefix returns the longest prefix of blocks that forms a valid
-// hash-linked sequence of blocks whose items carry valid signatures. Every
-// block's hash and link are checked. Item signatures are skipped at and
-// below the checkpoint, but only when the prefix reaches the block at the
-// checkpoint height and that block hashes to the manifest's head: the hash
-// links then pin every block below it to the chain this node verified
-// before writing the checkpoint. A checkpoint that does not match (a crash
-// between a WAL rewrite and its manifest, a tampered block) trusts nothing.
-// Signatures are checked through a cache that lives for this call only, so
-// each producer's key tables are built once per restart and no verdict
-// reaches anything else (DESIGN.md §16).
-func validatePrefix(blocks []*block.Block, man Manifest, m *Metrics) []*block.Block {
-	for i, b := range blocks {
-		if b.ComputeHash() != b.Hash || i > 0 && b.VerifyLink(blocks[i-1]) != nil {
-			blocks = blocks[:i]
-			break
-		}
+// pinHeight returns the manifest's checkpoint height when the recovered
+// blocks hash-link from the first one up to it and the block there carries
+// the manifest's head (the links then tie them all to what this node
+// verified), and 0 otherwise. It compares the hashes Decode checked.
+func pinHeight(blocks []*block.Block, man Manifest) uint64 {
+	if len(blocks) == 0 || man.Height < blocks[0].Index {
+		return 0
 	}
-	var trusted uint64
-	if len(blocks) > 0 && man.Height >= blocks[0].Index && man.Height <= blocks[len(blocks)-1].Index &&
-		blocks[man.Height-blocks[0].Index].Hash.String() == man.Head {
-		trusted = man.Height
-	}
-	var sigs meta.SigCache
 	for i, b := range blocks {
-		if b.Index <= trusted {
-			continue
+		if i > 0 && (b.Index != blocks[i-1].Index+1 || b.PrevHash != blocks[i-1].Hash) {
+			return 0
 		}
-		m.RecoveryVerified.Inc()
-		for _, it := range b.Items {
-			if it.VerifyCached(&sigs) != nil {
-				return blocks[:i]
+		if b.Index == man.Height {
+			if b.Hash.String() == man.Head {
+				return man.Height
 			}
+			return 0
 		}
 	}
-	return blocks
+	return 0
 }
 
-// RecoveredBlocks returns the blocks replayed from the WAL at Open, in
-// index order (the genesis block is never persisted; on a pruned node the
-// first block is the one after the snapshot anchor). The caller replays
-// them into its chain and must not modify the slice.
+// RecoveredBlocks returns the blocks the WAL held at Open, in index order
+// and unjudged (the genesis block is never persisted; on a pruned node the
+// first block is at or below the one after the snapshot anchor). The caller
+// replays them into its chain, cuts the WAL at the first it refuses, and
+// must not modify the slice.
 func (s *Store) RecoveredBlocks() []*block.Block {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.recovered
 }
+
+// RecoveredPin implements Backend (see pinHeight; fixed at Open).
+func (s *Store) RecoveredPin() uint64 { return s.pin }
 
 // RecoveredSnapshot returns the hash-verified state snapshot found at
 // Open: the serialized engine state blob, the header spine [1, height],
@@ -290,12 +257,12 @@ func (s *Store) WALSegments() int { return s.wal.Segments() }
 // sequence (genesis excluded by the caller): a fork adoption cuts the log
 // back to the fork point. The caller passes only blocks it has verified, so
 // the checkpoint moves to the last of them (nothing when the sequence is
-// empty), and the next Open checks signatures only above the fork point.
+// empty), and the next restart checks content only above the fork point.
 // The WAL is rewritten before the manifest: a crash between the two leaves
 // the old checkpoint, whose head no longer matches, or still matches a kept
 // block. Any persisted snapshot is kept; if the fork invalidated it, the
-// next Open detects the mismatch against the recovered blocks and the next
-// checkpoint re-persists a fresh one.
+// next restart's replay refuses the blocks that do not link to it and the
+// next checkpoint re-persists a fresh one.
 func (s *Store) ResetChain(blocks []*block.Block) error {
 	if err := s.wal.Reset(blocks); err != nil {
 		return err
@@ -310,10 +277,9 @@ func (s *Store) ResetChain(blocks []*block.Block) error {
 }
 
 // Checkpoint fsyncs the WAL and records height and head as the highest
-// block this node has verified and made durable, so the next Open can skip
-// item signature checks up to it. It must name a block in the WAL: Open
-// trusts the checkpoint only if the block it recovers at height hashes to
-// head.
+// block this node has verified and made durable, so the next restart can
+// skip content checks up to it. It must name a block in the WAL: Open pins
+// the checkpoint only if the block it recovers at height carries head.
 func (s *Store) Checkpoint(height uint64, head block.Hash) error {
 	if err := s.wal.Sync(); err != nil {
 		return err

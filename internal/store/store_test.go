@@ -148,70 +148,14 @@ func TestCorruptMiddleRecordKeepsPrefix(t *testing.T) {
 	}
 }
 
-// signedChain builds genesis + n linked blocks packing one item each, the
-// producers alternating; block bad's item has one signature bit flipped
-// and the block is sealed over it, so CRC and hash hold and only the
-// signature check can refuse it.
-func signedChain(t testing.TB, n, bad int) []*block.Block {
-	t.Helper()
-	rng := rand.New(rand.NewSource(11))
-	producers := []*identity.Identity{identity.GenerateSeeded(rng), identity.GenerateSeeded(rng)}
-	blocks := []*block.Block{block.Genesis(7)}
-	for i := 1; i <= n; i++ {
-		it := &meta.Item{ID: meta.HashData([]byte{byte(i)}), Type: "T", DataSize: i}
-		it.Sign(producers[i%2])
-		if i == bad {
-			it.Signature[9] ^= 1
-		}
-		blocks = append(blocks, block.NewBuilder(blocks[i-1], identity.Address{}, time.Duration(i)*time.Second, 1, 0).AddItem(it).Seal())
-	}
-	return blocks
-}
-
-// TestBadSignatureMidSegmentCutsPrefix: a record in the middle of a segment
-// whose CRC and hash hold but whose item signature does not cuts recovery at
-// the block before it, as a flipped payload byte does — with or without a
-// torn tail behind it. Its producer signed blocks 2 and 4, so by block 6 the
-// restart's own signature cache checks it on the key's tables.
-func TestBadSignatureMidSegmentCutsPrefix(t *testing.T) {
-	chain := signedChain(t, 8, 6)
-	if chain[6].VerifySelf() == nil {
-		t.Fatal("the forged block verifies")
-	}
-	for _, torn := range []bool{false, true} {
-		dir := t.TempDir()
-		s := openStore(t, dir, Options{Sync: SyncAlways})
-		appendAll(t, s, chain)
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if torn {
-			st, err := os.Stat(segmentPath(dir, 1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.Truncate(segmentPath(dir, 1), st.Size()-5); err != nil {
-				t.Fatal(err)
-			}
-		}
-		s2 := openStore(t, dir, Options{})
-		got := s2.RecoveredBlocks()
-		if len(got) != 5 || got[4].Hash != chain[5].Hash {
-			t.Fatalf("torn=%v: recovered %d blocks, want blocks 1-5", torn, len(got))
-		}
-		if err := s2.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestCheckpointSkipsContentVerification shows the incremental-replay
-// contract: a block whose item signature is invalid (content tampered
-// after signing, hash recomputed) is rejected on a cold open, but
-// accepted when a checkpoint already covers it — CRC plus hash links stand
-// in for the full re-verification below the checkpoint. The checkpoint is
-// pinned by hash: one that names another head at that height vouches for
-// nothing, and the block is cut as on a cold open.
+// contract from the store's side: the store hands back every block the disk
+// holds, a block whose item signature is invalid (content tampered after
+// signing, hash recomputed) included, and reports the pin up to which a
+// checkpoint vouches for them. The node's replay checks content above the
+// pin only. The pin needs the block at the checkpoint height to carry the
+// manifest's head, and the blocks below it to hash-link: a checkpoint that
+// names another head, or sits above a broken link, vouches for nothing.
 func TestCheckpointSkipsContentVerification(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	producer := identity.GenerateSeeded(rng)
@@ -224,49 +168,43 @@ func TestCheckpointSkipsContentVerification(t *testing.T) {
 	if err := bad.VerifySelf(); err == nil {
 		t.Fatal("tampered item unexpectedly verifies")
 	}
-
-	build := func() string {
-		dir := t.TempDir()
-		s := openStore(t, dir, Options{Sync: SyncAlways})
-		if err := s.AppendBlock(bad); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return dir
-	}
-
-	cold := openStore(t, build(), Options{})
-	defer cold.Close()
-	if n := len(cold.RecoveredBlocks()); n != 0 {
-		t.Fatalf("cold open kept %d unverifiable blocks, want 0", n)
-	}
-
-	// A manifest checkpoint covering height 1 vouches for the block, so
-	// the next open keeps it without re-running signature verification.
-	dir := build()
-	err := SaveManifest(filepath.Join(dir, manifestFile), Manifest{Height: 1, Head: bad.Hash.String()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := openStore(t, dir, Options{})
-	defer warm.Close()
-	got := warm.RecoveredBlocks()
-	if len(got) != 1 || got[0].Hash != bad.Hash {
-		t.Fatalf("checkpointed open recovered %d blocks, want the vouched block", len(got))
-	}
-
-	dir = build()
+	next := block.NewBuilder(bad, identity.Address{}, 2*time.Second, 1, 0).Seal()
 	other := block.NewBuilder(genesis, identity.Address{}, 2*time.Second, 1, 0).Seal()
-	err = SaveManifest(filepath.Join(dir, manifestFile), Manifest{Height: 1, Head: other.Hash.String()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pinned := openStore(t, dir, Options{})
-	defer pinned.Close()
-	if n := len(pinned.RecoveredBlocks()); n != 0 {
-		t.Fatalf("a checkpoint naming another head kept %d unverifiable blocks, want 0", n)
+	stray := block.NewBuilder(other, identity.Address{}, 3*time.Second, 1, 0).Seal() // links to other, not to bad
+
+	for _, tc := range []struct {
+		name   string
+		blocks []*block.Block
+		man    Manifest
+		pin    uint64
+	}{
+		{"cold", []*block.Block{bad, next}, Manifest{}, 0},
+		{"checkpoint at the block", []*block.Block{bad, next}, Manifest{Height: 1, Head: bad.Hash.String()}, 1},
+		{"checkpoint above it", []*block.Block{bad, next}, Manifest{Height: 2, Head: next.Hash.String()}, 2},
+		{"checkpoint naming another head", []*block.Block{bad, next}, Manifest{Height: 1, Head: other.Hash.String()}, 0},
+		{"checkpoint above the recovered blocks", []*block.Block{bad, next}, Manifest{Height: 3, Head: next.Hash.String()}, 0},
+		{"checkpoint above a broken link", []*block.Block{bad, stray}, Manifest{Height: 2, Head: stray.Hash.String()}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := openStore(t, dir, Options{Sync: SyncAlways})
+			appendAll(t, s, tc.blocks)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := SaveManifest(filepath.Join(dir, manifestFile), tc.man); err != nil {
+				t.Fatal(err)
+			}
+			s = openStore(t, dir, Options{})
+			defer s.Close()
+			got := s.RecoveredBlocks()
+			if len(got) != len(tc.blocks) || got[0].Hash != bad.Hash || got[1].Hash != tc.blocks[1].Hash {
+				t.Fatalf("recovered %d blocks, want the %d on disk", len(got), len(tc.blocks))
+			}
+			if pin := s.RecoveredPin(); pin != tc.pin {
+				t.Fatalf("pin %d, want %d", pin, tc.pin)
+			}
+		})
 	}
 }
 
